@@ -241,7 +241,7 @@ func (th *Thread) Join(other *Thread) error {
 			}
 			other.joiners = append(other.joiners, th.task)
 		})
-		th.task.Park(fmt.Sprintf("join t%d", other.id))
+		th.task.ParkOn(sim.ReasonNum("join t", uint64(other.id)))
 	}
 	return other.crashErr
 }

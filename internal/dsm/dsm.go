@@ -591,7 +591,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 			if m.rec != nil {
 				parkedAt = t.Now()
 			}
-			t.Park("fault follower " + addr.String())
+			t.ParkOn(sim.ReasonHex("fault follower ", uint64(addr)))
 			t.Sleep(m.params.FollowerWake)
 			if m.rec != nil {
 				// Follower wakeups run on the faulting node's lane.

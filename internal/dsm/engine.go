@@ -126,17 +126,17 @@ func (e *engine) nextRevokeSeq(node int) uint64 {
 // each retry timeout, with exponential backoff.
 func (e *engine) awaitReply(t *sim.Task, node, target int, req *outstanding, msg *pageRequest) {
 	m := e.m
-	parkReason := "page reply " + mem.Addr(req.vpn<<mem.PageShift).String()
+	parkReason := sim.ReasonHex("page reply ", req.vpn<<mem.PageShift)
 	if m.chaos == nil {
 		for !req.done {
-			t.Park(parkReason)
+			t.ParkOn(parkReason)
 		}
 		return
 	}
 	rto := m.params.RetryTimeout
 	attempt := 0
 	for !req.done {
-		if t.ParkTimeout(parkReason, rto) || req.done {
+		if t.ParkOnTimeout(parkReason, rto) || req.done {
 			continue
 		}
 		if target != m.origin && m.chaos.NodeDead(target) {

@@ -45,7 +45,7 @@ func (tb *Table) Enqueue(t *sim.Task, addr mem.Addr) *Waiter {
 // are absorbed.
 func (w *Waiter) Block() {
 	for !w.woken {
-		w.task.Park("futex wait " + w.addr.String())
+		w.task.ParkOn(sim.ReasonHex("futex wait ", uint64(w.addr)))
 	}
 }
 

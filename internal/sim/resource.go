@@ -13,6 +13,7 @@ import (
 // membership is tested in O(1) through Task.waitingSem instead of a scan.
 type Semaphore struct {
 	name  string
+	park  string // park reason of a waiter
 	total int
 	avail int
 	ring  []*Task // capacity is always a power of two
@@ -25,7 +26,7 @@ func NewSemaphore(name string, n int) *Semaphore {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: semaphore %q must have at least one unit, got %d", name, n))
 	}
-	return &Semaphore{name: name, total: n, avail: n}
+	return &Semaphore{name: name, park: "semaphore " + name, total: n, avail: n}
 }
 
 // pushWaiter appends t to the tail of the ring, growing it when full.
@@ -60,7 +61,7 @@ func (s *Semaphore) Acquire(t *Task) {
 	s.pushWaiter(t)
 	t.waitingSem = s
 	for {
-		t.Park("semaphore " + s.name)
+		t.Park(s.park)
 		// A hand-off clears waitingSem before the wake; a stray token does
 		// not, so a spurious wake loops back into Park without losing the
 		// task's place in line.
@@ -115,6 +116,7 @@ type Bus struct {
 	freeAt     time.Duration
 	busyTime   time.Duration
 	bytes      uint64
+	release    func() // ends one transfer; bound once so Occupy allocates no closure
 }
 
 // NewBus creates a bus with the given bandwidth in bytes per second.
@@ -122,7 +124,9 @@ func NewBus(eng *Engine, name string, bytesPerSecond float64) *Bus {
 	if bytesPerSecond <= 0 {
 		panic(fmt.Sprintf("sim: bus %q must have positive bandwidth", name))
 	}
-	return &Bus{eng: eng, name: name, bytesPerS: bytesPerSecond}
+	b := &Bus{eng: eng, name: name, bytesPerS: bytesPerSecond}
+	b.release = func() { b.active-- }
+	return b
 }
 
 // SetCongestion sets the per-concurrent-transfer service-time inflation
@@ -147,7 +151,7 @@ func (b *Bus) Occupy(n int) time.Duration {
 	}
 	finish := start + d
 	b.active++
-	b.eng.After(finish-now, func() { b.active-- })
+	b.eng.After(finish-now, b.release)
 	b.freeAt = finish
 	b.busyTime += d
 	b.bytes += uint64(n)
@@ -176,13 +180,14 @@ func (b *Bus) duration(n int) time.Duration {
 // Any number of tasks may block in Recv; senders never block.
 type Mailbox[T any] struct {
 	name  string
+	park  string // park reason of a receiver
 	queue []T
 	recvQ []*Task
 }
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox[T any](name string) *Mailbox[T] {
-	return &Mailbox[T]{name: name}
+	return &Mailbox[T]{name: name, park: "mailbox " + name}
 }
 
 // Send enqueues v and wakes the oldest blocked receiver, if any. It may be
@@ -200,7 +205,7 @@ func (m *Mailbox[T]) Send(v T) {
 func (m *Mailbox[T]) Recv(t *Task) T {
 	for len(m.queue) == 0 {
 		m.recvQ = append(m.recvQ, t)
-		t.Park("mailbox " + m.name)
+		t.Park(m.park)
 		m.dropReceiver(t)
 	}
 	v := m.queue[0]

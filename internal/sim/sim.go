@@ -2,10 +2,16 @@
 // an optional conservative-parallel (PDES) core.
 //
 // The engine advances a virtual clock over priority queues of events. Tasks
-// are cooperative coroutines implemented as goroutines. In the classic serial
-// mode exactly one goroutine (the engine or a single task) runs at any moment,
-// so simulation state needs no locking and runs are bit-for-bit reproducible
-// for a given seed.
+// are cooperative coroutines: a task's code runs on an iter.Pull coroutine,
+// and the goroutine executing the task's lane switches into it directly
+// (runtime coroswitch) and is switched back to when the task sleeps, parks
+// or finishes — the Go scheduler takes no part in a task switch. Coroutines
+// whose task has finished wait on a free list owned by the lane that ran
+// them and serve the next task started there, so steady-state Spawn creates
+// no goroutine; Run stops them all, live or pooled, before it returns. In the
+// classic serial mode exactly one goroutine (the engine or a single task)
+// runs at any moment, so simulation state needs no locking and runs are
+// bit-for-bit reproducible for a given seed.
 //
 // # Parallel core
 //
@@ -36,9 +42,12 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -105,6 +114,10 @@ type engineCore struct {
 	// identically placed in serial and parallel execution.
 	samplers []sampler
 
+	// active is beginWindow's scratch list of the lanes a window dispatches,
+	// reused from window to window.
+	active []*laneState
+
 	// tasksMu guards the task registry only; it is sim-internal bookkeeping
 	// (deadlock diagnostics) whose lock order never leaks into simulation
 	// outcomes. All simulation state proper is lane-owned and lock-free.
@@ -146,6 +159,11 @@ type laneState struct {
 	failureKey eventKey
 
 	current *Task // task currently dispatched by this lane, if any
+
+	// free holds coroutines whose task finished on this lane, ready for the
+	// next task started here. Like everything else in laneState it is only
+	// touched by the goroutine executing the lane.
+	free []*coro
 }
 
 type stagedEvent struct {
@@ -239,13 +257,18 @@ func (e *Engine) AddSampler(period time.Duration, fn func(at time.Duration)) {
 
 // eventKey is the total order over events: (at, target lane, creator lane,
 // creator counter). The (creator lane, counter) pair is unique, so the order
-// is total; within one lane's heap only (at, src, ctr) matters.
+// is total; within one lane's heap only (at, seq) matters.
 type eventKey struct {
 	at   time.Duration
 	lane int
-	src  int
-	ctr  uint64
+	seq  uint64
 }
+
+// ctrBits is the width of the creator counter in an event's seq, which packs
+// the (creator lane, creator counter) pair into one word, lane above counter,
+// so that comparing two seqs compares the pairs. A lane would have to create
+// 2^48 events to overflow into the lane bits.
+const ctrBits = 48
 
 func (a eventKey) before(b eventKey) bool {
 	if a.at != b.at {
@@ -254,17 +277,17 @@ func (a eventKey) before(b eventKey) bool {
 	if a.lane != b.lane {
 		return a.lane < b.lane
 	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.ctr < b.ctr
+	return a.seq < b.seq
 }
 
 type event struct {
-	at   time.Duration
-	src  int    // creator lane index
-	ctr  uint64 // creator-lane counter at creation
+	at  time.Duration
+	seq uint64 // creator lane index << ctrBits | its counter at creation
+	// Exactly one of fn and task is set: fn is called in event context; task
+	// is started or resumed (Spawn, Sleep, Unpark, Kill and, with tomb set,
+	// a ParkTimeout deadline), which takes no closure.
 	fn   func()
+	task *Task
 	tomb *tombstone // non-nil for cancellable (timeout) events
 }
 
@@ -272,11 +295,11 @@ type event struct {
 // and compacted away when they dominate the heap.
 type tombstone struct{ dead bool }
 
-// eventHeap is a concrete 4-ary min-heap ordered by (at, src, ctr). Compared
+// eventHeap is a concrete 4-ary min-heap ordered by (at, seq). Compared
 // to container/heap it avoids the interface boxing (one allocation per Push)
 // and the indirect Less/Swap calls on the engine's hottest path; the wider
 // fanout halves the tree depth, trading slightly more comparisons per
-// sift-down for far fewer cache-missing levels. Because (src, ctr) is unique,
+// sift-down for far fewer cache-missing levels. Because seq is unique,
 // the order is total, so the pop sequence — and with it every simulation — is
 // independent of the heap's internal shape.
 type eventHeap []event
@@ -288,10 +311,7 @@ func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.ctr < b.ctr
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev event) {
@@ -314,7 +334,7 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // release the closure for GC
+	q[n] = event{} // release the closure and task for GC
 	q = q[:n]
 	*h = q
 	// Sift down.
@@ -383,6 +403,9 @@ func (e *Engine) ConfigureLanes(nodes, cores int) {
 	c := e.c
 	if len(c.lanes) > 1 {
 		panic("sim: ConfigureLanes called twice")
+	}
+	if nodes >= 1<<(64-ctrBits)-1 {
+		panic(fmt.Sprintf("sim: ConfigureLanes(%d): an event key holds the lane in %d bits", nodes, 64-ctrBits))
 	}
 	for i := 0; i < nodes; i++ {
 		c.lanes = append(c.lanes, newLane(i+1, c.seed))
@@ -463,7 +486,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.lane, e.Now()+d, fn, nil)
+	e.schedule(e.lane, e.Now()+d, fn, nil, nil)
 }
 
 // AfterOn schedules fn at Now()+d on the lane of the given node
@@ -481,15 +504,24 @@ func (e *Engine) AfterOn(node int, d time.Duration, fn func()) {
 	if node >= 0 && node+1 < len(e.c.lanes) {
 		lane = node + 1
 	}
-	e.schedule(lane, e.Now()+d, fn, nil)
+	e.schedule(lane, e.Now()+d, fn, nil, nil)
+}
+
+// wakeAfter schedules t to be started or resumed at Now()+d on this view's
+// lane.
+func (e *Engine) wakeAfter(d time.Duration, t *Task) {
+	if d < 0 {
+		d = 0
+	}
+	e.schedule(e.lane, e.Now()+d, nil, t, nil)
 }
 
 // schedule places an event created by this view onto the target lane.
-func (e *Engine) schedule(lane int, at time.Duration, fn func(), tomb *tombstone) {
+func (e *Engine) schedule(lane int, at time.Duration, fn func(), t *Task, tomb *tombstone) {
 	c := e.c
 	src := e.ls()
 	src.ctr++
-	ev := event{at: at, src: e.lane, ctr: src.ctr, fn: fn, tomb: tomb}
+	ev := event{at: at, seq: uint64(e.lane)<<ctrBits | src.ctr, fn: fn, task: t, tomb: tomb}
 	if !c.parallel || e.lane == 0 {
 		// Serial execution, a serialized window, or outside Run: every lane
 		// is quiescent, so pushing straight into the target heap is safe.
@@ -525,8 +557,14 @@ func (c *engineCore) laneHasWork() bool {
 // Run processes events until none remain, a task fails, or the event limit
 // is hit. It returns the first task failure, a deadlock error if parked
 // tasks remain with an empty queue, or nil on clean completion.
+//
+// No coroutine outlives Run: on the way out every pooled coroutine is ended
+// and every task still suspended — parked forever, cut off by the event limit
+// or by another task's failure — is unwound the way Kill unwinds it (its
+// deferred calls run, no further task code does, and it is not a failure).
 func (e *Engine) Run() error {
 	c := e.c
+	defer c.stopCoros()
 	var err error
 	if c.cores > 1 && c.lookahead > 0 && len(c.lanes) > 1 {
 		err = c.runWindowed()
@@ -556,7 +594,7 @@ func (c *engineCore) minLane() *laneState {
 			continue
 		}
 		top := l.heap[0]
-		key := eventKey{at: top.at, lane: l.idx, src: top.src, ctr: top.ctr}
+		key := eventKey{at: top.at, lane: l.idx, seq: top.seq}
 		if best == nil || key.before(bestKey) {
 			best, bestKey = l, key
 		}
@@ -599,11 +637,12 @@ func (l *laneState) cancelTomb(t *tombstone) {
 // beginWindow opens the scheduler window starting at T: it fires every
 // sampler deadline the window start has reached, publishes the window bound,
 // decides whether the window must serialize (global-lane work pending before
-// the bound), collects the active node lanes otherwise, and records the
-// scheduler telemetry. It runs with every lane quiescent. The serial loop
-// calls it at exactly the points where the windowed scheduler would — the
-// pending-event sets are equal there — so telemetry and sampler observations
-// are identical at any core count.
+// the bound), collects the active node lanes otherwise (in a scratch slice
+// that the next call overwrites), and records the scheduler telemetry. It
+// runs with every lane quiescent. The serial loop calls it at exactly the
+// points where the windowed scheduler would — the pending-event sets are
+// equal there — so telemetry and sampler observations are identical at any
+// core count.
 func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*laneState) {
 	for i := range c.samplers {
 		s := &c.samplers[i]
@@ -625,6 +664,7 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 		return true, nil
 	}
 	c.serializedWin = false
+	active = c.active[:0]
 	for _, l := range c.lanes[1:] {
 		l.skipTombs()
 		if l.heap.Len() > 0 && l.heap[0].at < end {
@@ -632,6 +672,7 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 			l.windows++
 		}
 	}
+	c.active = active
 	c.sched.laneDispatches += uint64(len(active))
 	if len(active) > c.sched.maxWindowLanes {
 		c.sched.maxWindowLanes = len(active)
@@ -659,24 +700,44 @@ func (c *engineCore) runSerial() error {
 		if c.limit != 0 && c.nEvents >= c.limit {
 			return fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit)
 		}
-		if windows && l.heap[0].at >= c.windowEnd {
-			c.beginWindow(l.heap[0].at)
+		at := l.heap[0].at
+		if windows && at >= c.windowEnd {
+			c.beginWindow(at)
 		}
-		ev := l.heap.pop()
-		c.now = ev.at
-		l.now = ev.at
+		c.now = at
 		c.nEvents++
-		l.events++
 		if c.serializedWin {
 			c.sched.serializedEvents++
 		}
-		c.execSerial(l, ev)
+		l.step()
 	}
 }
 
-// execSerial runs one event with lane-failure attribution.
-func (c *engineCore) execSerial(l *laneState, ev event) {
-	ev.fn()
+// goschedEvery is how many events a lane executes between two calls of
+// runtime.Gosched. A task switch is a direct coroutine switch, so an event
+// loop never passes through the Go scheduler by itself; on one P the
+// collector's background worker would then run only at the 10 ms preemption
+// tick and the heap overshoot while it marks.
+const goschedEvery = 1024
+
+// step pops the lane's next event and executes it on the calling goroutine:
+// a task event starts or resumes its task, any other calls its function.
+func (l *laneState) step() {
+	ev := l.heap.pop()
+	l.now = ev.at
+	l.events++
+	if l.events%goschedEvery == 0 {
+		runtime.Gosched()
+	}
+	t := ev.task
+	if t == nil {
+		ev.fn()
+		return
+	}
+	if ev.tomb != nil && !t.expire(ev.tomb) {
+		return
+	}
+	l.resume(t)
 }
 
 // runWindowed is the conservative-parallel scheduler. Each iteration picks
@@ -756,13 +817,10 @@ func (c *engineCore) runSerialWindow(end time.Duration) error {
 		if l == nil || l.heap[0].at >= end {
 			return nil
 		}
-		ev := l.heap.pop()
-		c.now = ev.at
-		l.now = ev.at
+		c.now = l.heap[0].at
 		c.nEvents++
-		l.events++
 		c.sched.serializedEvents++
-		ev.fn()
+		l.step()
 	}
 }
 
@@ -783,11 +841,8 @@ func (c *engineCore) runLane(l *laneState, end time.Duration) {
 		if l.heap.Len() == 0 || l.heap[0].at >= end {
 			return
 		}
-		ev := l.heap.pop()
-		l.now = ev.at
 		l.nEvents++
-		l.events++
-		ev.fn()
+		l.step()
 		if l.failure != nil {
 			return
 		}
@@ -849,9 +904,9 @@ func (c *engineCore) parkedTasks() []string {
 	for t := range c.tasks {
 		if !t.done {
 			if t.detail != "" {
-				names = append(names, fmt.Sprintf("%s [%s] (parked at %q)", t.name, t.detail, t.parkReason))
+				names = append(names, fmt.Sprintf("%s [%s] (parked at %q)", t.name, t.detail, t.parkReason.String()))
 			} else {
-				names = append(names, fmt.Sprintf("%s (parked at %q)", t.name, t.parkReason))
+				names = append(names, fmt.Sprintf("%s (parked at %q)", t.name, t.parkReason.String()))
 			}
 		}
 	}
@@ -859,31 +914,62 @@ func (c *engineCore) parkedTasks() []string {
 	return names
 }
 
-// Task is a simulated thread of control. Task methods must only be called by
-// the goroutine running the task itself, except Unpark (and Kill), which may
-// be called from the task's own lane, or from any context while the lanes
-// are serialized (a global-lane event, a serialized window, or serial mode).
+// Reason says what a task is parked on. It is only read by deadlock
+// diagnostics, so the fault path hands over a constant prefix and a number
+// (a page address, a thread id) and the text is built when a diagnostic asks
+// for it.
+type Reason struct {
+	text string
+	num  uint64
+	base int // 0: text alone; 10 or 16: text followed by num in that base
+}
+
+// ReasonNum is the reason prefix followed by n in decimal.
+func ReasonNum(prefix string, n uint64) Reason { return Reason{text: prefix, num: n, base: 10} }
+
+// ReasonHex is the reason prefix followed by n as 0x-prefixed hexadecimal,
+// the way addresses print.
+func ReasonHex(prefix string, n uint64) Reason { return Reason{text: prefix, num: n, base: 16} }
+
+func (r Reason) String() string {
+	switch r.base {
+	case 10:
+		return r.text + strconv.FormatUint(r.num, 10)
+	case 16:
+		return r.text + "0x" + strconv.FormatUint(r.num, 16)
+	}
+	return r.text
+}
+
+// Task is a simulated thread of control. Its function runs on a coroutine
+// (see coro) that the goroutine executing the task's lane switches into, so
+// at most one of the two runs at a time and a task is resumed by whichever
+// goroutine runs its lane in that window — the Run caller, or any worker of
+// the pool. Task methods must only be called by the task's own function,
+// except Unpark (and Kill), which may be called from the task's own lane, or
+// from any context while the lanes are serialized (a global-lane event, a
+// serialized window, or serial mode).
 type Task struct {
-	eng        *Engine // view the task currently schedules through
-	name       string
-	resume     chan struct{}
-	yielded    chan struct{}
-	started    bool
+	eng  *Engine // view the task currently schedules through
+	name string
+	fn   func(*Task)
+	// co is the coroutine running fn: nil until the task's start event takes
+	// one from its lane, and again once fn has returned or been unwound.
+	co         *coro
 	done       bool
 	parked     bool
 	killed     bool
 	wakeToken  bool
-	parkReason string
+	timedOut   bool // the last ParkTimeout ended by its deadline
+	parkReason Reason
 	// detail is free-form location context (e.g. "node 3") set by the layer
 	// that owns the task; it is included in deadlock diagnostics so a stuck
 	// run names both the task and where it was executing.
 	detail string
-	// parkSeq counts park episodes; a timeout event captured under an older
-	// sequence number is stale and must not wake the task.
-	parkSeq uint64
-	// parkTomb cancels the pending ParkTimeout event when the task is woken
-	// before the timeout fires, so the stale timer leaves the heap instead
-	// of lingering until its deadline.
+	// parkTomb is the pending ParkTimeout event's tombstone. It identifies
+	// the park episode the deadline belongs to, and cancels the event when
+	// the task is woken first, so the stale timer leaves the heap instead of
+	// lingering until its deadline.
 	parkTomb *tombstone
 	// parkTombEng is the lane view the pending timeout was scheduled through.
 	// SetLane may rebind the task while it is parked (thread migration), so
@@ -895,9 +981,124 @@ type Task struct {
 	waitingSem *Semaphore
 }
 
-// killPanic is the sentinel used to unwind a killed task's goroutine. It is
-// recovered in startTask and does not count as a simulation failure.
-type killPanic struct{ name string }
+// killPanic is the sentinel that unwinds a task's function when the task was
+// killed or its coroutine stopped. It is recovered in coro.run and does not
+// count as a simulation failure.
+type killPanic struct{}
+
+// coro is a coroutine that runs task functions, one task after another. The
+// lane executing a task's event switches into it with resume and gets control
+// back when the task calls suspend (through Task.yield) or its function ends;
+// both are direct switches between two goroutines (iter.Pull over the
+// runtime's coroswitch), not trips through the Go scheduler. Between tasks
+// the coroutine sits on a lane's free list.
+type coro struct {
+	resume  func() (struct{}, bool) // run the coroutine until it suspends; false once it has ended
+	stop    func()                  // end it: a suspended task unwinds, a pooled coroutine returns
+	suspend func(struct{}) bool     // called on the coroutine: back to the resumer; false once stopped
+	task    *Task                   // the task being run; nil while pooled
+}
+
+func newCoro() *coro {
+	co := &coro{}
+	co.resume, co.stop = iter.Pull(co.loop)
+	return co
+}
+
+// loop is the coroutine's body: run the bound task, hand control back, and
+// expect a new task to be bound at the next resume. It ends when the
+// coroutine is stopped, or when a task panicked: that stack is not reused.
+func (co *coro) loop(suspend func(struct{}) bool) {
+	co.suspend = suspend
+	for co.run() && suspend(struct{}{}) {
+	}
+}
+
+// run executes the bound task's function and reports whether the coroutine
+// may serve another task.
+func (co *coro) run() (reusable bool) {
+	t := co.task
+	defer func() {
+		if r := recover(); r != nil {
+			if _, unwound := r.(killPanic); unwound {
+				reusable = true
+			} else {
+				t.eng.failTask(fmt.Errorf("sim: task %q panicked: %v\n%s", t.name, r, debug.Stack()))
+			}
+		}
+		co.task = nil
+		t.finish()
+	}()
+	t.fn(t)
+	return true
+}
+
+// takeCoro returns a coroutine for a task starting on this lane.
+func (l *laneState) takeCoro() *coro {
+	n := len(l.free)
+	if n == 0 {
+		return newCoro()
+	}
+	co := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return co
+}
+
+// resume hands control to t and returns when it yields (sleeps, parks, or
+// finishes). It runs in event context on the lane executing t's event: a
+// task that has never run gets a coroutine from that lane's free list, and
+// the coroutine of a task that finishes goes back onto it.
+func (l *laneState) resume(t *Task) {
+	if t.done {
+		// Unwound when an earlier Run gave up; its wake-up is stale.
+		return
+	}
+	co := t.co
+	if co == nil {
+		if t.killed {
+			// Killed before ever running: discard without taking a coroutine.
+			t.finish()
+			return
+		}
+		co = l.takeCoro()
+		co.task, t.co = t, co
+	}
+	// current is kept on the task's own lane, where Kill looks for it; the
+	// free list is the executing lane's, which this goroutine owns.
+	tl := t.eng.ls()
+	prev := tl.current
+	tl.current = t
+	_, alive := co.resume()
+	tl.current = prev
+	if t.done && alive {
+		l.free = append(l.free, co)
+	}
+}
+
+// stopCoros ends every coroutine of the simulation: the pooled ones return,
+// and tasks still suspended unwind. It runs when Run returns, with every
+// lane quiescent.
+func (c *engineCore) stopCoros() {
+	for _, l := range c.lanes {
+		for i, co := range l.free {
+			co.stop()
+			l.free[i] = nil
+		}
+		l.free = l.free[:0]
+	}
+	c.tasksMu.Lock()
+	var live []*coro
+	for t := range c.tasks {
+		if t.co != nil {
+			live = append(live, t.co)
+		}
+	}
+	c.tasksMu.Unlock()
+	for _, co := range live {
+		co.stop()
+	}
+}
 
 // Spawn creates a task running fn on this view's lane, scheduled to start at
 // the current virtual time (after already-queued events at this instant).
@@ -908,40 +1109,18 @@ func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
 // SpawnAfter creates a task running fn on this view's lane, scheduled to
 // start after delay d.
 func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task {
-	t := &Task{eng: e, name: name, resume: make(chan struct{}), yielded: make(chan struct{})}
+	t := &Task{eng: e, name: name, fn: fn}
 	c := e.c
 	c.tasksMu.Lock()
 	c.tasks[t] = struct{}{}
 	c.tasksMu.Unlock()
-	e.After(d, func() { e.startTask(t, fn) })
+	e.wakeAfter(d, t)
 	return t
-}
-
-func (e *Engine) startTask(t *Task, fn func(*Task)) {
-	if t.killed {
-		// Killed before ever running: discard without starting the goroutine.
-		t.finish()
-		return
-	}
-	t.started = true
-	go func() {
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, wasKilled := r.(killPanic); !wasKilled {
-					t.eng.failTask(fmt.Errorf("sim: task %q panicked: %v\n%s", t.name, r, debug.Stack()))
-				}
-			}
-			t.finish()
-			t.yielded <- struct{}{}
-		}()
-		fn(t)
-	}()
-	t.eng.dispatch(t)
 }
 
 func (t *Task) finish() {
 	t.done = true
+	t.co = nil
 	c := t.eng.c
 	c.tasksMu.Lock()
 	delete(c.tasks, t)
@@ -965,23 +1144,12 @@ func (e *Engine) failTask(err error) {
 	}
 }
 
-// dispatch hands control to t and blocks until it yields (sleeps, parks, or
-// finishes). It must be called from event context on the task's lane.
-func (e *Engine) dispatch(t *Task) {
-	l := t.eng.ls()
-	prev := l.current
-	l.current = t
-	t.resume <- struct{}{}
-	<-t.yielded
-	l.current = prev
-}
-
-// yield returns control to the engine and blocks until re-dispatched.
+// yield switches back to the goroutine that resumed the task and returns
+// when the task is resumed again. A task killed meanwhile, or whose
+// coroutine was stopped because Run is returning, unwinds from here.
 func (t *Task) yield() {
-	t.yielded <- struct{}{}
-	<-t.resume
-	if t.killed {
-		panic(killPanic{t.name})
+	if !t.co.suspend(struct{}{}) || t.killed {
+		panic(killPanic{})
 	}
 }
 
@@ -1023,11 +1191,7 @@ func (t *Task) Now() time.Duration { return t.eng.Now() }
 
 // Sleep advances the task past d of virtual time. Other events run meanwhile.
 func (t *Task) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	eng := t.eng
-	eng.After(d, func() { eng.dispatch(t) })
+	t.eng.wakeAfter(d, t)
 	t.yield()
 }
 
@@ -1040,16 +1204,19 @@ func (t *Task) SleepUntil(at time.Duration) {
 // Park blocks the task until another simulation participant calls Unpark.
 // If an Unpark token is already pending, Park consumes it and returns
 // immediately. reason is reported in deadlock diagnostics.
-func (t *Task) Park(reason string) {
-	t.parkSeq++
+func (t *Task) Park(reason string) { t.ParkOn(Reason{text: reason}) }
+
+// ParkOn is Park with a reason that is only formatted if a diagnostic
+// reports it.
+func (t *Task) ParkOn(r Reason) {
 	if t.wakeToken {
 		t.wakeToken = false
 		return
 	}
 	t.parked = true
-	t.parkReason = reason
+	t.parkReason = r
 	t.yield()
-	t.parkReason = ""
+	t.parkReason = Reason{}
 }
 
 // ParkTimeout parks the task like Park but additionally schedules a wake-up
@@ -1058,34 +1225,42 @@ func (t *Task) Park(reason string) {
 // the timer: the stale event is tombstoned out of the heap (and compacted
 // away under heavy timeout churn) instead of lingering until its deadline.
 func (t *Task) ParkTimeout(reason string, d time.Duration) bool {
-	t.parkSeq++
+	return t.ParkOnTimeout(Reason{text: reason}, d)
+}
+
+// ParkOnTimeout is ParkTimeout with a lazily formatted reason.
+func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 	if t.wakeToken {
 		t.wakeToken = false
 		return true
 	}
 	t.parked = true
-	t.parkReason = reason
-	seq := t.parkSeq
-	timedOut := false
+	t.parkReason = r
+	t.timedOut = false
 	eng := t.eng
 	tomb := &tombstone{}
 	t.parkTomb = tomb
 	t.parkTombEng = eng
-	eng.schedule(eng.lane, eng.Now()+max(d, 0), func() {
-		if t.parked && t.parkSeq == seq {
-			timedOut = true
-			t.parked = false
-			t.parkTomb = nil
-			t.parkTombEng = nil
-			eng.dispatch(t)
-		}
-	}, tomb)
+	eng.schedule(eng.lane, eng.Now()+max(d, 0), nil, t, tomb)
 	t.yield()
-	t.parkReason = ""
-	return !timedOut
+	t.parkReason = Reason{}
+	return !t.timedOut
 }
 
-// Kill terminates the task the next time it would run: its goroutine unwinds
+// expire is the deadline of the ParkTimeout that scheduled tomb. It reports
+// whether the task is still in that park episode and must now be resumed.
+func (t *Task) expire(tomb *tombstone) bool {
+	if !t.parked || t.parkTomb != tomb {
+		return false
+	}
+	t.timedOut = true
+	t.parked = false
+	t.parkTomb = nil
+	t.parkTombEng = nil
+	return true
+}
+
+// Kill terminates the task the next time it would run: its function unwinds
 // via panic without executing further task code, and the unwind is not
 // recorded as a simulation failure. A parked task is scheduled immediately so
 // the unwind happens promptly; a sleeping task unwinds when its sleep ends.
@@ -1109,7 +1284,7 @@ func (t *Task) Kill() {
 	if t.parked {
 		t.parked = false
 		t.dropParkTimer()
-		eng.After(0, func() { eng.dispatch(t) })
+		eng.wakeAfter(0, t)
 	}
 }
 
@@ -1141,8 +1316,7 @@ func (t *Task) Unpark() {
 	}
 	t.parked = false
 	t.dropParkTimer()
-	eng := t.eng
-	eng.After(0, func() { eng.dispatch(t) })
+	t.eng.wakeAfter(0, t)
 }
 
 // Parked reports whether the task is currently parked.
