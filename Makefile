@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench artifacts chaos-smoke trace-smoke serve-smoke
+.PHONY: all build test race vet lint check bench bench-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
 
 all: check
 
@@ -31,36 +31,42 @@ race:
 # check is the gate CI runs: build, vet, plain tests, then the race run.
 check: build vet test race
 
-# bench runs the Go benchmarks, then regenerates BENCH_hotpath.json (the
-# machine-readable hot-path record; speedups are computed against the
-# baseline section embedded in the existing file).
+# bench runs the Go benchmarks, then the repository benchmark (six
+# workloads end to end plus the per-layer probes; benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-	$(GO) run ./cmd/dexhotpath -out BENCH_hotpath.json
+	$(GO) run ./benchmark
+
+# bench-smoke runs every Go benchmark once, so CI notices one that broke.
+bench-smoke:
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:
 	$(GO) run ./cmd/dexbench -size full
+
+# CHAOS is the campaign every dexchaos smoke and golden command runs.
+CHAOS := $(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4
 
 # chaos-smoke runs a small fault-injection campaign twice under each
 # protocol and compares the outputs byte for byte (same seed + same plan
 # must reproduce exactly), then gates a crash campaign on 100% survival
 # with checkpoint/restart enabled.
 chaos-smoke:
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 > chaos1.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 > chaos2.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 > chaos1.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 > chaos2.txt
 	cmp chaos1.txt chaos2.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 -cores 4 > chaos4.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 -cores 4 > chaos4.txt
 	cmp chaos1.txt chaos4.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 -protocol home > chaos-hm1.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 -protocol home > chaos-hm2.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol home > chaos-hm1.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol home > chaos-hm2.txt
 	cmp chaos-hm1.txt chaos-hm2.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 -protocol dist -restart > chaos-dm1.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -dup 0.2 -protocol dist -restart -cores 4 > chaos-dm4.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol dist -restart > chaos-dm1.txt
+	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol dist -restart -cores 4 > chaos-dm4.txt
 	cmp chaos-dm1.txt chaos-dm4.txt
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -crash 3ms -restart -fail-under 1 > /dev/null
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol home > /dev/null
-	$(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4 -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol dist > /dev/null
+	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 > /dev/null
+	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol home > /dev/null
+	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol dist > /dev/null
 	rm -f chaos1.txt chaos2.txt chaos4.txt chaos-hm1.txt chaos-hm2.txt chaos-dm1.txt chaos-dm4.txt
 
 # serve-smoke exercises the serving subsystem end to end: the default SLO
@@ -87,3 +93,46 @@ trace-smoke:
 	cmp trace1.json trace4.json
 	$(GO) run ./cmd/dextrace -validate trace1.json
 	rm -f trace1.json trace4.json
+
+# chaos-golden,<suffix>,<flags> runs the two halves of one pinned dexchaos
+# campaign at -cores 1 and -cores 4 and compares each run byte for byte with
+# cmd/dexchaos/testdata/golden<suffix>.txt.
+define chaos-golden
+	for cores in 1 4; do \
+		{ $(CHAOS) -cores $$cores -drops 0,0.1,0.3 -dup 0.2 $(2) && \
+		  $(CHAOS) -cores $$cores -drops 0 -crash 3ms $(2); } \
+		| cmp - cmd/dexchaos/testdata/golden$(1).txt || exit 1; \
+	done
+endef
+
+# goldens is the one list of golden commands: every pinned output is
+# regenerated and compared byte for byte — dexbench at -parallel 1, -cores 1
+# and -cores 4, the four dexchaos campaigns at -cores 1 and -cores 4,
+# dexserve, and the SHA-256 manifest of the outputs no golden file pins
+# (testdata/behaviour.sha256).
+goldens:
+	$(GO) run ./cmd/dexbench -quiet -parallel 1 | cmp - cmd/dexbench/testdata/golden.txt
+	$(GO) run ./cmd/dexbench -quiet -cores 1 | cmp - cmd/dexbench/testdata/golden.txt
+	$(GO) run ./cmd/dexbench -quiet -cores 4 | cmp - cmd/dexbench/testdata/golden.txt
+	$(call chaos-golden,,)
+	$(call chaos-golden,_restart,-restart)
+	$(call chaos-golden,_home,-protocol home -restart)
+	$(call chaos-golden,_dist,-protocol dist -restart)
+	$(GO) run ./cmd/dexserve | cmp - cmd/dexserve/testdata/golden.txt
+	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
+
+# goldens-update rewrites the manifest (the golden files themselves are
+# regenerated by hand, with every changed cell explained).
+goldens-update:
+	@$(MAKE) --no-print-directory behaviour > testdata/behaviour.sha256
+
+# behaviour prints the manifest: for each protocol, the SHA-256 of the trace
+# bytes of a traced bfs run and of the stdout of a dexserve crash+restart run.
+.PHONY: behaviour
+behaviour:
+	@set -e; for p in wi home dist; do \
+		$(GO) run ./cmd/dexrun -app bfs -nodes 4 -seed 7 -protocol $$p -trace behaviour-trace.json > /dev/null; \
+		echo "$$(sha256sum < behaviour-trace.json | cut -d' ' -f1)  dexrun -app bfs -nodes 4 -seed 7 -protocol $$p -trace"; \
+		rm -f behaviour-trace.json; \
+		echo "$$($(GO) run ./cmd/dexserve -nodes 3 -crash 10ms -restart -protocol $$p 2>/dev/null | sha256sum | cut -d' ' -f1)  dexserve -nodes 3 -crash 10ms -restart -protocol $$p"; \
+	done

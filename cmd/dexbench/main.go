@@ -62,9 +62,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: cannot be negative", *parallel)
 	}
-	sz := apps.SizeTest
-	if *size == "full" {
-		sz = apps.SizeFull
+	sz, err := apps.ParseSize(*size)
+	if err != nil {
+		return err
 	}
 	exps := exper.All()
 	if *expID != "" {

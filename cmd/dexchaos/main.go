@@ -92,13 +92,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-restart: %s does not support checkpoint/restart (supported: %s)",
 			app.Name, strings.Join(apps.Restartable(), ", "))
 	}
-	sz := apps.SizeTest
-	switch *size {
-	case "test":
-	case "full":
-		sz = apps.SizeFull
-	default:
-		return fmt.Errorf("unknown size %q", *size)
+	sz, err := apps.ParseSize(*size)
+	if err != nil {
+		return err
 	}
 	var rates []float64
 	for _, s := range strings.Split(*drops, ",") {

@@ -45,7 +45,11 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown application %q", *appName)
 	}
-	cfg := apps.Config{Nodes: *nodes, Seed: *seed}
+	sz, err := apps.ParseSize(*size)
+	if err != nil {
+		return err
+	}
+	cfg := apps.Config{Nodes: *nodes, Seed: *seed, Size: sz}
 	switch *variant {
 	case "baseline":
 		cfg.Variant = apps.Baseline
@@ -55,11 +59,6 @@ func run(args []string) error {
 		cfg.Variant = apps.Optimized
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
-	}
-	if *size == "full" {
-		cfg.Size = apps.SizeFull
-	} else {
-		cfg.Size = apps.SizeTest
 	}
 	trace := dex.NewTrace()
 	cfg.Opts = append(cfg.Opts, dex.WithTrace(trace))

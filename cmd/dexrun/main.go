@@ -119,13 +119,8 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
-	switch *size {
-	case "test":
-		cfg.Size = apps.SizeTest
-	case "full":
-		cfg.Size = apps.SizeFull
-	default:
-		return fmt.Errorf("unknown size %q", *size)
+	if cfg.Size, err = apps.ParseSize(*size); err != nil {
+		return err
 	}
 	start := time.Now()
 	res, err := app.Run(cfg)

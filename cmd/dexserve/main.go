@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"dex"
+	"dex/internal/apps"
 	"dex/internal/chaos"
 	"dex/internal/serve"
 )
@@ -63,13 +64,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *cores < 1 {
 		return fmt.Errorf("-cores %d: simulator needs at least 1 core", *cores)
 	}
-	full := false
-	switch *size {
-	case "test":
-	case "full":
-		full = true
-	default:
-		return fmt.Errorf("unknown size %q", *size)
+	sz, err := apps.ParseSize(*size)
+	if err != nil {
+		return err
 	}
 	proto, err := dex.ParseProtocol(*protocol)
 	if err != nil {
@@ -84,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	cfg := serve.Config{
 		Nodes:   *nodes,
-		Spec:    serve.DefaultSpec(*tenants, full, *seed),
+		Spec:    serve.DefaultSpec(*tenants, sz == apps.SizeFull, *seed),
 		Restart: *restart,
 	}
 	if proto != dex.WriteInvalidate {

@@ -58,6 +58,17 @@ const (
 	SizeFull
 )
 
+// ParseSize resolves the -size flag of every command: "test" or "full".
+func ParseSize(s string) (Size, error) {
+	switch s {
+	case "test":
+		return SizeTest, nil
+	case "full":
+		return SizeFull, nil
+	}
+	return 0, fmt.Errorf("unknown size %q", s)
+}
+
 // Config parameterizes one application run.
 type Config struct {
 	// Nodes is the cluster size; Baseline runs force it to 1.

@@ -230,3 +230,31 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("threads = %d", cfg.threads())
 	}
 }
+
+// TestParseSize: the -size flag of every command accepts exactly "test" and
+// "full"; anything else — including a differently-cased spelling, which
+// dexbench and dexprof used to run silently at test scale — is an error that
+// names the value.
+func TestParseSize(t *testing.T) {
+	tests := []struct {
+		in   string
+		want Size
+		ok   bool
+	}{
+		{"test", SizeTest, true},
+		{"full", SizeFull, true},
+		{"Full", 0, false},
+		{"bogus", 0, false},
+		{"", 0, false},
+		{"full ", 0, false},
+	}
+	for _, tc := range tests {
+		got, err := ParseSize(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), `unknown size "`+tc.in+`"`) {
+			t.Errorf("ParseSize(%q) error %q does not name the value", tc.in, err)
+		}
+	}
+}

@@ -1,18 +1,29 @@
 // directory.go is the ownership-directory layer of the consistency
-// protocol (§III-B): one dirEntry per touched page, keyed by virtual page
-// number in the manager's radix tree. The entry is an explicit state
-// machine — Invalid, SharedRead, ExclusiveWrite, plus the two in-transfer
-// states a directory transaction moves through — and every legal transition
-// is centralized here and invariant-checked on the way through. The
-// protocol policies (protocol.go) decide WHICH transitions to take; the
-// directory guarantees that only legal ones can happen, and panics (a
-// protocol bug, never an application error) on any other.
+// protocol (§III-B). It has two halves. The first is dirEntry, one per
+// touched page: an explicit state machine — Invalid, SharedRead,
+// ExclusiveWrite, plus the two in-transfer states a directory transaction
+// moves through — whose every legal transition is centralized here and
+// invariant-checked on the way through. The policies (protocol.go) decide
+// WHICH transitions to take; the directory guarantees that only legal ones
+// can happen, and panics (a protocol bug, never an application error) on any
+// other. The second half is the directory type: where the entries are kept
+// under each placement (one radix tree at the origin, or one table per
+// node), and every operation that has to know which — lookup at a node,
+// place and remove, the ordered walk, first-touch materialization, anchors,
+// dead-home rebuild, route repair, and running a walk where it may legally
+// touch every table. Nothing outside this file and protocol.go knows the
+// layout.
 package dsm
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
 	"dex/internal/mem"
+	"dex/internal/obs"
+	"dex/internal/radix"
+	"dex/internal/sim"
 )
 
 // PageState enumerates the coherence states of one page's directory entry.
@@ -408,19 +419,131 @@ func (d *dirEntry) check() {
 	}
 }
 
-// entry returns the directory entry for vpn, creating the initial record on
-// first touch: the home (initially the origin) owns every page exclusively
-// and its zero-filled frame is materialized immediately so that the
-// directory invariant — the home's copy is up to date unless a remote holds
-// the page exclusively — holds from the start.
+// ---------------------------------------------------------------------------
+// Placement: where the entries are kept.
+
+// directory keeps every dirEntry of one process. Under the central
+// placement that is one radix tree indexed by VPN — the origin's, which
+// under HomeMigrate (serialized) every node consults directly. Under the
+// sharded placement each node has a table of its own: an entry lives in
+// exactly one, its current home's, and is only touched on that node's lane
+// or on the quiescent global lane.
+type directory struct {
+	tree   radix.Tree[*dirEntry]
+	shards []map[uint64]*dirEntry // nil under the central placement
+}
+
+// shard switches the still-empty directory to the sharded placement.
+func (d *directory) shard(nodes int) {
+	d.shards = make([]map[uint64]*dirEntry, nodes)
+	for i := range d.shards {
+		d.shards[i] = make(map[uint64]*dirEntry)
+	}
+}
+
+func (d *directory) sharded() bool { return d.shards != nil }
+
+// get returns vpn's entry as node sees it: the tree's under central, the one
+// in node's own table — present only while node is the page's home — under
+// sharded.
+func (d *directory) get(node int, vpn uint64) (*dirEntry, bool) {
+	if d.shards == nil {
+		return d.tree.Get(vpn)
+	}
+	de, ok := d.shards[node][vpn]
+	return de, ok
+}
+
+// find returns vpn's entry wherever it lives. Under sharded it scans the
+// tables in node order and must only run where lanes are quiescent.
+func (d *directory) find(vpn uint64) (*dirEntry, bool) {
+	for _, tbl := range d.shards {
+		if de, ok := tbl[vpn]; ok {
+			return de, true
+		}
+	}
+	return d.tree.Get(vpn)
+}
+
+// walk visits every entry with lo <= vpn <= hi, and the node hosting it, in
+// a deterministic order: ascending VPN under central; node by node, ascending
+// VPN within a node, under sharded. A node's keys are snapshotted when the
+// walk reaches it, so fn may move the entry it is handed to another table.
+func (d *directory) walk(lo, hi uint64, fn func(host int, vpn uint64, de *dirEntry) bool) {
+	if d.shards == nil {
+		d.tree.ForRange(lo, hi, func(vpn uint64, de *dirEntry) bool { return fn(de.home, vpn, de) })
+		return
+	}
+	for host, tbl := range d.shards {
+		for _, vpn := range sortedKeys(tbl) {
+			if vpn >= lo && vpn <= hi && !fn(host, vpn, tbl[vpn]) {
+				return
+			}
+		}
+	}
+}
+
+// sortedKeys returns the keys of a per-node table in ascending order, so
+// walks over them are deterministic.
+func sortedKeys[V any](tbl map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(tbl))
+	for k := range tbl {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// anchor is where a lookup for vpn starts when the asking node holds no
+// route: the origin under central, a static splitmix64-style hash of the VPN
+// over the nodes under sharded. Authority itself may be anywhere.
+func (m *Manager) anchor(vpn uint64) int {
+	if !m.dir.sharded() {
+		return m.origin
+	}
+	z := vpn + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int(z % uint64(len(m.nodes)))
+}
+
+// liveAnchor is where requests for vpn fall back to once their believed home
+// is confirmed dead, and where a dead home's entries are rebuilt: the anchor,
+// or under sharded the next node on the ring past confirmed-dead ones. The
+// origin cannot be reclaimed, so the walk always terminates.
+func (m *Manager) liveAnchor(vpn uint64) int {
+	if !m.dir.sharded() {
+		return m.origin
+	}
+	n := m.anchor(vpn)
+	for i := 0; i < len(m.nodes); i++ {
+		s := (n + i) % len(m.nodes)
+		if m.chaos == nil || !m.chaos.NodeDead(s) {
+			return s
+		}
+	}
+	return m.origin
+}
+
+// materialize is a page's first touch: home owns the zero-filled page
+// exclusively, and its frame is mapped immediately so that the directory
+// invariant — the home's copy is up to date unless a remote holds the page
+// exclusively — holds from the start. The caller places the entry.
+func (m *Manager) materialize(home int, vpn uint64) *dirEntry {
+	m.nodes[home].pt.SetAccess(vpn, m.pool(home).GetZeroed(), mem.AccessWrite)
+	de := newDirEntry(home)
+	de.firstTouch()
+	return de
+}
+
+// entry returns the central directory's entry for vpn, materializing it at
+// the origin — the initial home of every page — on first touch.
 func (m *Manager) entry(vpn uint64) (*dirEntry, bool) {
 	created := false
-	de, _ := m.dir.GetOrCreate(vpn, func() *dirEntry {
+	de, _ := m.dir.tree.GetOrCreate(vpn, func() *dirEntry {
 		created = true
-		m.nodes[m.origin].pt.SetAccess(vpn, m.pool(m.origin).GetZeroed(), mem.AccessWrite)
-		d := newDirEntry(m.origin)
-		d.firstTouch()
-		return d
+		return m.materialize(m.origin, vpn)
 	})
 	return de, created
 }
@@ -433,4 +556,302 @@ func (m *Manager) frameAt(node int, vpn uint64) []byte {
 		panic(fmt.Sprintf("dsm: copy of vpn %#x at node %d is stale", vpn, node))
 	}
 	return pte.Frame
+}
+
+// atQuiescence runs fn where it may touch every node's tables: at once under
+// central (the tree is the serving lane's own, or the run is serialized), as
+// a global-lane event — scheduled through node's lane view, past the
+// lookahead window — under sharded.
+func (m *Manager) atQuiescence(node int, fn func()) {
+	if !m.dir.sharded() {
+		fn()
+		return
+	}
+	v := m.view(node)
+	d := 20 * time.Microsecond
+	if la := v.Lookahead(); la > d {
+		d = la
+	}
+	v.AfterOn(sim.GlobalLane, d, fn)
+}
+
+// quiesce is atQuiescence for a task that needs fn's result: t parks until
+// fn has run.
+func (m *Manager) quiesce(t *sim.Task, node int, reason string, fn func()) {
+	if !m.dir.sharded() {
+		fn()
+		return
+	}
+	done := false
+	m.atQuiescence(node, func() {
+		defer func() { done = true; t.Unpark() }()
+		fn()
+	})
+	for !done {
+		t.Park(reason)
+	}
+}
+
+// rehome rebuilds the entry of a page whose home died at the page's live
+// anchor: adopt the target's own replica if it has one, else a surviving
+// reader's copy, else the caller-supplied snapshot (a serve's retained grant
+// data), and only as a last resort a zero-filled frame (counted in
+// PagesLost). Every other surviving replica is dropped so the owner mask
+// matches PTE presence afterwards — those nodes re-fault and the redirect
+// machinery repairs their routes. Under sharded the entry also moves into
+// the target's table and the anchor's forwarding pointer is repointed, so it
+// runs only where lanes are quiescent. Reports whether the page's contents
+// were lost.
+func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bool {
+	target := m.liveAnchor(vpn)
+	var frame []byte
+	if pte := m.nodes[target].pt.Lookup(vpn); pte != nil && pte.Present {
+		frame = pte.Frame
+	} else {
+		for _, n := range de.ownerList(dead) {
+			if m.chaos != nil && m.chaos.NodeDead(n) {
+				continue
+			}
+			if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
+				frame = mem.CloneFrame(pte.Frame)
+				break
+			}
+		}
+		if frame == nil && fallback != nil {
+			frame = mem.CloneFrame(fallback)
+		}
+	}
+	for _, n := range de.ownerList(dead) {
+		if n == target {
+			continue
+		}
+		if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
+			f := pte.Frame
+			m.nodes[n].pt.Invalidate(vpn)
+			m.freeFrame(n, f)
+		}
+	}
+	de.rehome(target)
+	lost := frame == nil
+	if lost {
+		frame = m.pool(target).GetZeroed()
+		m.stats.pagesLost.Add(1)
+	}
+	m.nodes[target].pt.SetAccess(vpn, frame, mem.AccessRead)
+	m.stats.pagesRehomed.Add(1)
+	span := "hm.rehome"
+	if m.dir.sharded() {
+		span = "dist.rebuild"
+		// The rebuild is a home handoff: bump the entry epoch so routes
+		// learned before the crash can never override the repaired ones.
+		de.epoch++
+		delete(m.dir.shards[dead], vpn)
+		m.dir.shards[target][vpn] = de
+		tns := m.nodes[target]
+		delete(tns.fwd, vpn)
+		if de.epoch > tns.routeEpoch[vpn] {
+			tns.routeEpoch[vpn] = de.epoch
+		}
+		if anchor := m.anchor(vpn); anchor != target {
+			ans := m.nodes[anchor]
+			ans.fwd[vpn] = target
+			ans.routeEpoch[vpn] = de.epoch
+		}
+		m.stats.dirRebuilt.Add(1)
+	}
+	if m.rec != nil {
+		// Recorded on the lane the page lands on.
+		lostArg := int64(0)
+		if lost {
+			lostArg = 1
+		}
+		rec := m.rec.OnLane(target)
+		rec.SpanAt("dsm", span, target, -1, m.view(target).Now(), 0,
+			obs.Hex("vpn", vpn),
+			obs.Int("dead", int64(dead)),
+			obs.Int("lost", lostArg))
+	}
+	return lost
+}
+
+// stranded returns vpn's entry, as the node that just served it sees it, if
+// the entry sits idle at a home that died; nil otherwise (under sharded also
+// when a completed write grant moved authority out of served's table).
+func (m *Manager) stranded(served int, vpn uint64) *dirEntry {
+	de, ok := m.dir.get(served, vpn)
+	if !ok || de.busy() || de.home == m.origin || !m.chaos.NodeDead(de.home) {
+		return nil
+	}
+	return de
+}
+
+// rebuiltRoute records where (and at which epoch) a dead home's entry was
+// rebuilt, so surviving routes aimed at the dead node can be repointed with
+// a route that post-crash traffic cannot override backward.
+type rebuiltRoute struct {
+	home  int
+	epoch uint64
+}
+
+// repairRoutes runs when dead's reclaim commits: every surviving route aimed
+// at dead is repointed at the rebuilt location (sharded, where a route
+// carries an epoch) or forgotten, which points it back at the anchor. Under
+// sharded the dead node's own routes are reset and it is marked reclaimed:
+// pages anchored there are thereafter resolved at the live ring shard.
+func (m *Manager) repairRoutes(dead int, rebuilt map[uint64]rebuiltRoute) {
+	for _, ns := range m.nodes {
+		for vpn, h := range ns.fwd {
+			if h != dead {
+				continue
+			}
+			if r, ok := rebuilt[vpn]; ok && m.dir.sharded() {
+				ns.fwd[vpn] = r.home
+				ns.routeEpoch[vpn] = r.epoch
+			} else {
+				delete(ns.fwd, vpn)
+				delete(ns.routeEpoch, vpn)
+			}
+		}
+	}
+	if m.dir.sharded() {
+		ns := m.nodes[dead]
+		ns.fwd = make(map[uint64]int)
+		ns.routeEpoch = make(map[uint64]uint64)
+		ns.reclaimed = true
+	}
+}
+
+// dropRange removes every entry with lo <= vpn <= hi unless one of them is
+// busy, which it reports instead. Along with the entries go the mappings of
+// the nodes that hold a table and, under sharded, every route in the range.
+func (m *Manager) dropRange(lo, hi uint64) (busyVPN uint64, busy bool) {
+	type slot struct {
+		host int
+		vpn  uint64
+	}
+	var victims []slot
+	m.dir.walk(lo, hi, func(host int, vpn uint64, de *dirEntry) bool {
+		if busy = de.busy(); busy {
+			busyVPN = vpn
+			return false
+		}
+		victims = append(victims, slot{host, vpn})
+		return true
+	})
+	if busy {
+		return busyVPN, true
+	}
+	if !m.dir.sharded() {
+		for _, v := range victims {
+			m.dir.tree.Delete(v.vpn)
+		}
+		m.ReclaimRange(m.origin, lo, hi)
+		return 0, false
+	}
+	for _, v := range victims {
+		delete(m.dir.shards[v.host], v.vpn)
+	}
+	for n, ns := range m.nodes {
+		for vpn := range ns.fwd {
+			if vpn >= lo && vpn <= hi {
+				delete(ns.fwd, vpn)
+			}
+		}
+		m.ReclaimRange(n, lo, hi)
+	}
+	return 0, false
+}
+
+// needsLocate reports whether a lookup for vpn at node must go through
+// locate: node holds no entry and no route, the page's static anchor is
+// someone else, confirmed dead and already reclaimed, and node is the live
+// ring shard the page's lookups fall back to.
+func (m *Manager) needsLocate(node int, vpn uint64) bool {
+	if m.chaos == nil {
+		return false
+	}
+	a := m.anchor(vpn)
+	return a != node && m.chaos.NodeDead(a) && m.nodes[a].reclaimed && m.liveAnchor(vpn) == node
+}
+
+// locate resolves a page whose static anchor shard died and has been
+// reclaimed, from node — the page's live ring shard, where dead-anchor
+// lookups fall back to but where no entry or forwarding pointer may exist
+// (the breadcrumb died with the anchor, or the page was never touched). If
+// the entry exists at a live shard, a route to it is planted here; if it
+// exists only at a dead shard (a transaction still unwinding), nothing
+// changes and the caller retries; if it exists nowhere, the page is
+// materialized here — node becomes its effective anchor.
+func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
+	m.quiesce(t, node, "dist locate", func() {
+		ns := m.nodes[node]
+		_, hosted := m.dir.get(node, vpn)
+		_, fwded := ns.fwd[vpn]
+		if hosted || fwded {
+			return // a concurrent repair or locate beat us
+		}
+		de, found := m.dir.find(vpn)
+		switch {
+		case !found:
+			// First touch at the effective anchor. Epoch 1 outranks any
+			// stamp-0 route leftover that still names the dead anchor.
+			de = m.materialize(node, vpn)
+			de.epoch = 1
+			m.dir.shards[node][vpn] = de
+		case !m.chaos.NodeDead(de.home):
+			ns.fwd[vpn] = de.home
+		default:
+			return
+		}
+		if de.epoch > ns.routeEpoch[vpn] {
+			ns.routeEpoch[vpn] = de.epoch
+		}
+	})
+}
+
+// checkRoutes verifies the sharded forwarding graph has no cycles: from
+// every node, following the route table (forwarding pointer if present,
+// static anchor otherwise) must reach the shard hosting the page within one
+// step per node. The epoch gate on route updates is what guarantees this;
+// the check walks every route so a gating bug cannot hide. Chains through a
+// confirmed-dead node are skipped — they are repaired when the death
+// commits (ReclaimDeadNode), not before. Under central there is nothing to
+// walk: a redirect reads the authoritative tree, so no route is ever
+// followed twice.
+func (m *Manager) checkRoutes() error {
+	if !m.dir.sharded() {
+		return nil
+	}
+	for n, ns := range m.nodes {
+		for _, vpn := range sortedKeys(ns.fwd) {
+			cur := n
+			ok := false
+			for step := 0; step <= len(m.nodes); step++ {
+				if m.chaos != nil && m.chaos.NodeDead(cur) {
+					ok = true // settled by the pending dead-node reclaim
+					break
+				}
+				if _, hosted := m.dir.get(cur, vpn); hosted {
+					ok = true
+					break
+				}
+				next := m.requestTarget(cur, vpn)
+				if _, fwded := m.nodes[cur].fwd[vpn]; !fwded && next == cur {
+					// Unrouted anchor without an entry: the page was
+					// reclaimed or never materialized; the walk would
+					// first-touch here.
+					ok = true
+					break
+				}
+				if next == cur {
+					return fmt.Errorf("dsm: vpn %#x route at node %d points at itself", vpn, cur)
+				}
+				cur = next
+			}
+			if !ok {
+				return fmt.Errorf("dsm: vpn %#x forwarding chain from node %d does not terminate", vpn, n)
+			}
+		}
+	}
+	return nil
 }

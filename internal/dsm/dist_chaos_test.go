@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dex/internal/chaos"
-	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/sim"
 )
@@ -15,74 +14,6 @@ import (
 // drops, duplication, and delay; the three-party lookup -> forward -> grant
 // exchange must survive the same chaos; and crashing a directory shard must
 // rebuild its slice at the pages' live anchors.
-
-// newDistChaosEnv is newChaosEnv with the distributed-manager policy.
-func newDistChaosEnv(t *testing.T, nodes int, plan *chaos.Plan) *env {
-	t.Helper()
-	if err := plan.Validate(nodes); err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	eng := sim.NewEngine(1)
-	net := fabric.New(eng, fabric.DefaultParams(nodes))
-	net.SetChaos(chaos.NewInjector(plan, nodes))
-	m := New(eng, net, distParams(), 1, 0, nodes, nil)
-	for i := 0; i < nodes; i++ {
-		node := i
-		net.SetHandler(node, func(src int, msg fabric.Message) {
-			if !m.HandleMessage(node, src, msg) {
-				t.Errorf("unhandled message at node %d from %d: %T", node, src, msg)
-			}
-		})
-	}
-	return &env{eng: eng, net: net, m: m}
-}
-
-func TestDistChaosDropRecoversByRetransmission(t *testing.T) {
-	plan := &chaos.Plan{
-		Seed: 3,
-		Drop: []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.4}},
-	}
-	e := newDistChaosEnv(t, 3, plan)
-	var got [4]byte
-	e.eng.Spawn("main", func(tk *sim.Task) { got = mixedWorkload(e, tk) })
-	e.run(t)
-	checkMixed(t, got)
-	if st := e.m.Stats(); st.Retransmits == 0 {
-		t.Fatalf("Retransmits = 0 under a 40%% drop rate (injector stats: %+v)", e.net.Chaos().Stats())
-	}
-	if e.net.Chaos().Stats().Dropped == 0 {
-		t.Fatal("injector dropped nothing at prob 0.4")
-	}
-}
-
-func TestDistChaosDuplicatesAreIdempotent(t *testing.T) {
-	plan := &chaos.Plan{
-		Seed: 5,
-		Dup:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 1}},
-	}
-	e := newDistChaosEnv(t, 3, plan)
-	var got [4]byte
-	e.eng.Spawn("main", func(tk *sim.Task) { got = mixedWorkload(e, tk) })
-	e.run(t)
-	checkMixed(t, got)
-	if st := e.m.Stats(); st.DupsIgnored == 0 {
-		t.Fatalf("DupsIgnored = 0 with every message duplicated (stats: %+v)", st)
-	}
-}
-
-func TestDistChaosDropDupDelayTogether(t *testing.T) {
-	plan := &chaos.Plan{
-		Seed:  9,
-		Drop:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.25}},
-		Dup:   []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5}},
-		Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5, Jitter: chaos.Duration(30 * time.Microsecond)}},
-	}
-	e := newDistChaosEnv(t, 3, plan)
-	var got [4]byte
-	e.eng.Spawn("main", func(tk *sim.Task) { got = mixedWorkload(e, tk) })
-	e.run(t)
-	checkMixed(t, got)
-}
 
 // TestDistChaosForwardedGrantDeliveryInvariant drives the three-party
 // lookup -> forward -> grant exchange (requester asks the anchor, the anchor
@@ -96,7 +27,7 @@ func TestDistChaosForwardedGrantDeliveryInvariant(t *testing.T) {
 		Dup:   []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5}},
 		Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5, Jitter: chaos.Duration(25 * time.Microsecond)}},
 	}
-	e := newDistChaosEnv(t, 3, plan)
+	e := newChaosEnvParams(t, 3, plan, distParams())
 	addr := addrAnchoredAt(t, e.m, 0)
 	vpn := addr.VPN()
 	var got byte
@@ -116,28 +47,8 @@ func TestDistChaosForwardedGrantDeliveryInvariant(t *testing.T) {
 	if h := e.m.nodes[2].fwd[vpn]; h != 1 {
 		t.Fatalf("reader's route = %d, want 1 after the grant", h)
 	}
-	if _, ok := e.m.nodes[1].dir[vpn]; !ok {
+	if _, ok := e.m.dir.get(1, vpn); !ok {
 		t.Fatal("entry not hosted at node 1 after the exchange")
-	}
-}
-
-func TestDistChaosRunsAreDeterministic(t *testing.T) {
-	plan := &chaos.Plan{
-		Seed:  7,
-		Drop:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3}},
-		Dup:   []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3}},
-		Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5, Jitter: chaos.Duration(20 * time.Microsecond)}},
-	}
-	run := func() (Stats, chaos.Stats, time.Duration) {
-		e := newDistChaosEnv(t, 3, plan)
-		e.eng.Spawn("main", func(tk *sim.Task) { mixedWorkload(e, tk) })
-		e.run(t)
-		return e.m.Stats(), e.net.Chaos().Stats(), e.eng.Now()
-	}
-	s1, i1, t1 := run()
-	s2, i2, t2 := run()
-	if s1 != s2 || i1 != i2 || t1 != t2 {
-		t.Fatalf("same seed+plan diverged:\n%+v %+v %v\nvs\n%+v %+v %v", s1, i1, t1, s2, i2, t2)
 	}
 }
 
@@ -148,7 +59,7 @@ func TestDistChaosRunsAreDeterministic(t *testing.T) {
 // the dead node, and leave survivors able to read (preserved bytes) and
 // write through the static anchor's failover.
 func TestDistChaosCrashedShardRebuilt(t *testing.T) {
-	e := newDistChaosEnv(t, 3, &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(time.Millisecond)}}})
+	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(time.Millisecond)}}}, distParams())
 	addr := addrAnchoredAt(t, e.m, 2)
 	vpn := addr.VPN()
 	var after byte
@@ -180,7 +91,7 @@ func TestDistChaosCrashedShardRebuilt(t *testing.T) {
 	if st.HomeFailovers == 0 {
 		t.Fatalf("HomeFailovers = 0; the dead-anchor fault never failed over (stats: %+v)", st)
 	}
-	de, ok := e.m.nodes[1].dir[vpn]
+	de, ok := e.m.dir.get(1, vpn)
 	if !ok {
 		t.Fatal("entry not hosted at the surviving writer after the rebuild")
 	}
@@ -193,37 +104,6 @@ func TestDistChaosCrashedShardRebuilt(t *testing.T) {
 				t.Fatalf("node %d still forwards page %#x to the dead shard", n, vpn)
 			}
 		}
-	}
-}
-
-// TestDistChaosLostExclusiveZeroFills: when the dead shard held the page's
-// only copy (it was the exclusive writer of a page it anchors), the rebuild
-// zero-fills at the live anchor and counts the page lost — the same contract
-// as the other policies.
-func TestDistChaosLostExclusiveZeroFills(t *testing.T) {
-	e := newDistChaosEnv(t, 3, &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(time.Millisecond)}}})
-	addr := addrAnchoredAt(t, e.m, 2)
-	var after byte
-	e.eng.Spawn("main", func(tk *sim.Task) {
-		e.write(tk, 2, addr, 9) // exclusive at the doomed shard, no replicas
-		tk.Sleep(time.Millisecond)
-		e.net.Chaos().MarkDead(2)
-		lost, err := e.m.ReclaimDeadNode(2)
-		if err != nil {
-			t.Errorf("ReclaimDeadNode: %v", err)
-		}
-		if len(lost) != 1 {
-			t.Errorf("ReclaimDeadNode lost %d pages, want 1", len(lost))
-		}
-		after = e.read(tk, 0, addr)
-	})
-	e.run(t)
-	if after != 0 {
-		t.Fatalf("read from lost page = %d, want 0 (zero-filled)", after)
-	}
-	st := e.m.Stats()
-	if st.PagesLost != 1 || st.DirRebuilt == 0 {
-		t.Fatalf("PagesLost = %d, DirRebuilt = %d, want 1 and > 0", st.PagesLost, st.DirRebuilt)
 	}
 }
 
@@ -241,12 +121,12 @@ func TestDistChaosCrashDuringTraffic(t *testing.T) {
 			Drop:    []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.2}},
 			Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(300 * time.Microsecond)}},
 		}
-		e := newDistChaosEnv(t, 3, plan)
+		e := newChaosEnvParams(t, 3, plan, distParams())
 		// Eight pages anchored at the doomed shard keep its directory slice
 		// busy with lookups, grants, and serve windows as it dies.
 		var doomed []mem.Addr
 		for a := testAddr; len(doomed) < 8; a += mem.Addr(mem.PageSize) {
-			if e.m.shardOf(a.VPN()) == 2 {
+			if e.m.anchor(a.VPN()) == 2 {
 				doomed = append(doomed, a)
 			}
 		}

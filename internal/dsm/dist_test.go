@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -9,30 +8,18 @@ import (
 	"dex/internal/sim"
 )
 
-func distParams() Params {
-	p := DefaultParams()
-	p.Protocol = DistributedManager
-	return p
-}
-
 // addrAnchoredAt scans the test heap for a page whose static anchor shard is
 // the given node, so tests can place directory entries deterministically.
 func addrAnchoredAt(t *testing.T, m *Manager, shard int) mem.Addr {
 	t.Helper()
 	for i := 0; i < 4096; i++ {
 		a := mem.Addr(0x40000000 + i*mem.PageSize)
-		if m.shardOf(a.VPN()) == shard {
+		if m.anchor(a.VPN()) == shard {
 			return a
 		}
 	}
 	t.Fatalf("no page in the test heap anchors at shard %d", shard)
 	return 0
-}
-
-func TestDistReportsProtocol(t *testing.T) {
-	if p := newEnv(t, 2, distParams(), nil).m.Protocol(); p != DistributedManager {
-		t.Fatalf("dist params protocol = %v", p)
-	}
 }
 
 // TestDistFirstTouchAtAnchorIsLocal: a page's first touch by its own anchor
@@ -48,7 +35,7 @@ func TestDistFirstTouchAtAnchorIsLocal(t *testing.T) {
 		}
 	})
 	e.run(t)
-	if _, ok := e.m.nodes[1].dir[addr.VPN()]; !ok {
+	if _, ok := e.m.dir.get(1, addr.VPN()); !ok {
 		t.Fatal("first-touched entry not hosted at its anchor shard")
 	}
 }
@@ -60,20 +47,20 @@ func TestDistFirstTouchAtAnchorIsLocal(t *testing.T) {
 func TestDistAuthorityFollowsWriter(t *testing.T) {
 	e := newEnv(t, 3, distParams(), nil)
 	vpn := testAddr.VPN()
-	anchor := e.m.shardOf(vpn)
+	anchor := e.m.anchor(vpn)
 	writer := (anchor + 1) % 3
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, writer, testAddr, 42)
 	})
 	e.run(t)
-	de, ok := e.m.nodes[writer].dir[vpn]
+	de, ok := e.m.dir.get(writer, vpn)
 	if !ok {
 		t.Fatalf("entry not hosted at writer %d's shard after the write", writer)
 	}
 	if de.home != writer || de.writer != writer {
 		t.Fatalf("home = %d, writer = %d; want both %d", de.home, de.writer, writer)
 	}
-	if _, still := e.m.nodes[anchor].dir[vpn]; still {
+	if _, still := e.m.dir.get(anchor, vpn); still {
 		t.Fatalf("anchor shard %d still hosts the entry after the handoff", anchor)
 	}
 	if fw := e.m.nodes[anchor].fwd[vpn]; fw != writer {
@@ -88,7 +75,7 @@ func TestDistAuthorityFollowsWriter(t *testing.T) {
 func TestDistRedirectServesAcrossChain(t *testing.T) {
 	e := newEnv(t, 4, distParams(), nil)
 	vpn := testAddr.VPN()
-	anchor := e.m.shardOf(vpn)
+	anchor := e.m.anchor(vpn)
 	writer := (anchor + 1) % 4
 	reader := (anchor + 2) % 4
 	var got byte
@@ -107,7 +94,7 @@ func TestDistRedirectServesAcrossChain(t *testing.T) {
 	if h := e.m.nodes[reader].fwd[vpn]; h != writer {
 		t.Fatalf("reader's route = %d, want %d (learned from the grant)", h, writer)
 	}
-	de, ok := e.m.nodes[writer].dir[vpn]
+	de, ok := e.m.dir.get(writer, vpn)
 	if !ok {
 		t.Fatal("entry left the writer's shard after a read")
 	}
@@ -162,11 +149,11 @@ func TestDistChainCompression(t *testing.T) {
 	// at most one redirect — its routing target either is the home or
 	// forwards straight to it.
 	const home = 3
-	if _, ok := e.m.nodes[home].dir[vpn]; !ok {
+	if _, ok := e.m.dir.get(home, vpn); !ok {
 		t.Fatalf("entry not hosted at the last writer %d", home)
 	}
 	for n := 0; n < nodes; n++ {
-		tgt := e.m.policy.requestTarget(n, vpn)
+		tgt := e.m.requestTarget(n, vpn)
 		if tgt == home {
 			continue
 		}
@@ -257,66 +244,4 @@ func TestDistPrefetchDisabled(t *testing.T) {
 		}
 	})
 	e.run(t)
-}
-
-// TestDistSequentialRandomOps re-runs the serial-history correctness drive
-// under the sharded directory: every read observes the most recent write and
-// the global invariants (including single-shard hosting) hold at quiescence.
-func TestDistSequentialRandomOps(t *testing.T) {
-	const nodes = 4
-	e := newEnv(t, nodes, distParams(), nil)
-	rng := rand.New(rand.NewSource(99))
-	ref := make(map[mem.Addr]byte)
-	e.eng.Spawn("driver", func(tk *sim.Task) {
-		for i := 0; i < 600; i++ {
-			page := mem.Addr(0x40000000 + mem.PageSize*(rng.Intn(8)))
-			addr := page + mem.Addr(rng.Intn(mem.PageSize))
-			node := rng.Intn(nodes)
-			if rng.Intn(2) == 0 {
-				v := byte(rng.Intn(256))
-				e.write(tk, node, addr, v)
-				ref[addr] = v
-			} else {
-				got := e.read(tk, node, addr)
-				if want := ref[addr]; got != want {
-					t.Errorf("op %d: node %d read %v = %d, want %d", i, node, addr, got, want)
-					return
-				}
-			}
-		}
-	})
-	e.run(t) // includes CheckInvariants
-}
-
-// TestDistConcurrentInvariants stresses concurrent accessors (races,
-// NACK/backoff, redirect retries after backoff) under the sharded directory.
-func TestDistConcurrentInvariants(t *testing.T) {
-	const nodes = 4
-	for seed := int64(1); seed <= 3; seed++ {
-		p := distParams()
-		e := newEnvSeed(t, nodes, p, nil, seed)
-		rng := rand.New(rand.NewSource(seed * 7))
-		for w := 0; w < 12; w++ {
-			node := w % nodes
-			ops := make([]struct {
-				addr  mem.Addr
-				write bool
-			}, 60)
-			for i := range ops {
-				ops[i].addr = mem.Addr(0x40000000+mem.PageSize*rng.Intn(4)) + mem.Addr(rng.Intn(mem.PageSize))
-				ops[i].write = rng.Intn(3) == 0
-			}
-			e.eng.Spawn("stress", func(tk *sim.Task) {
-				for i, op := range ops {
-					if op.write {
-						e.write(tk, node, op.addr, byte(i))
-					} else {
-						_ = e.read(tk, node, op.addr)
-					}
-					tk.Sleep(time.Microsecond)
-				}
-			})
-		}
-		e.run(t) // includes CheckInvariants
-	}
 }

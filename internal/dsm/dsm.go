@@ -15,10 +15,12 @@
 //
 //   - directory.go — the per-page ownership state machine (dirEntry): the
 //     enumerated states, the (state × event) legality table, and every
-//     legal transition, invariant-checked.
-//   - protocol.go — the pluggable coherence policy: WriteInvalidate (the
-//     paper's origin-served design, the default) and HomeMigrate (the
-//     directory home follows the last writer).
+//     legal transition, invariant-checked; and the two placements of the
+//     entries (one tree at the origin, or one table per node).
+//   - protocol.go — the one fault / request / dispatch / serve path, and the
+//     policy that decides placement: central (WriteInvalidate, the paper's
+//     origin-served design and the default; HomeMigrate, where the home
+//     follows the last writer) or sharded (DistributedManager).
 //   - engine.go — the transport engine: tokens and sequence numbers,
 //     retransmission timers, duplicate detection with bounded dedup state,
 //     and grant rollback under fault injection.
@@ -33,7 +35,6 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +42,6 @@ import (
 	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/obs"
-	"dex/internal/radix"
 	"dex/internal/sim"
 )
 
@@ -264,28 +264,22 @@ type nodeState struct {
 	// without synchronization; Latencies() concatenates in node order.
 	latencies []time.Duration
 
-	// homeHint is this node's believed home per page under the HomeMigrate
-	// policy (nil otherwise); absent means the origin. Hints are repaired
-	// through redirect replies, never trusted for correctness.
-	homeHint map[uint64]int
-
-	// dir is this node's slice of the sharded ownership directory under
-	// DistributedManager (nil otherwise): the entry for a page lives in
-	// exactly one node's table — its current home — and is only mutated on
-	// that node's lane or on the quiescent global lane. fwd is the node's
-	// single route table per page: where it believes the page's home is
-	// (absent means the static anchor shard). routeEpoch stamps each route
+	// fwd is this node's route table: where it believes each page's home is
+	// (absent means the page's anchor; nil where authority never migrates).
+	// Routes are repaired through redirect replies, never trusted for
+	// correctness. Under the sharded placement routeEpoch stamps each route
 	// with the home-handoff epoch it was learned at; updates older than the
-	// stored epoch are rejected (unless the stored target is confirmed
-	// dead), which keeps the forwarding graph acyclic. Chains are collapsed
-	// to a single hop by path-compression hints after each chained grant.
-	dir        map[uint64]*dirEntry
+	// stored epoch are rejected (unless the stored target is confirmed dead),
+	// which keeps the forwarding graph acyclic, and a node that hands
+	// authority off leaves its route behind as a forwarding pointer. Chains
+	// are collapsed to a single hop by path-compression hints after each
+	// chained grant.
 	fwd        map[uint64]int
 	routeEpoch map[uint64]uint64
 	// reclaimed marks that this node died and ReclaimDeadNode has committed:
 	// its directory slice has been rebuilt elsewhere and its tables reset.
 	// Pages anchored here are thereafter resolved at the live ring shard
-	// (distLocate). Written only on the quiescent global lane.
+	// (locate). Written only on the quiescent global lane.
 	reclaimed bool
 
 	// Chaos-only receiver-side dedup state (nil when no injector is
@@ -350,7 +344,7 @@ type Manager struct {
 	pid    int
 	origin int
 	nodes  []*nodeState
-	dir    radix.Tree[*dirEntry]
+	dir    directory
 	hook   Hook
 	stats  dsmStats
 
@@ -360,8 +354,10 @@ type Manager struct {
 	// without lanes every view is the root engine — classic serial behavior.
 	views []*sim.Engine
 
-	// policy is the pluggable coherence layer (protocol.go).
+	// policy is the directory placement (protocol.go); traits is the data
+	// that comes with it.
 	policy policy
+	traits
 	// e is the transport engine (engine.go): tokens, retransmission,
 	// duplicate detection, rollback.
 	e engine
@@ -465,7 +461,7 @@ func (m *Manager) PID() int { return m.pid }
 func (m *Manager) Origin() int { return m.origin }
 
 // Protocol returns the coherence policy this manager runs.
-func (m *Manager) Protocol() Protocol { return m.policy.proto() }
+func (m *Manager) Protocol() Protocol { return m.params.Protocol }
 
 // Stats returns a snapshot of the protocol counters.
 func (m *Manager) Stats() Stats {
@@ -605,7 +601,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 		m.inflight.Add(1)
 		start := t.Now()
 		t.Sleep(m.params.FaultEntry)
-		retries, protocol := m.policy.leadFault(t, ctx, vpn, write)
+		retries, protocol := m.leadFault(t, ctx, vpn, write)
 		delete(ns.faults, key)
 		m.inflight.Add(-1)
 		for _, f := range g.followers {
@@ -662,349 +658,48 @@ func (m *Manager) backoff(t *sim.Task, node, attempt int) {
 	t.Sleep(d)
 }
 
-// recoverDeadHome reclaims a page whose directory home died back to the
-// origin shard (HomeMigrate only: under WriteInvalidate the home is always
-// the origin, which cannot be reclaimed). The origin keeps its own replica
-// if it has one, adopts a surviving reader's copy otherwise, then falls
-// back to the caller-supplied snapshot (a serve's retained grant data), and
-// only as a last resort to a zero-filled frame (counted in PagesLost).
-// Surviving replicas elsewhere are dropped — those nodes re-fault and the
-// redirect machinery repairs their hints. Reports whether the page's
-// contents were lost.
-func (m *Manager) recoverDeadHome(vpn uint64, de *dirEntry, dead int, fallback []byte) bool {
-	return m.recoverHomeTo(vpn, de, dead, fallback, m.origin, "hm.rehome")
-}
-
-// recoverHomeTo is the shared rebuild ladder behind recoverDeadHome (which
-// always lands at the origin, for HomeMigrate) and the DistributedManager
-// shard rebuild (which lands at the page's live anchor shard): adopt the
-// target's own replica if it has one, else a surviving reader's copy, else
-// the caller-supplied snapshot, else a zero-filled frame (counted in
-// PagesLost). Every other surviving replica is dropped so the owner mask
-// matches PTE presence after the rehome.
-func (m *Manager) recoverHomeTo(vpn uint64, de *dirEntry, dead int, fallback []byte, target int, span string) bool {
-	var frame []byte
-	if pte := m.nodes[target].pt.Lookup(vpn); pte != nil && pte.Present {
-		frame = pte.Frame
-	} else {
-		for _, n := range de.ownerList(dead) {
-			if m.chaos != nil && m.chaos.NodeDead(n) {
-				continue
-			}
-			if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
-				frame = mem.CloneFrame(pte.Frame)
-				break
-			}
-		}
-		if frame == nil && fallback != nil {
-			frame = mem.CloneFrame(fallback)
-		}
-	}
-	// Drop every surviving replica other than the target's: after the
-	// rehome the target is the sole owner, and the directory invariant ties
-	// owner-mask membership to PTE presence.
-	for _, n := range de.ownerList(dead) {
-		if n == target {
-			continue
-		}
-		if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
-			f := pte.Frame
-			m.nodes[n].pt.Invalidate(vpn)
-			m.freeFrame(n, f)
-		}
-	}
-	de.rehome(target)
-	lost := frame == nil
-	if lost {
-		frame = m.pool(target).GetZeroed()
-		m.stats.pagesLost.Add(1)
-	}
-	m.nodes[target].pt.SetAccess(vpn, frame, mem.AccessRead)
-	m.stats.pagesRehomed.Add(1)
-	if m.rec != nil {
-		// Recovery runs serialized (HomeMigrate) or on the quiescent global
-		// lane (DistributedManager); record on the lane the page lands on.
-		lostArg := int64(0)
-		if lost {
-			lostArg = 1
-		}
-		rec := m.rec.OnLane(target)
-		rec.SpanAt("dsm", span, target, -1, m.view(target).Now(), 0,
-			obs.Hex("vpn", vpn),
-			obs.Int("dead", int64(dead)),
-			obs.Int("lost", lostArg))
-	}
-	return lost
-}
-
-// shardOf maps a page to its static anchor shard under DistributedManager:
-// a splitmix64-style hash of the VPN modulo the node count. The anchor is
-// where lookups start when no fresher hint or forwarding pointer exists;
-// directory authority itself follows the last writer.
-func (m *Manager) shardOf(vpn uint64) int {
-	z := vpn + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(len(m.nodes)))
-}
-
-// liveShard walks the shard ring from vpn's anchor past confirmed-dead
-// nodes. The origin cannot be reclaimed, so the walk always terminates.
-func (m *Manager) liveShard(vpn uint64) int {
-	n := m.shardOf(vpn)
-	for i := 0; i < len(m.nodes); i++ {
-		s := (n + i) % len(m.nodes)
-		if m.chaos == nil || !m.chaos.NodeDead(s) {
-			return s
-		}
-	}
-	return m.origin
-}
-
-// distRebuild rebuilds one directory entry whose shard died, landing it at
-// the page's live anchor shard: the entry moves into the target's table,
-// the dead node's slot is cleared, and the anchor's forwarding pointer is
-// repointed so future lookups resolve in one hop. Runs only where lanes
-// are quiescent (the global lane, or a serial engine). Reports whether the
-// page's contents were lost.
-func (m *Manager) distRebuild(vpn uint64, de *dirEntry, dead int, fallback []byte) bool {
-	target := m.liveShard(vpn)
-	lost := m.recoverHomeTo(vpn, de, dead, fallback, target, "dist.rebuild")
-	// The rebuild is a home handoff: bump the entry epoch so routes learned
-	// before the crash can never override the repaired ones.
-	de.epoch++
-	delete(m.nodes[dead].dir, vpn)
-	tns := m.nodes[target]
-	tns.dir[vpn] = de
-	delete(tns.fwd, vpn)
-	if de.epoch > tns.routeEpoch[vpn] {
-		tns.routeEpoch[vpn] = de.epoch
-	}
-	if anchor := m.shardOf(vpn); anchor != target {
-		ans := m.nodes[anchor]
-		ans.fwd[vpn] = target
-		ans.routeEpoch[vpn] = de.epoch
-	}
-	m.stats.dirRebuilt.Add(1)
-	return lost
-}
-
-// distScheduleRebuild schedules a distRebuild of vpn on the quiescent
-// global lane, for entries discovered (on a node lane) to have settled at a
-// shard that died. The closure re-checks everything at fire time: the lease
-// layer's own reclaim, or another serve's settle, may have rebuilt (or
-// re-busied) the entry first.
-func (m *Manager) distScheduleRebuild(home int, vpn uint64, snap []byte) {
-	v := m.view(home)
-	d := 20 * time.Microsecond
-	if la := v.Lookahead(); la > d {
-		d = la
-	}
-	v.AfterOn(sim.GlobalLane, d, func() {
-		de, ok := m.nodes[home].dir[vpn]
-		if !ok || de.busy() || m.chaos == nil || !m.chaos.NodeDead(home) {
-			return
-		}
-		m.distRebuild(vpn, de, home, snap)
-	})
-}
-
 // ReclaimDeadNode returns all page ownership held by a crashed node to the
-// origin shard and returns the VPNs whose contents were lost with the node.
+// survivors and returns the VPNs whose contents were lost with the node.
 // Shared copies are dropped from the owner masks; pages the dead node held
-// exclusively come back zero-filled (their fresh contents died with the
-// node) and are counted in PagesLost; pages whose directory home was the
-// dead node (HomeMigrate) are rehomed to the origin, adopting a surviving
-// replica when one exists. Busy entries are skipped: the transaction
-// holding them discovers the death through its own retransmission timeout
-// and rolls back. Every node's home hint pointing at the dead node is
-// invalidated, and the dead node's page table and request state are
-// cleared so its frames recycle. Reclaiming the origin itself is not
-// survivable and is reported as an error rather than attempted.
+// exclusively come back zero-filled at their home (their fresh contents died
+// with the node) and are counted in PagesLost; pages whose directory home
+// was the dead node are rebuilt at their live anchor — the origin under the
+// central placement, the next live shard under the sharded one — adopting a
+// surviving replica when one exists. Busy entries are skipped: the
+// transaction holding them discovers the death through its own
+// retransmission timeout and rolls back. Every route pointing at the dead
+// node is repaired, and the dead node's page table and request state are
+// cleared so its frames recycle. Under the sharded placement it must run
+// where lanes are quiescent: core calls it from the global-lane death
+// commit. Reclaiming the origin itself is not survivable and is reported as
+// an error rather than attempted.
 func (m *Manager) ReclaimDeadNode(node int) ([]uint64, error) {
 	if node == m.origin {
 		return nil, fmt.Errorf("dsm: cannot reclaim the origin node %d: the process dies with its origin", node)
 	}
-	if m.policy.proto() == DistributedManager {
-		return m.reclaimDeadNodeDist(node)
-	}
 	var lost []uint64
-	m.dir.ForRange(0, ^uint64(0), func(vpn uint64, de *dirEntry) bool {
-		if de.busy() {
-			return true
-		}
+	rebuilt := make(map[uint64]rebuiltRoute)
+	m.dir.walk(0, ^uint64(0), func(host int, vpn uint64, de *dirEntry) bool {
 		switch {
-		case de.home == node:
-			if m.recoverDeadHome(vpn, de, node, nil) {
+		case de.busy():
+		case host == node:
+			if m.rehome(vpn, de, node, nil) {
 				lost = append(lost, vpn)
 			}
+			rebuilt[vpn] = rebuiltRoute{home: de.home, epoch: de.epoch}
 		case de.writer == node:
-			m.nodes[de.home].pt.SetAccess(vpn, m.pool(de.home).GetZeroed(), mem.AccessRead)
-			de.reclaimHome()
-			m.stats.pagesLost.Add(1)
+			m.reclaimLostWriter(de, vpn)
 			lost = append(lost, vpn)
 		case de.has(node):
 			de.dropOwner(node)
 		}
 		return true
 	})
-	for _, ns := range m.nodes {
-		for vpn, h := range ns.homeHint {
-			if h == node {
-				delete(ns.homeHint, vpn)
-			}
-		}
-	}
+	m.repairRoutes(node, rebuilt)
 	ns := m.nodes[node]
 	ns.outstanding = make(map[uint64]*outstanding)
 	ns.pt.ReclaimRange(0, ^uint64(0), func(f []byte) { m.freeFrame(node, f) })
 	return lost, nil
-}
-
-// sortedVPNs returns the keys of a shard table in ascending order, so walks
-// over per-node directory slices are deterministic.
-func sortedVPNs(dir map[uint64]*dirEntry) []uint64 {
-	vpns := make([]uint64, 0, len(dir))
-	for vpn := range dir {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
-}
-
-// reclaimDeadNodeDist is ReclaimDeadNode for the sharded directory: the dead
-// node's entire directory slice is rebuilt from owner-side ground truth at
-// each page's live anchor shard (distRebuild), entries elsewhere drop the
-// dead node from their owner masks or reclaim pages it wrote exclusively,
-// and every surviving forwarding pointer or home hint aimed at the dead node
-// is repointed at the rebuilt location (or dropped). Must run where lanes
-// are quiescent: core calls it from the global-lane death commit.
-func (m *Manager) reclaimDeadNodeDist(node int) ([]uint64, error) {
-	var lost []uint64
-	rebuilt := make(map[uint64]rebuiltRoute)
-	for i, ins := range m.nodes {
-		for _, vpn := range sortedVPNs(ins.dir) {
-			de := ins.dir[vpn]
-			if de.busy() {
-				// The transaction holding the entry discovers the death
-				// through its own timeout path and settles or rebuilds.
-				continue
-			}
-			switch {
-			case i == node:
-				// The dead shard's own directory slice: rebuild each entry at
-				// the page's live anchor from surviving replicas.
-				if m.distRebuild(vpn, de, node, nil) {
-					lost = append(lost, vpn)
-				}
-				rebuilt[vpn] = rebuiltRoute{home: de.home, epoch: de.epoch}
-			case de.writer == node:
-				m.nodes[de.home].pt.SetAccess(vpn, m.pool(de.home).GetZeroed(), mem.AccessRead)
-				de.reclaimHome()
-				m.stats.pagesLost.Add(1)
-				lost = append(lost, vpn)
-			case de.has(node):
-				de.dropOwner(node)
-			}
-		}
-	}
-	for _, ns := range m.nodes {
-		for vpn, fw := range ns.fwd {
-			if fw != node {
-				continue
-			}
-			if r, ok := rebuilt[vpn]; ok {
-				ns.fwd[vpn] = r.home
-				ns.routeEpoch[vpn] = r.epoch
-			} else {
-				delete(ns.fwd, vpn)
-				delete(ns.routeEpoch, vpn)
-			}
-		}
-	}
-	ns := m.nodes[node]
-	ns.outstanding = make(map[uint64]*outstanding)
-	ns.fwd = make(map[uint64]int)
-	ns.routeEpoch = make(map[uint64]uint64)
-	ns.reclaimed = true
-	ns.pt.ReclaimRange(0, ^uint64(0), func(f []byte) { m.freeFrame(node, f) })
-	return lost, nil
-}
-
-// distLocate resolves a page whose static anchor shard died and has been
-// reclaimed, from node — the page's live ring shard, where dead-anchor
-// lookups fall back to but where no entry or forwarding pointer may exist
-// (the breadcrumb died with the anchor, or the page was never touched).
-// Reading other shards' tables is only legal where lanes are quiescent, so
-// the scan runs as a closure on the global lane while the calling task
-// parks. If the entry exists at a live shard, a route to it is planted
-// here; if it exists only at a dead shard (a transaction still unwinding),
-// nothing changes and the caller retries; if it exists nowhere, the page is
-// materialized here — node becomes its effective anchor.
-func (m *Manager) distLocate(t *sim.Task, node int, vpn uint64) {
-	v := m.view(node)
-	d := 20 * time.Microsecond
-	if la := v.Lookahead(); la > d {
-		d = la
-	}
-	done := false
-	v.AfterOn(sim.GlobalLane, d, func() {
-		defer func() { done = true; t.Unpark() }()
-		ns := m.nodes[node]
-		_, hosted := ns.dir[vpn]
-		_, fwded := ns.fwd[vpn]
-		if hosted || fwded {
-			return // a concurrent repair or locate beat us
-		}
-		for h, hns := range m.nodes {
-			de, ok := hns.dir[vpn]
-			if !ok {
-				continue
-			}
-			if h != node && (m.chaos == nil || !m.chaos.NodeDead(h)) {
-				ns.fwd[vpn] = h
-				if de.epoch > ns.routeEpoch[vpn] {
-					ns.routeEpoch[vpn] = de.epoch
-				}
-			}
-			return
-		}
-		// No entry anywhere: first touch at the effective anchor. Epoch 1
-		// outranks any stamp-0 route leftover that still names the dead
-		// anchor.
-		ns.pt.SetAccess(vpn, m.pool(node).GetZeroed(), mem.AccessWrite)
-		de := newDirEntry(node)
-		de.firstTouch()
-		de.epoch = 1
-		ns.dir[vpn] = de
-		if de.epoch > ns.routeEpoch[vpn] {
-			ns.routeEpoch[vpn] = de.epoch
-		}
-	})
-	for !done {
-		t.Park("dist locate")
-	}
-}
-
-// distNeedsLocate reports whether a lookup for vpn at node must go through
-// distLocate: node holds no entry and no route, the page's static anchor is
-// someone else, confirmed dead and already reclaimed, and node is the live
-// ring shard the page's lookups fall back to.
-func (m *Manager) distNeedsLocate(node int, vpn uint64) bool {
-	if m.chaos == nil {
-		return false
-	}
-	a := m.shardOf(vpn)
-	return a != node && m.chaos.NodeDead(a) && m.nodes[a].reclaimed && m.liveShard(vpn) == node
-}
-
-// rebuiltRoute records where (and at which epoch) a dead shard's entry was
-// rebuilt, so surviving forwarding pointers aimed at the dead node can be
-// repointed with a route that post-crash traffic cannot override backward.
-type rebuiltRoute struct {
-	home  int
-	epoch uint64
 }
 
 // SnapshotPages returns copies of every page node currently holds mapped,
@@ -1028,19 +723,16 @@ func (m *Manager) SnapshotPages(node int) map[uint64][]byte {
 
 // RestorePage copies a checkpointed page image over the current home's
 // frame for vpn. It is called after ReclaimDeadNode has landed a
-// zero-filled replacement for each lost page — at the origin under
-// WriteInvalidate/HomeMigrate, at the page's live anchor shard under
-// DistributedManager; restoring rewinds the page to the crashed thread's
-// last quiescent point so a restarted thread replays from consistent
-// bytes. Reports whether the home held a frame to restore into.
+// zero-filled replacement for each lost page at the page's live anchor;
+// restoring rewinds the page to the crashed thread's last quiescent point so
+// a restarted thread replays from consistent bytes. Reports whether the home
+// held a frame to restore into.
 func (m *Manager) RestorePage(vpn uint64, data []byte) bool {
-	home := m.origin
-	if m.policy.proto() == DistributedManager {
-		if de := m.distEntry(vpn); de != nil {
-			home = de.home
-		}
+	de, ok := m.dir.find(vpn)
+	if !ok {
+		return false
 	}
-	pte := m.nodes[home].pt.Lookup(vpn)
+	pte := m.nodes[de.home].pt.Lookup(vpn)
 	if pte == nil || !pte.Present {
 		return false
 	}
@@ -1048,109 +740,21 @@ func (m *Manager) RestorePage(vpn uint64, data []byte) bool {
 	return true
 }
 
-// distEntry locates vpn's directory entry across the shard tables (the
-// entry lives in exactly one node's table — its current home). It scans in
-// node order and must only run where lanes are quiescent.
-func (m *Manager) distEntry(vpn uint64) *dirEntry {
-	for _, ns := range m.nodes {
-		if de, ok := ns.dir[vpn]; ok {
-			return de
-		}
-	}
-	return nil
-}
-
 // DropDirectoryRange removes all ownership state for pages lo..hi
-// (inclusive VPNs) and the origin's own mappings, after the caller has
-// already invalidated remote PTEs in the range. It is used when VMAs
-// shrink (munmap). Pages with a transaction still in its install window
+// (inclusive VPNs) and the directory-holding nodes' own mappings, after the
+// caller has already invalidated remote PTEs in the range. It is used when
+// VMAs shrink (munmap). Pages with a transaction still in its install window
 // are waited out (those windows are bounded by one grant round trip); if a
 // page stays busy — the application is unmapping memory it is concurrently
-// faulting on — an error is returned.
+// faulting on — an error is returned. Under the sharded placement the
+// entries live spread across per-node tables that only their own lanes may
+// touch, so each removal attempt runs at quiescence and the unmapping task
+// parks until it completes.
 func (m *Manager) DropDirectoryRange(t *sim.Task, lo, hi uint64) error {
-	if m.policy.proto() == DistributedManager {
-		return m.dropDirectoryRangeDist(t, lo, hi)
-	}
-	for attempt := 0; ; attempt++ {
-		busyVPN := uint64(0)
-		busy := false
-		var victims []uint64
-		m.dir.ForRange(lo, hi, func(vpn uint64, de *dirEntry) bool {
-			if de.busy() {
-				busy = true
-				busyVPN = vpn
-				return false
-			}
-			victims = append(victims, vpn)
-			return true
-		})
-		if !busy {
-			for _, vpn := range victims {
-				m.dir.Delete(vpn)
-			}
-			m.ReclaimRange(m.origin, lo, hi)
-			return nil
-		}
-		if attempt >= 50 {
-			return fmt.Errorf("dsm: munmap races with a persistent transaction on vpn %#x", busyVPN)
-		}
-		t.Sleep(20 * time.Microsecond)
-	}
-}
-
-// dropDirectoryRangeDist is DropDirectoryRange for the sharded directory.
-// Entries in the range live spread across per-node tables that only their
-// own lanes may touch, so each removal attempt runs as a global-lane
-// closure (where every lane is quiescent) and the unmapping task parks
-// until it completes. Forwarding pointers and home hints in the range are
-// dropped alongside the entries.
-func (m *Manager) dropDirectoryRangeDist(t *sim.Task, lo, hi uint64) error {
-	v := m.view(m.origin)
 	for attempt := 0; ; attempt++ {
 		var busyVPN uint64
-		busy, done := false, false
-		d := 20 * time.Microsecond
-		if la := v.Lookahead(); la > d {
-			d = la
-		}
-		v.AfterOn(sim.GlobalLane, d, func() {
-			for _, ns := range m.nodes {
-				for _, vpn := range sortedVPNs(ns.dir) {
-					if vpn < lo || vpn > hi {
-						continue
-					}
-					if ns.dir[vpn].busy() {
-						busy = true
-						busyVPN = vpn
-					}
-				}
-			}
-			if !busy {
-				for n, ns := range m.nodes {
-					for _, vpn := range sortedVPNs(ns.dir) {
-						if vpn >= lo && vpn <= hi {
-							delete(ns.dir, vpn)
-						}
-					}
-					for vpn := range ns.fwd {
-						if vpn >= lo && vpn <= hi {
-							delete(ns.fwd, vpn)
-						}
-					}
-					for vpn := range ns.homeHint {
-						if vpn >= lo && vpn <= hi {
-							delete(ns.homeHint, vpn)
-						}
-					}
-					m.ReclaimRange(n, lo, hi)
-				}
-			}
-			done = true
-			t.Unpark()
-		})
-		for !done {
-			t.Park("munmap directory drop " + mem.Addr(lo<<mem.PageShift).String())
-		}
+		var busy bool
+		m.quiesce(t, m.origin, "munmap directory drop", func() { busyVPN, busy = m.dropRange(lo, hi) })
 		if !busy {
 			return nil
 		}

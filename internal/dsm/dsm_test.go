@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -331,67 +330,6 @@ func TestProfilerHookReceivesEvents(t *testing.T) {
 	}
 	if reads != 1 || writes != 1 || invals == 0 {
 		t.Fatalf("events: reads=%d writes=%d invals=%d", reads, writes, invals)
-	}
-}
-
-// TestSequentialRandomOpsDataCorrect drives a random sequence of reads and
-// writes from varying nodes through one task and checks every read observes
-// the most recent write (sequential consistency under a serial history).
-func TestSequentialRandomOpsDataCorrect(t *testing.T) {
-	const nodes = 4
-	e := newEnv(t, nodes, DefaultParams(), nil)
-	rng := rand.New(rand.NewSource(99))
-	ref := make(map[mem.Addr]byte)
-	e.eng.Spawn("driver", func(tk *sim.Task) {
-		for i := 0; i < 600; i++ {
-			page := mem.Addr(0x40000000 + mem.PageSize*(rng.Intn(8)))
-			addr := page + mem.Addr(rng.Intn(mem.PageSize))
-			node := rng.Intn(nodes)
-			if rng.Intn(2) == 0 {
-				v := byte(rng.Intn(256))
-				e.write(tk, node, addr, v)
-				ref[addr] = v
-			} else {
-				got := e.read(tk, node, addr)
-				if want := ref[addr]; got != want {
-					t.Errorf("op %d: node %d read %v = %d, want %d", i, node, addr, got, want)
-					return
-				}
-			}
-		}
-	})
-	e.run(t)
-}
-
-// TestConcurrentChaosInvariants runs many concurrent accessors across nodes
-// and pages, then verifies the protocol's global invariants at quiescence.
-func TestConcurrentChaosInvariants(t *testing.T) {
-	const nodes = 4
-	for seed := int64(1); seed <= 3; seed++ {
-		e := newEnvSeed(t, nodes, DefaultParams(), nil, seed)
-		rng := rand.New(rand.NewSource(seed * 7))
-		for w := 0; w < 12; w++ {
-			node := w % nodes
-			ops := make([]struct {
-				addr  mem.Addr
-				write bool
-			}, 60)
-			for i := range ops {
-				ops[i].addr = mem.Addr(0x40000000+mem.PageSize*rng.Intn(4)) + mem.Addr(rng.Intn(mem.PageSize))
-				ops[i].write = rng.Intn(3) == 0
-			}
-			e.eng.Spawn("chaos", func(tk *sim.Task) {
-				for i, op := range ops {
-					if op.write {
-						e.write(tk, node, op.addr, byte(i))
-					} else {
-						_ = e.read(tk, node, op.addr)
-					}
-					tk.Sleep(time.Microsecond)
-				}
-			})
-		}
-		e.run(t) // includes CheckInvariants
 	}
 }
 

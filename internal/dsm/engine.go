@@ -439,16 +439,15 @@ func (e *engine) rollbackGrant(req *pageRequest, st *serveState, de *dirEntry) {
 		de.dropOwner(req.node)
 		return
 	}
-	home := de.home
-	de.reclaimHome()
 	if st.withData && st.data != nil {
+		home := de.home
+		de.reclaimHome()
 		f := m.pool(home).Get()
 		copy(f, st.data)
 		m.nodes[home].pt.SetAccess(req.vpn, f, mem.AccessRead)
 		return
 	}
-	m.nodes[home].pt.SetAccess(req.vpn, m.pool(home).GetZeroed(), mem.AccessRead)
-	m.stats.pagesLost.Add(1)
+	m.reclaimLostWriter(de, req.vpn)
 }
 
 // installingFor returns the outstanding request at ns that has been granted

@@ -3,7 +3,6 @@ package dsm
 import (
 	"bytes"
 	"fmt"
-	"sort"
 )
 
 // CheckInvariants verifies the protocol's global invariants. It is intended
@@ -18,97 +17,29 @@ import (
 //     owner has a present read-only (or home-writable pre-share) mapping,
 //     every owner's frame is byte-identical, and no non-owner has the page.
 //
-// Under DistributedManager the directory lives sharded across per-node
-// tables instead of the shared tree; additionally each entry must be hosted
-// at exactly one shard — its current home.
+// Each entry must also be hosted exactly once, at its current home, and the
+// routes nodes hold must lead to it (checkRoutes) — both can only fail under
+// the sharded placement, where entries move between per-node tables.
 func (m *Manager) CheckInvariants() error {
-	if m.policy.proto() == DistributedManager {
-		return m.checkInvariantsDist()
-	}
 	var err error
-	m.dir.ForEach(func(vpn uint64, de *dirEntry) bool {
-		err = m.checkEntry(vpn, de)
+	seen := make(map[uint64]int)
+	m.dir.walk(0, ^uint64(0), func(host int, vpn uint64, de *dirEntry) bool {
+		prev, dup := seen[vpn]
+		seen[vpn] = host
+		switch {
+		case dup:
+			err = fmt.Errorf("dsm: vpn %#x hosted at both shard %d and shard %d", vpn, prev, host)
+		case de.home != host:
+			err = fmt.Errorf("dsm: vpn %#x hosted at shard %d but home is %d", vpn, host, de.home)
+		default:
+			err = m.checkEntry(vpn, de)
+		}
 		return err == nil
 	})
-	return err
-}
-
-// checkInvariantsDist walks the sharded directory in node order: every
-// entry must live in its home's own table, appear exactly once across all
-// tables, and satisfy the per-entry invariants above.
-func (m *Manager) checkInvariantsDist() error {
-	seen := make(map[uint64]int)
-	for n, ns := range m.nodes {
-		for _, vpn := range sortedVPNs(ns.dir) {
-			de := ns.dir[vpn]
-			if prev, dup := seen[vpn]; dup {
-				return fmt.Errorf("dsm: vpn %#x hosted at both shard %d and shard %d", vpn, prev, n)
-			}
-			seen[vpn] = n
-			if de.home != n {
-				return fmt.Errorf("dsm: vpn %#x hosted at shard %d but home is %d", vpn, n, de.home)
-			}
-			if err := m.checkEntry(vpn, de); err != nil {
-				return err
-			}
-		}
+	if err != nil {
+		return err
 	}
-	return m.checkChainsTerminate()
-}
-
-// checkChainsTerminate verifies the forwarding graph has no cycles: from
-// every node, following the route table (forwarding pointer if present,
-// static anchor otherwise) must reach the shard hosting the page within one
-// step per node. The epoch gate on route updates is what guarantees this;
-// the check walks every route so a gating bug cannot hide. Chains through a
-// confirmed-dead node are skipped — they are repaired when the death
-// commits (ReclaimDeadNode), not before.
-func (m *Manager) checkChainsTerminate() error {
-	for n, ns := range m.nodes {
-		for _, vpn := range sortedFwdVPNs(ns.fwd) {
-			cur := n
-			ok := false
-			for step := 0; step <= len(m.nodes); step++ {
-				if m.chaos != nil && m.chaos.NodeDead(cur) {
-					ok = true // settled by the pending dead-node reclaim
-					break
-				}
-				if _, hosted := m.nodes[cur].dir[vpn]; hosted {
-					ok = true
-					break
-				}
-				next, fwded := m.nodes[cur].fwd[vpn]
-				if !fwded {
-					next = m.shardOf(vpn)
-					if next == cur {
-						// Unrouted anchor without an entry: the page was
-						// reclaimed or never materialized; the walk would
-						// first-touch here.
-						ok = true
-						break
-					}
-				}
-				if next == cur {
-					return fmt.Errorf("dsm: vpn %#x route at node %d points at itself", vpn, cur)
-				}
-				cur = next
-			}
-			if !ok {
-				return fmt.Errorf("dsm: vpn %#x forwarding chain from node %d does not terminate", vpn, n)
-			}
-		}
-	}
-	return nil
-}
-
-// sortedFwdVPNs is sortedVPNs for a route table.
-func sortedFwdVPNs(fwd map[uint64]int) []uint64 {
-	vpns := make([]uint64, 0, len(fwd))
-	for vpn := range fwd {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
+	return m.checkRoutes()
 }
 
 // checkEntry verifies one directory entry against every node's page table.

@@ -140,7 +140,7 @@ func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
 		if mm.pid != m.pid {
 			return false
 		}
-		m.policy.dispatchRequest(node, mm)
+		m.dispatchRequest(node, mm)
 		return true
 	case *pageReply:
 		if mm.pid != m.pid {
@@ -162,19 +162,7 @@ func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
 		}
 		// The wait record lives at the serving home that issued the grant —
 		// the node this ack was addressed to.
-		ws := m.nodes[node].installWait
-		w, ok := ws[mm.token]
-		if !ok {
-			if m.chaos != nil {
-				// Duplicate of an ack that already closed the window.
-				m.stats.dupsIgnored.Add(1)
-				return true
-			}
-			panic(fmt.Sprintf("dsm: stray install ack token %d", mm.token))
-		}
-		delete(ws, mm.token)
-		w.done = true
-		w.task.Unpark()
+		m.closeWaiter(m.nodes[node].installWait, mm.token, "install ack token")
 		return true
 	case *revokeAck:
 		if mm.pid != m.pid {
@@ -182,18 +170,7 @@ func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
 		}
 		// Likewise: revocations are issued from (and acked to) the serving
 		// home, whose lane is running right now.
-		ws := m.nodes[node].revokeWait
-		w, ok := ws[mm.seq]
-		if !ok {
-			if m.chaos != nil {
-				m.stats.dupsIgnored.Add(1)
-				return true
-			}
-			panic(fmt.Sprintf("dsm: stray revoke ack seq %d", mm.seq))
-		}
-		delete(ws, mm.seq)
-		w.done = true
-		w.task.Unpark()
+		m.closeWaiter(m.nodes[node].revokeWait, mm.seq, "revoke ack seq")
 		return true
 	case *homeHintMsg:
 		if mm.pid != m.pid {
@@ -206,14 +183,30 @@ func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
 	}
 }
 
+// closeWaiter completes the open waiter an ack names and wakes its serving
+// task. An ack without a waiter is a duplicate of one that already closed the
+// window under fault injection, and a protocol bug otherwise.
+func (m *Manager) closeWaiter(ws map[uint64]*revokeWaiter, key uint64, what string) {
+	w, ok := ws[key]
+	if !ok {
+		if m.chaos != nil {
+			m.stats.dupsIgnored.Add(1)
+			return
+		}
+		panic(fmt.Sprintf("dsm: stray %s %d", what, key))
+	}
+	delete(ws, key)
+	w.done = true
+	w.task.Unpark()
+}
+
 // applyHomeHint installs a DistributedManager path-compression hint: this
 // node redirected a fault that has since been granted at mm.home, so point
 // the forwarding chain straight there. A node that (re)gained authority in
 // the meantime — or already holds a fresher route (higher epoch) — ignores
 // the stale hint; the epoch gate lives in the policy's learnHome.
 func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
-	ns := m.nodes[node]
-	if _, hosted := ns.dir[msg.vpn]; hosted || msg.home == node {
+	if _, hosted := m.dir.get(node, msg.vpn); hosted || msg.home == node {
 		return
 	}
 	if !m.policy.learnHome(node, msg.vpn, msg.home, msg.epoch) {
@@ -249,22 +242,16 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 	}
 	de := m.policy.serveEntry(home, req.vpn)
 	if de == nil {
-		// Authority moved away between dispatch and serve (DistributedManager
-		// only): bounce the requester one hop down the forwarding chain,
-		// stamped with the epoch this shard learned its route at.
-		target := m.policy.requestTarget(home, req.vpn)
+		// Authority moved away between dispatch and serve: bounce the
+		// requester one hop down the forwarding chain, stamped with the epoch
+		// this shard learned its route at.
+		target := m.requestTarget(home, req.vpn)
 		epoch := m.nodes[home].routeEpoch[req.vpn]
 		if target == home {
-			target = m.policy.fallbackHome(home, req.vpn)
+			target = m.liveAnchor(req.vpn)
 			epoch = 0
 		}
-		m.stats.forwards.Add(1)
-		if st != nil {
-			st.redirect = true
-			st.redirTo = target
-			st.close(t.Now())
-		}
-		m.net.Send(t, home, req.node, &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch})
+		m.net.Send(t, home, req.node, m.redirect(req, st, target, epoch, t.Now()))
 		m.serveSpan(serveAt, home, req, "moved")
 		return
 	}
@@ -327,6 +314,7 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 	if withData {
 		outcome = "grant+data"
 	}
+	settled := false
 	if st == nil {
 		m.e.waitRevokes(t, []*revokeWaiter{ack})
 	} else {
@@ -347,28 +335,8 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 				break
 			}
 			if home != m.origin && m.chaos.NodeDead(home) {
-				// This serving home died mid-window: the serve task itself
-				// survives the crash, but every message to or from the node
-				// is dropped, so the ack can never arrive. Settle the page:
-				// a grant that reached the requester is finalized exactly as
-				// its install ack would have been; an undelivered one is
-				// undone and the page reclaimed — to the origin shard under
-				// HomeMigrate, to the page's live anchor shard under
-				// DistributedManager (which must consult the requester's
-				// state from the quiescent global lane and therefore owns
-				// its whole epilogue).
 				delete(m.nodes[home].installWait, req.token)
-				if m.policy.proto() == DistributedManager {
-					m.distDeadHomeSettle(t, serveAt, home, de, req, st, ack)
-					return
-				}
-				if m.granteeDelivered(req) {
-					ack.done = true
-					outcome = "dead-home-finalize"
-					break
-				}
-				m.recoverDeadHome(req.vpn, de, home, st.data)
-				outcome = "dead-home"
+				outcome, settled = m.settleDeadHome(t, home, de, req, st, ack), true
 				break
 			}
 			m.stats.retransmits.Add(1)
@@ -379,73 +347,64 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 				rto = m.params.RetryTimeoutMax
 			}
 		}
+	}
+	if !settled {
+		// ack.done: the requester installed its grant (a rollback leaves it unset).
+		m.settle(home, de, req, st, ack.done, false)
+	}
+	if st != nil {
 		st.close(t.Now())
-	}
-	if outcome != "rollback" && outcome != "dead-home" && ack.done {
-		// The requester installed its grant: let the policy finalize the
-		// transaction (HomeMigrate flips the page's home to a new writer).
-		m.policy.grantCompleted(de, req)
-	}
-	de.end()
-	if st != nil && m.policy.proto() == DistributedManager {
-		if _, still := m.nodes[home].dir[req.vpn]; still && home != m.origin && m.chaos.NodeDead(home) {
-			// The entry settled still hosted at a shard that died during
-			// this serve (a read grant, or a rolled-back write): rebuild it
-			// at the page's live anchor from the quiescent global lane.
-			m.distScheduleRebuild(home, req.vpn, st.data)
-		}
-	} else if st != nil && de.home != m.origin && m.chaos.NodeDead(de.home) {
-		// The entry settled homed at a node that died during this serve:
-		// reclaim it to the origin shard immediately rather than waiting
-		// for a later request to stumble into the failover path.
-		m.recoverDeadHome(req.vpn, de, de.home, st.data)
 	}
 	m.serveSpan(serveAt, home, req, outcome)
 }
 
-// distDeadHomeSettle settles a DistributedManager grant window whose
-// serving shard died before the install ack could arrive. Deciding whether
-// the grant reached the requester reads that node's tables, which a node
-// lane may not do while lanes run in parallel — so the decision, the
-// directory epilogue, and any rebuild all run in one closure on the
-// quiescent global lane, and this function owns the serve's entire
-// epilogue (serve-state close and span included).
-func (m *Manager) distDeadHomeSettle(t *sim.Task, serveAt time.Duration, home int, de *dirEntry, req *pageRequest, st *serveState, ack *revokeWaiter) {
-	outcome := "dead-home"
-	settled := false
-	v := m.view(home)
-	d := 20 * time.Microsecond
-	if la := v.Lookahead(); la > d {
-		d = la
+// settle closes a serve's grant window: the policy finalizes an installed
+// grant (authority moves to a new writer), the entry goes idle, and — under
+// fault injection — an entry left idle at a home that died during the serve
+// is rebuilt at the page's live anchor rather than waiting for a later
+// request to stumble into the failover path. quiescent says the caller
+// already runs where every table may be touched.
+func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, st *serveState, installed, quiescent bool) {
+	if installed {
+		m.policy.grantCompleted(de, req)
 	}
-	v.AfterOn(sim.GlobalLane, d, func() {
+	de.end()
+	if st == nil || m.stranded(home, req.vpn) == nil {
+		return
+	}
+	rebuild := func() {
+		if cur := m.stranded(home, req.vpn); cur != nil {
+			m.rehome(req.vpn, cur, cur.home, st.data)
+		}
+	}
+	if quiescent {
+		rebuild()
+	} else {
+		m.atQuiescence(home, rebuild)
+	}
+}
+
+// settleDeadHome settles a grant window whose serving home died before the
+// install ack could arrive: the serve task itself survives the crash, but
+// every message to or from the node is dropped, so the ack never will. A
+// grant that reached the requester is finalized exactly as its install ack
+// would have been; an undelivered one is undone and the page rebuilt at its
+// live anchor. Deciding which reads the requester's tables, and the rebuild
+// may move the entry into another node's — after which only that node's lane
+// may touch it — so decision and settlement run together at quiescence. It
+// returns the serve's outcome.
+func (m *Manager) settleDeadHome(t *sim.Task, home int, de *dirEntry, req *pageRequest, st *serveState, ack *revokeWaiter) (outcome string) {
+	m.quiesce(t, home, "dist dead-home settle", func() {
 		if m.granteeDelivered(req) {
-			// Finalize exactly as the lost install ack would have: a write
-			// grant hands authority to the requester's adopted entry, a read
-			// grant settles here and is rebuilt away from the dead shard.
 			ack.done = true
 			outcome = "dead-home-finalize"
-			m.policy.grantCompleted(de, req)
-			de.end()
-			if _, still := m.nodes[home].dir[req.vpn]; still {
-				m.distRebuild(req.vpn, de, home, st.data)
-			}
 		} else {
-			// The grant never reached the requester: undo it and rebuild the
-			// page at its live anchor from the retained snapshot. The entry
-			// must be settled before node lanes resume — once it lands in
-			// the new shard's table, only that shard's lane may touch it.
-			m.distRebuild(req.vpn, de, home, st.data)
-			de.end()
+			m.rehome(req.vpn, de, home, st.data)
+			outcome = "dead-home"
 		}
-		settled = true
-		t.Unpark()
+		m.settle(home, de, req, st, ack.done, true)
 	})
-	for !settled {
-		t.Park("dist dead-home settle")
-	}
-	st.close(t.Now())
-	m.serveSpan(serveAt, home, req, outcome)
+	return outcome
 }
 
 // granteeDelivered reports whether the grant for req demonstrably reached

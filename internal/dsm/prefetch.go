@@ -43,7 +43,7 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 		// and prefetch buys nothing.
 		return 0, nil
 	}
-	if m.policy.proto() == DistributedManager {
+	if m.dir.sharded() {
 		// The batched exchange targets the origin's directory; with the
 		// directory sharded across nodes there is no single server to batch
 		// against, so the hint degrades to ordinary demand faulting.
@@ -158,7 +158,7 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 		de.begin()
 		held = append(held, de)
 		t.Sleep(m.params.Directory)
-		withData, data := m.policy.serveRead(t, de, req.node, vpn)
+		withData, data := m.serveLocked(t, de, req.node, vpn, false)
 		if !withData {
 			panic("dsm: prefetch read grant must carry data")
 		}

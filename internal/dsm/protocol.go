@@ -1,15 +1,30 @@
-// protocol.go is the coherence-policy layer: the pluggable piece that
-// decides WHERE a fault resolves and WHAT a directory transaction does. The
-// directory (directory.go) owns the per-page state machine and the engine
-// (engine.go) owns reliable delivery; a policy composes the two.
+// protocol.go is the coherence-policy layer. There is one ownership
+// protocol (§III-B: read-replicate / write-invalidate, MRSW, sequentially
+// consistent) and this file holds the one implementation of each of its
+// jobs: the lead-fault loop, the requester side, request dispatch, and the
+// serveRead / serveWrite directory transactions. The directory (directory.go)
+// owns the per-page state machine and the two table layouts; the engine
+// (engine.go) owns reliable delivery.
 //
-// Two policies are provided. WriteInvalidate is the paper's §III-B design:
-// the origin node serves every transaction, read requests earn shared
-// replicas, write requests earn exclusive ownership after every other copy
-// is revoked. HomeMigrate keeps the same MRSW coherence but migrates the
-// page's directory home to the last writer, so a node that writes the same
-// pages repeatedly resolves later transactions locally instead of paying
-// the origin round trip on every ownership change.
+// What a policy decides is PLACEMENT — where a page's directory entry lives
+// and how a node that does not hold it finds the one that does:
+//
+//   - central: one radix tree at the origin. Under WriteInvalidate (the
+//     paper's design, the default) authority never leaves the origin: no node
+//     ever learns a route, every request goes to the origin, and a request
+//     delivered anywhere else is a bug. Under HomeMigrate the entry's home
+//     follows the last writer; nodes keep a believed home per page and a
+//     stale belief is repaired by a redirect that reads the tree directly —
+//     which is why HomeMigrate runs serialized (core clamps it to one core).
+//   - sharded (DistributedManager): every node holds a table; a page's entry
+//     lives in its current home's table, lookups start at a static hash
+//     anchor, a node that hands authority off leaves an epoch-stamped
+//     forwarding pointer, and chains are compressed after each chained
+//     grant. Each shard serves on its own simulation lane.
+//
+// WriteInvalidate is therefore not a third implementation but the
+// non-migrating case of central; the few ways it behaves differently are the
+// data in traits, not code paths of their own.
 package dsm
 
 import (
@@ -53,13 +68,11 @@ const (
 const homeBusyPoll = 5 * time.Microsecond
 
 // protocolInfo is one registry row: the canonical short name accepted on
-// the command line, the long name (also accepted, and printed by String),
-// and a one-line description for help text.
+// the command line and the long name (also accepted, and printed by String).
 type protocolInfo struct {
 	proto Protocol
 	name  string // short CLI name
 	long  string // canonical long name
-	desc  string
 }
 
 // protocolRegistry is the single source of truth for the policies a
@@ -67,9 +80,9 @@ type protocolInfo struct {
 // and Protocol.String all derive from it. Adding a policy means adding a
 // row here plus a case in newPolicy.
 var protocolRegistry = []protocolInfo{
-	{WriteInvalidate, "wi", "write-invalidate", "origin-served read-replicate/write-invalidate (default)"},
-	{HomeMigrate, "home", "home-migrate", "directory home follows the last writer"},
-	{DistributedManager, "dist", "distributed-manager", "hash-sharded directory with forwarding chains"},
+	{WriteInvalidate, "wi", "write-invalidate"},         // origin-served, the default
+	{HomeMigrate, "home", "home-migrate"},               // directory home follows the last writer
+	{DistributedManager, "dist", "distributed-manager"}, // hash-sharded directory with forwarding chains
 }
 
 func (p Protocol) String() string {
@@ -122,523 +135,131 @@ func ParseProtocol(s string) (Protocol, error) {
 	return 0, fmt.Errorf("dsm: unknown protocol %q (want one of %s)", s, names)
 }
 
-// policy is the pluggable coherence layer. The Manager routes every fault
-// and every incoming page request through it; the directory entry methods
-// it calls enforce transition legality.
+// residence is what a node's directory lookup for one of its own faults
+// found.
+type residence uint8
+
+const (
+	// dirHere: the entry is authoritative at the asking node; the fault
+	// resolves through the local directory.
+	dirHere residence = iota
+	// dirFirstTouch: the lookup materialized the page at the asking node (a
+	// demand-zero fault at the page's home is not a protocol fault).
+	dirFirstTouch
+	// dirElsewhere: authority is at another node; ask the believed home.
+	dirElsewhere
+	// dirRetry: the lookup had to wait for a repair; look again.
+	dirRetry
+)
+
+// policy is the placement a Manager runs under: central or sharded. The
+// Manager routes every fault and every incoming page request through it; the
+// directory entry methods it calls enforce transition legality.
 type policy interface {
-	// proto identifies the policy.
-	proto() Protocol
-	// leadFault runs the full protocol for one lead fault at ctx.Node. It
-	// reports the number of retries and whether the consistency protocol was
-	// actually involved (a first-touch demand-zero fault at the page's home
-	// is not a protocol fault).
-	leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (retries int, protocol bool)
-	// requestTarget returns the node a page request from node should be sent
-	// to (the believed home of vpn).
-	requestTarget(node int, vpn uint64) int
-	// fallbackHome returns where a request from node re-routes after its
-	// believed home is confirmed dead: the origin under WriteInvalidate and
-	// HomeMigrate, the page's live anchor shard under DistributedManager.
-	fallbackHome(node int, vpn uint64) int
-	// learnHome records at node a belief about vpn's home, stamped with the
-	// home-handoff epoch it was learned at, and reports whether the update
-	// was applied. DistributedManager rejects updates older than the route
-	// the node already holds (unless that route's target is confirmed dead),
-	// which keeps the forwarding graph acyclic; the other policies apply
-	// unconditionally and ignore the epoch.
-	learnHome(node int, vpn uint64, home int, epoch uint64) bool
+	// lookup resolves vpn's directory entry for a lead fault at node.
+	lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence)
 	// serveEntry resolves the directory entry a serve transaction at home
 	// operates on, materializing it on first touch. It returns nil if the
 	// serving node's authority moved away between dispatch and serve
-	// (DistributedManager only) — the caller bounces the request.
+	// (sharded only) — the caller bounces the request.
 	serveEntry(home int, vpn uint64) *dirEntry
-	// grantInstalled runs at the requester right after a granted PTE is
-	// installed and before the install ack is sent (the DistributedManager
-	// authority-adoption point for write grants). epoch is the routing epoch
-	// the grant reply carried.
-	grantInstalled(node int, vpn uint64, write bool, served int, epoch uint64)
+	// route decides what happens to a page request admitted at node: serve
+	// it there (target == node) or bounce the requester to target, stamped
+	// with epoch. handled means the policy already answered it itself.
+	route(node int, req *pageRequest, st *serveState) (target int, epoch uint64, handled bool)
+	// learnHome records at node a belief about vpn's home, stamped with the
+	// home-handoff epoch it was learned at, and reports whether the update
+	// was applied. sharded rejects updates older than the route the node
+	// already holds (unless that route's target is confirmed dead), which
+	// keeps the forwarding graph acyclic; migrating central applies
+	// unconditionally and ignores the epoch; non-migrating central never
+	// learns anything.
+	learnHome(node int, vpn uint64, home int, epoch uint64) bool
+	// grantInstalled runs at the requester right after a write grant's PTE
+	// is installed and before the install ack is sent (the sharded
+	// authority-adoption point). epoch is the one the grant reply carried.
+	grantInstalled(node int, vpn uint64, epoch uint64)
+	// grantCompleted runs at the serving home once the requester's install
+	// ack closes a remote grant (the point authority moves to a new writer).
+	grantCompleted(de *dirEntry, req *pageRequest)
 	// compressChain lets the policy collapse the forwarding chain a request
 	// walked: hops lists the nodes that redirected it, home is where the
 	// grant was finally served (or the requester itself for a write), epoch
 	// the handoff epoch at which home holds the page.
 	compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64)
-	// dispatchRequest routes a page request delivered at node: serve it
-	// there, or redirect the requester toward the authoritative home.
-	dispatchRequest(node int, req *pageRequest)
-	// serveRead and serveWrite perform one directory transaction for reqNode
-	// with the entry in transfer (busy) state; they return whether the grant
-	// carries page data, and the data.
-	serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (withData bool, data []byte)
-	serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (withData bool, data []byte)
-	// grantCompleted runs once the requester's install ack closes a remote
-	// grant (the HomeMigrate home-flip point).
-	grantCompleted(de *dirEntry, req *pageRequest)
+}
+
+// traits is the per-policy data the shared paths read.
+type traits struct {
+	// migrates: directory authority follows the last writer (HomeMigrate,
+	// DistributedManager). It decides three things. A fault waiting out a
+	// busy entry at its own home polls (the transaction ends with a local
+	// event) and counts one NACK, where the non-migrating origin counts one
+	// per attempt and pays the remote requester's backoff. A write serve's
+	// revocations carry the prospective new home. And a writer away from its
+	// home cannot exist, so the fetch-from-writer pull is a protocol bug.
+	migrates bool
+	// forwards: a redirect is a hop along a forwarding chain and counts in
+	// Stats.Forwards.
+	forwards bool
+	// redirectSpan names the instant span a redirecting node records.
+	redirectSpan string
 }
 
 func newPolicy(m *Manager) policy {
+	var p policy = &central{m: m}
 	switch m.params.Protocol {
 	case WriteInvalidate:
-		return &writeInvalidate{m: m}
+		return p
 	case HomeMigrate:
-		for _, ns := range m.nodes {
-			ns.homeHint = make(map[uint64]int)
-		}
-		return &homeMigrate{m: m}
+		m.traits = traits{migrates: true, redirectSpan: "hm.redirect"}
 	case DistributedManager:
-		for _, ns := range m.nodes {
-			ns.dir = make(map[uint64]*dirEntry)
-			ns.fwd = make(map[uint64]int)
-			ns.routeEpoch = make(map[uint64]uint64)
-		}
-		return &distManager{m: m}
+		m.traits = traits{migrates: true, forwards: true, redirectSpan: "dist.forward"}
+		m.dir.shard(len(m.nodes))
+		p = &sharded{m: m}
 	default:
 		panic(fmt.Sprintf("dsm: unknown protocol %d", m.params.Protocol))
 	}
-}
-
-// serveLocked performs one directory transaction for reqNode with the entry
-// in transfer state. On return the directory reflects the grant; for a
-// requester local to the serving home the page table is updated in place.
-// For a remote requester it returns whether the grant carries page data,
-// and the data.
-func (m *Manager) serveLocked(t *sim.Task, de *dirEntry, reqNode int, vpn uint64, write bool) (withData bool, data []byte) {
-	if de.writer == reqNode {
-		panic(fmt.Sprintf("dsm: node %d faulted on vpn %#x it owns exclusively", reqNode, vpn))
+	// Where authority migrates, every node keeps routes.
+	for _, ns := range m.nodes {
+		ns.fwd = make(map[uint64]int)
+		if m.dir.sharded() {
+			ns.routeEpoch = make(map[uint64]uint64)
+		}
 	}
-	if write {
-		return m.policy.serveWrite(t, de, reqNode, vpn)
-	}
-	return m.policy.serveRead(t, de, reqNode, vpn)
+	return p
 }
 
 // ---------------------------------------------------------------------------
-// WriteInvalidate: the paper's origin-served protocol (§III-B / §III-C).
+// The fault path: one lead-fault loop, one requester side.
 
-type writeInvalidate struct{ m *Manager }
-
-func (p *writeInvalidate) proto() Protocol { return WriteInvalidate }
-
-func (p *writeInvalidate) requestTarget(node int, vpn uint64) int { return p.m.origin }
-
-func (p *writeInvalidate) fallbackHome(node int, vpn uint64) int { return p.m.origin }
-
-func (p *writeInvalidate) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
-	return false
-}
-
-func (p *writeInvalidate) serveEntry(home int, vpn uint64) *dirEntry {
-	de, _ := p.m.entry(vpn)
-	return de
-}
-
-func (p *writeInvalidate) grantInstalled(node int, vpn uint64, write bool, served int, epoch uint64) {
-}
-
-func (p *writeInvalidate) compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64) {
-}
-
-func (p *writeInvalidate) grantCompleted(de *dirEntry, req *pageRequest) {}
-
-func (p *writeInvalidate) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (int, bool) {
-	m := p.m
-	if ctx.Node == m.origin {
-		return m.homeFault(t, m.origin, vpn, write)
-	}
-	return m.requestFault(t, ctx, vpn, write), true
-}
-
-// dispatchRequest: every page request is served at the origin. Under fault
-// injection the transport engine deduplicates by token first.
-func (p *writeInvalidate) dispatchRequest(node int, req *pageRequest) {
-	m := p.m
-	if node != m.origin {
-		panic(fmt.Sprintf("dsm: page request for pid %d delivered to node %d (origin %d)", m.pid, node, m.origin))
-	}
-	var st *serveState
-	if m.chaos != nil {
-		var handled bool
-		if st, handled = m.e.admitServe(m.origin, req); handled {
-			return
-		}
-	}
-	m.view(m.origin).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, m.origin, req, st) })
-}
-
-func (p *writeInvalidate) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	m := p.m
-	switch {
-	case de.writer == m.origin:
-		// The origin downgrades its own exclusive copy.
-		m.nodes[m.origin].pt.SetAccess(vpn, nil, mem.AccessRead)
-		de.downgradeWriter()
-	case de.writer >= 0:
-		// A remote holds the page exclusively: downgrade it and pull the
-		// fresh data back to the origin.
-		m.fetchFromWriter(t, de, vpn, true /* downgrade */)
-	}
-	de.grantShared(reqNode)
-	if reqNode == m.origin {
-		m.nodes[m.origin].pt.SetAccess(vpn, m.frameAt(m.origin, vpn), mem.AccessRead)
-		return false, nil
-	}
-	return true, m.frameAt(m.origin, vpn)
-}
-
-func (p *writeInvalidate) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	m := p.m
-	needData := !de.has(reqNode) || m.params.AlwaysSendData
-	if needData && de.writer >= 0 && de.writer != m.origin {
-		// The fresh copy lives at a remote exclusive owner: pull it home
-		// before revoking everything.
-		m.fetchFromWriter(t, de, vpn, false /* invalidate */)
-	}
-	// Capture the outbound data before the origin's own copy is revoked.
-	var data []byte
-	if needData && reqNode != m.origin {
-		data = m.frameAt(m.origin, vpn)
-	}
-	// Revoke every copy except the requester's.
-	var acks []*revokeWaiter
-	for _, owner := range de.ownerList(reqNode) {
-		if owner == m.origin {
-			m.nodes[m.origin].pt.SetAccess(vpn, nil, mem.AccessNone)
-			t.Sleep(m.params.InvalidateApply)
-			m.stats.invalidations.Add(1)
-			m.emitInvalidate(m.origin, vpn)
-			continue
-		}
-		if m.chaos != nil && m.chaos.NodeDead(owner) {
-			// A crashed reader's copy died with it; nothing to revoke.
-			de.dropOwner(owner)
-			continue
-		}
-		acks = append(acks, m.sendRevoke(t, m.origin, owner, vpn, false, -1, 0, nil))
-	}
-	m.e.waitRevokes(t, acks)
-	if !needData {
-		m.stats.ownershipGrants.Add(1)
-	}
-	de.grantExclusive(reqNode)
-	if reqNode == m.origin {
-		m.nodes[m.origin].pt.SetAccess(vpn, m.frameAt(m.origin, vpn), mem.AccessWrite)
-		return false, nil
-	}
-	return needData, data
-}
-
-// failoverSpan records an instant home-failover marker on the faulting
-// node's lane: the believed home is confirmed or suspected dead, and the
-// request re-routes through the origin.
-func (m *Manager) failoverSpan(node int, vpn uint64, dead int, mode string) {
-	if m.rec == nil {
-		return
-	}
-	rec := m.rec.OnLane(node)
-	rec.SpanAt("dsm", "hm.failover", node, -1, rec.Now(), 0,
-		obs.Hex("vpn", vpn),
-		obs.Int("dead", int64(dead)),
-		obs.String("mode", mode))
-}
-
-// fetchFromWriter revokes the remote exclusive owner of vpn and installs the
-// returned data as the origin's copy. With downgrade the owner keeps a
-// shared (read-only) copy; otherwise its mapping is dropped.
-func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgrade bool) {
-	w := de.writer
-	if m.chaos != nil && m.chaos.NodeDead(w) {
-		m.reclaimLostWriter(de, vpn)
-		return
-	}
-	var pullAt time.Duration
-	if m.rec != nil {
-		pullAt = t.Now()
-	}
-	pr := m.net.PreparePageRecv(t, w, m.origin)
-	waiter := m.sendRevoke(t, m.origin, w, vpn, downgrade, -1, 0, pr)
-	m.e.waitRevokes(t, []*revokeWaiter{waiter})
-	if waiter.lost {
-		// The writer died before shipping its copy home.
-		pr.Release()
-		m.reclaimLostWriter(de, vpn)
-		return
-	}
-	data := pr.Claim(t)
-	m.nodes[m.origin].pt.SetAccess(vpn, data, mem.AccessRead)
-	m.stats.pageTransfers.Add(1)
-	de.pullHome(downgrade)
-	if m.rec != nil {
-		mode := "invalidate"
-		if downgrade {
-			mode = "downgrade"
-		}
-		// fetchFromWriter always executes on the origin's serve lane.
-		m.rec.OnLane(m.origin).Span("dsm", "hm.pull", m.origin, -1, pullAt,
-			obs.Hex("vpn", vpn),
-			obs.Int("writer", int64(w)),
-			obs.String("mode", mode))
-	}
-}
-
-// reclaimLostWriter handles the death of a page's exclusive owner: the only
-// fresh copy is gone, so ownership returns to the origin with a zero-filled
-// frame and the page is counted as lost. The application sees well-defined
-// (if stale) contents rather than a hang.
-func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
-	m.nodes[m.origin].pt.SetAccess(vpn, m.pool(m.origin).GetZeroed(), mem.AccessRead)
-	m.stats.pagesLost.Add(1)
-	de.reclaimHome()
-}
-
-// ---------------------------------------------------------------------------
-// HomeMigrate: the directory home follows the last writer.
-
-type homeMigrate struct{ m *Manager }
-
-func (p *homeMigrate) proto() Protocol { return HomeMigrate }
-
-func (p *homeMigrate) requestTarget(node int, vpn uint64) int {
-	if h, ok := p.m.nodes[node].homeHint[vpn]; ok {
-		return h
-	}
-	return p.m.origin
-}
-
-func (p *homeMigrate) fallbackHome(node int, vpn uint64) int { return p.m.origin }
-
-func (p *homeMigrate) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
-	ns := p.m.nodes[node]
-	if home == p.m.origin {
-		// The default belief; no need to store it.
-		delete(ns.homeHint, vpn)
-		return true
-	}
-	ns.homeHint[vpn] = home
-	return true
-}
-
-func (p *homeMigrate) serveEntry(home int, vpn uint64) *dirEntry {
-	de, _ := p.m.entry(vpn)
-	return de
-}
-
-func (p *homeMigrate) grantInstalled(node int, vpn uint64, write bool, served int, epoch uint64) {}
-
-func (p *homeMigrate) compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64) {
-}
-
-// grantCompleted is the home-flip point: once a remote write grant is
-// installed and acknowledged, the new exclusive owner becomes the page's
-// directory home. The old home learns the new one (it just granted to it),
-// so its own next fault on the page routes directly.
-func (p *homeMigrate) grantCompleted(de *dirEntry, req *pageRequest) {
-	if !req.write {
-		return
-	}
-	old := de.home
-	de.home = req.node
-	if old != req.node {
-		p.learnHome(old, req.vpn, req.node, 0)
-	}
-}
-
-func (p *homeMigrate) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (int, bool) {
-	m := p.m
+// leadFault runs the full protocol for one lead fault at ctx.Node. It
+// reports the number of retries and whether the consistency protocol was
+// actually involved.
+func (m *Manager) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (retries int, protocol bool) {
+	node := ctx.Node
 	for attempt := 1; ; attempt++ {
-		de, ok := m.dir.Get(vpn)
-		if !ok {
-			if ctx.Node != m.origin {
-				// No entry anywhere yet: the origin is the initial home.
-				return m.requestFault(t, ctx, vpn, write) + attempt - 1, true
-			}
-			// First touch: materialize at the origin, the initial home.
-			m.entry(vpn)
+		// Authority is re-resolved after every wait: the busy transaction we
+		// waited out may have moved it away.
+		de, where := m.policy.lookup(t, node, vpn)
+		switch where {
+		case dirFirstTouch:
 			return attempt - 1, false
+		case dirElsewhere:
+			return m.requestFault(t, ctx, vpn, write) + attempt - 1, true
+		case dirRetry:
+			continue
 		}
-		if de.home != ctx.Node {
-			if m.chaos != nil && ctx.Node == m.origin && m.chaos.NodeDead(de.home) && !de.busy() {
-				// Fault at the origin on a page whose home died: reclaim it
-				// to the origin shard and fall through to the local serve.
-				m.recoverDeadHome(vpn, de, de.home, nil)
+		if de.busy() {
+			if m.migrates {
+				if attempt == 1 {
+					m.stats.nacks.Add(1)
+				}
+				t.Sleep(homeBusyPoll)
 			} else {
-				return m.requestFault(t, ctx, vpn, write) + attempt - 1, true
-			}
-		}
-		// Fault at the page's current home: resolve through the local
-		// directory. The home is re-checked after every wait — the busy
-		// transaction we waited out may have migrated the home away.
-		if de.busy() {
-			// A busy entry at its own home ends with a local event (the
-			// requester's install ack arriving here), so poll cheaply
-			// rather than paying the remote requester's NACK backoff; the
-			// common case is the entry settling within one fabric latency.
-			if attempt == 1 {
 				m.stats.nacks.Add(1)
+				m.backoff(t, node, attempt)
 			}
-			t.Sleep(homeBusyPoll)
-			continue
-		}
-		if m.Lookup(ctx.Node, vpn, write) != nil {
-			// Raced with a transaction that restored our access.
-			return attempt - 1, true
-		}
-		de.begin()
-		t.Sleep(m.params.Directory)
-		m.serveLocked(t, de, ctx.Node, vpn, write)
-		de.end()
-		t.Sleep(m.params.PTEInstall)
-		return attempt - 1, true
-	}
-}
-
-// dispatchRequest serves a page request at its authoritative home; a
-// request that lands anywhere else (the requester held a stale hint, or no
-// hint and the home has migrated away from the origin) is redirected. Under
-// fault injection the transport engine deduplicates by token first, and a
-// request reaching the origin for a page whose home is confirmed dead
-// triggers dead-home recovery: the page is reclaimed to the origin shard
-// and served right here.
-func (p *homeMigrate) dispatchRequest(node int, req *pageRequest) {
-	m := p.m
-	var st *serveState
-	if m.chaos != nil {
-		var handled bool
-		if st, handled = m.e.admitServe(node, req); handled {
-			return
-		}
-	}
-	target := m.origin
-	de, ok := m.dir.Get(req.vpn)
-	if ok {
-		target = de.home
-	}
-	if node != target && node == m.origin && m.chaos != nil && m.chaos.NodeDead(target) {
-		if de.busy() {
-			// The dead home's last transaction has not unwound yet: bounce
-			// the requester; it backs off and retries after recovery.
-			st.nack = true
-			st.close(m.view(node).Now())
-			m.view(node).Spawn("dsm-nack", func(t *sim.Task) {
-				t.Sleep(m.params.OriginDispatch)
-				m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, nack: true})
-			})
-			return
-		}
-		m.recoverDeadHome(req.vpn, de, target, nil)
-		target = node
-	}
-	if node != target {
-		if st != nil {
-			st.redirect = true
-			st.redirTo = target
-			st.close(m.view(node).Now())
-		}
-		if m.rec != nil {
-			// Recorded on the bouncing node's lane (where the stale-routed
-			// request was delivered).
-			rec := m.rec.OnLane(node)
-			rec.SpanAt("dsm", "hm.redirect", node, -1, rec.Now(), 0,
-				obs.Hex("vpn", req.vpn),
-				obs.Int("from", int64(req.node)),
-				obs.Int("home", int64(target)))
-		}
-		m.view(node).Spawn("dsm-redirect", func(t *sim.Task) {
-			t.Sleep(m.params.OriginDispatch)
-			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, redirect: true, home: target})
-		})
-		return
-	}
-	m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, node, req, st) })
-}
-
-func (p *homeMigrate) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	return p.m.serveReadHomed(t, de, reqNode, vpn)
-}
-
-func (p *homeMigrate) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	return p.m.serveWriteHomed(t, de, reqNode, vpn)
-}
-
-// serveReadHomed / serveWriteHomed are the home-generic directory
-// transactions shared by the migrating-home policies (HomeMigrate and
-// DistributedManager): the serving home is de.home, wherever that is, and a
-// writer away from its home cannot exist — the home migrates with
-// exclusivity — so there is no fetch-from-writer path.
-func (m *Manager) serveReadHomed(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	home := de.home
-	if de.writer >= 0 && de.writer != home {
-		panic(fmt.Sprintf("dsm: migrating-home entry for vpn %#x has writer %d away from home %d", vpn, de.writer, home))
-	}
-	if de.writer == home {
-		// The home holds the page exclusively: downgrade in place.
-		m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessRead)
-		de.downgradeWriter()
-	}
-	de.grantShared(reqNode)
-	if reqNode == home {
-		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessRead)
-		return false, nil
-	}
-	return true, m.frameAt(home, vpn)
-}
-
-func (m *Manager) serveWriteHomed(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	home := de.home
-	if de.writer >= 0 && de.writer != home {
-		panic(fmt.Sprintf("dsm: migrating-home entry for vpn %#x has writer %d away from home %d", vpn, de.writer, home))
-	}
-	needData := !de.has(reqNode) || m.params.AlwaysSendData
-	// Capture the outbound data before the home's own copy is revoked.
-	var data []byte
-	if needData && reqNode != home {
-		data = m.frameAt(home, vpn)
-	}
-	// Revoke every copy except the requester's; each revocation carries the
-	// prospective new home (stamped with the handoff epoch it takes effect
-	// at) so replica holders keep their routes fresh.
-	var acks []*revokeWaiter
-	for _, owner := range de.ownerList(reqNode) {
-		if owner == home {
-			m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone)
-			t.Sleep(m.params.InvalidateApply)
-			m.stats.invalidations.Add(1)
-			m.emitInvalidate(home, vpn)
-			continue
-		}
-		if m.chaos != nil && m.chaos.NodeDead(owner) {
-			// A crashed reader's copy died with it; nothing to revoke.
-			de.dropOwner(owner)
-			continue
-		}
-		acks = append(acks, m.sendRevoke(t, home, owner, vpn, false, reqNode, de.epoch+1, nil))
-	}
-	m.e.waitRevokes(t, acks)
-	if !needData {
-		m.stats.ownershipGrants.Add(1)
-	}
-	de.grantExclusive(reqNode)
-	if reqNode == home {
-		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessWrite)
-		return false, nil
-	}
-	return needData, data
-}
-
-// ---------------------------------------------------------------------------
-// Shared requester / home-side machinery.
-
-// homeFault handles a fault taken by a thread running at the page's current
-// home (always the origin under WriteInvalidate).
-func (m *Manager) homeFault(t *sim.Task, node int, vpn uint64, write bool) (int, bool) {
-	for attempt := 1; ; attempt++ {
-		de, created := m.entry(vpn)
-		if created {
-			// First touch anywhere: the home owns the zero-filled page
-			// exclusively; no consistency traffic required.
-			return attempt - 1, false
-		}
-		if de.busy() {
-			m.stats.nacks.Add(1)
-			m.backoff(t, node, attempt)
 			continue
 		}
 		if m.Lookup(node, vpn, write) != nil {
@@ -652,6 +273,32 @@ func (m *Manager) homeFault(t *sim.Task, node int, vpn uint64, write bool) (int,
 		t.Sleep(m.params.PTEInstall)
 		return attempt - 1, true
 	}
+}
+
+// requestTarget returns the node a page request from node should be sent
+// to: the believed home of vpn, or its anchor when node holds no route.
+func (m *Manager) requestTarget(node int, vpn uint64) int {
+	if h, ok := m.nodes[node].fwd[vpn]; ok {
+		return h
+	}
+	return m.anchor(vpn)
+}
+
+// failover re-routes node's requests for vpn through the page's live anchor
+// after its believed home, dead, was confirmed or suspected dead, leaving an
+// instant marker on the faulting node's lane. It returns the new target.
+func (m *Manager) failover(node int, vpn uint64, dead int, mode string) int {
+	fb := m.liveAnchor(vpn)
+	m.policy.learnHome(node, vpn, fb, 0)
+	m.stats.homeFailovers.Add(1)
+	if m.rec != nil {
+		rec := m.rec.OnLane(node)
+		rec.SpanAt("dsm", "hm.failover", node, -1, rec.Now(), 0,
+			obs.Hex("vpn", vpn),
+			obs.Int("dead", int64(dead)),
+			obs.String("mode", mode))
+	}
+	return fb
 }
 
 // requestFault implements the requester side at a node away from the page's
@@ -674,19 +321,15 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		if m.rec != nil {
 			reqAt = t.Now()
 		}
-		target := m.policy.requestTarget(node, vpn)
+		target := m.requestTarget(node, vpn)
 		if forced >= 0 {
 			target, forced = forced, -1
 		}
 		if m.chaos != nil && target != m.origin && target != node && m.chaos.NodeDead(target) {
 			// The believed home is confirmed dead: skip the doomed round
-			// trip and route through the policy's fallback shard, which
-			// reclaims (or redirects around) dead-home pages.
-			fb := m.policy.fallbackHome(node, vpn)
-			m.policy.learnHome(node, vpn, fb, 0)
-			m.stats.homeFailovers.Add(1)
-			m.failoverSpan(node, vpn, target, "dead-target")
-			target = fb
+			// trip and route through the page's live anchor, which reclaims
+			// (or redirects around) dead-home pages.
+			target = m.failover(node, vpn, target, "dead-target")
 		}
 		if target == node {
 			// The believed home is this very node: either our own write
@@ -696,7 +339,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			// authoritative — drop the hint and return; EnsurePage
 			// re-validates the PTE and re-runs the lead fault against the
 			// directory's current home.
-			m.policy.learnHome(node, vpn, m.policy.fallbackHome(node, vpn), 0)
+			m.policy.learnHome(node, vpn, m.liveAnchor(vpn), 0)
 			return attempt - 1
 		}
 		pr := m.net.PreparePageRecv(t, target, node)
@@ -735,15 +378,13 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		}
 		if req.deadHome {
 			// The believed home died with our request (or its reply) in
-			// flight: forget the hint and retry through the policy's fallback
-			// shard after a backoff, giving the failover path time to reclaim
+			// flight: forget the hint and retry through the page's live
+			// anchor after a backoff, giving the failover path time to reclaim
 			// the page. (The epoch gate admits this route unconditionally —
 			// the stored target is confirmed dead.)
 			delete(ns.outstanding, token)
 			pr.Release()
-			m.policy.learnHome(node, vpn, m.policy.fallbackHome(node, vpn), 0)
-			m.stats.homeFailovers.Add(1)
-			m.failoverSpan(node, vpn, target, "dead-home")
+			m.failover(node, vpn, target, "dead-home")
 			m.backoff(t, node, attempt)
 			continue
 		}
@@ -754,12 +395,9 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			pr.Release()
 			if m.chaos != nil && req.home != m.origin && m.chaos.NodeDead(req.home) {
 				// The redirect points at a node that has since died: fall
-				// back to the policy's recovery shard and back off, giving
-				// the lease layer time to declare and rebuild.
-				fb := m.policy.fallbackHome(node, vpn)
-				m.policy.learnHome(node, vpn, fb, 0)
-				m.stats.homeFailovers.Add(1)
-				m.failoverSpan(node, vpn, req.home, "dead-redirect")
+				// back to the page's live anchor and back off, giving the
+				// lease layer time to declare and rebuild.
+				m.failover(node, vpn, req.home, "dead-redirect")
 				m.backoff(t, node, attempt)
 				continue
 			}
@@ -824,27 +462,22 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 				obs.Hex("vpn", vpn))
 		}
 		req.installed = true
-		// Authority adoption (DistributedManager write grants) must happen
-		// before the install ack is sent: the old home hands off only after
-		// the new home's directory entry is live.
-		m.policy.grantInstalled(node, vpn, write, target, req.epoch)
-		m.e.noteInstalled(ns, token, target, t.Now())
-		delete(ns.outstanding, token)
-		m.net.Send(t, node, target, &installAck{pid: m.pid, token: token})
 		// A successful grant pins down where the page's home is right now:
 		// the serving node for reads, ourselves for writes (the home flips
 		// to the new exclusive owner as our install ack lands), at the epoch
 		// the grant reply carried.
+		final := target
 		if write {
-			m.policy.learnHome(node, vpn, node, req.epoch)
-		} else {
-			m.policy.learnHome(node, vpn, target, req.epoch)
+			final = node
+			// Authority adoption must happen before the install ack is sent:
+			// the old home hands off only after the new home's entry is live.
+			m.policy.grantInstalled(node, vpn, req.epoch)
 		}
+		m.e.noteInstalled(ns, token, target, t.Now())
+		delete(ns.outstanding, token)
+		m.net.Send(t, node, target, &installAck{pid: m.pid, token: token})
+		m.policy.learnHome(node, vpn, final, req.epoch)
 		if len(hops) > 0 {
-			final := target
-			if write {
-				final = node
-			}
 			m.policy.compressChain(t, node, vpn, hops, final, req.epoch)
 		}
 		// Apply revocations deferred during the install window.
@@ -853,6 +486,197 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		}
 		return attempt - 1
 	}
+}
+
+// ---------------------------------------------------------------------------
+// The serve path: one dispatch skeleton, one directory transaction pair.
+
+// dispatchRequest handles a page request delivered at node: admit it (under
+// fault injection the transport engine deduplicates by token first), let the
+// policy route it, and then either serve it here or redirect the requester.
+func (m *Manager) dispatchRequest(node int, req *pageRequest) {
+	var st *serveState
+	if m.chaos != nil {
+		var handled bool
+		if st, handled = m.e.admitServe(node, req); handled {
+			return
+		}
+	}
+	target, epoch, handled := m.policy.route(node, req, st)
+	switch {
+	case handled:
+	case target == node:
+		m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, node, req, st) })
+	default:
+		reply := m.redirect(req, st, target, epoch, m.view(node).Now())
+		if m.rec != nil {
+			// Recorded on the bouncing node's lane (where the stale-routed
+			// request was delivered).
+			rec := m.rec.OnLane(node)
+			rec.SpanAt("dsm", m.redirectSpan, node, -1, rec.Now(), 0,
+				obs.Hex("vpn", req.vpn),
+				obs.Int("from", int64(req.node)),
+				obs.Int("home", int64(target)))
+		}
+		m.view(node).Spawn("dsm-redirect", func(t *sim.Task) {
+			t.Sleep(m.params.OriginDispatch)
+			m.net.Send(t, node, req.node, reply)
+		})
+	}
+}
+
+// redirect is the shared tail of every bounce toward another node: count
+// the hop where the policy has forwarding chains, close the dedup record as
+// a redirect (a duplicate of req gets the same bounce again), and build the
+// reply. target names where the requester should retry.
+func (m *Manager) redirect(req *pageRequest, st *serveState, target int, epoch uint64, now time.Duration) *pageReply {
+	if m.forwards {
+		m.stats.forwards.Add(1)
+	}
+	if st != nil {
+		st.redirect = true
+		st.redirTo = target
+		st.close(now)
+	}
+	return &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch}
+}
+
+// serveLocked performs one directory transaction for reqNode with the entry
+// in transfer state, keyed on de.home — wherever that is. On return the
+// directory reflects the grant; for a requester local to the serving home
+// the page table is updated in place. For a remote requester it returns
+// whether the grant carries page data, and the data.
+func (m *Manager) serveLocked(t *sim.Task, de *dirEntry, reqNode int, vpn uint64, write bool) (withData bool, data []byte) {
+	if de.writer == reqNode {
+		panic(fmt.Sprintf("dsm: node %d faulted on vpn %#x it owns exclusively", reqNode, vpn))
+	}
+	if m.migrates && de.writer >= 0 && de.writer != de.home {
+		// The home migrates with exclusivity.
+		panic(fmt.Sprintf("dsm: migrating-home entry for vpn %#x has writer %d away from home %d", vpn, de.writer, de.home))
+	}
+	if write {
+		return m.serveWrite(t, de, reqNode, vpn)
+	}
+	return m.serveRead(t, de, reqNode, vpn)
+}
+
+func (m *Manager) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
+	home := de.home
+	switch {
+	case de.writer == home:
+		// The home holds the page exclusively: downgrade in place.
+		m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessRead)
+		de.downgradeWriter()
+	case de.writer >= 0:
+		// A remote holds the page exclusively: downgrade it and pull the
+		// fresh data back home.
+		m.fetchFromWriter(t, de, vpn, true /* downgrade */)
+	}
+	de.grantShared(reqNode)
+	if reqNode == home {
+		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessRead)
+		return false, nil
+	}
+	return true, m.frameAt(home, vpn)
+}
+
+func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
+	home := de.home
+	needData := !de.has(reqNode) || m.params.AlwaysSendData
+	if needData && de.writer >= 0 && de.writer != home {
+		// The fresh copy lives at a remote exclusive owner: pull it home
+		// before revoking everything.
+		m.fetchFromWriter(t, de, vpn, false /* invalidate */)
+	}
+	// Capture the outbound data before the home's own copy is revoked.
+	var data []byte
+	if needData && reqNode != home {
+		data = m.frameAt(home, vpn)
+	}
+	// Revoke every copy except the requester's. Where authority migrates,
+	// each revocation carries the prospective new home (stamped with the
+	// handoff epoch it takes effect at) so replica holders keep their routes
+	// fresh.
+	newHome, newEpoch := -1, uint64(0)
+	if m.migrates {
+		newHome, newEpoch = reqNode, de.epoch+1
+	}
+	var acks []*revokeWaiter
+	for _, owner := range de.ownerList(reqNode) {
+		if owner == home {
+			m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone)
+			t.Sleep(m.params.InvalidateApply)
+			m.stats.invalidations.Add(1)
+			m.emitInvalidate(home, vpn)
+			continue
+		}
+		if m.chaos != nil && m.chaos.NodeDead(owner) {
+			// A crashed reader's copy died with it; nothing to revoke.
+			de.dropOwner(owner)
+			continue
+		}
+		acks = append(acks, m.sendRevoke(t, home, owner, vpn, false, newHome, newEpoch, nil))
+	}
+	m.e.waitRevokes(t, acks)
+	if !needData {
+		m.stats.ownershipGrants.Add(1)
+	}
+	de.grantExclusive(reqNode)
+	if reqNode == home {
+		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessWrite)
+		return false, nil
+	}
+	return needData, data
+}
+
+// fetchFromWriter revokes the remote exclusive owner of vpn and installs the
+// returned data as the home's copy. With downgrade the owner keeps a shared
+// (read-only) copy; otherwise its mapping is dropped. A writer away from its
+// home exists only where authority does not migrate.
+func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgrade bool) {
+	w, home := de.writer, de.home
+	if m.chaos != nil && m.chaos.NodeDead(w) {
+		m.reclaimLostWriter(de, vpn)
+		return
+	}
+	var pullAt time.Duration
+	if m.rec != nil {
+		pullAt = t.Now()
+	}
+	pr := m.net.PreparePageRecv(t, w, home)
+	waiter := m.sendRevoke(t, home, w, vpn, downgrade, -1, 0, pr)
+	m.e.waitRevokes(t, []*revokeWaiter{waiter})
+	if waiter.lost {
+		// The writer died before shipping its copy home.
+		pr.Release()
+		m.reclaimLostWriter(de, vpn)
+		return
+	}
+	data := pr.Claim(t)
+	m.nodes[home].pt.SetAccess(vpn, data, mem.AccessRead)
+	m.stats.pageTransfers.Add(1)
+	de.pullHome(downgrade)
+	if m.rec != nil {
+		mode := "invalidate"
+		if downgrade {
+			mode = "downgrade"
+		}
+		// fetchFromWriter always executes on the home's serve lane.
+		m.rec.OnLane(home).Span("dsm", "hm.pull", home, -1, pullAt,
+			obs.Hex("vpn", vpn),
+			obs.Int("writer", int64(w)),
+			obs.String("mode", mode))
+	}
+}
+
+// reclaimLostWriter handles the death of a page's exclusive owner: the only
+// fresh copy is gone, so ownership returns to the home with a zero-filled
+// frame and the page is counted as lost. The application sees well-defined
+// (if stale) contents rather than a hang.
+func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
+	m.nodes[de.home].pt.SetAccess(vpn, m.pool(de.home).GetZeroed(), mem.AccessRead)
+	m.stats.pagesLost.Add(1)
+	de.reclaimHome()
 }
 
 func (m *Manager) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, pr *fabric.PageRecv) *revokeWaiter {
@@ -880,36 +704,218 @@ func (m *Manager) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrad
 }
 
 // ---------------------------------------------------------------------------
-// DistributedManager: a hash-sharded directory with forwarding chains.
+// central: one radix tree at the origin (WriteInvalidate, HomeMigrate).
+
+type central struct{ m *Manager }
+
+func (p *central) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence) {
+	m := p.m
+	var de *dirEntry
+	switch {
+	case node == m.origin:
+		var created bool
+		if de, created = m.entry(vpn); created {
+			// First touch anywhere: the origin, the initial home, owns the
+			// zero-filled page exclusively; no consistency traffic required.
+			return de, dirFirstTouch
+		}
+	case !m.migrates:
+		// Authority never leaves the origin, and only the origin's lane may
+		// read its tree.
+		return nil, dirElsewhere
+	default:
+		var ok bool
+		if de, ok = m.dir.tree.Get(vpn); !ok {
+			// No entry anywhere yet: the origin is the initial home.
+			return nil, dirElsewhere
+		}
+	}
+	if de.home != node {
+		if m.chaos == nil || node != m.origin || !m.chaos.NodeDead(de.home) || de.busy() {
+			return nil, dirElsewhere
+		}
+		// Fault at the origin on a page whose home died: reclaim it to the
+		// origin shard and resolve locally.
+		m.rehome(vpn, de, de.home, nil)
+	}
+	return de, dirHere
+}
+
+func (p *central) serveEntry(home int, vpn uint64) *dirEntry {
+	de, _ := p.m.entry(vpn)
+	return de
+}
+
+// route serves a page request at its authoritative home; a request that
+// lands anywhere else (the requester held a stale hint, or no hint and the
+// home has migrated away from the origin) is redirected there. A request
+// reaching the origin for a page whose home is confirmed dead triggers
+// dead-home recovery: the page is reclaimed to the origin shard and served
+// right here.
+func (p *central) route(node int, req *pageRequest, st *serveState) (int, uint64, bool) {
+	m := p.m
+	if !m.migrates {
+		if node != m.origin {
+			panic(fmt.Sprintf("dsm: page request for pid %d delivered to node %d (origin %d)", m.pid, node, m.origin))
+		}
+		return node, 0, false
+	}
+	target := m.origin
+	de, ok := m.dir.tree.Get(req.vpn)
+	if ok {
+		target = de.home
+	}
+	if node != target && node == m.origin && m.chaos != nil && m.chaos.NodeDead(target) {
+		if de.busy() {
+			// The dead home's last transaction has not unwound yet: bounce
+			// the requester; it backs off and retries after recovery.
+			st.nack = true
+			st.close(m.view(node).Now())
+			m.view(node).Spawn("dsm-nack", func(t *sim.Task) {
+				t.Sleep(m.params.OriginDispatch)
+				m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, nack: true})
+			})
+			return 0, 0, true
+		}
+		m.rehome(req.vpn, de, target, nil)
+		target = node
+	}
+	return target, 0, false
+}
+
+func (p *central) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
+	if !p.m.migrates {
+		return false
+	}
+	ns := p.m.nodes[node]
+	if home == p.m.origin {
+		// The default belief; no need to store it.
+		delete(ns.fwd, vpn)
+	} else {
+		ns.fwd[vpn] = home
+	}
+	return true
+}
+
+func (p *central) grantInstalled(node int, vpn uint64, epoch uint64) {}
+
+func (p *central) compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64) {
+}
+
+// grantCompleted is the home-flip point: once a remote write grant is
+// installed and acknowledged, the new exclusive owner becomes the page's
+// directory home. The old home learns the new one (it just granted to it),
+// so its own next fault on the page routes directly.
+func (p *central) grantCompleted(de *dirEntry, req *pageRequest) {
+	if !p.m.migrates || !req.write {
+		return
+	}
+	old := de.home
+	de.home = req.node
+	if old != req.node {
+		p.learnHome(old, req.vpn, req.node, 0)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// sharded: a hash-sharded directory with forwarding chains
+// (DistributedManager).
 //
 // Every node is a directory shard. A page's *anchor* — the shard a lookup
 // starts at — is a static hash of its VPN, so any node can locate any page
 // without shared state. Directory *authority* (the home) follows the last
 // writer, exactly as under HomeMigrate, but the authoritative entry lives in
-// the serving node's own shard table (nodeState.dir) rather than a shared
-// tree: a node that hands authority off deletes its entry and leaves a
-// forwarding pointer (nodeState.fwd) behind. Requests that land at a
-// non-authoritative shard are redirected along the forwarding chain, and
-// after a chained grant lands the requester sends path-compression hints so
-// every hop's pointer jumps straight to the new home: chains collapse to at
-// most one hop. Unlike HomeMigrate, serves run concurrently on each shard's
-// own simulation lane.
+// the serving node's own table rather than a shared tree: a node that hands
+// authority off deletes its entry and leaves a forwarding pointer
+// (nodeState.fwd) behind. Requests that land at a non-authoritative shard
+// are redirected along the forwarding chain, and after a chained grant lands
+// the requester sends path-compression hints so every hop's pointer jumps
+// straight to the new home: chains collapse to at most one hop.
 
-type distManager struct{ m *Manager }
+type sharded struct{ m *Manager }
 
-func (p *distManager) proto() Protocol { return DistributedManager }
-
-func (p *distManager) requestTarget(node int, vpn uint64) int {
-	if h, ok := p.m.nodes[node].fwd[vpn]; ok {
-		return h
+// resident returns vpn's entry if node is authoritative for it. A lookup at
+// the page's anchor that finds no entry and no forwarding pointer is the
+// page's global first touch: materialize it there, anchored.
+func (p *sharded) resident(node int, vpn uint64) (de *dirEntry, created bool) {
+	m := p.m
+	if de, ok := m.dir.get(node, vpn); ok {
+		return de, false
 	}
-	return p.m.shardOf(vpn)
+	if _, fwded := m.nodes[node].fwd[vpn]; !fwded && m.anchor(vpn) == node {
+		de = m.materialize(node, vpn)
+		m.dir.shards[node][vpn] = de
+		return de, true
+	}
+	return nil, false
 }
 
-// fallbackHome re-routes around a dead believed-home: the page's anchor
-// shard (or, if the anchor itself died, the next live shard on the ring) is
-// where dead-shard entries are rebuilt.
-func (p *distManager) fallbackHome(node int, vpn uint64) int { return p.m.liveShard(vpn) }
+func (p *sharded) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence) {
+	de, created := p.resident(node, vpn)
+	switch {
+	case created:
+		return de, dirFirstTouch
+	case de != nil:
+		return de, dirHere
+	}
+	if _, fwded := p.m.nodes[node].fwd[vpn]; !fwded && p.m.needsLocate(node, vpn) {
+		// This node is the live fallback for a reclaimed dead anchor and
+		// holds no trace of the page: resolve it on the global lane, then
+		// re-enter with the planted route (or freshly materialized entry).
+		p.m.locate(t, node, vpn)
+		return nil, dirRetry
+	}
+	return nil, dirElsewhere
+}
+
+// serveEntry: a miss means authority moved between dispatch and serve.
+func (p *sharded) serveEntry(home int, vpn uint64) *dirEntry {
+	de, _ := p.resident(home, vpn)
+	return de
+}
+
+// route serves a page request here if this shard is authoritative (or the
+// request is the page's first touch at its anchor), otherwise redirects the
+// requester one hop down the forwarding chain.
+func (p *sharded) route(node int, req *pageRequest, st *serveState) (int, uint64, bool) {
+	m := p.m
+	ns := m.nodes[node]
+	_, hosted := m.dir.get(node, req.vpn)
+	fwdTo, fwded := ns.fwd[req.vpn]
+	anchor := m.anchor(req.vpn)
+	switch {
+	case hosted || (!fwded && anchor == node):
+		if m.rec != nil {
+			// The lookup resolved at this shard; the serve span that follows
+			// covers the transaction itself.
+			rec := m.rec.OnLane(node)
+			rec.SpanAt("dsm", "dist.lookup", node, -1, rec.Now(), 0,
+				obs.Hex("vpn", req.vpn),
+				obs.Int("from", int64(req.node)))
+		}
+		return node, 0, false
+	case fwded:
+		return fwdTo, ns.routeEpoch[req.vpn], false
+	case m.needsLocate(node, req.vpn):
+		// This shard is the live fallback for a reclaimed dead anchor and
+		// holds no trace of the page: resolve it on the global lane, then
+		// point the requester at whatever the locate found (this very shard,
+		// if the page had to be materialized here).
+		m.redirect(req, st, node, 0, m.view(node).Now())
+		m.view(node).Spawn("dsm-locate", func(t *sim.Task) {
+			m.locate(t, node, req.vpn)
+			t.Sleep(m.params.OriginDispatch)
+			target, epoch := node, ns.routeEpoch[req.vpn]
+			if fw, ok := ns.fwd[req.vpn]; ok {
+				target = fw
+			}
+			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch})
+		})
+		return 0, 0, true
+	}
+	// An anchor restart, not a home claim: carry no freshness.
+	return anchor, 0, false
+}
 
 // learnHome is the single epoch-gated route table update: every source of
 // routing information — grant replies, redirects, revocation-carried hints,
@@ -918,80 +924,44 @@ func (p *distManager) fallbackHome(node int, vpn uint64) int { return p.m.liveSh
 // matter how messages reorder; the exception is liveness, which beats
 // freshness — a route whose target is confirmed dead (or nonsensically
 // names the node itself) yields to any replacement.
-func (p *distManager) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
+func (p *sharded) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 	m := p.m
 	ns := m.nodes[node]
+	if cur, ok := ns.routeEpoch[vpn]; ok && epoch < cur {
+		tgt := m.requestTarget(node, vpn)
+		if tgt != node && (m.chaos == nil || !m.chaos.NodeDead(tgt)) {
+			return false
+		}
+	}
 	if home == node {
 		// A claim that this very node is home. Legitimate for our own write
 		// grant (the entry adopted in grantInstalled is authoritative, no
 		// route needed) — but a STALE redirect can also name us, echoing a
 		// tenure we already handed off. Deleting our fresher breadcrumb on
 		// such an echo would orphan the chain behind us (and let the anchor
-		// re-materialize a second lineage), so the epoch gate applies here
-		// exactly as below.
-		if cur, ok := ns.routeEpoch[vpn]; ok && epoch < cur {
-			tgt, routed := ns.fwd[vpn]
-			if !routed {
-				tgt = m.shardOf(vpn)
-			}
-			if tgt != node && (m.chaos == nil || !m.chaos.NodeDead(tgt)) {
-				return false
-			}
-		}
+		// re-materialize a second lineage), which is why the gate above
+		// applies to this case too.
 		delete(ns.fwd, vpn)
 		if epoch > ns.routeEpoch[vpn] {
 			ns.routeEpoch[vpn] = epoch
 		}
 		return true
 	}
-	if cur, ok := ns.routeEpoch[vpn]; ok && epoch < cur {
-		tgt, routed := ns.fwd[vpn]
-		if !routed {
-			tgt = m.shardOf(vpn)
-		}
-		if tgt != node && (m.chaos == nil || !m.chaos.NodeDead(tgt)) {
-			return false
-		}
-	}
 	ns.fwd[vpn] = home
 	ns.routeEpoch[vpn] = epoch
 	return true
-}
-
-// serveEntry resolves the entry in the serving shard's own table. A request
-// at the page's anchor with no entry and no forwarding pointer is the
-// page's global first touch: materialize it here, anchored. A miss anywhere
-// else means authority moved between dispatch and serve; return nil so the
-// caller bounces the request down the forwarding chain.
-func (p *distManager) serveEntry(home int, vpn uint64) *dirEntry {
-	m := p.m
-	ns := m.nodes[home]
-	if de, ok := ns.dir[vpn]; ok {
-		return de
-	}
-	if _, fwded := ns.fwd[vpn]; !fwded && m.shardOf(vpn) == home {
-		ns.pt.SetAccess(vpn, m.pool(home).GetZeroed(), mem.AccessWrite)
-		de := newDirEntry(home)
-		de.firstTouch()
-		ns.dir[vpn] = de
-		return de
-	}
-	return nil
 }
 
 // grantInstalled is the authority-adoption point: a write grant makes the
 // requester the page's home, so it materializes a fresh authoritative entry
 // in its own shard table before the install ack releases the old home. The
 // old home's entry is retired by grantCompleted when that ack arrives.
-func (p *distManager) grantInstalled(node int, vpn uint64, write bool, served int, epoch uint64) {
-	if !write {
-		return
-	}
+func (p *sharded) grantInstalled(node int, vpn uint64, epoch uint64) {
 	ns := p.m.nodes[node]
 	de := newDirEntry(node)
 	de.adoptHome(node)
 	de.epoch = epoch
-	ns.dir[vpn] = de
+	p.m.dir.shards[node][vpn] = de
 	delete(ns.fwd, vpn)
 	if epoch > ns.routeEpoch[vpn] {
 		ns.routeEpoch[vpn] = epoch
@@ -1001,7 +971,7 @@ func (p *distManager) grantInstalled(node int, vpn uint64, write bool, served in
 // compressChain sends a fire-and-forget home hint to every node that
 // redirected this fault, collapsing the forwarding chain it walked: each
 // hop's pointer now jumps straight to the page's current home.
-func (p *distManager) compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64) {
+func (p *sharded) compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64) {
 	m := p.m
 	var sent uint64
 	for _, hop := range hops {
@@ -1026,159 +996,15 @@ func (p *distManager) compressChain(t *sim.Task, node int, vpn uint64, hops []in
 // takes its place. It runs on the old home's lane (the serve task), so the
 // table mutation is lane-local; the new home already adopted its own entry
 // (at the bumped epoch) in grantInstalled.
-func (p *distManager) grantCompleted(de *dirEntry, req *pageRequest) {
-	if !req.write {
-		return
-	}
-	m := p.m
+func (p *sharded) grantCompleted(de *dirEntry, req *pageRequest) {
 	old := de.home
-	if old == req.node {
+	if !req.write || old == req.node {
 		return
 	}
-	ons := m.nodes[old]
-	delete(ons.dir, req.vpn)
+	ons := p.m.nodes[old]
+	delete(p.m.dir.shards[old], req.vpn)
 	de.epoch++
 	ons.fwd[req.vpn] = req.node
 	ons.routeEpoch[req.vpn] = de.epoch
 	de.home = req.node
-}
-
-func (p *distManager) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (int, bool) {
-	m := p.m
-	node := ctx.Node
-	ns := m.nodes[node]
-	for attempt := 1; ; attempt++ {
-		de, ok := ns.dir[vpn]
-		if !ok {
-			if _, fwded := ns.fwd[vpn]; !fwded {
-				if m.shardOf(vpn) == node {
-					// Global first touch at the page's own anchor shard:
-					// materialize locally, no consistency traffic required.
-					ns.pt.SetAccess(vpn, m.pool(node).GetZeroed(), mem.AccessWrite)
-					de = newDirEntry(node)
-					de.firstTouch()
-					ns.dir[vpn] = de
-					return attempt - 1, false
-				}
-				if m.distNeedsLocate(node, vpn) {
-					// This node is the live fallback for a reclaimed dead
-					// anchor and holds no trace of the page: resolve it on
-					// the global lane, then re-enter with the planted route
-					// (or freshly materialized entry).
-					m.distLocate(t, node, vpn)
-					continue
-				}
-			}
-			return m.requestFault(t, ctx, vpn, write) + attempt - 1, true
-		}
-		// Fault at the page's authoritative shard: resolve through the local
-		// table. Re-check after every wait — the busy transaction we waited
-		// out may have migrated authority away (the entry leaves the table).
-		if de.busy() {
-			if attempt == 1 {
-				m.stats.nacks.Add(1)
-			}
-			t.Sleep(homeBusyPoll)
-			continue
-		}
-		if m.Lookup(node, vpn, write) != nil {
-			// Raced with a transaction that restored our access.
-			return attempt - 1, true
-		}
-		de.begin()
-		t.Sleep(m.params.Directory)
-		m.serveLocked(t, de, node, vpn, write)
-		de.end()
-		t.Sleep(m.params.PTEInstall)
-		return attempt - 1, true
-	}
-}
-
-// dispatchRequest routes a page request delivered at this shard: serve it
-// here if the shard is authoritative (or the request is the page's first
-// touch at its anchor), otherwise redirect the requester one hop down the
-// forwarding chain. Under fault injection the transport engine deduplicates
-// by token first.
-func (p *distManager) dispatchRequest(node int, req *pageRequest) {
-	m := p.m
-	var st *serveState
-	if m.chaos != nil {
-		var handled bool
-		if st, handled = m.e.admitServe(node, req); handled {
-			return
-		}
-	}
-	ns := m.nodes[node]
-	_, hosted := ns.dir[req.vpn]
-	fwdTo, fwded := ns.fwd[req.vpn]
-	if !hosted && !fwded && m.shardOf(req.vpn) == node {
-		hosted = true // first touch resolves at the anchor
-	}
-	if !hosted {
-		if !fwded && m.distNeedsLocate(node, req.vpn) {
-			// This shard is the live fallback for a reclaimed dead anchor
-			// and holds no trace of the page: resolve it on the global lane,
-			// then point the requester at whatever the locate found (this
-			// very shard, if the page had to be materialized here).
-			m.stats.forwards.Add(1)
-			if st != nil {
-				st.redirect = true
-				st.redirTo = node
-				st.close(m.view(node).Now())
-			}
-			m.view(node).Spawn("dsm-locate", func(t *sim.Task) {
-				m.distLocate(t, node, req.vpn)
-				t.Sleep(m.params.OriginDispatch)
-				target, epoch := node, ns.routeEpoch[req.vpn]
-				if fw, ok := ns.fwd[req.vpn]; ok {
-					target = fw
-				}
-				m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch})
-			})
-			return
-		}
-		target := fwdTo
-		epoch := ns.routeEpoch[req.vpn]
-		if !fwded {
-			// An anchor restart, not a home claim: carry no freshness.
-			target = m.shardOf(req.vpn)
-			epoch = 0
-		}
-		m.stats.forwards.Add(1)
-		if st != nil {
-			st.redirect = true
-			st.redirTo = target
-			st.close(m.view(node).Now())
-		}
-		if m.rec != nil {
-			// Recorded on the forwarding shard's lane.
-			rec := m.rec.OnLane(node)
-			rec.SpanAt("dsm", "dist.forward", node, -1, rec.Now(), 0,
-				obs.Hex("vpn", req.vpn),
-				obs.Int("from", int64(req.node)),
-				obs.Int("home", int64(target)))
-		}
-		m.view(node).Spawn("dsm-redirect", func(t *sim.Task) {
-			t.Sleep(m.params.OriginDispatch)
-			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch})
-		})
-		return
-	}
-	if m.rec != nil {
-		// The lookup resolved at this shard; the serve span that follows
-		// covers the transaction itself.
-		rec := m.rec.OnLane(node)
-		rec.SpanAt("dsm", "dist.lookup", node, -1, rec.Now(), 0,
-			obs.Hex("vpn", req.vpn),
-			obs.Int("from", int64(req.node)))
-	}
-	m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, node, req, st) })
-}
-
-func (p *distManager) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	return p.m.serveReadHomed(t, de, reqNode, vpn)
-}
-
-func (p *distManager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
-	return p.m.serveWriteHomed(t, de, reqNode, vpn)
 }

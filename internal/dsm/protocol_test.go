@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -11,12 +10,6 @@ import (
 	"dex/internal/mem"
 	"dex/internal/sim"
 )
-
-func homeParams() Params {
-	p := DefaultParams()
-	p.Protocol = HomeMigrate
-	return p
-}
 
 func TestParseProtocol(t *testing.T) {
 	cases := map[string]Protocol{
@@ -60,15 +53,6 @@ func TestProtocolRegistryDrivesHelp(t *testing.T) {
 	}
 }
 
-func TestManagerReportsProtocol(t *testing.T) {
-	if p := newEnv(t, 2, DefaultParams(), nil).m.Protocol(); p != WriteInvalidate {
-		t.Fatalf("default protocol = %v", p)
-	}
-	if p := newEnv(t, 2, homeParams(), nil).m.Protocol(); p != HomeMigrate {
-		t.Fatalf("home params protocol = %v", p)
-	}
-}
-
 // TestHomeMigrateFollowsWriter checks the policy's defining move: after a
 // remote node takes a page exclusively, the directory home is that node, and
 // the old home holds a hint pointing at it.
@@ -78,14 +62,14 @@ func TestHomeMigrateFollowsWriter(t *testing.T) {
 		e.write(tk, 1, testAddr, 42)
 	})
 	e.run(t)
-	de, ok := e.m.dir.Get(testAddr.VPN())
+	de, ok := e.m.dir.get(0, testAddr.VPN())
 	if !ok {
 		t.Fatal("no directory entry after the write")
 	}
 	if de.home != 1 || de.writer != 1 {
 		t.Fatalf("home = %d, writer = %d; want both 1 after a remote write", de.home, de.writer)
 	}
-	if h := e.m.nodes[0].homeHint[testAddr.VPN()]; h != 1 {
+	if h := e.m.nodes[0].fwd[testAddr.VPN()]; h != 1 {
 		t.Fatalf("origin's home hint = %d, want 1", h)
 	}
 }
@@ -105,10 +89,10 @@ func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("read after redirect = %d, want 42", got)
 	}
-	if h := e.m.nodes[2].homeHint[testAddr.VPN()]; h != 1 {
+	if h := e.m.nodes[2].fwd[testAddr.VPN()]; h != 1 {
 		t.Fatalf("reader's home hint = %d, want 1 (learned from the redirect)", h)
 	}
-	de, _ := e.m.dir.Get(testAddr.VPN())
+	de, _ := e.m.dir.get(0, testAddr.VPN())
 	if de.home != 1 || de.writer != -1 || !de.has(1) || !de.has(2) {
 		t.Fatalf("entry after redirected read: home=%d writer=%d owners=%#x", de.home, de.writer, de.owners)
 	}
@@ -168,68 +152,6 @@ func TestHomeMigrateCutsOriginTraffic(t *testing.T) {
 	}
 	if hmElapsed >= wiElapsed {
 		t.Fatalf("elapsed: home-migrate %v, write-invalidate %v; want faster", hmElapsed, wiElapsed)
-	}
-}
-
-// TestHomeMigrateSequentialRandomOps re-runs the serial-history correctness
-// drive under the second policy: every read observes the most recent write
-// and the global invariants hold at quiescence.
-func TestHomeMigrateSequentialRandomOps(t *testing.T) {
-	const nodes = 4
-	e := newEnv(t, nodes, homeParams(), nil)
-	rng := rand.New(rand.NewSource(99))
-	ref := make(map[mem.Addr]byte)
-	e.eng.Spawn("driver", func(tk *sim.Task) {
-		for i := 0; i < 600; i++ {
-			page := mem.Addr(0x40000000 + mem.PageSize*(rng.Intn(8)))
-			addr := page + mem.Addr(rng.Intn(mem.PageSize))
-			node := rng.Intn(nodes)
-			if rng.Intn(2) == 0 {
-				v := byte(rng.Intn(256))
-				e.write(tk, node, addr, v)
-				ref[addr] = v
-			} else {
-				got := e.read(tk, node, addr)
-				if want := ref[addr]; got != want {
-					t.Errorf("op %d: node %d read %v = %d, want %d", i, node, addr, got, want)
-					return
-				}
-			}
-		}
-	})
-	e.run(t) // includes CheckInvariants
-}
-
-// TestHomeMigrateConcurrentInvariants stresses concurrent accessors (races,
-// NACK/backoff, home re-checks after backoff) under the second policy.
-func TestHomeMigrateConcurrentInvariants(t *testing.T) {
-	const nodes = 4
-	for seed := int64(1); seed <= 3; seed++ {
-		p := homeParams()
-		e := newEnvSeed(t, nodes, p, nil, seed)
-		rng := rand.New(rand.NewSource(seed * 7))
-		for w := 0; w < 12; w++ {
-			node := w % nodes
-			ops := make([]struct {
-				addr  mem.Addr
-				write bool
-			}, 60)
-			for i := range ops {
-				ops[i].addr = mem.Addr(0x40000000+mem.PageSize*rng.Intn(4)) + mem.Addr(rng.Intn(mem.PageSize))
-				ops[i].write = rng.Intn(3) == 0
-			}
-			e.eng.Spawn("stress", func(tk *sim.Task) {
-				for i, op := range ops {
-					if op.write {
-						e.write(tk, node, op.addr, byte(i))
-					} else {
-						_ = e.read(tk, node, op.addr)
-					}
-					tk.Sleep(time.Microsecond)
-				}
-			})
-		}
-		e.run(t) // includes CheckInvariants
 	}
 }
 
