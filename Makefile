@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench bench-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
+.PHONY: all build test race vet lint check bench bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
 
 all: check
 
@@ -40,6 +40,12 @@ bench:
 # bench-smoke runs every Go benchmark once, so CI notices one that broke.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# fuzz-smoke gives each native fuzz target ten seconds beyond its checked-in
+# corpus (which go test already runs). Not part of check: what it finds
+# depends on the host's speed.
+fuzz-smoke:
+	$(GO) test -fuzz=FuzzLanePick -fuzztime=10s ./internal/sim
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:
@@ -109,8 +115,10 @@ endef
 # regenerated and compared byte for byte — dexbench at -parallel 1, -cores 1
 # and -cores 4, the four dexchaos campaigns at -cores 1 and -cores 4,
 # dexserve, and the SHA-256 manifest of the outputs no golden file pins
-# (testdata/behaviour.sha256).
+# (testdata/behaviour.sha256). It starts with the host-independent cost gates —
+# objects per fabric message, words per event — so that they fail CI by name.
 goldens:
+	$(GO) test -run 'AllocsPerRun|Sizeof' ./internal/sim ./internal/fabric
 	$(GO) run ./cmd/dexbench -quiet -parallel 1 | cmp - cmd/dexbench/testdata/golden.txt
 	$(GO) run ./cmd/dexbench -quiet -cores 1 | cmp - cmd/dexbench/testdata/golden.txt
 	$(GO) run ./cmd/dexbench -quiet -cores 4 | cmp - cmd/dexbench/testdata/golden.txt

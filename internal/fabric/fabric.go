@@ -224,11 +224,13 @@ func (n *Network) Chaos() *chaos.Injector { return n.inj }
 // only touched by arrival events, which run on dst's lane (or global). Within
 // a parallel window each group is therefore confined to one goroutine.
 type conn struct {
+	net       *Network
+	src, dst  int
 	link      *sim.Bus
 	sendPool  *sim.Semaphore
 	sinkPool  *sim.Semaphore
 	posted    int
-	rnrQueue  []pending
+	rnrQueue  []*flight
 	deliverAt time.Duration // enforces in-order delivery per connection
 	// stormDrainAt is the latest scheduled RNR-storm drain; it keeps one
 	// storm from scheduling a drain event per stalled message.
@@ -242,17 +244,24 @@ type conn struct {
 	// so data backlog does not head-of-line-block control traffic; RNR
 	// storms and partitions still apply to it.
 	deliverAtG    time.Duration
-	rnrQueueG     []pending
+	rnrQueueG     []*flight
 	stormDrainAtG time.Duration
 }
 
-// pending is one in-order connection event: either a VERB message awaiting
+// flight is one in-order connection event: either a VERB message awaiting
 // delivery (and possibly a posted receive), or an RDMA data placement. Both
 // kinds flow through the same per-connection ordering point, because an RC
 // queue pair executes its work queue strictly in order — an RDMA write
 // posted after a send may not complete at the receiver before it.
-type pending struct {
-	src  int
+//
+// It is the one object a message costs between its send and its handler, and
+// it is its own event (a sim.Runner) at each step of the way: its arrival at
+// the data QP or, for a GlobalDelivery message, at the control QP, and then,
+// scheduled again once a receive is consumed, its receive completion. It
+// waits in an RNR queue as itself. Like an RC connection's work queue, what
+// is in flight is state of the connection, not a chain of callbacks.
+type flight struct {
+	conn *conn
 	m    Message
 	data func() // non-nil for an RDMA data placement
 
@@ -260,18 +269,49 @@ type pending struct {
 	// simulated time the sender entered the fabric (span start), the payload
 	// class/size, and the RNR-stall start time once the event queues.
 	sentAt  time.Duration
+	stallAt time.Duration
 	bytes   int
 	page    bool
 	stalled bool
-	stallAt time.Duration
+
+	control  bool // rides the control QP; set by deliver
+	accepted bool // its next event is the receive completion, not the arrival
+}
+
+// RunEvent is the flight's next step.
+func (f *flight) RunEvent() {
+	switch n := f.conn.net; {
+	case f.accepted:
+		n.complete(f)
+	case f.control:
+		n.arriveControl(f)
+	default:
+		n.arrive(f)
+	}
 }
 
 // spanName returns the trace span name for this connection event.
-func (p *pending) spanName() string {
-	if p.page {
+func (f *flight) spanName() string {
+	if f.page {
 		return "msg.page"
 	}
 	return "msg.small"
+}
+
+// chunkRelease is a conn as the event that returns one send-pool chunk, the
+// completion of every message that fits a chunk; there is nothing to
+// allocate per send.
+type chunkRelease conn
+
+func (r *chunkRelease) RunEvent() { r.sendPool.Release() }
+
+// popFront removes and returns the first flight of an RNR queue, and clears
+// the slot it leaves so that the backing array does not keep the flight alive.
+func popFront(q *[]*flight) *flight {
+	f := (*q)[0]
+	(*q)[0] = nil
+	*q = (*q)[1:]
+	return f
 }
 
 // New creates a network. It panics on invalid parameters, since those are
@@ -312,6 +352,7 @@ func New(eng *sim.Engine, p Params) *Network {
 			}
 			name := fmt.Sprintf("link%d->%d", src, dst)
 			n.conns[src][dst] = &conn{
+				net: n, src: src, dst: dst,
 				// The link bus is send-side state: it is bound to the source
 				// node's lane view so Occupy reads the clock of the lane the
 				// send chain executes on.
@@ -391,10 +432,10 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	// core worker tasks — which serialize, so touching src's send-side conn
 	// state from there is safe).
 	sv := t.Engine()
-	p := pending{src: src, m: m}
+	f := &flight{conn: c, m: m}
 	if n.rec != nil {
-		p.sentAt = sv.Now()
-		p.bytes = m.Size()
+		f.sentAt = sv.Now()
+		f.bytes = m.Size()
 	}
 	t.Sleep(n.params.SendCPU)
 	chunks := n.chunksFor(m.Size())
@@ -402,12 +443,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	n.stats.smallSends.Add(1)
 	n.stats.smallBytes.Add(uint64(m.Size()))
 	serDone := c.link.Occupy(m.Size())
-	// The DMA-ready buffer is reclaimed by the pool when the send completes.
-	sv.After(serDone-sv.Now(), func() {
-		for i := 0; i < chunks; i++ {
-			c.sendPool.Release()
-		}
-	})
+	releaseSendChunks(sv, c, chunks, serDone)
 	if v.Drop {
 		if n.rec != nil {
 			// Chaos verdict spans record on the sending context's lane — the
@@ -418,14 +454,20 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 		return
 	}
 	at := serDone + n.params.LinkLatency + v.Delay
-	n.deliver(sv, c, at, dst, p)
+	n.deliver(sv, f, at)
 	if v.Dup {
 		if n.rec != nil {
 			n.rec.OnLane(sv.Lane()).SpanAt("chaos", "dup", dst, fabricLane+src, sv.Now(), 0,
 				obs.Int("src", int64(src)))
 		}
-		n.deliver(sv, c, at, dst, p)
+		n.deliver(sv, f.dup(), at)
 	}
+}
+
+// dup returns the second flight of a duplicated one.
+func (f *flight) dup() *flight {
+	d := *f
+	return &d
 }
 
 func (n *Network) chunksFor(size int) int {
@@ -445,240 +487,229 @@ func (n *Network) acquireSendChunks(t *sim.Task, c *conn, chunks int) {
 	}
 }
 
+// releaseSendChunks returns a send's DMA-ready chunks to the pool when the
+// send completes, at done.
+func releaseSendChunks(sv *sim.Engine, c *conn, chunks int, done time.Duration) {
+	if chunks == 1 {
+		sv.AfterRun(done-sv.Now(), (*chunkRelease)(c))
+		return
+	}
+	sv.After(done-sv.Now(), func() {
+		for i := 0; i < chunks; i++ {
+			c.sendPool.Release()
+		}
+	})
+}
+
 // deliver is the per-connection ordering point: it schedules a connection
 // event (VERB delivery, RDMA data placement, or control envelope) at the
 // destination no earlier than `at`, preserving per-QP FIFO and modeling
 // receiver-not-ready stalls when the posted-receive pool is empty. sv is the
-// lane view of the sending context; the arrival event is staged onto the
-// message's delivery lane (destination node, or global for GlobalDelivery
-// messages) and executes there.
-func (n *Network) deliver(sv *sim.Engine, c *conn, at time.Duration, dst int, p pending) {
+// lane view of the sending context; the flight is staged as its own arrival
+// event onto the message's delivery lane (destination node, or global for
+// GlobalDelivery messages) and executes there.
+func (n *Network) deliver(sv *sim.Engine, f *flight, at time.Duration) {
+	c := f.conn
 	if n.inj != nil {
 		// A partition holds the whole connection: delivery resumes when it
 		// heals. Holding (not dropping) keeps every message class safe.
-		if until, held := n.inj.HeldUntil(sv.Now(), p.src, dst); held && at < until {
+		if until, held := n.inj.HeldUntil(sv.Now(), c.src, c.dst); held && at < until {
 			at = until
 		}
 	}
-	lane := dst
-	if p.m != nil {
-		lane = deliveryLane(p.m, dst)
+	// Each QP's clamp is strictly monotone, so same-instant arrivals can never
+	// be reordered by lane-key tie-breaks: arrival order is send order. The
+	// control QP's own clock keeps control arrivals in send order regardless
+	// of which lane each send executed on.
+	lane, clock := c.dst, &c.deliverAt
+	if f.m != nil && deliveryLane(f.m, c.dst) == sim.GlobalLane {
+		f.control = true
+		lane, clock = sim.GlobalLane, &c.deliverAtG
 	}
-	if lane == sim.GlobalLane {
-		// Control QP: its own strictly monotone clock keeps control arrivals
-		// in send order regardless of which lane each send executed on.
-		if at <= c.deliverAtG {
-			at = c.deliverAtG + 1
-		}
-		c.deliverAtG = at
-		sv.AfterOn(sim.GlobalLane, at-sv.Now(), func() { n.arriveControl(c, dst, p) })
-		return
+	if at <= *clock {
+		at = *clock + 1
 	}
-	// Data QP. The clamp is strictly monotone so same-instant arrivals can
-	// never be reordered by lane-key tie-breaks: arrival order is send order.
-	if at <= c.deliverAt {
-		at = c.deliverAt + 1
-	}
-	c.deliverAt = at
-	sv.AfterOn(dst, at-sv.Now(), func() { n.arrive(c, dst, p) })
+	*clock = at
+	sv.AfterRunOn(lane, at-sv.Now(), f)
 }
 
-func (n *Network) arrive(c *conn, dst int, p pending) {
-	dv := n.view(dst)
+func (n *Network) arrive(f *flight) {
+	c := f.conn
+	dv := n.view(c.dst)
 	if n.inj != nil {
 		// A crashed machine neither sends nor receives: traffic touching it
 		// vanishes, including messages already in flight at crash time.
-		if n.inj.NodeDead(dst) || n.inj.NodeDead(p.src) {
-			n.inj.CountDrop(messageBytes(p))
+		if n.inj.NodeDead(c.dst) || n.inj.NodeDead(c.src) {
+			n.inj.CountDrop(f.wireBytes())
 			return
 		}
 		// An RNR storm forces receiver-not-ready for everything that arrives
 		// during the window; the backlog drains in order when it ends.
-		if until, storming := n.inj.RNRUntil(dv.Now(), dst); storming {
-			if p.data == nil {
-				n.stats.recvRNRStalls.Add(1)
-			}
-			if n.rec != nil {
-				p.stalled = true
-				p.stallAt = dv.Now()
-			}
-			c.rnrQueue = append(c.rnrQueue, p)
+		if until, storming := n.inj.RNRUntil(dv.Now(), c.dst); storming {
+			n.stall(f, &c.rnrQueue, dv)
 			if c.stormDrainAt < until {
 				c.stormDrainAt = until
-				dv.After(until-dv.Now(), func() { n.drainStorm(c, dst) })
+				dv.After(until-dv.Now(), func() { n.drainStorm(c) })
 			}
 			return
 		}
 	}
-	if len(c.rnrQueue) > 0 || (p.data == nil && c.posted == 0) {
+	if len(c.rnrQueue) > 0 || (f.data == nil && c.posted == 0) {
 		// Either the receiver is not ready, or earlier events are already
 		// stalled behind it. An RC connection replays its stream in order
 		// after an RNR NAK, so even an RDMA placement may not pass a
 		// stalled send.
-		if p.data == nil {
-			n.stats.recvRNRStalls.Add(1)
-		}
-		if n.rec != nil {
-			p.stalled = true
-			p.stallAt = dv.Now()
-		}
-		c.rnrQueue = append(c.rnrQueue, p)
+		n.stall(f, &c.rnrQueue, dv)
 		return
 	}
-	n.accept(c, dst, p)
+	n.accept(f)
+}
+
+// stall queues a flight that found its receiver not ready; v is the view of
+// the lane its QP's arrivals execute on.
+func (n *Network) stall(f *flight, q *[]*flight, v *sim.Engine) {
+	if f.data == nil {
+		n.stats.recvRNRStalls.Add(1)
+	}
+	if n.rec != nil {
+		f.stalled = true
+		f.stallAt = v.Now()
+	}
+	*q = append(*q, f)
 }
 
 // arriveControl is the control QP's arrival point; it always executes on the
 // global lane, where every other lane is quiescent, so the handler may touch
 // cross-cutting state. The control QP has dedicated posted receives: only
 // storms and partitions stall it, not data backlog.
-func (n *Network) arriveControl(c *conn, dst int, p pending) {
+func (n *Network) arriveControl(f *flight) {
+	c := f.conn
 	gv := n.gview
 	if n.inj != nil {
-		if n.inj.NodeDead(dst) || n.inj.NodeDead(p.src) {
-			n.inj.CountDrop(messageBytes(p))
+		if n.inj.NodeDead(c.dst) || n.inj.NodeDead(c.src) {
+			n.inj.CountDrop(f.wireBytes())
 			return
 		}
-		if until, storming := n.inj.RNRUntil(gv.Now(), dst); storming {
-			n.stats.recvRNRStalls.Add(1)
-			if n.rec != nil {
-				p.stalled = true
-				p.stallAt = gv.Now()
-			}
-			c.rnrQueueG = append(c.rnrQueueG, p)
+		if until, storming := n.inj.RNRUntil(gv.Now(), c.dst); storming {
+			n.stall(f, &c.rnrQueueG, gv)
 			if c.stormDrainAtG < until {
 				c.stormDrainAtG = until
-				gv.After(until-gv.Now(), func() { n.drainStormControl(c, dst) })
+				gv.After(until-gv.Now(), func() { n.drainControl(c) })
 			}
 			return
 		}
 	}
 	if len(c.rnrQueueG) > 0 {
-		n.stats.recvRNRStalls.Add(1)
-		if n.rec != nil {
-			p.stalled = true
-			p.stallAt = gv.Now()
-		}
-		c.rnrQueueG = append(c.rnrQueueG, p)
+		n.stall(f, &c.rnrQueueG, gv)
 		return
 	}
-	n.acceptControl(c, dst, p)
+	n.accept(f)
 }
 
-// drainStormControl restarts control delivery once an RNR storm ends.
-func (n *Network) drainStormControl(c *conn, dst int) {
-	if len(c.rnrQueueG) == 0 {
-		return
+// drainControl accepts the oldest stalled control envelope, if any: when an
+// RNR storm ends, and then after each completion, which so continues the
+// drain in order.
+func (n *Network) drainControl(c *conn) {
+	if len(c.rnrQueueG) > 0 {
+		n.accept(popFront(&c.rnrQueueG))
 	}
-	q := c.rnrQueueG[0]
-	c.rnrQueueG = c.rnrQueueG[1:]
-	n.acceptControl(c, dst, q) // its completion continues the drain
 }
 
-// acceptControl consumes one control envelope: receive-completion cost, then
-// the handler, on the global lane.
-func (n *Network) acceptControl(c *conn, dst int, p pending) {
-	gv := n.gview
-	// Control arrivals execute on the global lane; record on its shard.
-	if n.rec != nil && p.stalled {
-		n.rec.OnLane(sim.GlobalLane).SpanAt("fabric", "rnr.stall", dst, fabricLane+p.src, p.stallAt,
-			gv.Now()-p.stallAt, obs.Int("src", int64(p.src)))
+// wireBytes is the payload size of a connection event, for drop accounting
+// (an RDMA placement has no Message, only data).
+func (f *flight) wireBytes() int {
+	if f.m != nil {
+		return f.m.Size()
 	}
-	gv.After(n.params.RecvCPU, func() {
-		h := n.handlers[dst]
-		if h == nil {
-			panic(fmt.Sprintf("fabric: no handler on node %d for message from %d", dst, p.src))
-		}
-		if n.rec != nil {
-			rec := n.rec.OnLane(sim.GlobalLane)
-			rec.Span("fabric", p.spanName(), dst, fabricLane+p.src, p.sentAt,
-				obs.Int("src", int64(p.src)), obs.Int("bytes", int64(p.bytes)))
-			rec.Observe(p.spanName(), gv.Now()-p.sentAt)
-		}
-		h(p.src, p.m)
-		if len(c.rnrQueueG) > 0 {
-			q := c.rnrQueueG[0]
-			c.rnrQueueG = c.rnrQueueG[1:]
-			n.acceptControl(c, dst, q)
-		}
-	})
-}
-
-// messageBytes is the payload size of a connection event, for drop
-// accounting (an RDMA placement has no Message, only data).
-func messageBytes(p pending) int {
-	if p.m != nil {
-		return p.m.Size()
-	}
-	return p.bytes
+	return f.bytes
 }
 
 // drainStorm restarts delivery on a connection once an RNR storm ends. It
-// mirrors the completion-drain loop in accept: placements flow freely, and
+// mirrors the completion-drain loop in complete: placements flow freely, and
 // the first VERB message's completion continues the drain in order.
-func (n *Network) drainStorm(c *conn, dst int) {
+func (n *Network) drainStorm(c *conn) {
 	for len(c.rnrQueue) > 0 {
 		q := c.rnrQueue[0]
 		if q.data == nil && c.posted == 0 {
 			return // a completion will repost a buffer and continue
 		}
-		c.rnrQueue = c.rnrQueue[1:]
-		n.accept(c, dst, q)
+		n.accept(popFront(&c.rnrQueue))
 		if q.data == nil {
 			return // its completion continues the drain
 		}
 	}
 }
 
-// accept consumes one connection event whose turn has come. It runs on the
-// destination node's lane.
-func (n *Network) accept(c *conn, dst int, p pending) {
-	dv := n.view(dst)
-	// Data-QP arrivals execute on the destination node's lane; record on its
-	// shard so concurrent lanes never share a span buffer.
-	if n.rec != nil && p.stalled {
-		n.rec.OnLane(dst).SpanAt("fabric", "rnr.stall", dst, fabricLane+p.src, p.stallAt,
-			dv.Now()-p.stallAt, obs.Int("src", int64(p.src)))
+// recvSide returns where a flight's receive side executes: the recorder
+// shard and lane view of the destination node for the data QP, of the global
+// lane for the control QP — so concurrent lanes never share a span buffer.
+func (n *Network) recvSide(f *flight) (lane int, v *sim.Engine) {
+	if f.control {
+		return sim.GlobalLane, n.gview
 	}
-	if p.data != nil {
-		p.data()
-		if n.rec != nil {
-			rec := n.rec.OnLane(dst)
-			rec.Span("fabric", p.spanName(), dst, fabricLane+p.src, p.sentAt,
-				obs.Int("src", int64(p.src)), obs.Int("bytes", int64(p.bytes)))
-			rec.Observe(p.spanName(), dv.Now()-p.sentAt)
-		}
+	return f.conn.dst, n.view(f.conn.dst)
+}
+
+// accept consumes one connection event whose turn has come: a placement
+// lands, a message takes a posted receive (the control QP has its own) and
+// becomes its receive-completion event.
+func (n *Network) accept(f *flight) {
+	c := f.conn
+	lane, v := n.recvSide(f)
+	if n.rec != nil && f.stalled {
+		n.rec.OnLane(lane).SpanAt("fabric", "rnr.stall", c.dst, fabricLane+c.src, f.stallAt,
+			v.Now()-f.stallAt, obs.Int("src", int64(c.src)))
+	}
+	if f.data != nil {
+		f.data()
+		n.span(f)
 		return
 	}
-	c.posted--
-	dv.After(n.params.RecvCPU, func() {
-		h := n.handlers[dst]
-		if h == nil {
-			panic(fmt.Sprintf("fabric: no handler on node %d for message from %d", dst, p.src))
+	if !f.control {
+		c.posted--
+	}
+	f.accepted = true
+	v.AfterRun(n.params.RecvCPU, f)
+}
+
+// span records a delivered flight: enqueue → (stall) → placed, or handed to
+// the protocol handler.
+func (n *Network) span(f *flight) {
+	if n.rec != nil {
+		lane, v := n.recvSide(f)
+		rec := n.rec.OnLane(lane)
+		rec.Span("fabric", f.spanName(), f.conn.dst, fabricLane+f.conn.src, f.sentAt,
+			obs.Int("src", int64(f.conn.src)), obs.Int("bytes", int64(f.bytes)))
+		rec.Observe(f.spanName(), v.Now()-f.sentAt)
+	}
+}
+
+// complete is a message's receive completion: the handler runs, and the
+// connection's stalled events drain in order behind it.
+func (n *Network) complete(f *flight) {
+	c := f.conn
+	h := n.handlers[c.dst]
+	if h == nil {
+		panic(fmt.Sprintf("fabric: no handler on node %d for message from %d", c.dst, c.src))
+	}
+	n.span(f)
+	h(c.src, f.m)
+	if f.control {
+		n.drainControl(c)
+		return
+	}
+	// Recycle the DMA-ready receive buffer by reposting it, then drain
+	// stalled events in order: data placements need no buffer; the next
+	// message consumes the reposted buffer and its own completion
+	// continues the drain, so nothing queued behind it can pass it.
+	c.posted++
+	for len(c.rnrQueue) > 0 {
+		q := popFront(&c.rnrQueue)
+		n.accept(q)
+		if q.data == nil {
+			break
 		}
-		if n.rec != nil {
-			// The span ends when the receive completion hands the message to
-			// the protocol handler: enqueue → (stall) → deliver.
-			rec := n.rec.OnLane(dst)
-			rec.Span("fabric", p.spanName(), dst, fabricLane+p.src, p.sentAt,
-				obs.Int("src", int64(p.src)), obs.Int("bytes", int64(p.bytes)))
-			rec.Observe(p.spanName(), dv.Now()-p.sentAt)
-		}
-		h(p.src, p.m)
-		// Recycle the DMA-ready receive buffer by reposting it, then drain
-		// stalled events in order: data placements need no buffer; the next
-		// message consumes the reposted buffer and its own completion
-		// continues the drain, so nothing queued behind it can pass it.
-		c.posted++
-		for len(c.rnrQueue) > 0 {
-			q := c.rnrQueue[0]
-			c.rnrQueue = c.rnrQueue[1:]
-			n.accept(c, dst, q)
-			if q.data == nil {
-				break
-			}
-		}
-	})
+	}
 }
 
 // PageRecv is a prepared landing zone for one incoming page-sized transfer.
@@ -761,29 +792,26 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 	switch pr.mode {
 	case HybridSink, PerPageReg:
 		n.stats.rdmaWrites.Add(1)
-		place := pending{src: src, bytes: len(data), data: func() { pr.data = buf }}
-		if n.rec != nil {
-			place.sentAt = sv.Now()
-			place.page = true
-		}
+		sentAt := sv.Now() // the span starts when the sender enters the fabric
 		t.Sleep(n.params.RDMAPostCPU)
 		done := c.link.Occupy(len(data))
 		if !v.Drop {
 			// Route the placement through the connection's ordering point so
 			// page data and VERB messages keep one per-connection FIFO.
+			place := &flight{conn: c, bytes: len(data), data: func() { pr.data = buf }, sentAt: sentAt, page: true}
 			at := done + n.params.LinkLatency + v.Delay
-			n.deliver(sv, c, at, dst, place)
+			n.deliver(sv, place, at)
 			if v.Dup {
-				n.deliver(sv, c, at, dst, place)
+				n.deliver(sv, place.dup(), at)
 			}
 		}
 		n.sendWith(t, src, dst, reply, v) // same connection: FIFO after the RDMA write
 	case VerbOnly:
-		p := pending{src: src, m: reply}
+		f := &flight{conn: c, m: reply}
 		if n.rec != nil {
-			p.sentAt = sv.Now()
-			p.bytes = len(data) + reply.Size()
-			p.page = true
+			f.sentAt = sv.Now()
+			f.bytes = len(data) + reply.Size()
+			f.page = true
 		}
 		t.Sleep(n.memcpyCost(len(data))) // stage into send chunks
 		n.stats.memcpyBytes.Add(uint64(len(data)))
@@ -793,19 +821,15 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 		n.stats.smallSends.Add(1)
 		n.stats.smallBytes.Add(uint64(reply.Size())) // page payload counted above
 		done := c.link.Occupy(len(data) + reply.Size())
-		sv.After(done-sv.Now(), func() {
-			for i := 0; i < chunks; i++ {
-				c.sendPool.Release()
-			}
-		})
+		releaseSendChunks(sv, c, chunks, done)
 		pr.data = buf // visible once the reply is handled
 		if v.Drop {
 			return
 		}
 		at := done + n.params.LinkLatency + v.Delay
-		n.deliver(sv, c, at, dst, p)
+		n.deliver(sv, f, at)
 		if v.Dup {
-			n.deliver(sv, c, at, dst, p)
+			n.deliver(sv, f.dup(), at)
 		}
 	}
 }

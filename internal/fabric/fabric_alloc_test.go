@@ -1,0 +1,108 @@
+package fabric
+
+import (
+	"testing"
+	"time"
+
+	"dex/internal/chaos"
+	"dex/internal/sim"
+)
+
+// allocMsg is a message that costs nothing to hand to Send: a pointer fits
+// the Message interface without boxing.
+type allocMsg struct{ size int }
+
+func (m *allocMsg) Size() int        { return m.size }
+func (m *allocMsg) ChaosExpendable() {}
+
+// allocRuns is how often testing.AllocsPerRun calls its function: a warm-up
+// and the measured runs.
+const allocRuns = 1 + 200
+
+// allocsPerOp reports the host allocations of one op, those of the events it
+// causes included: it runs inside a task that after each op sleeps until
+// everything the op put in flight has been handled.
+func allocsPerOp(t *testing.T, eng *sim.Engine, op func(tk *sim.Task, i int)) float64 {
+	t.Helper()
+	var got float64
+	eng.Spawn("meter", func(tk *sim.Task) {
+		i := 0
+		got = testing.AllocsPerRun(allocRuns-1, func() {
+			op(tk, i)
+			i++
+			tk.Sleep(50 * time.Microsecond)
+		})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return got
+}
+
+// A small message is one object from Send to its handler: the flight, which
+// is also its arrival event and its receive completion. The send completion
+// and the link's release are bound once per connection.
+func TestSendAllocsPerRun(t *testing.T) {
+	for _, lanes := range []int{0, 2} {
+		eng := sim.NewEngine(1)
+		if lanes > 0 {
+			eng.ConfigureLanes(lanes, 1)
+			eng.SetLookahead(testParams(2).LinkLatency)
+		}
+		net := New(eng, testParams(2))
+		handled := 0
+		net.SetHandler(1, func(int, Message) { handled++ })
+		msg := &allocMsg{size: 64}
+		got := allocsPerOp(t, eng, func(tk *sim.Task, _ int) { net.Send(tk, 0, 1, msg) })
+		if got != 1 || handled != allocRuns {
+			t.Errorf("%d lanes: Send to handler: %v allocs per message, want 1 (%d of %d handled)", lanes, got, handled, allocRuns)
+		}
+	}
+}
+
+// A page through the sink is three: the placement, the closure that lands it
+// in the PageRecv, and the reply's flight.
+func TestSendPageBufAllocsPerRun(t *testing.T) {
+	p := testParams(2)
+	p.SinkChunks = 256 // every landing zone is prepared before the first send
+	eng := sim.NewEngine(1)
+	net := New(eng, p)
+	handled := 0
+	net.SetHandler(1, func(int, Message) { handled++ })
+	reply := &allocMsg{size: 32}
+	data, buf := make([]byte, 4096), make([]byte, 4096)
+	var prs []*PageRecv
+	eng.Spawn("prepare", func(tk *sim.Task) {
+		for i := 0; i < allocRuns; i++ {
+			prs = append(prs, net.PreparePageRecv(tk, 0, 1))
+		}
+	})
+	got := allocsPerOp(t, eng, func(tk *sim.Task, i int) { net.SendPageBuf(tk, 0, 1, prs[i], data, reply, buf) })
+	if got > 3 || handled != allocRuns {
+		t.Errorf("SendPageBuf through the sink: %v allocs per page, want at most 3 (%d of %d replies handled)", got, handled, allocRuns)
+	}
+	for i, pr := range prs {
+		if pr.Peek() == nil {
+			t.Fatalf("page %d never landed", i)
+		}
+	}
+}
+
+// A duplicated message is a second flight and nothing else.
+func TestChaosDupAllocsPerRun(t *testing.T) {
+	perMessage := func(dup float64) float64 {
+		plan := &chaos.Plan{Seed: 3, Dup: []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: dup}}}
+		eng, net, _ := chaosNet(t, 2, plan)
+		handled := 0
+		net.SetHandler(1, func(int, Message) { handled++ })
+		msg := &allocMsg{size: 64}
+		got := allocsPerOp(t, eng, func(tk *sim.Task, _ int) { net.Send(tk, 0, 1, msg) })
+		if want := allocRuns * int(1+dup); handled != want {
+			t.Errorf("dup %v: %d messages handled, want %d", dup, handled, want)
+		}
+		return got
+	}
+	if once, twice := perMessage(0), perMessage(1); twice != once+1 {
+		t.Errorf("a duplicated message: %v allocs against %v undisturbed, want one more", twice, once)
+	}
+}

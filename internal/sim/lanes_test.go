@@ -182,8 +182,15 @@ func TestParkTimeoutHeapBounded(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(eng.ls().heap); n > 128 {
+	heap := eng.ls().heap
+	if n := len(heap); n > 128 {
 		t.Fatalf("lane heap retained %d entries after %d cancelled timeouts; compaction is not working", n, rounds)
+	}
+	// What compaction and pop vacate must not keep the cancelled tasks alive.
+	for i, ev := range heap[len(heap):cap(heap)] {
+		if ev != (event{}) {
+			t.Fatalf("slot %d past the heap's end still holds %+v", len(heap)+i, ev)
+		}
 	}
 }
 

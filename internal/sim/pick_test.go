@@ -1,0 +1,302 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// minLaneRef is the reference order nextLane must reproduce, and the picker
+// this package had before it: drop the cancelled events from the top of every
+// lane's heap and compare the heads by full event key.
+func (c *engineCore) minLaneRef() *laneState {
+	var best *laneState
+	var bestKey eventKey
+	for _, l := range c.lanes {
+		if l.headAt() == noEvent {
+			continue
+		}
+		top := l.heap[0]
+		key := eventKey{at: top.at, lane: l.idx, seq: top.seq}
+		if best == nil || key.before(bestKey) {
+			best, bestKey = l, key
+		}
+	}
+	return best
+}
+
+// runSerialRef is runSerial over minLaneRef. At every pick it also asks
+// nextLane, which must name the same lane, and at every window start it
+// checks beginWindow's choice of lanes against a scan of every heap.
+func (c *engineCore) runSerialRef(t *testing.T) {
+	t.Helper()
+	defer c.stopCoros()
+	windows := len(c.lanes) > 1 && c.lookahead > 0
+	for pick := 0; c.failure == nil; pick++ {
+		got := c.nextLane()
+		l := c.minLaneRef()
+		if got != l {
+			t.Fatalf("pick %d at %v: nextLane = %s, full scan = %s", pick, c.now, got.head(), l.head())
+		}
+		if l == nil {
+			return
+		}
+		if at := l.heap[0].at; windows && at >= c.windowEnd {
+			end := at + c.lookahead
+			var want []*laneState
+			if c.lanes[0].headAt() >= end {
+				for _, nl := range c.lanes[1:] {
+					if nl.headAt() < end {
+						want = append(want, nl)
+					}
+				}
+			}
+			serialize, active := c.beginWindow(at)
+			if serialize != (want == nil) || !slices.Equal(active, want) {
+				t.Fatalf("window at %v: beginWindow = (%v, %d lanes), full scan wants %d lanes", at, serialize, len(active), len(want))
+			}
+		}
+		c.now = l.heap[0].at
+		c.nEvents++
+		if c.serializedWin {
+			c.sched.serializedEvents++
+		}
+		l.step()
+		c.heads[l.idx] = l.top()
+	}
+	t.Fatalf("reference run: %v", c.failure)
+}
+
+func (l *laneState) head() string {
+	if l == nil {
+		return "none"
+	}
+	return fmt.Sprintf("lane %d @%v", l.idx-1, l.heap[0].at)
+}
+
+// pickTrace is what one run of the pick program leaves: a log per lane (each
+// written only by events of that lane, so recording is race-free at any core
+// count), the one log in execution order that a serial run can also keep, and
+// the scheduler's own counts.
+type pickTrace struct {
+	perLane [][]string
+	order   []string
+	sched   SchedStats
+}
+
+// runPickProgram runs a seeded random program over nodes node lanes (0: a
+// classic engine, everything on the global lane). Every lane has a worker
+// that sleeps, schedules events on its own and on other lanes and wakes a
+// waiter out of park timeouts, short ones and hour-long ones — early wake-ups
+// cancel the deadline, which leaves the lane's head time stale, and enough of
+// them compact its heap. A global-lane beat serializes windows and moves a
+// rover task between lanes while its timeout is pending. Draws come from the
+// lanes' own streams, so the program is the same at any core count. The run
+// goes through Run, or through runSerialRef when ref is set.
+func runPickProgram(t *testing.T, seed int64, nodes, cores int, ref bool) pickTrace {
+	t.Helper()
+	const la = time.Microsecond
+	root := NewEngine(seed)
+	views := []*Engine{root}
+	if nodes > 0 {
+		root.ConfigureLanes(nodes, cores)
+		root.SetLookahead(la)
+		views = views[:0]
+		for i := 0; i < nodes; i++ {
+			views = append(views, root.LaneView(i))
+		}
+	}
+	root.SetEventLimit(1 << 22)
+	tr := pickTrace{perLane: make([][]string, nodes+1)}
+	serial := cores == 1
+	// log records what on v's lane; only events of that lane may call it.
+	log := func(v *Engine, what string) {
+		line := fmt.Sprintf("%s now=%v", what, v.Now())
+		tr.perLane[v.lane] = append(tr.perLane[v.lane], line)
+		if serial {
+			tr.order = append(tr.order, fmt.Sprintf("lane %d: %s", v.Lane(), line))
+		}
+	}
+	ns := func(v *Engine, n int) time.Duration { return time.Duration(v.Rand().Intn(n)) * time.Nanosecond }
+
+	for i, v := range views {
+		stop := false
+		waiter := v.Spawn(fmt.Sprintf("waiter-%d", i), func(task *Task) {
+			for n := 0; !stop; n++ {
+				d := time.Hour
+				if v.Rand().Intn(2) == 0 {
+					d = 100*time.Nanosecond + ns(v, 1400)
+				}
+				log(v, fmt.Sprintf("waiter park %d unparked=%v", n, task.ParkTimeout("pick", d)))
+			}
+		})
+		v.Spawn(fmt.Sprintf("worker-%d", i), func(task *Task) {
+			for k := 0; k < 240; k++ {
+				switch op := v.Rand().Intn(7); {
+				case op == 0:
+					task.Sleep(0)
+				case op == 1:
+					task.Sleep(ns(v, 700))
+				case op == 2:
+					v.After(ns(v, 900), func() { log(v, fmt.Sprintf("after %d", k)) })
+				case op == 3 && nodes > 1:
+					dst := views[(i+1+v.Rand().Intn(nodes-1))%nodes]
+					v.AfterOn(dst.Lane(), la+ns(v, 300), func() { log(dst, fmt.Sprintf("msg %d from %d", k, i)) })
+				default:
+					waiter.Unpark()
+					task.Sleep(ns(v, 200))
+				}
+				log(v, fmt.Sprintf("step %d", k))
+			}
+			stop = true
+			waiter.Unpark()
+		})
+	}
+	if nodes > 0 {
+		rover := views[0].Spawn("rover", func(task *Task) {
+			for n := 0; n < 60; n++ {
+				v := task.Engine()
+				unparked := task.ParkTimeout("rove", 500*time.Nanosecond+ns(v, 4500))
+				log(task.Engine(), fmt.Sprintf("rover %d unparked=%v", n, unparked))
+			}
+		})
+		beats := 0
+		var beat func()
+		beat = func() {
+			beats++
+			if rover.Parked() {
+				rover.SetLane(root.Rand().Intn(nodes))
+				rover.Unpark()
+			}
+			log(root, fmt.Sprintf("beat %d", beats))
+			if beats < 40 {
+				root.After(2*time.Microsecond+ns(root, 3000), beat)
+			}
+		}
+		root.After(2*time.Microsecond, beat)
+	}
+
+	if ref {
+		root.c.runSerialRef(t)
+	} else if err := root.Run(); err != nil {
+		t.Fatalf("seed %d nodes %d cores %d: %v", seed, nodes, cores, err)
+	}
+	tr.sched = root.SchedStats()
+	return tr
+}
+
+// checkLanePick holds the production picker to the reference: the serial run
+// executes the same events in the same order with the same window schedule,
+// and the parallel run leaves every lane the same log.
+func checkLanePick(t *testing.T, seed int64, nodes int) {
+	t.Helper()
+	ref := runPickProgram(t, seed, nodes, 1, true)
+	if got := runPickProgram(t, seed, nodes, 1, false); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("seed %d nodes %d: serial run diverged from the full-scan order%s", seed, nodes, firstDiff(ref.order, got.order))
+	}
+	if nodes == 0 {
+		return
+	}
+	got := runPickProgram(t, seed, nodes, 4, false)
+	got.order = ref.order // kept by serial runs only
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("seed %d nodes %d: cores=4 run diverged from the full-scan order", seed, nodes)
+	}
+}
+
+func firstDiff(want, got []string) string {
+	for i := range want {
+		if i >= len(got) || want[i] != got[i] {
+			return fmt.Sprintf(" at event %d:\nwant %s\ngot  %v", i, want[i], got[i:min(i+1, len(got))])
+		}
+	}
+	return fmt.Sprintf(": %d events, want %d", len(got), len(want))
+}
+
+// pickLanes are the lane counts the picker is checked at, the global lane
+// included: a classic engine, the benchmark's eight nodes, and more lanes
+// than a cache line of head times.
+var pickLanes = []int{1, 9, 33}
+
+func TestLanePickMatchesFullScan(t *testing.T) {
+	for _, lanes := range pickLanes {
+		for seed := int64(1); seed <= 6; seed++ {
+			checkLanePick(t, seed, lanes-1)
+		}
+	}
+}
+
+// FuzzLanePick runs the same property from the fuzzer's seeds; go test runs
+// it over testdata/fuzz/FuzzLanePick.
+func FuzzLanePick(f *testing.F) {
+	f.Add(int64(7), byte(1))
+	f.Fuzz(func(t *testing.T, seed int64, shape byte) {
+		checkLanePick(t, seed, pickLanes[int(shape)%len(pickLanes)]-1)
+	})
+}
+
+// A cancelled deadline on top of a heap leaves the lane's head time too low;
+// the pick must notice and go to the lane that really is next.
+func TestLanePickSkipsStaleHead(t *testing.T) {
+	root := NewEngine(1)
+	root.ConfigureLanes(2, 1)
+	v0, v1 := root.LaneView(0), root.LaneView(1)
+	var order []string
+	sleeper := v0.Spawn("sleeper", func(task *Task) {
+		task.ParkTimeout("stale", 10*time.Nanosecond) // lane 0's head: 10ns
+		order = append(order, fmt.Sprintf("sleeper@%v", task.Now()))
+	})
+	v1.After(20*time.Nanosecond, func() { order = append(order, "lane1@20ns") })
+	v0.After(30*time.Nanosecond, func() { order = append(order, "lane0@30ns") })
+	root.After(5*time.Nanosecond, sleeper.Unpark) // cancels the 10ns deadline
+	if err := root.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[sleeper@5ns lane1@20ns lane0@30ns]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+}
+
+// The heap moves whole events, so an event's size is dispatch cost: five
+// words, the Runner being two of them.
+func TestEventSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 40", got)
+	}
+}
+
+type countRunner struct{ n int }
+
+func (r *countRunner) RunEvent() { r.n++ }
+
+func TestAfterRunAllocsPerRun(t *testing.T) {
+	r := &countRunner{}
+	got := allocsInTask(t, func(tk *Task) {
+		tk.Engine().AfterRun(0, r)
+		tk.Engine().AfterRunOn(GlobalLane, 0, r)
+		tk.Sleep(time.Nanosecond)
+	})
+	if got != 0 {
+		t.Fatalf("AfterRun and AfterRunOn of a reused Runner: %v allocs, want 0", got)
+	}
+	if r.n < 400 {
+		t.Fatalf("runner ran %d times, want twice per round", r.n)
+	}
+}
+
+// After's function rides in the event as it is: a function that exists
+// already costs nothing to schedule.
+func TestAfterOfBoundFuncAllocsPerRun(t *testing.T) {
+	n := 0
+	fn := func() { n++ }
+	got := allocsInTask(t, func(tk *Task) {
+		tk.Engine().After(0, fn)
+		tk.Sleep(time.Nanosecond)
+	})
+	if got != 0 || n < 200 {
+		t.Fatalf("After of a bound func: %v allocs (want 0), ran %d times", got, n)
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -195,9 +196,7 @@ func NewMailbox[T any](name string) *Mailbox[T] {
 func (m *Mailbox[T]) Send(v T) {
 	m.queue = append(m.queue, v)
 	if len(m.recvQ) > 0 {
-		r := m.recvQ[0]
-		m.recvQ = m.recvQ[1:]
-		r.Unpark()
+		popFront(&m.recvQ).Unpark()
 	}
 }
 
@@ -208,20 +207,26 @@ func (m *Mailbox[T]) Recv(t *Task) T {
 		t.Park(m.park)
 		m.dropReceiver(t)
 	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v
+	return popFront(&m.queue)
 }
 
 // TryRecv dequeues a message without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
 	if len(m.queue) == 0 {
+		var zero T
 		return zero, false
 	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v, true
+	return popFront(&m.queue), true
+}
+
+// popFront removes and returns the first element of *q, and zeroes the slot
+// it leaves so that the backing array does not keep the element alive.
+func popFront[T any](q *[]T) T {
+	var zero T
+	v := (*q)[0]
+	(*q)[0] = zero
+	*q = (*q)[1:]
+	return v
 }
 
 // Len reports the number of queued messages.
@@ -230,7 +235,7 @@ func (m *Mailbox[T]) Len() int { return len(m.queue) }
 func (m *Mailbox[T]) dropReceiver(t *Task) {
 	for i, r := range m.recvQ {
 		if r == t {
-			m.recvQ = append(m.recvQ[:i], m.recvQ[i+1:]...)
+			m.recvQ = slices.Delete(m.recvQ, i, i+1)
 			return
 		}
 	}

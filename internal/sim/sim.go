@@ -13,6 +13,17 @@
 // runs at any moment, so simulation state needs no locking and runs are
 // bit-for-bit reproducible for a given seed.
 //
+// # Events
+//
+// An event executes a Runner. After and AfterOn take a plain func() and are
+// the convenient form; where an event fires per message or per request,
+// prefer AfterRun and AfterRunOn with an object that exists anyway (the
+// message, the connection, the resource) and let it implement RunEvent: a
+// closure that captures anything is a heap object per event, a Runner is none.
+// A function value bound once and reused is as cheap either way. Tasks are
+// scheduled the same way internally, so Sleep, Unpark and Spawn allocate no
+// event state.
+//
 // # Parallel core
 //
 // Every event carries an affinity lane: a node index, or the global lane for
@@ -43,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -77,7 +89,13 @@ type Engine struct {
 
 // engineCore is the state shared by all lane views of one simulation.
 type engineCore struct {
-	lanes     []*laneState // [0] = global, [1..] = node lanes
+	lanes []*laneState // [0] = global, [1..] = node lanes
+	// heads[i] is a lower bound on the time of lane i's earliest live event
+	// (noEvent for a lane known to be empty). nextLane picks from it without
+	// touching any heap and verifies the pick. It is written in serial context
+	// only: a direct push in schedule, after a serial step, at a window's
+	// barrier. A lane executing a parallel window leaves it alone.
+	heads     []time.Duration
 	cores     int
 	lookahead time.Duration
 	seed      int64
@@ -106,7 +124,7 @@ type engineCore struct {
 
 	// serializedWin is true while executing events of a window the windowed
 	// scheduler would serialize; the serial loop uses it to attribute events
-	// to SerializedEvents exactly as runSerialWindow does.
+	// to SerializedEvents exactly as a serialized window does.
 	serializedWin bool
 
 	// samplers fire at window starts, between windows, with every lane
@@ -280,16 +298,31 @@ func (a eventKey) before(b eventKey) bool {
 	return a.seq < b.seq
 }
 
+// Runner is what an event executes. A value that already exists when the
+// event is scheduled — a message in flight, a bus, a task — rides in the event
+// as it is, where a func() would be a closure allocated per event.
+type Runner interface{ RunEvent() }
+
+// funcEvent carries After's plain function. A func value is pointer-shaped,
+// so it becomes a Runner without an allocation.
+type funcEvent func()
+
+func (f funcEvent) RunEvent() { f() }
+
+// event is five words, and the heap moves whole events: a sixth word cost a
+// quarter more per dispatch when it was tried.
 type event struct {
 	at  time.Duration
 	seq uint64 // creator lane index << ctrBits | its counter at creation
-	// Exactly one of fn and task is set: fn is called in event context; task
-	// is started or resumed (Spawn, Sleep, Unpark, Kill and, with tomb set,
-	// a ParkTimeout deadline), which takes no closure.
-	fn   func()
-	task *Task
+	// run is called in event context, except that a *Task is started or
+	// resumed by the lane (Spawn, Sleep, Unpark, Kill and, with tomb set, a
+	// ParkTimeout deadline).
+	run  Runner
 	tomb *tombstone // non-nil for cancellable (timeout) events
 }
+
+// noEvent is the head time of a lane with nothing queued.
+const noEvent = time.Duration(math.MaxInt64)
 
 // tombstone marks a cancellable event; cancelled events are skipped on pop
 // and compacted away when they dominate the heap.
@@ -391,6 +424,7 @@ func NewEngine(seed int64) *Engine {
 		tasks: make(map[*Task]struct{}),
 	}
 	c.lanes = []*laneState{newLane(0, seed)}
+	c.heads = []time.Duration{noEvent}
 	c.seed = seed
 	return &Engine{c: c, lane: 0}
 }
@@ -409,6 +443,7 @@ func (e *Engine) ConfigureLanes(nodes, cores int) {
 	}
 	for i := 0; i < nodes; i++ {
 		c.lanes = append(c.lanes, newLane(i+1, c.seed))
+		c.heads = append(c.heads, noEvent)
 	}
 	if cores < 1 {
 		cores = 1
@@ -481,22 +516,27 @@ func (e *Engine) Events() uint64 { return e.c.nEvents }
 
 // After schedules fn to run at Now()+d on this view's lane, in event
 // context. fn must not block; to perform blocking work, spawn a task from
-// within fn.
-func (e *Engine) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.lane, e.Now()+d, fn, nil, nil)
-}
+// within fn. A fn that is a new closure each time costs an allocation per
+// event; on a hot path schedule the object the closure would capture with
+// AfterRun instead.
+func (e *Engine) After(d time.Duration, fn func()) { e.AfterRun(d, funcEvent(fn)) }
+
+// AfterRun schedules r to run at Now()+d on this view's lane, in event
+// context, under After's rules. It allocates nothing.
+func (e *Engine) AfterRun(d time.Duration, r Runner) { e.schedule(e.lane, d, r, nil) }
 
 // AfterOn schedules fn at Now()+d on the lane of the given node
 // (GlobalLane for the global lane). Scheduling onto a different lane during
 // a parallel window requires the target time to be at or past the window
 // end — i.e. the effect must ride at least the lookahead; violations panic.
+// AfterRunOn is to it what AfterRun is to After.
 func (e *Engine) AfterOn(node int, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
+	e.AfterRunOn(node, d, funcEvent(fn))
+}
+
+// AfterRunOn schedules r at Now()+d on the lane of the given node, under
+// AfterOn's rules. It allocates nothing.
+func (e *Engine) AfterRunOn(node int, d time.Duration, r Runner) {
 	lane := 0
 	// On an engine without configured lanes every event is global; callers
 	// (e.g. the fabric) can then run unchanged against a classic serial
@@ -504,28 +544,21 @@ func (e *Engine) AfterOn(node int, d time.Duration, fn func()) {
 	if node >= 0 && node+1 < len(e.c.lanes) {
 		lane = node + 1
 	}
-	e.schedule(lane, e.Now()+d, fn, nil, nil)
+	e.schedule(lane, d, r, nil)
 }
 
-// wakeAfter schedules t to be started or resumed at Now()+d on this view's
-// lane.
-func (e *Engine) wakeAfter(d time.Duration, t *Task) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.lane, e.Now()+d, nil, t, nil)
-}
-
-// schedule places an event created by this view onto the target lane.
-func (e *Engine) schedule(lane int, at time.Duration, fn func(), t *Task, tomb *tombstone) {
+// schedule places an event created by this view onto the target lane, at
+// Now()+d (a negative d counts as zero).
+func (e *Engine) schedule(lane int, d time.Duration, run Runner, tomb *tombstone) {
 	c := e.c
 	src := e.ls()
 	src.ctr++
-	ev := event{at: at, seq: uint64(e.lane)<<ctrBits | src.ctr, fn: fn, task: t, tomb: tomb}
+	at := e.Now() + max(d, 0)
+	ev := event{at: at, seq: uint64(e.lane)<<ctrBits | src.ctr, run: run, tomb: tomb}
 	if !c.parallel || e.lane == 0 {
 		// Serial execution, a serialized window, or outside Run: every lane
 		// is quiescent, so pushing straight into the target heap is safe.
-		c.lanes[lane].heap.push(ev)
+		c.push(lane, ev)
 		return
 	}
 	if lane == e.lane {
@@ -543,15 +576,13 @@ func (e *Engine) schedule(lane int, at time.Duration, fn func(), t *Task, tomb *
 	src.outbox = append(src.outbox, stagedEvent{lane: lane, ev: ev})
 }
 
-// windowEnd and seed live on the core but are only written by the scheduler
-// between windows (windowEnd) or at construction (seed).
-func (c *engineCore) laneHasWork() bool {
-	for _, l := range c.lanes {
-		if l.heap.Len() > l.tombs {
-			return true
-		}
+// push adds ev to a lane's heap in serial context and keeps the lane's head
+// time a lower bound.
+func (c *engineCore) push(lane int, ev event) {
+	c.lanes[lane].heap.push(ev)
+	if ev.at < c.heads[lane] {
+		c.heads[lane] = ev.at
 	}
-	return false
 }
 
 // Run processes events until none remain, a task fails, or the event limit
@@ -569,7 +600,7 @@ func (e *Engine) Run() error {
 	if c.cores > 1 && c.lookahead > 0 && len(c.lanes) > 1 {
 		err = c.runWindowed()
 	} else {
-		err = c.runSerial()
+		err = c.runSerial(noEvent)
 	}
 	if err != nil {
 		return err
@@ -584,30 +615,50 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// minLane returns the lane holding the globally smallest live event, or nil.
-func (c *engineCore) minLane() *laneState {
-	var best *laneState
-	var bestKey eventKey
-	for _, l := range c.lanes {
-		l.skipTombs()
-		if l.heap.Len() == 0 {
-			continue
+// nextLane returns the lane holding the globally smallest live event, its
+// live head on top of its heap, or nil when nothing is queued. It scans the
+// head times, not the heaps. A head time is only a lower bound — cancelling a
+// timeout or compacting a heap raises a lane's true head behind its back — so
+// the pick is verified against the lane's heap and, when the bound was stale,
+// corrected and taken again: staleness costs a re-pick, never a wrong order.
+// Equal times go to the lower lane index, as the event key orders them.
+func (c *engineCore) nextLane() *laneState {
+	for {
+		best, bestAt := -1, noEvent
+		for i, at := range c.heads {
+			if at < bestAt {
+				best, bestAt = i, at
+			}
 		}
-		top := l.heap[0]
-		key := eventKey{at: top.at, lane: l.idx, seq: top.seq}
-		if best == nil || key.before(bestKey) {
-			best, bestKey = l, key
+		if best < 0 {
+			return nil
 		}
+		l := c.lanes[best]
+		at := l.headAt()
+		if at == bestAt {
+			return l
+		}
+		c.heads[best] = at
 	}
-	return best
 }
 
-// skipTombs removes cancelled events from the heap top.
-func (l *laneState) skipTombs() {
+// headAt drops cancelled events from the heap top and returns the time of
+// the lane's earliest live event, or noEvent.
+func (l *laneState) headAt() time.Duration {
 	for l.heap.Len() > 0 && l.heap[0].tomb != nil && l.heap[0].tomb.dead {
 		l.heap.pop()
 		l.tombs--
 	}
+	return l.top()
+}
+
+// top returns the time of the heap's first event, cancelled or not — a lower
+// bound on headAt that costs no call — or noEvent.
+func (l *laneState) top() time.Duration {
+	if l.heap.Len() == 0 {
+		return noEvent
+	}
+	return l.heap[0].at
 }
 
 // cancelTomb marks a cancellable event dead and compacts the lane's heap
@@ -620,16 +671,17 @@ func (l *laneState) cancelTomb(t *tombstone) {
 	t.dead = true
 	l.tombs++
 	if l.tombs*2 > len(l.heap) && l.tombs > 32 {
-		live := make(eventHeap, 0, len(l.heap)-l.tombs)
-		for _, ev := range l.heap {
+		// Rebuild in place: the heap being built never grows past the slot
+		// being read. The vacated tail is cleared so that it does not keep the
+		// cancelled events' tasks alive.
+		old := l.heap
+		l.heap = old[:0]
+		for _, ev := range old {
 			if ev.tomb == nil || !ev.tomb.dead {
-				live = append(live, ev)
+				l.heap.push(ev)
 			}
 		}
-		l.heap = l.heap[:0]
-		for _, ev := range live {
-			l.heap.push(ev)
-		}
+		clear(old[len(l.heap):])
 		l.tombs = 0
 	}
 }
@@ -657,8 +709,7 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 
 	// A window containing global-lane work runs serially: global events may
 	// touch any lane's state, so nothing else may run beside them.
-	c.lanes[0].skipTombs()
-	if c.lanes[0].heap.Len() > 0 && c.lanes[0].heap[0].at < end {
+	if c.heads[0] < end && c.lanes[0].headAt() < end {
 		c.sched.serializedWindows++
 		c.serializedWin = true
 		return true, nil
@@ -666,8 +717,7 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 	c.serializedWin = false
 	active = c.active[:0]
 	for _, l := range c.lanes[1:] {
-		l.skipTombs()
-		if l.heap.Len() > 0 && l.heap[0].at < end {
+		if c.heads[l.idx] < end && l.headAt() < end {
 			active = append(active, l)
 			l.windows++
 		}
@@ -680,28 +730,30 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 	return false, active
 }
 
-// runSerial is the classic single-threaded loop: pop the globally smallest
-// event, advance the clock, execute. It is the cores=1 fast path and the
-// reference order the parallel scheduler must reproduce. When lanes and a
-// lookahead are configured it additionally replays the window schedule —
-// opening each window the parallel scheduler would open, at the same heap
-// state — so sampler firings and scheduler telemetry match the windowed
-// engine exactly without changing the event order.
-func (c *engineCore) runSerial() error {
-	windows := len(c.lanes) > 1 && c.lookahead > 0
+// runSerial is the single-threaded loop: pop the globally smallest event,
+// advance the clock, execute, for every event before end. With end noEvent it
+// is the whole of a cores=1 run and the reference order the parallel
+// scheduler must reproduce; when lanes and a lookahead are configured it then
+// also replays the window schedule — opening each window the parallel
+// scheduler would open, at the same heap state — so sampler firings and
+// scheduler telemetry match the windowed engine exactly without changing the
+// event order. With a window's end it is that scheduler's serialized window:
+// global events run here with exclusive access to all simulation state.
+func (c *engineCore) runSerial(end time.Duration) error {
+	replay := end == noEvent && len(c.lanes) > 1 && c.lookahead > 0
 	for {
 		if c.failure != nil {
 			return c.failure
 		}
-		l := c.minLane()
-		if l == nil {
+		l := c.nextLane()
+		if l == nil || l.heap[0].at >= end {
 			return nil
 		}
 		if c.limit != 0 && c.nEvents >= c.limit {
 			return fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit)
 		}
 		at := l.heap[0].at
-		if windows && at >= c.windowEnd {
+		if replay && at >= c.windowEnd {
 			c.beginWindow(at)
 		}
 		c.now = at
@@ -710,6 +762,7 @@ func (c *engineCore) runSerial() error {
 			c.sched.serializedEvents++
 		}
 		l.step()
+		c.heads[l.idx] = l.top()
 	}
 }
 
@@ -729,9 +782,9 @@ func (l *laneState) step() {
 	if l.events%goschedEvery == 0 {
 		runtime.Gosched()
 	}
-	t := ev.task
-	if t == nil {
-		ev.fn()
+	t, ok := ev.run.(*Task)
+	if !ok {
+		ev.run.RunEvent()
 		return
 	}
 	if ev.tomb != nil && !t.expire(ev.tomb) {
@@ -758,14 +811,14 @@ func (c *engineCore) runWindowed() error {
 			return fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit)
 		}
 		// Find the window start: the globally smallest pending event.
-		first := c.minLane()
+		first := c.nextLane()
 		if first == nil {
 			return nil
 		}
 		serialize, active := c.beginWindow(first.heap[0].at)
 		end := c.windowEnd
 		if serialize {
-			if err := c.runSerialWindow(end); err != nil {
+			if err := c.runSerial(end); err != nil {
 				return err
 			}
 			continue
@@ -785,9 +838,10 @@ func (c *engineCore) runWindowed() error {
 		var failKey eventKey
 		for _, l := range active {
 			for _, st := range l.outbox {
-				c.lanes[st.lane].heap.push(st.ev)
+				c.push(st.lane, st.ev)
 			}
 			l.outbox = l.outbox[:0]
+			c.heads[l.idx] = l.top()
 			c.nEvents += l.nEvents
 			l.nEvents = 0
 			if l.failure != nil && (c.failure == nil || l.failureKey.before(failKey)) {
@@ -799,28 +853,6 @@ func (c *engineCore) runWindowed() error {
 				c.now = l.now
 			}
 		}
-	}
-}
-
-// runSerialWindow processes every event with at < end in full key order,
-// single-threaded. Global events run here with exclusive access to all
-// simulation state.
-func (c *engineCore) runSerialWindow(end time.Duration) error {
-	for {
-		if c.failure != nil {
-			return c.failure
-		}
-		if c.limit != 0 && c.nEvents >= c.limit {
-			return fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit)
-		}
-		l := c.minLane()
-		if l == nil || l.heap[0].at >= end {
-			return nil
-		}
-		c.now = l.heap[0].at
-		c.nEvents++
-		c.sched.serializedEvents++
-		l.step()
 	}
 }
 
@@ -837,8 +869,7 @@ func (c *engineCore) runLane(l *laneState, end time.Duration) {
 		}
 	}()
 	for {
-		l.skipTombs()
-		if l.heap.Len() == 0 || l.heap[0].at >= end {
+		if l.headAt() >= end {
 			return
 		}
 		l.nEvents++
@@ -1114,7 +1145,7 @@ func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task 
 	c.tasksMu.Lock()
 	c.tasks[t] = struct{}{}
 	c.tasksMu.Unlock()
-	e.wakeAfter(d, t)
+	e.AfterRun(d, t)
 	return t
 }
 
@@ -1152,6 +1183,11 @@ func (t *Task) yield() {
 		panic(killPanic{})
 	}
 }
+
+// RunEvent makes a *Task fit an event's Runner word, so a wake-up needs no
+// closure. It is never called: step recognises a task and starts or resumes
+// it on the executing lane.
+func (t *Task) RunEvent() { panic("sim: a task's event is run by its lane") }
 
 // Name returns the task's diagnostic name.
 func (t *Task) Name() string { return t.name }
@@ -1191,7 +1227,7 @@ func (t *Task) Now() time.Duration { return t.eng.Now() }
 
 // Sleep advances the task past d of virtual time. Other events run meanwhile.
 func (t *Task) Sleep(d time.Duration) {
-	t.eng.wakeAfter(d, t)
+	t.eng.AfterRun(d, t)
 	t.yield()
 }
 
@@ -1241,7 +1277,7 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 	tomb := &tombstone{}
 	t.parkTomb = tomb
 	t.parkTombEng = eng
-	eng.schedule(eng.lane, eng.Now()+max(d, 0), nil, t, tomb)
+	eng.schedule(eng.lane, d, t, tomb)
 	t.yield()
 	t.parkReason = Reason{}
 	return !t.timedOut
@@ -1284,7 +1320,7 @@ func (t *Task) Kill() {
 	if t.parked {
 		t.parked = false
 		t.dropParkTimer()
-		eng.wakeAfter(0, t)
+		eng.AfterRun(0, t)
 	}
 }
 
@@ -1316,7 +1352,7 @@ func (t *Task) Unpark() {
 	}
 	t.parked = false
 	t.dropParkTimer()
-	t.eng.wakeAfter(0, t)
+	t.eng.AfterRun(0, t)
 }
 
 // Parked reports whether the task is currently parked.
