@@ -305,15 +305,6 @@ type chunkRelease conn
 
 func (r *chunkRelease) RunEvent() { r.sendPool.Release() }
 
-// popFront removes and returns the first flight of an RNR queue, and clears
-// the slot it leaves so that the backing array does not keep the flight alive.
-func popFront(q *[]*flight) *flight {
-	f := (*q)[0]
-	(*q)[0] = nil
-	*q = (*q)[1:]
-	return f
-}
-
 // New creates a network. It panics on invalid parameters, since those are
 // programming errors in experiment setup.
 func New(eng *sim.Engine, p Params) *Network {
@@ -611,7 +602,7 @@ func (n *Network) arriveControl(f *flight) {
 // drain in order.
 func (n *Network) drainControl(c *conn) {
 	if len(c.rnrQueueG) > 0 {
-		n.accept(popFront(&c.rnrQueueG))
+		n.accept(sim.PopFront(&c.rnrQueueG))
 	}
 }
 
@@ -633,7 +624,7 @@ func (n *Network) drainStorm(c *conn) {
 		if q.data == nil && c.posted == 0 {
 			return // a completion will repost a buffer and continue
 		}
-		n.accept(popFront(&c.rnrQueue))
+		n.accept(sim.PopFront(&c.rnrQueue))
 		if q.data == nil {
 			return // its completion continues the drain
 		}
@@ -704,7 +695,7 @@ func (n *Network) complete(f *flight) {
 	// continues the drain, so nothing queued behind it can pass it.
 	c.posted++
 	for len(c.rnrQueue) > 0 {
-		q := popFront(&c.rnrQueue)
+		q := sim.PopFront(&c.rnrQueue)
 		n.accept(q)
 		if q.data == nil {
 			break

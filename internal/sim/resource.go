@@ -196,7 +196,7 @@ func NewMailbox[T any](name string) *Mailbox[T] {
 func (m *Mailbox[T]) Send(v T) {
 	m.queue = append(m.queue, v)
 	if len(m.recvQ) > 0 {
-		popFront(&m.recvQ).Unpark()
+		PopFront(&m.recvQ).Unpark()
 	}
 }
 
@@ -207,7 +207,7 @@ func (m *Mailbox[T]) Recv(t *Task) T {
 		t.Park(m.park)
 		m.dropReceiver(t)
 	}
-	return popFront(&m.queue)
+	return PopFront(&m.queue)
 }
 
 // TryRecv dequeues a message without blocking.
@@ -216,12 +216,13 @@ func (m *Mailbox[T]) TryRecv() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return popFront(&m.queue), true
+	return PopFront(&m.queue), true
 }
 
-// popFront removes and returns the first element of *q, and zeroes the slot
-// it leaves so that the backing array does not keep the element alive.
-func popFront[T any](q *[]T) T {
+// PopFront removes and returns the first element of the FIFO queue *q, and
+// zeroes the slot it leaves so that the backing array does not keep the
+// element alive until the slot is overwritten.
+func PopFront[T any](q *[]T) T {
 	var zero T
 	v := (*q)[0]
 	(*q)[0] = zero
