@@ -126,6 +126,39 @@ func TestOwnershipOnlyGrantOnUpgrade(t *testing.T) {
 	}
 }
 
+// An ownership-only grant revokes the home's copy without sending it, so
+// nobody downstream recycles that frame; serveWrite has to. A page that goes
+// home → reader → upgraded writer → home over and over then runs on the frames
+// it started with.
+func TestUpgradePingPongRecyclesHomeFrame(t *testing.T) {
+	e := newEnv(t, 2, DefaultParams(), nil)
+	round := func(tk *sim.Task, i int) {
+		e.write(tk, 0, testAddr, byte(i))
+		_ = e.read(tk, 1, testAddr)
+		freeBefore := e.m.pool(0).Free()
+		e.write(tk, 1, testAddr, byte(i+1)) // ownership only: the home's frame is dropped
+		if got := e.m.pool(0).Free(); got != freeBefore+1 {
+			t.Errorf("round %d: home pool holds %d frames after the upgrade, want %d", i, got, freeBefore+1)
+		}
+	}
+	e.eng.Spawn("main", func(tk *sim.Task) {
+		for i := 0; i < 4; i++ {
+			round(tk, i)
+		}
+		home, peer := e.m.pool(0).Allocs(), e.m.pool(1).Allocs()
+		for i := 4; i < 20; i++ {
+			round(tk, i)
+		}
+		if h, p := e.m.pool(0).Allocs(), e.m.pool(1).Allocs(); h != home || p != peer {
+			t.Errorf("16 more rounds allocated %d frames at the home and %d at its peer, want none", h-home, p-peer)
+		}
+	})
+	e.run(t)
+	if got := e.m.Stats().OwnershipGrants; got != 20 {
+		t.Fatalf("OwnershipGrants = %d, want one per round", got)
+	}
+}
+
 func TestAlwaysSendDataAblation(t *testing.T) {
 	p := DefaultParams()
 	p.AlwaysSendData = true

@@ -604,7 +604,12 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 	var acks []*revokeWaiter
 	for _, owner := range de.ownerList(reqNode) {
 		if owner == home {
-			m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone)
+			// The home's frame is an orphan from here on. Captured as data, the
+			// caller recycles it once it is sent; an ownership-only grant sends
+			// nothing, so it is recycled here.
+			if prev := m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone); data == nil {
+				m.freeFrame(home, prev)
+			}
 			t.Sleep(m.params.InvalidateApply)
 			m.stats.invalidations.Add(1)
 			m.emitInvalidate(home, vpn)
