@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
+.PHONY: all build test race vet lint check bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
 
 all: check
 
@@ -36,6 +36,20 @@ check: build vet test race
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 	$(GO) run ./benchmark
+
+# bench-record runs the repository benchmark (about six minutes) and appends
+# one line to BENCH_e2e.json, the checked-in trajectory: the commit ("+dirty"
+# when the tree has uncommitted changes), NOTE if given (make bench-record
+# NOTE="PR 16"), the host, and from the benchmark's summary the six end-to-end
+# metrics of the six workloads and their stats_fingerprints. Compare a new
+# line with the one before it from the same host; needs jq.
+bench-record:
+	$(GO) run ./benchmark > bench-record.out
+	tail -n 1 bench-record.out | jq -c \
+		--arg commit "$$(git rev-parse --short HEAD)$$(git diff --quiet HEAD || echo +dirty)" --arg note "$(NOTE)" \
+		'{commit: $$commit, note: $$note, source: "make bench-record", host, seed, seconds, correct, workloads: (.workloads | map_values({wall_s, cpu_s, host_allocs, host_alloc_mb, host_peak_mb, setup_s})), stats_fingerprint}' \
+		>> BENCH_e2e.json
+	rm -f bench-record.out
 
 # bench-smoke runs every Go benchmark once, so CI notices one that broke.
 bench-smoke:

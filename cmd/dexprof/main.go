@@ -49,17 +49,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := apps.Config{Nodes: *nodes, Seed: *seed, Size: sz}
-	switch *variant {
-	case "baseline":
-		cfg.Variant = apps.Baseline
-	case "initial":
-		cfg.Variant = apps.Initial
-	case "optimized":
-		cfg.Variant = apps.Optimized
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	v, err := apps.ParseVariant(*variant)
+	if err != nil {
+		return err
 	}
+	cfg := apps.Config{Nodes: *nodes, Seed: *seed, Size: sz, Variant: v}
 	trace := dex.NewTrace()
 	cfg.Opts = append(cfg.Opts, dex.WithTrace(trace))
 	res, err := app.Run(cfg)

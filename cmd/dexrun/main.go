@@ -109,15 +109,8 @@ func run(args []string) error {
 		rec = dex.NewRecorder()
 		cfg.Opts = append(cfg.Opts, dex.WithObserver(rec))
 	}
-	switch *variant {
-	case "baseline":
-		cfg.Variant = apps.Baseline
-	case "initial":
-		cfg.Variant = apps.Initial
-	case "optimized":
-		cfg.Variant = apps.Optimized
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	if cfg.Variant, err = apps.ParseVariant(*variant); err != nil {
+		return err
 	}
 	if cfg.Size, err = apps.ParseSize(*size); err != nil {
 		return err
@@ -180,8 +173,8 @@ func run(args []string) error {
 	fmt.Printf("frames:       %d recycled, %d allocated\n",
 		res.Report.FramesRecycled, res.Report.FrameAllocs)
 	s := res.Report.Sched
-	fmt.Printf("sched:        %d events, %d windows (%d serialized, %d events), %d lane dispatches (max %d lanes/window)\n",
-		s.Events, s.Windows, s.SerializedWindows, s.SerializedEvents, s.LaneDispatches, s.MaxWindowLanes)
+	fmt.Printf("sched:        %d events (%d sleeps taken in place), %d windows (%d serialized, %d events), %d lane dispatches (max %d lanes/window)\n",
+		s.Events, s.InPlaceWakes, s.Windows, s.SerializedWindows, s.SerializedEvents, s.LaneDispatches, s.MaxWindowLanes)
 	if c := res.Report.Chaos; c != nil {
 		fmt.Printf("chaos:        %d dropped, %d duplicated, %d delayed, %d held; %d retransmits, %d dups ignored\n",
 			c.Injected.Dropped, c.Injected.Duplicated, c.Injected.Delayed, c.Injected.Held,

@@ -135,12 +135,14 @@ func WithSeed(seed int64) Option {
 // WithCores runs the simulator's event loop on up to n host cores using the
 // conservative-parallel scheduler (per-node event lanes with link-latency
 // lookahead). Reports, stats, and rendered output are byte-identical at any
-// core count — n trades wall-clock time only, never results. n <= 1 (the
-// default) keeps the proven serial loop. The observability recorder
+// core count — n trades wall-clock time only, never results. The scheduler is
+// the same at every n: at n <= 1 (the default) the lanes of a window run one
+// after the other on one goroutine. The observability recorder
 // (WithObserver) is lane-sharded and runs in parallel, and the
 // distributed-manager protocol serves its directory shards on parallel
 // lanes; clusters using the page-fault profiler (WithTrace) or the
-// home-migrate protocol clamp back to serial automatically.
+// home-migrate protocol serialize their lanes — every window runs in global
+// event order — at any n.
 func WithCores(n int) Option {
 	return optionFunc(func(p *core.Params) { p.Cores = n })
 }

@@ -48,6 +48,17 @@ func (v Variant) String() string {
 	}
 }
 
+// ParseVariant resolves the -variant flag of every command: "baseline",
+// "initial" or "optimized".
+func ParseVariant(s string) (Variant, error) {
+	for v := Baseline; v <= Optimized; v++ {
+		if s == v.String() {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", s)
+}
+
 // Size selects the workload scale.
 type Size int
 

@@ -258,3 +258,29 @@ func TestParseSize(t *testing.T) {
 		}
 	}
 }
+
+// TestParseVariant: the -variant flag of dexrun and dexprof accepts exactly
+// the three porting stages, by the names Variant.String prints.
+func TestParseVariant(t *testing.T) {
+	tests := []struct {
+		in   string
+		want Variant
+		ok   bool
+	}{
+		{"baseline", Baseline, true},
+		{"initial", Initial, true},
+		{"optimized", Optimized, true},
+		{"Optimized", 0, false},
+		{"Variant(0)", 0, false},
+		{"", 0, false},
+	}
+	for _, tc := range tests {
+		got, err := ParseVariant(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && err.Error() != `unknown variant "`+tc.in+`"` {
+			t.Errorf("ParseVariant(%q) error %q, want unknown variant %q", tc.in, err, tc.in)
+		}
+	}
+}

@@ -73,14 +73,14 @@ type Params struct {
 	Nodes int
 	// CoresPerNode is the number of CPU cores per machine.
 	CoresPerNode int
-	// Cores is the number of host CPU cores the simulator itself may use:
-	// 1 (the default) runs the classic serial loop, >1 enables the
-	// conservative-parallel scheduler, which executes distinct node lanes
-	// concurrently within each link-latency lookahead window. Reports are
-	// byte-identical at any value. Features whose bookkeeping crosses node
-	// lanes in event context (Hook, the HomeMigrate protocol) force serial
-	// execution regardless of this setting; the observability recorder is
-	// lane-sharded and runs parallel.
+	// Cores is the number of host CPU cores the simulator itself may use.
+	// The conservative-parallel scheduler executes each link-latency
+	// lookahead window lane by lane; at 1 (the default) the lanes of a window
+	// run one after the other, at >1 concurrently. Reports are byte-identical
+	// at any value. Features whose bookkeeping crosses node lanes in event
+	// context (Hook, the HomeMigrate protocol) serialize the lanes — every
+	// window runs in global event order — at any setting; the observability
+	// recorder is lane-sharded and does not.
 	Cores int
 	// MemBandwidth is the per-node memory-bus bandwidth in bytes/second
 	// shared by all cores of a node; it is what saturates first for
@@ -182,28 +182,22 @@ func NewMachine(params Params) *Machine {
 	if params.Fabric.Nodes != params.Nodes {
 		params.Fabric.Nodes = params.Nodes
 	}
-	cores := params.Cores
-	if cores < 1 {
-		cores = 1
-	}
+	// Lanes and lookahead must exist before fabric.New: the network binds its
+	// per-node lane views at construction.
+	eng.ConfigureLanes(params.Nodes, params.Cores)
+	eng.SetLookahead(params.Fabric.LinkLatency)
 	// Serialization clamps. User fault hooks observe events from whichever
 	// lane triggers them with no sharding discipline, and HomeMigrate serves
 	// page requests (mutating entries of the shared directory tree) at
-	// arbitrary nodes; both are correct only under serial execution. The
-	// observability recorder is lane-sharded (each lane appends only to its
-	// own buffer, merged deterministically at export) and no longer clamps.
-	// DistributedManager does not clamp either: its directory is sharded
-	// into per-node tables that only their own lane (or the quiescent
-	// global lane) mutates, so shards serve concurrently. Lanes are still
-	// configured identically so the event order — and every report —
-	// matches what the parallel scheduler produces for the same workload.
+	// arbitrary nodes; both need every window in global event order, so their
+	// lanes are not independent. The observability recorder is lane-sharded
+	// (each lane appends only to its own buffer, merged deterministically at
+	// export) and does not clamp. DistributedManager does not either: its
+	// directory is sharded into per-node tables that only their own lane (or
+	// the quiescent global lane) mutates, so shards serve independently.
 	if params.Hook != nil || params.DSM.Protocol == dsm.HomeMigrate {
-		cores = 1
+		eng.SerializeLanes()
 	}
-	// Lanes and lookahead must exist before fabric.New: the network binds its
-	// per-node lane views at construction.
-	eng.ConfigureLanes(params.Nodes, cores)
-	eng.SetLookahead(params.Fabric.LinkLatency)
 	m := &Machine{
 		eng:    eng,
 		net:    fabric.New(eng, params.Fabric),
@@ -406,9 +400,9 @@ type Report struct {
 	Chaos *ChaosReport
 	// Sched is the PDES scheduler's telemetry: how the run decomposed into
 	// lookahead windows, how many serialized on global-lane work, and how
-	// the node lanes shared the parallel ones. The serial engine replays
-	// the same window schedule, so the block is identical at any core
-	// count.
+	// the node lanes shared the parallel ones, and how many sleeps were
+	// taken in place. The window schedule does not depend on the core
+	// count, so neither does the block.
 	Sched sim.SchedStats
 }
 

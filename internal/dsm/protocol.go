@@ -15,7 +15,7 @@
 //     delivered anywhere else is a bug. Under HomeMigrate the entry's home
 //     follows the last writer; nodes keep a believed home per page and a
 //     stale belief is repaired by a redirect that reads the tree directly —
-//     which is why HomeMigrate runs serialized (core clamps it to one core).
+//     which is why HomeMigrate runs with serialized lanes (core clamps it).
 //   - sharded (DistributedManager): every node holds a table; a page's entry
 //     lives in its current home's table, lookups start at a static hash
 //     anchor, a node that hands authority off leaves an epoch-stamped

@@ -62,7 +62,7 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // merge folds o's observations into h. Addition of counts and sums is
 // order-independent, so merging per-lane shards in any fixed order yields
-// the same histogram the serial engine records directly.
+// the same histogram a run in global event order records directly.
 func (h *Histogram) merge(o *Histogram) {
 	if o == nil || o.Count == 0 {
 		return

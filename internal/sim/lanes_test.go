@@ -78,7 +78,7 @@ func runLaneWorkload(t *testing.T, nodes, cores int) laneTrace {
 }
 
 // TestWindowedEquivalence is the core byte-identity property: the same seed
-// and workload produce identical traces serially and at every core count.
+// and workload produce identical traces at one core and at every core count.
 func TestWindowedEquivalence(t *testing.T) {
 	ref := runLaneWorkload(t, 4, 1)
 	for _, cores := range []int{2, 4, 8} {
@@ -89,8 +89,8 @@ func TestWindowedEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowedEquivalenceSingleLane checks the inline single-active-lane
-// fast path agrees with serial execution too.
+// TestWindowedEquivalenceSingleLane checks that a window with one active
+// lane, which the pool's scheduler runs itself, agrees with one core too.
 func TestWindowedEquivalenceSingleLane(t *testing.T) {
 	ref := runLaneWorkload(t, 1, 1)
 	if got := runLaneWorkload(t, 1, 4); !reflect.DeepEqual(ref, got) {
@@ -254,4 +254,23 @@ func TestConfigureLanesTwicePanics(t *testing.T) {
 	eng := NewEngine(1)
 	eng.ConfigureLanes(2, 1)
 	eng.ConfigureLanes(2, 1)
+}
+
+// TestSecondRunAtSeveralCores: the worker pool belongs to one Run; a second
+// Run of the same engine starts its own instead of reusing a closed one.
+func TestSecondRunAtSeveralCores(t *testing.T) {
+	root := NewEngine(1)
+	root.ConfigureLanes(2, 4)
+	root.SetLookahead(time.Microsecond)
+	for run := 0; run < 2; run++ {
+		for i := 0; i < 2; i++ {
+			root.LaneView(i).After(10*time.Nanosecond, func() {})
+		}
+		if err := root.Run(); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	if got := root.SchedStats().MaxWindowLanes; got != 2 {
+		t.Fatalf("MaxWindowLanes = %d: the pool never ran", got)
+	}
 }

@@ -28,7 +28,8 @@ func (c *engineCore) minLaneRef() *laneState {
 	return best
 }
 
-// runSerialRef is runSerial over minLaneRef. At every pick it also asks
+// runSerialRef is what Run does on an engine with serialized lanes — every
+// window in global key order — over minLaneRef. At every pick it also asks
 // nextLane, which must name the same lane, and at every window start it
 // checks beginWindow's choice of lanes against a scan of every heap.
 func (c *engineCore) runSerialRef(t *testing.T) {
@@ -79,13 +80,26 @@ func (l *laneState) head() string {
 
 // pickTrace is what one run of the pick program leaves: a log per lane (each
 // written only by events of that lane, so recording is race-free at any core
-// count), the one log in execution order that a serial run can also keep, and
-// the scheduler's own counts.
+// count), the one log in execution order that a run in global key order can
+// also keep, the scheduler's own counts, and every lane's creation counter at
+// the end — equal counters say the events had equal keys, the sleeps taken in
+// place included.
 type pickTrace struct {
 	perLane [][]string
 	order   []string
 	sched   SchedStats
+	ctrs    []uint64
 }
+
+// pickMode is how a run of the pick program executes.
+type pickMode int
+
+const (
+	pickRef        pickMode = iota // serialized lanes, under runSerialRef
+	pickSerialized                 // serialized lanes, through Run
+	pickInline                     // independent lanes, one core
+	pickPool                       // independent lanes, four cores
+)
 
 // runPickProgram runs a seeded random program over nodes node lanes (0: a
 // classic engine, everything on the global lane). Every lane has a worker
@@ -94,14 +108,21 @@ type pickTrace struct {
 // cancel the deadline, which leaves the lane's head time stale, and enough of
 // them compact its heap. A global-lane beat serializes windows and moves a
 // rover task between lanes while its timeout is pending. Draws come from the
-// lanes' own streams, so the program is the same at any core count. The run
-// goes through Run, or through runSerialRef when ref is set.
-func runPickProgram(t *testing.T, seed int64, nodes, cores int, ref bool) pickTrace {
+// lanes' own streams, so the program is the same in every mode.
+func runPickProgram(t *testing.T, seed int64, nodes int, mode pickMode) pickTrace {
 	t.Helper()
 	const la = time.Microsecond
 	root := NewEngine(seed)
 	views := []*Engine{root}
+	serial := mode == pickRef || mode == pickSerialized
+	if serial {
+		root.SerializeLanes()
+	}
 	if nodes > 0 {
+		cores := 1
+		if mode == pickPool {
+			cores = 4
+		}
 		root.ConfigureLanes(nodes, cores)
 		root.SetLookahead(la)
 		views = views[:0]
@@ -111,7 +132,6 @@ func runPickProgram(t *testing.T, seed int64, nodes, cores int, ref bool) pickTr
 	}
 	root.SetEventLimit(1 << 22)
 	tr := pickTrace{perLane: make([][]string, nodes+1)}
-	serial := cores == 1
 	// log records what on v's lane; only events of that lane may call it.
 	log := func(v *Engine, what string) {
 		line := fmt.Sprintf("%s now=%v", what, v.Now())
@@ -179,31 +199,50 @@ func runPickProgram(t *testing.T, seed int64, nodes, cores int, ref bool) pickTr
 		root.After(2*time.Microsecond, beat)
 	}
 
-	if ref {
+	if mode == pickRef {
 		root.c.runSerialRef(t)
 	} else if err := root.Run(); err != nil {
-		t.Fatalf("seed %d nodes %d cores %d: %v", seed, nodes, cores, err)
+		t.Fatalf("seed %d nodes %d mode %d: %v", seed, nodes, mode, err)
 	}
 	tr.sched = root.SchedStats()
+	for _, l := range root.c.lanes {
+		tr.ctrs = append(tr.ctrs, l.ctr)
+	}
 	return tr
 }
 
-// checkLanePick holds the production picker to the reference: the serial run
-// executes the same events in the same order with the same window schedule,
-// and the parallel run leaves every lane the same log.
+// checkLanePick holds the production scheduler to the reference. An engine
+// with serialized lanes executes the same events in the same order with the
+// same window schedule as the full scan. Independent lanes, run one after the
+// other at one core or on the pool at four, leave every lane the same log and
+// the same scheduler counts — but for the sleeps they take in place, which a
+// serialized engine never does and which must not depend on the core count.
 func checkLanePick(t *testing.T, seed int64, nodes int) {
 	t.Helper()
-	ref := runPickProgram(t, seed, nodes, 1, true)
-	if got := runPickProgram(t, seed, nodes, 1, false); !reflect.DeepEqual(ref, got) {
-		t.Fatalf("seed %d nodes %d: serial run diverged from the full-scan order%s", seed, nodes, firstDiff(ref.order, got.order))
+	ref := runPickProgram(t, seed, nodes, pickRef)
+	if got := runPickProgram(t, seed, nodes, pickSerialized); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("seed %d nodes %d: serialized run diverged from the full-scan order%s", seed, nodes, firstDiff(ref.order, got.order))
 	}
 	if nodes == 0 {
 		return
 	}
-	got := runPickProgram(t, seed, nodes, 4, false)
-	got.order = ref.order // kept by serial runs only
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("seed %d nodes %d: cores=4 run diverged from the full-scan order", seed, nodes)
+	if ref.sched.InPlaceWakes != 0 {
+		t.Fatalf("seed %d nodes %d: %d sleeps taken in place with serialized lanes", seed, nodes, ref.sched.InPlaceWakes)
+	}
+	inline := runPickProgram(t, seed, nodes, pickInline)
+	if pool := runPickProgram(t, seed, nodes, pickPool); !reflect.DeepEqual(inline, pool) {
+		t.Fatalf("seed %d nodes %d: cores=4 run diverged from cores=1", seed, nodes)
+	}
+	if inline.sched.InPlaceWakes == 0 {
+		t.Fatalf("seed %d nodes %d: no sleep taken in place", seed, nodes)
+	}
+	inline.order = ref.order // kept by runs in global order only
+	inline.sched.InPlaceWakes = 0
+	for i := range inline.sched.Lanes {
+		inline.sched.Lanes[i].InPlaceWakes = 0
+	}
+	if !reflect.DeepEqual(ref, inline) {
+		t.Fatalf("seed %d nodes %d: lane-by-lane run diverged from the full-scan order", seed, nodes)
 	}
 }
 

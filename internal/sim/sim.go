@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation engine with
-// an optional conservative-parallel (PDES) core.
+// a conservative-parallel (PDES) core.
 //
 // The engine advances a virtual clock over priority queues of events. Tasks
 // are cooperative coroutines: a task's code runs on an iter.Pull coroutine,
@@ -8,10 +8,10 @@
 // or finishes — the Go scheduler takes no part in a task switch. Coroutines
 // whose task has finished wait on a free list owned by the lane that ran
 // them and serve the next task started there, so steady-state Spawn creates
-// no goroutine; Run stops them all, live or pooled, before it returns. In the
-// classic serial mode exactly one goroutine (the engine or a single task)
-// runs at any moment, so simulation state needs no locking and runs are
-// bit-for-bit reproducible for a given seed.
+// no goroutine; Run stops them all, live or pooled, before it returns. At one
+// core exactly one goroutine (the engine or a single task) runs at any moment,
+// so simulation state needs no locking and runs are bit-for-bit reproducible
+// for a given seed.
 //
 // # Events
 //
@@ -30,12 +30,20 @@
 // cross-cutting events. A fabric-style minimum cross-lane latency ("lookahead"
 // L, set with SetLookahead) guarantees that within a window [T, T+L) events on
 // distinct node lanes cannot affect each other — any cross-node effect travels
-// through the fabric and lands at least L later — so those lanes execute
-// concurrently on a worker pool. A window containing a global-lane event is
-// processed serially in full event order. Events are keyed by
-// (time, target lane, creator lane, creator counter); the key order is total
-// and identical in serial and parallel mode, and only provably commuting
+// through the fabric and lands at least L later — so the scheduler runs window
+// by window and, inside a window, lane by lane: each active lane executes its
+// own events up to the window end, one lane after the other on the calling
+// goroutine at one core, concurrently on a worker pool at several. There is
+// one scheduler; the core count only says where a lane runs. A window
+// containing a global-lane event is processed serially in full event order,
+// and so is every window of an engine whose lanes share state
+// (SerializeLanes). Events are keyed by (time, target lane, creator lane,
+// creator counter); the key order is total, and only provably commuting
 // events are ever reordered, so reports are byte-identical at any core count.
+// An engine without lanes or without a lookahead is the classic serial loop.
+// Nothing can reach a lane running its own window before the window ends, so
+// a task whose Sleep ends before that and before the lane's next event is
+// that next event, and Sleep takes the wake-up in place (see Task.Sleep).
 //
 // Lane discipline for event producers:
 //
@@ -43,7 +51,8 @@
 //   - Scheduling onto a different lane is only legal at or after the current
 //     window's end; cross-lane effects must ride a latency of at least the
 //     lookahead (the fabric guarantees this for message delivery). Violations
-//     panic with ErrLaneViolation context rather than corrupting the run.
+//     panic with lane-violation context rather than corrupting the run, at
+//     one core as at several.
 //   - Global-lane events run with every other lane stopped, so they may touch
 //     any state and schedule anywhere — global is always a safe fallback.
 //
@@ -109,7 +118,10 @@ type engineCore struct {
 	// execution, and the maximum completed-window time otherwise. Lane events
 	// in a parallel window read their own lane clock instead.
 	now      time.Duration
-	parallel bool // true while node lanes are executing concurrently
+	parallel bool // true while node lanes execute a window independently
+	// serializeLanes says the node lanes share state (SerializeLanes): every
+	// window then runs through runSerial in global key order.
+	serializeLanes bool
 
 	limit   uint64
 	nEvents uint64 // serial / barrier-committed event count
@@ -117,14 +129,13 @@ type engineCore struct {
 
 	// sched accumulates window-level scheduler telemetry. It is written only
 	// by beginWindow and the serialized execution paths, both of which run
-	// with every lane quiescent, so it needs no locking. Serial execution
-	// replays the exact window schedule (beginWindow is shared), so the
-	// counters are identical at any core count.
+	// with every lane quiescent, so it needs no locking. The window schedule
+	// does not depend on the core count, so neither do the counters.
 	sched schedCounters
 
-	// serializedWin is true while executing events of a window the windowed
-	// scheduler would serialize; the serial loop uses it to attribute events
-	// to SerializedEvents exactly as a serialized window does.
+	// serializedWin is true while executing events of a window that holds
+	// global-lane work; runSerial attributes those to SerializedEvents (and not
+	// what runs in key order only because the engine's lanes are serialized).
 	serializedWin bool
 
 	// samplers fire at window starts, between windows, with every lane
@@ -141,8 +152,6 @@ type engineCore struct {
 	// outcomes. All simulation state proper is lane-owned and lock-free.
 	tasksMu sync.Mutex
 	tasks   map[*Task]struct{}
-
-	pool *workerPool
 }
 
 // laneState is the per-lane slice of the simulation: its event heap, clock,
@@ -165,11 +174,13 @@ type laneState struct {
 	// committed to the core's total at the barrier.
 	nEvents uint64
 
-	// events and windows are lifetime telemetry: total events executed on
-	// this lane and windows in which it was dispatched. Both are written only
-	// by the goroutine owning the lane (or the scheduler between windows).
+	// events, windows and inPlace are lifetime telemetry: total events executed
+	// on this lane, windows in which it was dispatched, and the events among
+	// them that were sleeps taken in place. They are written only by the
+	// goroutine owning the lane (or the scheduler between windows).
 	events  uint64
 	windows uint64
+	inPlace uint64
 
 	// failure records the first failing event of this lane in the current
 	// window; the barrier keeps the one with the smallest event key.
@@ -209,8 +220,8 @@ type sampler struct {
 
 // SchedStats is a snapshot of the conservative-parallel scheduler's
 // telemetry: how the run decomposed into lookahead windows and how the lanes
-// shared them. All counters are derived from the window schedule, which the
-// serial engine replays exactly, so the snapshot is identical at any core
+// shared them. All counters are derived from the window schedule, which does
+// not depend on the core count, so the snapshot is identical at any core
 // count for the same configuration and seed. Read it after Run returns (or
 // from serialized context).
 type SchedStats struct {
@@ -229,16 +240,22 @@ type SchedStats struct {
 	// conservative window width.
 	Events    uint64
 	Lookahead time.Duration
+	// InPlaceWakes is how many of Events were sleeps that ended as their
+	// lane's next event inside a parallel window and so cost no event and no
+	// task switch (Task.Sleep): the reason two runs with equal Events differ
+	// in host time. It is 0 when the lanes are serialized.
+	InPlaceWakes uint64
 	// Lanes holds per-node-lane totals, indexed by node.
 	Lanes []LaneSchedStats
 }
 
-// LaneSchedStats is one node lane's share of the schedule: events executed
-// and windows in which the lane was dispatched (its busy-window count —
-// virtual busy time is bounded by Windows×Lookahead).
+// LaneSchedStats is one node lane's share of the schedule: events executed,
+// windows in which the lane was dispatched (its busy-window count — virtual
+// busy time is bounded by Windows×Lookahead), and its share of InPlaceWakes.
 type LaneSchedStats struct {
-	Events  uint64
-	Windows uint64
+	Events       uint64
+	Windows      uint64
+	InPlaceWakes uint64
 }
 
 // SchedStats returns the scheduler telemetry snapshot.
@@ -254,7 +271,8 @@ func (e *Engine) SchedStats() SchedStats {
 		Lookahead:         c.lookahead,
 	}
 	for _, l := range c.lanes[1:] {
-		s.Lanes = append(s.Lanes, LaneSchedStats{Events: l.events, Windows: l.windows})
+		s.Lanes = append(s.Lanes, LaneSchedStats{Events: l.events, Windows: l.windows, InPlaceWakes: l.inPlace})
+		s.InPlaceWakes += l.inPlace
 	}
 	return s
 }
@@ -263,9 +281,9 @@ func (e *Engine) SchedStats() SchedStats {
 // the start of the scheduler window that first reaches each deadline. The
 // callback runs between windows with every lane quiescent, so it may read
 // any simulation state without racing lane execution; at is the deadline
-// being served (≤ the window start). Serial execution replays the window
-// schedule, so firing points — and the state observed — are identical at any
-// core count. Samplers stop naturally when the event queues drain.
+// being served (≤ the window start). The window schedule is the same at any
+// core count, so firing points — and the state observed — are too. Samplers
+// stop naturally when the event queues drain.
 func (e *Engine) AddSampler(period time.Duration, fn func(at time.Duration)) {
 	if period <= 0 {
 		return
@@ -417,7 +435,7 @@ func newLane(idx int, seed int64) *laneState {
 
 // NewEngine returns the global view of an engine whose random source is
 // seeded with seed. The engine starts with no node lanes and a single core
-// (classic serial mode); ConfigureLanes adds node lanes and parallelism.
+// (the classic serial loop); ConfigureLanes adds node lanes and parallelism.
 func NewEngine(seed int64) *Engine {
 	c := &engineCore{
 		cores: 1,
@@ -430,9 +448,11 @@ func NewEngine(seed int64) *Engine {
 }
 
 // ConfigureLanes declares the node-lane count and the worker parallelism.
-// cores <= 1 keeps the classic serial execution; cores > 1 enables the
-// conservative-parallel scheduler once SetLookahead has provided a positive
-// lookahead bound. It must be called before any node-lane events exist.
+// Once SetLookahead has provided a positive lookahead bound the engine runs
+// window by window and lane by lane; cores says where the lanes of a window
+// execute: one after the other on Run's goroutine (cores <= 1), or
+// concurrently on that many workers. It must be called before any node-lane
+// events exist.
 func (e *Engine) ConfigureLanes(nodes, cores int) {
 	c := e.c
 	if len(c.lanes) > 1 {
@@ -453,8 +473,15 @@ func (e *Engine) ConfigureLanes(nodes, cores int) {
 
 // SetLookahead sets the conservative window width: the minimum virtual
 // latency of any cross-lane effect. The fabric's minimum link latency is the
-// natural bound. Zero disables parallel execution.
+// natural bound. Zero disables windows: the run is one serial loop.
 func (e *Engine) SetLookahead(d time.Duration) { e.c.lookahead = d }
+
+// SerializeLanes declares that the node lanes are not independent: something
+// reads or writes state across them in event context without riding the
+// lookahead. Every window then executes in global key order on Run's
+// goroutine, as one holding global-lane work does, at any core count; the
+// window schedule, and so SchedStats and sampler firings, stay what they were.
+func (e *Engine) SerializeLanes() { e.c.serializeLanes = true }
 
 // Lookahead returns the configured lookahead bound.
 func (e *Engine) Lookahead() time.Duration { return e.c.lookahead }
@@ -589,6 +616,11 @@ func (c *engineCore) push(lane int, ev event) {
 // is hit. It returns the first task failure, a deadlock error if parked
 // tasks remain with an empty queue, or nil on clean completion.
 //
+// An engine with node lanes and a lookahead runs under the windowed scheduler
+// at every core count; any other is one serial loop. A panic in an event of a
+// lane running its own window is that lane's failure and Run's error; one in
+// serial context (a serialized window, the serial loop) reaches Run's caller.
+//
 // No coroutine outlives Run: on the way out every pooled coroutine is ended
 // and every task still suspended — parked forever, cut off by the event limit
 // or by another task's failure — is unwound the way Kill unwinds it (its
@@ -597,7 +629,7 @@ func (e *Engine) Run() error {
 	c := e.c
 	defer c.stopCoros()
 	var err error
-	if c.cores > 1 && c.lookahead > 0 && len(c.lanes) > 1 {
+	if c.lookahead > 0 && len(c.lanes) > 1 {
 		err = c.runWindowed()
 	} else {
 		err = c.runSerial(noEvent)
@@ -691,10 +723,8 @@ func (l *laneState) cancelTomb(t *tombstone) {
 // decides whether the window must serialize (global-lane work pending before
 // the bound), collects the active node lanes otherwise (in a scratch slice
 // that the next call overwrites), and records the scheduler telemetry. It
-// runs with every lane quiescent. The serial loop calls it at exactly the
-// points where the windowed scheduler would — the pending-event sets are
-// equal there — so telemetry and sampler observations are identical at any
-// core count.
+// runs with every lane quiescent, and does the same bookkeeping whether the
+// window then runs lane by lane or, with serialized lanes, in key order.
 func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*laneState) {
 	for i := range c.samplers {
 		s := &c.samplers[i]
@@ -731,16 +761,13 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 }
 
 // runSerial is the single-threaded loop: pop the globally smallest event,
-// advance the clock, execute, for every event before end. With end noEvent it
-// is the whole of a cores=1 run and the reference order the parallel
-// scheduler must reproduce; when lanes and a lookahead are configured it then
-// also replays the window schedule — opening each window the parallel
-// scheduler would open, at the same heap state — so sampler firings and
-// scheduler telemetry match the windowed engine exactly without changing the
-// event order. With a window's end it is that scheduler's serialized window:
-// global events run here with exclusive access to all simulation state.
+// advance the clock, execute, for every event before end. With a window's end
+// it is how the windowed scheduler executes a window that must keep global
+// key order — one holding global-lane events, which run here with exclusive
+// access to all simulation state, or any window of an engine with serialized
+// lanes. With end noEvent it is the whole run of an engine that has no
+// windows (no lanes or no lookahead).
 func (c *engineCore) runSerial(end time.Duration) error {
-	replay := end == noEvent && len(c.lanes) > 1 && c.lookahead > 0
 	for {
 		if c.failure != nil {
 			return c.failure
@@ -752,11 +779,7 @@ func (c *engineCore) runSerial(end time.Duration) error {
 		if c.limit != 0 && c.nEvents >= c.limit {
 			return fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit)
 		}
-		at := l.heap[0].at
-		if replay && at >= c.windowEnd {
-			c.beginWindow(at)
-		}
-		c.now = at
+		c.now = l.heap[0].at
 		c.nEvents++
 		if c.serializedWin {
 			c.sched.serializedEvents++
@@ -773,15 +796,20 @@ func (c *engineCore) runSerial(end time.Duration) error {
 // tick and the heap overshoot while it marks.
 const goschedEvery = 1024
 
-// step pops the lane's next event and executes it on the calling goroutine:
-// a task event starts or resumes its task, any other calls its function.
-func (l *laneState) step() {
-	ev := l.heap.pop()
-	l.now = ev.at
+// advance moves the lane clock to an event that is about to run and counts it.
+func (l *laneState) advance(at time.Duration) {
+	l.now = at
 	l.events++
 	if l.events%goschedEvery == 0 {
 		runtime.Gosched()
 	}
+}
+
+// step pops the lane's next event and executes it on the calling goroutine:
+// a task event starts or resumes its task, any other calls its function.
+func (l *laneState) step() {
+	ev := l.heap.pop()
+	l.advance(ev.at)
 	t, ok := ev.run.(*Task)
 	if !ok {
 		ev.run.RunEvent()
@@ -793,15 +821,18 @@ func (l *laneState) step() {
 	l.resume(t)
 }
 
-// runWindowed is the conservative-parallel scheduler. Each iteration picks
-// the next window [T, T+lookahead); if the window contains global-lane
-// events it is processed serially in full key order, otherwise the active
-// node lanes execute concurrently on the worker pool and their cross-lane
+// runWindowed is the conservative-parallel scheduler, at any core count.
+// Each iteration picks the next window [T, T+lookahead); if the window
+// contains global-lane events, or the lanes are serialized, it is processed
+// in full key order, otherwise each active node lane executes its own events
+// up to the window end — one lane after the other on this goroutine at one
+// core, concurrently on the worker pool at several — and their cross-lane
 // outboxes merge at the barrier.
 func (c *engineCore) runWindowed() error {
-	if c.pool == nil {
-		c.pool = newWorkerPool(c.cores)
-		defer c.pool.close()
+	var pool *workerPool
+	if c.cores > 1 && !c.serializeLanes {
+		pool = newWorkerPool(c.cores)
+		defer pool.close()
 	}
 	for {
 		if c.failure != nil {
@@ -817,22 +848,22 @@ func (c *engineCore) runWindowed() error {
 		}
 		serialize, active := c.beginWindow(first.heap[0].at)
 		end := c.windowEnd
-		if serialize {
+		if serialize || c.serializeLanes {
 			if err := c.runSerial(end); err != nil {
 				return err
 			}
 			continue
 		}
-		if len(active) == 1 {
-			// One lane: run it inline, skipping the handoff.
-			c.parallel = true
-			c.runLane(active[0], end)
-			c.parallel = false
+		c.parallel = true
+		if pool != nil && len(active) > 1 {
+			pool.run(c, active, end)
 		} else {
-			c.parallel = true
-			c.pool.run(c, active, end)
-			c.parallel = false
+			// One core, or one lane and nothing to hand off.
+			for _, l := range active {
+				c.runLane(l, end)
+			}
 		}
+		c.parallel = false
 		// Barrier: merge outboxes, commit counters, surface the earliest
 		// failure in deterministic key order.
 		var failKey eventKey
@@ -856,20 +887,22 @@ func (c *engineCore) runWindowed() error {
 	}
 }
 
-// runLane executes one lane's events up to (but excluding) end. It runs on
-// a worker goroutine during parallel windows; everything it touches is
-// lane-owned.
+// runLane executes one lane's events up to (but excluding) end, or until the
+// lane fails or its events use up what the barrier left of the event limit.
+// It runs on the scheduler's goroutine or on a worker; everything it writes
+// is lane-owned.
 func (c *engineCore) runLane(l *laneState, end time.Duration) {
 	defer func() {
 		if r := recover(); r != nil {
-			if l.failure == nil {
-				l.failure = fmt.Errorf("sim: lane %d event panicked: %v\n%s", l.idx-1, r, debug.Stack())
-				l.failureKey = eventKey{at: l.now, lane: l.idx}
-			}
+			l.fail(fmt.Errorf("sim: lane %d event panicked: %v\n%s", l.idx-1, r, debug.Stack()))
 		}
 	}()
 	for {
 		if l.headAt() >= end {
+			return
+		}
+		if c.limit != 0 && c.nEvents+l.nEvents >= c.limit {
+			l.fail(fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit))
 			return
 		}
 		l.nEvents++
@@ -979,14 +1012,18 @@ func (r Reason) String() string {
 // the pool. Task methods must only be called by the task's own function,
 // except Unpark (and Kill), which may be called from the task's own lane, or
 // from any context while the lanes are serialized (a global-lane event, a
-// serialized window, or serial mode).
+// serialized window, or an engine without windows).
 type Task struct {
 	eng  *Engine // view the task currently schedules through
 	name string
 	fn   func(*Task)
 	// co is the coroutine running fn: nil until the task's start event takes
 	// one from its lane, and again once fn has returned or been unwound.
-	co         *coro
+	co *coro
+	// on is the lane executing the task while it runs. It is the task's own
+	// lane unless SetLane moved the task after the event that resumes it was
+	// queued (a park deadline left on the old lane).
+	on         *laneState
 	done       bool
 	parked     bool
 	killed     bool
@@ -1100,6 +1137,7 @@ func (l *laneState) resume(t *Task) {
 	tl := t.eng.ls()
 	prev := tl.current
 	tl.current = t
+	t.on = l
 	_, alive := co.resume()
 	tl.current = prev
 	if t.done && alive {
@@ -1164,14 +1202,20 @@ func (e *Engine) failTask(err error) {
 	c := e.c
 	l := e.ls()
 	if c.parallel && e.lane != 0 {
-		if l.failure == nil {
-			l.failure = err
-			l.failureKey = eventKey{at: l.now, lane: l.idx}
-		}
+		l.fail(err)
 		return
 	}
 	if c.failure == nil {
 		c.failure = err
+	}
+}
+
+// fail records the lane's first failure of the current window, keyed by the
+// lane clock.
+func (l *laneState) fail(err error) {
+	if l.failure == nil {
+		l.failure = err
+		l.failureKey = eventKey{at: l.now, lane: l.idx}
 	}
 }
 
@@ -1225,10 +1269,45 @@ func (t *Task) SetLane(node int) {
 // Now returns the current virtual time as seen from the task's lane.
 func (t *Task) Now() time.Duration { return t.eng.Now() }
 
-// Sleep advances the task past d of virtual time. Other events run meanwhile.
+// Sleep advances the task past d of virtual time. Other events run meanwhile:
+// the task queues its wake-up and yields to its lane — unless the wake-up is
+// the event the lane would run next anyway, in which case it is taken in place
+// (wakeInPlace) and Sleep returns without an event or a task switch.
 func (t *Task) Sleep(d time.Duration) {
+	if t.wakeInPlace(d) {
+		return
+	}
 	t.eng.AfterRun(d, t)
 	t.yield()
+}
+
+// wakeInPlace takes the wake-up of a Sleep(d) without queueing it, when
+// nothing could run before it (DESIGN.md, "In-place wake-up"): the task is
+// running on its own lane inside a parallel window, so only that lane's heap
+// can hold an earlier event; the wake time is before the window end; and the
+// wake-up's key — the time, then (lane, counter) as schedule would have
+// allocated them — orders before the lane's live heap head. The pushed event
+// would then be popped next and resume this task; what is left of that is the
+// bookkeeping of runLane and step. At the event limit the wake-up is queued,
+// so that runLane sees the limit.
+func (t *Task) wakeInPlace(d time.Duration) bool {
+	e := t.eng
+	c, l := e.c, e.c.lanes[e.lane]
+	if !c.parallel || t.on != l {
+		return false
+	}
+	wake := event{at: l.now + max(d, 0), seq: uint64(e.lane)<<ctrBits | (l.ctr + 1)}
+	if wake.at >= c.windowEnd || c.limit != 0 && c.nEvents+l.nEvents >= c.limit {
+		return false
+	}
+	if l.headAt() != noEvent && l.heap[0].before(wake) {
+		return false
+	}
+	l.ctr++
+	l.nEvents++
+	l.inPlace++
+	l.advance(wake.at)
+	return true
 }
 
 // SleepUntil sleeps until the absolute virtual time at (a no-op if at is in
@@ -1341,7 +1420,7 @@ func (t *Task) dropParkTimer() {
 // immediately (binary-semaphore semantics; extra tokens are not accumulated).
 // Unpark must be called from simulation context on the task's own lane, or
 // from any context while the lanes are serialized (global-lane events,
-// serialized windows, serial mode).
+// serialized windows, an engine without windows).
 func (t *Task) Unpark() {
 	if t.done {
 		return

@@ -14,8 +14,8 @@ import (
 // trades wall-clock time only. For the same configuration and seed, the full
 // run outcome — the application's answer digest, the virtual elapsed time,
 // and the entire core.Report (DSM, fabric, TLB, migration, chaos counters) —
-// must be DeepEqual between the serial engine and the conservative-parallel
-// scheduler at any core count.
+// must be DeepEqual between the conservative-parallel scheduler running its
+// lanes one after the other (one core) and on the worker pool.
 
 // runApp executes one application with an explicit simulator core count.
 func runApp(t *testing.T, app apps.App, cfg apps.Config, cores int) apps.Result {
@@ -49,7 +49,8 @@ func TestParallelCoreEquivalenceAllApps(t *testing.T) {
 }
 
 // TestParallelCoreEquivalenceProtocols covers the home-migrate protocol too;
-// it clamps back to the serial scheduler, which must be outcome-invisible.
+// it serializes the lanes at any core count, which must be outcome-invisible
+// and is visible in the scheduler's own count of sleeps taken in place.
 func TestParallelCoreEquivalenceProtocols(t *testing.T) {
 	app, _ := apps.ByName("kmn")
 	for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate} {
@@ -63,6 +64,10 @@ func TestParallelCoreEquivalenceProtocols(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("protocol %v diverged between cores=1 and cores=4:\nserial:   %+v\nparallel: %+v",
 				proto, serial, parallel)
+		}
+		got := serial.Report.Sched.InPlaceWakes
+		if clamped := proto == dex.HomeMigrate; (got == 0) != clamped {
+			t.Fatalf("protocol %v: %d sleeps taken in place, lanes serialized: %v", proto, got, clamped)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // These tests pin the lane-safe observability property: attaching a recorder
-// no longer clamps the simulator to the serial scheduler, and for the same
+// does not serialize the simulator's lanes, and for the same
 // configuration and seed the full run outcome — the application result, the
 // core.Report (scheduler telemetry included), the rendered Perfetto trace,
 // and the metrics summary — is byte-identical between -cores 1 and -cores 4.
@@ -76,7 +76,7 @@ func TestTracedParallelByteIdenticalAllApps(t *testing.T) {
 }
 
 // TestTracedParallelByteIdenticalProtocols covers both coherence policies;
-// home-migrate still clamps to serial, which must be export-invisible.
+// home-migrate still serializes its lanes, which must be export-invisible.
 func TestTracedParallelByteIdenticalProtocols(t *testing.T) {
 	app, _ := apps.ByName("kmn")
 	for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate} {
@@ -135,9 +135,9 @@ func TestTracedParallelByteIdenticalChaos(t *testing.T) {
 
 // TestSchedTelemetry checks the Report.Sched counters of a traced parallel
 // run: the window machinery actually ran, the per-lane stats cover every
-// node, and the figures equal the serial engine's window-schedule emulation
-// (covered field-for-field by the DeepEqual tests above; here we pin basic
-// shape and non-triviality).
+// node, and the figures equal those of a one-core run (covered
+// field-for-field by the DeepEqual tests above; here we pin basic shape and
+// non-triviality).
 func TestSchedTelemetry(t *testing.T) {
 	app, _ := apps.ByName("bfs")
 	cfg := apps.Config{Nodes: 4, Variant: apps.Optimized}
