@@ -149,7 +149,9 @@ goldens-update:
 	@$(MAKE) --no-print-directory behaviour > testdata/behaviour.sha256
 
 # behaviour prints the manifest: for each protocol, the SHA-256 of the trace
-# bytes of a traced bfs run and of the stdout of a dexserve crash+restart run.
+# bytes of a traced bfs run and of the stdout of a dexserve crash+restart run;
+# then the stdout of the page-fault profiler on kmn and bfs and of the two
+# examples that print a profile.
 .PHONY: behaviour
 behaviour:
 	@set -e; for p in wi home dist; do \
@@ -157,4 +159,10 @@ behaviour:
 		echo "$$(sha256sum < behaviour-trace.json | cut -d' ' -f1)  dexrun -app bfs -nodes 4 -seed 7 -protocol $$p -trace"; \
 		rm -f behaviour-trace.json; \
 		echo "$$($(GO) run ./cmd/dexserve -nodes 3 -crash 10ms -restart -protocol $$p 2>/dev/null | sha256sum | cut -d' ' -f1)  dexserve -nodes 3 -crash 10ms -restart -protocol $$p"; \
+	done; \
+	for a in kmn bfs; do \
+		echo "$$($(GO) run ./cmd/dexprof -app $$a -nodes 4 -affinity -timeline | sha256sum | cut -d' ' -f1)  dexprof -app $$a -nodes 4 -affinity -timeline"; \
+	done; \
+	for e in profiler affinity; do \
+		echo "$$($(GO) run ./examples/$$e | sha256sum | cut -d' ' -f1)  go run ./examples/$$e"; \
 	done
