@@ -54,12 +54,13 @@ func run(args []string) error {
 		return err
 	}
 	cfg := apps.Config{Nodes: *nodes, Seed: *seed, Size: sz, Variant: v}
-	trace := dex.NewTrace()
-	cfg.Opts = append(cfg.Opts, dex.WithTrace(trace))
+	rec := dex.NewFaultRecorder()
+	cfg.Opts = append(cfg.Opts, dex.WithObserver(rec))
 	res, err := app.Run(cfg)
 	if err != nil {
 		return err
 	}
+	trace := dex.ProfileOf(rec)
 	fmt.Printf("%s %s on %d nodes: %v\n\n", res.App, res.Variant, res.Nodes, res.Elapsed)
 	trace.Report(os.Stdout, *top)
 	if *affinity {

@@ -100,12 +100,20 @@ var (
 	ErrBadNode    = core.ErrBadNode
 )
 
-// NewTrace returns an empty page-fault trace to pass to WithTrace.
-func NewTrace() *Trace { return profile.NewTrace() }
-
 // NewRecorder returns an empty observability recorder to pass to
 // WithObserver.
 func NewRecorder() *Recorder { return obs.NewRecorder() }
+
+// NewFaultRecorder returns a recorder for WithObserver that keeps only what
+// ProfileOf reads — one span per page fault and invalidation — and takes no
+// gauge samples: the cheap way to profile a long run whose trace nobody
+// will open.
+func NewFaultRecorder() *Recorder { return obs.NewFaultRecorder() }
+
+// ProfileOf returns the page-fault profile of the run rec observed. A
+// profile is a pure function of a recorder: call it once the run is over, on
+// a full recorder or a fault recorder alike.
+func ProfileOf(rec *Recorder) *Trace { return profile.FromRecorder(rec) }
 
 // Option configures a Cluster.
 type Option interface {
@@ -138,21 +146,13 @@ func WithSeed(seed int64) Option {
 // core count — n trades wall-clock time only, never results. The scheduler is
 // the same at every n: at n <= 1 (the default) the lanes of a window run one
 // after the other on one goroutine. The observability recorder
-// (WithObserver) is lane-sharded and runs in parallel, and the
-// distributed-manager protocol serves its directory shards on parallel
-// lanes; clusters using the page-fault profiler (WithTrace) or the
-// home-migrate protocol serialize their lanes — every window runs in global
-// event order — at any n.
+// (WithObserver), and so the page-fault profile read from it, is lane-sharded
+// and runs in parallel, and the distributed-manager protocol serves its
+// directory shards on parallel lanes; clusters using the home-migrate
+// protocol serialize their lanes — every window runs in global event order —
+// at any n.
 func WithCores(n int) Option {
 	return optionFunc(func(p *core.Params) { p.Cores = n })
-}
-
-// WithTrace attaches a page-fault profiler to the cluster. It composes with
-// any hook already installed (and with WithObserver's recorder), so the
-// profiler and the observability layer share the single fault-event stream
-// instead of competing for the hook slot.
-func WithTrace(tr *Trace) Option {
-	return optionFunc(func(p *core.Params) { p.Hook = dsm.Fanout(p.Hook, tr.Hook()) })
 }
 
 // WithObserver attaches an observability recorder to the cluster: every
@@ -274,9 +274,9 @@ func WithRawParams(params core.Params) Option {
 // ParamsFingerprint returns a stable digest of the fully resolved cluster
 // parameters for a node count and option set. Two configurations with equal
 // fingerprints build identical clusters, so experiment harnesses can use the
-// fingerprint to key memoized simulation cells. Options carrying process
-// state (e.g. WithTrace) embed the hook's identity, which keeps traced
-// configurations from ever sharing a cell.
+// fingerprint to key memoized simulation cells. WithObserver embeds the
+// recorder's identity, which keeps observed configurations from ever sharing
+// a cell.
 func ParamsFingerprint(nodes int, opts ...Option) string {
 	params := core.DefaultParams(nodes)
 	for _, o := range opts {

@@ -68,8 +68,8 @@ func TestOptions(t *testing.T) {
 }
 
 func TestTraceIntegration(t *testing.T) {
-	tr := NewTrace()
-	cluster := NewCluster(2, WithTrace(tr))
+	rec := NewFaultRecorder()
+	cluster := NewCluster(2, WithObserver(rec))
 	p := cluster.Start(func(th *Thread) error {
 		addr, err := th.Mmap(PageSize, ProtRead|ProtWrite, "hot-object")
 		if err != nil {
@@ -92,6 +92,7 @@ func TestTraceIntegration(t *testing.T) {
 	if err := cluster.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	tr := ProfileOf(rec)
 	LabelTrace(tr, p)
 	if tr.Len() == 0 {
 		t.Fatal("no events traced")

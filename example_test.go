@@ -90,11 +90,12 @@ func ExampleMutex() {
 	// Output: protected value: 7
 }
 
-// ExampleTrace shows the §IV profiling workflow: run under a trace, then
-// ask which program objects caused the most consistency faults.
+// ExampleTrace shows the §IV profiling workflow: run under a recorder, take
+// the run's profile from it, then ask which program objects caused the most
+// consistency faults.
 func ExampleTrace() {
-	trace := dex.NewTrace()
-	cluster := dex.NewCluster(2, dex.WithTrace(trace))
+	rec := dex.NewFaultRecorder()
+	cluster := dex.NewCluster(2, dex.WithObserver(rec))
 	p := cluster.Start(func(t *dex.Thread) error {
 		hot, err := t.Mmap(dex.PageSize, dex.ProtRead|dex.ProtWrite, "hot-object")
 		if err != nil {
@@ -114,6 +115,7 @@ func ExampleTrace() {
 	if err := cluster.Wait(); err != nil {
 		log.Fatal(err)
 	}
+	trace := dex.ProfileOf(rec)
 	dex.LabelTrace(trace, p)
 	top := trace.TopRegions(1)
 	fmt.Println("hottest object:", top[0].Key)

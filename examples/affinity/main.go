@@ -24,14 +24,11 @@ const (
 	rounds    = 6
 )
 
-// phase runs producers and consumers for `rounds` rounds. placement maps
-// consumer i to its node; the returned duration covers the steady rounds.
-func phase(trace *dex.Trace, placement [nodes]int) (time.Duration, dex.Report, error) {
-	opts := []dex.Option{dex.WithSeed(7)}
-	if trace != nil {
-		opts = append(opts, dex.WithTrace(trace))
-	}
-	cluster := dex.NewCluster(nodes, opts...)
+// phase runs producers and consumers for `rounds` rounds, observed by rec
+// (nil: unobserved). placement maps consumer i to its node; the returned
+// duration covers the steady rounds.
+func phase(rec *dex.Recorder, placement [nodes]int) (time.Duration, dex.Report, error) {
+	cluster := dex.NewCluster(nodes, dex.WithSeed(7), dex.WithObserver(rec))
 	var span time.Duration
 	report, err := cluster.Run(func(t *dex.Thread) error {
 		// One data region per node, page aligned.
@@ -136,15 +133,15 @@ func main() {
 	for i := range misplaced {
 		misplaced[i] = (i + 1) % nodes
 	}
-	trace := dex.NewTrace()
-	before, repBefore, err := phase(trace, misplaced)
+	rec := dex.NewFaultRecorder()
+	before, repBefore, err := phase(rec, misplaced)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("misplaced consumers: %v per run, %d read faults\n", before, repBefore.DSM.ReadFaults)
 
 	// The affinity analysis reads the trace and recommends placements.
-	suggestions := trace.AffinitySuggestions(4)
+	suggestions := dex.ProfileOf(rec).AffinitySuggestions(4)
 	fmt.Println("affinity suggestions (move thread to its data's producer):")
 	var fixed [nodes]int
 	copy(fixed[:], misplaced[:])

@@ -27,8 +27,8 @@ const (
 )
 
 func run(aligned bool) (*dex.Trace, dex.Report, error) {
-	trace := dex.NewTrace()
-	cluster := dex.NewCluster(nodes, dex.WithTrace(trace))
+	rec := dex.NewRecorder()
+	cluster := dex.NewCluster(nodes, dex.WithObserver(rec))
 	var proc *dex.Process
 	p := cluster.Start(func(t *dex.Thread) error {
 		label := "counters-packed"
@@ -74,6 +74,7 @@ func run(aligned bool) (*dex.Trace, dex.Report, error) {
 	if err := cluster.Wait(); err != nil {
 		return nil, dex.Report{}, err
 	}
+	trace := dex.ProfileOf(rec)
 	dex.LabelTrace(trace, proc)
 	return trace, proc.Report(), nil
 }

@@ -96,7 +96,7 @@ type Config struct {
 	// from the checkpoint instead of failing the run. A no-op without a
 	// chaos plan.
 	Restart bool
-	// Opts are extra cluster options (e.g. dex.WithTrace for profiling).
+	// Opts are extra cluster options (e.g. dex.WithObserver for profiling).
 	Opts []dex.Option
 }
 

@@ -192,15 +192,15 @@ func TestNodeOfBalanced(t *testing.T) {
 	}
 }
 
-func TestAppsWithTraceOption(t *testing.T) {
-	tr := dex.NewTrace()
+func TestAppsProfileThroughOpts(t *testing.T) {
+	rec := dex.NewFaultRecorder()
 	app, _ := ByName("grp")
 	res, err := app.Run(Config{Nodes: 2, Variant: Initial,
-		Opts: []dex.Option{dex.WithTrace(tr)}})
+		Opts: []dex.Option{dex.WithObserver(rec)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() == 0 {
+	if dex.ProfileOf(rec).Len() == 0 {
 		t.Fatal("trace empty")
 	}
 	if res.Report.DSM.Faults() == 0 {

@@ -15,13 +15,13 @@ func TestProbe(t *testing.T) {
 		t.Skip("set DEX_PROBE=<app>")
 	}
 	app, _ := ByName(name)
-	tr := dex.NewTrace()
+	rec := dex.NewFaultRecorder()
 	res, err := app.Run(Config{Nodes: 8, Variant: Optimized, Size: SizeFull,
-		Opts: []dex.Option{dex.WithTrace(tr)}})
+		Opts: []dex.Option{dex.WithObserver(rec)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	tr.Report(&sb, 12)
+	dex.ProfileOf(rec).Report(&sb, 12)
 	t.Logf("elapsed=%v migrations=%d delegations=%d\n%s", res.Elapsed, res.Report.Migrations, res.Report.Delegations, sb.String())
 }

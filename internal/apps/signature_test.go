@@ -15,14 +15,14 @@ import (
 
 func traceOf(t *testing.T, name string, v Variant, nodes int) (*profile.Trace, Result) {
 	t.Helper()
-	tr := dex.NewTrace()
+	rec := dex.NewFaultRecorder()
 	app, _ := ByName(name)
 	res, err := app.Run(Config{Nodes: nodes, Variant: v,
-		Opts: []dex.Option{dex.WithTrace(tr)}})
+		Opts: []dex.Option{dex.WithObserver(rec)}})
 	if err != nil {
 		t.Fatalf("%s %v: %v", name, v, err)
 	}
-	return tr, res
+	return dex.ProfileOf(rec), res
 }
 
 // siteEvents sums read+write events attributed to a profiling site.
@@ -142,12 +142,7 @@ func TestFTSignatureAllToAll(t *testing.T) {
 }
 
 func TestProfilerLabelsResolveAppRegions(t *testing.T) {
-	tr := dex.NewTrace()
-	app, _ := ByName("kmn")
-	cfg := Config{Nodes: 2, Variant: Initial, Opts: []dex.Option{dex.WithTrace(tr)}}
-	if _, err := app.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	tr, _ := traceOf(t, "kmn", Initial, 2)
 	// Labels resolve through a synthetic labeler covering the app's known
 	// region names (the cluster is gone, so attach our own resolver).
 	tr.SetLabeler(func(a mem.Addr) string { return "region" })

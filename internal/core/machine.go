@@ -77,10 +77,10 @@ type Params struct {
 	// The conservative-parallel scheduler executes each link-latency
 	// lookahead window lane by lane; at 1 (the default) the lanes of a window
 	// run one after the other, at >1 concurrently. Reports are byte-identical
-	// at any value. Features whose bookkeeping crosses node lanes in event
-	// context (Hook, the HomeMigrate protocol) serialize the lanes — every
-	// window runs in global event order — at any setting; the observability
-	// recorder is lane-sharded and does not.
+	// at any value. The HomeMigrate protocol, whose bookkeeping crosses node
+	// lanes in event context, serializes the lanes — every window runs in
+	// global event order — at any setting; the observability recorder (and so
+	// the page-fault profile read from it) is lane-sharded and does not.
 	Cores int
 	// MemBandwidth is the per-node memory-bus bandwidth in bytes/second
 	// shared by all cores of a node; it is what saturates first for
@@ -105,9 +105,6 @@ type Params struct {
 	DSM       dsm.Params
 	Migration MigrationCosts
 
-	// Hook receives DSM fault events (the page-fault profiler attaches
-	// here).
-	Hook dsm.Hook
 	// Obs, when non-nil, records spans, histograms, and gauge samples for
 	// the whole cluster (fabric messages, DSM protocol phases, thread
 	// migrations, recovery lifecycle). The recorder adds pure bookkeeping
@@ -186,16 +183,15 @@ func NewMachine(params Params) *Machine {
 	// per-node lane views at construction.
 	eng.ConfigureLanes(params.Nodes, params.Cores)
 	eng.SetLookahead(params.Fabric.LinkLatency)
-	// Serialization clamps. User fault hooks observe events from whichever
-	// lane triggers them with no sharding discipline, and HomeMigrate serves
-	// page requests (mutating entries of the shared directory tree) at
-	// arbitrary nodes; both need every window in global event order, so their
-	// lanes are not independent. The observability recorder is lane-sharded
-	// (each lane appends only to its own buffer, merged deterministically at
-	// export) and does not clamp. DistributedManager does not either: its
-	// directory is sharded into per-node tables that only their own lane (or
-	// the quiescent global lane) mutates, so shards serve independently.
-	if params.Hook != nil || params.DSM.Protocol == dsm.HomeMigrate {
+	// The serialization clamp. HomeMigrate serves page requests (mutating
+	// entries of the shared directory tree) at arbitrary nodes; it needs
+	// every window in global event order, so its lanes are not independent.
+	// The observability recorder is lane-sharded (each lane appends only to
+	// its own buffer, merged deterministically at export) and does not clamp.
+	// DistributedManager does not either: its directory is sharded into
+	// per-node tables that only their own lane (or the quiescent global lane)
+	// mutates, so shards serve independently.
+	if params.DSM.Protocol == dsm.HomeMigrate {
 		eng.SerializeLanes()
 	}
 	m := &Machine{

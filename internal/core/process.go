@@ -98,9 +98,7 @@ func (m *Machine) NewProcess(origin int, main func(*Thread) error) *Process {
 		workers:  make(map[int]*remoteWorker),
 		vmaCache: make(map[int]*mem.VMASet),
 	}
-	hook := dsm.Fanout(dsm.ObsFaultHook(m.params.Obs), m.params.Hook)
-	p.mgr = dsm.New(m.eng, m.net, m.params.DSM, pid, origin, m.params.Nodes, hook)
-	p.mgr.SetRecorder(m.params.Obs)
+	p.mgr = dsm.New(m.eng, m.net, m.params.DSM, pid, origin, m.params.Nodes, m.params.Obs)
 	m.procs = append(m.procs, p)
 	p.startedAt = m.eng.Now()
 	if m.params.Obs != nil {

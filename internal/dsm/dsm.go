@@ -106,8 +106,6 @@ type Params struct {
 	// AlwaysSendData disables ownership-only grants (ablation A4): page
 	// data is resent even when the requester's copy is fresh.
 	AlwaysSendData bool
-	// RecordLatency keeps a per-fault latency sample (for §V-D analysis).
-	RecordLatency bool
 }
 
 // DefaultParams returns the software-cost model calibrated so that an
@@ -140,9 +138,6 @@ type FaultEvent struct {
 	Latency time.Duration
 	Retries int
 }
-
-// Hook receives fault events as they complete.
-type Hook func(FaultEvent)
 
 // Ctx identifies the faulting context for accounting and profiling.
 type Ctx struct {
@@ -259,10 +254,6 @@ type nodeState struct {
 	// sweepBudget counts down dedup admissions on this node's lane; when it
 	// hits zero a global watermark sweep is scheduled (engine.admitted).
 	sweepBudget int
-	// latencies holds this node's per-fault latency samples (when
-	// Params.RecordLatency is set). Kept per node so requester lanes append
-	// without synchronization; Latencies() concatenates in node order.
-	latencies []time.Duration
 
 	// fwd is this node's route table: where it believes each page's home is
 	// (absent means the page's anchor; nil where authority never migrates).
@@ -345,7 +336,6 @@ type Manager struct {
 	origin int
 	nodes  []*nodeState
 	dir    directory
-	hook   Hook
 	stats  dsmStats
 
 	// views caches one lane view of the engine per node (plus the root
@@ -378,7 +368,7 @@ type Manager struct {
 	chaos *chaos.Injector
 
 	// rec is the observability recorder; nil (the default) disables every
-	// interior span with a single branch, like the hook.
+	// span, fault-level (obs.go) and interior, with a single branch.
 	rec *obs.Recorder
 	// inflight counts lead faults currently inside the protocol; the
 	// sampler exposes it as a gauge. Faults enter from any node lane.
@@ -399,8 +389,8 @@ type revokeWaiter struct {
 }
 
 // New creates a protocol manager for process pid whose origin is the given
-// node. hook may be nil.
-func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes int, hook Hook) *Manager {
+// node. rec may be nil.
+func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes int, rec *obs.Recorder) *Manager {
 	if nodes > 64 {
 		panic("dsm: at most 64 nodes (ownership bitmask)")
 	}
@@ -413,7 +403,7 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		params: params,
 		pid:    pid,
 		origin: origin,
-		hook:   hook,
+		rec:    rec,
 		chaos:  net.Chaos(),
 		nodes:  make([]*nodeState, nodes),
 		views:  make([]*sim.Engine, nodes),
@@ -444,11 +434,6 @@ func (m *Manager) view(node int) *sim.Engine { return m.views[node] }
 
 // pool returns node's frame free list.
 func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }
-
-// SetRecorder attaches the observability recorder for interior protocol
-// spans (ownership requests, PTE installs, revocations). The fault-level
-// span and histograms ride the hook (ObsFaultHook).
-func (m *Manager) SetRecorder(rec *obs.Recorder) { m.rec = rec }
 
 // InFlightFaults returns the number of lead faults currently being handled
 // across all nodes (the sampler's in-flight gauge).
@@ -487,26 +472,6 @@ func (m *Manager) Stats() Stats {
 		DirRebuilt:      m.stats.dirRebuilt.Load(),
 		TotalLatency:    time.Duration(m.stats.totalLatency.Load()),
 	}
-}
-
-// Latencies returns a copy of the recorded per-fault latencies (empty
-// unless Params.RecordLatency is set), concatenated in node order. Callers
-// get their own slice: the manager keeps appending to its per-node ones as
-// faults complete, and handing those out by reference would let callers
-// corrupt the accounting.
-func (m *Manager) Latencies() []time.Duration {
-	n := 0
-	for _, ns := range m.nodes {
-		n += len(ns.latencies)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]time.Duration, 0, n)
-	for _, ns := range m.nodes {
-		out = append(out, ns.latencies...)
-	}
-	return out
 }
 
 // PageTable exposes a node's page table (used by the execution layer for
@@ -615,35 +580,16 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 }
 
 func (m *Manager) recordFault(ctx Ctx, addr mem.Addr, write bool, latency time.Duration, retries int) {
+	kind := KindRead
 	if write {
+		kind = KindWrite
 		m.stats.writeFaults.Add(1)
 	} else {
 		m.stats.readFaults.Add(1)
 	}
 	m.stats.totalLatency.Add(int64(latency))
-	if m.params.RecordLatency {
-		ns := m.nodes[ctx.Node]
-		ns.latencies = append(ns.latencies, latency)
-	}
-	if m.hook != nil {
-		kind := KindRead
-		if write {
-			kind = KindWrite
-		}
-		// The faulting node's lane clock, not the root engine's: during a
-		// parallel window the root view reads the stale committed clock, and
-		// the hook's span timestamps must not depend on the core count.
-		m.hook(FaultEvent{
-			Time:    m.view(ctx.Node).Now(),
-			Node:    ctx.Node,
-			Task:    ctx.Task,
-			Kind:    kind,
-			Site:    ctx.Site,
-			Addr:    addr,
-			Latency: latency,
-			Retries: retries,
-		})
-	}
+	m.emitFault(FaultEvent{Node: ctx.Node, Task: ctx.Task, Kind: kind, Site: ctx.Site,
+		Addr: addr, Latency: latency, Retries: retries})
 }
 
 // backoff sleeps t before retrying a NACKed request. node is the faulting
@@ -762,19 +708,5 @@ func (m *Manager) DropDirectoryRange(t *sim.Task, lo, hi uint64) error {
 			return fmt.Errorf("dsm: munmap races with a persistent transaction on vpn %#x", busyVPN)
 		}
 		t.Sleep(20 * time.Microsecond)
-	}
-}
-
-func (m *Manager) emitInvalidate(node int, vpn uint64) {
-	if m.hook != nil {
-		// Invalidations are applied on node's lane; stamp with its lane clock
-		// so the event time is identical at any core count.
-		m.hook(FaultEvent{
-			Time: m.view(node).Now(),
-			Node: node,
-			Task: -1,
-			Kind: KindInvalidate,
-			Addr: mem.Addr(vpn << mem.PageShift),
-		})
 	}
 }

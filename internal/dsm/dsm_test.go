@@ -6,6 +6,7 @@ import (
 
 	"dex/internal/fabric"
 	"dex/internal/mem"
+	"dex/internal/obs"
 	"dex/internal/sim"
 )
 
@@ -15,16 +16,17 @@ type env struct {
 	m   *Manager
 }
 
-func newEnv(t *testing.T, nodes int, params Params, hook Hook) *env {
+func newEnv(t *testing.T, nodes int, params Params, rec *obs.Recorder) *env {
 	t.Helper()
-	return newEnvSeed(t, nodes, params, hook, 1)
+	return newEnvSeed(t, nodes, params, rec, 1)
 }
 
-func newEnvSeed(t *testing.T, nodes int, params Params, hook Hook, seed int64) *env {
+func newEnvSeed(t *testing.T, nodes int, params Params, rec *obs.Recorder, seed int64) *env {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	net := fabric.New(eng, fabric.DefaultParams(nodes))
-	m := New(eng, net, params, 1, 0, nodes, hook)
+	rec.SetClock(eng.Now)
+	m := New(eng, net, params, 1, 0, nodes, rec)
 	for i := 0; i < nodes; i++ {
 		node := i
 		net.SetHandler(node, func(src int, msg fabric.Message) {
@@ -34,6 +36,17 @@ func newEnvSeed(t *testing.T, nodes int, params Params, hook Hook, seed int64) *
 		})
 	}
 	return &env{eng: eng, net: net, m: m}
+}
+
+// faultEvents decodes the fault-level spans rec holds, in merged order.
+func faultEvents(rec *obs.Recorder) []FaultEvent {
+	var evs []FaultEvent
+	for _, s := range rec.Spans() {
+		if ev, ok := FaultFromSpan(s); ok {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
 }
 
 func (e *env) run(t *testing.T) {
@@ -298,9 +311,8 @@ func TestCoalescingDisabledAblation(t *testing.T) {
 }
 
 func TestWritePingPongProducesRetriesAndBimodalLatency(t *testing.T) {
-	p := DefaultParams()
-	p.RecordLatency = true
-	e := newEnv(t, 2, p, nil)
+	rec := obs.NewFaultRecorder()
+	e := newEnv(t, 2, DefaultParams(), rec)
 	const iters = 120
 	for n := 0; n < 2; n++ {
 		node := n
@@ -320,8 +332,11 @@ func TestWritePingPongProducesRetriesAndBimodalLatency(t *testing.T) {
 		t.Fatalf("expected NACK retries under ping-pong, stats = %+v", st)
 	}
 	var fast, slow int
-	for _, l := range e.m.Latencies() {
-		if l < 40*time.Microsecond {
+	for _, ev := range faultEvents(rec) {
+		if ev.Kind == KindInvalidate {
+			continue
+		}
+		if ev.Latency < 40*time.Microsecond {
 			fast++
 		} else {
 			slow++
@@ -333,8 +348,8 @@ func TestWritePingPongProducesRetriesAndBimodalLatency(t *testing.T) {
 }
 
 func TestProfilerHookReceivesEvents(t *testing.T) {
-	var events []FaultEvent
-	e := newEnv(t, 2, DefaultParams(), func(ev FaultEvent) { events = append(events, ev) })
+	rec := obs.NewRecorder()
+	e := newEnv(t, 2, DefaultParams(), rec)
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		pte := e.m.EnsurePage(tk, Ctx{Node: 0, Task: 3, Site: "init"}, testAddr, true)
 		pte.Frame[0] = 1
@@ -345,7 +360,7 @@ func TestProfilerHookReceivesEvents(t *testing.T) {
 	})
 	e.run(t)
 	var reads, writes, invals int
-	for _, ev := range events {
+	for _, ev := range faultEvents(rec) {
 		switch ev.Kind {
 		case KindRead:
 			reads++

@@ -1,59 +1,70 @@
 package dsm
 
 import (
+	"strconv"
+
+	"dex/internal/mem"
 	"dex/internal/obs"
 )
 
-// Fanout composes hooks into one: the returned hook dispatches each fault
-// event to every non-nil hook in order. It lets the page-fault profiler and
-// the observability recorder share a single Hook install instead of
-// competing for the slot. Zero or one usable hooks collapse to nil or the
-// hook itself, so the common cases add no indirection.
-func Fanout(hooks ...Hook) Hook {
-	var live []Hook
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
+// The fault-level spans are the one record of a consistency event (the
+// paper's trace tuple, §IV-A). emitFault is their only writer, FaultFromSpan
+// their only reader, and nothing else knows the layout.
+
+var faultKinds = map[string]Kind{obs.FaultRead: KindRead, obs.FaultWrite: KindWrite, obs.Invalidate: KindInvalidate}
+
+// emitFault records ev as completing now at ev.Node: on that node's shard
+// and by that lane's clock — the root engine's is stale inside a parallel
+// window — so the record is the same at any core count. A fault is a span
+// from trap entry to PTE install plus a latency observation under the same
+// name; an invalidation is an instant.
+func (m *Manager) emitFault(ev FaultEvent) {
+	if m.rec == nil {
+		return
 	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
+	lr := m.rec.OnLane(ev.Node)
+	addr := obs.Hex("addr", uint64(ev.Addr))
+	if ev.Kind == KindInvalidate {
+		lr.SpanAt("dsm", obs.Invalidate, ev.Node, ev.Task, lr.Now(), 0, addr)
+		return
 	}
-	return func(ev FaultEvent) {
-		for _, h := range live {
-			h(ev)
-		}
+	name := obs.FaultRead
+	if ev.Kind == KindWrite {
+		name = obs.FaultWrite
 	}
+	lr.SpanAt("dsm", name, ev.Node, ev.Task, lr.Now()-ev.Latency, ev.Latency,
+		addr, obs.Int("retries", int64(ev.Retries)), obs.String("site", ev.Site))
+	lr.Observe(name, ev.Latency)
 }
 
-// ObsFaultHook adapts the protocol's fault-event stream to the recorder:
-// each completed lead fault becomes a span covering trap entry to PTE
-// install plus a latency observation in the per-kind histogram, and each
-// invalidation becomes an instant marker. Returns nil for a nil recorder,
-// which Fanout then elides.
-func ObsFaultHook(r *obs.Recorder) Hook {
-	if r == nil {
-		return nil
+// emitInvalidate records an invalidation applied at node.
+func (m *Manager) emitInvalidate(node int, vpn uint64) {
+	m.emitFault(FaultEvent{Node: node, Task: -1, Kind: KindInvalidate, Addr: mem.Addr(vpn << mem.PageShift)})
+}
+
+// FaultFromSpan decodes a fault-level span back into the event emitFault
+// was given, Time being when it completed; ok is false for any other span.
+func FaultFromSpan(s obs.Span) (ev FaultEvent, ok bool) {
+	kind, ok := faultKinds[s.Name]
+	if !ok || s.Cat != "dsm" {
+		return FaultEvent{}, false
 	}
-	return func(ev FaultEvent) {
-		// Fault events fire on the lane of the node they happen at; record
-		// through that lane's shard so the hook stays race-free under the
-		// parallel scheduler.
-		lr := r.OnLane(ev.Node)
-		switch ev.Kind {
-		case KindRead, KindWrite:
-			name := "fault." + ev.Kind.String()
-			lr.SpanAt("dsm", name, ev.Node, ev.Task, ev.Time-ev.Latency, ev.Latency,
-				obs.Hex("addr", uint64(ev.Addr)),
-				obs.Int("retries", int64(ev.Retries)),
-				obs.String("site", ev.Site))
-			lr.Observe(name, ev.Latency)
-		case KindInvalidate:
-			lr.SpanAt("dsm", "invalidate", ev.Node, -1, ev.Time, 0,
-				obs.Hex("addr", uint64(ev.Addr)))
+	ev = FaultEvent{Time: s.End(), Node: s.Node, Task: s.Task, Kind: kind, Latency: s.Dur}
+	for _, a := range s.Args {
+		var err error
+		switch a.Key {
+		case "addr":
+			var v uint64
+			v, err = strconv.ParseUint(a.Val, 0, 64)
+			ev.Addr = mem.Addr(v)
+		case "retries":
+			ev.Retries, err = strconv.Atoi(a.Val)
+		case "site":
+			ev.Site = a.Val
+		}
+		if err != nil {
+			return FaultEvent{}, false
 		}
 	}
+	return ev, true
 }

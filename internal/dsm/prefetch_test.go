@@ -163,15 +163,12 @@ func TestDropDirectoryRange(t *testing.T) {
 }
 
 func TestLatencyRecordingOff(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil) // RecordLatency false
+	e := newEnv(t, 2, DefaultParams(), nil) // no recorder: no per-fault record
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 1)
 		_ = e.read(tk, 1, testAddr)
 	})
 	e.run(t)
-	if len(e.m.Latencies()) != 0 {
-		t.Fatalf("latencies recorded while disabled: %d", len(e.m.Latencies()))
-	}
 	if e.m.Stats().TotalLatency == 0 {
 		t.Fatal("TotalLatency not aggregated")
 	}

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"dex/internal/chaos"
 	"dex/internal/fabric"
 	"dex/internal/mem"
+	"dex/internal/obs"
 	"dex/internal/sim"
 )
 
@@ -194,28 +196,27 @@ func TestHomeMigrateAcceptsChaos(t *testing.T) {
 	}
 }
 
-// TestLatenciesReturnsCopy: the recorded-latency slice handed to callers
-// must be a snapshot — mutating it or appending to it must not corrupt (or
-// observe) the manager's internal accounting.
+// TestLatenciesReturnsCopy: the per-fault latencies are read out of the
+// recorder's spans, and what it hands to callers must be a snapshot —
+// mutating it must not corrupt (or observe) the record.
 func TestLatenciesReturnsCopy(t *testing.T) {
-	p := DefaultParams()
-	p.RecordLatency = true
-	e := newEnv(t, 2, p, nil)
+	rec := obs.NewFaultRecorder()
+	e := newEnv(t, 2, DefaultParams(), rec)
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		e.write(tk, 0, testAddr, 1)
 		_ = e.read(tk, 1, testAddr)
 		e.write(tk, 1, testAddr, 2)
 	})
 	e.run(t)
-	got := e.m.Latencies()
+	got := rec.Spans()
 	if len(got) == 0 {
-		t.Fatal("no latencies recorded")
+		t.Fatal("no fault spans recorded")
 	}
-	got[0] = -1
-	if again := e.m.Latencies(); again[0] == -1 {
-		t.Fatal("Latencies returned the internal slice, not a copy")
+	want := faultEvents(rec)
+	for i := range got {
+		got[i].Dur = -1
 	}
-	if e.m.Latencies() == nil {
-		t.Fatal("second call lost the samples")
+	if again := faultEvents(rec); !reflect.DeepEqual(again, want) {
+		t.Fatalf("Spans returned the recorder's own storage, not a copy:\n got %+v\nwant %+v", again, want)
 	}
 }

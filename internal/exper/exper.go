@@ -19,8 +19,10 @@ import (
 	"dex"
 	"dex/internal/apps"
 	"dex/internal/core"
+	"dex/internal/dsm"
 	"dex/internal/fabric"
 	"dex/internal/mem"
+	"dex/internal/obs"
 	"dex/internal/sim"
 )
 
@@ -383,13 +385,13 @@ func Figure3(r *Runner, _ apps.Size) Table {
 
 // faultPingPong runs the §V-D page-fault microbenchmark machine: two
 // threads on different nodes continually update one global variable. It
-// returns the recorded per-fault protocol latencies.
+// returns the per-fault protocol latencies, read from a fault recorder.
 func faultPingPong() []time.Duration {
 	params := core.DefaultParams(2)
-	params.DSM.RecordLatency = true
+	params.Obs = obs.NewFaultRecorder()
 	m := core.NewMachine(params)
 	const iters = 20000
-	p := m.NewProcess(0, func(th *core.Thread) error {
+	m.NewProcess(0, func(th *core.Thread) error {
 		addr, err := th.Mmap(mem.PageSize, mem.ProtRead|mem.ProtWrite, "global")
 		if err != nil {
 			return err
@@ -448,7 +450,13 @@ func faultPingPong() []time.Duration {
 	if err := m.Run(); err != nil {
 		panic(fmt.Sprintf("exper: fault microbenchmark failed: %v", err))
 	}
-	return p.Manager().Latencies()
+	var lat []time.Duration
+	for _, s := range params.Obs.Spans() {
+		if ev, ok := dsm.FaultFromSpan(s); ok && ev.Kind != dsm.KindInvalidate {
+			lat = append(lat, ev.Latency)
+		}
+	}
+	return lat
 }
 
 // FaultHandling reproduces the §V-D page-fault microbenchmark: two threads

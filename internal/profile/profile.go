@@ -1,7 +1,8 @@
 // Package profile implements DeX's page-fault profiling tool (§IV-A of the
-// paper). It records a trace of every page fault the memory consistency
-// protocol handles — time, node, task, fault type, program site, faulting
-// address — and post-processes it into the analyses the paper describes:
+// paper). It reads the trace of every page fault the memory consistency
+// protocol handled — time, node, task, fault type, program site, faulting
+// address — out of the run's observability recorder and post-processes it
+// into the analyses the paper describes:
 // the program objects and source locations causing the most faults, fault
 // frequency over time, per-thread access patterns, and per-page contention.
 package profile
@@ -14,40 +15,27 @@ import (
 
 	"dex/internal/dsm"
 	"dex/internal/mem"
+	"dex/internal/obs"
 )
 
-// Trace accumulates fault events from a run.
+// Trace is the page-fault profile of one run: its fault events, in the
+// recorder's merged order, and the analyses over them.
 type Trace struct {
 	events  []dsm.FaultEvent
 	labeler func(mem.Addr) string
-	cap     int
-	dropped uint64
 }
 
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{} }
-
-// SetCap bounds the trace to at most n events; once full, further events
-// are counted in Dropped instead of retained. n <= 0 means unbounded (the
-// default). Long-running simulations produce millions of fault events, and
-// an unbounded trace is the process's largest allocation — the cap keeps
-// the profiler usable as an always-on sampler of the run's prefix.
-func (tr *Trace) SetCap(n int) { tr.cap = n }
-
-// Dropped reports how many events were discarded because the trace was at
-// its cap.
-func (tr *Trace) Dropped() uint64 { return tr.dropped }
-
-// Hook returns the dsm.Hook that records into this trace; install it as the
-// cluster's fault hook.
-func (tr *Trace) Hook() dsm.Hook {
-	return func(ev dsm.FaultEvent) {
-		if tr.cap > 0 && len(tr.events) >= tr.cap {
-			tr.dropped++
-			return
+// FromRecorder decodes the fault-level spans rec holds into a trace. Call it
+// once the run is over; a full recorder and a fault recorder
+// (obs.NewFaultRecorder) of the same run give the same trace.
+func FromRecorder(rec *obs.Recorder) *Trace {
+	tr := &Trace{}
+	for _, s := range rec.Spans() {
+		if ev, ok := dsm.FaultFromSpan(s); ok {
+			tr.events = append(tr.events, ev)
 		}
-		tr.events = append(tr.events, ev)
 	}
+	return tr
 }
 
 // SetLabeler installs a function resolving addresses to program-object

@@ -9,27 +9,30 @@ import (
 	"dex/internal/mem"
 )
 
+// add appends literal events to the trace, the way FromRecorder appends
+// decoded ones.
+func (tr *Trace) add(ev dsm.FaultEvent) { tr.events = append(tr.events, ev) }
+
 func mkTrace() *Trace {
-	tr := NewTrace()
-	hook := tr.Hook()
+	tr := &Trace{}
 	page := func(p int) mem.Addr { return mem.Addr(0x40000000 + p*mem.PageSize) }
 	// Page 0: heavy cross-node write contention; page 1: read-mostly from
 	// one node; page 2: single invalidation.
 	for i := 0; i < 10; i++ {
-		hook(dsm.FaultEvent{
+		tr.add(dsm.FaultEvent{
 			Time: time.Duration(i) * time.Millisecond, Node: i % 2, Task: i % 3,
 			Kind: dsm.KindWrite, Site: "kmeans/update", Addr: page(0) + 8,
 			Latency: 100 * time.Microsecond, Retries: 1,
 		})
 	}
 	for i := 0; i < 4; i++ {
-		hook(dsm.FaultEvent{
+		tr.add(dsm.FaultEvent{
 			Time: time.Duration(i) * time.Millisecond, Node: 1, Task: 5,
 			Kind: dsm.KindRead, Site: "kmeans/scan", Addr: page(1) + 16,
 			Latency: 19 * time.Microsecond,
 		})
 	}
-	hook(dsm.FaultEvent{Time: 2 * time.Millisecond, Node: 0, Task: -1, Kind: dsm.KindInvalidate, Addr: page(2)})
+	tr.add(dsm.FaultEvent{Time: 2 * time.Millisecond, Node: 0, Task: -1, Kind: dsm.KindInvalidate, Addr: page(2)})
 	tr.SetLabeler(func(a mem.Addr) string {
 		switch a.PageBase() {
 		case page(0):
@@ -160,7 +163,7 @@ func TestReportRenders(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	tr := NewTrace()
+	tr := &Trace{}
 	if tr.Len() != 0 || tr.Summarize().Total != 0 {
 		t.Fatal("empty trace not empty")
 	}
@@ -172,19 +175,18 @@ func TestEmptyTrace(t *testing.T) {
 }
 
 func TestAffinitySuggestions(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	tr := &Trace{}
 	page := func(p int) mem.Addr { return mem.Addr(0x50000000 + p*mem.PageSize) }
 	// Node 2 produces pages 0-3; task 9 on node 0 keeps reading them.
 	for p := 0; p < 4; p++ {
-		hook(dsm.FaultEvent{Node: 2, Task: 1, Kind: dsm.KindWrite, Addr: page(p)})
+		tr.add(dsm.FaultEvent{Node: 2, Task: 1, Kind: dsm.KindWrite, Addr: page(p)})
 		for i := 0; i < 5; i++ {
-			hook(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindRead, Addr: page(p) + 8})
+			tr.add(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindRead, Addr: page(p) + 8})
 		}
 	}
 	// Task 9 also reads one page produced locally (must not count).
-	hook(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindWrite, Addr: page(9)})
-	hook(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindRead, Addr: page(9)})
+	tr.add(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindWrite, Addr: page(9)})
+	tr.add(dsm.FaultEvent{Node: 0, Task: 9, Kind: dsm.KindRead, Addr: page(9)})
 	sug := tr.AffinitySuggestions(1)
 	if len(sug) != 1 {
 		t.Fatalf("suggestions = %+v", sug)
@@ -199,11 +201,10 @@ func TestAffinitySuggestions(t *testing.T) {
 }
 
 func TestAffinityMinFaultsFilter(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	tr := &Trace{}
 	a := mem.Addr(0x60000000)
-	hook(dsm.FaultEvent{Node: 1, Task: 2, Kind: dsm.KindWrite, Addr: a})
-	hook(dsm.FaultEvent{Node: 0, Task: 3, Kind: dsm.KindRead, Addr: a})
+	tr.add(dsm.FaultEvent{Node: 1, Task: 2, Kind: dsm.KindWrite, Addr: a})
+	tr.add(dsm.FaultEvent{Node: 0, Task: 3, Kind: dsm.KindRead, Addr: a})
 	if got := tr.AffinitySuggestions(2); len(got) != 0 {
 		t.Fatalf("below-threshold suggestion returned: %+v", got)
 	}
@@ -213,10 +214,9 @@ func TestAffinityMinFaultsFilter(t *testing.T) {
 }
 
 func TestAffinityNoWriterKnown(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	tr := &Trace{}
 	// Reads of a page that was never written cross-node: no producer info.
-	hook(dsm.FaultEvent{Node: 0, Task: 1, Kind: dsm.KindRead, Addr: 0x70000000})
+	tr.add(dsm.FaultEvent{Node: 0, Task: 1, Kind: dsm.KindRead, Addr: 0x70000000})
 	if got := tr.AffinitySuggestions(1); len(got) != 0 {
 		t.Fatalf("suggestion without producer: %+v", got)
 	}
@@ -224,13 +224,12 @@ func TestAffinityNoWriterKnown(t *testing.T) {
 
 func TestAffinityTieBreaksDeterministic(t *testing.T) {
 	build := func() []Suggestion {
-		tr := NewTrace()
-		hook := tr.Hook()
+		tr := &Trace{}
 		pa, pb := mem.Addr(0x80000000), mem.Addr(0x80001000)
-		hook(dsm.FaultEvent{Node: 1, Task: 0, Kind: dsm.KindWrite, Addr: pa})
-		hook(dsm.FaultEvent{Node: 2, Task: 0, Kind: dsm.KindWrite, Addr: pb})
-		hook(dsm.FaultEvent{Node: 0, Task: 5, Kind: dsm.KindRead, Addr: pa})
-		hook(dsm.FaultEvent{Node: 0, Task: 5, Kind: dsm.KindRead, Addr: pb})
+		tr.add(dsm.FaultEvent{Node: 1, Task: 0, Kind: dsm.KindWrite, Addr: pa})
+		tr.add(dsm.FaultEvent{Node: 2, Task: 0, Kind: dsm.KindWrite, Addr: pb})
+		tr.add(dsm.FaultEvent{Node: 0, Task: 5, Kind: dsm.KindRead, Addr: pa})
+		tr.add(dsm.FaultEvent{Node: 0, Task: 5, Kind: dsm.KindRead, Addr: pb})
 		return tr.AffinitySuggestions(1)
 	}
 	a, b := build(), build()
@@ -243,18 +242,17 @@ func TestAffinityTieBreaksDeterministic(t *testing.T) {
 }
 
 func TestCorrelatedSites(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	tr := &Trace{}
 	pg := func(p int) mem.Addr { return mem.Addr(0x90000000 + p*mem.PageSize) }
 	// "producer/store" writes pages 0-1; "consumer/load" reads them back.
 	for p := 0; p < 2; p++ {
 		for i := 0; i < 5; i++ {
-			hook(dsm.FaultEvent{Node: 0, Task: 1, Kind: dsm.KindWrite, Site: "producer/store", Addr: pg(p)})
-			hook(dsm.FaultEvent{Node: 1, Task: 2, Kind: dsm.KindRead, Site: "consumer/load", Addr: pg(p) + 64})
+			tr.add(dsm.FaultEvent{Node: 0, Task: 1, Kind: dsm.KindWrite, Site: "producer/store", Addr: pg(p)})
+			tr.add(dsm.FaultEvent{Node: 1, Task: 2, Kind: dsm.KindRead, Site: "consumer/load", Addr: pg(p) + 64})
 		}
 	}
 	// Unrelated site on its own page must not pair up.
-	hook(dsm.FaultEvent{Node: 0, Task: 3, Kind: dsm.KindWrite, Site: "elsewhere", Addr: pg(9)})
+	tr.add(dsm.FaultEvent{Node: 0, Task: 3, Kind: dsm.KindWrite, Site: "elsewhere", Addr: pg(9)})
 	pairs := tr.CorrelatedSites(5)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %+v", pairs)
@@ -269,13 +267,12 @@ func TestCorrelatedSites(t *testing.T) {
 }
 
 func TestCorrelatedSitesTopN(t *testing.T) {
-	tr := NewTrace()
-	hook := tr.Hook()
+	tr := &Trace{}
 	pg := mem.Addr(0xa0000000)
 	for i := 0; i < 3; i++ {
 		site := string(rune('a' + i))
-		hook(dsm.FaultEvent{Kind: dsm.KindWrite, Site: "w" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
-		hook(dsm.FaultEvent{Kind: dsm.KindRead, Site: "r" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
+		tr.add(dsm.FaultEvent{Kind: dsm.KindWrite, Site: "w" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
+		tr.add(dsm.FaultEvent{Kind: dsm.KindRead, Site: "r" + site, Addr: pg + mem.Addr(i*mem.PageSize)})
 	}
 	if got := tr.CorrelatedSites(2); len(got) != 2 {
 		t.Fatalf("topN = %d", len(got))

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dex/internal/chaos"
 )
 
 // obsWorkload is a small but representative program: it migrates threads to
@@ -155,55 +157,82 @@ func TestObserverRecordsEveryLayer(t *testing.T) {
 	}
 }
 
-// TestTraceAndObserverShareHookSlot: the page-fault profiler and the
-// observability recorder both see every fault event when installed together
-// (the Fanout composition), and WithTrace no longer clobbers prior hooks.
-func TestTraceAndObserverShareHookSlot(t *testing.T) {
-	tr := NewTrace()
-	rec := NewRecorder()
-	cluster := NewCluster(2, WithSeed(5), WithObserver(rec), WithTrace(tr))
-	if _, err := cluster.Run(obsWorkload(2)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("profiler saw no events")
-	}
-	faultSpans := 0
-	for _, s := range rec.Spans() {
-		switch s.Name {
-		case "fault.read", "fault.write", "invalidate":
-			faultSpans++
+// profileBytes renders every analysis of a profile.
+func profileBytes(tr *Trace, elapsed time.Duration) []byte {
+	var b bytes.Buffer
+	tr.Report(&b, 10)
+	fmt.Fprintln(&b, tr.AffinitySuggestions(1))
+	fmt.Fprintln(&b, tr.Timeline(elapsed/20))
+	return b.Bytes()
+}
+
+// TestProfileSameFromFullAndFaultRecorder: a profile is a function of the
+// recorder's fault-level spans only, so a full recorder (which also holds
+// every other layer's spans and the gauge samples) and a fault recorder of
+// the same seed give the same profile.
+func TestProfileSameFromFullAndFaultRecorder(t *testing.T) {
+	run := func(rec *Recorder) (*Trace, []byte) {
+		report, err := NewCluster(3, WithSeed(5), WithObserver(rec)).Run(obsWorkload(3))
+		if err != nil {
+			t.Fatal(err)
 		}
+		tr := ProfileOf(rec)
+		return tr, profileBytes(tr, report.Elapsed)
 	}
-	if faultSpans != tr.Len() {
-		t.Fatalf("recorder saw %d fault events, profiler %d — hook fanout broken", faultSpans, tr.Len())
+	full, faults := NewRecorder(), NewFaultRecorder()
+	fullTr, fullOut := run(full)
+	faultTr, faultOut := run(faults)
+	if fullTr.Len() == 0 {
+		t.Fatal("profile saw no events")
+	}
+	if fullTr.Len() != faultTr.Len() || !bytes.Equal(fullOut, faultOut) {
+		t.Fatalf("profiles differ (%d vs %d events):\nfull recorder:\n%s\nfault recorder:\n%s",
+			fullTr.Len(), faultTr.Len(), fullOut, faultOut)
+	}
+	if len(faults.Spans()) != faultTr.Len() || len(full.Spans()) <= fullTr.Len() {
+		t.Fatalf("fault recorder holds %d spans for %d events, full recorder %d",
+			len(faults.Spans()), faultTr.Len(), len(full.Spans()))
 	}
 }
 
-// TestTraceCap bounds the profiler's memory: beyond the cap events are
-// dropped and counted, and the analyses still work on the retained prefix.
-func TestTraceCap(t *testing.T) {
-	tr := NewTrace()
-	tr.SetCap(10)
-	cluster := NewCluster(2, WithSeed(5), WithTrace(tr))
-	if _, err := cluster.Run(obsWorkload(2)); err != nil {
-		t.Fatal(err)
+// TestFaultRecorderKeepsOnlyFaults: on a chaos run — where the fabric, the
+// injector and the recovery ladder all emit — a fault recorder holds the
+// fault-level dsm spans and nothing else, and takes no gauge samples.
+func TestFaultRecorderKeepsOnlyFaults(t *testing.T) {
+	plan := &ChaosPlan{
+		Seed: 4,
+		Drop: []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3}},
+		Dup:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3}},
 	}
-	if tr.Len() != 10 {
-		t.Fatalf("retained %d events, cap was 10", tr.Len())
+	cats := func(rec *Recorder) map[string]int {
+		if _, err := NewCluster(3, WithSeed(9), WithChaos(plan), WithObserver(rec)).Run(chaosSharedCounterWorkload); err != nil {
+			t.Fatal(err)
+		}
+		n := make(map[string]int)
+		for _, s := range rec.Spans() {
+			n[s.Cat]++
+		}
+		return n
 	}
-	if tr.Dropped() == 0 {
-		t.Fatal("no events counted as dropped")
+	full := NewRecorder()
+	if n := cats(full); n["fabric"] == 0 || n["chaos"] == 0 || n["core"] == 0 || full.Samples() == 0 {
+		t.Fatalf("the run does not exercise every layer: spans by category %v, %d samples", n, full.Samples())
 	}
-	// An uncapped run of the same seed sees cap+dropped events in total.
-	tr2 := NewTrace()
-	cluster2 := NewCluster(2, WithSeed(5), WithTrace(tr2))
-	if _, err := cluster2.Run(obsWorkload(2)); err != nil {
-		t.Fatal(err)
+	rec := NewFaultRecorder()
+	if n := cats(rec); len(n) != 1 || n["dsm"] == 0 {
+		t.Fatalf("fault recorder spans by category = %v, want dsm only", n)
 	}
-	if uint64(tr.Len())+tr.Dropped() != uint64(tr2.Len()) {
-		t.Fatalf("cap accounting: %d retained + %d dropped != %d total",
-			tr.Len(), tr.Dropped(), tr2.Len())
+	for _, s := range rec.Spans() {
+		if s.Name != "fault.read" && s.Name != "fault.write" && s.Name != "invalidate" {
+			t.Fatalf("fault recorder kept %s/%s", s.Cat, s.Name)
+		}
+	}
+	if rec.Samples() != 0 {
+		t.Fatalf("fault recorder took %d gauge samples", rec.Samples())
+	}
+	if ProfileOf(rec).Len() != ProfileOf(full).Len() {
+		t.Fatalf("profile of the fault recorder has %d events, of the full one %d",
+			ProfileOf(rec).Len(), ProfileOf(full).Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package dex_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -165,6 +166,62 @@ func TestSchedTelemetry(t *testing.T) {
 	for _, gauge := range []string{`"sched.windows"`, `"sched.serialized_windows"`, `"sched.lane_dispatches"`} {
 		if !bytes.Contains(trace, []byte(gauge)) {
 			t.Errorf("scheduler gauge %s missing from trace", gauge)
+		}
+	}
+}
+
+// runProfiledApp executes one application under a fault recorder at an
+// explicit simulator core count and renders every analysis of its profile.
+func runProfiledApp(t *testing.T, app apps.App, cfg apps.Config, cores int) (apps.Result, []byte) {
+	t.Helper()
+	rec := dex.NewFaultRecorder()
+	cfg.Opts = append(append([]dex.Option(nil), cfg.Opts...),
+		dex.WithObserver(rec), dex.WithCores(cores))
+	res, err := app.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s cores=%d: %v", app.Name, cores, err)
+	}
+	tr := dex.ProfileOf(rec)
+	if tr.Len() == 0 {
+		t.Fatalf("%s cores=%d: empty profile", app.Name, cores)
+	}
+	var out bytes.Buffer
+	tr.Report(&out, 10)
+	fmt.Fprintln(&out, tr.AffinitySuggestions(8))
+	fmt.Fprintln(&out, tr.Timeline(res.Elapsed/20))
+	return res, out.Bytes()
+}
+
+// TestProfiledRunKeepsLanesIndependent: the profile is read from the
+// lane-sharded recorder after the run, so profiling serializes nothing —
+// sleeps are still taken in place, which only a lane that runs alone to the
+// window's end may do.
+func TestProfiledRunKeepsLanesIndependent(t *testing.T) {
+	app, _ := apps.ByName("kmn")
+	res, _ := runProfiledApp(t, app, apps.Config{Nodes: 4, Variant: apps.Initial}, 1)
+	if s := res.Report.Sched; s.InPlaceWakes == 0 {
+		t.Fatalf("profiled run took no sleep in place, its lanes are serialized: %+v", s)
+	}
+}
+
+// TestProfileByteIdenticalAcrossCores: the profile's events come out of the
+// recorder in its merged (time, lane, sequence) order, so every analysis
+// renders the same bytes at -cores 1 and -cores 4.
+func TestProfileByteIdenticalAcrossCores(t *testing.T) {
+	for _, name := range []string{"kmn", "bfs"} {
+		app, _ := apps.ByName(name)
+		for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.DistributedManager} {
+			cfg := apps.Config{Nodes: 4, Variant: apps.Initial, Opts: []dex.Option{dex.WithProtocol(proto)}}
+			serial, sout := runProfiledApp(t, app, cfg, 1)
+			parallel, pout := runProfiledApp(t, app, cfg, 4)
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Fatalf("%s %v: profiled result diverged between cores=1 and cores=4:\nserial:   %+v\nparallel: %+v",
+					name, proto, serial, parallel)
+			}
+			if !bytes.Equal(sout, pout) {
+				t.Fatalf("%s %v: profile diverged between cores=1 and cores=4:\nserial:\n%s\nparallel:\n%s",
+					name, proto, sout, pout)
+			}
 		}
 	}
 }
