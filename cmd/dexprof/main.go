@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,13 +21,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dexprof:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dexprof", flag.ContinueOnError)
 	var (
 		appName  = fs.String("app", "", "application to profile")
@@ -61,23 +62,24 @@ func run(args []string) error {
 		return err
 	}
 	trace := dex.ProfileOf(rec)
-	fmt.Printf("%s %s on %d nodes: %v\n\n", res.App, res.Variant, res.Nodes, res.Elapsed)
-	trace.Report(os.Stdout, *top)
+	trace.SetRegions(res.Report.Regions)
+	fmt.Fprintf(stdout, "%s %s on %d nodes: %v\n\n", res.App, res.Variant, res.Nodes, res.Elapsed)
+	trace.Report(stdout, *top)
 	if *affinity {
-		fmt.Println("\n--- affinity suggestions (move thread to its data's producer) ---")
+		fmt.Fprintln(stdout, "\n--- affinity suggestions (move thread to its data's producer) ---")
 		for _, s := range trace.AffinitySuggestions(8) {
-			fmt.Printf("thread %3d: node %d -> node %d (%d/%d remote reads, %.0f%% local after move)\n",
+			fmt.Fprintf(stdout, "thread %3d: node %d -> node %d (%d/%d remote reads, %.0f%% local after move)\n",
 				s.Task, s.From, s.To, s.ReadFaults, s.Total, 100*s.Score())
 		}
 	}
 	if *buckets {
-		fmt.Println("\n--- fault frequency over time ---")
+		fmt.Fprintln(stdout, "\n--- fault frequency over time ---")
 		for _, b := range trace.Timeline(res.Elapsed / 20) {
 			bar := ""
 			for i := 0; i < b.Faults/20; i++ {
 				bar += "#"
 			}
-			fmt.Printf("%12v %6d %s\n", b.Start.Round(10*time.Microsecond), b.Faults, bar)
+			fmt.Fprintf(stdout, "%12v %6d %s\n", b.Start.Round(10*time.Microsecond), b.Faults, bar)
 		}
 	}
 	return nil

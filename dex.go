@@ -112,7 +112,8 @@ func NewFaultRecorder() *Recorder { return obs.NewFaultRecorder() }
 
 // ProfileOf returns the page-fault profile of the run rec observed. A
 // profile is a pure function of a recorder: call it once the run is over, on
-// a full recorder or a fault recorder alike.
+// a full recorder or a fault recorder alike. SetRegions(report.Regions) makes
+// its analyses name program objects instead of bare addresses.
 func ProfileOf(rec *Recorder) *Trace { return profile.FromRecorder(rec) }
 
 // Option configures a Cluster.
@@ -346,18 +347,6 @@ func (c *Cluster) Run(main func(*Thread) error) (Report, error) {
 		return p.Report(), err
 	}
 	return p.Report(), nil
-}
-
-// LabelTrace wires a trace's address labeler to a process's address space
-// so profiling reports show program-object names. Call it after the run.
-func LabelTrace(tr *Trace, p *Process) {
-	tr.SetLabeler(func(a Addr) string {
-		v, ok := p.AddressSpace().VMAs.Find(a)
-		if !ok {
-			return ""
-		}
-		return v.Label
-	})
 }
 
 // Elapsed returns the current virtual time of the cluster.

@@ -93,7 +93,7 @@ func TestTraceIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := ProfileOf(rec)
-	LabelTrace(tr, p)
+	tr.SetRegions(p.Report().Regions)
 	if tr.Len() == 0 {
 		t.Fatal("no events traced")
 	}

@@ -116,7 +116,7 @@ func ExampleTrace() {
 		log.Fatal(err)
 	}
 	trace := dex.ProfileOf(rec)
-	dex.LabelTrace(trace, p)
+	trace.SetRegions(p.Report().Regions)
 	top := trace.TopRegions(1)
 	fmt.Println("hottest object:", top[0].Key)
 	// Output: hottest object: hot-object

@@ -29,8 +29,7 @@ const (
 func run(aligned bool) (*dex.Trace, dex.Report, error) {
 	rec := dex.NewRecorder()
 	cluster := dex.NewCluster(nodes, dex.WithObserver(rec))
-	var proc *dex.Process
-	p := cluster.Start(func(t *dex.Thread) error {
+	proc := cluster.Start(func(t *dex.Thread) error {
 		label := "counters-packed"
 		size := uint64(dex.PageSize)
 		stride := 8
@@ -70,13 +69,12 @@ func run(aligned bool) (*dex.Trace, dex.Report, error) {
 		}
 		return nil
 	})
-	proc = p
 	if err := cluster.Wait(); err != nil {
 		return nil, dex.Report{}, err
 	}
-	trace := dex.ProfileOf(rec)
-	dex.LabelTrace(trace, proc)
-	return trace, proc.Report(), nil
+	trace, report := dex.ProfileOf(rec), proc.Report()
+	trace.SetRegions(report.Regions)
+	return trace, report, nil
 }
 
 func main() {

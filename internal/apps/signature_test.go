@@ -5,7 +5,6 @@ import (
 
 	"dex"
 	"dex/internal/dsm"
-	"dex/internal/mem"
 	"dex/internal/profile"
 )
 
@@ -142,14 +141,15 @@ func TestFTSignatureAllToAll(t *testing.T) {
 }
 
 func TestProfilerLabelsResolveAppRegions(t *testing.T) {
-	tr, _ := traceOf(t, "kmn", Initial, 2)
-	// Labels resolve through a synthetic labeler covering the app's known
-	// region names (the cluster is gone, so attach our own resolver).
-	tr.SetLabeler(func(a mem.Addr) string { return "region" })
-	for _, c := range tr.TopRegions(1) {
-		if c.Key != "region" {
-			t.Fatalf("labeler not consulted: %q", c.Key)
-		}
+	tr, res := traceOf(t, "kmn", Initial, 2)
+	// The cluster is gone; the report kept the address space's labels.
+	tr.SetRegions(res.Report.Regions)
+	regions := make(map[string]bool)
+	for _, c := range tr.TopRegions(0) {
+		regions[c.Key] = true
+	}
+	if !regions["points"] || !regions["global-accum"] || regions["?"] {
+		t.Fatalf("kmn's regions not named: %v", regions)
 	}
 	// Raw events carry the §IV-A tuple fields.
 	for _, ev := range tr.Events()[:3] {

@@ -391,6 +391,10 @@ type Report struct {
 	// there (replicas included) at the time the report is taken — the
 	// §IV-B memory-footprint dimension of padding decisions.
 	ResidentPages []int
+	// Regions is the process's address space at the time the report is
+	// taken: its mappings, sorted by address, with their program-object
+	// labels — what a page-fault profile names its addresses by.
+	Regions []mem.VMA
 	// Chaos summarizes fault injection and recovery; nil when no fault
 	// plan was active.
 	Chaos *ChaosReport

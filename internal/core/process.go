@@ -177,6 +177,7 @@ func (p *Process) Report() Report {
 		Chaos:            cr,
 		Sched:            p.m.eng.SchedStats(),
 		ResidentPages:    resident,
+		Regions:          p.as.VMAs.All(),
 		Elapsed:          p.finishedAt - p.startedAt,
 		DSM:              p.mgr.Stats(),
 		Net:              p.m.net.Stats(),

@@ -22,7 +22,7 @@ import (
 // recorder's merged order, and the analyses over them.
 type Trace struct {
 	events  []dsm.FaultEvent
-	labeler func(mem.Addr) string
+	regions []mem.VMA // sorted by Start, as core.Report.Regions is
 }
 
 // FromRecorder decodes the fault-level spans rec holds into a trace. Call it
@@ -38,9 +38,10 @@ func FromRecorder(rec *obs.Recorder) *Trace {
 	return tr
 }
 
-// SetLabeler installs a function resolving addresses to program-object
-// labels (typically the VMA label of the containing mapping).
-func (tr *Trace) SetLabeler(fn func(mem.Addr) string) { tr.labeler = fn }
+// SetRegions names the trace's addresses after the program objects they
+// fall in: regions are the profiled process's mappings, sorted by address,
+// as its report lists them (core.Report.Regions).
+func (tr *Trace) SetRegions(regions []mem.VMA) { tr.regions = regions }
 
 // Events returns the recorded events in order.
 func (tr *Trace) Events() []dsm.FaultEvent { return tr.events }
@@ -49,11 +50,9 @@ func (tr *Trace) Events() []dsm.FaultEvent { return tr.events }
 func (tr *Trace) Len() int { return len(tr.events) }
 
 func (tr *Trace) label(a mem.Addr) string {
-	if tr.labeler == nil {
-		return "?"
-	}
-	if l := tr.labeler(a); l != "" {
-		return l
+	i := sort.Search(len(tr.regions), func(i int) bool { return tr.regions[i].End() > a })
+	if i < len(tr.regions) && tr.regions[i].Contains(a) && tr.regions[i].Label != "" {
+		return tr.regions[i].Label
 	}
 	return "?"
 }

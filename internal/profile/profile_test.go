@@ -33,14 +33,9 @@ func mkTrace() *Trace {
 		})
 	}
 	tr.add(dsm.FaultEvent{Time: 2 * time.Millisecond, Node: 0, Task: -1, Kind: dsm.KindInvalidate, Addr: page(2)})
-	tr.SetLabeler(func(a mem.Addr) string {
-		switch a.PageBase() {
-		case page(0):
-			return "clusters"
-		case page(1):
-			return "points"
-		}
-		return ""
+	tr.SetRegions([]mem.VMA{
+		{Start: page(0), Len: mem.PageSize, Label: "clusters"},
+		{Start: page(1), Len: mem.PageSize, Label: "points"},
 	})
 	return tr
 }
