@@ -54,10 +54,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := apps.Config{Nodes: *nodes, Seed: *seed, Size: sz, Variant: v}
 	rec := dex.NewFaultRecorder()
-	cfg.Opts = append(cfg.Opts, dex.WithObserver(rec))
-	res, err := app.Run(cfg)
+	res, err := app.Run(apps.Config{Nodes: *nodes, Seed: *seed, Size: sz, Variant: v,
+		Opts: []dex.Option{dex.WithObserver(rec)}})
 	if err != nil {
 		return err
 	}

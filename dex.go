@@ -106,14 +106,12 @@ func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // NewFaultRecorder returns a recorder for WithObserver that keeps only what
 // ProfileOf reads — one span per page fault and invalidation — and takes no
-// gauge samples: the cheap way to profile a long run whose trace nobody
-// will open.
+// gauge samples: the cheap way to profile a long run.
 func NewFaultRecorder() *Recorder { return obs.NewFaultRecorder() }
 
-// ProfileOf returns the page-fault profile of the run rec observed. A
-// profile is a pure function of a recorder: call it once the run is over, on
-// a full recorder or a fault recorder alike. SetRegions(report.Regions) makes
-// its analyses name program objects instead of bare addresses.
+// ProfileOf returns the page-fault profile of the run rec observed, a full
+// recorder or a fault recorder alike; call it once the run is over.
+// SetRegions(report.Regions) makes its analyses name program objects.
 func ProfileOf(rec *Recorder) *Trace { return profile.FromRecorder(rec) }
 
 // Option configures a Cluster.

@@ -73,7 +73,7 @@ func TestChaosCrashSurfacesJoinError(t *testing.T) {
 	if rep.Chaos.NodesLost != 1 || rep.Chaos.ThreadsLost != 1 {
 		t.Fatalf("NodesLost = %d, ThreadsLost = %d, want 1 and 1", rep.Chaos.NodesLost, rep.Chaos.ThreadsLost)
 	}
-	if err := p.Manager().CheckInvariants(); err != nil {
+	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after recovery: %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestChaosPartitionSuspectsButDoesNotKill(t *testing.T) {
 	if rep.Chaos.NodesLost != 0 || rep.Chaos.ThreadsLost != 0 {
 		t.Fatalf("NodesLost = %d, ThreadsLost = %d, want 0 and 0", rep.Chaos.NodesLost, rep.Chaos.ThreadsLost)
 	}
-	if err := p.Manager().CheckInvariants(); err != nil {
+	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 }
@@ -301,7 +301,7 @@ func TestChaosDistDeadShardWithoutWorkers(t *testing.T) {
 	if rep.Chaos.ThreadsLost != 0 {
 		t.Fatalf("ThreadsLost = %d, want 0 (no thread ever ran on the dead shard)", rep.Chaos.ThreadsLost)
 	}
-	if err := p.Manager().CheckInvariants(); err != nil {
+	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after recovery: %v", err)
 	}
 }

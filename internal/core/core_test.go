@@ -20,7 +20,7 @@ func runParams(t *testing.T, params Params, main func(*Thread) error) (*Process,
 	if err := m.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := p.Manager().CheckInvariants(); err != nil {
+	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 	return p, p.Report()
@@ -382,7 +382,7 @@ func TestMunmapDropsPagesEverywhere(t *testing.T) {
 		}
 		return th.MigrateBack()
 	})
-	if got := p.Manager().PageTable(1).Present(); got != 0 {
+	if got := p.mgr.PageTable(1).Present(); got != 0 {
 		t.Fatalf("node 1 still maps %d pages after munmap", got)
 	}
 }
@@ -563,7 +563,7 @@ func TestTwoProcessesIsolated(t *testing.T) {
 	if a1 != a2 {
 		t.Logf("note: processes allocated different addresses (%v vs %v)", a1, a2)
 	}
-	v1, _ := p1.Manager().PageTable(0).Lookup(a1.VPN()), 0
+	v1, _ := p1.mgr.PageTable(0).Lookup(a1.VPN()), 0
 	_ = v1
 	if p1.Err() != nil || p2.Err() != nil {
 		t.Fatalf("errs: %v, %v", p1.Err(), p2.Err())
@@ -667,7 +667,7 @@ func TestPrefetchHint(t *testing.T) {
 		}
 		return th.MigrateBack()
 	})
-	if got := p.Manager().Stats().PrefetchedPages; got != pages {
+	if got := p.mgr.Stats().PrefetchedPages; got != pages {
 		t.Fatalf("PrefetchedPages = %d, want %d", got, pages)
 	}
 	if rep.DSM.ReadFaults != 0 {

@@ -144,12 +144,6 @@ func (p *Process) PID() int { return p.pid }
 // Origin returns the origin node.
 func (p *Process) Origin() int { return p.origin }
 
-// Manager exposes the DSM protocol manager (for tests and profiling).
-func (p *Process) Manager() *dsm.Manager { return p.mgr }
-
-// AddressSpace exposes the authoritative address space at the origin.
-func (p *Process) AddressSpace() *mem.AddressSpace { return p.as }
-
 // Err returns the first error returned by any thread.
 func (p *Process) Err() error { return p.firstErr }
 

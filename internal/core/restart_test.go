@@ -96,7 +96,7 @@ func TestChaosRestartSurvivesCrash(t *testing.T) {
 	if rep.Chaos.PagesRestored == 0 {
 		t.Fatal("PagesRestored = 0: each worker checkpointed its exclusive slot page on the dead node")
 	}
-	if err := p.Manager().CheckInvariants(); err != nil {
+	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after restart: %v", err)
 	}
 }

@@ -335,13 +335,14 @@ func TestReportStringsAndAccessors(t *testing.T) {
 		if th.Site() != "x" {
 			t.Errorf("Site = %q", th.Site())
 		}
-		return nil
+		_, err := th.Mmap(mem.PageSize, mem.ProtRead, "obj")
+		return err
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if p.AddressSpace() == nil {
-		t.Fatal("AddressSpace nil")
+	if r := p.Report().Regions; len(r) != 1 || r[0].Label != "obj" || r[0].Len != mem.PageSize {
+		t.Fatalf("Report.Regions = %v, want the one mapping", r)
 	}
 }
 
@@ -370,7 +371,7 @@ func TestProcessAtNonzeroOrigin(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Manager().CheckInvariants(); err != nil {
+	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	rep := p.Report()

@@ -159,8 +159,7 @@ func NewRecorder() *Recorder {
 // recorder's time and memory on a long run.
 func NewFaultRecorder() *Recorder {
 	r := NewRecorder()
-	r.c.samplePeriod = 0
-	r.c.faultsOnly = true
+	r.c.samplePeriod, r.c.faultsOnly = 0, true
 	return r
 }
 
