@@ -129,7 +129,7 @@ func DefaultParams() Params {
 // FaultEvent is the profiler-visible record of one consistency event,
 // mirroring the paper's trace tuple (§IV-A).
 type FaultEvent struct {
-	Time    time.Duration
+	Time    time.Duration // completion time: emitFault stamps it itself, FaultFromSpan reads it back
 	Node    int
 	Task    int
 	Kind    Kind

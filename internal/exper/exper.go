@@ -451,8 +451,8 @@ func faultPingPong() []time.Duration {
 		panic(fmt.Sprintf("exper: fault microbenchmark failed: %v", err))
 	}
 	var lat []time.Duration
-	for _, s := range params.Obs.Spans() {
-		if ev, ok := dsm.FaultFromSpan(s); ok && ev.Kind != dsm.KindInvalidate {
+	for _, ev := range dex.ProfileOf(params.Obs).Events() {
+		if ev.Kind != dsm.KindInvalidate {
 			lat = append(lat, ev.Latency)
 		}
 	}
