@@ -60,6 +60,7 @@ bench-smoke:
 # depends on the host's speed.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLanePick -fuzztime=10s ./internal/sim
+	$(GO) test -fuzz=FuzzRMAT -fuzztime=10s ./internal/graph
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:

@@ -27,6 +27,25 @@ func bfsSizes(s Size) bfsParams {
 	}
 }
 
+// bfsInput is what a BFS run derives from (size, seed): the R-MAT graph,
+// the source vertex and the reference levels. Read-only.
+type bfsInput struct {
+	g    *graph.CSR
+	src  int
+	want []int32
+}
+
+var bfsInputs derived[*bfsInput]
+
+func bfsInputOf(cfg Config) *bfsInput {
+	return bfsInputs.get(cfg, func() *bfsInput {
+		p := bfsSizes(cfg.Size)
+		g := graph.RMAT(cfg.Seed, p.vertices, p.edges)
+		src := g.MaxDegreeVertex()
+		return &bfsInput{g: g, src: src, want: graph.BFSLevels(g, src)}
+	})
+}
+
 // RunBFS runs level-synchronous BFS over an R-MAT graph with edge-balanced
 // vertex partitions (Polymer's NUMA-aware layout).
 //
@@ -41,9 +60,8 @@ func bfsSizes(s Size) bfsParams {
 func RunBFS(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	p := bfsSizes(cfg.Size)
-	g := graph.RMAT(cfg.Seed, p.vertices, p.edges)
-	src := g.MaxDegreeVertex()
-	want := graph.BFSLevels(g, src)
+	in := bfsInputOf(cfg)
+	g, src, want := in.g, in.src, in.want
 
 	cluster := cfg.cluster()
 	got := make([]int32, g.N)

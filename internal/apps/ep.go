@@ -55,6 +55,30 @@ func epBatch(seed int64, batchIdx, n int, bins *[epBins]uint64) (accepted uint64
 	return accepted
 }
 
+// epTally is the result of an EP run: accepted pairs per annulus and in all.
+type epTally struct {
+	bins     [epBins]uint64
+	accepted uint64
+}
+
+var epRefs derived[epTally]
+
+// epReference is the verification tally: a sequential run of every batch.
+func epReference(cfg Config) epTally {
+	return epRefs.get(cfg, func() epTally {
+		p := epSizes(cfg.Size)
+		var ref epTally
+		for b := 0; b*p.batch < p.pairs; b++ {
+			n := p.batch
+			if rem := p.pairs - b*p.batch; n > rem {
+				n = rem
+			}
+			ref.accepted += epBatch(cfg.Seed, b, n, &ref.bins)
+		}
+		return ref
+	})
+}
+
 // RunEP runs the NPB EP kernel: one parallel region, nearly no sharing —
 // the paper's canonical scale-ready application.
 //
@@ -175,18 +199,8 @@ func RunEP(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Verify against a sequential re-run of the same batches.
-	var refBins [epBins]uint64
-	var refAcc uint64
-	for b := 0; b < batches; b++ {
-		n := p.batch
-		if rem := p.pairs - b*p.batch; n > rem {
-			n = rem
-		}
-		refAcc += epBatch(cfg.Seed, b, n, &refBins)
-	}
-	if refAcc != accepted || refBins != bins {
-		return Result{}, fmt.Errorf("ep: tallies diverge: got %v/%d want %v/%d", bins, accepted, refBins, refAcc)
+	if ref := epReference(cfg); ref.accepted != accepted || ref.bins != bins {
+		return Result{}, fmt.Errorf("ep: tallies diverge: got %v/%d want %v/%d", bins, accepted, ref.bins, ref.accepted)
 	}
 	return Result{
 		App:     "ep",

@@ -42,6 +42,21 @@ func countStarting(buf []byte, key []byte, limit int) int {
 	}
 }
 
+// grpCounts keeps the reference occurrence counts of the latest (size,
+// seed); see inputs.go.
+var grpCounts derived[map[string]int]
+
+// grpInput generates the corpus of a run and returns it with the reference
+// count of every key in it. Like kmn's points the corpus (48 MB at full
+// size) is rebuilt by every run; the counts come from the first run's.
+func grpInput(cfg Config) (text []byte, want map[string]int) {
+	p := grpSizes(cfg.Size)
+	keys := textgen.DefaultKeys()
+	text, _ = textgen.Corpus(cfg.Seed, p.corpusBytes, keys, p.perMille)
+	want = grpCounts.get(cfg, func() map[string]int { return textgen.CountOccurrences(text, keys) })
+	return text, want
+}
+
 // RunGRP runs the string-match application (GRP). Worker threads count key
 // occurrences in disjoint partitions of a shared corpus.
 //
@@ -61,8 +76,7 @@ func RunGRP(cfg Config) (Result, error) {
 			maxKeyLen = len(k)
 		}
 	}
-	text, _ := textgen.Corpus(cfg.Seed, p.corpusBytes, keys, p.perMille)
-	want := textgen.CountOccurrences(text, keys)
+	text, want := grpInput(cfg)
 
 	cluster := cfg.cluster()
 	got := make(map[string]int, len(keys))

@@ -46,12 +46,7 @@ func RunKMN(cfg Config) (Result, error) {
 	if cfg.Restart {
 		return runKMNRestart(cfg)
 	}
-	p := kmnSizes(cfg.Size)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pts := make([]float64, p.points*kmnDims)
-	for i := range pts {
-		pts[i] = rng.Float64() * 100
-	}
+	p, pts, ref := kmnInput(cfg)
 
 	cluster := cfg.cluster()
 	var finalCenters []float64
@@ -278,12 +273,8 @@ func RunKMN(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Verify against the sequential reference.
-	ref := kmnReference(pts, p)
-	for i := range ref {
-		if math.Abs(ref[i]-finalCenters[i]) > 1e-6*(1+math.Abs(ref[i])) {
-			return Result{}, fmt.Errorf("kmn: center component %d = %g, want %g", i, finalCenters[i], ref[i])
-		}
+	if err := kmnVerify(finalCenters, ref); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		App:     "kmn",
@@ -294,6 +285,35 @@ func RunKMN(cfg Config) (Result, error) {
 		Report:  report,
 		Check:   checksumFloats(finalCenters, 1e-6),
 	}, nil
+}
+
+// kmnRefs keeps the reference centers (k×3 floats) of the latest (size,
+// seed); see inputs.go.
+var kmnRefs derived[[]float64]
+
+// kmnInput generates the points of a run and returns them with the
+// sequential reference centers of those points. The points are big and
+// cheap (48 MB and 0.07 s at full size), so every run generates its own;
+// the reference is computed from the first run's.
+func kmnInput(cfg Config) (p kmnParams, pts, ref []float64) {
+	p = kmnSizes(cfg.Size)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pts = make([]float64, p.points*kmnDims)
+	for i := range pts {
+		pts[i] = rng.Float64() * 100
+	}
+	ref = kmnRefs.get(cfg, func() []float64 { return kmnReference(pts, p) })
+	return p, pts, ref
+}
+
+// kmnVerify compares a run's final centers with the sequential reference.
+func kmnVerify(centers, ref []float64) error {
+	for i := range ref {
+		if math.Abs(ref[i]-centers[i]) > 1e-6*(1+math.Abs(ref[i])) {
+			return fmt.Errorf("kmn: center component %d = %g, want %g", i, centers[i], ref[i])
+		}
+	}
+	return nil
 }
 
 // kmnReference is the sequential k-means used for verification.

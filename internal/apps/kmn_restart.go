@@ -2,9 +2,7 @@ package apps
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"dex"
@@ -20,12 +18,7 @@ import (
 // publication, the replay recomputes and republishes byte-identical
 // partial sums and the run converges to the same answer as a clean one.
 func runKMNRestart(cfg Config) (Result, error) {
-	p := kmnSizes(cfg.Size)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pts := make([]float64, p.points*kmnDims)
-	for i := range pts {
-		pts[i] = rng.Float64() * 100
-	}
+	p, pts, ref := kmnInput(cfg)
 
 	cluster := cfg.cluster()
 	var finalCenters []float64
@@ -227,11 +220,8 @@ func runKMNRestart(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ref := kmnReference(pts, p)
-	for i := range ref {
-		if math.Abs(ref[i]-finalCenters[i]) > 1e-6*(1+math.Abs(ref[i])) {
-			return Result{}, fmt.Errorf("kmn: center component %d = %g, want %g", i, finalCenters[i], ref[i])
-		}
+	if err := kmnVerify(finalCenters, ref); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		App:     "kmn",
