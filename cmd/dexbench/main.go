@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		size     = fs.String("size", "test", "test | full (workload scale for application experiments)")
 		list     = fs.Bool("list", false, "list experiments")
 		parallel = fs.Int("parallel", 0, "max concurrent simulation cells (0 = GOMAXPROCS)")
-		cores    = fs.Int("cores", 1, "simulator cores per cell (conservative-parallel scheduler; output identical at any value)")
 		quiet    = fs.Bool("quiet", false, "suppress progress and timing output on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -55,9 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "%-20s %s\n", e.ID, e.Desc)
 		}
 		return nil
-	}
-	if *cores < 1 {
-		return fmt.Errorf("-cores %d: simulator needs at least 1 core", *cores)
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: cannot be negative", *parallel)
@@ -76,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	runner := exper.NewRunner(*parallel)
-	runner.SetCores(*cores)
 	start := time.Now()
 	if !*quiet {
 		fmt.Fprintf(stderr, "dexbench: %d experiment(s), pool width %d\n", len(exps), runner.Parallel())

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -25,6 +24,7 @@ import (
 	"dex"
 	"dex/internal/apps"
 	"dex/internal/chaos"
+	"dex/internal/exper"
 )
 
 func main() {
@@ -34,9 +34,11 @@ func main() {
 	}
 }
 
-// cell is one campaign run: a drop rate and its outcome.
+// cell is one campaign run: a drop rate, the plan built for it, and its
+// outcome.
 type cell struct {
 	rate float64
+	plan *dex.ChaosPlan
 	res  apps.Result
 	err  error
 	wall time.Duration
@@ -58,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		protocol  = fs.String("protocol", "wi", dex.ProtocolHelp())
 		restart   = fs.Bool("restart", false, "run checkpoint/restart-capable workers: threads lost to a crash resume from their last checkpoint")
 		failUnder = fs.Float64("fail-under", 0, "minimum surviving fraction of cells (0..1); exit non-zero below it")
-		cores     = fs.Int("cores", 1, "simulator cores per cell (conservative-parallel scheduler; output identical at any value)")
 		parallel  = fs.Int("parallel", 0, "max concurrent cells (0 = GOMAXPROCS)")
 		quiet     = fs.Bool("quiet", false, "suppress timing output on stderr")
 	)
@@ -78,9 +79,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *threads < 1 {
 		return fmt.Errorf("-threads %d: need at least 1 thread per node", *threads)
 	}
-	if *cores < 1 {
-		return fmt.Errorf("-cores %d: simulator needs at least 1 core", *cores)
-	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: cannot be negative", *parallel)
 	}
@@ -96,54 +94,55 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rates []float64
+	if *crash != 0 && *nodes < 2 {
+		return fmt.Errorf("-crash needs at least 2 nodes")
+	}
+	var cells []cell
 	for _, s := range strings.Split(*drops, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			return fmt.Errorf("bad drop rate %q: %v", s, err)
 		}
-		rates = append(rates, r)
-	}
-	if *crash != 0 && *nodes < 2 {
-		return fmt.Errorf("-crash needs at least 2 nodes")
+		plan, err := chaos.FlagPlan(*seed, *nodes, r, *dup, *delay, *crash)
+		if err != nil {
+			return err
+		}
+		cells = append(cells, cell{rate: r, plan: plan})
 	}
 
-	width := *parallel
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-	cells := make([]cell, len(rates))
-	sem := make(chan struct{}, width)
-	done := make(chan int, len(rates))
-	for i, rate := range rates {
-		i, rate := i, rate
-		go func() {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- i }()
-			plan := planFor(*seed, rate, *dup, *delay, *crash, *nodes)
-			opts := []dex.Option{dex.WithChaos(plan), dex.WithCores(*cores)}
-			if proto != dex.WriteInvalidate {
-				opts = append(opts, dex.WithProtocol(proto))
-			}
-			cfg := apps.Config{
-				Nodes:          *nodes,
-				ThreadsPerNode: *threads,
-				Variant:        apps.Optimized,
-				Size:           sz,
-				Seed:           *seed,
-				Restart:        *restart,
-				Opts:           opts,
-			}
-			start := time.Now()
-			res, err := app.Run(cfg)
-			cells[i] = cell{rate: rate, res: res, err: err, wall: time.Since(start)}
-		}()
-	}
-	for range rates {
-		i := <-done
-		if !*quiet {
+	// One cell per drop rate, keyed by its position in the sweep.
+	runner := exper.NewRunner(*parallel)
+	if !*quiet {
+		runner.SetProgress(func(p exper.Progress) {
+			i, _ := strconv.Atoi(p.Key)
 			fmt.Fprintf(stderr, "dexchaos: drop=%.3f done in %v\n", cells[i].rate, cells[i].wall.Round(time.Millisecond))
+		})
+	}
+	pending := make([]*exper.Cell, len(cells))
+	for i := range cells {
+		opts := []dex.Option{dex.WithChaos(cells[i].plan)}
+		if proto != dex.WriteInvalidate {
+			opts = append(opts, dex.WithProtocol(proto))
 		}
+		cfg := apps.Config{
+			Nodes:          *nodes,
+			ThreadsPerNode: *threads,
+			Variant:        apps.Optimized,
+			Size:           sz,
+			Seed:           *seed,
+			Restart:        *restart,
+			Opts:           opts,
+		}
+		c := &cells[i]
+		pending[i] = runner.Submit(strconv.Itoa(i), func() any {
+			start := time.Now()
+			c.res, c.err = app.Run(cfg)
+			c.wall = time.Since(start)
+			return nil
+		})
+	}
+	for _, p := range pending {
+		p.Wait()
 	}
 
 	// Non-default protocol/restart settings are recorded in the header so
@@ -184,25 +183,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 			survived, len(cells), 100*frac, 100**failUnder)
 	}
 	return nil
-}
-
-// planFor builds the fault plan of one sweep cell. The plan's seed mixes in
-// the drop rate's position-independent bits so two cells of one campaign
-// never reuse a fault stream, while the same flags always rebuild the same
-// plan.
-func planFor(seed int64, drop, dup float64, delay, crash time.Duration, nodes int) *dex.ChaosPlan {
-	plan := &dex.ChaosPlan{Seed: seed + int64(drop*1e6)}
-	if drop > 0 {
-		plan.Drop = []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: drop}}
-	}
-	if dup > 0 {
-		plan.Dup = []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: dup}}
-	}
-	if delay > 0 {
-		plan.Delay = []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5, Jitter: chaos.Duration(delay)}}
-	}
-	if crash > 0 {
-		plan.Crashes = []chaos.Crash{{Node: nodes - 1, At: chaos.Duration(crash)}}
-	}
-	return plan
 }

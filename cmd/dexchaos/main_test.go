@@ -56,33 +56,6 @@ func TestChaosParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosCoresByteIdentical pins the conservative-parallel simulator
-// core under fault injection, for both coherence protocols: -cores 4 must
-// reproduce the committed goldens byte for byte.
-func TestChaosCoresByteIdentical(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := campaign(t, "-cores", "4"); got != string(golden) {
-		t.Fatalf("dexchaos -cores 4 diverged from testdata/golden.txt; the parallel core must be byte-identical:\n%s", got)
-	}
-	home, err := os.ReadFile("testdata/golden_home.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := campaign(t, "-cores", "4", "-protocol", "home", "-restart"); got != string(home) {
-		t.Fatalf("dexchaos -cores 4 -protocol home diverged from testdata/golden_home.txt:\n%s", got)
-	}
-	dist, err := os.ReadFile("testdata/golden_dist.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := campaign(t, "-cores", "4", "-protocol", "dist", "-restart"); got != string(dist) {
-		t.Fatalf("dexchaos -cores 4 -protocol dist diverged from testdata/golden_dist.txt:\n%s", got)
-	}
-}
-
 // TestChaosDistGoldenBytes pins the same campaigns under the sharded
 // directory with checkpoint/restart: every cell survives, including the
 // crash campaign — the crashed node is a directory shard, so its slice must
@@ -187,12 +160,28 @@ func TestChaosBadFlags(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-nodes", "0"},
 		{"-threads", "0"},
-		{"-cores", "0"},
+		{"-cores", "4"},
 		{"-parallel", "-1"},
 		{"-app", "ep", "-restart"},
 	} {
 		if err := run(bad, io.Discard, io.Discard); err == nil {
 			t.Fatalf("bad flags accepted: %v", bad)
+		}
+	}
+	// Fault flags build a plan that is validated before any cell runs.
+	for _, bad := range [][]string{
+		{"-dup", "1.5"},
+		{"-drops", "0,2"},
+		{"-drops", "1"},
+		{"-crash", "-5ms"},
+		{"-delay", "-1ms"},
+	} {
+		err := run(bad, io.Discard, io.Discard)
+		if err == nil {
+			t.Fatalf("bad flags accepted: %v", bad)
+		}
+		if !strings.HasPrefix(err.Error(), bad[0]+" ") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%v: error %q, want one line starting with the flag", bad, err)
 		}
 	}
 }

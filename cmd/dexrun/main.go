@@ -43,7 +43,6 @@ func run(args []string) error {
 		variant  = fs.String("variant", "optimized", "baseline | initial | optimized")
 		size     = fs.String("size", "test", "test | full")
 		seed     = fs.Int64("seed", 1, "simulation seed")
-		cores    = fs.Int("cores", 1, "simulator cores (conservative-parallel scheduler; report identical at any value)")
 		list     = fs.Bool("list", false, "list available applications")
 		traceOut = fs.String("trace", "", "write Perfetto trace-event JSON to this file")
 		chaosFn  = fs.String("chaos", "", "JSON fault-injection plan to run the application under")
@@ -71,9 +70,6 @@ func run(args []string) error {
 	if *threads < 1 {
 		return fmt.Errorf("-threads %d: need at least 1 thread per node", *threads)
 	}
-	if *cores < 1 {
-		return fmt.Errorf("-cores %d: simulator needs at least 1 core", *cores)
-	}
 	app, ok := apps.ByName(*appName)
 	if !ok {
 		return fmt.Errorf("unknown application %q (use -list)", *appName)
@@ -83,9 +79,6 @@ func run(args []string) error {
 			app.Name, strings.Join(apps.Restartable(), ", "))
 	}
 	cfg := apps.Config{Nodes: *nodes, ThreadsPerNode: *threads, Seed: *seed, Restart: *restart}
-	if *cores > 1 {
-		cfg.Opts = append(cfg.Opts, dex.WithCores(*cores))
-	}
 	proto, err := dex.ParseProtocol(*protocol)
 	if err != nil {
 		return err
@@ -94,13 +87,9 @@ func run(args []string) error {
 		cfg.Opts = append(cfg.Opts, dex.WithProtocol(proto))
 	}
 	if *chaosFn != "" {
-		data, err := os.ReadFile(*chaosFn)
+		plan, err := dex.LoadChaosPlan(*chaosFn, *nodes)
 		if err != nil {
 			return err
-		}
-		plan, err := dex.ParseChaosPlan(data, *nodes)
-		if err != nil {
-			return fmt.Errorf("chaos plan %s: %w", *chaosFn, err)
 		}
 		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
 	}
@@ -121,15 +110,7 @@ func run(args []string) error {
 		return err
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := rec.WriteTraceFile(*traceOut); err != nil {
 			return err
 		}
 	}
@@ -155,7 +136,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	fmt.Printf("app:          %s (%s, %d nodes x %d threads)\n", res.App, res.Variant, res.Nodes, res.Threads/maxInt(res.Nodes, 1))
+	fmt.Printf("app:          %s (%s, %d nodes x %d threads)\n", res.App, res.Variant, res.Nodes, res.Threads/max(res.Nodes, 1))
 	fmt.Printf("elapsed:      %v (virtual, region of interest)\n", res.Elapsed)
 	fmt.Printf("wall clock:   %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("result check: %s\n", res.Check)
@@ -212,11 +193,4 @@ type jsonReport struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 	Check   string        `json:"check"`
 	Report  dex.Report    `json:"report"`
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -109,7 +109,7 @@ func TestRunErrors(t *testing.T) {
 		{"-app", "ep", "-nodes", "0"},
 		{"-app", "ep", "-nodes", "-2"},
 		{"-app", "ep", "-threads", "0"},
-		{"-app", "ep", "-cores", "0"},
+		{"-app", "ep", "-cores", "4"},
 	} {
 		if err := run(bad); err == nil {
 			t.Fatalf("bad flags accepted: %v", bad)

@@ -3,7 +3,7 @@
 // in-memory KV/aggregation store (internal/serve) and the per-tenant SLO
 // report — exact latency percentiles, goodput, shed counts — prints as a
 // table. Every number on stdout derives from virtual time, so the output
-// is byte-identical across reruns, -cores widths, and tracing on/off;
+// is byte-identical across reruns and tracing on/off;
 // wall-clock timing goes to stderr.
 //
 // Usage:
@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tenants  = fs.Int("tenants", 2, "tenant count; one gateway thread per tenant")
 		seed     = fs.Int64("seed", 1, "simulation and traffic seed")
 		size     = fs.String("size", "test", "test | full (traffic window and keyspace scale)")
-		cores    = fs.Int("cores", 1, "simulator cores (conservative-parallel scheduler; output identical at any value)")
 		protocol = fs.String("protocol", "wi", dex.ProtocolHelp())
 		chaosFn  = fs.String("chaos", "", "JSON fault-injection plan to serve under")
 		crash    = fs.Duration("crash", 0, "crash the highest node at this virtual traffic time (0 = no crash)")
@@ -60,9 +59,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *tenants < 1 {
 		return fmt.Errorf("-tenants %d: need at least 1 tenant", *tenants)
-	}
-	if *cores < 1 {
-		return fmt.Errorf("-cores %d: simulator needs at least 1 core", *cores)
 	}
 	sz, err := apps.ParseSize(*size)
 	if err != nil {
@@ -87,24 +83,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if proto != dex.WriteInvalidate {
 		cfg.Opts = append(cfg.Opts, dex.WithProtocol(proto))
 	}
-	if *cores > 1 {
-		cfg.Opts = append(cfg.Opts, dex.WithCores(*cores))
-	}
 	if *chaosFn != "" {
-		data, err := os.ReadFile(*chaosFn)
+		plan, err := dex.LoadChaosPlan(*chaosFn, *nodes)
 		if err != nil {
 			return err
-		}
-		plan, err := dex.ParseChaosPlan(data, *nodes)
-		if err != nil {
-			return fmt.Errorf("chaos plan %s: %w", *chaosFn, err)
 		}
 		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
 	}
 	if *crash != 0 {
-		plan := &dex.ChaosPlan{
-			Seed:    *seed,
-			Crashes: []chaos.Crash{{Node: *nodes - 1, At: chaos.Duration(*crash)}},
+		plan, err := chaos.FlagPlan(*seed, *nodes, 0, 0, 0, *crash)
+		if err != nil {
+			return err
 		}
 		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
 	}
@@ -122,15 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "dexserve: wall clock %v\n", time.Since(start).Round(time.Millisecond))
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := rec.WriteTraceFile(*traceOut); err != nil {
 			return err
 		}
 	}

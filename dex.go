@@ -40,6 +40,7 @@ package dex
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"dex/internal/chaos"
@@ -139,29 +140,19 @@ func WithSeed(seed int64) Option {
 	return optionFunc(func(p *core.Params) { p.Seed = seed })
 }
 
-// WithCores runs the simulator's event loop on up to n host cores using the
-// conservative-parallel scheduler (per-node event lanes with link-latency
-// lookahead). Reports, stats, and rendered output are byte-identical at any
-// core count — n trades wall-clock time only, never results. The scheduler is
-// the same at every n: at n <= 1 (the default) the lanes of a window run one
-// after the other on one goroutine. The observability recorder
-// (WithObserver), and so the page-fault profile read from it, is lane-sharded
-// and runs in parallel, and the distributed-manager protocol serves its
-// directory shards on parallel lanes; clusters using the home-migrate
-// protocol serialize their lanes — every window runs in global event order —
-// at any n.
-func WithCores(n int) Option {
-	return optionFunc(func(p *core.Params) { p.Cores = n })
-}
+// WithCores is accepted and changes nothing: a simulation runs on one
+// goroutine, and host parallelism is across simulations (dexbench -parallel).
+// The option exists because the frozen benchmark's serve_cores workload passes
+// it, and goes when that workload does.
+func WithCores(n int) Option { return optionFunc(func(*core.Params) {}) }
 
 // WithObserver attaches an observability recorder to the cluster: every
 // layer (fabric, DSM protocol, migration) emits spans and latency
 // observations into it, and a periodic sampler records gauge time series.
 // A nil recorder is allowed and disables recording. Tracing never perturbs
 // the simulation: with the recorder attached, simulated outcomes (reports,
-// stats, results) are identical to an untraced run of the same seed. The
-// recorder is sharded per simulator lane, so it composes with WithCores —
-// traces, metrics, and reports stay byte-identical at any core count.
+// stats, results) are identical to an untraced run of the same seed, and the
+// simulator's lanes stay independent.
 func WithObserver(rec *Recorder) Option {
 	return optionFunc(func(p *core.Params) { p.Obs = rec })
 }
@@ -200,6 +191,20 @@ func ParseChaosPlan(data []byte, nodes int) (*ChaosPlan, error) {
 	return plan, nil
 }
 
+// LoadChaosPlan reads the JSON fault plan in the file at path (the tools'
+// -chaos flag) and validates it against a cluster of the given node count.
+func LoadChaosPlan(path string, nodes int) (*ChaosPlan, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := ParseChaosPlan(data, nodes)
+	if err != nil {
+		return nil, fmt.Errorf("chaos plan %s: %w", path, err)
+	}
+	return plan, nil
+}
+
 // WithPageTransferMode selects the page-transfer strategy of the messaging
 // layer (§III-E): the default hybrid RDMA sink, per-page dynamic
 // registration, or the VERB-only path.
@@ -231,8 +236,8 @@ const (
 	// node: lookups start at a page's static anchor shard, authority follows
 	// the last writer, and departed authority leaves forwarding pointers
 	// that path-compression hints collapse to at most one hop. Shards serve
-	// concurrently (it composes with WithCores), and under WithChaos a
-	// crashed shard's directory slice is rebuilt at each page's live anchor.
+	// on their own lanes, and under WithChaos a crashed shard's directory
+	// slice is rebuilt at each page's live anchor.
 	DistributedManager = dsm.DistributedManager
 )
 
@@ -257,15 +262,12 @@ func WithProtocol(proto Protocol) Option {
 }
 
 // WithRawParams replaces the full low-level parameter set; the experiment
-// harness uses it for ablations. Nodes is still taken from NewCluster, and
-// Cores survives the overwrite so host parallelism (WithCores) composes with
-// raw-parameter ablations — it cannot change results either way.
+// harness uses it for ablations. Nodes is still taken from NewCluster.
 func WithRawParams(params core.Params) Option {
 	return optionFunc(func(p *core.Params) {
-		nodes, cores := p.Nodes, p.Cores
+		nodes := p.Nodes
 		*p = params
 		p.Nodes = nodes
-		p.Cores = cores
 		p.Fabric.Nodes = nodes
 	})
 }

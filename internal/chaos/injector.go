@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,25 +26,11 @@ type Stats struct {
 	Crashes      int    `json:"crashes"`
 }
 
-// injStats is the live counter set. Counters are bumped from whichever
-// simulation lane executes the send or arrival, so they are atomic; each is
-// a pure sum, independent of bump order, so Stats snapshots are identical at
-// any core count.
-type injStats struct {
-	dropped      atomic.Uint64
-	droppedBytes atomic.Uint64
-	duplicated   atomic.Uint64
-	delayed      atomic.Uint64
-	held         atomic.Uint64
-	stormStalled atomic.Uint64
-	crashes      atomic.Int64
-}
-
 // Injector executes a Plan. It owns one private PRNG stream per directed
 // link; the fabric consults it once per send. Sends on one link execute in a
 // deterministic order (they run on the source node's lane, or in serialized
 // windows), which makes every fault schedule a pure function of (seed, plan)
-// at any core count — streams of different links never interleave.
+// — streams of different links never interleave.
 //
 // The injector is also the ground truth for node liveness: the fabric asks
 // NodeDead to drop traffic of crashed machines, and the lease protocol in
@@ -56,7 +41,7 @@ type Injector struct {
 	nodes int
 	links []*rand.Rand // links[src*nodes+dst]
 	dead  []bool
-	stats injStats
+	stats Stats
 }
 
 // splitmix64 derives statistically independent per-link seeds from the plan
@@ -102,15 +87,15 @@ func (inj *Injector) Verdict(now time.Duration, src, dst, bytes int, expendable 
 		for _, r := range inj.plan.Drop {
 			if r.matches(now, src, dst) && rng.Float64() < r.Prob {
 				v.Drop = true
-				inj.stats.dropped.Add(1)
-				inj.stats.droppedBytes.Add(uint64(bytes))
+				inj.stats.Dropped++
+				inj.stats.DroppedBytes += uint64(bytes)
 				return v
 			}
 		}
 		for _, r := range inj.plan.Dup {
 			if r.matches(now, src, dst) && rng.Float64() < r.Prob {
 				v.Dup = true
-				inj.stats.duplicated.Add(1)
+				inj.stats.Duplicated++
 				break
 			}
 		}
@@ -121,7 +106,7 @@ func (inj *Injector) Verdict(now time.Duration, src, dst, bytes int, expendable 
 		}
 	}
 	if v.Delay > 0 {
-		inj.stats.delayed.Add(1)
+		inj.stats.Delayed++
 	}
 	return v
 }
@@ -141,7 +126,7 @@ func (inj *Injector) HeldUntil(now time.Duration, src, dst int) (time.Duration, 
 		}
 	}
 	if held {
-		inj.stats.held.Add(1)
+		inj.stats.Held++
 	}
 	return until, held
 }
@@ -160,19 +145,18 @@ func (inj *Injector) RNRUntil(now time.Duration, dst int) (time.Duration, bool) 
 		}
 	}
 	if storming {
-		inj.stats.stormStalled.Add(1)
+		inj.stats.StormStalled++
 	}
 	return until, storming
 }
 
 // MarkDead records that a node crashed. From this moment the fabric drops
 // all traffic to and from it. Crashes execute on the global lane (serialized
-// windows), so the liveness flags need no synchronization: lane reads are
-// never concurrent with a write.
+// windows), so no lane reads a liveness flag in the window that writes it.
 func (inj *Injector) MarkDead(node int) {
 	if !inj.dead[node] {
 		inj.dead[node] = true
-		inj.stats.crashes.Add(1)
+		inj.stats.Crashes++
 	}
 }
 
@@ -195,20 +179,10 @@ func (inj *Injector) DeadNodes() []int {
 }
 
 // Stats returns the fault counters accumulated so far.
-func (inj *Injector) Stats() Stats {
-	return Stats{
-		Dropped:      inj.stats.dropped.Load(),
-		DroppedBytes: inj.stats.droppedBytes.Load(),
-		Duplicated:   inj.stats.duplicated.Load(),
-		Delayed:      inj.stats.delayed.Load(),
-		Held:         inj.stats.held.Load(),
-		StormStalled: inj.stats.stormStalled.Load(),
-		Crashes:      int(inj.stats.crashes.Load()),
-	}
-}
+func (inj *Injector) Stats() Stats { return inj.stats }
 
 // CountDrop records a drop decided outside Verdict (dead-endpoint traffic).
 func (inj *Injector) CountDrop(bytes int) {
-	inj.stats.dropped.Add(1)
-	inj.stats.droppedBytes.Add(uint64(bytes))
+	inj.stats.Dropped++
+	inj.stats.DroppedBytes += uint64(bytes)
 }

@@ -293,6 +293,40 @@ func (p *Plan) Validate(nodes int) error {
 	return nil
 }
 
+// FlagPlan builds the plan the command-line tools run from their fault flags:
+// drop and duplication probabilities on every link, delay jitter up to delay
+// on half the messages, a crash of the highest node at crash — each left out
+// at zero. The plan's seed mixes in the drop rate's position-independent bits
+// so two cells of one sweep never reuse a fault stream, while the same flags
+// always rebuild the same plan. A value Validate rejects is reported against
+// the flag that carried it.
+func FlagPlan(seed int64, nodes int, drop, dup float64, delay, crash time.Duration) (*Plan, error) {
+	p := &Plan{Seed: seed + int64(drop*1e6)}
+	faults := []struct {
+		flag string
+		val  any
+		set  bool
+		add  func()
+	}{
+		{"-drops", drop, drop != 0, func() { p.Drop = []LinkRule{{Src: Any, Dst: Any, Prob: drop}} }},
+		{"-dup", dup, dup != 0, func() { p.Dup = []LinkRule{{Src: Any, Dst: Any, Prob: dup}} }},
+		{"-delay", delay, delay != 0, func() {
+			p.Delay = []DelayRule{{Src: Any, Dst: Any, Prob: 0.5, Jitter: Duration(delay)}}
+		}},
+		{"-crash", crash, crash != 0, func() { p.Crashes = []Crash{{Node: nodes - 1, At: Duration(crash)}} }},
+	}
+	for _, f := range faults {
+		if !f.set {
+			continue
+		}
+		f.add()
+		if err := p.Validate(nodes); err != nil {
+			return nil, fmt.Errorf("%s %v: %w", f.flag, f.val, err)
+		}
+	}
+	return p, nil
+}
+
 // LeasePeriod returns the configured heartbeat period, or the default.
 func (p *Plan) LeasePeriod() time.Duration {
 	if p != nil && p.Lease.Period > 0 {

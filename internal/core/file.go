@@ -137,7 +137,7 @@ func (th *Thread) Pread(fd int, buf []byte, off int) (int, error) {
 	// The returned bytes crossed the fabric inside the reply for remote
 	// callers; charge the local copy into the caller's buffer.
 	if len(r.data) > 0 {
-		th.chargeSmall(minInt(len(r.data), smallAccess))
+		th.chargeSmall(min(len(r.data), smallAccess))
 	}
 	return len(r.data), nil
 }
@@ -178,7 +178,7 @@ func (th *Thread) FileRead(fd int, buf []byte) (int, error) {
 	}
 	copy(buf, r.data)
 	if len(r.data) > 0 {
-		th.chargeSmall(minInt(len(r.data), smallAccess))
+		th.chargeSmall(min(len(r.data), smallAccess))
 	}
 	return len(r.data), nil
 }
@@ -227,11 +227,4 @@ func (th *Thread) FileSize(name string) (int, error) {
 		return res{n: len(data)}
 	}).(res)
 	return r.n, r.err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -73,15 +73,6 @@ type Params struct {
 	Nodes int
 	// CoresPerNode is the number of CPU cores per machine.
 	CoresPerNode int
-	// Cores is the number of host CPU cores the simulator itself may use.
-	// The conservative-parallel scheduler executes each link-latency
-	// lookahead window lane by lane; at 1 (the default) the lanes of a window
-	// run one after the other, at >1 concurrently. Reports are byte-identical
-	// at any value. The HomeMigrate protocol, whose bookkeeping crosses node
-	// lanes in event context, serializes the lanes — every window runs in
-	// global event order — at any setting; the observability recorder (and so
-	// the page-fault profile read from it) is lane-sharded and does not.
-	Cores int
 	// MemBandwidth is the per-node memory-bus bandwidth in bytes/second
 	// shared by all cores of a node; it is what saturates first for
 	// memory-bound applications (the paper's BP observation, §V-B).
@@ -110,10 +101,8 @@ type Params struct {
 	// migrations, recovery lifecycle). The recorder adds pure bookkeeping
 	// on already-scheduled events — it never schedules simulation work of
 	// its own; gauges are sampled by the engine between scheduler windows —
-	// so enabling it cannot change simulated outcomes. The recorder is
-	// sharded per lane (each lane writes only its own buffer) and merged
-	// deterministically at export, so tracing runs under the parallel
-	// scheduler with byte-identical output at any core count.
+	// so enabling it cannot change simulated outcomes, and it does not
+	// serialize the lanes.
 	Obs *obs.Recorder
 	// Seed seeds the deterministic simulation.
 	Seed int64
@@ -181,16 +170,15 @@ func NewMachine(params Params) *Machine {
 	}
 	// Lanes and lookahead must exist before fabric.New: the network binds its
 	// per-node lane views at construction.
-	eng.ConfigureLanes(params.Nodes, params.Cores)
+	eng.ConfigureLanes(params.Nodes)
 	eng.SetLookahead(params.Fabric.LinkLatency)
 	// The serialization clamp. HomeMigrate serves page requests (mutating
 	// entries of the shared directory tree) at arbitrary nodes; it needs
 	// every window in global event order, so its lanes are not independent.
-	// The observability recorder is lane-sharded (each lane appends only to
-	// its own buffer, merged deterministically at export) and does not clamp.
-	// DistributedManager does not either: its directory is sharded into
-	// per-node tables that only their own lane (or the quiescent global lane)
-	// mutates, so shards serve independently.
+	// The observability recorder stamps what it records with the recording
+	// lane's clock and index and does not clamp. DistributedManager does not
+	// either: its directory is sharded into per-node tables that only their
+	// own lane (or the global lane) mutates, so shards serve independently.
 	if params.DSM.Protocol == dsm.HomeMigrate {
 		eng.SerializeLanes()
 	}
@@ -205,9 +193,9 @@ func NewMachine(params Params) *Machine {
 		m.views[i] = eng.LaneView(i)
 	}
 	if rec := params.Obs; rec != nil {
-		// Shard the recorder per lane and bind each shard to its lane's
-		// clock; every instrumentation site then records through the view of
-		// the lane its event executes on, keeping the hot path lock-free.
+		// Give the recorder a view per lane, bound to its lane's clock; every
+		// instrumentation site then records through the view of the lane its
+		// event executes on.
 		rec.ConfigureLanes(params.Nodes)
 		rec.SetLaneClock(sim.GlobalLane, eng.Now)
 		for i := 0; i < params.Nodes; i++ {
@@ -216,8 +204,7 @@ func NewMachine(params Params) *Machine {
 		m.net.SetRecorder(rec)
 		// Scheduler telemetry gauges, sampled with all other gauges by the
 		// engine's window sampler — the one periodic observation point that
-		// is side-effect-free (it adds no events) and identically placed in
-		// serial and windowed execution.
+		// is side-effect-free (it adds no events).
 		rec.AddGauge("sched.windows", func() float64 {
 			return float64(eng.SchedStats().Windows)
 		})
@@ -253,7 +240,7 @@ func NewMachine(params Params) *Machine {
 			cores: sim.NewSemaphore(fmt.Sprintf("cores@%d", i), params.CoresPerNode),
 			// The bus is node-local state touched on every Compute/Work call,
 			// so it must observe the node lane's clock, not the root view's
-			// (which is stale while lanes execute concurrently).
+			// (which is stale while a lane executes its own window).
 			bus: sim.NewBus(m.views[i], fmt.Sprintf("membus@%d", i), params.MemBandwidth),
 		}
 		m.nodes[i].bus.SetCongestion(params.BusCongestion)
@@ -284,9 +271,7 @@ func (m *Machine) view(node int) *sim.Engine { return m.views[node] }
 // commitGlobal runs fn in serialized (global-lane) context, where it may
 // touch process-wide state and any lane's tasks. From the global lane it
 // runs immediately; from a node lane it is scheduled one lookahead later —
-// the earliest instant a lane is allowed to affect global state. The branch
-// depends only on the caller's lane, never on the core count, so outcomes
-// stay byte-identical.
+// the earliest instant a lane is allowed to affect global state.
 func (m *Machine) commitGlobal(t *sim.Task, fn func()) {
 	v := t.Engine()
 	if v.Lane() == sim.GlobalLane {
@@ -398,11 +383,10 @@ type Report struct {
 	// Chaos summarizes fault injection and recovery; nil when no fault
 	// plan was active.
 	Chaos *ChaosReport
-	// Sched is the PDES scheduler's telemetry: how the run decomposed into
-	// lookahead windows, how many serialized on global-lane work, and how
-	// the node lanes shared the parallel ones, and how many sleeps were
-	// taken in place. The window schedule does not depend on the core
-	// count, so neither does the block.
+	// Sched is the windowed scheduler's telemetry: how the run decomposed
+	// into lookahead windows, how many serialized on global-lane work, how
+	// the node lanes shared the others, and how many sleeps were taken in
+	// place.
 	Sched sim.SchedStats
 }
 

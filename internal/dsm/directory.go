@@ -635,10 +635,10 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 	lost := frame == nil
 	if lost {
 		frame = m.pool(target).GetZeroed()
-		m.stats.pagesLost.Add(1)
+		m.stats.PagesLost++
 	}
 	m.nodes[target].pt.SetAccess(vpn, frame, mem.AccessRead)
-	m.stats.pagesRehomed.Add(1)
+	m.stats.PagesRehomed++
 	span := "hm.rehome"
 	if m.dir.sharded() {
 		span = "dist.rebuild"
@@ -657,7 +657,7 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 			ans.fwd[vpn] = target
 			ans.routeEpoch[vpn] = de.epoch
 		}
-		m.stats.dirRebuilt.Add(1)
+		m.stats.DirRebuilt++
 	}
 	if m.rec != nil {
 		// Recorded on the lane the page lands on.

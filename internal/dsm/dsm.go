@@ -35,7 +35,6 @@ package dsm
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dex/internal/chaos"
@@ -173,33 +172,6 @@ type Stats struct {
 // Faults returns the total number of lead faults handled by the protocol.
 func (s Stats) Faults() uint64 { return s.ReadFaults + s.WriteFaults }
 
-// dsmStats is the live counter set behind Stats. Counters are bumped from
-// whichever simulation lane runs the protocol step (requester, serving home,
-// or revocation target), so they are atomic; each is a pure sum, independent
-// of bump order, so snapshots are identical at any core count.
-type dsmStats struct {
-	readFaults      atomic.Uint64
-	writeFaults     atomic.Uint64
-	followerJoins   atomic.Uint64
-	nacks           atomic.Uint64
-	invalidations   atomic.Uint64
-	downgrades      atomic.Uint64
-	pageTransfers   atomic.Uint64
-	ownershipGrants atomic.Uint64
-	prefetchedPages atomic.Uint64
-	retransmits     atomic.Uint64
-	dupsIgnored     atomic.Uint64
-	pagesLost       atomic.Uint64
-	homeFailovers   atomic.Uint64
-	pagesRehomed    atomic.Uint64
-	dirServes       atomic.Uint64
-	originServes    atomic.Uint64
-	forwards        atomic.Uint64
-	chainHints      atomic.Uint64
-	dirRebuilt      atomic.Uint64
-	totalLatency    atomic.Int64 // nanoseconds
-}
-
 type fkey struct {
 	vpn   uint64
 	write bool
@@ -247,7 +219,7 @@ type nodeState struct {
 	// served is the home-side per-token record of answered page requests,
 	// kept only under fault injection (nil otherwise) and pruned by the
 	// engine's sweep. All three are sharded here, per issuing home, so
-	// several directory shards may serve concurrently on their own lanes.
+	// several directory shards may serve independently on their own lanes.
 	revokeWait  map[uint64]*revokeWaiter
 	installWait map[uint64]*revokeWaiter
 	served      map[uint64]*serveState
@@ -336,7 +308,7 @@ type Manager struct {
 	origin int
 	nodes  []*nodeState
 	dir    directory
-	stats  dsmStats
+	stats  Stats
 
 	// views caches one lane view of the engine per node (plus the root
 	// engine for nodes without a configured lane), so protocol tasks spawn
@@ -356,8 +328,8 @@ type Manager struct {
 	// a revocation or unmap re-emerges as the staging buffer of a later page
 	// transfer or as a demand-zero frame, so the steady-state transfer path
 	// allocates nothing. Per-node lists keep Get/Put lane-local (each lane
-	// only touches its own node's pool), which makes the recycle/alloc
-	// counters deterministic at any core count. Frames are returned only at
+	// only touches its own node's pool), which keeps the recycle/alloc
+	// counters independent of the order the lanes of a window run in. Frames are returned only at
 	// the points where the protocol can prove no reference remains (see
 	// freeFrame callers).
 	pools []mem.FramePool
@@ -371,8 +343,8 @@ type Manager struct {
 	// span, fault-level (obs.go) and interior, with a single branch.
 	rec *obs.Recorder
 	// inflight counts lead faults currently inside the protocol; the
-	// sampler exposes it as a gauge. Faults enter from any node lane.
-	inflight atomic.Int64
+	// sampler exposes it as a gauge.
+	inflight int
 }
 
 type revokeWaiter struct {
@@ -437,7 +409,7 @@ func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }
 
 // InFlightFaults returns the number of lead faults currently being handled
 // across all nodes (the sampler's in-flight gauge).
-func (m *Manager) InFlightFaults() int { return int(m.inflight.Load()) }
+func (m *Manager) InFlightFaults() int { return m.inflight }
 
 // PID returns the process id this manager serves.
 func (m *Manager) PID() int { return m.pid }
@@ -449,30 +421,7 @@ func (m *Manager) Origin() int { return m.origin }
 func (m *Manager) Protocol() Protocol { return m.params.Protocol }
 
 // Stats returns a snapshot of the protocol counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		ReadFaults:      m.stats.readFaults.Load(),
-		WriteFaults:     m.stats.writeFaults.Load(),
-		FollowerJoins:   m.stats.followerJoins.Load(),
-		Nacks:           m.stats.nacks.Load(),
-		Invalidations:   m.stats.invalidations.Load(),
-		Downgrades:      m.stats.downgrades.Load(),
-		PageTransfers:   m.stats.pageTransfers.Load(),
-		OwnershipGrants: m.stats.ownershipGrants.Load(),
-		PrefetchedPages: m.stats.prefetchedPages.Load(),
-		Retransmits:     m.stats.retransmits.Load(),
-		DupsIgnored:     m.stats.dupsIgnored.Load(),
-		PagesLost:       m.stats.pagesLost.Load(),
-		HomeFailovers:   m.stats.homeFailovers.Load(),
-		PagesRehomed:    m.stats.pagesRehomed.Load(),
-		DirServes:       m.stats.dirServes.Load(),
-		OriginServes:    m.stats.originServes.Load(),
-		Forwards:        m.stats.forwards.Load(),
-		ChainHints:      m.stats.chainHints.Load(),
-		DirRebuilt:      m.stats.dirRebuilt.Load(),
-		TotalLatency:    time.Duration(m.stats.totalLatency.Load()),
-	}
-}
+func (m *Manager) Stats() Stats { return m.stats }
 
 // PageTable exposes a node's page table (used by the execution layer for
 // data access and by tests for verification).
@@ -544,7 +493,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 			// same in-flight group must not re-register it or inflate
 			// FollowerJoins.
 			if g != joined {
-				m.stats.followerJoins.Add(1)
+				m.stats.FollowerJoins++
 				g.followers = append(g.followers, t)
 				joined = g
 			}
@@ -563,12 +512,12 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 		}
 		g := &faultGroup{}
 		ns.faults[key] = g
-		m.inflight.Add(1)
+		m.inflight++
 		start := t.Now()
 		t.Sleep(m.params.FaultEntry)
 		retries, protocol := m.leadFault(t, ctx, vpn, write)
 		delete(ns.faults, key)
-		m.inflight.Add(-1)
+		m.inflight--
 		for _, f := range g.followers {
 			f.Unpark()
 		}
@@ -583,19 +532,19 @@ func (m *Manager) recordFault(ctx Ctx, addr mem.Addr, write bool, latency time.D
 	kind := KindRead
 	if write {
 		kind = KindWrite
-		m.stats.writeFaults.Add(1)
+		m.stats.WriteFaults++
 	} else {
-		m.stats.readFaults.Add(1)
+		m.stats.ReadFaults++
 	}
-	m.stats.totalLatency.Add(int64(latency))
+	m.stats.TotalLatency += latency
 	m.emitFault(FaultEvent{Node: ctx.Node, Task: ctx.Task, Kind: kind, Site: ctx.Site,
 		Addr: addr, Latency: latency, Retries: retries})
 }
 
 // backoff sleeps t before retrying a NACKed request. node is the faulting
 // node: jitter draws come from its lane's split RNG, so backoff schedules
-// are lane-deterministic at any core count (the root engine's RNG may not
-// be touched from a worker lane).
+// are a function of that lane's events alone (the root engine's RNG may
+// not be touched from a lane running its own window).
 func (m *Manager) backoff(t *sim.Task, node, attempt int) {
 	d := m.params.NackBackoffBase * time.Duration(attempt)
 	if m.params.NackBackoffJitter > 0 {

@@ -46,7 +46,7 @@ func tokenNode(tok uint64) int { return int(tok >> tokenNodeShift) }
 // bookkeeping (sequence allocators, open waiters, dedup records) is sharded
 // per node and lives in nodeState: revocations and grants are only ever
 // issued from the serving home's own simulation lane, and sharding the
-// state by issuer lets several directory shards serve concurrently under
+// state by issuer lets several directory shards serve independently under
 // DistributedManager without a shared counter or map. The engine itself
 // keeps only the sweep watermarks, which are written exclusively on the
 // serialized global lane.
@@ -146,7 +146,7 @@ func (e *engine) awaitReply(t *sim.Task, node, target int, req *outstanding, msg
 			req.deadHome = true
 			break
 		}
-		m.stats.retransmits.Add(1)
+		m.stats.Retransmits++
 		attempt++
 		m.retransmitSpan(node, "request", attempt, rto)
 		m.net.Send(t, node, target, msg)
@@ -194,7 +194,7 @@ func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 				}
 				break
 			}
-			m.stats.retransmits.Add(1)
+			m.stats.Retransmits++
 			attempt++
 			// The revoke-waiting task runs on the issuing home's lane.
 			m.retransmitSpan(w.msg.home, "revoke", attempt, rto)
@@ -220,7 +220,7 @@ func (e *engine) admitServe(node int, req *pageRequest) (st *serveState, handled
 	if req.token < e.prunedReqBelow[req.node] {
 		// The record was pruned: the transaction closed long before the last
 		// sweep, so this can only be a stale duplicate.
-		m.stats.dupsIgnored.Add(1)
+		m.stats.DupsIgnored++
 		return nil, true
 	}
 	st = &serveState{req: req, write: req.write, home: node}
@@ -242,7 +242,7 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) bool {
 		if prev.pending {
 			// The original is still being applied (or deferred); its ack
 			// will cover this duplicate.
-			m.stats.dupsIgnored.Add(1)
+			m.stats.DupsIgnored++
 		} else {
 			// Already applied: the ack must have been lost. Re-ack from
 			// the retained snapshot.
@@ -251,7 +251,7 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) bool {
 		return false
 	}
 	if msg.seq < e.prunedRevokeBelow[tokenNode(msg.seq)] {
-		m.stats.dupsIgnored.Add(1)
+		m.stats.DupsIgnored++
 		return false
 	}
 	ns.appliedRevokes[msg.seq] = &appliedRevoke{pending: true}
@@ -272,8 +272,8 @@ func (e *engine) noteInstalled(ns *nodeState, token uint64, home int, now time.D
 // budget is spent, schedules a watermark sweep. The sweep runs as a
 // global-lane event rather than inline: it reads every node's outstanding
 // tables, which only the serialized global lane may do while node lanes run
-// in parallel. Scheduling through the admitting node's own lane view keeps
-// the sweep's (time, lane) deterministic at any core count — each lane's
+// their own windows. Scheduling through the admitting node's own lane view
+// keeps the sweep's (time, lane) a function of that lane alone — each lane's
 // admission counter is a pure function of that lane's event sequence.
 func (e *engine) admitted(node int) {
 	ns := e.m.nodes[node]
@@ -380,10 +380,10 @@ func (e *engine) sweep() {
 func (e *engine) redeliverServe(req *pageRequest, st *serveState) {
 	m := e.m
 	if !st.closed || (!st.nack && !st.stale && !st.redirect) {
-		m.stats.dupsIgnored.Add(1)
+		m.stats.DupsIgnored++
 		return
 	}
-	m.stats.retransmits.Add(1)
+	m.stats.Retransmits++
 	// Duplicates are delivered at the node that served the original (always
 	// the origin under WriteInvalidate; HomeMigrate runs serialized).
 	m.dedupSpan(st.home, "dedup.reserve", req.vpn)
@@ -414,7 +414,7 @@ func (e *engine) resendGrant(t *sim.Task, st *serveState) {
 // is simply sent again.
 func (e *engine) resendRevokeAck(node int, msg *revokeMsg, prev *appliedRevoke) {
 	m := e.m
-	m.stats.retransmits.Add(1)
+	m.stats.Retransmits++
 	m.dedupSpan(node, "dedup.reack", msg.vpn)
 	m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
 		t.Sleep(m.params.InvalidateApply)

@@ -190,7 +190,7 @@ func (m *Manager) closeWaiter(ws map[uint64]*revokeWaiter, key uint64, what stri
 	w, ok := ws[key]
 	if !ok {
 		if m.chaos != nil {
-			m.stats.dupsIgnored.Add(1)
+			m.stats.DupsIgnored++
 			return
 		}
 		panic(fmt.Sprintf("dsm: stray %s %d", what, key))
@@ -212,7 +212,7 @@ func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
 	if !m.policy.learnHome(node, msg.vpn, msg.home, msg.epoch) {
 		return
 	}
-	m.stats.chainHints.Add(1)
+	m.stats.ChainHints++
 	if m.rec != nil {
 		// Applied in event context on the hinted node's lane.
 		rec := m.rec.OnLane(node)
@@ -276,9 +276,9 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 		m.serveSpan(serveAt, home, req, "stale")
 		return
 	}
-	m.stats.dirServes.Add(1)
+	m.stats.DirServes++
 	if home == m.origin {
-		m.stats.originServes.Add(1)
+		m.stats.OriginServes++
 	}
 	de.begin()
 	t.Sleep(m.params.Directory)
@@ -339,7 +339,7 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 				outcome, settled = m.settleDeadHome(t, home, de, req, st, ack), true
 				break
 			}
-			m.stats.retransmits.Add(1)
+			m.stats.Retransmits++
 			attempt++
 			m.retransmitSpan(home, "grant", attempt, rto)
 			m.e.resendGrant(t, st)
@@ -450,12 +450,12 @@ func (m *Manager) handleReply(node int, rep *pageReply) {
 				// A grant reply re-sent after our install ack was lost:
 				// re-ack the serving home (which under HomeMigrate need not
 				// be the origin) so it can close its transition window.
-				m.stats.retransmits.Add(1)
+				m.stats.Retransmits++
 				m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
 					m.net.Send(t, node, cg.home, &installAck{pid: m.pid, token: rep.token})
 				})
 			} else {
-				m.stats.dupsIgnored.Add(1)
+				m.stats.DupsIgnored++
 			}
 			return
 		}
@@ -463,7 +463,7 @@ func (m *Manager) handleReply(node int, rep *pageReply) {
 	}
 	if req.done {
 		// A duplicated reply raced in before the requester task resumed.
-		m.stats.dupsIgnored.Add(1)
+		m.stats.DupsIgnored++
 		return
 	}
 	req.done = true

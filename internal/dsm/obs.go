@@ -13,9 +13,9 @@ import (
 
 var faultKinds = map[string]Kind{obs.FaultRead: KindRead, obs.FaultWrite: KindWrite, obs.Invalidate: KindInvalidate}
 
-// emitFault records ev as completing now at ev.Node: on that node's shard
-// and by that lane's clock — the root engine's is stale inside a parallel
-// window — so the record is the same at any core count. A fault is a span
+// emitFault records ev as completing now at ev.Node: through that node's
+// recorder view and so by that lane's clock — the root engine's is stale while
+// a lane runs its own window. A fault is a span
 // from trap entry to PTE install plus a latency observation under the same
 // name; an invalidation is an instant.
 func (m *Manager) emitFault(ev FaultEvent) {

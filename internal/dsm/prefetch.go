@@ -124,7 +124,7 @@ func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) (int, err
 		}
 		granted++
 	}
-	m.stats.prefetchedPages.Add(uint64(granted))
+	m.stats.PrefetchedPages += uint64(granted)
 	if granted > 0 {
 		// The origin registered an install-wait when it granted the first
 		// page of the batch; a fully skipped batch expects no ack.

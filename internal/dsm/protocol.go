@@ -253,11 +253,11 @@ func (m *Manager) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (retri
 		if de.busy() {
 			if m.migrates {
 				if attempt == 1 {
-					m.stats.nacks.Add(1)
+					m.stats.Nacks++
 				}
 				t.Sleep(homeBusyPoll)
 			} else {
-				m.stats.nacks.Add(1)
+				m.stats.Nacks++
 				m.backoff(t, node, attempt)
 			}
 			continue
@@ -290,7 +290,7 @@ func (m *Manager) requestTarget(node int, vpn uint64) int {
 func (m *Manager) failover(node int, vpn uint64, dead int, mode string) int {
 	fb := m.liveAnchor(vpn)
 	m.policy.learnHome(node, vpn, fb, 0)
-	m.stats.homeFailovers.Add(1)
+	m.stats.HomeFailovers++
 	if m.rec != nil {
 		rec := m.rec.OnLane(node)
 		rec.SpanAt("dsm", "hm.failover", node, -1, rec.Now(), 0,
@@ -415,7 +415,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		if req.nack {
 			delete(ns.outstanding, token)
 			pr.Release()
-			m.stats.nacks.Add(1)
+			m.stats.Nacks++
 			m.backoff(t, node, attempt)
 			continue
 		}
@@ -531,7 +531,7 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 // reply. target names where the requester should retry.
 func (m *Manager) redirect(req *pageRequest, st *serveState, target int, epoch uint64, now time.Duration) *pageReply {
 	if m.forwards {
-		m.stats.forwards.Add(1)
+		m.stats.Forwards++
 	}
 	if st != nil {
 		st.redirect = true
@@ -611,7 +611,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 				m.freeFrame(home, prev)
 			}
 			t.Sleep(m.params.InvalidateApply)
-			m.stats.invalidations.Add(1)
+			m.stats.Invalidations++
 			m.emitInvalidate(home, vpn)
 			continue
 		}
@@ -624,7 +624,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 	}
 	m.e.waitRevokes(t, acks)
 	if !needData {
-		m.stats.ownershipGrants.Add(1)
+		m.stats.OwnershipGrants++
 	}
 	de.grantExclusive(reqNode)
 	if reqNode == home {
@@ -659,7 +659,7 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 	}
 	data := pr.Claim(t)
 	m.nodes[home].pt.SetAccess(vpn, data, mem.AccessRead)
-	m.stats.pageTransfers.Add(1)
+	m.stats.PageTransfers++
 	de.pullHome(downgrade)
 	if m.rec != nil {
 		mode := "invalidate"
@@ -680,7 +680,7 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 // (if stale) contents rather than a hang.
 func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
 	m.nodes[de.home].pt.SetAccess(vpn, m.pool(de.home).GetZeroed(), mem.AccessRead)
-	m.stats.pagesLost.Add(1)
+	m.stats.PagesLost++
 	de.reclaimHome()
 }
 
@@ -701,9 +701,9 @@ func (m *Manager) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrad
 	m.nodes[from].revokeWait[seq] = w
 	m.net.Send(t, from, target, msg)
 	if downgrade {
-		m.stats.downgrades.Add(1)
+		m.stats.Downgrades++
 	} else {
-		m.stats.invalidations.Add(1)
+		m.stats.Invalidations++
 	}
 	return w
 }

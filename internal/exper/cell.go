@@ -25,8 +25,7 @@ import (
 // memoization. It is safe for concurrent use; a single Runner is meant to
 // be shared by every experiment of one harness invocation.
 type Runner struct {
-	sem   chan struct{} // bounds concurrently executing cells
-	cores int           // simulator cores per application cell (dex.WithCores)
+	sem chan struct{} // bounds concurrently executing cells
 
 	mu        sync.Mutex
 	cells     map[string]*Cell
@@ -57,14 +56,10 @@ func NewRunner(parallel int) *Runner {
 // Parallel returns the worker-pool width.
 func (r *Runner) Parallel() int { return cap(r.sem) }
 
-// SetCores makes every subsequently submitted application cell run its
-// simulation on the conservative-parallel core (dex.WithCores). Cell results
-// are byte-identical at any core count, so tables never change — only
-// wall-clock time does. Call before submitting; n <= 1 keeps cells serial.
-func (r *Runner) SetCores(n int) { r.cores = n }
-
-// SetProgress installs a callback invoked after each cell completes, from
-// the completing cell's goroutine. The callback must not submit cells.
+// SetProgress installs a callback invoked when a cell has run, from the
+// cell's goroutine and before anyone waiting on the cell is released, so a
+// report of progress precedes whatever is made of the result. The callback
+// must not submit cells or wait on them.
 func (r *Runner) SetProgress(fn func(Progress)) {
 	r.mu.Lock()
 	r.progress = fn
@@ -107,8 +102,8 @@ func (r *Runner) Submit(key string, fn func() any) *Cell {
 		v := fn()
 		<-r.sem
 		c.val = v
-		close(c.done)
 		r.complete(key)
+		close(c.done)
 	}()
 	return c
 }
@@ -133,12 +128,6 @@ type AppResult struct {
 // SubmitApp submits one application run as a memoized cell.
 func (r *Runner) SubmitApp(app apps.App, cfg apps.Config) *Cell {
 	cfg = cfg.Normalized()
-	if r.cores > 1 {
-		// Copy before appending: cfg.Opts may be shared by the caller across
-		// configs. The cores option lands in the params fingerprint below, so
-		// the memo key still captures every input.
-		cfg.Opts = append(append([]dex.Option(nil), cfg.Opts...), dex.WithCores(r.cores))
-	}
 	key := fmt.Sprintf("app/%s/variant=%d/nodes=%d/threads=%d/size=%d/seed=%d/params=%s",
 		app.Name, cfg.Variant, cfg.Nodes, cfg.ThreadsPerNode, cfg.Size, cfg.Seed,
 		dex.ParamsFingerprint(cfg.Nodes, cfg.Opts...))

@@ -14,7 +14,7 @@ package fabric
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math"
 	"time"
 
 	"dex/internal/chaos"
@@ -146,13 +146,6 @@ type GlobalDelivery interface {
 	DeliverGlobal()
 }
 
-func deliveryLane(m Message, dst int) int {
-	if _, ok := m.(GlobalDelivery); ok {
-		return sim.GlobalLane
-	}
-	return dst
-}
-
 // Stats aggregates fabric activity counters.
 type Stats struct {
 	SmallSends    uint64
@@ -167,33 +160,14 @@ type Stats struct {
 	SinkWaits     uint64
 }
 
-// netStats is the live counter set. Counters are bumped from whichever lane
-// executes the send or receive path, so they are atomic; every counter is a
-// pure sum and therefore independent of bump order — Stats snapshots stay
-// byte-identical at any core count.
-type netStats struct {
-	smallSends    atomic.Uint64
-	smallBytes    atomic.Uint64
-	pageSends     atomic.Uint64
-	pageBytes     atomic.Uint64
-	rdmaWrites    atomic.Uint64
-	registrations atomic.Uint64
-	memcpyBytes   atomic.Uint64
-	sendPoolWaits atomic.Uint64
-	recvRNRStalls atomic.Uint64
-	sinkWaits     atomic.Uint64
-}
-
 // Network is the simulated interconnect connecting Params.Nodes nodes with a
 // full mesh of RC connections.
 type Network struct {
 	eng      *sim.Engine
-	views    []*sim.Engine // per-node lane views (the root view when lanes are absent)
-	gview    *sim.Engine   // global-lane view for envelope delivery
 	params   Params
 	conns    [][]*conn // conns[src][dst]
 	handlers []Handler
-	stats    netStats
+	stats    Stats
 	rec      *obs.Recorder
 	inj      *chaos.Injector
 }
@@ -217,35 +191,46 @@ func (n *Network) SetChaos(inj *chaos.Injector) { n.inj = inj }
 // ground truth for node liveness.
 func (n *Network) Chaos() *chaos.Injector { return n.inj }
 
-// conn is one directed connection src -> dst. Its fields split into two lane
-// ownership groups: the send side (link, sendPool, deliverAt) is only touched
-// by the sending path, which runs on src's lane (or on the global lane, which
-// serializes); the receive side (posted, rnrQueue, stormDrainAt, sinkPool) is
-// only touched by arrival events, which run on dst's lane (or global). Within
-// a parallel window each group is therefore confined to one goroutine.
+// conn is one directed connection src -> dst: the send side (link, sendPool),
+// the RDMA sink, and two queue pairs.
 type conn struct {
-	net       *Network
-	src, dst  int
-	link      *sim.Bus
-	sendPool  *sim.Semaphore
-	sinkPool  *sim.Semaphore
-	posted    int
+	net      *Network
+	src, dst int
+	link     *sim.Bus
+	sendPool *sim.Semaphore
+	sinkPool *sim.Semaphore
+
+	// GlobalDelivery messages ride a dedicated control queue pair: a data QP
+	// whose posted receives never run out and whose events run on the global
+	// lane. Its arrivals must never be entangled with the data QP's in-order
+	// drain (a data completion on the destination lane cannot hand work to the
+	// global lane mid-window), and data backlog does not head-of-line-block
+	// control traffic; RNR storms and partitions still apply to it.
+	data, ctl qp
+}
+
+// qp is the receive side of one queue pair and its ordering point.
+type qp struct {
+	conn *conn
+	// lane and view are where the QP's arrivals and completions execute: the
+	// destination node's, or the global lane's for the control QP.
+	lane int
+	view *sim.Engine
+
+	posted    int // receives posted and not consumed
 	rnrQueue  []*flight
-	deliverAt time.Duration // enforces in-order delivery per connection
+	deliverAt time.Duration // enforces in-order delivery per QP
 	// stormDrainAt is the latest scheduled RNR-storm drain; it keeps one
 	// storm from scheduling a drain event per stalled message.
 	stormDrainAt time.Duration
+}
 
-	// Control-QP receive state. GlobalDelivery messages ride a dedicated
-	// control queue pair per connection — its arrivals execute on the global
-	// lane and must never be entangled with the data QP's in-order drain
-	// (a data completion on the destination lane cannot hand work to the
-	// global lane mid-window). The control QP has its own posted receives,
-	// so data backlog does not head-of-line-block control traffic; RNR
-	// storms and partitions still apply to it.
-	deliverAtG    time.Duration
-	rnrQueueG     []*flight
-	stormDrainAtG time.Duration
+// qpFor returns the queue pair m rides.
+func (c *conn) qpFor(m Message) *qp {
+	if _, ok := m.(GlobalDelivery); ok {
+		return &c.ctl
+	}
+	return &c.data
 }
 
 // flight is one in-order connection event: either a VERB message awaiting
@@ -256,12 +241,12 @@ type conn struct {
 //
 // It is the one object a message costs between its send and its handler, and
 // it is its own event (a sim.Runner) at each step of the way: its arrival at
-// the data QP or, for a GlobalDelivery message, at the control QP, and then,
-// scheduled again once a receive is consumed, its receive completion. It
-// waits in an RNR queue as itself. Like an RC connection's work queue, what
-// is in flight is state of the connection, not a chain of callbacks.
+// its QP and then, scheduled again once a receive is consumed, its receive
+// completion. It waits in an RNR queue as itself. Like an RC connection's work
+// queue, what is in flight is state of the connection, not a chain of
+// callbacks.
 type flight struct {
-	conn *conn
+	qp   *qp
 	m    Message
 	data func() // non-nil for an RDMA data placement
 
@@ -274,18 +259,14 @@ type flight struct {
 	page    bool
 	stalled bool
 
-	control  bool // rides the control QP; set by deliver
 	accepted bool // its next event is the receive completion, not the arrival
 }
 
 // RunEvent is the flight's next step.
 func (f *flight) RunEvent() {
-	switch n := f.conn.net; {
-	case f.accepted:
+	if n := f.qp.conn.net; f.accepted {
 		n.complete(f)
-	case f.control:
-		n.arriveControl(f)
-	default:
+	} else {
 		n.arrive(f)
 	}
 }
@@ -319,7 +300,6 @@ func New(eng *sim.Engine, p Params) *Network {
 	}
 	n := &Network{
 		eng:      eng,
-		gview:    eng.LaneView(sim.GlobalLane),
 		params:   p,
 		conns:    make([][]*conn, p.Nodes),
 		handlers: make([]Handler, p.Nodes),
@@ -327,14 +307,15 @@ func New(eng *sim.Engine, p Params) *Network {
 	// Bind a lane view per node; engines configured without lanes (unit
 	// tests, microbenchmarks) fall back to the root view, which schedules
 	// everything on the global lane — the classic serial behavior.
-	n.views = make([]*sim.Engine, p.Nodes)
+	views := make([]*sim.Engine, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		if i < eng.Lanes() {
-			n.views[i] = eng.LaneView(i)
+			views[i] = eng.LaneView(i)
 		} else {
-			n.views[i] = eng
+			views[i] = eng
 		}
 	}
+	gview := eng.LaneView(sim.GlobalLane)
 	for src := 0; src < p.Nodes; src++ {
 		n.conns[src] = make([]*conn, p.Nodes)
 		for dst := 0; dst < p.Nodes; dst++ {
@@ -342,23 +323,22 @@ func New(eng *sim.Engine, p Params) *Network {
 				continue
 			}
 			name := fmt.Sprintf("link%d->%d", src, dst)
-			n.conns[src][dst] = &conn{
+			c := &conn{
 				net: n, src: src, dst: dst,
 				// The link bus is send-side state: it is bound to the source
 				// node's lane view so Occupy reads the clock of the lane the
 				// send chain executes on.
-				link:     sim.NewBus(n.views[src], name, p.LinkBandwidth),
+				link:     sim.NewBus(views[src], name, p.LinkBandwidth),
 				sendPool: sim.NewSemaphore("sendpool "+name, p.SendPoolChunks),
 				sinkPool: sim.NewSemaphore("sink "+name, p.SinkChunks),
-				posted:   p.RecvPoolSlots,
 			}
+			c.data = qp{conn: c, lane: dst, view: views[dst], posted: p.RecvPoolSlots}
+			c.ctl = qp{conn: c, lane: sim.GlobalLane, view: gview, posted: math.MaxInt}
+			n.conns[src][dst] = c
 		}
 	}
 	return n
 }
-
-// view returns the lane view for node i.
-func (n *Network) view(i int) *sim.Engine { return n.views[i] }
 
 // Lookahead returns the conservative cross-lane latency bound this fabric
 // guarantees: no effect of a send reaches another node earlier than the
@@ -369,20 +349,7 @@ func (n *Network) Lookahead() time.Duration { return n.params.LinkLatency }
 func (n *Network) Params() Params { return n.params }
 
 // Stats returns a snapshot of the activity counters.
-func (n *Network) Stats() Stats {
-	return Stats{
-		SmallSends:    n.stats.smallSends.Load(),
-		SmallBytes:    n.stats.smallBytes.Load(),
-		PageSends:     n.stats.pageSends.Load(),
-		PageBytes:     n.stats.pageBytes.Load(),
-		RDMAWrites:    n.stats.rdmaWrites.Load(),
-		Registrations: n.stats.registrations.Load(),
-		MemcpyBytes:   n.stats.memcpyBytes.Load(),
-		SendPoolWaits: n.stats.sendPoolWaits.Load(),
-		RecvRNRStalls: n.stats.recvRNRStalls.Load(),
-		SinkWaits:     n.stats.sinkWaits.Load(),
-	}
-}
+func (n *Network) Stats() Stats { return n.stats }
 
 // SetHandler installs the message handler for a node. It must be set before
 // any message is sent to that node.
@@ -423,7 +390,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	// core worker tasks — which serialize, so touching src's send-side conn
 	// state from there is safe).
 	sv := t.Engine()
-	f := &flight{conn: c, m: m}
+	f := &flight{qp: c.qpFor(m), m: m}
 	if n.rec != nil {
 		f.sentAt = sv.Now()
 		f.bytes = m.Size()
@@ -431,8 +398,8 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	t.Sleep(n.params.SendCPU)
 	chunks := n.chunksFor(m.Size())
 	n.acquireSendChunks(t, c, chunks)
-	n.stats.smallSends.Add(1)
-	n.stats.smallBytes.Add(uint64(m.Size()))
+	n.stats.SmallSends++
+	n.stats.SmallBytes += uint64(m.Size())
 	serDone := c.link.Occupy(m.Size())
 	releaseSendChunks(sv, c, chunks, serDone)
 	if v.Drop {
@@ -472,7 +439,7 @@ func (n *Network) chunksFor(size int) int {
 func (n *Network) acquireSendChunks(t *sim.Task, c *conn, chunks int) {
 	for i := 0; i < chunks; i++ {
 		if !c.sendPool.TryAcquire() {
-			n.stats.sendPoolWaits.Add(1)
+			n.stats.SendPoolWaits++
 			c.sendPool.Acquire(t)
 		}
 	}
@@ -492,19 +459,17 @@ func releaseSendChunks(sv *sim.Engine, c *conn, chunks int, done time.Duration) 
 	})
 }
 
-// deliver is the per-connection ordering point: it schedules a connection
-// event (VERB delivery, RDMA data placement, or control envelope) at the
-// destination no earlier than `at`, preserving per-QP FIFO and modeling
-// receiver-not-ready stalls when the posted-receive pool is empty. sv is the
-// lane view of the sending context; the flight is staged as its own arrival
-// event onto the message's delivery lane (destination node, or global for
-// GlobalDelivery messages) and executes there.
+// deliver is the per-QP ordering point: it schedules a connection event (VERB
+// delivery, RDMA data placement, or control envelope) at the destination no
+// earlier than `at`, preserving per-QP FIFO. sv is the lane view of the
+// sending context; the flight is scheduled as its own arrival event onto its
+// QP's lane and executes there.
 func (n *Network) deliver(sv *sim.Engine, f *flight, at time.Duration) {
-	c := f.conn
+	q := f.qp
 	if n.inj != nil {
 		// A partition holds the whole connection: delivery resumes when it
 		// heals. Holding (not dropping) keeps every message class safe.
-		if until, held := n.inj.HeldUntil(sv.Now(), c.src, c.dst); held && at < until {
+		if until, held := n.inj.HeldUntil(sv.Now(), q.conn.src, q.conn.dst); held && at < until {
 			at = until
 		}
 	}
@@ -512,21 +477,20 @@ func (n *Network) deliver(sv *sim.Engine, f *flight, at time.Duration) {
 	// be reordered by lane-key tie-breaks: arrival order is send order. The
 	// control QP's own clock keeps control arrivals in send order regardless
 	// of which lane each send executed on.
-	lane, clock := c.dst, &c.deliverAt
-	if f.m != nil && deliveryLane(f.m, c.dst) == sim.GlobalLane {
-		f.control = true
-		lane, clock = sim.GlobalLane, &c.deliverAtG
+	if at <= q.deliverAt {
+		at = q.deliverAt + 1
 	}
-	if at <= *clock {
-		at = *clock + 1
-	}
-	*clock = at
-	sv.AfterRunOn(lane, at-sv.Now(), f)
+	q.deliverAt = at
+	sv.AfterRunOn(q.lane, at-sv.Now(), f)
 }
 
+// arrive is a QP's arrival point, modeling receiver-not-ready stalls when the
+// posted-receive pool is empty. The control QP's runs on the global lane, so
+// its handler may touch cross-cutting state, and only storms and partitions
+// stall it, not data backlog.
 func (n *Network) arrive(f *flight) {
-	c := f.conn
-	dv := n.view(c.dst)
+	q := f.qp
+	c := q.conn
 	if n.inj != nil {
 		// A crashed machine neither sends nor receives: traffic touching it
 		// vanishes, including messages already in flight at crash time.
@@ -536,74 +500,36 @@ func (n *Network) arrive(f *flight) {
 		}
 		// An RNR storm forces receiver-not-ready for everything that arrives
 		// during the window; the backlog drains in order when it ends.
-		if until, storming := n.inj.RNRUntil(dv.Now(), c.dst); storming {
-			n.stall(f, &c.rnrQueue, dv)
-			if c.stormDrainAt < until {
-				c.stormDrainAt = until
-				dv.After(until-dv.Now(), func() { n.drainStorm(c) })
+		if until, storming := n.inj.RNRUntil(q.view.Now(), c.dst); storming {
+			n.stall(f)
+			if q.stormDrainAt < until {
+				q.stormDrainAt = until
+				q.view.After(until-q.view.Now(), func() { n.drain(q) })
 			}
 			return
 		}
 	}
-	if len(c.rnrQueue) > 0 || (f.data == nil && c.posted == 0) {
+	if len(q.rnrQueue) > 0 || (f.data == nil && q.posted == 0) {
 		// Either the receiver is not ready, or earlier events are already
 		// stalled behind it. An RC connection replays its stream in order
 		// after an RNR NAK, so even an RDMA placement may not pass a
 		// stalled send.
-		n.stall(f, &c.rnrQueue, dv)
+		n.stall(f)
 		return
 	}
 	n.accept(f)
 }
 
-// stall queues a flight that found its receiver not ready; v is the view of
-// the lane its QP's arrivals execute on.
-func (n *Network) stall(f *flight, q *[]*flight, v *sim.Engine) {
+// stall queues a flight that found its receiver not ready.
+func (n *Network) stall(f *flight) {
 	if f.data == nil {
-		n.stats.recvRNRStalls.Add(1)
+		n.stats.RecvRNRStalls++
 	}
 	if n.rec != nil {
 		f.stalled = true
-		f.stallAt = v.Now()
+		f.stallAt = f.qp.view.Now()
 	}
-	*q = append(*q, f)
-}
-
-// arriveControl is the control QP's arrival point; it always executes on the
-// global lane, where every other lane is quiescent, so the handler may touch
-// cross-cutting state. The control QP has dedicated posted receives: only
-// storms and partitions stall it, not data backlog.
-func (n *Network) arriveControl(f *flight) {
-	c := f.conn
-	gv := n.gview
-	if n.inj != nil {
-		if n.inj.NodeDead(c.dst) || n.inj.NodeDead(c.src) {
-			n.inj.CountDrop(f.wireBytes())
-			return
-		}
-		if until, storming := n.inj.RNRUntil(gv.Now(), c.dst); storming {
-			n.stall(f, &c.rnrQueueG, gv)
-			if c.stormDrainAtG < until {
-				c.stormDrainAtG = until
-				gv.After(until-gv.Now(), func() { n.drainControl(c) })
-			}
-			return
-		}
-	}
-	if len(c.rnrQueueG) > 0 {
-		n.stall(f, &c.rnrQueueG, gv)
-		return
-	}
-	n.accept(f)
-}
-
-// drainControl accepts the oldest stalled control envelope, if any: when an
-// RNR storm ends, and then after each completion, which so continues the
-// drain in order.
-func (n *Network) drainControl(c *conn) {
-	if len(c.rnrQueueG) > 0 {
-		n.accept(sim.PopFront(&c.rnrQueueG))
-	}
+	f.qp.rnrQueue = append(f.qp.rnrQueue, f)
 }
 
 // wireBytes is the payload size of a connection event, for drop accounting
@@ -615,92 +541,69 @@ func (f *flight) wireBytes() int {
 	return f.bytes
 }
 
-// drainStorm restarts delivery on a connection once an RNR storm ends. It
-// mirrors the completion-drain loop in complete: placements flow freely, and
-// the first VERB message's completion continues the drain in order.
-func (n *Network) drainStorm(c *conn) {
-	for len(c.rnrQueue) > 0 {
-		q := c.rnrQueue[0]
-		if q.data == nil && c.posted == 0 {
+// drain restarts delivery on a QP, when an RNR storm ends and after each
+// completion: placements flow freely, and the first VERB message takes a
+// posted receive and its completion continues the drain in order, so nothing
+// queued behind it can pass it.
+func (n *Network) drain(q *qp) {
+	for len(q.rnrQueue) > 0 {
+		f := q.rnrQueue[0]
+		if f.data == nil && q.posted == 0 {
 			return // a completion will repost a buffer and continue
 		}
-		n.accept(sim.PopFront(&c.rnrQueue))
-		if q.data == nil {
+		n.accept(sim.PopFront(&q.rnrQueue))
+		if f.data == nil {
 			return // its completion continues the drain
 		}
 	}
 }
 
-// recvSide returns where a flight's receive side executes: the recorder
-// shard and lane view of the destination node for the data QP, of the global
-// lane for the control QP — so concurrent lanes never share a span buffer.
-func (n *Network) recvSide(f *flight) (lane int, v *sim.Engine) {
-	if f.control {
-		return sim.GlobalLane, n.gview
-	}
-	return f.conn.dst, n.view(f.conn.dst)
-}
-
 // accept consumes one connection event whose turn has come: a placement
-// lands, a message takes a posted receive (the control QP has its own) and
-// becomes its receive-completion event.
+// lands, a message takes a posted receive and becomes its receive-completion
+// event.
 func (n *Network) accept(f *flight) {
-	c := f.conn
-	lane, v := n.recvSide(f)
+	q := f.qp
+	c := q.conn
 	if n.rec != nil && f.stalled {
-		n.rec.OnLane(lane).SpanAt("fabric", "rnr.stall", c.dst, fabricLane+c.src, f.stallAt,
-			v.Now()-f.stallAt, obs.Int("src", int64(c.src)))
+		n.rec.OnLane(q.lane).SpanAt("fabric", "rnr.stall", c.dst, fabricLane+c.src, f.stallAt,
+			q.view.Now()-f.stallAt, obs.Int("src", int64(c.src)))
 	}
 	if f.data != nil {
 		f.data()
 		n.span(f)
 		return
 	}
-	if !f.control {
-		c.posted--
-	}
+	q.posted--
 	f.accepted = true
-	v.AfterRun(n.params.RecvCPU, f)
+	q.view.AfterRun(n.params.RecvCPU, f)
 }
 
 // span records a delivered flight: enqueue → (stall) → placed, or handed to
 // the protocol handler.
 func (n *Network) span(f *flight) {
 	if n.rec != nil {
-		lane, v := n.recvSide(f)
-		rec := n.rec.OnLane(lane)
-		rec.Span("fabric", f.spanName(), f.conn.dst, fabricLane+f.conn.src, f.sentAt,
-			obs.Int("src", int64(f.conn.src)), obs.Int("bytes", int64(f.bytes)))
-		rec.Observe(f.spanName(), v.Now()-f.sentAt)
+		q := f.qp
+		rec := n.rec.OnLane(q.lane)
+		rec.Span("fabric", f.spanName(), q.conn.dst, fabricLane+q.conn.src, f.sentAt,
+			obs.Int("src", int64(q.conn.src)), obs.Int("bytes", int64(f.bytes)))
+		rec.Observe(f.spanName(), q.view.Now()-f.sentAt)
 	}
 }
 
-// complete is a message's receive completion: the handler runs, and the
-// connection's stalled events drain in order behind it.
+// complete is a message's receive completion: the handler runs, the
+// DMA-ready receive buffer is recycled by reposting it, and the QP's stalled
+// events drain in order behind it.
 func (n *Network) complete(f *flight) {
-	c := f.conn
+	q := f.qp
+	c := q.conn
 	h := n.handlers[c.dst]
 	if h == nil {
 		panic(fmt.Sprintf("fabric: no handler on node %d for message from %d", c.dst, c.src))
 	}
 	n.span(f)
 	h(c.src, f.m)
-	if f.control {
-		n.drainControl(c)
-		return
-	}
-	// Recycle the DMA-ready receive buffer by reposting it, then drain
-	// stalled events in order: data placements need no buffer; the next
-	// message consumes the reposted buffer and its own completion
-	// continues the drain, so nothing queued behind it can pass it.
-	c.posted++
-	for len(c.rnrQueue) > 0 {
-		q := sim.PopFront(&c.rnrQueue)
-		n.accept(q)
-		if q.data == nil {
-			break
-		}
-	}
+	q.posted++
+	n.drain(q)
 }
 
 // PageRecv is a prepared landing zone for one incoming page-sized transfer.
@@ -726,11 +629,11 @@ func (n *Network) PreparePageRecv(t *sim.Task, peer, self int) *PageRecv {
 		c := n.conn(peer, self)
 		pr.conn = c
 		if !c.sinkPool.TryAcquire() {
-			n.stats.sinkWaits.Add(1)
+			n.stats.SinkWaits++
 			c.sinkPool.Acquire(t)
 		}
 	case PerPageReg:
-		n.stats.registrations.Add(1)
+		n.stats.Registrations++
 		t.Sleep(n.params.RegisterCost)
 	case VerbOnly:
 		// Page data will ride the VERB path; nothing to reserve.
@@ -767,8 +670,8 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 	}
 	c := n.conn(src, dst)
 	sv := t.Engine()
-	n.stats.pageSends.Add(1)
-	n.stats.pageBytes.Add(uint64(len(data)))
+	n.stats.PageSends++
+	n.stats.PageBytes += uint64(len(data))
 	if len(buf) != len(data) {
 		buf = make([]byte, len(data))
 	}
@@ -782,14 +685,14 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 	}
 	switch pr.mode {
 	case HybridSink, PerPageReg:
-		n.stats.rdmaWrites.Add(1)
+		n.stats.RDMAWrites++
 		sentAt := sv.Now() // the span starts when the sender enters the fabric
 		t.Sleep(n.params.RDMAPostCPU)
 		done := c.link.Occupy(len(data))
 		if !v.Drop {
 			// Route the placement through the connection's ordering point so
 			// page data and VERB messages keep one per-connection FIFO.
-			place := &flight{conn: c, bytes: len(data), data: func() { pr.data = buf }, sentAt: sentAt, page: true}
+			place := &flight{qp: &c.data, bytes: len(data), data: func() { pr.data = buf }, sentAt: sentAt, page: true}
 			at := done + n.params.LinkLatency + v.Delay
 			n.deliver(sv, place, at)
 			if v.Dup {
@@ -798,19 +701,19 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 		}
 		n.sendWith(t, src, dst, reply, v) // same connection: FIFO after the RDMA write
 	case VerbOnly:
-		f := &flight{conn: c, m: reply}
+		f := &flight{qp: c.qpFor(reply), m: reply}
 		if n.rec != nil {
 			f.sentAt = sv.Now()
 			f.bytes = len(data) + reply.Size()
 			f.page = true
 		}
 		t.Sleep(n.memcpyCost(len(data))) // stage into send chunks
-		n.stats.memcpyBytes.Add(uint64(len(data)))
+		n.stats.MemcpyBytes += uint64(len(data))
 		chunks := n.chunksFor(len(data) + reply.Size())
 		n.acquireSendChunks(t, c, chunks)
 		t.Sleep(n.params.SendCPU)
-		n.stats.smallSends.Add(1)
-		n.stats.smallBytes.Add(uint64(reply.Size())) // page payload counted above
+		n.stats.SmallSends++
+		n.stats.SmallBytes += uint64(reply.Size()) // page payload counted above
 		done := c.link.Occupy(len(data) + reply.Size())
 		releaseSendChunks(sv, c, chunks, done)
 		pr.data = buf // visible once the reply is handled
@@ -840,13 +743,13 @@ func (pr *PageRecv) Claim(t *sim.Task) []byte {
 	switch pr.mode {
 	case HybridSink:
 		t.Sleep(pr.net.memcpyCost(len(pr.data)))
-		pr.net.stats.memcpyBytes.Add(uint64(len(pr.data)))
+		pr.net.stats.MemcpyBytes += uint64(len(pr.data))
 		pr.conn.sinkPool.Release()
 	case PerPageReg:
 		// Zero copy: RDMA wrote straight into the registered page.
 	case VerbOnly:
 		t.Sleep(pr.net.memcpyCost(len(pr.data)))
-		pr.net.stats.memcpyBytes.Add(uint64(len(pr.data)))
+		pr.net.stats.MemcpyBytes += uint64(len(pr.data))
 	}
 	return pr.data
 }

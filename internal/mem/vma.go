@@ -173,8 +173,8 @@ func (s *VMASet) Protect(start Addr, length uint64, prot Prot) error {
 			left.Len = uint64(start - v.Start)
 			out = append(out, left)
 		}
-		midStart := maxAddr(v.Start, start)
-		midEnd := minAddr(v.End(), end)
+		midStart := max(v.Start, start)
+		midEnd := min(v.End(), end)
 		mid := v
 		mid.Start = midStart
 		mid.Len = uint64(midEnd - midStart)
@@ -203,20 +203,6 @@ func (s *VMASet) covered(start, end Addr) bool {
 		a = s.vmas[i].End()
 	}
 	return true
-}
-
-func maxAddr(a, b Addr) Addr {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minAddr(a, b Addr) Addr {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AddressSpace is the authoritative address-space state kept at a process's

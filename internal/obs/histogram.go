@@ -60,26 +60,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.Buckets[bucketOf(d)]++
 }
 
-// merge folds o's observations into h. Addition of counts and sums is
-// order-independent, so merging per-lane shards in any fixed order yields
-// the same histogram a run in global event order records directly.
-func (h *Histogram) merge(o *Histogram) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i, b := range o.Buckets {
-		h.Buckets[i] += b
-	}
-}
-
 // Mean returns the arithmetic mean of the observations.
 func (h *Histogram) Mean() time.Duration {
 	if h.Count == 0 {

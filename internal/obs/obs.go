@@ -12,24 +12,23 @@
 //     methods do nothing; instrumentation points guard with a single
 //     `if rec != nil` branch.
 //   - Simulated clocks only. Every timestamp comes from the engine's virtual
-//     clock (bound per lane with SetLaneClock, or SetClock for unsharded
-//     use); wall time never enters the record, so traces are bit-for-bit
+//     clock (bound per lane with SetLaneClock, or SetClock for use without
+//     lanes); wall time never enters the record, so traces are bit-for-bit
 //     reproducible for a fixed seed.
-//   - Lane-safe without locks. ConfigureLanes shards the recorder into one
-//     buffer per simulator lane; OnLane returns the view for the lane an
-//     event executes on, and each lane appends only to its own shard, so
-//     recording is race-free under the conservative-parallel scheduler with
-//     no hot-path synchronization.
-//   - Deterministic export. Shards merge in (time, lane, emission-sequence)
-//     order — each component is a pure function of the simulated schedule,
-//     not of worker timing — histograms use integer-only power-of-two
-//     bucketing, and the Perfetto writer (perfetto.go) formats every number
-//     with integer arithmetic: the same seed produces byte-identical JSON at
-//     any core count.
+//   - One buffer, lane views. A simulation runs on one goroutine, so spans
+//     and histograms live in one place; ConfigureLanes only adds a view per
+//     simulator lane, and OnLane returns the view for the lane an event
+//     executes on — it knows that lane's clock and index.
+//   - Deterministic export. Spans come out in (record time, lane, emission)
+//     order, which does not depend on the order the lanes of a window ran in;
+//     histograms use integer-only power-of-two bucketing, and the Perfetto
+//     writer (perfetto.go) formats every number with integer arithmetic: the
+//     same seed produces byte-identical JSON.
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -75,13 +74,13 @@ const (
 // End returns the span's end time.
 func (s Span) End() time.Duration { return s.Start + s.Dur }
 
-// spanRec is a recorded span plus its shard-local merge key: the lane clock
-// at recording time (the executing event's timestamp, identical in serial
-// and parallel execution) and the shard's emission sequence.
+// spanRec is a recorded span plus its export key: the lane clock at
+// recording time (the executing event's timestamp) and the lane it was
+// recorded on.
 type spanRec struct {
 	Span
-	at  time.Duration
-	seq uint64
+	at   time.Duration
+	lane int
 }
 
 // sample is one gauge observation on the time series.
@@ -101,27 +100,11 @@ type gauge struct {
 // DefaultSamplePeriod is the sampler tick used when none is configured.
 const DefaultSamplePeriod = 100 * time.Microsecond
 
-// shard is one lane's private slice of the record. Only the goroutine
-// executing that lane's events appends to it; merging happens at export
-// time, when every lane is quiescent.
-type shard struct {
-	clock     func() time.Duration
-	spans     []spanRec
-	hists     map[string]*Histogram
-	histOrder []string
-	seq       uint64
-}
-
-func newShard() *shard {
-	return &shard{hists: make(map[string]*Histogram)}
-}
-
-// recCore is the state shared by every lane view of one recorder. Gauges and
-// samples stay core-owned: they are registered before the run and sampled
-// only between scheduler windows, with all lanes quiescent.
+// recCore is the record shared by every lane view of one recorder.
 type recCore struct {
-	shards       []*shard    // [0] = global/default, [i+1] = node i
-	views        []*Recorder // preallocated lane views, same indexing
+	views        []*Recorder // [0] = global/default, [i+1] = node i
+	spans        []spanRec   // in emission order
+	hists        map[string]*Histogram
 	gauges       []gauge
 	samples      []sample
 	samplePeriod time.Duration
@@ -130,25 +113,24 @@ type recCore struct {
 }
 
 // Recorder accumulates spans, histograms, and samples for one simulated run.
-// It is a lane-bound view over a shared core: NewRecorder returns the
-// global/default view, ConfigureLanes adds per-node shards, and OnLane
-// selects the view for the lane an event is executing on. Recording through
-// the executing lane's view is what makes the recorder race-free under the
-// parallel scheduler — each lane appends only to its own shard. A nil
-// *Recorder is the disabled recorder: every method is a no-op.
+// It is a lane-bound view over a shared record: NewRecorder returns the
+// global/default view, ConfigureLanes adds one per node, and OnLane selects
+// the view for the lane an event is executing on, which stamps what it
+// records with that lane's clock and index. A nil *Recorder is the disabled
+// recorder: every method is a no-op.
 type Recorder struct {
-	c    *recCore
-	lane int // shard index: 0 = global/default, i+1 = node i
+	c     *recCore
+	lane  int // 0 = global/default, i+1 = node i
+	clock func() time.Duration
 }
 
-// NewRecorder returns an empty recorder (the global view, with a single
-// shard until ConfigureLanes is called). Bind it to a simulation with
+// NewRecorder returns an empty recorder (the global view, the only one until
+// ConfigureLanes is called). Bind it to a simulation with
 // SetLaneClock/SetClock before recording (the dex layer does this when the
 // cluster is built).
 func NewRecorder() *Recorder {
-	c := &recCore{samplePeriod: DefaultSamplePeriod}
-	c.shards = []*shard{newShard()}
-	r := &Recorder{c: c, lane: 0}
+	c := &recCore{samplePeriod: DefaultSamplePeriod, hists: make(map[string]*Histogram)}
+	r := &Recorder{c: c}
 	c.views = []*Recorder{r}
 	return r
 }
@@ -163,19 +145,18 @@ func NewFaultRecorder() *Recorder {
 	return r
 }
 
-// ConfigureLanes shards the recorder for a simulation with nodes node lanes:
-// shard 0 stays the global lane's buffer and shard i+1 becomes node i's.
-// It must be called before any per-lane recording and at most once.
+// ConfigureLanes adds a view per node lane of a simulation with nodes node
+// lanes: view 0 stays the global lane's and view i+1 becomes node i's. It
+// must be called before any per-lane recording and at most once.
 func (r *Recorder) ConfigureLanes(nodes int) {
 	if r == nil {
 		return
 	}
 	c := r.c
-	if len(c.shards) > 1 {
+	if len(c.views) > 1 {
 		panic("obs: ConfigureLanes called twice")
 	}
 	for i := 0; i < nodes; i++ {
-		c.shards = append(c.shards, newShard())
 		c.views = append(c.views, &Recorder{c: c, lane: i + 1})
 	}
 }
@@ -183,30 +164,30 @@ func (r *Recorder) ConfigureLanes(nodes int) {
 // OnLane returns the recorder view bound to node's lane (negative for the
 // global lane). Instrumentation must record through the view of the lane the
 // current event executes on; an out-of-range node falls back to the global
-// view, so unsharded recorders keep working unchanged.
+// view, so recorders without lanes keep working unchanged.
 func (r *Recorder) OnLane(node int) *Recorder {
 	if r == nil {
 		return nil
 	}
 	c := r.c
-	if node < 0 || node+1 >= len(c.shards) {
+	if node < 0 || node+1 >= len(c.views) {
 		return c.views[0]
 	}
 	return c.views[node+1]
 }
 
-// SetClock binds this view's shard to the simulation's virtual clock. For
-// sharded recorders the dex layer binds every lane with SetLaneClock; plain
-// serial users bind just the default shard here.
+// SetClock binds this view to the simulation's virtual clock. For a recorder
+// with lanes the dex layer binds every lane with SetLaneClock; users without
+// lanes bind just the default view here.
 func (r *Recorder) SetClock(now func() time.Duration) {
 	if r == nil {
 		return
 	}
-	r.c.shards[r.lane].clock = now
+	r.clock = now
 }
 
-// SetLaneClock binds node's shard (negative: the global shard) to that
-// lane's clock, which reads the lane-local time during parallel windows.
+// SetLaneClock binds node's view (negative: the global view) to that lane's
+// clock, which reads the lane-local time while the lane executes a window.
 func (r *Recorder) SetLaneClock(node int, now func() time.Duration) {
 	if r == nil {
 		return
@@ -217,14 +198,10 @@ func (r *Recorder) SetLaneClock(node int, now func() time.Duration) {
 // Now returns the current simulated time as seen by this view's lane, or 0
 // before a clock is bound.
 func (r *Recorder) Now() time.Duration {
-	if r == nil {
+	if r == nil || r.clock == nil {
 		return 0
 	}
-	clock := r.c.shards[r.lane].clock
-	if clock == nil {
-		return 0
-	}
-	return clock()
+	return r.clock()
 }
 
 // SetSamplePeriod sets the gauge sampling interval (0 disables sampling).
@@ -263,9 +240,7 @@ func (r *Recorder) SpanAt(cat, name string, node, task int, start, dur time.Dura
 	if dur < 0 {
 		dur = 0
 	}
-	s := r.c.shards[r.lane]
-	s.seq++
-	s.spans = append(s.spans, spanRec{
+	r.c.spans = append(r.c.spans, spanRec{
 		Span: Span{
 			Cat:   cat,
 			Name:  name,
@@ -275,112 +250,68 @@ func (r *Recorder) SpanAt(cat, name string, node, task int, start, dur time.Dura
 			Dur:   dur,
 			Args:  args,
 		},
-		at:  r.Now(),
-		seq: s.seq,
+		at:   r.Now(),
+		lane: r.lane,
 	})
 }
 
-// Spans returns the recorded spans of every shard merged in deterministic
-// (record time, lane, shard sequence) order. The record time is the
-// executing event's timestamp and the shard sequence its emission order
-// within the lane — both are properties of the simulated schedule, not of
-// worker-thread timing, so the merged order is identical at any core count.
+// Spans returns the recorded spans in (record time, lane, emission) order.
+// The record time is the executing event's timestamp and the emission order
+// within one lane is that lane's event order — properties of the simulated
+// schedule, not of the order in which the lanes of a window happened to run.
 func (r *Recorder) Spans() []Span {
-	if r == nil {
+	if r == nil || len(r.c.spans) == 0 {
 		return nil
 	}
-	c := r.c
-	total := 0
-	for _, s := range c.shards {
-		total += len(s.spans)
+	recs := r.c.spans
+	order := make([]int, len(recs))
+	for i := range order {
+		order[i] = i
 	}
-	if total == 0 {
-		return nil
-	}
-	type keyed struct {
-		at   time.Duration
-		lane int
-		seq  uint64
-		span *spanRec
-	}
-	all := make([]keyed, 0, total)
-	for lane, s := range c.shards {
-		for i := range s.spans {
-			rec := &s.spans[i]
-			all = append(all, keyed{at: rec.at, lane: lane, seq: rec.seq, span: rec})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.lane != b.lane {
-			return a.lane < b.lane
-		}
-		return a.seq < b.seq
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := &recs[i], &recs[j]
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.lane, b.lane), cmp.Compare(i, j))
 	})
-	out := make([]Span, len(all))
-	for i, k := range all {
-		out[i] = k.span.Span
+	out := make([]Span, len(order))
+	for i, k := range order {
+		out[i] = recs[k].Span
 	}
 	return out
 }
 
-// Observe adds one latency observation to the named histogram of this
-// view's shard, creating it on first use. Shards merge at read time.
+// Observe adds one latency observation to the named histogram, creating it
+// on first use.
 func (r *Recorder) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	s := r.c.shards[r.lane]
-	h, ok := s.hists[name]
+	h, ok := r.c.hists[name]
 	if !ok {
 		h = &Histogram{Name: name}
-		s.hists[name] = h
-		s.histOrder = append(s.histOrder, name)
+		r.c.hists[name] = h
 	}
 	h.Observe(d)
 }
 
-// Histogram returns the named histogram merged across all shards, or nil if
-// nothing was observed under that name.
+// Histogram returns the named histogram, or nil if nothing was observed
+// under that name.
 func (r *Recorder) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	var out *Histogram
-	for _, s := range r.c.shards {
-		if h, ok := s.hists[name]; ok {
-			if out == nil {
-				out = &Histogram{Name: name}
-			}
-			out.merge(h)
-		}
-	}
-	return out
+	return r.c.hists[name]
 }
 
-// Histograms returns all histograms, merged across shards, sorted by name.
+// Histograms returns all histograms, sorted by name.
 func (r *Recorder) Histograms() []*Histogram {
-	if r == nil {
+	if r == nil || len(r.c.hists) == 0 {
 		return nil
 	}
-	seen := make(map[string]bool)
-	var names []string
-	for _, s := range r.c.shards {
-		for _, n := range s.histOrder {
-			if !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
+	out := make([]*Histogram, 0, len(r.c.hists))
+	for _, h := range r.c.hists {
+		out = append(out, h)
 	}
-	sort.Strings(names)
-	out := make([]*Histogram, len(names))
-	for i, n := range names {
-		out[i] = r.Histogram(n)
-	}
+	slices.SortFunc(out, func(a, b *Histogram) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -403,9 +334,7 @@ func (r *Recorder) AddNodeGauge(name string, node int, fn func() float64) {
 
 // SampleNowAt reads every registered gauge and appends one row per gauge to
 // the time series, stamped at. The engine's window sampler calls it between
-// scheduler windows — the one point where all lanes are quiescent, so the
-// reads are race-free and see the same barrier-committed state at any core
-// count.
+// scheduler windows, where every lane's state is committed.
 func (r *Recorder) SampleNowAt(at time.Duration) {
 	if r == nil {
 		return

@@ -208,6 +208,34 @@ func TestWriteTraceDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestSpansExportInTimeLaneEmissionOrder: spans come out by record time, then
+// lane (global first), then the order their lane emitted them in — whatever
+// order the lanes ran in.
+func TestSpansExportInTimeLaneEmissionOrder(t *testing.T) {
+	r := NewRecorder()
+	r.ConfigureLanes(3)
+	now := 5 * time.Microsecond
+	for lane := -1; lane < 3; lane++ {
+		r.SetLaneClock(lane, func() time.Duration { return now })
+	}
+	emit := func(lane int, name string) { r.OnLane(lane).SpanAt("c", name, lane, 0, 0, 0) }
+	emit(2, "lane2.a")
+	emit(2, "lane2.b")
+	emit(0, "lane0.a")
+	emit(-1, "global.a")
+	emit(0, "lane0.b")
+	now = 4 * time.Microsecond // lane 1 runs last but its clock is behind
+	emit(1, "lane1.early")
+	var got []string
+	for _, s := range r.Spans() {
+		got = append(got, s.Name)
+	}
+	want := "lane1.early global.a lane0.a lane0.b lane2.a lane2.b"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("export order %v, want %s", got, want)
+	}
+}
+
 // TestWriteMetrics smoke-checks the text summary.
 func TestWriteMetrics(t *testing.T) {
 	var out bytes.Buffer

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -100,6 +101,20 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// WriteTraceFile writes the trace-event JSON document to a new file at path
+// (the tools' -trace flag).
+func (r *Recorder) WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // pidsInUse returns the sorted set of node ids appearing in spans or

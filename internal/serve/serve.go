@@ -231,7 +231,7 @@ func (l *layout) stableAddr(gw, shard int) dex.Addr {
 
 // Run executes one serving run and assembles its SLO report. The run is
 // deterministic: the same Config (spec, seed, options) produces the same
-// report at any -cores width, with or without tracing attached.
+// report, with or without tracing attached.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < 1 {

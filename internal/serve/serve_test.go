@@ -51,14 +51,15 @@ func TestRunClean(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossCores is the report-level byte-identity claim:
-// the full report (latencies, percentiles, cluster stats) is deeply equal
-// across host parallelism widths.
+// TestRunDeterministicAcrossCores is the report-level byte-identity claim,
+// and what the frozen benchmark's serve_cores workload relies on: the full
+// report (latencies, percentiles, cluster stats) of a run with the ignored
+// dex.WithCores(4) is deeply equal to that of a run without.
 func TestRunDeterministicAcrossCores(t *testing.T) {
-	a := mustRun(t, testConfig(3, dex.WithCores(1)))
+	a := mustRun(t, testConfig(3))
 	b := mustRun(t, testConfig(3, dex.WithCores(4)))
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("reports differ across -cores:\n1: %+v\n4: %+v", a, b)
+		t.Fatalf("reports differ under WithCores(4):\nplain:        %+v\nWithCores(4): %+v", a, b)
 	}
 }
 
@@ -146,16 +147,15 @@ func TestRunChaosRestartExactlyOnce(t *testing.T) {
 }
 
 // TestRunChaosRestartDeterministic checks the chaos run itself is
-// reproducible and parallel-safe: same plan, same report, any core count.
+// reproducible: same plan, same report.
 func TestRunChaosRestartDeterministic(t *testing.T) {
-	run := func(cores int) Report {
-		cfg := testConfig(2, dex.WithCores(cores), dex.WithChaos(crashPlan(1, 10*time.Millisecond)))
+	run := func() Report {
+		cfg := testConfig(2, dex.WithChaos(crashPlan(1, 10*time.Millisecond)))
 		cfg.Restart = true
 		return mustRun(t, cfg)
 	}
-	a, b := run(1), run(4)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("chaos serve reports differ across -cores")
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatal("chaos serve reports differ between two runs")
 	}
 }
 

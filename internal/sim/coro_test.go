@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -214,15 +213,13 @@ func TestParkTimeoutStaleDeadlineIgnored(t *testing.T) {
 	}
 }
 
-// hopRun moves one task round the node lanes through global-lane commits,
-// the way a thread migrates, while every lane keeps a window's worth of work
-// going, and reports where the hopper ran.
-func hopRun(t *testing.T, cores int) ([]int, SchedStats) {
-	t.Helper()
+// One task moves round the node lanes through global-lane commits, the way a
+// thread migrates, while every lane keeps a window's worth of work going.
+func TestTaskHopsLanes(t *testing.T) {
 	const lanes = 4
 	const lookahead = time.Microsecond
 	e := NewEngine(1)
-	e.ConfigureLanes(lanes, cores)
+	e.ConfigureLanes(lanes)
 	e.SetLookahead(lookahead)
 	for n := 0; n < lanes; n++ {
 		e.LaneView(n).Spawn("busy", func(tk *Task) {
@@ -245,38 +242,19 @@ func hopRun(t *testing.T, cores int) ([]int, SchedStats) {
 		}
 	})
 	if err := e.Run(); err != nil {
-		t.Fatalf("Run at %d cores: %v", cores, err)
+		t.Fatalf("Run: %v", err)
 	}
-	return visited, e.SchedStats()
-}
-
-func TestTaskHopsLanesAcrossPoolWorkers(t *testing.T) {
-	serial, _ := hopRun(t, 1)
-	parallel, stats := hopRun(t, 4)
-	if len(serial) != 40 || len(parallel) != 40 {
-		t.Fatalf("hops: %d serial, %d parallel, want 40", len(serial), len(parallel))
+	if len(visited) != 40 {
+		t.Fatalf("%d hops, want 40", len(visited))
 	}
-	for i := range serial {
-		if want := (i + 1) % 4; serial[i] != want || parallel[i] != want {
-			t.Fatalf("hop %d ran on lane %d (serial) / %d (4 cores), want %d", i, serial[i], parallel[i], want)
+	for i, lane := range visited {
+		if want := (i + 1) % lanes; lane != want {
+			t.Fatalf("hop %d ran on lane %d, want %d", i, lane, want)
 		}
 	}
-	if stats.MaxWindowLanes < 2 {
-		t.Fatalf("MaxWindowLanes = %d: the worker pool never ran", stats.MaxWindowLanes)
+	if got := e.SchedStats().MaxWindowLanes; got < 2 {
+		t.Fatalf("MaxWindowLanes = %d: the hopper never shared a window", got)
 	}
-}
-
-// waitGoroutines reports the goroutine count once it is back at want; pool
-// workers exit on their own shortly after Run returns.
-func waitGoroutines(want int) int {
-	var got int
-	for i := 0; i < 200; i++ {
-		if got = runtime.NumGoroutine(); got <= want {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return got
 }
 
 func TestRunLeavesNoGoroutines(t *testing.T) {
@@ -318,32 +296,30 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			})
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "boom") }},
 	}
-	for _, cores := range []int{1, 4} {
-		for _, tc := range cases {
-			before := runtime.NumGoroutine()
-			var spawned, unwound atomic.Int64
-			for run := 0; run < 50; run++ {
-				e := NewEngine(int64(run))
-				e.ConfigureLanes(2, cores)
-				e.SetLookahead(time.Microsecond)
-				tc.build(e, func(name string, fn func(*Task)) {
-					view := e.LaneView(int(spawned.Add(1)) % 2)
-					view.Spawn(name, func(tk *Task) {
-						defer unwound.Add(1)
-						fn(tk)
-					})
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		spawned, unwound := 0, 0
+		for run := 0; run < 50; run++ {
+			e := NewEngine(int64(run))
+			e.ConfigureLanes(2)
+			e.SetLookahead(time.Microsecond)
+			tc.build(e, func(name string, fn func(*Task)) {
+				spawned++
+				e.LaneView(spawned%2).Spawn(name, func(tk *Task) {
+					defer func() { unwound++ }()
+					fn(tk)
 				})
-				if err := e.Run(); !tc.check(err) {
-					t.Fatalf("%s at %d cores: err = %v", tc.name, cores, err)
-				}
+			})
+			if err := e.Run(); !tc.check(err) {
+				t.Fatalf("%s: err = %v", tc.name, err)
 			}
-			if spawned.Load() != 550 || unwound.Load() != 550 {
-				t.Errorf("%s at %d cores: %d tasks spawned, %d ended with their deferred call run, want 550",
-					tc.name, cores, spawned.Load(), unwound.Load())
-			}
-			if after := waitGoroutines(before); after > before {
-				t.Errorf("%s at %d cores: goroutines %d → %d after 50 runs", tc.name, cores, before, after)
-			}
+		}
+		if spawned != 550 || unwound != 550 {
+			t.Errorf("%s: %d tasks spawned, %d ended with their deferred call run, want 550",
+				tc.name, spawned, unwound)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: goroutines %d → %d after 50 runs", tc.name, before, after)
 		}
 	}
 }

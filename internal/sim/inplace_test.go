@@ -10,9 +10,9 @@ import (
 
 // lanedEngine is an engine with node lanes and a one-microsecond lookahead,
 // so that Run goes through the windowed scheduler, and its node views.
-func lanedEngine(nodes, cores int) (*Engine, []*Engine) {
+func lanedEngine(nodes int) (*Engine, []*Engine) {
 	root := NewEngine(1)
-	root.ConfigureLanes(nodes, cores)
+	root.ConfigureLanes(nodes)
 	root.SetLookahead(time.Microsecond)
 	views := make([]*Engine, nodes)
 	for i := range views {
@@ -40,7 +40,7 @@ func mustRun(t *testing.T, e *Engine) SchedStats {
 // ends inside the window is taken in place, allocates nothing and switches to
 // no other goroutine.
 func TestInPlaceWakeAllocsPerRun(t *testing.T) {
-	root, views := lanedEngine(2, 1)
+	root, views := lanedEngine(2)
 	var allocs float64
 	resumes := 0
 	views[0].Spawn("sleeper", func(tk *Task) {
@@ -60,21 +60,19 @@ func TestInPlaceWakeAllocsPerRun(t *testing.T) {
 // A sleep is taken in place only up to the window end: the wake-up exactly at
 // the end belongs to the next window and goes through the heap.
 func TestInPlaceWakeStopsAtWindowEnd(t *testing.T) {
-	for _, cores := range []int{1, 4} {
-		root, views := lanedEngine(2, cores)
-		resumes := 0
-		views[0].Spawn("sleeper", func(tk *Task) {
-			countResumes(tk, &resumes)
-			for i := 0; i < 1000; i++ {
-				tk.Sleep(10 * time.Nanosecond)
-			}
-		})
-		st := mustRun(t, root)
-		// Each window of 1µs holds 99 wake-ups before its end and one at it.
-		if st.InPlaceWakes != 990 || resumes != 10 || st.Events != 1001 || st.Windows != 11 {
-			t.Fatalf("cores %d: %d in place, %d switches, %d events, %d windows; want 990, 10, 1001, 11",
-				cores, st.InPlaceWakes, resumes, st.Events, st.Windows)
+	root, views := lanedEngine(2)
+	resumes := 0
+	views[0].Spawn("sleeper", func(tk *Task) {
+		countResumes(tk, &resumes)
+		for i := 0; i < 1000; i++ {
+			tk.Sleep(10 * time.Nanosecond)
 		}
+	})
+	st := mustRun(t, root)
+	// Each window of 1µs holds 99 wake-ups before its end and one at it.
+	if st.InPlaceWakes != 990 || resumes != 10 || st.Events != 1001 || st.Windows != 11 {
+		t.Fatalf("%d in place, %d switches, %d events, %d windows; want 990, 10, 1001, 11",
+			st.InPlaceWakes, resumes, st.Events, st.Windows)
 	}
 }
 
@@ -92,12 +90,8 @@ func TestInPlaceWakeTieTakesKeyOrder(t *testing.T) {
 		{[]int{0, 2}, "[from0 woke from2]", 0},
 	}
 	for _, tc := range cases {
-		for _, mode := range []pickMode{pickSerialized, pickInline, pickPool} {
-			cores := 1
-			if mode == pickPool {
-				cores = 4
-			}
-			root, views := lanedEngine(3, cores)
+		for _, mode := range []pickMode{pickSerialized, pickInline} {
+			root, views := lanedEngine(3)
 			if mode == pickSerialized {
 				root.SerializeLanes()
 			}
@@ -133,27 +127,25 @@ func TestInPlaceWakeNeedsIndependentLanes(t *testing.T) {
 			}
 		})
 	}
-	root, views := lanedEngine(2, 1)
+	root, views := lanedEngine(2)
 	sleeps(views[0])
 	if st := mustRun(t, root); st.InPlaceWakes != 5 {
 		t.Fatalf("independent lanes: %d in place, want 5", st.InPlaceWakes)
 	}
 
-	root, views = lanedEngine(2, 1)
+	root, views = lanedEngine(2)
 	root.After(500*time.Nanosecond, func() {})
 	sleeps(views[0])
 	if st := mustRun(t, root); st.InPlaceWakes != 0 || st.SerializedWindows != 1 {
 		t.Fatalf("window with global work: %d in place in %d serialized windows, want 0 in 1", st.InPlaceWakes, st.SerializedWindows)
 	}
 
-	for _, cores := range []int{1, 4} {
-		root, views = lanedEngine(2, cores)
-		root.SerializeLanes()
-		sleeps(views[0])
-		if st := mustRun(t, root); st.InPlaceWakes != 0 || st.SerializedWindows != 0 || st.LaneDispatches != 1 {
-			t.Fatalf("serialized lanes, cores %d: %d in place, %d serialized windows, %d dispatches, want 0, 0, 1",
-				cores, st.InPlaceWakes, st.SerializedWindows, st.LaneDispatches)
-		}
+	root, views = lanedEngine(2)
+	root.SerializeLanes()
+	sleeps(views[0])
+	if st := mustRun(t, root); st.InPlaceWakes != 0 || st.SerializedWindows != 0 || st.LaneDispatches != 1 {
+		t.Fatalf("serialized lanes: %d in place, %d serialized windows, %d dispatches, want 0, 0, 1",
+			st.InPlaceWakes, st.SerializedWindows, st.LaneDispatches)
 	}
 }
 
@@ -161,7 +153,7 @@ func TestInPlaceWakeNeedsIndependentLanes(t *testing.T) {
 // task there, off its own lane: its sleep then belongs to another lane's heap
 // and is queued, not taken.
 func TestInPlaceWakeNotOffOwnLane(t *testing.T) {
-	root, views := lanedEngine(2, 1)
+	root, views := lanedEngine(2)
 	var ranOn []int
 	var inPlace []uint64
 	mover := views[1].Spawn("mover", func(tk *Task) {
@@ -186,57 +178,53 @@ func TestInPlaceWakeNotOffOwnLane(t *testing.T) {
 // it must not keep a sleep from being taken in place, and the live event
 // behind it must still run before a later wake-up.
 func TestInPlaceWakeSkipsCancelledDeadline(t *testing.T) {
-	for _, cores := range []int{1, 4} {
-		root, views := lanedEngine(2, cores)
-		v := views[0]
-		var order []string
-		var inPlace []uint64
-		note := func(what string) {
-			order = append(order, fmt.Sprintf("%s@%v", what, v.Now()))
-			inPlace = append(inPlace, v.c.lanes[v.lane].inPlace)
-		}
-		waiter := v.Spawn("waiter", func(tk *Task) {
-			tk.ParkTimeout("cancelled", 300*time.Nanosecond)
-			note("waiter")
-		})
-		v.Spawn("worker", func(tk *Task) {
-			waiter.Unpark() // the 300ns deadline stays on the heap, dead
-			tk.Sleep(100 * time.Nanosecond)
-			note("queued") // behind the waiter's wake-up at 0
-			tk.Sleep(250 * time.Nanosecond)
-			note("past-deadline") // only the dead deadline was in the way
-			v.After(20*time.Nanosecond, func() { note("after") })
-			tk.Sleep(30 * time.Nanosecond)
-			note("behind-after")
-		})
-		mustRun(t, root)
-		want := "[waiter@0s queued@100ns past-deadline@350ns after@370ns behind-after@380ns] [0 0 1 1 1]"
-		if got := fmt.Sprint(order, inPlace); got != want {
-			t.Fatalf("cores %d:\n got %s\nwant %s", cores, got, want)
-		}
+	root, views := lanedEngine(2)
+	v := views[0]
+	var order []string
+	var inPlace []uint64
+	note := func(what string) {
+		order = append(order, fmt.Sprintf("%s@%v", what, v.Now()))
+		inPlace = append(inPlace, v.c.lanes[v.lane].inPlace)
+	}
+	waiter := v.Spawn("waiter", func(tk *Task) {
+		tk.ParkTimeout("cancelled", 300*time.Nanosecond)
+		note("waiter")
+	})
+	v.Spawn("worker", func(tk *Task) {
+		waiter.Unpark() // the 300ns deadline stays on the heap, dead
+		tk.Sleep(100 * time.Nanosecond)
+		note("queued") // behind the waiter's wake-up at 0
+		tk.Sleep(250 * time.Nanosecond)
+		note("past-deadline") // only the dead deadline was in the way
+		v.After(20*time.Nanosecond, func() { note("after") })
+		tk.Sleep(30 * time.Nanosecond)
+		note("behind-after")
+	})
+	mustRun(t, root)
+	want := "[waiter@0s queued@100ns past-deadline@350ns after@370ns behind-after@380ns] [0 0 1 1 1]"
+	if got := fmt.Sprint(order, inPlace); got != want {
+		t.Fatalf("\n got %s\nwant %s", got, want)
 	}
 }
 
 // Kill reaches a task at its next yield; sleeps taken in place are not
 // yields, and the task unwinds from the first sleep that is.
 func TestKillAfterInPlaceSleep(t *testing.T) {
-	for _, cores := range []int{1, 4} {
-		root, views := lanedEngine(2, cores)
-		var log []string
-		victim := views[0].Spawn("victim", func(tk *Task) {
-			defer func() { log = append(log, fmt.Sprintf("unwound@%v", tk.Now())) }()
-			for i := 0; i < 3; i++ {
-				tk.Sleep(10 * time.Nanosecond)
-			}
-			log = append(log, fmt.Sprintf("slept@%v", tk.Now()))
-			tk.Sleep(5 * time.Microsecond)
-			log = append(log, "survived")
-		})
-		root.After(2*time.Microsecond, victim.Kill)
-		st := mustRun(t, root)
-		if got := fmt.Sprint(log); got != "[slept@30ns unwound@5.03µs]" || !victim.Done() || st.InPlaceWakes != 3 {
-			t.Fatalf("cores %d: log %s, done %v, %d in place", cores, got, victim.Done(), st.InPlaceWakes)
+	root, views := lanedEngine(2)
+	var log []string
+	victim := views[0].Spawn("victim", func(tk *Task) {
+		defer func() { log = append(log, fmt.Sprintf("unwound@%v", tk.Now())) }()
+		for i := 0; i < 3; i++ {
+			tk.Sleep(10 * time.Nanosecond)
 		}
+		log = append(log, fmt.Sprintf("slept@%v", tk.Now()))
+		tk.Sleep(5 * time.Microsecond)
+		log = append(log, "survived")
+	})
+	root.After(2*time.Microsecond, victim.Kill)
+	st := mustRun(t, root)
+	if got := fmt.Sprint(log); got != "[slept@30ns unwound@5.03µs]" || !victim.Done() || st.InPlaceWakes != 3 {
+		t.Fatalf("log %s, done %v, %d in place", got, victim.Done(), st.InPlaceWakes)
 	}
 }
 
@@ -273,25 +261,23 @@ func TestEventLimitInsideOneWindow(t *testing.T) {
 		},
 	}
 	for name, loop := range loops {
-		for _, cores := range []int{1, 4} {
-			root, views := lanedEngine(2, cores)
-			root.SetEventLimit(10000)
-			loop(views[0])
-			err := runWithin(t, root)
-			if !errors.Is(err, ErrEventLimit) || err.Error() != "sim: event limit exceeded (limit 10000)" {
-				t.Fatalf("%s loop, cores %d: err = %v, want the event limit", name, cores, err)
-			}
-			if got := root.Events(); got != 10000 {
-				t.Fatalf("%s loop, cores %d: %d events committed, want 10000", name, cores, got)
-			}
+		root, views := lanedEngine(2)
+		root.SetEventLimit(10000)
+		loop(views[0])
+		err := runWithin(t, root)
+		if !errors.Is(err, ErrEventLimit) || err.Error() != "sim: event limit exceeded (limit 10000)" {
+			t.Fatalf("%s loop: err = %v, want the event limit", name, err)
+		}
+		if got := root.Events(); got != 10000 {
+			t.Fatalf("%s loop: %d events committed, want 10000", name, got)
 		}
 	}
 }
 
-// What ends a run early reads the same at one core as at four. A panic in a
-// lane's event is that lane's failure, and Run's error, at both — the serial
-// loop of an engine without windows still lets it propagate.
-func TestFailureTextSameAtAnyCoreCount(t *testing.T) {
+// The text of everything that ends a run early. A panic in a lane's event is
+// that lane's failure, and Run's error — the serial loop of an engine without
+// windows still lets it propagate.
+func TestFailureText(t *testing.T) {
 	cases := []struct {
 		name  string
 		setup func(root *Engine, v *Engine)
@@ -314,14 +300,12 @@ func TestFailureTextSameAtAnyCoreCount(t *testing.T) {
 		}, "sim: event limit exceeded (limit 50)"},
 	}
 	for _, tc := range cases {
-		for _, cores := range []int{1, 4} {
-			root, views := lanedEngine(2, cores)
-			tc.setup(root, views[0])
-			views[1].After(10*time.Nanosecond, func() {}) // a second active lane
-			err := runWithin(t, root)
-			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-				t.Errorf("%s, cores %d: err = %v, want prefix %q", tc.name, cores, err, tc.want)
-			}
+		root, views := lanedEngine(2)
+		tc.setup(root, views[0])
+		views[1].After(10*time.Nanosecond, func() {}) // a second active lane
+		err := runWithin(t, root)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want prefix %q", tc.name, err, tc.want)
 		}
 	}
 	root := NewEngine(1)

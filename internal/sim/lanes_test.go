@@ -18,17 +18,20 @@ type laneTrace struct {
 	events  uint64
 }
 
-// runLaneWorkload drives a synthetic workload exercising every parallel-core
+// runLaneWorkload drives a synthetic workload exercising every lane
 // mechanism: lane-local sleeps with lane-RNG draws, cross-lane messages
 // riding the lookahead, periodic global-lane events forcing serialized
-// windows, and park/unpark traffic. The trace must be identical at any core
-// count.
-func runLaneWorkload(t *testing.T, nodes, cores int) laneTrace {
+// windows, and park/unpark traffic — with the lanes of a window run one after
+// the other, or, serialized, every window in global key order.
+func runLaneWorkload(t *testing.T, nodes int, serialized bool) laneTrace {
 	t.Helper()
 	const la = time.Microsecond
 	root := NewEngine(42)
-	root.ConfigureLanes(nodes, cores)
+	root.ConfigureLanes(nodes)
 	root.SetLookahead(la)
+	if serialized {
+		root.SerializeLanes()
+	}
 
 	tr := laneTrace{perLane: make([][]string, nodes)}
 	views := make([]*Engine, nodes)
@@ -71,39 +74,38 @@ func runLaneWorkload(t *testing.T, nodes, cores int) laneTrace {
 	root.After(2*time.Microsecond, beat)
 
 	if err := root.Run(); err != nil {
-		t.Fatalf("nodes=%d cores=%d: %v", nodes, cores, err)
+		t.Fatalf("nodes=%d serialized=%v: %v", nodes, serialized, err)
 	}
 	tr.events = root.Events()
 	return tr
 }
 
-// TestWindowedEquivalence is the core byte-identity property: the same seed
-// and workload produce identical traces at one core and at every core count.
+// TestWindowedEquivalence is the property lanes rest on: running the lanes of
+// a window one after the other reorders only events that commute, so every
+// lane logs what it logs when each window runs in global key order.
 func TestWindowedEquivalence(t *testing.T) {
-	ref := runLaneWorkload(t, 4, 1)
-	for _, cores := range []int{2, 4, 8} {
-		got := runLaneWorkload(t, 4, cores)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("cores=%d trace diverged from serial:\nserial: %+v\ngot:    %+v", cores, ref, got)
-		}
+	ref := runLaneWorkload(t, 4, true)
+	if got := runLaneWorkload(t, 4, false); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("lane-by-lane trace diverged from key order:\nkey order: %+v\ngot:       %+v", ref, got)
 	}
 }
 
-// TestWindowedEquivalenceSingleLane checks that a window with one active
-// lane, which the pool's scheduler runs itself, agrees with one core too.
+// TestWindowedEquivalenceSingleLane is the same with one node lane, where
+// every window has at most one lane to run.
 func TestWindowedEquivalenceSingleLane(t *testing.T) {
-	ref := runLaneWorkload(t, 1, 1)
-	if got := runLaneWorkload(t, 1, 4); !reflect.DeepEqual(ref, got) {
-		t.Fatalf("single-lane parallel trace diverged:\nserial: %+v\ngot:    %+v", ref, got)
+	ref := runLaneWorkload(t, 1, true)
+	if got := runLaneWorkload(t, 1, false); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("single-lane trace diverged from key order:\nkey order: %+v\ngot:       %+v", ref, got)
 	}
 }
 
 // TestGlobalRandGuard verifies the satellite guard: drawing from the global
-// view's RNG while node lanes execute concurrently is a determinism bug and
-// must panic (surfaced as a lane failure from Run).
+// view's RNG while node lanes execute a window independently would make the
+// draw depend on which lane ran first, and must panic (surfaced as a lane
+// failure from Run).
 func TestGlobalRandGuard(t *testing.T) {
 	root := NewEngine(7)
-	root.ConfigureLanes(2, 2)
+	root.ConfigureLanes(2)
 	root.SetLookahead(time.Microsecond)
 	v0, v1 := root.LaneView(0), root.LaneView(1)
 	// Both lanes need same-window work or the scheduler serializes the run.
@@ -122,7 +124,7 @@ func TestGlobalRandGuard(t *testing.T) {
 // global stream must match a classic serial engine with the same seed.
 func TestLaneRandSplitStreams(t *testing.T) {
 	root := NewEngine(99)
-	root.ConfigureLanes(2, 1)
+	root.ConfigureLanes(2)
 	a, b := root.LaneView(0), root.LaneView(1)
 	same := 0
 	for i := 0; i < 32; i++ {
@@ -141,10 +143,10 @@ func TestLaneRandSplitStreams(t *testing.T) {
 
 // TestLaneViolationPanics verifies the conservative guard: a node lane
 // scheduling onto another lane inside the current window is caught, not
-// silently racy.
+// silently order-dependent.
 func TestLaneViolationPanics(t *testing.T) {
 	root := NewEngine(5)
-	root.ConfigureLanes(2, 2)
+	root.ConfigureLanes(2)
 	root.SetLookahead(time.Microsecond)
 	v0, v1 := root.LaneView(0), root.LaneView(1)
 	v1.After(50*time.Nanosecond, func() {}) // keep lane 1 active in the window
@@ -200,7 +202,7 @@ func TestParkTimeoutHeapBounded(t *testing.T) {
 // accounting), not the new lane's.
 func TestParkTimeoutCancelAfterSetLane(t *testing.T) {
 	root := NewEngine(3)
-	root.ConfigureLanes(2, 1)
+	root.ConfigureLanes(2)
 	root.SetLookahead(time.Microsecond)
 	v0 := root.LaneView(0)
 	timedOut := false
@@ -252,15 +254,15 @@ func TestConfigureLanesTwicePanics(t *testing.T) {
 		}
 	}()
 	eng := NewEngine(1)
-	eng.ConfigureLanes(2, 1)
-	eng.ConfigureLanes(2, 1)
+	eng.ConfigureLanes(2)
+	eng.ConfigureLanes(2)
 }
 
-// TestSecondRunAtSeveralCores: the worker pool belongs to one Run; a second
-// Run of the same engine starts its own instead of reusing a closed one.
-func TestSecondRunAtSeveralCores(t *testing.T) {
+// TestSecondRunOfOneEngine: a laned engine can be run again once it has
+// drained; the second Run opens its own windows.
+func TestSecondRunOfOneEngine(t *testing.T) {
 	root := NewEngine(1)
-	root.ConfigureLanes(2, 4)
+	root.ConfigureLanes(2)
 	root.SetLookahead(time.Microsecond)
 	for run := 0; run < 2; run++ {
 		for i := 0; i < 2; i++ {
@@ -270,7 +272,7 @@ func TestSecondRunAtSeveralCores(t *testing.T) {
 			t.Fatalf("run %d: %v", run, err)
 		}
 	}
-	if got := root.SchedStats().MaxWindowLanes; got != 2 {
-		t.Fatalf("MaxWindowLanes = %d: the pool never ran", got)
+	if st := root.SchedStats(); st.Windows != 2 || st.Events != 4 || st.MaxWindowLanes != 2 {
+		t.Fatalf("%d windows, %d events, at most %d lanes a window; want 2, 4, 2", st.Windows, st.Events, st.MaxWindowLanes)
 	}
 }

@@ -97,8 +97,7 @@ type pickMode int
 const (
 	pickRef        pickMode = iota // serialized lanes, under runSerialRef
 	pickSerialized                 // serialized lanes, through Run
-	pickInline                     // independent lanes, one core
-	pickPool                       // independent lanes, four cores
+	pickInline                     // independent lanes, through Run
 )
 
 // runPickProgram runs a seeded random program over nodes node lanes (0: a
@@ -119,11 +118,7 @@ func runPickProgram(t *testing.T, seed int64, nodes int, mode pickMode) pickTrac
 		root.SerializeLanes()
 	}
 	if nodes > 0 {
-		cores := 1
-		if mode == pickPool {
-			cores = 4
-		}
-		root.ConfigureLanes(nodes, cores)
+		root.ConfigureLanes(nodes)
 		root.SetLookahead(la)
 		views = views[:0]
 		for i := 0; i < nodes; i++ {
@@ -214,9 +209,8 @@ func runPickProgram(t *testing.T, seed int64, nodes int, mode pickMode) pickTrac
 // checkLanePick holds the production scheduler to the reference. An engine
 // with serialized lanes executes the same events in the same order with the
 // same window schedule as the full scan. Independent lanes, run one after the
-// other at one core or on the pool at four, leave every lane the same log and
-// the same scheduler counts — but for the sleeps they take in place, which a
-// serialized engine never does and which must not depend on the core count.
+// other, leave every lane the same log and the same scheduler counts — but
+// for the sleeps they take in place, which a serialized engine never does.
 func checkLanePick(t *testing.T, seed int64, nodes int) {
 	t.Helper()
 	ref := runPickProgram(t, seed, nodes, pickRef)
@@ -230,9 +224,6 @@ func checkLanePick(t *testing.T, seed int64, nodes int) {
 		t.Fatalf("seed %d nodes %d: %d sleeps taken in place with serialized lanes", seed, nodes, ref.sched.InPlaceWakes)
 	}
 	inline := runPickProgram(t, seed, nodes, pickInline)
-	if pool := runPickProgram(t, seed, nodes, pickPool); !reflect.DeepEqual(inline, pool) {
-		t.Fatalf("seed %d nodes %d: cores=4 run diverged from cores=1", seed, nodes)
-	}
 	if inline.sched.InPlaceWakes == 0 {
 		t.Fatalf("seed %d nodes %d: no sleep taken in place", seed, nodes)
 	}
@@ -281,7 +272,7 @@ func FuzzLanePick(f *testing.F) {
 // the pick must notice and go to the lane that really is next.
 func TestLanePickSkipsStaleHead(t *testing.T) {
 	root := NewEngine(1)
-	root.ConfigureLanes(2, 1)
+	root.ConfigureLanes(2)
 	v0, v1 := root.LaneView(0), root.LaneView(1)
 	var order []string
 	sleeper := v0.Spawn("sleeper", func(task *Task) {

@@ -1,17 +1,17 @@
-// Package sim provides a deterministic discrete-event simulation engine with
-// a conservative-parallel (PDES) core.
+// Package sim provides a deterministic discrete-event simulation engine
+// that orders its events by lane and lookahead window.
 //
 // The engine advances a virtual clock over priority queues of events. Tasks
 // are cooperative coroutines: a task's code runs on an iter.Pull coroutine,
-// and the goroutine executing the task's lane switches into it directly
-// (runtime coroswitch) and is switched back to when the task sleeps, parks
-// or finishes — the Go scheduler takes no part in a task switch. Coroutines
-// whose task has finished wait on a free list owned by the lane that ran
-// them and serve the next task started there, so steady-state Spawn creates
-// no goroutine; Run stops them all, live or pooled, before it returns. At one
-// core exactly one goroutine (the engine or a single task) runs at any moment,
-// so simulation state needs no locking and runs are bit-for-bit reproducible
-// for a given seed.
+// and Run's goroutine switches into it directly (runtime coroswitch) and is
+// switched back to when the task sleeps, parks or finishes — the Go scheduler
+// takes no part in a task switch. Coroutines whose task has finished wait on a
+// free list owned by the lane that ran them and serve the next task started
+// there, so steady-state Spawn creates no goroutine; Run stops them all, live
+// or pooled, before it returns. A simulation executes on exactly one
+// goroutine: at any moment either Run's loop or a single task runs, so
+// simulation state needs no locking and runs are bit-for-bit reproducible for
+// a given seed.
 //
 // # Events
 //
@@ -24,7 +24,7 @@
 // scheduled the same way internally, so Sleep, Unpark and Spawn allocate no
 // event state.
 //
-// # Parallel core
+// # Lanes and windows
 //
 // Every event carries an affinity lane: a node index, or the global lane for
 // cross-cutting events. A fabric-style minimum cross-lane latency ("lookahead"
@@ -32,18 +32,16 @@
 // distinct node lanes cannot affect each other — any cross-node effect travels
 // through the fabric and lands at least L later — so the scheduler runs window
 // by window and, inside a window, lane by lane: each active lane executes its
-// own events up to the window end, one lane after the other on the calling
-// goroutine at one core, concurrently on a worker pool at several. There is
-// one scheduler; the core count only says where a lane runs. A window
-// containing a global-lane event is processed serially in full event order,
-// and so is every window of an engine whose lanes share state
-// (SerializeLanes). Events are keyed by (time, target lane, creator lane,
-// creator counter); the key order is total, and only provably commuting
-// events are ever reordered, so reports are byte-identical at any core count.
-// An engine without lanes or without a lookahead is the classic serial loop.
-// Nothing can reach a lane running its own window before the window ends, so
-// a task whose Sleep ends before that and before the lane's next event is
-// that next event, and Sleep takes the wake-up in place (see Task.Sleep).
+// own events up to the window end, one lane after the other on Run's
+// goroutine. A lane that runs alone asks only its own heap for its next event,
+// and nothing can reach it before the window ends, so a task whose Sleep ends
+// before that and before the lane's next event is that next event, and Sleep
+// takes the wake-up in place (see Task.Sleep). A window containing a
+// global-lane event is processed in full event order, and so is every window
+// of an engine whose lanes share state (SerializeLanes). Events are keyed by
+// (time, target lane, creator lane, creator counter); the key order is total,
+// and only provably commuting events are ever reordered. An engine without
+// lanes or without a lookahead is the classic serial loop.
 //
 // Lane discipline for event producers:
 //
@@ -51,8 +49,7 @@
 //   - Scheduling onto a different lane is only legal at or after the current
 //     window's end; cross-lane effects must ride a latency of at least the
 //     lookahead (the fabric guarantees this for message delivery). Violations
-//     panic with lane-violation context rather than corrupting the run, at
-//     one core as at several.
+//     panic with lane-violation context rather than corrupting the run.
 //   - Global-lane events run with every other lane stopped, so they may touch
 //     any state and schedule anywhere — global is always a safe fallback.
 //
@@ -70,7 +67,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -101,22 +97,21 @@ type engineCore struct {
 	lanes []*laneState // [0] = global, [1..] = node lanes
 	// heads[i] is a lower bound on the time of lane i's earliest live event
 	// (noEvent for a lane known to be empty). nextLane picks from it without
-	// touching any heap and verifies the pick. It is written in serial context
-	// only: a direct push in schedule, after a serial step, at a window's
-	// barrier. A lane executing a parallel window leaves it alone.
+	// touching any heap and verifies the pick. A push lowers it, a serial step
+	// and a window's end refresh it; a lane executing its own window asks its
+	// heap instead.
 	heads     []time.Duration
-	cores     int
 	lookahead time.Duration
 	seed      int64
 
 	// windowEnd is the exclusive upper bound of the window currently
-	// executing in parallel; written only by the scheduler between windows,
-	// read by lanes to validate cross-lane staging.
+	// executing; written only by the scheduler between windows, read by lanes
+	// to validate cross-lane scheduling.
 	windowEnd time.Duration
 
 	// now is the committed clock: the serial clock in serial or serialized
 	// execution, and the maximum completed-window time otherwise. Lane events
-	// in a parallel window read their own lane clock instead.
+	// in a window of independent lanes read their own lane clock instead.
 	now      time.Duration
 	parallel bool // true while node lanes execute a window independently
 	// serializeLanes says the node lanes share state (SerializeLanes): every
@@ -124,13 +119,11 @@ type engineCore struct {
 	serializeLanes bool
 
 	limit   uint64
-	nEvents uint64 // serial / barrier-committed event count
+	nEvents uint64 // events committed: serial ones, and lane events at their window's end
 	failure error
 
-	// sched accumulates window-level scheduler telemetry. It is written only
-	// by beginWindow and the serialized execution paths, both of which run
-	// with every lane quiescent, so it needs no locking. The window schedule
-	// does not depend on the core count, so neither do the counters.
+	// sched accumulates window-level scheduler telemetry, written by
+	// beginWindow and the serialized execution paths.
 	sched schedCounters
 
 	// serializedWin is true while executing events of a window that holds
@@ -138,26 +131,21 @@ type engineCore struct {
 	// what runs in key order only because the engine's lanes are serialized).
 	serializedWin bool
 
-	// samplers fire at window starts, between windows, with every lane
-	// quiescent — the one point where periodic observation is race-free and
-	// identically placed in serial and parallel execution.
+	// samplers fire at window starts, between windows: the one point where
+	// periodic observation sees every lane at a committed clock.
 	samplers []sampler
 
 	// active is beginWindow's scratch list of the lanes a window dispatches,
 	// reused from window to window.
 	active []*laneState
 
-	// tasksMu guards the task registry only; it is sim-internal bookkeeping
-	// (deadlock diagnostics) whose lock order never leaks into simulation
-	// outcomes. All simulation state proper is lane-owned and lock-free.
-	tasksMu sync.Mutex
-	tasks   map[*Task]struct{}
+	// tasks registers the live tasks, for deadlock diagnostics and for
+	// unwinding what is still suspended when Run returns.
+	tasks map[*Task]struct{}
 }
 
 // laneState is the per-lane slice of the simulation: its event heap, clock,
-// RNG stream, and parallel-window scratch state. A lane's state is only ever
-// touched by the goroutine executing that lane's events (or by the scheduler
-// between windows).
+// RNG stream, and per-window scratch state.
 type laneState struct {
 	idx   int // 0 = global, i+1 = node i
 	heap  eventHeap
@@ -166,38 +154,28 @@ type laneState struct {
 	rng   *rand.Rand
 	tombs int // cancelled timeout events still in the heap
 
-	// outbox buffers events staged onto other lanes during a parallel
-	// window; the scheduler merges it at the barrier.
-	outbox []stagedEvent
-
-	// nEvents counts events executed during the current parallel window,
-	// committed to the core's total at the barrier.
+	// nEvents counts events executed during the current window, committed to
+	// the core's total at the window's end: each lane meets the event limit
+	// against the count the window started with, whatever ran before it.
 	nEvents uint64
 
 	// events, windows and inPlace are lifetime telemetry: total events executed
 	// on this lane, windows in which it was dispatched, and the events among
-	// them that were sleeps taken in place. They are written only by the
-	// goroutine owning the lane (or the scheduler between windows).
+	// them that were sleeps taken in place.
 	events  uint64
 	windows uint64
 	inPlace uint64
 
 	// failure records the first failing event of this lane in the current
-	// window; the barrier keeps the one with the smallest event key.
+	// window; the window's end keeps the one with the smallest event key.
 	failure    error
 	failureKey eventKey
 
 	current *Task // task currently dispatched by this lane, if any
 
 	// free holds coroutines whose task finished on this lane, ready for the
-	// next task started here. Like everything else in laneState it is only
-	// touched by the goroutine executing the lane.
+	// next task started here.
 	free []*coro
-}
-
-type stagedEvent struct {
-	lane int // target lane index
-	ev   event
 }
 
 // schedCounters is the core-owned half of the scheduler telemetry.
@@ -211,29 +189,29 @@ type schedCounters struct {
 
 // sampler is a periodic observation callback. Deadlines are multiples of the
 // period; all deadlines at or before a window's start time fire at that
-// window's start, so observations see exactly the barrier-committed state.
+// window's start, so observations see exactly the state committed by the
+// windows before it.
 type sampler struct {
 	period time.Duration
 	next   time.Duration
 	fn     func(at time.Duration)
 }
 
-// SchedStats is a snapshot of the conservative-parallel scheduler's
-// telemetry: how the run decomposed into lookahead windows and how the lanes
-// shared them. All counters are derived from the window schedule, which does
-// not depend on the core count, so the snapshot is identical at any core
-// count for the same configuration and seed. Read it after Run returns (or
-// from serialized context).
+// SchedStats is a snapshot of the windowed scheduler's telemetry: how the run
+// decomposed into lookahead windows and how the lanes shared them. It is a
+// function of the configuration and seed. Read it after Run returns (or from
+// serialized context).
 type SchedStats struct {
 	// Windows is the number of lookahead windows the schedule decomposed
-	// into; SerializedWindows of them contained global-lane work and ran
-	// single-threaded, with SerializedEvents events executed that way.
+	// into; SerializedWindows of them contained global-lane work and ran in
+	// global key order, with SerializedEvents events executed that way.
 	Windows           uint64
 	SerializedWindows uint64
 	SerializedEvents  uint64
 	// LaneDispatches is the total number of node-lane activations across
-	// parallel windows; LaneDispatches/(Windows-SerializedWindows) is the
-	// mean concurrency the lookahead exposed, MaxWindowLanes its peak.
+	// the other windows; LaneDispatches/(Windows-SerializedWindows) is the
+	// mean number of independent lanes the lookahead exposed, MaxWindowLanes
+	// its peak.
 	LaneDispatches uint64
 	MaxWindowLanes int
 	// Events is the total committed event count; Lookahead the configured
@@ -241,9 +219,9 @@ type SchedStats struct {
 	Events    uint64
 	Lookahead time.Duration
 	// InPlaceWakes is how many of Events were sleeps that ended as their
-	// lane's next event inside a parallel window and so cost no event and no
-	// task switch (Task.Sleep): the reason two runs with equal Events differ
-	// in host time. It is 0 when the lanes are serialized.
+	// lane's next event inside a window of independent lanes and so cost no
+	// event and no task switch (Task.Sleep): the reason two runs with equal
+	// Events differ in host time. It is 0 when the lanes are serialized.
 	InPlaceWakes uint64
 	// Lanes holds per-node-lane totals, indexed by node.
 	Lanes []LaneSchedStats
@@ -279,11 +257,9 @@ func (e *Engine) SchedStats() SchedStats {
 
 // AddSampler registers fn to fire for every elapsed multiple of period, at
 // the start of the scheduler window that first reaches each deadline. The
-// callback runs between windows with every lane quiescent, so it may read
-// any simulation state without racing lane execution; at is the deadline
-// being served (≤ the window start). The window schedule is the same at any
-// core count, so firing points — and the state observed — are too. Samplers
-// stop naturally when the event queues drain.
+// callback runs between windows, so it may read any simulation state; at is
+// the deadline being served (≤ the window start). Samplers stop naturally
+// when the event queues drain.
 func (e *Engine) AddSampler(period time.Duration, fn func(at time.Duration)) {
 	if period <= 0 {
 		return
@@ -434,26 +410,22 @@ func newLane(idx int, seed int64) *laneState {
 }
 
 // NewEngine returns the global view of an engine whose random source is
-// seeded with seed. The engine starts with no node lanes and a single core
-// (the classic serial loop); ConfigureLanes adds node lanes and parallelism.
+// seeded with seed. The engine starts with no node lanes (the classic serial
+// loop); ConfigureLanes adds them.
 func NewEngine(seed int64) *Engine {
-	c := &engineCore{
-		cores: 1,
-		tasks: make(map[*Task]struct{}),
-	}
+	c := &engineCore{tasks: make(map[*Task]struct{})}
 	c.lanes = []*laneState{newLane(0, seed)}
 	c.heads = []time.Duration{noEvent}
 	c.seed = seed
 	return &Engine{c: c, lane: 0}
 }
 
-// ConfigureLanes declares the node-lane count and the worker parallelism.
-// Once SetLookahead has provided a positive lookahead bound the engine runs
-// window by window and lane by lane; cores says where the lanes of a window
-// execute: one after the other on Run's goroutine (cores <= 1), or
-// concurrently on that many workers. It must be called before any node-lane
-// events exist.
-func (e *Engine) ConfigureLanes(nodes, cores int) {
+// ConfigureLanes declares the node-lane count. Once SetLookahead has provided
+// a positive lookahead bound the engine runs window by window and lane by
+// lane. It must be called before any node-lane events exist. Further arguments
+// are accepted and ignored: the frozen benchmark's probes pass a host core
+// count.
+func (e *Engine) ConfigureLanes(nodes int, _ ...int) {
 	c := e.c
 	if len(c.lanes) > 1 {
 		panic("sim: ConfigureLanes called twice")
@@ -465,10 +437,6 @@ func (e *Engine) ConfigureLanes(nodes, cores int) {
 		c.lanes = append(c.lanes, newLane(i+1, c.seed))
 		c.heads = append(c.heads, noEvent)
 	}
-	if cores < 1 {
-		cores = 1
-	}
-	c.cores = cores
 }
 
 // SetLookahead sets the conservative window width: the minimum virtual
@@ -478,16 +446,13 @@ func (e *Engine) SetLookahead(d time.Duration) { e.c.lookahead = d }
 
 // SerializeLanes declares that the node lanes are not independent: something
 // reads or writes state across them in event context without riding the
-// lookahead. Every window then executes in global key order on Run's
-// goroutine, as one holding global-lane work does, at any core count; the
-// window schedule, and so SchedStats and sampler firings, stay what they were.
+// lookahead. Every window then executes in global key order, as one holding
+// global-lane work does; the window schedule, and so SchedStats and sampler
+// firings, stay what they were.
 func (e *Engine) SerializeLanes() { e.c.serializeLanes = true }
 
 // Lookahead returns the configured lookahead bound.
 func (e *Engine) Lookahead() time.Duration { return e.c.lookahead }
-
-// Cores returns the configured worker parallelism.
-func (e *Engine) Cores() int { return e.c.cores }
 
 // LaneView returns the engine view bound to node's lane. Events scheduled
 // through the view (After, Spawn, task operations of tasks spawned on it)
@@ -514,7 +479,7 @@ func (e *Engine) Lanes() int { return len(e.c.lanes) - 1 }
 func (e *Engine) ls() *laneState { return e.c.lanes[e.lane] }
 
 // Now returns the current virtual time as seen by this view: its own lane
-// clock while that lane is executing a parallel window, the committed global
+// clock while the lanes execute a window independently, the committed global
 // clock otherwise.
 func (e *Engine) Now() time.Duration {
 	if e.c.parallel && e.lane != 0 {
@@ -524,9 +489,10 @@ func (e *Engine) Now() time.Duration {
 }
 
 // Rand returns this view's deterministic random source. Each lane owns an
-// independent split stream, consumed only by that lane's events, so draws
-// are identical at any core count. The global view's source must not be
-// used while node lanes execute concurrently; doing so panics.
+// independent split stream, consumed only by that lane's events, so draws do
+// not depend on how the lanes of a window interleave. The global view's
+// source must not be used while node lanes execute a window independently;
+// doing so panics.
 func (e *Engine) Rand() *rand.Rand {
 	if e.lane == 0 && e.c.parallel {
 		panic("sim: Engine.Rand used from the global view during a parallel window; " +
@@ -553,9 +519,10 @@ func (e *Engine) After(d time.Duration, fn func()) { e.AfterRun(d, funcEvent(fn)
 func (e *Engine) AfterRun(d time.Duration, r Runner) { e.schedule(e.lane, d, r, nil) }
 
 // AfterOn schedules fn at Now()+d on the lane of the given node
-// (GlobalLane for the global lane). Scheduling onto a different lane during
-// a parallel window requires the target time to be at or past the window
-// end — i.e. the effect must ride at least the lookahead; violations panic.
+// (GlobalLane for the global lane). Scheduling onto a different lane from a
+// lane executing its own window requires the target time to be at or past the
+// window end — i.e. the effect must ride at least the lookahead; violations
+// panic.
 // AfterRunOn is to it what AfterRun is to After.
 func (e *Engine) AfterOn(node int, d time.Duration, fn func()) {
 	e.AfterRunOn(node, d, funcEvent(fn))
@@ -582,29 +549,17 @@ func (e *Engine) schedule(lane int, d time.Duration, run Runner, tomb *tombstone
 	src.ctr++
 	at := e.Now() + max(d, 0)
 	ev := event{at: at, seq: uint64(e.lane)<<ctrBits | src.ctr, run: run, tomb: tomb}
-	if !c.parallel || e.lane == 0 {
-		// Serial execution, a serialized window, or outside Run: every lane
-		// is quiescent, so pushing straight into the target heap is safe.
-		c.push(lane, ev)
-		return
-	}
-	if lane == e.lane {
-		src.heap.push(ev)
-		return
-	}
-	// Cross-lane staging from a concurrently executing lane: the effect must
-	// land at or after the window end, and is buffered until the barrier so
-	// no two goroutines touch one heap.
-	if at < c.windowEnd {
+	if c.parallel && e.lane != 0 && lane != e.lane && at < c.windowEnd {
+		// From a lane executing its own window onto another: the effect must
+		// land at or after the window end, where no lane of this window looks.
 		panic(fmt.Sprintf(
 			"sim: lane violation: lane %d scheduled an event on lane %d at %v, inside the window ending %v (lookahead %v); cross-lane effects must ride the fabric latency or use the global lane",
 			src.idx-1, lane-1, at, c.windowEnd, c.lookahead))
 	}
-	src.outbox = append(src.outbox, stagedEvent{lane: lane, ev: ev})
+	c.push(lane, ev)
 }
 
-// push adds ev to a lane's heap in serial context and keeps the lane's head
-// time a lower bound.
+// push adds ev to a lane's heap and keeps the lane's head time a lower bound.
 func (c *engineCore) push(lane int, ev event) {
 	c.lanes[lane].heap.push(ev)
 	if ev.at < c.heads[lane] {
@@ -616,9 +571,9 @@ func (c *engineCore) push(lane int, ev event) {
 // is hit. It returns the first task failure, a deadlock error if parked
 // tasks remain with an empty queue, or nil on clean completion.
 //
-// An engine with node lanes and a lookahead runs under the windowed scheduler
-// at every core count; any other is one serial loop. A panic in an event of a
-// lane running its own window is that lane's failure and Run's error; one in
+// An engine with node lanes and a lookahead runs under the windowed
+// scheduler; any other is one serial loop. A panic in an event of a lane
+// running its own window is that lane's failure and Run's error; one in
 // serial context (a serialized window, the serial loop) reaches Run's caller.
 //
 // No coroutine outlives Run: on the way out every pooled coroutine is ended
@@ -723,8 +678,8 @@ func (l *laneState) cancelTomb(t *tombstone) {
 // decides whether the window must serialize (global-lane work pending before
 // the bound), collects the active node lanes otherwise (in a scratch slice
 // that the next call overwrites), and records the scheduler telemetry. It
-// runs with every lane quiescent, and does the same bookkeeping whether the
-// window then runs lane by lane or, with serialized lanes, in key order.
+// does the same bookkeeping whether the window then runs lane by lane or,
+// with serialized lanes, in key order.
 func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*laneState) {
 	for i := range c.samplers {
 		s := &c.samplers[i]
@@ -737,8 +692,8 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 	c.windowEnd = end
 	c.sched.windows++
 
-	// A window containing global-lane work runs serially: global events may
-	// touch any lane's state, so nothing else may run beside them.
+	// A window containing global-lane work runs in key order: global events
+	// may touch any lane's state, so no lane may run ahead of them.
 	if c.heads[0] < end && c.lanes[0].headAt() < end {
 		c.sched.serializedWindows++
 		c.serializedWin = true
@@ -760,8 +715,8 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 	return false, active
 }
 
-// runSerial is the single-threaded loop: pop the globally smallest event,
-// advance the clock, execute, for every event before end. With a window's end
+// runSerial is the key-order loop: pop the globally smallest event, advance
+// the clock, execute, for every event before end. With a window's end
 // it is how the windowed scheduler executes a window that must keep global
 // key order — one holding global-lane events, which run here with exclusive
 // access to all simulation state, or any window of an engine with serialized
@@ -821,19 +776,11 @@ func (l *laneState) step() {
 	l.resume(t)
 }
 
-// runWindowed is the conservative-parallel scheduler, at any core count.
-// Each iteration picks the next window [T, T+lookahead); if the window
-// contains global-lane events, or the lanes are serialized, it is processed
-// in full key order, otherwise each active node lane executes its own events
-// up to the window end — one lane after the other on this goroutine at one
-// core, concurrently on the worker pool at several — and their cross-lane
-// outboxes merge at the barrier.
+// runWindowed is the windowed scheduler. Each iteration picks the next window
+// [T, T+lookahead); if the window contains global-lane events, or the lanes
+// are serialized, it is processed in full key order, otherwise each active
+// node lane in turn executes its own events up to the window end.
 func (c *engineCore) runWindowed() error {
-	var pool *workerPool
-	if c.cores > 1 && !c.serializeLanes {
-		pool = newWorkerPool(c.cores)
-		defer pool.close()
-	}
 	for {
 		if c.failure != nil {
 			return c.failure
@@ -855,23 +802,14 @@ func (c *engineCore) runWindowed() error {
 			continue
 		}
 		c.parallel = true
-		if pool != nil && len(active) > 1 {
-			pool.run(c, active, end)
-		} else {
-			// One core, or one lane and nothing to hand off.
-			for _, l := range active {
-				c.runLane(l, end)
-			}
+		for _, l := range active {
+			c.runLane(l, end)
 		}
 		c.parallel = false
-		// Barrier: merge outboxes, commit counters, surface the earliest
-		// failure in deterministic key order.
+		// Window end: commit counters, surface the earliest failure in
+		// deterministic key order.
 		var failKey eventKey
 		for _, l := range active {
-			for _, st := range l.outbox {
-				c.push(st.lane, st.ev)
-			}
-			l.outbox = l.outbox[:0]
 			c.heads[l.idx] = l.top()
 			c.nEvents += l.nEvents
 			l.nEvents = 0
@@ -888,9 +826,7 @@ func (c *engineCore) runWindowed() error {
 }
 
 // runLane executes one lane's events up to (but excluding) end, or until the
-// lane fails or its events use up what the barrier left of the event limit.
-// It runs on the scheduler's goroutine or on a worker; everything it writes
-// is lane-owned.
+// lane fails or its events use up what the last window left of the event limit.
 func (c *engineCore) runLane(l *laneState, end time.Duration) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -913,57 +849,7 @@ func (c *engineCore) runLane(l *laneState, end time.Duration) {
 	}
 }
 
-// workerPool is a persistent set of goroutines executing lane windows.
-type workerPool struct {
-	work chan laneJob
-	done chan struct{}
-	n    int
-}
-
-type laneJob struct {
-	c    *engineCore
-	lane *laneState
-	end  time.Duration
-}
-
-func newWorkerPool(n int) *workerPool {
-	p := &workerPool{work: make(chan laneJob), done: make(chan struct{}), n: n}
-	for i := 0; i < n; i++ {
-		go func() {
-			for job := range p.work {
-				job.c.runLane(job.lane, job.end)
-				p.done <- struct{}{}
-			}
-		}()
-	}
-	return p
-}
-
-// run executes the active lanes concurrently and returns after all finish.
-// Completions are drained while jobs are still being handed out: with more
-// active lanes than workers, a worker must be able to retire its job (the
-// done send) before the scheduler has dispatched the rest.
-func (p *workerPool) run(c *engineCore, active []*laneState, end time.Duration) {
-	sent, finished := 0, 0
-	for sent < len(active) {
-		select {
-		case p.work <- laneJob{c: c, lane: active[sent], end: end}:
-			sent++
-		case <-p.done:
-			finished++
-		}
-	}
-	for finished < len(active) {
-		<-p.done
-		finished++
-	}
-}
-
-func (p *workerPool) close() { close(p.work) }
-
 func (c *engineCore) parkedTasks() []string {
-	c.tasksMu.Lock()
-	defer c.tasksMu.Unlock()
 	var names []string
 	for t := range c.tasks {
 		if !t.done {
@@ -1006,10 +892,8 @@ func (r Reason) String() string {
 }
 
 // Task is a simulated thread of control. Its function runs on a coroutine
-// (see coro) that the goroutine executing the task's lane switches into, so
-// at most one of the two runs at a time and a task is resumed by whichever
-// goroutine runs its lane in that window — the Run caller, or any worker of
-// the pool. Task methods must only be called by the task's own function,
+// (see coro) that Run's goroutine switches into, so at most one of the two
+// runs at a time. Task methods must only be called by the task's own function,
 // except Unpark (and Kill), which may be called from the task's own lane, or
 // from any context while the lanes are serialized (a global-lane event, a
 // serialized window, or an engine without windows).
@@ -1133,7 +1017,7 @@ func (l *laneState) resume(t *Task) {
 		co.task, t.co = t, co
 	}
 	// current is kept on the task's own lane, where Kill looks for it; the
-	// free list is the executing lane's, which this goroutine owns.
+	// free list is the executing lane's.
 	tl := t.eng.ls()
 	prev := tl.current
 	tl.current = t
@@ -1146,8 +1030,7 @@ func (l *laneState) resume(t *Task) {
 }
 
 // stopCoros ends every coroutine of the simulation: the pooled ones return,
-// and tasks still suspended unwind. It runs when Run returns, with every
-// lane quiescent.
+// and tasks still suspended unwind. It runs when Run returns.
 func (c *engineCore) stopCoros() {
 	for _, l := range c.lanes {
 		for i, co := range l.free {
@@ -1156,14 +1039,14 @@ func (c *engineCore) stopCoros() {
 		}
 		l.free = l.free[:0]
 	}
-	c.tasksMu.Lock()
+	// Collected first: stopping a coroutine finishes its task, which takes it
+	// out of the registry.
 	var live []*coro
 	for t := range c.tasks {
 		if t.co != nil {
 			live = append(live, t.co)
 		}
 	}
-	c.tasksMu.Unlock()
 	for _, co := range live {
 		co.stop()
 	}
@@ -1179,10 +1062,7 @@ func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
 // start after delay d.
 func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task {
 	t := &Task{eng: e, name: name, fn: fn}
-	c := e.c
-	c.tasksMu.Lock()
-	c.tasks[t] = struct{}{}
-	c.tasksMu.Unlock()
+	e.c.tasks[t] = struct{}{}
 	e.AfterRun(d, t)
 	return t
 }
@@ -1190,14 +1070,11 @@ func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task 
 func (t *Task) finish() {
 	t.done = true
 	t.co = nil
-	c := t.eng.c
-	c.tasksMu.Lock()
-	delete(c.tasks, t)
-	c.tasksMu.Unlock()
+	delete(t.eng.c.tasks, t)
 }
 
-// failTask records a task failure against the executing lane (merged
-// deterministically at the next barrier) or directly in serialized context.
+// failTask records a task failure against the executing lane (the window's
+// end keeps the earliest) or directly in serialized context.
 func (e *Engine) failTask(err error) {
 	c := e.c
 	l := e.ls()

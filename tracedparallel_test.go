@@ -12,22 +12,22 @@ import (
 	"dex/internal/chaos"
 )
 
-// These tests pin the lane-safe observability property: attaching a recorder
-// does not serialize the simulator's lanes, and for the same
-// configuration and seed the full run outcome — the application result, the
-// core.Report (scheduler telemetry included), the rendered Perfetto trace,
-// and the metrics summary — is byte-identical between -cores 1 and -cores 4.
+// These tests pin that observation is reproducible and serializes nothing: a
+// recorder leaves the simulator's lanes independent, and two runs of one
+// configuration and seed — the second with the ignored dex.WithCores(4) —
+// give the same application result, the same core.Report (scheduler
+// telemetry included), and byte-identical Perfetto trace, metrics summary and
+// page-fault profile.
 
-// runTracedApp executes one application with a recorder attached at an
-// explicit simulator core count and renders the trace and metrics bytes.
-func runTracedApp(t *testing.T, app apps.App, cfg apps.Config, cores int) (apps.Result, []byte, []byte) {
+// runTracedApp executes one application with a recorder attached and renders
+// the trace and metrics bytes.
+func runTracedApp(t *testing.T, app apps.App, cfg apps.Config, opts ...dex.Option) (apps.Result, []byte, []byte) {
 	t.Helper()
 	rec := dex.NewRecorder()
-	cfg.Opts = append(append([]dex.Option(nil), cfg.Opts...),
-		dex.WithObserver(rec), dex.WithCores(cores))
+	cfg.Opts = append(append(append([]dex.Option(nil), cfg.Opts...), dex.WithObserver(rec)), opts...)
 	res, err := app.Run(cfg)
 	if err != nil {
-		t.Fatalf("%s cores=%d: %v", app.Name, cores, err)
+		t.Fatalf("%s %d extra option(s): %v", app.Name, len(opts), err)
 	}
 	var trace, metrics bytes.Buffer
 	if err := rec.WriteTrace(&trace); err != nil {
@@ -39,30 +39,30 @@ func runTracedApp(t *testing.T, app apps.App, cfg apps.Config, cores int) (apps.
 	return res, trace.Bytes(), metrics.Bytes()
 }
 
-func requireIdenticalTraced(t *testing.T, label string, app apps.App, cfg apps.Config) {
+func requireIdenticalTraced(t *testing.T, label string, app apps.App, cfg apps.Config) []byte {
 	t.Helper()
-	serial, strace, smetrics := runTracedApp(t, app, cfg, 1)
-	parallel, ptrace, pmetrics := runTracedApp(t, app, cfg, 4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("%s: traced result diverged between cores=1 and cores=4:\nserial:   %+v\nparallel: %+v",
-			label, serial, parallel)
+	plain, ptrace, pmetrics := runTracedApp(t, app, cfg)
+	cores, ctrace, cmetrics := runTracedApp(t, app, cfg, dex.WithCores(4))
+	if !reflect.DeepEqual(plain, cores) {
+		t.Fatalf("%s: traced result diverged under WithCores(4):\nplain:        %+v\nWithCores(4): %+v",
+			label, plain, cores)
 	}
-	if !bytes.Equal(strace, ptrace) {
-		t.Fatalf("%s: trace bytes diverged between cores=1 and cores=4 (%d vs %d bytes)",
-			label, len(strace), len(ptrace))
+	if !bytes.Equal(ptrace, ctrace) {
+		t.Fatalf("%s: trace bytes diverged under WithCores(4) (%d vs %d bytes)",
+			label, len(ptrace), len(ctrace))
 	}
-	if !bytes.Equal(smetrics, pmetrics) {
-		t.Fatalf("%s: metrics bytes diverged between cores=1 and cores=4:\nserial:\n%s\nparallel:\n%s",
-			label, smetrics, pmetrics)
+	if !bytes.Equal(pmetrics, cmetrics) {
+		t.Fatalf("%s: metrics bytes diverged under WithCores(4):\nplain:\n%s\nWithCores(4):\n%s",
+			label, pmetrics, cmetrics)
 	}
-	if len(strace) < 1000 {
-		t.Fatalf("%s: trace suspiciously small (%d bytes)", label, len(strace))
+	if len(ptrace) < 1000 {
+		t.Fatalf("%s: trace suspiciously small (%d bytes)", label, len(ptrace))
 	}
+	return ptrace
 }
 
-// TestTracedParallelByteIdenticalAllApps is the tentpole guarantee at full
-// width: every application, traced, produces identical reports and
-// byte-identical trace/metrics output at any core count.
+// TestTracedParallelByteIdenticalAllApps: every application, traced, produces
+// identical reports and byte-identical trace/metrics output from run to run.
 func TestTracedParallelByteIdenticalAllApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep")
@@ -76,8 +76,8 @@ func TestTracedParallelByteIdenticalAllApps(t *testing.T) {
 	}
 }
 
-// TestTracedParallelByteIdenticalProtocols covers both coherence policies;
-// home-migrate still serializes its lanes, which must be export-invisible.
+// TestTracedParallelByteIdenticalProtocols covers two coherence policies;
+// home-migrate serializes its lanes.
 func TestTracedParallelByteIdenticalProtocols(t *testing.T) {
 	app, _ := apps.ByName("kmn")
 	for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate} {
@@ -115,34 +115,24 @@ func TestTracedParallelByteIdenticalChaos(t *testing.T) {
 		Restart:        true,
 		Opts:           []dex.Option{dex.WithChaos(plan)},
 	}
-	serial, strace, smetrics := runTracedApp(t, app, cfg, 1)
-	parallel, ptrace, pmetrics := runTracedApp(t, app, cfg, 4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("chaos traced result diverged between cores=1 and cores=4:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-	if !bytes.Equal(strace, ptrace) || !bytes.Equal(smetrics, pmetrics) {
-		t.Fatalf("chaos trace/metrics bytes diverged between cores=1 and cores=4 (trace %d vs %d bytes)",
-			len(strace), len(ptrace))
-	}
+	trace := requireIdenticalTraced(t, "chaos", app, cfg)
 	for _, kind := range []string{
 		`"retransmit"`, `"node.crash"`, `"node.dead"`, `"thread.restart"`, `"checkpoint"`,
 	} {
-		if !bytes.Contains(strace, []byte(kind)) {
+		if !bytes.Contains(trace, []byte(kind)) {
 			t.Errorf("recovery span kind %s missing from chaos trace", kind)
 		}
 	}
 }
 
-// TestSchedTelemetry checks the Report.Sched counters of a traced parallel
-// run: the window machinery actually ran, the per-lane stats cover every
-// node, and the figures equal those of a one-core run (covered
-// field-for-field by the DeepEqual tests above; here we pin basic shape and
-// non-triviality).
+// TestSchedTelemetry checks the Report.Sched counters of a traced run: the
+// window machinery actually ran and the per-lane stats cover every node (the
+// DeepEqual tests above cover reproducibility field for field; here we pin
+// basic shape and non-triviality).
 func TestSchedTelemetry(t *testing.T) {
 	app, _ := apps.ByName("bfs")
 	cfg := apps.Config{Nodes: 4, Variant: apps.Optimized}
-	res, trace, _ := runTracedApp(t, app, cfg, 4)
+	res, trace, _ := runTracedApp(t, app, cfg)
 	s := res.Report.Sched
 	if s.Windows == 0 || s.Events == 0 || s.LaneDispatches == 0 {
 		t.Fatalf("scheduler telemetry empty: %+v", s)
@@ -170,20 +160,19 @@ func TestSchedTelemetry(t *testing.T) {
 	}
 }
 
-// runProfiledApp executes one application under a fault recorder at an
-// explicit simulator core count and renders every analysis of its profile.
-func runProfiledApp(t *testing.T, app apps.App, cfg apps.Config, cores int) (apps.Result, []byte) {
+// runProfiledApp executes one application under a fault recorder and renders
+// every analysis of its profile.
+func runProfiledApp(t *testing.T, app apps.App, cfg apps.Config, opts ...dex.Option) (apps.Result, []byte) {
 	t.Helper()
 	rec := dex.NewFaultRecorder()
-	cfg.Opts = append(append([]dex.Option(nil), cfg.Opts...),
-		dex.WithObserver(rec), dex.WithCores(cores))
+	cfg.Opts = append(append(append([]dex.Option(nil), cfg.Opts...), dex.WithObserver(rec)), opts...)
 	res, err := app.Run(cfg)
 	if err != nil {
-		t.Fatalf("%s cores=%d: %v", app.Name, cores, err)
+		t.Fatalf("%s %d extra option(s): %v", app.Name, len(opts), err)
 	}
 	tr := dex.ProfileOf(rec)
 	if tr.Len() == 0 {
-		t.Fatalf("%s cores=%d: empty profile", app.Name, cores)
+		t.Fatalf("%s: empty profile", app.Name)
 	}
 	var out bytes.Buffer
 	tr.Report(&out, 10)
@@ -192,35 +181,35 @@ func runProfiledApp(t *testing.T, app apps.App, cfg apps.Config, cores int) (app
 	return res, out.Bytes()
 }
 
-// TestProfiledRunKeepsLanesIndependent: the profile is read from the
-// lane-sharded recorder after the run, so profiling serializes nothing —
+// TestProfiledRunKeepsLanesIndependent: the profile is read from the recorder
+// after the run, so profiling serializes nothing —
 // sleeps are still taken in place, which only a lane that runs alone to the
 // window's end may do.
 func TestProfiledRunKeepsLanesIndependent(t *testing.T) {
 	app, _ := apps.ByName("kmn")
-	res, _ := runProfiledApp(t, app, apps.Config{Nodes: 4, Variant: apps.Initial}, 1)
+	res, _ := runProfiledApp(t, app, apps.Config{Nodes: 4, Variant: apps.Initial})
 	if s := res.Report.Sched; s.InPlaceWakes == 0 {
 		t.Fatalf("profiled run took no sleep in place, its lanes are serialized: %+v", s)
 	}
 }
 
 // TestProfileByteIdenticalAcrossCores: the profile's events come out of the
-// recorder in its merged (time, lane, sequence) order, so every analysis
-// renders the same bytes at -cores 1 and -cores 4.
+// recorder in its (time, lane, emission) order, so every analysis renders the
+// same bytes from run to run, WithCores or not.
 func TestProfileByteIdenticalAcrossCores(t *testing.T) {
 	for _, name := range []string{"kmn", "bfs"} {
 		app, _ := apps.ByName(name)
 		for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.DistributedManager} {
 			cfg := apps.Config{Nodes: 4, Variant: apps.Initial, Opts: []dex.Option{dex.WithProtocol(proto)}}
-			serial, sout := runProfiledApp(t, app, cfg, 1)
-			parallel, pout := runProfiledApp(t, app, cfg, 4)
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("%s %v: profiled result diverged between cores=1 and cores=4:\nserial:   %+v\nparallel: %+v",
-					name, proto, serial, parallel)
+			plain, pout := runProfiledApp(t, app, cfg)
+			cores, cout := runProfiledApp(t, app, cfg, dex.WithCores(4))
+			if !reflect.DeepEqual(plain, cores) {
+				t.Fatalf("%s %v: profiled result diverged under WithCores(4):\nplain:        %+v\nWithCores(4): %+v",
+					name, proto, plain, cores)
 			}
-			if !bytes.Equal(sout, pout) {
-				t.Fatalf("%s %v: profile diverged between cores=1 and cores=4:\nserial:\n%s\nparallel:\n%s",
-					name, proto, sout, pout)
+			if !bytes.Equal(pout, cout) {
+				t.Fatalf("%s %v: profile diverged under WithCores(4):\nplain:\n%s\nWithCores(4):\n%s",
+					name, proto, pout, cout)
 			}
 		}
 	}
