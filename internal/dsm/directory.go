@@ -17,7 +17,8 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"dex/internal/mem"
@@ -50,21 +51,13 @@ const (
 	pageStateCount
 )
 
+var pageStateNames = [pageStateCount]string{"Invalid", "SharedRead", "ExclusiveWrite", "TransferShared", "TransferExclusive"}
+
 func (s PageState) String() string {
-	switch s {
-	case StateInvalid:
-		return "Invalid"
-	case StateSharedRead:
-		return "SharedRead"
-	case StateExclusiveWrite:
-		return "ExclusiveWrite"
-	case StateTransferShared:
-		return "TransferShared"
-	case StateTransferExclusive:
-		return "TransferExclusive"
-	default:
-		return fmt.Sprintf("PageState(%d)", uint8(s))
+	if s < pageStateCount {
+		return pageStateNames[s]
 	}
+	return fmt.Sprintf("PageState(%d)", uint8(s))
 }
 
 // Event enumerates the protocol events that drive a directory entry's state
@@ -113,33 +106,14 @@ const (
 	eventCount
 )
 
+var eventNames = [eventCount]string{"FirstTouch", "Begin", "End", "DowngradeWriter", "PullHome", "GrantShared",
+	"GrantExclusive", "DropOwner", "ReclaimHome", "Rehome", "AdoptHome"}
+
 func (e Event) String() string {
-	switch e {
-	case EvFirstTouch:
-		return "FirstTouch"
-	case EvBegin:
-		return "Begin"
-	case EvEnd:
-		return "End"
-	case EvDowngradeWriter:
-		return "DowngradeWriter"
-	case EvPullHome:
-		return "PullHome"
-	case EvGrantShared:
-		return "GrantShared"
-	case EvGrantExclusive:
-		return "GrantExclusive"
-	case EvDropOwner:
-		return "DropOwner"
-	case EvReclaimHome:
-		return "ReclaimHome"
-	case EvRehome:
-		return "Rehome"
-	case EvAdoptHome:
-		return "AdoptHome"
-	default:
-		return fmt.Sprintf("Event(%d)", uint8(e))
+	if e < eventCount {
+		return eventNames[e]
 	}
+	return fmt.Sprintf("Event(%d)", uint8(e))
 }
 
 // legalTransitions is the (state × event) legality table. A transition
@@ -220,7 +194,7 @@ func (d *dirEntry) busy() bool {
 
 func (d *dirEntry) ownerList(exclude int) []int {
 	var out []int
-	for n := 0; n < 64; n++ {
+	for n := 0; n < MaxNodes; n++ {
 		if n != exclude && d.owners&(1<<uint(n)) != 0 {
 			out = append(out, n)
 		}
@@ -485,14 +459,7 @@ func (d *directory) walk(lo, hi uint64, fn func(host int, vpn uint64, de *dirEnt
 
 // sortedKeys returns the keys of a per-node table in ascending order, so
 // walks over them are deterministic.
-func sortedKeys[V any](tbl map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(tbl))
-	for k := range tbl {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
+func sortedKeys[V any](tbl map[uint64]V) []uint64 { return slices.Sorted(maps.Keys(tbl)) }
 
 // anchor is where a lookup for vpn starts when the asking node holds no
 // route: the origin under central, a static splitmix64-style hash of the VPN
@@ -519,7 +486,7 @@ func (m *Manager) liveAnchor(vpn uint64) int {
 	n := m.anchor(vpn)
 	for i := 0; i < len(m.nodes); i++ {
 		s := (n + i) % len(m.nodes)
-		if m.chaos == nil || !m.chaos.NodeDead(s) {
+		if !m.dead(s) {
 			return s
 		}
 	}
@@ -568,11 +535,7 @@ func (m *Manager) atQuiescence(node int, fn func()) {
 		return
 	}
 	v := m.view(node)
-	d := 20 * time.Microsecond
-	if la := v.Lookahead(); la > d {
-		d = la
-	}
-	v.AfterOn(sim.GlobalLane, d, fn)
+	v.AfterOn(sim.GlobalLane, max(20*time.Microsecond, v.Lookahead()), fn)
 }
 
 // quiesce is atQuiescence for a task that needs fn's result: t parks until
@@ -609,7 +572,7 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 		frame = pte.Frame
 	} else {
 		for _, n := range de.ownerList(dead) {
-			if m.chaos != nil && m.chaos.NodeDead(n) {
+			if m.dead(n) {
 				continue
 			}
 			if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
@@ -679,7 +642,7 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 // when a completed write grant moved authority out of served's table).
 func (m *Manager) stranded(served int, vpn uint64) *dirEntry {
 	de, ok := m.dir.get(served, vpn)
-	if !ok || de.busy() || de.home == m.origin || !m.chaos.NodeDead(de.home) {
+	if !ok || de.busy() || de.home == m.origin || !m.dead(de.home) {
 		return nil
 	}
 	return de
@@ -767,11 +730,8 @@ func (m *Manager) dropRange(lo, hi uint64) (busyVPN uint64, busy bool) {
 // someone else, confirmed dead and already reclaimed, and node is the live
 // ring shard the page's lookups fall back to.
 func (m *Manager) needsLocate(node int, vpn uint64) bool {
-	if m.chaos == nil {
-		return false
-	}
 	a := m.anchor(vpn)
-	return a != node && m.chaos.NodeDead(a) && m.nodes[a].reclaimed && m.liveAnchor(vpn) == node
+	return a != node && m.dead(a) && m.nodes[a].reclaimed && m.liveAnchor(vpn) == node
 }
 
 // locate resolves a page whose static anchor shard died and has been
@@ -798,7 +758,7 @@ func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
 			de = m.materialize(node, vpn)
 			de.epoch = 1
 			m.dir.shards[node][vpn] = de
-		case !m.chaos.NodeDead(de.home):
+		case !m.dead(de.home):
 			ns.fwd[vpn] = de.home
 		default:
 			return
@@ -827,7 +787,7 @@ func (m *Manager) checkRoutes() error {
 			cur := n
 			ok := false
 			for step := 0; step <= len(m.nodes); step++ {
-				if m.chaos != nil && m.chaos.NodeDead(cur) {
+				if m.dead(cur) {
 					ok = true // settled by the pending dead-node reclaim
 					break
 				}

@@ -21,9 +21,9 @@
 //     policy that decides placement: central (WriteInvalidate, the paper's
 //     origin-served design and the default; HomeMigrate, where the home
 //     follows the last writer) or sharded (DistributedManager).
-//   - engine.go — the transport engine: tokens and sequence numbers,
-//     retransmission timers, duplicate detection with bounded dedup state,
-//     and grant rollback under fault injection.
+//   - engine.go — the transport engine: the transaction records of both
+//     sides, the one wait loop (retransmission, backoff, give-up), duplicate
+//     detection with bounded dedup state, and grant rollback.
 //
 // Concurrent faults on one node are tamed with the paper's leader-follower
 // model: the first thread to fault on a (page, access-type) pair becomes the
@@ -54,17 +54,13 @@ const (
 	KindInvalidate
 )
 
+var kindNames = [...]string{KindRead: "read", KindWrite: "write", KindInvalidate: "invalidate"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindRead:
-		return "read"
-	case KindWrite:
-		return "write"
-	case KindInvalidate:
-		return "invalidate"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= KindRead && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Params holds the software-cost model and protocol switches.
@@ -182,47 +178,26 @@ type faultGroup struct {
 	followers []*sim.Task
 }
 
-// outstanding tracks a request this node has in flight to a home, and
-// serializes revocations that target the ownership being granted: a revoke
-// arriving between the grant reply and the PTE install is deferred until
-// the install completes.
-type outstanding struct {
-	vpn       uint64
-	task      *sim.Task
-	done      bool
-	nack      bool
-	stale     bool
-	withData  bool
-	redirect  bool
-	home      int    // authoritative home carried by a redirect reply
-	epoch     uint64 // routing epoch carried by the reply (DistributedManager)
-	deadHome  bool   // the wait was abandoned because the target home died
-	installed bool
-	deferred  []func()
-}
-
 type nodeState struct {
 	pt          mem.PageTable
 	faults      map[fkey]*faultGroup
-	outstanding map[uint64]*outstanding // keyed by request token
+	outstanding map[uint64]*outstanding // this node's requests, keyed by token (engine.go)
+	installing  []*outstanding          // those granted whose PTE is not in place yet: what a revocation may have to wait behind
 
 	// reqCtr is this node's request-token allocator. Tokens carry the
-	// allocating node in their top bits (engine.nextToken), giving every
+	// allocating node in their top bits (nextSeq), giving every
 	// node a private, monotonic token space it can allocate from on its own
 	// simulation lane without synchronization. revCtr is the same for the
 	// revocation sequence numbers this node issues as a serving home.
 	reqCtr uint64
 	revCtr uint64
 
-	// revokeWait / installWait are the open waiters of revocations and grant
-	// windows this node has issued as a serving home, keyed by seq / token.
-	// served is the home-side per-token record of answered page requests,
-	// kept only under fault injection (nil otherwise) and pruned by the
-	// engine's sweep. All three are sharded here, per issuing home, so
-	// several directory shards may serve independently on their own lanes.
-	revokeWait  map[uint64]*revokeWaiter
-	installWait map[uint64]*revokeWaiter
-	served      map[uint64]*serveState
+	// revokeWait holds the open waits of the revocations this node has issued
+	// as a serving home, keyed by seq; served its home-side records of page
+	// requests, keyed by token (engine.go). Both are sharded here, per issuing
+	// home, so several directory shards may serve independently on their lanes.
+	revokeWait map[uint64]*revokeWaiter
+	served     map[uint64]*serveState
 	// sweepBudget counts down dedup admissions on this node's lane; when it
 	// hits zero a global watermark sweep is scheduled (engine.admitted).
 	sweepBudget int
@@ -245,58 +220,11 @@ type nodeState struct {
 	// (locate). Written only on the quiescent global lane.
 	reclaimed bool
 
-	// Chaos-only receiver-side dedup state (nil when no injector is
-	// attached, so the fault-free protocol pays nothing for it).
-	//
-	// completed records when each granted token's install finished (and
-	// which node served the grant): a duplicated grant reply for such a
-	// token re-sends the installAck — to the serving home, which under
-	// HomeMigrate need not be the origin — instead of re-running the
-	// install. appliedRevokes records every revocation this node has
-	// admitted, so a duplicated revokeMsg is either ignored (still pending)
-	// or answered with a fresh ack carrying the retained page data. Both are
-	// pruned by the engine's watermark sweep.
-	completed      map[uint64]completedGrant
+	// appliedRevokes is the receiver-side dedup state, filled only under fault
+	// injection: every revocation this node has admitted, so a duplicated
+	// revokeMsg is either ignored (still pending) or answered with a fresh ack
+	// carrying the retained page data. Pruned by the engine's watermark sweep.
 	appliedRevokes map[uint64]*appliedRevoke
-}
-
-// completedGrant is the receiver-side record of one finished install.
-type completedGrant struct {
-	at   time.Duration // when the install finished (for pruning)
-	home int           // the node that served the grant (re-ack target)
-}
-
-// appliedRevoke is the receiver-side record of one admitted revocation.
-type appliedRevoke struct {
-	pending   bool          // the original application has not finished yet
-	appliedAt time.Duration // when the application finished (for pruning)
-	data      []byte        // page snapshot retained for needData re-acks
-}
-
-// serveState is the home-side per-token record of how a page request was
-// answered, kept only under fault injection (and pruned by the engine's
-// sweep once it can no longer matter). A duplicated request is resolved
-// from this record: bounced requests (nack/stale) get the same bounce again
-// — never a fresh serve, which could land data in a landing zone the
-// requester has already released — and requests that were granted are
-// ignored, because the home's install-wait loop owns grant retransmission.
-type serveState struct {
-	req      *pageRequest
-	write    bool
-	nack     bool
-	stale    bool
-	withData bool
-	redirect bool          // the request was bounced with a redirect reply
-	home     int           // the node that served (or bounced) this token
-	redirTo  int           // redirect target carried by the original bounce
-	closed   bool          // the serving task has finished with this token
-	closedAt time.Duration // when it finished (for pruning)
-	data     []byte        // page snapshot retained for grant re-sends
-}
-
-func (st *serveState) close(now time.Duration) {
-	st.closed = true
-	st.closedAt = now
 }
 
 // Manager runs the consistency protocol for one process across all nodes.
@@ -347,24 +275,15 @@ type Manager struct {
 	inflight int
 }
 
-type revokeWaiter struct {
-	task *sim.Task
-	done bool
-
-	// Chaos-only retransmission context: the revocation this waiter covers
-	// and its target (msg is nil for install-ack waiters). lost reports that
-	// the waiter was abandoned because the target died; for a needData
-	// revoke the caller must then treat the page contents as lost.
-	target int
-	msg    *revokeMsg
-	lost   bool
-}
+// MaxNodes is the largest cluster a Manager runs on: a directory entry keeps
+// its owners in one 64-bit mask.
+const MaxNodes = 64
 
 // New creates a protocol manager for process pid whose origin is the given
 // node. rec may be nil.
 func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes int, rec *obs.Recorder) *Manager {
-	if nodes > 64 {
-		panic("dsm: at most 64 nodes (ownership bitmask)")
+	if nodes > MaxNodes {
+		panic(fmt.Sprintf("dsm: at most %d nodes (ownership bitmask)", MaxNodes))
 	}
 	if origin < 0 || origin >= nodes {
 		panic(fmt.Sprintf("dsm: origin %d out of range", origin))
@@ -382,14 +301,7 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		pools:  make([]mem.FramePool, nodes),
 	}
 	for i := range m.nodes {
-		m.nodes[i] = &nodeState{
-			faults:      make(map[fkey]*faultGroup),
-			outstanding: make(map[uint64]*outstanding),
-		}
-		if m.chaos != nil {
-			m.nodes[i].completed = make(map[uint64]completedGrant)
-			m.nodes[i].appliedRevokes = make(map[uint64]*appliedRevoke)
-		}
+		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup)}
 		if i < eng.Lanes() {
 			m.views[i] = eng.LaneView(i)
 		} else {
@@ -497,10 +409,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 				g.followers = append(g.followers, t)
 				joined = g
 			}
-			var parkedAt time.Duration
-			if m.rec != nil {
-				parkedAt = t.Now()
-			}
+			parkedAt := t.Now()
 			t.ParkOn(sim.ReasonHex("fault follower ", uint64(addr)))
 			t.Sleep(m.params.FollowerWake)
 			if m.rec != nil {
@@ -591,9 +500,8 @@ func (m *Manager) ReclaimDeadNode(node int) ([]uint64, error) {
 		return true
 	})
 	m.repairRoutes(node, rebuilt)
-	ns := m.nodes[node]
-	ns.outstanding = make(map[uint64]*outstanding)
-	ns.pt.ReclaimRange(0, ^uint64(0), func(f []byte) { m.freeFrame(node, f) })
+	m.e.crashed(node)
+	m.nodes[node].pt.ReclaimRange(0, ^uint64(0), func(f []byte) { m.freeFrame(node, f) })
 	return lost, nil
 }
 

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,8 +101,8 @@ func TestChaosDedupStateStaysBounded(t *testing.T) {
 		t.Errorf("served maps hold %d records after %d tokens; pruning is not bounding them", served, tokens)
 	}
 	for i, ns := range e.m.nodes {
-		if n := len(ns.completed); n >= bound {
-			t.Errorf("node %d completed map holds %d records; want < %d", i, n, bound)
+		if n := len(ns.outstanding); n >= bound {
+			t.Errorf("node %d outstanding map holds %d records; want < %d", i, n, bound)
 		}
 		if n := len(ns.appliedRevokes); n >= bound {
 			t.Errorf("node %d appliedRevokes map holds %d records; want < %d", i, n, bound)
@@ -111,5 +112,202 @@ func TestChaosDedupStateStaysBounded(t *testing.T) {
 	// every read; duplicates kept arriving throughout and were all absorbed.
 	if e.m.Stats().DupsIgnored == 0 {
 		t.Errorf("DupsIgnored = 0 with a 30%% duplication rate; dedup never engaged")
+	}
+}
+
+// TestRevokeBehindRedirectIsApplied is the redirect-window loss. Node 1 holds
+// a read copy of a page and a stale route for it; its write upgrade is
+// answered with a redirect, and in the instant between that reply's delivery
+// and the requester's wake-up a revocation of its copy arrives (the home is
+// serving another writer). The revocation must be applied and acked at once:
+// a redirect grants nothing, so there is no install to wait behind. With the
+// reply's flags read one conjunction at a time, installingFor took the
+// redirected request for a granted one, queued the revocation on it, and
+// requestFault deleted the request — the revocation was never applied and the
+// home's writer parked forever.
+func TestRevokeBehindRedirectIsApplied(t *testing.T) {
+	for _, proto := range []Protocol{HomeMigrate, DistributedManager} {
+		t.Run(proto.String(), func(t *testing.T) {
+			e := newEnv(t, 3, protoParams(proto), nil)
+			// The lost revocation is a livelock, not a deadlock: node 1 is
+			// NACKed by the entry its own missing ack keeps busy, for ever.
+			e.eng.SetEventLimit(1_000_000)
+			addr := testAddr
+			if e.m.dir.sharded() {
+				addr = addrAnchoredAt(t, e.m, 0)
+			}
+			vpn := addr.VPN()
+			// Hold node 1's first redirect and the first revocation of the
+			// page until both are there, then deliver them in one event,
+			// reply first: a legal, if unlucky, timing of two connections.
+			var reply *pageReply
+			var revoke *revokeMsg
+			var revokeSrc int
+			joined := false
+			e.net.SetHandler(1, func(src int, msg fabric.Message) {
+				switch mm := msg.(type) {
+				case *pageReply:
+					if reply == nil && mm.outcome == redirect {
+						reply = mm
+					}
+				case *revokeMsg:
+					if revoke == nil && mm.vpn == vpn {
+						revoke, revokeSrc = mm, src
+					}
+				}
+				held := !joined && (msg == fabric.Message(reply) || msg == fabric.Message(revoke))
+				if held && reply != nil && revoke != nil {
+					joined = true
+					e.m.HandleMessage(1, 2, reply)
+					e.m.HandleMessage(1, revokeSrc, revoke)
+				} else if !held {
+					e.m.HandleMessage(1, src, msg)
+				}
+			})
+			var final byte
+			e.eng.Spawn("main", func(tk *sim.Task) {
+				e.write(tk, 0, addr, 1)
+				if got := e.read(tk, 1, addr); got != 1 {
+					t.Errorf("node 1 read %d, want 1", got)
+				}
+				e.m.nodes[1].fwd[vpn] = 2 // the stale route
+				e.eng.Spawn("writer-1", func(tk *sim.Task) { e.write(tk, 1, addr, 11) })
+				e.write(tk, 0, addr, 10)
+				tk.Sleep(5 * time.Millisecond)
+				final = e.read(tk, 2, addr)
+			})
+			e.run(t)
+			if !joined {
+				t.Fatal("the redirect and the revocation never met at node 1; the scenario was not exercised")
+			}
+			if final != 10 && final != 11 {
+				t.Errorf("final read = %d, want one of the two writes (10, 11)", final)
+			}
+			for n, ns := range e.m.nodes {
+				if len(ns.revokeWait) != 0 || len(ns.outstanding) != 0 || len(ns.served) != 0 {
+					t.Errorf("node %d: %d revocations, %d requests, %d serves still open",
+						n, len(ns.revokeWait), len(ns.outstanding), len(ns.served))
+				}
+			}
+		})
+	}
+}
+
+// TestDuplicateRequestGetsTheSameReply: under fault injection a duplicated
+// page request whose original was redirected is answered with the reply that
+// was sent the first time — epoch included, which a reply rebuilt from the
+// record's flags used to drop.
+func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
+	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, distParams())
+	addr := addrAnchoredAt(t, e.m, 0)
+	vpn := addr.VPN()
+	ns := e.m.nodes[2]
+	ns.fwd[vpn], ns.routeEpoch[vpn] = 0, 5 // node 2 forwards to node 0 at epoch 5
+	var replies []*pageReply
+	e.net.SetHandler(1, func(src int, msg fabric.Message) {
+		if r, ok := msg.(*pageReply); ok {
+			replies = append(replies, r)
+		}
+	})
+	req := &pageRequest{pid: e.m.PID(), vpn: vpn, node: 1, token: nextSeq(1, &e.m.nodes[1].reqCtr)}
+	e.eng.After(0, func() { e.m.HandleMessage(2, 1, req) })
+	e.eng.After(time.Millisecond, func() { e.m.HandleMessage(2, 1, req) })
+	e.run(t)
+	if len(replies) != 2 {
+		t.Fatalf("node 1 received %d replies, want the redirect and its re-send", len(replies))
+	}
+	want := pageReply{pid: e.m.PID(), token: req.token, outcome: redirect, home: 0, epoch: 5}
+	for i, r := range replies {
+		if !reflect.DeepEqual(*r, want) {
+			t.Errorf("reply %d = %+v, want %+v", i, *r, want)
+		}
+	}
+	if st := e.m.Stats(); st.Retransmits != 1 || st.Forwards != 1 {
+		t.Errorf("Retransmits = %d, Forwards = %d; want one re-send of one bounce", st.Retransmits, st.Forwards)
+	}
+}
+
+// TestAwaitLoop drives the one wait loop on an engine with no protocol
+// traffic: what it re-sends, when, and what it leaves behind.
+func TestAwaitLoop(t *testing.T) {
+	const us = time.Microsecond
+	params := DefaultParams()
+	params.RetryTimeout, params.RetryTimeoutMax = 100*us, 350*us
+	for _, tc := range []struct {
+		name     string
+		injector bool
+		ackAt    time.Duration // when the ack arrives
+		giveUpAt int           // the expiry giveUp says yes at (0: never)
+		resends  []time.Duration
+		endAt    time.Duration // the run's last event
+	}{
+		{name: "acked before the first timeout", injector: true, ackAt: 40 * us, endAt: 40 * us},
+		{name: "four timeouts", injector: true, ackAt: 1100 * us,
+			resends: []time.Duration{100 * us, 300 * us, 650 * us, 1000 * us}, endAt: 1100 * us},
+		{name: "give up at the first expiry", injector: true, ackAt: 500 * us, giveUpAt: 1, endAt: 500 * us},
+		{name: "give up at the third expiry", injector: true, ackAt: 2000 * us, giveUpAt: 3,
+			resends: []time.Duration{100 * us, 300 * us}, endAt: 2000 * us},
+		{name: "no injector", ackAt: 10 * time.Millisecond, endAt: 10 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 2, params, nil)
+			if tc.injector {
+				e = newChaosEnvParams(t, 2, &chaos.Plan{Seed: 1}, params)
+			}
+			var w waiter
+			var resends []time.Duration
+			expiries, returnedAt, lateAck := 0, time.Duration(-1), false
+			e.eng.Spawn("waiter", func(tk *sim.Task) {
+				w.task = tk
+				e.m.e.await(tk, &w, sim.ReasonNum("test ", 1), 0, "request",
+					func() bool { expiries++; return expiries == tc.giveUpAt },
+					func() { resends = append(resends, tk.Now()) })
+				returnedAt = tk.Now()
+			})
+			e.eng.After(tc.ackAt, func() { lateAck = !w.ack() })
+			e.run(t)
+			if !reflect.DeepEqual(resends, tc.resends) {
+				t.Errorf("re-sent at %v, want %v", resends, tc.resends)
+			}
+			if got := e.m.Stats().Retransmits; got != uint64(len(tc.resends)) {
+				t.Errorf("Stats.Retransmits = %d, want %d", got, len(tc.resends))
+			}
+			gaveUp := tc.giveUpAt > 0
+			if lateAck != gaveUp || w.done == gaveUp {
+				t.Errorf("gave up: the ack found nothing to close = %v, done = %v; want %v, %v", lateAck, w.done, gaveUp, !gaveUp)
+			}
+			if wantReturn := tc.ackAt; !gaveUp && returnedAt != wantReturn {
+				t.Errorf("await returned at %v, want %v (the ack)", returnedAt, wantReturn)
+			}
+			if !tc.injector && expiries != 0 {
+				t.Errorf("a wait without an injector expired %d times; it must set no timer", expiries)
+			}
+			// A timer left armed would fire after the ack and stretch the run.
+			if now := e.eng.Now(); now != tc.endAt {
+				t.Errorf("run ended at %v, want %v: a retry timer outlived its wait", now, tc.endAt)
+			}
+			if !tc.injector && e.eng.Events() != 3 {
+				t.Errorf("%d events without an injector, want 3 (task start, ack, wake-up): a timer was scheduled", e.eng.Events())
+			}
+		})
+	}
+}
+
+// TestOutcomeStrings pins the outcome texts of the fault.request and
+// origin.serve spans: trace bytes depend on them.
+func TestOutcomeStrings(t *testing.T) {
+	for o, want := range map[outcome]string{
+		grant: "grant", grantData: "grant+data", nack: "nack", stale: "stale", redirect: "redirect",
+		deadHome: "dead-home", requesterDead: "dead", moved: "moved", rolledBack: "rollback",
+		deadHomeFinalized: "dead-home-finalize",
+	} {
+		if got := o.String(); got != want {
+			t.Errorf("outcome(%d).String() = %q, want %q", o, got, want)
+		}
+	}
+	for o := inFlight; int(o) < len(outcomeNames); o++ {
+		if g, b := o.granted(), o.bounced(); g != (o == grant || o == grantData) || b != (o == nack || o == stale || o == redirect) {
+			t.Errorf("%v: granted = %v, bounced = %v", o, g, b)
+		}
 	}
 }

@@ -44,25 +44,66 @@ func (*revokeMsg) ChaosExpendable()   {}
 func (*revokeAck) ChaosExpendable()   {}
 func (*homeHintMsg) ChaosExpendable() {}
 
-// pageReply answers a pageRequest. nack means the directory entry was busy
-// and the requester must retry; stale means the request was already
-// satisfied by a concurrent transaction (the requester re-validates its
-// PTE); redirect means the request landed at a node that is not the page's
-// home and home carries where to retry (the authoritative home under
-// HomeMigrate, one hop down the forwarding chain under DistributedManager);
-// withData means page data was RDMA'd into the requester's prepared landing
-// zone. epoch stamps the routing information under DistributedManager: the
-// home-handoff epoch at which home is (or, for a write grant, becomes) the
-// page's home. The extra fields ride in the modeled 56-byte envelope.
+// protoMsg is a message of this protocol: it names the process it belongs to.
+type protoMsg interface {
+	fabric.Message
+	process() int
+}
+
+func (r *pageRequest) process() int     { return r.pid }
+func (r *pageReply) process() int       { return r.pid }
+func (a *installAck) process() int      { return a.pid }
+func (r *revokeMsg) process() int       { return r.pid }
+func (a *revokeAck) process() int       { return a.pid }
+func (h *homeHintMsg) process() int     { return h.pid }
+func (r *prefetchRequest) process() int { return r.pid }
+
+// outcome is the one answer a page request comes to (§III-B/C): at the
+// requester the reply it received, at the home the reply it sent and — for
+// the serve's span — how the transaction ended when that was not a reply.
+// Its String is the outcome text of the fault.request and origin.serve spans.
+type outcome uint8
+
+const (
+	inFlight  outcome = iota // not answered yet
+	grant                    // ownership only: the requester's copy is fresh
+	grantData                // ownership, with page data in the requester's landing zone
+	nack                     // the directory entry was busy: back off and retry
+	stale                    // a concurrent transaction already satisfied the request: re-validate the PTE
+	redirect                 // not the page's home: retry at pageReply.home
+	deadHome                 // the home died with the exchange in flight
+	// Home side only, never on the wire.
+	requesterDead     // the requester died before the serve dispatched
+	moved             // authority left between dispatch and serve (the reply sent is a redirect)
+	rolledBack        // the requester died inside the grant window: the grant was undone
+	deadHomeFinalized // the home died inside the grant window, the grant had landed
+)
+
+var outcomeNames = [...]string{"in-flight", "grant", "grant+data", "nack", "stale", "redirect", "dead-home",
+	"dead", "moved", "rollback", "dead-home-finalize"}
+
+func (o outcome) String() string { return outcomeNames[o] }
+
+// granted: the requester holds (or is about to install) the ownership it
+// asked for.
+func (o outcome) granted() bool { return o == grant || o == grantData }
+
+// bounced: the home turned the request away with a reply the requester acts
+// on by asking again (or, for stale, by looking again).
+func (o outcome) bounced() bool { return o == nack || o == stale || o == redirect }
+
+// pageReply answers a pageRequest with its outcome. For a redirect, home
+// carries where to retry (the authoritative home under HomeMigrate, one hop
+// down the forwarding chain under DistributedManager). epoch stamps the
+// routing information under DistributedManager: the home-handoff epoch at
+// which home is (or, for a write grant, becomes) the page's home. The extra
+// fields ride in the modeled 56-byte envelope.
 type pageReply struct {
-	pid      int
-	token    uint64
-	nack     bool
-	stale    bool
-	redirect bool
-	home     int
-	epoch    uint64
-	withData bool
+	pid     int
+	token   uint64
+	outcome outcome
+	home    int
+	epoch   uint64
 }
 
 func (*pageReply) Size() int { return pageReplySize }
@@ -126,78 +167,32 @@ func (*homeHintMsg) Size() int { return homeHintSize }
 // was consumed. It runs in event context and spawns tasks for any blocking
 // work.
 func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
-	switch mm := msg.(type) {
+	pm, ok := msg.(protoMsg)
+	if !ok || pm.process() != m.pid {
+		return false
+	}
+	switch mm := pm.(type) {
 	case *prefetchRequest:
-		if mm.pid != m.pid {
-			return false
-		}
 		if node != m.origin {
 			panic(fmt.Sprintf("dsm: prefetch request delivered to node %d (origin %d)", node, m.origin))
 		}
 		m.view(m.origin).Spawn("dsm-prefetch", func(t *sim.Task) { m.servePrefetch(t, mm) })
-		return true
 	case *pageRequest:
-		if mm.pid != m.pid {
-			return false
-		}
 		m.dispatchRequest(node, mm)
-		return true
 	case *pageReply:
-		if mm.pid != m.pid {
-			return false
-		}
-		m.handleReply(node, mm)
-		return true
+		m.e.deliverReply(node, mm)
 	case *revokeMsg:
-		if mm.pid != m.pid {
-			return false
-		}
 		if m.e.admitRevoke(node, mm) {
 			m.applyRevokeAdmitted(node, mm)
 		}
-		return true
 	case *installAck:
-		if mm.pid != m.pid {
-			return false
-		}
-		// The wait record lives at the serving home that issued the grant —
-		// the node this ack was addressed to.
-		m.closeWaiter(m.nodes[node].installWait, mm.token, "install ack token")
-		return true
+		m.e.installAcked(node, mm.token)
 	case *revokeAck:
-		if mm.pid != m.pid {
-			return false
-		}
-		// Likewise: revocations are issued from (and acked to) the serving
-		// home, whose lane is running right now.
-		m.closeWaiter(m.nodes[node].revokeWait, mm.seq, "revoke ack seq")
-		return true
+		m.e.revokeAcked(node, mm.seq)
 	case *homeHintMsg:
-		if mm.pid != m.pid {
-			return false
-		}
 		m.applyHomeHint(node, mm)
-		return true
-	default:
-		return false
 	}
-}
-
-// closeWaiter completes the open waiter an ack names and wakes its serving
-// task. An ack without a waiter is a duplicate of one that already closed the
-// window under fault injection, and a protocol bug otherwise.
-func (m *Manager) closeWaiter(ws map[uint64]*revokeWaiter, key uint64, what string) {
-	w, ok := ws[key]
-	if !ok {
-		if m.chaos != nil {
-			m.stats.DupsIgnored++
-			return
-		}
-		panic(fmt.Sprintf("dsm: stray %s %d", what, key))
-	}
-	delete(ws, key)
-	w.done = true
-	w.task.Unpark()
+	return true
 }
 
 // applyHomeHint installs a DistributedManager path-compression hint: this
@@ -226,19 +221,38 @@ func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
 // task (the transaction may block on revocations). The directory entry
 // stays busy until the requester acknowledges its PTE install: the page is
 // in ownership transition for that whole window, and conflicting requests
-// are NACKed — the source of the retried, slow faults of §V-D. home is the
-// node this transaction is served at (the origin under WriteInvalidate).
-func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *serveState) {
-	var serveAt time.Duration
-	if m.rec != nil {
-		serveAt = t.Now()
-	}
+// are NACKed — the source of the retried, slow faults of §V-D. st is the
+// engine's record of the serve; st.home is the node the transaction is served
+// at (the origin under WriteInvalidate).
+func (m *Manager) servePageRequest(t *sim.Task, st *serveState) {
+	home, req := st.home, st.req
+	serveAt := t.Now()
 	t.Sleep(m.params.OriginDispatch)
-	if st != nil && m.chaos.NodeDead(req.node) {
+	out := m.serve(t, st)
+	m.e.closeServe(st, t.Now())
+	if m.rec != nil {
+		kind := "read"
+		if req.write {
+			kind = "write"
+		}
+		// The serve task runs on the serving home's lane; the span runs from
+		// dispatch to the point the directory entry is released (or the request
+		// is bounced).
+		m.rec.OnLane(home).Span("dsm", "origin.serve", home, -1, serveAt,
+			obs.Hex("vpn", req.vpn),
+			obs.String("kind", kind),
+			obs.Int("from", int64(req.node)),
+			obs.String("outcome", out.String()))
+	}
+}
+
+// serve is the body of servePageRequest after dispatch; it returns how the
+// transaction ended.
+func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
+	home, req := st.home, st.req
+	if m.dead(req.node) {
 		// The requester died before we dispatched; its landing zone is gone.
-		st.close(t.Now())
-		m.serveSpan(serveAt, home, req, "dead")
-		return
+		return requesterDead
 	}
 	de := m.policy.serveEntry(home, req.vpn)
 	if de == nil {
@@ -248,33 +262,21 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 		target := m.requestTarget(home, req.vpn)
 		epoch := m.nodes[home].routeEpoch[req.vpn]
 		if target == home {
-			target = m.liveAnchor(req.vpn)
-			epoch = 0
+			target, epoch = m.liveAnchor(req.vpn), 0
 		}
-		m.net.Send(t, home, req.node, m.redirect(req, st, target, epoch, t.Now()))
-		m.serveSpan(serveAt, home, req, "moved")
-		return
+		m.net.Send(t, home, req.node, m.redirect(st, target, epoch, t.Now()))
+		return moved
 	}
 	if de.busy() {
-		if st != nil {
-			st.nack = true
-			st.close(t.Now())
-		}
-		m.net.Send(t, home, req.node, &pageReply{pid: m.pid, token: req.token, nack: true})
-		m.serveSpan(serveAt, home, req, "nack")
-		return
+		m.net.Send(t, home, req.node, m.e.bounce(st, nack, 0, 0, t.Now()))
+		return nack
 	}
 	if (!req.write && de.has(req.node)) || (req.write && de.writer == req.node) {
 		// A concurrent transaction already satisfied this request (e.g. a
 		// read request racing with the same node's write grant): tell the
 		// requester to re-validate its PTE.
-		if st != nil {
-			st.stale = true
-			st.close(t.Now())
-		}
-		m.net.Send(t, home, req.node, &pageReply{pid: m.pid, token: req.token, stale: true})
-		m.serveSpan(serveAt, home, req, "stale")
-		return
+		m.net.Send(t, home, req.node, m.e.bounce(st, stale, 0, 0, t.Now()))
+		return stale
 	}
 	m.stats.DirServes++
 	if home == m.origin {
@@ -282,99 +284,57 @@ func (m *Manager) servePageRequest(t *sim.Task, home int, req *pageRequest, st *
 	}
 	de.begin()
 	t.Sleep(m.params.Directory)
-	withData, data := m.serveLocked(t, de, req.node, req.vpn, req.write)
+	data := m.serveLocked(t, de, req.node, req.vpn, req.write)
 	// A write grant hands the home off to the requester at the next epoch; a
 	// read grant pins the serving home at the current one.
-	repEpoch := de.epoch
+	epoch := de.epoch
 	if req.write {
-		repEpoch++
+		epoch++
 	}
-	reply := &pageReply{pid: m.pid, token: req.token, withData: withData, epoch: repEpoch}
-	ack := &revokeWaiter{task: t}
-	m.nodes[home].installWait[req.token] = ack
-	if st != nil {
-		st.withData = withData
-		if withData {
-			// Retain a snapshot so the grant can be re-sent if it is lost.
-			st.data = append([]byte(nil), data...)
-		}
+	m.e.grant(t, st, data, epoch)
+	if data != nil && req.write {
+		// A write grant revoked the home's own copy inside serveWrite, so data
+		// is now an orphan; the send above snapshotted it before yielding.
+		// Recycle it.
+		m.freeFrame(home, data)
 	}
-	if withData {
-		m.net.SendPageBuf(t, home, req.node, req.pr, data, reply, m.pool(home).Get())
-		if req.write {
-			// A write grant revoked the home's own copy inside serveWrite,
-			// so data is now an orphan; the send above snapshotted it before
-			// yielding. Recycle it.
-			m.freeFrame(home, data)
-		}
-	} else {
-		m.net.Send(t, home, req.node, reply)
+	out := m.e.awaitInstall(t, st, de)
+	if out == deadHome {
+		return m.settleDeadHome(t, de, st)
 	}
-	outcome := "grant"
-	if withData {
-		outcome = "grant+data"
+	// Installed, unless the grant was rolled back.
+	m.settle(home, de, req, st.data, out.granted(), false)
+	return out
+}
+
+// redirect is the shared tail of every bounce toward another node: count
+// the hop where the policy has forwarding chains and answer st's request
+// with target, the node the requester should retry at.
+func (m *Manager) redirect(st *serveState, target int, epoch uint64, now time.Duration) *pageReply {
+	if m.forwards {
+		m.stats.Forwards++
 	}
-	settled := false
-	if st == nil {
-		m.e.waitRevokes(t, []*revokeWaiter{ack})
-	} else {
-		// Under fault injection the grant, its data, or the install ack may
-		// be lost: re-send the grant after each retry timeout. If the
-		// requester is confirmed dead, roll the half-finished transfer back
-		// so the page stays reachable.
-		rto := m.params.RetryTimeout
-		attempt := 0
-		for !ack.done {
-			if t.ParkTimeout("install ack", rto) || ack.done {
-				continue
-			}
-			if m.chaos.NodeDead(req.node) {
-				delete(m.nodes[home].installWait, req.token)
-				m.e.rollbackGrant(req, st, de)
-				outcome = "rollback"
-				break
-			}
-			if home != m.origin && m.chaos.NodeDead(home) {
-				delete(m.nodes[home].installWait, req.token)
-				outcome, settled = m.settleDeadHome(t, home, de, req, st, ack), true
-				break
-			}
-			m.stats.Retransmits++
-			attempt++
-			m.retransmitSpan(home, "grant", attempt, rto)
-			m.e.resendGrant(t, st)
-			if rto *= 2; rto > m.params.RetryTimeoutMax {
-				rto = m.params.RetryTimeoutMax
-			}
-		}
-	}
-	if !settled {
-		// ack.done: the requester installed its grant (a rollback leaves it unset).
-		m.settle(home, de, req, st, ack.done, false)
-	}
-	if st != nil {
-		st.close(t.Now())
-	}
-	m.serveSpan(serveAt, home, req, outcome)
+	return m.e.bounce(st, redirect, target, epoch, now)
 }
 
 // settle closes a serve's grant window: the policy finalizes an installed
 // grant (authority moves to a new writer), the entry goes idle, and — under
 // fault injection — an entry left idle at a home that died during the serve
-// is rebuilt at the page's live anchor rather than waiting for a later
-// request to stumble into the failover path. quiescent says the caller
-// already runs where every table may be touched.
-func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, st *serveState, installed, quiescent bool) {
+// is rebuilt at the page's live anchor (from data, the serve's retained
+// snapshot, if no replica survives) rather than waiting for a later request
+// to stumble into the failover path. quiescent says the caller already runs
+// where every table may be touched.
+func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, installed, quiescent bool) {
 	if installed {
 		m.policy.grantCompleted(de, req)
 	}
 	de.end()
-	if st == nil || m.stranded(home, req.vpn) == nil {
+	if m.chaos == nil || m.stranded(home, req.vpn) == nil {
 		return
 	}
 	rebuild := func() {
 		if cur := m.stranded(home, req.vpn); cur != nil {
-			m.rehome(req.vpn, cur, cur.home, st.data)
+			m.rehome(req.vpn, cur, cur.home, data)
 		}
 	}
 	if quiescent {
@@ -393,87 +353,18 @@ func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, st *serveStat
 // may move the entry into another node's — after which only that node's lane
 // may touch it — so decision and settlement run together at quiescence. It
 // returns the serve's outcome.
-func (m *Manager) settleDeadHome(t *sim.Task, home int, de *dirEntry, req *pageRequest, st *serveState, ack *revokeWaiter) (outcome string) {
+func (m *Manager) settleDeadHome(t *sim.Task, de *dirEntry, st *serveState) (out outcome) {
+	home, req := st.home, st.req
 	m.quiesce(t, home, "dist dead-home settle", func() {
-		if m.granteeDelivered(req) {
-			ack.done = true
-			outcome = "dead-home-finalize"
-		} else {
+		delivered := m.e.granteeDelivered(req)
+		out = deadHomeFinalized
+		if !delivered {
 			m.rehome(req.vpn, de, home, st.data)
-			outcome = "dead-home"
+			out = deadHome
 		}
-		m.settle(home, de, req, st, ack.done, true)
+		m.settle(home, de, req, st.data, delivered, true)
 	})
-	return outcome
-}
-
-// granteeDelivered reports whether the grant for req demonstrably reached
-// the requester: it either finished installing, or holds the grant reply
-// and will finish the install without further protocol traffic.
-func (m *Manager) granteeDelivered(req *pageRequest) bool {
-	ns := m.nodes[req.node]
-	if _, ok := ns.completed[req.token]; ok {
-		return true
-	}
-	if o, ok := ns.outstanding[req.token]; ok {
-		return o.done && !o.nack && !o.stale && !o.redirect && !o.deadHome
-	}
-	return false
-}
-
-// serveSpan records the home-side span of one page transaction, from
-// dispatch to the point the directory entry is released (or the request is
-// bounced).
-func (m *Manager) serveSpan(start time.Duration, home int, req *pageRequest, outcome string) {
-	if m.rec == nil {
-		return
-	}
-	kind := "read"
-	if req.write {
-		kind = "write"
-	}
-	// The serve task runs on the serving home's lane.
-	m.rec.OnLane(home).Span("dsm", "origin.serve", home, -1, start,
-		obs.Hex("vpn", req.vpn),
-		obs.String("kind", kind),
-		obs.Int("from", int64(req.node)),
-		obs.String("outcome", outcome))
-}
-
-// handleReply wakes the requester task waiting on the matching token.
-func (m *Manager) handleReply(node int, rep *pageReply) {
-	ns := m.nodes[node]
-	req, ok := ns.outstanding[rep.token]
-	if !ok {
-		if m.chaos != nil {
-			if cg, done := ns.completed[rep.token]; done {
-				// A grant reply re-sent after our install ack was lost:
-				// re-ack the serving home (which under HomeMigrate need not
-				// be the origin) so it can close its transition window.
-				m.stats.Retransmits++
-				m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
-					m.net.Send(t, node, cg.home, &installAck{pid: m.pid, token: rep.token})
-				})
-			} else {
-				m.stats.DupsIgnored++
-			}
-			return
-		}
-		panic(fmt.Sprintf("dsm: stray page reply token %d at node %d", rep.token, node))
-	}
-	if req.done {
-		// A duplicated reply raced in before the requester task resumed.
-		m.stats.DupsIgnored++
-		return
-	}
-	req.done = true
-	req.nack = rep.nack
-	req.stale = rep.stale
-	req.redirect = rep.redirect
-	req.home = rep.home
-	req.epoch = rep.epoch
-	req.withData = rep.withData
-	req.task.Unpark()
+	return out
 }
 
 // applyRevokeAdmitted runs a revocation that has passed the engine's
@@ -484,15 +375,11 @@ func (m *Manager) handleReply(node int, rep *pageReply) {
 // mistaken for its own duplicate.
 func (m *Manager) applyRevokeAdmitted(node int, msg *revokeMsg) {
 	ns := m.nodes[node]
-	if o := m.e.installingFor(ns, msg.vpn); o != nil {
-		o.deferred = append(o.deferred, func() { m.applyRevokeAdmitted(node, msg) })
+	if m.e.deferRevoke(ns, msg) {
 		return
 	}
 	m.view(node).Spawn("dsm-revoke", func(t *sim.Task) {
-		var applyAt time.Duration
-		if m.rec != nil {
-			applyAt = t.Now()
-		}
+		applyAt := t.Now()
 		t.Sleep(m.params.InvalidateApply)
 		pte := ns.pt.Lookup(msg.vpn)
 		var frame []byte
@@ -511,32 +398,11 @@ func (m *Manager) applyRevokeAdmitted(node int, msg *revokeMsg) {
 			m.policy.learnHome(node, msg.vpn, msg.newHome, msg.newEpoch)
 		}
 		m.emitInvalidate(node, msg.vpn)
-		ack := &revokeAck{pid: m.pid, seq: msg.seq}
-		if msg.needData {
-			if frame == nil {
-				panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
-			}
-			m.net.SendPageBuf(t, node, msg.home, msg.pr, frame, ack, m.pool(node).Get())
-		} else {
-			m.net.Send(t, node, msg.home, ack)
+		if msg.needData && frame == nil {
+			panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
 		}
-		retained := false
-		if m.chaos != nil {
-			rec := ns.appliedRevokes[msg.seq]
-			rec.pending = false
-			rec.appliedAt = t.Now()
-			if msg.needData {
-				// Retain the page contents so a re-sent revocation (our ack
-				// was lost) can be answered with the same data.
-				if dropped {
-					rec.data = frame
-					retained = true
-				} else {
-					rec.data = append([]byte(nil), frame...)
-				}
-			}
-		}
-		if dropped && !retained {
+		m.sendRevokeAck(t, node, msg, frame)
+		if retained := m.e.revokeApplied(ns, msg, frame, dropped, t.Now()); dropped && !retained {
 			// The invalidation orphaned this node's frame; any outbound copy
 			// was snapshotted by the send above. Recycle it.
 			m.freeFrame(node, frame)

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 
 	"dex/internal/fabric"
 	"dex/internal/mem"
@@ -56,22 +57,13 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 		return 0, nil
 	}
 	granted := 0
-	for len(vpns) > 0 {
-		batch := vpns
-		if len(batch) > PrefetchBatch {
-			batch = batch[:PrefetchBatch]
-		}
-		vpns = vpns[len(batch):]
-		n, err := m.prefetchBatch(t, ctx.Node, batch)
-		if err != nil {
-			return granted, err
-		}
-		granted += n
+	for batch := range slices.Chunk(vpns, PrefetchBatch) {
+		granted += m.prefetchBatch(t, ctx.Node, batch)
 	}
 	return granted, nil
 }
 
-func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) (int, error) {
+func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) int {
 	ns := m.nodes[node]
 	req := &prefetchRequest{pid: m.pid, node: node}
 	outs := make([]*outstanding, 0, len(batch))
@@ -83,16 +75,14 @@ func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) (int, err
 			continue // a demand fault is already in flight
 		}
 		pr := m.net.PreparePageRecv(t, m.origin, node)
-		token := m.e.nextToken(node)
-		o := &outstanding{vpn: vpn, task: t}
-		ns.outstanding[token] = o
+		o := m.e.open(t, node, m.origin, vpn)
 		outs = append(outs, o)
 		req.vpns = append(req.vpns, vpn)
-		req.tokens = append(req.tokens, token)
+		req.tokens = append(req.tokens, o.token)
 		req.prs = append(req.prs, pr)
 	}
 	if len(req.vpns) == 0 {
-		return 0, nil
+		return 0
 	}
 	t.Sleep(m.params.FaultEntry) // one handler entry for the whole batch
 	m.net.Send(t, node, m.origin, req)
@@ -105,22 +95,20 @@ func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) (int, err
 	granted := 0
 	t.Sleep(m.params.PTEInstall)
 	for i, o := range outs {
-		token := req.tokens[i]
 		pr := req.prs[i]
-		if o.nack || o.stale {
+		if !o.granted() {
 			pr.Release()
-			delete(ns.outstanding, token)
+			m.e.forget(node, o)
 			continue
 		}
-		if !o.withData {
+		if o.reply.outcome != grantData {
 			panic(fmt.Sprintf("dsm: prefetch grant without data for vpn %#x", o.vpn))
 		}
 		frame := pr.Claim(t)
 		ns.pt.SetAccess(o.vpn, frame, mem.AccessRead)
-		o.installed = true
-		delete(ns.outstanding, token)
-		for _, fn := range o.deferred {
-			fn()
+		m.e.installed(node, o, t.Now())
+		for _, msg := range o.deferred {
+			m.applyRevokeAdmitted(node, msg)
 		}
 		granted++
 	}
@@ -130,7 +118,7 @@ func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) (int, err
 		// page of the batch; a fully skipped batch expects no ack.
 		m.net.Send(t, node, m.origin, &installAck{pid: m.pid, token: req.tokens[0]})
 	}
-	return granted, nil
+	return granted
 }
 
 // servePrefetch runs at the origin: it grants each requested page with the
@@ -141,9 +129,7 @@ func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) (int, err
 func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 	t.Sleep(m.params.OriginDispatch)
 	var held []*dirEntry
-	ackToken := req.tokens[0]
-	acked := &revokeWaiter{task: t}
-	needAck := false
+	st := m.e.openServe(t, m.origin, req.tokens[0], nil)
 	for i, vpn := range req.vpns {
 		token := req.tokens[i]
 		de, _ := m.entry(vpn)
@@ -152,27 +138,29 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 		// requester falls back to demand faulting at the real home.
 		bounce := de.busy() || de.home != m.origin
 		if bounce || de.has(req.node) {
-			m.net.Send(t, m.origin, req.node, &pageReply{pid: m.pid, token: token, nack: bounce, stale: !bounce})
+			out := stale
+			if bounce {
+				out = nack
+			}
+			m.net.Send(t, m.origin, req.node, &pageReply{pid: m.pid, token: token, outcome: out})
 			continue
 		}
 		de.begin()
 		held = append(held, de)
 		t.Sleep(m.params.Directory)
-		withData, data := m.serveLocked(t, de, req.node, vpn, false)
-		if !withData {
+		data := m.serveLocked(t, de, req.node, vpn, false)
+		if data == nil {
 			panic("dsm: prefetch read grant must carry data")
 		}
-		if !needAck {
-			needAck = true
-			m.nodes[m.origin].installWait[ackToken] = acked
-		}
 		m.net.SendPageBuf(t, m.origin, req.node, req.prs[i], data,
-			&pageReply{pid: m.pid, token: token, withData: true}, m.pool(m.origin).Get())
+			&pageReply{pid: m.pid, token: token, outcome: grantData}, m.pool(m.origin).Get())
 	}
-	if needAck {
-		m.e.waitRevokes(t, []*revokeWaiter{acked})
+	if len(held) > 0 {
+		// A fully skipped batch is sent no ack.
+		m.e.awaitInstall(t, st, nil)
 	}
 	for _, de := range held {
 		de.end()
 	}
+	m.e.closeServe(st, t.Now())
 }

@@ -29,9 +29,9 @@ package dsm
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
-	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/obs"
 	"dex/internal/sim"
@@ -107,32 +107,24 @@ func ProtocolNames() []string {
 // ProtocolHelp renders the -protocol flag help text from the registry, so
 // every command's usage string stays in sync with the policies that exist.
 func ProtocolHelp() string {
-	s := "coherence protocol: "
-	for i, pi := range protocolRegistry {
-		if i > 0 {
-			s += " | "
-		}
-		s += pi.name + " (" + pi.long + ")"
+	var rows []string
+	for _, pi := range protocolRegistry {
+		rows = append(rows, pi.name+" ("+pi.long+")")
 	}
-	return s
+	return "coherence protocol: " + strings.Join(rows, " | ")
 }
 
 // ParseProtocol resolves a protocol name as accepted by dexrun -protocol:
 // either the short or the long name of any registered policy.
 func ParseProtocol(s string) (Protocol, error) {
+	var names []string
 	for _, pi := range protocolRegistry {
 		if s == pi.name || s == pi.long {
 			return pi.proto, nil
 		}
+		names = append(names, pi.name)
 	}
-	names := ""
-	for i, pi := range protocolRegistry {
-		if i > 0 {
-			names += ", "
-		}
-		names += pi.name
-	}
-	return 0, fmt.Errorf("dsm: unknown protocol %q (want one of %s)", s, names)
+	return 0, fmt.Errorf("dsm: unknown protocol %q (want one of %s)", s, strings.Join(names, ", "))
 }
 
 // residence is what a node's directory lookup for one of its own faults
@@ -163,10 +155,8 @@ type policy interface {
 	// serving node's authority moved away between dispatch and serve
 	// (sharded only) — the caller bounces the request.
 	serveEntry(home int, vpn uint64) *dirEntry
-	// route decides what happens to a page request admitted at node: serve
-	// it there (target == node) or bounce the requester to target, stamped
-	// with epoch. handled means the policy already answered it itself.
-	route(node int, req *pageRequest, st *serveState) (target int, epoch uint64, handled bool)
+	// route decides what happens to a page request admitted at node.
+	route(node int, req *pageRequest) routing
 	// learnHome records at node a belief about vpn's home, stamped with the
 	// home-handoff epoch it was learned at, and reports whether the update
 	// was applied. sharded rejects updates older than the route the node
@@ -187,6 +177,20 @@ type policy interface {
 	// grant was finally served (or the requester itself for a write), epoch
 	// the handoff epoch at which home holds the page.
 	compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64)
+}
+
+// routing is a policy's decision on a page request admitted at a node: serve
+// it there (home is that node) or bounce the requester to home at epoch.
+type routing struct {
+	home  int
+	epoch uint64
+	// busy (central): the page's home is dead and its last transaction has not
+	// unwound yet: NACK, the requester retries after recovery.
+	busy bool
+	// locate (sharded): this shard is the live fallback for a reclaimed dead
+	// anchor and holds no trace of the page: resolve it on the global lane,
+	// then point the requester at whatever the locate found.
+	locate bool
 }
 
 // traits is the per-policy data the shared paths read.
@@ -317,15 +321,12 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 	var hops []int
 	forced := -1
 	for attempt := 1; ; attempt++ {
-		var reqAt time.Duration
-		if m.rec != nil {
-			reqAt = t.Now()
-		}
+		reqAt := t.Now()
 		target := m.requestTarget(node, vpn)
 		if forced >= 0 {
 			target, forced = forced, -1
 		}
-		if m.chaos != nil && target != m.origin && target != node && m.chaos.NodeDead(target) {
+		if target != m.origin && target != node && m.dead(target) {
 			// The believed home is confirmed dead: skip the doomed round
 			// trip and route through the page's live anchor, which reclaims
 			// (or redirects around) dead-home pages.
@@ -343,95 +344,62 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			return attempt - 1
 		}
 		pr := m.net.PreparePageRecv(t, target, node)
-		token := m.e.nextToken(node)
-		req := &outstanding{vpn: vpn, task: t}
-		ns.outstanding[token] = req
-		msg := &pageRequest{
-			pid:   m.pid,
-			vpn:   vpn,
-			write: write,
-			node:  node,
-			token: token,
-			pr:    pr,
-		}
-		m.net.Send(t, node, target, msg)
-		m.e.awaitReply(t, node, target, req, msg)
+		req := m.e.request(t, node, target, vpn, write, pr)
+		rep := &req.reply
 		if m.rec != nil {
-			outcome := "grant"
-			switch {
-			case req.deadHome:
-				outcome = "dead-home"
-			case req.nack:
-				outcome = "nack"
-			case req.stale:
-				outcome = "stale"
-			case req.redirect:
-				outcome = "redirect"
-			case req.withData:
-				outcome = "grant+data"
-			}
 			// requestFault runs on the faulting node's lane.
 			m.rec.OnLane(node).Span("dsm", "fault.request", node, ctx.Task, reqAt,
 				obs.Hex("vpn", vpn),
 				obs.Int("attempt", int64(attempt)),
-				obs.String("outcome", outcome))
+				obs.String("outcome", rep.outcome.String()))
 		}
-		if req.deadHome {
+		if !rep.outcome.granted() {
+			m.e.forget(node, req)
+			pr.Release()
+		}
+		switch rep.outcome {
+		case deadHome:
 			// The believed home died with our request (or its reply) in
 			// flight: forget the hint and retry through the page's live
 			// anchor after a backoff, giving the failover path time to reclaim
 			// the page. (The epoch gate admits this route unconditionally —
 			// the stored target is confirmed dead.)
-			delete(ns.outstanding, token)
-			pr.Release()
 			m.failover(node, vpn, target, "dead-home")
 			m.backoff(t, node, attempt)
 			continue
-		}
-		if req.redirect {
+		case redirect:
 			// Stale home hint: learn the authoritative home and retry there
 			// immediately (no backoff — this is routing, not contention).
-			delete(ns.outstanding, token)
-			pr.Release()
-			if m.chaos != nil && req.home != m.origin && m.chaos.NodeDead(req.home) {
+			if rep.home != m.origin && m.dead(rep.home) {
 				// The redirect points at a node that has since died: fall
 				// back to the page's live anchor and back off, giving the
 				// lease layer time to declare and rebuild.
-				m.failover(node, vpn, req.home, "dead-redirect")
+				m.failover(node, vpn, rep.home, "dead-redirect")
 				m.backoff(t, node, attempt)
 				continue
 			}
 			hops = append(hops, target)
-			if !m.policy.learnHome(node, vpn, req.home, req.epoch) && req.home != node {
+			if !m.policy.learnHome(node, vpn, rep.home, rep.epoch) && rep.home != node {
 				// The gate rejected the redirect for storage; still follow
 				// it once so the walk makes progress past routes a liveness
 				// override pushed backward. A rejected redirect naming THIS
 				// node is a stale echo of our own past tenure — our stored
 				// route is fresher, so just retry through it.
-				forced = req.home
+				forced = rep.home
 			}
 			continue
-		}
-		if req.nack {
-			delete(ns.outstanding, token)
-			pr.Release()
+		case nack:
 			m.stats.Nacks++
 			m.backoff(t, node, attempt)
 			continue
-		}
-		if req.stale {
+		case stale:
 			// A concurrent transaction already satisfied this access; the
 			// caller re-validates the PTE.
-			delete(ns.outstanding, token)
-			pr.Release()
 			return attempt - 1
 		}
 		var frame []byte
-		if req.withData {
-			var claimAt time.Duration
-			if m.rec != nil {
-				claimAt = t.Now()
-			}
+		if rep.outcome == grantData {
+			claimAt := t.Now()
 			frame = pr.Claim(t)
 			if m.rec != nil {
 				m.rec.OnLane(node).Span("dsm", "fault.transfer", node, ctx.Task, claimAt,
@@ -446,10 +414,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			}
 			frame = pte.Frame
 		}
-		var installAt time.Duration
-		if m.rec != nil {
-			installAt = t.Now()
-		}
+		installAt := t.Now()
 		t.Sleep(m.params.PTEInstall)
 		// A grant that carries data over an existing local copy (the
 		// AlwaysSendData ablation's read-to-write upgrade) orphans the old
@@ -461,7 +426,6 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			m.rec.OnLane(node).Span("dsm", "fault.install", node, ctx.Task, installAt,
 				obs.Hex("vpn", vpn))
 		}
-		req.installed = true
 		// A successful grant pins down where the page's home is right now:
 		// the serving node for reads, ourselves for writes (the home flips
 		// to the new exclusive owner as our install ack lands), at the epoch
@@ -471,18 +435,17 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			final = node
 			// Authority adoption must happen before the install ack is sent:
 			// the old home hands off only after the new home's entry is live.
-			m.policy.grantInstalled(node, vpn, req.epoch)
+			m.policy.grantInstalled(node, vpn, rep.epoch)
 		}
-		m.e.noteInstalled(ns, token, target, t.Now())
-		delete(ns.outstanding, token)
-		m.net.Send(t, node, target, &installAck{pid: m.pid, token: token})
-		m.policy.learnHome(node, vpn, final, req.epoch)
+		m.e.installed(node, req, t.Now())
+		m.net.Send(t, node, target, &installAck{pid: m.pid, token: req.token})
+		m.policy.learnHome(node, vpn, final, rep.epoch)
 		if len(hops) > 0 {
-			m.policy.compressChain(t, node, vpn, hops, final, req.epoch)
+			m.policy.compressChain(t, node, vpn, hops, final, rep.epoch)
 		}
 		// Apply revocations deferred during the install window.
-		for _, fn := range req.deferred {
-			fn()
+		for _, msg := range req.deferred {
+			m.applyRevokeAdmitted(node, msg)
 		}
 		return attempt - 1
 	}
@@ -491,24 +454,35 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 // ---------------------------------------------------------------------------
 // The serve path: one dispatch skeleton, one directory transaction pair.
 
-// dispatchRequest handles a page request delivered at node: admit it (under
-// fault injection the transport engine deduplicates by token first), let the
-// policy route it, and then either serve it here or redirect the requester.
+// dispatchRequest handles a page request delivered at node: admit it (the
+// transport engine deduplicates by token first), let the policy route it, and
+// then either serve it here or bounce the requester.
 func (m *Manager) dispatchRequest(node int, req *pageRequest) {
-	var st *serveState
-	if m.chaos != nil {
-		var handled bool
-		if st, handled = m.e.admitServe(node, req); handled {
-			return
-		}
+	st := m.e.admitServe(node, req)
+	if st == nil {
+		return
 	}
-	target, epoch, handled := m.policy.route(node, req, st)
-	switch {
-	case handled:
-	case target == node:
-		m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, node, req, st) })
+	now := m.view(node).Now()
+	switch r := m.policy.route(node, req); {
+	case r.busy:
+		m.e.replyAfter("dsm-nack", node, req.node, m.e.bounce(st, nack, 0, 0, now))
+	case r.locate:
+		// A duplicate that arrives meanwhile is told to ask here again.
+		m.redirect(st, node, 0, now)
+		m.view(node).Spawn("dsm-locate", func(t *sim.Task) {
+			m.locate(t, node, req.vpn)
+			t.Sleep(m.params.OriginDispatch)
+			ns := m.nodes[node]
+			target, epoch := node, ns.routeEpoch[req.vpn]
+			if fw, ok := ns.fwd[req.vpn]; ok {
+				target = fw
+			}
+			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, outcome: redirect, home: target, epoch: epoch})
+		})
+	case r.home == node:
+		m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, st) })
 	default:
-		reply := m.redirect(req, st, target, epoch, m.view(node).Now())
+		reply := m.redirect(st, r.home, r.epoch, now)
 		if m.rec != nil {
 			// Recorded on the bouncing node's lane (where the stale-routed
 			// request was delivered).
@@ -516,37 +490,18 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 			rec.SpanAt("dsm", m.redirectSpan, node, -1, rec.Now(), 0,
 				obs.Hex("vpn", req.vpn),
 				obs.Int("from", int64(req.node)),
-				obs.Int("home", int64(target)))
+				obs.Int("home", int64(r.home)))
 		}
-		m.view(node).Spawn("dsm-redirect", func(t *sim.Task) {
-			t.Sleep(m.params.OriginDispatch)
-			m.net.Send(t, node, req.node, reply)
-		})
+		m.e.replyAfter("dsm-redirect", node, req.node, reply)
 	}
-}
-
-// redirect is the shared tail of every bounce toward another node: count
-// the hop where the policy has forwarding chains, close the dedup record as
-// a redirect (a duplicate of req gets the same bounce again), and build the
-// reply. target names where the requester should retry.
-func (m *Manager) redirect(req *pageRequest, st *serveState, target int, epoch uint64, now time.Duration) *pageReply {
-	if m.forwards {
-		m.stats.Forwards++
-	}
-	if st != nil {
-		st.redirect = true
-		st.redirTo = target
-		st.close(now)
-	}
-	return &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch}
 }
 
 // serveLocked performs one directory transaction for reqNode with the entry
 // in transfer state, keyed on de.home — wherever that is. On return the
 // directory reflects the grant; for a requester local to the serving home
-// the page table is updated in place. For a remote requester it returns
-// whether the grant carries page data, and the data.
-func (m *Manager) serveLocked(t *sim.Task, de *dirEntry, reqNode int, vpn uint64, write bool) (withData bool, data []byte) {
+// the page table is updated in place. For a remote requester it returns the
+// page data the grant carries, nil for an ownership-only grant.
+func (m *Manager) serveLocked(t *sim.Task, de *dirEntry, reqNode int, vpn uint64, write bool) []byte {
 	if de.writer == reqNode {
 		panic(fmt.Sprintf("dsm: node %d faulted on vpn %#x it owns exclusively", reqNode, vpn))
 	}
@@ -560,7 +515,7 @@ func (m *Manager) serveLocked(t *sim.Task, de *dirEntry, reqNode int, vpn uint64
 	return m.serveRead(t, de, reqNode, vpn)
 }
 
-func (m *Manager) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
+func (m *Manager) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) []byte {
 	home := de.home
 	switch {
 	case de.writer == home:
@@ -575,12 +530,12 @@ func (m *Manager) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) 
 	de.grantShared(reqNode)
 	if reqNode == home {
 		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessRead)
-		return false, nil
+		return nil
 	}
-	return true, m.frameAt(home, vpn)
+	return m.frameAt(home, vpn)
 }
 
-func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) (bool, []byte) {
+func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) []byte {
 	home := de.home
 	needData := !de.has(reqNode) || m.params.AlwaysSendData
 	if needData && de.writer >= 0 && de.writer != home {
@@ -615,12 +570,12 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 			m.emitInvalidate(home, vpn)
 			continue
 		}
-		if m.chaos != nil && m.chaos.NodeDead(owner) {
+		if m.dead(owner) {
 			// A crashed reader's copy died with it; nothing to revoke.
 			de.dropOwner(owner)
 			continue
 		}
-		acks = append(acks, m.sendRevoke(t, home, owner, vpn, false, newHome, newEpoch, nil))
+		acks = append(acks, m.e.sendRevoke(t, home, owner, vpn, false, newHome, newEpoch, nil))
 	}
 	m.e.waitRevokes(t, acks)
 	if !needData {
@@ -629,9 +584,8 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 	de.grantExclusive(reqNode)
 	if reqNode == home {
 		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessWrite)
-		return false, nil
 	}
-	return needData, data
+	return data // nil unless needData and the requester is remote
 }
 
 // fetchFromWriter revokes the remote exclusive owner of vpn and installs the
@@ -640,16 +594,13 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 // home exists only where authority does not migrate.
 func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgrade bool) {
 	w, home := de.writer, de.home
-	if m.chaos != nil && m.chaos.NodeDead(w) {
+	if m.dead(w) {
 		m.reclaimLostWriter(de, vpn)
 		return
 	}
-	var pullAt time.Duration
-	if m.rec != nil {
-		pullAt = t.Now()
-	}
+	pullAt := t.Now()
 	pr := m.net.PreparePageRecv(t, w, home)
-	waiter := m.sendRevoke(t, home, w, vpn, downgrade, -1, 0, pr)
+	waiter := m.e.sendRevoke(t, home, w, vpn, downgrade, -1, 0, pr)
 	m.e.waitRevokes(t, []*revokeWaiter{waiter})
 	if waiter.lost {
 		// The writer died before shipping its copy home.
@@ -684,30 +635,6 @@ func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
 	de.reclaimHome()
 }
 
-func (m *Manager) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, pr *fabric.PageRecv) *revokeWaiter {
-	seq := m.e.nextRevokeSeq(from)
-	msg := &revokeMsg{
-		pid:       m.pid,
-		vpn:       vpn,
-		seq:       seq,
-		downgrade: downgrade,
-		needData:  pr != nil,
-		home:      from,
-		newHome:   newHome,
-		newEpoch:  newEpoch,
-		pr:        pr,
-	}
-	w := &revokeWaiter{task: t, target: target, msg: msg}
-	m.nodes[from].revokeWait[seq] = w
-	m.net.Send(t, from, target, msg)
-	if downgrade {
-		m.stats.Downgrades++
-	} else {
-		m.stats.Invalidations++
-	}
-	return w
-}
-
 // ---------------------------------------------------------------------------
 // central: one radix tree at the origin (WriteInvalidate, HomeMigrate).
 
@@ -736,7 +663,7 @@ func (p *central) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residenc
 		}
 	}
 	if de.home != node {
-		if m.chaos == nil || node != m.origin || !m.chaos.NodeDead(de.home) || de.busy() {
+		if node != m.origin || !m.dead(de.home) || de.busy() {
 			return nil, dirElsewhere
 		}
 		// Fault at the origin on a page whose home died: reclaim it to the
@@ -757,35 +684,27 @@ func (p *central) serveEntry(home int, vpn uint64) *dirEntry {
 // reaching the origin for a page whose home is confirmed dead triggers
 // dead-home recovery: the page is reclaimed to the origin shard and served
 // right here.
-func (p *central) route(node int, req *pageRequest, st *serveState) (int, uint64, bool) {
+func (p *central) route(node int, req *pageRequest) routing {
 	m := p.m
 	if !m.migrates {
 		if node != m.origin {
 			panic(fmt.Sprintf("dsm: page request for pid %d delivered to node %d (origin %d)", m.pid, node, m.origin))
 		}
-		return node, 0, false
+		return routing{home: node}
 	}
 	target := m.origin
 	de, ok := m.dir.tree.Get(req.vpn)
 	if ok {
 		target = de.home
 	}
-	if node != target && node == m.origin && m.chaos != nil && m.chaos.NodeDead(target) {
+	if node != target && node == m.origin && m.dead(target) {
 		if de.busy() {
-			// The dead home's last transaction has not unwound yet: bounce
-			// the requester; it backs off and retries after recovery.
-			st.nack = true
-			st.close(m.view(node).Now())
-			m.view(node).Spawn("dsm-nack", func(t *sim.Task) {
-				t.Sleep(m.params.OriginDispatch)
-				m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, nack: true})
-			})
-			return 0, 0, true
+			return routing{busy: true}
 		}
 		m.rehome(req.vpn, de, target, nil)
 		target = node
 	}
-	return target, 0, false
+	return routing{home: target}
 }
 
 func (p *central) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
@@ -882,7 +801,7 @@ func (p *sharded) serveEntry(home int, vpn uint64) *dirEntry {
 // route serves a page request here if this shard is authoritative (or the
 // request is the page's first touch at its anchor), otherwise redirects the
 // requester one hop down the forwarding chain.
-func (p *sharded) route(node int, req *pageRequest, st *serveState) (int, uint64, bool) {
+func (p *sharded) route(node int, req *pageRequest) routing {
 	m := p.m
 	ns := m.nodes[node]
 	_, hosted := m.dir.get(node, req.vpn)
@@ -898,28 +817,14 @@ func (p *sharded) route(node int, req *pageRequest, st *serveState) (int, uint64
 				obs.Hex("vpn", req.vpn),
 				obs.Int("from", int64(req.node)))
 		}
-		return node, 0, false
+		return routing{home: node}
 	case fwded:
-		return fwdTo, ns.routeEpoch[req.vpn], false
+		return routing{home: fwdTo, epoch: ns.routeEpoch[req.vpn]}
 	case m.needsLocate(node, req.vpn):
-		// This shard is the live fallback for a reclaimed dead anchor and
-		// holds no trace of the page: resolve it on the global lane, then
-		// point the requester at whatever the locate found (this very shard,
-		// if the page had to be materialized here).
-		m.redirect(req, st, node, 0, m.view(node).Now())
-		m.view(node).Spawn("dsm-locate", func(t *sim.Task) {
-			m.locate(t, node, req.vpn)
-			t.Sleep(m.params.OriginDispatch)
-			target, epoch := node, ns.routeEpoch[req.vpn]
-			if fw, ok := ns.fwd[req.vpn]; ok {
-				target = fw
-			}
-			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, redirect: true, home: target, epoch: epoch})
-		})
-		return 0, 0, true
+		return routing{locate: true}
 	}
 	// An anchor restart, not a home claim: carry no freshness.
-	return anchor, 0, false
+	return routing{home: anchor}
 }
 
 // learnHome is the single epoch-gated route table update: every source of
@@ -934,7 +839,7 @@ func (p *sharded) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 	ns := m.nodes[node]
 	if cur, ok := ns.routeEpoch[vpn]; ok && epoch < cur {
 		tgt := m.requestTarget(node, vpn)
-		if tgt != node && (m.chaos == nil || !m.chaos.NodeDead(tgt)) {
+		if tgt != node && !m.dead(tgt) {
 			return false
 		}
 	}
@@ -988,7 +893,7 @@ func (p *sharded) compressChain(t *sim.Task, node int, vpn uint64, hops []int, h
 		} else {
 			sent |= bit
 		}
-		if m.chaos != nil && m.chaos.NodeDead(hop) {
+		if m.dead(hop) {
 			continue
 		}
 		m.net.Send(t, node, hop, &homeHintMsg{pid: m.pid, vpn: vpn, home: home, epoch: epoch})

@@ -1216,6 +1216,8 @@ func (t *Task) ParkOn(r Reason) {
 // wake token) and false if the timeout fired first. An early unpark cancels
 // the timer: the stale event is tombstoned out of the heap (and compacted
 // away under heavy timeout churn) instead of lingering until its deadline.
+// With d <= 0 there is no deadline and no timer: the call is Park, and
+// returns true.
 func (t *Task) ParkTimeout(reason string, d time.Duration) bool {
 	return t.ParkOnTimeout(Reason{text: reason}, d)
 }
@@ -1229,11 +1231,13 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 	t.parked = true
 	t.parkReason = r
 	t.timedOut = false
-	eng := t.eng
-	tomb := &tombstone{}
-	t.parkTomb = tomb
-	t.parkTombEng = eng
-	eng.schedule(eng.lane, d, t, tomb)
+	if d > 0 {
+		eng := t.eng
+		tomb := &tombstone{}
+		t.parkTomb = tomb
+		t.parkTombEng = eng
+		eng.schedule(eng.lane, d, t, tomb)
+	}
 	t.yield()
 	t.parkReason = Reason{}
 	return !t.timedOut
