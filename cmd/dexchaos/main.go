@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"dex"
 	"dex/internal/apps"
 	"dex/internal/chaos"
+	"dex/internal/cli"
 	"dex/internal/exper"
 )
 
@@ -47,18 +49,21 @@ type cell struct {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dexchaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cl := cli.Cluster{Nodes: 3, Threads: 4, Seed: 1, Size: "test", Variant: "optimized", Protocol: "wi"}
+	cl.Register(fs, map[string]string{
+		"nodes":    "cluster size",
+		"threads":  "threads per node",
+		"seed":     "simulation and fault-plan seed",
+		"size":     cli.SizeHelp,
+		"protocol": dex.ProtocolHelp(),
+		"restart":  "run checkpoint/restart-capable workers: threads lost to a crash resume from their last checkpoint",
+	})
 	var (
 		appName   = fs.String("app", "kmn", "application to stress (see dexrun -list)")
-		nodes     = fs.Int("nodes", 3, "cluster size")
-		threads   = fs.Int("threads", 4, "threads per node")
-		seed      = fs.Int64("seed", 1, "simulation and fault-plan seed")
-		size      = fs.String("size", "test", "test | full")
 		drops     = fs.String("drops", "0,0.05,0.1,0.2", "comma-separated drop probabilities to sweep")
 		dup       = fs.Float64("dup", 0, "duplication probability applied to every cell")
 		delay     = fs.Duration("delay", 0, "delay jitter bound applied to half the messages of every cell")
 		crash     = fs.Duration("crash", 0, "crash the highest node at this virtual time (0 = no crash)")
-		protocol  = fs.String("protocol", "wi", dex.ProtocolHelp())
-		restart   = fs.Bool("restart", false, "run checkpoint/restart-capable workers: threads lost to a crash resume from their last checkpoint")
 		failUnder = fs.Float64("fail-under", 0, "minimum surviving fraction of cells (0..1); exit non-zero below it")
 		parallel  = fs.Int("parallel", 0, "max concurrent cells (0 = GOMAXPROCS)")
 		quiet     = fs.Bool("quiet", false, "suppress timing output on stderr")
@@ -66,18 +71,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	proto, err := dex.ParseProtocol(*protocol)
-	if err != nil {
-		return err
-	}
 	if *failUnder < 0 || *failUnder > 1 {
 		return fmt.Errorf("-fail-under %g out of range [0,1]", *failUnder)
-	}
-	if *nodes < 1 {
-		return fmt.Errorf("-nodes %d: cluster needs at least 1 node", *nodes)
-	}
-	if *threads < 1 {
-		return fmt.Errorf("-threads %d: need at least 1 thread per node", *threads)
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: cannot be negative", *parallel)
@@ -86,24 +81,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown application %q (see dexrun -list)", *appName)
 	}
-	if *restart && !app.Restartable {
-		return fmt.Errorf("-restart: %s does not support checkpoint/restart (supported: %s)",
-			app.Name, strings.Join(apps.Restartable(), ", "))
-	}
-	sz, err := apps.ParseSize(*size)
+	base, err := cl.Resolve(&app)
 	if err != nil {
 		return err
 	}
-	if *crash != 0 && *nodes < 2 {
-		return fmt.Errorf("-crash needs at least 2 nodes")
-	}
+	proto := base.Protocol
 	var cells []cell
 	for _, s := range strings.Split(*drops, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			return fmt.Errorf("bad drop rate %q: %v", s, err)
 		}
-		plan, err := chaos.FlagPlan(*seed, *nodes, r, *dup, *delay, *crash)
+		plan, err := chaos.FlagPlan(cl.Seed, cl.Nodes, r, *dup, *delay, *crash)
 		if err != nil {
 			return err
 		}
@@ -120,19 +109,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	pending := make([]*exper.Cell, len(cells))
 	for i := range cells {
-		opts := []dex.Option{dex.WithChaos(cells[i].plan)}
-		if proto != dex.WriteInvalidate {
-			opts = append(opts, dex.WithProtocol(proto))
-		}
-		cfg := apps.Config{
-			Nodes:          *nodes,
-			ThreadsPerNode: *threads,
-			Variant:        apps.Optimized,
-			Size:           sz,
-			Seed:           *seed,
-			Restart:        *restart,
-			Opts:           opts,
-		}
+		cfg := base.Config
+		cfg.Opts = append(slices.Clip(cfg.Opts), dex.WithChaos(cells[i].plan))
 		c := &cells[i]
 		pending[i] = runner.Submit(strconv.Itoa(i), func() any {
 			start := time.Now()
@@ -152,11 +130,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if proto != dex.WriteInvalidate {
 		extra += fmt.Sprintf(" protocol=%v", proto)
 	}
-	if *restart {
+	if cl.Restart {
 		extra += " restart=true"
 	}
 	fmt.Fprintf(stdout, "# dexchaos: app=%s nodes=%d threads/node=%d size=%s seed=%d dup=%.3f delay=%v crash=%v%s\n",
-		app.Name, *nodes, *threads, *size, *seed, *dup, *delay, *crash, extra)
+		app.Name, cl.Nodes, cl.Threads, cl.Size, cl.Seed, *dup, *delay, *crash, extra)
 	fmt.Fprintf(stdout, "%-8s %-9s %-14s %-8s %-12s %-8s %-9s %-8s %-8s %s\n",
 		"drop", "status", "elapsed", "dropped", "retransmits", "dups", "pages", "rebuilt", "threads", "check")
 	survived := 0

@@ -159,13 +159,19 @@ func TestChaosBadFlags(t *testing.T) {
 	}
 	for _, bad := range [][]string{
 		{"-nodes", "0"},
+		{"-nodes", "-1"},
+		{"-nodes", "65", "-drops", "0"}, // once a panic inside a cell's goroutine
 		{"-threads", "0"},
 		{"-cores", "4"},
 		{"-parallel", "-1"},
 		{"-app", "ep", "-restart"},
 	} {
-		if err := run(bad, io.Discard, io.Discard); err == nil {
+		err := run(bad, io.Discard, io.Discard)
+		if err == nil {
 			t.Fatalf("bad flags accepted: %v", bad)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: error %q is not one line", bad, msg)
 		}
 	}
 	// Fault flags build a plan that is validated before any cell runs.

@@ -18,6 +18,7 @@ import (
 
 	"dex"
 	"dex/internal/apps"
+	"dex/internal/cli"
 )
 
 func main() {
@@ -29,12 +30,15 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dexprof", flag.ContinueOnError)
+	cl := cli.Cluster{Nodes: 4, Seed: 1, Size: "test", Variant: "initial"}
+	cl.Register(fs, map[string]string{
+		"nodes":   "cluster size",
+		"variant": cli.VariantHelp,
+		"size":    cli.SizeHelp,
+		"seed":    "simulation seed",
+	})
 	var (
 		appName  = fs.String("app", "", "application to profile")
-		nodes    = fs.Int("nodes", 4, "cluster size")
-		variant  = fs.String("variant", "initial", "baseline | initial | optimized")
-		size     = fs.String("size", "test", "test | full")
-		seed     = fs.Int64("seed", 1, "simulation seed")
 		top      = fs.Int("top", 10, "entries per analysis")
 		buckets  = fs.Bool("timeline", false, "print the fault-frequency timeline")
 		affinity = fs.Bool("affinity", false, "print thread-to-data affinity suggestions")
@@ -46,17 +50,13 @@ func run(args []string, stdout io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown application %q", *appName)
 	}
-	sz, err := apps.ParseSize(*size)
-	if err != nil {
-		return err
-	}
-	v, err := apps.ParseVariant(*variant)
+	cfg, err := cl.Resolve(&app)
 	if err != nil {
 		return err
 	}
 	rec := dex.NewFaultRecorder()
-	res, err := app.Run(apps.Config{Nodes: *nodes, Seed: *seed, Size: sz, Variant: v,
-		Opts: []dex.Option{dex.WithObserver(rec)}})
+	cfg.Opts = append(cfg.Opts, dex.WithObserver(rec))
+	res, err := app.Run(cfg.Config)
 	if err != nil {
 		return err
 	}

@@ -43,4 +43,20 @@ func TestProfileErrors(t *testing.T) {
 	if err := run([]string{"-app", "grp", "-variant", "bogus"}, io.Discard); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
+	// The cluster flags are checked like dexrun's: -nodes 65 and -1 used to
+	// panic, -nodes 0 silently profiled one node.
+	for _, bad := range [][]string{
+		{"-app", "kmn", "-nodes", "0"},
+		{"-app", "kmn", "-nodes", "-1"},
+		{"-app", "kmn", "-nodes", "65"},
+		{"-app", "kmn", "-size", "bogus"},
+	} {
+		err := run(bad, io.Discard)
+		if err == nil {
+			t.Fatalf("bad flags accepted: %v", bad)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: error %q is not one line", bad, msg)
+		}
+	}
 }

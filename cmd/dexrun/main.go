@@ -25,6 +25,7 @@ import (
 
 	"dex"
 	"dex/internal/apps"
+	"dex/internal/cli"
 )
 
 func main() {
@@ -36,20 +37,23 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dexrun", flag.ContinueOnError)
+	cl := cli.Cluster{Nodes: 2, Threads: 8, Seed: 1, Size: "test", Variant: "optimized", Protocol: "wi"}
+	cl.Register(fs, map[string]string{
+		"nodes":    "cluster size",
+		"threads":  "threads per node",
+		"variant":  cli.VariantHelp,
+		"size":     cli.SizeHelp,
+		"seed":     "simulation seed",
+		"trace":    cli.TraceHelp,
+		"chaos":    "JSON fault-injection plan to run the application under",
+		"protocol": dex.ProtocolHelp(),
+		"restart":  "run checkpoint/restart-capable workers (" + strings.Join(apps.Restartable(), ", ") + "): threads lost to a crash resume from their last checkpoint",
+		"metrics":  "print latency histogram summaries after the run",
+	})
 	var (
-		appName  = fs.String("app", "", "application to run (see -list)")
-		nodes    = fs.Int("nodes", 2, "cluster size")
-		threads  = fs.Int("threads", 8, "threads per node")
-		variant  = fs.String("variant", "optimized", "baseline | initial | optimized")
-		size     = fs.String("size", "test", "test | full")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		list     = fs.Bool("list", false, "list available applications")
-		traceOut = fs.String("trace", "", "write Perfetto trace-event JSON to this file")
-		chaosFn  = fs.String("chaos", "", "JSON fault-injection plan to run the application under")
-		protocol = fs.String("protocol", "wi", dex.ProtocolHelp())
-		restart  = fs.Bool("restart", false, "run checkpoint/restart-capable workers ("+strings.Join(apps.Restartable(), ", ")+"): threads lost to a crash resume from their last checkpoint")
-		metrics  = fs.Bool("metrics", false, "print latency histogram summaries after the run")
-		jsonOut  = fs.Bool("json", false, "emit the run report as JSON instead of text")
+		appName = fs.String("app", "", "application to run (see -list)")
+		list    = fs.Bool("list", false, "list available applications")
+		jsonOut = fs.Bool("json", false, "emit the run report as JSON instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,53 +68,22 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if *nodes < 1 {
-		return fmt.Errorf("-nodes %d: cluster needs at least 1 node", *nodes)
-	}
-	if *threads < 1 {
-		return fmt.Errorf("-threads %d: need at least 1 thread per node", *threads)
-	}
 	app, ok := apps.ByName(*appName)
 	if !ok {
 		return fmt.Errorf("unknown application %q (use -list)", *appName)
 	}
-	if *restart && !app.Restartable {
-		return fmt.Errorf("-restart: %s does not support checkpoint/restart (supported: %s)",
-			app.Name, strings.Join(apps.Restartable(), ", "))
-	}
-	cfg := apps.Config{Nodes: *nodes, ThreadsPerNode: *threads, Seed: *seed, Restart: *restart}
-	proto, err := dex.ParseProtocol(*protocol)
+	cfg, err := cl.Resolve(&app)
 	if err != nil {
 		return err
 	}
-	if proto != dex.WriteInvalidate {
-		cfg.Opts = append(cfg.Opts, dex.WithProtocol(proto))
-	}
-	if *chaosFn != "" {
-		plan, err := dex.LoadChaosPlan(*chaosFn, *nodes)
-		if err != nil {
-			return err
-		}
-		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
-	}
-	var rec *dex.Recorder
-	if *traceOut != "" || *metrics {
-		rec = dex.NewRecorder()
-		cfg.Opts = append(cfg.Opts, dex.WithObserver(rec))
-	}
-	if cfg.Variant, err = apps.ParseVariant(*variant); err != nil {
-		return err
-	}
-	if cfg.Size, err = apps.ParseSize(*size); err != nil {
-		return err
-	}
+	rec := cfg.Rec
 	start := time.Now()
-	res, err := app.Run(cfg)
+	res, err := app.Run(cfg.Config)
 	if err != nil {
 		return err
 	}
-	if *traceOut != "" {
-		if err := rec.WriteTraceFile(*traceOut); err != nil {
+	if cl.Trace != "" {
+		if err := rec.WriteTraceFile(cl.Trace); err != nil {
 			return err
 		}
 	}
@@ -129,7 +102,7 @@ func run(args []string) error {
 		if err := enc.Encode(out); err != nil {
 			return err
 		}
-		if *metrics {
+		if cl.Metrics {
 			if err := rec.WriteMetrics(os.Stderr); err != nil {
 				return err
 			}
@@ -174,7 +147,7 @@ func run(args []string) error {
 		fmt.Printf("tlb node %-4d %d hits, %d misses (%.1f%% hit rate), %d shootdown flushes\n",
 			n, s.Hits, s.Misses, 100*s.HitRate(), s.Flushes)
 	}
-	if *metrics {
+	if cl.Metrics {
 		fmt.Println()
 		if err := rec.WriteMetrics(os.Stdout); err != nil {
 			return err

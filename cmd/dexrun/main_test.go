@@ -95,6 +95,17 @@ func TestRunJSONFlag(t *testing.T) {
 	}
 }
 
+// originCrashPlan writes a fault plan that crashes node 0 — the origin every
+// tool starts its process at — and returns its path.
+func originCrashPlan(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "origin-crash.json")
+	if err := os.WriteFile(path, []byte(`{"crashes":[{"node":0,"at":"1ms"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-app", "nope"}); err == nil {
 		t.Fatal("unknown app accepted")
@@ -107,12 +118,19 @@ func TestRunErrors(t *testing.T) {
 	}
 	for _, bad := range [][]string{
 		{"-app", "ep", "-nodes", "0"},
+		{"-app", "ep", "-nodes", "-1"},
 		{"-app", "ep", "-nodes", "-2"},
+		{"-app", "ep", "-nodes", "65"},
 		{"-app", "ep", "-threads", "0"},
 		{"-app", "ep", "-cores", "4"},
+		{"-app", "kmn", "-nodes", "3", "-chaos", originCrashPlan(t)},
 	} {
-		if err := run(bad); err == nil {
+		err := run(bad)
+		if err == nil {
 			t.Fatalf("bad flags accepted: %v", bad)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: error %q is not one line", bad, msg)
 		}
 	}
 	err := run([]string{"-app", "ep", "-restart"})

@@ -25,6 +25,7 @@ import (
 	"dex"
 	"dex/internal/apps"
 	"dex/internal/chaos"
+	"dex/internal/cli"
 	"dex/internal/serve"
 )
 
@@ -38,70 +39,49 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dexserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cl := cli.Cluster{Nodes: 2, Seed: 1, Size: "test", Protocol: "wi"}
+	cl.Register(fs, map[string]string{
+		"nodes":    "cluster size; one store shard per node",
+		"seed":     "simulation and traffic seed",
+		"size":     "test | full (traffic window and keyspace scale)",
+		"protocol": dex.ProtocolHelp(),
+		"chaos":    "JSON fault-injection plan to serve under",
+		"restart":  "spawn shards restartable: a shard lost with its node resumes from its checkpoint",
+		"trace":    cli.TraceHelp,
+		"metrics":  "print latency histogram summaries on stderr after the run",
+	})
 	var (
-		nodes    = fs.Int("nodes", 2, "cluster size; one store shard per node")
-		tenants  = fs.Int("tenants", 2, "tenant count; one gateway thread per tenant")
-		seed     = fs.Int64("seed", 1, "simulation and traffic seed")
-		size     = fs.String("size", "test", "test | full (traffic window and keyspace scale)")
-		protocol = fs.String("protocol", "wi", dex.ProtocolHelp())
-		chaosFn  = fs.String("chaos", "", "JSON fault-injection plan to serve under")
-		crash    = fs.Duration("crash", 0, "crash the highest node at this virtual traffic time (0 = no crash)")
-		restart  = fs.Bool("restart", false, "spawn shards restartable: a shard lost with its node resumes from its checkpoint")
-		traceOut = fs.String("trace", "", "write Perfetto trace-event JSON to this file")
-		metrics  = fs.Bool("metrics", false, "print latency histogram summaries on stderr after the run")
-		jsonOut  = fs.Bool("json", false, "emit the SLO report as JSON instead of a table")
+		tenants = fs.Int("tenants", 2, "tenant count; one gateway thread per tenant")
+		crash   = fs.Duration("crash", 0, "crash the highest node at this virtual traffic time (0 = no crash)")
+		jsonOut = fs.Bool("json", false, "emit the SLO report as JSON instead of a table")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *nodes < 1 {
-		return fmt.Errorf("-nodes %d: cluster needs at least 1 node", *nodes)
+	run, err := cl.Resolve(nil)
+	if err != nil {
+		return err
 	}
 	if *tenants < 1 {
 		return fmt.Errorf("-tenants %d: need at least 1 tenant", *tenants)
 	}
-	sz, err := apps.ParseSize(*size)
-	if err != nil {
-		return err
-	}
-	proto, err := dex.ParseProtocol(*protocol)
-	if err != nil {
-		return err
-	}
-	if *crash != 0 && *nodes < 2 {
-		return fmt.Errorf("-crash needs at least 2 nodes")
-	}
-	if *chaosFn != "" && *crash != 0 {
+	if cl.Chaos != "" && *crash != 0 {
 		return fmt.Errorf("-chaos and -crash are mutually exclusive")
 	}
-
 	cfg := serve.Config{
-		Nodes:   *nodes,
-		Spec:    serve.DefaultSpec(*tenants, sz == apps.SizeFull, *seed),
-		Restart: *restart,
-	}
-	if proto != dex.WriteInvalidate {
-		cfg.Opts = append(cfg.Opts, dex.WithProtocol(proto))
-	}
-	if *chaosFn != "" {
-		plan, err := dex.LoadChaosPlan(*chaosFn, *nodes)
-		if err != nil {
-			return err
-		}
-		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
+		Nodes:   run.Nodes,
+		Spec:    serve.DefaultSpec(*tenants, run.Size == apps.SizeFull, run.Seed),
+		Restart: run.Restart,
+		Opts:    run.Opts,
 	}
 	if *crash != 0 {
-		plan, err := chaos.FlagPlan(*seed, *nodes, 0, 0, 0, *crash)
+		plan, err := chaos.FlagPlan(run.Seed, run.Nodes, 0, 0, 0, *crash)
 		if err != nil {
 			return err
 		}
 		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
 	}
-	var rec *dex.Recorder
-	if *traceOut != "" || *metrics {
-		rec = dex.NewRecorder()
-		cfg.Opts = append(cfg.Opts, dex.WithObserver(rec))
-	}
+	rec, proto := run.Rec, run.Protocol
 
 	start := time.Now()
 	rep, err := serve.Run(cfg)
@@ -110,8 +90,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "dexserve: wall clock %v\n", time.Since(start).Round(time.Millisecond))
 
-	if *traceOut != "" {
-		if err := rec.WriteTraceFile(*traceOut); err != nil {
+	if cl.Trace != "" {
+		if err := rec.WriteTraceFile(cl.Trace); err != nil {
 			return err
 		}
 	}
@@ -122,9 +102,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		printTable(stdout, cfg, rep, *size, proto)
+		printTable(stdout, cfg, rep, cl.Size, proto)
 	}
-	if *metrics {
+	if cl.Metrics {
 		fmt.Fprintln(stderr)
 		if err := rec.WriteMetrics(stderr); err != nil {
 			return err

@@ -96,8 +96,16 @@ func TestServeJSON(t *testing.T) {
 
 // TestServeBadFlags covers the rejection paths.
 func TestServeBadFlags(t *testing.T) {
+	// A plan that crashes node 0, the origin the store's process starts at.
+	originCrash := filepath.Join(t.TempDir(), "origin-crash.json")
+	if err := os.WriteFile(originCrash, []byte(`{"crashes":[{"node":0,"at":"1ms"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range [][]string{
 		{"-nodes", "0"},
+		{"-nodes", "-1"},
+		{"-nodes", "65"},
+		{"-nodes", "3", "-chaos", originCrash},
 		{"-tenants", "0"},
 		{"-cores", "4"},
 		{"-size", "bogus"},
@@ -111,7 +119,7 @@ func TestServeBadFlags(t *testing.T) {
 		if err == nil {
 			t.Fatalf("bad flags accepted: %v", bad)
 		}
-		if strings.Contains(err.Error(), "\n") {
+		if strings.Contains(err.Error(), "\n") || strings.Contains(err.Error(), "goroutine") {
 			t.Fatalf("%v: error %q is not one line", bad, err)
 		}
 	}

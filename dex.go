@@ -198,11 +198,7 @@ func LoadChaosPlan(path string, nodes int) (*ChaosPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := ParseChaosPlan(data, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("chaos plan %s: %w", path, err)
-	}
-	return plan, nil
+	return ParseChaosPlan(data, nodes)
 }
 
 // WithPageTransferMode selects the page-transfer strategy of the messaging

@@ -11,6 +11,7 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 )
@@ -301,6 +302,9 @@ func (p *Plan) Validate(nodes int) error {
 // always rebuild the same plan. A value Validate rejects is reported against
 // the flag that carried it.
 func FlagPlan(seed int64, nodes int, drop, dup float64, delay, crash time.Duration) (*Plan, error) {
+	if crash != 0 && nodes < 2 {
+		return nil, errors.New("-crash needs at least 2 nodes") // the highest node would be the origin
+	}
 	p := &Plan{Seed: seed + int64(drop*1e6)}
 	faults := []struct {
 		flag string

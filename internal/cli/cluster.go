@@ -1,0 +1,132 @@
+// Package cli holds what the command-line tools share: the cluster flags,
+// defined, validated and turned into run options in one place.
+package cli
+
+import (
+	"flag"
+	"fmt"
+	"strings"
+
+	"dex"
+	"dex/internal/apps"
+	"dex/internal/dsm"
+)
+
+// Help texts that read the same in every tool that takes the flag.
+const (
+	SizeHelp    = "test | full"
+	VariantHelp = "baseline | initial | optimized"
+	TraceHelp   = "write Perfetto trace-event JSON to this file"
+)
+
+// Cluster holds the cluster flags of one tool. The tool sets the fields to its
+// defaults, registers the flags it takes, parses, and calls Resolve.
+type Cluster struct {
+	Nodes    int    // -nodes
+	Threads  int    // -threads (per node)
+	Seed     int64  // -seed
+	Size     string // -size
+	Variant  string // -variant
+	Protocol string // -protocol
+	Chaos    string // -chaos: a JSON fault-plan file
+	Restart  bool   // -restart
+	Trace    string // -trace: a file to write the trace to
+	Metrics  bool   // -metrics
+
+	fs *flag.FlagSet
+}
+
+// Register defines on fs the flags named in help, with that help text and the
+// field's current value as the default.
+func (c *Cluster) Register(fs *flag.FlagSet, help map[string]string) {
+	c.fs = fs
+	for name, usage := range help {
+		switch name {
+		case "nodes":
+			fs.IntVar(&c.Nodes, name, c.Nodes, usage)
+		case "threads":
+			fs.IntVar(&c.Threads, name, c.Threads, usage)
+		case "seed":
+			fs.Int64Var(&c.Seed, name, c.Seed, usage)
+		case "size":
+			fs.StringVar(&c.Size, name, c.Size, usage)
+		case "variant":
+			fs.StringVar(&c.Variant, name, c.Variant, usage)
+		case "protocol":
+			fs.StringVar(&c.Protocol, name, c.Protocol, usage)
+		case "chaos":
+			fs.StringVar(&c.Chaos, name, c.Chaos, usage)
+		case "restart":
+			fs.BoolVar(&c.Restart, name, c.Restart, usage)
+		case "trace":
+			fs.StringVar(&c.Trace, name, c.Trace, usage)
+		case "metrics":
+			fs.BoolVar(&c.Metrics, name, c.Metrics, usage)
+		default:
+			panic("cli: no cluster flag -" + name)
+		}
+	}
+}
+
+// Run is what Resolve makes of the parsed flags: the application config they
+// describe (Opts carries the protocol, the chaos plan and the recorder), the
+// protocol by itself for the tools that print it, and the recorder — nil
+// unless -trace or -metrics asked for one.
+type Run struct {
+	apps.Config
+	Protocol dex.Protocol
+	Rec      *dex.Recorder
+}
+
+// Resolve validates the fields — as the tool's defaults and the parsed flags
+// left them; an empty Variant or Protocol is none — and builds the run they
+// describe. app is the application -restart must be able to restart (nil: the
+// tool has none to ask). An error reads "-flag value: reason" on one line.
+func (c *Cluster) Resolve(app *apps.App) (Run, error) {
+	run := Run{Config: apps.Config{Nodes: c.Nodes, ThreadsPerNode: c.Threads, Seed: c.Seed, Restart: c.Restart}}
+	var err error
+	switch {
+	case c.Nodes < 1:
+		return run, fmt.Errorf("-nodes %d: cluster needs at least 1 node", c.Nodes)
+	case c.Nodes > dsm.MaxNodes:
+		return run, fmt.Errorf("-nodes %d: cluster has at most %d nodes", c.Nodes, dsm.MaxNodes)
+	case c.fs.Lookup("threads") != nil && c.Threads < 1:
+		return run, fmt.Errorf("-threads %d: need at least 1 thread per node", c.Threads)
+	case c.Restart && app != nil && !app.Restartable:
+		return run, fmt.Errorf("-restart: %s does not support checkpoint/restart (supported: %s)",
+			app.Name, strings.Join(apps.Restartable(), ", "))
+	}
+	if run.Size, err = apps.ParseSize(c.Size); err != nil {
+		return run, fmt.Errorf("-size %s: %w", c.Size, err)
+	}
+	if c.Variant != "" {
+		if run.Variant, err = apps.ParseVariant(c.Variant); err != nil {
+			return run, fmt.Errorf("-variant %s: %w", c.Variant, err)
+		}
+	}
+	if c.Protocol != "" {
+		if run.Protocol, err = dex.ParseProtocol(c.Protocol); err != nil {
+			return run, fmt.Errorf("-protocol %s: %w", c.Protocol, err)
+		}
+		if run.Protocol != dex.WriteInvalidate {
+			run.Opts = append(run.Opts, dex.WithProtocol(run.Protocol))
+		}
+	}
+	if c.Chaos != "" {
+		plan, err := dex.LoadChaosPlan(c.Chaos, c.Nodes)
+		if err != nil {
+			return run, fmt.Errorf("-chaos %s: %w", c.Chaos, err)
+		}
+		for _, cr := range plan.Crashes {
+			if cr.Node == 0 { // every tool starts its process at node 0
+				return run, fmt.Errorf("-chaos %s: the plan crashes node 0, the origin of the process; origin crashes are not survivable", c.Chaos)
+			}
+		}
+		run.Opts = append(run.Opts, dex.WithChaos(plan))
+	}
+	if c.Trace != "" || c.Metrics {
+		run.Rec = dex.NewRecorder()
+		run.Opts = append(run.Opts, dex.WithObserver(run.Rec))
+	}
+	return run, nil
+}
