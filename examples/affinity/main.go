@@ -48,7 +48,6 @@ func phase(rec *dex.Recorder, placement [nodes]int) (time.Duration, dex.Report, 
 		var ws []*dex.Thread
 		// Producers: one per node, regenerating that node's dataset.
 		for n := 0; n < nodes; n++ {
-			n := n
 			w, err := t.Spawn(func(w *dex.Thread) error {
 				if err := w.Migrate(n); err != nil {
 					return err
@@ -81,7 +80,6 @@ func phase(rec *dex.Recorder, placement [nodes]int) (time.Duration, dex.Report, 
 		// placement[i].
 		var startAt, endAt time.Duration
 		for c := 0; c < nodes; c++ {
-			c := c
 			w, err := t.Spawn(func(w *dex.Thread) error {
 				if err := w.Migrate(placement[c]); err != nil {
 					return err

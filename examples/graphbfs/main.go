@@ -125,7 +125,6 @@ func main() {
 
 		var ws []*dex.Thread
 		for id := 0; id < threads; id++ {
-			id := id
 			w, err := t.Spawn(func(w *dex.Thread) error {
 				if err := w.Migrate(id * nodes / threads); err != nil {
 					return err

@@ -44,7 +44,6 @@ func run(aligned bool) (*dex.Trace, dex.Report, error) {
 		}
 		var ws []*dex.Thread
 		for id := 0; id < threads; id++ {
-			id := id
 			w, err := t.Spawn(func(w *dex.Thread) error {
 				if err := w.Migrate(id * nodes / threads); err != nil {
 					return err

@@ -26,7 +26,6 @@ func main() {
 
 		var workers []*dex.Thread
 		for node := 1; node < 4; node++ {
-			node := node
 			w, err := t.Spawn(func(w *dex.Thread) error {
 				// Relocate this thread to another machine...
 				if err := w.Migrate(node); err != nil {

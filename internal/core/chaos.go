@@ -166,7 +166,6 @@ func (p *Process) leaseTick() {
 	}
 	p.m.eng.Spawn("lease-ping", func(t *sim.Task) {
 		for _, node := range targets {
-			node := node
 			p.m.net.Send(t, p.origin, node, &envelope{bytes: leaseMsgBytes, deliver: func() {
 				p.m.eng.Spawn("lease-pong", func(pt *sim.Task) {
 					p.m.net.Send(pt, node, p.origin, &envelope{bytes: leaseMsgBytes, deliver: func() {

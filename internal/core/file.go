@@ -64,27 +64,23 @@ func fileCost(n int) time.Duration {
 // Open opens a registered file for reading and writing, returning a file
 // descriptor. Like every file operation it executes at the origin.
 func (th *Thread) Open(name string) (int, error) {
-	type res struct {
-		fd  int
-		err error
-	}
-	r := th.proc.delegate(th, "open", func(t *sim.Task) any {
+	r := delegate(th.proc, th, "open", func(t *sim.Task) result[int] {
 		t.Sleep(fileOpCost)
 		ft := th.proc.files
 		if _, ok := ft.files[name]; !ok {
-			return res{err: fmt.Errorf("%w: %q", ErrNoFile, name)}
+			return result[int]{err: fmt.Errorf("%w: %q", ErrNoFile, name)}
 		}
 		fd := ft.next
 		ft.next++
 		ft.fds[fd] = &openFile{name: name}
-		return res{fd: fd}
-	}).(res)
-	return r.fd, r.err
+		return result[int]{v: fd}
+	})
+	return r.v, r.err
 }
 
 // Close releases a file descriptor.
 func (th *Thread) Close(fd int) error {
-	r := th.proc.delegate(th, "close", func(t *sim.Task) any {
+	return delegate(th.proc, th, "close", func(t *sim.Task) error {
 		t.Sleep(fileOpCost)
 		ft := th.proc.files
 		if _, ok := ft.fds[fd]; !ok {
@@ -93,110 +89,69 @@ func (th *Thread) Close(fd int) error {
 		delete(ft.fds, fd)
 		return nil
 	})
-	if r == nil {
-		return nil
-	}
-	return r.(error)
 }
 
 // Pread reads up to len(buf) bytes at offset off, without moving the file
 // offset. It returns the bytes read; reads at or past EOF return 0.
 func (th *Thread) Pread(fd int, buf []byte, off int) (int, error) {
-	type res struct {
-		data []byte
-		err  error
-	}
-	want := len(buf)
-	if want > fileChunkMaxBytes {
-		want = fileChunkMaxBytes
-	}
-	r := th.proc.delegate(th, "pread", func(t *sim.Task) any {
-		ft := th.proc.files
-		of, ok := ft.fds[fd]
-		if !ok {
-			return res{err: fmt.Errorf("%w: %d", ErrBadFD, fd)}
-		}
-		data := ft.files[of.name]
-		if off < 0 || off >= len(data) {
-			t.Sleep(fileOpCost)
-			return res{}
-		}
-		n := want
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		t.Sleep(fileCost(n))
-		out := make([]byte, n)
-		copy(out, data[off:off+n])
-		return res{data: out}
-	}).(res)
-	if r.err != nil {
-		return 0, r.err
-	}
-	copy(buf, r.data)
-	// The returned bytes crossed the fabric inside the reply for remote
-	// callers; charge the local copy into the caller's buffer.
-	if len(r.data) > 0 {
-		th.chargeSmall(min(len(r.data), smallAccess))
-	}
-	return len(r.data), nil
+	return th.readAt("pread", fd, buf, off, false)
 }
 
-// Read reads from the descriptor's current offset and advances it.
+// FileRead reads from the descriptor's current offset and advances it.
 func (th *Thread) FileRead(fd int, buf []byte) (int, error) {
-	type res struct {
-		data []byte
-		err  error
-	}
-	want := len(buf)
-	if want > fileChunkMaxBytes {
-		want = fileChunkMaxBytes
-	}
-	r := th.proc.delegate(th, "read", func(t *sim.Task) any {
+	return th.readAt("read", fd, buf, 0, true)
+}
+
+// readAt is the body of Pread and FileRead: a delegated read of up to
+// len(buf) bytes at off or, if sequential, at the descriptor's own offset,
+// which then moves past what was read.
+func (th *Thread) readAt(name string, fd int, buf []byte, off int, sequential bool) (int, error) {
+	want := min(len(buf), fileChunkMaxBytes)
+	r := delegate(th.proc, th, name, func(t *sim.Task) result[[]byte] {
 		ft := th.proc.files
 		of, ok := ft.fds[fd]
 		if !ok {
-			return res{err: fmt.Errorf("%w: %d", ErrBadFD, fd)}
+			return result[[]byte]{err: fmt.Errorf("%w: %d", ErrBadFD, fd)}
 		}
-		data := ft.files[of.name]
-		if of.off >= len(data) {
+		data, at := ft.files[of.name], off
+		if sequential {
+			at = of.off
+		}
+		if at < 0 || at >= len(data) {
 			t.Sleep(fileOpCost)
-			return res{}
+			return result[[]byte]{}
 		}
-		n := want
-		if of.off+n > len(data) {
-			n = len(data) - of.off
-		}
+		n := min(want, len(data)-at)
 		t.Sleep(fileCost(n))
 		out := make([]byte, n)
-		copy(out, data[of.off:of.off+n])
-		of.off += n
-		return res{data: out}
-	}).(res)
+		copy(out, data[at:at+n])
+		if sequential {
+			of.off += n
+		}
+		return result[[]byte]{v: out}
+	})
 	if r.err != nil {
 		return 0, r.err
 	}
-	copy(buf, r.data)
-	if len(r.data) > 0 {
-		th.chargeSmall(min(len(r.data), smallAccess))
+	copy(buf, r.v)
+	// The returned bytes crossed the fabric inside the reply for remote
+	// callers; charge the local copy into the caller's buffer.
+	if len(r.v) > 0 {
+		th.chargeSmall(min(len(r.v), smallAccess))
 	}
-	return len(r.data), nil
+	return len(r.v), nil
 }
 
 // Pwrite writes buf at offset off, growing the file as needed, and returns
 // the bytes written.
 func (th *Thread) Pwrite(fd int, buf []byte, off int) (int, error) {
-	type res struct {
-		n   int
-		err error
-	}
 	data := make([]byte, len(buf))
 	copy(data, buf)
-	r := th.proc.delegate(th, "pwrite", func(t *sim.Task) any {
+	r := delegate(th.proc, th, "pwrite", func(t *sim.Task) result[int] {
 		ft := th.proc.files
 		of, ok := ft.fds[fd]
 		if !ok {
-			return res{err: fmt.Errorf("%w: %d", ErrBadFD, fd)}
+			return result[int]{err: fmt.Errorf("%w: %d", ErrBadFD, fd)}
 		}
 		file := ft.files[of.name]
 		if need := off + len(data); need > len(file) {
@@ -207,24 +162,20 @@ func (th *Thread) Pwrite(fd int, buf []byte, off int) (int, error) {
 		copy(file[off:], data)
 		ft.files[of.name] = file
 		t.Sleep(fileCost(len(data)))
-		return res{n: len(data)}
-	}).(res)
-	return r.n, r.err
+		return result[int]{v: len(data)}
+	})
+	return r.v, r.err
 }
 
 // FileSize returns the current size of a registered file.
 func (th *Thread) FileSize(name string) (int, error) {
-	type res struct {
-		n   int
-		err error
-	}
-	r := th.proc.delegate(th, "stat", func(t *sim.Task) any {
+	r := delegate(th.proc, th, "stat", func(t *sim.Task) result[int] {
 		t.Sleep(fileOpCost)
 		data, ok := th.proc.files.files[name]
 		if !ok {
-			return res{err: fmt.Errorf("%w: %q", ErrNoFile, name)}
+			return result[int]{err: fmt.Errorf("%w: %q", ErrNoFile, name)}
 		}
-		return res{n: len(data)}
-	}).(res)
-	return r.n, r.err
+		return result[int]{v: len(data)}
+	})
+	return r.v, r.err
 }

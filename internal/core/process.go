@@ -125,7 +125,6 @@ func (m *Machine) NewProcess(origin int, main func(*Thread) error) *Process {
 // with every lane quiescent, so the closures may touch any state.
 func (p *Process) registerGauges(rec *obs.Recorder) {
 	for n := 0; n < p.m.params.Nodes; n++ {
-		n := n
 		rec.AddNodeGauge("resident_pages", n, func() float64 {
 			return float64(p.mgr.PageTable(n).Present())
 		})
@@ -247,7 +246,6 @@ func (p *Process) shutdownWorkers(t *sim.Task) {
 		if w.dead {
 			continue
 		}
-		w := w
 		pending[w.node] = true
 		done := func() { delete(pending, w.node); t.Unpark() }
 		p.m.net.Send(t, p.origin, w.node, &envelope{bytes: 48, deliver: func() {
@@ -316,17 +314,23 @@ func (p *Process) vmaSetFor(node int) *mem.VMASet {
 	panic(fmt.Sprintf("core: no VMA cache for pid %d at node %d", p.pid, node))
 }
 
+// result is what a delegated operation that can fail returns.
+type result[T any] struct {
+	v   T
+	err error
+}
+
 // delegate ships op to the origin and runs it there in handler-thread
 // context, blocking th until the result returns (§III-A work delegation).
 // At the origin the operation runs inline.
-func (p *Process) delegate(th *Thread, name string, op func(t *sim.Task) any) any {
+func delegate[T any](p *Process, th *Thread, name string, op func(t *sim.Task) T) T {
 	if th.node == p.origin {
 		return op(th.task)
 	}
 	node := th.node
 	var (
-		resVal  any
-		resDone bool
+		res  T
+		done bool
 	)
 	p.m.net.Send(th.task, node, p.origin, &envelope{bytes: p.m.params.DelegateSize, deliver: func() {
 		// The handler-thread context runs at the origin, on the origin's
@@ -337,16 +341,15 @@ func (p *Process) delegate(th *Thread, name string, op func(t *sim.Task) any) an
 			t.Sleep(p.m.params.DelegateDispatch)
 			v := op(t)
 			p.m.net.Send(t, p.origin, node, &envelope{bytes: p.m.params.DelegateSize, deliver: func() {
-				resVal = v
-				resDone = true
+				res, done = v, true
 				th.task.Unpark()
 			}})
 		})
 	}})
-	for !resDone {
+	for !done {
 		th.task.Park("delegation " + name)
 	}
-	return resVal
+	return res
 }
 
 // broadcastVMA applies a VMA update on every active remote worker and waits
@@ -358,7 +361,6 @@ func (p *Process) broadcastVMA(t *sim.Task, apply func(node int, t *sim.Task)) {
 		if w.dead {
 			continue
 		}
-		w := w
 		pending[w.node] = true
 		done := func() { delete(pending, w.node); t.Unpark() }
 		p.m.net.Send(t, p.origin, w.node, &envelope{bytes: 96, deliver: func() {
@@ -445,15 +447,15 @@ func (p *Process) mprotectAt(t *sim.Task, addr mem.Addr, size uint64, prot mem.P
 // thread that sees a missing VMA asks the origin whether the access is
 // legitimate.
 func (p *Process) queryVMA(th *Thread, addr mem.Addr) (mem.VMA, bool) {
-	type res struct {
+	type found struct {
 		v  mem.VMA
 		ok bool
 	}
-	r := p.delegate(th, "vma-query", func(t *sim.Task) any {
+	r := delegate(p, th, "vma-query", func(t *sim.Task) (r found) {
 		p.vmaQueries++ // origin-side counter, bumped in origin context
-		v, ok := p.as.VMAs.Find(addr)
-		return res{v: v, ok: ok}
-	}).(res)
+		r.v, r.ok = p.as.VMAs.Find(addr)
+		return r
+	})
 	if r.ok && th.node != p.origin {
 		if err := p.vmaCache[th.node].Upsert(r.v); err != nil {
 			panic(fmt.Sprintf("core: VMA cache update failed: %v", err))

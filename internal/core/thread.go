@@ -249,38 +249,26 @@ func (th *Thread) Join(other *Thread) error {
 // Mmap allocates a page-aligned region, delegating to the origin when the
 // thread is remote (§III-A: all VMA manipulation happens at the origin).
 func (th *Thread) Mmap(size uint64, prot mem.Prot, label string) (mem.Addr, error) {
-	type res struct {
-		addr mem.Addr
-		err  error
-	}
-	r := th.proc.delegate(th, "mmap", func(t *sim.Task) any {
-		addr, err := th.proc.mmapAt(t, size, prot, label)
-		return res{addr: addr, err: err}
-	}).(res)
-	return r.addr, r.err
+	r := delegate(th.proc, th, "mmap", func(t *sim.Task) (r result[mem.Addr]) {
+		r.v, r.err = th.proc.mmapAt(t, size, prot, label)
+		return r
+	})
+	return r.v, r.err
 }
 
 // Munmap removes a mapping; the shrink is broadcast to all remote workers.
 func (th *Thread) Munmap(addr mem.Addr, size uint64) error {
-	r := th.proc.delegate(th, "munmap", func(t *sim.Task) any {
+	return delegate(th.proc, th, "munmap", func(t *sim.Task) error {
 		return th.proc.munmapAt(t, addr, size)
 	})
-	if r == nil {
-		return nil
-	}
-	return r.(error)
 }
 
 // Mprotect changes a mapping's protection. Downgrades are broadcast
 // eagerly; permissive changes propagate on demand.
 func (th *Thread) Mprotect(addr mem.Addr, size uint64, prot mem.Prot) error {
-	r := th.proc.delegate(th, "mprotect", func(t *sim.Task) any {
+	return delegate(th.proc, th, "mprotect", func(t *sim.Task) error {
 		return th.proc.mprotectAt(t, addr, size, prot)
 	})
-	if r == nil {
-		return nil
-	}
-	return r.(error)
 }
 
 // checkAccess validates [addr, addr+size) against the VMA view at the
@@ -472,14 +460,10 @@ func (th *Thread) WriteFloat64(addr mem.Addr, v float64) error {
 // exclusive page ownership: the page cannot be revoked between the load and
 // the store.
 func (th *Thread) CompareAndSwapUint32(addr mem.Addr, old, new uint32) (bool, error) {
-	if err := th.checkAccess(addr, 4, true); err != nil {
+	word, err := th.atomicWord(addr, 4, "CAS")
+	if err != nil {
 		return false, err
 	}
-	if addr.PageOff() > mem.PageSize-4 {
-		return false, fmt.Errorf("%w: CAS straddles a page boundary at %v", mem.ErrBadRange, addr)
-	}
-	pte := th.proc.mgr.EnsurePage(th.task, th.ctx(), addr, true)
-	word := pte.Frame[addr.PageOff() : addr.PageOff()+4]
 	swapped := binary.LittleEndian.Uint32(word) == old
 	if swapped {
 		binary.LittleEndian.PutUint32(word, new)
@@ -491,14 +475,10 @@ func (th *Thread) CompareAndSwapUint32(addr mem.Addr, old, new uint32) (bool, er
 // AddUint64 atomically adds delta to the word at addr and returns the new
 // value (exclusive ownership makes the read-modify-write atomic).
 func (th *Thread) AddUint64(addr mem.Addr, delta uint64) (uint64, error) {
-	if err := th.checkAccess(addr, 8, true); err != nil {
+	word, err := th.atomicWord(addr, 8, "atomic add")
+	if err != nil {
 		return 0, err
 	}
-	if addr.PageOff() > mem.PageSize-8 {
-		return 0, fmt.Errorf("%w: atomic add straddles a page boundary at %v", mem.ErrBadRange, addr)
-	}
-	pte := th.proc.mgr.EnsurePage(th.task, th.ctx(), addr, true)
-	word := pte.Frame[addr.PageOff() : addr.PageOff()+8]
 	v := binary.LittleEndian.Uint64(word) + delta
 	binary.LittleEndian.PutUint64(word, v)
 	th.chargeSmall(8) // after the mutation: chargeSmall may yield
@@ -509,18 +489,29 @@ func (th *Thread) AddUint64(addr mem.Addr, delta uint64) (uint64, error) {
 // new value. Like AddUint64, exclusive page ownership makes the
 // read-modify-write atomic.
 func (th *Thread) AddFloat64(addr mem.Addr, delta float64) (float64, error) {
-	if err := th.checkAccess(addr, 8, true); err != nil {
+	word, err := th.atomicWord(addr, 8, "atomic add")
+	if err != nil {
 		return 0, err
 	}
-	if addr.PageOff() > mem.PageSize-8 {
-		return 0, fmt.Errorf("%w: atomic add straddles a page boundary at %v", mem.ErrBadRange, addr)
-	}
-	pte := th.proc.mgr.EnsurePage(th.task, th.ctx(), addr, true)
-	word := pte.Frame[addr.PageOff() : addr.PageOff()+8]
 	v := math.Float64frombits(binary.LittleEndian.Uint64(word)) + delta
 	binary.LittleEndian.PutUint64(word, math.Float64bits(v))
 	th.chargeSmall(8) // after the mutation: chargeSmall may yield
 	return v, nil
+}
+
+// atomicWord is the prelude of the read-modify-write operations: it checks
+// write access to the size-byte word at addr, which must not straddle a page
+// (what names the operation in the error), takes the page exclusively and
+// returns the word in its frame — valid until the task next yields.
+func (th *Thread) atomicWord(addr mem.Addr, size int, what string) ([]byte, error) {
+	if err := th.checkAccess(addr, size, true); err != nil {
+		return nil, err
+	}
+	if addr.PageOff() > mem.PageSize-size {
+		return nil, fmt.Errorf("%w: %s straddles a page boundary at %v", mem.ErrBadRange, what, addr)
+	}
+	pte := th.proc.mgr.EnsurePage(th.task, th.ctx(), addr, true)
+	return pte.Frame[addr.PageOff() : addr.PageOff()+size], nil
 }
 
 // Futex word states used by FutexWait/FutexWake callers are application
@@ -535,11 +526,8 @@ func (th *Thread) FutexWait(addr mem.Addr, val uint32) (bool, error) {
 		return false, err
 	}
 	p := th.proc
-	type res struct {
-		slept bool
-		err   error
-	}
-	r := p.delegate(th, "futex-wait", func(t *sim.Task) any {
+	type res = result[bool] // v: the thread slept
+	r := delegate(p, th, "futex-wait", func(t *sim.Task) res {
 		if p.futexPoisoned != nil {
 			// A node has crashed: futex synchronization in this process is
 			// poisoned (the wait could depend on a dead peer).
@@ -550,18 +538,18 @@ func (th *Thread) FutexWait(addr mem.Addr, val uint32) (bool, error) {
 		pte := p.mgr.EnsurePage(t, dsm.Ctx{Node: p.origin, Task: th.id, Site: "futex"}, addr, false)
 		cur := binary.LittleEndian.Uint32(pte.Frame[addr.PageOff() : addr.PageOff()+4])
 		if cur != val {
-			return res{slept: false}
+			return res{}
 		}
 		w := p.fut.Enqueue(t, addr)
 		th.futexWaiter = w
 		w.Block()
 		th.futexWaiter = nil
 		if w.Expired() {
-			return res{slept: true, err: p.futexPoisoned}
+			return res{v: true, err: p.futexPoisoned}
 		}
-		return res{slept: true}
-	}).(res)
-	return r.slept, r.err
+		return res{v: true}
+	})
+	return r.v, r.err
 }
 
 // FutexWake wakes up to n waiters blocked on addr and returns how many were
@@ -571,8 +559,5 @@ func (th *Thread) FutexWake(addr mem.Addr, n int) (int, error) {
 		return 0, err
 	}
 	p := th.proc
-	woken := p.delegate(th, "futex-wake", func(t *sim.Task) any {
-		return p.fut.Wake(addr, n)
-	}).(int)
-	return woken, nil
+	return delegate(p, th, "futex-wake", func(t *sim.Task) int { return p.fut.Wake(addr, n) }), nil
 }

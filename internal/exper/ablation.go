@@ -83,22 +83,15 @@ func runCoalescing(disable bool) coalescingResult {
 // AblationCoalescing (A1) measures the leader/follower fault coalescing of
 // §III-C: many threads on one remote node touching the same fresh pages.
 func AblationCoalescing(r *Runner, _ apps.Size) Table {
-	r = ensure(r)
 	configs := []bool{false, true}
-	cells := make([]*Cell, len(configs))
-	for i, disable := range configs {
-		disable := disable
-		cells[i] = r.Submit(fmt.Sprintf("ablation/coalescing/disable=%t", disable), func() any {
-			return runCoalescing(disable)
-		})
-	}
+	results := Sweep(r, keyf[bool]("ablation/coalescing/disable=%t"), configs, runCoalescing)
 	t := Table{
 		ID:     "A1",
 		Title:  "leader/follower fault coalescing (8 threads sweeping 64 shared pages)",
 		Header: []string{"config", "span", "lead-faults", "follower-joins", "nacks"},
 	}
 	for i, disable := range configs {
-		res := cells[i].Wait().(coalescingResult)
+		res := results[i]
 		name := "coalescing on (paper design)"
 		if disable {
 			name = "coalescing off"
@@ -150,22 +143,15 @@ func runRDMA(mode fabric.PageMode) rdmaResult {
 // AblationRDMA (A2) compares the hybrid RDMA sink (§III-E) against per-page
 // dynamic registration and the VERB-only path on a page-transfer stress.
 func AblationRDMA(r *Runner, _ apps.Size) Table {
-	r = ensure(r)
 	modes := []fabric.PageMode{fabric.HybridSink, fabric.PerPageReg, fabric.VerbOnly}
-	cells := make([]*Cell, len(modes))
-	for i, mode := range modes {
-		mode := mode
-		cells[i] = r.Submit(fmt.Sprintf("ablation/rdma/mode=%s", mode), func() any {
-			return runRDMA(mode)
-		})
-	}
+	results := Sweep(r, keyf[fabric.PageMode]("ablation/rdma/mode=%s"), modes, runRDMA)
 	t := Table{
 		ID:     "A2",
 		Title:  "page-transfer strategies: pulling 512 pages (2 MB) to a remote node",
 		Header: []string{"mode", "span", "per-page", "memcpy-bytes", "registrations"},
 	}
 	for i, mode := range modes {
-		res := cells[i].Wait().(rdmaResult)
+		res := results[i]
 		t.Rows = append(t.Rows, []string{
 			mode.String(), res.Span.Round(time.Microsecond).String(),
 			(res.Span / 512).Round(100 * time.Nanosecond).String(),
@@ -191,7 +177,6 @@ func runVMA(eager bool) vmaResult {
 		// Expand to every node first so workers exist.
 		var ws []*core.Thread
 		for n := 1; n < 4; n++ {
-			n := n
 			w, err := th.Spawn(func(w *core.Thread) error {
 				if err := w.Migrate(n); err != nil {
 					return err
@@ -222,7 +207,6 @@ func runVMA(eager bool) vmaResult {
 		}
 		ws = ws[:0]
 		for n := 1; n < 4; n++ {
-			n := n
 			w, err := th.Spawn(func(w *core.Thread) error {
 				if err := w.Migrate(n); err != nil {
 					return err
@@ -250,22 +234,15 @@ func runVMA(eager bool) vmaResult {
 // eager broadcast on an mmap-heavy workload where remote nodes touch only a
 // few of the mappings.
 func AblationVMA(r *Runner, _ apps.Size) Table {
-	r = ensure(r)
 	configs := []bool{false, true}
-	cells := make([]*Cell, len(configs))
-	for i, eager := range configs {
-		eager := eager
-		cells[i] = r.Submit(fmt.Sprintf("ablation/vma/eager=%t", eager), func() any {
-			return runVMA(eager)
-		})
-	}
+	results := Sweep(r, keyf[bool]("ablation/vma/eager=%t"), configs, runVMA)
 	t := Table{
 		ID:     "A3",
 		Title:  "VMA synchronization: 128 mmaps at the origin, 3 remote nodes touching one region each",
 		Header: []string{"policy", "span", "on-demand-queries", "small-messages"},
 	}
 	for i, eager := range configs {
-		res := cells[i].Wait().(vmaResult)
+		res := results[i]
 		name := "on-demand (paper design)"
 		if eager {
 			name = "eager broadcast"
@@ -324,22 +301,15 @@ func runUpgrade(alwaysSend bool) upgradeResult {
 // node that read a page and then writes it should not receive the data
 // again.
 func AblationUpgrade(r *Runner, _ apps.Size) Table {
-	r = ensure(r)
 	configs := []bool{false, true}
-	cells := make([]*Cell, len(configs))
-	for i, always := range configs {
-		always := always
-		cells[i] = r.Submit(fmt.Sprintf("ablation/upgrade/always-send=%t", always), func() any {
-			return runUpgrade(always)
-		})
-	}
+	results := Sweep(r, keyf[bool]("ablation/upgrade/always-send=%t"), configs, runUpgrade)
 	t := Table{
 		ID:     "A4",
 		Title:  "write upgrades of fresh replicas: 256 read-then-write pages from a remote node",
 		Header: []string{"config", "span", "ownership-only-grants", "page-bytes-on-wire"},
 	}
 	for i, always := range configs {
-		res := cells[i].Wait().(upgradeResult)
+		res := results[i]
 		name := "ownership-only grants (paper design)"
 		if always {
 			name = "always resend data"
@@ -508,13 +478,6 @@ func runOriginContention(proto dsm.Protocol) protoResult {
 func AblationProtocol(r *Runner, _ apps.Size) Table {
 	r = ensure(r)
 	protos := []dsm.Protocol{dsm.WriteInvalidate, dsm.HomeMigrate}
-	pingCells := make([]*Cell, len(protos))
-	for i, proto := range protos {
-		proto := proto
-		pingCells[i] = r.Submit(fmt.Sprintf("ablation/protocol/pingpong/proto=%s", proto), func() any {
-			return runProtocolPingPong(proto)
-		})
-	}
 	appNames := []string{"kmn", "bp"}
 	appCells := make(map[string][]*Cell, len(appNames))
 	for _, name := range appNames {
@@ -526,13 +489,14 @@ func AblationProtocol(r *Runner, _ apps.Size) Table {
 			}))
 		}
 	}
+	pings := Sweep(r, keyf[dsm.Protocol]("ablation/protocol/pingpong/proto=%s"), protos, runProtocolPingPong)
 	t := Table{
 		ID:     "A6",
 		Title:  "coherence policy: write-invalidate (paper §III-B) vs home-migrate (home follows the last writer)",
 		Header: []string{"workload", "policy", "span", "lead-faults", "page-sends", "pulls-to-home", "nacks"},
 	}
 	for i, proto := range protos {
-		res := pingCells[i].Wait().(protoResult)
+		res := pings[i]
 		t.Rows = append(t.Rows, []string{"pingpong", proto.String(),
 			res.Span.Round(time.Microsecond).String(), fmt.Sprint(res.Faults),
 			fmt.Sprint(res.PageSends), fmt.Sprint(res.PageTransfers), fmt.Sprint(res.Nacks)})
@@ -575,17 +539,6 @@ func originShare(res protoResult) string {
 func AblationDist(r *Runner, _ apps.Size) Table {
 	r = ensure(r)
 	protos := []dsm.Protocol{dsm.WriteInvalidate, dsm.HomeMigrate, dsm.DistributedManager}
-	pingCells := make([]*Cell, len(protos))
-	contCells := make([]*Cell, len(protos))
-	for i, proto := range protos {
-		proto := proto
-		pingCells[i] = r.Submit(fmt.Sprintf("ablation/protocol/pingpong/proto=%s", proto), func() any {
-			return runProtocolPingPong(proto)
-		})
-		contCells[i] = r.Submit(fmt.Sprintf("ablation/dist/contention/proto=%s", proto), func() any {
-			return runOriginContention(proto)
-		})
-	}
 	suiteProtos := []dsm.Protocol{dsm.WriteInvalidate, dsm.DistributedManager}
 	all := apps.All()
 	appCells := make([][]*Cell, len(all))
@@ -602,14 +555,15 @@ func AblationDist(r *Runner, _ apps.Size) Table {
 		Title:  "sharded ownership directory (distributed-manager) vs centralized policies",
 		Header: []string{"workload", "policy", "span", "lead-faults", "dir-serves", "origin-share", "forwards", "hints"},
 	}
-	micro := []struct {
-		name  string
-		cells []*Cell
-	}{{"pingpong", pingCells}, {"contention", contCells}}
-	for _, mb := range micro {
-		for i, proto := range protos {
-			res := mb.cells[i].Wait().(protoResult)
-			t.Rows = append(t.Rows, []string{mb.name, proto.String(),
+	for _, mb := range []struct {
+		name, key string
+		run       func(dsm.Protocol) protoResult
+	}{
+		{"pingpong", "ablation/protocol/pingpong/proto=%s", runProtocolPingPong},
+		{"contention", "ablation/dist/contention/proto=%s", runOriginContention},
+	} {
+		for i, res := range Sweep(r, keyf[dsm.Protocol](mb.key), protos, mb.run) {
+			t.Rows = append(t.Rows, []string{mb.name, protos[i].String(),
 				res.Span.Round(time.Microsecond).String(), fmt.Sprint(res.Faults),
 				fmt.Sprint(res.DirServes), originShare(res),
 				fmt.Sprint(res.Forwards), fmt.Sprint(res.ChainHints)})

@@ -41,7 +41,7 @@ func AblationAlignment(r *Runner, _ apps.Size) Table {
 		Span  time.Duration
 		Pages int
 	}
-	run := func(l layout) (time.Duration, int) {
+	run := func(l layout) alignResult {
 		params := core.DefaultParams(4)
 		m := core.NewMachine(params)
 		var span time.Duration
@@ -81,7 +81,6 @@ func AblationAlignment(r *Runner, _ apps.Size) Table {
 			start := th.Now()
 			var ws []*core.Thread
 			for t := 0; t < threadCnt; t++ {
-				t := t
 				w, err := th.Spawn(func(w *core.Thread) error {
 					if err := w.Migrate(t % 4); err != nil {
 						return err
@@ -108,32 +107,26 @@ func AblationAlignment(r *Runner, _ apps.Size) Table {
 		if err := m.Run(); err != nil {
 			panic(fmt.Sprintf("exper: alignment ablation failed: %v", err))
 		}
-		return span, p.Report().TotalResidentPages()
+		return alignResult{span, p.Report().TotalResidentPages()}
 	}
-	r = ensure(r)
 	t := Table{
 		ID:     "A5",
 		Title:  "object alignment strategies (§IV-B): 512 private objects, 8 threads on 4 nodes",
 		Header: []string{"layout", "span", "resident-pages", "resident-bytes"},
 	}
-	layouts := []struct {
+	type row struct {
 		name, key string
 		v         layout
-	}{
+	}
+	layouts := []row{
 		{"packed (maximal false sharing)", "packed", packed},
 		{"selective alignment (paper design)", "selective", selective},
 		{"blanket page alignment", "blanket", blanket},
 	}
-	cells := make([]*Cell, len(layouts))
+	results := Sweep(r, func(l row) string { return "ablation/alignment/layout=" + l.key }, layouts,
+		func(l row) alignResult { return run(l.v) })
 	for i, l := range layouts {
-		l := l
-		cells[i] = r.Submit("ablation/alignment/layout="+l.key, func() any {
-			span, pages := run(l.v)
-			return alignResult{span, pages}
-		})
-	}
-	for i, l := range layouts {
-		res := cells[i].Wait().(alignResult)
+		res := results[i]
 		t.Rows = append(t.Rows, []string{
 			l.name, res.Span.Round(time.Microsecond).String(),
 			fmt.Sprint(res.Pages), fmt.Sprint(res.Pages * mem.PageSize),

@@ -143,6 +143,28 @@ func WaitApp(c *Cell) (apps.Result, error) {
 	return ar.Res, ar.Err
 }
 
+// Sweep runs one cell per config on r's pool (r may be nil, see ensure), each
+// under the key its config gives it, and returns their results in config
+// order once all are in. Cells an experiment wants running meanwhile are
+// submitted before the call.
+func Sweep[C, R any](r *Runner, key func(C) string, configs []C, run func(C) R) []R {
+	r = ensure(r)
+	cells := make([]*Cell, len(configs))
+	for i, c := range configs {
+		cells[i] = r.Submit(key(c), func() any { return run(c) })
+	}
+	out := make([]R, len(configs))
+	for i, c := range cells {
+		out[i] = c.Wait().(R)
+	}
+	return out
+}
+
+// keyf is the usual key of a sweep: format applied to the config.
+func keyf[C any](format string) func(C) string {
+	return func(c C) string { return fmt.Sprintf(format, c) }
+}
+
 // ensure lets experiment functions be called directly (tests, one-off
 // tools) without constructing a runner; such calls run their cells
 // sequentially.

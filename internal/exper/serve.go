@@ -22,70 +22,51 @@ const serveCrashAt = 10 * time.Millisecond
 // tail latency, goodput, shed and recovery counts. Every admitted request
 // is served exactly once in all four cells (serve.Run fails otherwise).
 func ServeSLO(r *Runner, size apps.Size) Table {
-	r = ensure(r)
 	spec := serve.DefaultSpec(2, size == apps.SizeFull, 1)
-	protos := []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate}
-	type variant struct {
+	type cell struct {
+		proto   dex.Protocol
 		name    string
 		restart bool
-		plan    *dex.ChaosPlan
-	}
-	variants := []variant{
-		{name: "clean"},
-		{name: "crash+restart", restart: true, plan: &dex.ChaosPlan{
-			Seed:    1,
-			Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(serveCrashAt)}},
-		}},
+		opts    []dex.Option
 	}
 	const nodes = 3
-	cells := make([]*Cell, 0, len(protos)*len(variants))
-	for _, proto := range protos {
-		for _, v := range variants {
-			proto, v := proto, v
-			opts := []dex.Option{dex.WithProtocol(proto)}
-			if v.plan != nil {
-				opts = append(opts, dex.WithChaos(v.plan))
-			}
-			key := fmt.Sprintf("serve/slo/%s/%s/spec=%s/params=%s",
-				proto, v.name, spec.Fingerprint(), dex.ParamsFingerprint(nodes, opts...))
-			cells = append(cells, r.Submit(key, func() any {
-				rep, err := serve.Run(serve.Config{
-					Nodes:   nodes,
-					Spec:    spec,
-					Restart: v.restart,
-					Opts:    opts,
-				})
-				if err != nil {
-					return err
-				}
-				return rep
-			}))
-		}
+	crash := &dex.ChaosPlan{Seed: 1, Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(serveCrashAt)}}}
+	var cells []cell
+	for _, proto := range []dex.Protocol{dex.WriteInvalidate, dex.HomeMigrate} {
+		cells = append(cells,
+			cell{proto: proto, name: "clean", opts: []dex.Option{dex.WithProtocol(proto)}},
+			cell{proto: proto, name: "crash+restart", restart: true, opts: []dex.Option{dex.WithProtocol(proto), dex.WithChaos(crash)}})
 	}
+	type outcome struct {
+		rep serve.Report
+		err error
+	}
+	results := Sweep(r, func(c cell) string {
+		return fmt.Sprintf("serve/slo/%s/%s/spec=%s/params=%s",
+			c.proto, c.name, spec.Fingerprint(), dex.ParamsFingerprint(nodes, c.opts...))
+	}, cells, func(c cell) (out outcome) {
+		out.rep, out.err = serve.Run(serve.Config{Nodes: nodes, Spec: spec, Restart: c.restart, Opts: c.opts})
+		return out
+	})
 	t := Table{
 		ID:     "S1",
 		Title:  "serving SLO: live traffic under crash/restart (internal/serve)",
 		Header: []string{"policy", "faults", "admitted", "served", "shed-429", "p50", "p99", "goodput-rps", "restarts", "repairs"},
 	}
-	i := 0
-	for _, proto := range protos {
-		for _, v := range variants {
-			out := cells[i].Wait()
-			i++
-			if err, ok := out.(error); ok {
-				t.Rows = append(t.Rows, []string{proto.String(), v.name, "err: " + err.Error()})
-				continue
-			}
-			rep := out.(serve.Report)
-			t.Rows = append(t.Rows, []string{
-				proto.String(), v.name,
-				fmt.Sprint(rep.Total.Admitted), fmt.Sprint(rep.Total.Served),
-				fmt.Sprint(rep.Total.Shed429),
-				rep.Total.P50.String(), rep.Total.P99.String(),
-				fmt.Sprintf("%.0f", rep.Total.Goodput),
-				fmt.Sprint(rep.Restarts), fmt.Sprint(rep.Republishes + rep.Reacks),
-			})
+	for i, c := range cells {
+		rep, err := results[i].rep, results[i].err
+		if err != nil {
+			t.Rows = append(t.Rows, []string{c.proto.String(), c.name, "err: " + err.Error()})
+			continue
 		}
+		t.Rows = append(t.Rows, []string{
+			c.proto.String(), c.name,
+			fmt.Sprint(rep.Total.Admitted), fmt.Sprint(rep.Total.Served),
+			fmt.Sprint(rep.Total.Shed429),
+			rep.Total.P50.String(), rep.Total.P99.String(),
+			fmt.Sprintf("%.0f", rep.Total.Goodput),
+			fmt.Sprint(rep.Restarts), fmt.Sprint(rep.Republishes + rep.Reacks),
+		})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("traffic spec %s: 2 tenants (rate-limited flat + step ramp), %d nodes, crash rows kill node 2 at %v and restart its shard from checkpoint", spec.Fingerprint(), nodes, serveCrashAt),
