@@ -85,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	proto := base.Protocol
 	var cells []cell
 	for _, s := range strings.Split(*drops, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -127,8 +126,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// their goldens are self-describing; the default header stays
 	// byte-identical to earlier releases.
 	extra := ""
-	if proto != dex.WriteInvalidate {
-		extra += fmt.Sprintf(" protocol=%v", proto)
+	if base.Protocol != dex.WriteInvalidate {
+		extra += fmt.Sprintf(" protocol=%v", base.Protocol)
 	}
 	if cl.Restart {
 		extra += " restart=true"

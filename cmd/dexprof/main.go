@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"dex"
@@ -74,11 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	if *buckets {
 		fmt.Fprintln(stdout, "\n--- fault frequency over time ---")
 		for _, b := range trace.Timeline(res.Elapsed / 20) {
-			bar := ""
-			for i := 0; i < b.Faults/20; i++ {
-				bar += "#"
-			}
-			fmt.Fprintf(stdout, "%12v %6d %s\n", b.Start.Round(10*time.Microsecond), b.Faults, bar)
+			fmt.Fprintf(stdout, "%12v %6d %s\n", b.Start.Round(10*time.Microsecond), b.Faults, strings.Repeat("#", b.Faults/20))
 		}
 	}
 	return nil

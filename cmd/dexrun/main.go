@@ -76,14 +76,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := cfg.Rec
 	start := time.Now()
 	res, err := app.Run(cfg.Config)
 	if err != nil {
 		return err
 	}
 	if cl.Trace != "" {
-		if err := rec.WriteTraceFile(cl.Trace); err != nil {
+		if err := cfg.Rec.WriteTraceFile(cl.Trace); err != nil {
 			return err
 		}
 	}
@@ -103,9 +102,7 @@ func run(args []string) error {
 			return err
 		}
 		if cl.Metrics {
-			if err := rec.WriteMetrics(os.Stderr); err != nil {
-				return err
-			}
+			return cfg.Rec.WriteMetrics(os.Stderr)
 		}
 		return nil
 	}
@@ -149,9 +146,7 @@ func run(args []string) error {
 	}
 	if cl.Metrics {
 		fmt.Println()
-		if err := rec.WriteMetrics(os.Stdout); err != nil {
-			return err
-		}
+		return cfg.Rec.WriteMetrics(os.Stdout)
 	}
 	return nil
 }

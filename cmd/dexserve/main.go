@@ -81,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		cfg.Opts = append(cfg.Opts, dex.WithChaos(plan))
 	}
-	rec, proto := run.Rec, run.Protocol
-
 	start := time.Now()
 	rep, err := serve.Run(cfg)
 	if err != nil {
@@ -91,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "dexserve: wall clock %v\n", time.Since(start).Round(time.Millisecond))
 
 	if cl.Trace != "" {
-		if err := rec.WriteTraceFile(cl.Trace); err != nil {
+		if err := run.Rec.WriteTraceFile(cl.Trace); err != nil {
 			return err
 		}
 	}
@@ -102,13 +100,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		printTable(stdout, cfg, rep, cl.Size, proto)
+		printTable(stdout, cfg, rep, cl.Size, run.Protocol)
 	}
 	if cl.Metrics {
 		fmt.Fprintln(stderr)
-		if err := rec.WriteMetrics(stderr); err != nil {
-			return err
-		}
+		return run.Rec.WriteMetrics(stderr)
 	}
 	return nil
 }

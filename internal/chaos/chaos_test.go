@@ -219,3 +219,71 @@ func TestRNRStorm(t *testing.T) {
 		t.Fatalf("storm: on=%v until=%v", on, until)
 	}
 }
+
+// FuzzPlan feeds arbitrary bytes through the plan's whole life: Parse, then
+// Validate against clusters of one to eight nodes, never panics; a plan that
+// validates survives Encode → Parse → Validate; and an injector built from it
+// answers every link at every instant a window opens or closes. The corpus
+// (testdata/fuzz/FuzzPlan) is seeded from the plans in README.md and the
+// tools' tests, the origin-crash plan among them.
+func FuzzPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			return
+		}
+		for nodes := 1; nodes <= 8; nodes++ {
+			if p.Validate(nodes) != nil {
+				continue
+			}
+			enc, err := p.Encode()
+			if err != nil {
+				t.Fatalf("%d nodes: a valid plan does not encode: %v", nodes, err)
+			}
+			q, err := Parse(enc)
+			if err != nil {
+				t.Fatalf("%d nodes: the encoding of a valid plan does not parse: %v\n%s", nodes, err, enc)
+			}
+			if err := q.Validate(nodes); err != nil {
+				t.Fatalf("%d nodes: a valid plan is invalid after a round trip: %v\n%s", nodes, err, enc)
+			}
+			// The instants worth asking about: time zero and both sides of
+			// every window bound.
+			instants := []time.Duration{0}
+			edge := func(ds ...Duration) {
+				for _, d := range ds {
+					instants = append(instants, d.D()-1, d.D(), d.D()+1)
+				}
+			}
+			for _, r := range q.Drop {
+				edge(r.From, r.To)
+			}
+			for _, r := range q.Dup {
+				edge(r.From, r.To)
+			}
+			for _, r := range q.Delay {
+				edge(r.From, r.To)
+			}
+			for _, r := range q.Partitions {
+				edge(r.From, r.To)
+			}
+			for _, r := range q.RNRStorms {
+				edge(r.From, r.To)
+			}
+			inj := NewInjector(q, nodes)
+			for _, now := range instants {
+				for src := 0; src < nodes; src++ {
+					for dst := 0; dst < nodes; dst++ {
+						inj.Verdict(now, src, dst, 64, true)
+						inj.Verdict(now, src, dst, 4096, false)
+						inj.HeldUntil(now, src, dst)
+					}
+					inj.RNRUntil(now, src)
+				}
+			}
+			q.LeasePeriod()
+			q.LeaseTimeout()
+			q.Fingerprint()
+		}
+	})
+}

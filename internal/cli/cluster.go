@@ -19,19 +19,15 @@ const (
 	TraceHelp   = "write Perfetto trace-event JSON to this file"
 )
 
-// Cluster holds the cluster flags of one tool. The tool sets the fields to its
-// defaults, registers the flags it takes, parses, and calls Resolve.
+// Cluster holds the cluster flags of one tool, a field per flag of the same
+// name. The tool sets the fields to its defaults, registers the flags it takes,
+// parses, and calls Resolve.
 type Cluster struct {
-	Nodes    int    // -nodes
-	Threads  int    // -threads (per node)
-	Seed     int64  // -seed
-	Size     string // -size
-	Variant  string // -variant
-	Protocol string // -protocol
-	Chaos    string // -chaos: a JSON fault-plan file
-	Restart  bool   // -restart
-	Trace    string // -trace: a file to write the trace to
-	Metrics  bool   // -metrics
+	Nodes, Threads          int // Threads is per node
+	Seed                    int64
+	Size, Variant, Protocol string
+	Chaos, Trace            string // files: a JSON fault plan to read, a trace to write
+	Restart, Metrics        bool
 
 	fs *flag.FlagSet
 }
@@ -40,48 +36,38 @@ type Cluster struct {
 // field's current value as the default.
 func (c *Cluster) Register(fs *flag.FlagSet, help map[string]string) {
 	c.fs = fs
+	fields := map[string]any{"nodes": &c.Nodes, "threads": &c.Threads, "seed": &c.Seed, "size": &c.Size,
+		"variant": &c.Variant, "protocol": &c.Protocol, "chaos": &c.Chaos, "restart": &c.Restart,
+		"trace": &c.Trace, "metrics": &c.Metrics}
 	for name, usage := range help {
-		switch name {
-		case "nodes":
-			fs.IntVar(&c.Nodes, name, c.Nodes, usage)
-		case "threads":
-			fs.IntVar(&c.Threads, name, c.Threads, usage)
-		case "seed":
-			fs.Int64Var(&c.Seed, name, c.Seed, usage)
-		case "size":
-			fs.StringVar(&c.Size, name, c.Size, usage)
-		case "variant":
-			fs.StringVar(&c.Variant, name, c.Variant, usage)
-		case "protocol":
-			fs.StringVar(&c.Protocol, name, c.Protocol, usage)
-		case "chaos":
-			fs.StringVar(&c.Chaos, name, c.Chaos, usage)
-		case "restart":
-			fs.BoolVar(&c.Restart, name, c.Restart, usage)
-		case "trace":
-			fs.StringVar(&c.Trace, name, c.Trace, usage)
-		case "metrics":
-			fs.BoolVar(&c.Metrics, name, c.Metrics, usage)
+		switch v := fields[name].(type) {
+		case *int:
+			fs.IntVar(v, name, *v, usage)
+		case *int64:
+			fs.Int64Var(v, name, *v, usage)
+		case *string:
+			fs.StringVar(v, name, *v, usage)
+		case *bool:
+			fs.BoolVar(v, name, *v, usage)
 		default:
 			panic("cli: no cluster flag -" + name)
 		}
 	}
 }
 
-// Run is what Resolve makes of the parsed flags: the application config they
-// describe (Opts carries the protocol, the chaos plan and the recorder), the
-// protocol by itself for the tools that print it, and the recorder — nil
-// unless -trace or -metrics asked for one.
+// Run is what Resolve makes of the flags: the application config they describe
+// (Opts carries the protocol, the chaos plan and the recorder), the protocol for
+// the tools that print it, and the recorder — nil unless -trace or -metrics.
 type Run struct {
 	apps.Config
 	Protocol dex.Protocol
 	Rec      *dex.Recorder
 }
 
-// Resolve validates the fields — as the tool's defaults and the parsed flags
-// left them; an empty Variant or Protocol is none — and builds the run they
-// describe. app is the application -restart must be able to restart (nil: the
-// tool has none to ask). An error reads "-flag value: reason" on one line.
+// Resolve validates the fields as the tool's defaults and the parsed flags left
+// them (an empty Variant or Protocol is none) and builds the run they describe.
+// app is what -restart must be able to restart (nil: the tool has no app to
+// ask). An error reads "-flag value: reason" on one line.
 func (c *Cluster) Resolve(app *apps.App) (Run, error) {
 	run := Run{Config: apps.Config{Nodes: c.Nodes, ThreadsPerNode: c.Threads, Seed: c.Seed, Restart: c.Restart}}
 	var err error

@@ -294,21 +294,18 @@ func migrationMachine(trips int) []core.MigrationRecord {
 	return p.Report().MigrationRecords
 }
 
-// submitMigration memoizes the migration microbenchmark; Table II and
+// migrationRecords memoizes the migration microbenchmark; Table II and
 // Figure 3 both read this one cell. Ten round trips cover Table II's warm
 // average, and the records of the first trips — all Figure 3 needs — are a
 // deterministic prefix, so a shorter run would add nothing.
-func submitMigration(r *Runner) *Cell {
-	return r.Submit("micro/migration-machine/nodes=2/trips=10", func() any {
-		return migrationMachine(10)
-	})
+func migrationRecords(r *Runner) []core.MigrationRecord {
+	return Sweep(r, keyf[int]("micro/migration-machine/nodes=2/trips=%d"), []int{10}, migrationMachine)[0]
 }
 
 // Table2 reproduces Table II: migration latency for the first and second
 // forward and backward migrations.
 func Table2(r *Runner, _ apps.Size) Table {
-	r = ensure(r)
-	recs := submitMigration(r).Wait().([]core.MigrationRecord)
+	recs := migrationRecords(r)
 	t := Table{
 		ID:     "E3",
 		Title:  "thread migration latency in microseconds (Table II)",
@@ -356,8 +353,7 @@ func Table2(r *Runner, _ apps.Size) Table {
 // Figure3 reproduces Figure 3: the phase breakdown of migration latency at
 // the remote node.
 func Figure3(r *Runner, _ apps.Size) Table {
-	r = ensure(r)
-	recs := submitMigration(r).Wait().([]core.MigrationRecord)
+	recs := migrationRecords(r)
 	t := Table{
 		ID:     "E4",
 		Title:  "migration latency breakdown at the remote node in microseconds (Figure 3)",

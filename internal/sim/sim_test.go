@@ -554,6 +554,24 @@ func TestParkTimeoutConsumesToken(t *testing.T) {
 	}
 }
 
+// A timeout of zero (or less) is no deadline: the park sets no timer — the
+// three events are the spawn, the unpark and the wake-up — ends only with an
+// Unpark, and reports it.
+func TestParkTimeoutWithoutDeadline(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Microsecond} {
+		e := NewEngine(1)
+		var woke bool
+		waiter := e.Spawn("waiter", func(tk *Task) { woke = tk.ParkTimeout("ack", d) })
+		e.After(time.Hour, func() { waiter.Unpark() })
+		if err := e.Run(); err != nil {
+			t.Fatalf("d=%v: Run: %v", d, err)
+		}
+		if !woke || e.Now() != time.Hour || e.Events() != 3 {
+			t.Fatalf("d=%v: woke=%v at %v after %d events, want true at 1h after 3", d, woke, e.Now(), e.Events())
+		}
+	}
+}
+
 func TestKillParkedTask(t *testing.T) {
 	e := NewEngine(1)
 	reached := false
