@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	run, err := cl.Resolve(nil)
+	res, err := cl.Resolve(nil)
 	if err != nil {
 		return err
 	}
@@ -69,13 +69,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-chaos and -crash are mutually exclusive")
 	}
 	cfg := serve.Config{
-		Nodes:   run.Nodes,
-		Spec:    serve.DefaultSpec(*tenants, run.Size == apps.SizeFull, run.Seed),
-		Restart: run.Restart,
-		Opts:    run.Opts,
+		Nodes:   res.Nodes,
+		Spec:    serve.DefaultSpec(*tenants, res.Size == apps.SizeFull, res.Seed),
+		Restart: res.Restart,
+		Opts:    res.Opts,
 	}
 	if *crash != 0 {
-		plan, err := chaos.FlagPlan(run.Seed, run.Nodes, 0, 0, 0, *crash)
+		plan, err := chaos.FlagPlan(res.Seed, res.Nodes, 0, 0, 0, *crash)
 		if err != nil {
 			return err
 		}
@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "dexserve: wall clock %v\n", time.Since(start).Round(time.Millisecond))
 
 	if cl.Trace != "" {
-		if err := run.Rec.WriteTraceFile(cl.Trace); err != nil {
+		if err := res.Rec.WriteTraceFile(cl.Trace); err != nil {
 			return err
 		}
 	}
@@ -100,11 +100,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		printTable(stdout, cfg, rep, cl.Size, run.Protocol)
+		printTable(stdout, cfg, rep, cl.Size, res.Protocol)
 	}
 	if cl.Metrics {
 		fmt.Fprintln(stderr)
-		return run.Rec.WriteMetrics(stderr)
+		return res.Rec.WriteMetrics(stderr)
 	}
 	return nil
 }

@@ -227,9 +227,9 @@ func (e *engine) replyAfter(task string, node, dst int, reply *pageReply) {
 	})
 }
 
-// strayAck accounts for a reply or ack that closed nothing: a duplicate of one
+// stray accounts for a reply or an ack that closed nothing: a duplicate of one
 // that already closed its wait under fault injection, a protocol bug otherwise.
-func (e *engine) strayAck(what string, key uint64) {
+func (e *engine) stray(what string, key uint64) {
 	if e.m.chaos == nil {
 		panic(fmt.Sprintf("dsm: stray %s %d", what, key))
 	}
@@ -285,7 +285,7 @@ func (e *engine) deliverReply(node int, rep *pageReply) {
 	case !ok || o.reply.outcome != inFlight:
 		// A duplicate of a reply whose transaction is over here, or one that
 		// raced in before the requester task resumed.
-		e.strayAck("page reply token", rep.token)
+		e.stray("page reply token", rep.token)
 	default:
 		o.reply = *rep
 		if o.granted() {
@@ -470,7 +470,7 @@ func (e *engine) awaitInstall(t *sim.Task, st *serveState, de *dirEntry) outcome
 // home the ack was addressed to.
 func (e *engine) installAcked(node int, token uint64) {
 	if st := e.m.nodes[node].served[token]; st == nil || !st.ack() {
-		e.strayAck("install ack token", token)
+		e.stray("install ack token", token)
 	}
 }
 
@@ -567,7 +567,7 @@ func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 func (e *engine) revokeAcked(node int, seq uint64) {
 	ws := e.m.nodes[node].revokeWait
 	if w := ws[seq]; w == nil || !w.ack() {
-		e.strayAck("revoke ack seq", seq)
+		e.stray("revoke ack seq", seq)
 	}
 	delete(ws, seq)
 }
