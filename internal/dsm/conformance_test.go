@@ -41,7 +41,7 @@ func doomedAddrs(t *testing.T, m *Manager, doomed, n int) []mem.Addr {
 	t.Helper()
 	var out []mem.Addr
 	for a := testAddr; len(out) < n; a += mem.Addr(mem.PageSize) {
-		if !m.dir.sharded() || m.anchor(a.VPN()) == doomed {
+		if len(m.dir.hosts) == 1 || m.anchor(a.VPN()) == doomed {
 			out = append(out, a)
 		}
 	}

@@ -6,18 +6,20 @@
 // invariant-checked on the way through. The policies (protocol.go) decide
 // WHICH transitions to take; the directory guarantees that only legal ones
 // can happen, and panics (a protocol bug, never an application error) on any
-// other. The second half is the directory type: where the entries are kept
-// under each placement (one radix tree at the origin, or one table per
-// node), and every operation that has to know which — lookup at a node,
-// place and remove, the ordered walk, first-touch materialization, anchors,
-// dead-home rebuild, route repair, and running a walk where it may legally
-// touch every table. Nothing outside this file and protocol.go knows the
-// layout.
+// other. The second half is the directory type: the radix tables the entries
+// are kept in, which nodes host one and which table each node reads — so
+// placement is data — behind get / put / remove / find / walk; and beside it
+// the route record nodes keep about pages homed elsewhere. What is built on
+// those reads the same under either placement: anchors, first touch,
+// dead-home rebuild, route repair, the range drop, and running work where it
+// may legally touch every table. Nothing outside the directory's methods
+// knows the layout.
 package dsm
 
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -190,16 +192,6 @@ func (d *dirEntry) has(node int) bool { return d.owners&(1<<uint(node)) != 0 }
 // busy reports whether a directory transaction is in flight for this page.
 func (d *dirEntry) busy() bool {
 	return d.state == StateTransferShared || d.state == StateTransferExclusive
-}
-
-func (d *dirEntry) ownerList(exclude int) []int {
-	var out []int
-	for n := 0; n < MaxNodes; n++ {
-		if n != exclude && d.owners&(1<<uint(n)) != 0 {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // step gates one protocol event through the legality table.
@@ -396,123 +388,166 @@ func (d *dirEntry) check() {
 // ---------------------------------------------------------------------------
 // Placement: where the entries are kept.
 
-// directory keeps every dirEntry of one process. Under the central
-// placement that is one radix tree indexed by VPN — the origin's, which
-// under HomeMigrate (serialized) every node consults directly. Under the
-// sharded placement each node has a table of its own: an entry lives in
-// exactly one, its current home's, and is only touched on that node's lane
-// or on the quiescent global lane.
+// directory keeps every dirEntry of one process in radix trees indexed by
+// VPN (§III-B). How many trees there are is data: tables[n] is the table node
+// n reads, and hosts lists the nodes that own a distinct one — the origin
+// alone under the central placement, where every node's slot is the origin's
+// tree (HomeMigrate, serialized, reads it from any lane); every node under
+// the sharded one. An entry lives in exactly one table, the one its home
+// reads.
 type directory struct {
-	tree   radix.Tree[*dirEntry]
-	shards []map[uint64]*dirEntry // nil under the central placement
+	tables []*radix.Tree[*dirEntry]
+	hosts  []int
+	// laneOwned: a table is touched only on its host's lane (sharded), so
+	// work that spans tables has to wait for the quiescent global lane.
+	laneOwned bool
 }
 
-// shard switches the still-empty directory to the sharded placement.
-func (d *directory) shard(nodes int) {
-	d.shards = make([]map[uint64]*dirEntry, nodes)
-	for i := range d.shards {
-		d.shards[i] = make(map[uint64]*dirEntry)
+// init gives each of hosts (ascending) an empty table of its own and every
+// other node the first host's.
+func (d *directory) init(nodes int, hosts []int, laneOwned bool) {
+	d.tables, d.hosts, d.laneOwned = make([]*radix.Tree[*dirEntry], nodes), hosts, laneOwned
+	for _, h := range hosts {
+		d.tables[h] = new(radix.Tree[*dirEntry])
+	}
+	for n, tbl := range d.tables {
+		if tbl == nil {
+			d.tables[n] = d.tables[hosts[0]]
+		}
 	}
 }
 
-func (d *directory) sharded() bool { return d.shards != nil }
+// get returns vpn's entry as node sees it: under sharded that is the one in
+// node's own table, present only while node is the page's home.
+func (d *directory) get(node int, vpn uint64) (*dirEntry, bool) { return d.tables[node].Get(vpn) }
 
-// get returns vpn's entry as node sees it: the tree's under central, the one
-// in node's own table — present only while node is the page's home — under
-// sharded.
-func (d *directory) get(node int, vpn uint64) (*dirEntry, bool) {
-	if d.shards == nil {
-		return d.tree.Get(vpn)
-	}
-	de, ok := d.shards[node][vpn]
-	return de, ok
-}
+// put places de in the table node reads; remove takes vpn's entry out of it.
+func (d *directory) put(node int, vpn uint64, de *dirEntry) { d.tables[node].Set(vpn, de) }
+func (d *directory) remove(node int, vpn uint64)            { d.tables[node].Delete(vpn) }
 
-// find returns vpn's entry wherever it lives. Under sharded it scans the
-// tables in node order and must only run where lanes are quiescent.
+// find returns vpn's entry wherever it lives. It reads every table in host
+// order and must only run where lanes are quiescent.
 func (d *directory) find(vpn uint64) (*dirEntry, bool) {
-	for _, tbl := range d.shards {
-		if de, ok := tbl[vpn]; ok {
+	for _, h := range d.hosts {
+		if de, ok := d.tables[h].Get(vpn); ok {
 			return de, true
 		}
 	}
-	return d.tree.Get(vpn)
+	return nil, false
 }
 
-// walk visits every entry with lo <= vpn <= hi, and the node hosting it, in
-// a deterministic order: ascending VPN under central; node by node, ascending
-// VPN within a node, under sharded. A node's keys are snapshotted when the
-// walk reaches it, so fn may move the entry it is handed to another table.
+// walk visits every entry with lo <= vpn <= hi, and the node whose table it
+// is in, in a deterministic order: host by host, ascending VPN within a
+// table. A table's entries in range are snapshotted when the walk reaches
+// it, so fn may move the entry it is handed to another table.
 func (d *directory) walk(lo, hi uint64, fn func(host int, vpn uint64, de *dirEntry) bool) {
-	if d.shards == nil {
-		d.tree.ForRange(lo, hi, func(vpn uint64, de *dirEntry) bool { return fn(de.home, vpn, de) })
-		return
+	type slot struct {
+		vpn uint64
+		de  *dirEntry
 	}
-	for host, tbl := range d.shards {
-		for _, vpn := range sortedKeys(tbl) {
-			if vpn >= lo && vpn <= hi && !fn(host, vpn, tbl[vpn]) {
+	var snap []slot
+	for _, h := range d.hosts {
+		snap = snap[:0]
+		d.tables[h].ForRange(lo, hi, func(vpn uint64, de *dirEntry) bool {
+			snap = append(snap, slot{vpn, de})
+			return true
+		})
+		for _, s := range snap {
+			if !fn(h, s.vpn, s.de) {
 				return
 			}
 		}
 	}
 }
 
-// sortedKeys returns the keys of a per-node table in ascending order, so
-// walks over them are deterministic.
-func sortedKeys[V any](tbl map[uint64]V) []uint64 { return slices.Sorted(maps.Keys(tbl)) }
+// route is what a node believes about one page's home: the node to ask, and
+// the home-handoff epoch the belief was learned at. home is -1 once the
+// pointer has been cleared and only the epoch is kept — ask the anchor, but
+// still refuse anything older.
+type route struct {
+	home  int
+	epoch uint64
+}
 
-// anchor is where a lookup for vpn starts when the asking node holds no
-// route: the origin under central, a static splitmix64-style hash of the VPN
-// over the nodes under sharded. Authority itself may be anywhere.
-func (m *Manager) anchor(vpn uint64) int {
-	if !m.dir.sharded() {
-		return m.origin
+// routes is one node's route table, keyed by VPN; a page without a record is
+// asked for at its anchor. Routes are repaired through redirect replies,
+// never trusted for correctness. Where a policy gates updates by epoch
+// (sharded), an update older than the stored one is rejected unless the
+// stored target is confirmed dead, which keeps the forwarding graph acyclic,
+// and a node that hands authority off leaves its route behind as a
+// forwarding pointer; chains are collapsed to a single hop by
+// path-compression hints after each chained grant.
+type routes map[uint64]route
+
+// at returns vpn's route; home is -1 when there is no pointer.
+func (rt routes) at(vpn uint64) route {
+	if r, ok := rt[vpn]; ok {
+		return r
 	}
+	return route{home: -1}
+}
+
+// point records that vpn's home is believed to be home as of epoch.
+func (rt routes) point(vpn uint64, home int, epoch uint64) { rt[vpn] = route{home, epoch} }
+
+// clear forgets vpn's pointer and keeps the larger of the stored epoch and
+// epoch; a route with neither a pointer nor an epoch is no record at all.
+func (rt routes) clear(vpn uint64, epoch uint64) {
+	if epoch = max(epoch, rt[vpn].epoch); epoch == 0 {
+		delete(rt, vpn)
+		return
+	}
+	rt[vpn] = route{-1, epoch}
+}
+
+// dropRange forgets every route with lo <= vpn <= hi.
+func (rt routes) dropRange(lo, hi uint64) {
+	for vpn := range rt {
+		if vpn >= lo && vpn <= hi {
+			delete(rt, vpn)
+		}
+	}
+}
+
+// anchorSlot is the position in the host list of vpn's anchor: a static
+// splitmix64-style hash of the VPN over the nodes that host a table.
+func (m *Manager) anchorSlot(vpn uint64) int {
 	z := vpn + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return int(z % uint64(len(m.nodes)))
+	return int(z % uint64(len(m.dir.hosts)))
 }
+
+// anchor is where a lookup for vpn starts when the asking node holds no
+// route — the origin when it is the only host. Authority itself may be
+// anywhere.
+func (m *Manager) anchor(vpn uint64) int { return m.dir.hosts[m.anchorSlot(vpn)] }
 
 // liveAnchor is where requests for vpn fall back to once their believed home
 // is confirmed dead, and where a dead home's entries are rebuilt: the anchor,
-// or under sharded the next node on the ring past confirmed-dead ones. The
-// origin cannot be reclaimed, so the walk always terminates.
+// or the next host on the ring past confirmed-dead ones. The origin cannot be
+// reclaimed, so the walk always terminates.
 func (m *Manager) liveAnchor(vpn uint64) int {
-	if !m.dir.sharded() {
-		return m.origin
-	}
-	n := m.anchor(vpn)
-	for i := 0; i < len(m.nodes); i++ {
-		s := (n + i) % len(m.nodes)
-		if !m.dead(s) {
+	hosts, at := m.dir.hosts, m.anchorSlot(vpn)
+	for i := range hosts {
+		if s := hosts[(at+i)%len(hosts)]; !m.dead(s) {
 			return s
 		}
 	}
 	return m.origin
 }
 
-// materialize is a page's first touch: home owns the zero-filled page
-// exclusively, and its frame is mapped immediately so that the directory
-// invariant — the home's copy is up to date unless a remote holds the page
-// exclusively — holds from the start. The caller places the entry.
-func (m *Manager) materialize(home int, vpn uint64) *dirEntry {
+// place is a page's first touch: home owns the zero-filled page exclusively,
+// and its frame is mapped immediately so that the directory invariant — the
+// home's copy is up to date unless a remote holds the page exclusively —
+// holds from the start. The entry goes into the table home reads.
+func (m *Manager) place(home int, vpn uint64) *dirEntry {
 	m.nodes[home].pt.SetAccess(vpn, m.pool(home).GetZeroed(), mem.AccessWrite)
 	de := newDirEntry(home)
 	de.firstTouch()
+	m.dir.put(home, vpn, de)
 	return de
-}
-
-// entry returns the central directory's entry for vpn, materializing it at
-// the origin — the initial home of every page — on first touch.
-func (m *Manager) entry(vpn uint64) (*dirEntry, bool) {
-	created := false
-	de, _ := m.dir.tree.GetOrCreate(vpn, func() *dirEntry {
-		created = true
-		return m.materialize(m.origin, vpn)
-	})
-	return de, created
 }
 
 // frameAt returns node's current frame for vpn. It panics if the node has
@@ -525,12 +560,12 @@ func (m *Manager) frameAt(node int, vpn uint64) []byte {
 	return pte.Frame
 }
 
-// atQuiescence runs fn where it may touch every node's tables: at once under
-// central (the tree is the serving lane's own, or the run is serialized), as
-// a global-lane event — scheduled through node's lane view, past the
-// lookahead window — under sharded.
+// atQuiescence runs fn where it may touch every table: at once when the
+// lanes share one (it is the serving lane's own, or the run is serialized),
+// as a global-lane event — scheduled through node's lane view, past the
+// lookahead window — when each table belongs to its host's lane.
 func (m *Manager) atQuiescence(node int, fn func()) {
-	if !m.dir.sharded() {
+	if !m.dir.laneOwned {
 		fn()
 		return
 	}
@@ -541,7 +576,7 @@ func (m *Manager) atQuiescence(node int, fn func()) {
 // quiesce is atQuiescence for a task that needs fn's result: t parks until
 // fn has run.
 func (m *Manager) quiesce(t *sim.Task, node int, reason string, fn func()) {
-	if !m.dir.sharded() {
+	if !m.dir.laneOwned {
 		fn()
 		return
 	}
@@ -555,41 +590,40 @@ func (m *Manager) quiesce(t *sim.Task, node int, reason string, fn func()) {
 	}
 }
 
+// presentFrame returns node's frame for vpn if the page is present there.
+func (m *Manager) presentFrame(node int, vpn uint64) []byte {
+	if pte := m.nodes[node].pt.Lookup(vpn); pte != nil && pte.Present {
+		return pte.Frame
+	}
+	return nil
+}
+
 // rehome rebuilds the entry of a page whose home died at the page's live
 // anchor: adopt the target's own replica if it has one, else a surviving
 // reader's copy, else the caller-supplied snapshot (a serve's retained grant
 // data), and only as a last resort a zero-filled frame (counted in
 // PagesLost). Every other surviving replica is dropped so the owner mask
 // matches PTE presence afterwards — those nodes re-fault and the redirect
-// machinery repairs their routes. Under sharded the entry also moves into
-// the target's table and the anchor's forwarding pointer is repointed, so it
-// runs only where lanes are quiescent. Reports whether the page's contents
-// were lost.
+// machinery repairs their routes. The entry moves into the table the target
+// reads, so it runs only where lanes are quiescent. Reports whether the
+// page's contents were lost.
 func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bool {
 	target := m.liveAnchor(vpn)
-	var frame []byte
-	if pte := m.nodes[target].pt.Lookup(vpn); pte != nil && pte.Present {
-		frame = pte.Frame
-	} else {
-		for _, n := range de.ownerList(dead) {
-			if m.dead(n) {
-				continue
+	frame := m.presentFrame(target, vpn)
+	survivors := de.owners &^ (1 << uint(dead))
+	for s := survivors; frame == nil && s != 0; s &= s - 1 {
+		if n := bits.TrailingZeros64(s); !m.dead(n) {
+			if f := m.presentFrame(n, vpn); f != nil {
+				frame = mem.CloneFrame(f)
 			}
-			if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
-				frame = mem.CloneFrame(pte.Frame)
-				break
-			}
-		}
-		if frame == nil && fallback != nil {
-			frame = mem.CloneFrame(fallback)
 		}
 	}
-	for _, n := range de.ownerList(dead) {
-		if n == target {
-			continue
-		}
-		if pte := m.nodes[n].pt.Lookup(vpn); pte != nil && pte.Present {
-			f := pte.Frame
+	if frame == nil && fallback != nil {
+		frame = mem.CloneFrame(fallback)
+	}
+	for s := survivors &^ (1 << uint(target)); s != 0; s &= s - 1 {
+		n := bits.TrailingZeros64(s)
+		if f := m.presentFrame(n, vpn); f != nil {
 			m.nodes[n].pt.Invalidate(vpn)
 			m.freeFrame(n, f)
 		}
@@ -602,23 +636,16 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 	}
 	m.nodes[target].pt.SetAccess(vpn, frame, mem.AccessRead)
 	m.stats.PagesRehomed++
-	span := "hm.rehome"
-	if m.dir.sharded() {
-		span = "dist.rebuild"
-		// The rebuild is a home handoff: bump the entry epoch so routes
-		// learned before the crash can never override the repaired ones.
+	m.dir.remove(dead, vpn)
+	m.dir.put(target, vpn, de)
+	if m.forwards {
+		// The rebuild is a home handoff on the forwarding chain: bump the
+		// entry epoch so routes learned before the crash can never override
+		// the repaired ones, and repoint the anchor's forwarding pointer.
 		de.epoch++
-		delete(m.dir.shards[dead], vpn)
-		m.dir.shards[target][vpn] = de
-		tns := m.nodes[target]
-		delete(tns.fwd, vpn)
-		if de.epoch > tns.routeEpoch[vpn] {
-			tns.routeEpoch[vpn] = de.epoch
-		}
+		m.nodes[target].routes.clear(vpn, de.epoch)
 		if anchor := m.anchor(vpn); anchor != target {
-			ans := m.nodes[anchor]
-			ans.fwd[vpn] = target
-			ans.routeEpoch[vpn] = de.epoch
+			m.nodes[anchor].routes.point(vpn, target, de.epoch)
 		}
 		m.stats.DirRebuilt++
 	}
@@ -629,7 +656,7 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 			lostArg = 1
 		}
 		rec := m.rec.OnLane(target)
-		rec.SpanAt("dsm", span, target, -1, m.view(target).Now(), 0,
+		rec.SpanAt("dsm", m.rehomeSpan, target, -1, m.view(target).Now(), 0,
 			obs.Hex("vpn", vpn),
 			obs.Int("dead", int64(dead)),
 			obs.Int("lost", lostArg))
@@ -638,8 +665,8 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 }
 
 // stranded returns vpn's entry, as the node that just served it sees it, if
-// the entry sits idle at a home that died; nil otherwise (under sharded also
-// when a completed write grant moved authority out of served's table).
+// the entry sits idle at a home that died; nil otherwise (also when a
+// completed write grant moved authority out of served's table).
 func (m *Manager) stranded(served int, vpn uint64) *dirEntry {
 	de, ok := m.dir.get(served, vpn)
 	if !ok || de.busy() || de.home == m.origin || !m.dead(de.home) {
@@ -648,45 +675,32 @@ func (m *Manager) stranded(served int, vpn uint64) *dirEntry {
 	return de
 }
 
-// rebuiltRoute records where (and at which epoch) a dead home's entry was
-// rebuilt, so surviving routes aimed at the dead node can be repointed with
-// a route that post-crash traffic cannot override backward.
-type rebuiltRoute struct {
-	home  int
-	epoch uint64
-}
-
 // repairRoutes runs when dead's reclaim commits: every surviving route aimed
-// at dead is repointed at the rebuilt location (sharded, where a route
-// carries an epoch) or forgotten, which points it back at the anchor. Under
-// sharded the dead node's own routes are reset and it is marked reclaimed:
-// pages anchored there are thereafter resolved at the live ring shard.
-func (m *Manager) repairRoutes(dead int, rebuilt map[uint64]rebuiltRoute) {
+// at dead is repointed at where (and at which epoch) the entry was rebuilt,
+// so post-crash traffic cannot override it backward, or forgotten, which
+// points it back at the anchor. The dead node's own routes are reset and it
+// is marked reclaimed: pages anchored there are thereafter resolved at the
+// live ring host.
+func (m *Manager) repairRoutes(dead int, rebuilt routes) {
 	for _, ns := range m.nodes {
-		for vpn, h := range ns.fwd {
-			if h != dead {
+		for vpn, r := range ns.routes {
+			if r.home != dead {
 				continue
 			}
-			if r, ok := rebuilt[vpn]; ok && m.dir.sharded() {
-				ns.fwd[vpn] = r.home
-				ns.routeEpoch[vpn] = r.epoch
+			if at, ok := rebuilt[vpn]; ok {
+				ns.routes[vpn] = at
 			} else {
-				delete(ns.fwd, vpn)
-				delete(ns.routeEpoch, vpn)
+				delete(ns.routes, vpn)
 			}
 		}
 	}
-	if m.dir.sharded() {
-		ns := m.nodes[dead]
-		ns.fwd = make(map[uint64]int)
-		ns.routeEpoch = make(map[uint64]uint64)
-		ns.reclaimed = true
-	}
+	clear(m.nodes[dead].routes)
+	m.nodes[dead].reclaimed = true
 }
 
 // dropRange removes every entry with lo <= vpn <= hi unless one of them is
-// busy, which it reports instead. Along with the entries go the mappings of
-// the nodes that hold a table and, under sharded, every route in the range.
+// busy, which it reports instead. Along with the entries go every node's
+// routes in the range and the mappings of the nodes that host a table.
 func (m *Manager) dropRange(lo, hi uint64) (busyVPN uint64, busy bool) {
 	type slot struct {
 		host int
@@ -704,23 +718,14 @@ func (m *Manager) dropRange(lo, hi uint64) (busyVPN uint64, busy bool) {
 	if busy {
 		return busyVPN, true
 	}
-	if !m.dir.sharded() {
-		for _, v := range victims {
-			m.dir.tree.Delete(v.vpn)
-		}
-		m.ReclaimRange(m.origin, lo, hi)
-		return 0, false
-	}
 	for _, v := range victims {
-		delete(m.dir.shards[v.host], v.vpn)
+		m.dir.remove(v.host, v.vpn)
 	}
-	for n, ns := range m.nodes {
-		for vpn := range ns.fwd {
-			if vpn >= lo && vpn <= hi {
-				delete(ns.fwd, vpn)
-			}
-		}
-		m.ReclaimRange(n, lo, hi)
+	for _, ns := range m.nodes {
+		ns.routes.dropRange(lo, hi)
+	}
+	for _, h := range m.dir.hosts {
+		m.ReclaimRange(h, lo, hi)
 	}
 	return 0, false
 }
@@ -744,10 +749,8 @@ func (m *Manager) needsLocate(node int, vpn uint64) bool {
 // materialized here — node becomes its effective anchor.
 func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
 	m.quiesce(t, node, "dist locate", func() {
-		ns := m.nodes[node]
-		_, hosted := m.dir.get(node, vpn)
-		_, fwded := ns.fwd[vpn]
-		if hosted || fwded {
+		rt := m.nodes[node].routes
+		if _, hosted := m.dir.get(node, vpn); hosted || rt.at(vpn).home >= 0 {
 			return // a concurrent repair or locate beat us
 		}
 		de, found := m.dir.find(vpn)
@@ -755,35 +758,26 @@ func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
 		case !found:
 			// First touch at the effective anchor. Epoch 1 outranks any
 			// stamp-0 route leftover that still names the dead anchor.
-			de = m.materialize(node, vpn)
+			de = m.place(node, vpn)
 			de.epoch = 1
-			m.dir.shards[node][vpn] = de
+			rt.clear(vpn, de.epoch)
 		case !m.dead(de.home):
-			ns.fwd[vpn] = de.home
-		default:
-			return
-		}
-		if de.epoch > ns.routeEpoch[vpn] {
-			ns.routeEpoch[vpn] = de.epoch
+			rt.point(vpn, de.home, max(de.epoch, rt.at(vpn).epoch))
 		}
 	})
 }
 
-// checkRoutes verifies the sharded forwarding graph has no cycles: from
-// every node, following the route table (forwarding pointer if present,
-// static anchor otherwise) must reach the shard hosting the page within one
-// step per node. The epoch gate on route updates is what guarantees this;
-// the check walks every route so a gating bug cannot hide. Chains through a
-// confirmed-dead node are skipped — they are repaired when the death
-// commits (ReclaimDeadNode), not before. Under central there is nothing to
-// walk: a redirect reads the authoritative tree, so no route is ever
-// followed twice.
+// checkRoutes verifies the forwarding graph has no cycles: from every node,
+// following the route table (pointer if present, static anchor otherwise)
+// must reach the host of the page's entry within one step per node. The
+// epoch gate on route updates is what guarantees this; the check walks every
+// route so a gating bug cannot hide. Chains through a confirmed-dead node
+// are skipped — they are repaired when the death commits (ReclaimDeadNode),
+// not before. Where the nodes read one table the first step finds the entry:
+// a redirect reads the authoritative tree, so no route is followed twice.
 func (m *Manager) checkRoutes() error {
-	if !m.dir.sharded() {
-		return nil
-	}
 	for n, ns := range m.nodes {
-		for _, vpn := range sortedKeys(ns.fwd) {
+		for _, vpn := range slices.Sorted(maps.Keys(ns.routes)) {
 			cur := n
 			ok := false
 			for step := 0; step <= len(m.nodes); step++ {
@@ -796,7 +790,7 @@ func (m *Manager) checkRoutes() error {
 					break
 				}
 				next := m.requestTarget(cur, vpn)
-				if _, fwded := m.nodes[cur].fwd[vpn]; !fwded && next == cur {
+				if next == cur && m.nodes[cur].routes.at(vpn).home < 0 {
 					// Unrouted anchor without an entry: the page was
 					// reclaimed or never materialized; the walk would
 					// first-touch here.

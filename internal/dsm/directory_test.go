@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -175,5 +176,144 @@ func TestStateAndEventStrings(t *testing.T) {
 	}
 	if PageState(200).String() != "PageState(200)" || Event(200).String() != "Event(200)" {
 		t.Error("unknown values must fall back to numeric names")
+	}
+}
+
+// TestDirectoryTables runs the table operations, dropRange and the route
+// operations over a one-host and an n-host directory from the same cases:
+// what differs between the placements is which nodes read one table, and
+// that is read off the directory, not the case.
+func TestDirectoryTables(t *testing.T) {
+	const nodes, lo, hi = 4, 100, 139
+	for _, proto := range []Protocol{HomeMigrate, DistributedManager} {
+		t.Run(proto.String(), func(t *testing.T) {
+			m := newEnv(t, nodes, protoParams(proto), nil).m
+			d := &m.dir
+			sameTable := func(a, b int) bool { return d.tables[a] == d.tables[b] }
+			entries := make(map[uint64]*dirEntry)
+			for vpn := uint64(lo); vpn <= hi; vpn++ {
+				entries[vpn] = m.place(int(vpn%nodes), vpn)
+			}
+			for vpn, de := range entries {
+				for n := 0; n < nodes; n++ {
+					got, ok := d.get(n, vpn)
+					if want := sameTable(n, de.home); ok != want || ok && got != de {
+						t.Fatalf("get(%d, %d) = %p, %v; want present=%v", n, vpn, got, ok, want)
+					}
+				}
+				if got, ok := d.find(vpn); !ok || got != de {
+					t.Fatalf("find(%d) = %p, %v", vpn, got, ok)
+				}
+			}
+			if _, ok := d.find(hi + 1); ok {
+				t.Fatal("find of a page never placed")
+			}
+
+			// walk: every entry in range once, host by host in ascending
+			// order, ascending VPN within a host — while fn moves each entry
+			// it is handed into the first host's table (one the walk has
+			// already snapshotted, so nothing is visited twice).
+			type visit struct {
+				host int
+				vpn  uint64
+			}
+			var seen []visit
+			d.walk(lo+5, hi-5, func(host int, vpn uint64, de *dirEntry) bool {
+				if !sameTable(host, de.home) || entries[vpn] != de {
+					t.Fatalf("walk handed vpn %d at host %d, home %d", vpn, host, de.home)
+				}
+				seen = append(seen, visit{host, vpn})
+				d.remove(de.home, vpn)
+				de.home = d.hosts[0]
+				d.put(de.home, vpn, de)
+				return true
+			})
+			if len(seen) != hi-lo+1-10 {
+				t.Fatalf("walk visited %d entries, want %d", len(seen), hi-lo+1-10)
+			}
+			if !slices.IsSortedFunc(seen, func(a, b visit) int {
+				if a.host != b.host {
+					return a.host - b.host
+				}
+				return int(a.vpn) - int(b.vpn)
+			}) {
+				t.Fatalf("walk order: %v", seen)
+			}
+			n := 0
+			d.walk(lo, hi, func(int, uint64, *dirEntry) bool { n++; return n < 3 })
+			if n != 3 {
+				t.Fatalf("walk ran fn %d times after it returned false at 3", n)
+			}
+
+			// dropRange: all or nothing on a busy entry; then the entries, every
+			// node's routes and the hosts' mappings in the range, and only those.
+			for node, ns := range m.nodes {
+				for vpn := uint64(lo); vpn <= hi; vpn++ {
+					ns.routes.point(vpn, (node+1)%nodes, vpn)
+				}
+			}
+			entries[lo+12].begin()
+			if vpn, busy := m.dropRange(lo+10, lo+19); !busy || vpn != lo+12 {
+				t.Fatalf("dropRange over a busy entry = %d, %v", vpn, busy)
+			}
+			if _, ok := d.find(lo + 10); !ok {
+				t.Fatal("a refused dropRange removed an entry")
+			}
+			entries[lo+12].end()
+			if _, busy := m.dropRange(lo+10, lo+19); busy {
+				t.Fatal("dropRange reports busy on an idle range")
+			}
+			for vpn := uint64(lo); vpn <= hi; vpn++ {
+				dropped := vpn >= lo+10 && vpn <= lo+19
+				if _, ok := d.find(vpn); ok == dropped {
+					t.Fatalf("vpn %d: entry present=%v, dropped=%v", vpn, ok, dropped)
+				}
+				for node, ns := range m.nodes {
+					if _, ok := ns.routes[vpn]; ok == dropped {
+						t.Fatalf("vpn %d: node %d route present=%v, dropped=%v", vpn, node, ok, dropped)
+					}
+				}
+				for _, h := range d.hosts {
+					if dropped && m.presentFrame(h, vpn) != nil {
+						t.Fatalf("vpn %d still mapped at host %d", vpn, h)
+					}
+				}
+			}
+			d.remove(entries[lo].home, lo)
+			if _, ok := d.find(lo); ok {
+				t.Fatal("find after remove")
+			}
+		})
+	}
+}
+
+func TestRouteOperations(t *testing.T) {
+	rt := make(routes)
+	if r := rt.at(7); r.home != -1 || r.epoch != 0 {
+		t.Fatalf("route of an unknown page = %+v", r)
+	}
+	rt.point(7, 2, 5)
+	rt.point(7, 3, 4) // point stores what it is given: the gate is the policy's
+	if r := rt.at(7); r != (route{3, 4}) {
+		t.Fatalf("after point = %+v", r)
+	}
+	rt.clear(7, 2)
+	if r := rt.at(7); r != (route{-1, 4}) {
+		t.Fatalf("clear dropped the larger stored epoch: %+v", r)
+	}
+	rt.clear(7, 9)
+	if r := rt.at(7); r != (route{-1, 9}) {
+		t.Fatalf("clear kept the smaller stored epoch: %+v", r)
+	}
+	rt.point(8, 1, 0)
+	rt.clear(8, 0)
+	if _, ok := rt[8]; ok {
+		t.Fatal("a route with neither pointer nor epoch is still a record")
+	}
+	rt.point(1, 0, 1)
+	rt.point(20, 0, 1)
+	rt.dropRange(7, 19)
+	if len(rt) != 2 || rt.at(1).home != 0 || rt.at(20).home != 0 {
+		t.Fatalf("dropRange(7, 19) left %v", rt)
 	}
 }

@@ -44,7 +44,7 @@ func TestDistChaosForwardedGrantDeliveryInvariant(t *testing.T) {
 	if st.Forwards == 0 {
 		t.Fatalf("Forwards = 0; the anchor never redirected (stats: %+v)", st)
 	}
-	if h := e.m.nodes[2].fwd[vpn]; h != 1 {
+	if h := e.m.nodes[2].routes.at(vpn).home; h != 1 {
 		t.Fatalf("reader's route = %d, want 1 after the grant", h)
 	}
 	if _, ok := e.m.dir.get(1, vpn); !ok {
@@ -99,8 +99,8 @@ func TestDistChaosCrashedShardRebuilt(t *testing.T) {
 		t.Fatalf("entry after survivor write: home=%d writer=%d, want 1/1", de.home, de.writer)
 	}
 	for n, ns := range e.m.nodes {
-		for vpn, fw := range ns.fwd {
-			if fw == 2 {
+		for vpn, r := range ns.routes {
+			if r.home == 2 {
 				t.Fatalf("node %d still forwards page %#x to the dead shard", n, vpn)
 			}
 		}

@@ -63,7 +63,7 @@ func TestDistAuthorityFollowsWriter(t *testing.T) {
 	if _, still := e.m.dir.get(anchor, vpn); still {
 		t.Fatalf("anchor shard %d still hosts the entry after the handoff", anchor)
 	}
-	if fw := e.m.nodes[anchor].fwd[vpn]; fw != writer {
+	if fw := e.m.nodes[anchor].routes.at(vpn).home; fw != writer {
 		t.Fatalf("anchor's forwarding pointer = %d, want %d", fw, writer)
 	}
 }
@@ -91,7 +91,7 @@ func TestDistRedirectServesAcrossChain(t *testing.T) {
 	if st := e.m.Stats(); st.Forwards == 0 {
 		t.Fatalf("Forwards = 0; the anchor should have redirected the reader (stats: %+v)", st)
 	}
-	if h := e.m.nodes[reader].fwd[vpn]; h != writer {
+	if h := e.m.nodes[reader].routes.at(vpn).home; h != writer {
 		t.Fatalf("reader's route = %d, want %d (learned from the grant)", h, writer)
 	}
 	de, ok := e.m.dir.get(writer, vpn)
@@ -128,8 +128,7 @@ func TestDistChainCompression(t *testing.T) {
 		// genuinely stale multi-hop route only arises from reordered or lost
 		// messages; the property under test is that walking one terminates
 		// and compresses.)
-		e.m.nodes[4].fwd[vpn] = 1
-		e.m.nodes[4].routeEpoch[vpn] = 1
+		e.m.nodes[4].routes.point(vpn, 1, 1)
 		// Node 4 routes to 1, node 1 forwards to 2, node 2 forwards to 3: a
 		// two-hop chain. The read must walk it end to end.
 		before := e.m.Stats().Forwards
@@ -157,9 +156,9 @@ func TestDistChainCompression(t *testing.T) {
 		if tgt == home {
 			continue
 		}
-		if fw, ok := e.m.nodes[tgt].fwd[vpn]; !ok || fw != home {
-			t.Errorf("node %d routes to %d, whose forward (%d, ok=%v) is not the home %d: chain not compressed",
-				n, tgt, fw, ok, home)
+		if fw := e.m.nodes[tgt].routes.at(vpn).home; fw != home {
+			t.Errorf("node %d routes to %d, whose forward (%d) is not the home %d: chain not compressed",
+				n, tgt, fw, home)
 		}
 	}
 }

@@ -15,8 +15,8 @@
 //
 //   - directory.go — the per-page ownership state machine (dirEntry): the
 //     enumerated states, the (state × event) legality table, and every
-//     legal transition, invariant-checked; and the two placements of the
-//     entries (one tree at the origin, or one table per node).
+//     legal transition, invariant-checked; the radix tables the entries are
+//     kept in (the origin's alone, or one per node) and the route record.
 //   - protocol.go — the one fault / request / dispatch / serve path, and the
 //     policy that decides placement: central (WriteInvalidate, the paper's
 //     origin-served design and the default; HomeMigrate, where the home
@@ -202,18 +202,9 @@ type nodeState struct {
 	// hits zero a global watermark sweep is scheduled (engine.admitted).
 	sweepBudget int
 
-	// fwd is this node's route table: where it believes each page's home is
-	// (absent means the page's anchor; nil where authority never migrates).
-	// Routes are repaired through redirect replies, never trusted for
-	// correctness. Under the sharded placement routeEpoch stamps each route
-	// with the home-handoff epoch it was learned at; updates older than the
-	// stored epoch are rejected (unless the stored target is confirmed dead),
-	// which keeps the forwarding graph acyclic, and a node that hands
-	// authority off leaves its route behind as a forwarding pointer. Chains
-	// are collapsed to a single hop by path-compression hints after each
-	// chained grant.
-	fwd        map[uint64]int
-	routeEpoch map[uint64]uint64
+	// routes is where this node believes each page's home is (directory.go);
+	// it stays empty where authority never migrates.
+	routes routes
 	// reclaimed marks that this node died and ReclaimDeadNode has committed:
 	// its directory slice has been rebuilt elsewhere and its tables reset.
 	// Pages anchored here are thereafter resolved at the live ring shard
@@ -301,7 +292,7 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		pools:  make([]mem.FramePool, nodes),
 	}
 	for i := range m.nodes {
-		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup)}
+		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup), routes: make(routes)}
 		if i < eng.Lanes() {
 			m.views[i] = eng.LaneView(i)
 		} else {
@@ -482,15 +473,15 @@ func (m *Manager) ReclaimDeadNode(node int) ([]uint64, error) {
 		return nil, fmt.Errorf("dsm: cannot reclaim the origin node %d: the process dies with its origin", node)
 	}
 	var lost []uint64
-	rebuilt := make(map[uint64]rebuiltRoute)
-	m.dir.walk(0, ^uint64(0), func(host int, vpn uint64, de *dirEntry) bool {
+	rebuilt := make(routes)
+	m.dir.walk(0, ^uint64(0), func(_ int, vpn uint64, de *dirEntry) bool {
 		switch {
 		case de.busy():
-		case host == node:
+		case de.home == node:
 			if m.rehome(vpn, de, node, nil) {
 				lost = append(lost, vpn)
 			}
-			rebuilt[vpn] = rebuiltRoute{home: de.home, epoch: de.epoch}
+			rebuilt.point(vpn, de.home, de.epoch)
 		case de.writer == node:
 			m.reclaimLostWriter(de, vpn)
 			lost = append(lost, vpn)

@@ -133,7 +133,7 @@ func TestRevokeBehindRedirectIsApplied(t *testing.T) {
 			// NACKed by the entry its own missing ack keeps busy, for ever.
 			e.eng.SetEventLimit(1_000_000)
 			addr := testAddr
-			if e.m.dir.sharded() {
+			if len(e.m.dir.hosts) > 1 {
 				addr = addrAnchoredAt(t, e.m, 0)
 			}
 			vpn := addr.VPN()
@@ -170,7 +170,7 @@ func TestRevokeBehindRedirectIsApplied(t *testing.T) {
 				if got := e.read(tk, 1, addr); got != 1 {
 					t.Errorf("node 1 read %d, want 1", got)
 				}
-				e.m.nodes[1].fwd[vpn] = 2 // the stale route
+				e.m.nodes[1].routes.point(vpn, 2, 0) // the stale route
 				e.eng.Spawn("writer-1", func(tk *sim.Task) { e.write(tk, 1, addr, 11) })
 				e.write(tk, 0, addr, 10)
 				tk.Sleep(5 * time.Millisecond)
@@ -201,8 +201,7 @@ func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, distParams())
 	addr := addrAnchoredAt(t, e.m, 0)
 	vpn := addr.VPN()
-	ns := e.m.nodes[2]
-	ns.fwd[vpn], ns.routeEpoch[vpn] = 0, 5 // node 2 forwards to node 0 at epoch 5
+	e.m.nodes[2].routes.point(vpn, 0, 5) // node 2 forwards to node 0 at epoch 5
 	var replies []*pageReply
 	e.net.SetHandler(1, func(src int, msg fabric.Message) {
 		if r, ok := msg.(*pageReply); ok {

@@ -54,8 +54,8 @@ func TestHomeChaosDeadHomeRehomedToOrigin(t *testing.T) {
 		t.Fatalf("PagesRehomed = 0 after a dead-home reclaim (stats: %+v)", st)
 	}
 	for n := range e.m.nodes {
-		for vpn, h := range e.m.nodes[n].fwd {
-			if h == 1 {
+		for vpn, r := range e.m.nodes[n].routes {
+			if r.home == 1 {
 				t.Fatalf("node %d still hints page %#x at the dead home", n, vpn)
 			}
 		}

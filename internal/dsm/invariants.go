@@ -17,19 +17,19 @@ import (
 //     owner has a present read-only (or home-writable pre-share) mapping,
 //     every owner's frame is byte-identical, and no non-owner has the page.
 //
-// Each entry must also be hosted exactly once, at its current home, and the
-// routes nodes hold must lead to it (checkRoutes) — both can only fail under
-// the sharded placement, where entries move between per-node tables.
+// Each entry must also be hosted exactly once, in the table its current home
+// reads, and the routes nodes hold must lead to it (checkRoutes).
 func (m *Manager) CheckInvariants() error {
 	var err error
 	seen := make(map[uint64]int)
 	m.dir.walk(0, ^uint64(0), func(host int, vpn uint64, de *dirEntry) bool {
 		prev, dup := seen[vpn]
 		seen[vpn] = host
+		atHome, _ := m.dir.get(de.home, vpn)
 		switch {
 		case dup:
 			err = fmt.Errorf("dsm: vpn %#x hosted at both shard %d and shard %d", vpn, prev, host)
-		case de.home != host:
+		case atHome != de:
 			err = fmt.Errorf("dsm: vpn %#x hosted at shard %d but home is %d", vpn, host, de.home)
 		default:
 			err = m.checkEntry(vpn, de)

@@ -44,7 +44,7 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 		// and prefetch buys nothing.
 		return 0, nil
 	}
-	if m.dir.sharded() {
+	if m.dir.laneOwned {
 		// The batched exchange targets the origin's directory; with the
 		// directory sharded across nodes there is no single server to batch
 		// against, so the hint degrades to ordinary demand faulting.
@@ -132,7 +132,7 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 	st := m.e.openServe(t, m.origin, req.tokens[0], nil)
 	for i, vpn := range req.vpns {
 		token := req.tokens[i]
-		de, _ := m.entry(vpn)
+		de := m.policy.serveEntry(m.origin, vpn)
 		// A page whose home has migrated away from the origin cannot be
 		// served here (HomeMigrate only); bounce it like a busy page so the
 		// requester falls back to demand faulting at the real home.

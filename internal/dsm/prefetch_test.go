@@ -143,23 +143,51 @@ func TestPrefetchedPageStillRevocable(t *testing.T) {
 	e.run(t)
 }
 
+// TestDropDirectoryRange is the munmap flow under every policy: with the
+// range gone the invariants hold (e.run checks them) and no node keeps an
+// entry, a mapping or a route for a page in it.
 func TestDropDirectoryRange(t *testing.T) {
-	e := newEnv(t, 2, DefaultParams(), nil)
-	e.eng.Spawn("main", func(tk *sim.Task) {
-		for i := 0; i < 4; i++ {
-			e.write(tk, 0, testAddr+mem.Addr(i*mem.PageSize), byte(i))
-			_ = e.read(tk, 1, testAddr+mem.Addr(i*mem.PageSize))
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		const nodes, pages = 3, 6
+		e := newEnv(t, nodes, protoParams(proto), nil)
+		lo := testAddr.VPN()
+		hi, kept := lo+3, lo+pages-1
+		e.eng.Spawn("main", func(tk *sim.Task) {
+			for i := 0; i < pages; i++ {
+				addr := testAddr + mem.Addr(i*mem.PageSize)
+				e.write(tk, i%nodes, addr, byte(i))
+				e.write(tk, (i+1)%nodes, addr, byte(i)) // authority moves where it can
+				_ = e.read(tk, (i+2)%nodes, addr)
+			}
+			tk.Sleep(300 * time.Microsecond) // let install acks and hints land
+			// Simulate the munmap flow: invalidate remote PTEs, then drop.
+			for n := 1; n < nodes; n++ {
+				e.m.ReclaimRange(n, lo, hi)
+			}
+			if err := e.m.DropDirectoryRange(tk, lo, hi); err != nil {
+				t.Errorf("DropDirectoryRange: %v", err)
+			}
+		})
+		e.run(t)
+		for n, ns := range e.m.nodes {
+			for vpn := range ns.routes {
+				if vpn >= lo && vpn <= hi {
+					t.Errorf("node %d keeps a route for unmapped page %#x", n, vpn)
+				}
+			}
+			if got := e.m.PageTable(n).Present(); n == 0 && got == 0 || got > pages-4 {
+				t.Errorf("node %d maps %d pages after the drop", n, got)
+			}
 		}
-		// Simulate the munmap flow: invalidate remote PTEs, then drop.
-		e.m.PageTable(1).InvalidateRange(testAddr.VPN(), testAddr.VPN()+3)
-		if err := e.m.DropDirectoryRange(tk, testAddr.VPN(), testAddr.VPN()+3); err != nil {
-			t.Errorf("DropDirectoryRange: %v", err)
+		for vpn := lo; vpn <= kept; vpn++ {
+			if _, ok := e.m.dir.find(vpn); ok != (vpn > hi) {
+				t.Errorf("entry of page %#x present=%v", vpn, ok)
+			}
 		}
-		if e.m.PageTable(0).Present() != 0 {
-			t.Errorf("origin still maps %d pages", e.m.PageTable(0).Present())
+		if proto != WriteInvalidate && len(e.m.nodes[0].routes)+len(e.m.nodes[1].routes)+len(e.m.nodes[2].routes) == 0 {
+			t.Error("the workload left no route to drop or keep")
 		}
 	})
-	e.run(t)
 }
 
 func TestLatencyRecordingOff(t *testing.T) {

@@ -3,24 +3,24 @@
 // consistent) and this file holds the one implementation of each of its
 // jobs: the lead-fault loop, the requester side, request dispatch, and the
 // serveRead / serveWrite directory transactions. The directory (directory.go)
-// owns the per-page state machine and the two table layouts; the engine
-// (engine.go) owns reliable delivery.
+// owns the per-page state machine, the tables and the route record; the
+// engine (engine.go) owns reliable delivery.
 //
-// What a policy decides is PLACEMENT — where a page's directory entry lives
-// and how a node that does not hold it finds the one that does:
+// What a policy decides is PLACEMENT — which nodes host a directory table and
+// how a node that does not hold a page's entry finds the one that does:
 //
-//   - central: one radix tree at the origin. Under WriteInvalidate (the
+//   - central: the origin hosts the one table. Under WriteInvalidate (the
 //     paper's design, the default) authority never leaves the origin: no node
 //     ever learns a route, every request goes to the origin, and a request
 //     delivered anywhere else is a bug. Under HomeMigrate the entry's home
 //     follows the last writer; nodes keep a believed home per page and a
-//     stale belief is repaired by a redirect that reads the tree directly —
+//     stale belief is repaired by a redirect that reads the table directly —
 //     which is why HomeMigrate runs with serialized lanes (core clamps it).
-//   - sharded (DistributedManager): every node holds a table; a page's entry
-//     lives in its current home's table, lookups start at a static hash
-//     anchor, a node that hands authority off leaves an epoch-stamped
-//     forwarding pointer, and chains are compressed after each chained
-//     grant. Each shard serves on its own simulation lane.
+//   - sharded (DistributedManager): every node hosts a table; a page's entry
+//     lives in its current home's, lookups start at a static hash anchor, a
+//     node that hands authority off leaves an epoch-stamped forwarding
+//     pointer, and chains are compressed after each chained grant. Each host
+//     serves on its own simulation lane.
 //
 // WriteInvalidate is therefore not a third implementation but the
 // non-migrating case of central; the few ways it behaves differently are the
@@ -29,6 +29,7 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -203,34 +204,33 @@ type traits struct {
 	// revocations carry the prospective new home. And a writer away from its
 	// home cannot exist, so the fetch-from-writer pull is a protocol bug.
 	migrates bool
-	// forwards: a redirect is a hop along a forwarding chain and counts in
-	// Stats.Forwards.
+	// forwards: a node that hands authority off stays on the page's
+	// forwarding chain. A redirect is a hop along it and counts in
+	// Stats.Forwards; a dead home's rebuild is a handoff on it (rehome).
 	forwards bool
-	// redirectSpan names the instant span a redirecting node records.
-	redirectSpan string
+	// redirectSpan names the instant span a redirecting node records,
+	// rehomeSpan the one left where a dead home's entry is rebuilt.
+	redirectSpan, rehomeSpan string
 }
 
 func newPolicy(m *Manager) policy {
 	var p policy = &central{m: m}
+	hosts := []int{m.origin}
 	switch m.params.Protocol {
 	case WriteInvalidate:
-		return p
 	case HomeMigrate:
-		m.traits = traits{migrates: true, redirectSpan: "hm.redirect"}
+		m.traits = traits{migrates: true, redirectSpan: "hm.redirect", rehomeSpan: "hm.rehome"}
 	case DistributedManager:
-		m.traits = traits{migrates: true, forwards: true, redirectSpan: "dist.forward"}
-		m.dir.shard(len(m.nodes))
+		m.traits = traits{migrates: true, forwards: true, redirectSpan: "dist.forward", rehomeSpan: "dist.rebuild"}
 		p = &sharded{m: m}
+		hosts = make([]int, len(m.nodes))
+		for n := range hosts {
+			hosts[n] = n
+		}
 	default:
 		panic(fmt.Sprintf("dsm: unknown protocol %d", m.params.Protocol))
 	}
-	// Where authority migrates, every node keeps routes.
-	for _, ns := range m.nodes {
-		ns.fwd = make(map[uint64]int)
-		if m.dir.sharded() {
-			ns.routeEpoch = make(map[uint64]uint64)
-		}
-	}
+	m.dir.init(len(m.nodes), hosts, m.forwards)
 	return p
 }
 
@@ -282,8 +282,8 @@ func (m *Manager) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (retri
 // requestTarget returns the node a page request from node should be sent
 // to: the believed home of vpn, or its anchor when node holds no route.
 func (m *Manager) requestTarget(node int, vpn uint64) int {
-	if h, ok := m.nodes[node].fwd[vpn]; ok {
-		return h
+	if r := m.nodes[node].routes.at(vpn); r.home >= 0 {
+		return r.home
 	}
 	return m.anchor(vpn)
 }
@@ -472,12 +472,11 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 		m.view(node).Spawn("dsm-locate", func(t *sim.Task) {
 			m.locate(t, node, req.vpn)
 			t.Sleep(m.params.OriginDispatch)
-			ns := m.nodes[node]
-			target, epoch := node, ns.routeEpoch[req.vpn]
-			if fw, ok := ns.fwd[req.vpn]; ok {
-				target = fw
+			r := m.nodes[node].routes.at(req.vpn)
+			if r.home < 0 {
+				r.home = node
 			}
-			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, outcome: redirect, home: target, epoch: epoch})
+			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, outcome: redirect, home: r.home, epoch: r.epoch})
 		})
 	case r.home == node:
 		m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, st) })
@@ -557,7 +556,8 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 		newHome, newEpoch = reqNode, de.epoch+1
 	}
 	var acks []*revokeWaiter
-	for _, owner := range de.ownerList(reqNode) {
+	for others := de.owners &^ (1 << uint(reqNode)); others != 0; others &= others - 1 {
+		owner := bits.TrailingZeros64(others)
 		if owner == home {
 			// The home's frame is an orphan from here on. Captured as data, the
 			// caller recycles it once it is sent; an ownership-only grant sends
@@ -636,31 +636,27 @@ func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// central: one radix tree at the origin (WriteInvalidate, HomeMigrate).
+// central: the origin hosts the one table (WriteInvalidate, HomeMigrate).
 
 type central struct{ m *Manager }
 
 func (p *central) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence) {
 	m := p.m
-	var de *dirEntry
-	switch {
-	case node == m.origin:
-		var created bool
-		if de, created = m.entry(vpn); created {
-			// First touch anywhere: the origin, the initial home, owns the
-			// zero-filled page exclusively; no consistency traffic required.
-			return de, dirFirstTouch
-		}
-	case !m.migrates:
+	if !m.migrates && node != m.origin {
 		// Authority never leaves the origin, and only the origin's lane may
-		// read its tree.
+		// read its table.
 		return nil, dirElsewhere
+	}
+	de, ok := m.dir.get(node, vpn)
+	switch {
+	case ok:
+	case node == m.origin:
+		// First touch anywhere: the origin, the initial home, owns the
+		// zero-filled page exclusively; no consistency traffic required.
+		return m.place(node, vpn), dirFirstTouch
 	default:
-		var ok bool
-		if de, ok = m.dir.tree.Get(vpn); !ok {
-			// No entry anywhere yet: the origin is the initial home.
-			return nil, dirElsewhere
-		}
+		// No entry anywhere yet: the origin is the initial home.
+		return nil, dirElsewhere
 	}
 	if de.home != node {
 		if node != m.origin || !m.dead(de.home) || de.busy() {
@@ -673,9 +669,12 @@ func (p *central) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residenc
 	return de, dirHere
 }
 
+// serveEntry: the origin is the initial home of every page.
 func (p *central) serveEntry(home int, vpn uint64) *dirEntry {
-	de, _ := p.m.entry(vpn)
-	return de
+	if de, ok := p.m.dir.get(home, vpn); ok {
+		return de
+	}
+	return p.m.place(p.m.origin, vpn)
 }
 
 // route serves a page request at its authoritative home; a request that
@@ -693,7 +692,7 @@ func (p *central) route(node int, req *pageRequest) routing {
 		return routing{home: node}
 	}
 	target := m.origin
-	de, ok := m.dir.tree.Get(req.vpn)
+	de, ok := m.dir.get(node, req.vpn)
 	if ok {
 		target = de.home
 	}
@@ -711,12 +710,11 @@ func (p *central) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 	if !p.m.migrates {
 		return false
 	}
-	ns := p.m.nodes[node]
-	if home == p.m.origin {
+	if rt := p.m.nodes[node].routes; home == p.m.origin {
 		// The default belief; no need to store it.
-		delete(ns.fwd, vpn)
+		rt.clear(vpn, 0)
 	} else {
-		ns.fwd[vpn] = home
+		rt.point(vpn, home, 0)
 	}
 	return true
 }
@@ -751,7 +749,7 @@ func (p *central) grantCompleted(de *dirEntry, req *pageRequest) {
 // writer, exactly as under HomeMigrate, but the authoritative entry lives in
 // the serving node's own table rather than a shared tree: a node that hands
 // authority off deletes its entry and leaves a forwarding pointer
-// (nodeState.fwd) behind. Requests that land at a non-authoritative shard
+// (nodeState.routes) behind. Requests that land at a non-authoritative shard
 // are redirected along the forwarding chain, and after a chained grant lands
 // the requester sends path-compression hints so every hop's pointer jumps
 // straight to the new home: chains collapse to at most one hop.
@@ -766,10 +764,8 @@ func (p *sharded) resident(node int, vpn uint64) (de *dirEntry, created bool) {
 	if de, ok := m.dir.get(node, vpn); ok {
 		return de, false
 	}
-	if _, fwded := m.nodes[node].fwd[vpn]; !fwded && m.anchor(vpn) == node {
-		de = m.materialize(node, vpn)
-		m.dir.shards[node][vpn] = de
-		return de, true
+	if m.nodes[node].routes.at(vpn).home < 0 && m.anchor(vpn) == node {
+		return m.place(node, vpn), true
 	}
 	return nil, false
 }
@@ -782,7 +778,7 @@ func (p *sharded) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residenc
 	case de != nil:
 		return de, dirHere
 	}
-	if _, fwded := p.m.nodes[node].fwd[vpn]; !fwded && p.m.needsLocate(node, vpn) {
+	if p.m.nodes[node].routes.at(vpn).home < 0 && p.m.needsLocate(node, vpn) {
 		// This node is the live fallback for a reclaimed dead anchor and
 		// holds no trace of the page: resolve it on the global lane, then
 		// re-enter with the planted route (or freshly materialized entry).
@@ -803,12 +799,11 @@ func (p *sharded) serveEntry(home int, vpn uint64) *dirEntry {
 // requester one hop down the forwarding chain.
 func (p *sharded) route(node int, req *pageRequest) routing {
 	m := p.m
-	ns := m.nodes[node]
 	_, hosted := m.dir.get(node, req.vpn)
-	fwdTo, fwded := ns.fwd[req.vpn]
+	r := m.nodes[node].routes.at(req.vpn)
 	anchor := m.anchor(req.vpn)
 	switch {
-	case hosted || (!fwded && anchor == node):
+	case hosted || (r.home < 0 && anchor == node):
 		if m.rec != nil {
 			// The lookup resolved at this shard; the serve span that follows
 			// covers the transaction itself.
@@ -818,8 +813,8 @@ func (p *sharded) route(node int, req *pageRequest) routing {
 				obs.Int("from", int64(req.node)))
 		}
 		return routing{home: node}
-	case fwded:
-		return routing{home: fwdTo, epoch: ns.routeEpoch[req.vpn]}
+	case r.home >= 0:
+		return routing{home: r.home, epoch: r.epoch}
 	case m.needsLocate(node, req.vpn):
 		return routing{locate: true}
 	}
@@ -836,10 +831,9 @@ func (p *sharded) route(node int, req *pageRequest) routing {
 // names the node itself) yields to any replacement.
 func (p *sharded) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 	m := p.m
-	ns := m.nodes[node]
-	if cur, ok := ns.routeEpoch[vpn]; ok && epoch < cur {
-		tgt := m.requestTarget(node, vpn)
-		if tgt != node && !m.dead(tgt) {
+	rt := m.nodes[node].routes
+	if cur := rt.at(vpn); epoch < cur.epoch {
+		if tgt := m.requestTarget(node, vpn); tgt != node && !m.dead(tgt) {
 			return false
 		}
 	}
@@ -851,14 +845,10 @@ func (p *sharded) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 		// such an echo would orphan the chain behind us (and let the anchor
 		// re-materialize a second lineage), which is why the gate above
 		// applies to this case too.
-		delete(ns.fwd, vpn)
-		if epoch > ns.routeEpoch[vpn] {
-			ns.routeEpoch[vpn] = epoch
-		}
+		rt.clear(vpn, epoch)
 		return true
 	}
-	ns.fwd[vpn] = home
-	ns.routeEpoch[vpn] = epoch
+	rt.point(vpn, home, epoch)
 	return true
 }
 
@@ -867,15 +857,11 @@ func (p *sharded) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 // in its own shard table before the install ack releases the old home. The
 // old home's entry is retired by grantCompleted when that ack arrives.
 func (p *sharded) grantInstalled(node int, vpn uint64, epoch uint64) {
-	ns := p.m.nodes[node]
 	de := newDirEntry(node)
 	de.adoptHome(node)
 	de.epoch = epoch
-	p.m.dir.shards[node][vpn] = de
-	delete(ns.fwd, vpn)
-	if epoch > ns.routeEpoch[vpn] {
-		ns.routeEpoch[vpn] = epoch
-	}
+	p.m.dir.put(node, vpn, de)
+	p.m.nodes[node].routes.clear(vpn, epoch)
 }
 
 // compressChain sends a fire-and-forget home hint to every node that
@@ -911,10 +897,8 @@ func (p *sharded) grantCompleted(de *dirEntry, req *pageRequest) {
 	if !req.write || old == req.node {
 		return
 	}
-	ons := p.m.nodes[old]
-	delete(p.m.dir.shards[old], req.vpn)
+	p.m.dir.remove(old, req.vpn)
 	de.epoch++
-	ons.fwd[req.vpn] = req.node
-	ons.routeEpoch[req.vpn] = de.epoch
+	p.m.nodes[old].routes.point(req.vpn, req.node, de.epoch)
 	de.home = req.node
 }

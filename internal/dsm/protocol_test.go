@@ -71,7 +71,7 @@ func TestHomeMigrateFollowsWriter(t *testing.T) {
 	if de.home != 1 || de.writer != 1 {
 		t.Fatalf("home = %d, writer = %d; want both 1 after a remote write", de.home, de.writer)
 	}
-	if h := e.m.nodes[0].fwd[testAddr.VPN()]; h != 1 {
+	if h := e.m.nodes[0].routes.at(testAddr.VPN()).home; h != 1 {
 		t.Fatalf("origin's home hint = %d, want 1", h)
 	}
 }
@@ -91,7 +91,7 @@ func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("read after redirect = %d, want 42", got)
 	}
-	if h := e.m.nodes[2].fwd[testAddr.VPN()]; h != 1 {
+	if h := e.m.nodes[2].routes.at(testAddr.VPN()).home; h != 1 {
 		t.Fatalf("reader's home hint = %d, want 1 (learned from the redirect)", h)
 	}
 	de, _ := e.m.dir.get(0, testAddr.VPN())

@@ -23,12 +23,33 @@ const (
 type Tree[V any] struct {
 	root *node[V]
 	size int
+	// spare holds up to one path of pruned (all-zero) nodes for Set to take
+	// before it allocates, so a key that comes and goes — a directory entry
+	// whose page bounces between two nodes' tables — allocates no node.
+	spare []*node[V]
 }
 
 type node[V any] struct {
 	children [fanout]*node[V]
 	values   [fanout]*V
 	count    int // populated slots (children or values)
+}
+
+// newNode returns an all-zero node: a spare one if there is any.
+func (t *Tree[V]) newNode() *node[V] {
+	if n := len(t.spare); n > 0 {
+		nd := t.spare[n-1]
+		t.spare = t.spare[:n-1]
+		return nd
+	}
+	return &node[V]{}
+}
+
+// retire keeps an emptied node that Delete has unlinked, if there is room.
+func (t *Tree[V]) retire(nd *node[V]) {
+	if len(t.spare) < levels {
+		t.spare = append(t.spare, nd)
+	}
 }
 
 func index(key uint64, level int) int {
@@ -70,13 +91,13 @@ func (t *Tree[V]) Get(key uint64) (V, bool) {
 func (t *Tree[V]) Set(key uint64, value V) {
 	checkKey(key)
 	if t.root == nil {
-		t.root = &node[V]{}
+		t.root = t.newNode()
 	}
 	n := t.root
 	for level := 0; level < levels-1; level++ {
 		i := index(key, level)
 		if n.children[i] == nil {
-			n.children[i] = &node[V]{}
+			n.children[i] = t.newNode()
 			n.count++
 		}
 		n = n.children[i]
@@ -132,8 +153,10 @@ func (t *Tree[V]) Delete(key uint64) bool {
 		parent := path[level-1]
 		parent.children[index(key, level-1)] = nil
 		parent.count--
+		t.retire(path[level])
 	}
 	if t.root.count == 0 {
+		t.retire(t.root)
 		t.root = nil
 	}
 	return true

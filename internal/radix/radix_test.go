@@ -229,6 +229,23 @@ func TestDensePopulationAndPruning(t *testing.T) {
 	}
 }
 
+// TestSetDeleteCycleReusesNodes: a key that comes and goes in an otherwise
+// empty tree costs the value's box and no node.
+func TestSetDeleteCycleReusesNodes(t *testing.T) {
+	var tr Tree[int]
+	tr.Set(12345, 1)
+	tr.Delete(12345)
+	if tr.root != nil || len(tr.spare) != levels {
+		t.Fatalf("after one cycle: root=%v, %d spare nodes", tr.root, len(tr.spare))
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		tr.Set(1<<30, 1)
+		tr.Delete(1 << 30)
+	}); got != 1 {
+		t.Fatalf("Set+Delete allocates %v objects, want 1", got)
+	}
+}
+
 func BenchmarkRadixSet(b *testing.B) {
 	var tr Tree[int]
 	for i := 0; i < b.N; i++ {
