@@ -147,7 +147,6 @@ type Node struct {
 // Machine is a simulated cluster running DeX processes.
 type Machine struct {
 	eng     *sim.Engine
-	views   []*sim.Engine // per-node lane views of eng
 	net     *fabric.Network
 	params  Params
 	nodes   []*Node
@@ -188,10 +187,6 @@ func NewMachine(params Params) *Machine {
 		params: params,
 		nodes:  make([]*Node, params.Nodes),
 	}
-	m.views = make([]*sim.Engine, params.Nodes)
-	for i := range m.views {
-		m.views[i] = eng.LaneView(i)
-	}
 	if rec := params.Obs; rec != nil {
 		// Give the recorder a view per lane, bound to its lane's clock; every
 		// instrumentation site then records through the view of the lane its
@@ -199,7 +194,7 @@ func NewMachine(params Params) *Machine {
 		rec.ConfigureLanes(params.Nodes)
 		rec.SetLaneClock(sim.GlobalLane, eng.Now)
 		for i := 0; i < params.Nodes; i++ {
-			rec.SetLaneClock(i, m.views[i].Now)
+			rec.SetLaneClock(i, eng.LaneView(i).Now)
 		}
 		m.net.SetRecorder(rec)
 		// Scheduler telemetry gauges, sampled with all other gauges by the
@@ -241,7 +236,7 @@ func NewMachine(params Params) *Machine {
 			// The bus is node-local state touched on every Compute/Work call,
 			// so it must observe the node lane's clock, not the root view's
 			// (which is stale while a lane executes its own window).
-			bus: sim.NewBus(m.views[i], fmt.Sprintf("membus@%d", i), params.MemBandwidth),
+			bus: sim.NewBus(eng.LaneView(i), fmt.Sprintf("membus@%d", i), params.MemBandwidth),
 		}
 		m.nodes[i].bus.SetCongestion(params.BusCongestion)
 		node := i
@@ -266,7 +261,7 @@ func (m *Machine) Nodes() int { return m.params.Nodes }
 func (m *Machine) Injector() *chaos.Injector { return m.inj }
 
 // view returns the lane view bound to node.
-func (m *Machine) view(node int) *sim.Engine { return m.views[node] }
+func (m *Machine) view(node int) *sim.Engine { return m.eng.LaneView(node) }
 
 // commitGlobal runs fn in serialized (global-lane) context, where it may
 // touch process-wide state and any lane's tasks. From the global lane it

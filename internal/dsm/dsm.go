@@ -229,12 +229,6 @@ type Manager struct {
 	dir    directory
 	stats  Stats
 
-	// views caches one lane view of the engine per node (plus the root
-	// engine for nodes without a configured lane), so protocol tasks spawn
-	// on the simulation lane of the node they execute at. On an engine
-	// without lanes every view is the root engine — classic serial behavior.
-	views []*sim.Engine
-
 	// policy is the directory placement (protocol.go); traits is the data
 	// that comes with it.
 	policy policy
@@ -288,24 +282,20 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		rec:    rec,
 		chaos:  net.Chaos(),
 		nodes:  make([]*nodeState, nodes),
-		views:  make([]*sim.Engine, nodes),
 		pools:  make([]mem.FramePool, nodes),
 	}
 	for i := range m.nodes {
 		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup), routes: make(routes)}
-		if i < eng.Lanes() {
-			m.views[i] = eng.LaneView(i)
-		} else {
-			m.views[i] = eng
-		}
 	}
 	m.e.init(m)
 	m.policy = newPolicy(m)
 	return m
 }
 
-// view returns the engine lane view protocol work at node runs on.
-func (m *Manager) view(node int) *sim.Engine { return m.views[node] }
+// view returns the engine lane view protocol work at node runs on, so
+// protocol tasks spawn on the simulation lane of the node they execute at (on
+// an engine without lanes that is the root engine — classic serial behavior).
+func (m *Manager) view(node int) *sim.Engine { return m.eng.LaneView(node) }
 
 // pool returns node's frame free list.
 func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }

@@ -304,18 +304,9 @@ func New(eng *sim.Engine, p Params) *Network {
 		conns:    make([][]*conn, p.Nodes),
 		handlers: make([]Handler, p.Nodes),
 	}
-	// Bind a lane view per node; engines configured without lanes (unit
-	// tests, microbenchmarks) fall back to the root view, which schedules
-	// everything on the global lane — the classic serial behavior.
-	views := make([]*sim.Engine, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		if i < eng.Lanes() {
-			views[i] = eng.LaneView(i)
-		} else {
-			views[i] = eng
-		}
-	}
-	gview := eng.LaneView(sim.GlobalLane)
+	// Each connection binds its endpoints' lane views; on an engine without
+	// lanes (unit tests, microbenchmarks) those are the root view, which
+	// schedules everything on the global lane — the classic serial behavior.
 	for src := 0; src < p.Nodes; src++ {
 		n.conns[src] = make([]*conn, p.Nodes)
 		for dst := 0; dst < p.Nodes; dst++ {
@@ -328,12 +319,12 @@ func New(eng *sim.Engine, p Params) *Network {
 				// The link bus is send-side state: it is bound to the source
 				// node's lane view so Occupy reads the clock of the lane the
 				// send chain executes on.
-				link:     sim.NewBus(views[src], name, p.LinkBandwidth),
+				link:     sim.NewBus(eng.LaneView(src), name, p.LinkBandwidth),
 				sendPool: sim.NewSemaphore("sendpool "+name, p.SendPoolChunks),
 				sinkPool: sim.NewSemaphore("sink "+name, p.SinkChunks),
 			}
-			c.data = qp{conn: c, lane: dst, view: views[dst], posted: p.RecvPoolSlots}
-			c.ctl = qp{conn: c, lane: sim.GlobalLane, view: gview, posted: math.MaxInt}
+			c.data = qp{conn: c, lane: dst, view: eng.LaneView(dst), posted: p.RecvPoolSlots}
+			c.ctl = qp{conn: c, lane: sim.GlobalLane, view: eng.LaneView(sim.GlobalLane), posted: math.MaxInt}
 			n.conns[src][dst] = c
 		}
 	}

@@ -317,6 +317,45 @@ func TestAfterRunAllocsPerRun(t *testing.T) {
 	}
 }
 
+// A lane has one view, built with the lane: LaneView hands out the same
+// pointer every time (the root view on an engine without lanes), so a task
+// changing lanes allocates nothing.
+func TestSetLaneAllocsPerRun(t *testing.T) {
+	root := NewEngine(1)
+	if root.LaneView(3) != root || root.LaneView(GlobalLane) != root {
+		t.Fatal("an engine without lanes hands out a view other than its root")
+	}
+	root.ConfigureLanes(2)
+	for n := GlobalLane; n < 2; n++ {
+		if v := root.LaneView(n); v != root.LaneView(n) || v.Lane() != n || (n == GlobalLane) != (v == root) {
+			t.Fatalf("LaneView(%d) = %p on lane %d (root %p)", n, v, v.Lane(), root)
+		}
+	}
+	var got float64
+	root.LaneView(0).Spawn("hopper", func(tk *Task) {
+		got = testing.AllocsPerRun(200, func() {
+			tk.SetLane(1)
+			tk.SetLane(GlobalLane)
+			tk.SetLane(0)
+		})
+		if tk.Engine() != root.LaneView(0) {
+			t.Error("SetLane bound the task to a view of its own")
+		}
+	})
+	if err := root.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got != 0 {
+		t.Fatalf("SetLane: %v allocs, want 0", got)
+	}
+	defer func() {
+		if r := recover(); r != "sim: LaneView(2) outside configured lanes (2)" {
+			t.Fatalf("LaneView past the configured lanes: %v", r)
+		}
+	}()
+	root.LaneView(2)
+}
+
 // After's function rides in the event as it is: a function that exists
 // already costs nothing to schedule.
 func TestAfterOfBoundFuncAllocsPerRun(t *testing.T) {

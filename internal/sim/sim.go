@@ -95,6 +95,7 @@ type Engine struct {
 // engineCore is the state shared by all lane views of one simulation.
 type engineCore struct {
 	lanes []*laneState // [0] = global, [1..] = node lanes
+	views []*Engine    // the one view of each lane, indexed like lanes
 	// heads[i] is a lower bound on the time of lane i's earliest live event
 	// (noEvent for a lane known to be empty). nextLane picks from it without
 	// touching any heap and verifies the pick. A push lowers it, a serial step
@@ -417,7 +418,8 @@ func NewEngine(seed int64) *Engine {
 	c.lanes = []*laneState{newLane(0, seed)}
 	c.heads = []time.Duration{noEvent}
 	c.seed = seed
-	return &Engine{c: c, lane: 0}
+	c.views = []*Engine{{c: c, lane: 0}}
+	return c.views[0]
 }
 
 // ConfigureLanes declares the node-lane count. Once SetLookahead has provided
@@ -436,6 +438,7 @@ func (e *Engine) ConfigureLanes(nodes int, _ ...int) {
 	for i := 0; i < nodes; i++ {
 		c.lanes = append(c.lanes, newLane(i+1, c.seed))
 		c.heads = append(c.heads, noEvent)
+		c.views = append(c.views, &Engine{c: c, lane: i + 1})
 	}
 }
 
@@ -457,15 +460,18 @@ func (e *Engine) Lookahead() time.Duration { return e.c.lookahead }
 // LaneView returns the engine view bound to node's lane. Events scheduled
 // through the view (After, Spawn, task operations of tasks spawned on it)
 // carry that lane's affinity. node GlobalLane (or any negative value)
-// returns the global view.
+// returns the global view, and so does every node of an engine without
+// configured lanes, where every event is global (as for AfterRunOn). A lane
+// has one view, built with the lane: the same pointer every time.
 func (e *Engine) LaneView(node int) *Engine {
-	if node < 0 {
-		return &Engine{c: e.c, lane: 0}
+	views := e.c.views
+	if node < 0 || len(views) == 1 {
+		return views[0]
 	}
-	if node+1 >= len(e.c.lanes) {
-		panic(fmt.Sprintf("sim: LaneView(%d) outside configured lanes (%d)", node, len(e.c.lanes)-1))
+	if node+1 >= len(views) {
+		panic(fmt.Sprintf("sim: LaneView(%d) outside configured lanes (%d)", node, len(views)-1))
 	}
-	return &Engine{c: e.c, lane: node + 1}
+	return views[node+1]
 }
 
 // Lane returns the node index this view is bound to, or GlobalLane.
@@ -1136,11 +1142,7 @@ func (t *Task) SetLane(node int) {
 	if c.parallel {
 		panic("sim: Task.SetLane during a parallel window; lane moves must happen in serialized context")
 	}
-	if node < 0 {
-		t.eng = &Engine{c: c, lane: 0}
-		return
-	}
-	t.eng = &Engine{c: c, lane: node + 1}
+	t.eng = t.eng.LaneView(node)
 }
 
 // Now returns the current virtual time as seen from the task's lane.
