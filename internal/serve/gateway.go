@@ -69,7 +69,7 @@ func newGateway(lay *layout, id int, spec load.TenantSpec, sched []load.Request,
 		expect: map[uint64]uint64{},
 	}
 	for s := 0; s < lay.shards; s++ {
-		gw.rings = append(gw.rings, &ring{next: 1, harvest: 1, reqs: make([][reqBytes]byte, lay.slots)})
+		gw.rings = append(gw.rings, &ring{next: 1, harvest: 1, reqs: make([][reqBytes]byte, ringSlots)})
 	}
 	return gw
 }
@@ -120,7 +120,7 @@ func (gw *gateway) run(t *dex.Thread) error {
 		if err := gw.harvestRing(t, s); err != nil {
 			return err
 		}
-		if r.next-r.floor > uint64(gw.lay.slots) {
+		if r.next-r.floor > ringSlots {
 			// Bounded queue: the ring to this shard is full, shed now
 			// rather than queue unboundedly.
 			gw.shedQueue++
@@ -152,7 +152,7 @@ func (gw *gateway) publish(t *dex.Thread, s int, req load.Request, at time.Durat
 	binary.LittleEndian.PutUint64(img[reqOffDelta:], req.Delta)
 	binary.LittleEndian.PutUint64(img[reqOffUser:], req.User)
 	binary.LittleEndian.PutUint64(img[reqOffArrival:], uint64(at))
-	r.reqs[(r.next-1)%uint64(gw.lay.slots)] = img
+	r.reqs[(r.next-1)%ringSlots] = img
 	mustWrite(t, gw.lay.slotAddr(gw.id, s, r.next), img[:])
 	r.next++
 	gw.admitted++
@@ -176,7 +176,7 @@ func (gw *gateway) harvestRing(t *dex.Thread, s int) error {
 		if binary.LittleEndian.Uint64(buf[doneOffSeq:]) != seq {
 			break
 		}
-		img := &r.reqs[(seq-1)%uint64(gw.lay.slots)]
+		img := &r.reqs[(seq-1)%ringSlots]
 		op := binary.LittleEndian.Uint32(img[reqOffOp:])
 		if op != opStop {
 			arrival := time.Duration(binary.LittleEndian.Uint64(img[reqOffArrival:]))
@@ -247,7 +247,7 @@ func (gw *gateway) repairRing(t *dex.Thread, s int) error {
 		if binary.LittleEndian.Uint64(buf[:]) == seq {
 			continue
 		}
-		img := r.reqs[(seq-1)%uint64(gw.lay.slots)]
+		img := r.reqs[(seq-1)%ringSlots]
 		mustWrite(t, addr, img[:])
 		gw.republishes++
 		t.EmitSpan("serve", "req.retry", t.Now(),
@@ -265,35 +265,44 @@ func (gw *gateway) outstanding() int {
 	return n
 }
 
-// drain harvests until every published request has completed, repairing
+// settle harvests until every published request has completed, repairing
 // crash-damaged slots along the way. An unresponsive shard (possible when
 // a crashed node's shard is not restartable) bounds the wait: after
-// stallTimeout of zero progress the gateway gives up with an error rather
-// than spin forever.
-func (gw *gateway) drain(t *dex.Thread) error {
+// stallTimeout of zero progress it gives up and returns how many requests
+// are still in flight rather than spin forever.
+func (gw *gateway) settle(t *dex.Thread) (stuck int, err error) {
 	lastProgress := t.Now()
 	before := -1
 	for gw.outstanding() > 0 {
 		for s := range gw.rings {
 			if err := gw.harvestRing(t, s); err != nil {
-				return err
+				return 0, err
 			}
 			if err := gw.repairRing(t, s); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		if n := gw.outstanding(); n != before {
 			before = n
 			lastProgress = t.Now()
 		} else if t.Now()-lastProgress > stallTimeout {
-			return fmt.Errorf("serve: tenant %d: %d requests still in flight after %v without progress",
-				gw.id, n, stallTimeout)
+			return n, nil
 		}
 		if gw.outstanding() > 0 {
 			t.Sleep(drainPoll)
 		}
 	}
-	return nil
+	return 0, nil
+}
+
+// drain settles the requests of the schedule; a stall is an error.
+func (gw *gateway) drain(t *dex.Thread) error {
+	stuck, err := gw.settle(t)
+	if err == nil && stuck > 0 {
+		err = fmt.Errorf("serve: tenant %d: %d requests still in flight after %v without progress",
+			gw.id, stuck, stallTimeout)
+	}
+	return err
 }
 
 // stop publishes an in-band stop marker on every ring and waits for the
@@ -307,11 +316,11 @@ func (gw *gateway) stop(t *dex.Thread) error {
 		// After a successful drain the ring has free slots; under a failed
 		// drain the slot may never free, so bound the wait.
 		waitStart := t.Now()
-		for r.next-r.floor > uint64(gw.lay.slots) {
+		for r.next-r.floor > ringSlots {
 			if err := gw.harvestRing(t, s); err != nil {
 				return err
 			}
-			if r.next-r.floor <= uint64(gw.lay.slots) {
+			if r.next-r.floor <= ringSlots {
 				break
 			}
 			if t.Now()-waitStart > stallTimeout {
@@ -319,7 +328,7 @@ func (gw *gateway) stop(t *dex.Thread) error {
 			}
 			t.Sleep(drainPoll)
 		}
-		if r.next-r.floor > uint64(gw.lay.slots) {
+		if r.next-r.floor > ringSlots {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("serve: tenant %d: no free slot to stop shard %d", gw.id, s)
 			}
@@ -328,29 +337,12 @@ func (gw *gateway) stop(t *dex.Thread) error {
 		gw.publish(t, s, load.Request{Op: load.Op(opStop)}, t.Now())
 		gw.admitted-- // stop markers are not requests
 	}
-	lastProgress := t.Now()
-	before := -1
-	for gw.outstanding() > 0 {
-		for s := range gw.rings {
-			if err := gw.harvestRing(t, s); err != nil {
-				return err
-			}
-			if err := gw.repairRing(t, s); err != nil {
-				return err
-			}
-		}
-		if n := gw.outstanding(); n != before {
-			before = n
-			lastProgress = t.Now()
-		} else if t.Now()-lastProgress > stallTimeout {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("serve: tenant %d: shard did not acknowledge stop", gw.id)
-			}
-			break
-		}
-		if gw.outstanding() > 0 {
-			t.Sleep(drainPoll)
-		}
+	stuck, err := gw.settle(t)
+	if err != nil {
+		return err
+	}
+	if stuck > 0 && firstErr == nil {
+		firstErr = fmt.Errorf("serve: tenant %d: shard did not acknowledge stop", gw.id)
 	}
 	return firstErr
 }

@@ -71,12 +71,6 @@ type Config struct {
 	Nodes int
 	// Spec is the traffic description (see load.Spec).
 	Spec load.Spec
-	// RingSlots is the depth of each (gateway, shard) request ring — the
-	// bounded queue whose overflow sheds. Default 16, max 32.
-	RingSlots int
-	// CheckpointEvery is how many applied operations a shard batches
-	// between checkpoints under fault injection. Default 8.
-	CheckpointEvery int
 	// Restart spawns shards restartable: a shard lost with its node is
 	// re-spawned from its last checkpoint instead of failing the run.
 	Restart bool
@@ -87,12 +81,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
-	}
-	if cfg.RingSlots == 0 {
-		cfg.RingSlots = 16
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 8
 	}
 	return cfg
 }
@@ -158,6 +146,14 @@ func (r Report) Digest() string {
 const (
 	slotBytes = 128
 	maxSlots  = dex.PageSize / slotBytes
+	// ringSlots is the depth of each (gateway, shard) request ring — the
+	// bounded queue whose overflow sheds. A ring is one page and a gateway
+	// needs a slot in flight beside the one it fills.
+	ringSlots = 16
+	_         = uint(ringSlots-2) + uint(maxSlots-ringSlots) // 2 <= ringSlots <= maxSlots
+	// checkpointEvery is how many applied operations a shard batches
+	// between checkpoints under fault injection.
+	checkpointEvery = 8
 
 	reqOffSeq     = 0  // uint64: per-ring sequence number (idempotency key)
 	reqOffOp      = 8  // uint32: load.Op, or opStop
@@ -195,12 +191,12 @@ const (
 // layout is the shared-memory map of a run, fixed before any thread
 // spawns.
 type layout struct {
-	shards, gateways, slots int
-	tenantBase              []int // global key index base per tenant
-	keysTotal               int
-	storePagesPerShard      int
-	store, rings, status    dex.Addr
-	faulty                  bool
+	shards, gateways     int
+	tenantBase           []int // global key index base per tenant
+	keysTotal            int
+	storePagesPerShard   int
+	store, rings, status dex.Addr
+	faulty               bool
 }
 
 func (l *layout) shardOf(g uint64) int { return int(g % uint64(l.shards)) }
@@ -219,7 +215,7 @@ func (l *layout) ringPage(gw, shard int) dex.Addr {
 }
 
 func (l *layout) slotAddr(gw, shard int, seq uint64) dex.Addr {
-	idx := int((seq - 1) % uint64(l.slots))
+	idx := int((seq - 1) % ringSlots)
 	return l.ringPage(gw, shard) + dex.Addr(idx*slotBytes)
 }
 
@@ -240,9 +236,6 @@ func Run(cfg Config) (Report, error) {
 	if len(cfg.Spec.Tenants) > 64 {
 		return Report{}, fmt.Errorf("serve: %d tenants exceed the 64-tenant limit", len(cfg.Spec.Tenants))
 	}
-	if cfg.RingSlots < 2 || cfg.RingSlots > maxSlots {
-		return Report{}, fmt.Errorf("serve: ring slots %d out of [2,%d]", cfg.RingSlots, maxSlots)
-	}
 	sched, err := load.Schedule(cfg.Spec)
 	if err != nil {
 		return Report{}, err
@@ -254,7 +247,6 @@ func Run(cfg Config) (Report, error) {
 	lay := &layout{
 		shards:   cluster.Nodes(),
 		gateways: len(cfg.Spec.Tenants),
-		slots:    cfg.RingSlots,
 		faulty:   cluster.FaultInjection(),
 	}
 	for _, t := range cfg.Spec.Tenants {
@@ -289,7 +281,7 @@ func Run(cfg Config) (Report, error) {
 		// shard always survives.
 		shardThreads := make([]*dex.Thread, lay.shards)
 		for s := 0; s < lay.shards; s++ {
-			sh := &shard{lay: lay, id: s, ckptEvery: cfg.CheckpointEvery}
+			sh := &shard{lay: lay, id: s}
 			shs[s] = sh
 			var t *dex.Thread
 			if cfg.Restart {

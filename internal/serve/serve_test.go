@@ -173,16 +173,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Nodes: -1, Spec: DefaultSpec(1, false, 1)}); err == nil {
 		t.Fatal("negative nodes accepted")
 	}
-	cfg := testConfig(1)
-	cfg.RingSlots = 1
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("ring of 1 slot accepted")
-	}
-	cfg = testConfig(1)
-	cfg.RingSlots = maxSlots + 1
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("oversized ring accepted")
-	}
 	if _, err := Run(Config{Nodes: 1}); err == nil ||
 		!strings.Contains(err.Error(), "tenant") && !strings.Contains(err.Error(), "load") {
 		t.Fatalf("empty spec accepted or wrong error: %v", err)

@@ -18,9 +18,8 @@ import (
 // exactly the rolled-back suffix and the sequence numbers make the replay
 // exactly-once.
 type shard struct {
-	lay       *layout
-	id        int
-	ckptEvery int
+	lay *layout
+	id  int
 
 	consumed []uint64
 	stopped  uint64 // bitmask over gateways
@@ -125,11 +124,7 @@ func (sh *shard) consumeRing(t *dex.Thread, g int) (bool, error) {
 		if err != nil {
 			return applied, err
 		}
-		var done [doneBytes]byte
-		binary.LittleEndian.PutUint64(done[doneOffSeq:], seq)
-		binary.LittleEndian.PutUint64(done[doneOffAt:], uint64(t.Now()))
-		binary.LittleEndian.PutUint64(done[doneOffVal:], value)
-		mustWrite(t, addr+doneOff, done[:])
+		complete(t, addr, seq, value)
 		sh.consumed[g] = seq
 		sh.opsSince++
 		applied = true
@@ -140,6 +135,16 @@ func (sh *shard) consumeRing(t *dex.Thread, g int) (bool, error) {
 		arrival := time.Duration(binary.LittleEndian.Uint64(req[reqOffArrival:]))
 		t.EmitSpan("serve", "req.serve", arrival, obs.Int("tenant", int64(g)))
 	}
+}
+
+// complete writes the completion half of the slot at addr: seq is
+// acknowledged now, with value as its result.
+func complete(t *dex.Thread, addr dex.Addr, seq, value uint64) {
+	var done [doneBytes]byte
+	binary.LittleEndian.PutUint64(done[doneOffSeq:], seq)
+	binary.LittleEndian.PutUint64(done[doneOffAt:], uint64(t.Now()))
+	binary.LittleEndian.PutUint64(done[doneOffVal:], value)
+	mustWrite(t, addr+doneOff, done[:])
 }
 
 // apply executes one operation against the store partition.
@@ -172,7 +177,7 @@ func (sh *shard) maybeCheckpoint(t *dex.Thread, progress bool) error {
 	if !sh.lay.faulty || sh.opsSince == 0 {
 		return nil
 	}
-	if sh.opsSince >= sh.ckptEvery || (!progress && t.Now()-sh.lastCkpt >= idleCkpt) {
+	if sh.opsSince >= checkpointEvery || (!progress && t.Now()-sh.lastCkpt >= idleCkpt) {
 		return sh.checkpoint(t)
 	}
 	return nil
@@ -212,7 +217,7 @@ func (sh *shard) reackScan(t *dex.Thread) error {
 	}
 	for g := 0; g < sh.lay.gateways; g++ {
 		base := sh.lay.ringPage(g, sh.id)
-		for idx := 0; idx < sh.lay.slots; idx++ {
+		for idx := 0; idx < ringSlots; idx++ {
 			addr := base + dex.Addr(idx*slotBytes)
 			var req [reqBytes]byte
 			if err := t.Read(addr, req[:]); err != nil {
@@ -238,11 +243,7 @@ func (sh *shard) reackScan(t *dex.Thread) error {
 				}
 				value = v
 			}
-			var ack [doneBytes]byte
-			binary.LittleEndian.PutUint64(ack[doneOffSeq:], seq)
-			binary.LittleEndian.PutUint64(ack[doneOffAt:], uint64(t.Now()))
-			binary.LittleEndian.PutUint64(ack[doneOffVal:], value)
-			mustWrite(t, addr+doneOff, ack[:])
+			complete(t, addr, seq, value)
 			sh.reacks++
 			t.EmitSpan("serve", "req.retry", t.Now(),
 				obs.Int("tenant", int64(g)), obs.Int("seq", int64(seq)), obs.String("side", "reack"))
