@@ -53,20 +53,8 @@ func RunKMN(cfg Config) (Result, error) {
 	var roiStart, roiEnd time.Duration
 	report, err := cluster.Run(func(main *dex.Thread) error {
 		threads := cfg.threads()
-		main.SetSite("kmn/setup")
-		points, err := main.Mmap(uint64(8*len(pts)), dex.ProtRead|dex.ProtWrite, "points")
+		points, centers, err := kmnSetup(main, pts, p.k)
 		if err != nil {
-			return err
-		}
-		if err := writeFloat64s(main, points, pts); err != nil {
-			return err
-		}
-		centers, err := main.Mmap(dex.PageSize, dex.ProtRead|dex.ProtWrite, "centers")
-		if err != nil {
-			return err
-		}
-		// Seed centers with the first k points.
-		if err := writeFloat64s(main, centers, pts[:p.k*kmnDims]); err != nil {
 			return err
 		}
 		// Global accumulator page: k * (3 sums + count), plus the changed
@@ -88,7 +76,6 @@ func RunKMN(cfg Config) (Result, error) {
 
 		body := func(w *dex.Thread, id int) error {
 			lo, hi := partition(p.points, threads, id)
-			buf := make([]float64, 0, p.chunk*kmnDims)
 			for iter := 0; iter < p.iters; iter++ {
 				w.SetSite("kmn/centers")
 				ctr, err := readFloat64s(w, centers, p.k*kmnDims)
@@ -103,12 +90,10 @@ func RunKMN(cfg Config) (Result, error) {
 						n = hi - pos
 					}
 					w.SetSite("kmn/points")
-					buf = buf[:n*kmnDims]
-					pbuf, err := readFloat64s(w, points+dex.Addr(8*pos*kmnDims), n*kmnDims)
+					buf, err := readFloat64s(w, points+dex.Addr(8*pos*kmnDims), n*kmnDims)
 					if err != nil {
 						return err
 					}
-					copy(buf, pbuf)
 					// Process the chunk in merge-granularity units so that
 					// the Initial variant's global merges interleave with
 					// computation the way the original per-point stores do.
@@ -126,24 +111,8 @@ func RunKMN(cfg Config) (Result, error) {
 						if cfg.Variant != Optimized {
 							subAcc = make([]float64, p.k*(kmnDims+1))
 						}
-						for i := sub; i < sub+m; i++ {
-							x, y, z := buf[i*kmnDims], buf[i*kmnDims+1], buf[i*kmnDims+2]
-							best, bestD := 0, math.MaxFloat64
-							for c := 0; c < p.k; c++ {
-								dx := x - ctr[c*kmnDims]
-								dy := y - ctr[c*kmnDims+1]
-								dz := z - ctr[c*kmnDims+2]
-								if d := dx*dx + dy*dy + dz*dz; d < bestD {
-									best, bestD = c, d
-								}
-							}
-							o := best * (kmnDims + 1)
-							subAcc[o] += x
-							subAcc[o+1] += y
-							subAcc[o+2] += z
-							subAcc[o+3]++
-							anyChanged = true
-						}
+						kmnAssign(subAcc, buf[sub*kmnDims:(sub+m)*kmnDims], ctr)
+						anyChanged = true
 						if cfg.Variant != Optimized {
 							// Pathology: stream partial sums straight into
 							// the global accumulator page, and blindly set
@@ -239,25 +208,9 @@ func RunKMN(cfg Config) (Result, error) {
 					return err
 				}
 			}
-			newCenters := make([]float64, p.k*kmnDims)
-			old, err := readFloat64s(main, centers, p.k*kmnDims)
-			if err != nil {
+			if err := kmnRecenter(main, centers, total, p.k); err != nil {
 				return err
 			}
-			for c := 0; c < p.k; c++ {
-				cnt := total[c*(kmnDims+1)+kmnDims]
-				for d := 0; d < kmnDims; d++ {
-					if cnt > 0 {
-						newCenters[c*kmnDims+d] = total[c*(kmnDims+1)+d] / cnt
-					} else {
-						newCenters[c*kmnDims+d] = old[c*kmnDims+d]
-					}
-				}
-			}
-			if err := writeFloat64s(main, centers, newCenters); err != nil {
-				return err
-			}
-			main.Compute(time.Duration(p.k) * time.Microsecond / 4)
 			if err := bar.Wait(main); err != nil {
 				return err
 			}
@@ -313,6 +266,67 @@ func kmnVerify(centers, ref []float64) error {
 			return fmt.Errorf("kmn: center component %d = %g, want %g", i, centers[i], ref[i])
 		}
 	}
+	return nil
+}
+
+// kmnSetup maps the points and the centers and fills them: the points as
+// generated, the centers with the first k of them.
+func kmnSetup(main *dex.Thread, pts []float64, k int) (points, centers dex.Addr, err error) {
+	main.SetSite("kmn/setup")
+	if points, err = main.Mmap(uint64(8*len(pts)), dex.ProtRead|dex.ProtWrite, "points"); err != nil {
+		return 0, 0, err
+	}
+	if err = writeFloat64s(main, points, pts); err != nil {
+		return 0, 0, err
+	}
+	if centers, err = main.Mmap(dex.PageSize, dex.ProtRead|dex.ProtWrite, "centers"); err != nil {
+		return 0, 0, err
+	}
+	return points, centers, writeFloat64s(main, centers, pts[:k*kmnDims])
+}
+
+// kmnAssign adds each point of pts to the accumulator (three sums, then the
+// count) of the center of ctr nearest to it.
+func kmnAssign(acc, pts, ctr []float64) {
+	for i := 0; i < len(pts); i += kmnDims {
+		x, y, z := pts[i], pts[i+1], pts[i+2]
+		best, bestD := 0, math.MaxFloat64
+		for c := 0; c < len(ctr); c += kmnDims {
+			dx, dy, dz := x-ctr[c], y-ctr[c+1], z-ctr[c+2]
+			if d := dx*dx + dy*dy + dz*dz; d < bestD {
+				best, bestD = c/kmnDims, d
+			}
+		}
+		o := best * (kmnDims + 1)
+		acc[o] += x
+		acc[o+1] += y
+		acc[o+2] += z
+		acc[o+3]++
+	}
+}
+
+// kmnRecenter is the main thread's step of an iteration: each center moves
+// to the mean of the points total assigns it, or stays where it is if none.
+func kmnRecenter(main *dex.Thread, centers dex.Addr, total []float64, k int) error {
+	next := make([]float64, k*kmnDims)
+	old, err := readFloat64s(main, centers, k*kmnDims)
+	if err != nil {
+		return err
+	}
+	for c := 0; c < k; c++ {
+		cnt := total[c*(kmnDims+1)+kmnDims]
+		for d := 0; d < kmnDims; d++ {
+			if cnt > 0 {
+				next[c*kmnDims+d] = total[c*(kmnDims+1)+d] / cnt
+			} else {
+				next[c*kmnDims+d] = old[c*kmnDims+d]
+			}
+		}
+	}
+	if err := writeFloat64s(main, centers, next); err != nil {
+		return err
+	}
+	main.Compute(time.Duration(k) * time.Microsecond / 4)
 	return nil
 }
 

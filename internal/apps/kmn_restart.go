@@ -26,19 +26,8 @@ func runKMNRestart(cfg Config) (Result, error) {
 	report, err := cluster.Run(func(main *dex.Thread) error {
 		threads := cfg.threads()
 		accLen := p.k * (kmnDims + 1)
-		main.SetSite("kmn/setup")
-		points, err := main.Mmap(uint64(8*len(pts)), dex.ProtRead|dex.ProtWrite, "points")
+		points, centers, err := kmnSetup(main, pts, p.k)
 		if err != nil {
-			return err
-		}
-		if err := writeFloat64s(main, points, pts); err != nil {
-			return err
-		}
-		centers, err := main.Mmap(dex.PageSize, dex.ProtRead|dex.ProtWrite, "centers")
-		if err != nil {
-			return err
-		}
-		if err := writeFloat64s(main, centers, pts[:p.k*kmnDims]); err != nil {
 			return err
 		}
 		// Per-worker slot pages. Offset 0 holds a 4-byte iteration tag that
@@ -81,23 +70,7 @@ func runKMNRestart(cfg Config) (Result, error) {
 						return err
 					}
 					w.Compute(time.Duration(n) * p.pointCost)
-					for i := 0; i < n; i++ {
-						x, y, z := buf[i*kmnDims], buf[i*kmnDims+1], buf[i*kmnDims+2]
-						best, bestD := 0, math.MaxFloat64
-						for c := 0; c < p.k; c++ {
-							dx := x - ctr[c*kmnDims]
-							dy := y - ctr[c*kmnDims+1]
-							dz := z - ctr[c*kmnDims+2]
-							if d := dx*dx + dy*dy + dz*dz; d < bestD {
-								best, bestD = c, d
-							}
-						}
-						o := best * (kmnDims + 1)
-						acc[o] += x
-						acc[o+1] += y
-						acc[o+2] += z
-						acc[o+3]++
-					}
+					kmnAssign(acc, buf, ctr)
 				}
 				// Publish the tag and the accumulators in one single-page
 				// write: either the whole publication lands or none of it
@@ -181,25 +154,9 @@ func runKMNRestart(cfg Config) (Result, error) {
 				}
 			}
 			main.SetSite("kmn/reduce")
-			newCenters := make([]float64, p.k*kmnDims)
-			old, err := readFloat64s(main, centers, p.k*kmnDims)
-			if err != nil {
+			if err := kmnRecenter(main, centers, total, p.k); err != nil {
 				return err
 			}
-			for c := 0; c < p.k; c++ {
-				cnt := total[c*(kmnDims+1)+kmnDims]
-				for d := 0; d < kmnDims; d++ {
-					if cnt > 0 {
-						newCenters[c*kmnDims+d] = total[c*(kmnDims+1)+d] / cnt
-					} else {
-						newCenters[c*kmnDims+d] = old[c*kmnDims+d]
-					}
-				}
-			}
-			if err := writeFloat64s(main, centers, newCenters); err != nil {
-				return err
-			}
-			main.Compute(time.Duration(p.k) * time.Microsecond / 4)
 			if err := bar.Release(main, iter); err != nil {
 				return err
 			}
