@@ -46,7 +46,6 @@ import (
 	"dex/internal/chaos"
 	"dex/internal/core"
 	"dex/internal/dsm"
-	"dex/internal/fabric"
 	"dex/internal/mem"
 	"dex/internal/obs"
 	"dex/internal/profile"
@@ -201,20 +200,6 @@ func LoadChaosPlan(path string, nodes int) (*ChaosPlan, error) {
 	return ParseChaosPlan(data, nodes)
 }
 
-// WithPageTransferMode selects the page-transfer strategy of the messaging
-// layer (§III-E): the default hybrid RDMA sink, per-page dynamic
-// registration, or the VERB-only path.
-func WithPageTransferMode(mode fabric.PageMode) Option {
-	return optionFunc(func(p *core.Params) { p.Fabric.Mode = mode })
-}
-
-// Page-transfer modes for WithPageTransferMode.
-const (
-	HybridSink = fabric.HybridSink
-	PerPageReg = fabric.PerPageReg
-	VerbOnly   = fabric.VerbOnly
-)
-
 // Protocol selects the coherence policy of the DSM layer.
 type Protocol = dsm.Protocol
 
@@ -255,17 +240,6 @@ func ProtocolHelp() string    { return dsm.ProtocolHelp() }
 // hints and forwarding pointers repaired.
 func WithProtocol(proto Protocol) Option {
 	return optionFunc(func(p *core.Params) { p.DSM.Protocol = proto })
-}
-
-// WithRawParams replaces the full low-level parameter set; the experiment
-// harness uses it for ablations. Nodes is still taken from NewCluster.
-func WithRawParams(params core.Params) Option {
-	return optionFunc(func(p *core.Params) {
-		nodes := p.Nodes
-		*p = params
-		p.Nodes = nodes
-		p.Fabric.Nodes = nodes
-	})
 }
 
 // ParamsFingerprint returns a stable digest of the fully resolved cluster
@@ -324,11 +298,6 @@ func (c *Cluster) Machine() *core.Machine { return c.machine }
 // main. Use Wait to run the simulation to completion.
 func (c *Cluster) Start(main func(*Thread) error) *Process {
 	return c.machine.NewProcess(0, main)
-}
-
-// StartAt creates a process originating at the given node.
-func (c *Cluster) StartAt(origin int, main func(*Thread) error) *Process {
-	return c.machine.NewProcess(origin, main)
 }
 
 // Wait runs the simulation until every process finishes and returns the

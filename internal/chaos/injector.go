@@ -167,17 +167,6 @@ func (inj *Injector) NodeDead(node int) bool {
 	return node >= 0 && node < len(inj.dead) && inj.dead[node]
 }
 
-// DeadNodes returns the crashed nodes in ascending order.
-func (inj *Injector) DeadNodes() []int {
-	var out []int
-	for n, d := range inj.dead {
-		if d {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Stats returns the fault counters accumulated so far.
 func (inj *Injector) Stats() Stats { return inj.stats }
 

@@ -137,9 +137,6 @@ func (p *Process) registerGauges(rec *obs.Recorder) {
 	})
 }
 
-// PID returns the process id.
-func (p *Process) PID() int { return p.pid }
-
 // Origin returns the origin node.
 func (p *Process) Origin() int { return p.origin }
 

@@ -325,8 +325,8 @@ func TestReportStringsAndAccessors(t *testing.T) {
 		t.Fatal("accessors returned nil")
 	}
 	p := m.NewProcess(0, func(th *Thread) error {
-		if th.Process() != nil && th.Process().PID() != 0 {
-			t.Errorf("PID = %d", th.Process().PID())
+		if th.Process().pid != 0 {
+			t.Errorf("pid = %d", th.Process().pid)
 		}
 		if th.Process().Origin() != 0 {
 			t.Errorf("Origin = %d", th.Process().Origin())

@@ -351,7 +351,7 @@ func TestManagerReportsProtocol(t *testing.T) {
 func TestRequestAwayFromOriginPanicsWithoutMigration(t *testing.T) {
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		e := newEnv(t, 3, protoParams(proto), nil)
-		req := &pageRequest{pid: e.m.PID(), vpn: testAddr.VPN(), node: 2, token: nextSeq(2, &e.m.nodes[2].reqCtr)}
+		req := &pageRequest{pid: e.m.pid, vpn: testAddr.VPN(), node: 2, token: nextSeq(2, &e.m.nodes[2].reqCtr)}
 		_, panicked := panics(func() { e.m.HandleMessage(1, 2, req) })
 		if want := proto == WriteInvalidate; panicked != want {
 			t.Fatalf("request delivered at node 1 (origin 0): panicked = %v, want %v", panicked, want)

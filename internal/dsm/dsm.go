@@ -304,9 +304,6 @@ func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }
 // across all nodes (the sampler's in-flight gauge).
 func (m *Manager) InFlightFaults() int { return m.inflight }
 
-// PID returns the process id this manager serves.
-func (m *Manager) PID() int { return m.pid }
-
 // Origin returns the origin node of the process.
 func (m *Manager) Origin() int { return m.origin }
 

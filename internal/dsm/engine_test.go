@@ -208,14 +208,14 @@ func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 			replies = append(replies, r)
 		}
 	})
-	req := &pageRequest{pid: e.m.PID(), vpn: vpn, node: 1, token: nextSeq(1, &e.m.nodes[1].reqCtr)}
+	req := &pageRequest{pid: e.m.pid, vpn: vpn, node: 1, token: nextSeq(1, &e.m.nodes[1].reqCtr)}
 	e.eng.After(0, func() { e.m.HandleMessage(2, 1, req) })
 	e.eng.After(time.Millisecond, func() { e.m.HandleMessage(2, 1, req) })
 	e.run(t)
 	if len(replies) != 2 {
 		t.Fatalf("node 1 received %d replies, want the redirect and its re-send", len(replies))
 	}
-	want := pageReply{pid: e.m.PID(), token: req.token, outcome: redirect, home: 0, epoch: 5}
+	want := pageReply{pid: e.m.pid, token: req.token, outcome: redirect, home: 0, epoch: 5}
 	for i, r := range replies {
 		if !reflect.DeepEqual(*r, want) {
 			t.Errorf("reply %d = %+v, want %+v", i, *r, want)

@@ -745,11 +745,6 @@ func (pr *PageRecv) Claim(t *sim.Task) []byte {
 	return pr.data
 }
 
-// Peek returns the received page data without claiming it, or nil if no
-// data has arrived yet. Recovery paths use it to check whether a landing
-// zone was filled before a fault interrupted the exchange.
-func (pr *PageRecv) Peek() []byte { return pr.data }
-
 // Release frees the reservation when the peer replied without page data
 // (e.g. an ownership-only grant).
 func (pr *PageRecv) Release() {

@@ -82,7 +82,7 @@ func TestSendPageBufAllocsPerRun(t *testing.T) {
 		t.Errorf("SendPageBuf through the sink: %v allocs per page, want at most 3 (%d of %d replies handled)", got, handled, allocRuns)
 	}
 	for i, pr := range prs {
-		if pr.Peek() == nil {
+		if pr.data == nil {
 			t.Fatalf("page %d never landed", i)
 		}
 	}

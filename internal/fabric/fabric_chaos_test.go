@@ -172,7 +172,7 @@ func TestChaosPageDupDataBeforeReply(t *testing.T) {
 	var pr *PageRecv
 	arrivals := 0
 	net.SetHandler(0, func(src int, m Message) {
-		if pr.Peek() == nil {
+		if pr.data == nil {
 			t.Error("reply arrived before page data")
 		}
 		arrivals++

@@ -187,7 +187,11 @@ func TestQuickSemaphoreNeverOversubscribed(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			return false
 		}
-		return maxUse <= n && sem.InUse() == 0 && sem.Waiting() == 0
+		free := 0
+		for sem.Waiting() == 0 && sem.TryAcquire() {
+			free++
+		}
+		return maxUse <= n && free == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

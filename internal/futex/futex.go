@@ -32,9 +32,8 @@ type Waiter struct {
 	expired bool
 }
 
-// Enqueue registers t as a waiter on addr. The caller decides whether to
-// block (after its atomic value check) by calling Block, or abandons the
-// wait with Cancel.
+// Enqueue registers t as a waiter on addr, after the caller's atomic value
+// check; Block then parks it.
 func (tb *Table) Enqueue(t *sim.Task, addr mem.Addr) *Waiter {
 	w := &Waiter{table: tb, addr: addr, task: t}
 	tb.queues[addr] = append(tb.queues[addr], w)
@@ -47,16 +46,6 @@ func (w *Waiter) Block() {
 	for !w.woken {
 		w.task.ParkOn(sim.ReasonHex("futex wait ", uint64(w.addr)))
 	}
-}
-
-// Cancel removes the waiter from its queue without waking it. It is a no-op
-// if the waiter was already woken.
-func (w *Waiter) Cancel() {
-	if w.woken {
-		return
-	}
-	w.woken = true
-	w.table.remove(w)
 }
 
 // Expire removes the waiter from its queue and unparks its task without a

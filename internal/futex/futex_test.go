@@ -81,23 +81,6 @@ func TestWakeDistinctAddresses(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tb := NewTable()
-	eng.Spawn("canceller", func(tk *sim.Task) {
-		w := tb.Enqueue(tk, addr)
-		w.Cancel()
-		if tb.Waiting(addr) != 0 {
-			t.Errorf("Waiting = %d after cancel", tb.Waiting(addr))
-		}
-		w.Cancel() // idempotent
-		w.Block()  // woken flag set by cancel; must not park forever
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestSpuriousUnparkAbsorbed(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tb := NewTable()

@@ -121,15 +121,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// VertexRanges splits the vertex set into parts equal-sized intervals.
-func (g *CSR) VertexRanges(parts int) []Range {
-	out := make([]Range, parts)
-	for i := 0; i < parts; i++ {
-		out[i] = Range{Lo: g.N * i / parts, Hi: g.N * (i + 1) / parts}
-	}
-	return out
-}
-
 // EdgeBalancedRanges splits the vertex set into parts intervals with
 // approximately equal edge counts — the partitioning NUMA-aware frameworks
 // like Polymer use to balance per-node work on skewed graphs.

@@ -67,21 +67,6 @@ func TestRMATDeterministic(t *testing.T) {
 	}
 }
 
-func TestVertexRangesCoverExactly(t *testing.T) {
-	g := RMAT(3, 1000, 5000)
-	for _, parts := range []int{1, 3, 8} {
-		rs := g.VertexRanges(parts)
-		if rs[0].Lo != 0 || rs[len(rs)-1].Hi != g.N {
-			t.Fatalf("parts=%d ranges don't span: %v", parts, rs)
-		}
-		for i := 1; i < len(rs); i++ {
-			if rs[i].Lo != rs[i-1].Hi {
-				t.Fatalf("parts=%d gap/overlap at %d: %v", parts, i, rs)
-			}
-		}
-	}
-}
-
 func TestEdgeBalancedRanges(t *testing.T) {
 	g := RMAT(4, 4096, 50000)
 	for _, parts := range []int{2, 4, 8} {

@@ -33,14 +33,3 @@ func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 func PageAlignUp(n uint64) uint64 {
 	return (n + PageSize - 1) &^ uint64(PageSize-1)
 }
-
-// PagesSpanned reports how many pages the byte range [addr, addr+size)
-// touches. A zero-length range touches no pages.
-func PagesSpanned(addr Addr, size int) int {
-	if size <= 0 {
-		return 0
-	}
-	first := addr.VPN()
-	last := (addr + Addr(size) - 1).VPN()
-	return int(last - first + 1)
-}

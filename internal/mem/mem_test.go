@@ -22,26 +22,6 @@ func TestAddrHelpers(t *testing.T) {
 	}
 }
 
-func TestPagesSpanned(t *testing.T) {
-	tests := []struct {
-		addr Addr
-		size int
-		want int
-	}{
-		{0x1000, 0, 0},
-		{0x1000, 1, 1},
-		{0x1000, PageSize, 1},
-		{0x1000, PageSize + 1, 2},
-		{0x1fff, 2, 2},
-		{0x1800, 2 * PageSize, 3},
-	}
-	for _, tt := range tests {
-		if got := PagesSpanned(tt.addr, tt.size); got != tt.want {
-			t.Errorf("PagesSpanned(%v, %d) = %d, want %d", tt.addr, tt.size, got, tt.want)
-		}
-	}
-}
-
 func TestPageTableBasics(t *testing.T) {
 	var pt PageTable
 	if pt.Lookup(5) != nil {
@@ -78,8 +58,8 @@ func TestPageTableInvalidateRange(t *testing.T) {
 	for vpn := uint64(10); vpn < 20; vpn++ {
 		pt.Map(vpn, NewFrame(), false)
 	}
-	if n := pt.InvalidateRange(12, 15); n != 4 {
-		t.Fatalf("InvalidateRange dropped %d, want 4", n)
+	if n := pt.ReclaimRange(12, 15, nil); n != 4 {
+		t.Fatalf("ReclaimRange dropped %d, want 4", n)
 	}
 	if pt.Present() != 6 {
 		t.Fatalf("Present = %d, want 6", pt.Present())

@@ -32,15 +32,9 @@ func (pt *PageTable) Lookup(vpn uint64) *PTE {
 	return pte
 }
 
-// Ensure returns the PTE for vpn, creating a non-present entry if needed.
-func (pt *PageTable) Ensure(vpn uint64) *PTE {
-	pte, _ := pt.tree.GetOrCreate(vpn, func() *PTE { return &PTE{} })
-	return pte
-}
-
 // Map installs a present mapping for vpn with the given frame and rights.
 func (pt *PageTable) Map(vpn uint64, frame []byte, writable bool) *PTE {
-	pte := pt.Ensure(vpn)
+	pte, _ := pt.tree.GetOrCreate(vpn, func() *PTE { return &PTE{} })
 	if !pte.Present {
 		pt.present++
 	}
@@ -78,15 +72,10 @@ func (pt *PageTable) Downgrade(vpn uint64) bool {
 	return true
 }
 
-// InvalidateRange clears all present mappings with lo <= vpn <= hi and
-// returns how many were dropped.
-func (pt *PageTable) InvalidateRange(lo, hi uint64) int {
-	return pt.ReclaimRange(lo, hi, nil)
-}
-
-// ReclaimRange is InvalidateRange handing each dropped frame to reclaim
-// (when non-nil) for recycling. The caller must guarantee no other
-// reference to the dropped frames remains — in-flight transfers included.
+// ReclaimRange clears all present mappings with lo <= vpn <= hi, handing
+// each dropped frame to reclaim (when non-nil) for recycling, and returns
+// how many were dropped. The caller must guarantee no other reference to
+// the dropped frames remains — in-flight transfers included.
 func (pt *PageTable) ReclaimRange(lo, hi uint64, reclaim func([]byte)) int {
 	type victim struct {
 		vpn   uint64

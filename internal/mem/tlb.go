@@ -8,7 +8,7 @@ package mem
 // resolves with one array index instead of a four-level radix walk.
 //
 // Coherence is strict shootdown, exactly as for a hardware TLB: every path
-// that removes or narrows rights (Invalidate, Downgrade, InvalidateRange)
+// that removes or narrows rights (Invalidate, Downgrade, ReclaimRange)
 // evicts the cached slot before it returns, and Map refreshes the slot it
 // maps. An entry caches the write permission observed at fill time, so a
 // missed shootdown would serve stale rights — the invariant is enforced by

@@ -67,7 +67,7 @@ func TestTLBShootdownOnInvalidateRange(t *testing.T) {
 		pt.Map(vpn, NewFrame(), true)
 		pt.LookupFast(vpn, true) // warm every slot
 	}
-	pt.InvalidateRange(12, 15)
+	pt.ReclaimRange(12, 15, nil)
 	for vpn := uint64(10); vpn < 20; vpn++ {
 		got := pt.LookupFast(vpn, true)
 		if vpn >= 12 && vpn <= 15 {
@@ -116,7 +116,7 @@ func TestTLBConflictingSlots(t *testing.T) {
 
 // TestPresentCounterProperty cross-checks the incrementally maintained
 // Present() counter against a full tree walk after randomized sequences of
-// Map / Invalidate / Downgrade / InvalidateRange, interleaved with
+// Map / Invalidate / Downgrade / ReclaimRange, interleaved with
 // LookupFast so the TLB is live while rights churn.
 func TestPresentCounterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
@@ -135,7 +135,7 @@ func TestPresentCounterProperty(t *testing.T) {
 			case 4:
 				lo := vpn
 				hi := lo + uint64(rng.Intn(32))
-				pt.InvalidateRange(lo, hi)
+				pt.ReclaimRange(lo, hi, nil)
 			}
 			// Exercise the fast path; correctness of the answer is checked
 			// against the authoritative tree.

@@ -97,7 +97,7 @@ type gauge struct {
 	fn   func() float64
 }
 
-// DefaultSamplePeriod is the sampler tick used when none is configured.
+// DefaultSamplePeriod is the sampler tick of a full recorder.
 const DefaultSamplePeriod = 100 * time.Microsecond
 
 // recCore is the record shared by every lane view of one recorder.
@@ -202,14 +202,6 @@ func (r *Recorder) Now() time.Duration {
 		return 0
 	}
 	return r.clock()
-}
-
-// SetSamplePeriod sets the gauge sampling interval (0 disables sampling).
-func (r *Recorder) SetSamplePeriod(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.c.samplePeriod = d
 }
 
 // SamplePeriod returns the gauge sampling interval.
@@ -343,14 +335,6 @@ func (r *Recorder) SampleNowAt(at time.Duration) {
 	for i := range c.gauges {
 		c.samples = append(c.samples, sample{At: at, Gauge: i, Val: c.gauges[i].fn()})
 	}
-}
-
-// SampleNow samples every gauge at the current simulated time.
-func (r *Recorder) SampleNow() {
-	if r == nil {
-		return
-	}
-	r.SampleNowAt(r.Now())
 }
 
 // Samples reports how many gauge observations were recorded.

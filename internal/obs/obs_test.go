@@ -14,7 +14,6 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.SetClock(func() time.Duration { return 0 })
-	r.SetSamplePeriod(time.Millisecond)
 	if r.SamplePeriod() != 0 {
 		t.Fatal("nil recorder has a sample period")
 	}
@@ -26,7 +25,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Observe("h", time.Microsecond)
 	r.AddGauge("g", func() float64 { return 1 })
 	r.AddNodeGauge("g", 0, func() float64 { return 1 })
-	r.SampleNow()
 	r.SampleNowAt(time.Microsecond)
 	r.ConfigureLanes(4)
 	r.SetLaneClock(2, func() time.Duration { return 0 })
@@ -148,11 +146,11 @@ func buildRecorder() *Recorder {
 	r.SpanAt("dsm", "fault.read", 0, 3, 2*time.Microsecond, 8*time.Microsecond,
 		Hex("addr", 0x7f0000), Int("retries", 0), String("site", "app.go:12"))
 	r.Observe("fault.read", 8*time.Microsecond)
-	r.SampleNow()
+	r.SampleNowAt(now)
 	now = 25 * time.Microsecond
 	r.Span("fabric", "msg.small", 1, 1000, 20*time.Microsecond, Int("bytes", 64))
 	r.Observe("msg.small", 5*time.Microsecond)
-	r.SampleNow()
+	r.SampleNowAt(now)
 	return r
 }
 

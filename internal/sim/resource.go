@@ -96,9 +96,6 @@ func (s *Semaphore) Release() {
 	s.avail++
 }
 
-// InUse reports how many units are currently held.
-func (s *Semaphore) InUse() int { return s.total - s.avail }
-
 // Waiting reports how many tasks are queued.
 func (s *Semaphore) Waiting() int { return s.count }
 
@@ -115,7 +112,6 @@ type Bus struct {
 	congestion float64
 	active     int
 	freeAt     time.Duration
-	busyTime   time.Duration
 	bytes      uint64
 	release    func() // ends one transfer; bound once so Occupy allocates no closure
 }
@@ -154,7 +150,6 @@ func (b *Bus) Occupy(n int) time.Duration {
 	b.active++
 	b.eng.After(finish-now, b.release)
 	b.freeAt = finish
-	b.busyTime += d
 	b.bytes += uint64(n)
 	return finish
 }
@@ -163,9 +158,6 @@ func (b *Bus) Occupy(n int) time.Duration {
 func (b *Bus) Transfer(t *Task, n int) {
 	t.SleepUntil(b.Occupy(n))
 }
-
-// BusyTime reports the cumulative time the bus has spent transferring.
-func (b *Bus) BusyTime() time.Duration { return b.busyTime }
 
 // Bytes reports the cumulative bytes transferred.
 func (b *Bus) Bytes() uint64 { return b.bytes }
@@ -208,15 +200,6 @@ func (m *Mailbox[T]) Recv(t *Task) T {
 		m.dropReceiver(t)
 	}
 	return PopFront(&m.queue)
-}
-
-// TryRecv dequeues a message without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	if len(m.queue) == 0 {
-		var zero T
-		return zero, false
-	}
-	return PopFront(&m.queue), true
 }
 
 // PopFront removes and returns the first element of the FIFO queue *q, and

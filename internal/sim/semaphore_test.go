@@ -59,8 +59,8 @@ func TestSemaphoreHandOffOrderUnderSpuriousWakes(t *testing.T) {
 			t.Fatalf("hand-off order = %v, want strict arrival order", order)
 		}
 	}
-	if sem.InUse() != 0 || sem.Waiting() != 0 {
-		t.Fatalf("InUse=%d Waiting=%d after drain", sem.InUse(), sem.Waiting())
+	if sem.avail != sem.total || sem.Waiting() != 0 {
+		t.Fatalf("free=%d of %d, Waiting=%d after drain", sem.avail, sem.total, sem.Waiting())
 	}
 }
 

@@ -1123,9 +1123,6 @@ func (t *Task) Name() string { return t.name }
 // reported alongside the task's name in deadlock diagnostics.
 func (t *Task) SetDetail(detail string) { t.detail = detail }
 
-// Detail returns the task's diagnostic location context.
-func (t *Task) Detail() string { return t.detail }
-
 // Engine returns the lane view the task currently schedules through.
 func (t *Task) Engine() *Engine { return t.eng }
 

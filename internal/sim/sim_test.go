@@ -219,8 +219,8 @@ func TestSemaphoreFIFO(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	if sem.InUse() != 0 {
-		t.Fatalf("InUse = %d after all released", sem.InUse())
+	if sem.avail != sem.total {
+		t.Fatalf("%d of %d units free after all released", sem.avail, sem.total)
 	}
 }
 
@@ -293,9 +293,6 @@ func TestBusSerializes(t *testing.T) {
 	}
 	if bus.Bytes() != 2000 {
 		t.Fatalf("Bytes = %d, want 2000", bus.Bytes())
-	}
-	if bus.BusyTime() != 2*time.Microsecond {
-		t.Fatalf("BusyTime = %v, want 2µs", bus.BusyTime())
 	}
 }
 
@@ -371,20 +368,6 @@ func TestMailboxMultipleReceivers(t *testing.T) {
 	if sum != 7 {
 		t.Fatalf("sum = %d, want 7", sum)
 	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	e := NewEngine(1)
-	mb := NewMailbox[int]("m")
-	if _, ok := mb.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox succeeded")
-	}
-	mb.Send(9)
-	v, ok := mb.TryRecv()
-	if !ok || v != 9 {
-		t.Fatalf("TryRecv = %d,%v", v, ok)
-	}
-	_ = e
 }
 
 func TestSpawnAfter(t *testing.T) {

@@ -258,29 +258,6 @@ func TestReportTLBPerNode(t *testing.T) {
 	}
 }
 
-// TestSamplePeriodConfigurable: halving the sampler period roughly doubles
-// the sample count without changing the simulation outcome.
-func TestSamplePeriodConfigurable(t *testing.T) {
-	run := func(period time.Duration) (Report, int) {
-		rec := NewRecorder()
-		rec.SetSamplePeriod(period)
-		cluster := NewCluster(2, WithSeed(13), WithObserver(rec))
-		rep, err := cluster.Run(obsWorkload(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, rec.Samples()
-	}
-	repCoarse, coarse := run(200 * time.Microsecond)
-	repFine, fine := run(50 * time.Microsecond)
-	if fine <= coarse {
-		t.Fatalf("finer period recorded fewer samples: %d (50µs) vs %d (200µs)", fine, coarse)
-	}
-	if !reflect.DeepEqual(repCoarse, repFine) {
-		t.Fatalf("sample period changed the simulation:\n%+v\n%+v", repCoarse, repFine)
-	}
-}
-
 func ExampleRecorder() {
 	rec := NewRecorder()
 	cluster := NewCluster(2, WithObserver(rec))

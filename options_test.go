@@ -5,11 +5,15 @@ import (
 	"time"
 
 	"dex/internal/core"
+	"dex/internal/fabric"
 )
 
+// TestWithPageTransferMode runs one workload with each page-transfer mode of
+// the messaging layer (§III-E) set in the cluster's parameters, the way the
+// experiment harness sets it.
 func TestWithPageTransferMode(t *testing.T) {
-	run := func(mode interface{ apply(*core.Params) }) Report {
-		cluster := NewCluster(2, mode.(Option))
+	run := func(mode fabric.PageMode) Report {
+		cluster := NewCluster(2, optionFunc(func(p *core.Params) { p.Fabric.Mode = mode }))
 		rep, err := cluster.Run(func(th *Thread) error {
 			addr, err := th.Mmap(16*PageSize, ProtRead|ProtWrite, "d")
 			if err != nil {
@@ -31,9 +35,9 @@ func TestWithPageTransferMode(t *testing.T) {
 		}
 		return rep
 	}
-	hybrid := run(WithPageTransferMode(HybridSink))
-	perpage := run(WithPageTransferMode(PerPageReg))
-	verb := run(WithPageTransferMode(VerbOnly))
+	hybrid := run(fabric.HybridSink)
+	perpage := run(fabric.PerPageReg)
+	verb := run(fabric.VerbOnly)
 	if hybrid.Net.RDMAWrites == 0 || perpage.Net.Registrations == 0 {
 		t.Fatalf("modes not applied: %+v / %+v", hybrid.Net, perpage.Net)
 	}
@@ -45,25 +49,10 @@ func TestWithPageTransferMode(t *testing.T) {
 	}
 }
 
-func TestWithRawParams(t *testing.T) {
-	params := core.DefaultParams(8) // node count here is overridden
-	params.CoresPerNode = 3
-	params.DSM.DisableCoalescing = true
-	cluster := NewCluster(2, WithRawParams(params))
-	if cluster.Nodes() != 2 {
-		t.Fatalf("Nodes = %d; NewCluster's count must win", cluster.Nodes())
-	}
-	if got := cluster.Machine().Params().CoresPerNode; got != 3 {
-		t.Fatalf("CoresPerNode = %d", got)
-	}
-	if !cluster.Machine().Params().DSM.DisableCoalescing {
-		t.Fatal("DSM params lost")
-	}
-}
-
+// TestStartAtAndElapsed starts a process at a node other than 0.
 func TestStartAtAndElapsed(t *testing.T) {
 	cluster := NewCluster(3)
-	p := cluster.StartAt(2, func(th *Thread) error {
+	p := cluster.Machine().NewProcess(2, func(th *Thread) error {
 		if th.Node() != 2 {
 			t.Errorf("origin node = %d", th.Node())
 		}

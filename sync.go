@@ -32,10 +32,6 @@ func NewMutex(t *Thread) (*Mutex, error) {
 	return &Mutex{addr: addr}, nil
 }
 
-// MutexAt places a mutex over an existing 4-byte word the application
-// allocated (the word must be zero-initialized).
-func MutexAt(addr Addr) *Mutex { return &Mutex{addr: addr} }
-
 // Addr returns the futex word's address.
 func (m *Mutex) Addr() Addr { return m.addr }
 
@@ -116,12 +112,6 @@ func NewBarrier(t *Thread, n int) (*Barrier, error) {
 		return nil, fmt.Errorf("dex: allocate barrier: %w", err)
 	}
 	return &Barrier{n: uint64(n), count: addr, gen: addr + 8}, nil
-}
-
-// BarrierAt places a barrier over 16 bytes of zero-initialized application
-// memory (8-byte counter followed by the 4-byte generation word).
-func BarrierAt(addr Addr, n int) *Barrier {
-	return &Barrier{n: uint64(n), count: addr, gen: addr + 8}
 }
 
 // Wait blocks until all n participants have arrived, then releases them and
@@ -280,9 +270,6 @@ func NewWaitGroup(t *Thread) (*WaitGroup, error) {
 	}
 	return &WaitGroup{addr: addr}, nil
 }
-
-// WaitGroupAt places a wait group over an existing zeroed 4-byte word.
-func WaitGroupAt(addr Addr) *WaitGroup { return &WaitGroup{addr: addr} }
 
 // Add adds delta (which may be negative) to the counter; at zero, waiters
 // are released.

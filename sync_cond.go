@@ -20,9 +20,6 @@ func NewCond(t *Thread, mu *Mutex) (*Cond, error) {
 	return &Cond{mu: mu, seq: addr}, nil
 }
 
-// CondAt places a condition variable over an existing zeroed 4-byte word.
-func CondAt(addr Addr, mu *Mutex) *Cond { return &Cond{mu: mu, seq: addr} }
-
 // Wait atomically releases the mutex and blocks until Signal or Broadcast,
 // then reacquires the mutex before returning. As with pthreads, callers
 // must re-check their predicate in a loop.
@@ -87,10 +84,6 @@ func NewSemaphore(t *Thread, initial int) (*Semaphore, error) {
 	}
 	return &Semaphore{addr: addr}, nil
 }
-
-// SemaphoreAt places a semaphore over an existing 4-byte word already
-// holding the initial count.
-func SemaphoreAt(addr Addr) *Semaphore { return &Semaphore{addr: addr} }
 
 // Acquire decrements the count, blocking while it is zero (sem_wait).
 func (s *Semaphore) Acquire(t *Thread) error {
