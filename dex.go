@@ -227,10 +227,8 @@ const (
 // accepted by dexrun -protocol.
 func ParseProtocol(s string) (Protocol, error) { return dsm.ParseProtocol(s) }
 
-// ProtocolNames lists the short names of every registered coherence policy;
 // ProtocolHelp renders the -protocol flag help text used by the commands.
-func ProtocolNames() []string { return dsm.ProtocolNames() }
-func ProtocolHelp() string    { return dsm.ProtocolHelp() }
+func ProtocolHelp() string { return dsm.ProtocolHelp() }
 
 // WithProtocol selects the coherence policy (default WriteInvalidate).
 // Every policy is hardened against WithChaos fault injection: requests

@@ -149,6 +149,12 @@ type Result struct {
 	Check string
 }
 
+// result is the Result of a finished, verified run of app under cfg.
+func (cfg Config) result(app string, elapsed time.Duration, report dex.Report, check string) Result {
+	return Result{App: app, Variant: cfg.Variant, Nodes: cfg.Nodes, Threads: cfg.threads(),
+		Elapsed: elapsed, Report: report, Check: check}
+}
+
 // App couples a name with its runner.
 type App struct {
 	Name string

@@ -324,13 +324,5 @@ func RunBFS(cfg Config) (Result, error) {
 			reached++
 		}
 	}
-	return Result{
-		App:     "bfs",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   fmt.Sprintf("src=%d reached=%d", src, reached),
-	}, nil
+	return cfg.result("bfs", roiEnd-roiStart, report, fmt.Sprintf("src=%d reached=%d", src, reached)), nil
 }

@@ -184,13 +184,5 @@ func RunBLK(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("blk: option %d priced %g, want %g", i, prices[i], want)
 		}
 	}
-	return Result{
-		App:     "blk",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   checksumFloats(prices, 0),
-	}, nil
+	return cfg.result("blk", roiEnd-roiStart, report, checksumFloats(prices, 0)), nil
 }

@@ -293,13 +293,5 @@ func RunBP(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("bp: belief[%d] = %g, want %g", v, got[v], want[v])
 		}
 	}
-	return Result{
-		App:     "bp",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   checksumFloats(got, 1e-6),
-	}, nil
+	return cfg.result("bp", roiEnd-roiStart, report, checksumFloats(got, 1e-6)), nil
 }

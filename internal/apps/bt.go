@@ -257,13 +257,5 @@ func RunBT(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		App:     "bt",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   checksum,
-	}, nil
+	return cfg.result("bt", roiEnd-roiStart, report, checksum), nil
 }

@@ -202,13 +202,5 @@ func RunEP(cfg Config) (Result, error) {
 	if ref := epReference(cfg); ref.accepted != accepted || ref.bins != bins {
 		return Result{}, fmt.Errorf("ep: tallies diverge: got %v/%d want %v/%d", bins, accepted, ref.bins, ref.accepted)
 	}
-	return Result{
-		App:     "ep",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   fmt.Sprintf("accepted=%d bins=%v", accepted, bins),
-	}, nil
+	return cfg.result("ep", roiEnd-roiStart, report, fmt.Sprintf("accepted=%d bins=%v", accepted, bins)), nil
 }

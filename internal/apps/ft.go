@@ -206,13 +206,5 @@ func RunFT(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		App:     "ft",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   checksum,
-	}, nil
+	return cfg.result("ft", roiEnd-roiStart, report, checksum), nil
 }

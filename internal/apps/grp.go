@@ -271,13 +271,5 @@ func RunGRP(cfg Config) (Result, error) {
 		parts = append(parts, fmt.Sprintf("%s=%d", k, got[k]))
 	}
 	sort.Strings(parts)
-	return Result{
-		App:     "grp",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   fmt.Sprint(parts),
-	}, nil
+	return cfg.result("grp", roiEnd-roiStart, report, fmt.Sprint(parts)), nil
 }

@@ -223,21 +223,7 @@ func RunKMN(cfg Config) (Result, error) {
 		finalCenters, err2 = readFloat64s(main, centers, p.k*kmnDims)
 		return err2
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := kmnVerify(finalCenters, ref); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		App:     "kmn",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   checksumFloats(finalCenters, 1e-6),
-	}, nil
+	return kmnResult(cfg, err, finalCenters, ref, roiEnd-roiStart, report)
 }
 
 // kmnRefs keeps the reference centers (k×3 floats) of the latest (size,
@@ -259,14 +245,18 @@ func kmnInput(cfg Config) (p kmnParams, pts, ref []float64) {
 	return p, pts, ref
 }
 
-// kmnVerify compares a run's final centers with the sequential reference.
-func kmnVerify(centers, ref []float64) error {
+// kmnResult is the tail of a run: err is what the simulation returned, and
+// its final centers must match the sequential reference.
+func kmnResult(cfg Config, err error, centers, ref []float64, roi time.Duration, report dex.Report) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
 	for i := range ref {
 		if math.Abs(ref[i]-centers[i]) > 1e-6*(1+math.Abs(ref[i])) {
-			return fmt.Errorf("kmn: center component %d = %g, want %g", i, centers[i], ref[i])
+			return Result{}, fmt.Errorf("kmn: center component %d = %g, want %g", i, centers[i], ref[i])
 		}
 	}
-	return nil
+	return cfg.result("kmn", roi, report, checksumFloats(centers, 1e-6)), nil
 }
 
 // kmnSetup maps the points and the centers and fills them: the points as

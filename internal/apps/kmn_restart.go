@@ -174,19 +174,5 @@ func runKMNRestart(cfg Config) (Result, error) {
 		finalCenters, err = readFloat64s(main, centers, p.k*kmnDims)
 		return err
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := kmnVerify(finalCenters, ref); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		App:     "kmn",
-		Variant: cfg.Variant,
-		Nodes:   cfg.Nodes,
-		Threads: cfg.threads(),
-		Elapsed: roiEnd - roiStart,
-		Report:  report,
-		Check:   checksumFloats(finalCenters, 1e-6),
-	}, nil
+	return kmnResult(cfg, err, finalCenters, ref, roiEnd-roiStart, report)
 }

@@ -438,22 +438,18 @@ func (d *directory) find(vpn uint64) (*dirEntry, bool) {
 
 // walk visits every entry with lo <= vpn <= hi, and the node whose table it
 // is in, in a deterministic order: host by host, ascending VPN within a
-// table. A table's entries in range are snapshotted when the walk reaches
-// it, so fn may move the entry it is handed to another table.
+// table. A table's keys in range are snapshotted when the walk reaches it,
+// so fn may move or remove the entry it is handed.
 func (d *directory) walk(lo, hi uint64, fn func(host int, vpn uint64, de *dirEntry) bool) {
-	type slot struct {
-		vpn uint64
-		de  *dirEntry
-	}
-	var snap []slot
+	var vpns []uint64
 	for _, h := range d.hosts {
-		snap = snap[:0]
-		d.tables[h].ForRange(lo, hi, func(vpn uint64, de *dirEntry) bool {
-			snap = append(snap, slot{vpn, de})
+		vpns = vpns[:0]
+		d.tables[h].ForRange(lo, hi, func(vpn uint64, _ *dirEntry) bool {
+			vpns = append(vpns, vpn)
 			return true
 		})
-		for _, s := range snap {
-			if !fn(h, s.vpn, s.de) {
+		for _, vpn := range vpns {
+			if de, ok := d.tables[h].Get(vpn); ok && !fn(h, vpn, de) {
 				return
 			}
 		}
@@ -655,11 +651,7 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 		if lost {
 			lostArg = 1
 		}
-		rec := m.rec.OnLane(target)
-		rec.SpanAt("dsm", m.rehomeSpan, target, -1, m.view(target).Now(), 0,
-			obs.Hex("vpn", vpn),
-			obs.Int("dead", int64(dead)),
-			obs.Int("lost", lostArg))
+		m.mark(target, m.rehomeSpan, vpn, obs.Int("dead", int64(dead)), obs.Int("lost", lostArg))
 	}
 	return lost
 }
@@ -702,25 +694,17 @@ func (m *Manager) repairRoutes(dead int, rebuilt routes) {
 // busy, which it reports instead. Along with the entries go every node's
 // routes in the range and the mappings of the nodes that host a table.
 func (m *Manager) dropRange(lo, hi uint64) (busyVPN uint64, busy bool) {
-	type slot struct {
-		host int
-		vpn  uint64
-	}
-	var victims []slot
-	m.dir.walk(lo, hi, func(host int, vpn uint64, de *dirEntry) bool {
-		if busy = de.busy(); busy {
-			busyVPN = vpn
-			return false
-		}
-		victims = append(victims, slot{host, vpn})
-		return true
+	m.dir.walk(lo, hi, func(_ int, vpn uint64, de *dirEntry) bool {
+		busyVPN, busy = vpn, de.busy()
+		return !busy
 	})
 	if busy {
 		return busyVPN, true
 	}
-	for _, v := range victims {
-		m.dir.remove(v.host, v.vpn)
-	}
+	m.dir.walk(lo, hi, func(host int, vpn uint64, _ *dirEntry) bool {
+		m.dir.remove(host, vpn)
+		return true
+	})
 	for _, ns := range m.nodes {
 		ns.routes.dropRange(lo, hi)
 	}
@@ -778,32 +762,22 @@ func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
 func (m *Manager) checkRoutes() error {
 	for n, ns := range m.nodes {
 		for _, vpn := range slices.Sorted(maps.Keys(ns.routes)) {
-			cur := n
-			ok := false
-			for step := 0; step <= len(m.nodes); step++ {
-				if m.dead(cur) {
-					ok = true // settled by the pending dead-node reclaim
-					break
-				}
-				if _, hosted := m.dir.get(cur, vpn); hosted {
-					ok = true
-					break
-				}
+			for cur, step := n, 0; !m.dead(cur); step++ { // a dead node's chains are settled by its reclaim
+				_, hosted := m.dir.get(cur, vpn)
 				next := m.requestTarget(cur, vpn)
-				if next == cur && m.nodes[cur].routes.at(vpn).home < 0 {
-					// Unrouted anchor without an entry: the page was
-					// reclaimed or never materialized; the walk would
-					// first-touch here.
-					ok = true
+				if hosted || next == cur && m.nodes[cur].routes.at(vpn).home < 0 {
+					// At the entry — or at an unrouted anchor without one: the
+					// page was reclaimed or never materialized, and the walk
+					// would first-touch here.
 					break
 				}
 				if next == cur {
 					return fmt.Errorf("dsm: vpn %#x route at node %d points at itself", vpn, cur)
 				}
+				if step == len(m.nodes) {
+					return fmt.Errorf("dsm: vpn %#x forwarding chain from node %d does not terminate", vpn, n)
+				}
 				cur = next
-			}
-			if !ok {
-				return fmt.Errorf("dsm: vpn %#x forwarding chain from node %d does not terminate", vpn, n)
 			}
 		}
 	}

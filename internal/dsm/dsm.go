@@ -304,9 +304,6 @@ func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }
 // across all nodes (the sampler's in-flight gauge).
 func (m *Manager) InFlightFaults() int { return m.inflight }
 
-// Origin returns the origin node of the process.
-func (m *Manager) Origin() int { return m.origin }
-
 // Protocol returns the coherence policy this manager runs.
 func (m *Manager) Protocol() Protocol { return m.params.Protocol }
 
@@ -513,12 +510,9 @@ func (m *Manager) RestorePage(vpn uint64, data []byte) bool {
 	if !ok {
 		return false
 	}
-	pte := m.nodes[de.home].pt.Lookup(vpn)
-	if pte == nil || !pte.Present {
-		return false
-	}
-	copy(pte.Frame, data)
-	return true
+	frame := m.presentFrame(de.home, vpn)
+	copy(frame, data)
+	return frame != nil
 }
 
 // DropDirectoryRange removes all ownership state for pages lo..hi

@@ -162,14 +162,14 @@ func (e *engine) init(m *Manager) {
 // dead reports whether node n is confirmed dead (without an injector none is).
 func (m *Manager) dead(n int) bool { return m.chaos != nil && m.chaos.NodeDead(n) }
 
-// dedupSpan records an instant marker for a duplicate that was answered from
-// retained dedup state, on the lane the duplicate was delivered to.
-func (m *Manager) dedupSpan(lane int, name string, vpn uint64) {
+// mark records an instant span about vpn through lane's recorder view, and so
+// by that lane's clock. A caller with args to build checks m.rec first.
+func (m *Manager) mark(lane int, name string, vpn uint64, args ...obs.Arg) {
 	if m.rec == nil {
 		return
 	}
 	rec := m.rec.OnLane(lane)
-	rec.SpanAt("dsm", name, lane, -1, rec.Now(), 0, obs.Hex("vpn", vpn))
+	rec.SpanAt("dsm", name, lane, -1, rec.Now(), 0, append([]obs.Arg{obs.Hex("vpn", vpn)}, args...)...)
 }
 
 // nextSeq allocates from one of node's private counters (request tokens,
@@ -392,7 +392,7 @@ func (e *engine) redeliverServe(st *serveState) {
 	m.stats.Retransmits++
 	// Duplicates are delivered at the node that served the original (always
 	// the origin under WriteInvalidate; HomeMigrate runs serialized).
-	m.dedupSpan(st.home, "dedup.reserve", st.req.vpn)
+	m.mark(st.home, "dedup.reserve", st.req.vpn)
 	e.replyAfter("dsm-resend", st.home, st.req.node, &st.reply)
 }
 
@@ -638,7 +638,7 @@ func (m *Manager) sendRevokeAck(t *sim.Task, node int, msg *revokeMsg, data []by
 func (e *engine) resendRevokeAck(node int, msg *revokeMsg, prev *appliedRevoke) {
 	m := e.m
 	m.stats.Retransmits++
-	m.dedupSpan(node, "dedup.reack", msg.vpn)
+	m.mark(node, "dedup.reack", msg.vpn)
 	m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
 		t.Sleep(m.params.InvalidateApply)
 		m.sendRevokeAck(t, node, msg, prev.data)

@@ -210,10 +210,7 @@ func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
 	m.stats.ChainHints++
 	if m.rec != nil {
 		// Applied in event context on the hinted node's lane.
-		rec := m.rec.OnLane(node)
-		rec.SpanAt("dsm", "dist.compress", node, -1, rec.Now(), 0,
-			obs.Hex("vpn", msg.vpn),
-			obs.Int("home", int64(msg.home)))
+		m.mark(node, "dist.compress", msg.vpn, obs.Int("home", int64(msg.home)))
 	}
 }
 

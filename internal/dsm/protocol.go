@@ -95,16 +95,6 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
-// ProtocolNames lists every name ParseProtocol accepts: the short CLI name
-// and the long name of each registered policy, in registry order.
-func ProtocolNames() []string {
-	names := make([]string, 0, 2*len(protocolRegistry))
-	for _, pi := range protocolRegistry {
-		names = append(names, pi.name, pi.long)
-	}
-	return names
-}
-
 // ProtocolHelp renders the -protocol flag help text from the registry, so
 // every command's usage string stays in sync with the policies that exist.
 func ProtocolHelp() string {
@@ -296,11 +286,7 @@ func (m *Manager) failover(node int, vpn uint64, dead int, mode string) int {
 	m.policy.learnHome(node, vpn, fb, 0)
 	m.stats.HomeFailovers++
 	if m.rec != nil {
-		rec := m.rec.OnLane(node)
-		rec.SpanAt("dsm", "hm.failover", node, -1, rec.Now(), 0,
-			obs.Hex("vpn", vpn),
-			obs.Int("dead", int64(dead)),
-			obs.String("mode", mode))
+		m.mark(node, "hm.failover", vpn, obs.Int("dead", int64(dead)), obs.String("mode", mode))
 	}
 	return fb
 }
@@ -485,11 +471,7 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 		if m.rec != nil {
 			// Recorded on the bouncing node's lane (where the stale-routed
 			// request was delivered).
-			rec := m.rec.OnLane(node)
-			rec.SpanAt("dsm", m.redirectSpan, node, -1, rec.Now(), 0,
-				obs.Hex("vpn", req.vpn),
-				obs.Int("from", int64(req.node)),
-				obs.Int("home", int64(r.home)))
+			m.mark(node, m.redirectSpan, req.vpn, obs.Int("from", int64(req.node)), obs.Int("home", int64(r.home)))
 		}
 		m.e.replyAfter("dsm-redirect", node, req.node, reply)
 	}
@@ -807,10 +789,7 @@ func (p *sharded) route(node int, req *pageRequest) routing {
 		if m.rec != nil {
 			// The lookup resolved at this shard; the serve span that follows
 			// covers the transaction itself.
-			rec := m.rec.OnLane(node)
-			rec.SpanAt("dsm", "dist.lookup", node, -1, rec.Now(), 0,
-				obs.Hex("vpn", req.vpn),
-				obs.Int("from", int64(req.node)))
+			m.mark(node, "dist.lookup", req.vpn, obs.Int("from", int64(req.node)))
 		}
 		return routing{home: node}
 	case r.home >= 0:

@@ -40,9 +40,9 @@ func TestParseProtocol(t *testing.T) {
 // are derived from the same registry that ParseProtocol consults, so every
 // advertised name must round-trip and the help must mention each of them.
 func TestProtocolRegistryDrivesHelp(t *testing.T) {
-	names := ProtocolNames()
-	if len(names) < 6 { // three protocols, short and long name each
-		t.Fatalf("ProtocolNames() = %v; expected both spellings of all three protocols", names)
+	var names []string // three protocols, short and long name each
+	for _, pi := range protocolRegistry {
+		names = append(names, pi.name, pi.long)
 	}
 	help := ProtocolHelp()
 	for _, name := range names {
