@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
+.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
 
 all: check
 
@@ -29,19 +29,27 @@ lint: vet
 race:
 	$(GO) test -race ./...
 
-# check is the gate CI runs: build, vet, plain tests, then the race run.
-check: build vet test race
+# check is the gate CI runs: build, vet, plain tests, the race run, and no
+# tracked file over 1 MB (a built binary once rode in with a commit).
+check: build vet test race no-large-files
+
+no-large-files:
+	@big=$$(git ls-files -z | xargs -0 ls -l 2>/dev/null | awk '$$5 > 1048576 { print $$5, $$NF }'); \
+	if [ -n "$$big" ]; then echo "tracked files over 1 MB:"; echo "$$big"; exit 1; fi
 
 # loc prints the sizes every PR reports: lines of non-test Go outside
 # benchmark/ as wc -l counts them, and those that are neither blank nor only
 # a // comment; then the same two for internal/dsm alone, which the ROADMAP
-# states its bar for.
+# states its bar for, and the number of places there that ask the directory
+# which placement it has (`laneOwned`, the successor of `sharded()`).
 loc:
 	@for d in . internal/dsm; do \
 		find $$d -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | \
 		awk -v d=$$d '{ n++ } !/^[[:space:]]*(\/\/.*)?$$/ { code++ } END { if (d == ".") d = "outside benchmark/"; \
 			printf "non-test Go %s: %d lines (wc -l), %d without blank and comment lines\n", d, n, code }'; \
 	done
+	@printf "layout tests in non-test internal/dsm: %d\n" \
+		$$(grep -h 'if .*dir\.laneOwned' $$(ls internal/dsm/*.go | grep -v _test.go) | wc -l)
 
 # bench runs the Go benchmarks, then the repository benchmark (six
 # workloads end to end plus the per-layer probes; benchmark/README.md).
