@@ -41,7 +41,7 @@ no-large-files:
 # benchmark/ as wc -l counts them, and those that are neither blank nor only
 # a // comment; then the same two for internal/dsm alone, which the ROADMAP
 # states its bar for, and the number of places there that ask the directory
-# which placement it has (`laneOwned`, the successor of `sharded()`).
+# which placement it has (`laneOwned`).
 loc:
 	@for d in . internal/dsm; do \
 		find $$d -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | \

@@ -746,7 +746,7 @@ func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
 			de.epoch = 1
 			rt.clear(vpn, de.epoch)
 		case !m.dead(de.home):
-			rt.point(vpn, de.home, max(de.epoch, rt.at(vpn).epoch))
+			rt.point(vpn, de.home, max(de.epoch, rt[vpn].epoch))
 		}
 	})
 }

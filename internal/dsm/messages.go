@@ -257,7 +257,7 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		// requester one hop down the forwarding chain, stamped with the epoch
 		// this shard learned its route at.
 		target := m.requestTarget(home, req.vpn)
-		epoch := m.nodes[home].routes.at(req.vpn).epoch
+		epoch := m.nodes[home].routes[req.vpn].epoch
 		if target == home {
 			target, epoch = m.liveAnchor(req.vpn), 0
 		}

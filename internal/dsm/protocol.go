@@ -811,7 +811,7 @@ func (p *sharded) route(node int, req *pageRequest) routing {
 func (p *sharded) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 	m := p.m
 	rt := m.nodes[node].routes
-	if cur := rt.at(vpn); epoch < cur.epoch {
+	if epoch < rt[vpn].epoch {
 		if tgt := m.requestTarget(node, vpn); tgt != node && !m.dead(tgt) {
 			return false
 		}

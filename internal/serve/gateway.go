@@ -31,7 +31,7 @@ type ring struct {
 	stable uint64
 	// reqs are the published request images of in-flight slots, indexed
 	// by (seq-1) % slots, re-written verbatim when a crash loses them.
-	reqs [][reqBytes]byte
+	reqs [ringSlots][reqBytes]byte
 	// lastRepair rate-limits crash-repair scans.
 	lastRepair time.Duration
 }
@@ -69,7 +69,7 @@ func newGateway(lay *layout, id int, spec load.TenantSpec, sched []load.Request,
 		expect: map[uint64]uint64{},
 	}
 	for s := 0; s < lay.shards; s++ {
-		gw.rings = append(gw.rings, &ring{next: 1, harvest: 1, reqs: make([][reqBytes]byte, ringSlots)})
+		gw.rings = append(gw.rings, &ring{next: 1, harvest: 1})
 	}
 	return gw
 }
