@@ -258,6 +258,28 @@ func TestReportTLBPerNode(t *testing.T) {
 	}
 }
 
+// TestSamplePeriodConfigurable: the two sample periods a recorder can have —
+// DefaultSamplePeriod on a full one, none on a fault recorder — differ in the
+// samples taken and in nothing the simulation reports.
+func TestSamplePeriodConfigurable(t *testing.T) {
+	run := func(rec *Recorder) (Report, int) {
+		cluster := NewCluster(2, WithSeed(13), WithObserver(rec))
+		rep, err := cluster.Run(obsWorkload(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, rec.Samples()
+	}
+	repSampled, sampled := run(NewRecorder())
+	repPlain, plain := run(NewFaultRecorder())
+	if sampled == 0 || plain != 0 {
+		t.Fatalf("samples: %d at the default period, %d with none", sampled, plain)
+	}
+	if !reflect.DeepEqual(repSampled, repPlain) {
+		t.Fatalf("sampling changed the simulation:\n%+v\n%+v", repSampled, repPlain)
+	}
+}
+
 func ExampleRecorder() {
 	rec := NewRecorder()
 	cluster := NewCluster(2, WithObserver(rec))
