@@ -61,9 +61,7 @@ func (m *Machine) crashNode(node int) {
 		p.killNodeTasks(node)
 	}
 	if rec := m.params.Obs; rec != nil {
-		// Crash execution is a plan-scheduled global-lane event.
-		gl := rec.OnLane(sim.GlobalLane)
-		gl.SpanAt("chaos", "node.crash", node, -1, m.eng.Now(), 0)
+		rec.SpanAt("chaos", "node.crash", node, -1, m.eng.Now(), 0)
 	}
 }
 
@@ -150,9 +148,7 @@ func (p *Process) leaseTick() {
 		p.leaseSuspects++
 		p.lastSeen[node] = now
 		if rec := p.m.params.Obs; rec != nil {
-			// The lease tick is a global-lane event.
-			gl := rec.OnLane(sim.GlobalLane)
-			gl.SpanAt("chaos", "lease.suspect", node, -1, now, 0)
+			rec.SpanAt("chaos", "lease.suspect", node, -1, now, 0)
 		}
 	}
 	var targets []int
@@ -265,8 +261,7 @@ func (p *Process) declareNodeDead(node int) {
 		}
 	}
 	if rec := p.m.params.Obs; rec != nil {
-		// declareNodeDead commits on the global lane.
-		rec.OnLane(sim.GlobalLane).SpanAt("chaos", "node.dead", node, -1, p.m.eng.Now(), 0)
+		rec.SpanAt("chaos", "node.dead", node, -1, p.m.eng.Now(), 0)
 	}
 	if p.liveCount == 0 {
 		p.finishedAt = p.m.eng.Now()
@@ -293,8 +288,7 @@ func (p *Process) restartThread(th *Thread) {
 	})
 	th.task.SetDetail(fmt.Sprintf("node %d", p.origin))
 	if rec := p.m.params.Obs; rec != nil {
-		// restartThread runs from declareNodeDead's global-lane context.
-		rec.OnLane(sim.GlobalLane).SpanAt("chaos", "thread.restart", p.origin, th.id, p.m.eng.Now(), 0)
+		rec.SpanAt("chaos", "thread.restart", p.origin, th.id, p.m.eng.Now(), 0)
 	}
 }
 

@@ -174,7 +174,7 @@ func NewMachine(params Params) *Machine {
 	// The serialization clamp. HomeMigrate serves page requests (mutating
 	// entries of the shared directory tree) at arbitrary nodes; it needs
 	// every window in global event order, so its lanes are not independent.
-	// The observability recorder stamps what it records with the recording
+	// The observability recorder stamps what it records with the executing
 	// lane's clock and index and does not clamp. DistributedManager does not
 	// either: its directory is sharded into per-node tables that only their
 	// own lane (or the global lane) mutates, so shards serve independently.
@@ -188,14 +188,7 @@ func NewMachine(params Params) *Machine {
 		nodes:  make([]*Node, params.Nodes),
 	}
 	if rec := params.Obs; rec != nil {
-		// Give the recorder a view per lane, bound to its lane's clock; every
-		// instrumentation site then records through the view of the lane its
-		// event executes on.
-		rec.ConfigureLanes(params.Nodes)
-		rec.SetLaneClock(sim.GlobalLane, eng.Now)
-		for i := 0; i < params.Nodes; i++ {
-			rec.SetLaneClock(i, eng.LaneView(i).Now)
-		}
+		rec.Bind(eng)
 		m.net.SetRecorder(rec)
 		// Scheduler telemetry gauges, sampled with all other gauges by the
 		// engine's window sampler — the one periodic observation point that
@@ -233,9 +226,7 @@ func NewMachine(params Params) *Machine {
 		m.nodes[i] = &Node{
 			id:    i,
 			cores: sim.NewSemaphore(fmt.Sprintf("cores@%d", i), params.CoresPerNode),
-			// The bus is node-local state touched on every Compute/Work call,
-			// so it must observe the node lane's clock, not the root view's
-			// (which is stale while a lane executes its own window).
+			// The bus releases itself with an event on its node's lane.
 			bus: sim.NewBus(eng.LaneView(i), fmt.Sprintf("membus@%d", i), params.MemBandwidth),
 		}
 		m.nodes[i].bus.SetCongestion(params.BusCongestion)

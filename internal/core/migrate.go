@@ -115,8 +115,6 @@ func (th *Thread) migrateForward(to int) error {
 	p.commitMigration(th.task, mg.record)
 
 	if rec := p.m.params.Obs; rec != nil {
-		// Recording happens after the resume commit, on the destination lane.
-		rec = rec.OnLane(to)
 		from := mg.record.From
 		end := start + mg.record.Total
 		first := "false"
@@ -223,8 +221,6 @@ func (th *Thread) migrateBackward() {
 	p.commitMigration(th.task, record)
 
 	if rec := p.m.params.Obs; rec != nil {
-		// The thread has resumed at the origin; record on its lane.
-		rec = rec.OnLane(p.origin)
 		rec.SpanAt("core", "migrate.backward", from, th.id, start, record.Total,
 			obs.Int("to", int64(p.origin)))
 		rec.Observe("migrate.backward", record.Total)

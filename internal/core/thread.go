@@ -105,8 +105,8 @@ func (th *Thread) SleepUntil(at time.Duration) {
 	}
 }
 
-// EmitSpan records an application-level span on the thread's current node
-// lane, closing at the current virtual time, and feeds the same latency
+// EmitSpan records an application-level span at the thread's current node,
+// closing at the current virtual time, and feeds the same latency
 // into the recorder's histogram under name. It is a no-op without an
 // observer, and never perturbs the simulation either way — application
 // code can emit spans unconditionally.
@@ -115,9 +115,8 @@ func (th *Thread) EmitSpan(cat, name string, start time.Duration, args ...obs.Ar
 	if rec == nil {
 		return
 	}
-	lr := rec.OnLane(th.node)
-	lr.Span(cat, name, th.node, th.id, start, args...)
-	lr.Observe(name, th.task.Now()-start)
+	rec.Span(cat, name, th.node, th.id, start, args...)
+	rec.Observe(name, th.task.Now()-start)
 }
 
 // SetSite tags subsequent faults with a source-location label for the
@@ -212,9 +211,8 @@ func (th *Thread) Checkpoint(data []byte) error {
 		th.proc.m.nodes[th.node].bus.Transfer(th.task, len(snap)*mem.PageSize)
 	}
 	if rec := th.proc.m.params.Obs; rec != nil {
-		// The snapshot runs on the checkpointing thread's lane; the span
-		// covers the resident-set copy including its bus transfer.
-		rec.OnLane(th.node).Span("chaos", "checkpoint", th.node, th.id, start,
+		// The span covers the resident-set copy including its bus transfer.
+		rec.Span("chaos", "checkpoint", th.node, th.id, start,
 			obs.Int("pages", int64(len(snap))))
 	}
 	return nil

@@ -646,7 +646,6 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 		m.stats.DirRebuilt++
 	}
 	if m.rec != nil {
-		// Recorded on the lane the page lands on.
 		lostArg := int64(0)
 		if lost {
 			lostArg = 1

@@ -388,8 +388,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 			t.ParkOn(sim.ReasonHex("fault follower ", uint64(addr)))
 			t.Sleep(m.params.FollowerWake)
 			if m.rec != nil {
-				// Follower wakeups run on the faulting node's lane.
-				m.rec.OnLane(ctx.Node).Span("dsm", "fault.follower", ctx.Node, ctx.Task, parkedAt,
+				m.rec.Span("dsm", "fault.follower", ctx.Node, ctx.Task, parkedAt,
 					obs.Hex("vpn", vpn))
 			}
 			continue

@@ -25,7 +25,7 @@ func newEnvSeed(t *testing.T, nodes int, params Params, rec *obs.Recorder, seed 
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	net := fabric.New(eng, fabric.DefaultParams(nodes))
-	rec.SetClock(eng.Now)
+	rec.Bind(eng)
 	m := New(eng, net, params, 1, 0, nodes, rec)
 	for i := 0; i < nodes; i++ {
 		node := i

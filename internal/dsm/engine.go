@@ -162,14 +162,13 @@ func (e *engine) init(m *Manager) {
 // dead reports whether node n is confirmed dead (without an injector none is).
 func (m *Manager) dead(n int) bool { return m.chaos != nil && m.chaos.NodeDead(n) }
 
-// mark records an instant span about vpn through lane's recorder view, and so
-// by that lane's clock. A caller with args to build checks m.rec first.
-func (m *Manager) mark(lane int, name string, vpn uint64, args ...obs.Arg) {
+// mark records an instant span about vpn at node. A caller with args to build
+// checks m.rec first.
+func (m *Manager) mark(node int, name string, vpn uint64, args ...obs.Arg) {
 	if m.rec == nil {
 		return
 	}
-	rec := m.rec.OnLane(lane)
-	rec.SpanAt("dsm", name, lane, -1, rec.Now(), 0, append([]obs.Arg{obs.Hex("vpn", vpn)}, args...)...)
+	m.rec.SpanAt("dsm", name, node, -1, m.rec.Now(), 0, append([]obs.Arg{obs.Hex("vpn", vpn)}, args...)...)
 }
 
 // nextSeq allocates from one of node's private counters (request tokens,
@@ -180,7 +179,7 @@ func nextSeq(node int, ctr *uint64) uint64 {
 	return uint64(node)<<tokenNodeShift | *ctr
 }
 
-// await is the one wait loop: it parks t, on lane, until w is acknowledged.
+// await is the one wait loop: it parks t, at node, until w is acknowledged.
 // Without an injector that is all (a zero timeout parks without a timer).
 // With one, the message or its ack may have been lost: each time the retry
 // timeout expires it asks giveUp whether a peer's death has made the wait
@@ -188,7 +187,7 @@ func nextSeq(node int, ctr *uint64) uint64 {
 // re-sends — every protocol message is idempotent — counts the retransmission,
 // records its span over the expired window (kind names the message) and
 // doubles the timeout up to RetryTimeoutMax.
-func (e *engine) await(t *sim.Task, w *waiter, why sim.Reason, lane int, kind string, giveUp func() bool, resend func()) {
+func (e *engine) await(t *sim.Task, w *waiter, why sim.Reason, node int, kind string, giveUp func() bool, resend func()) {
 	m := e.m
 	var rto time.Duration
 	if m.chaos != nil {
@@ -206,8 +205,7 @@ func (e *engine) await(t *sim.Task, w *waiter, why sim.Reason, lane int, kind st
 		m.stats.Retransmits++
 		attempt++
 		if m.rec != nil {
-			rec := m.rec.OnLane(lane)
-			rec.SpanAt("dsm", "retransmit", lane, -1, rec.Now()-rto, rto,
+			m.rec.SpanAt("dsm", "retransmit", node, -1, m.rec.Now()-rto, rto,
 				obs.String("kind", kind),
 				obs.Int("attempt", int64(attempt)),
 				obs.String("backoff", rto.String()))

@@ -232,10 +232,9 @@ func (m *Manager) servePageRequest(t *sim.Task, st *serveState) {
 		if req.write {
 			kind = "write"
 		}
-		// The serve task runs on the serving home's lane; the span runs from
-		// dispatch to the point the directory entry is released (or the request
-		// is bounced).
-		m.rec.OnLane(home).Span("dsm", "origin.serve", home, -1, serveAt,
+		// From dispatch to the point the directory entry is released (or the
+		// request is bounced).
+		m.rec.Span("dsm", "origin.serve", home, -1, serveAt,
 			obs.Hex("vpn", req.vpn),
 			obs.String("kind", kind),
 			obs.Int("from", int64(req.node)),
@@ -409,8 +408,7 @@ func (m *Manager) applyRevokeAdmitted(node int, msg *revokeMsg) {
 			if msg.downgrade {
 				mode = "downgrade"
 			}
-			// The apply task runs on the revoked node's lane.
-			m.rec.OnLane(node).Span("dsm", "revoke.apply", node, -1, applyAt,
+			m.rec.Span("dsm", "revoke.apply", node, -1, applyAt,
 				obs.Hex("vpn", msg.vpn),
 				obs.String("mode", mode))
 		}

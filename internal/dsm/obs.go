@@ -13,28 +13,26 @@ import (
 
 var faultKinds = map[string]Kind{obs.FaultRead: KindRead, obs.FaultWrite: KindWrite, obs.Invalidate: KindInvalidate}
 
-// emitFault records ev as completing now at ev.Node: through that node's
-// recorder view and so by that lane's clock — the root engine's is stale while
-// a lane runs its own window. A fault is a span
-// from trap entry to PTE install plus a latency observation under the same
-// name; an invalidation is an instant.
+// emitFault records ev as completing now at ev.Node. A fault is a span from
+// trap entry to PTE install plus a latency observation under the same name; an
+// invalidation is an instant.
 func (m *Manager) emitFault(ev FaultEvent) {
-	if m.rec == nil {
+	rec := m.rec
+	if rec == nil {
 		return
 	}
-	lr := m.rec.OnLane(ev.Node)
 	addr := obs.Hex("addr", uint64(ev.Addr))
 	if ev.Kind == KindInvalidate {
-		lr.SpanAt("dsm", obs.Invalidate, ev.Node, ev.Task, lr.Now(), 0, addr)
+		rec.SpanAt("dsm", obs.Invalidate, ev.Node, ev.Task, rec.Now(), 0, addr)
 		return
 	}
 	name := obs.FaultRead
 	if ev.Kind == KindWrite {
 		name = obs.FaultWrite
 	}
-	lr.SpanAt("dsm", name, ev.Node, ev.Task, lr.Now()-ev.Latency, ev.Latency,
+	rec.SpanAt("dsm", name, ev.Node, ev.Task, rec.Now()-ev.Latency, ev.Latency,
 		addr, obs.Int("retries", int64(ev.Retries)), obs.String("site", ev.Site))
-	lr.Observe(name, ev.Latency)
+	rec.Observe(name, ev.Latency)
 }
 
 // emitInvalidate records an invalidation applied at node.

@@ -8,6 +8,12 @@ import (
 	"dex/internal/obs"
 )
 
+// handClock is a simulation between events whose clock the test sets.
+type handClock struct{ now time.Duration }
+
+func (c *handClock) Now() time.Duration { return c.now }
+func (*handClock) ExecutingLane() int   { return -1 }
+
 // TestFaultSpanRoundTrip: FaultFromSpan gives back exactly the event
 // emitFault wrote, at the edges of every field, from a full recorder and a
 // fault recorder alike, and turns down every span that is not fault-level.
@@ -21,11 +27,12 @@ func TestFaultSpanRoundTrip(t *testing.T) {
 		{Time: 80 * time.Microsecond, Node: 2, Task: -1, Kind: KindInvalidate, Addr: 1 << 63},
 	}
 	for _, rec := range []*obs.Recorder{obs.NewRecorder(), obs.NewFaultRecorder()} {
-		var now time.Duration
-		rec.SetClock(func() time.Duration { return now })
+		var clock handClock
+		rec.Bind(&clock)
 		m := &Manager{rec: rec}
 		for _, ev := range events {
-			now = ev.Time
+			now := ev.Time
+			clock.now = now
 			m.emitFault(ev)
 			// Interior, foreign and malformed spans: none may decode.
 			rec.SpanAt("dsm", "fault.follower", ev.Node, ev.Task, now, 0, obs.Hex("vpn", 1))

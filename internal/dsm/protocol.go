@@ -333,8 +333,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		req := m.e.request(t, node, target, vpn, write, pr)
 		rep := &req.reply
 		if m.rec != nil {
-			// requestFault runs on the faulting node's lane.
-			m.rec.OnLane(node).Span("dsm", "fault.request", node, ctx.Task, reqAt,
+			m.rec.Span("dsm", "fault.request", node, ctx.Task, reqAt,
 				obs.Hex("vpn", vpn),
 				obs.Int("attempt", int64(attempt)),
 				obs.String("outcome", rep.outcome.String()))
@@ -388,7 +387,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			claimAt := t.Now()
 			frame = pr.Claim(t)
 			if m.rec != nil {
-				m.rec.OnLane(node).Span("dsm", "fault.transfer", node, ctx.Task, claimAt,
+				m.rec.Span("dsm", "fault.transfer", node, ctx.Task, claimAt,
 					obs.Hex("vpn", vpn))
 			}
 		} else {
@@ -409,7 +408,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			m.freeFrame(node, prev)
 		}
 		if m.rec != nil {
-			m.rec.OnLane(node).Span("dsm", "fault.install", node, ctx.Task, installAt,
+			m.rec.Span("dsm", "fault.install", node, ctx.Task, installAt,
 				obs.Hex("vpn", vpn))
 		}
 		// A successful grant pins down where the page's home is right now:
@@ -599,8 +598,7 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 		if downgrade {
 			mode = "downgrade"
 		}
-		// fetchFromWriter always executes on the home's serve lane.
-		m.rec.OnLane(home).Span("dsm", "hm.pull", home, -1, pullAt,
+		m.rec.Span("dsm", "hm.pull", home, -1, pullAt,
 			obs.Hex("vpn", vpn),
 			obs.Int("writer", int64(w)),
 			obs.String("mode", mode))

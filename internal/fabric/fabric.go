@@ -395,9 +395,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	releaseSendChunks(sv, c, chunks, serDone)
 	if v.Drop {
 		if n.rec != nil {
-			// Chaos verdict spans record on the sending context's lane — the
-			// lane this event executes on.
-			n.rec.OnLane(sv.Lane()).SpanAt("chaos", "drop", dst, fabricLane+src, sv.Now(), 0,
+			n.rec.SpanAt("chaos", "drop", dst, fabricLane+src, sv.Now(), 0,
 				obs.Int("src", int64(src)), obs.Int("bytes", int64(m.Size())))
 		}
 		return
@@ -406,7 +404,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	n.deliver(sv, f, at)
 	if v.Dup {
 		if n.rec != nil {
-			n.rec.OnLane(sv.Lane()).SpanAt("chaos", "dup", dst, fabricLane+src, sv.Now(), 0,
+			n.rec.SpanAt("chaos", "dup", dst, fabricLane+src, sv.Now(), 0,
 				obs.Int("src", int64(src)))
 		}
 		n.deliver(sv, f.dup(), at)
@@ -556,7 +554,7 @@ func (n *Network) accept(f *flight) {
 	q := f.qp
 	c := q.conn
 	if n.rec != nil && f.stalled {
-		n.rec.OnLane(q.lane).SpanAt("fabric", "rnr.stall", c.dst, fabricLane+c.src, f.stallAt,
+		n.rec.SpanAt("fabric", "rnr.stall", c.dst, fabricLane+c.src, f.stallAt,
 			q.view.Now()-f.stallAt, obs.Int("src", int64(c.src)))
 	}
 	if f.data != nil {
@@ -574,10 +572,9 @@ func (n *Network) accept(f *flight) {
 func (n *Network) span(f *flight) {
 	if n.rec != nil {
 		q := f.qp
-		rec := n.rec.OnLane(q.lane)
-		rec.Span("fabric", f.spanName(), q.conn.dst, fabricLane+q.conn.src, f.sentAt,
+		n.rec.Span("fabric", f.spanName(), q.conn.dst, fabricLane+q.conn.src, f.sentAt,
 			obs.Int("src", int64(q.conn.src)), obs.Int("bytes", int64(f.bytes)))
-		rec.Observe(f.spanName(), q.view.Now()-f.sentAt)
+		n.rec.Observe(f.spanName(), q.view.Now()-f.sentAt)
 	}
 }
 

@@ -11,14 +11,13 @@
 //   - Zero overhead when disabled. A nil *Recorder is a valid recorder whose
 //     methods do nothing; instrumentation points guard with a single
 //     `if rec != nil` branch.
-//   - Simulated clocks only. Every timestamp comes from the engine's virtual
-//     clock (bound per lane with SetLaneClock, or SetClock for use without
-//     lanes); wall time never enters the record, so traces are bit-for-bit
-//     reproducible for a fixed seed.
-//   - One buffer, lane views. A simulation runs on one goroutine, so spans
-//     and histograms live in one place; ConfigureLanes only adds a view per
-//     simulator lane, and OnLane returns the view for the lane an event
-//     executes on — it knows that lane's clock and index.
+//   - Simulated clocks only. Every timestamp comes from the virtual clock of
+//     the simulation the recorder is bound to (Bind); wall time never enters
+//     the record, so traces are bit-for-bit reproducible for a fixed seed.
+//   - One buffer, no views. A simulation runs on one goroutine, so spans and
+//     histograms live in one place, and the simulation says which lane's
+//     event is executing: a span is stamped with that lane and its clock
+//     wherever the call is written.
 //   - Deterministic export. Spans come out in (record time, lane, emission)
 //     order, which does not depend on the order the lanes of a window ran in;
 //     histograms use integer-only power-of-two bucketing, and the Perfetto
@@ -74,9 +73,8 @@ const (
 // End returns the span's end time.
 func (s Span) End() time.Duration { return s.Start + s.Dur }
 
-// spanRec is a recorded span plus its export key: the lane clock at
-// recording time (the executing event's timestamp) and the lane it was
-// recorded on.
+// spanRec is a recorded span plus its export key: the executing event's
+// timestamp and lane at recording time.
 type spanRec struct {
 	Span
 	at   time.Duration
@@ -100,10 +98,19 @@ type gauge struct {
 // DefaultSamplePeriod is the sampler tick of a full recorder.
 const DefaultSamplePeriod = 100 * time.Microsecond
 
-// recCore is the record shared by every lane view of one recorder.
-type recCore struct {
-	views        []*Recorder // [0] = global/default, [i+1] = node i
-	spans        []spanRec   // in emission order
+// Sim is what a recorder reads of the simulation it is bound to: the virtual
+// clock and the lane whose event is executing (negative for the global lane
+// and between events). *sim.Engine is one.
+type Sim interface {
+	Now() time.Duration
+	ExecutingLane() int
+}
+
+// Recorder accumulates spans, histograms, and samples for one simulated run.
+// A nil *Recorder is the disabled recorder: every method is a no-op.
+type Recorder struct {
+	sim          Sim       // nil until Bind: every span at time 0
+	spans        []spanRec // in emission order
 	hists        map[string]*Histogram
 	gauges       []gauge
 	samples      []sample
@@ -112,27 +119,10 @@ type recCore struct {
 	faultsOnly bool
 }
 
-// Recorder accumulates spans, histograms, and samples for one simulated run.
-// It is a lane-bound view over a shared record: NewRecorder returns the
-// global/default view, ConfigureLanes adds one per node, and OnLane selects
-// the view for the lane an event is executing on, which stamps what it
-// records with that lane's clock and index. A nil *Recorder is the disabled
-// recorder: every method is a no-op.
-type Recorder struct {
-	c     *recCore
-	lane  int // 0 = global/default, i+1 = node i
-	clock func() time.Duration
-}
-
-// NewRecorder returns an empty recorder (the global view, the only one until
-// ConfigureLanes is called). Bind it to a simulation with
-// SetLaneClock/SetClock before recording (the dex layer does this when the
-// cluster is built).
+// NewRecorder returns an empty recorder. Bind it to a simulation before
+// recording (core.NewMachine does, for the recorder in its Params).
 func NewRecorder() *Recorder {
-	c := &recCore{samplePeriod: DefaultSamplePeriod, hists: make(map[string]*Histogram)}
-	r := &Recorder{c: c}
-	c.views = []*Recorder{r}
-	return r
+	return &Recorder{samplePeriod: DefaultSamplePeriod, hists: make(map[string]*Histogram)}
 }
 
 // NewFaultRecorder returns a recorder that drops every span but the
@@ -141,67 +131,33 @@ func NewRecorder() *Recorder {
 // recorder's time and memory on a long run.
 func NewFaultRecorder() *Recorder {
 	r := NewRecorder()
-	r.c.samplePeriod, r.c.faultsOnly = 0, true
+	r.samplePeriod, r.faultsOnly = 0, true
 	return r
 }
 
-// ConfigureLanes adds a view per node lane of a simulation with nodes node
-// lanes: view 0 stays the global lane's and view i+1 becomes node i's. It
-// must be called before any per-lane recording and at most once.
-func (r *Recorder) ConfigureLanes(nodes int) {
+// Bind makes sim the source of every timestamp and lane the recorder stamps.
+func (r *Recorder) Bind(sim Sim) {
 	if r == nil {
 		return
 	}
-	c := r.c
-	if len(c.views) > 1 {
-		panic("obs: ConfigureLanes called twice")
-	}
-	for i := 0; i < nodes; i++ {
-		c.views = append(c.views, &Recorder{c: c, lane: i + 1})
-	}
+	r.sim = sim
 }
 
-// OnLane returns the recorder view bound to node's lane (negative for the
-// global lane). Instrumentation must record through the view of the lane the
-// current event executes on; an out-of-range node falls back to the global
-// view, so recorders without lanes keep working unchanged.
-func (r *Recorder) OnLane(node int) *Recorder {
-	if r == nil {
-		return nil
-	}
-	c := r.c
-	if node < 0 || node+1 >= len(c.views) {
-		return c.views[0]
-	}
-	return c.views[node+1]
-}
+// ConfigureLanes does nothing and OnLane returns its receiver: the recorder
+// has no lane views, the simulation it is bound to knows which lane is
+// executing. Both exist only because the frozen benchmark/probes/probes.go
+// calls them; they go when the benchmark is next unfrozen (ROADMAP item 2 (b)).
+func (r *Recorder) ConfigureLanes(int) {}
 
-// SetClock binds this view to the simulation's virtual clock. For a recorder
-// with lanes the dex layer binds every lane with SetLaneClock; users without
-// lanes bind just the default view here.
-func (r *Recorder) SetClock(now func() time.Duration) {
-	if r == nil {
-		return
-	}
-	r.clock = now
-}
+// OnLane returns r; see ConfigureLanes.
+func (r *Recorder) OnLane(int) *Recorder { return r }
 
-// SetLaneClock binds node's view (negative: the global view) to that lane's
-// clock, which reads the lane-local time while the lane executes a window.
-func (r *Recorder) SetLaneClock(node int, now func() time.Duration) {
-	if r == nil {
-		return
-	}
-	r.OnLane(node).SetClock(now)
-}
-
-// Now returns the current simulated time as seen by this view's lane, or 0
-// before a clock is bound.
+// Now returns the current simulated time, or 0 before the recorder is bound.
 func (r *Recorder) Now() time.Duration {
-	if r == nil || r.clock == nil {
+	if r == nil || r.sim == nil {
 		return 0
 	}
-	return r.clock()
+	return r.sim.Now()
 }
 
 // SamplePeriod returns the gauge sampling interval.
@@ -209,7 +165,7 @@ func (r *Recorder) SamplePeriod() time.Duration {
 	if r == nil {
 		return 0
 	}
-	return r.c.samplePeriod
+	return r.samplePeriod
 }
 
 // Span records a completed interval that started at start and ends now.
@@ -226,25 +182,24 @@ func (r *Recorder) SpanAt(cat, name string, node, task int, start, dur time.Dura
 	if r == nil {
 		return
 	}
-	if r.c.faultsOnly && name != FaultRead && name != FaultWrite && name != Invalidate {
+	if r.faultsOnly && name != FaultRead && name != FaultWrite && name != Invalidate {
 		return
 	}
-	if dur < 0 {
-		dur = 0
-	}
-	r.c.spans = append(r.c.spans, spanRec{
+	rec := spanRec{
 		Span: Span{
 			Cat:   cat,
 			Name:  name,
 			Node:  node,
 			Task:  task,
 			Start: start,
-			Dur:   dur,
+			Dur:   max(dur, 0),
 			Args:  args,
 		},
-		at:   r.Now(),
-		lane: r.lane,
-	})
+	}
+	if r.sim != nil {
+		rec.at, rec.lane = r.sim.Now(), r.sim.ExecutingLane()
+	}
+	r.spans = append(r.spans, rec)
 }
 
 // Spans returns the recorded spans in (record time, lane, emission) order.
@@ -252,10 +207,10 @@ func (r *Recorder) SpanAt(cat, name string, node, task int, start, dur time.Dura
 // within one lane is that lane's event order — properties of the simulated
 // schedule, not of the order in which the lanes of a window happened to run.
 func (r *Recorder) Spans() []Span {
-	if r == nil || len(r.c.spans) == 0 {
+	if r == nil || len(r.spans) == 0 {
 		return nil
 	}
-	recs := r.c.spans
+	recs := r.spans
 	order := make([]int, len(recs))
 	for i := range order {
 		order[i] = i
@@ -277,10 +232,10 @@ func (r *Recorder) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	h, ok := r.c.hists[name]
+	h, ok := r.hists[name]
 	if !ok {
 		h = &Histogram{Name: name}
-		r.c.hists[name] = h
+		r.hists[name] = h
 	}
 	h.Observe(d)
 }
@@ -291,16 +246,16 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.c.hists[name]
+	return r.hists[name]
 }
 
 // Histograms returns all histograms, sorted by name.
 func (r *Recorder) Histograms() []*Histogram {
-	if r == nil || len(r.c.hists) == 0 {
+	if r == nil || len(r.hists) == 0 {
 		return nil
 	}
-	out := make([]*Histogram, 0, len(r.c.hists))
-	for _, h := range r.c.hists {
+	out := make([]*Histogram, 0, len(r.hists))
+	for _, h := range r.hists {
 		out = append(out, h)
 	}
 	slices.SortFunc(out, func(a, b *Histogram) int { return cmp.Compare(a.Name, b.Name) })
@@ -312,7 +267,7 @@ func (r *Recorder) AddGauge(name string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.c.gauges = append(r.c.gauges, gauge{name: name, node: -1, fn: fn})
+	r.gauges = append(r.gauges, gauge{name: name, node: -1, fn: fn})
 }
 
 // AddNodeGauge registers a per-node gauge; its samples render on that node's
@@ -321,7 +276,7 @@ func (r *Recorder) AddNodeGauge(name string, node int, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.c.gauges = append(r.c.gauges, gauge{name: name, node: node, fn: fn})
+	r.gauges = append(r.gauges, gauge{name: name, node: node, fn: fn})
 }
 
 // SampleNowAt reads every registered gauge and appends one row per gauge to
@@ -331,9 +286,8 @@ func (r *Recorder) SampleNowAt(at time.Duration) {
 	if r == nil {
 		return
 	}
-	c := r.c
-	for i := range c.gauges {
-		c.samples = append(c.samples, sample{At: at, Gauge: i, Val: c.gauges[i].fn()})
+	for i := range r.gauges {
+		r.samples = append(r.samples, sample{At: at, Gauge: i, Val: r.gauges[i].fn()})
 	}
 }
 
@@ -342,5 +296,5 @@ func (r *Recorder) Samples() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.c.samples)
+	return len(r.samples)
 }

@@ -8,12 +8,21 @@ import (
 	"time"
 )
 
+// fakeSim is a simulation whose clock and executing lane a test sets by hand.
+type fakeSim struct {
+	now  time.Duration
+	lane int
+}
+
+func (f *fakeSim) Now() time.Duration { return f.now }
+func (f *fakeSim) ExecutingLane() int { return f.lane }
+
 // TestNilRecorderIsSafe exercises every method on the disabled (nil)
 // recorder: the zero-overhead-when-disabled contract is that none of them
 // panic or allocate state.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.SetClock(func() time.Duration { return 0 })
+	r.Bind(&fakeSim{})
 	if r.SamplePeriod() != 0 {
 		t.Fatal("nil recorder has a sample period")
 	}
@@ -27,9 +36,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.AddNodeGauge("g", 0, func() float64 { return 1 })
 	r.SampleNowAt(time.Microsecond)
 	r.ConfigureLanes(4)
-	r.SetLaneClock(2, func() time.Duration { return 0 })
 	if r.OnLane(2) != nil || r.OnLane(-1) != nil {
-		t.Fatal("nil recorder produced a lane view")
+		t.Fatal("OnLane of the nil recorder is not the nil recorder")
 	}
 	r.OnLane(0).Span("c", "n", 0, 0, 0)
 	if r.Spans() != nil || r.Histogram("h") != nil || r.Histograms() != nil || r.Samples() != 0 {
@@ -137,20 +145,20 @@ func TestHistogramQuantiles(t *testing.T) {
 // buildRecorder records a small fixed scene.
 func buildRecorder() *Recorder {
 	r := NewRecorder()
-	var now time.Duration
-	r.SetClock(func() time.Duration { return now })
+	sim := &fakeSim{lane: -1}
+	r.Bind(sim)
 	r.AddNodeGauge("resident_pages", 1, func() float64 { return 42 })
 	r.AddGauge("inflight", func() float64 { return 1.5 })
 
-	now = 10 * time.Microsecond
+	sim.now = 10 * time.Microsecond
 	r.SpanAt("dsm", "fault.read", 0, 3, 2*time.Microsecond, 8*time.Microsecond,
 		Hex("addr", 0x7f0000), Int("retries", 0), String("site", "app.go:12"))
 	r.Observe("fault.read", 8*time.Microsecond)
-	r.SampleNowAt(now)
-	now = 25 * time.Microsecond
+	r.SampleNowAt(sim.now)
+	sim.now = 25 * time.Microsecond
 	r.Span("fabric", "msg.small", 1, 1000, 20*time.Microsecond, Int("bytes", 64))
 	r.Observe("msg.small", 5*time.Microsecond)
-	r.SampleNowAt(now)
+	r.SampleNowAt(sim.now)
 	return r
 }
 
@@ -211,18 +219,18 @@ func TestWriteTraceDeterministicAndValid(t *testing.T) {
 // order the lanes ran in.
 func TestSpansExportInTimeLaneEmissionOrder(t *testing.T) {
 	r := NewRecorder()
-	r.ConfigureLanes(3)
-	now := 5 * time.Microsecond
-	for lane := -1; lane < 3; lane++ {
-		r.SetLaneClock(lane, func() time.Duration { return now })
+	sim := &fakeSim{now: 5 * time.Microsecond}
+	r.Bind(sim)
+	emit := func(lane int, name string) {
+		sim.lane = lane
+		r.SpanAt("c", name, lane, 0, 0, 0)
 	}
-	emit := func(lane int, name string) { r.OnLane(lane).SpanAt("c", name, lane, 0, 0, 0) }
 	emit(2, "lane2.a")
 	emit(2, "lane2.b")
 	emit(0, "lane0.a")
 	emit(-1, "global.a")
 	emit(0, "lane0.b")
-	now = 4 * time.Microsecond // lane 1 runs last but its clock is behind
+	sim.now = 4 * time.Microsecond // lane 1 runs last but its clock is behind
 	emit(1, "lane1.early")
 	var got []string
 	for _, s := range r.Spans() {

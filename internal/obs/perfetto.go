@@ -87,8 +87,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		}
 
 		// Gauge samples as counter events, already in time order.
-		for _, smp := range r.c.samples {
-			g := r.c.gauges[smp.Gauge]
+		for _, smp := range r.samples {
+			g := r.gauges[smp.Gauge]
 			pid := g.node
 			if pid < 0 {
 				pid = 0
@@ -124,7 +124,7 @@ func (r *Recorder) pidsInUse(spans []Span) []int {
 	for i := range spans {
 		seen[spans[i].Node] = true
 	}
-	for _, g := range r.c.gauges {
+	for _, g := range r.gauges {
 		if g.node >= 0 {
 			seen[g.node] = true
 		} else {
@@ -150,8 +150,8 @@ func (r *Recorder) WriteMetrics(w io.Writer) error {
 			h.Name, h.Count, h.Min, h.Mean(),
 			h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max)
 	}
-	if r != nil && len(r.c.samples) > 0 {
-		fmt.Fprintf(bw, "samples: %d gauge observations over %d series\n", len(r.c.samples), len(r.c.gauges))
+	if r != nil && len(r.samples) > 0 {
+		fmt.Fprintf(bw, "samples: %d gauge observations over %d series\n", len(r.samples), len(r.gauges))
 	}
 	return bw.Flush()
 }

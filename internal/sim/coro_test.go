@@ -115,7 +115,7 @@ func TestCoroutineReusedAfterFinishAndKill(t *testing.T) {
 		order = append(order, "last")
 	})
 	e.After(8500*time.Nanosecond, func() {
-		if n := len(e.ls().free); n != 0 {
+		if n := len(e.c.free); n != 0 {
 			t.Errorf("%d coroutines pooled while the only one is in use", n)
 		}
 	})
@@ -145,7 +145,7 @@ func TestKillBeforeStartTakesNoCoroutine(t *testing.T) {
 		if !victim.Done() {
 			t.Error("victim not discarded by its start event")
 		}
-		if n := len(e.ls().free); n != 0 {
+		if n := len(e.c.free); n != 0 {
 			t.Errorf("%d coroutines pooled, want none ever created", n)
 		}
 		if got := runtime.NumGoroutine(); got > before {
@@ -162,32 +162,32 @@ func TestKillBeforeStartTakesNoCoroutine(t *testing.T) {
 func TestPanickedCoroutineIsRetired(t *testing.T) {
 	e := NewEngine(1)
 	before := runtime.NumGoroutine()
-	l := e.ls()
-	l.resume(e.Spawn("ok", func(*Task) {}))
-	if len(l.free) != 1 {
-		t.Fatalf("%d coroutines pooled after a clean finish, want 1", len(l.free))
+	c := e.c
+	c.resume(e.Spawn("ok", func(*Task) {}))
+	if len(c.free) != 1 {
+		t.Fatalf("%d coroutines pooled after a clean finish, want 1", len(c.free))
 	}
 	bomb := e.Spawn("bomb", func(*Task) { panic("boom") })
-	l.resume(bomb)
+	c.resume(bomb)
 	if !bomb.Done() {
 		t.Fatal("panicked task not finished")
 	}
-	if err := e.c.failure; err == nil || !strings.Contains(err.Error(), `task "bomb" panicked: boom`) {
+	if err := c.failure; err == nil || !strings.Contains(err.Error(), `task "bomb" panicked: boom`) {
 		t.Fatalf("failure = %v, want it to name the task", err)
 	}
-	if len(l.free) != 0 {
-		t.Fatalf("%d coroutines pooled after a panic, want the panicked one retired", len(l.free))
+	if len(c.free) != 0 {
+		t.Fatalf("%d coroutines pooled after a panic, want the panicked one retired", len(c.free))
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("goroutines %d → %d, want the panicked coroutine ended", before, got)
 	}
 	// The next task starts on a fresh coroutine and suspends like any other.
 	next := e.Spawn("next", func(tk *Task) { tk.Sleep(time.Microsecond) })
-	l.resume(next)
+	c.resume(next)
 	if next.co == nil || next.Done() {
 		t.Fatal("task after the panic did not start and suspend")
 	}
-	e.c.stopCoros()
+	c.stopCoros()
 	if !next.Done() {
 		t.Fatal("stopCoros left a suspended task")
 	}

@@ -150,27 +150,42 @@ func TestInPlaceWakeNeedsIndependentLanes(t *testing.T) {
 }
 
 // A park deadline left on the lane a task was moved away from resumes the
-// task there, off its own lane: its sleep then belongs to another lane's heap
-// and is queued, not taken.
+// task there, off its own lane. A sleep that ends inside the window is then
+// neither taken in place nor queued behind the back of the task's lane, which
+// may already have run past it: it is a lane violation. One that rides the
+// lookahead brings the task home, where the next is taken in place.
 func TestInPlaceWakeNotOffOwnLane(t *testing.T) {
-	root, views := lanedEngine(2)
-	var ranOn []int
-	var inPlace []uint64
-	mover := views[1].Spawn("mover", func(tk *Task) {
-		tk.ParkTimeout("moved while parked", 1500*time.Nanosecond)
-		for i := 0; i < 2; i++ {
-			tk.Sleep(10 * time.Nanosecond)
-			ranOn = append(ranOn, tk.on.idx-1)
-			inPlace = append(inPlace, root.SchedStats().InPlaceWakes)
+	for _, tc := range []struct {
+		first time.Duration
+		want  string
+	}{
+		{10 * time.Nanosecond, "lane violation: lane 1 scheduled an event on lane 0 at 1.51µs"},
+		{time.Microsecond, ""},
+	} {
+		root, views := lanedEngine(2)
+		var ranOn []int
+		var inPlace []uint64
+		mover := views[1].Spawn("mover", func(tk *Task) {
+			tk.ParkTimeout("moved while parked", 1500*time.Nanosecond)
+			ranOn = append(ranOn, root.ExecutingLane())
+			for _, d := range []time.Duration{tc.first, 10 * time.Nanosecond} {
+				tk.Sleep(d)
+				ranOn = append(ranOn, root.ExecutingLane())
+				inPlace = append(inPlace, root.SchedStats().InPlaceWakes)
+			}
+		})
+		root.After(200*time.Nanosecond, func() { mover.SetLane(0) })
+		views[0].After(1400*time.Nanosecond, func() {}) // lane 0's clock, and the window [1.4µs, 2.4µs)
+		err := root.Run()
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("first sleep %v: err = %v, want %q", tc.first, err, tc.want)
+			}
+			continue
 		}
-	})
-	root.After(200*time.Nanosecond, func() { mover.SetLane(0) })
-	views[0].After(1400*time.Nanosecond, func() {}) // lane 0's clock, and the window [1.4µs, 2.4µs)
-	mustRun(t, root)
-	// The deadline fires on lane 1; the first sleep goes to lane 0's heap and
-	// brings the task home, where the second is taken in place.
-	if fmt.Sprint(ranOn, inPlace) != "[0 0] [0 1]" {
-		t.Fatalf("after sleeps: on lanes %v with %v taken in place, want [0 0] and [0 1]", ranOn, inPlace)
+		if err != nil || fmt.Sprint(ranOn, inPlace) != "[1 0 0] [0 1]" {
+			t.Fatalf("first sleep %v: err %v, on lanes %v with %v taken in place, want [1 0 0] and [0 1]", tc.first, err, ranOn, inPlace)
+		}
 	}
 }
 

@@ -159,6 +159,51 @@ func TestLaneViolationPanics(t *testing.T) {
 	}
 }
 
+// TestCrossLaneUnparkPanics: waking a task of another lane from inside a
+// window of independent lanes touches that lane's state and heap behind its
+// back; it is caught with the same context, whether the task is parked or not.
+func TestCrossLaneUnparkPanics(t *testing.T) {
+	for _, parked := range []bool{true, false} {
+		root := NewEngine(5)
+		root.ConfigureLanes(2)
+		root.SetLookahead(time.Microsecond)
+		v0, v1 := root.LaneView(0), root.LaneView(1)
+		sleeper := v1.Spawn("sleeper", func(tk *Task) {
+			if parked {
+				tk.Park("for lane 0")
+			}
+			tk.Sleep(500 * time.Nanosecond)
+		})
+		v0.After(50*time.Nanosecond, sleeper.Unpark)
+		err := root.Run()
+		want := "lane violation: lane 0 unparked a task on lane 1 at 50ns, inside the window ending 1µs"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("parked=%v: err = %v, want %q", parked, err, want)
+		}
+	}
+}
+
+// TestNowIsTheExecutingLanesClock: the clock belongs to the engine, not to
+// the view it is read through.
+func TestNowIsTheExecutingLanesClock(t *testing.T) {
+	root := NewEngine(5)
+	root.ConfigureLanes(2)
+	root.SetLookahead(time.Microsecond)
+	vA, vB := root.LaneView(0), root.LaneView(1)
+	var got [3]time.Duration
+	vA.After(700*time.Nanosecond, func() { got = [3]time.Duration{vA.Now(), vB.Now(), root.Now()} })
+	vB.After(100*time.Nanosecond, func() {}) // makes the window one of two independent lanes; B's clock is never 700ns
+	if err := root.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 700 * time.Nanosecond; got != [3]time.Duration{want, want, want} {
+		t.Fatalf("Now() through lane A's, lane B's and the global view from lane A's event = %v, want %v each", got, want)
+	}
+	if root.Now() != 700*time.Nanosecond || root.ExecutingLane() != GlobalLane {
+		t.Fatalf("after Run: Now() = %v on lane %d, want the committed clock and no lane", root.Now(), root.ExecutingLane())
+	}
+}
+
 // TestParkTimeoutHeapBounded is the satellite regression test: a task that
 // repeatedly arms ParkTimeout and is unparked early must not accumulate
 // stale timer events — cancellation tombstones them and compaction keeps the

@@ -11,18 +11,17 @@ import (
 
 // minLaneRef is the reference order nextLane must reproduce, and the picker
 // this package had before it: drop the cancelled events from the top of every
-// lane's heap and compare the heads by full event key.
+// lane's heap and compare the heads by full event key, (at, target lane, seq).
 func (c *engineCore) minLaneRef() *laneState {
 	var best *laneState
-	var bestKey eventKey
 	for _, l := range c.lanes {
 		if l.headAt() == noEvent {
 			continue
 		}
-		top := l.heap[0]
-		key := eventKey{at: top.at, lane: l.idx, seq: top.seq}
-		if best == nil || key.before(bestKey) {
-			best, bestKey = l, key
+		// Lanes are scanned in index order, so a tie in time stays with the
+		// lower lane; seq only orders events of one lane.
+		if best == nil || l.heap[0].at < best.heap[0].at {
+			best = l
 		}
 	}
 	return best
@@ -65,7 +64,9 @@ func (c *engineCore) runSerialRef(t *testing.T) {
 		if c.serializedWin {
 			c.sched.serializedEvents++
 		}
+		c.cur = l
 		l.step()
+		c.cur = nil
 		c.heads[l.idx] = l.top()
 	}
 	t.Fatalf("reference run: %v", c.failure)

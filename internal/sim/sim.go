@@ -5,13 +5,14 @@
 // are cooperative coroutines: a task's code runs on an iter.Pull coroutine,
 // and Run's goroutine switches into it directly (runtime coroswitch) and is
 // switched back to when the task sleeps, parks or finishes — the Go scheduler
-// takes no part in a task switch. Coroutines whose task has finished wait on a
-// free list owned by the lane that ran them and serve the next task started
-// there, so steady-state Spawn creates no goroutine; Run stops them all, live
-// or pooled, before it returns. A simulation executes on exactly one
-// goroutine: at any moment either Run's loop or a single task runs, so
-// simulation state needs no locking and runs are bit-for-bit reproducible for
-// a given seed.
+// takes no part in a task switch. Coroutines whose task has finished wait on
+// the engine's free list and serve the next task started, so steady-state
+// Spawn creates no goroutine; Run stops them all, live or pooled, before it
+// returns. A simulation executes on exactly one goroutine: at any moment
+// either Run's loop or a single task runs, so simulation state needs no
+// locking and runs are bit-for-bit reproducible for a given seed. The engine
+// records the lane whose event is executing, and the clock (Now) is that
+// lane's from whichever view it is read.
 //
 // # Events
 //
@@ -84,9 +85,11 @@ var ErrEventLimit = errors.New("sim: event limit exceeded")
 const GlobalLane = -1
 
 // Engine is a lane-bound view of a discrete-event simulator. NewEngine
-// returns the global view; LaneView derives per-node views that share the
-// same clock and event space but tag their events with that node's lane.
-// The zero value is not usable; create one with NewEngine.
+// returns the global view; LaneView derives per-node views of the same
+// simulation whose events carry that node's lane. A view is scheduling
+// affinity and nothing else: the clock and the executing lane are the
+// engine's, the same through every view. The zero value is not usable; create
+// one with NewEngine.
 type Engine struct {
 	c    *engineCore
 	lane int // index into c.lanes: 0 = global, i+1 = node i
@@ -110,9 +113,16 @@ type engineCore struct {
 	// to validate cross-lane scheduling.
 	windowEnd time.Duration
 
-	// now is the committed clock: the serial clock in serial or serialized
-	// execution, and the maximum completed-window time otherwise. Lane events
-	// in a window of independent lanes read their own lane clock instead.
+	// cur is the lane whose event is executing, nil between events (before
+	// Run, between windows, in a sampler). Now, the lane-violation checks and
+	// the in-place wake-up read it; no caller has to hold the right view.
+	cur *laneState
+	// running is the task cur's event has switched into, if any.
+	running *Task
+
+	// now is the committed clock, what Now returns between events: the time of
+	// the last event in serial or serialized execution, and the maximum
+	// completed-window time otherwise.
 	now      time.Duration
 	parallel bool // true while node lanes execute a window independently
 	// serializeLanes says the node lanes share state (SerializeLanes): every
@@ -120,8 +130,8 @@ type engineCore struct {
 	serializeLanes bool
 
 	limit   uint64
-	nEvents uint64 // events committed: serial ones, and lane events at their window's end
-	failure error
+	nEvents uint64 // events executed
+	failure error  // the first failing event, in execution order; it ends the run
 
 	// sched accumulates window-level scheduler telemetry, written by
 	// beginWindow and the serialized execution paths.
@@ -143,10 +153,14 @@ type engineCore struct {
 	// tasks registers the live tasks, for deadlock diagnostics and for
 	// unwinding what is still suspended when Run returns.
 	tasks map[*Task]struct{}
+
+	// free holds coroutines whose task finished, ready for the next task
+	// started.
+	free []*coro
 }
 
 // laneState is the per-lane slice of the simulation: its event heap, clock,
-// RNG stream, and per-window scratch state.
+// RNG stream and telemetry.
 type laneState struct {
 	idx   int // 0 = global, i+1 = node i
 	heap  eventHeap
@@ -155,28 +169,12 @@ type laneState struct {
 	rng   *rand.Rand
 	tombs int // cancelled timeout events still in the heap
 
-	// nEvents counts events executed during the current window, committed to
-	// the core's total at the window's end: each lane meets the event limit
-	// against the count the window started with, whatever ran before it.
-	nEvents uint64
-
 	// events, windows and inPlace are lifetime telemetry: total events executed
 	// on this lane, windows in which it was dispatched, and the events among
 	// them that were sleeps taken in place.
 	events  uint64
 	windows uint64
 	inPlace uint64
-
-	// failure records the first failing event of this lane in the current
-	// window; the window's end keeps the one with the smallest event key.
-	failure    error
-	failureKey eventKey
-
-	current *Task // task currently dispatched by this lane, if any
-
-	// free holds coroutines whose task finished on this lane, ready for the
-	// next task started here.
-	free []*coro
 }
 
 // schedCounters is the core-owned half of the scheduler telemetry.
@@ -215,7 +213,7 @@ type SchedStats struct {
 	// its peak.
 	LaneDispatches uint64
 	MaxWindowLanes int
-	// Events is the total committed event count; Lookahead the configured
+	// Events is the total number of events executed; Lookahead the configured
 	// conservative window width.
 	Events    uint64
 	Lookahead time.Duration
@@ -268,30 +266,13 @@ func (e *Engine) AddSampler(period time.Duration, fn func(at time.Duration)) {
 	e.c.samplers = append(e.c.samplers, sampler{period: period, next: period, fn: fn})
 }
 
-// eventKey is the total order over events: (at, target lane, creator lane,
-// creator counter). The (creator lane, counter) pair is unique, so the order
-// is total; within one lane's heap only (at, seq) matters.
-type eventKey struct {
-	at   time.Duration
-	lane int
-	seq  uint64
-}
-
 // ctrBits is the width of the creator counter in an event's seq, which packs
 // the (creator lane, creator counter) pair into one word, lane above counter,
 // so that comparing two seqs compares the pairs. A lane would have to create
-// 2^48 events to overflow into the lane bits.
+// 2^48 events to overflow into the lane bits. The total order over events is
+// (at, target lane, seq): nextLane compares the first two across lanes, a
+// lane's heap the first and the last.
 const ctrBits = 48
-
-func (a eventKey) before(b eventKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.lane != b.lane {
-		return a.lane < b.lane
-	}
-	return a.seq < b.seq
-}
 
 // Runner is what an event executes. A value that already exists when the
 // event is scheduled — a message in flight, a bus, a task — rides in the event
@@ -484,14 +465,23 @@ func (e *Engine) Lanes() int { return len(e.c.lanes) - 1 }
 // ls returns the lane state this view schedules onto.
 func (e *Engine) ls() *laneState { return e.c.lanes[e.lane] }
 
-// Now returns the current virtual time as seen by this view: its own lane
-// clock while the lanes execute a window independently, the committed global
-// clock otherwise.
+// Now returns the current virtual time: the time of the executing event, read
+// off the executing lane's clock whichever view is asked, and the committed
+// clock between events.
 func (e *Engine) Now() time.Duration {
-	if e.c.parallel && e.lane != 0 {
-		return e.c.lanes[e.lane].now
+	if cur := e.c.cur; cur != nil {
+		return cur.now
 	}
 	return e.c.now
+}
+
+// ExecutingLane returns the node whose lane the executing event belongs to,
+// or GlobalLane for a global-lane event and between events.
+func (e *Engine) ExecutingLane() int {
+	if cur := e.c.cur; cur != nil {
+		return cur.idx - 1
+	}
+	return GlobalLane
 }
 
 // Rand returns this view's deterministic random source. Each lane owns an
@@ -510,7 +500,7 @@ func (e *Engine) Rand() *rand.Rand {
 // SetEventLimit caps the number of events Run will process; 0 means no cap.
 func (e *Engine) SetEventLimit(n uint64) { e.c.limit = n }
 
-// Events reports how many events have been committed so far.
+// Events reports how many events have been executed so far.
 func (e *Engine) Events() uint64 { return e.c.nEvents }
 
 // After schedules fn to run at Now()+d on this view's lane, in event
@@ -547,22 +537,28 @@ func (e *Engine) AfterRunOn(node int, d time.Duration, r Runner) {
 	e.schedule(lane, d, r, nil)
 }
 
-// schedule places an event created by this view onto the target lane, at
-// Now()+d (a negative d counts as zero).
+// schedule places an event created through this view onto the target lane, at
+// Now()+d (a negative d counts as zero). The view names the creator in the
+// event's key; the lane discipline is checked against the lane that is
+// executing.
 func (e *Engine) schedule(lane int, d time.Duration, run Runner, tomb *tombstone) {
 	c := e.c
 	src := e.ls()
 	src.ctr++
 	at := e.Now() + max(d, 0)
-	ev := event{at: at, seq: uint64(e.lane)<<ctrBits | src.ctr, run: run, tomb: tomb}
-	if c.parallel && e.lane != 0 && lane != e.lane && at < c.windowEnd {
-		// From a lane executing its own window onto another: the effect must
-		// land at or after the window end, where no lane of this window looks.
+	c.checkLane(lane, at, "scheduled an event")
+	c.push(lane, event{at: at, seq: uint64(e.lane)<<ctrBits | src.ctr, run: run, tomb: tomb})
+}
+
+// checkLane panics when the executing lane, inside a window of independent
+// lanes, reaches onto another lane before the window's end: the effect must
+// land at or after it, where no lane of this window looks.
+func (c *engineCore) checkLane(lane int, at time.Duration, did string) {
+	if c.parallel && lane != c.cur.idx && at < c.windowEnd {
 		panic(fmt.Sprintf(
-			"sim: lane violation: lane %d scheduled an event on lane %d at %v, inside the window ending %v (lookahead %v); cross-lane effects must ride the fabric latency or use the global lane",
-			src.idx-1, lane-1, at, c.windowEnd, c.lookahead))
+			"sim: lane violation: lane %d %s on lane %d at %v, inside the window ending %v (lookahead %v); cross-lane effects must ride the fabric latency or use the global lane",
+			c.cur.idx-1, did, lane-1, at, c.windowEnd, c.lookahead))
 	}
-	c.push(lane, ev)
 }
 
 // push adds ev to a lane's heap and keeps the lane's head time a lower bound.
@@ -579,8 +575,9 @@ func (c *engineCore) push(lane int, ev event) {
 //
 // An engine with node lanes and a lookahead runs under the windowed
 // scheduler; any other is one serial loop. A panic in an event of a lane
-// running its own window is that lane's failure and Run's error; one in
-// serial context (a serialized window, the serial loop) reaches Run's caller.
+// running its own window is a failure and Run's error; one in serial context
+// (a serialized window, the serial loop) reaches Run's caller. The run stops
+// at the first failure: no later event executes.
 //
 // No coroutine outlives Run: on the way out every pooled coroutine is ended
 // and every task still suspended — parked forever, cut off by the event limit
@@ -745,7 +742,9 @@ func (c *engineCore) runSerial(end time.Duration) error {
 		if c.serializedWin {
 			c.sched.serializedEvents++
 		}
+		c.cur = l
 		l.step()
+		c.cur = nil
 		c.heads[l.idx] = l.top()
 	}
 }
@@ -779,7 +778,7 @@ func (l *laneState) step() {
 	if ev.tomb != nil && !t.expire(ev.tomb) {
 		return
 	}
-	l.resume(t)
+	t.eng.c.resume(t)
 }
 
 // runWindowed is the windowed scheduler. Each iteration picks the next window
@@ -809,49 +808,40 @@ func (c *engineCore) runWindowed() error {
 		}
 		c.parallel = true
 		for _, l := range active {
-			c.runLane(l, end)
+			if c.failure == nil {
+				c.runLane(l, end)
+			}
+			c.heads[l.idx] = l.top()
+			c.now = max(c.now, l.now)
 		}
 		c.parallel = false
-		// Window end: commit counters, surface the earliest failure in
-		// deterministic key order.
-		var failKey eventKey
-		for _, l := range active {
-			c.heads[l.idx] = l.top()
-			c.nEvents += l.nEvents
-			l.nEvents = 0
-			if l.failure != nil && (c.failure == nil || l.failureKey.before(failKey)) {
-				c.failure = l.failure
-				failKey = l.failureKey
-				l.failure = nil
-			}
-			if l.now > c.now {
-				c.now = l.now
-			}
-		}
 	}
 }
 
-// runLane executes one lane's events up to (but excluding) end, or until the
-// lane fails or its events use up what the last window left of the event limit.
+// runLane executes one lane's events up to (but excluding) end, or until one
+// fails or the event limit is used up.
 func (c *engineCore) runLane(l *laneState, end time.Duration) {
+	c.cur = l
 	defer func() {
 		if r := recover(); r != nil {
-			l.fail(fmt.Errorf("sim: lane %d event panicked: %v\n%s", l.idx-1, r, debug.Stack()))
+			c.fail(fmt.Errorf("sim: lane %d event panicked: %v\n%s", l.idx-1, r, debug.Stack()))
 		}
+		c.cur = nil
 	}()
-	for {
-		if l.headAt() >= end {
+	for c.failure == nil && l.headAt() < end {
+		if c.limit != 0 && c.nEvents >= c.limit {
+			c.fail(fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit))
 			return
 		}
-		if c.limit != 0 && c.nEvents+l.nEvents >= c.limit {
-			l.fail(fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit))
-			return
-		}
-		l.nEvents++
+		c.nEvents++
 		l.step()
-		if l.failure != nil {
-			return
-		}
+	}
+}
+
+// fail records the failure that ends the run, the first in execution order.
+func (c *engineCore) fail(err error) {
+	if c.failure == nil {
+		c.failure = err
 	}
 }
 
@@ -908,12 +898,8 @@ type Task struct {
 	name string
 	fn   func(*Task)
 	// co is the coroutine running fn: nil until the task's start event takes
-	// one from its lane, and again once fn has returned or been unwound.
-	co *coro
-	// on is the lane executing the task while it runs. It is the task's own
-	// lane unless SetLane moved the task after the event that resumes it was
-	// queued (a park deadline left on the old lane).
-	on         *laneState
+	// one off the free list, and again once fn has returned or been unwound.
+	co         *coro
 	done       bool
 	parked     bool
 	killed     bool
@@ -949,7 +935,7 @@ type killPanic struct{}
 // back when the task calls suspend (through Task.yield) or its function ends;
 // both are direct switches between two goroutines (iter.Pull over the
 // runtime's coroswitch), not trips through the Go scheduler. Between tasks
-// the coroutine sits on a lane's free list.
+// the coroutine sits on the engine's free list.
 type coro struct {
 	resume  func() (struct{}, bool) // run the coroutine until it suspends; false once it has ended
 	stop    func()                  // end it: a suspended task unwinds, a pooled coroutine returns
@@ -981,7 +967,7 @@ func (co *coro) run() (reusable bool) {
 			if _, unwound := r.(killPanic); unwound {
 				reusable = true
 			} else {
-				t.eng.failTask(fmt.Errorf("sim: task %q panicked: %v\n%s", t.name, r, debug.Stack()))
+				t.eng.c.fail(fmt.Errorf("sim: task %q panicked: %v\n%s", t.name, r, debug.Stack()))
 			}
 		}
 		co.task = nil
@@ -991,23 +977,23 @@ func (co *coro) run() (reusable bool) {
 	return true
 }
 
-// takeCoro returns a coroutine for a task starting on this lane.
-func (l *laneState) takeCoro() *coro {
-	n := len(l.free)
+// takeCoro returns a coroutine for a task that is starting.
+func (c *engineCore) takeCoro() *coro {
+	n := len(c.free)
 	if n == 0 {
 		return newCoro()
 	}
-	co := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
+	co := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
 	return co
 }
 
 // resume hands control to t and returns when it yields (sleeps, parks, or
-// finishes). It runs in event context on the lane executing t's event: a
-// task that has never run gets a coroutine from that lane's free list, and
-// the coroutine of a task that finishes goes back onto it.
-func (l *laneState) resume(t *Task) {
+// finishes). It runs in event context: a task that has never run gets a
+// coroutine from the free list, and the coroutine of a task that finishes
+// goes back onto it.
+func (c *engineCore) resume(t *Task) {
 	if t.done {
 		// Unwound when an earlier Run gave up; its wake-up is stale.
 		return
@@ -1019,32 +1005,25 @@ func (l *laneState) resume(t *Task) {
 			t.finish()
 			return
 		}
-		co = l.takeCoro()
+		co = c.takeCoro()
 		co.task, t.co = t, co
 	}
-	// current is kept on the task's own lane, where Kill looks for it; the
-	// free list is the executing lane's.
-	tl := t.eng.ls()
-	prev := tl.current
-	tl.current = t
-	t.on = l
+	c.running = t
 	_, alive := co.resume()
-	tl.current = prev
+	c.running = nil
 	if t.done && alive {
-		l.free = append(l.free, co)
+		c.free = append(c.free, co)
 	}
 }
 
 // stopCoros ends every coroutine of the simulation: the pooled ones return,
 // and tasks still suspended unwind. It runs when Run returns.
 func (c *engineCore) stopCoros() {
-	for _, l := range c.lanes {
-		for i, co := range l.free {
-			co.stop()
-			l.free[i] = nil
-		}
-		l.free = l.free[:0]
+	for i, co := range c.free {
+		co.stop()
+		c.free[i] = nil
 	}
+	c.free = c.free[:0]
 	// Collected first: stopping a coroutine finishes its task, which takes it
 	// out of the registry.
 	var live []*coro
@@ -1077,29 +1056,6 @@ func (t *Task) finish() {
 	t.done = true
 	t.co = nil
 	delete(t.eng.c.tasks, t)
-}
-
-// failTask records a task failure against the executing lane (the window's
-// end keeps the earliest) or directly in serialized context.
-func (e *Engine) failTask(err error) {
-	c := e.c
-	l := e.ls()
-	if c.parallel && e.lane != 0 {
-		l.fail(err)
-		return
-	}
-	if c.failure == nil {
-		c.failure = err
-	}
-}
-
-// fail records the lane's first failure of the current window, keyed by the
-// lane clock.
-func (l *laneState) fail(err error) {
-	if l.failure == nil {
-		l.failure = err
-		l.failureKey = eventKey{at: l.now, lane: l.idx}
-	}
 }
 
 // yield switches back to the goroutine that resumed the task and returns
@@ -1159,8 +1115,10 @@ func (t *Task) Sleep(d time.Duration) {
 
 // wakeInPlace takes the wake-up of a Sleep(d) without queueing it, when
 // nothing could run before it (DESIGN.md, "In-place wake-up"): the task is
-// running on its own lane inside a parallel window, so only that lane's heap
-// can hold an earlier event; the wake time is before the window end; and the
+// running on its own lane inside a parallel window (not on the lane SetLane
+// moved it away from, where a park deadline may still resume it), so only that
+// lane's heap can hold an earlier event; the wake time is before the window
+// end; and the
 // wake-up's key — the time, then (lane, counter) as schedule would have
 // allocated them — orders before the lane's live heap head. The pushed event
 // would then be popped next and resume this task; what is left of that is the
@@ -1169,18 +1127,18 @@ func (t *Task) Sleep(d time.Duration) {
 func (t *Task) wakeInPlace(d time.Duration) bool {
 	e := t.eng
 	c, l := e.c, e.c.lanes[e.lane]
-	if !c.parallel || t.on != l {
+	if !c.parallel || c.cur != l {
 		return false
 	}
 	wake := event{at: l.now + max(d, 0), seq: uint64(e.lane)<<ctrBits | (l.ctr + 1)}
-	if wake.at >= c.windowEnd || c.limit != 0 && c.nEvents+l.nEvents >= c.limit {
+	if wake.at >= c.windowEnd || c.limit != 0 && c.nEvents >= c.limit {
 		return false
 	}
 	if l.headAt() != noEvent && l.heap[0].before(wake) {
 		return false
 	}
 	l.ctr++
-	l.nEvents++
+	c.nEvents++
 	l.inPlace++
 	l.advance(wake.at)
 	return true
@@ -1272,7 +1230,7 @@ func (t *Task) Kill() {
 	if eng.c.parallel {
 		panic("sim: Task.Kill during a parallel window; crash recovery must run on the global lane")
 	}
-	if t == eng.ls().current {
+	if t == eng.c.running {
 		panic("sim: Kill called on the running task")
 	}
 	t.killed = true
@@ -1300,11 +1258,13 @@ func (t *Task) dropParkTimer() {
 // immediately (binary-semaphore semantics; extra tokens are not accumulated).
 // Unpark must be called from simulation context on the task's own lane, or
 // from any context while the lanes are serialized (global-lane events,
-// serialized windows, an engine without windows).
+// serialized windows, an engine without windows); from another lane inside a
+// window of independent lanes it panics with the lane-violation context.
 func (t *Task) Unpark() {
 	if t.done {
 		return
 	}
+	t.eng.c.checkLane(t.eng.lane, t.eng.Now(), "unparked a task")
 	if !t.parked {
 		t.wakeToken = true
 		return
