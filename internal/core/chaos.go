@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"dex/internal/chaos"
-	"dex/internal/dsm"
 	"dex/internal/sim"
 )
 
@@ -76,7 +77,7 @@ func (p *Process) killNodeTasks(node int) {
 			th.task.Kill()
 		}
 	}
-	if w, ok := p.workers[node]; ok {
+	if w := p.nodes[node].worker; w != nil {
 		w.task.Kill()
 	}
 }
@@ -98,26 +99,20 @@ func (p *Process) startLeaseMonitor() {
 	p.m.eng.After(period, tick)
 }
 
-// leaseNodes returns the nodes the origin's lease protocol monitors. With
-// the centralized directories (WriteInvalidate, HomeMigrate) only nodes
-// hosting this process's threads hold state the process depends on, so the
-// lease covers the remote workers. Under DistributedManager every node is a
-// directory shard regardless of thread placement: a crashed shard must be
-// detected and declared dead — so its directory slice is rebuilt and
-// anchor lookups fail over — even if no thread ever migrated there.
+// leaseNodes returns, in node order, the live nodes the origin's lease
+// protocol monitors: those that hold state the process depends on. A node
+// with a remote worker hosts its threads; a node that hosts a directory table
+// does so regardless of thread placement — its crash must be detected and
+// declared, so that its directory slice is rebuilt and anchor lookups fail
+// over, even if no thread ever migrated there.
 func (p *Process) leaseNodes() []int {
-	if p.mgr.Protocol() == dsm.DistributedManager {
-		nodes := make([]int, 0, p.m.params.Nodes-1)
-		for n := 0; n < p.m.params.Nodes; n++ {
-			if n != p.origin {
-				nodes = append(nodes, n)
-			}
-		}
-		return nodes
-	}
+	hosts := p.mgr.DirectoryHosts()
 	var nodes []int
-	for _, w := range p.workersInOrder() {
-		nodes = append(nodes, w.node)
+	for n := range p.nodes {
+		ns := &p.nodes[n]
+		if n != p.origin && !ns.dead && (ns.worker != nil || slices.Contains(hosts, n)) {
+			nodes = append(nodes, n)
+		}
 	}
 	return nodes
 }
@@ -127,16 +122,13 @@ func (p *Process) leaseTick() {
 	now := p.m.eng.Now()
 	timeout := p.m.params.Chaos.LeaseTimeout()
 	for _, node := range p.leaseNodes() {
-		if p.deadNodes[node] {
+		ns := &p.nodes[node]
+		if ns.lastSeen == 0 {
+			// First sight of this node: arm its lease.
+			ns.lastSeen = now
 			continue
 		}
-		last, ok := p.lastSeen[node]
-		if !ok {
-			// First sight of this worker: arm its lease.
-			p.lastSeen[node] = now
-			continue
-		}
-		if now-last <= timeout {
+		if now-ns.lastSeen <= timeout {
 			continue
 		}
 		if p.m.inj.NodeDead(node) {
@@ -146,17 +138,12 @@ func (p *Process) leaseTick() {
 		// Expired but the node is not actually gone: a partition or delay
 		// storm is starving heartbeats. Re-arm and keep waiting.
 		p.leaseSuspects++
-		p.lastSeen[node] = now
+		ns.lastSeen = now
 		if rec := p.m.params.Obs; rec != nil {
 			rec.SpanAt("chaos", "lease.suspect", node, -1, now, 0)
 		}
 	}
-	var targets []int
-	for _, node := range p.leaseNodes() {
-		if !p.deadNodes[node] {
-			targets = append(targets, node)
-		}
-	}
+	targets := p.leaseNodes() // without the nodes just declared dead
 	if len(targets) == 0 {
 		return
 	}
@@ -165,7 +152,7 @@ func (p *Process) leaseTick() {
 			p.m.net.Send(t, p.origin, node, &envelope{bytes: leaseMsgBytes, deliver: func() {
 				p.m.eng.Spawn("lease-pong", func(pt *sim.Task) {
 					p.m.net.Send(pt, node, p.origin, &envelope{bytes: leaseMsgBytes, deliver: func() {
-						p.lastSeen[node] = p.m.eng.Now()
+						p.nodes[node].lastSeen = p.m.eng.Now()
 					}})
 				})
 			}})
@@ -180,14 +167,11 @@ func (p *Process) leaseTick() {
 // or marked dead with an attributable error so their joiners resume instead
 // of hanging. Idempotent.
 func (p *Process) declareNodeDead(node int) {
-	if p.deadNodes[node] {
+	if p.nodes[node].dead {
 		return
 	}
-	p.deadNodes[node] = true
+	p.nodes[node].dead = true
 	p.nodesLost++
-	if w, ok := p.workers[node]; ok {
-		w.dead = true
-	}
 	lost, err := p.mgr.ReclaimDeadNode(node)
 	if err != nil && p.firstErr == nil {
 		p.firstErr = err
@@ -292,25 +276,25 @@ func (p *Process) restartThread(th *Thread) {
 	}
 }
 
-// awaitAcks blocks t until pending drains. Without fault injection this is a
+// awaitAcks blocks t until pending, a mask of nodes, drains. Without fault injection this is a
 // plain park loop (the acks are envelopes, which the injector never drops).
 // Under injection a node can die between the send and its ack, so the wait
 // re-checks the pending set against injector ground truth on a timer.
-func (p *Process) awaitAcks(t *sim.Task, reason string, pending map[int]bool) {
+func (p *Process) awaitAcks(t *sim.Task, reason string, pending *uint64) {
 	if p.m.inj == nil {
-		for len(pending) > 0 {
+		for *pending != 0 {
 			t.Park(reason)
 		}
 		return
 	}
 	period := p.m.params.Chaos.LeasePeriod()
-	for len(pending) > 0 {
+	for *pending != 0 {
 		if t.ParkTimeout(reason, period) {
 			continue
 		}
-		for node := range pending {
-			if p.m.inj.NodeDead(node) {
-				delete(pending, node)
+		for s := *pending; s != 0; s &= s - 1 {
+			if node := bits.TrailingZeros64(s); p.m.inj.NodeDead(node) {
+				*pending &^= 1 << node
 			}
 		}
 	}

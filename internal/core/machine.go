@@ -171,14 +171,11 @@ func NewMachine(params Params) *Machine {
 	// per-node lane views at construction.
 	eng.ConfigureLanes(params.Nodes)
 	eng.SetLookahead(params.Fabric.LinkLatency)
-	// The serialization clamp. HomeMigrate serves page requests (mutating
-	// entries of the shared directory tree) at arbitrary nodes; it needs
-	// every window in global event order, so its lanes are not independent.
-	// The observability recorder stamps what it records with the executing
-	// lane's clock and index and does not clamp. DistributedManager does not
-	// either: its directory is sharded into per-node tables that only their
-	// own lane (or the global lane) mutates, so shards serve independently.
-	if params.DSM.Protocol == dsm.HomeMigrate {
+	// The serialization clamp: a policy that serves page requests at arbitrary
+	// nodes out of one shared directory table needs every window in global
+	// event order. The observability recorder stamps what it records with the
+	// executing lane's clock and index and does not clamp.
+	if params.DSM.Protocol.SharesTable() {
 		eng.SerializeLanes()
 	}
 	m := &Machine{

@@ -62,7 +62,7 @@ func (th *Thread) migrateForward(to int) error {
 	// first migration of the process to a node also sets up the pairing
 	// state, which is more expensive (Table II).
 	originCost := costs.OriginWarm
-	if _, ok := p.workers[to]; !ok {
+	if p.nodes[to].worker == nil {
 		originCost = costs.OriginFirst
 	}
 	mg.record = MigrationRecord{

@@ -40,17 +40,14 @@ type Process struct {
 	startedAt  time.Duration
 	finishedAt time.Duration
 
-	workers  map[int]*remoteWorker // per remote node
-	vmaCache map[int]*mem.VMASet   // per remote node
+	nodes []nodeState // indexed by node
 
 	migrations       int
 	migrationRecords []MigrationRecord
 	vmaQueries       uint64
 	delegations      uint64
 
-	// Fault-injection state (nil/zero when no plan is active).
-	deadNodes        []bool                // nodes this process has declared dead
-	lastSeen         map[int]time.Duration // per remote node: last lease refresh
+	// Fault-injection state (zero when no plan is active).
 	nodesLost        int
 	threadsLost      int
 	threadsRestarted int
@@ -59,12 +56,26 @@ type Process struct {
 	futexPoisoned    error // set on first node death; fails futex waits fast
 }
 
+// nodeState is what a process keeps about one node. The origin's record
+// stays zero: its VMA view is the address space itself.
+type nodeState struct {
+	// worker is nil until the first migration to the node.
+	worker *remoteWorker
+	// vmas is the node's lazily synchronized VMA cache (§III-D).
+	vmas mem.VMASet
+	// lastSeen is the node's last lease refresh, 0 until the lease monitor
+	// first sees it (a tick is never at time 0).
+	lastSeen time.Duration
+	// dead: this process has declared the node dead; its worker is never
+	// targeted again.
+	dead bool
+}
+
 // remoteWorker is the per-(process, node) worker thread of §III-A: it forks
 // remote threads and applies node-wide operations (VMA updates, exit).
 type remoteWorker struct {
 	node  int
 	ready bool
-	dead  bool // node declared dead: never target this worker again
 	mb    *sim.Mailbox[workerMsg]
 	task  *sim.Task
 }
@@ -89,14 +100,13 @@ func (m *Machine) NewProcess(origin int, main func(*Thread) error) *Process {
 	pid := m.nextPID
 	m.nextPID++
 	p := &Process{
-		m:        m,
-		pid:      pid,
-		origin:   origin,
-		as:       mem.NewAddressSpace(),
-		fut:      futex.NewTable(),
-		files:    newFileTable(),
-		workers:  make(map[int]*remoteWorker),
-		vmaCache: make(map[int]*mem.VMASet),
+		m:      m,
+		pid:    pid,
+		origin: origin,
+		as:     mem.NewAddressSpace(),
+		fut:    futex.NewTable(),
+		files:  newFileTable(),
+		nodes:  make([]nodeState, m.params.Nodes),
 	}
 	p.mgr = dsm.New(m.eng, m.net, m.params.DSM, pid, origin, m.params.Nodes, m.params.Obs)
 	m.procs = append(m.procs, p)
@@ -110,8 +120,6 @@ func (m *Machine) NewProcess(origin int, main func(*Thread) error) *Process {
 				panic(fmt.Sprintf("core: chaos plan crashes node %d, the origin of pid %d; origin crashes are not survivable", origin, pid))
 			}
 		}
-		p.deadNodes = make([]bool, m.params.Nodes)
-		p.lastSeen = make(map[int]time.Duration)
 		p.startLeaseMonitor()
 	}
 	p.newThread(origin, main, nil)
@@ -238,32 +246,39 @@ func (p *Process) threadDone(t *sim.Task, th *Thread, err error) {
 // original process exit is a node-wide operation delivered to the remote
 // workers) and waits for them to stop.
 func (p *Process) shutdownWorkers(t *sim.Task) {
-	pending := make(map[int]bool)
-	for _, w := range p.workersInOrder() {
-		if w.dead {
+	p.askWorkers(t, "process exit: draining workers", 48, func(w *remoteWorker, acked func()) {
+		w.mb.Send(workerMsg{stop: true, done: acked})
+	})
+}
+
+// askWorkers sends every live remote worker, in node order, a message of the
+// given size whose delivery runs deliver, and blocks t until each has called
+// acked (or died).
+func (p *Process) askWorkers(t *sim.Task, reason string, bytes int, deliver func(w *remoteWorker, acked func())) {
+	var pending uint64 // mask of nodes still to acknowledge
+	for n := range p.nodes {
+		w := p.nodes[n].worker
+		if w == nil || p.nodes[n].dead {
 			continue
 		}
-		pending[w.node] = true
-		done := func() { delete(pending, w.node); t.Unpark() }
-		p.m.net.Send(t, p.origin, w.node, &envelope{bytes: 48, deliver: func() {
-			w.mb.Send(workerMsg{stop: true, done: done})
-		}})
+		pending |= 1 << n
+		acked := func() { pending &^= 1 << n; t.Unpark() }
+		p.m.net.Send(t, p.origin, n, &envelope{bytes: bytes, deliver: func() { deliver(w, acked) }})
 	}
-	p.awaitAcks(t, "process exit: draining workers", pending)
+	p.awaitAcks(t, reason, &pending)
 }
 
 // worker returns the remote worker for node, creating and starting it on
 // first use (the expensive first-migration path of §III-A).
 func (p *Process) worker(node int) (*remoteWorker, bool) {
-	if w, ok := p.workers[node]; ok {
+	if w := p.nodes[node].worker; w != nil {
 		return w, false
 	}
 	w := &remoteWorker{
 		node: node,
 		mb:   sim.NewMailbox[workerMsg](fmt.Sprintf("worker pid%d@%d", p.pid, node)),
 	}
-	p.workers[node] = w
-	p.vmaCache[node] = &mem.VMASet{}
+	p.nodes[node].worker = w
 	w.task = p.m.view(node).Spawn(fmt.Sprintf("worker pid%d@%d", p.pid, node), func(t *sim.Task) {
 		// Per-process setup: address space bootstrap, messaging state,
 		// process-level bookkeeping (the 620 µs of Figure 3).
@@ -286,29 +301,17 @@ func (p *Process) worker(node int) (*remoteWorker, bool) {
 	return w, true
 }
 
-// workersInOrder returns active workers sorted by node id, keeping message
-// ordering — and thus the whole simulation — deterministic.
-func (p *Process) workersInOrder() []*remoteWorker {
-	var out []*remoteWorker
-	for node := 0; node < p.m.params.Nodes; node++ {
-		if w, ok := p.workers[node]; ok {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // vmaSetFor returns the VMA view at a node: authoritative at the origin, a
 // lazily synchronized cache elsewhere.
 func (p *Process) vmaSetFor(node int) *mem.VMASet {
 	if node == p.origin {
 		return &p.as.VMAs
 	}
-	if s, ok := p.vmaCache[node]; ok {
-		return s
+	if p.nodes[node].worker == nil {
+		// A thread can only be at a node whose worker exists.
+		panic(fmt.Sprintf("core: no VMA cache for pid %d at node %d", p.pid, node))
 	}
-	// A thread can only be at a node whose worker (and cache) exists.
-	panic(fmt.Sprintf("core: no VMA cache for pid %d at node %d", p.pid, node))
+	return &p.nodes[node].vmas
 }
 
 // result is what a delegated operation that can fail returns.
@@ -353,27 +356,18 @@ func delegate[T any](p *Process, th *Thread, name string, op func(t *sim.Task) T
 // for completion. apply runs in each worker's context. t must be running at
 // the origin.
 func (p *Process) broadcastVMA(t *sim.Task, apply func(node int, t *sim.Task)) {
-	pending := make(map[int]bool)
-	for _, w := range p.workersInOrder() {
-		if w.dead {
-			continue
-		}
-		pending[w.node] = true
-		done := func() { delete(pending, w.node); t.Unpark() }
-		p.m.net.Send(t, p.origin, w.node, &envelope{bytes: 96, deliver: func() {
-			w.mb.Send(workerMsg{
-				apply: func(wt *sim.Task) { apply(w.node, wt) },
-				done: func() {
-					// Ack travels back to the origin. The ack task is spawned
-					// from worker context, so it lives on the worker's lane.
-					p.m.view(w.node).Spawn("vma-ack", func(at *sim.Task) {
-						p.m.net.Send(at, w.node, p.origin, &envelope{bytes: 48, deliver: done})
-					})
-				},
-			})
-		}})
-	}
-	p.awaitAcks(t, "vma broadcast", pending)
+	p.askWorkers(t, "vma broadcast", 96, func(w *remoteWorker, acked func()) {
+		w.mb.Send(workerMsg{
+			apply: func(wt *sim.Task) { apply(w.node, wt) },
+			done: func() {
+				// Ack travels back to the origin. The ack task is spawned
+				// from worker context, so it lives on the worker's lane.
+				p.m.view(w.node).Spawn("vma-ack", func(at *sim.Task) {
+					p.m.net.Send(at, w.node, p.origin, &envelope{bytes: 48, deliver: acked})
+				})
+			},
+		})
+	})
 }
 
 // mmapAt implements mmap in origin context.
@@ -385,7 +379,7 @@ func (p *Process) mmapAt(t *sim.Task, size uint64, prot mem.Prot, label string) 
 	if p.m.params.EagerVMASync {
 		v, _ := p.as.VMAs.Find(addr)
 		p.broadcastVMA(t, func(node int, wt *sim.Task) {
-			if err := p.vmaCache[node].Upsert(v); err != nil {
+			if err := p.nodes[node].vmas.Upsert(v); err != nil {
 				panic(fmt.Sprintf("core: eager VMA sync failed: %v", err))
 			}
 		})
@@ -404,7 +398,7 @@ func (p *Process) munmapAt(t *sim.Task, addr mem.Addr, size uint64) error {
 	lo := addr.VPN()
 	hi := (addr + mem.Addr(length) - 1).VPN()
 	p.broadcastVMA(t, func(node int, wt *sim.Task) {
-		if err := p.vmaCache[node].Carve(addr, length); err != nil {
+		if err := p.nodes[node].vmas.Carve(addr, length); err != nil {
 			panic(fmt.Sprintf("core: VMA shrink broadcast failed: %v", err))
 		}
 		p.mgr.ReclaimRange(node, lo, hi)
@@ -425,7 +419,7 @@ func (p *Process) mprotectAt(t *sim.Task, addr mem.Addr, size uint64, prot mem.P
 	if downgrade || p.m.params.EagerVMASync {
 		v, _ := p.as.VMAs.Find(addr)
 		p.broadcastVMA(t, func(node int, wt *sim.Task) {
-			if err := p.vmaCache[node].Upsert(v); err != nil {
+			if err := p.nodes[node].vmas.Upsert(v); err != nil {
 				panic(fmt.Sprintf("core: VMA downgrade broadcast failed: %v", err))
 			}
 			if downgrade {
@@ -454,7 +448,7 @@ func (p *Process) queryVMA(th *Thread, addr mem.Addr) (mem.VMA, bool) {
 		return r
 	})
 	if r.ok && th.node != p.origin {
-		if err := p.vmaCache[th.node].Upsert(r.v); err != nil {
+		if err := p.nodes[th.node].vmas.Upsert(r.v); err != nil {
 			panic(fmt.Sprintf("core: VMA cache update failed: %v", err))
 		}
 	}

@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"dex/internal/chaos"
+	"dex/internal/dsm"
 	"dex/internal/mem"
+	"dex/internal/obs"
 )
 
 // crashPlan kills node 1 at 2ms; with the default 4ms lease timeout the
@@ -98,6 +101,48 @@ func TestChaosRestartSurvivesCrash(t *testing.T) {
 	}
 	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after restart: %v", err)
+	}
+}
+
+// TestRehomeSpanRecordedWhereTheReclaimCommits: the entries a dead home leaves
+// behind are rebuilt inside the death commit, a global-lane event. Their spans
+// carry its time and its lane — they export in emission order, ahead of the
+// commit's own node.dead — while Node names where each page landed.
+func TestRehomeSpanRecordedWhereTheReclaimCommits(t *testing.T) {
+	for _, tc := range []struct {
+		proto dsm.Protocol
+		span  string
+	}{{dsm.HomeMigrate, "hm.rehome"}, {dsm.DistributedManager, "dist.rebuild"}} {
+		params := DefaultParams(3)
+		params.Chaos = restartCrashPlan(1)
+		params.DSM.Protocol = tc.proto
+		params.Obs = obs.NewRecorder()
+		m := NewMachine(params)
+		m.NewProcess(0, restartWorkload)
+		if err := m.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tc.span, err)
+		}
+		spans := params.Obs.Spans()
+		commit := slices.IndexFunc(spans, func(s obs.Span) bool { return s.Name == "node.dead" })
+		if commit < 0 {
+			t.Fatalf("%s: no node.dead span", tc.span)
+		}
+		at, rebuilt := spans[commit].Start, 0
+		for i, s := range spans {
+			if s.Name != tc.span || s.Start != at {
+				continue
+			}
+			rebuilt++
+			if i > commit {
+				t.Errorf("%s at %v exported after the node.dead that follows it in the commit", tc.span, at)
+			}
+			if s.Node == 1 || s.Dur != 0 {
+				t.Errorf("%s: node %d, duration %v; want an instant at a live node", tc.span, s.Node, s.Dur)
+			}
+		}
+		if rebuilt == 0 {
+			t.Errorf("no %s span at the commit time %v", tc.span, at)
+		}
 	}
 }
 

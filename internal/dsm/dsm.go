@@ -307,6 +307,10 @@ func (m *Manager) InFlightFaults() int { return m.inflight }
 // Protocol returns the coherence policy this manager runs.
 func (m *Manager) Protocol() Protocol { return m.params.Protocol }
 
+// DirectoryHosts returns, in ascending order, the nodes that host a directory
+// table: state the process depends on whether or not a thread ever runs there.
+func (m *Manager) DirectoryHosts() []int { return m.dir.hosts }
+
 // Stats returns a snapshot of the protocol counters.
 func (m *Manager) Stats() Stats { return m.stats }
 

@@ -69,21 +69,46 @@ const (
 const homeBusyPoll = 5 * time.Microsecond
 
 // protocolInfo is one registry row: the canonical short name accepted on
-// the command line and the long name (also accepted, and printed by String).
+// the command line, the long name (also accepted, and printed by String) and
+// the data the shared paths read.
 type protocolInfo struct {
 	proto Protocol
 	name  string // short CLI name
 	long  string // canonical long name
+	traits
 }
 
 // protocolRegistry is the single source of truth for the policies a
 // Manager can run: ParseProtocol, the -protocol help text of every command,
-// and Protocol.String all derive from it. Adding a policy means adding a
-// row here plus a case in newPolicy.
+// Protocol.String and newPolicy all derive from it.
 var protocolRegistry = []protocolInfo{
-	{WriteInvalidate, "wi", "write-invalidate"},         // origin-served, the default
-	{HomeMigrate, "home", "home-migrate"},               // directory home follows the last writer
-	{DistributedManager, "dist", "distributed-manager"}, // hash-sharded directory with forwarding chains
+	// origin-served, the default
+	{WriteInvalidate, "wi", "write-invalidate", traits{}},
+	// directory home follows the last writer
+	{HomeMigrate, "home", "home-migrate",
+		traits{migrates: true, redirectSpan: "hm.redirect", rehomeSpan: "hm.rehome"}},
+	// hash-sharded directory with forwarding chains
+	{DistributedManager, "dist", "distributed-manager",
+		traits{migrates: true, forwards: true, redirectSpan: "dist.forward", rehomeSpan: "dist.rebuild"}},
+}
+
+// traitsOf returns p's registry data; ok is false for an unregistered p.
+func traitsOf(p Protocol) (t traits, ok bool) {
+	for _, pi := range protocolRegistry {
+		if pi.proto == p {
+			return pi.traits, true
+		}
+	}
+	return traits{}, false
+}
+
+// SharesTable reports whether, under p, nodes read and write one directory
+// table from their own lanes: authority migrates, so a page is served wherever
+// its home is, and every home reads the origin's tree. The lanes of a
+// simulation that runs p are then not independent (sim.SerializeLanes).
+func (p Protocol) SharesTable() bool {
+	t, _ := traitsOf(p)
+	return t.migrates && !t.forwards
 }
 
 func (p Protocol) String() string {
@@ -204,21 +229,18 @@ type traits struct {
 }
 
 func newPolicy(m *Manager) policy {
+	var ok bool
+	if m.traits, ok = traitsOf(m.params.Protocol); !ok {
+		panic(fmt.Sprintf("dsm: unknown protocol %d", m.params.Protocol))
+	}
 	var p policy = &central{m: m}
 	hosts := []int{m.origin}
-	switch m.params.Protocol {
-	case WriteInvalidate:
-	case HomeMigrate:
-		m.traits = traits{migrates: true, redirectSpan: "hm.redirect", rehomeSpan: "hm.rehome"}
-	case DistributedManager:
-		m.traits = traits{migrates: true, forwards: true, redirectSpan: "dist.forward", rehomeSpan: "dist.rebuild"}
+	if m.forwards {
 		p = &sharded{m: m}
 		hosts = make([]int, len(m.nodes))
 		for n := range hosts {
 			hosts[n] = n
 		}
-	default:
-		panic(fmt.Sprintf("dsm: unknown protocol %d", m.params.Protocol))
 	}
 	m.dir.init(len(m.nodes), hosts, m.forwards)
 	return p
