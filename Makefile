@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke serve-smoke goldens goldens-update
+.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke goldens goldens-update
 
 all: check
 
@@ -87,73 +87,32 @@ fuzz-smoke:
 artifacts:
 	$(GO) run ./cmd/dexbench -size full
 
-# CHAOS is the campaign every dexchaos smoke and golden command runs.
+# chaos-smoke gates a crash campaign with drops on 100% survival with
+# checkpoint/restart enabled, under each protocol. (That a campaign reproduces
+# byte for byte is what the four dexchaos golden tests state.)
 CHAOS := $(GO) run ./cmd/dexchaos -quiet -app kmn -nodes 3 -threads 4
-
-# chaos-smoke runs a small fault-injection campaign twice under each
-# protocol and compares the outputs byte for byte (same seed + same plan
-# must reproduce exactly), then gates a crash campaign on 100% survival
-# with checkpoint/restart enabled.
 chaos-smoke:
-	$(CHAOS) -drops 0,0.1 -dup 0.2 > chaos1.txt
-	$(CHAOS) -drops 0,0.1 -dup 0.2 > chaos2.txt
-	cmp chaos1.txt chaos2.txt
-	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol home > chaos-hm1.txt
-	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol home > chaos-hm2.txt
-	cmp chaos-hm1.txt chaos-hm2.txt
-	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol dist -restart > chaos-dm1.txt
-	$(CHAOS) -drops 0,0.1 -dup 0.2 -protocol dist -restart > chaos-dm2.txt
-	cmp chaos-dm1.txt chaos-dm2.txt
 	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 > /dev/null
 	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol home > /dev/null
 	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol dist > /dev/null
-	rm -f chaos1.txt chaos2.txt chaos-hm1.txt chaos-hm2.txt chaos-dm1.txt chaos-dm2.txt
 
-# serve-smoke exercises the serving subsystem end to end: the default SLO
-# table must match the committed golden and reproduce byte-for-byte across
-# reruns, and a crash+restart run must complete with its exactly-once
-# accounting intact (serve.Run fails the run otherwise).
-serve-smoke:
-	$(GO) run ./cmd/dexserve > serve1.txt
-	cmp serve1.txt cmd/dexserve/testdata/golden.txt
-	$(GO) run ./cmd/dexserve > serve2.txt
-	cmp serve1.txt serve2.txt
-	$(GO) run ./cmd/dexserve -nodes 3 -crash 10ms -restart > /dev/null
-	$(GO) run ./cmd/dexserve -nodes 3 -crash 10ms -restart -protocol home > /dev/null
-	rm -f serve1.txt serve2.txt
-
-# trace-smoke records a traced run twice and compares the trace bytes (the
-# recorder must export in an order the run determines), then structurally
-# validates the file with dextrace.
+# trace-smoke structurally validates a recorded trace with dextrace. (That the
+# trace bytes reproduce is what the manifest's pinned SHA-256 rows state.)
 trace-smoke:
 	$(GO) run ./cmd/dexrun -app bfs -nodes 4 -seed 7 -trace trace1.json -metrics > /dev/null
-	$(GO) run ./cmd/dexrun -app bfs -nodes 4 -seed 7 -trace trace2.json -metrics > /dev/null
-	cmp trace1.json trace2.json
 	$(GO) run ./cmd/dextrace -validate trace1.json
-	rm -f trace1.json trace2.json
+	rm -f trace1.json
 
-# chaos-golden,<suffix>,<flags> runs the two halves of one pinned dexchaos
-# campaign and compares them byte for byte with
-# cmd/dexchaos/testdata/golden<suffix>.txt.
-define chaos-golden
-	{ $(CHAOS) -drops 0,0.1,0.3 -dup 0.2 $(2) && $(CHAOS) -drops 0 -crash 3ms $(2); } \
-		| cmp - cmd/dexchaos/testdata/golden$(1).txt
-endef
-
-# goldens is the one list of golden commands: every pinned output is
-# regenerated and compared byte for byte — dexbench, the four dexchaos
-# campaigns, dexserve, and the SHA-256 manifest of the outputs no golden file
-# pins (testdata/behaviour.sha256). It starts with the host-independent cost
+# goldens compares every pinned output once: the golden tests (dexbench —
+# also from a -trimpath build run away from the checkout — the four dexchaos
+# campaigns, dexserve) and the SHA-256 manifest of the outputs no golden file
+# pins (testdata/behaviour.sha256: traces, dexserve crash+restart under each
+# protocol, dexprof, two examples). It starts with the host-independent cost
 # gates — objects per fabric message, words per event — so that they fail CI
 # by name.
 goldens:
 	$(GO) test -run 'AllocsPerRun|Sizeof' ./internal/sim ./internal/fabric
-	$(GO) run ./cmd/dexbench -quiet -parallel 1 | cmp - cmd/dexbench/testdata/golden.txt
-	$(call chaos-golden,,)
-	$(call chaos-golden,_restart,-restart)
-	$(call chaos-golden,_home,-protocol home -restart)
-	$(call chaos-golden,_dist,-protocol dist -restart)
-	$(GO) run ./cmd/dexserve | cmp - cmd/dexserve/testdata/golden.txt
+	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 
 # goldens-update rewrites the manifest (the golden files themselves are

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,6 +66,33 @@ func TestBenchGoldenBytes(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), golden) {
 		t.Fatalf("dexbench output diverged from testdata/golden.txt (%d vs %d bytes); regenerate only if the change is intended",
 			out.Len(), len(golden))
+	}
+}
+
+// TestBenchTable1WithoutSourceTree: a tool built with -trimpath and run away
+// from the checkout prints the same Table I as the golden; nothing in a table
+// may depend on the source tree being there at run time.
+func TestBenchTable1WithoutSourceTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tool")
+	}
+	golden, err := os.ReadFile("testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dexbench")
+	if out, err := exec.Command("go", "build", "-trimpath", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build -trimpath: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-quiet", "-exp", "table1")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("dexbench -quiet -exp table1: %v", err)
+	}
+	if len(out) == 0 || !bytes.Contains(golden, out) {
+		t.Fatalf("Table I from a -trimpath build is not the golden's:\n%s", out)
 	}
 }
 

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dex"
@@ -18,9 +19,44 @@ func runMachine(params core.Params, main func(*core.Thread) error) core.Report {
 	m := core.NewMachine(params)
 	p := m.NewProcess(0, main)
 	if err := m.Run(); err != nil {
-		panic(fmt.Sprintf("exper: ablation run failed: %v", err))
+		panic(fmt.Sprintf("exper: microbenchmark run failed: %v", err))
 	}
 	return p.Report()
+}
+
+// fanOut spawns one worker per entry of nodes; each migrates to its node, runs
+// body there (i is its index; a nil body does nothing) and migrates back. It
+// joins them all and returns when the first of them arrived at its node,
+// which is where the microbenchmarks measure their span from. A worker's
+// error is the process's, which runMachine reports.
+func fanOut(th *core.Thread, nodes []int, body func(w *core.Thread, i int) error) (time.Duration, error) {
+	var firstArrival time.Duration
+	arrived := false
+	var ws []*core.Thread
+	for i, node := range nodes {
+		w, err := th.Spawn(func(w *core.Thread) error {
+			if err := w.Migrate(node); err != nil {
+				return err
+			}
+			if !arrived {
+				arrived, firstArrival = true, w.Now()
+			}
+			if body != nil {
+				if err := body(w, i); err != nil {
+					return err
+				}
+			}
+			return w.MigrateBack()
+		})
+		if err != nil {
+			return 0, err
+		}
+		ws = append(ws, w)
+	}
+	for _, w := range ws {
+		th.Join(w)
+	}
+	return firstArrival, nil
 }
 
 // coalescingResult is the value of one A1 cell.
@@ -46,36 +82,19 @@ func runCoalescing(disable bool) coalescingResult {
 				return err
 			}
 		}
-		start := time.Duration(0)
-		var ws []*core.Thread
-		for i := 0; i < threads; i++ {
-			w, err := th.Spawn(func(w *core.Thread) error {
-				if err := w.Migrate(1); err != nil {
+		// All threads sweep the same pages from node 1: with coalescing one
+		// leader fetches each page; without it every thread runs the
+		// protocol.
+		start, err := fanOut(th, slices.Repeat([]int{1}, threads), func(w *core.Thread, _ int) error {
+			for i := 0; i < pages; i++ {
+				if _, err := w.ReadUint64(addr + mem.Addr(i*mem.PageSize)); err != nil {
 					return err
 				}
-				if start == 0 {
-					start = w.Now()
-				}
-				// All threads sweep the same pages: with coalescing one
-				// leader fetches each page; without it every thread
-				// runs the protocol.
-				for i := 0; i < pages; i++ {
-					if _, err := w.ReadUint64(addr + mem.Addr(i*mem.PageSize)); err != nil {
-						return err
-					}
-				}
-				return w.MigrateBack()
-			})
-			if err != nil {
-				return err
 			}
-			ws = append(ws, w)
-		}
-		for _, w := range ws {
-			th.Join(w)
-		}
+			return nil
+		})
 		span = th.Now() - start
-		return nil
+		return err
 	})
 	return coalescingResult{span, rep.DSM.Faults(), rep.DSM.FollowerJoins, rep.DSM.Nacks}
 }
@@ -175,21 +194,9 @@ func runVMA(eager bool) vmaResult {
 	var span time.Duration
 	rep := runMachine(params, func(th *core.Thread) error {
 		// Expand to every node first so workers exist.
-		var ws []*core.Thread
-		for n := 1; n < 4; n++ {
-			w, err := th.Spawn(func(w *core.Thread) error {
-				if err := w.Migrate(n); err != nil {
-					return err
-				}
-				return w.MigrateBack()
-			})
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
-		}
-		for _, w := range ws {
-			th.Join(w)
+		remote := []int{1, 2, 3}
+		if _, err := fanOut(th, remote, nil); err != nil {
+			return err
 		}
 		// The origin maps many regions; remote threads touch only one.
 		const regions = 128
@@ -205,27 +212,12 @@ func runVMA(eager bool) vmaResult {
 				return err
 			}
 		}
-		ws = ws[:0]
-		for n := 1; n < 4; n++ {
-			w, err := th.Spawn(func(w *core.Thread) error {
-				if err := w.Migrate(n); err != nil {
-					return err
-				}
-				if _, err := w.ReadUint64(addrs[n]); err != nil {
-					return err
-				}
-				return w.MigrateBack()
-			})
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
-		}
-		for _, w := range ws {
-			th.Join(w)
-		}
+		_, err := fanOut(th, remote, func(w *core.Thread, i int) error {
+			_, err := w.ReadUint64(addrs[remote[i]])
+			return err
+		})
 		span = th.Now() - start
-		return nil
+		return err
 	})
 	return vmaResult{span, rep.VMAQueries, rep.Net.SmallSends}
 }
@@ -364,42 +356,24 @@ func runProtocolPingPong(proto dsm.Protocol) protoResult {
 		if err != nil {
 			return err
 		}
-		start := time.Duration(0)
-		var ws []*core.Thread
-		for i := 0; i < 2; i++ {
-			node := 1 + i
-			w, err := th.Spawn(func(w *core.Thread) error {
-				if err := w.Migrate(node); err != nil {
-					return err
-				}
-				if start == 0 {
-					start = w.Now()
-				}
-				for r := 0; r < rounds; r++ {
-					for p := 0; p < pages; p++ {
-						a := addr + mem.Addr(p*mem.PageSize)
-						v, err := w.ReadUint64(a)
-						if err != nil {
-							return err
-						}
-						if err := w.WriteUint64(a, v+1); err != nil {
-							return err
-						}
+		start, err := fanOut(th, []int{1, 2}, func(w *core.Thread, _ int) error {
+			for r := 0; r < rounds; r++ {
+				for p := 0; p < pages; p++ {
+					a := addr + mem.Addr(p*mem.PageSize)
+					v, err := w.ReadUint64(a)
+					if err != nil {
+						return err
 					}
-					w.Compute(3 * time.Microsecond)
+					if err := w.WriteUint64(a, v+1); err != nil {
+						return err
+					}
 				}
-				return w.MigrateBack()
-			})
-			if err != nil {
-				return err
+				w.Compute(3 * time.Microsecond)
 			}
-			ws = append(ws, w)
-		}
-		for _, w := range ws {
-			th.Join(w)
-		}
+			return nil
+		})
 		span = th.Now() - start
-		return nil
+		return err
 	})
 	return protoStats(span, rep.DSM, rep.Net)
 }
@@ -423,50 +397,32 @@ func runOriginContention(proto dsm.Protocol) protoResult {
 		if err != nil {
 			return err
 		}
-		start := time.Duration(0)
-		var ws []*core.Thread
-		for i := 0; i < nodes; i++ {
-			node := i
-			w, err := th.Spawn(func(w *core.Thread) error {
-				if err := w.Migrate(node); err != nil {
-					return err
-				}
-				if start == 0 {
-					start = w.Now()
-				}
-				own := addr + mem.Addr(node*pagesPer*mem.PageSize)
-				next := addr + mem.Addr(((node+1)%nodes)*pagesPer*mem.PageSize)
-				for r := 0; r < rounds; r++ {
-					for p := 0; p < pagesPer; p++ {
-						a := own + mem.Addr(p*mem.PageSize)
-						v, err := w.ReadUint64(a)
-						if err != nil {
-							return err
-						}
-						if err := w.WriteUint64(a, v+1); err != nil {
-							return err
-						}
+		start, err := fanOut(th, []int{0, 1, 2, 3}, func(w *core.Thread, node int) error {
+			own := addr + mem.Addr(node*pagesPer*mem.PageSize)
+			next := addr + mem.Addr(((node+1)%nodes)*pagesPer*mem.PageSize)
+			for r := 0; r < rounds; r++ {
+				for p := 0; p < pagesPer; p++ {
+					a := own + mem.Addr(p*mem.PageSize)
+					v, err := w.ReadUint64(a)
+					if err != nil {
+						return err
 					}
-					w.Compute(2 * time.Microsecond)
-					for p := 0; p < pagesPer; p++ {
-						if _, err := w.ReadUint64(next + mem.Addr(p*mem.PageSize)); err != nil {
-							return err
-						}
+					if err := w.WriteUint64(a, v+1); err != nil {
+						return err
 					}
-					w.Compute(2 * time.Microsecond)
 				}
-				return w.MigrateBack()
-			})
-			if err != nil {
-				return err
+				w.Compute(2 * time.Microsecond)
+				for p := 0; p < pagesPer; p++ {
+					if _, err := w.ReadUint64(next + mem.Addr(p*mem.PageSize)); err != nil {
+						return err
+					}
+				}
+				w.Compute(2 * time.Microsecond)
 			}
-			ws = append(ws, w)
-		}
-		for _, w := range ws {
-			th.Join(w)
-		}
+			return nil
+		})
 		span = th.Now() - start
-		return nil
+		return err
 	})
 	return protoStats(span, rep.DSM, rep.Net)
 }

@@ -42,10 +42,8 @@ func AblationAlignment(r *Runner, _ apps.Size) Table {
 		Pages int
 	}
 	run := func(l layout) alignResult {
-		params := core.DefaultParams(4)
-		m := core.NewMachine(params)
 		var span time.Duration
-		p := m.NewProcess(0, func(th *core.Thread) error {
+		rep := runMachine(core.DefaultParams(4), func(th *core.Thread) error {
 			// Every object is PRIVATE to one thread; the layouts differ
 			// only in which objects share pages.
 			var size uint64
@@ -79,35 +77,19 @@ func AblationAlignment(r *Runner, _ apps.Size) Table {
 				}
 			}
 			start := th.Now()
-			var ws []*core.Thread
-			for t := 0; t < threadCnt; t++ {
-				w, err := th.Spawn(func(w *core.Thread) error {
-					if err := w.Migrate(t % 4); err != nil {
+			_, err = fanOut(th, []int{0, 1, 2, 3, 0, 1, 2, 3}, func(w *core.Thread, t int) error {
+				for u := 0; u < updates; u++ {
+					if _, err := w.AddUint64(addrOf(t, u%perThread), 1); err != nil {
 						return err
 					}
-					for u := 0; u < updates; u++ {
-						if _, err := w.AddUint64(addrOf(t, u%perThread), 1); err != nil {
-							return err
-						}
-						w.Compute(2 * time.Microsecond)
-					}
-					return w.Migrate(0)
-				})
-				if err != nil {
-					return err
+					w.Compute(2 * time.Microsecond)
 				}
-				ws = append(ws, w)
-			}
-			for _, w := range ws {
-				th.Join(w)
-			}
+				return nil
+			})
 			span = th.Now() - start
-			return nil
+			return err
 		})
-		if err := m.Run(); err != nil {
-			panic(fmt.Sprintf("exper: alignment ablation failed: %v", err))
-		}
-		return alignResult{span, p.Report().TotalResidentPages()}
+		return alignResult{span, rep.TotalResidentPages()}
 	}
 	t := Table{
 		ID:     "A5",

@@ -161,6 +161,29 @@ func ScaleUp(r *Runner, size apps.Size) Table {
 	return t
 }
 
+// table1Entries holds Table I's call-site counts, audited from the
+// implementations in internal/apps: initial = migration calls inserted (one
+// in + one back per thread, per region for the OpenMP codes); optimized =
+// additional sites touched by the §IV optimizations (alignment, staging,
+// separated globals); migrationSites = Migrate/MigrateBack call sites in the
+// port's source file, which TestCountAPISites counts again with go/parser.
+var table1Entries = []struct {
+	name, impl     string
+	regions        int
+	initialSites   int
+	optimizedSites int
+	migrationSites int
+}{
+	{"grp", "pthread", 1, 2, 6, 2},
+	{"kmn", "pthread", 1, 2, 7, 2},
+	{"bt", "OpenMP (15)", 15, 2, 5, 2},
+	{"ep", "OpenMP (1)", 1, 2, 4, 2},
+	{"ft", "OpenMP (7)", 7, 2, 3, 2},
+	{"blk", "pthread", 1, 2, 3, 2},
+	{"bfs", "pthread+NUMA", 1, 2, 9, 2},
+	{"bp", "pthread+NUMA", 1, 2, 8, 2},
+}
+
 // Table1 reproduces Table I: the effort to adapt each application. The
 // paper counts changed source lines; this reproduction counts the DeX API
 // call sites each port requires — the direct analogue of inserted lines —
@@ -173,45 +196,21 @@ func Table1(r *Runner, size apps.Size) Table {
 		Header: []string{"app", "impl", "regions", "initial-sites", "optimized-sites",
 			"static-migration-sites", "measured-migrations(2 nodes)"},
 	}
-	type entry struct {
-		name, impl     string
-		regions        int
-		initialSites   int
-		optimizedSites int
-	}
-	// Call-site counts audited from the implementations in internal/apps:
-	// initial = migration calls inserted (one in + one back per thread, per
-	// region for the OpenMP codes); optimized = additional sites touched by
-	// the §IV optimizations (alignment, staging, separated globals).
-	entries := []entry{
-		{"grp", "pthread", 1, 2, 6},
-		{"kmn", "pthread", 1, 2, 7},
-		{"bt", "OpenMP (15)", 15, 2, 5},
-		{"ep", "OpenMP (1)", 1, 2, 4},
-		{"ft", "OpenMP (7)", 7, 2, 3},
-		{"blk", "pthread", 1, 2, 3},
-		{"bfs", "pthread+NUMA", 1, 2, 9},
-		{"bp", "pthread+NUMA", 1, 2, 8},
-	}
-	cells := make([]*Cell, len(entries))
-	for i, e := range entries {
+	cells := make([]*Cell, len(table1Entries))
+	for i, e := range table1Entries {
 		app, _ := apps.ByName(e.name)
 		cells[i] = r.SubmitApp(app, apps.Config{Nodes: 2, Variant: apps.Initial, Size: apps.SizeTest})
 	}
-	for i, e := range entries {
+	for i, e := range table1Entries {
 		res, err := WaitApp(cells[i])
 		measured := "err"
 		if err == nil {
 			measured = fmt.Sprintf("%d (%d threads x %d)",
 				res.Report.Migrations, res.Threads, res.Report.Migrations/res.Threads)
 		}
-		static := "n/a"
-		if sc, err := CountAPISites(e.name); err == nil {
-			static = fmt.Sprint(sc.Migration)
-		}
 		t.Rows = append(t.Rows, []string{
 			e.name, e.impl, fmt.Sprint(e.regions),
-			fmt.Sprint(e.initialSites), fmt.Sprint(e.optimizedSites), static, measured,
+			fmt.Sprint(e.initialSites), fmt.Sprint(e.optimizedSites), fmt.Sprint(e.migrationSites), measured,
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -274,8 +273,7 @@ func Figure2(r *Runner, size apps.Size) Table {
 // migrationMachine runs the §V-D migration microbenchmark: a thread
 // repeatedly migrates to a remote node and back.
 func migrationMachine(trips int) []core.MigrationRecord {
-	m := core.NewMachine(core.DefaultParams(2))
-	p := m.NewProcess(0, func(th *core.Thread) error {
+	return runMachine(core.DefaultParams(2), func(th *core.Thread) error {
 		for i := 0; i < trips; i++ {
 			if err := th.Migrate(1); err != nil {
 				return err
@@ -287,11 +285,7 @@ func migrationMachine(trips int) []core.MigrationRecord {
 			th.Compute(time.Millisecond)
 		}
 		return nil
-	})
-	if err := m.Run(); err != nil {
-		panic(fmt.Sprintf("exper: migration microbenchmark failed: %v", err))
-	}
-	return p.Report().MigrationRecords
+	}).MigrationRecords
 }
 
 // migrationRecords memoizes the migration microbenchmark; Table II and
@@ -385,9 +379,8 @@ func Figure3(r *Runner, _ apps.Size) Table {
 func faultPingPong() []time.Duration {
 	params := core.DefaultParams(2)
 	params.Obs = obs.NewFaultRecorder()
-	m := core.NewMachine(params)
 	const iters = 20000
-	m.NewProcess(0, func(th *core.Thread) error {
+	runMachine(params, func(th *core.Thread) error {
 		addr, err := th.Mmap(mem.PageSize, mem.ProtRead|mem.ProtWrite, "global")
 		if err != nil {
 			return err
@@ -443,9 +436,6 @@ func faultPingPong() []time.Duration {
 		th.Join(w)
 		return nil
 	})
-	if err := m.Run(); err != nil {
-		panic(fmt.Sprintf("exper: fault microbenchmark failed: %v", err))
-	}
 	var lat []time.Duration
 	for _, ev := range dex.ProfileOf(params.Obs).Events() {
 		if ev.Kind != dsm.KindInvalidate {

@@ -219,26 +219,6 @@ func TestTable1Structure(t *testing.T) {
 	}
 }
 
-func TestCountAPISites(t *testing.T) {
-	for _, app := range apps.All() {
-		sc, err := CountAPISites(app.Name)
-		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
-		}
-		// Every port has at least the migrate-out/migrate-back pair and
-		// touches shared memory.
-		if sc.Migration < 2 {
-			t.Errorf("%s: migration sites = %d", app.Name, sc.Migration)
-		}
-		if sc.SharedMemory == 0 || sc.Total < sc.Migration+sc.SharedMemory {
-			t.Errorf("%s: counts = %+v", app.Name, sc)
-		}
-	}
-	if _, err := CountAPISites("no-such-app"); err == nil {
-		t.Fatal("unknown app parsed")
-	}
-}
-
 // TestAblationDistSpreadsDispatch: A7's headline claim — the centralized
 // paper protocol dispatches every directory transaction at the origin
 // (share 1.00) on the symmetric contention microbenchmark, while the

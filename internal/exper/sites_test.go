@@ -6,13 +6,17 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
-	"runtime"
+	"testing"
+
+	"dex/internal/apps"
 )
 
 // Static call-site counting backs Table I with verifiable numbers: the
 // paper's metric is source lines changed to adapt each application; the
 // direct analogue here is the number of DeX API call sites in each port,
-// counted from the Go source with go/parser.
+// counted from the Go source with go/parser. The table prints audited
+// constants — a built tool has no source tree to parse — and
+// TestCountAPISites pins them against the source.
 
 // SiteCounts summarizes the DeX API usage of one application source file.
 type SiteCounts struct {
@@ -48,26 +52,11 @@ var otherThreadMethods = map[string]bool{
 	"FileRead": true, "FileSize": true,
 }
 
-// appSourceDir locates internal/apps relative to this source file. It
-// returns an error when the source tree is not available (e.g. a stripped
-// binary), in which case callers fall back to audited numbers.
-func appSourceDir() (string, error) {
-	_, self, _, ok := runtime.Caller(0)
-	if !ok {
-		return "", fmt.Errorf("exper: cannot locate source tree")
-	}
-	return filepath.Join(filepath.Dir(filepath.Dir(self)), "apps"), nil
-}
-
-// CountAPISites parses internal/apps/<app>.go and tallies DeX API call
-// sites by category.
+// CountAPISites parses internal/apps/<app>.go (a test runs in its package's
+// directory) and tallies DeX API call sites by category.
 func CountAPISites(app string) (SiteCounts, error) {
-	dir, err := appSourceDir()
-	if err != nil {
-		return SiteCounts{}, err
-	}
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filepath.Join(dir, app+".go"), nil, 0)
+	file, err := parser.ParseFile(fset, filepath.Join("..", "apps", app+".go"), nil, 0)
 	if err != nil {
 		return SiteCounts{}, fmt.Errorf("exper: parse %s: %w", app, err)
 	}
@@ -101,4 +90,31 @@ func CountAPISites(app string) (SiteCounts, error) {
 		return true
 	})
 	return counts, nil
+}
+
+func TestCountAPISites(t *testing.T) {
+	audited := make(map[string]int)
+	for _, e := range table1Entries {
+		audited[e.name] = e.migrationSites
+	}
+	for _, app := range apps.All() {
+		sc, err := CountAPISites(app.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		// Every port has at least the migrate-out/migrate-back pair and
+		// touches shared memory.
+		if sc.Migration < 2 {
+			t.Errorf("%s: migration sites = %d", app.Name, sc.Migration)
+		}
+		if sc.SharedMemory == 0 || sc.Total < sc.Migration+sc.SharedMemory {
+			t.Errorf("%s: counts = %+v", app.Name, sc)
+		}
+		if want, ok := audited[app.Name]; !ok || sc.Migration != want {
+			t.Errorf("%s: %d migration call sites in the source, Table I prints %d (listed: %v)", app.Name, sc.Migration, want, ok)
+		}
+	}
+	if _, err := CountAPISites("no-such-app"); err == nil {
+		t.Fatal("unknown app parsed")
+	}
 }
