@@ -92,14 +92,14 @@ var protocolRegistry = []protocolInfo{
 		traits{migrates: true, forwards: true, redirectSpan: "dist.forward", rehomeSpan: "dist.rebuild"}},
 }
 
-// traitsOf returns p's registry data; ok is false for an unregistered p.
-func traitsOf(p Protocol) (t traits, ok bool) {
-	for _, pi := range protocolRegistry {
-		if pi.proto == p {
-			return pi.traits, true
+// info returns p's registry row, nil for an unregistered p.
+func (p Protocol) info() *protocolInfo {
+	for i := range protocolRegistry {
+		if protocolRegistry[i].proto == p {
+			return &protocolRegistry[i]
 		}
 	}
-	return traits{}, false
+	return nil
 }
 
 // SharesTable reports whether, under p, nodes read and write one directory
@@ -107,15 +107,13 @@ func traitsOf(p Protocol) (t traits, ok bool) {
 // its home is, and every home reads the origin's tree. The lanes of a
 // simulation that runs p are then not independent (sim.SerializeLanes).
 func (p Protocol) SharesTable() bool {
-	t, _ := traitsOf(p)
-	return t.migrates && !t.forwards
+	pi := p.info()
+	return pi != nil && pi.migrates && !pi.forwards
 }
 
 func (p Protocol) String() string {
-	for _, pi := range protocolRegistry {
-		if pi.proto == p {
-			return pi.long
-		}
+	if pi := p.info(); pi != nil {
+		return pi.long
 	}
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
@@ -229,10 +227,11 @@ type traits struct {
 }
 
 func newPolicy(m *Manager) policy {
-	var ok bool
-	if m.traits, ok = traitsOf(m.params.Protocol); !ok {
+	pi := m.params.Protocol.info()
+	if pi == nil {
 		panic(fmt.Sprintf("dsm: unknown protocol %d", m.params.Protocol))
 	}
+	m.traits = pi.traits
 	var p policy = &central{m: m}
 	hosts := []int{m.origin}
 	if m.forwards {
