@@ -276,10 +276,11 @@ func (p *Process) restartThread(th *Thread) {
 	}
 }
 
-// awaitAcks blocks t until pending, a mask of nodes, drains. Without fault injection this is a
-// plain park loop (the acks are envelopes, which the injector never drops).
-// Under injection a node can die between the send and its ack, so the wait
-// re-checks the pending set against injector ground truth on a timer.
+// awaitAcks blocks t until pending, a mask of nodes, drains. Without fault
+// injection this is a plain park loop (the acks are envelopes, which the
+// injector never drops). Under injection a node can die between the send and
+// its ack, so the wait re-checks the pending set against injector ground
+// truth on a timer.
 func (p *Process) awaitAcks(t *sim.Task, reason string, pending *uint64) {
 	if p.m.inj == nil {
 		for *pending != 0 {
