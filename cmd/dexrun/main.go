@@ -123,9 +123,7 @@ func run(args []string) error {
 		tlb.Hits, tlb.Misses, 100*tlb.HitRate(), tlb.Flushes)
 	fmt.Printf("frames:       %d recycled, %d allocated\n",
 		res.Report.FramesRecycled, res.Report.FrameAllocs)
-	s := res.Report.Sched
-	fmt.Printf("sched:        %d events (%d sleeps taken in place), %d windows (%d serialized, %d events), %d lane dispatches (max %d lanes/window)\n",
-		s.Events, s.InPlaceWakes, s.Windows, s.SerializedWindows, s.SerializedEvents, s.LaneDispatches, s.MaxWindowLanes)
+	cli.PrintSched(os.Stdout, res.Report.Sched, cl.Metrics)
 	if c := res.Report.Chaos; c != nil {
 		fmt.Printf("chaos:        %d dropped, %d duplicated, %d delayed, %d held; %d retransmits, %d dups ignored\n",
 			c.Injected.Dropped, c.Injected.Duplicated, c.Injected.Delayed, c.Injected.Held,

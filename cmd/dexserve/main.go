@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"chaos":    "JSON fault-injection plan to serve under",
 		"restart":  "spawn shards restartable: a shard lost with its node resumes from its checkpoint",
 		"trace":    cli.TraceHelp,
-		"metrics":  "print latency histogram summaries on stderr after the run",
+		"metrics":  "print the scheduler's event census and latency histogram summaries on stderr after the run",
 	})
 	var (
 		tenants = fs.Int("tenants", 2, "tenant count; one gateway thread per tenant")
@@ -104,6 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if cl.Metrics {
 		fmt.Fprintln(stderr)
+		cli.PrintSched(stderr, rep.Dex.Sched, true)
 		return res.Rec.WriteMetrics(stderr)
 	}
 	return nil

@@ -70,6 +70,28 @@ func TestServeCrashRestart(t *testing.T) {
 	}
 }
 
+// TestServeEventBudget pins how many simulator events the golden run costs:
+// the host-independent half of what a dexserve campaign costs, and the count
+// ROADMAP item 3 is about. The golden bytes cannot show it (no table prints
+// it), so a change that adds events to the serving path fails here by name
+// (make goldens runs it with the other cost gates). Lower it when a change
+// removes events, and say which in CHANGES.md.
+func TestServeEventBudget(t *testing.T) {
+	const budget = 69899
+	var rep struct {
+		Report struct {
+			Sched struct{ Events, InPlaceWakes uint64 }
+		} `json:"report"`
+	}
+	if err := json.Unmarshal(capture(t, "-json"), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Report.Sched.Events; got != budget {
+		t.Fatalf("the golden run executed %d events (%d of them sleeps taken in place), want %d",
+			got, rep.Report.Sched.InPlaceWakes, budget)
+	}
+}
+
 // TestServeJSON checks the machine-readable output round-trips and agrees
 // with the table run's accounting.
 func TestServeJSON(t *testing.T) {

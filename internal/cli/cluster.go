@@ -5,11 +5,14 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
+	"sort"
 	"strings"
 
 	"dex"
 	"dex/internal/apps"
 	"dex/internal/dsm"
+	"dex/internal/sim"
 )
 
 // Help texts that read the same in every tool that takes the flag.
@@ -115,4 +118,31 @@ func (c *Cluster) Resolve(app *apps.App) (Run, error) {
 		run.Opts = append(run.Opts, dex.WithObserver(run.Rec))
 	}
 	return run, nil
+}
+
+// PrintSched writes the scheduler line of a run's report and, when metrics
+// asks for it, the event census under it: Events by kind, one per line, the
+// biggest runner first. The census is there only if the run had a recorder,
+// which -metrics gives it.
+func PrintSched(w io.Writer, s sim.SchedStats, metrics bool) {
+	fmt.Fprintf(w, "sched:        %d events (%d sleeps taken in place), %d windows (%d serialized, %d events), %d lane dispatches (max %d lanes/window)\n",
+		s.Events, s.InPlaceWakes, s.Windows, s.SerializedWindows, s.SerializedEvents, s.LaneDispatches, s.MaxWindowLanes)
+	cs := s.Census
+	if !metrics || cs == nil {
+		return
+	}
+	row := func(kind string, n uint64) {
+		fmt.Fprintf(w, "  %-52s %10d  %5.1f%%\n", kind, n, 100*float64(n)/float64(max(s.Events, 1)))
+	}
+	row("task start", cs.TaskStarts)
+	row("sleep wake (queued)", cs.SleepWakes)
+	row("sleep taken in place", cs.InPlace)
+	row("unpark", cs.Unparks)
+	row("park timeout", cs.ParkTimeouts)
+	runners := append([]sim.RunnerCount(nil), cs.Runners...)
+	sort.SliceStable(runners, func(i, j int) bool { return runners[i].Events > runners[j].Events })
+	for _, r := range runners {
+		row("run "+strings.Replace(r.Name, "dex/internal/", "", 1), r.Events)
+	}
+	fmt.Fprintf(w, "  of the sleeps, %d were SleepWhile rounds slept on: no task code ran\n", cs.SleptOn)
 }

@@ -416,6 +416,46 @@ func TestMprotectDowngradeBroadcast(t *testing.T) {
 	})
 }
 
+// checkAccess asks the region of the thread's last access first; an mprotect
+// or munmap in between must not be answered from that copy, at the origin or
+// on a node with a VMA cache of its own.
+func TestCheckAccessForgetsAChangedVMA(t *testing.T) {
+	for _, node := range []int{0, 1} {
+		params := DefaultParams(2)
+		params.EventLimit = 100_000 // a fault on an unmapped page would retry for ever
+		_, _ = runParams(t, params, func(th *Thread) error {
+			addr, err := th.Mmap(2*mem.PageSize, mem.ProtRead|mem.ProtWrite, "changing")
+			if err != nil {
+				return err
+			}
+			if err := th.Migrate(node); err != nil {
+				return err
+			}
+			for i := 0; i < 2; i++ { // the second access is answered from the first's region
+				if err := th.WriteUint64(addr, 1); err != nil {
+					return err
+				}
+			}
+			if err := th.Mprotect(addr, 2*mem.PageSize, mem.ProtRead); err != nil {
+				return err
+			}
+			if err := th.WriteUint64(addr, 2); !errors.Is(err, ErrProtection) {
+				t.Errorf("node %d: write after mprotect = %v, want protection error", node, err)
+			}
+			if _, err := th.ReadUint64(addr); err != nil {
+				return err
+			}
+			if err := th.Munmap(addr, 2*mem.PageSize); err != nil {
+				return err
+			}
+			if _, err := th.ReadUint64(addr); !errors.Is(err, ErrSegfault) {
+				t.Errorf("node %d: read after munmap = %v, want segfault", node, err)
+			}
+			return th.MigrateBack()
+		})
+	}
+}
+
 func TestComputeCoreContention(t *testing.T) {
 	params := DefaultParams(1)
 	params.CoresPerNode = 2

@@ -186,18 +186,22 @@ func NewMachine(params Params) *Machine {
 	}
 	if rec := params.Obs; rec != nil {
 		rec.Bind(eng)
+		eng.CountEventKinds()
 		m.net.SetRecorder(rec)
 		// Scheduler telemetry gauges, sampled with all other gauges by the
 		// engine's window sampler — the one periodic observation point that
 		// is side-effect-free (it adds no events).
 		rec.AddGauge("sched.windows", func() float64 {
-			return float64(eng.SchedStats().Windows)
+			windows, _, _ := eng.WindowCounts()
+			return float64(windows)
 		})
 		rec.AddGauge("sched.serialized_windows", func() float64 {
-			return float64(eng.SchedStats().SerializedWindows)
+			_, serialized, _ := eng.WindowCounts()
+			return float64(serialized)
 		})
 		rec.AddGauge("sched.lane_dispatches", func() float64 {
-			return float64(eng.SchedStats().LaneDispatches)
+			_, _, dispatches := eng.WindowCounts()
+			return float64(dispatches)
 		})
 		if period := rec.SamplePeriod(); period > 0 {
 			eng.AddSampler(period, rec.SampleNowAt)

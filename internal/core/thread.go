@@ -29,6 +29,15 @@ type Thread struct {
 	// store; it is flushed once it exceeds a couple of microseconds.
 	pending time.Duration
 
+	// vma is the region checkAccess last found, good for as long as the set it
+	// came from keeps the generation it had then.
+	vma    mem.VMA
+	vmaSet *mem.VMASet
+	vmaGen uint64
+
+	// idle is PollIdle's state, nil until the thread first polls.
+	idle *idlePoll
+
 	done    bool
 	joiners []*sim.Task
 
@@ -60,16 +69,25 @@ type checkpoint struct {
 }
 
 // smallAccess is the size threshold below which an access charges batched
-// local cost instead of occupying the memory bus individually.
-const smallAccess = 256
+// local cost instead of occupying the memory bus individually; smallFlush is
+// the batched cost at which the thread sleeps it off.
+const (
+	smallAccess = 256
+	smallFlush  = 2 * time.Microsecond
+)
 
-// chargeSmall accounts for a small local access: a fixed per-access cost
-// plus its bandwidth share, batched to bound simulator events.
-func (th *Thread) chargeSmall(bytes int) {
+// smallCost is what one small local access of the given size is charged: a
+// fixed per-access cost plus its bandwidth share.
+func (th *Thread) smallCost(bytes int) time.Duration {
 	bw := th.proc.m.params.MemBandwidth
-	th.pending += 25*time.Nanosecond +
-		time.Duration(float64(bytes)/bw*float64(time.Second))
-	if th.pending >= 2*time.Microsecond {
+	return 25*time.Nanosecond + time.Duration(float64(bytes)/bw*float64(time.Second))
+}
+
+// chargeSmall accounts for a small local access, batched to bound simulator
+// events.
+func (th *Thread) chargeSmall(bytes int) {
+	th.pending += th.smallCost(bytes)
+	if th.pending >= smallFlush {
 		d := th.pending
 		th.pending = 0
 		th.task.Sleep(d)
@@ -280,7 +298,7 @@ func (th *Thread) checkAccess(addr mem.Addr, size int, write bool) error {
 	a := addr
 	end := addr + mem.Addr(size)
 	for a < end {
-		v, ok := set.Find(a)
+		v, ok := th.findVMA(set, a)
 		if !ok {
 			if th.node == th.proc.origin {
 				return fmt.Errorf("%w: %v", ErrSegfault, a)
@@ -301,6 +319,21 @@ func (th *Thread) checkAccess(addr mem.Addr, size int, write bool) error {
 		a = v.End()
 	}
 	return nil
+}
+
+// findVMA is set.Find behind the thread's last answer: an access lands in the
+// region of the one before it far more often than not, and the generation says
+// when the set has changed under the cached copy (so does a move to another
+// node, whose set is another).
+func (th *Thread) findVMA(set *mem.VMASet, a mem.Addr) (mem.VMA, bool) {
+	if th.vmaSet == set && th.vmaGen == set.Gen() && th.vma.Contains(a) {
+		return th.vma, true
+	}
+	v, ok := set.Find(a)
+	if ok {
+		th.vma, th.vmaSet, th.vmaGen = v, set, set.Gen()
+	}
+	return v, ok
 }
 
 // Read copies len(buf) bytes from the shared address space at addr into

@@ -375,6 +375,10 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 	var joined *faultGroup
 	for {
 		if pte := m.Lookup(ctx.Node, vpn, write); pte != nil {
+			if write {
+				// The caller is about to change the page's bytes.
+				pte.Gen++
+			}
 			return pte
 		}
 		if g, ok := ns.faults[key]; ok && !m.params.DisableCoalescing {

@@ -301,3 +301,52 @@ func TestQuickVMASet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A generation moves with everything that can change what was read through it:
+// a PTE's with Map, Invalidate and Downgrade (and not with a lookup), a VMA
+// set's with Insert, Carve, Protect and Upsert (and not with Find).
+func TestGenerationsMove(t *testing.T) {
+	var pt PageTable
+	pte := pt.Map(7, NewFrame(), true)
+	for _, step := range []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"LookupFast", func() { pt.LookupFast(7, true) }, false},
+		{"Lookup", func() { pt.Lookup(7) }, false},
+		{"Downgrade", func() { pt.Downgrade(7) }, true},
+		{"Downgrade of a read-only page", func() { pt.Downgrade(7) }, false},
+		{"Map", func() { pt.Map(7, pte.Frame, true) }, true},
+		{"Invalidate", func() { pt.Invalidate(7) }, true},
+		{"Map after Invalidate", func() { pt.Map(7, NewFrame(), false) }, true},
+	} {
+		before := pte.Gen
+		step.do()
+		if moved := pte.Gen != before; moved != step.moves {
+			t.Errorf("PTE generation after %s: moved = %v, want %v", step.name, moved, step.moves)
+		}
+	}
+
+	var s VMASet
+	v := VMA{Start: 0x10000, Len: 4 * PageSize, Prot: ProtRead | ProtWrite}
+	for _, step := range []struct {
+		name  string
+		do    func() error
+		moves bool
+	}{
+		{"Insert", func() error { return s.Insert(v) }, true},
+		{"Find", func() error { s.Find(v.Start); return nil }, false},
+		{"Protect", func() error { return s.Protect(v.Start, PageSize, ProtRead) }, true},
+		{"Carve", func() error { return s.Carve(v.Start+PageSize, PageSize) }, true},
+		{"Upsert", func() error { return s.Upsert(v) }, true},
+	} {
+		before := s.Gen()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if moved := s.Gen() != before; moved != step.moves {
+			t.Errorf("VMA set generation after %s: moved = %v, want %v", step.name, moved, step.moves)
+		}
+	}
+}

@@ -5,9 +5,18 @@ import "dex/internal/radix"
 // PTE is a software page-table entry on one node. Present pages hold a
 // local frame with real bytes; Writable distinguishes shared (read
 // replicated) from exclusively owned pages.
+//
+// Gen is the entry's generation: it moves whenever the mapping or the bytes
+// behind it may have — Map, Invalidate and Downgrade bump it here, and the
+// consistency layer bumps it each time it hands the entry out for writing. A
+// reader that finds the generation it last saw knows the page is still
+// present, readable and unwritten without touching it. It shares the word of
+// the two flags, so an entry costs what it did without it; a watch lasts
+// microseconds of virtual time, not the 2^32 changes a wrap needs.
 type PTE struct {
 	Present  bool
 	Writable bool
+	Gen      uint32
 	Frame    []byte
 }
 
@@ -41,6 +50,7 @@ func (pt *PageTable) Map(vpn uint64, frame []byte, writable bool) *PTE {
 	pte.Present = true
 	pte.Writable = writable
 	pte.Frame = frame
+	pte.Gen++
 	pt.tlbFill(vpn, pte)
 	return pte
 }
@@ -55,6 +65,7 @@ func (pt *PageTable) Invalidate(vpn uint64) bool {
 	pte.Present = false
 	pte.Writable = false
 	pte.Frame = nil
+	pte.Gen++
 	pt.present--
 	pt.tlbShootdown(vpn)
 	return true
@@ -68,6 +79,7 @@ func (pt *PageTable) Downgrade(vpn uint64) bool {
 		return false
 	}
 	pte.Writable = false
+	pte.Gen++
 	pt.tlbShootdown(vpn)
 	return true
 }

@@ -65,7 +65,13 @@ func (v VMA) String() string {
 // remote nodes (§III-D).
 type VMASet struct {
 	vmas []VMA // sorted by Start, non-overlapping
+	gen  uint64
 }
+
+// Gen returns the set's generation: it moves whenever the regions may have
+// (Insert, Carve and Protect, and so Upsert), so what Find answered stays
+// true while it does not.
+func (s *VMASet) Gen() uint64 { return s.gen }
 
 // Len reports the number of regions.
 func (s *VMASet) Len() int { return len(s.vmas) }
@@ -110,6 +116,7 @@ func (s *VMASet) Insert(v VMA) error {
 	s.vmas = append(s.vmas, VMA{})
 	copy(s.vmas[i+1:], s.vmas[i:])
 	s.vmas[i] = v
+	s.gen++
 	return nil
 }
 
@@ -149,6 +156,7 @@ func (s *VMASet) Carve(start Addr, length uint64) error {
 		}
 	}
 	s.vmas = out
+	s.gen++
 	return nil
 }
 
@@ -189,6 +197,7 @@ func (s *VMASet) Protect(start Addr, length uint64, prot Prot) error {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	s.vmas = out
+	s.gen++
 	return nil
 }
 

@@ -64,11 +64,15 @@ func TestRunDeterministicAcrossCores(t *testing.T) {
 }
 
 // TestRunTracingInvariant checks attaching an observer does not perturb
-// the report.
+// the report (the event census it turns on is observation, not simulation).
 func TestRunTracingInvariant(t *testing.T) {
 	plain := mustRun(t, testConfig(2))
 	rec := dex.NewRecorder()
 	traced := mustRun(t, testConfig(2, dex.WithObserver(rec)))
+	if traced.Dex.Sched.Census == nil || plain.Dex.Sched.Census != nil {
+		t.Fatal("the event census is on exactly when a recorder is bound")
+	}
+	traced.Dex.Sched.Census = nil
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatal("attaching an observer changed the serve report")
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"dex"
@@ -28,6 +29,8 @@ type shard struct {
 	lastScan time.Duration
 	reacks   int
 	restarts int
+
+	poll []dex.Addr // scratch: the slots an idle round reads
 }
 
 // blob encodes the consumed vector and stop mask — the "registers" of the
@@ -97,12 +100,34 @@ func (sh *shard) run(t *dex.Thread, blob []byte) error {
 					return err
 				}
 			}
-			t.Sleep(shardPoll)
+			sh.idle(t)
 		}
 	}
 	// Final checkpoint: the stop marks and last consumed sequences become
 	// durable, letting the gateways recycle every slot.
 	return sh.checkpoint(t)
+}
+
+// idle sleeps to the next poll tick at which the shard has something to do:
+// a slot it polls was written (or its page moved), the idle checkpoint or the
+// next re-ack scan is due, or the polling reads' own cost falls due. The ticks
+// before that one are charged as the empty rounds they are, without running
+// the shard (dex.Thread.PollIdle).
+func (sh *shard) idle(t *dex.Thread) {
+	until := time.Duration(math.MaxInt64)
+	if sh.lay.faulty && sh.opsSince > 0 {
+		until = sh.lastCkpt + idleCkpt
+	}
+	if t.Restarts() > 0 {
+		until = min(until, sh.lastScan+reackInterval)
+	}
+	sh.poll = sh.poll[:0]
+	for g := 0; g < sh.lay.gateways; g++ {
+		if !sh.isStopped(g) {
+			sh.poll = append(sh.poll, sh.lay.slotAddr(g, sh.id, sh.consumed[g]+1))
+		}
+	}
+	t.PollIdle(shardPoll, until, sh.poll, reqBytes)
 }
 
 // consumeRing applies every in-sequence slot currently published on

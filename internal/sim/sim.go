@@ -63,6 +63,7 @@ import (
 	"iter"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -151,8 +152,13 @@ type engineCore struct {
 	active []*laneState
 
 	// tasks registers the live tasks, for deadlock diagnostics and for
-	// unwinding what is still suspended when Run returns.
-	tasks map[*Task]struct{}
+	// unwinding what is still suspended when Run returns. A task knows its
+	// index (Task.idx); one that finishes swaps the last into its place.
+	tasks []*Task
+
+	// census counts the executed events by kind; nil unless CountEventKinds
+	// was called, so an event pays one nil check for it.
+	census *census
 
 	// free holds coroutines whose task finished, ready for the next task
 	// started.
@@ -175,6 +181,8 @@ type laneState struct {
 	events  uint64
 	windows uint64
 	inPlace uint64
+
+	census *census // the engine's, nil when off
 }
 
 // schedCounters is the core-owned half of the scheduler telemetry.
@@ -224,6 +232,115 @@ type SchedStats struct {
 	InPlaceWakes uint64
 	// Lanes holds per-node-lane totals, indexed by node.
 	Lanes []LaneSchedStats
+	// Census splits Events by kind; nil unless CountEventKinds was called.
+	Census *Census `json:",omitempty"`
+}
+
+// Census is Events by kind. TaskStarts, SleepWakes, Unparks, ParkTimeouts,
+// InPlace and the Runners add up to Events; SleptOn counts again among
+// SleepWakes and InPlace.
+type Census struct {
+	// TaskStarts are first runs of a task; SleepWakes the queued wake-ups of
+	// Sleep and SleepWhile; Unparks the wake-ups Unpark and Kill queue;
+	// ParkTimeouts the ParkTimeout deadlines that were still queued when they
+	// fell due.
+	TaskStarts   uint64
+	SleepWakes   uint64
+	Unparks      uint64
+	ParkTimeouts uint64
+	// InPlace is SchedStats.InPlaceWakes: sleeps that cost no event.
+	InPlace uint64
+	// SleptOn is how many wake-ups, queued or in place, a SleepWhile answered
+	// by sleeping on: no task code ran and, for a queued one, no task switch
+	// was made.
+	SleptOn uint64
+	// Runners are the events that ran something other than a task, by what
+	// they ran — a Runner's type, or the function handed to After — sorted by
+	// name.
+	Runners []RunnerCount
+}
+
+// RunnerCount is one row of Census.Runners.
+type RunnerCount struct {
+	Name   string
+	Events uint64
+}
+
+// census is the live form of Census.
+type census struct {
+	taskStarts, sleepWakes, unparks, parkTimeouts, sleptOn uint64
+	// runners is searched linearly: a simulation runs a dozen kinds of Runner.
+	runners []runnerKind
+}
+
+// runnerKind identifies what an event ran: the Runner's dynamic type and, for
+// After's plain functions, which function.
+type runnerKind struct {
+	typ    reflect.Type
+	fn     uintptr
+	events uint64
+}
+
+func (cs *census) countRunner(r Runner) {
+	typ := reflect.TypeOf(r)
+	var fn uintptr
+	if f, ok := r.(funcEvent); ok {
+		fn = reflect.ValueOf(f).Pointer()
+	}
+	for i := range cs.runners {
+		if k := &cs.runners[i]; k.typ == typ && k.fn == fn {
+			k.events++
+			return
+		}
+	}
+	cs.runners = append(cs.runners, runnerKind{typ: typ, fn: fn, events: 1})
+}
+
+// countTask classifies a task's event as step pops it.
+func (cs *census) countTask(t *Task, deadline bool) {
+	switch {
+	case deadline:
+		cs.parkTimeouts++
+	case t.co == nil:
+		cs.taskStarts++
+	case t.sleeping:
+		cs.sleepWakes++
+	default:
+		cs.unparks++
+	}
+}
+
+func (c *engineCore) countSleptOn() {
+	if c.census != nil {
+		c.census.sleptOn++
+	}
+}
+
+// snapshot builds the exported form.
+func (cs *census) snapshot(inPlace uint64) *Census {
+	out := &Census{TaskStarts: cs.taskStarts, SleepWakes: cs.sleepWakes, Unparks: cs.unparks,
+		ParkTimeouts: cs.parkTimeouts, InPlace: inPlace, SleptOn: cs.sleptOn}
+	for _, k := range cs.runners {
+		name := strings.TrimPrefix(k.typ.String(), "*")
+		if k.fn != 0 {
+			name = "func " + runtime.FuncForPC(k.fn).Name()
+		}
+		out.Runners = append(out.Runners, RunnerCount{Name: name, Events: k.events})
+	}
+	sort.Slice(out.Runners, func(i, j int) bool { return out.Runners[i].Name < out.Runners[j].Name })
+	return out
+}
+
+// CountEventKinds turns the event census on: from here SchedStats carries
+// Events by kind. core.NewMachine calls it when a recorder is bound.
+func (e *Engine) CountEventKinds() {
+	c := e.c
+	if c.census == nil {
+		c.census = &census{}
+		for _, l := range c.lanes {
+			l.census = c.census
+		}
+	}
 }
 
 // LaneSchedStats is one node lane's share of the schedule: events executed,
@@ -251,7 +368,17 @@ func (e *Engine) SchedStats() SchedStats {
 		s.Lanes = append(s.Lanes, LaneSchedStats{Events: l.events, Windows: l.windows, InPlaceWakes: l.inPlace})
 		s.InPlaceWakes += l.inPlace
 	}
+	if c.census != nil {
+		s.Census = c.census.snapshot(s.InPlaceWakes)
+	}
 	return s
+}
+
+// WindowCounts returns SchedStats' Windows, SerializedWindows and
+// LaneDispatches alone, for a gauge that reads them at every sample.
+func (e *Engine) WindowCounts() (windows, serialized, laneDispatches uint64) {
+	sc := &e.c.sched
+	return sc.windows, sc.serializedWindows, sc.laneDispatches
 }
 
 // AddSampler registers fn to fire for every elapsed multiple of period, at
@@ -395,7 +522,7 @@ func newLane(idx int, seed int64) *laneState {
 // seeded with seed. The engine starts with no node lanes (the classic serial
 // loop); ConfigureLanes adds them.
 func NewEngine(seed int64) *Engine {
-	c := &engineCore{tasks: make(map[*Task]struct{})}
+	c := &engineCore{}
 	c.lanes = []*laneState{newLane(0, seed)}
 	c.heads = []time.Duration{noEvent}
 	c.seed = seed
@@ -417,7 +544,9 @@ func (e *Engine) ConfigureLanes(nodes int, _ ...int) {
 		panic(fmt.Sprintf("sim: ConfigureLanes(%d): an event key holds the lane in %d bits", nodes, 64-ctrBits))
 	}
 	for i := 0; i < nodes; i++ {
-		c.lanes = append(c.lanes, newLane(i+1, c.seed))
+		l := newLane(i+1, c.seed)
+		l.census = c.census
+		c.lanes = append(c.lanes, l)
 		c.heads = append(c.heads, noEvent)
 		c.views = append(c.views, &Engine{c: c, lane: i + 1})
 	}
@@ -772,10 +901,22 @@ func (l *laneState) step() {
 	l.advance(ev.at)
 	t, ok := ev.run.(*Task)
 	if !ok {
+		if cs := l.census; cs != nil {
+			cs.countRunner(ev.run)
+		}
 		ev.run.RunEvent()
 		return
 	}
+	if cs := l.census; cs != nil {
+		cs.countTask(t, ev.tomb != nil)
+	}
 	if ev.tomb != nil && !t.expire(ev.tomb) {
+		return
+	}
+	// A task in SleepWhile is asked here, where its code would have run, and
+	// is switched into only when the answer is to stop sleeping. One that was
+	// killed, or unwound when an earlier Run gave up, is not asked.
+	if t.again != nil && !t.killed && !t.done && t.sleepOn() {
 		return
 	}
 	t.eng.c.resume(t)
@@ -847,13 +988,11 @@ func (c *engineCore) fail(err error) {
 
 func (c *engineCore) parkedTasks() []string {
 	var names []string
-	for t := range c.tasks {
-		if !t.done {
-			if t.detail != "" {
-				names = append(names, fmt.Sprintf("%s [%s] (parked at %q)", t.name, t.detail, t.parkReason.String()))
-			} else {
-				names = append(names, fmt.Sprintf("%s (parked at %q)", t.name, t.parkReason.String()))
-			}
+	for _, t := range c.tasks {
+		if t.detail != "" {
+			names = append(names, fmt.Sprintf("%s [%s] (parked at %q)", t.name, t.detail, t.reason().String()))
+		} else {
+			names = append(names, fmt.Sprintf("%s (parked at %q)", t.name, t.reason().String()))
 		}
 	}
 	sort.Strings(names)
@@ -867,7 +1006,7 @@ func (c *engineCore) parkedTasks() []string {
 type Reason struct {
 	text string
 	num  uint64
-	base int // 0: text alone; 10 or 16: text followed by num in that base
+	base uint8 // 0: text alone; 10 or 16: text followed by num in that base
 }
 
 // ReasonNum is the reason prefix followed by n in decimal.
@@ -887,6 +1026,11 @@ func (r Reason) String() string {
 	return r.text
 }
 
+// setReason and reason store and rebuild the Reason a task is parked on.
+func (t *Task) setReason(r Reason) { t.parkText, t.parkNum, t.parkBase = r.text, r.num, r.base }
+
+func (t *Task) reason() Reason { return Reason{text: t.parkText, num: t.parkNum, base: t.parkBase} }
+
 // Task is a simulated thread of control. Its function runs on a coroutine
 // (see coro) that Run's goroutine switches into, so at most one of the two
 // runs at a time. Task methods must only be called by the task's own function,
@@ -899,13 +1043,23 @@ type Task struct {
 	fn   func(*Task)
 	// co is the coroutine running fn: nil until the task's start event takes
 	// one off the free list, and again once fn has returned or been unwound.
-	co         *coro
-	done       bool
-	parked     bool
-	killed     bool
-	wakeToken  bool
-	timedOut   bool // the last ParkTimeout ended by its deadline
-	parkReason Reason
+	co *coro
+	// idx is the task's place in the engine's registry of live tasks.
+	idx       int32
+	done      bool
+	parked    bool
+	killed    bool
+	wakeToken bool
+	timedOut  bool // the last ParkTimeout ended by its deadline
+	sleeping  bool // in Sleep or SleepWhile with the wake-up queued (the census asks)
+	// parkText, parkNum and parkBase are the Reason the task is parked on, kept
+	// field by field: beside the flags the base costs no word, and a Task stays
+	// in the 128-byte size class (TestTaskSizeof).
+	parkBase uint8
+	parkText string
+	parkNum  uint64
+	// again is SleepWhile's question, asked at each wake-up while it is set.
+	again func() (time.Duration, bool)
 	// detail is free-form location context (e.g. "node 3") set by the layer
 	// that owns the task; it is included in deadlock diagnostics so a stuck
 	// run names both the task and where it was executing.
@@ -1027,7 +1181,7 @@ func (c *engineCore) stopCoros() {
 	// Collected first: stopping a coroutine finishes its task, which takes it
 	// out of the registry.
 	var live []*coro
-	for t := range c.tasks {
+	for _, t := range c.tasks {
 		if t.co != nil {
 			live = append(live, t.co)
 		}
@@ -1046,16 +1200,26 @@ func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
 // SpawnAfter creates a task running fn on this view's lane, scheduled to
 // start after delay d.
 func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task {
-	t := &Task{eng: e, name: name, fn: fn}
-	e.c.tasks[t] = struct{}{}
+	c := e.c
+	t := &Task{eng: e, name: name, fn: fn, idx: int32(len(c.tasks))}
+	c.tasks = append(c.tasks, t)
 	e.AfterRun(d, t)
 	return t
 }
 
+// finish marks the task done and takes it out of the registry of live tasks.
 func (t *Task) finish() {
+	if t.done {
+		return
+	}
 	t.done = true
 	t.co = nil
-	delete(t.eng.c.tasks, t)
+	c := t.eng.c
+	last := len(c.tasks) - 1
+	moved := c.tasks[last]
+	c.tasks[t.idx], moved.idx = moved, t.idx
+	c.tasks[last] = nil
+	c.tasks = c.tasks[:last]
 }
 
 // yield switches back to the goroutine that resumed the task and returns
@@ -1109,8 +1273,67 @@ func (t *Task) Sleep(d time.Duration) {
 	if t.wakeInPlace(d) {
 		return
 	}
-	t.eng.AfterRun(d, t)
+	t.queueWake(d)
 	t.yield()
+	t.sleeping = false
+}
+
+// queueWake schedules the wake-up of a sleep that is not taken in place.
+func (t *Task) queueWake(d time.Duration) {
+	t.sleeping = true
+	t.eng.AfterRun(d, t)
+}
+
+// SleepWhile is the loop
+//
+//	for t.Sleep(d); ; t.Sleep(d) {
+//		if d, ok = again(); !ok {
+//			return
+//		}
+//	}
+//
+// without a switch into the task at the wake-ups that sleep on: again runs in
+// event context on the task's lane, at the instant and in the place the task's
+// code would have run, and says whether to sleep on and for how long. Each
+// sleep is scheduled as Sleep schedules it — queued under the key schedule
+// allocates, or taken in place when wakeInPlace allows — so the event keys, the
+// event count and the in-place wakes are the loop's. again must do only what
+// the loop's body could do without yielding. A task killed while it sleeps is
+// resumed at its wake-up, to unwind, without being asked.
+func (t *Task) SleepWhile(d time.Duration, again func() (time.Duration, bool)) {
+	t.again = again
+	if t.sleepFor(d) {
+		t.yield()
+		t.sleeping = false
+	}
+	t.again = nil
+}
+
+// sleepFor sleeps d and then on for as long as again says so, taking in place
+// every wake-up that can be. It reports whether it queued a wake-up, at which
+// step asks again; false means again ended the sleep at a wake-up taken in
+// place.
+func (t *Task) sleepFor(d time.Duration) (queued bool) {
+	for t.wakeInPlace(d) {
+		var ok bool
+		if d, ok = t.again(); !ok {
+			return false
+		}
+		t.eng.c.countSleptOn()
+	}
+	t.queueWake(d)
+	return true
+}
+
+// sleepOn asks again at a queued wake-up that step has popped, and reports
+// whether the task sleeps on (its next wake-up is queued).
+func (t *Task) sleepOn() bool {
+	d, ok := t.again()
+	if !ok {
+		return false
+	}
+	t.eng.c.countSleptOn()
+	return t.sleepFor(d)
 }
 
 // wakeInPlace takes the wake-up of a Sleep(d) without queueing it, when
@@ -1163,9 +1386,9 @@ func (t *Task) ParkOn(r Reason) {
 		return
 	}
 	t.parked = true
-	t.parkReason = r
+	t.setReason(r)
 	t.yield()
-	t.parkReason = Reason{}
+	t.setReason(Reason{})
 }
 
 // ParkTimeout parks the task like Park but additionally schedules a wake-up
@@ -1186,7 +1409,7 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 		return true
 	}
 	t.parked = true
-	t.parkReason = r
+	t.setReason(r)
 	t.timedOut = false
 	if d > 0 {
 		eng := t.eng
@@ -1196,7 +1419,7 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 		eng.schedule(eng.lane, d, t, tomb)
 	}
 	t.yield()
-	t.parkReason = Reason{}
+	t.setReason(Reason{})
 	return !t.timedOut
 }
 

@@ -111,9 +111,24 @@ func TestTraceByteIdenticalSameSeed(t *testing.T) {
 
 // TestObserverDoesNotPerturbRun is the zero-interference guarantee: the
 // report of a traced run equals the report of an untraced run of the same
-// seed, field for field.
+// seed, field for field — but for the one field that is itself observation,
+// the event census a bound recorder turns on, whose kinds must add up to the
+// events both runs count.
 func TestObserverDoesNotPerturbRun(t *testing.T) {
 	traced, _ := runTraced(t, 11)
+	cs := traced.Sched.Census
+	if cs == nil {
+		t.Fatal("a traced run reports no event census")
+	}
+	sum := cs.TaskStarts + cs.SleepWakes + cs.Unparks + cs.ParkTimeouts + cs.InPlace
+	for _, r := range cs.Runners {
+		sum += r.Events
+	}
+	if sum != traced.Sched.Events || cs.InPlace != traced.Sched.InPlaceWakes {
+		t.Fatalf("census kinds add up to %d of %d events (in place %d of %d): %+v",
+			sum, traced.Sched.Events, cs.InPlace, traced.Sched.InPlaceWakes, cs)
+	}
+	traced.Sched.Census = nil
 
 	cluster := NewCluster(3, WithSeed(11))
 	plain, err := cluster.Run(obsWorkload(3))
