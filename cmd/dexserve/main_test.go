@@ -77,7 +77,7 @@ func TestServeCrashRestart(t *testing.T) {
 // (make goldens runs it with the other cost gates). Lower it when a change
 // removes events, and say which in CHANGES.md.
 func TestServeEventBudget(t *testing.T) {
-	const budget = 69899
+	const budget = 61067
 	var rep struct {
 		Report struct {
 			Sched struct{ Events, InPlaceWakes uint64 }

@@ -199,6 +199,11 @@ type conn struct {
 	link     *sim.Bus
 	sendPool *sim.Semaphore
 	sinkPool *sim.Semaphore
+	// sent lists the sends whose chunks are not back in sendPool, by completion
+	// time — ascending, since the link serializes them in order. The next
+	// sender returns the elapsed ones before it takes its own (reapSent); no
+	// event does, unless a sender finds the pool empty (awaitSendChunk).
+	sent []sentChunks
 
 	// GlobalDelivery messages ride a dedicated control queue pair: a data QP
 	// whose posted receives never run out and whose events run on the global
@@ -279,9 +284,14 @@ func (f *flight) spanName() string {
 	return "msg.small"
 }
 
-// chunkRelease is a conn as the event that returns one send-pool chunk, the
-// completion of every message that fits a chunk; there is nothing to
-// allocate per send.
+// sentChunks is a send's hold on the send pool: chunks of them until done.
+type sentChunks struct {
+	done   time.Duration
+	chunks int
+}
+
+// chunkRelease is a conn as the event that returns one send-pool chunk to a
+// sender waiting for it; there is nothing to allocate per chunk.
 type chunkRelease conn
 
 func (r *chunkRelease) RunEvent() { r.sendPool.Release() }
@@ -425,27 +435,58 @@ func (n *Network) chunksFor(size int) int {
 	return chunks
 }
 
+// acquireSendChunks takes a send's DMA-ready chunks from the connection's
+// pool, after returning to it those of the sends that have completed by now.
+// Only a sender that then finds the pool empty waits, and is counted.
 func (n *Network) acquireSendChunks(t *sim.Task, c *conn, chunks int) {
+	sv := t.Engine()
 	for i := 0; i < chunks; i++ {
+		c.reapSent(sv.Now())
 		if !c.sendPool.TryAcquire() {
 			n.stats.SendPoolWaits++
-			c.sendPool.Acquire(t)
+			c.awaitSendChunk(t)
 		}
 	}
 }
 
-// releaseSendChunks returns a send's DMA-ready chunks to the pool when the
-// send completes, at done.
-func releaseSendChunks(sv *sim.Engine, c *conn, chunks int, done time.Duration) {
-	if chunks == 1 {
-		sv.AfterRun(done-sv.Now(), (*chunkRelease)(c))
-		return
-	}
-	sv.After(done-sv.Now(), func() {
-		for i := 0; i < chunks; i++ {
+// reapSent returns the chunks of every send completed by now.
+func (c *conn) reapSent(now time.Duration) {
+	k := 0
+	for ; k < len(c.sent) && c.sent[k].done <= now; k++ {
+		for i := 0; i < c.sent[k].chunks; i++ {
 			c.sendPool.Release()
 		}
-	})
+	}
+	if k > 0 {
+		c.sent = c.sent[:copy(c.sent, c.sent[k:])]
+	}
+}
+
+// awaitSendChunk blocks t until a chunk comes back. Nobody polls for that, so
+// the outstanding completions become events first, each at its time; t is
+// handed the chunk of the earliest.
+func (c *conn) awaitSendChunk(t *sim.Task) {
+	sv := t.Engine()
+	for _, s := range c.sent {
+		for i := 0; i < s.chunks; i++ {
+			sv.AfterRun(s.done-sv.Now(), (*chunkRelease)(c))
+		}
+	}
+	c.sent = c.sent[:0]
+	c.sendPool.Acquire(t)
+}
+
+// releaseSendChunks returns a send's chunks to the pool when the send
+// completes, at done: as a note for the next sender to act on or, while
+// senders wait on the pool, as the events that wake them.
+func releaseSendChunks(sv *sim.Engine, c *conn, chunks int, done time.Duration) {
+	if c.sendPool.Waiting() == 0 {
+		c.sent = append(c.sent, sentChunks{done: done, chunks: chunks})
+		return
+	}
+	for i := 0; i < chunks; i++ {
+		sv.AfterRun(done-sv.Now(), (*chunkRelease)(c))
+	}
 }
 
 // deliver is the per-QP ordering point: it schedules a connection event (VERB

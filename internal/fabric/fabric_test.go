@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -98,6 +99,85 @@ func TestSendPoolBackpressure(t *testing.T) {
 	}
 	if net.Stats().SmallSends != 6 {
 		t.Fatalf("SmallSends = %d, want 6", net.Stats().SmallSends)
+	}
+}
+
+// A send's chunks come back to the pool at its completion time without an
+// event: after a burst within the pool nothing but the deliveries is queued,
+// and a second burst a while later finds the whole pool again.
+func TestSendChunksReturnWithoutEvents(t *testing.T) {
+	eng := sim.NewEngine(1)
+	eng.CountEventKinds()
+	p := testParams(2)
+	net := New(eng, p)
+	net.SetHandler(1, func(src int, m Message) {})
+	c := net.conn(0, 1)
+	eng.Spawn("sender", func(tk *sim.Task) {
+		for burst := 0; burst < 2; burst++ {
+			for i := 0; i < p.SendPoolChunks; i++ {
+				net.Send(tk, 0, 1, testMsg{size: 3000})
+			}
+			if len(c.sent) == 0 {
+				t.Errorf("burst %d: no completion is noted on the connection", burst)
+			}
+			tk.Sleep(time.Millisecond)
+		}
+		c.reapSent(tk.Now())
+		for i := 0; i < p.SendPoolChunks; i++ {
+			if !c.sendPool.TryAcquire() {
+				t.Errorf("%d of %d chunks came back to the pool", i, p.SendPoolChunks)
+				break
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if w := net.Stats().SendPoolWaits; w != 0 {
+		t.Errorf("SendPoolWaits = %d within the pool, want 0", w)
+	}
+	for _, r := range eng.SchedStats().Census.Runners {
+		if r.Name != "fabric.flight" {
+			t.Errorf("%d events ran %s; want nothing but the flights queued", r.Events, r.Name)
+		}
+	}
+}
+
+// Two senders contend for a pool of three chunks on a slow link, one of them
+// with two-chunk messages: each is handed a chunk at the earliest completion,
+// so every Send returns, and every message arrives, when it did while each
+// completion was an event of its own.
+func TestSendPoolContendedTimes(t *testing.T) {
+	eng := sim.NewEngine(1)
+	p := testParams(2)
+	p.SendPoolChunks = 3
+	p.LinkBandwidth = 1e6
+	net := New(eng, p)
+	var returned, arrived []time.Duration
+	net.SetHandler(1, func(src int, m Message) { arrived = append(arrived, eng.Now()) })
+	eng.Spawn("sender", func(tk *sim.Task) {
+		for i := 0; i < 6; i++ {
+			net.Send(tk, 0, 1, testMsg{size: 1024})
+			returned = append(returned, tk.Now())
+		}
+	})
+	eng.Spawn("sender2", func(tk *sim.Task) {
+		tk.Sleep(1500 * time.Microsecond)
+		for i := 0; i < 3; i++ {
+			net.Send(tk, 0, 1, testMsg{size: 8000})
+			returned = append(returned, tk.Now())
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	wantReturned := []time.Duration{700, 1400, 2100, 1024700, 2048700, 4096700, 5120700, 14144700, 22144700}
+	wantArrived := []time.Duration{1029200, 2053200, 3077200, 4101200, 5125200, 6149200, 14149200, 22149200, 30149200}
+	if !slices.Equal(returned, wantReturned) || !slices.Equal(arrived, wantArrived) {
+		t.Errorf("sends returned at %v and arrived at %v,\nwant          %v and            %v", returned, arrived, wantReturned, wantArrived)
+	}
+	if w := net.Stats().SendPoolWaits; w != 8 {
+		t.Errorf("SendPoolWaits = %d, want 8", w)
 	}
 }
 

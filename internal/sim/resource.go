@@ -104,13 +104,15 @@ func (s *Semaphore) Waiting() int { return s.count }
 // bus is busy starts when the bus frees up. An optional congestion factor
 // models the super-linear slowdown of real memory controllers under
 // multi-stream interference (bank conflicts, row-buffer misses): each
-// concurrent outstanding transfer inflates service time by alpha.
+// concurrent outstanding transfer inflates service time by alpha. Only such a
+// bus counts its outstanding transfers, with an event at the end of each; one
+// without a congestion factor (a link) is its free-at time and nothing else.
 type Bus struct {
 	eng        *Engine
 	name       string
 	bytesPerS  float64
 	congestion float64
-	active     int
+	active     int // outstanding transfers, counted while congestion > 0
 	freeAt     time.Duration
 	bytes      uint64
 	release    func() // ends one transfer; bound once so Occupy allocates no closure
@@ -127,7 +129,8 @@ func NewBus(eng *Engine, name string, bytesPerSecond float64) *Bus {
 }
 
 // SetCongestion sets the per-concurrent-transfer service-time inflation
-// factor (0 disables congestion modeling).
+// factor (0 disables congestion modeling). Set it before the first transfer:
+// transfers under way are not counted after the fact.
 func (b *Bus) SetCongestion(alpha float64) { b.congestion = alpha }
 
 // Occupy reserves the bus for transferring n bytes and returns the virtual
@@ -143,12 +146,12 @@ func (b *Bus) Occupy(n int) time.Duration {
 	if d == 0 {
 		return start
 	}
-	if b.congestion > 0 && b.active > 0 {
+	if b.congestion > 0 {
 		d += time.Duration(float64(d) * b.congestion * float64(b.active))
+		b.active++
+		b.eng.After(start+d-now, b.release)
 	}
 	finish := start + d
-	b.active++
-	b.eng.After(finish-now, b.release)
 	b.freeAt = finish
 	b.bytes += uint64(n)
 	return finish

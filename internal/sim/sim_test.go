@@ -432,6 +432,29 @@ func TestBusCongestionInflatesConcurrentStreams(t *testing.T) {
 	}
 }
 
+// Only a bus with a congestion factor counts its outstanding transfers, the
+// one thing the end-of-transfer event is for: without one a transfer costs no
+// event beyond its caller's, with one it costs the release.
+func TestBusReleasesOnlyUnderCongestion(t *testing.T) {
+	for _, tc := range []struct {
+		alpha  float64
+		events uint64
+	}{{0, 0}, {0.25, 3}} {
+		e := NewEngine(1)
+		bus := NewBus(e, "link", 1e9)
+		bus.SetCongestion(tc.alpha)
+		for i := 0; i < 3; i++ {
+			bus.Occupy(1000)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if e.Events() != tc.events || bus.active != 0 {
+			t.Errorf("congestion %v: %d events and %d transfers left active, want %d and 0", tc.alpha, e.Events(), bus.active, tc.events)
+		}
+	}
+}
+
 func TestEngineEventCounter(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 5; i++ {
