@@ -136,7 +136,7 @@ func PrintSched(w io.Writer, s sim.SchedStats, metrics bool) {
 	}
 	row("task start", cs.TaskStarts)
 	row("sleep wake (queued)", cs.SleepWakes)
-	row("sleep taken in place", cs.InPlace)
+	row("sleep taken in place", s.InPlaceWakes)
 	row("unpark", cs.Unparks)
 	row("park timeout", cs.ParkTimeouts)
 	runners := append([]sim.RunnerCount(nil), cs.Runners...)

@@ -511,7 +511,9 @@ func (m *Manager) SnapshotPages(node int) map[uint64][]byte {
 // zero-filled replacement for each lost page at the page's live anchor;
 // restoring rewinds the page to the crashed thread's last quiescent point so
 // a restarted thread replays from consistent bytes. Reports whether the home
-// held a frame to restore into.
+// held a frame to restore into. The bytes change under a PTE whose generation
+// that reclaim moved in this same event (every lost page was mapped anew), so
+// no watcher of the generation can have read in between.
 func (m *Manager) RestorePage(vpn uint64, data []byte) bool {
 	de, ok := m.dir.find(vpn)
 	if !ok {

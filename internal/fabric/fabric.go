@@ -466,27 +466,30 @@ func (c *conn) reapSent(now time.Duration) {
 // the outstanding completions become events first, each at its time; t is
 // handed the chunk of the earliest.
 func (c *conn) awaitSendChunk(t *sim.Task) {
-	sv := t.Engine()
 	for _, s := range c.sent {
-		for i := 0; i < s.chunks; i++ {
-			sv.AfterRun(s.done-sv.Now(), (*chunkRelease)(c))
-		}
+		c.releaseAt(t.Engine(), s)
 	}
 	c.sent = c.sent[:0]
 	c.sendPool.Acquire(t)
+}
+
+// releaseAt schedules the events that return s's chunks at its completion.
+func (c *conn) releaseAt(sv *sim.Engine, s sentChunks) {
+	for i := 0; i < s.chunks; i++ {
+		sv.AfterRun(s.done-sv.Now(), (*chunkRelease)(c))
+	}
 }
 
 // releaseSendChunks returns a send's chunks to the pool when the send
 // completes, at done: as a note for the next sender to act on or, while
 // senders wait on the pool, as the events that wake them.
 func releaseSendChunks(sv *sim.Engine, c *conn, chunks int, done time.Duration) {
-	if c.sendPool.Waiting() == 0 {
-		c.sent = append(c.sent, sentChunks{done: done, chunks: chunks})
+	s := sentChunks{done: done, chunks: chunks}
+	if c.sendPool.Waiting() > 0 {
+		c.releaseAt(sv, s)
 		return
 	}
-	for i := 0; i < chunks; i++ {
-		sv.AfterRun(done-sv.Now(), (*chunkRelease)(c))
-	}
+	c.sent = append(c.sent, s)
 }
 
 // deliver is the per-QP ordering point: it schedules a connection event (VERB

@@ -65,7 +65,7 @@ func (c *engineCore) runSerialRef(t *testing.T) {
 			c.sched.serializedEvents++
 		}
 		c.cur = l
-		l.step()
+		l.step(nil)
 		c.cur = nil
 		c.heads[l.idx] = l.top()
 	}
@@ -296,6 +296,15 @@ func TestLanePickSkipsStaleHead(t *testing.T) {
 func TestEventSizeof(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 40 {
 		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 40", got)
+	}
+}
+
+// A Task is allocated per Spawn — 150 k per iteration of the benchmark's serve
+// workload — and 128 bytes is a size class: one more word puts it in the
+// 144-byte one.
+func TestTaskSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(Task{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(Task{}) = %d, want 128", got)
 	}
 }
 

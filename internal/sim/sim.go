@@ -181,8 +181,6 @@ type laneState struct {
 	events  uint64
 	windows uint64
 	inPlace uint64
-
-	census *census // the engine's, nil when off
 }
 
 // schedCounters is the core-owned half of the scheduler telemetry.
@@ -236,9 +234,9 @@ type SchedStats struct {
 	Census *Census `json:",omitempty"`
 }
 
-// Census is Events by kind. TaskStarts, SleepWakes, Unparks, ParkTimeouts,
-// InPlace and the Runners add up to Events; SleptOn counts again among
-// SleepWakes and InPlace.
+// Census is Events by kind. TaskStarts, SleepWakes, Unparks, ParkTimeouts, the
+// Runners and SchedStats.InPlaceWakes add up to Events; SleptOn counts again
+// among SleepWakes and InPlaceWakes.
 type Census struct {
 	// TaskStarts are first runs of a task; SleepWakes the queued wake-ups of
 	// Sleep and SleepWhile; Unparks the wake-ups Unpark and Kill queue;
@@ -248,8 +246,6 @@ type Census struct {
 	SleepWakes   uint64
 	Unparks      uint64
 	ParkTimeouts uint64
-	// InPlace is SchedStats.InPlaceWakes: sleeps that cost no event.
-	InPlace uint64
 	// SleptOn is how many wake-ups, queued or in place, a SleepWhile answered
 	// by sleeping on: no task code ran and, for a queued one, no task switch
 	// was made.
@@ -266,9 +262,10 @@ type RunnerCount struct {
 	Events uint64
 }
 
-// census is the live form of Census.
+// census is the live form of Census: its counters, and the runners by
+// identity instead of by name.
 type census struct {
-	taskStarts, sleepWakes, unparks, parkTimeouts, sleptOn uint64
+	counts Census
 	// runners is searched linearly: a simulation runs a dozen kinds of Runner.
 	runners []runnerKind
 }
@@ -300,26 +297,25 @@ func (cs *census) countRunner(r Runner) {
 func (cs *census) countTask(t *Task, deadline bool) {
 	switch {
 	case deadline:
-		cs.parkTimeouts++
+		cs.counts.ParkTimeouts++
 	case t.co == nil:
-		cs.taskStarts++
+		cs.counts.TaskStarts++
 	case t.sleeping:
-		cs.sleepWakes++
+		cs.counts.SleepWakes++
 	default:
-		cs.unparks++
+		cs.counts.Unparks++
 	}
 }
 
 func (c *engineCore) countSleptOn() {
 	if c.census != nil {
-		c.census.sleptOn++
+		c.census.counts.SleptOn++
 	}
 }
 
 // snapshot builds the exported form.
-func (cs *census) snapshot(inPlace uint64) *Census {
-	out := &Census{TaskStarts: cs.taskStarts, SleepWakes: cs.sleepWakes, Unparks: cs.unparks,
-		ParkTimeouts: cs.parkTimeouts, InPlace: inPlace, SleptOn: cs.sleptOn}
+func (cs *census) snapshot() *Census {
+	out := cs.counts
 	for _, k := range cs.runners {
 		name := strings.TrimPrefix(k.typ.String(), "*")
 		if k.fn != 0 {
@@ -328,18 +324,14 @@ func (cs *census) snapshot(inPlace uint64) *Census {
 		out.Runners = append(out.Runners, RunnerCount{Name: name, Events: k.events})
 	}
 	sort.Slice(out.Runners, func(i, j int) bool { return out.Runners[i].Name < out.Runners[j].Name })
-	return out
+	return &out
 }
 
 // CountEventKinds turns the event census on: from here SchedStats carries
 // Events by kind. core.NewMachine calls it when a recorder is bound.
 func (e *Engine) CountEventKinds() {
-	c := e.c
-	if c.census == nil {
-		c.census = &census{}
-		for _, l := range c.lanes {
-			l.census = c.census
-		}
+	if e.c.census == nil {
+		e.c.census = &census{}
 	}
 }
 
@@ -369,7 +361,7 @@ func (e *Engine) SchedStats() SchedStats {
 		s.InPlaceWakes += l.inPlace
 	}
 	if c.census != nil {
-		s.Census = c.census.snapshot(s.InPlaceWakes)
+		s.Census = c.census.snapshot()
 	}
 	return s
 }
@@ -544,9 +536,7 @@ func (e *Engine) ConfigureLanes(nodes int, _ ...int) {
 		panic(fmt.Sprintf("sim: ConfigureLanes(%d): an event key holds the lane in %d bits", nodes, 64-ctrBits))
 	}
 	for i := 0; i < nodes; i++ {
-		l := newLane(i+1, c.seed)
-		l.census = c.census
-		c.lanes = append(c.lanes, l)
+		c.lanes = append(c.lanes, newLane(i+1, c.seed))
 		c.heads = append(c.heads, noEvent)
 		c.views = append(c.views, &Engine{c: c, lane: i + 1})
 	}
@@ -872,7 +862,7 @@ func (c *engineCore) runSerial(end time.Duration) error {
 			c.sched.serializedEvents++
 		}
 		c.cur = l
-		l.step()
+		l.step(c.census)
 		c.cur = nil
 		c.heads[l.idx] = l.top()
 	}
@@ -895,19 +885,20 @@ func (l *laneState) advance(at time.Duration) {
 }
 
 // step pops the lane's next event and executes it on the calling goroutine:
-// a task event starts or resumes its task, any other calls its function.
-func (l *laneState) step() {
+// a task event starts or resumes its task, any other calls its function. cs is
+// the engine's census, nil when off.
+func (l *laneState) step(cs *census) {
 	ev := l.heap.pop()
 	l.advance(ev.at)
 	t, ok := ev.run.(*Task)
 	if !ok {
-		if cs := l.census; cs != nil {
+		if cs != nil {
 			cs.countRunner(ev.run)
 		}
 		ev.run.RunEvent()
 		return
 	}
-	if cs := l.census; cs != nil {
+	if cs != nil {
 		cs.countTask(t, ev.tomb != nil)
 	}
 	if ev.tomb != nil && !t.expire(ev.tomb) {
@@ -975,7 +966,7 @@ func (c *engineCore) runLane(l *laneState, end time.Duration) {
 			return
 		}
 		c.nEvents++
-		l.step()
+		l.step(c.census)
 	}
 }
 
@@ -1274,14 +1265,20 @@ func (t *Task) Sleep(d time.Duration) {
 		return
 	}
 	t.queueWake(d)
-	t.yield()
-	t.sleeping = false
+	t.awaitWake()
 }
 
-// queueWake schedules the wake-up of a sleep that is not taken in place.
+// queueWake schedules the wake-up of a sleep that is not taken in place, and
+// awaitWake yields until it (or, under SleepWhile, a later one) resumes the
+// task.
 func (t *Task) queueWake(d time.Duration) {
 	t.sleeping = true
 	t.eng.AfterRun(d, t)
+}
+
+func (t *Task) awaitWake() {
+	t.yield()
+	t.sleeping = false
 }
 
 // SleepWhile is the loop
@@ -1303,8 +1300,7 @@ func (t *Task) queueWake(d time.Duration) {
 func (t *Task) SleepWhile(d time.Duration, again func() (time.Duration, bool)) {
 	t.again = again
 	if t.sleepFor(d) {
-		t.yield()
-		t.sleeping = false
+		t.awaitWake()
 	}
 	t.again = nil
 }
