@@ -108,10 +108,11 @@ trace-smoke:
 # campaigns, dexserve) and the SHA-256 manifest of the outputs no golden file
 # pins (testdata/behaviour.sha256: traces, dexserve crash+restart under each
 # protocol, dexprof, two examples). It starts with the host-independent cost
-# gates — objects per fabric message, words per event, bytes per task, events
-# per golden dexserve run — so that they fail CI by name.
+# gates — objects per fabric message and per untraced span, words per event,
+# bytes per task, events per golden dexserve run, pages a crash+restart serving
+# run's checkpoints copy — so that they fail CI by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget' ./internal/sim ./internal/fabric ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

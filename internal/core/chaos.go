@@ -163,9 +163,8 @@ func (p *Process) leaseTick() {
 // declareNodeDead is the origin's commit point for a node crash: the worker
 // is retired and page ownership is reclaimed to the origin. Threads located
 // at the node are then either re-spawned at the origin from their latest
-// checkpoint (when every one of them is restartable and has checkpointed)
-// or marked dead with an attributable error so their joiners resume instead
-// of hanging. Idempotent.
+// checkpoint (when every one of them is restartable) or marked dead with an
+// attributable error so their joiners resume instead of hanging. Idempotent.
 func (p *Process) declareNodeDead(node int) {
 	if p.nodes[node].dead {
 		return
@@ -184,7 +183,7 @@ func (p *Process) declareNodeDead(node int) {
 	}
 	restartAll := true
 	for _, th := range dead {
-		if th.restartable == nil || th.ckpt == nil {
+		if th.restartable == nil {
 			restartAll = false
 		}
 	}
@@ -201,7 +200,7 @@ func (p *Process) declareNodeDead(node int) {
 		// re-deliver any wakeups the survivors are waiting on.
 		for _, th := range dead {
 			for _, vpn := range lost {
-				if data, ok := th.ckpt.pages[vpn]; ok {
+				if data, ok := th.ckpt.pages.Page(vpn); ok {
 					if p.mgr.RestorePage(vpn, data) {
 						p.pagesRestored++
 					}

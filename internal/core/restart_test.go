@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -237,4 +239,132 @@ func TestChaosRestartWithoutInjectorIsFree(t *testing.T) {
 	if p.Report().Chaos != nil {
 		t.Fatal("Report.Chaos non-nil without a plan")
 	}
+}
+
+// snapshotWorkload runs three restartable workers over a few shared pages of
+// three nodes: each a seeded mix of writes (some straddling pages), atomic
+// adds, compare-and-swaps, reads — which downgrade a remote writer's copy and
+// refetch one a remote write invalidated — migrations and checkpoints. Node 2
+// dies mid-run under the plan the caller attaches, and the workers there
+// restart at the origin with their lost pages restored from their snapshots.
+func snapshotWorkload(seed int64) func(*Thread) error {
+	return func(th *Thread) error {
+		const pages, steps = 6, 400
+		base, err := th.Mmap(pages*mem.PageSize, mem.ProtRead|mem.ProtWrite, "shared")
+		if err != nil {
+			return err
+		}
+		var ws []*Thread
+		for i := range 3 {
+			w, err := th.SpawnRestartable(func(w *Thread, _ []byte) error {
+				rng := rand.New(rand.NewSource(seed<<8 | int64(w.Restarts())<<4 | int64(i)))
+				_ = w.Migrate(i) // best effort: a restarted worker may find its node dead
+				for range steps {
+					word := base + mem.Addr(rng.Intn(pages*mem.PageSize/8)*8)
+					switch op := rng.Intn(10); op {
+					case 0, 1:
+						buf := make([]byte, 1+rng.Intn(2*smallAccess))
+						rng.Read(buf)
+						at := base + mem.Addr(rng.Intn(pages*mem.PageSize-len(buf)+1))
+						if err := w.Write(at, buf); err != nil {
+							return err
+						}
+					case 2:
+						if _, err := w.AddUint64(word, rng.Uint64()); err != nil {
+							return err
+						}
+					case 3:
+						v, err := w.ReadUint32(word)
+						if err != nil {
+							return err
+						}
+						if _, err := w.CompareAndSwapUint32(word, v^uint32(rng.Intn(2)), v+1); err != nil {
+							return err
+						}
+					case 4, 5:
+						buf := make([]byte, 1+rng.Intn(2*smallAccess))
+						if err := w.Read(base+mem.Addr(rng.Intn(pages*mem.PageSize-len(buf)+1)), buf); err != nil {
+							return err
+						}
+					case 6:
+						_ = w.Migrate(rng.Intn(3))
+					case 7, 8:
+						if err := w.Checkpoint([]byte{byte(op)}); err != nil {
+							return err
+						}
+					default:
+						w.Sleep(time.Duration(rng.Intn(20_000)) * time.Nanosecond)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			ws = append(ws, w)
+		}
+		for _, w := range ws {
+			if err := th.Join(w); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// A checkpoint copies only the pages whose generation moved since the
+// thread's last one, yet its snapshot must be what a fresh copy of every page
+// present at the node would be, key for key and byte for byte: checked at each
+// Checkpoint, before the thread yields, under each protocol, through remote
+// invalidations, downgrades and refetches, migrations, and a crash whose
+// restarted threads restore pages from their snapshots.
+func TestCheckpointSnapshotIsAFullClone(t *testing.T) {
+	var checks, held, copied int
+	bad := 0
+	checkpointHook = func(th *Thread, n int) {
+		checks++
+		copied += n
+		snap := &th.ckpt.pages
+		held += snap.Len()
+		want := make(map[uint64][]byte)
+		th.proc.mgr.PageTable(th.node).ForEach(func(vpn uint64, pte *mem.PTE) bool {
+			if pte.Present {
+				want[vpn] = mem.CloneFrame(pte.Frame)
+			}
+			return true
+		})
+		ok := snap.Len() == len(want)
+		for vpn, data := range want {
+			got, found := snap.Page(vpn)
+			ok = ok && found && bytes.Equal(got, data)
+		}
+		if !ok && bad < 5 {
+			bad++
+			t.Errorf("checkpoint %d of thread %d at node %d (%v): snapshot of %d pages is not a copy of the %d present",
+				checks, th.id, th.node, th.Now(), snap.Len(), len(want))
+		}
+	}
+	defer func() { checkpointHook = nil }()
+	restarted, restored := 0, 0
+	for _, proto := range []dsm.Protocol{dsm.WriteInvalidate, dsm.HomeMigrate, dsm.DistributedManager} {
+		for seed := int64(1); seed <= 4; seed++ {
+			params := DefaultParams(3)
+			params.DSM.Protocol = proto
+			params.Seed = seed
+			params.Chaos = &chaos.Plan{Seed: seed, Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(time.Duration(seed) * time.Millisecond)}}}
+			m := NewMachine(params)
+			p := m.NewProcess(0, snapshotWorkload(seed))
+			if err := m.Run(); err != nil {
+				t.Fatalf("%v seed %d: %v", proto, seed, err)
+			}
+			rep := p.Report()
+			restarted += rep.Chaos.ThreadsRestarted
+			restored += rep.Chaos.PagesRestored
+		}
+	}
+	if copied == 0 || copied >= held || restarted == 0 || restored == 0 {
+		t.Errorf("%d checkpoints held %d pages and copied %d, %d threads restarted, %d pages restored: the program exercises too little",
+			checks, held, copied, restarted, restored)
+	}
+	t.Logf("%d checkpoints held %d pages and copied %d; %d threads restarted, %d pages restored", checks, held, copied, restarted, restored)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dex/internal/mem"
+	"dex/internal/obs"
 )
 
 func TestReadReplicateCorrectAndCheaper(t *testing.T) {
@@ -380,5 +381,21 @@ func TestProcessAtNonzeroOrigin(t *testing.T) {
 	}
 	if !rep.MigrationRecords[1].Backward {
 		t.Fatal("return to origin 2 not recorded as backward")
+	}
+}
+
+// Without an observer EmitSpan allocates nothing: its args do not escape, so
+// the slice a variadic call builds stays on the caller's stack — the serving
+// layer emits a span per request, traced or not.
+func TestEmitSpanUntracedAllocsPerRun(t *testing.T) {
+	var allocs float64
+	run1(t, 1, func(th *Thread) error {
+		allocs = testing.AllocsPerRun(100, func() {
+			th.EmitSpan("serve", "req.shed", 0, obs.Int("tenant", 1), obs.String("why", "429"))
+		})
+		return nil
+	})
+	if allocs != 0 {
+		t.Fatalf("an untraced EmitSpan allocates %v objects, want 0", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dex/internal/dsm"
@@ -54,19 +55,26 @@ type Thread struct {
 	// is re-spawned at the origin from its latest checkpoint instead of
 	// surfacing a crash error.
 	restartable func(*Thread, []byte) error
-	// ckpt is the latest state snapshot taken by Checkpoint.
-	ckpt *checkpoint
+	// ckpt is the latest state snapshot taken by Checkpoint; the zero value
+	// restarts the body from the top.
+	ckpt checkpoint
 	// restarts counts how many times this thread has been re-spawned.
 	restarts int
 }
 
 // checkpoint is one quiescent-point snapshot of a restartable thread: the
 // caller's register blob plus copies of every page resident at the
-// thread's node when the snapshot was taken.
+// thread's node when the snapshot was taken. Each Checkpoint brings it up to
+// date in place.
 type checkpoint struct {
 	data  []byte
-	pages map[uint64][]byte
+	pages dsm.Snapshot
 }
+
+// checkpointHook, when set (by tests only), is called by every Checkpoint
+// with the number of pages it copied, right after the snapshot is brought up
+// to date and before the thread next yields.
+var checkpointHook func(th *Thread, copied int)
 
 // smallAccess is the size threshold below which an access charges batched
 // local cost instead of occupying the memory bus individually; smallFlush is
@@ -133,7 +141,9 @@ func (th *Thread) EmitSpan(cat, name string, start time.Duration, args ...obs.Ar
 	if rec == nil {
 		return
 	}
-	rec.Span(cat, name, th.node, th.id, start, args...)
+	// The recorder keeps the slice; a copy keeps args from escaping, so an
+	// untraced call allocates nothing.
+	rec.Span(cat, name, th.node, th.id, start, slices.Clone(args)...)
 	rec.Observe(name, th.task.Now()-start)
 }
 
@@ -199,11 +209,10 @@ func (th *Thread) SpawnRestartable(fn func(*Thread, []byte) error) (*Thread, err
 	}
 	th.Compute(th.proc.m.params.SpawnCost)
 	nt := th.proc.newThread(th.proc.origin, func(t *Thread) error { return fn(t, nil) }, th)
+	// The thread is restartable from birth: a node that dies before the
+	// body's first Checkpoint restarts it from the beginning (nil blob, no
+	// pages to restore).
 	nt.restartable = fn
-	// Seed an empty checkpoint so the thread is restartable from birth: a
-	// node that dies before the body's first Checkpoint restarts it from
-	// the beginning (nil blob, no pages to restore).
-	nt.ckpt = &checkpoint{}
 	return nt, nil
 }
 
@@ -214,7 +223,9 @@ func (th *Thread) SpawnRestartable(fn func(*Thread, []byte) error) (*Thread, err
 // checkpoint instead of surfacing a crash error. Checkpoint is a no-op
 // without fault injection, so checkpoint-capable applications pay nothing
 // on clean runs; under injection the snapshot's pages are charged to the
-// node's memory bus like any other resident-set copy.
+// node's memory bus like any other resident-set copy. The host copies only
+// the pages that changed since the thread's last checkpoint
+// (dsm.Manager.SnapshotPages); the charge is the whole resident set.
 func (th *Thread) Checkpoint(data []byte) error {
 	if th.proc.m.inj == nil {
 		return nil
@@ -223,15 +234,19 @@ func (th *Thread) Checkpoint(data []byte) error {
 	if th.proc.m.params.Obs != nil {
 		start = th.task.Now()
 	}
-	snap := th.proc.mgr.SnapshotPages(th.node)
-	th.ckpt = &checkpoint{data: append([]byte(nil), data...), pages: snap}
-	if len(snap) > 0 {
-		th.proc.m.nodes[th.node].bus.Transfer(th.task, len(snap)*mem.PageSize)
+	copied := th.proc.mgr.SnapshotPages(th.node, &th.ckpt.pages)
+	th.ckpt.data = append(th.ckpt.data[:0], data...)
+	if checkpointHook != nil {
+		checkpointHook(th, copied)
+	}
+	pages := th.ckpt.pages.Len()
+	if pages > 0 {
+		th.proc.m.nodes[th.node].bus.Transfer(th.task, pages*mem.PageSize)
 	}
 	if rec := th.proc.m.params.Obs; rec != nil {
 		// The span covers the resident-set copy including its bus transfer.
 		rec.Span("chaos", "checkpoint", th.node, th.id, start,
-			obs.Int("pages", int64(len(snap))))
+			obs.Int("pages", int64(pages)), obs.Int("copied", int64(copied)))
 	}
 	return nil
 }

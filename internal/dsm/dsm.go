@@ -34,7 +34,9 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"dex/internal/chaos"
@@ -487,23 +489,74 @@ func (m *Manager) ReclaimDeadNode(node int) ([]uint64, error) {
 	return lost, nil
 }
 
-// SnapshotPages returns copies of every page node currently holds mapped,
-// keyed by VPN. The checkpoint layer calls this at a thread's quiescent
-// points: the snapshot, together with the thread's register blob, is enough
-// to restart the thread's computation at the origin if the node later dies.
-// Pages are cloned so later writes at node do not leak into the snapshot.
-// The walk covers only node's own page table — never the shared directory —
-// so a checkpoint may run on node's simulation lane while other lanes serve
-// unrelated transactions.
-func (m *Manager) SnapshotPages(node int) map[uint64][]byte {
-	snap := make(map[uint64][]byte)
+// Snapshot holds a copy of every page one node had mapped when SnapshotPages
+// last brought it up to date. Each copy remembers the PTE it was taken from
+// and that entry's generation then; PTEs are never removed from a page table
+// and every change to a mapped page's bytes moves its generation (mem.PTE.Gen),
+// so a page whose entry and generation are the ones remembered still holds the
+// copied bytes and is not copied again. The generation is 32 bits: two
+// versions of a page share a name only after 2^32 changes between two updates.
+type Snapshot struct {
+	pages []pageCopy // ascending VPN
+	spare []pageCopy // the buffer the next update fills
+}
+
+type pageCopy struct {
+	vpn  uint64
+	pte  *mem.PTE
+	gen  uint32
+	data []byte
+}
+
+// Len reports how many pages the snapshot holds.
+func (s *Snapshot) Len() int { return len(s.pages) }
+
+// Page returns the snapshot's copy of vpn.
+func (s *Snapshot) Page(vpn uint64) ([]byte, bool) {
+	i, ok := slices.BinarySearchFunc(s.pages, vpn, func(c pageCopy, vpn uint64) int { return cmp.Compare(c.vpn, vpn) })
+	if !ok {
+		return nil, false
+	}
+	return s.pages[i].data, true
+}
+
+// SnapshotPages brings s up to date with every page node currently holds
+// mapped and returns how many pages it copied: those new to s or whose
+// generation moved, copied into the frame s already had for them. Afterwards s
+// holds exactly what a fresh copy of each present page would. The checkpoint
+// layer calls this at a thread's quiescent points: the snapshot, together with
+// the thread's register blob, is enough to restart the thread's computation at
+// the origin if the node later dies. The walk covers only node's own page
+// table — never the shared directory — so a checkpoint may run on node's
+// simulation lane while other lanes serve unrelated transactions.
+func (m *Manager) SnapshotPages(node int, s *Snapshot) (copied int) {
+	old, next := s.pages, s.spare[:0]
 	m.nodes[node].pt.ForEach(func(vpn uint64, pte *mem.PTE) bool {
-		if pte.Present {
-			snap[vpn] = mem.CloneFrame(pte.Frame)
+		for len(old) > 0 && old[0].vpn < vpn {
+			old = old[1:]
 		}
+		if !pte.Present {
+			return true
+		}
+		c := pageCopy{vpn: vpn}
+		if len(old) > 0 && old[0].vpn == vpn {
+			c, old = old[0], old[1:]
+			if c.pte == pte && c.gen == pte.Gen {
+				next = append(next, c)
+				return true
+			}
+		} else {
+			c.data = mem.NewFrame()
+		}
+		c.pte, c.gen = pte, pte.Gen
+		clear(c.data[copy(c.data, pte.Frame):])
+		next = append(next, c)
+		copied++
 		return true
 	})
-	return snap
+	clear(s.pages) // drop the references of pages no longer present
+	s.pages, s.spare = next, s.pages[:0]
+	return copied
 }
 
 // RestorePage copies a checkpointed page image over the current home's

@@ -182,25 +182,29 @@ func (t *Tree[V]) ForRange(lo, hi uint64, fn func(key uint64, value V) bool) {
 
 func (t *Tree[V]) walk(n *node[V], level int, prefix uint64, lo, hi uint64, fn func(uint64, V) bool) bool {
 	shift := uint(bitsPerLevel * (levels - 1 - level))
-	for i := 0; i < fanout; i++ {
+	span := uint64(1)<<shift - 1
+	// The scan ends at the node's last populated slot (left counts those not
+	// yet passed) or past hi, not at the end of the node: a full walk of a
+	// small table visits a few slots per node instead of 512.
+	for i, left := 0, n.count; i < fanout && left > 0; i++ {
 		base := prefix | uint64(i)<<shift
-		// Skip subtrees wholly outside [lo, hi].
-		span := uint64(1)<<shift - 1
-		if base+span < lo || base > hi {
+		if base > hi {
+			break
+		}
+		c, v := n.children[i], n.values[i]
+		if c == nil && v == nil {
+			continue
+		}
+		left--
+		if base+span < lo {
 			continue
 		}
 		if level == levels-1 {
-			if v := n.values[i]; v != nil {
-				if !fn(base, *v) {
-					return false
-				}
-			}
-			continue
-		}
-		if c := n.children[i]; c != nil {
-			if !t.walk(c, level+1, base, lo, hi, fn) {
+			if !fn(base, *v) {
 				return false
 			}
+		} else if !t.walk(c, level+1, base, lo, hi, fn) {
+			return false
 		}
 	}
 	return true

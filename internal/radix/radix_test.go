@@ -2,6 +2,7 @@ package radix
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -160,13 +161,13 @@ func TestKeyTooLargePanics(t *testing.T) {
 }
 
 // TestQuickAgainstMap property-tests the tree against a reference map under
-// a random operation sequence.
+// a random operation sequence, then a full and a partial walk.
 func TestQuickAgainstMap(t *testing.T) {
 	f := func(ops []struct {
 		Key uint64
 		Val int
 		Del bool
-	}) bool {
+	}, lo, hi uint64) bool {
 		var tr Tree[int]
 		ref := make(map[uint64]int)
 		for _, op := range ops {
@@ -200,7 +201,21 @@ func TestQuickAgainstMap(t *testing.T) {
 			seen++
 			return true
 		})
-		return seen == len(ref)
+		lo, hi = lo%(MaxKey+1), hi%(MaxKey+1)
+		lo, hi = min(lo, hi), max(lo, hi)
+		var inRange []uint64
+		for k := range ref {
+			if lo <= k && k <= hi {
+				inRange = append(inRange, k)
+			}
+		}
+		slices.Sort(inRange)
+		var walked []uint64
+		tr.ForRange(lo, hi, func(k uint64, _ int) bool {
+			walked = append(walked, k)
+			return true
+		})
+		return seen == len(ref) && slices.Equal(walked, inRange)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
