@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLanePick -fuzztime=10s ./internal/sim
 	$(GO) test -fuzz=FuzzRMAT -fuzztime=10s ./internal/graph
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/chaos
+	$(GO) test -fuzz=FuzzDedupState -fuzztime=10s ./internal/dsm
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:

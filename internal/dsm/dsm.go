@@ -23,7 +23,8 @@
 //     follows the last writer) or sharded (DistributedManager).
 //   - engine.go — the transport engine: the transaction records of both
 //     sides, the one wait loop (retransmission, backoff, give-up), duplicate
-//     detection with bounded dedup state, and grant rollback.
+//     detection whose state goes as the floors senders carry pass it, and
+//     grant rollback.
 //
 // Concurrent faults on one node are tamed with the paper's leader-follower
 // model: the first thread to fault on a (page, access-type) pair becomes the
@@ -181,10 +182,8 @@ type faultGroup struct {
 }
 
 type nodeState struct {
-	pt          mem.PageTable
-	faults      map[fkey]*faultGroup
-	outstanding map[uint64]*outstanding // this node's requests, keyed by token (engine.go)
-	installing  []*outstanding          // those granted whose PTE is not in place yet: what a revocation may have to wait behind
+	pt     mem.PageTable
+	faults map[fkey]*faultGroup
 
 	// reqCtr is this node's request-token allocator. Tokens carry the
 	// allocating node in their top bits (nextSeq), giving every
@@ -194,15 +193,15 @@ type nodeState struct {
 	reqCtr uint64
 	revCtr uint64
 
-	// revokeWait holds the open waits of the revocations this node has issued
-	// as a serving home, keyed by seq; served its home-side records of page
-	// requests, keyed by token (engine.go). Both are sharded here, per issuing
-	// home, so several directory shards may serve independently on their lanes.
-	revokeWait map[uint64]*revokeWaiter
-	served     map[uint64]*serveState
-	// sweepBudget counts down dedup admissions on this node's lane; when it
-	// hits zero a global watermark sweep is scheduled (engine.admitted).
-	sweepBudget int
+	// reqs holds this node's open requests (granted ones not yet installed
+	// among them: what a revocation may have to wait behind) and revokes the
+	// open waits of the revocations it has issued as a serving home, each a
+	// window of its own numbers whose base is the floor it sends; peers holds
+	// what it keeps of every other node's numbers (engine.go). All of it is
+	// this node's alone, so directory shards serve independently on their lanes.
+	reqs    window[*outstanding]
+	revokes window[*revokeWaiter]
+	peers   []peer
 
 	// routes is where this node believes each page's home is (directory.go);
 	// it stays empty where authority never migrates.
@@ -212,12 +211,6 @@ type nodeState struct {
 	// Pages anchored here are thereafter resolved at the live ring shard
 	// (locate). Written only on the quiescent global lane.
 	reclaimed bool
-
-	// appliedRevokes is the receiver-side dedup state, filled only under fault
-	// injection: every revocation this node has admitted, so a duplicated
-	// revokeMsg is either ignored (still pending) or answered with a fresh ack
-	// carrying the retained page data. Pruned by the engine's watermark sweep.
-	appliedRevokes map[uint64]*appliedRevoke
 }
 
 // Manager runs the consistency protocol for one process across all nodes.
@@ -287,9 +280,9 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		pools:  make([]mem.FramePool, nodes),
 	}
 	for i := range m.nodes {
-		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup), routes: make(routes)}
+		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup), routes: make(routes), peers: make([]peer, nodes)}
 	}
-	m.e.init(m)
+	m.e.m = m
 	m.policy = newPolicy(m)
 	return m
 }

@@ -2,11 +2,16 @@
 // package that knows a message can be lost, duplicated or answered twice. It
 // owns the transaction records (outstanding at the requester, serveState at
 // the home) and every write to them, token and sequence allocation, the one
-// wait loop (RTO, exponential backoff, give-up), duplicate detection with
-// bounded dedup state, and rollback of half-finished grants. It guarantees
-// exactly-once *application* of protocol messages over a fabric that — under
-// fault injection — may drop, duplicate, or delay them; the policies
-// (protocol.go) and the directory (directory.go) never see transport failures.
+// wait loop (RTO, exponential backoff, give-up), duplicate detection, and
+// rollback of half-finished grants. It guarantees exactly-once *application*
+// of protocol messages over a fabric that — under fault injection — may drop,
+// duplicate, or delay them; the policies (protocol.go) and the directory
+// (directory.go) never see transport failures.
+//
+// Dedup state is bounded as an RC queue pair bounds its own, by cumulative
+// acknowledgement: a node's floor, its lowest still-open token or seq, rides
+// on the requests, revocations and replies it sends anyway, and a record
+// another node keeps for its numbers goes once the floor passes it.
 package dsm
 
 import (
@@ -20,27 +25,10 @@ import (
 	"dex/internal/sim"
 )
 
-const (
-	// dedupSweepInterval amortizes dedup-state pruning: one sweep per this
-	// many admitted transactions on any one node's lane.
-	dedupSweepInterval = 256
-	// dedupSweepDelay is how far in the future an exhausted admission budget
-	// schedules the sweep. The sweep reads every node's outstanding tables,
-	// so it runs as a global-lane event; the delay must clear the engine's
-	// lookahead window so a node lane may legally stage it (admitted()
-	// raises it to the lookahead when a fabric has a larger one).
-	dedupSweepDelay = 200 * time.Microsecond
-	// dedupHorizonFactor sizes the retransmit horizon in units of
-	// RetryTimeoutMax: a closed dedup record older than the horizon AND below
-	// the open-transaction watermark can no longer receive a duplicate that
-	// needs its content (any straggler is answered from the watermark alone).
-	dedupHorizonFactor = 4
-)
-
 // tokenNodeShift positions the allocating node in a request token's top
 // bits: every node allocates from a private, monotonic token space on its
-// own simulation lane, with no shared counter. Watermark comparisons only
-// ever relate tokens of the same node, where the suffix counter makes them
+// own simulation lane, with no shared counter. Floor comparisons only ever
+// relate tokens of the same node, where the suffix counter makes them
 // totally ordered.
 const tokenNodeShift = 48
 
@@ -69,21 +57,19 @@ func (w *waiter) ack() bool {
 
 // outstanding is the requester-side record of one page request. It goes when
 // the request is bounced or, without an injector, installed; with one it
-// stays, marked installed, until the sweep prunes it, so a duplicated grant
-// reply re-acks the serving home instead of re-running the install. It also
-// serializes revocations that target the ownership being granted: a revoke
-// arriving between the grant reply and the PTE install is deferred until the
-// install completes.
+// moves, marked installed, to the serving home's peer window until that
+// home's floor passes it, so a duplicated grant reply re-acks the home
+// instead of re-running the install. It also serializes revocations that
+// target the ownership being granted: a revoke arriving between the grant
+// reply and the PTE install is deferred until the install completes.
 type outstanding struct {
 	waiter
-	vpn   uint64
-	token uint64
-	home  int       // the node the request went to (the re-ack target)
-	reply pageReply // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
-	// installed: the granted PTE is in place (since installedAt, for pruning).
-	installed   bool
-	installedAt time.Duration
-	deferred    []*revokeMsg // revocations to apply once it is
+	vpn       uint64
+	token     uint64
+	home      int          // the node the request went to (the re-ack target)
+	reply     pageReply    // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
+	installed bool         // the granted PTE is in place
+	deferred  []*revokeMsg // revocations to apply once it is
 }
 
 // granted reports whether o holds a grant: installed, or about to be without
@@ -93,19 +79,18 @@ func (o *outstanding) granted() bool { return o.reply.outcome.granted() }
 // serveState is the home-side record of one page request (or one prefetch
 // batch, keyed by its first token): the reply that was sent and, embedded, the
 // grant window's wait for the install ack. Without an injector it is dropped
-// when the serve closes. With one it stays until the sweep prunes it and
-// resolves duplicated requests: a bounced request gets the same reply again —
-// never a fresh serve, which could land data in a landing zone the requester
-// has already released — and one in flight or granted is ignored, because the
-// grant window owns grant retransmission.
+// when the serve closes. With one it stays until the requester's floor passes
+// it and resolves duplicated requests: a bounced request gets the same reply
+// again — never a fresh serve, which could land data in a landing zone the
+// requester has already released — and one in flight or granted is ignored,
+// because the grant window owns grant retransmission.
 type serveState struct {
 	waiter
-	req      *pageRequest  // nil for a prefetch batch
-	home     int           // the node that served (or bounced) this token
-	reply    pageReply     // the reply sent; outcome inFlight until there is one
-	closed   bool          // the serving task has finished with this token
-	closedAt time.Duration // when it finished (for pruning)
-	data     []byte        // page snapshot retained for grant re-sends (injector only)
+	req    *pageRequest // nil for a prefetch batch
+	home   int          // the node that served (or bounced) this token
+	reply  pageReply    // the reply sent; outcome inFlight until there is one
+	closed bool         // the serving task has finished with this token
+	data   []byte       // page snapshot retained for grant re-sends (injector only)
 }
 
 // revokeWaiter is the issuing home's record of one revocation in flight. lost
@@ -120,44 +105,104 @@ type revokeWaiter struct {
 
 // appliedRevoke is the receiver-side record of one admitted revocation.
 type appliedRevoke struct {
-	pending   bool          // the original application has not finished yet
-	appliedAt time.Duration // when the application finished (for pruning)
-	data      []byte        // page snapshot retained for needData re-acks
+	pending bool   // the original application has not finished yet
+	data    []byte // page snapshot retained for needData re-acks
 }
 
-// engine owns the transport-layer state of one Manager. All per-message
-// bookkeeping (sequence allocators, transaction records) is sharded per node
-// and lives in nodeState: revocations and grants are only ever issued from
-// the serving home's own simulation lane, and sharding the state by issuer
-// lets several directory shards serve independently under DistributedManager
-// without a shared counter or map. The engine itself keeps only the sweep
-// watermarks, which are written exclusively on the serialized global lane.
-type engine struct {
-	m *Manager
+// over reports whether a record's transaction is over at the node that holds
+// it: what a window may drop once the record is below its issuer's floor.
+func (o *outstanding) over() bool   { return o.installed }
+func (st *serveState) over() bool   { return st.closed }
+func (w *revokeWaiter) over() bool  { return w.task == nil }
+func (r *appliedRevoke) over() bool { return !r.pending }
 
-	// prunedReqBelow (per allocating node) / prunedRevokeBelow (per issuing
-	// node) are the dedup watermarks: every token (resp. seq) below the
-	// watermark belongs to a transaction that was fully closed before the
-	// last sweep, so an arriving message carrying one — with no surviving
-	// dedup record — is necessarily a stale duplicate and is dropped. Each
-	// node's tokens and seqs are allocated monotonically, which is what
-	// makes the watermark sound: a live transaction can never be below it.
-	prunedReqBelow    []uint64
-	prunedRevokeBelow []uint64
+// record is what a window holds: a transaction record that knows when its
+// transaction is over.
+type record interface {
+	comparable
+	over() bool
 }
 
-func (e *engine) init(m *Manager) {
-	e.m = m
-	e.prunedReqBelow = make([]uint64, len(m.nodes))
-	e.prunedRevokeBelow = make([]uint64, len(m.nodes))
-	for _, ns := range m.nodes {
-		ns.sweepBudget = dedupSweepInterval
-		ns.outstanding = make(map[uint64]*outstanding)
-		ns.served = make(map[uint64]*serveState)
-		ns.revokeWait = make(map[uint64]*revokeWaiter)
-		ns.appliedRevokes = make(map[uint64]*appliedRevoke)
+// window holds the records of one issuer's sequence numbers (its request
+// tokens or its revoke seqs, allocated monotonically by nextSeq) from base
+// up: recs[i] is the record of base+i, the zero value where there is none.
+// Records leave from the head, so finding and dropping one is never a scan.
+type window[T record] struct {
+	base uint64
+	recs []T
+}
+
+func (w *window[T]) get(seq uint64) (r T) {
+	if seq >= w.base && seq-w.base < uint64(len(w.recs)) {
+		r = w.recs[seq-w.base]
+	}
+	return r
+}
+
+// put records r under seq. The first record of an empty window sets its
+// base; one below the base (an issuer's sends may overtake each other) moves
+// it down.
+func (w *window[T]) put(seq uint64, r T) {
+	if len(w.recs) == 0 {
+		w.base = seq
+	} else if seq < w.base {
+		w.recs = slices.Insert(w.recs, 0, make([]T, w.base-seq)...)
+		w.base = seq
+	}
+	for seq-w.base >= uint64(len(w.recs)) {
+		var none T
+		w.recs = append(w.recs, none)
+	}
+	w.recs[seq-w.base] = r
+}
+
+// del drops seq's record.
+func (w *window[T]) del(seq uint64) {
+	var none T
+	if w.get(seq) != none {
+		w.recs[seq-w.base] = none
+		w.trim(0)
 	}
 }
+
+// trim drops the head while it is empty, or over and below floor, moving
+// the rest down so the window reuses its array. Of a window of a node's own
+// open records, which are dropped as they close, the base is then the node's
+// floor.
+func (w *window[T]) trim(floor uint64) {
+	var none T
+	n := 0
+	for n < len(w.recs) && (w.recs[n] == none || w.base+uint64(n) < floor && w.recs[n].over()) {
+		n++
+	}
+	w.recs, w.base = slices.Delete(w.recs, 0, n), w.base+uint64(n)
+}
+
+// hear raises a floor heard from a peer to f, as the message carrying it is
+// taken off the wire, and drops what the window it bounds no longer needs.
+func hear[T record](floor *uint64, f uint64, w *window[T]) {
+	if f > *floor {
+		*floor = f
+		w.trim(f)
+	}
+}
+
+// peer is what a node keeps of another node's numbers, touched only on its
+// own lane: the records it holds for them, and the highest floor of each kind
+// heard from it — reqFloor on its requests bounds served, revFloor on its
+// revocations applied, serveFloor on its replies installed.
+type peer struct {
+	served    window[*serveState]    // its requests, served here
+	applied   window[*appliedRevoke] // its revocations, applied here (injector only)
+	installed window[*outstanding]   // this node's requests it served, installed here (injector only)
+
+	reqFloor, revFloor, serveFloor uint64
+}
+
+// engine is the transport layer of one Manager. Its state — sequence
+// allocators, transaction records, heard floors — is sharded per node in
+// nodeState, so directory shards serve independently on their lanes.
+type engine struct{ m *Manager }
 
 // dead reports whether node n is confirmed dead (without an injector none is).
 func (m *Manager) dead(n int) bool { return m.chaos != nil && m.chaos.NodeDead(n) }
@@ -177,6 +222,16 @@ func (m *Manager) mark(node int, name string, vpn uint64, args ...obs.Arg) {
 func nextSeq(node int, ctr *uint64) uint64 {
 	*ctr++
 	return uint64(node)<<tokenNodeShift | *ctr
+}
+
+// floor is what a message built now carries: base, the issuer's floor, under
+// an injector; without one nothing outlives its transaction, so there is
+// nothing to release and nothing is written.
+func (e *engine) floor(base uint64) uint64 {
+	if e.m.chaos == nil {
+		return 0
+	}
+	return base
 }
 
 // await is the one wait loop: it parks t, at node, until w is acknowledged.
@@ -242,7 +297,7 @@ func (e *engine) stray(what string, key uint64) {
 func (e *engine) open(t *sim.Task, node, home int, vpn uint64) *outstanding {
 	ns := e.m.nodes[node]
 	o := &outstanding{waiter: waiter{task: t}, vpn: vpn, token: nextSeq(node, &ns.reqCtr), home: home}
-	ns.outstanding[o.token] = o
+	ns.reqs.put(o.token, o)
 	return o
 }
 
@@ -252,7 +307,8 @@ func (e *engine) open(t *sim.Task, node, home int, vpn uint64) *outstanding {
 func (e *engine) request(t *sim.Task, node, home int, vpn uint64, write bool, pr *fabric.PageRecv) *outstanding {
 	m := e.m
 	o := e.open(t, node, home, vpn)
-	msg := &pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: o.token, pr: pr}
+	msg := &pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: o.token, pr: pr,
+		floor: e.floor(m.nodes[node].reqs.base)}
 	m.net.Send(t, node, home, msg)
 	e.await(t, &o.waiter, sim.ReasonHex("page reply ", vpn<<mem.PageShift), node, "request",
 		func() bool {
@@ -266,13 +322,13 @@ func (e *engine) request(t *sim.Task, node, home int, vpn uint64, write bool, pr
 	return o
 }
 
-// deliverReply hands a page reply to the request it answers and wakes the
-// requester.
-func (e *engine) deliverReply(node int, rep *pageReply) {
+// deliverReply hands a page reply from src to the request it answers and
+// wakes the requester.
+func (e *engine) deliverReply(node, src int, rep *pageReply) {
 	m, ns := e.m, e.m.nodes[node]
-	o, ok := ns.outstanding[rep.token]
-	switch {
-	case ok && o.installed:
+	p := &ns.peers[src]
+	hear(&p.serveFloor, rep.floor, &p.installed)
+	if o := p.installed.get(rep.token); o != nil {
 		// A grant reply re-sent after our install ack was lost: re-ack the
 		// serving home (which under HomeMigrate need not be the origin) so it
 		// can close its transition window.
@@ -280,70 +336,65 @@ func (e *engine) deliverReply(node int, rep *pageReply) {
 		m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
 			m.net.Send(t, node, o.home, &installAck{pid: m.pid, token: rep.token})
 		})
-	case !ok || o.reply.outcome != inFlight:
+		return
+	}
+	o := ns.reqs.get(rep.token)
+	if o == nil || o.reply.outcome != inFlight {
 		// A duplicate of a reply whose transaction is over here, or one that
 		// raced in before the requester task resumed.
 		e.stray("page reply token", rep.token)
-	default:
-		o.reply = *rep
-		if o.granted() {
-			ns.installing = append(ns.installing, o)
-		}
-		o.ack()
+		return
 	}
+	o.reply = *rep
+	o.ack()
 }
 
 // forget drops the record of a request that was bounced.
-func (e *engine) forget(node int, o *outstanding) { delete(e.m.nodes[node].outstanding, o.token) }
+func (e *engine) forget(node int, o *outstanding) { e.m.nodes[node].reqs.del(o.token) }
 
 // installed notes that o's grant is installed at node: the transaction is
-// over there.
-func (e *engine) installed(node int, o *outstanding, now time.Duration) {
-	o.installed, o.installedAt = true, now
-	ns := e.m.nodes[node]
-	ns.installing = slices.DeleteFunc(ns.installing, func(x *outstanding) bool { return x == o })
-	if e.m.chaos == nil {
-		e.forget(node, o)
+// over there. Under an injector the record moves to its home's window: the
+// home's grant window may still re-send the grant, and until that home's
+// floor passes the token a settling home may ask whether it landed.
+func (e *engine) installed(node int, o *outstanding) {
+	o.installed = true
+	e.forget(node, o)
+	if e.m.chaos != nil {
+		e.m.nodes[node].peers[o.home].installed.put(o.token, o)
 	}
 }
 
 // crashed drops the requests node had in flight when it died. Its finished
 // installs stay: a home settling a grant window the crash left open still
 // asks whether its grant had landed.
-func (e *engine) crashed(node int) {
-	ns := e.m.nodes[node]
-	ns.installing = nil
-	for tok, o := range ns.outstanding {
-		if !o.installed {
-			delete(ns.outstanding, tok)
-		}
-	}
-}
+func (e *engine) crashed(node int) { e.m.nodes[node].reqs = window[*outstanding]{} }
 
-// deferRevoke queues msg behind the install it targets, if ns holds a grant
-// for the page that has arrived but is not installed yet (the revocation
-// necessarily targets the ownership that request was just granted), and
-// reports whether it did. Of several such grants the lowest token's takes it.
+// deferRevoke queues msg behind the install it targets, if one of ns's open
+// requests holds a grant for the page that is not installed yet (the
+// revocation necessarily targets the ownership that request was just
+// granted), and reports whether it did. Of several such grants the lowest
+// token's takes it.
 func (e *engine) deferRevoke(ns *nodeState, msg *revokeMsg) bool {
-	var first *outstanding
-	for _, o := range ns.installing {
-		if o.vpn == msg.vpn && (first == nil || o.token < first.token) {
-			first = o
+	for _, o := range ns.reqs.recs {
+		if o != nil && o.vpn == msg.vpn && o.granted() {
+			o.deferred = append(o.deferred, msg)
+			return true
 		}
 	}
-	if first == nil {
-		return false
-	}
-	first.deferred = append(first.deferred, msg)
-	return true
+	return false
 }
 
-// granteeDelivered reports whether the grant for req demonstrably reached
-// the requester: it either finished installing, or holds the grant reply
-// and will finish the install without further protocol traffic.
-func (e *engine) granteeDelivered(req *pageRequest) bool {
-	o, ok := e.m.nodes[req.node].outstanding[req.token]
-	return ok && o.granted()
+// granteeDelivered reports whether the grant st served demonstrably reached
+// the requester: it either finished installing (st's window is open, so no
+// floor has released that record), or holds the grant reply and will finish
+// the install without further protocol traffic.
+func (e *engine) granteeDelivered(st *serveState) bool {
+	ns, tok := e.m.nodes[st.req.node], st.reply.token
+	o := ns.peers[st.home].installed.get(tok)
+	if o == nil {
+		o = ns.reqs.get(tok)
+	}
+	return o != nil && o.granted()
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +404,7 @@ func (e *engine) granteeDelivered(req *pageRequest) bool {
 // open from the start (a prefetch batch), is the task that will wait in it.
 func (e *engine) openServe(t *sim.Task, node int, token uint64, req *pageRequest) *serveState {
 	st := &serveState{waiter: waiter{task: t}, req: req, home: node, reply: pageReply{pid: e.m.pid, token: token}}
-	e.m.nodes[node].served[token] = st
+	e.m.nodes[node].peers[tokenNode(token)].served.put(token, st)
 	return st
 }
 
@@ -362,18 +413,27 @@ func (e *engine) openServe(t *sim.Task, node int, token uint64, req *pageRequest
 // or nil if the request was a duplicate and has been dealt with here.
 func (e *engine) admitServe(node int, req *pageRequest) *serveState {
 	m := e.m
-	if prev, ok := m.nodes[node].served[req.token]; ok {
+	p := &m.nodes[node].peers[req.node]
+	hear(&p.reqFloor, req.floor, &p.served)
+	if prev := p.served.get(req.token); prev != nil {
 		e.redeliverServe(prev)
 		return nil
 	}
-	if req.token < e.prunedReqBelow[req.node] {
-		// The record was pruned: the transaction closed long before the last
-		// sweep, so this can only be a stale duplicate.
+	if req.token < p.reqFloor {
+		// The requester had closed this token when it last wrote here: only a
+		// stale duplicate of an exchange this home has forgotten can carry it.
 		m.stats.DupsIgnored++
 		return nil
 	}
-	e.admitted(node)
 	return e.openServe(nil, node, req.token, req)
+}
+
+// serveFloor is the floor st's reply carries: no serve of the requester's
+// tokens below it is open at st's home, nor can one still open there (a token
+// below the requester's own floor is turned away).
+func (e *engine) serveFloor(st *serveState) uint64 {
+	p := &e.m.nodes[st.home].peers[st.req.node]
+	return e.floor(min(p.reqFloor, p.served.base))
 }
 
 // redeliverServe answers a duplicated page request from the home-side serve
@@ -396,21 +456,23 @@ func (e *engine) redeliverServe(st *serveState) {
 
 // bounce answers st's request with something other than a grant and closes
 // the record; it returns the reply for the caller to send.
-func (e *engine) bounce(st *serveState, out outcome, home int, epoch uint64, now time.Duration) *pageReply {
+func (e *engine) bounce(st *serveState, out outcome, home int, epoch uint64) *pageReply {
 	st.reply.outcome, st.reply.home, st.reply.epoch = out, home, epoch
-	e.closeServe(st, now)
+	st.reply.floor = e.serveFloor(st)
+	e.closeServe(st)
 	return &st.reply
 }
 
 // closeServe marks the serve over (a no-op on a record a bounce closed
-// already). Without an injector nothing can ask for the record again.
-func (e *engine) closeServe(st *serveState, now time.Duration) {
+// already). Without an injector nothing can ask for the record again; with
+// one it goes once the requester's floor has passed it.
+func (e *engine) closeServe(st *serveState) {
 	if st.closed {
 		return
 	}
-	st.closed, st.closedAt = true, now
+	st.closed = true
 	if e.m.chaos == nil {
-		delete(e.m.nodes[st.home].served, st.reply.token)
+		e.m.nodes[st.home].peers[tokenNode(st.reply.token)].served.del(st.reply.token)
 	}
 }
 
@@ -418,6 +480,7 @@ func (e *engine) closeServe(st *serveState, now time.Duration) {
 // requester's copy is fresh (nil) — and opens the grant window.
 func (e *engine) grant(t *sim.Task, st *serveState, data []byte, epoch uint64) {
 	st.reply.outcome, st.reply.epoch = grant, epoch
+	st.reply.floor = e.serveFloor(st)
 	if data != nil {
 		st.reply.outcome = grantData
 		if e.m.chaos != nil {
@@ -467,7 +530,7 @@ func (e *engine) awaitInstall(t *sim.Task, st *serveState, de *dirEntry) outcome
 // installAcked closes the grant window an install ack names, at the serving
 // home the ack was addressed to.
 func (e *engine) installAcked(node int, token uint64) {
-	if st := e.m.nodes[node].served[token]; st == nil || !st.ack() {
+	if st := e.m.nodes[node].peers[tokenNode(token)].served.get(token); st == nil || !st.ack() {
 		e.stray("install ack token", token)
 	}
 }
@@ -517,7 +580,8 @@ func (e *engine) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade
 		pr:        pr,
 	}
 	w := &revokeWaiter{waiter: waiter{task: t}, target: target, msg: msg}
-	ns.revokeWait[msg.seq] = w
+	ns.revokes.put(msg.seq, w)
+	msg.floor = e.floor(ns.revokes.base)
 	m.net.Send(t, from, target, msg)
 	if downgrade {
 		m.stats.Downgrades++
@@ -553,7 +617,7 @@ func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 				default:
 					return false
 				}
-				delete(m.nodes[msg.home].revokeWait, msg.seq)
+				m.nodes[msg.home].revokes.del(msg.seq)
 				return true
 			},
 			func() { m.net.Send(t, msg.home, w.target, msg) })
@@ -563,11 +627,19 @@ func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 // revokeAcked closes the wait a revoke ack names. Revocations are issued
 // from (and acked to) the serving home, whose lane is running right now.
 func (e *engine) revokeAcked(node int, seq uint64) {
-	ws := e.m.nodes[node].revokeWait
-	if w := ws[seq]; w == nil || !w.ack() {
+	ws := &e.m.nodes[node].revokes
+	if w := ws.get(seq); w == nil || !w.ack() {
 		e.stray("revoke ack seq", seq)
 	}
-	delete(ws, seq)
+	ws.del(seq)
+}
+
+// revokeArrived takes a revocation off the wire at node: the issuer's floor
+// is heard, then the dedup gate decides whether it is fresh.
+func (e *engine) revokeArrived(node int, msg *revokeMsg) bool {
+	p := &e.m.nodes[node].peers[msg.home]
+	hear(&p.revFloor, msg.floor, &p.applied)
+	return e.admitRevoke(node, msg)
 }
 
 // admitRevoke is the receiver-side dedup gate for an incoming revocation
@@ -578,8 +650,8 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) bool {
 	if m.chaos == nil {
 		return true
 	}
-	ns := m.nodes[node]
-	if prev, ok := ns.appliedRevokes[msg.seq]; ok {
+	p := &m.nodes[node].peers[msg.home]
+	if prev := p.applied.get(msg.seq); prev != nil {
 		if prev.pending {
 			// The original is still being applied (or deferred); its ack
 			// will cover this duplicate.
@@ -591,12 +663,11 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) bool {
 		}
 		return false
 	}
-	if msg.seq < e.prunedRevokeBelow[tokenNode(msg.seq)] {
+	if msg.seq < p.revFloor {
 		m.stats.DupsIgnored++
 		return false
 	}
-	ns.appliedRevokes[msg.seq] = &appliedRevoke{pending: true}
-	e.admitted(node)
+	p.applied.put(msg.seq, &appliedRevoke{pending: true})
 	return true
 }
 
@@ -604,12 +675,12 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) bool {
 // acked, keeping the page contents of a needData revoke so a re-sent one (our
 // ack was lost) gets the same data. dropped says the application orphaned
 // frame; it reports whether the record took it over (else the caller recycles).
-func (e *engine) revokeApplied(ns *nodeState, msg *revokeMsg, frame []byte, dropped bool, now time.Duration) (retained bool) {
+func (e *engine) revokeApplied(ns *nodeState, msg *revokeMsg, frame []byte, dropped bool) (retained bool) {
 	if e.m.chaos == nil {
 		return false
 	}
-	rec := ns.appliedRevokes[msg.seq]
-	rec.pending, rec.appliedAt = false, now
+	rec := ns.peers[msg.home].applied.get(msg.seq)
+	rec.pending = false
 	if msg.needData {
 		if !dropped {
 			frame = append([]byte(nil), frame...)
@@ -641,97 +712,4 @@ func (e *engine) resendRevokeAck(node int, msg *revokeMsg, prev *appliedRevoke) 
 		t.Sleep(m.params.InvalidateApply)
 		m.sendRevokeAck(t, node, msg, prev.data)
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Bounding the dedup state.
-
-// admitted notes one dedup admission on node's lane and, once the node's
-// budget is spent, schedules a watermark sweep. The sweep runs as a
-// global-lane event rather than inline: it reads every node's outstanding
-// tables, which only the serialized global lane may do while node lanes run
-// their own windows. Scheduling through the admitting node's own lane view
-// keeps the sweep's (time, lane) a function of that lane alone — each lane's
-// admission counter is a pure function of that lane's event sequence.
-func (e *engine) admitted(node int) {
-	ns := e.m.nodes[node]
-	if e.m.chaos == nil {
-		return // nothing is kept past its transaction, so nothing to sweep
-	}
-	ns.sweepBudget--
-	if ns.sweepBudget > 0 {
-		return
-	}
-	ns.sweepBudget = dedupSweepInterval
-	v := e.m.view(node)
-	v.AfterOn(sim.GlobalLane, max(dedupSweepDelay, v.Lookahead()), e.sweep)
-}
-
-// sweep bounds the chaos dedup maps. A record may be dropped once two
-// conditions hold: (1) its token/seq is below the open-transaction floor of
-// its allocating node — no in-flight transaction still references it, so
-// only duplicates of a closed exchange can ever carry it again — and (2) it
-// has been closed for longer than the retransmit horizon, so the sender's
-// own RTO loop has long stopped producing retransmissions (only
-// fabric-duplicated stragglers remain, and those are answered from the
-// watermark). Advancing the watermark to the floor is what keeps
-// correctness unconditional: even a straggler older than the horizon is
-// still *detected* as a duplicate, it just no longer gets a
-// content-carrying re-ack (it no longer needs one — its transaction
-// closed). It runs on the global lane (see admitted).
-func (e *engine) sweep() {
-	m := e.m
-	now := m.eng.Now()
-	horizon := time.Duration(dedupHorizonFactor) * m.params.RetryTimeoutMax
-
-	// Request-token side: each node's floor is the smallest of its tokens
-	// still referenced by an outstanding request there or by an open
-	// home-side serve anywhere.
-	floors := make([]uint64, len(m.nodes))
-	for i, ns := range m.nodes {
-		floors[i] = uint64(i)<<tokenNodeShift | (ns.reqCtr + 1)
-		for tok, o := range ns.outstanding {
-			if !o.installed {
-				floors[i] = min(floors[i], tok)
-			}
-		}
-	}
-	for _, hs := range m.nodes {
-		for tok, st := range hs.served {
-			if n := tokenNode(tok); !st.closed {
-				floors[n] = min(floors[n], tok)
-			}
-		}
-	}
-	for i, ns := range m.nodes {
-		for tok, st := range ns.served {
-			if st.closed && tok < floors[tokenNode(tok)] && now-st.closedAt >= horizon {
-				delete(ns.served, tok)
-			}
-		}
-		for tok, o := range ns.outstanding {
-			if o.installed && tok < floors[i] && now-o.installedAt >= horizon {
-				delete(ns.outstanding, tok)
-			}
-		}
-		e.prunedReqBelow[i] = max(e.prunedReqBelow[i], floors[i])
-	}
-
-	// Revocation side: each issuer's floor is the smallest of its seqs with
-	// an open waiter (waiters live at the issuing home).
-	rfloors := make([]uint64, len(m.nodes))
-	for i, ns := range m.nodes {
-		rfloors[i] = uint64(i)<<tokenNodeShift | (ns.revCtr + 1)
-		for seq := range ns.revokeWait {
-			rfloors[i] = min(rfloors[i], seq)
-		}
-	}
-	for i, ns := range m.nodes {
-		for seq, rec := range ns.appliedRevokes {
-			if seq < rfloors[tokenNode(seq)] && !rec.pending && now-rec.appliedAt >= horizon {
-				delete(ns.appliedRevokes, seq)
-			}
-		}
-		e.prunedRevokeBelow[i] = max(e.prunedRevokeBelow[i], rfloors[i])
-	}
 }

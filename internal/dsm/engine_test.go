@@ -11,9 +11,7 @@ import (
 	"dex/internal/sim"
 )
 
-// newChaosEnvParams is newChaosEnv with a caller-supplied cost model (the
-// boundedness test shrinks the retransmit horizon so pruning cycles many
-// times within one run).
+// newChaosEnvParams is newChaosEnv with a caller-supplied cost model.
 func newChaosEnvParams(t *testing.T, nodes int, plan *chaos.Plan, params Params) *env {
 	t.Helper()
 	if err := plan.Validate(nodes); err != nil {
@@ -34,26 +32,35 @@ func newChaosEnvParams(t *testing.T, nodes int, plan *chaos.Plan, params Params)
 	return &env{eng: eng, net: net, m: m}
 }
 
+// count is how many records w holds.
+func count[T record](w *window[T]) (n int) {
+	var none T
+	for _, r := range w.recs {
+		if r != none {
+			n++
+		}
+	}
+	return n
+}
+
 // TestChaosDedupStateStaysBounded drives thousands of deduplicated
 // transactions through a lossy, duplicating fabric and checks that the
-// chaos-only dedup maps — the home's served-token records, and each node's
-// completed-install and applied-revocation records — are pruned by the
-// watermark sweep instead of growing with the run. Before the sweep existed
-// these maps kept one entry per token/seq forever.
+// records kept past their transactions — the home's served tokens, each
+// node's installed requests and applied revocations — go as the floors their
+// issuers send move, instead of growing with the run: every floor is heard
+// close to its issuer's counter at the end, and no node ever holds more than
+// a handful of records, or window slots, for one peer.
 func TestChaosDedupStateStaysBounded(t *testing.T) {
 	plan := &chaos.Plan{
 		Seed: 11,
 		Drop: []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.05}},
 		Dup:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3}},
 	}
-	params := DefaultParams()
-	// Shrink the RTO so the retransmit horizon (4×RetryTimeoutMax) passes
-	// many times within the run; the sweep logic under test is unchanged.
-	params.RetryTimeout = 50 * time.Microsecond
-	params.RetryTimeoutMax = 200 * time.Microsecond
-	e := newChaosEnvParams(t, 3, plan, params)
+	e := newChaosEnv(t, 3, plan)
+	e.eng.SetEventLimit(600_000) // the run takes 59,385: a lost record livelocks, and fails here
 
 	const iters = 1500
+	maxRecs, maxSlots := 0, 0
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		for i := 0; i < iters; i++ {
 			// Three pages with alternating writers: the odd stride keeps
@@ -65,17 +72,22 @@ func TestChaosDedupStateStaysBounded(t *testing.T) {
 				t.Errorf("iter %d: read back %d, want %d", i, got, byte(i))
 				return
 			}
+			for _, ns := range e.m.nodes {
+				for i := range ns.peers {
+					p := &ns.peers[i]
+					maxRecs = max(maxRecs, count(&p.served), count(&p.applied), count(&p.installed))
+					maxSlots = max(maxSlots, len(p.served.recs), len(p.applied.recs), len(p.installed.recs))
+				}
+			}
 			tk.Sleep(20 * time.Microsecond)
 		}
 	})
 	e.run(t)
 
-	eng := &e.m.e
-	var tokens, seqs, served uint64
+	var tokens, seqs uint64
 	for _, ns := range e.m.nodes {
 		tokens += ns.reqCtr
 		seqs += ns.revCtr
-		served += uint64(len(ns.served))
 	}
 	if tokens < iters {
 		t.Fatalf("allocated %d tokens; the workload should have allocated at least %d", tokens, iters)
@@ -83,30 +95,26 @@ func TestChaosDedupStateStaysBounded(t *testing.T) {
 	if seqs < iters/2 {
 		t.Fatalf("allocated %d revoke seqs, want at least %d", seqs, iters/2)
 	}
-	// Every node that allocated tokens must have had its per-node watermark
-	// advanced by the sweep.
-	for i, ns := range e.m.nodes {
-		if ns.reqCtr > 0 && eng.prunedReqBelow[i] == 0 {
-			t.Fatalf("node %d request watermark never advanced (%d tokens allocated)", i, ns.reqCtr)
-		}
-		if ns.revCtr > 0 && eng.prunedRevokeBelow[i] == 0 {
-			t.Fatalf("node %d revoke watermark never advanced (%d seqs allocated)", i, ns.revCtr)
+	// Every floor a node heard has followed the numbers it bounds to within a
+	// few of the last one allocated. Under write-invalidate every request and
+	// every revocation is the origin's business.
+	const lag = 4
+	near := func(what string, node int, heard uint64, owner int, ctr uint64) {
+		if c := heard & (1<<tokenNodeShift - 1); ctr > 0 && (tokenNode(heard) != owner || c+lag < ctr) {
+			t.Errorf("node %d's %s floor %#x lags node %d's counter %d", node, what, heard, owner, ctr)
 		}
 	}
-	// The bound: one sweep interval of fresh admissions plus the horizon's
-	// worth of still-warm records. An unpruned map would hold one record
-	// per token — over twice this.
-	const bound = 700
-	if served >= bound {
-		t.Errorf("served maps hold %d records after %d tokens; pruning is not bounding them", served, tokens)
+	origin := e.m.nodes[0]
+	for n := 1; n < len(e.m.nodes); n++ {
+		ns := e.m.nodes[n]
+		near("request", 0, origin.peers[n].reqFloor, n, ns.reqCtr)
+		near("revoke", n, ns.peers[0].revFloor, 0, origin.revCtr)
+		near("serve", n, ns.peers[0].serveFloor, n, ns.reqCtr)
 	}
-	for i, ns := range e.m.nodes {
-		if n := len(ns.outstanding); n >= bound {
-			t.Errorf("node %d outstanding map holds %d records; want < %d", i, n, bound)
-		}
-		if n := len(ns.appliedRevokes); n >= bound {
-			t.Errorf("node %d appliedRevokes map holds %d records; want < %d", i, n, bound)
-		}
+	// The bound, measured after every iteration: at most 2 records in 2 slots
+	// for one peer, pinned with room at 4 and 6.
+	if maxRecs > 4 || maxSlots > 6 {
+		t.Errorf("a node held up to %d records in up to %d window slots for one peer; want at most 4 and 6", maxRecs, maxSlots)
 	}
 	// Pruning must not have cost correctness: the run above already checked
 	// every read; duplicates kept arriving throughout and were all absorbed.
@@ -184,9 +192,12 @@ func TestRevokeBehindRedirectIsApplied(t *testing.T) {
 				t.Errorf("final read = %d, want one of the two writes (10, 11)", final)
 			}
 			for n, ns := range e.m.nodes {
-				if len(ns.revokeWait) != 0 || len(ns.outstanding) != 0 || len(ns.served) != 0 {
-					t.Errorf("node %d: %d revocations, %d requests, %d serves still open",
-						n, len(ns.revokeWait), len(ns.outstanding), len(ns.served))
+				serves := 0
+				for i := range ns.peers {
+					serves += count(&ns.peers[i].served)
+				}
+				if revokes, reqs := count(&ns.revokes), count(&ns.reqs); revokes+reqs+serves != 0 {
+					t.Errorf("node %d: %d revocations, %d requests, %d serves still open", n, revokes, reqs, serves)
 				}
 			}
 		})

@@ -1,0 +1,283 @@
+package dsm
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"dex/internal/chaos"
+	"dex/internal/fabric"
+	"dex/internal/mem"
+	"dex/internal/sim"
+)
+
+// openBelow returns a record of w that is not over and whose number is below
+// floor, if there is one.
+func openBelow[T record](w *window[T], floor uint64) (uint64, bool) {
+	var none T
+	for i, r := range w.recs {
+		if seq := w.base + uint64(i); seq < floor && r != none && !r.over() {
+			return seq, true
+		}
+	}
+	return 0, false
+}
+
+// checkFloor is the test's hook at every floor receipt: msg arrives at node
+// from src, and the floor it carries — every request, revocation and reply
+// carries one under an injector — must be a lower bound on what its issuer
+// still has open — its requests, its revocation waits, or (for a page reply)
+// the serves of node's tokens open at src and node's requests to src, which
+// src may yet open. It reports the kind of floor checked, "" for none.
+func checkFloor(t *testing.T, m *Manager, node, src int, msg fabric.Message) string {
+	t.Helper()
+	fail := func(kind string, floor, seq uint64) {
+		t.Errorf("%s floor %#x from node %d at node %d: %#x is still open below it", kind, floor, src, node, seq)
+	}
+	switch mm := msg.(type) {
+	case *pageRequest:
+		if seq, ok := openBelow(&m.nodes[src].reqs, mm.floor); ok {
+			fail("request", mm.floor, seq)
+		}
+		return "request"
+	case *revokeMsg:
+		if seq, ok := openBelow(&m.nodes[src].revokes, mm.floor); ok {
+			fail("revoke", mm.floor, seq)
+		}
+		return "revoke"
+	case *pageReply:
+		if seq, ok := openBelow(&m.nodes[src].peers[node].served, mm.floor); ok {
+			fail("serve", mm.floor, seq)
+		}
+		for _, o := range m.nodes[node].reqs.recs {
+			if o != nil && o.home == src && o.token < mm.floor {
+				fail("serve", mm.floor, o.token)
+			}
+		}
+		return "serve"
+	}
+	return ""
+}
+
+// TestFloorsAreLowerBounds runs a random concurrent workload under drops,
+// duplicates and delays with a node crashing mid-run, under every protocol,
+// and checks at every message that carries a floor that its issuer holds
+// nothing open below it: the floor is a cumulative acknowledgement, and a
+// window trimmed by one that is not would forget a live exchange.
+//
+// The seeds are the first four of 1–12 on which every protocol finishes: the
+// same workload livelocks under home on seeds 2 and 9 and under dist on 1, 6
+// and 11 (8 and 11 without the crash), the open livelock of ROADMAP item 1.
+func TestFloorsAreLowerBounds(t *testing.T) {
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		const nodes, doomed = 4, 1
+		for _, seed := range []int64{3, 4, 5, 7} {
+			plan := &chaos.Plan{
+				Seed:  seed,
+				Drop:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.1}},
+				Dup:   []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3}},
+				Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3, Jitter: chaos.Duration(20 * time.Microsecond)}},
+			}
+			e := newChaosEnvParams(t, nodes, plan, protoParams(proto))
+			e.eng.SetEventLimit(1_000_000) // a run takes 2,400–4,700
+			checked := map[string]int{}
+			for n := 0; n < nodes; n++ {
+				node := n
+				e.net.SetHandler(node, func(src int, msg fabric.Message) {
+					if kind := checkFloor(t, e.m, node, src, msg); kind != "" {
+						if floorOf(msg) == 0 {
+							t.Errorf("seed %d: a %s message from node %d carries no floor", seed, kind, src)
+						}
+						checked[kind]++
+					}
+					e.m.HandleMessage(node, src, msg)
+				})
+			}
+			addrs := doomedAddrs(t, e.m, doomed, 6)
+			addrs, fresh := addrs[:4], addrs[4:]
+			rng := rand.New(rand.NewSource(seed))
+			// The doomed node writes every page first, so it dies holding
+			// them (and, where homes move, as their home); it is done well
+			// before it dies.
+			e.eng.Spawn("doomed", func(tk *sim.Task) {
+				for _, a := range addrs {
+					e.write(tk, doomed, a, 1)
+				}
+			})
+			for w := 0; w < 6; w++ {
+				node := []int{0, 2, 3}[w%3]
+				type op struct {
+					addr  mem.Addr
+					write bool
+					pause time.Duration
+				}
+				ops := make([]op, 40)
+				for i := range ops {
+					ops[i] = op{addrs[rng.Intn(len(addrs))] + mem.Addr(rng.Intn(mem.PageSize)), rng.Intn(3) == 0,
+						time.Duration(rng.Intn(20)) * time.Microsecond}
+				}
+				e.eng.SpawnAfter("worker", 100*time.Microsecond, func(tk *sim.Task) {
+					for i, op := range ops {
+						if op.write {
+							e.write(tk, node, op.addr, byte(i))
+						} else {
+							_ = e.read(tk, node, op.addr)
+						}
+						tk.Sleep(op.pause)
+					}
+				})
+			}
+			e.eng.SpawnAfter("crash", 2*time.Millisecond, func(tk *sim.Task) {
+				e.net.Chaos().MarkDead(doomed)
+				tk.Sleep(time.Millisecond) // the lease layer's detection delay
+				if _, err := e.m.ReclaimDeadNode(doomed); err != nil {
+					t.Errorf("seed %d: ReclaimDeadNode: %v", seed, err)
+				}
+				// Pages nobody touched: under dist their anchor is dead, and
+				// the live shard a request fails over to locates them first.
+				for _, a := range fresh {
+					_ = e.read(tk, 0, a)
+					_ = e.read(tk, 3, a)
+				}
+			})
+			e.run(t)
+			if checked["request"] == 0 || checked["revoke"] == 0 || checked["serve"] == 0 {
+				t.Errorf("seed %d: floors checked %v; every kind should have been heard", seed, checked)
+			}
+		}
+	})
+}
+
+// floorOf is the floor a protocol message carries, 0 for one that carries none.
+func floorOf(msg fabric.Message) uint64 {
+	switch mm := msg.(type) {
+	case *pageRequest:
+		return mm.floor
+	case *revokeMsg:
+		return mm.floor
+	case *pageReply:
+		return mm.floor
+	}
+	return 0
+}
+
+// FuzzDedupState drives one pair of nodes through random exchanges — node 1's
+// page requests served at node 0, node 0's revocations applied at node 1 —
+// with copies of old messages delivered at any point, not only in the order a
+// connection would deliver them, and holds the engine's answers to a model
+// that keeps every record forever. A fresh message is never turned away. A
+// copy of an old one is answered as the model answers it or turned away as
+// stale, and never served or applied fresh; while its sender may still be
+// waiting for the answer, it is answered exactly as the model answers it.
+// Each byte is one step, b%10 what happens and b/10 to which exchange; the
+// corpus (testdata/fuzz/FuzzDedupState) walks a lost bounce, a floor that
+// stops at an exchange its requester still waits for, a grant window
+// outliving the requester's floor, and a revocation re-acked then forgotten.
+func FuzzDedupState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		e := newChaosEnvParams(t, 2, &chaos.Plan{Seed: 1}, DefaultParams())
+		m := e.m
+		const home, requester = 0, 1
+		type request struct {
+			o       *outstanding
+			msg     *pageRequest // every copy shares the floor it was built with
+			st      *serveState
+			granted bool // the home's answer, once it has one
+			got     bool // the requester has the answer: its record is closed
+			closed  bool // the home's serve is over (a grant's window too)
+		}
+		type revoke struct {
+			msg             *revokeMsg
+			applied, closed bool // at the target; the issuer's wait
+		}
+		var reqs []*request
+		var revs []*revoke
+		// answer runs deliver and reports what it did: re-sent an answer,
+		// ignored the copy, or neither.
+		answer := func(deliver func()) (resent, ignored bool) {
+			before := m.Stats()
+			deliver()
+			after := m.Stats()
+			return after.Retransmits > before.Retransmits, after.DupsIgnored > before.DupsIgnored
+		}
+		check := func(what string, seq uint64, resent, ignored, modelResends, exact bool) {
+			switch {
+			case resent == ignored:
+				t.Fatalf("%s %#x: re-sent %v, ignored %v; want exactly one", what, seq, resent, ignored)
+			case exact && resent != modelResends, resent && !modelResends:
+				t.Fatalf("%s %#x: re-sent %v, the model re-sends %v (sender waiting: %v)", what, seq, resent, modelResends, exact)
+			}
+		}
+		for i, b := range ops {
+			op, arg := b%10, int(b/10)
+			var r *request
+			if len(reqs) > 0 {
+				r = reqs[arg%len(reqs)]
+			}
+			var v *revoke
+			if len(revs) > 0 {
+				v = revs[arg%len(revs)]
+			}
+			switch {
+			case op == 0: // a new request reaches the home
+				o := m.e.open(nil, requester, home, uint64(i))
+				msg := &pageRequest{pid: m.pid, vpn: o.vpn, node: requester, token: o.token, floor: m.e.floor(m.nodes[requester].reqs.base)}
+				st := m.e.admitServe(home, msg)
+				if st == nil {
+					t.Fatalf("fresh request %#x turned away", o.token)
+				}
+				reqs = append(reqs, &request{o: o, msg: msg, st: st})
+			case op <= 2 && r != nil && r.st.reply.outcome == inFlight: // the home answers
+				if op == 1 {
+					m.e.bounce(r.st, nack, 0, 0)
+					r.closed = true
+				} else { // a grant, whose window opens
+					r.st.reply.outcome, r.st.reply.floor, r.granted = grant, m.e.serveFloor(r.st), true
+				}
+			case op == 3 && r != nil && r.st.reply.outcome != inFlight && !r.got: // the answer reaches the requester
+				m.e.deliverReply(requester, home, &r.st.reply)
+				if r.granted {
+					m.e.installed(requester, r.o)
+				} else {
+					m.e.forget(requester, r.o)
+				}
+				r.got = true
+			case op == 3 && r != nil && r.got: // a copy of it does
+				resent, ignored := answer(func() { m.e.deliverReply(requester, home, &r.st.reply) })
+				check("reply", r.o.token, resent, ignored, r.granted, r.granted && !r.closed)
+			case op == 4 && r != nil && r.granted && r.got && !r.closed: // the install ack closes the window
+				m.e.closeServe(r.st)
+				r.closed = true
+			case op == 5 && r != nil: // a copy of a request reaches the home
+				var fresh *serveState
+				resent, ignored := answer(func() { fresh = m.e.admitServe(home, r.msg) })
+				if fresh != nil {
+					t.Fatalf("copy of request %#x served fresh", r.o.token)
+				}
+				check("request", r.o.token, resent, ignored, r.closed && !r.granted, !r.got)
+			case op == 6: // a new revocation reaches its target
+				ns := m.nodes[home]
+				msg := &revokeMsg{pid: m.pid, vpn: uint64(i), seq: nextSeq(home, &ns.revCtr), home: home, newHome: -1}
+				ns.revokes.put(msg.seq, &revokeWaiter{target: requester, msg: msg})
+				msg.floor = m.e.floor(ns.revokes.base)
+				if !m.e.revokeArrived(requester, msg) {
+					t.Fatalf("fresh revocation %#x turned away", msg.seq)
+				}
+				revs = append(revs, &revoke{msg: msg})
+			case op == 7 && v != nil && !v.applied: // the target applies it
+				m.e.revokeApplied(m.nodes[requester], v.msg, nil, false)
+				v.applied = true
+			case op == 8 && v != nil && v.applied && !v.closed: // its ack closes the issuer's wait
+				m.nodes[home].revokes.del(v.msg.seq)
+				v.closed = true
+			case op == 9 && v != nil: // a copy of a revocation reaches its target
+				var fresh bool
+				resent, ignored := answer(func() { fresh = m.e.revokeArrived(requester, v.msg) })
+				if fresh {
+					t.Fatalf("copy of revocation %#x applied fresh", v.msg.seq)
+				}
+				check("revocation", v.msg.seq, resent, ignored, v.applied, !v.closed)
+			}
+		}
+	})
+}

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"time"
 
 	"dex/internal/fabric"
 	"dex/internal/mem"
@@ -21,13 +20,15 @@ const (
 )
 
 // pageRequest asks a home node for access to a page. The requester has
-// already prepared a landing zone (pr) for possible page data.
+// already prepared a landing zone (pr) for possible page data. floor, here and
+// on the reply and the revocation, is its sender's (engine.go).
 type pageRequest struct {
 	pid   int
 	vpn   uint64
 	write bool
 	node  int
 	token uint64
+	floor uint64
 	pr    *fabric.PageRecv
 }
 
@@ -104,6 +105,7 @@ type pageReply struct {
 	outcome outcome
 	home    int
 	epoch   uint64
+	floor   uint64
 }
 
 func (*pageReply) Size() int { return pageReplySize }
@@ -127,6 +129,7 @@ type revokeMsg struct {
 	pid       int
 	vpn       uint64
 	seq       uint64
+	floor     uint64
 	downgrade bool
 	needData  bool
 	home      int
@@ -180,9 +183,9 @@ func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
 	case *pageRequest:
 		m.dispatchRequest(node, mm)
 	case *pageReply:
-		m.e.deliverReply(node, mm)
+		m.e.deliverReply(node, src, mm)
 	case *revokeMsg:
-		if m.e.admitRevoke(node, mm) {
+		if m.e.revokeArrived(node, mm) {
 			m.applyRevokeAdmitted(node, mm)
 		}
 	case *installAck:
@@ -226,7 +229,7 @@ func (m *Manager) servePageRequest(t *sim.Task, st *serveState) {
 	serveAt := t.Now()
 	t.Sleep(m.params.OriginDispatch)
 	out := m.serve(t, st)
-	m.e.closeServe(st, t.Now())
+	m.e.closeServe(st)
 	if m.rec != nil {
 		kind := "read"
 		if req.write {
@@ -260,18 +263,18 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		if target == home {
 			target, epoch = m.liveAnchor(req.vpn), 0
 		}
-		m.net.Send(t, home, req.node, m.redirect(st, target, epoch, t.Now()))
+		m.net.Send(t, home, req.node, m.redirect(st, target, epoch))
 		return moved
 	}
 	if de.busy() {
-		m.net.Send(t, home, req.node, m.e.bounce(st, nack, 0, 0, t.Now()))
+		m.net.Send(t, home, req.node, m.e.bounce(st, nack, 0, 0))
 		return nack
 	}
 	if (!req.write && de.has(req.node)) || (req.write && de.writer == req.node) {
 		// A concurrent transaction already satisfied this request (e.g. a
 		// read request racing with the same node's write grant): tell the
 		// requester to re-validate its PTE.
-		m.net.Send(t, home, req.node, m.e.bounce(st, stale, 0, 0, t.Now()))
+		m.net.Send(t, home, req.node, m.e.bounce(st, stale, 0, 0))
 		return stale
 	}
 	m.stats.DirServes++
@@ -306,11 +309,11 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 // redirect is the shared tail of every bounce toward another node: count
 // the hop where the policy has forwarding chains and answer st's request
 // with target, the node the requester should retry at.
-func (m *Manager) redirect(st *serveState, target int, epoch uint64, now time.Duration) *pageReply {
+func (m *Manager) redirect(st *serveState, target int, epoch uint64) *pageReply {
 	if m.forwards {
 		m.stats.Forwards++
 	}
-	return m.e.bounce(st, redirect, target, epoch, now)
+	return m.e.bounce(st, redirect, target, epoch)
 }
 
 // settle closes a serve's grant window: the policy finalizes an installed
@@ -352,7 +355,7 @@ func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, 
 func (m *Manager) settleDeadHome(t *sim.Task, de *dirEntry, st *serveState) (out outcome) {
 	home, req := st.home, st.req
 	m.quiesce(t, home, "dist dead-home settle", func() {
-		delivered := m.e.granteeDelivered(req)
+		delivered := m.e.granteeDelivered(st)
 		out = deadHomeFinalized
 		if !delivered {
 			m.rehome(req.vpn, de, home, st.data)
@@ -398,7 +401,7 @@ func (m *Manager) applyRevokeAdmitted(node int, msg *revokeMsg) {
 			panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
 		}
 		m.sendRevokeAck(t, node, msg, frame)
-		if retained := m.e.revokeApplied(ns, msg, frame, dropped, t.Now()); dropped && !retained {
+		if retained := m.e.revokeApplied(ns, msg, frame, dropped); dropped && !retained {
 			// The invalidation orphaned this node's frame; any outbound copy
 			// was snapshotted by the send above. Recycle it.
 			m.freeFrame(node, frame)

@@ -106,7 +106,7 @@ func (m *Manager) prefetchBatch(t *sim.Task, node int, batch []uint64) int {
 		}
 		frame := pr.Claim(t)
 		ns.pt.SetAccess(o.vpn, frame, mem.AccessRead)
-		m.e.installed(node, o, t.Now())
+		m.e.installed(node, o)
 		for _, msg := range o.deferred {
 			m.applyRevokeAdmitted(node, msg)
 		}
@@ -162,5 +162,5 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 	for _, de := range held {
 		de.end()
 	}
-	m.e.closeServe(st, t.Now())
+	m.e.closeServe(st)
 }

@@ -443,7 +443,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			// the old home hands off only after the new home's entry is live.
 			m.policy.grantInstalled(node, vpn, rep.epoch)
 		}
-		m.e.installed(node, req, t.Now())
+		m.e.installed(node, req)
 		m.net.Send(t, node, target, &installAck{pid: m.pid, token: req.token})
 		m.policy.learnHome(node, vpn, final, rep.epoch)
 		if len(hops) > 0 {
@@ -468,13 +468,12 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 	if st == nil {
 		return
 	}
-	now := m.view(node).Now()
 	switch r := m.policy.route(node, req); {
 	case r.busy:
-		m.e.replyAfter("dsm-nack", node, req.node, m.e.bounce(st, nack, 0, 0, now))
+		m.e.replyAfter("dsm-nack", node, req.node, m.e.bounce(st, nack, 0, 0))
 	case r.locate:
 		// A duplicate that arrives meanwhile is told to ask here again.
-		m.redirect(st, node, 0, now)
+		m.redirect(st, node, 0)
 		m.view(node).Spawn("dsm-locate", func(t *sim.Task) {
 			m.locate(t, node, req.vpn)
 			t.Sleep(m.params.OriginDispatch)
@@ -482,12 +481,13 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 			if r.home < 0 {
 				r.home = node
 			}
-			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, outcome: redirect, home: r.home, epoch: r.epoch})
+			m.net.Send(t, node, req.node, &pageReply{pid: m.pid, token: req.token, outcome: redirect, home: r.home, epoch: r.epoch,
+				floor: m.e.serveFloor(st)})
 		})
 	case r.home == node:
 		m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, st) })
 	default:
-		reply := m.redirect(st, r.home, r.epoch, now)
+		reply := m.redirect(st, r.home, r.epoch)
 		if m.rec != nil {
 			// Recorded on the bouncing node's lane (where the stale-routed
 			// request was delivered).
