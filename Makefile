@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRMAT -fuzztime=10s ./internal/graph
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzDedupState -fuzztime=10s ./internal/dsm
+	$(GO) test -fuzz=FuzzKMNNearest -fuzztime=10s ./internal/apps
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:
@@ -111,9 +112,10 @@ trace-smoke:
 # protocol, dexprof, two examples). It starts with the host-independent cost
 # gates — objects per fabric message and per untraced span, words per event,
 # bytes per task, events per golden dexserve run, pages a crash+restart serving
-# run's checkpoints copy — so that they fail CI by name.
+# run's checkpoints copy, objects per kmn chunk search and per bp snapshot
+# replicate — so that they fail CI by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

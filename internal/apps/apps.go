@@ -277,13 +277,10 @@ func readFloat64s(t *dex.Thread, addr dex.Addr, n int) ([]float64, error) {
 	return out, nil
 }
 
-// floatsOf decodes a little-endian byte buffer into float64s.
-func floatsOf(buf []byte) []float64 {
-	out := make([]float64, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out
+// f64At decodes the i-th little-endian float64 of buf where a kernel uses
+// it, so a buffer read from the simulated memory needs no decoded copy.
+func f64At(buf []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 }
 
 func writeUint32s(t *dex.Thread, addr dex.Addr, vals []uint32) error {

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -92,20 +93,30 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 func TestEPBatchPartitionIndependent(t *testing.T) {
 	// The tallies of a batch depend only on (seed, batch index), so any
 	// partitioning of batches across threads yields identical totals.
+	fresh := func() *rand.Rand { return rand.New(rand.NewSource(0)) }
 	var a, b [epBins]uint64
-	accA := epBatch(7, 3, 1000, &a)
-	accB := epBatch(7, 3, 1000, &b)
+	accA := epBatch(fresh(), 7, 3, 1000, &a)
+	accB := epBatch(fresh(), 7, 3, 1000, &b)
 	if accA != accB || a != b {
 		t.Fatal("epBatch not deterministic")
 	}
 	var c [epBins]uint64
-	if acc := epBatch(8, 3, 1000, &c); acc == accA && c == a {
+	if acc := epBatch(fresh(), 8, 3, 1000, &c); acc == accA && c == a {
 		t.Fatal("seed has no effect")
+	}
+	// A worker's rng, re-seeded after other batches (one of them an odd
+	// number of draws), tallies a batch as a fresh one does.
+	rng := fresh()
+	var scratch, d [epBins]uint64
+	epBatch(rng, 8, 3, 1000, &scratch)
+	epBatch(rng, 7, 4, 333, &scratch)
+	rng.Int63()
+	if acc := epBatch(rng, 7, 3, 1000, &d); acc != accA || d != a {
+		t.Fatalf("re-seeded rng tallied %d %v, a fresh one %d %v", acc, d, accA, a)
 	}
 }
 
 func TestKMNReferenceStable(t *testing.T) {
-	p := kmnSizes(SizeTest)
 	pts := make([]float64, 300*kmnDims)
 	for i := range pts {
 		pts[i] = float64((i*37)%113) / 3
@@ -118,7 +129,6 @@ func TestKMNReferenceStable(t *testing.T) {
 			t.Fatal("reference nondeterministic")
 		}
 	}
-	_ = p
 }
 
 func TestBPCacheModelShape(t *testing.T) {

@@ -129,7 +129,6 @@ func RunBP(cfg Config) (Result, error) {
 		} else {
 			for t, r := range ranges {
 				partBase[t] = uint64(8 * r.Lo)
-				_ = t
 			}
 			partBase[threads] = uint64(8 * tr.N)
 			bufBytes = uint64(8 * tr.N)
@@ -192,28 +191,17 @@ func RunBP(cfg Config) (Result, error) {
 				}
 			}
 			out := make([]float64, 0, p.chunk)
-			snapIdx := func(v int) int {
+			// The worker's one snapshot buffer, decoded where it is read.
+			snap := make([]byte, bufBytes)
+			belief := func(v int) float64 {
 				t := ownerOf[v]
-				return int(partBase[t]/8) + v - ranges[t].Lo
+				return f64At(snap, int(partBase[t]/8)+v-ranges[t].Lo)
 			}
+			rot := int(partBase[id]) &^ (dex.PageSize - 1)
 			for iter := 0; iter < p.iters; iter++ {
-				// Replicate the current belief buffer (read-only for this
-				// iteration). Each thread starts the scan at its own
-				// partition and wraps around, so the page-fault leaders are
-				// spread across threads instead of hitting every page in
-				// lockstep.
-				w.SetSite("bp/replicate")
-				snapBytes := make([]byte, bufBytes)
-				rot := int(partBase[id]) &^ (dex.PageSize - 1)
-				if err := w.ReadReplicate(cur+dex.Addr(rot), snapBytes[rot:]); err != nil {
+				if err := bpReplicate(w, cur, snap, rot); err != nil {
 					return err
 				}
-				if rot > 0 {
-					if err := w.ReadReplicate(cur, snapBytes[:rot]); err != nil {
-						return err
-					}
-				}
-				snap := floatsOf(snapBytes)
 				for v := r.Lo; v < r.Hi; v += p.chunk {
 					hi := v + p.chunk
 					if hi > r.Hi {
@@ -225,11 +213,11 @@ func RunBP(cfg Config) (Result, error) {
 					for u := v; u < hi; u++ {
 						lo, hh := offs[u-r.Lo]-offs[0], offs[u-r.Lo+1]-offs[0]
 						chunkEdges += int(hh - lo)
-						nv := (1 - p.damping) * snap[snapIdx(u)]
+						nv := (1 - p.damping) * belief(u)
 						if hh > lo {
 							sum := 0.0
 							for _, src := range adj[lo:hh] {
-								sum += snap[snapIdx(int(src))]
+								sum += belief(int(src))
 							}
 							nv += p.damping * sum / float64(hh-lo)
 						}
@@ -294,4 +282,19 @@ func RunBP(cfg Config) (Result, error) {
 		}
 	}
 	return cfg.result("bp", roiEnd-roiStart, report, checksumFloats(got, 1e-6)), nil
+}
+
+// bpReplicate copies the belief buffer at buf into snap through read
+// replicas (read-only for the iteration). Each worker starts at byte rot,
+// its own partition's page, and wraps around, so the page-fault leaders are
+// spread across workers instead of hitting every page in lockstep.
+func bpReplicate(w *dex.Thread, buf dex.Addr, snap []byte, rot int) error {
+	w.SetSite("bp/replicate")
+	if err := w.ReadReplicate(buf+dex.Addr(rot), snap[rot:]); err != nil {
+		return err
+	}
+	if rot > 0 {
+		return w.ReadReplicate(buf, snap[:rot])
+	}
+	return nil
 }

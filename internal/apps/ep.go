@@ -32,9 +32,11 @@ const epBins = 10
 
 // epBatch generates one batch of uniform pairs, counts accepted Gaussian
 // pairs per annulus. Seeding by global batch index makes results
-// independent of how batches are partitioned across threads.
-func epBatch(seed int64, batchIdx, n int, bins *[epBins]uint64) (accepted uint64) {
-	rng := rand.New(rand.NewSource(seed ^ int64(batchIdx)*0x9e3779b97f4a7c))
+// independent of how batches are partitioned across threads. rng is the
+// caller's, re-seeded here: Rand.Seed resets it to the state a new source
+// of that seed starts in.
+func epBatch(rng *rand.Rand, seed int64, batchIdx, n int, bins *[epBins]uint64) (accepted uint64) {
+	rng.Seed(seed ^ int64(batchIdx)*0x9e3779b97f4a7c)
 	for i := 0; i < n; i++ {
 		x := 2*rng.Float64() - 1
 		y := 2*rng.Float64() - 1
@@ -68,12 +70,13 @@ func epReference(cfg Config) epTally {
 	return epRefs.get(cfg, func() epTally {
 		p := epSizes(cfg.Size)
 		var ref epTally
+		rng := rand.New(rand.NewSource(0))
 		for b := 0; b*p.batch < p.pairs; b++ {
 			n := p.batch
 			if rem := p.pairs - b*p.batch; n > rem {
 				n = rem
 			}
-			ref.accepted += epBatch(cfg.Seed, b, n, &ref.bins)
+			ref.accepted += epBatch(rng, cfg.Seed, b, n, &ref.bins)
 		}
 		return ref
 	})
@@ -134,6 +137,7 @@ func RunEP(cfg Config) (Result, error) {
 				return err
 			}
 			lo, hi := partition(int(nb), threads, id)
+			rng := rand.New(rand.NewSource(0))
 			var local [epBins]uint64
 			var localAcc uint64
 			for b := lo; b < hi; b++ {
@@ -151,7 +155,7 @@ func RunEP(cfg Config) (Result, error) {
 					n = rem
 				}
 				w.SetSite("ep/compute")
-				localAcc += epBatch(cfg.Seed, b, n, &local)
+				localAcc += epBatch(rng, cfg.Seed, b, n, &local)
 				w.Compute(time.Duration(n) * p.pairCost)
 				if cfg.Variant != Optimized && (b-lo+1)%p.flushEach == 0 {
 					// Pathology: flush partial tallies into the global

@@ -76,12 +76,14 @@ func RunKMN(cfg Config) (Result, error) {
 
 		body := func(w *dex.Thread, id int) error {
 			lo, hi := partition(p.points, threads, id)
+			kw := newKMNWorker(p, lo, hi)
 			for iter := 0; iter < p.iters; iter++ {
 				w.SetSite("kmn/centers")
 				ctr, err := readFloat64s(w, centers, p.k*kmnDims)
 				if err != nil {
 					return err
 				}
+				kw.setCenters(ctr)
 				acc := make([]float64, p.k*(kmnDims+1)) // sums then count per center
 				anyChanged := false
 				for pos := lo; pos < hi; pos += p.chunk {
@@ -89,9 +91,7 @@ func RunKMN(cfg Config) (Result, error) {
 					if pos+n > hi {
 						n = hi - pos
 					}
-					w.SetSite("kmn/points")
-					buf, err := readFloat64s(w, points+dex.Addr(8*pos*kmnDims), n*kmnDims)
-					if err != nil {
+					if err := kw.read(w, points, pos, n); err != nil {
 						return err
 					}
 					// Process the chunk in merge-granularity units so that
@@ -109,9 +109,10 @@ func RunKMN(cfg Config) (Result, error) {
 						w.Compute(time.Duration(m) * p.pointCost)
 						subAcc := acc
 						if cfg.Variant != Optimized {
-							subAcc = make([]float64, p.k*(kmnDims+1))
+							subAcc = kw.sub
+							clear(subAcc)
 						}
-						kmnAssign(subAcc, buf[sub*kmnDims:(sub+m)*kmnDims], ctr)
+						kw.assign(subAcc, sub, sub+m)
 						anyChanged = true
 						if cfg.Variant != Optimized {
 							// Pathology: stream partial sums straight into
@@ -275,24 +276,142 @@ func kmnSetup(main *dex.Thread, pts []float64, k int) (points, centers dex.Addr,
 	return points, centers, writeFloat64s(main, centers, pts[:k*kmnDims])
 }
 
-// kmnAssign adds each point of pts to the accumulator (three sums, then the
-// count) of the center of ctr nearest to it.
-func kmnAssign(acc, pts, ctr []float64) {
-	for i := 0; i < len(pts); i += kmnDims {
-		x, y, z := pts[i], pts[i+1], pts[i+2]
-		best, bestD := 0, math.MaxFloat64
-		for c := 0; c < len(ctr); c += kmnDims {
-			dx, dy, dz := x-ctr[c], y-ctr[c+1], z-ctr[c+2]
-			if d := dx*dx + dy*dy + dz*dz; d < bestD {
-				best, bestD = c/kmnDims, d
+// kmnSlack is the relative slack s in the pivot search's stopping bound: it
+// covers the rounding of the computed squared distances, each within a few
+// ulps of the exact value.
+const kmnSlack = 1e-9
+
+// kmnWorker is what a k-means worker keeps across its chunks and iterations:
+// one byte buffer every chunk is read into and decoded from in place, and
+// the state of the nearest-center search.
+//
+// The search starts from a pivot, the center the point got the iteration
+// before (its hint), and rests on Elkan's Lemma 1 (ICML 2003): if ‖a−c‖ ≥
+// 2‖p−a‖, c is no nearer to p than a is. With d_a the squared distance from
+// p to its hint a, it walks a's other centers in order of distance from a,
+// stops at the first c with ‖a−c‖² > 4·d_a·(1+kmnSlack), and picks the
+// nearest center visited, the lowest index on a tie. Every center past the
+// stop is then strictly farther from p than a even as computed, so the pick
+// is the index the full index-order scan picks and acc gets the same sums in
+// the same order. The argument needs finite coordinates whose nonzero
+// squared differences are normal floats; kmn's points, and so its centers,
+// lie in [0, 100). Any in-range hint gives the full scan's answer, a good
+// one only saves evaluations. A worker without hints (the first iteration,
+// a restarted incarnation) runs the full scan, which fills them.
+type kmnWorker struct {
+	k      int
+	lo     int       // the partition's first point
+	buf    []byte    // the chunk last read: three little-endian floats a point
+	base   int       // partition position of the chunk's first point
+	sub    []float64 // the accumulator of one merge unit (not Optimized)
+	ctr    []float64 // this iteration's centers, k×3
+	hinted bool      // hint holds the previous iteration's answers
+	hint   []uint8   // per point of the partition, the center it got last
+	near   []uint8   // near[a*(k-1):][:k-1]: the centers other than a, nearest first
+	nearD  []float64 // nearD[i]: the squared distance from a to near[i]
+}
+
+func newKMNWorker(p kmnParams, lo, hi int) *kmnWorker {
+	return &kmnWorker{
+		k:     p.k,
+		lo:    lo,
+		buf:   make([]byte, 8*kmnDims*p.chunk),
+		sub:   make([]float64, p.k*(kmnDims+1)),
+		hint:  make([]uint8, hi-lo),
+		near:  make([]uint8, p.k*(p.k-1)),
+		nearD: make([]float64, p.k*(p.k-1)),
+	}
+}
+
+// setCenters starts an iteration on the centers ctr. From the second one on
+// the hints are the last iteration's answers, and each center's list of the
+// others is sorted again, by insertion into the arrays the worker keeps.
+func (kw *kmnWorker) setCenters(ctr []float64) {
+	kw.hinted = kw.ctr != nil
+	kw.ctr = ctr
+	if !kw.hinted {
+		return
+	}
+	k := kw.k
+	for a := 0; a < k; a++ {
+		near, nearD := kw.near[a*(k-1):(a+1)*(k-1)], kw.nearD[a*(k-1):(a+1)*(k-1)]
+		n := 0
+		for c := 0; c < k; c++ {
+			if c == a {
+				continue
 			}
+			d := kmnDist(ctr[a*kmnDims], ctr[a*kmnDims+1], ctr[a*kmnDims+2], ctr, c)
+			j := n
+			for ; j > 0 && nearD[j-1] > d; j-- {
+				near[j], nearD[j] = near[j-1], nearD[j-1]
+			}
+			near[j], nearD[j] = uint8(c), d
+			n++
 		}
+	}
+}
+
+// read fetches points [pos, pos+n) into the worker's buffer.
+func (kw *kmnWorker) read(w *dex.Thread, points dex.Addr, pos, n int) error {
+	w.SetSite("kmn/points")
+	kw.base = pos - kw.lo
+	kw.buf = kw.buf[:8*kmnDims*n]
+	return w.Read(points+dex.Addr(8*pos*kmnDims), kw.buf)
+}
+
+// assign adds points [from, to) of the chunk last read to the accumulator
+// (three sums, then the count) of the center nearest to each.
+func (kw *kmnWorker) assign(acc []float64, from, to int) {
+	for i := from; i < to; i++ {
+		x, y, z := f64At(kw.buf, kmnDims*i), f64At(kw.buf, kmnDims*i+1), f64At(kw.buf, kmnDims*i+2)
+		h := &kw.hint[kw.base+i]
+		var best int
+		if kw.hinted {
+			best = kw.nearest(x, y, z, int(*h))
+		} else {
+			best = kw.scan(x, y, z)
+		}
+		*h = uint8(best)
 		o := best * (kmnDims + 1)
 		acc[o] += x
 		acc[o+1] += y
 		acc[o+2] += z
 		acc[o+3]++
 	}
+}
+
+// scan is the full scan: the first center in index order at the least
+// squared distance from (x, y, z).
+func (kw *kmnWorker) scan(x, y, z float64) int {
+	best, bestD := 0, math.MaxFloat64
+	for c := 0; c < kw.k; c++ {
+		if d := kmnDist(x, y, z, kw.ctr, c); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// nearest is the search from the pivot a (see kmnWorker).
+func (kw *kmnWorker) nearest(x, y, z float64, a int) int {
+	best, bestD := a, kmnDist(x, y, z, kw.ctr, a)
+	stop := 4 * bestD * (1 + kmnSlack)
+	off := a * (kw.k - 1)
+	for j, c := range kw.near[off : off+kw.k-1] {
+		if kw.nearD[off+j] > stop {
+			break
+		}
+		if d := kmnDist(x, y, z, kw.ctr, int(c)); d < bestD || d == bestD && int(c) < best {
+			best, bestD = int(c), d
+		}
+	}
+	return best
+}
+
+// kmnDist is the squared distance from (x, y, z) to center c of ctr.
+func kmnDist(x, y, z float64, ctr []float64, c int) float64 {
+	dx, dy, dz := x-ctr[c*kmnDims], y-ctr[c*kmnDims+1], z-ctr[c*kmnDims+2]
+	return dx*dx + dy*dy + dz*dz
 }
 
 // kmnRecenter is the main thread's step of an iteration: each center moves

@@ -47,6 +47,7 @@ func runKMNRestart(cfg Config) (Result, error) {
 		body := func(w *dex.Thread, id, startIter int) error {
 			lo, hi := partition(p.points, threads, id)
 			slot := slots + dex.Addr(id)*dex.PageSize
+			kw := newKMNWorker(p, lo, hi)
 			for iter := startIter; iter < p.iters; iter++ {
 				var reg [4]byte
 				binary.LittleEndian.PutUint32(reg[:], uint32(iter))
@@ -58,19 +59,18 @@ func runKMNRestart(cfg Config) (Result, error) {
 				if err != nil {
 					return err
 				}
+				kw.setCenters(ctr)
 				acc := make([]float64, accLen)
 				for pos := lo; pos < hi; pos += p.chunk {
 					n := p.chunk
 					if pos+n > hi {
 						n = hi - pos
 					}
-					w.SetSite("kmn/points")
-					buf, err := readFloat64s(w, points+dex.Addr(8*pos*kmnDims), n*kmnDims)
-					if err != nil {
+					if err := kw.read(w, points, pos, n); err != nil {
 						return err
 					}
 					w.Compute(time.Duration(n) * p.pointCost)
-					kmnAssign(acc, buf, ctr)
+					kw.assign(acc, 0, n)
 				}
 				// Publish the tag and the accumulators in one single-page
 				// write: either the whole publication lands or none of it

@@ -1,0 +1,211 @@
+package apps
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"dex"
+)
+
+// kmnFullScan is the rule the worker's search must reproduce, written out on
+// its own: each point goes to the first center in index order at the least
+// squared distance. It returns every point's center and the accumulator.
+func kmnFullScan(pts, ctr []float64, k int) ([]int, []float64) {
+	idx := make([]int, len(pts)/kmnDims)
+	acc := make([]float64, k*(kmnDims+1))
+	for i := range idx {
+		x, y, z := pts[i*kmnDims], pts[i*kmnDims+1], pts[i*kmnDims+2]
+		best, bestD := 0, math.MaxFloat64
+		for c := 0; c < k; c++ {
+			dx, dy, dz := x-ctr[c*kmnDims], y-ctr[c*kmnDims+1], z-ctr[c*kmnDims+2]
+			if d := dx*dx + dy*dy + dz*dz; d < bestD {
+				best, bestD = c, d
+			}
+		}
+		idx[i] = best
+		o := best * (kmnDims + 1)
+		acc[o] += x
+		acc[o+1] += y
+		acc[o+2] += z
+		acc[o+3]++
+	}
+	return idx, acc
+}
+
+// The shapes FuzzKMNNearest builds its inputs in, as bits of its shape byte.
+const (
+	kmnGrid       = 1 << iota // coordinates on a coarse grid: exact ties and duplicates
+	kmnDupCenters             // every odd center repeats the one before it
+	kmnOnCenter               // every fourth point sits exactly on a center
+)
+
+// checkKMNNearest runs a worker over the points of one chunk on two
+// successive center sets, then again on the second with arbitrary hints, and
+// requires at every pass each point's center and the accumulator, bit for
+// bit, to be the full scan's. kSel 0 is k = 256, the most a one-byte hint
+// can name; otherwise k is 1 to 24.
+func checkKMNNearest(t *testing.T, seed int64, kSel, shape byte) {
+	t.Helper()
+	k := int(kSel) % 25
+	if k == 0 {
+		k = 256
+	}
+	rng := rand.New(rand.NewSource(seed))
+	coord := func(center bool) float64 {
+		if shape&kmnGrid == 0 {
+			return rng.Float64() * 100
+		}
+		if center {
+			return float64(rng.Intn(4))
+		}
+		return float64(rng.Intn(8)) / 2
+	}
+	dup := func(ctr []float64) {
+		if shape&kmnDupCenters != 0 {
+			for c := 1; c < k; c += 2 {
+				copy(ctr[c*kmnDims:(c+1)*kmnDims], ctr[(c-1)*kmnDims:])
+			}
+		}
+	}
+	ctr := make([]float64, k*kmnDims)
+	for i := range ctr {
+		ctr[i] = coord(true)
+	}
+	dup(ctr)
+	n := 1 + rng.Intn(300)
+	pts := make([]float64, n*kmnDims)
+	for i := range pts {
+		pts[i] = coord(false)
+	}
+	if shape&kmnOnCenter != 0 {
+		for i := 0; i < n; i += 4 {
+			c := rng.Intn(k)
+			copy(pts[i*kmnDims:(i+1)*kmnDims], ctr[c*kmnDims:])
+		}
+	}
+	// The second center set moves every center a little, as an iteration
+	// does, staying in the domain (and on the grid).
+	next := make([]float64, len(ctr))
+	for i, v := range ctr {
+		step := rng.Float64()*4 - 2
+		if shape&kmnGrid != 0 {
+			step = float64(rng.Intn(3) - 1)
+		}
+		next[i] = math.Min(math.Max(v+step, 0), 99)
+	}
+	dup(next)
+
+	kw := newKMNWorker(kmnParams{k: k, chunk: n}, 0, n)
+	for i, v := range pts {
+		binary.LittleEndian.PutUint64(kw.buf[8*i:], math.Float64bits(v))
+	}
+	pass := func(name string, ctr []float64) {
+		t.Helper()
+		kw.setCenters(ctr)
+		acc := make([]float64, k*(kmnDims+1))
+		kw.assign(acc, 0, n)
+		idx, want := kmnFullScan(pts, ctr, k)
+		for i, c := range idx {
+			if int(kw.hint[i]) != c {
+				t.Fatalf("%s: k=%d point %d (%v) got center %d, the full scan %d",
+					name, k, i, pts[i*kmnDims:(i+1)*kmnDims], kw.hint[i], c)
+			}
+		}
+		for j := range want {
+			if math.Float64bits(acc[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: k=%d acc[%d] = %v, the full scan %v", name, k, j, acc[j], want[j])
+			}
+		}
+	}
+	pass("first pass", ctr)
+	pass("hinted pass", next)
+	for i := range kw.hint {
+		kw.hint[i] = uint8(rng.Intn(k))
+	}
+	pass("arbitrary hints", next)
+}
+
+func TestKMNNearestMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, k := range []byte{1, 2, 8, 24, 0} {
+			for shape := byte(0); shape < 8; shape++ {
+				checkKMNNearest(t, seed, k, shape)
+			}
+		}
+	}
+}
+
+// FuzzKMNNearest runs the same property from the fuzzer's inputs; go test
+// runs it over testdata/fuzz/FuzzKMNNearest.
+func FuzzKMNNearest(f *testing.F) {
+	f.Add(int64(1), byte(24), byte(0))
+	f.Fuzz(checkKMNNearest)
+}
+
+// After warm-up a kmn worker's chunk read plus search and a bp worker's
+// replicate of its belief snapshot allocate nothing: both read into a buffer
+// the worker keeps and decode in place.
+func TestAppsBulkAllocsPerRun(t *testing.T) {
+	const k, n = 8, 512
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]float64, n*kmnDims)
+	for i := range pts {
+		pts[i] = rng.Float64() * 100
+	}
+	var kmnAllocs, bpAllocs float64
+	_, err := dex.NewCluster(2).Run(func(main *dex.Thread) error {
+		points, centers, err := kmnSetup(main, pts, k)
+		if err != nil {
+			return err
+		}
+		ctr, err := readFloat64s(main, centers, k*kmnDims)
+		if err != nil {
+			return err
+		}
+		kw := newKMNWorker(kmnParams{k: k, chunk: n}, 0, n)
+		acc := make([]float64, k*(kmnDims+1))
+		for pass := 0; pass < 2; pass++ {
+			kw.setCenters(ctr)
+			if err := kw.read(main, points, 0, n); err != nil {
+				return err
+			}
+			kw.assign(acc, 0, n)
+		}
+		kmnAllocs = testing.AllocsPerRun(20, func() {
+			if err := kw.read(main, points, 0, n); err != nil {
+				t.Error(err)
+			}
+			kw.assign(acc, 0, n)
+		})
+
+		beliefs, err := main.Mmap(4*dex.PageSize, dex.ProtRead|dex.ProtWrite, "beliefs")
+		if err != nil {
+			return err
+		}
+		if err := main.Migrate(1); err != nil {
+			return err
+		}
+		snap := make([]byte, 4*dex.PageSize)
+		rot := 2 * dex.PageSize
+		if err := bpReplicate(main, beliefs, snap, rot); err != nil {
+			return err
+		}
+		bpAllocs = testing.AllocsPerRun(20, func() {
+			if err := bpReplicate(main, beliefs, snap, rot); err != nil {
+				t.Error(err)
+			}
+		})
+		return main.MigrateBack()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kmnAllocs != 0 {
+		t.Errorf("a kmn chunk read plus search allocates %v objects, want 0", kmnAllocs)
+	}
+	if bpAllocs != 0 {
+		t.Errorf("a bp snapshot replicate allocates %v objects, want 0", bpAllocs)
+	}
+}
