@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/chaos
 	$(GO) test -fuzz=FuzzDedupState -fuzztime=10s ./internal/dsm
 	$(GO) test -fuzz=FuzzKMNNearest -fuzztime=10s ./internal/apps
+	$(GO) test -fuzz=FuzzResolve -fuzztime=10s ./internal/cli
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:

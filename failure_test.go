@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dex/internal/sim"
 )
 
 // Failure-path tests: a thread erroring at a remote node must not wedge the
@@ -91,6 +93,29 @@ func TestAbandonedBarrierIsReportedAsDeadlock(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "futex") {
 		t.Fatalf("deadlock report does not name the futex wait: %v", err)
+	}
+}
+
+func TestThreadErrorLeadsTheEventLimit(t *testing.T) {
+	// A thread that fails can leave the rest of the process spinning until
+	// the event limit stops the run — a crash-in-flight migration does this
+	// to every app but ep and blk. The thread's error is the cause: Run names
+	// it first, on one line, and errors.Is still finds the limit behind it.
+	boom := errors.New("migration failed")
+	cluster := NewCluster(2, WithEventLimit(10_000))
+	_, err := cluster.Run(func(th *Thread) error {
+		if _, err := th.Spawn(func(*Thread) error { return boom }); err != nil {
+			return err
+		}
+		for { // waits for a peer the failure took away
+			th.Compute(time.Microsecond)
+		}
+	})
+	if !errors.Is(err, boom) || !errors.Is(err, sim.ErrEventLimit) {
+		t.Fatalf("err = %v, want the thread's failure and the event limit", err)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "thread 1: migration failed; ") || strings.Contains(msg, "\n") {
+		t.Fatalf("err = %q, want one line that starts with the thread's failure", msg)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"dex"
 	"dex/internal/apps"
@@ -86,16 +88,16 @@ func (c *Cluster) Resolve(app *apps.App) (Run, error) {
 			app.Name, strings.Join(apps.Restartable(), ", "))
 	}
 	if run.Size, err = apps.ParseSize(c.Size); err != nil {
-		return run, fmt.Errorf("-size %s: %w", c.Size, err)
+		return run, fmt.Errorf("-size %s: %w", shown(c.Size), err)
 	}
 	if c.Variant != "" {
 		if run.Variant, err = apps.ParseVariant(c.Variant); err != nil {
-			return run, fmt.Errorf("-variant %s: %w", c.Variant, err)
+			return run, fmt.Errorf("-variant %s: %w", shown(c.Variant), err)
 		}
 	}
 	if c.Protocol != "" {
 		if run.Protocol, err = dex.ParseProtocol(c.Protocol); err != nil {
-			return run, fmt.Errorf("-protocol %s: %w", c.Protocol, err)
+			return run, fmt.Errorf("-protocol %s: %w", shown(c.Protocol), err)
 		}
 		if run.Protocol != dex.WriteInvalidate {
 			run.Opts = append(run.Opts, dex.WithProtocol(run.Protocol))
@@ -104,11 +106,11 @@ func (c *Cluster) Resolve(app *apps.App) (Run, error) {
 	if c.Chaos != "" {
 		plan, err := dex.LoadChaosPlan(c.Chaos, c.Nodes)
 		if err != nil {
-			return run, fmt.Errorf("-chaos %s: %w", c.Chaos, err)
+			return run, fmt.Errorf("-chaos %s: %w", shown(c.Chaos), err)
 		}
 		for _, cr := range plan.Crashes {
 			if cr.Node == 0 { // every tool starts its process at node 0
-				return run, fmt.Errorf("-chaos %s: the plan crashes node 0, the origin of the process; origin crashes are not survivable", c.Chaos)
+				return run, fmt.Errorf("-chaos %s: the plan crashes node 0, the origin of the process; origin crashes are not survivable", shown(c.Chaos))
 			}
 		}
 		run.Opts = append(run.Opts, dex.WithChaos(plan))
@@ -118,6 +120,15 @@ func (c *Cluster) Resolve(app *apps.App) (Run, error) {
 		run.Opts = append(run.Opts, dex.WithObserver(run.Rec))
 	}
 	return run, nil
+}
+
+// shown renders a flag value for an error: as typed when it is one printable
+// word, quoted otherwise, so the error stays one line that names the value.
+func shown(v string) string {
+	if v == "" || strings.ContainsFunc(v, func(r rune) bool { return unicode.IsSpace(r) || !unicode.IsPrint(r) }) {
+		return strconv.Quote(v)
+	}
+	return v
 }
 
 // PrintSched writes the scheduler line of a run's report and, when metrics

@@ -109,3 +109,34 @@ func TestRegisterRejectsUnknownFlag(t *testing.T) {
 	}()
 	new(Cluster).Register(flag.NewFlagSet("tool", flag.ContinueOnError), map[string]string{"cores": "gone"})
 }
+
+// FuzzResolve feeds arbitrary command lines (arguments separated by NUL) to a
+// tool that takes every cluster flag. Whatever parses, Resolve answers with a
+// run or with one line that starts "-flag value: " — never a panic, never a
+// second line. -chaos names a file; here its value is what the file holds, so
+// the fuzzer reaches the plan parser without reading paths it made up. The
+// checked-in corpus holds the tools' own command lines and one of each error.
+func FuzzResolve(f *testing.F) {
+	oneLine := regexp.MustCompile(`^(-(nodes|threads) -?\d+|-(size|variant|protocol|chaos) \S.*|-restart): [^\n]*$`)
+	dir := f.TempDir()
+	ep, _ := apps.ByName("ep")
+	kmn, _ := apps.ByName("kmn")
+	f.Fuzz(func(t *testing.T, line string) {
+		c, fs := everyFlag()
+		if fs.Parse(strings.Split(line, "\x00")) != nil {
+			return // the flag package's own error
+		}
+		if c.Chaos != "" {
+			path := filepath.Join(dir, "plan.json")
+			if err := os.WriteFile(path, []byte(c.Chaos), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c.Chaos = path
+		}
+		for _, app := range []*apps.App{&ep, &kmn} {
+			if _, err := c.Resolve(app); err != nil && !oneLine.MatchString(err.Error()) {
+				t.Fatalf("%q: error %q, want one line \"-flag value: reason\"", line, err)
+			}
+		}
+	})
+}

@@ -318,18 +318,21 @@ func (m *Machine) route(node, src int, msg fabric.Message) {
 }
 
 // Run executes the simulation to completion: every spawned process runs
-// until all of its threads finish. It returns the first application or
+// until all of its threads finish. It returns the first application error,
+// wrapped together with the simulation's if the engine stopped too (a failed
+// thread can leave the rest livelocked until the event limit), else the
 // simulation error.
 func (m *Machine) Run() error {
-	if err := m.eng.Run(); err != nil {
-		return err
-	}
+	err := m.eng.Run()
 	for _, p := range m.procs {
 		if p.firstErr != nil {
+			if err != nil {
+				return fmt.Errorf("%w; then %w", p.firstErr, err)
+			}
 			return p.firstErr
 		}
 	}
-	return nil
+	return err
 }
 
 // Report summarizes one process run.

@@ -750,17 +750,20 @@ func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
 	})
 }
 
-// checkRoutes verifies the forwarding graph has no cycles: from every node,
-// following the route table (pointer if present, static anchor otherwise)
-// must reach the host of the page's entry within one step per node. The
-// epoch gate on route updates is what guarantees this; the check walks every
-// route so a gating bug cannot hide. Chains through a confirmed-dead node
-// are skipped — they are repaired when the death commits (ReclaimDeadNode),
-// not before. Where the nodes read one table the first step finds the entry:
-// a redirect reads the authoritative tree, so no route is followed twice.
+// checkRoutes verifies that a node holds a route pointer only for a page some
+// table holds (what lets resident read a shared table like a shard's), and
+// that from every node, following the route table (pointer if present, static
+// anchor otherwise) reaches the host of the page's entry within one step per
+// node — the epoch gate on route updates guarantees it; the check walks every
+// route so a gating bug cannot hide. Chains through a confirmed-dead node are
+// skipped: they are repaired when the death commits (ReclaimDeadNode). Where
+// the nodes read one table the first step finds the entry.
 func (m *Manager) checkRoutes() error {
 	for n, ns := range m.nodes {
 		for _, vpn := range slices.Sorted(maps.Keys(ns.routes)) {
+			if _, held := m.dir.find(vpn); !held && ns.routes[vpn].home >= 0 {
+				return fmt.Errorf("dsm: node %d routes vpn %#x, which no table holds", n, vpn)
+			}
 			for cur, step := n, 0; !m.dead(cur); step++ { // a dead node's chains are settled by its reclaim
 				_, hosted := m.dir.get(cur, vpn)
 				next := m.requestTarget(cur, vpn)

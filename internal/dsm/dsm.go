@@ -17,10 +17,11 @@
 //     enumerated states, the (state × event) legality table, and every
 //     legal transition, invariant-checked; the radix tables the entries are
 //     kept in (the origin's alone, or one per node) and the route record.
-//   - protocol.go — the one fault / request / dispatch / serve path, and the
-//     policy that decides placement: central (WriteInvalidate, the paper's
-//     origin-served design and the default; HomeMigrate, where the home
-//     follows the last writer) or sharded (DistributedManager).
+//   - protocol.go — the one fault / request / dispatch / serve path, the one
+//     answer to where a page is, and the policy that moves authority: central
+//     (WriteInvalidate, the paper's origin-served design and the default;
+//     HomeMigrate, where the home follows the last writer) or sharded
+//     (DistributedManager).
 //   - engine.go — the transport engine: the transaction records of both
 //     sides, the one wait loop (retransmission, backoff, give-up), duplicate
 //     detection whose state goes as the floors senders carry pass it, and
@@ -224,7 +225,7 @@ type Manager struct {
 	dir    directory
 	stats  Stats
 
-	// policy is the directory placement (protocol.go); traits is the data
+	// policy moves directory authority (protocol.go); traits is the data
 	// that comes with it.
 	policy policy
 	traits

@@ -212,7 +212,10 @@ func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, distParams())
 	addr := addrAnchoredAt(t, e.m, 0)
 	vpn := addr.VPN()
-	e.m.nodes[2].routes.point(vpn, 0, 5) // node 2 forwards to node 0 at epoch 5
+	e.eng.Spawn("touch", func(tk *sim.Task) {
+		e.write(tk, 0, addr, 1)              // first touch at the anchor
+		e.m.nodes[2].routes.point(vpn, 0, 5) // node 2 forwards to node 0 at epoch 5
+	})
 	var replies []*pageReply
 	e.net.SetHandler(1, func(src int, msg fabric.Message) {
 		if r, ok := msg.(*pageReply); ok {
@@ -220,8 +223,8 @@ func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 		}
 	})
 	req := &pageRequest{pid: e.m.pid, vpn: vpn, node: 1, token: nextSeq(1, &e.m.nodes[1].reqCtr)}
-	e.eng.After(0, func() { e.m.HandleMessage(2, 1, req) })
 	e.eng.After(time.Millisecond, func() { e.m.HandleMessage(2, 1, req) })
+	e.eng.After(2*time.Millisecond, func() { e.m.HandleMessage(2, 1, req) })
 	e.run(t)
 	if len(replies) != 2 {
 		t.Fatalf("node 1 received %d replies, want the redirect and its re-send", len(replies))

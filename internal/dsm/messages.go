@@ -253,11 +253,11 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		// The requester died before we dispatched; its landing zone is gone.
 		return requesterDead
 	}
-	de := m.policy.serveEntry(home, req.vpn)
+	de, _ := m.resident(home, req.vpn)
 	if de == nil {
-		// Authority moved away between dispatch and serve: bounce the
-		// requester one hop down the forwarding chain, stamped with the epoch
-		// this shard learned its route at.
+		// Authority moved away between dispatch and serve (or a munmap took
+		// the entry): bounce the requester one hop down the forwarding chain,
+		// stamped with the epoch this shard learned its route at.
 		target := m.requestTarget(home, req.vpn)
 		epoch := m.nodes[home].routes[req.vpn].epoch
 		if target == home {

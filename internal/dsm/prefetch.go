@@ -132,7 +132,7 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 	st := m.e.openServe(t, m.origin, req.tokens[0], nil)
 	for i, vpn := range req.vpns {
 		token := req.tokens[i]
-		de := m.policy.serveEntry(m.origin, vpn)
+		de, _ := m.resident(m.origin, vpn)
 		// A page whose home has migrated away from the origin cannot be
 		// served here (HomeMigrate only); bounce it like a busy page so the
 		// requester falls back to demand faulting at the real home.

@@ -1,24 +1,23 @@
 // protocol.go is the coherence-policy layer. There is one ownership
 // protocol (§III-B: read-replicate / write-invalidate, MRSW, sequentially
 // consistent) and this file holds the one implementation of each of its
-// jobs: the lead-fault loop, the requester side, request dispatch, and the
-// serveRead / serveWrite directory transactions. The directory (directory.go)
-// owns the per-page state machine, the tables and the route record; the
+// jobs: the lead-fault loop, the requester side, request dispatch, the
+// serveRead / serveWrite directory transactions, and where a page is —
+// resident, lookup and route, read off the directory's data (directory.go:
+// the tables, the hosts, the routes) the same way for every placement. The
 // engine (engine.go) owns reliable delivery.
 //
-// What a policy decides is PLACEMENT — which nodes host a directory table and
-// how a node that does not hold a page's entry finds the one that does:
+// What a policy decides is how AUTHORITY MOVES — how a node learns a home
+// and what a write grant hands to its new writer:
 //
 //   - central: the origin hosts the one table. Under WriteInvalidate (the
 //     paper's design, the default) authority never leaves the origin: no node
-//     ever learns a route, every request goes to the origin, and a request
-//     delivered anywhere else is a bug. Under HomeMigrate the entry's home
-//     follows the last writer; nodes keep a believed home per page and a
-//     stale belief is repaired by a redirect that reads the table directly —
-//     which is why HomeMigrate runs with serialized lanes (core clamps it).
-//   - sharded (DistributedManager): every node hosts a table; a page's entry
-//     lives in its current home's, lookups start at a static hash anchor, a
-//     node that hands authority off leaves an epoch-stamped forwarding
+//     ever learns a route, and a request delivered anywhere but the origin is
+//     a bug. Under HomeMigrate the entry's home follows the last writer in
+//     place; a stale belief is repaired by a redirect that reads the shared
+//     table — which is why HomeMigrate runs with serialized lanes.
+//   - sharded (DistributedManager): every node hosts a table; the entry moves
+//     to the new home's, the old home leaves an epoch-stamped forwarding
 //     pointer, and chains are compressed after each chained grant. Each host
 //     serves on its own simulation lane.
 //
@@ -158,19 +157,12 @@ const (
 	dirRetry
 )
 
-// policy is the placement a Manager runs under: central or sharded. The
-// Manager routes every fault and every incoming page request through it; the
+// policy is the authority handoff a Manager runs under: central or sharded.
+// Where a page's entry is and where a request goes is not the policy's call —
+// Manager.resident, lookup and route read that off the directory's data — but
+// how a node learns a home and how authority moves to a new writer is. The
 // directory entry methods it calls enforce transition legality.
 type policy interface {
-	// lookup resolves vpn's directory entry for a lead fault at node.
-	lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence)
-	// serveEntry resolves the directory entry a serve transaction at home
-	// operates on, materializing it on first touch. It returns nil if the
-	// serving node's authority moved away between dispatch and serve
-	// (sharded only) — the caller bounces the request.
-	serveEntry(home int, vpn uint64) *dirEntry
-	// route decides what happens to a page request admitted at node.
-	route(node int, req *pageRequest) routing
 	// learnHome records at node a belief about vpn's home, stamped with the
 	// home-handoff epoch it was learned at, and reports whether the update
 	// was applied. sharded rejects updates older than the route the node
@@ -193,15 +185,15 @@ type policy interface {
 	compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64)
 }
 
-// routing is a policy's decision on a page request admitted at a node: serve
-// it there (home is that node) or bounce the requester to home at epoch.
+// routing is route's decision on a page request admitted at a node: serve it
+// there (home is that node) or bounce the requester to home at epoch.
 type routing struct {
 	home  int
 	epoch uint64
-	// busy (central): the page's home is dead and its last transaction has not
-	// unwound yet: NACK, the requester retries after recovery.
+	// busy: the page's home is dead and its last transaction has not unwound
+	// yet: NACK, the requester retries after recovery.
 	busy bool
-	// locate (sharded): this shard is the live fallback for a reclaimed dead
+	// locate: this shard is the live fallback for a reclaimed dead
 	// anchor and holds no trace of the page: resolve it on the global lane,
 	// then point the requester at whatever the locate found.
 	locate bool
@@ -256,7 +248,7 @@ func (m *Manager) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (retri
 	for attempt := 1; ; attempt++ {
 		// Authority is re-resolved after every wait: the busy transaction we
 		// waited out may have moved it away.
-		de, where := m.policy.lookup(t, node, vpn)
+		de, where := m.lookup(t, node, vpn)
 		switch where {
 		case dirFirstTouch:
 			return attempt - 1, false
@@ -461,14 +453,14 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 // The serve path: one dispatch skeleton, one directory transaction pair.
 
 // dispatchRequest handles a page request delivered at node: admit it (the
-// transport engine deduplicates by token first), let the policy route it, and
+// transport engine deduplicates by token first), route it, and
 // then either serve it here or bounce the requester.
 func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 	st := m.e.admitServe(node, req)
 	if st == nil {
 		return
 	}
-	switch r := m.policy.route(node, req); {
+	switch r := m.route(node, req); {
 	case r.busy:
 		m.e.replyAfter("dsm-nack", node, req.node, m.e.bounce(st, nack, 0, 0))
 	case r.locate:
@@ -637,75 +629,98 @@ func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// central: the origin hosts the one table (WriteInvalidate, HomeMigrate).
+// Where a page is, for every placement: read off the table node reads, node's
+// routes and the page's anchor (the origin when it hosts the only table).
 
-type central struct{ m *Manager }
+// resident returns vpn's entry as node's table holds it. A lookup at the
+// page's anchor that finds no entry and no route is the page's global first
+// touch: materialize it there.
+func (m *Manager) resident(node int, vpn uint64) (de *dirEntry, created bool) {
+	if de, ok := m.dir.get(node, vpn); ok {
+		return de, false
+	}
+	if m.nodes[node].routes.at(vpn).home < 0 && m.anchor(vpn) == node {
+		return m.place(node, vpn), true
+	}
+	return nil, false
+}
 
-func (p *central) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence) {
-	m := p.m
+// lookup resolves vpn's directory entry for a lead fault at node.
+func (m *Manager) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence) {
 	if !m.migrates && node != m.origin {
 		// Authority never leaves the origin, and only the origin's lane may
 		// read its table.
 		return nil, dirElsewhere
 	}
-	de, ok := m.dir.get(node, vpn)
+	de, created := m.resident(node, vpn)
 	switch {
-	case ok:
-	case node == m.origin:
-		// First touch anywhere: the origin, the initial home, owns the
-		// zero-filled page exclusively; no consistency traffic required.
-		return m.place(node, vpn), dirFirstTouch
-	default:
-		// No entry anywhere yet: the origin is the initial home.
+	case created:
+		return de, dirFirstTouch
+	case de == nil:
+		if m.nodes[node].routes.at(vpn).home < 0 && m.needsLocate(node, vpn) {
+			// This node is the live fallback for a reclaimed dead anchor and
+			// holds no trace of the page: resolve it on the global lane, then
+			// re-enter with the planted route (or freshly materialized entry).
+			m.locate(t, node, vpn)
+			return nil, dirRetry
+		}
 		return nil, dirElsewhere
-	}
-	if de.home != node {
+	case de.home != node:
+		// Only a shared table holds an entry homed elsewhere. At the origin, a
+		// dead home's idle entry is reclaimed to the origin shard.
 		if node != m.origin || !m.dead(de.home) || de.busy() {
 			return nil, dirElsewhere
 		}
-		// Fault at the origin on a page whose home died: reclaim it to the
-		// origin shard and resolve locally.
 		m.rehome(vpn, de, de.home, nil)
 	}
 	return de, dirHere
 }
 
-// serveEntry: the origin is the initial home of every page.
-func (p *central) serveEntry(home int, vpn uint64) *dirEntry {
-	if de, ok := p.m.dir.get(home, vpn); ok {
-		return de
-	}
-	return p.m.place(p.m.origin, vpn)
-}
-
-// route serves a page request at its authoritative home; a request that
-// lands anywhere else (the requester held a stale hint, or no hint and the
-// home has migrated away from the origin) is redirected there. A request
-// reaching the origin for a page whose home is confirmed dead triggers
-// dead-home recovery: the page is reclaimed to the origin shard and served
-// right here.
-func (p *central) route(node int, req *pageRequest) routing {
-	m := p.m
+// route decides what happens to a page request admitted at node: serve it if
+// node is the page's home (or its first touch, at its anchor), else redirect
+// the requester to the home a shared table names, one hop down node's route,
+// or back to the anchor. At the origin, a shared table's entry homed at a dead
+// node is reclaimed to the origin shard and served right here.
+func (m *Manager) route(node int, req *pageRequest) routing {
 	if !m.migrates {
 		if node != m.origin {
 			panic(fmt.Sprintf("dsm: page request for pid %d delivered to node %d (origin %d)", m.pid, node, m.origin))
 		}
 		return routing{home: node}
 	}
-	target := m.origin
-	de, ok := m.dir.get(node, req.vpn)
-	if ok {
-		target = de.home
-	}
-	if node != target && node == m.origin && m.dead(target) {
+	de, hosted := m.dir.get(node, req.vpn)
+	r := m.nodes[node].routes.at(req.vpn)
+	anchor := m.anchor(req.vpn)
+	switch {
+	case hosted && de.home != node:
+		if node != m.origin || !m.dead(de.home) {
+			return routing{home: de.home}
+		}
 		if de.busy() {
 			return routing{busy: true}
 		}
-		m.rehome(req.vpn, de, target, nil)
-		target = node
+		m.rehome(req.vpn, de, de.home, nil)
+		return routing{home: node}
+	case hosted || (r.home < 0 && anchor == node):
+		if m.forwards && m.rec != nil {
+			// The lookup resolved at this shard; the serve span that follows
+			// covers the transaction itself.
+			m.mark(node, "dist.lookup", req.vpn, obs.Int("from", int64(req.node)))
+		}
+		return routing{home: node}
+	case r.home >= 0:
+		return routing{home: r.home, epoch: r.epoch}
+	case m.needsLocate(node, req.vpn):
+		return routing{locate: true}
 	}
-	return routing{home: target}
+	// An anchor restart, not a home claim: carry no freshness.
+	return routing{home: anchor}
 }
+
+// ---------------------------------------------------------------------------
+// central: the origin hosts the one table (WriteInvalidate, HomeMigrate).
+
+type central struct{ m *Manager }
 
 func (p *central) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 	if !p.m.migrates {
@@ -722,8 +737,7 @@ func (p *central) learnHome(node int, vpn uint64, home int, epoch uint64) bool {
 
 func (p *central) grantInstalled(node int, vpn uint64, epoch uint64) {}
 
-func (p *central) compressChain(t *sim.Task, node int, vpn uint64, hops []int, home int, epoch uint64) {
-}
+func (*central) compressChain(*sim.Task, int, uint64, []int, int, uint64) {}
 
 // grantCompleted is the home-flip point: once a remote write grant is
 // installed and acknowledged, the new exclusive owner becomes the page's
@@ -744,81 +758,14 @@ func (p *central) grantCompleted(de *dirEntry, req *pageRequest) {
 // sharded: a hash-sharded directory with forwarding chains
 // (DistributedManager).
 //
-// Every node is a directory shard. A page's *anchor* — the shard a lookup
-// starts at — is a static hash of its VPN, so any node can locate any page
-// without shared state. Directory *authority* (the home) follows the last
-// writer, exactly as under HomeMigrate, but the authoritative entry lives in
-// the serving node's own table rather than a shared tree: a node that hands
-// authority off deletes its entry and leaves a forwarding pointer
-// (nodeState.routes) behind. Requests that land at a non-authoritative shard
-// are redirected along the forwarding chain, and after a chained grant lands
-// the requester sends path-compression hints so every hop's pointer jumps
-// straight to the new home: chains collapse to at most one hop.
+// Every node is a directory shard and a page's anchor is a static hash of its
+// VPN. Authority follows the last writer as under HomeMigrate, but the entry
+// lives in its home's own table: a node that hands authority off deletes its
+// entry and leaves a forwarding pointer (nodeState.routes) behind, and after a
+// chained grant lands the requester sends path-compression hints so chains
+// collapse to at most one hop.
 
 type sharded struct{ m *Manager }
-
-// resident returns vpn's entry if node is authoritative for it. A lookup at
-// the page's anchor that finds no entry and no forwarding pointer is the
-// page's global first touch: materialize it there, anchored.
-func (p *sharded) resident(node int, vpn uint64) (de *dirEntry, created bool) {
-	m := p.m
-	if de, ok := m.dir.get(node, vpn); ok {
-		return de, false
-	}
-	if m.nodes[node].routes.at(vpn).home < 0 && m.anchor(vpn) == node {
-		return m.place(node, vpn), true
-	}
-	return nil, false
-}
-
-func (p *sharded) lookup(t *sim.Task, node int, vpn uint64) (*dirEntry, residence) {
-	de, created := p.resident(node, vpn)
-	switch {
-	case created:
-		return de, dirFirstTouch
-	case de != nil:
-		return de, dirHere
-	}
-	if p.m.nodes[node].routes.at(vpn).home < 0 && p.m.needsLocate(node, vpn) {
-		// This node is the live fallback for a reclaimed dead anchor and
-		// holds no trace of the page: resolve it on the global lane, then
-		// re-enter with the planted route (or freshly materialized entry).
-		p.m.locate(t, node, vpn)
-		return nil, dirRetry
-	}
-	return nil, dirElsewhere
-}
-
-// serveEntry: a miss means authority moved between dispatch and serve.
-func (p *sharded) serveEntry(home int, vpn uint64) *dirEntry {
-	de, _ := p.resident(home, vpn)
-	return de
-}
-
-// route serves a page request here if this shard is authoritative (or the
-// request is the page's first touch at its anchor), otherwise redirects the
-// requester one hop down the forwarding chain.
-func (p *sharded) route(node int, req *pageRequest) routing {
-	m := p.m
-	_, hosted := m.dir.get(node, req.vpn)
-	r := m.nodes[node].routes.at(req.vpn)
-	anchor := m.anchor(req.vpn)
-	switch {
-	case hosted || (r.home < 0 && anchor == node):
-		if m.rec != nil {
-			// The lookup resolved at this shard; the serve span that follows
-			// covers the transaction itself.
-			m.mark(node, "dist.lookup", req.vpn, obs.Int("from", int64(req.node)))
-		}
-		return routing{home: node}
-	case r.home >= 0:
-		return routing{home: r.home, epoch: r.epoch}
-	case m.needsLocate(node, req.vpn):
-		return routing{locate: true}
-	}
-	// An anchor restart, not a home claim: carry no freshness.
-	return routing{home: anchor}
-}
 
 // learnHome is the single epoch-gated route table update: every source of
 // routing information — grant replies, redirects, revocation-carried hints,

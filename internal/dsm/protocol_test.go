@@ -38,19 +38,18 @@ func TestParseProtocol(t *testing.T) {
 
 // TestProtocolRegistryDrivesHelp: the flag help and the accepted-names list
 // are derived from the same registry that ParseProtocol consults, so every
-// advertised name must round-trip and the help must mention each of them.
+// advertised name must parse back to its own row and the help must mention
+// each of them.
 func TestProtocolRegistryDrivesHelp(t *testing.T) {
-	var names []string // three protocols, short and long name each
-	for _, pi := range protocolRegistry {
-		names = append(names, pi.name, pi.long)
-	}
 	help := ProtocolHelp()
-	for _, name := range names {
-		if _, err := ParseProtocol(name); err != nil {
-			t.Errorf("advertised name %q does not parse: %v", name, err)
-		}
-		if !strings.Contains(help, name) {
-			t.Errorf("ProtocolHelp() omits advertised name %q:\n%s", name, help)
+	for _, pi := range protocolRegistry {
+		for _, name := range []string{pi.name, pi.long} {
+			if got, err := ParseProtocol(name); err != nil || got != pi.proto {
+				t.Errorf("advertised name %q parses to %v, %v; want %v", name, got, err, pi.proto)
+			}
+			if !strings.Contains(help, name) {
+				t.Errorf("ProtocolHelp() omits advertised name %q:\n%s", name, help)
+			}
 		}
 	}
 }
@@ -218,5 +217,117 @@ func TestLatenciesReturnsCopy(t *testing.T) {
 	}
 	if again := faultEvents(rec); !reflect.DeepEqual(again, want) {
 		t.Fatalf("Spans returned the recorder's own storage, not a copy:\n got %+v\nwant %+v", again, want)
+	}
+}
+
+// TestWhereDecisions pins, case by case, the decisions resident, lookup and
+// route make for every placement in protocolRegistry: one function reads the
+// shared table, a shard and the routes alike, so each way it can answer is a
+// named row over a hand-built directory state on three nodes (origin 0).
+func TestWhereDecisions(t *testing.T) {
+	type state struct {
+		home      int    // the entry's home, -1 for no entry anywhere
+		busy      bool   // the entry's transaction is still open
+		route     *route // at the asking node
+		dead      int    // a confirmed-dead node, -1 for none
+		reclaimed bool   // and its reclaim has committed
+	}
+	cases := []struct {
+		name   string
+		proto  string
+		anchor int // the page's anchor
+		at     int // the asking node
+		state
+		route  routing
+		panics bool // route refuses the request
+		lookup residence
+	}{
+		{name: "serve here: first touch at the origin", proto: "wi", at: 0,
+			state: state{home: -1, dead: -1}, route: routing{home: 0}, lookup: dirFirstTouch},
+		{name: "serve here: the origin's entry", proto: "wi", at: 0,
+			state: state{home: 0, dead: -1}, route: routing{home: 0}, lookup: dirHere},
+		{name: "request away from the origin", proto: "wi", at: 1,
+			state: state{home: 0, dead: -1}, panics: true, lookup: dirElsewhere},
+		{name: "serve here: a shared table's entry homed here", proto: "home", at: 1,
+			state: state{home: 1, dead: -1}, route: routing{home: 1}, lookup: dirHere},
+		{name: "redirect to a shared table's home", proto: "home", at: 0,
+			state: state{home: 1, dead: -1}, route: routing{home: 1}, lookup: dirElsewhere},
+		{name: "redirect to a shared table's dead home away from the origin", proto: "home", at: 2,
+			state: state{home: 1, dead: 1}, route: routing{home: 1}, lookup: dirElsewhere},
+		{name: "anchor restart at the origin", proto: "home", at: 2,
+			state: state{home: -1, dead: -1}, route: routing{home: 0}, lookup: dirElsewhere},
+		{name: "dead home at the origin, busy: NACK", proto: "home", at: 0,
+			state: state{home: 1, busy: true, dead: 1}, route: routing{busy: true}, lookup: dirElsewhere},
+		{name: "dead home at the origin, idle: rehome and serve", proto: "home", at: 0,
+			state: state{home: 1, dead: 1}, route: routing{home: 0}, lookup: dirHere},
+		{name: "serve here: first touch at the anchor", proto: "dist", anchor: 1, at: 1,
+			state: state{home: -1, dead: -1}, route: routing{home: 1}, lookup: dirFirstTouch},
+		{name: "serve here: the shard's own entry", proto: "dist", anchor: 2, at: 1,
+			state: state{home: 1, dead: -1}, route: routing{home: 1}, lookup: dirHere},
+		{name: "one hop along a route, carrying its epoch", proto: "dist", anchor: 1, at: 1,
+			state: state{home: 2, route: &route{home: 2, epoch: 7}, dead: -1},
+			route: routing{home: 2, epoch: 7}, lookup: dirElsewhere},
+		{name: "anchor restart at a shard", proto: "dist", anchor: 2, at: 1,
+			state: state{home: 0, dead: -1}, route: routing{home: 2}, lookup: dirElsewhere},
+		{name: "locate at the live ring shard of a reclaimed dead anchor", proto: "dist", anchor: 2, at: 0,
+			state: state{home: -1, dead: 2, reclaimed: true}, route: routing{locate: true}, lookup: dirRetry},
+		{name: "anchor restart at a dead anchor not yet reclaimed", proto: "dist", anchor: 2, at: 0,
+			state: state{home: -1, dead: 2}, route: routing{home: 2}, lookup: dirElsewhere},
+	}
+	covered := map[string]bool{}
+	// build gives each decision a fresh manager in c's state.
+	build := func(t *testing.T, proto Protocol, c state, anchor, at int) (*env, uint64) {
+		e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, protoParams(proto))
+		vpn := addrAnchoredAt(t, e.m, anchor).VPN()
+		if c.home >= 0 {
+			de := newDirEntry(c.home)
+			de.adoptHome(c.home)
+			if c.busy {
+				de.begin()
+			}
+			e.m.dir.put(c.home, vpn, de)
+		}
+		if c.route != nil {
+			e.m.nodes[at].routes.point(vpn, c.route.home, c.route.epoch)
+		}
+		if c.dead >= 0 {
+			e.net.Chaos().MarkDead(c.dead)
+			e.m.nodes[c.dead].reclaimed = c.reclaimed
+		}
+		return e, vpn
+	}
+	for _, c := range cases {
+		t.Run(c.proto+"/"+c.name, func(t *testing.T) {
+			proto, err := ParseProtocol(c.proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered[c.proto] = true
+			e, vpn := build(t, proto, c.state, c.anchor, c.at)
+			req := &pageRequest{pid: e.m.pid, vpn: vpn, node: (c.at + 1) % 3}
+			var got routing
+			_, panicked := panics(func() { got = e.m.route(c.at, req) })
+			switch {
+			case panicked != c.panics:
+				t.Errorf("route panicked = %v, want %v", panicked, c.panics)
+			case got != c.route:
+				t.Errorf("route = %+v, want %+v", got, c.route)
+			}
+
+			e, vpn = build(t, proto, c.state, c.anchor, c.at)
+			var where residence
+			e.eng.Spawn("fault", func(tk *sim.Task) { _, where = e.m.lookup(tk, c.at, vpn) })
+			if err := e.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if where != c.lookup {
+				t.Errorf("lookup = %d, want %d", where, c.lookup)
+			}
+		})
+	}
+	for _, pi := range protocolRegistry {
+		if !covered[pi.name] {
+			t.Errorf("no decision row for %s", pi.name)
+		}
 	}
 }
