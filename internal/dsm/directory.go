@@ -396,7 +396,7 @@ func (d *dirEntry) check() {
 // the sharded one. An entry lives in exactly one table, the one its home
 // reads.
 type directory struct {
-	tables []*radix.Tree[*dirEntry]
+	tables []*radix.Tree[dirEntry]
 	hosts  []int
 	// laneOwned: a table is touched only on its host's lane (sharded), so
 	// work that spans tables has to wait for the quiescent global lane.
@@ -406,9 +406,9 @@ type directory struct {
 // init gives each of hosts (ascending) an empty table of its own and every
 // other node the first host's.
 func (d *directory) init(nodes int, hosts []int, laneOwned bool) {
-	d.tables, d.hosts, d.laneOwned = make([]*radix.Tree[*dirEntry], nodes), hosts, laneOwned
+	d.tables, d.hosts, d.laneOwned = make([]*radix.Tree[dirEntry], nodes), hosts, laneOwned
 	for _, h := range hosts {
-		d.tables[h] = new(radix.Tree[*dirEntry])
+		d.tables[h] = new(radix.Tree[dirEntry])
 	}
 	for n, tbl := range d.tables {
 		if tbl == nil {
@@ -539,7 +539,7 @@ func (m *Manager) liveAnchor(vpn uint64) int {
 // home's copy is up to date unless a remote holds the page exclusively —
 // holds from the start. The entry goes into the table home reads.
 func (m *Manager) place(home int, vpn uint64) *dirEntry {
-	m.nodes[home].pt.SetAccess(vpn, m.pool(home).GetZeroed(), mem.AccessWrite)
+	m.nodes[home].pt.SetAccess(vpn, m.frames.GetZeroed(), mem.AccessWrite)
 	de := newDirEntry(home)
 	de.firstTouch()
 	m.dir.put(home, vpn, de)
@@ -621,13 +621,13 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 		n := bits.TrailingZeros64(s)
 		if f := m.presentFrame(n, vpn); f != nil {
 			m.nodes[n].pt.Invalidate(vpn)
-			m.freeFrame(n, f)
+			m.freeFrame(f)
 		}
 	}
 	de.rehome(target)
 	lost := frame == nil
 	if lost {
-		frame = m.pool(target).GetZeroed()
+		frame = m.frames.GetZeroed()
 		m.stats.PagesLost++
 	}
 	m.nodes[target].pt.SetAccess(vpn, frame, mem.AccessRead)

@@ -178,13 +178,20 @@ type fkey struct {
 }
 
 // faultGroup tracks one in-progress lead fault and its coalesced followers.
+// A node reuses its groups, followers' capacity included (nodeState.groups),
+// so seq names the use: a follower that joined one use must join the next,
+// although the pointer is the same.
 type faultGroup struct {
 	followers []*sim.Task
+	seq       uint64
 }
 
 type nodeState struct {
 	pt     mem.PageTable
 	faults map[fkey]*faultGroup
+	// groups holds the fault groups whose leaders are done, for the next
+	// leader on this node to take.
+	groups []*faultGroup
 
 	// reqCtr is this node's request-token allocator. Tokens carry the
 	// allocating node in their top bits (nextSeq), giving every
@@ -233,15 +240,17 @@ type Manager struct {
 	// duplicate detection, rollback.
 	e engine
 
-	// pools recycle page frames, one free list per node: a frame dropped by
-	// a revocation or unmap re-emerges as the staging buffer of a later page
-	// transfer or as a demand-zero frame, so the steady-state transfer path
-	// allocates nothing. Per-node lists keep Get/Put lane-local (each lane
-	// only touches its own node's pool), which keeps the recycle/alloc
-	// counters independent of the order the lanes of a window run in. Frames are returned only at
-	// the points where the protocol can prove no reference remains (see
-	// freeFrame callers).
-	pools []mem.FramePool
+	// frames recycles page frames for every node of the process: a frame
+	// dropped by a revocation or unmap re-emerges as the staging buffer of a
+	// later page transfer or as a demand-zero frame, wherever that happens, so
+	// the steady-state transfer path allocates nothing. One list serves all
+	// nodes because a replica's frame is taken where the page is sent and
+	// freed where it is invalidated: per-node lists filled at the readers and
+	// stayed empty at the home. A simulation runs on one goroutine, in an
+	// order its schedule fixes, so one list needs no lock and its counters
+	// repeat. Frames are returned only at the points where the protocol can
+	// prove no reference remains (see freeFrame callers).
+	frames mem.FramePool
 
 	// chaos is the fault injector attached to the fabric, or nil. When set,
 	// every wait on a protocol acknowledgment runs under a retransmission
@@ -278,7 +287,6 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 		rec:    rec,
 		chaos:  net.Chaos(),
 		nodes:  make([]*nodeState, nodes),
-		pools:  make([]mem.FramePool, nodes),
 	}
 	for i := range m.nodes {
 		m.nodes[i] = &nodeState{faults: make(map[fkey]*faultGroup), routes: make(routes), peers: make([]peer, nodes)}
@@ -292,9 +300,6 @@ func New(eng *sim.Engine, net *fabric.Network, params Params, pid, origin, nodes
 // protocol tasks spawn on the simulation lane of the node they execute at (on
 // an engine without lanes that is the root engine — classic serial behavior).
 func (m *Manager) view(node int) *sim.Engine { return m.eng.LaneView(node) }
-
-// pool returns node's frame free list.
-func (m *Manager) pool(node int) *mem.FramePool { return &m.pools[node] }
 
 // InFlightFaults returns the number of lead faults currently being handled
 // across all nodes (the sampler's in-flight gauge).
@@ -333,30 +338,25 @@ func (m *Manager) TLBStats() mem.TLBStats {
 	return s
 }
 
-// FrameStats reports frame free-list activity summed over all nodes:
-// frames served from a pool and frames that fell through to a fresh
-// allocation.
+// FrameStats reports frame free-list activity: frames served from the pool
+// and frames that fell through to a fresh allocation.
 func (m *Manager) FrameStats() (recycled, allocs uint64) {
-	for i := range m.pools {
-		recycled += m.pools[i].Recycled()
-		allocs += m.pools[i].Allocs()
-	}
-	return recycled, allocs
+	return m.frames.Recycled(), m.frames.Allocs()
 }
 
-// freeFrame returns an orphaned frame to node's free list. node is the node
-// whose simulation lane is executing (pools are lane-local). Callers must
-// guarantee the frame is no longer mapped in any page table and not
-// captured by an in-flight transfer (SendPage snapshots its payload before
-// yielding, so a frame is safe to free as soon as the send call returns).
-func (m *Manager) freeFrame(node int, f []byte) { m.pool(node).Put(f) }
+// freeFrame returns an orphaned frame to the process's free list, from any
+// node. Callers must guarantee the frame is no longer mapped in any page table
+// and not captured by an in-flight transfer (SendPage snapshots its payload
+// before yielding, so a frame is safe to free as soon as the send call
+// returns).
+func (m *Manager) freeFrame(f []byte) { m.frames.Put(f) }
 
 // ReclaimRange invalidates all present mappings of node in [lo, hi] and
 // recycles the dropped frames. The caller must have quiesced protocol
 // activity on the range (as munmap does: VMAs are carved first and busy
 // directory entries waited out).
 func (m *Manager) ReclaimRange(node int, lo, hi uint64) int {
-	return m.nodes[node].pt.ReclaimRange(lo, hi, func(f []byte) { m.freeFrame(node, f) })
+	return m.nodes[node].pt.ReclaimRange(lo, hi, func(f []byte) { m.freeFrame(f) })
 }
 
 // EnsurePage makes the page containing addr accessible at ctx.Node with the
@@ -369,6 +369,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 	vpn := addr.VPN()
 	key := fkey{vpn: vpn, write: write}
 	var joined *faultGroup
+	var joinedSeq uint64
 	for {
 		if pte := m.Lookup(ctx.Node, vpn, write); pte != nil {
 			if write {
@@ -382,11 +383,12 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 			// task joins (and is counted against) a given fault group at
 			// most once: a spurious wakeup that lands the task back on the
 			// same in-flight group must not re-register it or inflate
-			// FollowerJoins.
-			if g != joined {
+			// FollowerJoins. The same group recycled for a later leader is
+			// a new one.
+			if g != joined || g.seq != joinedSeq {
 				m.stats.FollowerJoins++
 				g.followers = append(g.followers, t)
-				joined = g
+				joined, joinedSeq = g, g.seq
 			}
 			parkedAt := t.Now()
 			t.ParkOn(sim.ReasonHex("fault follower ", uint64(addr)))
@@ -397,7 +399,12 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 			}
 			continue
 		}
-		g := &faultGroup{}
+		var g *faultGroup
+		if n := len(ns.groups); n > 0 {
+			g, ns.groups = ns.groups[n-1], ns.groups[:n-1]
+		} else {
+			g = &faultGroup{}
+		}
 		ns.faults[key] = g
 		m.inflight++
 		start := t.Now()
@@ -408,6 +415,10 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 		for _, f := range g.followers {
 			f.Unpark()
 		}
+		clear(g.followers)
+		g.followers = g.followers[:0]
+		g.seq++
+		ns.groups = append(ns.groups, g)
 		if protocol {
 			m.recordFault(ctx, addr, write, t.Now()-start, retries)
 		}
@@ -479,7 +490,7 @@ func (m *Manager) ReclaimDeadNode(node int) ([]uint64, error) {
 	})
 	m.repairRoutes(node, rebuilt)
 	m.e.crashed(node)
-	m.nodes[node].pt.ReclaimRange(0, ^uint64(0), func(f []byte) { m.freeFrame(node, f) })
+	m.nodes[node].pt.ReclaimRange(0, ^uint64(0), func(f []byte) { m.freeFrame(f) })
 	return lost, nil
 }
 
@@ -493,6 +504,7 @@ func (m *Manager) ReclaimDeadNode(node int) ([]uint64, error) {
 type Snapshot struct {
 	pages []pageCopy // ascending VPN
 	spare []pageCopy // the buffer the next update fills
+	free  [][]byte   // copies of pages an update dropped, for pages new to s
 }
 
 type pageCopy struct {
@@ -516,7 +528,8 @@ func (s *Snapshot) Page(vpn uint64) ([]byte, bool) {
 
 // SnapshotPages brings s up to date with every page node currently holds
 // mapped and returns how many pages it copied: those new to s or whose
-// generation moved, copied into the frame s already had for them. Afterwards s
+// generation moved, copied into the frame s already had for them (a page new
+// to s takes the frame of one that s dropped, if any). Afterwards s
 // holds exactly what a fresh copy of each present page would. The checkpoint
 // layer calls this at a thread's quiescent points: the snapshot, together with
 // the thread's register blob, is enough to restart the thread's computation at
@@ -527,6 +540,7 @@ func (m *Manager) SnapshotPages(node int, s *Snapshot) (copied int) {
 	old, next := s.pages, s.spare[:0]
 	m.nodes[node].pt.ForEach(func(vpn uint64, pte *mem.PTE) bool {
 		for len(old) > 0 && old[0].vpn < vpn {
+			s.free = append(s.free, old[0].data)
 			old = old[1:]
 		}
 		if !pte.Present {
@@ -539,6 +553,8 @@ func (m *Manager) SnapshotPages(node int, s *Snapshot) (copied int) {
 				next = append(next, c)
 				return true
 			}
+		} else if n := len(s.free); n > 0 {
+			c.data, s.free = s.free[n-1], s.free[:n-1]
 		} else {
 			c.data = mem.NewFrame()
 		}
@@ -548,6 +564,9 @@ func (m *Manager) SnapshotPages(node int, s *Snapshot) (copied int) {
 		copied++
 		return true
 	})
+	for _, c := range old {
+		s.free = append(s.free, c.data)
+	}
 	clear(s.pages) // drop the references of pages no longer present
 	s.pages, s.spare = next, s.pages[:0]
 	return copied

@@ -148,22 +148,22 @@ func TestUpgradePingPongRecyclesHomeFrame(t *testing.T) {
 	round := func(tk *sim.Task, i int) {
 		e.write(tk, 0, testAddr, byte(i))
 		_ = e.read(tk, 1, testAddr)
-		freeBefore := e.m.pool(0).Free()
+		freeBefore := e.m.frames.Free()
 		e.write(tk, 1, testAddr, byte(i+1)) // ownership only: the home's frame is dropped
-		if got := e.m.pool(0).Free(); got != freeBefore+1 {
-			t.Errorf("round %d: home pool holds %d frames after the upgrade, want %d", i, got, freeBefore+1)
+		if got := e.m.frames.Free(); got != freeBefore+1 {
+			t.Errorf("round %d: pool holds %d frames after the upgrade, want %d", i, got, freeBefore+1)
 		}
 	}
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		for i := 0; i < 4; i++ {
 			round(tk, i)
 		}
-		home, peer := e.m.pool(0).Allocs(), e.m.pool(1).Allocs()
+		_, allocs := e.m.FrameStats()
 		for i := 4; i < 20; i++ {
 			round(tk, i)
 		}
-		if h, p := e.m.pool(0).Allocs(), e.m.pool(1).Allocs(); h != home || p != peer {
-			t.Errorf("16 more rounds allocated %d frames at the home and %d at its peer, want none", h-home, p-peer)
+		if _, a := e.m.FrameStats(); a != allocs {
+			t.Errorf("16 more rounds allocated %d frames, want none", a-allocs)
 		}
 	})
 	e.run(t)
@@ -282,6 +282,46 @@ func TestFollowerJoinCountedOncePerGroup(t *testing.T) {
 	}
 	if st.FollowerJoins != 1 {
 		t.Fatalf("FollowerJoins = %d, want exactly 1 for one follower", st.FollowerJoins)
+	}
+}
+
+// A node reuses its fault groups, so a follower that wakes to find its page
+// gone again can find the very group it joined, taken by a new leader for the
+// same page. That is a new fault: the follower must join it, or nobody wakes
+// it (the run ends in a deadlock report).
+func TestFollowerRejoinsRecycledGroup(t *testing.T) {
+	p := DefaultParams()
+	p.FollowerWake = 300 * time.Microsecond // the window the page is lost in
+	e := newEnv(t, 2, p, nil)
+	e.eng.SetEventLimit(1 << 20)
+	var followerSaw byte
+	e.eng.Spawn("main", func(tk *sim.Task) {
+		e.write(tk, 0, testAddr, 1)
+		e.eng.Spawn("follower", func(tk *sim.Task) {
+			tk.Sleep(2 * time.Microsecond) // join the leader's fault in flight
+			followerSaw = e.read(tk, 1, testAddr)
+		})
+		e.read(tk, 1, testAddr) // lead; the follower wakes 300 µs from now
+		wakes := tk.Now() + p.FollowerWake
+		e.write(tk, 0, testAddr, 2) // invalidates node 1's copy
+		tk.Sleep(wakes - 5*time.Microsecond - tk.Now())
+		if got := e.read(tk, 1, testAddr); got != 2 { // leads across the wake
+			t.Errorf("second leader read %d, want 2", got)
+		}
+	})
+	e.run(t)
+	if followerSaw != 2 {
+		t.Fatalf("follower read %d, want the fresh 2", followerSaw)
+	}
+	groups := e.m.nodes[1].groups
+	if len(groups) != 1 {
+		t.Fatalf("node 1 has %d spare groups, want the one both leaders used", len(groups))
+	}
+	if uses := groups[0].seq; uses != 2 {
+		t.Fatalf("node 1's group was used %d times, want 2: once per leader", uses)
+	}
+	if got := e.m.Stats().FollowerJoins; got != 2 {
+		t.Fatalf("FollowerJoins = %d, want 2: one per use of the group", got)
 	}
 }
 

@@ -496,7 +496,7 @@ func (e *engine) grant(t *sim.Task, st *serveState, data []byte, epoch uint64) {
 func (e *engine) sendGrant(t *sim.Task, st *serveState, data []byte) {
 	m, req := e.m, st.req
 	if st.reply.outcome == grantData {
-		m.net.SendPageBuf(t, st.home, req.node, req.pr, data, &st.reply, m.pool(st.home).Get())
+		m.net.SendPageBuf(t, st.home, req.node, req.pr, data, &st.reply, m.frames.Get())
 	} else {
 		m.net.Send(t, st.home, req.node, &st.reply)
 	}
@@ -550,7 +550,7 @@ func (e *engine) rollbackGrant(st *serveState, de *dirEntry) {
 	if st.data != nil {
 		home := de.home
 		de.reclaimHome()
-		f := m.pool(home).Get()
+		f := m.frames.Get()
 		copy(f, st.data)
 		m.nodes[home].pt.SetAccess(req.vpn, f, mem.AccessRead)
 		return
@@ -695,7 +695,7 @@ func (e *engine) revokeApplied(ns *nodeState, msg *revokeMsg, frame []byte, drop
 func (m *Manager) sendRevokeAck(t *sim.Task, node int, msg *revokeMsg, data []byte) {
 	ack := &revokeAck{pid: m.pid, seq: msg.seq}
 	if msg.needData {
-		m.net.SendPageBuf(t, node, msg.home, msg.pr, data, ack, m.pool(node).Get())
+		m.net.SendPageBuf(t, node, msg.home, msg.pr, data, ack, m.frames.Get())
 	} else {
 		m.net.Send(t, node, msg.home, ack)
 	}

@@ -1,0 +1,100 @@
+package dsm
+
+import (
+	"testing"
+	"time"
+
+	"dex/internal/mem"
+	"dex/internal/sim"
+)
+
+// A page is read-replicated to every node, restamped by a rotating writer and
+// replicated again, round after round. Frames move between nodes — a replica
+// is taken where the page is sent and freed where it is invalidated — so the
+// process's frame pool allocates only what the run holds: every node's copy of
+// every page, and not one frame more.
+func TestReplicationFramesAllocsPerRun(t *testing.T) {
+	const nodes, pages, rounds = 4, 8, 6
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		e := newEnv(t, nodes, protoParams(proto), nil)
+		addr := func(p int) mem.Addr { return testAddr + mem.Addr(p*mem.PageSize) }
+		e.eng.Spawn("main", func(tk *sim.Task) {
+			for r := 0; r < rounds; r++ {
+				for p := 0; p < pages; p++ {
+					e.write(tk, r%nodes, addr(p), byte(r+1))
+				}
+				for n := 0; n < nodes; n++ {
+					for p := 0; p < pages; p++ {
+						if got := e.read(tk, n, addr(p)); got != byte(r+1) {
+							t.Errorf("round %d: node %d read %d on page %d, want %d", r, n, got, p, r+1)
+						}
+					}
+				}
+			}
+		})
+		e.run(t)
+		resident := 0
+		for n := 0; n < nodes; n++ {
+			resident += e.m.PageTable(n).Present()
+		}
+		recycled, allocs := e.m.FrameStats()
+		if resident != nodes*pages || allocs != uint64(resident) {
+			t.Errorf("%d frames allocated (%d recycled) for a resident set of %d, want %d of each",
+				allocs, recycled, resident, nodes*pages)
+		}
+	})
+}
+
+// coalescedRoundAllocs reports the host allocations of one round in which
+// readers tasks at node 1 fault together on a page node 0 has just written:
+// one leads, the rest follow.
+func coalescedRoundAllocs(t *testing.T, readers int) float64 {
+	t.Helper()
+	e := newEnv(t, 2, DefaultParams(), nil)
+	var stamp byte
+	done := false
+	tasks := make([]*sim.Task, readers)
+	for i := range tasks {
+		tasks[i] = e.eng.Spawn("reader", func(tk *sim.Task) {
+			for {
+				tk.Park("next round")
+				if done {
+					return
+				}
+				if got := e.read(tk, 1, testAddr); got != stamp {
+					t.Errorf("reader saw %d, want %d", got, stamp)
+				}
+			}
+		})
+	}
+	wake := func() {
+		for _, r := range tasks {
+			r.Unpark()
+		}
+	}
+	var got float64
+	e.eng.Spawn("meter", func(tk *sim.Task) {
+		got = testing.AllocsPerRun(50, func() {
+			stamp++
+			e.write(tk, 0, testAddr, stamp) // takes node 1's copy away
+			wake()
+			tk.Sleep(100 * time.Microsecond)
+		})
+		done = true
+		wake()
+	})
+	e.run(t)
+	if joins, want := e.m.Stats().FollowerJoins, uint64(51*(readers-1)); joins != want {
+		t.Fatalf("%d readers: %d follower joins, want %d", readers, joins, want)
+	}
+	return got
+}
+
+// A follower's join allocates nothing once its node is warm: the leader takes
+// a recycled fault group whose followers slice already has the room, so a
+// round costs the same host allocations with seven followers as with none.
+func TestCoalescedJoinAllocsPerRun(t *testing.T) {
+	if many, one := coalescedRoundAllocs(t, 8), coalescedRoundAllocs(t, 1); many != one {
+		t.Errorf("a coalesced read round allocates %v objects with 7 followers and %v without, want the same", many, one)
+	}
+}

@@ -295,7 +295,7 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		// A write grant revoked the home's own copy inside serveWrite, so data
 		// is now an orphan; the send above snapshotted it before yielding.
 		// Recycle it.
-		m.freeFrame(home, data)
+		m.freeFrame(data)
 	}
 	out := m.e.awaitInstall(t, st, de)
 	if out == deadHome {
@@ -404,7 +404,7 @@ func (m *Manager) applyRevokeAdmitted(node int, msg *revokeMsg) {
 		if retained := m.e.revokeApplied(ns, msg, frame, dropped); dropped && !retained {
 			// The invalidation orphaned this node's frame; any outbound copy
 			// was snapshotted by the send above. Recycle it.
-			m.freeFrame(node, frame)
+			m.freeFrame(frame)
 		}
 		if m.rec != nil {
 			mode := "invalidate"

@@ -153,7 +153,7 @@ func (m *Manager) servePrefetch(t *sim.Task, req *prefetchRequest) {
 			panic("dsm: prefetch read grant must carry data")
 		}
 		m.net.SendPageBuf(t, m.origin, req.node, req.prs[i], data,
-			&pageReply{pid: m.pid, token: token, outcome: grantData}, m.pool(m.origin).Get())
+			&pageReply{pid: m.pid, token: token, outcome: grantData}, m.frames.Get())
 	}
 	if len(held) > 0 {
 		// A fully skipped batch is sent no ack.

@@ -418,7 +418,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		// AlwaysSendData ablation's read-to-write upgrade) orphans the old
 		// frame: recycle it.
 		if prev := ns.pt.SetAccess(vpn, frame, mem.GrantAccess(write)); prev != nil && &prev[0] != &frame[0] {
-			m.freeFrame(node, prev)
+			m.freeFrame(prev)
 		}
 		if m.rec != nil {
 			m.rec.Span("dsm", "fault.install", node, ctx.Task, installAt,
@@ -557,7 +557,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 			// caller recycles it once it is sent; an ownership-only grant sends
 			// nothing, so it is recycled here.
 			if prev := m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone); data == nil {
-				m.freeFrame(home, prev)
+				m.freeFrame(prev)
 			}
 			t.Sleep(m.params.InvalidateApply)
 			m.stats.Invalidations++
@@ -623,7 +623,7 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 // frame and the page is counted as lost. The application sees well-defined
 // (if stale) contents rather than a hang.
 func (m *Manager) reclaimLostWriter(de *dirEntry, vpn uint64) {
-	m.nodes[de.home].pt.SetAccess(vpn, m.pool(de.home).GetZeroed(), mem.AccessRead)
+	m.nodes[de.home].pt.SetAccess(vpn, m.frames.GetZeroed(), mem.AccessRead)
 	m.stats.PagesLost++
 	de.reclaimHome()
 }

@@ -125,11 +125,7 @@ func TestTLBShootdownOnReclaimRange(t *testing.T) {
 				t.Errorf("page %d still mapped after reclaim (stale TLB entry)", i)
 			}
 		}
-		free := 0
-		for i := range e.m.pools {
-			free += e.m.pools[i].Free()
-		}
-		if free < pages {
+		if free := e.m.frames.Free(); free < pages {
 			t.Errorf("frame pool holds %d frames after reclaim, want >= %d", free, pages)
 		}
 	})

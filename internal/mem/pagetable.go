@@ -26,7 +26,7 @@ type PTE struct {
 // every mutation of rights below must keep it coherent via tlbShootdown or
 // tlbFill.
 type PageTable struct {
-	tree     radix.Tree[*PTE]
+	tree     radix.Tree[PTE]
 	tlb      []tlbEntry
 	tlbStats TLBStats
 	present  int // count of present entries, maintained incrementally
@@ -34,10 +34,7 @@ type PageTable struct {
 
 // Lookup returns the PTE for vpn, or nil if the page is not tracked here.
 func (pt *PageTable) Lookup(vpn uint64) *PTE {
-	pte, ok := pt.tree.Get(vpn)
-	if !ok {
-		return nil
-	}
+	pte, _ := pt.tree.Get(vpn)
 	return pte
 }
 

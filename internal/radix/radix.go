@@ -18,35 +18,37 @@ const (
 	MaxKey = 1<<(bitsPerLevel*levels) - 1
 )
 
-// Tree maps uint64 keys (virtual page numbers) to values of type V. The
-// zero value is an empty tree ready for use.
-type Tree[V any] struct {
-	root *node[V]
+// Tree maps uint64 keys (virtual page numbers) to pointers to E, which it
+// stores as they are: a Set allocates nothing beyond the nodes of a new path,
+// and a lookup ends at the caller's object. A nil pointer marks an empty slot,
+// so it cannot be stored. The zero value is an empty tree ready for use.
+type Tree[E any] struct {
+	root *node[E]
 	size int
 	// spare holds up to one path of pruned (all-zero) nodes for Set to take
 	// before it allocates, so a key that comes and goes — a directory entry
 	// whose page bounces between two nodes' tables — allocates no node.
-	spare []*node[V]
+	spare []*node[E]
 }
 
-type node[V any] struct {
-	children [fanout]*node[V]
-	values   [fanout]*V
+type node[E any] struct {
+	children [fanout]*node[E]
+	values   [fanout]*E
 	count    int // populated slots (children or values)
 }
 
 // newNode returns an all-zero node: a spare one if there is any.
-func (t *Tree[V]) newNode() *node[V] {
+func (t *Tree[E]) newNode() *node[E] {
 	if n := len(t.spare); n > 0 {
 		nd := t.spare[n-1]
 		t.spare = t.spare[:n-1]
 		return nd
 	}
-	return &node[V]{}
+	return &node[E]{}
 }
 
 // retire keeps an emptied node that Delete has unlinked, if there is room.
-func (t *Tree[V]) retire(nd *node[V]) {
+func (t *Tree[E]) retire(nd *node[E]) {
 	if len(t.spare) < levels {
 		t.spare = append(t.spare, nd)
 	}
@@ -64,32 +66,32 @@ func checkKey(key uint64) {
 }
 
 // Len reports the number of keys present.
-func (t *Tree[V]) Len() int { return t.size }
+func (t *Tree[E]) Len() int { return t.size }
 
 // Get returns the value stored at key.
-func (t *Tree[V]) Get(key uint64) (V, bool) {
-	var zero V
+func (t *Tree[E]) Get(key uint64) (*E, bool) {
 	checkKey(key)
 	n := t.root
 	for level := 0; level < levels-1; level++ {
 		if n == nil {
-			return zero, false
+			return nil, false
 		}
 		n = n.children[index(key, level)]
 	}
 	if n == nil {
-		return zero, false
+		return nil, false
 	}
 	v := n.values[index(key, levels-1)]
-	if v == nil {
-		return zero, false
-	}
-	return *v, true
+	return v, v != nil
 }
 
-// Set stores value at key, replacing any existing value.
-func (t *Tree[V]) Set(key uint64, value V) {
+// Set stores value at key, replacing any existing value. A nil value panics:
+// it would read back as absent. Use Delete.
+func (t *Tree[E]) Set(key uint64, value *E) {
 	checkKey(key)
+	if value == nil {
+		panic(fmt.Sprintf("radix: Set(%#x, nil)", key))
+	}
 	if t.root == nil {
 		t.root = t.newNode()
 	}
@@ -107,13 +109,12 @@ func (t *Tree[V]) Set(key uint64, value V) {
 		n.count++
 		t.size++
 	}
-	v := value
-	n.values[i] = &v
+	n.values[i] = value
 }
 
 // GetOrCreate returns the value at key, calling mk to create and store one
 // if absent. It reports whether the value already existed.
-func (t *Tree[V]) GetOrCreate(key uint64, mk func() V) (V, bool) {
+func (t *Tree[E]) GetOrCreate(key uint64, mk func() *E) (*E, bool) {
 	if v, ok := t.Get(key); ok {
 		return v, true
 	}
@@ -124,12 +125,12 @@ func (t *Tree[V]) GetOrCreate(key uint64, mk func() V) (V, bool) {
 
 // Delete removes key, reporting whether it was present. Interior nodes left
 // empty by the removal are pruned.
-func (t *Tree[V]) Delete(key uint64) bool {
+func (t *Tree[E]) Delete(key uint64) bool {
 	checkKey(key)
 	if t.root == nil {
 		return false
 	}
-	var path [levels]*node[V]
+	var path [levels]*node[E]
 	n := t.root
 	for level := 0; level < levels-1; level++ {
 		path[level] = n
@@ -163,13 +164,13 @@ func (t *Tree[V]) Delete(key uint64) bool {
 }
 
 // ForEach visits all entries in ascending key order until fn returns false.
-func (t *Tree[V]) ForEach(fn func(key uint64, value V) bool) {
+func (t *Tree[E]) ForEach(fn func(key uint64, value *E) bool) {
 	t.ForRange(0, MaxKey, fn)
 }
 
 // ForRange visits entries with lo <= key <= hi in ascending key order until
 // fn returns false.
-func (t *Tree[V]) ForRange(lo, hi uint64, fn func(key uint64, value V) bool) {
+func (t *Tree[E]) ForRange(lo, hi uint64, fn func(key uint64, value *E) bool) {
 	checkKey(lo)
 	if hi > MaxKey {
 		hi = MaxKey
@@ -180,7 +181,7 @@ func (t *Tree[V]) ForRange(lo, hi uint64, fn func(key uint64, value V) bool) {
 	t.walk(t.root, 0, 0, lo, hi, fn)
 }
 
-func (t *Tree[V]) walk(n *node[V], level int, prefix uint64, lo, hi uint64, fn func(uint64, V) bool) bool {
+func (t *Tree[E]) walk(n *node[E], level int, prefix uint64, lo, hi uint64, fn func(uint64, *E) bool) bool {
 	shift := uint(bitsPerLevel * (levels - 1 - level))
 	span := uint64(1)<<shift - 1
 	// The scan ends at the node's last populated slot (left counts those not
@@ -200,7 +201,7 @@ func (t *Tree[V]) walk(n *node[V], level int, prefix uint64, lo, hi uint64, fn f
 			continue
 		}
 		if level == levels-1 {
-			if !fn(base, *v) {
+			if !fn(base, v) {
 				return false
 			}
 		} else if !t.walk(c, level+1, base, lo, hi, fn) {

@@ -19,7 +19,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Delete(7) {
 		t.Fatal("Delete on empty tree returned true")
 	}
-	tr.ForEach(func(uint64, int) bool {
+	tr.ForEach(func(uint64, *int) bool {
 		t.Fatal("ForEach visited an entry in an empty tree")
 		return false
 	})
@@ -28,22 +28,25 @@ func TestEmptyTree(t *testing.T) {
 func TestSetGetDelete(t *testing.T) {
 	var tr Tree[string]
 	keys := []uint64{0, 1, 511, 512, 513, 1 << 18, 1 << 27, MaxKey}
+	vals := make([]string, len(keys))
 	for i, k := range keys {
-		tr.Set(k, string(rune('a'+i)))
+		vals[i] = string(rune('a' + i))
+		tr.Set(k, &vals[i])
 	}
 	if tr.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
 	}
 	for i, k := range keys {
 		v, ok := tr.Get(k)
-		if !ok || v != string(rune('a'+i)) {
-			t.Fatalf("Get(%d) = %q,%v", k, v, ok)
+		if !ok || v != &vals[i] {
+			t.Fatalf("Get(%d) = %v,%v, want the pointer stored", k, v, ok)
 		}
 	}
 	// Overwrite.
-	tr.Set(511, "z")
-	if v, _ := tr.Get(511); v != "z" {
-		t.Fatalf("overwrite failed: %q", v)
+	z := "z"
+	tr.Set(511, &z)
+	if v, _ := tr.Get(511); v != &z {
+		t.Fatalf("overwrite failed: %v", v)
 	}
 	if tr.Len() != len(keys) {
 		t.Fatalf("Len changed on overwrite: %d", tr.Len())
@@ -65,13 +68,13 @@ func TestSetGetDelete(t *testing.T) {
 func TestGetOrCreate(t *testing.T) {
 	var tr Tree[int]
 	calls := 0
-	v, existed := tr.GetOrCreate(42, func() int { calls++; return 7 })
-	if existed || v != 7 || calls != 1 {
-		t.Fatalf("first GetOrCreate: v=%d existed=%v calls=%d", v, existed, calls)
+	v, existed := tr.GetOrCreate(42, func() *int { calls++; return ptr(7) })
+	if existed || *v != 7 || calls != 1 {
+		t.Fatalf("first GetOrCreate: v=%d existed=%v calls=%d", *v, existed, calls)
 	}
-	v, existed = tr.GetOrCreate(42, func() int { calls++; return 9 })
-	if !existed || v != 7 || calls != 1 {
-		t.Fatalf("second GetOrCreate: v=%d existed=%v calls=%d", v, existed, calls)
+	w, existed := tr.GetOrCreate(42, func() *int { calls++; return ptr(9) })
+	if !existed || w != v || calls != 1 {
+		t.Fatalf("second GetOrCreate: v=%d existed=%v calls=%d", *w, existed, calls)
 	}
 }
 
@@ -81,13 +84,13 @@ func TestForEachOrdered(t *testing.T) {
 	want := make(map[uint64]int)
 	for i := 0; i < 2000; i++ {
 		k := uint64(rng.Int63n(MaxKey + 1))
-		tr.Set(k, i)
+		tr.Set(k, ptr(i))
 		want[k] = i
 	}
 	var keys []uint64
-	tr.ForEach(func(k uint64, v int) bool {
-		if want[k] != v {
-			t.Fatalf("value mismatch at %d: %d vs %d", k, v, want[k])
+	tr.ForEach(func(k uint64, v *int) bool {
+		if want[k] != *v {
+			t.Fatalf("value mismatch at %d: %d vs %d", k, *v, want[k])
 		}
 		keys = append(keys, k)
 		return true
@@ -103,10 +106,10 @@ func TestForEachOrdered(t *testing.T) {
 func TestForEachEarlyStop(t *testing.T) {
 	var tr Tree[int]
 	for i := uint64(0); i < 100; i++ {
-		tr.Set(i, int(i))
+		tr.Set(i, ptr(int(i)))
 	}
 	n := 0
-	tr.ForEach(func(k uint64, v int) bool {
+	tr.ForEach(func(uint64, *int) bool {
 		n++
 		return n < 10
 	})
@@ -118,10 +121,10 @@ func TestForEachEarlyStop(t *testing.T) {
 func TestForRange(t *testing.T) {
 	var tr Tree[int]
 	for i := uint64(0); i < 4096; i += 3 {
-		tr.Set(i, int(i))
+		tr.Set(i, ptr(int(i)))
 	}
 	var got []uint64
-	tr.ForRange(510, 1030, func(k uint64, v int) bool {
+	tr.ForRange(510, 1030, func(k uint64, _ *int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -143,8 +146,8 @@ func TestForRange(t *testing.T) {
 
 func TestForRangeEmptyInterval(t *testing.T) {
 	var tr Tree[int]
-	tr.Set(5, 5)
-	tr.ForRange(10, 4, func(uint64, int) bool {
+	tr.Set(5, ptr(5))
+	tr.ForRange(10, 4, func(uint64, *int) bool {
 		t.Fatal("visited entry in inverted range")
 		return false
 	})
@@ -157,7 +160,21 @@ func TestKeyTooLargePanics(t *testing.T) {
 			t.Fatal("expected panic for oversized key")
 		}
 	}()
-	tr.Set(MaxKey+1, 0)
+	tr.Set(MaxKey+1, ptr(0))
+}
+
+// A nil value would read back as absent, so Set refuses it.
+func TestSetNilPanics(t *testing.T) {
+	var tr Tree[int]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a nil value")
+		}
+		if tr.Len() != 0 || tr.root != nil {
+			t.Fatalf("a refused Set changed the tree: len=%d root=%v", tr.Len(), tr.root)
+		}
+	}()
+	tr.Set(7, nil)
 }
 
 // TestQuickAgainstMap property-tests the tree against a reference map under
@@ -180,7 +197,7 @@ func TestQuickAgainstMap(t *testing.T) {
 				}
 				delete(ref, k)
 			} else {
-				tr.Set(k, op.Val)
+				tr.Set(k, ptr(op.Val))
 				ref[k] = op.Val
 			}
 		}
@@ -189,14 +206,14 @@ func TestQuickAgainstMap(t *testing.T) {
 		}
 		for k, v := range ref {
 			got, ok := tr.Get(k)
-			if !ok || got != v {
+			if !ok || *got != v {
 				return false
 			}
 		}
 		seen := 0
-		tr.ForEach(func(k uint64, v int) bool {
-			if rv, ok := ref[k]; !ok || rv != v {
-				t.Errorf("ForEach produced stale entry %d=%d", k, v)
+		tr.ForEach(func(k uint64, v *int) bool {
+			if rv, ok := ref[k]; !ok || rv != *v {
+				t.Errorf("ForEach produced stale entry %d=%d", k, *v)
 			}
 			seen++
 			return true
@@ -211,7 +228,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		}
 		slices.Sort(inRange)
 		var walked []uint64
-		tr.ForRange(lo, hi, func(k uint64, _ int) bool {
+		tr.ForRange(lo, hi, func(k uint64, _ *int) bool {
 			walked = append(walked, k)
 			return true
 		})
@@ -225,15 +242,17 @@ func TestQuickAgainstMap(t *testing.T) {
 func TestDensePopulationAndPruning(t *testing.T) {
 	var tr Tree[int]
 	const n = 10000
+	vals := make([]int, n)
 	for i := uint64(0); i < n; i++ {
-		tr.Set(i, int(i))
+		vals[i] = int(i)
+		tr.Set(i, &vals[i])
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	for i := uint64(0); i < n; i++ {
-		if v, ok := tr.Get(i); !ok || v != int(i) {
-			t.Fatalf("Get(%d) = %d,%v", i, v, ok)
+		if v, ok := tr.Get(i); !ok || v != &vals[i] {
+			t.Fatalf("Get(%d) = %v,%v", i, v, ok)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
@@ -245,33 +264,53 @@ func TestDensePopulationAndPruning(t *testing.T) {
 }
 
 // TestSetDeleteCycleReusesNodes: a key that comes and goes in an otherwise
-// empty tree costs the value's box and no node.
+// empty tree costs no node.
 func TestSetDeleteCycleReusesNodes(t *testing.T) {
 	var tr Tree[int]
-	tr.Set(12345, 1)
+	v := ptr(1)
+	tr.Set(12345, v)
 	tr.Delete(12345)
 	if tr.root != nil || len(tr.spare) != levels {
 		t.Fatalf("after one cycle: root=%v, %d spare nodes", tr.root, len(tr.spare))
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		tr.Set(1<<30, 1)
+		tr.Set(1<<30, v)
 		tr.Delete(1 << 30)
-	}); got != 1 {
-		t.Fatalf("Set+Delete allocates %v objects, want 1", got)
+	}); got != 0 {
+		t.Fatalf("Set+Delete allocates %v objects, want 0", got)
 	}
 }
 
+// TestSetExistingPathAllocsPerRun: a Set whose path exists — an overwrite, or
+// a new key beside others in its leaf — stores the caller's pointer and
+// allocates nothing.
+func TestSetExistingPathAllocsPerRun(t *testing.T) {
+	var tr Tree[int]
+	v, w := ptr(1), ptr(2)
+	tr.Set(1<<20, v)
+	if got := testing.AllocsPerRun(100, func() {
+		tr.Set(1<<20, w)
+		tr.Set(1<<20+1, v)
+	}); got != 0 {
+		t.Fatalf("Set on an existing path allocates %v objects, want 0", got)
+	}
+}
+
+func ptr(v int) *int { return &v }
+
 func BenchmarkRadixSet(b *testing.B) {
 	var tr Tree[int]
+	v := ptr(1)
 	for i := 0; i < b.N; i++ {
-		tr.Set(uint64(i)&MaxKey, i)
+		tr.Set(uint64(i)&MaxKey, v)
 	}
 }
 
 func BenchmarkRadixGet(b *testing.B) {
 	var tr Tree[int]
+	v := ptr(1)
 	for i := uint64(0); i < 1<<16; i++ {
-		tr.Set(i, int(i))
+		tr.Set(i, v)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
