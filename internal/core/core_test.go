@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dex/internal/dsm"
 	"dex/internal/mem"
 )
 
@@ -715,11 +716,16 @@ func TestPrefetchHint(t *testing.T) {
 	}
 }
 
+// TestPrefetchFasterThanDemandFaults streams 32 pages to node 1 under every
+// protocol: with the hint the homes serve the requests concurrently, so the
+// stream takes at most half the time of demand faulting them one by one.
 func TestPrefetchFasterThanDemandFaults(t *testing.T) {
 	const pages = 32
-	measure := func(prefetch bool) time.Duration {
+	measure := func(proto dsm.Protocol, prefetch bool) time.Duration {
 		var span time.Duration
-		_, _ = run1(t, 2, func(th *Thread) error {
+		params := DefaultParams(2)
+		params.DSM.Protocol = proto
+		_, _ = runParams(t, params, func(th *Thread) error {
 			addr, err := th.Mmap(pages*mem.PageSize, mem.ProtRead|mem.ProtWrite, "stream")
 			if err != nil {
 				return err
@@ -746,10 +752,14 @@ func TestPrefetchFasterThanDemandFaults(t *testing.T) {
 		})
 		return span
 	}
-	demand := measure(false)
-	hinted := measure(true)
-	if hinted*2 > demand {
-		t.Fatalf("prefetch (%v) not at least 2x faster than demand faulting (%v)", hinted, demand)
+	for _, proto := range []dsm.Protocol{dsm.WriteInvalidate, dsm.HomeMigrate, dsm.DistributedManager} {
+		t.Run(proto.String(), func(t *testing.T) {
+			demand, hinted := measure(proto, false), measure(proto, true)
+			t.Logf("%d pages: demand %v, prefetch %v", pages, demand, hinted)
+			if hinted*2 > demand {
+				t.Fatalf("prefetch (%v) not at least 2x faster than demand faulting (%v)", hinted, demand)
+			}
+		})
 	}
 }
 

@@ -223,24 +223,3 @@ func TestDistSpreadsDirectoryLoad(t *testing.T) {
 			share*100, d.OriginServes, d.DirServes, nodes)
 	}
 }
-
-// TestDistPrefetchDisabled: the batched prefetch hint targets a single origin
-// directory; with the directory sharded it must degrade to a no-op, and
-// demand faulting must still produce the bytes.
-func TestDistPrefetchDisabled(t *testing.T) {
-	e := newEnv(t, 3, distParams(), nil)
-	e.eng.Spawn("main", func(tk *sim.Task) {
-		e.write(tk, 0, testAddr, 7)
-		n, err := e.m.Prefetch(tk, Ctx{Node: 2}, prefetchVPNs(testAddr, 2))
-		if err != nil {
-			t.Errorf("Prefetch: %v", err)
-		}
-		if n != 0 {
-			t.Errorf("Prefetch granted %d pages under dist, want 0", n)
-		}
-		if got := e.read(tk, 2, testAddr); got != 7 {
-			t.Errorf("demand read = %d, want 7", got)
-		}
-	})
-	e.run(t)
-}

@@ -67,6 +67,7 @@ type outstanding struct {
 	vpn       uint64
 	token     uint64
 	home      int          // the node the request went to (the re-ack target)
+	msg       *pageRequest // the request, re-sent until it is answered
 	reply     pageReply    // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
 	installed bool         // the granted PTE is in place
 	deferred  []*revokeMsg // revocations to apply once it is
@@ -76,21 +77,21 @@ type outstanding struct {
 // further protocol traffic. A bounce in any spelling is none.
 func (o *outstanding) granted() bool { return o.reply.outcome.granted() }
 
-// serveState is the home-side record of one page request (or one prefetch
-// batch, keyed by its first token): the reply that was sent and, embedded, the
-// grant window's wait for the install ack. Without an injector it is dropped
-// when the serve closes. With one it stays until the requester's floor passes
-// it and resolves duplicated requests: a bounced request gets the same reply
-// again — never a fresh serve, which could land data in a landing zone the
-// requester has already released — and one in flight or granted is ignored,
-// because the grant window owns grant retransmission.
+// serveState is the home-side record of one page request: the reply that was
+// sent and, embedded, the grant window's wait for the install ack. Without an
+// injector it is dropped when the serve closes. With one it stays until the
+// requester's floor passes it and resolves duplicated requests: a bounced
+// request gets the same reply again — never a fresh serve, which could land
+// data in a landing zone the requester has already released — and one in
+// flight or granted is ignored, because the grant window owns grant
+// retransmission.
 type serveState struct {
 	waiter
-	req    *pageRequest // nil for a prefetch batch
-	home   int          // the node that served (or bounced) this token
-	reply  pageReply    // the reply sent; outcome inFlight until there is one
-	closed bool         // the serving task has finished with this token
-	data   []byte       // page snapshot retained for grant re-sends (injector only)
+	req    *pageRequest
+	home   int       // the node that served (or bounced) this token
+	reply  pageReply // the reply sent; outcome inFlight until there is one
+	closed bool      // the serving task has finished with this token
+	data   []byte    // page snapshot retained for grant re-sends (injector only)
 }
 
 // revokeWaiter is the issuing home's record of one revocation in flight. lost
@@ -292,34 +293,33 @@ func (e *engine) stray(what string, key uint64) {
 // ---------------------------------------------------------------------------
 // The requester side.
 
-// open allocates a token and the record of a request from node to home, with
-// t the task that will wait for the reply.
-func (e *engine) open(t *sim.Task, node, home int, vpn uint64) *outstanding {
-	ns := e.m.nodes[node]
+// post opens the record of a page request from node to home, with t the task
+// that will wait for the reply, and sends the request. One task may have
+// several requests posted before it waits on any.
+func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool, pr *fabric.PageRecv) *outstanding {
+	m, ns := e.m, e.m.nodes[node]
 	o := &outstanding{waiter: waiter{task: t}, vpn: vpn, token: nextSeq(node, &ns.reqCtr), home: home}
 	ns.reqs.put(o.token, o)
+	o.msg = &pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: o.token, pr: pr,
+		floor: e.floor(ns.reqs.base)}
+	m.net.Send(t, node, home, o.msg)
 	return o
 }
 
-// request sends a page request from node to home and parks t until it is
-// answered; the returned record holds the reply — a dead-home if home died
-// with the exchange in flight (the caller re-routes via the live anchor).
-func (e *engine) request(t *sim.Task, node, home int, vpn uint64, write bool, pr *fabric.PageRecv) *outstanding {
+// wait parks t until o's request is answered; o then holds the reply — a
+// dead-home if its home died with the exchange in flight (the caller re-routes
+// via the live anchor).
+func (e *engine) wait(t *sim.Task, node int, o *outstanding) {
 	m := e.m
-	o := e.open(t, node, home, vpn)
-	msg := &pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: o.token, pr: pr,
-		floor: e.floor(m.nodes[node].reqs.base)}
-	m.net.Send(t, node, home, msg)
-	e.await(t, &o.waiter, sim.ReasonHex("page reply ", vpn<<mem.PageShift), node, "request",
+	e.await(t, &o.waiter, sim.ReasonHex("page reply ", o.vpn<<mem.PageShift), node, "request",
 		func() bool {
-			if home == m.origin || !m.dead(home) {
+			if o.home == m.origin || !m.dead(o.home) {
 				return false
 			}
 			o.reply.outcome = deadHome
 			return true
 		},
-		func() { m.net.Send(t, node, home, msg) })
-	return o
+		func() { m.net.Send(t, node, o.home, o.msg) })
 }
 
 // deliverReply hands a page reply from src to the request it answers and
@@ -400,14 +400,6 @@ func (e *engine) granteeDelivered(st *serveState) bool {
 // ---------------------------------------------------------------------------
 // The home side.
 
-// openServe creates node's record for token. t, if the grant window is to be
-// open from the start (a prefetch batch), is the task that will wait in it.
-func (e *engine) openServe(t *sim.Task, node int, token uint64, req *pageRequest) *serveState {
-	st := &serveState{waiter: waiter{task: t}, req: req, home: node, reply: pageReply{pid: e.m.pid, token: token}}
-	e.m.nodes[node].peers[tokenNode(token)].served.put(token, st)
-	return st
-}
-
 // admitServe is the home-side dedup gate for a page request delivered at
 // node. It returns the fresh serve record to thread through the transaction,
 // or nil if the request was a duplicate and has been dealt with here.
@@ -425,7 +417,9 @@ func (e *engine) admitServe(node int, req *pageRequest) *serveState {
 		m.stats.DupsIgnored++
 		return nil
 	}
-	return e.openServe(nil, node, req.token, req)
+	st := &serveState{req: req, home: node, reply: pageReply{pid: m.pid, token: req.token}}
+	p.served.put(req.token, st)
+	return st
 }
 
 // serveFloor is the floor st's reply carries: no serve of the requester's

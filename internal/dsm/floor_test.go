@@ -220,8 +220,10 @@ func FuzzDedupState(f *testing.F) {
 			}
 			switch {
 			case op == 0: // a new request reaches the home
-				o := m.e.open(nil, requester, home, uint64(i))
-				msg := &pageRequest{pid: m.pid, vpn: o.vpn, node: requester, token: o.token, floor: m.e.floor(m.nodes[requester].reqs.base)}
+				ns := m.nodes[requester]
+				o := &outstanding{vpn: uint64(i), token: nextSeq(requester, &ns.reqCtr), home: home}
+				ns.reqs.put(o.token, o)
+				msg := &pageRequest{pid: m.pid, vpn: o.vpn, node: requester, token: o.token, floor: m.e.floor(ns.reqs.base)}
 				st := m.e.admitServe(home, msg)
 				if st == nil {
 					t.Fatalf("fresh request %#x turned away", o.token)

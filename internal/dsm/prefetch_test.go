@@ -1,9 +1,11 @@
 package dsm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"dex/internal/chaos"
 	"dex/internal/mem"
 	"dex/internal/sim"
 )
@@ -141,6 +143,67 @@ func TestPrefetchedPageStillRevocable(t *testing.T) {
 		}
 	})
 	e.run(t)
+}
+
+// TestPrefetchUnderEveryProtocol: the hint rides the ordinary request path, so
+// it works under every policy, with and without an injector that drops,
+// duplicates and delays messages. Node 2 prefetches 40 pages after node 1
+// rewrote every 7th one; whatever was granted, every page then reads back
+// right and the invariants hold.
+func TestPrefetchUnderEveryProtocol(t *testing.T) {
+	const pages = 40
+	faulty := func(seed int64) *chaos.Plan {
+		return &chaos.Plan{
+			Seed:  seed,
+			Drop:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.1}},
+			Dup:   []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.2}},
+			Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 1, Jitter: chaos.Duration(20 * time.Microsecond)}},
+		}
+	}
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		for _, injector := range []bool{false, true} {
+			for seed := int64(1); seed <= 6; seed++ {
+				t.Run(fmt.Sprintf("injector=%v/seed%d", injector, seed), func(t *testing.T) {
+					e := newEnvSeed(t, 3, protoParams(proto), nil, seed)
+					if injector {
+						e = newChaosEnvParams(t, 3, faulty(seed), protoParams(proto))
+					}
+					want := func(i int) byte {
+						if i%7 == 0 {
+							return byte(100 + i)
+						}
+						return byte(i + 1)
+					}
+					granted := -1
+					e.eng.Spawn("main", func(tk *sim.Task) {
+						for i := 0; i < pages; i++ {
+							e.write(tk, 0, testAddr+mem.Addr(i*mem.PageSize), byte(i+1))
+						}
+						for i := 0; i < pages; i += 7 {
+							e.write(tk, 1, testAddr+mem.Addr(i*mem.PageSize), want(i))
+						}
+						n, err := e.m.Prefetch(tk, Ctx{Node: 2}, prefetchVPNs(testAddr, pages))
+						if err != nil {
+							t.Errorf("Prefetch: %v", err)
+						}
+						granted = n
+						for i := 0; i < pages; i++ {
+							if got := e.read(tk, 2, testAddr+mem.Addr(i*mem.PageSize)); got != want(i) {
+								t.Errorf("page %d = %d, want %d", i, got, want(i))
+							}
+						}
+					})
+					e.run(t)
+					if got := e.m.Stats().PrefetchedPages; granted <= 0 || got != uint64(granted) {
+						t.Fatalf("Prefetch granted %d pages, PrefetchedPages = %d", granted, got)
+					}
+					if proto == WriteInvalidate && !injector && granted != pages {
+						t.Fatalf("Prefetch granted %d of %d pages under write-invalidate", granted, pages)
+					}
+				})
+			}
+		}
+	})
 }
 
 // TestDropDirectoryRange is the munmap flow under every policy: with the

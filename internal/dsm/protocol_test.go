@@ -156,10 +156,10 @@ func TestHomeMigrateCutsOriginTraffic(t *testing.T) {
 	}
 }
 
-// TestHomeMigratePrefetchBouncesMigratedPages: the batched prefetch hint is
-// served by the origin, which cannot speak for pages whose home moved away;
-// those must bounce (best effort) and demand faulting must still work.
-func TestHomeMigratePrefetchBounce(t *testing.T) {
+// TestHomeMigratePrefetchDropsRedirected: a prefetch request for a page whose
+// home moved away is redirected, and the hint drops it (best effort) instead
+// of following the redirect; demand faulting still reaches the real home.
+func TestHomeMigratePrefetchDropsRedirected(t *testing.T) {
 	e := newEnv(t, 3, homeParams(), nil)
 	addrB := testAddr + mem.Addr(mem.PageSize)
 	e.eng.Spawn("main", func(tk *sim.Task) {
@@ -170,7 +170,7 @@ func TestHomeMigratePrefetchBounce(t *testing.T) {
 			t.Errorf("Prefetch: %v", err)
 		}
 		if n != 1 {
-			t.Errorf("Prefetch granted %d pages, want 1 (migrated page must bounce)", n)
+			t.Errorf("Prefetch granted %d pages, want 1 (the migrated page's request is redirected)", n)
 		}
 		if got := e.read(tk, 2, addrB); got != 8 {
 			t.Errorf("demand read of bounced page = %d, want 8", got)
