@@ -398,8 +398,9 @@ func (d *dirEntry) check() {
 type directory struct {
 	tables []*radix.Tree[dirEntry]
 	hosts  []int
-	// laneOwned: a table is touched only on its host's lane (sharded), so
-	// work that spans tables has to wait for the quiescent global lane.
+	// laneOwned: a table is touched only on its host's lane (the sharded
+	// placement), so work that spans tables has to wait for the quiescent
+	// global lane.
 	laneOwned bool
 }
 
@@ -417,8 +418,8 @@ func (d *directory) init(nodes int, hosts []int, laneOwned bool) {
 	}
 }
 
-// get returns vpn's entry as node sees it: under sharded that is the one in
-// node's own table, present only while node is the page's home.
+// get returns vpn's entry as node sees it: under the sharded placement that
+// is the one in node's own table, present only while node is the page's home.
 func (d *directory) get(node int, vpn uint64) (*dirEntry, bool) { return d.tables[node].Get(vpn) }
 
 // put places de in the table node reads; remove takes vpn's entry out of it.
@@ -467,11 +468,11 @@ type route struct {
 
 // routes is one node's route table, keyed by VPN; a page without a record is
 // asked for at its anchor. Routes are repaired through redirect replies,
-// never trusted for correctness. Where a policy gates updates by epoch
-// (sharded), an update older than the stored one is rejected unless the
-// stored target is confirmed dead, which keeps the forwarding graph acyclic,
-// and a node that hands authority off leaves its route behind as a
-// forwarding pointer; chains are collapsed to a single hop by
+// never trusted for correctness. Where updates are gated by epoch
+// (DistributedManager), an update older than the stored one is rejected
+// unless the stored target is confirmed dead, which keeps the forwarding
+// graph acyclic, and a node that hands authority off leaves its route behind
+// as a forwarding pointer; chains are collapsed to a single hop by
 // path-compression hints after each chained grant.
 type routes map[uint64]route
 
