@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDedupState -fuzztime=10s ./internal/dsm
 	$(GO) test -fuzz=FuzzKMNNearest -fuzztime=10s ./internal/apps
 	$(GO) test -fuzz=FuzzResolve -fuzztime=10s ./internal/cli
+	$(GO) test -fuzz=FuzzSchedule -fuzztime=10s ./internal/load
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:

@@ -3,9 +3,11 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,6 +107,10 @@ func (c *Cluster) Resolve(app *apps.App) (Run, error) {
 	}
 	if c.Chaos != "" {
 		plan, err := dex.LoadChaosPlan(c.Chaos, c.Nodes)
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			err = pe.Err // the path is shown already, and raw it may break the line
+		}
 		if err != nil {
 			return run, fmt.Errorf("-chaos %s: %w", shown(c.Chaos), err)
 		}

@@ -50,7 +50,8 @@ func TestResolveRejectsBadValues(t *testing.T) {
 		{[]string{"-variant", "fast"}, "-variant fast: "},
 		{[]string{"-protocol", "mesi"}, "-protocol mesi: "},
 		{[]string{"-restart"}, "-restart: ep does not support checkpoint/restart (supported: kmn, srv)"},
-		{[]string{"-chaos", filepath.Join(dir, "missing.json")}, "missing.json: "},
+		{[]string{"-chaos", filepath.Join(dir, "missing.json")}, "missing.json: no such file or directory"},
+		{[]string{"-chaos", filepath.Join(dir, "no\nsuch.json")}, `no\nsuch.json": no such file or directory`},
 		{[]string{"-chaos", write("range.json", `{"crashes":[{"node":9,"at":"1ms"}]}`)}, "out of range"},
 		{[]string{"-nodes", "3", "-chaos", originCrash}, "origin crashes are not survivable"},
 	} {
@@ -114,7 +115,9 @@ func TestRegisterRejectsUnknownFlag(t *testing.T) {
 // tool that takes every cluster flag. Whatever parses, Resolve answers with a
 // run or with one line that starts "-flag value: " — never a panic, never a
 // second line. -chaos names a file; here its value is what the file holds, so
-// the fuzzer reaches the plan parser without reading paths it made up. The
+// the fuzzer reaches the plan parser without reading paths it made up, unless
+// it starts with @: then the rest names a file, with any slash replaced, in a
+// directory that does not exist, so the path is raw and reading it fails. The
 // checked-in corpus holds the tools' own command lines and one of each error.
 func FuzzResolve(f *testing.F) {
 	oneLine := regexp.MustCompile(`^(-(nodes|threads) -?\d+|-(size|variant|protocol|chaos) \S.*|-restart): [^\n]*$`)
@@ -126,7 +129,9 @@ func FuzzResolve(f *testing.F) {
 		if fs.Parse(strings.Split(line, "\x00")) != nil {
 			return // the flag package's own error
 		}
-		if c.Chaos != "" {
+		if raw, ok := strings.CutPrefix(c.Chaos, "@"); ok {
+			c.Chaos = dir + "/missing/" + strings.ReplaceAll(raw, "/", "_")
+		} else if c.Chaos != "" {
 			path := filepath.Join(dir, "plan.json")
 			if err := os.WriteFile(path, []byte(c.Chaos), 0o644); err != nil {
 				t.Fatal(err)

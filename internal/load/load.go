@@ -120,14 +120,15 @@ func (s Spec) Validate() error {
 		if t.RPS <= 0 || math.IsInf(t.RPS, 0) || math.IsNaN(t.RPS) {
 			return fmt.Errorf("load: tenant %d (%s): rps %g must be positive and finite", i, t.Name, t.RPS)
 		}
-		if t.ReadFrac < 0 || t.ReadFrac > 1 {
+		// Each check is written so that NaN fails it.
+		if !(t.ReadFrac >= 0 && t.ReadFrac <= 1) {
 			return fmt.Errorf("load: tenant %d (%s): read fraction %g out of [0,1]", i, t.Name, t.ReadFrac)
 		}
-		if t.Zipf < 0 {
-			return fmt.Errorf("load: tenant %d (%s): zipf exponent %g negative", i, t.Name, t.Zipf)
+		if !(t.Zipf >= 0) || math.IsInf(t.Zipf, 1) {
+			return fmt.Errorf("load: tenant %d (%s): zipf exponent %g must be non-negative and finite", i, t.Name, t.Zipf)
 		}
-		if t.LimitRPS < 0 {
-			return fmt.Errorf("load: tenant %d (%s): limit rps %g negative", i, t.Name, t.LimitRPS)
+		if !(t.LimitRPS >= 0) || math.IsInf(t.LimitRPS, 1) {
+			return fmt.Errorf("load: tenant %d (%s): limit rps %g must be non-negative and finite", i, t.Name, t.LimitRPS)
 		}
 		for j, p := range t.Phases {
 			if p.Factor < 0 || math.IsInf(p.Factor, 0) || math.IsNaN(p.Factor) {
@@ -256,10 +257,12 @@ func Schedule(spec Spec) ([][]Request, error) {
 			// Next candidate arrival of the envelope process.
 			u := r.float64()
 			step := -math.Log(1-u) / peak * float64(time.Second)
-			at += time.Duration(step)
-			if at >= spec.Duration {
+			if step >= float64(spec.Duration-at) {
+				// Compared before the conversion, which a step past the
+				// largest Duration would overflow.
 				break
 			}
+			at += time.Duration(step)
 			accept := r.float64()*maxFactor(t.Phases) < factorAt(t.Phases, at)
 			// Draw the request body even for thinned candidates so the key
 			// stream is a fixed function of the candidate index, not of
