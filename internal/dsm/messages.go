@@ -291,12 +291,23 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		// Recycle it.
 		m.freeFrame(data)
 	}
-	out := m.e.awaitInstall(t, st, de)
-	if out == deadHome {
-		return m.settleDeadHome(t, de, st)
+	out := m.e.awaitInstall(t, st)
+	if out != deadHome {
+		m.settle(home, de, req, st.data, out.granted(), false)
+		return out
 	}
-	// Installed, unless the grant was rolled back.
-	m.settle(home, de, req, st.data, out.granted(), false)
+	// The serving home died before the install ack could arrive: the serve
+	// task survives the crash, but every message to or from the node is
+	// dropped, so the ack never will. A grant that reached the requester is
+	// finalized as its ack would have been; an undelivered one is not, and
+	// the entry is rebuilt. Deciding which reads the requester's tables, so
+	// it runs with the settlement at quiescence.
+	m.quiesce(t, home, "dist dead-home settle", func() {
+		if m.e.granteeDelivered(st) {
+			out = deadHomeFinalized
+		}
+		m.settle(home, de, req, st.data, out == deadHomeFinalized, true)
+	})
 	return out
 }
 
@@ -311,15 +322,18 @@ func (m *Manager) redirect(st *serveState, target int, epoch uint64) *pageReply 
 }
 
 // settle closes a serve's grant window: grantCompleted finalizes an installed
-// grant (authority moves to a new writer), the entry goes idle, and — under
-// fault injection — an entry left idle at a home that died during the serve
-// is rebuilt at the page's live anchor (from data, the serve's retained
-// snapshot, if no replica survives) rather than waiting for a later request
-// to stumble into the failover path. quiescent says the caller already runs
-// where every table may be touched.
+// grant (authority moves to a new writer), a requester that died without
+// installing is buried with data, the serve's retained snapshot, and the
+// entry goes idle. Under fault injection an entry left idle at a home that
+// died during the serve is then buried too, rather than waiting for a later
+// request to stumble into the failover path. quiescent says the caller
+// already runs where every table may be touched.
 func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, installed, quiescent bool) {
-	if installed {
+	switch {
+	case installed:
 		m.grantCompleted(de, req)
+	case m.dead(req.node):
+		m.bury(req.vpn, de, req.node, data)
 	}
 	de.end()
 	if m.chaos == nil || m.stranded(home, req.vpn) == nil {
@@ -327,7 +341,7 @@ func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, 
 	}
 	rebuild := func() {
 		if cur := m.stranded(home, req.vpn); cur != nil {
-			m.rehome(req.vpn, cur, cur.home, data)
+			m.bury(req.vpn, cur, cur.home, data)
 		}
 	}
 	if quiescent {
@@ -335,29 +349,6 @@ func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, 
 	} else {
 		m.atQuiescence(home, rebuild)
 	}
-}
-
-// settleDeadHome settles a grant window whose serving home died before the
-// install ack could arrive: the serve task itself survives the crash, but
-// every message to or from the node is dropped, so the ack never will. A
-// grant that reached the requester is finalized exactly as its install ack
-// would have been; an undelivered one is undone and the page rebuilt at its
-// live anchor. Deciding which reads the requester's tables, and the rebuild
-// may move the entry into another node's — after which only that node's lane
-// may touch it — so decision and settlement run together at quiescence. It
-// returns the serve's outcome.
-func (m *Manager) settleDeadHome(t *sim.Task, de *dirEntry, st *serveState) (out outcome) {
-	home, req := st.home, st.req
-	m.quiesce(t, home, "dist dead-home settle", func() {
-		delivered := m.e.granteeDelivered(st)
-		out = deadHomeFinalized
-		if !delivered {
-			m.rehome(req.vpn, de, home, st.data)
-			out = deadHome
-		}
-		m.settle(home, de, req, st.data, delivered, true)
-	})
-	return out
 }
 
 // applyRevokeAdmitted runs a revocation that has passed the engine's
