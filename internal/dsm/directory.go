@@ -517,18 +517,23 @@ func (m *Manager) anchorSlot(vpn uint64) int {
 }
 
 // anchor is where a lookup for vpn starts when the asking node holds no
-// route — the origin when it is the only host. Authority itself may be
-// anywhere.
-func (m *Manager) anchor(vpn uint64) int { return m.dir.hosts[m.anchorSlot(vpn)] }
+// route: the host at the page's slot, or the next one on the ring past hosts
+// whose reclaim has committed — the origin when it is the only host.
+// Authority itself may be anywhere.
+func (m *Manager) anchor(vpn uint64) int { return m.ringHost(vpn, false) }
 
 // liveAnchor is where requests for vpn fall back to once their believed home
-// is confirmed dead, and where a dead home's entries are rebuilt: the anchor,
-// or the next host on the ring past confirmed-dead ones. The origin cannot be
-// reclaimed, so the walk always terminates.
-func (m *Manager) liveAnchor(vpn uint64) int {
+// is confirmed dead, and where a dead home's entries are rebuilt: the ring
+// walk of anchor, past confirmed-dead hosts as well.
+func (m *Manager) liveAnchor(vpn uint64) int { return m.ringHost(vpn, true) }
+
+// ringHost walks the host ring from vpn's slot to the first host that is not
+// reclaimed and, if live, not confirmed dead. The origin cannot die, so the
+// walk always ends.
+func (m *Manager) ringHost(vpn uint64, live bool) int {
 	hosts, at := m.dir.hosts, m.anchorSlot(vpn)
 	for i := range hosts {
-		if s := hosts[(at+i)%len(hosts)]; !m.dead(s) {
+		if s := hosts[(at+i)%len(hosts)]; !m.nodes[s].reclaimed && !(live && m.dead(s)) {
 			return s
 		}
 	}
@@ -671,8 +676,8 @@ func (m *Manager) stranded(served int, vpn uint64) *dirEntry {
 // at dead is repointed at where (and at which epoch) the entry was rebuilt,
 // so post-crash traffic cannot override it backward, or forgotten, which
 // points it back at the anchor. The dead node's own routes are reset and it
-// is marked reclaimed: pages anchored there are thereafter resolved at the
-// live ring host.
+// is marked reclaimed: the pages anchored there are thereafter anchored at
+// the next host on the ring, which the caller tells where they are.
 func (m *Manager) repairRoutes(dead int, rebuilt routes) {
 	for _, ns := range m.nodes {
 		for vpn, r := range ns.routes {
@@ -712,43 +717,6 @@ func (m *Manager) dropRange(lo, hi uint64) (busyVPN uint64, busy bool) {
 		m.ReclaimRange(h, lo, hi)
 	}
 	return 0, false
-}
-
-// needsLocate reports whether a lookup for vpn at node must go through
-// locate: node holds no entry and no route, the page's static anchor is
-// someone else, confirmed dead and already reclaimed, and node is the live
-// ring shard the page's lookups fall back to.
-func (m *Manager) needsLocate(node int, vpn uint64) bool {
-	a := m.anchor(vpn)
-	return a != node && m.dead(a) && m.nodes[a].reclaimed && m.liveAnchor(vpn) == node
-}
-
-// locate resolves a page whose static anchor shard died and has been
-// reclaimed, from node — the page's live ring shard, where dead-anchor
-// lookups fall back to but where no entry or forwarding pointer may exist
-// (the breadcrumb died with the anchor, or the page was never touched). If
-// the entry exists at a live shard, a route to it is planted here; if it
-// exists only at a dead shard (a transaction still unwinding), nothing
-// changes and the caller retries; if it exists nowhere, the page is
-// materialized here — node becomes its effective anchor.
-func (m *Manager) locate(t *sim.Task, node int, vpn uint64) {
-	m.quiesce(t, node, "dist locate", func() {
-		rt := m.nodes[node].routes
-		if _, hosted := m.dir.get(node, vpn); hosted || rt.at(vpn).home >= 0 {
-			return // a concurrent repair or locate beat us
-		}
-		de, found := m.dir.find(vpn)
-		switch {
-		case !found:
-			// First touch at the effective anchor. Epoch 1 outranks any
-			// stamp-0 route leftover that still names the dead anchor.
-			de = m.place(node, vpn)
-			de.epoch = 1
-			rt.clear(vpn, de.epoch)
-		case !m.dead(de.home):
-			rt.point(vpn, de.home, max(de.epoch, rt[vpn].epoch))
-		}
-	})
 }
 
 // checkRoutes verifies that a node holds a route pointer only for a page some

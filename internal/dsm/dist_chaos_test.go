@@ -52,20 +52,22 @@ func TestDistChaosForwardedGrantDeliveryInvariant(t *testing.T) {
 	}
 }
 
-// TestDistChaosCrashedShardRebuilt crashes a non-origin node that both
-// anchors and hosts a page other nodes still replicate: reclaim must rebuild
-// the dead shard's directory slice at the pages' live anchors from the
-// surviving replicas, repoint every forwarding pointer and hint away from
-// the dead node, and leave survivors able to read (preserved bytes) and
-// write through the static anchor's failover.
+// TestDistChaosCrashedShardRebuilt crashes a non-origin node that anchors two
+// pages: one it hosts and another node still replicates, one homed at a
+// survivor. Reclaim must rebuild the dead shard's directory slice at the live
+// anchor from the surviving replica, repoint every forwarding pointer and
+// hint away from the dead node, and tell the pages' new anchor where the
+// second one's home is; survivors then read (preserved bytes) and write both.
 func TestDistChaosCrashedShardRebuilt(t *testing.T) {
 	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(time.Millisecond)}}}, distParams())
-	addr := addrAnchoredAt(t, e.m, 2)
+	addrs := doomedAddrs(t, e.m, 2, 2)
+	addr, moved := addrs[0], addrs[1]
 	vpn := addr.VPN()
-	var after byte
+	var after, movedAfter byte
 	e.eng.Spawn("main", func(tk *sim.Task) {
-		e.write(tk, 2, addr, 9) // first touch: hosted at its own anchor, shard 2
-		_ = e.read(tk, 0, addr) // node 0 takes a surviving replica
+		e.write(tk, 2, addr, 9)  // first touch: hosted at its own anchor, shard 2
+		_ = e.read(tk, 0, addr)  // node 0 takes a surviving replica
+		e.write(tk, 1, moved, 3) // homed at node 1, anchored at shard 2
 		tk.Sleep(time.Millisecond)
 		e.net.Chaos().MarkDead(2) // idempotent with the plan's crash
 		lost, err := e.m.ReclaimDeadNode(2)
@@ -75,21 +77,23 @@ func TestDistChaosCrashedShardRebuilt(t *testing.T) {
 		if len(lost) != 0 {
 			t.Errorf("ReclaimDeadNode lost %v, want none (node 0 held a replica)", lost)
 		}
-		// Node 1 has no routing state; its fault targets the dead anchor and
-		// must fail over to the live shard ring.
+		if a := e.m.anchor(moved.VPN()); a != 0 {
+			t.Errorf("the dead shard's page is anchored at %d, want the next live shard 0", a)
+		} else if r := e.m.nodes[a].routes.at(moved.VPN()); r.home != 1 {
+			t.Errorf("the new anchor routes the page homed at node 1 to %d", r.home)
+		}
+		// Node 1 has no routing state; its fault starts at the new anchor.
 		after = e.read(tk, 1, addr)
 		e.write(tk, 1, addr, 5)
+		movedAfter = e.read(tk, 0, moved)
 	})
 	e.run(t)
-	if after != 9 {
-		t.Fatalf("read after rebuild = %d, want 9 (recovered from the surviving replica)", after)
+	if after != 9 || movedAfter != 3 {
+		t.Fatalf("reads after rebuild = %d and %d, want 9 (recovered from the surviving replica) and 3", after, movedAfter)
 	}
 	st := e.m.Stats()
 	if st.DirRebuilt == 0 {
 		t.Fatalf("DirRebuilt = 0 after reclaiming a shard that hosted entries (stats: %+v)", st)
-	}
-	if st.HomeFailovers == 0 {
-		t.Fatalf("HomeFailovers = 0; the dead-anchor fault never failed over (stats: %+v)", st)
 	}
 	de, ok := e.m.dir.get(1, vpn)
 	if !ok {

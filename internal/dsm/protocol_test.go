@@ -269,8 +269,8 @@ func TestWhereDecisions(t *testing.T) {
 			route: routing{home: 2, epoch: 7}, lookup: dirElsewhere},
 		{name: "anchor restart at a shard", proto: "dist", anchor: 2, at: 1,
 			state: state{home: 0, dead: -1}, route: routing{home: 2}, lookup: dirElsewhere},
-		{name: "locate at the live ring shard of a reclaimed dead anchor", proto: "dist", anchor: 2, at: 0,
-			state: state{home: -1, dead: 2, reclaimed: true}, route: routing{locate: true}, lookup: dirRetry},
+		{name: "first touch at the live ring shard of a reclaimed dead anchor", proto: "dist", anchor: 2, at: 0,
+			state: state{home: -1, dead: 2, reclaimed: true}, route: routing{home: 0}, lookup: dirFirstTouch},
 		{name: "anchor restart at a dead anchor not yet reclaimed", proto: "dist", anchor: 2, at: 0,
 			state: state{home: -1, dead: 2}, route: routing{home: 2}, lookup: dirElsewhere},
 	}
@@ -315,12 +315,7 @@ func TestWhereDecisions(t *testing.T) {
 			}
 
 			e, vpn = build(t, proto, c.state, c.anchor, c.at)
-			var where residence
-			e.eng.Spawn("fault", func(tk *sim.Task) { _, where = e.m.lookup(tk, c.at, vpn) })
-			if err := e.eng.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if where != c.lookup {
+			if _, where := e.m.lookup(c.at, vpn); where != c.lookup {
 				t.Errorf("lookup = %d, want %d", where, c.lookup)
 			}
 		})
