@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke trace-smoke goldens goldens-update
+.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke chaos-sweep trace-smoke goldens goldens-update
 
 all: check
 
@@ -100,6 +100,19 @@ chaos-smoke:
 	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol home > /dev/null
 	$(CHAOS) -drops 0,0.1 -crash 3ms -restart -fail-under 1 -protocol dist > /dev/null
 
+# chaos-sweep serves under serve_chaos's fault plan — 1 % drops, 5 %
+# duplicates, node 7 crashing at 30 ms, shards restartable — on 8 nodes and 8
+# tenants, plan seed = -seed, over seeds 1-120 under wi and dist, and fails if
+# any seed fails: a livelock ends at the event limit, a lost request fails the
+# exactly-once check. It prints one line per failed seed.
+chaos-sweep:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && $(GO) build -o "$$dir/dexserve" ./cmd/dexserve && fail=0 && \
+	for p in wi dist; do for s in $$(seq 1 120); do \
+		printf '{"seed":%d,"drop":[{"src":-1,"dst":-1,"prob":0.01}],"dup":[{"src":-1,"dst":-1,"prob":0.05}],"crashes":[{"node":7,"at":"30ms"}]}' $$s > "$$dir/plan.json"; \
+		"$$dir/dexserve" -nodes 8 -tenants 8 -seed $$s -protocol $$p -restart -chaos "$$dir/plan.json" > /dev/null 2> "$$dir/err" || \
+			{ echo "chaos-sweep: $$p seed $$s: $$(tail -n 1 "$$dir/err")"; fail=1; }; \
+	done; done; exit $$fail
+
 # trace-smoke structurally validates a recorded trace with dextrace. (That the
 # trace bytes reproduce is what the manifest's pinned SHA-256 rows state.)
 trace-smoke:
@@ -111,7 +124,8 @@ trace-smoke:
 # also from a -trimpath build run away from the checkout — the four dexchaos
 # campaigns, dexserve) and the SHA-256 manifest of the outputs no golden file
 # pins (testdata/behaviour.sha256: traces, dexserve crash+restart under each
-# protocol, dexprof, two examples). It starts with the host-independent cost
+# protocol and one dist run that loses a directory shard with pages anchored
+# there, dexprof, two examples). It starts with the host-independent cost
 # gates — objects per fabric message and per untraced span, words per event,
 # bytes per task, events per golden dexserve run, pages a crash+restart serving
 # run's checkpoints copy, objects per kmn chunk search and per bp snapshot
@@ -129,8 +143,9 @@ goldens-update:
 
 # behaviour prints the manifest: for each protocol, the SHA-256 of the trace
 # bytes of a traced bfs run and of the stdout of a dexserve crash+restart run;
-# then the stdout of the page-fault profiler on kmn and bfs and of the two
-# examples that print a profile.
+# then the stdout of an 8-node dist dexserve run whose crashed shard anchors
+# pages (their new anchor learns where they are), of the page-fault profiler
+# on kmn and bfs and of the two examples that print a profile.
 .PHONY: behaviour
 behaviour:
 	@set -e; for p in wi home dist; do \
@@ -139,6 +154,7 @@ behaviour:
 		rm -f behaviour-trace.json; \
 		echo "$$($(GO) run ./cmd/dexserve -nodes 3 -crash 10ms -restart -protocol $$p 2>/dev/null | sha256sum | cut -d' ' -f1)  dexserve -nodes 3 -crash 10ms -restart -protocol $$p"; \
 	done; \
+	echo "$$($(GO) run ./cmd/dexserve -nodes 8 -tenants 8 -seed 56 -protocol dist -crash 30ms -restart 2>/dev/null | sha256sum | cut -d' ' -f1)  dexserve -nodes 8 -tenants 8 -seed 56 -protocol dist -crash 30ms -restart"; \
 	for a in kmn bfs; do \
 		echo "$$($(GO) run ./cmd/dexprof -app $$a -nodes 4 -affinity -timeline | sha256sum | cut -d' ' -f1)  dexprof -app $$a -nodes 4 -affinity -timeline"; \
 	done; \
