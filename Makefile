@@ -126,11 +126,13 @@ trace-smoke:
 # pins (testdata/behaviour.sha256: traces, dexserve crash+restart under each
 # protocol and one dist run that loses a directory shard with pages anchored
 # there, dexprof, two examples). It starts with the host-independent cost
-# gates — objects per fabric message and per untraced span, words per event,
-# bytes per task, events per golden dexserve run, pages a crash+restart serving
-# run's checkpoints copy, objects per kmn chunk search and per bp snapshot
-# replicate, frames per replicated page, objects per follower join and per
-# radix Set on an existing path — so that they fail CI by name.
+# gates — objects per fabric message (none: flights are recycled) and per
+# untraced span, objects per remote write fault and the sizes of its records,
+# words per event, bytes per task, events per golden dexserve run, pages a
+# crash+restart serving run's checkpoints copy, objects per kmn chunk search
+# and per bp snapshot replicate, frames per replicated page, objects per
+# follower join and per radix Set on an existing path — so that they fail CI
+# by name.
 goldens:
 	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/dsm ./internal/radix ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve

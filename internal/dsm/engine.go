@@ -61,16 +61,16 @@ func (w *waiter) ack() bool {
 // home's floor passes it, so a duplicated grant reply re-acks the home
 // instead of re-running the install. It also serializes revocations that
 // target the ownership being granted: a revoke arriving between the grant
-// reply and the PTE install is deferred until the install completes.
+// reply and the PTE install is deferred until the install completes. The
+// messages it sends live in it, so a request costs the record alone.
 type outstanding struct {
 	waiter
-	vpn       uint64
-	token     uint64
-	home      int          // the node the request went to (the re-ack target)
-	msg       *pageRequest // the request, re-sent until it is answered
-	reply     pageReply    // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
-	installed bool         // the granted PTE is in place
-	deferred  []*revokeMsg // revocations to apply once it is
+	home       int          // the node the request went to (the re-ack target)
+	req        pageRequest  // the request, re-sent until it is answered
+	reply      pageReply    // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
+	installAck installAck   // the install ack, re-sent for a re-sent grant
+	installed  bool         // the granted PTE is in place
+	deferred   []*revokeMsg // revocations to apply once it is
 }
 
 // granted reports whether o holds a grant: installed, or about to be without
@@ -94,13 +94,14 @@ type serveState struct {
 	data   []byte    // page snapshot retained for grant re-sends (injector only)
 }
 
-// revokeWaiter is the issuing home's record of one revocation in flight. lost
-// reports that the wait was abandoned because the target died; for a needData
-// revoke the caller must then treat the page contents as lost.
+// revokeWaiter is the issuing home's record of one revocation in flight, and
+// of the revocation it sends and re-sends. lost reports that the wait was
+// abandoned because the target died; for a needData revoke the caller must
+// then treat the page contents as lost.
 type revokeWaiter struct {
 	waiter
 	target int
-	msg    *revokeMsg
+	msg    revokeMsg
 	lost   bool
 }
 
@@ -298,11 +299,13 @@ func (e *engine) stray(what string, key uint64) {
 // several requests posted before it waits on any.
 func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool, pr *fabric.PageRecv) *outstanding {
 	m, ns := e.m, e.m.nodes[node]
-	o := &outstanding{waiter: waiter{task: t}, vpn: vpn, token: nextSeq(node, &ns.reqCtr), home: home}
-	ns.reqs.put(o.token, o)
-	o.msg = &pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: o.token, pr: pr,
-		floor: e.floor(ns.reqs.base)}
-	m.net.Send(t, node, home, o.msg)
+	tok := nextSeq(node, &ns.reqCtr)
+	o := &outstanding{waiter: waiter{task: t}, home: home,
+		req:        pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, pr: pr},
+		installAck: installAck{pid: m.pid, token: tok}}
+	ns.reqs.put(tok, o)
+	o.req.floor = e.floor(ns.reqs.base)
+	m.net.Send(t, node, home, &o.req)
 	return o
 }
 
@@ -311,7 +314,7 @@ func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool, pr *f
 // via the live anchor).
 func (e *engine) wait(t *sim.Task, node int, o *outstanding) {
 	m := e.m
-	e.await(t, &o.waiter, sim.ReasonHex("page reply ", o.vpn<<mem.PageShift), node, "request",
+	e.await(t, &o.waiter, sim.ReasonHex("page reply ", o.req.vpn<<mem.PageShift), node, "request",
 		func() bool {
 			if o.home == m.origin || !m.dead(o.home) {
 				return false
@@ -319,7 +322,7 @@ func (e *engine) wait(t *sim.Task, node int, o *outstanding) {
 			o.reply.outcome = deadHome
 			return true
 		},
-		func() { m.net.Send(t, node, o.home, o.msg) })
+		func() { m.net.Send(t, node, o.home, &o.req) })
 }
 
 // deliverReply hands a page reply from src to the request it answers and
@@ -334,7 +337,7 @@ func (e *engine) deliverReply(node, src int, rep *pageReply) {
 		// can close its transition window.
 		m.stats.Retransmits++
 		m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
-			m.net.Send(t, node, o.home, &installAck{pid: m.pid, token: rep.token})
+			m.net.Send(t, node, o.home, &o.installAck)
 		})
 		return
 	}
@@ -350,7 +353,7 @@ func (e *engine) deliverReply(node, src int, rep *pageReply) {
 }
 
 // forget drops the record of a request that was bounced.
-func (e *engine) forget(node int, o *outstanding) { e.m.nodes[node].reqs.del(o.token) }
+func (e *engine) forget(node int, o *outstanding) { e.m.nodes[node].reqs.del(o.req.token) }
 
 // installed notes that o's grant is installed at node: the transaction is
 // over there. Under an injector the record moves to its home's window: the
@@ -360,7 +363,7 @@ func (e *engine) installed(node int, o *outstanding) {
 	o.installed = true
 	e.forget(node, o)
 	if e.m.chaos != nil {
-		e.m.nodes[node].peers[o.home].installed.put(o.token, o)
+		e.m.nodes[node].peers[o.home].installed.put(o.req.token, o)
 	}
 }
 
@@ -376,7 +379,7 @@ func (e *engine) crashed(node int) { e.m.nodes[node].reqs = window[*outstanding]
 // token's takes it.
 func (e *engine) deferRevoke(ns *nodeState, msg *revokeMsg) bool {
 	for _, o := range ns.reqs.recs {
-		if o != nil && o.vpn == msg.vpn && o.granted() {
+		if o != nil && o.req.vpn == msg.vpn && o.granted() {
 			o.deferred = append(o.deferred, msg)
 			return true
 		}
@@ -538,7 +541,7 @@ func (e *engine) installAcked(node int, token uint64) {
 func (e *engine) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, pr *fabric.PageRecv) *revokeWaiter {
 	m := e.m
 	ns := m.nodes[from]
-	msg := &revokeMsg{
+	w := &revokeWaiter{waiter: waiter{task: t}, target: target, msg: revokeMsg{
 		pid:       m.pid,
 		vpn:       vpn,
 		seq:       nextSeq(from, &ns.revCtr),
@@ -548,8 +551,8 @@ func (e *engine) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade
 		newHome:   newHome,
 		newEpoch:  newEpoch,
 		pr:        pr,
-	}
-	w := &revokeWaiter{waiter: waiter{task: t}, target: target, msg: msg}
+	}}
+	msg := &w.msg
 	ns.revokes.put(msg.seq, w)
 	msg.floor = e.floor(ns.revokes.base)
 	m.net.Send(t, from, target, msg)
@@ -568,7 +571,7 @@ func (e *engine) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade
 func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 	m := e.m
 	for _, w := range acks {
-		msg := w.msg
+		msg := &w.msg
 		// The revoke-waiting task runs on the issuing home's lane.
 		e.await(t, &w.waiter, sim.ReasonHex("revoke ack ", msg.vpn<<mem.PageShift), msg.home, "revoke",
 			func() bool {

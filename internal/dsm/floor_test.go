@@ -50,8 +50,8 @@ func checkFloor(t *testing.T, m *Manager, node, src int, msg fabric.Message) str
 			fail("serve", mm.floor, seq)
 		}
 		for _, o := range m.nodes[node].reqs.recs {
-			if o != nil && o.home == src && o.token < mm.floor {
-				fail("serve", mm.floor, o.token)
+			if o != nil && o.home == src && o.req.token < mm.floor {
+				fail("serve", mm.floor, o.req.token)
 			}
 		}
 		return "serve"
@@ -273,12 +273,15 @@ func FuzzDedupState(f *testing.F) {
 			switch {
 			case op == 0: // a new request reaches the home
 				ns := m.nodes[requester]
-				o := &outstanding{vpn: uint64(i), token: nextSeq(requester, &ns.reqCtr), home: home}
-				ns.reqs.put(o.token, o)
-				msg := &pageRequest{pid: m.pid, vpn: o.vpn, node: requester, token: o.token, floor: m.e.floor(ns.reqs.base)}
+				tok := nextSeq(requester, &ns.reqCtr)
+				o := &outstanding{home: home, req: pageRequest{pid: m.pid, vpn: uint64(i), node: requester, token: tok},
+					installAck: installAck{pid: m.pid, token: tok}}
+				msg := &o.req
+				ns.reqs.put(msg.token, o)
+				msg.floor = m.e.floor(ns.reqs.base)
 				st := m.e.admitServe(home, msg)
 				if st == nil {
-					t.Fatalf("fresh request %#x turned away", o.token)
+					t.Fatalf("fresh request %#x turned away", msg.token)
 				}
 				reqs = append(reqs, &request{o: o, msg: msg, st: st})
 			case op <= 2 && r != nil && r.st.reply.outcome == inFlight: // the home answers
@@ -298,7 +301,7 @@ func FuzzDedupState(f *testing.F) {
 				r.got = true
 			case op == 3 && r != nil && r.got: // a copy of it does
 				resent, ignored := answer(func() { m.e.deliverReply(requester, home, &r.st.reply) })
-				check("reply", r.o.token, resent, ignored, r.granted, r.granted && !r.closed)
+				check("reply", r.msg.token, resent, ignored, r.granted, r.granted && !r.closed)
 			case op == 4 && r != nil && r.granted && r.got && !r.closed: // the install ack closes the window
 				m.e.closeServe(r.st)
 				r.closed = true
@@ -306,13 +309,14 @@ func FuzzDedupState(f *testing.F) {
 				var fresh *serveState
 				resent, ignored := answer(func() { fresh = m.e.admitServe(home, r.msg) })
 				if fresh != nil {
-					t.Fatalf("copy of request %#x served fresh", r.o.token)
+					t.Fatalf("copy of request %#x served fresh", r.msg.token)
 				}
-				check("request", r.o.token, resent, ignored, r.closed && !r.granted, !r.got)
+				check("request", r.msg.token, resent, ignored, r.closed && !r.granted, !r.got)
 			case op == 6: // a new revocation reaches its target
 				ns := m.nodes[home]
-				msg := &revokeMsg{pid: m.pid, vpn: uint64(i), seq: nextSeq(home, &ns.revCtr), home: home, newHome: -1}
-				ns.revokes.put(msg.seq, &revokeWaiter{target: requester, msg: msg})
+				w := &revokeWaiter{target: requester, msg: revokeMsg{pid: m.pid, vpn: uint64(i), seq: nextSeq(home, &ns.revCtr), home: home, newHome: -1}}
+				msg := &w.msg
+				ns.revokes.put(msg.seq, w)
 				msg.floor = m.e.floor(ns.revokes.base)
 				if !m.e.revokeArrived(requester, msg) {
 					t.Fatalf("fresh revocation %#x turned away", msg.seq)

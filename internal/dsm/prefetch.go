@@ -50,7 +50,7 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 			m.e.wait(t, node, o)
 			if !o.granted() {
 				m.e.forget(node, o)
-				o.msg.pr.Release()
+				o.req.pr.Release()
 				continue
 			}
 			m.install(t, ctx, o, nil)

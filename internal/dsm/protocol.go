@@ -383,7 +383,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 // page's home now is, compresses the forwarding chain the request walked
 // (hops) and applies the revocations deferred behind the install.
 func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
-	node, vpn, write, pr, rep := ctx.Node, o.vpn, o.msg.write, o.msg.pr, &o.reply
+	node, vpn, write, pr, rep := ctx.Node, o.req.vpn, o.req.write, o.req.pr, &o.reply
 	var frame []byte
 	if rep.outcome == grantData {
 		claimAt := t.Now()
@@ -425,7 +425,7 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 		m.grantInstalled(node, vpn, rep.epoch)
 	}
 	m.e.installed(node, o)
-	m.net.Send(t, node, o.home, &installAck{pid: m.pid, token: o.token})
+	m.net.Send(t, node, o.home, &o.installAck)
 	m.learnHome(node, vpn, final, rep.epoch)
 	if len(hops) > 0 {
 		m.compressChain(t, node, vpn, hops, final, rep.epoch)
@@ -526,7 +526,8 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 			newEpoch++
 		}
 	}
-	var acks []*revokeWaiter
+	var waiting [8]*revokeWaiter
+	acks := waiting[:0]
 	for others := de.owners &^ (1 << uint(reqNode)); others != 0; others &= others - 1 {
 		owner := bits.TrailingZeros64(others)
 		if owner == home {

@@ -170,6 +170,14 @@ type Network struct {
 	stats    Stats
 	rec      *obs.Recorder
 	inj      *chaos.Injector
+
+	// free holds the retired flights (newFlight, retire). One goroutine runs
+	// a simulation, so one list serves every lane without a lock: a flight
+	// is taken where its message is sent and retired where its last step
+	// runs, usually on another lane. made counts the flights ever allocated;
+	// with nothing in flight the list holds them all.
+	free []*flight
+	made int
 }
 
 // fabricLane offsets the source node into the Perfetto thread id of a
@@ -244,16 +252,19 @@ func (c *conn) qpFor(m Message) *qp {
 // queue pair executes its work queue strictly in order — an RDMA write
 // posted after a send may not complete at the receiver before it.
 //
-// It is the one object a message costs between its send and its handler, and
-// it is its own event (a sim.Runner) at each step of the way: its arrival at
-// its QP and then, scheduled again once a receive is consumed, its receive
-// completion. It waits in an RNR queue as itself. Like an RC connection's work
-// queue, what is in flight is state of the connection, not a chain of
-// callbacks.
+// It is all a message needs between its send and its handler, and it is its
+// own event (a sim.Runner) at each step of the way: its arrival at its QP and
+// then, scheduled again once a receive is consumed, its receive completion. It
+// waits in an RNR queue as itself. Like an RC connection's work queue, what is
+// in flight is state of the connection, not a chain of callbacks; and like the
+// connection's buffers it is reused, not allocated per message (newFlight,
+// retire).
 type flight struct {
-	qp   *qp
-	m    Message
-	data func() // non-nil for an RDMA data placement
+	qp *qp
+	m  Message
+	// pr is non-nil for an RDMA data placement, which lands buf in it.
+	pr  *PageRecv
+	buf []byte
 
 	// Tracing state, populated only when a recorder is attached: the
 	// simulated time the sender entered the fabric (span start), the payload
@@ -265,10 +276,41 @@ type flight struct {
 	stalled bool
 
 	accepted bool // its next event is the receive completion, not the arrival
+
+	// last is the connection a retired flight (qp nil) last rode: what a
+	// second retire or a late event names when it panics.
+	last *conn
+}
+
+// newFlight takes a flight off the network's free list, or allocates one.
+// The caller sets every field.
+func (n *Network) newFlight() *flight {
+	if k := len(n.free) - 1; k >= 0 {
+		f := n.free[k]
+		n.free = n.free[:k]
+		return f
+	}
+	n.made++
+	return new(flight)
+}
+
+// retire puts f back on the free list once its last step has run: its
+// receive completion, its placement, or its drop at a dead node. It lets go
+// of the message and the page buffer, so a retired flight keeps nothing
+// alive.
+func (n *Network) retire(f *flight) {
+	if f.qp == nil {
+		panic(fmt.Sprintf("fabric: flight on %v retired twice", f.last))
+	}
+	*f = flight{last: f.qp.conn}
+	n.free = append(n.free, f)
 }
 
 // RunEvent is the flight's next step.
 func (f *flight) RunEvent() {
+	if f.qp == nil {
+		panic(fmt.Sprintf("fabric: event on a retired flight of %v", f.last))
+	}
 	if n := f.qp.conn.net; f.accepted {
 		n.complete(f)
 	} else {
@@ -283,6 +325,9 @@ func (f *flight) spanName() string {
 	}
 	return "msg.small"
 }
+
+// String names the connection in a panic.
+func (c *conn) String() string { return fmt.Sprintf("link%d->%d", c.src, c.dst) }
 
 // sentChunks is a send's hold on the send pool: chunks of them until done.
 type sentChunks struct {
@@ -391,11 +436,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	// core worker tasks — which serialize, so touching src's send-side conn
 	// state from there is safe).
 	sv := t.Engine()
-	f := &flight{qp: c.qpFor(m), m: m}
-	if n.rec != nil {
-		f.sentAt = sv.Now()
-		f.bytes = m.Size()
-	}
+	sentAt := sv.Now()
 	t.Sleep(n.params.SendCPU)
 	chunks := n.chunksFor(m.Size())
 	n.acquireSendChunks(t, c, chunks)
@@ -410,6 +451,14 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 		}
 		return
 	}
+	// The flight is taken only now, past the send's last yield: a dropped
+	// send never has one, and a task killed mid-send holds none.
+	f := n.newFlight()
+	*f = flight{qp: c.qpFor(m), m: m}
+	if n.rec != nil {
+		f.sentAt = sentAt
+		f.bytes = m.Size()
+	}
 	at := serDone + n.params.LinkLatency + v.Delay
 	n.deliver(sv, f, at)
 	if v.Dup {
@@ -417,14 +466,15 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 			n.rec.SpanAt("chaos", "dup", dst, fabricLane+src, sv.Now(), 0,
 				obs.Int("src", int64(src)))
 		}
-		n.deliver(sv, f.dup(), at)
+		n.deliver(sv, n.dup(f), at)
 	}
 }
 
 // dup returns the second flight of a duplicated one.
-func (f *flight) dup() *flight {
-	d := *f
-	return &d
+func (n *Network) dup(f *flight) *flight {
+	d := n.newFlight()
+	*d = *f
+	return d
 }
 
 func (n *Network) chunksFor(size int) int {
@@ -529,6 +579,7 @@ func (n *Network) arrive(f *flight) {
 		// vanishes, including messages already in flight at crash time.
 		if n.inj.NodeDead(c.dst) || n.inj.NodeDead(c.src) {
 			n.inj.CountDrop(f.wireBytes())
+			n.retire(f)
 			return
 		}
 		// An RNR storm forces receiver-not-ready for everything that arrives
@@ -542,7 +593,7 @@ func (n *Network) arrive(f *flight) {
 			return
 		}
 	}
-	if len(q.rnrQueue) > 0 || (f.data == nil && q.posted == 0) {
+	if len(q.rnrQueue) > 0 || (f.pr == nil && q.posted == 0) {
 		// Either the receiver is not ready, or earlier events are already
 		// stalled behind it. An RC connection replays its stream in order
 		// after an RNR NAK, so even an RDMA placement may not pass a
@@ -555,7 +606,7 @@ func (n *Network) arrive(f *flight) {
 
 // stall queues a flight that found its receiver not ready.
 func (n *Network) stall(f *flight) {
-	if f.data == nil {
+	if f.pr == nil {
 		n.stats.RecvRNRStalls++
 	}
 	if n.rec != nil {
@@ -580,12 +631,13 @@ func (f *flight) wireBytes() int {
 // queued behind it can pass it.
 func (n *Network) drain(q *qp) {
 	for len(q.rnrQueue) > 0 {
-		f := q.rnrQueue[0]
-		if f.data == nil && q.posted == 0 {
+		// Read before accept, which retires a placement.
+		placement := q.rnrQueue[0].pr != nil
+		if !placement && q.posted == 0 {
 			return // a completion will repost a buffer and continue
 		}
 		n.accept(sim.PopFront(&q.rnrQueue))
-		if f.data == nil {
+		if !placement {
 			return // its completion continues the drain
 		}
 	}
@@ -601,9 +653,10 @@ func (n *Network) accept(f *flight) {
 		n.rec.SpanAt("fabric", "rnr.stall", c.dst, fabricLane+c.src, f.stallAt,
 			q.view.Now()-f.stallAt, obs.Int("src", int64(c.src)))
 	}
-	if f.data != nil {
-		f.data()
+	if f.pr != nil {
+		f.pr.data = f.buf
 		n.span(f)
+		n.retire(f)
 		return
 	}
 	q.posted--
@@ -634,6 +687,7 @@ func (n *Network) complete(f *flight) {
 	}
 	n.span(f)
 	h(c.src, f.m)
+	n.retire(f)
 	q.posted++
 	n.drain(q)
 }
@@ -724,21 +778,17 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 		if !v.Drop {
 			// Route the placement through the connection's ordering point so
 			// page data and VERB messages keep one per-connection FIFO.
-			place := &flight{qp: &c.data, bytes: len(data), data: func() { pr.data = buf }, sentAt: sentAt, page: true}
+			place := n.newFlight()
+			*place = flight{qp: &c.data, pr: pr, buf: buf, bytes: len(data), sentAt: sentAt, page: true}
 			at := done + n.params.LinkLatency + v.Delay
 			n.deliver(sv, place, at)
 			if v.Dup {
-				n.deliver(sv, place.dup(), at)
+				n.deliver(sv, n.dup(place), at)
 			}
 		}
 		n.sendWith(t, src, dst, reply, v) // same connection: FIFO after the RDMA write
 	case VerbOnly:
-		f := &flight{qp: c.qpFor(reply), m: reply}
-		if n.rec != nil {
-			f.sentAt = sv.Now()
-			f.bytes = len(data) + reply.Size()
-			f.page = true
-		}
+		sentAt := sv.Now()
 		t.Sleep(n.memcpyCost(len(data))) // stage into send chunks
 		n.stats.MemcpyBytes += uint64(len(data))
 		chunks := n.chunksFor(len(data) + reply.Size())
@@ -752,10 +802,17 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 		if v.Drop {
 			return
 		}
+		f := n.newFlight()
+		*f = flight{qp: c.qpFor(reply), m: reply}
+		if n.rec != nil {
+			f.sentAt = sentAt
+			f.bytes = len(data) + reply.Size()
+			f.page = true
+		}
 		at := done + n.params.LinkLatency + v.Delay
 		n.deliver(sv, f, at)
 		if v.Dup {
-			n.deliver(sv, f.dup(), at)
+			n.deliver(sv, n.dup(f), at)
 		}
 	}
 }

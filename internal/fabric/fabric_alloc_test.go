@@ -39,9 +39,10 @@ func allocsPerOp(t *testing.T, eng *sim.Engine, op func(tk *sim.Task, i int)) fl
 	return got
 }
 
-// A small message is one object from Send to its handler: the flight, which
-// is also its arrival event and its receive completion. The send completion
-// and the link's release are bound once per connection.
+// A small message costs no object from Send to its handler: its flight, which
+// is also its arrival event and its receive completion, comes off the
+// network's free list and goes back once the handler has run. The send
+// completion and the link's release are bound once per connection.
 func TestSendAllocsPerRun(t *testing.T) {
 	for _, lanes := range []int{0, 2} {
 		eng := sim.NewEngine(1)
@@ -54,14 +55,15 @@ func TestSendAllocsPerRun(t *testing.T) {
 		net.SetHandler(1, func(int, Message) { handled++ })
 		msg := &allocMsg{size: 64}
 		got := allocsPerOp(t, eng, func(tk *sim.Task, _ int) { net.Send(tk, 0, 1, msg) })
-		if got != 1 || handled != allocRuns {
-			t.Errorf("%d lanes: Send to handler: %v allocs per message, want 1 (%d of %d handled)", lanes, got, handled, allocRuns)
+		if got != 0 || handled != allocRuns {
+			t.Errorf("%d lanes: Send to handler: %v allocs per message, want 0 (%d of %d handled)", lanes, got, handled, allocRuns)
 		}
 	}
 }
 
-// A page through the sink is three: the placement, the closure that lands it
-// in the PageRecv, and the reply's flight.
+// A page through the sink with a caller buffer is none: the placement carries
+// the PageRecv and the buffer it lands, and it and the reply's flight are
+// recycled.
 func TestSendPageBufAllocsPerRun(t *testing.T) {
 	p := testParams(2)
 	p.SinkChunks = 256 // every landing zone is prepared before the first send
@@ -78,8 +80,8 @@ func TestSendPageBufAllocsPerRun(t *testing.T) {
 		}
 	})
 	got := allocsPerOp(t, eng, func(tk *sim.Task, i int) { net.SendPageBuf(tk, 0, 1, prs[i], data, reply, buf) })
-	if got > 3 || handled != allocRuns {
-		t.Errorf("SendPageBuf through the sink: %v allocs per page, want at most 3 (%d of %d replies handled)", got, handled, allocRuns)
+	if got > 0 || handled != allocRuns {
+		t.Errorf("SendPageBuf through the sink: %v allocs per page, want 0 (%d of %d replies handled)", got, handled, allocRuns)
 	}
 	for i, pr := range prs {
 		if pr.data == nil {
@@ -88,7 +90,8 @@ func TestSendPageBufAllocsPerRun(t *testing.T) {
 	}
 }
 
-// A duplicated message is a second flight and nothing else.
+// A duplicated message is a second flight from the same free list: nothing
+// more is allocated.
 func TestChaosDupAllocsPerRun(t *testing.T) {
 	perMessage := func(dup float64) float64 {
 		plan := &chaos.Plan{Seed: 3, Dup: []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: dup}}}
@@ -102,7 +105,7 @@ func TestChaosDupAllocsPerRun(t *testing.T) {
 		}
 		return got
 	}
-	if once, twice := perMessage(0), perMessage(1); twice != once+1 {
-		t.Errorf("a duplicated message: %v allocs against %v undisturbed, want one more", twice, once)
+	if once, twice := perMessage(0), perMessage(1); once != 0 || twice != 0 {
+		t.Errorf("a duplicated message: %v allocs against %v undisturbed, want 0 and 0", twice, once)
 	}
 }
