@@ -61,16 +61,17 @@ func (w *waiter) ack() bool {
 // home's floor passes it, so a duplicated grant reply re-acks the home
 // instead of re-running the install. It also serializes revocations that
 // target the ownership being granted: a revoke arriving between the grant
-// reply and the PTE install is deferred until the install completes. The
-// messages it sends live in it, so a request costs the record alone.
+// reply and the PTE install is deferred until the install completes. Its
+// messages and landing zone live in it: a request costs the record alone.
 type outstanding struct {
 	waiter
-	home       int          // the node the request went to (the re-ack target)
-	req        pageRequest  // the request, re-sent until it is answered
-	reply      pageReply    // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
-	installAck installAck   // the install ack, re-sent for a re-sent grant
-	installed  bool         // the granted PTE is in place
-	deferred   []*revokeMsg // revocations to apply once it is
+	home       int              // the node the request went to (the re-ack target)
+	req        pageRequest      // the request, re-sent until it is answered
+	pr         fabric.PageRecv  // the landing zone req names
+	reply      pageReply        // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
+	installAck installAck       // the install ack, re-sent for a re-sent grant
+	installed  bool             // the granted PTE is in place
+	deferred   []*appliedRevoke // revocations to apply once it is
 }
 
 // granted reports whether o holds a grant: installed, or about to be without
@@ -84,9 +85,11 @@ func (o *outstanding) granted() bool { return o.reply.outcome.granted() }
 // request gets the same reply again — never a fresh serve, which could land
 // data in a landing zone the requester has already released — and one in
 // flight or granted is ignored, because the grant window owns grant
-// retransmission.
+// retransmission. It is the body of its own task, run (messages.go).
 type serveState struct {
 	waiter
+	run    sim.Task
+	m      *Manager
 	req    *pageRequest
 	home   int       // the node that served (or bounced) this token
 	reply  pageReply // the reply sent; outcome inFlight until there is one
@@ -105,8 +108,22 @@ type revokeWaiter struct {
 	lost   bool
 }
 
-// appliedRevoke is the receiver-side record of one admitted revocation.
+// pull is the record of a needData revocation: the target's copy comes into
+// the landing zone it carries.
+type pull struct {
+	revokeWaiter
+	pr fabric.PageRecv
+}
+
+// appliedRevoke is the receiver-side record of one admitted revocation, the
+// body of the task run that applies it and the holder of the ack it sends.
+// Under an injector it stays in the issuer's window for duplicates.
 type appliedRevoke struct {
+	run     sim.Task
+	m       *Manager
+	msg     *revokeMsg
+	ack     revokeAck
+	node    int32  // where msg is applied; beside pending, it costs no word
 	pending bool   // the original application has not finished yet
 	data    []byte // page snapshot retained for needData re-acks
 }
@@ -272,16 +289,6 @@ func (e *engine) await(t *sim.Task, w *waiter, why sim.Reason, node int, kind st
 	}
 }
 
-// replyAfter sends reply from node to dst after the dispatch delay, in a task
-// of its own named task: the bounce of a request that never reached a serve.
-func (e *engine) replyAfter(task string, node, dst int, reply *pageReply) {
-	m := e.m
-	m.view(node).Spawn(task, func(t *sim.Task) {
-		t.Sleep(m.params.OriginDispatch)
-		m.net.Send(t, node, dst, reply)
-	})
-}
-
 // stray accounts for a reply or an ack that closed nothing: a duplicate of one
 // that already closed its wait under fault injection, a protocol bug otherwise.
 func (e *engine) stray(what string, key uint64) {
@@ -295,14 +302,15 @@ func (e *engine) stray(what string, key uint64) {
 // The requester side.
 
 // post opens the record of a page request from node to home, with t the task
-// that will wait for the reply, and sends the request. One task may have
-// several requests posted before it waits on any.
-func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool, pr *fabric.PageRecv) *outstanding {
+// that will wait for the reply, prepares its landing zone and sends the
+// request. One task may have several requests posted before it waits on any.
+func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool) *outstanding {
 	m, ns := e.m, e.m.nodes[node]
+	o := &outstanding{waiter: waiter{task: t}, home: home}
+	m.net.Prepare(t, &o.pr, home, node) // may wait for the sink: before the token
 	tok := nextSeq(node, &ns.reqCtr)
-	o := &outstanding{waiter: waiter{task: t}, home: home,
-		req:        pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, pr: pr},
-		installAck: installAck{pid: m.pid, token: tok}}
+	o.req = pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, pr: &o.pr}
+	o.installAck = installAck{pid: m.pid, token: tok}
 	ns.reqs.put(tok, o)
 	o.req.floor = e.floor(ns.reqs.base)
 	m.net.Send(t, node, home, &o.req)
@@ -377,10 +385,10 @@ func (e *engine) crashed(node int) { e.m.nodes[node].reqs = window[*outstanding]
 // revocation necessarily targets the ownership that request was just
 // granted), and reports whether it did. Of several such grants the lowest
 // token's takes it.
-func (e *engine) deferRevoke(ns *nodeState, msg *revokeMsg) bool {
+func (e *engine) deferRevoke(ns *nodeState, r *appliedRevoke) bool {
 	for _, o := range ns.reqs.recs {
-		if o != nil && o.req.vpn == msg.vpn && o.granted() {
-			o.deferred = append(o.deferred, msg)
+		if o != nil && o.req.vpn == r.msg.vpn && o.granted() {
+			o.deferred = append(o.deferred, r)
 			return true
 		}
 	}
@@ -420,7 +428,7 @@ func (e *engine) admitServe(node int, req *pageRequest) *serveState {
 		m.stats.DupsIgnored++
 		return nil
 	}
-	st := &serveState{req: req, home: node, reply: pageReply{pid: m.pid, token: req.token}}
+	st := &serveState{m: m, req: req, home: node, reply: pageReply{pid: m.pid, token: req.token}}
 	p.served.put(req.token, st)
 	return st
 }
@@ -448,7 +456,7 @@ func (e *engine) redeliverServe(st *serveState) {
 	// Duplicates are delivered at the node that served the original (always
 	// the origin under WriteInvalidate; HomeMigrate runs serialized).
 	m.mark(st.home, "dedup.reserve", st.req.vpn)
-	e.replyAfter("dsm-resend", st.home, st.req.node, &st.reply)
+	m.view(st.home).Spawn("dsm-resend", st.RunTask) // which, st being closed, replies
 }
 
 // bounce answers st's request with something other than a grant and closes
@@ -535,13 +543,14 @@ func (e *engine) installAcked(node int, token uint64) {
 // Revocations.
 
 // sendRevoke revokes (or downgrades) target's copy of vpn on behalf of the
-// serving home from, and returns the record of the wait for its ack. newHome
-// and newEpoch are the routing hint the revocation carries (-1: none); pr,
-// when set, is where the target must ship its copy.
-func (e *engine) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, pr *fabric.PageRecv) *revokeWaiter {
+// serving home from, and returns w, the new record of the wait for its ack.
+// newHome and newEpoch are the routing hint the revocation carries (-1: none);
+// pr, when set, is where the target must ship its copy: the prepared landing
+// zone of the pull w belongs to.
+func (e *engine) sendRevoke(t *sim.Task, w *revokeWaiter, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, pr *fabric.PageRecv) *revokeWaiter {
 	m := e.m
 	ns := m.nodes[from]
-	w := &revokeWaiter{waiter: waiter{task: t}, target: target, msg: revokeMsg{
+	w.task, w.target, w.msg = t, target, revokeMsg{
 		pid:       m.pid,
 		vpn:       vpn,
 		seq:       nextSeq(from, &ns.revCtr),
@@ -551,7 +560,7 @@ func (e *engine) sendRevoke(t *sim.Task, from, target int, vpn uint64, downgrade
 		newHome:   newHome,
 		newEpoch:  newEpoch,
 		pr:        pr,
-	}}
+	}
 	msg := &w.msg
 	ns.revokes.put(msg.seq, w)
 	msg.floor = e.floor(ns.revokes.base)
@@ -584,8 +593,8 @@ func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 					// revocation's effect directly — the fabric would drop the
 					// real message (its source is dead), and no stale replica
 					// may outlive the dead home's last transaction.
-					if e.admitRevoke(w.target, msg) {
-						m.applyRevokeAdmitted(w.target, msg)
+					if r := e.admitRevoke(w.target, msg); r != nil {
+						m.applyRevokeAdmitted(r)
 					}
 				default:
 					return false
@@ -609,80 +618,81 @@ func (e *engine) revokeAcked(node int, seq uint64) {
 
 // revokeArrived takes a revocation off the wire at node: the issuer's floor
 // is heard, then the dedup gate decides whether it is fresh.
-func (e *engine) revokeArrived(node int, msg *revokeMsg) bool {
+func (e *engine) revokeArrived(node int, msg *revokeMsg) *appliedRevoke {
 	p := &e.m.nodes[node].peers[msg.home]
 	hear(&p.revFloor, msg.floor, &p.applied)
 	return e.admitRevoke(node, msg)
 }
 
-// admitRevoke is the receiver-side dedup gate for an incoming revocation
-// under fault injection. It reports whether the revocation is fresh and
-// should be applied.
-func (e *engine) admitRevoke(node int, msg *revokeMsg) bool {
+// admitRevoke is the receiver-side dedup gate for an incoming revocation at
+// node. It returns the record of a fresh one, to apply, and nil for a
+// duplicate; only under fault injection are there any, and records to keep.
+func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 	m := e.m
-	if m.chaos == nil {
-		return true
-	}
 	p := &m.nodes[node].peers[msg.home]
-	if prev := p.applied.get(msg.seq); prev != nil {
-		if prev.pending {
-			// The original is still being applied (or deferred); its ack
-			// will cover this duplicate.
-			m.stats.DupsIgnored++
-		} else {
-			// Already applied: the ack must have been lost. Re-ack from
-			// the retained snapshot.
-			e.resendRevokeAck(node, msg, prev)
+	if m.chaos != nil {
+		if prev := p.applied.get(msg.seq); prev != nil {
+			if prev.pending {
+				// The original is still being applied (or deferred); its ack
+				// will cover this duplicate.
+				m.stats.DupsIgnored++
+			} else {
+				// Already applied: the ack must have been lost. Re-ack from
+				// the retained snapshot.
+				e.resendRevokeAck(prev)
+			}
+			return nil
 		}
-		return false
+		if msg.seq < p.revFloor {
+			m.stats.DupsIgnored++
+			return nil
+		}
 	}
-	if msg.seq < p.revFloor {
-		m.stats.DupsIgnored++
-		return false
+	r := &appliedRevoke{m: m, msg: msg, ack: revokeAck{pid: m.pid, seq: msg.seq}, node: int32(node), pending: true}
+	if m.chaos != nil {
+		p.applied.put(msg.seq, r)
 	}
-	p.applied.put(msg.seq, &appliedRevoke{pending: true})
-	return true
+	return r
 }
 
-// revokeApplied closes the receiver-side record of msg once it is applied and
-// acked, keeping the page contents of a needData revoke so a re-sent one (our
-// ack was lost) gets the same data. dropped says the application orphaned
-// frame; it reports whether the record took it over (else the caller recycles).
-func (e *engine) revokeApplied(ns *nodeState, msg *revokeMsg, frame []byte, dropped bool) (retained bool) {
+// revokeApplied closes r once its revocation is applied and acked, keeping
+// the page contents of a needData revoke so a re-sent one (our ack was lost)
+// gets the same data. dropped says the application orphaned frame; it reports
+// whether the record took it over (else the caller recycles).
+func (e *engine) revokeApplied(r *appliedRevoke, frame []byte, dropped bool) (retained bool) {
 	if e.m.chaos == nil {
 		return false
 	}
-	rec := ns.peers[msg.home].applied.get(msg.seq)
-	rec.pending = false
-	if msg.needData {
+	r.pending = false
+	if r.msg.needData {
 		if !dropped {
 			frame = append([]byte(nil), frame...)
 		}
-		rec.data = frame
+		r.data = frame
 	}
-	return msg.needData && dropped
+	return r.msg.needData && dropped
 }
 
-// sendRevokeAck acknowledges msg from node, shipping data with the ack if the
+// sendRevokeAck sends r's ack from its node, shipping data with it if the
 // revocation asked for the page.
-func (m *Manager) sendRevokeAck(t *sim.Task, node int, msg *revokeMsg, data []byte) {
-	ack := &revokeAck{pid: m.pid, seq: msg.seq}
+func (m *Manager) sendRevokeAck(t *sim.Task, r *appliedRevoke, data []byte) {
+	msg := r.msg
 	if msg.needData {
-		m.net.SendPageBuf(t, node, msg.home, msg.pr, data, ack, m.frames.Get())
+		m.net.SendPageBuf(t, int(r.node), msg.home, msg.pr, data, &r.ack, m.frames.Get())
 	} else {
-		m.net.Send(t, node, msg.home, ack)
+		m.net.Send(t, int(r.node), msg.home, &r.ack)
 	}
 }
 
-// resendRevokeAck answers a duplicated revocation whose original was fully
-// applied: the ack (and, for needData revokes, the retained page snapshot)
-// is simply sent again.
-func (e *engine) resendRevokeAck(node int, msg *revokeMsg, prev *appliedRevoke) {
+// resendRevokeAck answers a duplicated revocation whose original, prev, was
+// fully applied: the ack (and, for needData revokes, the retained page
+// snapshot) is simply sent again.
+func (e *engine) resendRevokeAck(prev *appliedRevoke) {
 	m := e.m
 	m.stats.Retransmits++
-	m.mark(node, "dedup.reack", msg.vpn)
-	m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
+	m.mark(int(prev.node), "dedup.reack", prev.msg.vpn)
+	m.view(int(prev.node)).Spawn("dsm-reack", func(t *sim.Task) {
 		t.Sleep(m.params.InvalidateApply)
-		m.sendRevokeAck(t, node, msg, prev.data)
+		m.sendRevokeAck(t, prev, prev.data)
 	})
 }

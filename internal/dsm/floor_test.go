@@ -240,7 +240,8 @@ func FuzzDedupState(f *testing.F) {
 		}
 		type revoke struct {
 			msg             *revokeMsg
-			applied, closed bool // at the target; the issuer's wait
+			rec             *appliedRevoke // the target's record
+			applied, closed bool           // at the target; the issuer's wait
 		}
 		var reqs []*request
 		var revs []*revoke
@@ -318,20 +319,21 @@ func FuzzDedupState(f *testing.F) {
 				msg := &w.msg
 				ns.revokes.put(msg.seq, w)
 				msg.floor = m.e.floor(ns.revokes.base)
-				if !m.e.revokeArrived(requester, msg) {
+				rec := m.e.revokeArrived(requester, msg)
+				if rec == nil {
 					t.Fatalf("fresh revocation %#x turned away", msg.seq)
 				}
-				revs = append(revs, &revoke{msg: msg})
+				revs = append(revs, &revoke{msg: msg, rec: rec})
 			case op == 7 && v != nil && !v.applied: // the target applies it
-				m.e.revokeApplied(m.nodes[requester], v.msg, nil, false)
+				m.e.revokeApplied(v.rec, nil, false)
 				v.applied = true
 			case op == 8 && v != nil && v.applied && !v.closed: // its ack closes the issuer's wait
 				m.nodes[home].revokes.del(v.msg.seq)
 				v.closed = true
 			case op == 9 && v != nil: // a copy of a revocation reaches its target
-				var fresh bool
+				var fresh *appliedRevoke
 				resent, ignored := answer(func() { fresh = m.e.revokeArrived(requester, v.msg) })
-				if fresh {
+				if fresh != nil {
 					t.Fatalf("copy of revocation %#x applied fresh", v.msg.seq)
 				}
 				check("revocation", v.msg.seq, resent, ignored, v.applied, !v.closed)

@@ -179,8 +179,8 @@ func (m *Manager) HandleMessage(node, src int, msg fabric.Message) bool {
 	case *pageReply:
 		m.e.deliverReply(node, src, mm)
 	case *revokeMsg:
-		if m.e.revokeArrived(node, mm) {
-			m.applyRevokeAdmitted(node, mm)
+		if r := m.e.revokeArrived(node, mm); r != nil {
+			m.applyRevokeAdmitted(r)
 		}
 	case *installAck:
 		m.e.installAcked(node, mm.token)
@@ -211,15 +211,21 @@ func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
 	}
 }
 
-// servePageRequest runs the home side of one page transaction in its own
-// task (the transaction may block on revocations). The directory entry
-// stays busy until the requester acknowledges its PTE install: the page is
-// in ownership transition for that whole window, and conflicting requests
-// are NACKed — the source of the retried, slow faults of §V-D. st is the
-// engine's record of the serve; st.home is the node the transaction is served
-// at (the origin under WriteInvalidate).
-func (m *Manager) servePageRequest(t *sim.Task, st *serveState) {
-	home, req := st.home, st.req
+// RunTask runs the home side of one page transaction in st's own task (the
+// transaction may block on revocations). The directory entry stays busy
+// until the requester acknowledges its PTE install: the page is in ownership
+// transition for that whole window, and conflicting requests are NACKed —
+// the source of the retried, slow faults of §V-D. st.home is the node the
+// transaction is served at (the origin under WriteInvalidate). A request
+// bounced at dispatch is closed before its task starts, which only replies,
+// after the dispatch delay.
+func (st *serveState) RunTask(t *sim.Task) {
+	m, home, req := st.m, st.home, st.req
+	if st.closed {
+		t.Sleep(m.params.OriginDispatch)
+		m.net.Send(t, home, req.node, &st.reply)
+		return
+	}
 	serveAt := t.Now()
 	t.Sleep(m.params.OriginDispatch)
 	out := m.serve(t, st)
@@ -239,7 +245,7 @@ func (m *Manager) servePageRequest(t *sim.Task, st *serveState) {
 	}
 }
 
-// serve is the body of servePageRequest after dispatch; it returns how the
+// serve is the rest of a serve task after dispatch; it returns how the
 // transaction ended.
 func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 	home, req := st.home, st.req
@@ -291,8 +297,7 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		// Recycle it.
 		m.freeFrame(data)
 	}
-	out := m.e.awaitInstall(t, st)
-	if out != deadHome {
+	if out := m.e.awaitInstall(t, st); out != deadHome {
 		m.settle(home, de, req, st.data, out.granted(), false)
 		return out
 	}
@@ -301,7 +306,9 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 	// dropped, so the ack never will. A grant that reached the requester is
 	// finalized as its ack would have been; an undelivered one is not, and
 	// the entry is rebuilt. Deciding which reads the requester's tables, so
-	// it runs with the settlement at quiescence.
+	// it runs with the settlement at quiescence. The closure moves out to the
+	// heap, so out is declared here, where only this path pays for that.
+	out := deadHome
 	m.quiesce(t, home, "dist dead-home settle", func() {
 		if m.e.granteeDelivered(st) {
 			out = deadHomeFinalized
@@ -351,54 +358,57 @@ func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, 
 	}
 }
 
-// applyRevokeAdmitted runs a revocation that has passed the engine's
-// duplicate detection. If the page is in the grant-to-install window of an
-// outstanding request, application is deferred until the install completes
-// (the revocation necessarily targets the ownership that request was just
-// granted); deferral re-enters here so a deferred revocation is not
-// mistaken for its own duplicate.
-func (m *Manager) applyRevokeAdmitted(node int, msg *revokeMsg) {
-	ns := m.nodes[node]
-	if m.e.deferRevoke(ns, msg) {
+// applyRevokeAdmitted runs the revocation of r, which has passed the
+// engine's duplicate detection, in r's own task. If the page is in the
+// grant-to-install window of an outstanding request, application is deferred
+// until the install completes (the revocation necessarily targets the
+// ownership that request was just granted); deferral re-enters here so a
+// deferred revocation is not mistaken for its own duplicate.
+func (m *Manager) applyRevokeAdmitted(r *appliedRevoke) {
+	if m.e.deferRevoke(m.nodes[r.node], r) {
 		return
 	}
-	m.view(node).Spawn("dsm-revoke", func(t *sim.Task) {
-		applyAt := t.Now()
-		t.Sleep(m.params.InvalidateApply)
-		pte := ns.pt.Lookup(msg.vpn)
-		var frame []byte
-		if pte != nil {
-			frame = pte.Frame
-		}
-		dropped := false
+	m.view(int(r.node)).Start(&r.run, "dsm-revoke", r)
+}
+
+// RunTask applies r's revocation and acks it.
+func (r *appliedRevoke) RunTask(t *sim.Task) {
+	m, node, msg, ns := r.m, int(r.node), r.msg, r.m.nodes[r.node]
+	applyAt := t.Now()
+	t.Sleep(m.params.InvalidateApply)
+	pte := ns.pt.Lookup(msg.vpn)
+	var frame []byte
+	if pte != nil {
+		frame = pte.Frame
+	}
+	dropped := false
+	if msg.downgrade {
+		ns.pt.SetAccess(msg.vpn, nil, mem.AccessRead)
+	} else {
+		dropped = ns.pt.SetAccess(msg.vpn, nil, mem.AccessNone) != nil
+	}
+	if msg.newHome >= 0 {
+		// The revocation tells us where the page's home is about to
+		// move; remember it so our next fault routes there.
+		m.learnHome(node, msg.vpn, msg.newHome, msg.newEpoch)
+	}
+	m.emitInvalidate(node, msg.vpn)
+	if msg.needData && frame == nil {
+		panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
+	}
+	m.sendRevokeAck(t, r, frame)
+	if retained := m.e.revokeApplied(r, frame, dropped); dropped && !retained {
+		// The invalidation orphaned this node's frame; any outbound copy
+		// was snapshotted by the send above. Recycle it.
+		m.freeFrame(frame)
+	}
+	if m.rec != nil {
+		mode := "invalidate"
 		if msg.downgrade {
-			ns.pt.SetAccess(msg.vpn, nil, mem.AccessRead)
-		} else {
-			dropped = ns.pt.SetAccess(msg.vpn, nil, mem.AccessNone) != nil
+			mode = "downgrade"
 		}
-		if msg.newHome >= 0 {
-			// The revocation tells us where the page's home is about to
-			// move; remember it so our next fault routes there.
-			m.learnHome(node, msg.vpn, msg.newHome, msg.newEpoch)
-		}
-		m.emitInvalidate(node, msg.vpn)
-		if msg.needData && frame == nil {
-			panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
-		}
-		m.sendRevokeAck(t, node, msg, frame)
-		if retained := m.e.revokeApplied(ns, msg, frame, dropped); dropped && !retained {
-			// The invalidation orphaned this node's frame; any outbound copy
-			// was snapshotted by the send above. Recycle it.
-			m.freeFrame(frame)
-		}
-		if m.rec != nil {
-			mode := "invalidate"
-			if msg.downgrade {
-				mode = "downgrade"
-			}
-			m.rec.Span("dsm", "revoke.apply", node, -1, applyAt,
-				obs.Hex("vpn", msg.vpn),
-				obs.String("mode", mode))
-		}
-	})
+		m.rec.Span("dsm", "revoke.apply", node, -1, applyAt,
+			obs.Hex("vpn", msg.vpn),
+			obs.String("mode", mode))
+	}
 }

@@ -43,14 +43,13 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 			if len(outs) == 0 {
 				t.Sleep(m.params.FaultEntry) // one handler entry for the whole batch
 			}
-			pr := m.net.PreparePageRecv(t, target, node)
-			outs = append(outs, m.e.post(t, node, target, vpn, false, pr))
+			outs = append(outs, m.e.post(t, node, target, vpn, false))
 		}
 		for _, o := range outs {
 			m.e.wait(t, node, o)
 			if !o.granted() {
 				m.e.forget(node, o)
-				o.req.pr.Release()
+				o.pr.Release()
 				continue
 			}
 			m.install(t, ctx, o, nil)

@@ -312,8 +312,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 			m.learnHome(node, vpn, m.liveAnchor(vpn), 0)
 			return attempt - 1
 		}
-		pr := m.net.PreparePageRecv(t, target, node)
-		req := m.e.post(t, node, target, vpn, write, pr)
+		req := m.e.post(t, node, target, vpn, write)
 		m.e.wait(t, node, req)
 		rep := &req.reply
 		if m.rec != nil {
@@ -324,7 +323,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		}
 		if !rep.outcome.granted() {
 			m.e.forget(node, req)
-			pr.Release()
+			req.pr.Release()
 		}
 		switch rep.outcome {
 		case deadHome:
@@ -383,7 +382,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 // page's home now is, compresses the forwarding chain the request walked
 // (hops) and applies the revocations deferred behind the install.
 func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
-	node, vpn, write, pr, rep := ctx.Node, o.req.vpn, o.req.write, o.req.pr, &o.reply
+	node, vpn, write, pr, rep := ctx.Node, o.req.vpn, o.req.write, &o.pr, &o.reply
 	var frame []byte
 	if rep.outcome == grantData {
 		claimAt := t.Now()
@@ -431,8 +430,8 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 		m.compressChain(t, node, vpn, hops, final, rep.epoch)
 	}
 	// Apply revocations deferred during the install window.
-	for _, msg := range o.deferred {
-		m.applyRevokeAdmitted(node, msg)
+	for _, r := range o.deferred {
+		m.applyRevokeAdmitted(r)
 	}
 }
 
@@ -449,17 +448,18 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 	}
 	switch r := m.route(node, req); {
 	case r.busy:
-		m.e.replyAfter("dsm-nack", node, req.node, m.e.bounce(st, nack, 0, 0))
+		m.e.bounce(st, nack, 0, 0)
+		m.view(node).Start(&st.run, "dsm-nack", st)
 	case r.home == node:
-		m.view(node).Spawn("dsm-serve", func(t *sim.Task) { m.servePageRequest(t, st) })
+		m.view(node).Start(&st.run, "dsm-serve", st)
 	default:
-		reply := m.redirect(st, r.home, r.epoch)
+		m.redirect(st, r.home, r.epoch)
 		if m.rec != nil {
 			// Recorded on the bouncing node's lane (where the stale-routed
 			// request was delivered).
 			m.mark(node, m.redirectSpan, req.vpn, obs.Int("from", int64(req.node)), obs.Int("home", int64(r.home)))
 		}
-		m.e.replyAfter("dsm-redirect", node, req.node, reply)
+		m.view(node).Start(&st.run, "dsm-redirect", st)
 	}
 }
 
@@ -547,7 +547,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 			m.bury(vpn, de, owner, nil)
 			continue
 		}
-		acks = append(acks, m.e.sendRevoke(t, home, owner, vpn, false, newHome, newEpoch, nil))
+		acks = append(acks, m.e.sendRevoke(t, new(revokeWaiter), home, owner, vpn, false, newHome, newEpoch, nil))
 	}
 	m.e.waitRevokes(t, acks)
 	if !needData {
@@ -571,10 +571,12 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 		return
 	}
 	pullAt := t.Now()
-	pr := m.net.PreparePageRecv(t, w, home)
-	waiter := m.e.sendRevoke(t, home, w, vpn, downgrade, -1, 0, pr)
-	m.e.waitRevokes(t, []*revokeWaiter{waiter})
-	if waiter.lost {
+	p := new(pull)
+	pr := &p.pr
+	m.net.Prepare(t, pr, w, home)
+	m.e.sendRevoke(t, &p.revokeWaiter, home, w, vpn, downgrade, -1, 0, pr)
+	m.e.waitRevokes(t, []*revokeWaiter{&p.revokeWaiter})
+	if p.lost {
 		// The writer died before shipping its copy home.
 		pr.Release()
 		m.bury(vpn, de, w, nil)

@@ -709,7 +709,15 @@ type PageRecv struct {
 // exhausted. In PerPageReg mode it charges the dynamic registration cost;
 // in VerbOnly mode it is free.
 func (n *Network) PreparePageRecv(t *sim.Task, peer, self int) *PageRecv {
-	pr := &PageRecv{net: n, mode: n.params.Mode}
+	pr := new(PageRecv)
+	n.Prepare(t, pr, peer, self)
+	return pr
+}
+
+// Prepare is PreparePageRecv into a landing zone the caller owns (one
+// embedded in a record): it overwrites pr and allocates nothing.
+func (n *Network) Prepare(t *sim.Task, pr *PageRecv, peer, self int) {
+	*pr = PageRecv{net: n, mode: n.params.Mode}
 	switch n.params.Mode {
 	case HybridSink:
 		c := n.conn(peer, self)
@@ -726,7 +734,6 @@ func (n *Network) PreparePageRecv(t *sim.Task, peer, self int) *PageRecv {
 	default:
 		panic("fabric: unknown page mode")
 	}
-	return pr
 }
 
 // SendPage transmits page data plus a reply message from src to dst
@@ -842,6 +849,10 @@ func (pr *PageRecv) Claim(t *sim.Task) []byte {
 	}
 	return pr.data
 }
+
+// SinkFree reports how many of the src->dst connection's sink chunks no
+// landing zone holds.
+func (n *Network) SinkFree(src, dst int) int { return n.conn(src, dst).sinkPool.Available() }
 
 // Release frees the reservation when the peer replied without page data
 // (e.g. an ownership-only grant).

@@ -61,32 +61,35 @@ func TestSendAllocsPerRun(t *testing.T) {
 	}
 }
 
-// A page through the sink with a caller buffer is none: the placement carries
-// the PageRecv and the buffer it lands, and it and the reply's flight are
-// recycled.
+// A page through the sink is none, from the landing zone to its claim: the
+// zone is prepared in place in one the caller owns, the placement carries it
+// and the caller's buffer, it and the reply's flight are recycled, and the
+// claim hands the sink chunk back.
 func TestSendPageBufAllocsPerRun(t *testing.T) {
 	p := testParams(2)
-	p.SinkChunks = 256 // every landing zone is prepared before the first send
 	eng := sim.NewEngine(1)
 	net := New(eng, p)
 	handled := 0
 	net.SetHandler(1, func(int, Message) { handled++ })
 	reply := &allocMsg{size: 32}
 	data, buf := make([]byte, 4096), make([]byte, 4096)
-	var prs []*PageRecv
-	eng.Spawn("prepare", func(tk *sim.Task) {
-		for i := 0; i < allocRuns; i++ {
-			prs = append(prs, net.PreparePageRecv(tk, 0, 1))
+	var pr PageRecv
+	claimed := 0
+	got := allocsPerOp(t, eng, func(tk *sim.Task, i int) {
+		data[0] = byte(i)
+		net.Prepare(tk, &pr, 0, 1)
+		net.SendPageBuf(tk, 0, 1, &pr, data, reply, buf)
+		tk.Sleep(50 * time.Microsecond) // the page and its reply land
+		if got := pr.Claim(tk); got[0] == byte(i) {
+			claimed++
 		}
 	})
-	got := allocsPerOp(t, eng, func(tk *sim.Task, i int) { net.SendPageBuf(tk, 0, 1, prs[i], data, reply, buf) })
-	if got > 0 || handled != allocRuns {
-		t.Errorf("SendPageBuf through the sink: %v allocs per page, want 0 (%d of %d replies handled)", got, handled, allocRuns)
+	if got > 0 || handled != allocRuns || claimed != allocRuns {
+		t.Errorf("prepare, SendPageBuf and Claim through the sink: %v allocs per page, want 0 (%d replies handled, %d pages claimed, of %d)",
+			got, handled, claimed, allocRuns)
 	}
-	for i, pr := range prs {
-		if pr.data == nil {
-			t.Fatalf("page %d never landed", i)
-		}
+	if free := net.SinkFree(0, 1); free != p.SinkChunks {
+		t.Errorf("%d of %d sink chunks free after every page was claimed", free, p.SinkChunks)
 	}
 }
 

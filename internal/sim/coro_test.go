@@ -63,8 +63,8 @@ func TestUnparkResumeAllocatesNothing(t *testing.T) {
 }
 
 // A new coroutine costs iter.Pull's thirteen allocations and a goroutine; a
-// pooled one costs neither, which leaves the Task itself and its registry
-// entry.
+// pooled one costs neither, which leaves the Task itself and the closure
+// Spawn is handed (Start, below, needs neither).
 func TestSteadyStateSpawnTakesPooledCoroutine(t *testing.T) {
 	ran := 0
 	got := allocsInTask(t, func(tk *Task) {
@@ -76,6 +76,57 @@ func TestSteadyStateSpawnTakesPooledCoroutine(t *testing.T) {
 	}
 	if ran < 200 {
 		t.Fatalf("children ran %d times", ran)
+	}
+}
+
+// countBody is a record that runs as its own embedded task.
+type countBody struct {
+	task Task
+	ran  *int
+}
+
+func (b *countBody) RunTask(*Task) { *b.ran++ }
+
+// A task embedded in a record the caller holds, with the record as its body,
+// costs nothing to start once coroutines are pooled: no Task, no closure.
+func TestStartAllocsPerRun(t *testing.T) {
+	ran := 0
+	bodies := make([]countBody, 1+200) // AllocsPerRun's warm-up and measured runs
+	i := 0
+	got := allocsInTask(t, func(tk *Task) {
+		b := &bodies[i]
+		i++
+		b.ran = &ran
+		tk.Engine().Start(&b.task, "embedded", b)
+		tk.Sleep(time.Nanosecond) // the task starts, finishes and frees its coroutine
+	})
+	if got != 0 || ran != len(bodies) {
+		t.Fatalf("Start of an embedded task: %v allocs (want 0), ran %d of %d", got, ran, len(bodies))
+	}
+}
+
+// A Task runs once: a second Start, or a Start of a spawned task, is a bug
+// in the caller and panics naming the task.
+func TestStartTwicePanics(t *testing.T) {
+	e := NewEngine(1)
+	ran := 0
+	b := &countBody{ran: &ran}
+	e.Start(&b.task, "once", b)
+	for _, tk := range []*Task{&b.task, e.Spawn("spawned", func(*Task) {})} {
+		func() {
+			defer func() {
+				if r := recover(); r != fmt.Sprintf("sim: task %q started twice", tk.Name()) {
+					t.Errorf("second Start of %q: recovered %v", tk.Name(), r)
+				}
+			}()
+			e.Start(tk, "again", b)
+		}()
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if ran != 1 {
+		t.Fatalf("the embedded task ran %d times, want 1", ran)
 	}
 }
 

@@ -99,6 +99,9 @@ func (s *Semaphore) Release() {
 // Waiting reports how many tasks are queued.
 func (s *Semaphore) Waiting() int { return s.count }
 
+// Available reports how many units are free.
+func (s *Semaphore) Available() int { return s.avail }
+
 // Bus models a shared FIFO bandwidth server, e.g. a node's memory channels
 // or a network link. Transfers are serialized: a transfer arriving while the
 // bus is busy starts when the bus frees up. An optional congestion factor

@@ -17,13 +17,13 @@
 // # Events
 //
 // An event executes a Runner. After and AfterOn take a plain func() and are
-// the convenient form; where an event fires per message or per request,
-// prefer AfterRun and AfterRunOn with an object that exists anyway (the
-// message, the connection, the resource) and let it implement RunEvent: a
-// closure that captures anything is a heap object per event, a Runner is none.
-// A function value bound once and reused is as cheap either way. Tasks are
-// scheduled the same way internally, so Sleep, Unpark and Spawn allocate no
-// event state.
+// the convenient form; where an event fires per message or per request, prefer
+// AfterRun and AfterRunOn with an object that exists anyway (the message, the
+// connection, the resource) and let it implement RunEvent: a closure that
+// captures anything is a heap object per event, a Runner is none, nor is a
+// function bound once. So with a task's Body: Start runs a record that embeds
+// its Task without allocating. Tasks ride events as they are, so Sleep and
+// Unpark allocate no event state.
 //
 // # Lanes and windows
 //
@@ -1031,9 +1031,9 @@ func (t *Task) reason() Reason { return Reason{text: t.parkText, num: t.parkNum,
 type Task struct {
 	eng  *Engine // view the task currently schedules through
 	name string
-	fn   func(*Task)
-	// co is the coroutine running fn: nil until the task's start event takes
-	// one off the free list, and again once fn has returned or been unwound.
+	body Body
+	// co is the coroutine running body: nil until the task's start event takes
+	// one off the free list, and again once body has returned or been unwound.
 	co *coro
 	// idx is the task's place in the engine's registry of live tasks.
 	idx       int32
@@ -1047,6 +1047,10 @@ type Task struct {
 	// field by field: beside the flags the base costs no word, and a Task stays
 	// in the 128-byte size class (TestTaskSizeof).
 	parkBase uint8
+	// parkLane is the lane whose heap holds the pending ParkTimeout event.
+	// SetLane may rebind the task while it is parked (thread migration), so
+	// cancellation must go back to that lane.
+	parkLane int32
 	parkText string
 	parkNum  uint64
 	// again is SleepWhile's question, asked at each wake-up while it is set.
@@ -1060,10 +1064,6 @@ type Task struct {
 	// the task is woken first, so the stale timer leaves the heap instead of
 	// lingering until its deadline.
 	parkTomb *tombstone
-	// parkTombEng is the lane view the pending timeout was scheduled through.
-	// SetLane may rebind the task while it is parked (thread migration), so
-	// cancellation must go back to the lane whose heap holds the event.
-	parkTombEng *Engine
 	// waitingSem is the semaphore this task is queued on, if any. It gives
 	// Semaphore an O(1) membership test (a task can wait on at most one
 	// semaphore: it is parked the whole time it is queued).
@@ -1118,7 +1118,7 @@ func (co *coro) run() (reusable bool) {
 		co.task = nil
 		t.finish()
 	}()
-	t.fn(t)
+	t.body.RunTask(t)
 	return true
 }
 
@@ -1182,6 +1182,15 @@ func (c *engineCore) stopCoros() {
 	}
 }
 
+// Body is what a task runs: a value that exists anyway (a transaction record)
+// runs as it is, where a func(*Task) would be a closure allocated per task.
+type Body interface{ RunTask(*Task) }
+
+// funcBody carries Spawn's plain function, as funcEvent carries After's.
+type funcBody func(*Task)
+
+func (f funcBody) RunTask(t *Task) { f(t) }
+
 // Spawn creates a task running fn on this view's lane, scheduled to start at
 // the current virtual time (after already-queued events at this instant).
 func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
@@ -1191,8 +1200,20 @@ func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
 // SpawnAfter creates a task running fn on this view's lane, scheduled to
 // start after delay d.
 func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task {
+	return e.start(new(Task), name, d, funcBody(fn))
+}
+
+// Start is Spawn of body in a Task the caller owns, typically embedded in the
+// record body points to; it allocates nothing once coroutines are pooled. A
+// Task starts once: starting it again panics.
+func (e *Engine) Start(t *Task, name string, body Body) { e.start(t, name, 0, body) }
+
+func (e *Engine) start(t *Task, name string, d time.Duration, body Body) *Task {
+	if t.eng != nil {
+		panic(fmt.Sprintf("sim: task %q started twice", t.name))
+	}
 	c := e.c
-	t := &Task{eng: e, name: name, fn: fn, idx: int32(len(c.tasks))}
+	t.eng, t.name, t.body, t.idx = e, name, body, int32(len(c.tasks))
 	c.tasks = append(c.tasks, t)
 	e.AfterRun(d, t)
 	return t
@@ -1411,7 +1432,7 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 		eng := t.eng
 		tomb := &tombstone{}
 		t.parkTomb = tomb
-		t.parkTombEng = eng
+		t.parkLane = int32(eng.lane)
 		eng.schedule(eng.lane, d, t, tomb)
 	}
 	t.yield()
@@ -1428,7 +1449,6 @@ func (t *Task) expire(tomb *tombstone) bool {
 	t.timedOut = true
 	t.parked = false
 	t.parkTomb = nil
-	t.parkTombEng = nil
 	return true
 }
 
@@ -1466,9 +1486,8 @@ func (t *Task) Killed() bool { return t.killed }
 // dropParkTimer cancels the pending ParkTimeout event, if any.
 func (t *Task) dropParkTimer() {
 	if t.parkTomb != nil {
-		t.parkTombEng.ls().cancelTomb(t.parkTomb)
+		t.eng.c.lanes[t.parkLane].cancelTomb(t.parkTomb)
 		t.parkTomb = nil
-		t.parkTombEng = nil
 	}
 }
 
