@@ -128,6 +128,7 @@ trace-smoke:
 # there, dexprof, two examples). It starts with the host-independent cost
 # gates — objects per fabric message (none: flights are recycled) and per
 # untraced span, objects per remote write fault and the sizes of its records,
+# heap bytes per chaos write fault (less than a page: re-send copies are pooled),
 # words per event, bytes per task, events per golden dexserve run, pages a
 # crash+restart serving run's checkpoints copy, objects per kmn chunk search
 # and per bp snapshot replicate, frames per replicated page, objects per

@@ -329,7 +329,7 @@ func TestCheckpointSnapshotIsAFullClone(t *testing.T) {
 		want := make(map[uint64][]byte)
 		th.proc.mgr.PageTable(th.node).ForEach(func(vpn uint64, pte *mem.PTE) bool {
 			if pte.Present {
-				want[vpn] = mem.CloneFrame(pte.Frame)
+				want[vpn] = bytes.Clone(pte.Frame)
 			}
 			return true
 		})

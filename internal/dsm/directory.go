@@ -616,12 +616,12 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 	for s := survivors; frame == nil && s != 0; s &= s - 1 {
 		if n := bits.TrailingZeros64(s); !m.dead(n) {
 			if f := m.presentFrame(n, vpn); f != nil {
-				frame = mem.CloneFrame(f)
+				frame = m.copyFrame(f)
 			}
 		}
 	}
 	if frame == nil && fallback != nil {
-		frame = mem.CloneFrame(fallback)
+		frame = m.copyFrame(fallback)
 	}
 	for s := survivors &^ (1 << uint(target)); s != 0; s &= s - 1 {
 		n := bits.TrailingZeros64(s)

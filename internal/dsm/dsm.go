@@ -241,8 +241,9 @@ type Manager struct {
 
 	// frames recycles page frames for every node of the process: a frame
 	// dropped by a revocation or unmap re-emerges as the staging buffer of a
-	// later page transfer or as a demand-zero frame, wherever that happens, so
-	// the steady-state transfer path allocates nothing. One list serves all
+	// later page transfer, a page copy kept for re-sends or a demand-zero
+	// frame, wherever that happens, so the steady-state transfer path
+	// allocates nothing. One list serves all
 	// nodes because a replica's frame is taken where the page is sent and
 	// freed where it is invalidated: per-node lists filled at the readers and
 	// stayed empty at the home. A simulation runs on one goroutine, in an
@@ -349,6 +350,13 @@ func (m *Manager) FrameStats() (recycled, allocs uint64) {
 // before yielding, so a frame is safe to free as soon as the send call
 // returns).
 func (m *Manager) freeFrame(f []byte) { m.frames.Put(f) }
+
+// copyFrame returns a copy of f in a frame from the free list.
+func (m *Manager) copyFrame(f []byte) []byte {
+	c := m.frames.Get()
+	copy(c, f)
+	return c
+}
 
 // ReclaimRange invalidates all present mappings of node in [lo, hi] and
 // recycles the dropped frames. The caller must have quiesced protocol
@@ -558,8 +566,9 @@ func (s *Snapshot) Page(vpn uint64) ([]byte, bool) {
 // mapped and returns how many pages it copied: those new to s or whose
 // generation moved, copied into the frame s already had for them (a page new
 // to s takes the frame of one that s dropped, if any). Afterwards s
-// holds exactly what a fresh copy of each present page would. The checkpoint
-// layer calls this at a thread's quiescent points: the snapshot, together with
+// holds exactly what a fresh copy of each present page would. Its frames are
+// the checkpoint layer's, kept and reused by s, never the process's free list.
+// The checkpoint layer calls this at a thread's quiescent points: the snapshot, together with
 // the thread's register blob, is enough to restart the thread's computation at
 // the origin if the node later dies. The walk covers only node's own page
 // table — never the shared directory — so a checkpoint may run on node's

@@ -94,7 +94,7 @@ type serveState struct {
 	home   int       // the node that served (or bounced) this token
 	reply  pageReply // the reply sent; outcome inFlight until there is one
 	closed bool      // the serving task has finished with this token
-	data   []byte    // page snapshot retained for grant re-sends (injector only)
+	data   []byte    // pooled page snapshot for grant re-sends (injector only), until closed
 }
 
 // revokeWaiter is the issuing home's record of one revocation in flight, and
@@ -125,7 +125,7 @@ type appliedRevoke struct {
 	ack     revokeAck
 	node    int32  // where msg is applied; beside pending, it costs no word
 	pending bool   // the original application has not finished yet
-	data    []byte // page snapshot retained for needData re-acks
+	data    []byte // pooled page snapshot for needData re-acks, until a floor trims r
 }
 
 // over reports whether a record's transaction is over at the node that holds
@@ -136,10 +136,22 @@ func (w *revokeWaiter) over() bool  { return w.task == nil }
 func (r *appliedRevoke) over() bool { return !r.pending }
 
 // record is what a window holds: a transaction record that knows when its
-// transaction is over.
+// transaction is over, and lets go of what it holds once a floor trims it.
 type record interface {
 	comparable
 	over() bool
+	trimmed()
+}
+
+func (*outstanding) trimmed()  {}
+func (*serveState) trimmed()   {}
+func (*revokeWaiter) trimmed() {}
+
+// trimmed puts r's re-ack snapshot back: its issuer re-sends no revocation
+// below its floor, so nothing asks for the snapshot again.
+func (r *appliedRevoke) trimmed() {
+	r.m.freeFrame(r.data)
+	r.data = nil
 }
 
 // window holds the records of one issuer's sequence numbers (its request
@@ -185,13 +197,16 @@ func (w *window[T]) del(seq uint64) {
 }
 
 // trim drops the head while it is empty, or over and below floor, moving
-// the rest down so the window reuses its array. Of a window of a node's own
-// open records, which are dropped as they close, the base is then the node's
-// floor.
+// the rest down so the window reuses its array; a record it drops is told. Of
+// a window of a node's own open records, which are dropped as they close, the
+// base is then the node's floor.
 func (w *window[T]) trim(floor uint64) {
 	var none T
 	n := 0
 	for n < len(w.recs) && (w.recs[n] == none || w.base+uint64(n) < floor && w.recs[n].over()) {
+		if w.recs[n] != none {
+			w.recs[n].trimmed()
+		}
 		n++
 	}
 	w.recs, w.base = slices.Delete(w.recs, 0, n), w.base+uint64(n)
@@ -469,13 +484,16 @@ func (e *engine) bounce(st *serveState, out outcome, home int, epoch uint64) *pa
 }
 
 // closeServe marks the serve over (a no-op on a record a bounce closed
-// already). Without an injector nothing can ask for the record again; with
-// one it goes once the requester's floor has passed it.
+// already) and puts back its grant snapshot, if it has one a deferred
+// rebuild did not take. Without an injector nothing can ask for the record
+// again; with one it goes once the requester's floor has passed it.
 func (e *engine) closeServe(st *serveState) {
 	if st.closed {
 		return
 	}
 	st.closed = true
+	e.m.freeFrame(st.data)
+	st.data = nil
 	if e.m.chaos == nil {
 		e.m.nodes[st.home].peers[tokenNode(st.reply.token)].served.del(st.reply.token)
 	}
@@ -490,7 +508,7 @@ func (e *engine) grant(t *sim.Task, st *serveState, data []byte, epoch uint64) {
 		st.reply.outcome = grantData
 		if e.m.chaos != nil {
 			// Retain a snapshot so the grant can be re-sent if it is lost.
-			st.data = append([]byte(nil), data...)
+			st.data = e.m.copyFrame(data)
 		}
 	}
 	st.task = t // before the send: the ack must find the window open
@@ -666,7 +684,7 @@ func (e *engine) revokeApplied(r *appliedRevoke, frame []byte, dropped bool) (re
 	r.pending = false
 	if r.msg.needData {
 		if !dropped {
-			frame = append([]byte(nil), frame...)
+			frame = e.m.copyFrame(frame)
 		}
 		r.data = frame
 	}
@@ -691,8 +709,15 @@ func (e *engine) resendRevokeAck(prev *appliedRevoke) {
 	m := e.m
 	m.stats.Retransmits++
 	m.mark(int(prev.node), "dedup.reack", prev.msg.vpn)
+	// A floor may trim prev, putting its snapshot back, while the re-ack
+	// sleeps: the re-ack sends from a copy of its own.
+	var data []byte
+	if prev.data != nil {
+		data = m.copyFrame(prev.data)
+	}
 	m.view(int(prev.node)).Spawn("dsm-reack", func(t *sim.Task) {
 		t.Sleep(m.params.InvalidateApply)
-		m.sendRevokeAck(t, prev, prev.data)
+		m.sendRevokeAck(t, prev, data)
+		m.freeFrame(data)
 	})
 }

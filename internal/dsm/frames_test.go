@@ -1,9 +1,11 @@
 package dsm
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"dex/internal/chaos"
 	"dex/internal/mem"
 	"dex/internal/sim"
 )
@@ -96,5 +98,38 @@ func coalescedRoundAllocs(t *testing.T, readers int) float64 {
 func TestCoalescedJoinAllocsPerRun(t *testing.T) {
 	if many, one := coalescedRoundAllocs(t, 8), coalescedRoundAllocs(t, 1); many != one {
 		t.Errorf("a coalesced read round allocates %v objects with 7 followers and %v without, want the same", many, one)
+	}
+}
+
+// Under an injector the transport keeps a page copy for each possible re-send
+// — a grant's data at the serving home, a pulled page at the node it was
+// pulled from — in a frame from the pool, and puts it back once nothing can
+// ask for it again. Nodes 1 and 2 write one page in turn under wi, with an
+// injector that drops and duplicates nothing: each fault pulls the page from
+// the last writer and is granted with its data, and allocates its records but
+// no page, less than a page of heap.
+func TestChaosPingPongCopyBudget(t *testing.T) {
+	const warm, faults = 50, 200
+	e := newChaosEnv(t, 3, &chaos.Plan{Seed: 1})
+	var bytes, pulls, pages uint64
+	e.eng.Spawn("main", func(tk *sim.Task) {
+		for i := 0; i < warm+faults; i++ {
+			if i == warm {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				bytes, pulls, pages = ms.TotalAlloc, e.m.Stats().PageTransfers, e.net.Stats().PageSends
+			}
+			e.write(tk, 1+i%2, testAddr, byte(i))
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		bytes, pulls, pages = ms.TotalAlloc-bytes, e.m.Stats().PageTransfers-pulls, e.net.Stats().PageSends-pages
+	})
+	e.run(t)
+	if pulls != faults || pages != 2*faults {
+		t.Fatalf("%d faults pulled %d pages and sent %d, want a pull and a grant with data each", faults, pulls, pages)
+	}
+	if per := bytes / faults; per >= mem.PageSize {
+		t.Errorf("a write fault allocates %d bytes of heap, want less than a %d-byte page", per, mem.PageSize)
 	}
 }

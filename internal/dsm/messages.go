@@ -298,7 +298,7 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		m.freeFrame(data)
 	}
 	if out := m.e.awaitInstall(t, st); out != deadHome {
-		m.settle(home, de, req, st.data, out.granted(), false)
+		m.settle(st, de, out.granted(), false)
 		return out
 	}
 	// The serving home died before the install ack could arrive: the serve
@@ -313,7 +313,7 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		if m.e.granteeDelivered(st) {
 			out = deadHomeFinalized
 		}
-		m.settle(home, de, req, st.data, out == deadHomeFinalized, true)
+		m.settle(st, de, out == deadHomeFinalized, true)
 	})
 	return out
 }
@@ -328,14 +328,16 @@ func (m *Manager) redirect(st *serveState, target int, epoch uint64) *pageReply 
 	return m.e.bounce(st, redirect, target, epoch)
 }
 
-// settle closes a serve's grant window: grantCompleted finalizes an installed
+// settle closes st's grant window: grantCompleted finalizes an installed
 // grant (authority moves to a new writer), a requester that died without
-// installing is buried with data, the serve's retained snapshot, and the
-// entry goes idle. Under fault injection an entry left idle at a home that
-// died during the serve is then buried too, rather than waiting for a later
-// request to stumble into the failover path. quiescent says the caller
-// already runs where every table may be touched.
-func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, installed, quiescent bool) {
+// installing is buried with the serve's retained snapshot, and the entry goes
+// idle. Under fault injection an entry left idle at a home that died during
+// the serve is then buried too, rather than waiting for a later request to
+// stumble into the failover path. quiescent says the caller already runs
+// where every table may be touched; a rebuild deferred until it does takes
+// the snapshot from st, and puts it back when it is done.
+func (m *Manager) settle(st *serveState, de *dirEntry, installed, quiescent bool) {
+	home, req, data := st.home, st.req, st.data
 	switch {
 	case installed:
 		m.grantCompleted(de, req)
@@ -353,9 +355,10 @@ func (m *Manager) settle(home int, de *dirEntry, req *pageRequest, data []byte, 
 	}
 	if quiescent {
 		rebuild()
-	} else {
-		m.atQuiescence(home, rebuild)
+		return
 	}
+	st.data = nil
+	m.atQuiescence(home, func() { rebuild(); m.freeFrame(data) })
 }
 
 // applyRevokeAdmitted runs the revocation of r, which has passed the

@@ -69,23 +69,6 @@ func TestPageTableInvalidateRange(t *testing.T) {
 	}
 }
 
-func TestCloneFrame(t *testing.T) {
-	src := NewFrame()
-	src[7] = 9
-	dst := CloneFrame(src)
-	if dst[7] != 9 {
-		t.Fatal("clone lost data")
-	}
-	dst[7] = 1
-	if src[7] != 9 {
-		t.Fatal("clone aliases source")
-	}
-	z := CloneFrame(nil)
-	if len(z) != PageSize || z[0] != 0 {
-		t.Fatal("nil clone is not a zero page")
-	}
-}
-
 func TestVMASetInsertFind(t *testing.T) {
 	var s VMASet
 	mustInsert := func(start Addr, pages int, label string) {

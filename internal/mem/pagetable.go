@@ -118,11 +118,3 @@ func (pt *PageTable) Present() int { return pt.present }
 
 // NewFrame allocates a zeroed page frame.
 func NewFrame() []byte { return make([]byte, PageSize) }
-
-// CloneFrame returns a copy of src as a fresh frame. A nil src yields a
-// zeroed frame (zero-page semantics).
-func CloneFrame(src []byte) []byte {
-	f := NewFrame()
-	copy(f, src)
-	return f
-}

@@ -1,5 +1,10 @@
 package mem
 
+import (
+	"iter"
+	"slices"
+)
+
 // The software TLB is a per-page-table, direct-mapped translation cache in
 // front of the radix tree, mirroring the MMU/TLB split the paper's
 // consistency protocol leans on (§III-B: a node keeps accessing a page
@@ -102,7 +107,7 @@ func (pt *PageTable) TLBStats() TLBStats { return pt.tlbStats }
 
 // FramePool recycles page frames so the page-transfer path does not pay one
 // 4 KB allocation (and its GC debt) per transfer. Frames enter the pool when
-// a revocation or unmap drops the last reference; Get hands a frame out with
+// their last reference goes, once each; Get hands a frame out with
 // undefined contents (every consumer overwrites all PageSize bytes), while
 // GetZeroed clears it for demand-zero mappings. The pool never shrinks: its
 // high-water mark is bounded by the process's peak resident pages.
@@ -151,6 +156,9 @@ func (p *FramePool) Put(f []byte) {
 
 // Free reports how many frames are currently pooled.
 func (p *FramePool) Free() int { return len(p.free) }
+
+// All yields the pooled frames.
+func (p *FramePool) All() iter.Seq[[]byte] { return slices.Values(p.free) }
 
 // Recycled reports how many Gets were served from the pool.
 func (p *FramePool) Recycled() uint64 { return p.recycled }
