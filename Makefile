@@ -39,11 +39,11 @@ no-large-files:
 
 # loc prints the sizes every PR reports: lines of non-test Go outside
 # benchmark/ as wc -l counts them, and those that are neither blank nor only
-# a // comment; then the same two for internal/dsm alone, which the ROADMAP
-# states its bar for, and the number of places there that ask the directory
+# a // comment; then the same two for internal/dsm and internal/core alone,
+# which the ROADMAP and the PRs state their bars for, and the number of places there that ask the directory
 # which placement it has (`laneOwned`).
 loc:
-	@for d in . internal/dsm; do \
+	@for d in . internal/dsm internal/core; do \
 		find $$d -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | \
 		awk -v d=$$d '{ n++ } !/^[[:space:]]*(\/\/.*)?$$/ { code++ } END { if (d == ".") d = "outside benchmark/"; \
 			printf "non-test Go %s: %d lines (wc -l), %d without blank and comment lines\n", d, n, code }'; \
@@ -86,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzKMNNearest -fuzztime=10s ./internal/apps
 	$(GO) test -fuzz=FuzzResolve -fuzztime=10s ./internal/cli
 	$(GO) test -fuzz=FuzzSchedule -fuzztime=10s ./internal/load
+	$(GO) test -fuzz=FuzzTraceLoad -fuzztime=10s ./cmd/dextrace
 
 # artifacts regenerates the paper tables at full scale (EXPERIMENTS.md data).
 artifacts:
@@ -125,7 +126,7 @@ trace-smoke:
 # campaigns, dexserve) and the SHA-256 manifest of the outputs no golden file
 # pins (testdata/behaviour.sha256: traces, dexserve crash+restart under each
 # protocol and one dist run that loses a directory shard with pages anchored
-# there, dexprof, two examples). It starts with the host-independent cost
+# there, dexprof, five examples). It starts with the host-independent cost
 # gates — objects per fabric message (none: flights are recycled) and per
 # untraced span, objects per remote write fault and the sizes of its records,
 # heap bytes per chaos write fault (less than a page: re-send copies are pooled),
@@ -148,7 +149,8 @@ goldens-update:
 # bytes of a traced bfs run and of the stdout of a dexserve crash+restart run;
 # then the stdout of an 8-node dist dexserve run whose crashed shard anchors
 # pages (their new anchor learns where they are), of the page-fault profiler
-# on kmn and bfs and of the two examples that print a profile.
+# on kmn and bfs and of the examples: two that print a profile, then the three
+# that drive Spawn, Migrate, Join and the futexes through the public API.
 .PHONY: behaviour
 behaviour:
 	@set -e; for p in wi home dist; do \
@@ -161,6 +163,6 @@ behaviour:
 	for a in kmn bfs; do \
 		echo "$$($(GO) run ./cmd/dexprof -app $$a -nodes 4 -affinity -timeline | sha256sum | cut -d' ' -f1)  dexprof -app $$a -nodes 4 -affinity -timeline"; \
 	done; \
-	for e in profiler affinity; do \
+	for e in profiler affinity quickstart kmeans graphbfs; do \
 		echo "$$($(GO) run ./examples/$$e | sha256sum | cut -d' ' -f1)  go run ./examples/$$e"; \
 	done

@@ -72,6 +72,11 @@ func load(path string) (*traceFile, []span, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return parse(path, data)
+}
+
+// parse decodes a trace file's bytes; path names the file in errors.
+func parse(path string, data []byte) (*traceFile, []span, error) {
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)

@@ -169,3 +169,31 @@ func TestDistFamiliesReported(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTraceLoad holds the loader and the -validate order check to their
+// contract on any bytes: an error or a trace, never a panic, and one named
+// span per complete event of a loaded trace.
+func FuzzTraceLoad(f *testing.F) {
+	f.Add([]byte(sampleTrace))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tf, spans, err := parse("fuzz.json", data)
+		if err != nil {
+			return
+		}
+		complete := 0
+		for _, ev := range tf.TraceEvents {
+			if ev.Ph == "X" {
+				complete++
+			}
+		}
+		if len(spans) != complete {
+			t.Fatalf("%d spans from %d complete events", len(spans), complete)
+		}
+		for i, s := range spans {
+			if s.name == "" {
+				t.Fatalf("span %d has no name", i)
+			}
+		}
+		_ = validateOrder("fuzz.json", tf)
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"time"
 
 	"dex/internal/chaos"
 	"dex/internal/sim"
@@ -117,33 +118,35 @@ func (p *Process) leaseNodes() []int {
 	return nodes
 }
 
-// leaseTick runs one round of the lease protocol in event context.
+// leaseTick runs one round of the lease protocol in event context: it checks
+// the lease of every monitored node and pings those it does not declare dead.
 func (p *Process) leaseTick() {
 	now := p.m.eng.Now()
 	timeout := p.m.params.Chaos.LeaseTimeout()
-	for _, node := range p.leaseNodes() {
+	nodes := p.leaseNodes()
+	targets := nodes[:0]
+	for _, node := range nodes {
 		ns := &p.nodes[node]
-		if ns.lastSeen == 0 {
+		switch {
+		case ns.lastSeen == 0:
 			// First sight of this node: arm its lease.
 			ns.lastSeen = now
-			continue
-		}
-		if now-ns.lastSeen <= timeout {
-			continue
-		}
-		if p.m.inj.NodeDead(node) {
+		case now-ns.lastSeen <= timeout:
+			// The lease holds.
+		case p.m.inj.NodeDead(node):
 			p.declareNodeDead(node)
 			continue
+		default:
+			// Expired but the node is not actually gone: a partition or delay
+			// storm is starving heartbeats. Re-arm and keep waiting.
+			p.leaseSuspects++
+			ns.lastSeen = now
+			if rec := p.m.params.Obs; rec != nil {
+				rec.SpanAt("chaos", "lease.suspect", node, -1, now, 0)
+			}
 		}
-		// Expired but the node is not actually gone: a partition or delay
-		// storm is starving heartbeats. Re-arm and keep waiting.
-		p.leaseSuspects++
-		ns.lastSeen = now
-		if rec := p.m.params.Obs; rec != nil {
-			rec.SpanAt("chaos", "lease.suspect", node, -1, now, 0)
-		}
+		targets = append(targets, node)
 	}
-	targets := p.leaseNodes() // without the nodes just declared dead
 	if len(targets) == 0 {
 		return
 	}
@@ -163,8 +166,9 @@ func (p *Process) leaseTick() {
 // declareNodeDead is the origin's commit point for a node crash: the worker
 // is retired and page ownership is reclaimed to the origin. Threads located
 // at the node are then either re-spawned at the origin from their latest
-// checkpoint (when every one of them is restartable) or marked dead with an
-// attributable error so their joiners resume instead of hanging. Idempotent.
+// checkpoint (when every one of them is restartable) or retired with an
+// attributable error so their joiners resume instead of hanging; a lost main
+// thread, which nothing joins, fails the process. Idempotent.
 func (p *Process) declareNodeDead(node int) {
 	if p.nodes[node].dead {
 		return
@@ -176,23 +180,20 @@ func (p *Process) declareNodeDead(node int) {
 		p.firstErr = err
 	}
 	var dead []*Thread
+	restartAll := true
 	for _, th := range p.threads {
 		if !th.done && th.node == node {
 			dead = append(dead, th)
+			restartAll = restartAll && th.restartable != nil
 		}
 	}
-	restartAll := true
-	for _, th := range dead {
-		if th.restartable == nil {
-			restartAll = false
-		}
-	}
-	if len(dead) == 0 {
+	switch {
+	case len(dead) == 0:
 		// The dead node hosted none of this process's threads — it was
 		// monitored purely as a directory shard. The reclaim above rebuilt
 		// its slice; no thread needs restarting and no synchronization
 		// involved the node, so futexes stay healthy.
-	} else if restartAll {
+	case restartAll:
 		// Every lost thread can come back from a checkpoint: repopulate the
 		// pages whose only copy died with the node from the snapshots, then
 		// re-spawn the threads at the origin. No futex poisoning — the
@@ -218,12 +219,13 @@ func (p *Process) declareNodeDead(node int) {
 			p.restartThread(th)
 			p.threadsRestarted++
 		}
-	} else {
+	default:
 		// Node death poisons futex-based synchronization (robust-futex
 		// style): a barrier or lock involving the dead node's threads can
 		// never be satisfied again, and the origin cannot tell which waits
-		// those are. All in-flight waits are interrupted and later waits
-		// fail fast; survivors surface the error instead of hanging.
+		// those are. All in-flight waits, the lost threads' included, are
+		// interrupted and later waits fail fast; survivors surface the error
+		// instead of hanging.
 		if p.futexPoisoned == nil {
 			p.futexPoisoned = fmt.Errorf("core: futex wait interrupted: node %d crashed", node)
 		}
@@ -231,25 +233,15 @@ func (p *Process) declareNodeDead(node int) {
 		for _, th := range dead {
 			th.crashErr = fmt.Errorf("core: thread %d lost: node %d crashed", th.id, node)
 			p.threadsLost++
-			if th.futexWaiter != nil {
-				th.futexWaiter.Expire()
-				th.futexWaiter = nil
+			var err error
+			if th == p.threads[0] {
+				err = th.crashErr
 			}
-			th.done = true
-			for _, j := range th.joiners {
-				j.Unpark()
-			}
-			th.joiners = nil
-			p.liveCount--
+			p.retire(th, err)
 		}
 	}
 	if rec := p.m.params.Obs; rec != nil {
 		rec.SpanAt("chaos", "node.dead", node, -1, p.m.eng.Now(), 0)
-	}
-	if p.liveCount == 0 {
-		p.finishedAt = p.m.eng.Now()
-		// Teardown sends from the origin, so it runs on the origin's lane.
-		p.m.view(p.origin).Spawn("process-exit", func(t *sim.Task) { p.shutdownWorkers(t) })
 	}
 }
 
@@ -262,32 +254,27 @@ func (p *Process) restartThread(th *Thread) {
 	th.node = p.origin
 	th.restarts++
 	th.pending = 0
-	blob := append([]byte(nil), th.ckpt.data...)
-	fn := th.restartable
-	name := fmt.Sprintf("pid%d/t%d#r%d", p.pid, th.id, th.restarts)
-	th.task = p.m.view(p.origin).Spawn(name, func(t *sim.Task) {
-		th.task = t
-		p.threadDone(t, th, fn(th, blob))
-	})
-	th.task.SetDetail(fmt.Sprintf("node %d", p.origin))
+	th.blob = append([]byte(nil), th.ckpt.data...)
+	p.start(th, fmt.Sprintf("pid%d/t%d#r%d", p.pid, th.id, th.restarts))
 	if rec := p.m.params.Obs; rec != nil {
 		rec.SpanAt("chaos", "thread.restart", p.origin, th.id, p.m.eng.Now(), 0)
 	}
 }
 
-// awaitAcks blocks t until pending, a mask of nodes, drains. Without fault
-// injection this is a plain park loop (the acks are envelopes, which the
-// injector never drops). Under injection a node can die between the send and
-// its ack, so the wait re-checks the pending set against injector ground
-// truth on a timer.
-func (p *Process) awaitAcks(t *sim.Task, reason string, pending *uint64) {
-	if p.m.inj == nil {
-		for *pending != 0 {
-			t.Park(reason)
-		}
-		return
+// recheck is how often a wait for a remote node re-checks injector ground
+// truth: a node can die between a send and its answer. Without fault
+// injection it is 0 — a plain park, since envelopes are never dropped.
+func (m *Machine) recheck() time.Duration {
+	if m.inj == nil {
+		return 0
 	}
-	period := p.m.params.Chaos.LeasePeriod()
+	return m.params.Chaos.LeasePeriod()
+}
+
+// awaitAcks blocks t until pending, a mask of nodes, drains, dropping the
+// nodes the injector reports dead at each recheck.
+func (p *Process) awaitAcks(t *sim.Task, reason string, pending *uint64) {
+	period := p.m.recheck()
 	for *pending != 0 {
 		if t.ParkTimeout(reason, period) {
 			continue

@@ -78,6 +78,35 @@ func TestChaosCrashSurfacesJoinError(t *testing.T) {
 	}
 }
 
+// TestChaosLostMainThreadFailsRun: nothing joins the main thread, so its loss
+// with its node is the process's error — the run must not end as a success
+// for a program that never finished.
+func TestChaosLostMainThreadFailsRun(t *testing.T) {
+	params := DefaultParams(3)
+	params.Chaos = &chaos.Plan{
+		Seed:    1,
+		Crashes: []chaos.Crash{{Node: 2, At: chaos.Duration(5 * time.Millisecond)}},
+	}
+	m := NewMachine(params)
+	p := m.NewProcess(0, func(th *Thread) error {
+		if err := th.Migrate(2); err != nil {
+			return err
+		}
+		th.Compute(50 * time.Millisecond) // still running at crash time
+		return th.MigrateBack()
+	})
+	err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "thread 0 lost: node 2 crashed") {
+		t.Fatalf("Run = %v, want the main thread's loss with node 2", err)
+	}
+	if p.Err() != err {
+		t.Fatalf("Process.Err = %v, want Run's error %v", p.Err(), err)
+	}
+	if rep := p.Report(); rep.Chaos.ThreadsLost != 1 {
+		t.Fatalf("ThreadsLost = %d, want 1", rep.Chaos.ThreadsLost)
+	}
+}
+
 func TestChaosMigrationToDeadNodeFails(t *testing.T) {
 	plan := &chaos.Plan{
 		Seed:    1,

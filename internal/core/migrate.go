@@ -13,7 +13,6 @@ import (
 type migration struct {
 	th     *Thread
 	to     int
-	first  bool
 	record MigrationRecord
 	// phase timestamps
 	sentAt    time.Duration
@@ -83,16 +82,12 @@ func (th *Thread) migrateForward(to int) error {
 		mg.record.First = created
 		w.mb.Send(workerMsg{fork: mg})
 	}})
-	reason := fmt.Sprintf("migrating to node %d", to)
+	// Under fault injection the destination can die while the context (or
+	// its fork) is in flight; the re-check makes the thread return an error
+	// instead of parking forever.
+	reason, period := fmt.Sprintf("migrating to node %d", to), p.m.recheck()
 	for !mg.resumed {
-		if p.m.inj == nil {
-			th.task.Park(reason)
-			continue
-		}
-		// Under fault injection the destination can die while the context
-		// (or its fork) is in flight; re-check on a timer so the thread
-		// returns an error instead of parking forever.
-		if th.task.ParkTimeout(reason, p.m.params.Chaos.LeasePeriod()) || mg.resumed {
+		if th.task.ParkTimeout(reason, period) || mg.resumed {
 			continue
 		}
 		if p.m.inj.NodeDead(to) {

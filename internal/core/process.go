@@ -35,7 +35,6 @@ type Process struct {
 
 	threads    []*Thread
 	liveCount  int
-	mainDone   bool
 	firstErr   error
 	startedAt  time.Duration
 	finishedAt time.Duration
@@ -74,10 +73,9 @@ type nodeState struct {
 // remoteWorker is the per-(process, node) worker thread of §III-A: it forks
 // remote threads and applies node-wide operations (VMA updates, exit).
 type remoteWorker struct {
-	node  int
-	ready bool
-	mb    *sim.Mailbox[workerMsg]
-	task  *sim.Task
+	node int
+	mb   *sim.Mailbox[workerMsg]
+	task *sim.Task
 }
 
 type workerMsg struct {
@@ -122,7 +120,7 @@ func (m *Machine) NewProcess(origin int, main func(*Thread) error) *Process {
 		}
 		p.startLeaseMonitor()
 	}
-	p.newThread(origin, main, nil)
+	p.newThread(main)
 	return p
 }
 
@@ -191,54 +189,79 @@ func (p *Process) Report() Report {
 	}
 }
 
-// newThread creates a thread at node running fn. parent is nil for the main
-// thread.
-func (p *Process) newThread(node int, fn func(*Thread) error, parent *Thread) *Thread {
-	th := &Thread{
-		proc: p,
-		id:   len(p.threads),
-		node: node,
-	}
+// newThread creates a thread at the origin running fn.
+func (p *Process) newThread(fn func(*Thread) error) *Thread {
+	th := &Thread{proc: p, id: len(p.threads), node: p.origin, body: fn}
 	p.threads = append(p.threads, th)
 	p.liveCount++
-	name := fmt.Sprintf("pid%d/t%d", p.pid, th.id)
-	th.task = p.m.view(node).Spawn(name, func(t *sim.Task) {
-		th.task = t
-		p.threadDone(t, th, fn(th))
-	})
-	th.task.SetDetail(fmt.Sprintf("node %d", node))
+	p.start(th, fmt.Sprintf("pid%d/t%d", p.pid, th.id))
 	return th
 }
 
-// threadDone commits a thread's exit: the error (if any), the done flag,
+// start launches th's body in a new task at th.node under name: a new
+// thread's first run and a restart's alike.
+func (p *Process) start(th *Thread, name string) {
+	th.task = new(sim.Task)
+	p.m.view(th.node).Start(th.task, name, (*threadBody)(th))
+	th.task.SetDetail(fmt.Sprintf("node %d", th.node))
+}
+
+// threadBody is a Thread as the body of its task, so that a start allocates
+// no closure.
+type threadBody Thread
+
+// RunTask runs the thread's body — a restartable one from the blob it was
+// (re)started with — and commits its exit.
+func (b *threadBody) RunTask(t *sim.Task) {
+	th := (*Thread)(b)
+	var err error
+	if th.restartable != nil {
+		err = th.restartable(th, th.blob)
+	} else {
+		err = th.body(th)
+	}
+	th.proc.threadDone(t, th, err)
+}
+
+// threadDone commits a thread's exit. The error (if any), the done flag,
 // joiner wakeups, and the live count are process-wide state shared with
 // threads on every node, so the bookkeeping runs in serialized global-lane
-// context — a joiner parked on another lane can then be woken safely. When
-// the last thread exits, worker teardown is handed to a fresh origin-lane
-// task (the teardown sends from the origin, so it must execute there).
+// context — a joiner parked on another lane can then be woken safely.
 func (p *Process) threadDone(t *sim.Task, th *Thread, err error) {
+	if err != nil {
+		err = fmt.Errorf("thread %d: %w", th.id, err)
+	}
 	p.m.commitGlobalWait(t, func() {
 		if th.done {
 			// The thread's node was declared dead between its return and this
 			// commit; declareNodeDead already accounted for it.
 			return
 		}
-		if err != nil && p.firstErr == nil {
-			p.firstErr = fmt.Errorf("thread %d: %w", th.id, err)
-		}
-		th.done = true
-		for _, j := range th.joiners {
-			j.Unpark()
-		}
-		th.joiners = nil
-		p.liveCount--
-		if p.liveCount > 0 {
-			return
-		}
-		p.finishedAt = p.m.eng.Now()
-		p.m.view(p.origin).Spawn("process-exit", func(st *sim.Task) {
-			p.shutdownWorkers(st)
-		})
+		p.retire(th, err)
+	})
+}
+
+// retire takes th out of the process, in serialized context, whether it
+// exited or was lost with its node: err, if the process has none yet, becomes
+// the process error; th's joiners wake in the order they joined; and when the
+// last thread leaves, worker teardown is handed to a fresh origin-lane task
+// (the teardown sends from the origin, so it must execute there).
+func (p *Process) retire(th *Thread, err error) {
+	if err != nil && p.firstErr == nil {
+		p.firstErr = err
+	}
+	th.done = true
+	for _, j := range th.joiners {
+		j.Unpark()
+	}
+	th.joiners = nil
+	p.liveCount--
+	if p.liveCount > 0 {
+		return
+	}
+	p.finishedAt = p.m.eng.Now()
+	p.m.view(p.origin).Spawn("process-exit", func(st *sim.Task) {
+		p.shutdownWorkers(st)
 	})
 }
 
@@ -283,7 +306,6 @@ func (p *Process) worker(node int) (*remoteWorker, bool) {
 		// Per-process setup: address space bootstrap, messaging state,
 		// process-level bookkeeping (the 620 µs of Figure 3).
 		t.Sleep(p.m.params.Migration.RemoteWorkerSetup)
-		w.ready = true
 		for {
 			msg := w.mb.Recv(t)
 			switch {

@@ -24,6 +24,8 @@ type Thread struct {
 	node int
 	task *sim.Task
 	site string
+	// body is what the thread runs unless it is restartable.
+	body func(*Thread) error
 
 	// pending batches the cost of small local accesses so that hot
 	// word-granularity loops do not create one simulator event per load or
@@ -55,6 +57,8 @@ type Thread struct {
 	// is re-spawned at the origin from its latest checkpoint instead of
 	// surfacing a crash error.
 	restartable func(*Thread, []byte) error
+	// blob is the checkpoint blob restartable last started from.
+	blob []byte
 	// ckpt is the latest state snapshot taken by Checkpoint; the zero value
 	// restarts the body from the top.
 	ckpt checkpoint
@@ -162,13 +166,9 @@ func (th *Thread) ctx() dsm.Ctx {
 // Compute occupies one core of the current node for d of virtual time,
 // queueing behind other runnable threads if all cores are busy.
 func (th *Thread) Compute(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		th.Work(d, 0)
 	}
-	node := th.proc.m.nodes[th.node]
-	node.cores.Acquire(th.task)
-	th.task.Sleep(d)
-	node.cores.Release()
 }
 
 // Work models a computation phase touching local memory: d of CPU time on
@@ -194,7 +194,7 @@ func (th *Thread) Spawn(fn func(*Thread) error) (*Thread, error) {
 		return nil, fmt.Errorf("%w: spawn from node %d", ErrNotAtOrigin, th.node)
 	}
 	th.Compute(th.proc.m.params.SpawnCost)
-	return th.proc.newThread(th.proc.origin, fn, th), nil
+	return th.proc.newThread(fn), nil
 }
 
 // SpawnRestartable creates a thread like Spawn whose body can be restarted
@@ -204,16 +204,15 @@ func (th *Thread) Spawn(fn func(*Thread) error) (*Thread, error) {
 // deterministic and idempotent when replayed from its last quiescent point
 // — shared writes it re-issues must land the same bytes.
 func (th *Thread) SpawnRestartable(fn func(*Thread, []byte) error) (*Thread, error) {
-	if th.node != th.proc.origin {
-		return nil, fmt.Errorf("%w: spawn from node %d", ErrNotAtOrigin, th.node)
+	nt, err := th.Spawn(nil)
+	if err == nil {
+		// The thread is restartable from birth: its task, not yet run, runs
+		// fn in place of a body, and a node that dies before the body's first
+		// Checkpoint restarts it from the beginning (nil blob, no pages to
+		// restore).
+		nt.restartable = fn
 	}
-	th.Compute(th.proc.m.params.SpawnCost)
-	nt := th.proc.newThread(th.proc.origin, func(t *Thread) error { return fn(t, nil) }, th)
-	// The thread is restartable from birth: a node that dies before the
-	// body's first Checkpoint restarts it from the beginning (nil blob, no
-	// pages to restore).
-	nt.restartable = fn
-	return nt, nil
+	return nt, err
 }
 
 // Checkpoint captures the thread's execution state at a quiescent point: a
@@ -353,52 +352,30 @@ func (th *Thread) findVMA(set *mem.VMASet, a mem.Addr) (mem.VMA, bool) {
 
 // Read copies len(buf) bytes from the shared address space at addr into
 // buf, faulting pages in as needed through the consistency protocol.
-func (th *Thread) Read(addr mem.Addr, buf []byte) error {
-	if err := th.checkAccess(addr, len(buf), false); err != nil {
+func (th *Thread) Read(addr mem.Addr, buf []byte) error { return th.access(addr, buf, false) }
+
+// Write copies data into the shared address space at addr, acquiring
+// exclusive page ownership as needed.
+func (th *Thread) Write(addr mem.Addr, data []byte) error { return th.access(addr, data, true) }
+
+// access is Read (buf is filled) or Write (buf is stored), page by page.
+func (th *Thread) access(addr mem.Addr, buf []byte, write bool) error {
+	if err := th.checkAccess(addr, len(buf), write); err != nil {
 		return err
 	}
-	mgr := th.proc.mgr
-	off := 0
-	for off < len(buf) {
+	for off := 0; off < len(buf); {
 		a := addr + mem.Addr(off)
-		n := mem.PageSize - a.PageOff()
-		if rem := len(buf) - off; n > rem {
-			n = rem
+		frame := th.proc.mgr.EnsurePage(th.task, th.ctx(), a, write).Frame[a.PageOff():]
+		if write {
+			off += copy(frame, buf[off:])
+		} else {
+			off += copy(buf[off:], frame)
 		}
-		pte := mgr.EnsurePage(th.task, th.ctx(), a, false)
-		copy(buf[off:off+n], pte.Frame[a.PageOff():a.PageOff()+n])
-		off += n
 	}
 	if len(buf) <= smallAccess {
 		th.chargeSmall(len(buf))
 	} else {
 		th.proc.m.nodes[th.node].bus.Transfer(th.task, len(buf))
-	}
-	return nil
-}
-
-// Write copies data into the shared address space at addr, acquiring
-// exclusive page ownership as needed.
-func (th *Thread) Write(addr mem.Addr, data []byte) error {
-	if err := th.checkAccess(addr, len(data), true); err != nil {
-		return err
-	}
-	mgr := th.proc.mgr
-	off := 0
-	for off < len(data) {
-		a := addr + mem.Addr(off)
-		n := mem.PageSize - a.PageOff()
-		if rem := len(data) - off; n > rem {
-			n = rem
-		}
-		pte := mgr.EnsurePage(th.task, th.ctx(), a, true)
-		copy(pte.Frame[a.PageOff():a.PageOff()+n], data[off:off+n])
-		off += n
-	}
-	if len(data) <= smallAccess {
-		th.chargeSmall(len(data))
-	} else {
-		th.proc.m.nodes[th.node].bus.Transfer(th.task, len(data))
 	}
 	return nil
 }
@@ -415,19 +392,12 @@ func (th *Thread) ReadReplicate(addr mem.Addr, buf []byte) error {
 	}
 	mgr := th.proc.mgr
 	faulted := 0
-	off := 0
-	for off < len(buf) {
+	for off := 0; off < len(buf); {
 		a := addr + mem.Addr(off)
-		n := mem.PageSize - a.PageOff()
-		if rem := len(buf) - off; n > rem {
-			n = rem
-		}
 		if mgr.Lookup(th.node, a.VPN(), false) == nil {
 			faulted += mem.PageSize
 		}
-		pte := mgr.EnsurePage(th.task, th.ctx(), a, false)
-		copy(buf[off:off+n], pte.Frame[a.PageOff():a.PageOff()+n])
-		off += n
+		off += copy(buf[off:], mgr.EnsurePage(th.task, th.ctx(), a, false).Frame[a.PageOff():])
 	}
 	if faulted > 0 {
 		th.proc.m.nodes[th.node].bus.Transfer(th.task, faulted)
