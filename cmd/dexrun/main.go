@@ -121,8 +121,8 @@ func run(args []string) error {
 	tlb := res.Report.TLB
 	fmt.Printf("tlb:          %d hits, %d misses (%.1f%% hit rate), %d shootdown flushes\n",
 		tlb.Hits, tlb.Misses, 100*tlb.HitRate(), tlb.Flushes)
-	fmt.Printf("frames:       %d recycled, %d allocated\n",
-		res.Report.FramesRecycled, res.Report.FrameAllocs)
+	fmt.Printf("frames:       %d recycled, %d allocated, %d shared\n",
+		res.Report.FramesRecycled, res.Report.FrameAllocs, res.Report.FramesShared)
 	cli.PrintSched(os.Stdout, res.Report.Sched, cl.Metrics)
 	if c := res.Report.Chaos; c != nil {
 		fmt.Printf("chaos:        %d dropped, %d duplicated, %d delayed, %d held; %d retransmits, %d dups ignored\n",

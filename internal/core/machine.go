@@ -349,9 +349,11 @@ type Report struct {
 	TLB        mem.TLBStats
 	TLBPerNode []mem.TLBStats
 	// FramesRecycled / FrameAllocs count page frames served from the
-	// process free list versus freshly allocated.
+	// process free list versus freshly allocated; FramesShared counts the
+	// references to a frame taken instead of a copy of it.
 	FramesRecycled uint64
 	FrameAllocs    uint64
+	FramesShared   uint64
 	// Migrations counts completed thread migrations (both directions).
 	Migrations int
 	// MigrationRecords holds per-migration phase timings (Figure 3).

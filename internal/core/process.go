@@ -157,7 +157,7 @@ func (p *Process) Report() Report {
 		resident[n] = p.mgr.PageTable(n).Present()
 		tlbPerNode[n] = p.mgr.TLBStatsNode(n)
 	}
-	recycled, allocs := p.mgr.FrameStats()
+	recycled, allocs, shared := p.mgr.FrameStats()
 	var cr *ChaosReport
 	if p.m.inj != nil {
 		cr = &ChaosReport{
@@ -181,6 +181,7 @@ func (p *Process) Report() Report {
 		TLBPerNode:       tlbPerNode,
 		FramesRecycled:   recycled,
 		FrameAllocs:      allocs,
+		FramesShared:     shared,
 		Migrations:       p.migrations,
 		MigrationRecords: p.migrationRecords,
 		VMAQueries:       p.vmaQueries,

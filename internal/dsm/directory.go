@@ -601,10 +601,10 @@ func (m *Manager) presentFrame(node int, vpn uint64) []byte {
 }
 
 // rehome rebuilds the entry of a page whose home died at the page's live
-// anchor: adopt the target's own replica if it has one, else a surviving
-// reader's copy, else the caller-supplied snapshot (a serve's retained grant
-// data), and only as a last resort a zero-filled frame (counted in
-// PagesLost). Every other surviving replica is dropped so the owner mask
+// anchor: adopt the target's own replica if it has one, else a reference to
+// a surviving reader's copy, else to the caller-supplied snapshot (a serve's
+// retained grant data), and only as a last resort a zero-filled frame
+// (counted in PagesLost). Every other surviving replica is dropped so the owner mask
 // matches PTE presence afterwards — those nodes re-fault and the redirect
 // machinery repairs their routes. The entry moves into the table the target
 // reads, so it runs only where lanes are quiescent. Reports whether the
@@ -615,13 +615,11 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 	survivors := de.owners &^ (1 << uint(dead))
 	for s := survivors; frame == nil && s != 0; s &= s - 1 {
 		if n := bits.TrailingZeros64(s); !m.dead(n) {
-			if f := m.presentFrame(n, vpn); f != nil {
-				frame = m.copyFrame(f)
-			}
+			frame = m.frames.Share(m.presentFrame(n, vpn))
 		}
 	}
-	if frame == nil && fallback != nil {
-		frame = m.copyFrame(fallback)
+	if frame == nil {
+		frame = m.frames.Share(fallback)
 	}
 	for s := survivors &^ (1 << uint(target)); s != 0; s &= s - 1 {
 		n := bits.TrailingZeros64(s)

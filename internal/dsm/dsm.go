@@ -239,17 +239,18 @@ type Manager struct {
 	// duplicate detection.
 	e engine
 
-	// frames recycles page frames for every node of the process: a frame
-	// dropped by a revocation or unmap re-emerges as the staging buffer of a
-	// later page transfer, a page copy kept for re-sends or a demand-zero
-	// frame, wherever that happens, so the steady-state transfer path
-	// allocates nothing. One list serves all
-	// nodes because a replica's frame is taken where the page is sent and
-	// freed where it is invalidated: per-node lists filled at the readers and
-	// stayed empty at the home. A simulation runs on one goroutine, in an
-	// order its schedule fixes, so one list needs no lock and its counters
-	// repeat. Frames are returned only at the points where the protocol can
-	// prove no reference remains (see freeFrame callers).
+	// frames holds the page frames of every node of the process, counted by
+	// reference: a read grant, a page in flight, a re-send snapshot and a
+	// rebuild's fallback each take a reference to the frame they would have
+	// copied, and the last release puts it back, wherever that happens, so
+	// readers share one frame and the steady-state transfer path allocates
+	// nothing. A frame is copied only where write access is granted and only
+	// while another holder still references it (mem.FramePool.Private), so a
+	// writable frame has one holder. One pool serves all nodes because a
+	// frame is taken where a page is written and released where it is
+	// invalidated: per-node lists filled at the readers and stayed empty at
+	// the home. A simulation runs on one goroutine, in an order its schedule
+	// fixes, so one pool needs no lock and its counters repeat.
 	frames mem.FramePool
 
 	// chaos is the fault injector attached to the fabric, or nil. When set,
@@ -338,25 +339,17 @@ func (m *Manager) TLBStats() mem.TLBStats {
 	return s
 }
 
-// FrameStats reports frame free-list activity: frames served from the pool
-// and frames that fell through to a fresh allocation.
-func (m *Manager) FrameStats() (recycled, allocs uint64) {
-	return m.frames.Recycled(), m.frames.Allocs()
+// FrameStats reports frame pool activity: frames served from the pool,
+// frames that fell through to a fresh allocation, and references taken
+// instead of copies.
+func (m *Manager) FrameStats() (recycled, allocs, shared uint64) {
+	return m.frames.Recycled(), m.frames.Allocs(), m.frames.Shares()
 }
 
-// freeFrame returns an orphaned frame to the process's free list, from any
-// node. Callers must guarantee the frame is no longer mapped in any page table
-// and not captured by an in-flight transfer (SendPage snapshots its payload
-// before yielding, so a frame is safe to free as soon as the send call
-// returns).
-func (m *Manager) freeFrame(f []byte) { m.frames.Put(f) }
-
-// copyFrame returns a copy of f in a frame from the free list.
-func (m *Manager) copyFrame(f []byte) []byte {
-	c := m.frames.Get()
-	copy(c, f)
-	return c
-}
+// freeFrame drops one reference to f, from any node: the holder — a PTE
+// that was unmapped, a snapshot no longer needed — lets go of it, and the
+// last holder's release returns the frame to the process's pool.
+func (m *Manager) freeFrame(f []byte) { m.frames.Release(f) }
 
 // ReclaimRange invalidates all present mappings of node in [lo, hi] and
 // recycles the dropped frames. The caller must have quiesced protocol
@@ -516,11 +509,10 @@ func (m *Manager) bury(vpn uint64, de *dirEntry, dead int, fallback []byte) (los
 	case de.home == dead:
 		return m.rehome(vpn, de, dead, fallback)
 	case de.writer == dead:
-		frame := m.frames.GetZeroed()
+		frame := m.frames.Share(fallback)
 		if lost = fallback == nil; lost {
+			frame = m.frames.GetZeroed()
 			m.stats.PagesLost++
-		} else {
-			copy(frame, fallback)
 		}
 		m.nodes[de.home].pt.SetAccess(vpn, frame, mem.AccessRead)
 		de.reclaimHome()
@@ -616,7 +608,8 @@ func (m *Manager) SnapshotPages(node int, s *Snapshot) (copied int) {
 // a restarted thread replays from consistent bytes. Reports whether the home
 // held a frame to restore into. The bytes change under a PTE whose generation
 // that reclaim moved in this same event (every lost page was mapped anew), so
-// no watcher of the generation can have read in between.
+// no watcher of the generation can have read in between, and in a frame fresh
+// from the pool that only the home holds, so no sharer sees them change.
 func (m *Manager) RestorePage(vpn uint64, data []byte) bool {
 	de, ok := m.dir.find(vpn)
 	if !ok {

@@ -139,34 +139,26 @@ func TestOwnershipOnlyGrantOnUpgrade(t *testing.T) {
 	}
 }
 
-// An ownership-only grant revokes the home's copy without sending it, so
-// nobody downstream recycles that frame; serveWrite has to. A page that goes
-// home → reader → upgraded writer → home over and over then runs on the frames
-// it started with.
+// An ownership-only grant revokes the home's copy without sending it, and
+// serveWrite releases that reference, so the upgraded writer's copy — the
+// frame the home wrote and the reader shares — has no other holder and is
+// written in place. A page that goes home → reader → upgraded writer → home
+// over and over then runs on the one frame its first touch took, copying
+// nothing and putting nothing in the pool.
 func TestUpgradePingPongRecyclesHomeFrame(t *testing.T) {
 	e := newEnv(t, 2, DefaultParams(), nil)
-	round := func(tk *sim.Task, i int) {
-		e.write(tk, 0, testAddr, byte(i))
-		_ = e.read(tk, 1, testAddr)
-		freeBefore := e.m.frames.Free()
-		e.write(tk, 1, testAddr, byte(i+1)) // ownership only: the home's frame is dropped
-		if got := e.m.frames.Free(); got != freeBefore+1 {
-			t.Errorf("round %d: pool holds %d frames after the upgrade, want %d", i, got, freeBefore+1)
-		}
-	}
 	e.eng.Spawn("main", func(tk *sim.Task) {
-		for i := 0; i < 4; i++ {
-			round(tk, i)
-		}
-		_, allocs := e.m.FrameStats()
-		for i := 4; i < 20; i++ {
-			round(tk, i)
-		}
-		if _, a := e.m.FrameStats(); a != allocs {
-			t.Errorf("16 more rounds allocated %d frames, want none", a-allocs)
+		for i := 0; i < 20; i++ {
+			e.write(tk, 0, testAddr, byte(i))
+			_ = e.read(tk, 1, testAddr)
+			e.write(tk, 1, testAddr, byte(i+1)) // ownership only: the home's reference is dropped
 		}
 	})
 	e.run(t)
+	if _, allocs, _ := e.m.FrameStats(); allocs != 1 || e.m.frames.Copies() != 0 || e.m.frames.Free() != 0 {
+		t.Errorf("20 rounds allocated %d frames, copied %d and pooled %d, want 1, 0 and 0",
+			allocs, e.m.frames.Copies(), e.m.frames.Free())
+	}
 	if got := e.m.Stats().OwnershipGrants; got != 20 {
 		t.Fatalf("OwnershipGrants = %d, want one per round", got)
 	}

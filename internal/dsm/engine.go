@@ -94,7 +94,7 @@ type serveState struct {
 	home   int       // the node that served (or bounced) this token
 	reply  pageReply // the reply sent; outcome inFlight until there is one
 	closed bool      // the serving task has finished with this token
-	data   []byte    // pooled page snapshot for grant re-sends (injector only), until closed
+	data   []byte    // a reference to the page the grant carried, for re-sends (injector only), until closed
 }
 
 // revokeWaiter is the issuing home's record of one revocation in flight, and
@@ -125,7 +125,7 @@ type appliedRevoke struct {
 	ack     revokeAck
 	node    int32  // where msg is applied; beside pending, it costs no word
 	pending bool   // the original application has not finished yet
-	data    []byte // pooled page snapshot for needData re-acks, until a floor trims r
+	data    []byte // a reference to the page a needData revocation shipped, for re-acks, until a floor trims r
 }
 
 // over reports whether a record's transaction is over at the node that holds
@@ -147,8 +147,8 @@ func (*outstanding) trimmed()  {}
 func (*serveState) trimmed()   {}
 func (*revokeWaiter) trimmed() {}
 
-// trimmed puts r's re-ack snapshot back: its issuer re-sends no revocation
-// below its floor, so nothing asks for the snapshot again.
+// trimmed releases r's re-ack page: its issuer re-sends no revocation below
+// its floor, so nothing asks for the page again.
 func (r *appliedRevoke) trimmed() {
 	r.m.freeFrame(r.data)
 	r.data = nil
@@ -322,7 +322,7 @@ func (e *engine) stray(what string, key uint64) {
 func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool) *outstanding {
 	m, ns := e.m, e.m.nodes[node]
 	o := &outstanding{waiter: waiter{task: t}, home: home}
-	m.net.Prepare(t, &o.pr, home, node) // may wait for the sink: before the token
+	m.net.Prepare(t, &o.pr, home, node, &m.frames) // may wait for the sink: before the token
 	tok := nextSeq(node, &ns.reqCtr)
 	o.req = pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, pr: &o.pr}
 	o.installAck = installAck{pid: m.pid, token: tok}
@@ -484,8 +484,8 @@ func (e *engine) bounce(st *serveState, out outcome, home int, epoch uint64) *pa
 }
 
 // closeServe marks the serve over (a no-op on a record a bounce closed
-// already) and puts back its grant snapshot, if it has one a deferred
-// rebuild did not take. Without an injector nothing can ask for the record
+// already) and releases its grant snapshot, if it has one a deferred rebuild
+// did not take. Without an injector nothing can ask for the record
 // again; with one it goes once the requester's floor has passed it.
 func (e *engine) closeServe(st *serveState) {
 	if st.closed {
@@ -499,27 +499,29 @@ func (e *engine) closeServe(st *serveState) {
 	}
 }
 
-// grant answers st's request with ownership at epoch — and data, unless the
-// requester's copy is fresh (nil) — and opens the grant window.
+// grant answers st's request with ownership at epoch — and data, a frame
+// reference it hands to the send, unless the requester's copy is fresh (nil)
+// — and opens the grant window.
 func (e *engine) grant(t *sim.Task, st *serveState, data []byte, epoch uint64) {
 	st.reply.outcome, st.reply.epoch = grant, epoch
 	st.reply.floor = e.serveFloor(st)
 	if data != nil {
 		st.reply.outcome = grantData
 		if e.m.chaos != nil {
-			// Retain a snapshot so the grant can be re-sent if it is lost.
-			st.data = e.m.copyFrame(data)
+			// Retain the page so the grant can be re-sent if it is lost.
+			st.data = e.m.frames.Share(data)
 		}
 	}
 	st.task = t // before the send: the ack must find the window open
 	e.sendGrant(t, st, data)
 }
 
-// sendGrant sends st's grant reply, with data if the grant carries any.
+// sendGrant sends st's grant reply, with data — a frame reference the fabric
+// takes — if the grant carries any.
 func (e *engine) sendGrant(t *sim.Task, st *serveState, data []byte) {
 	m, req := e.m, st.req
 	if st.reply.outcome == grantData {
-		m.net.SendPageBuf(t, st.home, req.node, req.pr, data, &st.reply, m.frames.Get())
+		m.net.SendPage(t, st.home, req.node, req.pr, data, &st.reply)
 	} else {
 		m.net.Send(t, st.home, req.node, &st.reply)
 	}
@@ -545,7 +547,7 @@ func (e *engine) awaitInstall(t *sim.Task, st *serveState) outcome {
 			}
 			return true
 		},
-		func() { e.sendGrant(t, st, st.data) })
+		func() { e.sendGrant(t, st, m.frames.Share(st.data)) })
 	return out
 }
 
@@ -655,9 +657,18 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 				// will cover this duplicate.
 				m.stats.DupsIgnored++
 			} else {
-				// Already applied: the ack must have been lost. Re-ack from
-				// the retained snapshot.
-				e.resendRevokeAck(prev)
+				// Already applied: the ack must have been lost. Re-ack, with
+				// the page the record kept if it shipped one; a floor may trim
+				// the record while the re-ack sleeps, so the re-ack holds a
+				// reference of its own.
+				m.stats.Retransmits++
+				m.mark(node, "dedup.reack", msg.vpn)
+				data := m.frames.Share(prev.data)
+				m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
+					t.Sleep(m.params.InvalidateApply)
+					m.sendRevokeAck(t, prev, data)
+					m.freeFrame(data)
+				})
 			}
 			return nil
 		}
@@ -673,51 +684,27 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 	return r
 }
 
-// revokeApplied closes r once its revocation is applied and acked, keeping
-// the page contents of a needData revoke so a re-sent one (our ack was lost)
-// gets the same data. dropped says the application orphaned frame; it reports
-// whether the record took it over (else the caller recycles).
-func (e *engine) revokeApplied(r *appliedRevoke, frame []byte, dropped bool) (retained bool) {
+// revokeApplied closes r once its revocation is applied and acked. Under an
+// injector the record stays for duplicates, with a reference to the page a
+// needData revocation shipped, so a re-sent one (our ack was lost) gets the
+// same data.
+func (e *engine) revokeApplied(r *appliedRevoke, frame []byte) {
 	if e.m.chaos == nil {
-		return false
+		return
 	}
 	r.pending = false
 	if r.msg.needData {
-		if !dropped {
-			frame = e.m.copyFrame(frame)
-		}
-		r.data = frame
+		r.data = e.m.frames.Share(frame)
 	}
-	return r.msg.needData && dropped
 }
 
-// sendRevokeAck sends r's ack from its node, shipping data with it if the
-// revocation asked for the page.
+// sendRevokeAck sends r's ack from its node, shipping a reference to data
+// with it if the revocation asked for the page.
 func (m *Manager) sendRevokeAck(t *sim.Task, r *appliedRevoke, data []byte) {
 	msg := r.msg
 	if msg.needData {
-		m.net.SendPageBuf(t, int(r.node), msg.home, msg.pr, data, &r.ack, m.frames.Get())
+		m.net.SendPage(t, int(r.node), msg.home, msg.pr, m.frames.Share(data), &r.ack)
 	} else {
 		m.net.Send(t, int(r.node), msg.home, &r.ack)
 	}
-}
-
-// resendRevokeAck answers a duplicated revocation whose original, prev, was
-// fully applied: the ack (and, for needData revokes, the retained page
-// snapshot) is simply sent again.
-func (e *engine) resendRevokeAck(prev *appliedRevoke) {
-	m := e.m
-	m.stats.Retransmits++
-	m.mark(int(prev.node), "dedup.reack", prev.msg.vpn)
-	// A floor may trim prev, putting its snapshot back, while the re-ack
-	// sleeps: the re-ack sends from a copy of its own.
-	var data []byte
-	if prev.data != nil {
-		data = m.copyFrame(prev.data)
-	}
-	m.view(int(prev.node)).Spawn("dsm-reack", func(t *sim.Task) {
-		t.Sleep(m.params.InvalidateApply)
-		m.sendRevokeAck(t, prev, data)
-		m.freeFrame(data)
-	})
 }

@@ -325,7 +325,7 @@ func FuzzDedupState(f *testing.F) {
 				}
 				revs = append(revs, &revoke{msg: msg, rec: rec})
 			case op == 7 && v != nil && !v.applied: // the target applies it
-				m.e.revokeApplied(v.rec, nil, false)
+				m.e.revokeApplied(v.rec, nil)
 				v.applied = true
 			case op == 8 && v != nil && v.applied && !v.closed: // its ack closes the issuer's wait
 				m.nodes[home].revokes.del(v.msg.seq)

@@ -11,10 +11,10 @@ import (
 )
 
 // A page is read-replicated to every node, restamped by a rotating writer and
-// replicated again, round after round. Frames move between nodes — a replica
-// is taken where the page is sent and freed where it is invalidated — so the
-// process's frame pool allocates only what the run holds: every node's copy of
-// every page, and not one frame more.
+// replicated again, round after round. A read grant takes a reference to the
+// home's frame instead of a copy, and a write grant revokes every other
+// holder before the writer maps the frame, so the process's frame pool
+// allocates one frame a page, however many nodes hold it.
 func TestReplicationFramesAllocsPerRun(t *testing.T) {
 	const nodes, pages, rounds = 4, 8, 6
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
@@ -39,12 +39,61 @@ func TestReplicationFramesAllocsPerRun(t *testing.T) {
 		for n := 0; n < nodes; n++ {
 			resident += e.m.PageTable(n).Present()
 		}
-		recycled, allocs := e.m.FrameStats()
-		if resident != nodes*pages || allocs != uint64(resident) {
-			t.Errorf("%d frames allocated (%d recycled) for a resident set of %d, want %d of each",
-				allocs, recycled, resident, nodes*pages)
+		recycled, allocs, shared := e.m.FrameStats()
+		if resident != nodes*pages || allocs != pages {
+			t.Errorf("%d frames allocated (%d recycled, %d references shared) for %d pages resident %d times, want %d",
+				allocs, recycled, shared, pages, resident, pages)
 		}
+		checkRefs(t, e.m, proto.String())
 	})
+}
+
+// Eight nodes read 64 pages the origin wrote: every replica is a reference
+// to the origin's frame, so the readers copy no page and allocate no frame,
+// and a read fault costs its records — well under a kilobyte of heap, where a
+// copied replica alone was a 4 KB frame. Each reader's first fault, which
+// also builds its page table and TLB, is left out of the measure.
+func TestReadReplicaCopyBudget(t *testing.T) {
+	const nodes, pages = 8, 64
+	e := newEnv(t, nodes, DefaultParams(), nil)
+	addr := func(p int) mem.Addr { return testAddr + mem.Addr(p*mem.PageSize) }
+	read := func(tk *sim.Task, n, p int) {
+		if got := e.read(tk, n, addr(p)); got != byte(p) {
+			t.Errorf("node %d read %d on page %d, want %d", n, got, p, p)
+		}
+	}
+	var heap uint64
+	e.eng.Spawn("main", func(tk *sim.Task) {
+		for p := 0; p < pages; p++ {
+			e.write(tk, 0, addr(p), byte(p))
+		}
+		for n := 1; n < nodes; n++ {
+			read(tk, n, 0)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap = ms.TotalAlloc
+		for n := 1; n < nodes; n++ {
+			for p := 1; p < pages; p++ {
+				read(tk, n, p)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		heap = ms.TotalAlloc - heap
+	})
+	e.run(t)
+	if faults := e.m.Stats().ReadFaults; faults != (nodes-1)*pages {
+		t.Fatalf("%d read faults, want %d", faults, (nodes-1)*pages)
+	}
+	if _, allocs, _ := e.m.FrameStats(); allocs != pages || e.m.frames.Copies() != 0 {
+		t.Errorf("%d frames allocated and %d pages copied, want %d and 0", allocs, e.m.frames.Copies(), pages)
+	}
+	per := heap / ((nodes - 1) * (pages - 1))
+	t.Logf("%d bytes of heap per read fault", per)
+	if per >= 1024 {
+		t.Errorf("a read fault grows the heap by %d bytes, want under 1 KiB", per)
+	}
+	checkRefs(t, e.m, "read replicas")
 }
 
 // coalescedRoundAllocs reports the host allocations of one round in which
@@ -132,4 +181,29 @@ func TestChaosPingPongCopyBudget(t *testing.T) {
 	if per := bytes / faults; per >= mem.PageSize {
 		t.Errorf("a write fault allocates %d bytes of heap, want less than a %d-byte page", per, mem.PageSize)
 	}
+}
+
+// The home's own write maps a frame no other holder references: while one
+// still does — here a reference the test takes, as a re-send snapshot would —
+// the home writes a copy, and the holder keeps the bytes it took.
+func TestHomeWriteLeavesSharedFrame(t *testing.T) {
+	e := newEnv(t, 2, DefaultParams(), nil)
+	e.eng.Spawn("main", func(tk *sim.Task) {
+		e.write(tk, 0, testAddr, 1)
+		e.read(tk, 1, testAddr)
+		held := e.m.frames.Share(e.m.presentFrame(0, testAddr.VPN()))
+		e.write(tk, 0, testAddr, 2)
+		if held[testAddr.PageOff()] != 1 {
+			t.Errorf("the held frame reads %d after the home's write, want 1", held[testAddr.PageOff()])
+		}
+		if got := e.read(tk, 1, testAddr); got != 2 {
+			t.Errorf("node 1 reads %d, want the home's 2", got)
+		}
+		e.m.freeFrame(held)
+	})
+	e.run(t)
+	if copies := e.m.frames.Copies(); copies != 1 {
+		t.Errorf("%d copies, want the home's one", copies)
+	}
+	checkRefs(t, e.m, "home write")
 }

@@ -291,12 +291,6 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		epoch++
 	}
 	m.e.grant(t, st, data, epoch)
-	if data != nil && req.write {
-		// A write grant revoked the home's own copy inside serveWrite, so data
-		// is now an orphan; the send above snapshotted it before yielding.
-		// Recycle it.
-		m.freeFrame(data)
-	}
 	if out := m.e.awaitInstall(t, st); out != deadHome {
 		m.settle(st, de, out.granted(), false)
 		return out
@@ -335,7 +329,7 @@ func (m *Manager) redirect(st *serveState, target int, epoch uint64) *pageReply 
 // the serve is then buried too, rather than waiting for a later request to
 // stumble into the failover path. quiescent says the caller already runs
 // where every table may be touched; a rebuild deferred until it does takes
-// the snapshot from st, and puts it back when it is done.
+// the snapshot from st, and releases it when it is done.
 func (m *Manager) settle(st *serveState, de *dirEntry, installed, quiescent bool) {
 	home, req, data := st.home, st.req, st.data
 	switch {
@@ -400,10 +394,9 @@ func (r *appliedRevoke) RunTask(t *sim.Task) {
 		panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
 	}
 	m.sendRevokeAck(t, r, frame)
-	if retained := m.e.revokeApplied(r, frame, dropped); dropped && !retained {
-		// The invalidation orphaned this node's frame; any outbound copy
-		// was snapshotted by the send above. Recycle it.
-		m.freeFrame(frame)
+	m.e.revokeApplied(r, frame)
+	if dropped {
+		m.freeFrame(frame) // the reference the invalidation took from the PTE
 	}
 	if m.rec != nil {
 		mode := "invalidate"

@@ -380,10 +380,11 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 // the landing zone (or, for an ownership-only grant, releases it and keeps the
 // node's fresh copy), maps the page, acks the serving home, learns where the
 // page's home now is, compresses the forwarding chain the request walked
-// (hops) and applies the revocations deferred behind the install.
+// (hops) and applies the revocations deferred behind the install. A write
+// grant maps a frame no other holder references, copied if one still does.
 func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 	node, vpn, write, pr, rep := ctx.Node, o.req.vpn, o.req.write, &o.pr, &o.reply
-	var frame []byte
+	var frame, kept []byte // the reference mapped; the node's copy, kept
 	if rep.outcome == grantData {
 		claimAt := t.Now()
 		frame = pr.Claim(t)
@@ -398,14 +399,17 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 		if pte == nil || pte.Frame == nil {
 			panic(fmt.Sprintf("dsm: ownership-only grant for vpn %#x but node %d has no copy", vpn, node))
 		}
-		frame = pte.Frame
+		frame, kept = pte.Frame, pte.Frame
 	}
 	installAt := t.Now()
 	t.Sleep(m.params.PTEInstall)
+	if write {
+		frame = m.frames.Private(frame)
+	}
 	// A grant that carries data over an existing local copy (the
 	// AlwaysSendData ablation's read-to-write upgrade) orphans the old
-	// frame: recycle it.
-	if prev := m.nodes[node].pt.SetAccess(vpn, frame, mem.GrantAccess(write)); prev != nil && &prev[0] != &frame[0] {
+	// frame's reference: release it.
+	if prev := m.nodes[node].pt.SetAccess(vpn, frame, mem.GrantAccess(write)); prev != nil && (kept == nil || &prev[0] != &kept[0]) {
 		m.freeFrame(prev)
 	}
 	if m.rec != nil {
@@ -467,7 +471,8 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 // in transfer state, keyed on de.home — wherever that is. On return the
 // directory reflects the grant; for a requester local to the serving home
 // the page table is updated in place. For a remote requester it returns the
-// page data the grant carries, nil for an ownership-only grant.
+// page data the grant carries, a frame reference the caller holds, nil for
+// an ownership-only grant.
 func (m *Manager) serveLocked(t *sim.Task, de *dirEntry, reqNode int, vpn uint64, write bool) []byte {
 	if de.writer == reqNode {
 		panic(fmt.Sprintf("dsm: node %d faulted on vpn %#x it owns exclusively", reqNode, vpn))
@@ -499,7 +504,7 @@ func (m *Manager) serveRead(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) 
 		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessRead)
 		return nil
 	}
-	return m.frameAt(home, vpn)
+	return m.frames.Share(m.frameAt(home, vpn))
 }
 
 func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64) []byte {
@@ -510,10 +515,11 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 		// before revoking everything.
 		m.fetchFromWriter(t, de, vpn, false /* invalidate */)
 	}
-	// Capture the outbound data before the home's own copy is revoked.
+	// Take a reference to the outbound data before the home's own copy is
+	// revoked.
 	var data []byte
 	if needData && reqNode != home {
-		data = m.frameAt(home, vpn)
+		data = m.frames.Share(m.frameAt(home, vpn))
 	}
 	// Revoke every copy except the requester's. Where authority migrates,
 	// each revocation carries the prospective new home (stamped with the
@@ -531,12 +537,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 	for others := de.owners &^ (1 << uint(reqNode)); others != 0; others &= others - 1 {
 		owner := bits.TrailingZeros64(others)
 		if owner == home {
-			// The home's frame is an orphan from here on. Captured as data, the
-			// caller recycles it once it is sent; an ownership-only grant sends
-			// nothing, so it is recycled here.
-			if prev := m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone); data == nil {
-				m.freeFrame(prev)
-			}
+			m.freeFrame(m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone))
 			t.Sleep(m.params.InvalidateApply)
 			m.stats.Invalidations++
 			m.emitInvalidate(home, vpn)
@@ -555,7 +556,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 	}
 	de.grantExclusive(reqNode)
 	if reqNode == home {
-		m.nodes[home].pt.SetAccess(vpn, m.frameAt(home, vpn), mem.AccessWrite)
+		m.nodes[home].pt.SetAccess(vpn, m.frames.Private(m.frameAt(home, vpn)), mem.AccessWrite)
 	}
 	return data // nil unless needData and the requester is remote
 }
@@ -573,7 +574,7 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 	pullAt := t.Now()
 	p := new(pull)
 	pr := &p.pr
-	m.net.Prepare(t, pr, w, home)
+	m.net.Prepare(t, pr, w, home, &m.frames)
 	m.e.sendRevoke(t, &p.revokeWaiter, home, w, vpn, downgrade, -1, 0, pr)
 	m.e.waitRevokes(t, []*revokeWaiter{&p.revokeWaiter})
 	if p.lost {

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -106,25 +107,35 @@ func TestChaosSinkChunksReturn(t *testing.T) {
 	})
 }
 
-// checkOneOwner fails t if, at quiescence, any frame is held twice: mapped at
-// two nodes, mapped and kept by a record as its re-send snapshot, kept by two
-// records, pooled while anything else holds it, or pooled twice.
-func checkOneOwner(t *testing.T, m *Manager, run string) {
+// checkRefs fails t if, at quiescence, a frame's reference count is not the
+// number of its holders found — PTEs, and the serve and revocation records'
+// re-send pages — or a frame mapped writable has another holder, or a
+// reference is counted on a frame nobody holds, or a pooled frame is held,
+// counted or pooled twice.
+func checkRefs(t *testing.T, m *Manager, run string) {
 	t.Helper()
-	owners := make(map[*byte]string)
-	hold := func(f []byte, who string) {
+	type holding struct {
+		frame    []byte
+		holders  []string
+		writable bool
+	}
+	held := make(map[*byte]*holding)
+	hold := func(f []byte, who string, writable bool) {
 		if f == nil {
 			return
 		}
-		if prev, ok := owners[&f[0]]; ok {
-			t.Errorf("%s: one frame is held by %s and by %s", run, prev, who)
+		h := held[&f[0]]
+		if h == nil {
+			h = &holding{frame: f}
+			held[&f[0]] = h
 		}
-		owners[&f[0]] = who
+		h.holders = append(h.holders, who)
+		h.writable = h.writable || writable
 	}
 	for n, ns := range m.nodes {
 		ns.pt.ForEach(func(vpn uint64, pte *mem.PTE) bool {
 			if pte.Present {
-				hold(pte.Frame, fmt.Sprintf("node %d's PTE of vpn %#x", n, vpn))
+				hold(pte.Frame, fmt.Sprintf("node %d's PTE of vpn %#x", n, vpn), pte.Writable)
 			}
 			return true
 		})
@@ -132,31 +143,51 @@ func checkOneOwner(t *testing.T, m *Manager, run string) {
 			p := &ns.peers[src]
 			for _, st := range p.served.recs {
 				if st != nil {
-					hold(st.data, fmt.Sprintf("node %d's serve of token %#x", n, st.req.token))
+					hold(st.data, fmt.Sprintf("node %d's serve of token %#x", n, st.req.token), false)
 				}
 			}
 			for _, r := range p.applied.recs {
 				if r != nil {
-					hold(r.data, fmt.Sprintf("node %d's revocation %#x", n, r.msg.seq))
+					hold(r.data, fmt.Sprintf("node %d's revocation %#x", n, r.msg.seq), false)
 				}
 			}
 		}
 	}
+	shared := 0
+	for _, h := range held {
+		refs := m.frames.Refs(h.frame)
+		if refs > 1 {
+			shared++
+		}
+		if refs != len(h.holders) {
+			t.Errorf("%s: a frame has %d references and %d holders: %s", run, refs, len(h.holders), strings.Join(h.holders, ", "))
+		}
+		if h.writable && len(h.holders) != 1 {
+			t.Errorf("%s: a frame mapped writable has %d holders: %s", run, len(h.holders), strings.Join(h.holders, ", "))
+		}
+	}
+	if n := m.frames.SharedFrames(); n != shared {
+		t.Errorf("%s: %d frames counted shared, %d found shared: a reference outlived its holder", run, n, shared)
+	}
 	for f := range m.frames.All() {
-		hold(f, "the frame pool")
+		if h := held[&f[0]]; h != nil {
+			t.Errorf("%s: a pooled frame is held by %s", run, strings.Join(h.holders, ", "))
+		}
+		held[&f[0]] = &holding{frame: f, holders: []string{"the frame pool"}}
 	}
 }
 
-// Every frame has one owner after floorWorkload's drops, duplicates, delays
-// and crash; its re-sent revocations find their records' snapshots, so a
-// re-ack that sent from its record's frame and put it back shows here. That
+// Every frame reference has one holder after floorWorkload's drops,
+// duplicates, delays and crash; its re-sent revocations find their records'
+// pages, so a re-ack that sent its record's page without a reference of its
+// own, or a holder that released twice, shows here. That
 // workload never leaves a settled entry idle at a dead home, so one more run
 // does: node 1 serves node 2 a write grant with data, and as node 2's install
 // ack reaches node 1 both die. The serve rolls back to node 1 with its
 // snapshot's bytes, and the entry, idle at a dead home, is rebuilt at its
 // live anchor from the snapshot too: under dist in a rebuild that settle
 // defers until the lanes are quiescent, after the serving task has ended. A
-// snapshot that task put back before the rebuild ran is put back twice.
+// snapshot that task released before the rebuild ran is released twice.
 func TestChaosFramesHaveOneOwner(t *testing.T) {
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -165,7 +196,7 @@ func TestChaosFramesHaveOneOwner(t *testing.T) {
 			}
 			e := floorWorkload(t, proto, seed, true, nil)
 			e.run(t)
-			checkOneOwner(t, e.m, fmt.Sprintf("seed %d", seed))
+			checkRefs(t, e.m, fmt.Sprintf("seed %d", seed))
 		}
 		if proto == WriteInvalidate {
 			return // the origin serves every page, and cannot die
@@ -200,6 +231,61 @@ func TestChaosFramesHaveOneOwner(t *testing.T) {
 		if lost := e.m.Stats().PagesLost; lost != 0 {
 			t.Errorf("%d pages lost, want the page rebuilt from the snapshot", lost)
 		}
-		checkOneOwner(t, e.m, "grant window closed by two deaths")
+		checkRefs(t, e.m, "grant window closed by two deaths")
 	})
+}
+
+// Under an injector the serving home keeps the page a write grant carried
+// until the requester's install ack arrives, to re-send the grant if it is
+// lost, so the requester's install finds the frame still shared and maps a
+// copy. Node 2 write-faults on a page node 1 wrote, installs and writes; the
+// home drops its first install ack, times out and re-sends: the re-sent page
+// must still be the grant's bytes, not node 2's write.
+func TestChaosResentGrantCarriesOldBytes(t *testing.T) {
+	e := newChaosEnv(t, 3, &chaos.Plan{Seed: 1})
+	var token uint64
+	resent := 0
+	for n := 0; n < 3; n++ {
+		node := n
+		e.net.SetHandler(node, func(src int, msg fabric.Message) {
+			switch mm := msg.(type) {
+			case *installAck:
+				if node == 0 && src == 2 && token == 0 {
+					token = mm.token // the first ack of node 2's grant is lost
+					return
+				}
+			case *pageReply:
+				if node == 2 && token != 0 && mm.token == token {
+					resent++
+					st := e.m.nodes[0].peers[2].served.get(token)
+					if st == nil || st.data == nil {
+						t.Fatalf("the home re-sent token %#x without its page", token)
+					}
+					if st.data[testAddr.PageOff()] != 1 {
+						t.Errorf("the re-sent grant carries %d, want the granted 1", st.data[testAddr.PageOff()])
+					}
+					if pte := e.m.nodes[2].pt.Lookup(testAddr.VPN()); &pte.Frame[0] == &st.data[0] {
+						t.Error("node 2 maps the frame the home keeps to re-send")
+					}
+				}
+			}
+			e.m.HandleMessage(node, src, msg)
+		})
+	}
+	e.eng.Spawn("main", func(tk *sim.Task) {
+		e.write(tk, 1, testAddr, 1)
+		e.write(tk, 2, testAddr, 2) // pulled from node 1 and granted with its data
+		tk.Sleep(time.Millisecond)  // the home's retransmit timeout
+		if got := e.read(tk, 0, testAddr); got != 2 {
+			t.Errorf("node 0 reads %d, want node 2's 2", got)
+		}
+	})
+	e.run(t)
+	if resent == 0 {
+		t.Fatal("the home never re-sent the grant")
+	}
+	if copies := e.m.frames.Copies(); copies == 0 {
+		t.Error("node 2's install mapped the shared frame without a copy")
+	}
+	checkRefs(t, e.m, "re-sent grant")
 }

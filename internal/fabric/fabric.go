@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dex/internal/chaos"
+	"dex/internal/mem"
 	"dex/internal/obs"
 	"dex/internal/sim"
 )
@@ -262,7 +263,8 @@ func (c *conn) qpFor(m Message) *qp {
 type flight struct {
 	qp *qp
 	m  Message
-	// pr is non-nil for an RDMA data placement, which lands buf in it.
+	// pr is non-nil for an RDMA data placement, which lands buf, a frame
+	// reference of its own, in it.
 	pr  *PageRecv
 	buf []byte
 
@@ -296,11 +298,14 @@ func (n *Network) newFlight() *flight {
 
 // retire puts f back on the free list once its last step has run: its
 // receive completion, its placement, or its drop at a dead node. It lets go
-// of the message and the page buffer, so a retired flight keeps nothing
-// alive.
+// of the message and releases the page reference a placement did not hand to
+// its landing zone, so a retired flight keeps nothing alive.
 func (n *Network) retire(f *flight) {
 	if f.qp == nil {
 		panic(fmt.Sprintf("fabric: flight on %v retired twice", f.last))
+	}
+	if f.buf != nil {
+		f.pr.pool.Release(f.buf)
 	}
 	*f = flight{last: f.qp.conn}
 	n.free = append(n.free, f)
@@ -425,7 +430,7 @@ func (n *Network) Send(t *sim.Task, src, dst int, m Message) {
 	n.sendWith(t, src, dst, m, v)
 }
 
-// sendWith is Send with a pre-decided chaos verdict; SendPageBuf uses it to
+// sendWith is Send with a pre-decided chaos verdict; SendPage uses it to
 // fate-share one verdict between an RDMA placement and its completion
 // message. Whatever the verdict, the sender pays identical costs — a fault
 // is invisible from the sending side until a timeout notices it.
@@ -470,10 +475,14 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	}
 }
 
-// dup returns the second flight of a duplicated one.
+// dup returns the second flight of a duplicated one, with a page reference
+// of its own if f carries one.
 func (n *Network) dup(f *flight) *flight {
 	d := n.newFlight()
 	*d = *f
+	if f.buf != nil {
+		f.pr.pool.Share(f.buf)
+	}
 	return d
 }
 
@@ -654,7 +663,8 @@ func (n *Network) accept(f *flight) {
 			q.view.Now()-f.stallAt, obs.Int("src", int64(c.src)))
 	}
 	if f.pr != nil {
-		f.pr.data = f.buf
+		f.pr.land(f.buf)
+		f.buf = nil
 		n.span(f)
 		n.retire(f)
 		return
@@ -695,9 +705,12 @@ func (n *Network) complete(f *flight) {
 // PageRecv is a prepared landing zone for one incoming page-sized transfer.
 // The requester prepares it before asking a peer for data, passes its Handle
 // in the request, and either Claims the data after the reply or Releases the
-// reservation if the peer replied without data.
+// reservation if the peer replied without data. The data is a frame
+// reference: the zone keeps the first to land and hands it to Claim; every
+// later one, and one still held when the zone is Released, goes back to the
+// pool the zone was prepared with.
 type PageRecv struct {
-	net  *Network
+	pool *mem.FramePool
 	conn *conn // connection peer->self, whose sink the buffer came from
 	mode PageMode
 	data []byte
@@ -707,21 +720,21 @@ type PageRecv struct {
 // PreparePageRecv reserves receive-side resources at node `self` for a page
 // transfer from node `peer`, blocking the task if the sink pool is
 // exhausted. In PerPageReg mode it charges the dynamic registration cost;
-// in VerbOnly mode it is free.
+// in VerbOnly mode it is free. Its frames are the collector's.
 func (n *Network) PreparePageRecv(t *sim.Task, peer, self int) *PageRecv {
 	pr := new(PageRecv)
-	n.Prepare(t, pr, peer, self)
+	n.Prepare(t, pr, peer, self, nil)
 	return pr
 }
 
 // Prepare is PreparePageRecv into a landing zone the caller owns (one
-// embedded in a record): it overwrites pr and allocates nothing.
-func (n *Network) Prepare(t *sim.Task, pr *PageRecv, peer, self int) {
-	*pr = PageRecv{net: n, mode: n.params.Mode}
+// embedded in a record), whose frame references pool takes back: it
+// overwrites pr and allocates nothing.
+func (n *Network) Prepare(t *sim.Task, pr *PageRecv, peer, self int, pool *mem.FramePool) {
+	c := n.conn(peer, self)
+	*pr = PageRecv{pool: pool, conn: c, mode: n.params.Mode}
 	switch n.params.Mode {
 	case HybridSink:
-		c := n.conn(peer, self)
-		pr.conn = c
 		if !c.sinkPool.TryAcquire() {
 			n.stats.SinkWaits++
 			c.sinkPool.Acquire(t)
@@ -736,28 +749,34 @@ func (n *Network) Prepare(t *sim.Task, pr *PageRecv, peer, self int) {
 	}
 }
 
+// land puts page data, a frame reference, in the zone: the first to arrive
+// is kept for Claim, and a later one (a duplicate, a re-send, or one after
+// the zone was claimed or released) is released at once.
+func (pr *PageRecv) land(data []byte) {
+	if pr.used || pr.data != nil {
+		pr.pool.Release(data)
+		return
+	}
+	pr.data = data
+}
+
 // SendPage transmits page data plus a reply message from src to dst
 // according to the configured mode. The data lands in the PageRecv the
 // requester prepared (identified by the reply routing in the protocol
 // layer); reply is delivered to dst's handler strictly after the data. The
 // calling task is charged posting and staging costs.
 //
+// data is one frame reference the caller hands over: nothing is copied, and
+// the fabric releases the reference to the landing zone's pool if the page
+// never lands (a drop, a dead node) or lands where it is not wanted. A
+// duplicated placement carries a reference of its own. The frame must not be
+// written while the transfer holds it.
+//
 // Accounting: the page payload is always counted under PageSends/PageBytes,
 // whatever path carries it; SmallSends/SmallBytes count VERB messages with
 // only their non-page bytes, so PageBytes+SmallBytes equals the bytes the
 // links actually carried in every mode.
 func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte, reply Message) {
-	n.SendPageBuf(t, src, dst, pr, data, reply, nil)
-}
-
-// SendPageBuf is SendPage with a caller-provided staging buffer: buf (which
-// must be len(data) bytes, or nil to allocate) receives the snapshot of data
-// that travels to the receiver and is handed over by Claim. The protocol
-// layer passes recycled page frames here so the transfer path does not
-// allocate per page. The snapshot is taken synchronously, before SendPageBuf
-// first yields, so the caller may drop or reuse data as soon as the call
-// returns.
-func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []byte, reply Message, buf []byte) {
 	if pr == nil {
 		panic("fabric: SendPage requires a prepared PageRecv")
 	}
@@ -765,10 +784,6 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 	sv := t.Engine()
 	n.stats.PageSends++
 	n.stats.PageBytes += uint64(len(data))
-	if len(buf) != len(data) {
-		buf = make([]byte, len(data))
-	}
-	copy(buf, data)
 	// One chaos verdict covers the page data and its completion message: an
 	// RC stream fails as a unit, so the receiver never sees data without the
 	// reply that announces it, or vice versa.
@@ -782,11 +797,13 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 		sentAt := sv.Now() // the span starts when the sender enters the fabric
 		t.Sleep(n.params.RDMAPostCPU)
 		done := c.link.Occupy(len(data))
-		if !v.Drop {
+		if v.Drop {
+			pr.pool.Release(data)
+		} else {
 			// Route the placement through the connection's ordering point so
 			// page data and VERB messages keep one per-connection FIFO.
 			place := n.newFlight()
-			*place = flight{qp: &c.data, pr: pr, buf: buf, bytes: len(data), sentAt: sentAt, page: true}
+			*place = flight{qp: &c.data, pr: pr, buf: data, bytes: len(data), sentAt: sentAt, page: true}
 			at := done + n.params.LinkLatency + v.Delay
 			n.deliver(sv, place, at)
 			if v.Dup {
@@ -805,7 +822,7 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 		n.stats.SmallBytes += uint64(reply.Size()) // page payload counted above
 		done := c.link.Occupy(len(data) + reply.Size())
 		releaseSendChunks(sv, c, chunks, done)
-		pr.data = buf // visible once the reply is handled
+		pr.land(data) // visible once the reply is handled
 		if v.Drop {
 			return
 		}
@@ -824,43 +841,49 @@ func (n *Network) SendPageBuf(t *sim.Task, src, dst int, pr *PageRecv, data []by
 	}
 }
 
-// Claim returns the received page data, charging the mode's finalization
-// cost (sink memcpy for HybridSink, receive-side staging copy for VerbOnly)
-// and releasing receive-side resources. It must be called at the destination
-// after the reply message has been handled.
+// Claim returns the received page data, a frame reference the caller now
+// holds, charging the mode's finalization cost (sink memcpy for HybridSink,
+// receive-side staging copy for VerbOnly) and releasing receive-side
+// resources. It must be called at the destination after the reply message
+// has been handled.
 func (pr *PageRecv) Claim(t *sim.Task) []byte {
 	if pr.used {
 		panic("fabric: PageRecv reused")
 	}
 	pr.used = true
-	if pr.data == nil {
+	data := pr.data
+	if data == nil {
 		panic("fabric: Claim before page data arrived")
 	}
+	pr.data = nil
+	n := pr.conn.net
 	switch pr.mode {
 	case HybridSink:
-		t.Sleep(pr.net.memcpyCost(len(pr.data)))
-		pr.net.stats.MemcpyBytes += uint64(len(pr.data))
+		t.Sleep(n.memcpyCost(len(data)))
+		n.stats.MemcpyBytes += uint64(len(data))
 		pr.conn.sinkPool.Release()
 	case PerPageReg:
 		// Zero copy: RDMA wrote straight into the registered page.
 	case VerbOnly:
-		t.Sleep(pr.net.memcpyCost(len(pr.data)))
-		pr.net.stats.MemcpyBytes += uint64(len(pr.data))
+		t.Sleep(n.memcpyCost(len(data)))
+		n.stats.MemcpyBytes += uint64(len(data))
 	}
-	return pr.data
+	return data
 }
 
 // SinkFree reports how many of the src->dst connection's sink chunks no
 // landing zone holds.
 func (n *Network) SinkFree(src, dst int) int { return n.conn(src, dst).sinkPool.Available() }
 
-// Release frees the reservation when the peer replied without page data
-// (e.g. an ownership-only grant).
+// Release frees the reservation, and any page data that landed, when the
+// peer replied without page data (e.g. an ownership-only grant).
 func (pr *PageRecv) Release() {
 	if pr.used {
 		return
 	}
 	pr.used = true
+	pr.pool.Release(pr.data)
+	pr.data = nil
 	if pr.mode == HybridSink {
 		pr.conn.sinkPool.Release()
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dex/internal/chaos"
+	"dex/internal/mem"
 	"dex/internal/sim"
 )
 
@@ -62,34 +63,40 @@ func TestSendAllocsPerRun(t *testing.T) {
 }
 
 // A page through the sink is none, from the landing zone to its claim: the
-// zone is prepared in place in one the caller owns, the placement carries it
-// and the caller's buffer, it and the reply's flight are recycled, and the
-// claim hands the sink chunk back.
-func TestSendPageBufAllocsPerRun(t *testing.T) {
+// zone is prepared in place in one the caller owns, the placement carries the
+// caller's frame reference, it and the reply's flight are recycled, the claim
+// hands the sink chunk back and the frame goes back to its pool.
+func TestSendPageAllocsPerRun(t *testing.T) {
 	p := testParams(2)
 	eng := sim.NewEngine(1)
 	net := New(eng, p)
 	handled := 0
 	net.SetHandler(1, func(int, Message) { handled++ })
 	reply := &allocMsg{size: 32}
-	data, buf := make([]byte, 4096), make([]byte, 4096)
+	var pool mem.FramePool
 	var pr PageRecv
 	claimed := 0
 	got := allocsPerOp(t, eng, func(tk *sim.Task, i int) {
+		data := pool.Get()
 		data[0] = byte(i)
-		net.Prepare(tk, &pr, 0, 1)
-		net.SendPageBuf(tk, 0, 1, &pr, data, reply, buf)
+		net.Prepare(tk, &pr, 0, 1, &pool)
+		net.SendPage(tk, 0, 1, &pr, data, reply)
 		tk.Sleep(50 * time.Microsecond) // the page and its reply land
-		if got := pr.Claim(tk); got[0] == byte(i) {
+		got := pr.Claim(tk)
+		if got[0] == byte(i) {
 			claimed++
 		}
+		pool.Release(got)
 	})
 	if got > 0 || handled != allocRuns || claimed != allocRuns {
-		t.Errorf("prepare, SendPageBuf and Claim through the sink: %v allocs per page, want 0 (%d replies handled, %d pages claimed, of %d)",
+		t.Errorf("prepare, SendPage and Claim through the sink: %v allocs per page, want 0 (%d replies handled, %d pages claimed, of %d)",
 			got, handled, claimed, allocRuns)
 	}
 	if free := net.SinkFree(0, 1); free != p.SinkChunks {
 		t.Errorf("%d of %d sink chunks free after every page was claimed", free, p.SinkChunks)
+	}
+	if pool.Allocs() != 1 {
+		t.Errorf("%d frames allocated for one page in flight at a time, want 1", pool.Allocs())
 	}
 }
 

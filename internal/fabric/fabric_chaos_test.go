@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dex/internal/chaos"
+	"dex/internal/mem"
 	"dex/internal/sim"
 )
 
@@ -182,13 +183,65 @@ func TestChaosPageDupDataBeforeReply(t *testing.T) {
 		pr = net.PreparePageRecv(tk, 1, 0)
 	})
 	eng.SpawnAfter("responder", time.Microsecond, func(tk *sim.Task) {
-		net.SendPageBuf(tk, 1, 0, pr, data, expMsg{size: 32, seq: 0}, make([]byte, 1))
+		net.SendPage(tk, 1, 0, pr, data, expMsg{size: 32, seq: 0})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if arrivals != 2 {
 		t.Fatalf("duplicated page unit delivered %d replies, want 2", arrivals)
+	}
+}
+
+// Every frame reference SendPage is handed goes back to its pool, whatever
+// the fabric does with the page: dropped at the send, duplicated (the second
+// placement finds the zone filled), re-sent after the zone was claimed, or
+// sent to a node that has died.
+func TestChaosPageRefsReturn(t *testing.T) {
+	every := []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 1}}
+	plans := map[string]*chaos.Plan{
+		"drop": {Seed: 5, Drop: every},
+		"dup":  {Seed: 5, Dup: every},
+		"dead": {Seed: 5},
+	}
+	for _, mode := range []PageMode{HybridSink, PerPageReg, VerbOnly} {
+		for name, plan := range plans {
+			eng := sim.NewEngine(1)
+			params := testParams(2)
+			params.Mode = mode
+			net := New(eng, params)
+			inj := chaos.NewInjector(plan, 2)
+			net.SetChaos(inj)
+			net.SetHandler(0, func(int, Message) {})
+			net.SetHandler(1, func(int, Message) {})
+			var pool mem.FramePool
+			var pr PageRecv
+			eng.Spawn("requester", func(tk *sim.Task) {
+				net.Prepare(tk, &pr, 1, 0, &pool)
+				tk.Sleep(100 * time.Microsecond)
+				if pr.data != nil {
+					pool.Release(pr.Claim(tk))
+				} else {
+					pr.Release()
+				}
+			})
+			eng.SpawnAfter("responder", 10*time.Microsecond, func(tk *sim.Task) {
+				f := pool.Get() // held across both sends, like a re-send snapshot
+				net.SendPage(tk, 1, 0, &pr, pool.Share(f), expMsg{size: 32})
+				tk.Sleep(200 * time.Microsecond) // past the claim
+				net.SendPage(tk, 1, 0, &pr, pool.Share(f), expMsg{size: 32})
+				pool.Release(f)
+			})
+			if name == "dead" {
+				eng.After(5*time.Microsecond, func() { inj.MarkDead(0) })
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatalf("%v %s: Run: %v", mode, name, err)
+			}
+			if pool.Free() != 1 || pool.SharedFrames() != 0 {
+				t.Errorf("%v %s: %d frames pooled and %d still shared, want the one frame back", mode, name, pool.Free(), pool.SharedFrames())
+			}
+		}
 	}
 }
 

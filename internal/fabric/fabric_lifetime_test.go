@@ -91,7 +91,7 @@ func TestFlightLifetimeUnderChaos(t *testing.T) {
 				prs[i] = net.PreparePageRecv(tk, src, 1)
 			}
 			for _, pr := range prs {
-				net.SendPageBuf(tk, src, 1, pr, data, verdict(src, 1, pr), make([]byte, len(data)))
+				net.SendPage(tk, src, 1, pr, data, verdict(src, 1, pr))
 				tk.Sleep(7 * time.Microsecond)
 			}
 		})

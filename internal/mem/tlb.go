@@ -1,10 +1,5 @@
 package mem
 
-import (
-	"iter"
-	"slices"
-)
-
 // The software TLB is a per-page-table, direct-mapped translation cache in
 // front of the radix tree, mirroring the MMU/TLB split the paper's
 // consistency protocol leans on (§III-B: a node keeps accessing a page
@@ -104,64 +99,3 @@ func (pt *PageTable) LookupFast(vpn uint64, write bool) *PTE {
 
 // TLBStats returns a snapshot of this page table's TLB counters.
 func (pt *PageTable) TLBStats() TLBStats { return pt.tlbStats }
-
-// FramePool recycles page frames so the page-transfer path does not pay one
-// 4 KB allocation (and its GC debt) per transfer. Frames enter the pool when
-// their last reference goes, once each; Get hands a frame out with
-// undefined contents (every consumer overwrites all PageSize bytes), while
-// GetZeroed clears it for demand-zero mappings. The pool never shrinks: its
-// high-water mark is bounded by the process's peak resident pages.
-type FramePool struct {
-	free     [][]byte
-	recycled uint64
-	allocs   uint64
-}
-
-// Get returns a PageSize frame with undefined contents.
-func (p *FramePool) Get() []byte {
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.recycled++
-		return f
-	}
-	p.allocs++
-	return make([]byte, PageSize)
-}
-
-// GetZeroed returns a zero-filled PageSize frame.
-func (p *FramePool) GetZeroed() []byte {
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.recycled++
-		clear(f)
-		return f
-	}
-	p.allocs++
-	return make([]byte, PageSize)
-}
-
-// Put returns a frame to the pool. The caller must guarantee no live
-// reference remains: not mapped in any page table and not captured by an
-// in-flight transfer. A nil or odd-sized frame is dropped.
-func (p *FramePool) Put(f []byte) {
-	if len(f) != PageSize {
-		return
-	}
-	p.free = append(p.free, f)
-}
-
-// Free reports how many frames are currently pooled.
-func (p *FramePool) Free() int { return len(p.free) }
-
-// All yields the pooled frames.
-func (p *FramePool) All() iter.Seq[[]byte] { return slices.Values(p.free) }
-
-// Recycled reports how many Gets were served from the pool.
-func (p *FramePool) Recycled() uint64 { return p.recycled }
-
-// Allocs reports how many Gets fell through to a fresh allocation.
-func (p *FramePool) Allocs() uint64 { return p.allocs }

@@ -172,7 +172,7 @@ func TestFramePoolRecycles(t *testing.T) {
 		t.Fatalf("frame size = %d", len(f))
 	}
 	f[0], f[PageSize-1] = 0xFF, 0xFF
-	p.Put(f)
+	p.Release(f)
 	if p.Free() != 1 {
 		t.Fatalf("Free = %d", p.Free())
 	}
@@ -183,7 +183,7 @@ func TestFramePoolRecycles(t *testing.T) {
 	if g[0] != 0 || g[PageSize-1] != 0 {
 		t.Fatal("GetZeroed returned a dirty frame")
 	}
-	p.Put(g)
+	p.Release(g)
 	h := p.Get() // dirty reuse is fine: callers overwrite fully
 	if &h[0] != &g[0] {
 		t.Fatal("second recycle failed")
@@ -191,8 +191,8 @@ func TestFramePoolRecycles(t *testing.T) {
 	if p.Recycled() != 2 || p.Allocs() != 1 {
 		t.Fatalf("Recycled=%d Allocs=%d", p.Recycled(), p.Allocs())
 	}
-	p.Put(nil)              // dropped
-	p.Put(make([]byte, 16)) // wrong size, dropped
+	p.Release(nil)              // dropped
+	p.Release(make([]byte, 16)) // wrong size, dropped
 	if p.Free() != 0 {
 		t.Fatalf("pool accepted bogus frames: Free = %d", p.Free())
 	}
