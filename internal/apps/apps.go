@@ -257,24 +257,54 @@ func workerSet(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int) er
 
 // --- bulk data helpers -----------------------------------------------------
 
+// writeWords stores n little-endian words of size bytes at addr straight into
+// the frames, word(i) the i-th, called once per word in order. It allocates
+// nothing: a word split across two pages passes through a scratch array.
+func writeWords(t *dex.Thread, addr dex.Addr, n, size int, word func(i int) uint64) error {
+	var b [8]byte
+	return t.WriteFunc(addr, n*size, func(dst []byte, off int) {
+		for i, r := off/size, off%size; len(dst) > 0; i, r = i+1, 0 {
+			if r == 0 {
+				binary.LittleEndian.PutUint64(b[:], word(i))
+				if len(dst) >= 8 { // what a 4-byte word spills, the next one overwrites
+					*(*[8]byte)(dst) = b
+					dst = dst[size:]
+					continue
+				}
+			}
+			dst = dst[copy(dst, b[r:size]):]
+		}
+	})
+}
+
+// readWords loads n little-endian words of size bytes at addr straight out of
+// the frames, handing each to set in order.
+func readWords(t *dex.Thread, addr dex.Addr, n, size int, set func(i int, w uint64)) error {
+	var b [8]byte
+	mask := uint64(1)<<(8*size) - 1 // all ones at size 8, where the shift gives 0
+	return t.ReadFunc(addr, n*size, func(src []byte, off int) {
+		for i, r := off/size, off%size; len(src) > 0; i, r = i+1, 0 {
+			if r == 0 && len(src) >= 8 {
+				set(i, binary.LittleEndian.Uint64(src)&mask)
+				src = src[size:]
+				continue
+			}
+			k := copy(b[r:size], src)
+			if r+k == size {
+				set(i, binary.LittleEndian.Uint64(b[:]))
+			}
+			src = src[k:]
+		}
+	})
+}
+
 func writeFloat64s(t *dex.Thread, addr dex.Addr, vals []float64) error {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return t.Write(addr, buf)
+	return writeWords(t, addr, len(vals), 8, func(i int) uint64 { return math.Float64bits(vals[i]) })
 }
 
 func readFloat64s(t *dex.Thread, addr dex.Addr, n int) ([]float64, error) {
-	buf := make([]byte, 8*n)
-	if err := t.Read(addr, buf); err != nil {
-		return nil, err
-	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
+	return out, readWords(t, addr, n, 8, func(i int, w uint64) { out[i] = math.Float64frombits(w) })
 }
 
 // f64At decodes the i-th little-endian float64 of buf where a kernel uses
@@ -284,43 +314,21 @@ func f64At(buf []byte, i int) float64 {
 }
 
 func writeUint32s(t *dex.Thread, addr dex.Addr, vals []uint32) error {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
-	}
-	return t.Write(addr, buf)
+	return writeWords(t, addr, len(vals), 4, func(i int) uint64 { return uint64(vals[i]) })
 }
 
 func readUint32s(t *dex.Thread, addr dex.Addr, n int) ([]uint32, error) {
-	buf := make([]byte, 4*n)
-	if err := t.Read(addr, buf); err != nil {
-		return nil, err
-	}
 	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return out, nil
+	return out, readWords(t, addr, n, 4, func(i int, w uint64) { out[i] = uint32(w) })
 }
 
 func writeUint64s(t *dex.Thread, addr dex.Addr, vals []uint64) error {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], v)
-	}
-	return t.Write(addr, buf)
+	return writeWords(t, addr, len(vals), 8, func(i int) uint64 { return vals[i] })
 }
 
 func readUint64s(t *dex.Thread, addr dex.Addr, n int) ([]uint64, error) {
-	buf := make([]byte, 8*n)
-	if err := t.Read(addr, buf); err != nil {
-		return nil, err
-	}
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	return out, nil
+	return out, readWords(t, addr, n, 8, func(i int, w uint64) { out[i] = w })
 }
 
 // partition splits n items into parts ranges.

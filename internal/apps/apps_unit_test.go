@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,13 +118,13 @@ func TestEPBatchPartitionIndependent(t *testing.T) {
 }
 
 func TestKMNReferenceStable(t *testing.T) {
-	pts := make([]float64, 300*kmnDims)
-	for i := range pts {
-		pts[i] = float64((i*37)%113) / 3
+	points := func() func() float64 {
+		i := 0
+		return func() float64 { i++; return float64((i*37)%113) / 3 }
 	}
 	small := kmnParams{points: 300, k: 4, iters: 3}
-	a := kmnReference(pts, small)
-	b := kmnReference(pts, small)
+	a := kmnReference(points(), small)
+	b := kmnReference(points(), small)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("reference nondeterministic")
@@ -182,6 +183,53 @@ func TestPartitionCoversExactly(t *testing.T) {
 				t.Fatalf("partition(%d, %d) covered %d", n, parts, covered)
 			}
 		}
+	}
+}
+
+// The typed helpers round-trip at an address ≡ 3 (mod 8) where a value is
+// split across two pages, and leave the bytes around the range alone.
+func TestBulkHelpersRoundTripAcrossPages(t *testing.T) {
+	f64s := []float64{1.5, -2.25, math.Pi, math.Inf(1), 0, 1e-300}
+	u64s := []uint64{1, 1 << 63, 0xdeadbeefcafe, 7, 0, math.MaxUint64}
+	u32s := []uint32{1, 1 << 31, 0xdeadbeef, 7, 0, math.MaxUint32, 42}
+	_, err := dex.NewCluster(1).Run(func(main *dex.Thread) error {
+		base, err := main.Mmap(2*dex.PageSize, dex.ProtRead|dex.ProtWrite, "words")
+		if err != nil {
+			return err
+		}
+		addr := base + dex.PageSize - 13
+		check := func(name string, got, want any, err error) {
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: read %v (%v), wrote %v", name, got, err, want)
+			}
+		}
+		if err := writeFloat64s(main, addr, f64s); err != nil {
+			return err
+		}
+		got, err := readFloat64s(main, addr, len(f64s))
+		check("float64s", got, f64s, err)
+		if err := writeUint64s(main, addr, u64s); err != nil {
+			return err
+		}
+		got64, err := readUint64s(main, addr, len(u64s))
+		check("uint64s", got64, u64s, err)
+		if err := writeUint32s(main, addr, u32s); err != nil {
+			return err
+		}
+		got32, err := readUint32s(main, addr, len(u32s))
+		check("uint32s", got32, u32s, err)
+		edges := make([]byte, 2)
+		if err := main.Read(addr-1, edges[:1]); err != nil {
+			return err
+		}
+		if err := main.Read(addr+8*dex.Addr(len(u64s)), edges[1:]); err != nil {
+			return err
+		}
+		check("bytes around the range", edges, []byte{0, 0}, nil)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 //   - What is kept is read-only after the build: runs copy it into the
 //     simulated address space and compare against it, never write it.
 //   - Only what is small, or dear per byte, is kept. A big input that is
-//     cheap to regenerate (kmn's points, grp's corpus) is rebuilt by every
-//     run and only the reference computed from it is kept.
+//     cheap to regenerate is rebuilt by every run (grp's corpus) or drawn
+//     straight into simulated memory (kmn's points), and only the reference
+//     computed from it is kept.
 //   - Every run still compares its own output with the reference.
 type derived[T any] struct {
 	mu  sync.Mutex

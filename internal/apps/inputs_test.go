@@ -1,7 +1,10 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,7 +17,7 @@ import (
 // function returning everything a run derives from (size, seed): what the
 // memo keeps and what the run regenerates beside it.
 var derivations = map[string]func(cfg Config) any{
-	"kmn": func(cfg Config) any { _, pts, ref := kmnInput(cfg); return [][]float64{pts, ref} },
+	"kmn": func(cfg Config) any { p, next, ref := kmnInput(cfg); return []any{kmnStreamHash(p, next), ref} },
 	"bp":  func(cfg Config) any { return bpInputOf(cfg) },
 	"bfs": func(cfg Config) any { return bfsInputOf(cfg) },
 	"grp": func(cfg Config) any { text, want := grpInput(cfg); return []any{text, want} },
@@ -26,6 +29,18 @@ var derivations = map[string]func(cfg Config) any{
 // full-size sweep and check no sequential reference of it, srv's schedule
 // belongs to internal/load.
 var underived = map[string]bool{"bt": true, "ft": true, "blk": true, "srv": true}
+
+// kmnStreamHash is the FNV-1a hash of the coordinates next draws for the
+// points of p: the points a run writes, pinned without holding them.
+func kmnStreamHash(p kmnParams, next func() float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < p.points*kmnDims; i++ {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(next()))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
 
 func (d *derived[T]) reset() {
 	d.mu.Lock()

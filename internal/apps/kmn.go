@@ -46,14 +46,14 @@ func RunKMN(cfg Config) (Result, error) {
 	if cfg.Restart {
 		return runKMNRestart(cfg)
 	}
-	p, pts, ref := kmnInput(cfg)
+	p, next, ref := kmnInput(cfg)
 
 	cluster := cfg.cluster()
 	var finalCenters []float64
 	var roiStart, roiEnd time.Duration
 	report, err := cluster.Run(func(main *dex.Thread) error {
 		threads := cfg.threads()
-		points, centers, err := kmnSetup(main, pts, p.k)
+		points, centers, err := kmnSetup(main, next, p)
 		if err != nil {
 			return err
 		}
@@ -231,19 +231,20 @@ func RunKMN(cfg Config) (Result, error) {
 // seed); see inputs.go.
 var kmnRefs derived[[]float64]
 
-// kmnInput generates the points of a run and returns them with the
-// sequential reference centers of those points. The points are big and
-// cheap (48 MB and 0.07 s at full size), so every run generates its own;
-// the reference is computed from the first run's.
-func kmnInput(cfg Config) (p kmnParams, pts, ref []float64) {
+// kmnPoints is the generator of the points of seed: each call returns the
+// next coordinate, three a point, in [0, 100).
+func kmnPoints(seed int64) func() float64 {
+	rng := rand.New(rand.NewSource(seed))
+	return func() float64 { return rng.Float64() * 100 }
+}
+
+// kmnInput returns a run's sizes, the generator its points are drawn from
+// straight into simulated memory (kmnSetup), and their reference centers,
+// whose build, once per process and key, alone holds them as host floats.
+func kmnInput(cfg Config) (p kmnParams, next func() float64, ref []float64) {
 	p = kmnSizes(cfg.Size)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pts = make([]float64, p.points*kmnDims)
-	for i := range pts {
-		pts[i] = rng.Float64() * 100
-	}
-	ref = kmnRefs.get(cfg, func() []float64 { return kmnReference(pts, p) })
-	return p, pts, ref
+	ref = kmnRefs.get(cfg, func() []float64 { return kmnReference(kmnPoints(cfg.Seed), p) })
+	return p, kmnPoints(cfg.Seed), ref
 }
 
 // kmnResult is the tail of a run: err is what the simulation returned, and
@@ -260,20 +261,27 @@ func kmnResult(cfg Config, err error, centers, ref []float64, roi time.Duration,
 	return cfg.result("kmn", roi, report, checksumFloats(centers, 1e-6)), nil
 }
 
-// kmnSetup maps the points and the centers and fills them: the points as
-// generated, the centers with the first k of them.
-func kmnSetup(main *dex.Thread, pts []float64, k int) (points, centers dex.Addr, err error) {
+// kmnSetup maps the points and the centers and fills them: the points drawn
+// from next, the centers with the first k of them.
+func kmnSetup(main *dex.Thread, next func() float64, p kmnParams) (points, centers dex.Addr, err error) {
 	main.SetSite("kmn/setup")
-	if points, err = main.Mmap(uint64(8*len(pts)), dex.ProtRead|dex.ProtWrite, "points"); err != nil {
+	if points, err = main.Mmap(uint64(8*kmnDims*p.points), dex.ProtRead|dex.ProtWrite, "points"); err != nil {
 		return 0, 0, err
 	}
-	if err = writeFloat64s(main, points, pts); err != nil {
+	first := make([]float64, p.k*kmnDims)
+	if err = writeWords(main, points, kmnDims*p.points, 8, func(i int) uint64 {
+		v := next()
+		if i < len(first) {
+			first[i] = v
+		}
+		return math.Float64bits(v)
+	}); err != nil {
 		return 0, 0, err
 	}
 	if centers, err = main.Mmap(dex.PageSize, dex.ProtRead|dex.ProtWrite, "centers"); err != nil {
 		return 0, 0, err
 	}
-	return points, centers, writeFloat64s(main, centers, pts[:k*kmnDims])
+	return points, centers, writeFloat64s(main, centers, first)
 }
 
 // kmnSlack is the relative slack s in the pivot search's stopping bound: it
@@ -439,14 +447,18 @@ func kmnRecenter(main *dex.Thread, centers dex.Addr, total []float64, k int) err
 	return nil
 }
 
-// kmnReference is the sequential k-means used for verification.
-func kmnReference(pts []float64, p kmnParams) []float64 {
+// kmnReference is the sequential k-means used for verification, over the
+// points next draws.
+func kmnReference(next func() float64, p kmnParams) []float64 {
+	pts := make([]float64, p.points*kmnDims)
+	for i := range pts {
+		pts[i] = next()
+	}
 	centers := make([]float64, p.k*kmnDims)
 	copy(centers, pts[:p.k*kmnDims])
-	n := len(pts) / kmnDims
 	for iter := 0; iter < p.iters; iter++ {
 		acc := make([]float64, p.k*(kmnDims+1))
-		for i := 0; i < n; i++ {
+		for i := 0; i < p.points; i++ {
 			x, y, z := pts[i*kmnDims], pts[i*kmnDims+1], pts[i*kmnDims+2]
 			best, bestD := 0, math.MaxFloat64
 			for c := 0; c < p.k; c++ {

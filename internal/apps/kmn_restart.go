@@ -18,7 +18,7 @@ import (
 // publication, the replay recomputes and republishes byte-identical
 // partial sums and the run converges to the same answer as a clean one.
 func runKMNRestart(cfg Config) (Result, error) {
-	p, pts, ref := kmnInput(cfg)
+	p, next, ref := kmnInput(cfg)
 
 	cluster := cfg.cluster()
 	var finalCenters []float64
@@ -26,7 +26,7 @@ func runKMNRestart(cfg Config) (Result, error) {
 	report, err := cluster.Run(func(main *dex.Thread) error {
 		threads := cfg.threads()
 		accLen := p.k * (kmnDims + 1)
-		points, centers, err := kmnSetup(main, pts, p.k)
+		points, centers, err := kmnSetup(main, next, p)
 		if err != nil {
 			return err
 		}
@@ -77,12 +77,12 @@ func runKMNRestart(cfg Config) (Result, error) {
 				// does, so the main thread can never see fresh data behind a
 				// stale tag or vice versa.
 				w.SetSite("kmn/publish")
-				pub := make([]byte, 8+8*accLen)
-				binary.LittleEndian.PutUint32(pub, uint32(iter+1))
-				for j, v := range acc {
-					binary.LittleEndian.PutUint64(pub[8+8*j:], math.Float64bits(v))
-				}
-				if err := w.Write(slot, pub); err != nil {
+				if err := writeWords(w, slot, 1+accLen, 8, func(i int) uint64 {
+					if i == 0 {
+						return uint64(iter + 1) // the 4-byte tag, then 4 zero bytes
+					}
+					return math.Float64bits(acc[i-1])
+				}); err != nil {
 					return err
 				}
 				if err := bar.Arrive(w, id, iter); err != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dex"
@@ -149,14 +151,9 @@ func FuzzKMNNearest(f *testing.F) {
 // the worker keeps and decode in place.
 func TestAppsBulkAllocsPerRun(t *testing.T) {
 	const k, n = 8, 512
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]float64, n*kmnDims)
-	for i := range pts {
-		pts[i] = rng.Float64() * 100
-	}
 	var kmnAllocs, bpAllocs float64
 	_, err := dex.NewCluster(2).Run(func(main *dex.Thread) error {
-		points, centers, err := kmnSetup(main, pts, k)
+		points, centers, err := kmnSetup(main, kmnPoints(1), kmnParams{points: n, k: k})
 		if err != nil {
 			return err
 		}
@@ -207,5 +204,104 @@ func TestAppsBulkAllocsPerRun(t *testing.T) {
 	}
 	if bpAllocs != 0 {
 		t.Errorf("a bp snapshot replicate allocates %v objects, want 0", bpAllocs)
+	}
+}
+
+// heapDuring is the heap f allocates, read from the run's own thread.
+func heapDuring(f func() error) (uint64, error) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	err := f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before, err
+}
+
+// Bulk data moves straight between host values and page frames. kmn's setup
+// allocates what its pages cost the host — their frames, page tables and
+// directory entries, measured as the same mappings filled through a
+// WriteFunc that writes nothing — plus at most 64 KiB, and the points it
+// writes are the generator's. The typed helpers stage nothing: a write into
+// resident pages allocates no bytes, a read only the slice it returns, also
+// with a word split across every page boundary.
+func TestAppsSetupCopyBudget(t *testing.T) {
+	const words = 1 << 18 // 1 MiB of uint32s
+	p := kmnParams{points: 64 << 10, k: 8}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func(main func(*dex.Thread) error) {
+		t.Helper()
+		if _, err := dex.NewCluster(1).Run(main); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pagesHeap, setupHeap, writeHeap, readHeap uint64
+	run(func(main *dex.Thread) (err error) {
+		pagesHeap, err = heapDuring(func() error {
+			for _, n := range []int{8 * kmnDims * p.points, 8 * kmnDims * p.k} {
+				addr, err := main.Mmap(uint64(n), dex.ProtRead|dex.ProtWrite, "pages")
+				if err != nil {
+					return err
+				}
+				if err := main.WriteFunc(addr, n, func([]byte, int) {}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		return err
+	})
+	run(func(main *dex.Thread) (err error) {
+		var points dex.Addr
+		if setupHeap, err = heapDuring(func() (err error) {
+			points, _, err = kmnSetup(main, kmnPoints(1), p)
+			return err
+		}); err != nil {
+			return err
+		}
+		next, wrong := kmnPoints(1), 0
+		if err := readWords(main, points, p.points*kmnDims, 8, func(i int, w uint64) {
+			if math.Float64frombits(w) != next() {
+				wrong++
+			}
+		}); err != nil {
+			return err
+		}
+		if wrong != 0 {
+			t.Errorf("%d point words differ from the generator's", wrong)
+		}
+
+		vals := make([]uint32, words)
+		for i := range vals {
+			vals[i] = uint32(i * 2654435761)
+		}
+		buf, err := main.Mmap(4*words+dex.PageSize, dex.ProtRead|dex.ProtWrite, "words")
+		if err != nil {
+			return err
+		}
+		addr := buf + 3 // every page ends inside a word
+		if err := main.WriteFunc(addr, 4*words, func([]byte, int) {}); err != nil {
+			return err
+		}
+		if writeHeap, err = heapDuring(func() error { return writeUint32s(main, addr, vals) }); err != nil {
+			return err
+		}
+		var got []uint32
+		if readHeap, err = heapDuring(func() (err error) { got, err = readUint32s(main, addr, words); return err }); err != nil {
+			return err
+		}
+		if !slices.Equal(got, vals) {
+			t.Error("readUint32s did not return what writeUint32s stored")
+		}
+		return nil
+	})
+	t.Logf("kmnSetup %d bytes, its pages alone %d; write %d bytes, read %d", setupHeap, pagesHeap, writeHeap, readHeap)
+	if setupHeap > pagesHeap+64<<10 {
+		t.Errorf("kmnSetup of %d points allocates %d bytes, want at most its pages' %d plus 64 KiB", p.points, setupHeap, pagesHeap)
+	}
+	if writeHeap != 0 {
+		t.Errorf("writeUint32s of 1 MiB into resident pages allocates %d bytes, want 0", writeHeap)
+	}
+	if want := uint64(4 * words); readHeap < want || readHeap > want+want/100 {
+		t.Errorf("readUint32s of 1 MiB allocates %d bytes, want the %d of the slice it returns, within 1 %%", readHeap, want)
 	}
 }

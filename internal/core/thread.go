@@ -352,30 +352,63 @@ func (th *Thread) findVMA(set *mem.VMASet, a mem.Addr) (mem.VMA, bool) {
 
 // Read copies len(buf) bytes from the shared address space at addr into
 // buf, faulting pages in as needed through the consistency protocol.
-func (th *Thread) Read(addr mem.Addr, buf []byte) error { return th.access(addr, buf, false) }
+func (th *Thread) Read(addr mem.Addr, buf []byte) error {
+	return th.access(addr, len(buf), false, buf, nil, false)
+}
 
 // Write copies data into the shared address space at addr, acquiring
 // exclusive page ownership as needed.
-func (th *Thread) Write(addr mem.Addr, data []byte) error { return th.access(addr, data, true) }
+func (th *Thread) Write(addr mem.Addr, data []byte) error {
+	return th.access(addr, len(data), true, data, nil, false)
+}
 
-// access is Read (buf is filled) or Write (buf is stored), page by page.
-func (th *Thread) access(addr mem.Addr, buf []byte, write bool) error {
-	if err := th.checkAccess(addr, len(buf), write); err != nil {
+// ReadFunc is Read of n bytes with no buffer: fn reads each page's frame slice
+// src, bytes [off, off+len(src)) of the range, in address order; it keeps none.
+func (th *Thread) ReadFunc(addr mem.Addr, n int, fn func(src []byte, off int)) error {
+	return th.access(addr, n, false, nil, fn, false)
+}
+
+// WriteFunc is Write of n bytes with no buffer: fn fills each page's frame
+// slice dst, bytes [off, off+len(dst)) of the range, in address order.
+func (th *Thread) WriteFunc(addr mem.Addr, n int, fn func(dst []byte, off int)) error {
+	return th.access(addr, n, true, nil, fn, false)
+}
+
+// access is the one page walk of Read, Write, their func forms and
+// ReadReplicate: it hands each page's frame slice of the n bytes at addr to
+// fn, or copies it to or from buf, then charges the range once — by its size,
+// or under replicate by the pages it pulled in.
+func (th *Thread) access(addr mem.Addr, n int, write bool, buf []byte, fn func([]byte, int), replicate bool) error {
+	if err := th.checkAccess(addr, n, write); err != nil {
 		return err
 	}
-	for off := 0; off < len(buf); {
+	mgr, faulted := th.proc.mgr, 0
+	for off := 0; off < n; {
 		a := addr + mem.Addr(off)
-		frame := th.proc.mgr.EnsurePage(th.task, th.ctx(), a, write).Frame[a.PageOff():]
-		if write {
+		if replicate && mgr.Lookup(th.node, a.VPN(), false) == nil {
+			faulted += mem.PageSize
+		}
+		frame := mgr.EnsurePage(th.task, th.ctx(), a, write).Frame[a.PageOff():]
+		switch {
+		case fn != nil:
+			frame = frame[:min(len(frame), n-off)]
+			fn(frame, off)
+			off += len(frame)
+		case write:
 			off += copy(frame, buf[off:])
-		} else {
+		default:
 			off += copy(buf[off:], frame)
 		}
 	}
-	if len(buf) <= smallAccess {
-		th.chargeSmall(len(buf))
-	} else {
-		th.proc.m.nodes[th.node].bus.Transfer(th.task, len(buf))
+	switch {
+	case !replicate && n <= smallAccess:
+		th.chargeSmall(n)
+	case !replicate:
+		th.proc.m.nodes[th.node].bus.Transfer(th.task, n)
+	case faulted == 0:
+		th.chargeSmall(64)
+	default:
+		th.proc.m.nodes[th.node].bus.Transfer(th.task, faulted)
 	}
 	return nil
 }
@@ -387,24 +420,7 @@ func (th *Thread) access(addr mem.Addr, buf []byte, write bool) error {
 // Use it for data re-scanned every iteration whose streaming cost the
 // application accounts separately (e.g. via Work).
 func (th *Thread) ReadReplicate(addr mem.Addr, buf []byte) error {
-	if err := th.checkAccess(addr, len(buf), false); err != nil {
-		return err
-	}
-	mgr := th.proc.mgr
-	faulted := 0
-	for off := 0; off < len(buf); {
-		a := addr + mem.Addr(off)
-		if mgr.Lookup(th.node, a.VPN(), false) == nil {
-			faulted += mem.PageSize
-		}
-		off += copy(buf[off:], mgr.EnsurePage(th.task, th.ctx(), a, false).Frame[a.PageOff():])
-	}
-	if faulted > 0 {
-		th.proc.m.nodes[th.node].bus.Transfer(th.task, faulted)
-	} else {
-		th.chargeSmall(64)
-	}
-	return nil
+	return th.access(addr, len(buf), false, buf, nil, true)
 }
 
 // Prefetch is a data-access hint (§IV-A of the paper): it pulls read
