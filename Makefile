@@ -132,11 +132,12 @@ trace-smoke:
 # heap bytes per chaos write fault (less than a page: re-send copies are pooled),
 # words per event, bytes per task, events per golden dexserve run, pages a
 # crash+restart serving run's checkpoints copy, objects per kmn chunk search
-# and per bp snapshot replicate, frames per replicated page, objects per
+# and per bp snapshot replicate, heap bytes of the full-size R-MAT build (three
+# edge-sized arrays), frames per replicated page, objects per
 # follower join and per radix Set on an existing path — so that they fail CI
 # by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/dsm ./internal/radix ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

@@ -117,14 +117,19 @@ func TestEPBatchPartitionIndependent(t *testing.T) {
 	}
 }
 
+// kmnTiePoints draws coordinates from a grid of 113 values, so points repeat
+// and tie between centers.
+func kmnTiePoints() func() float64 {
+	i := 0
+	return func() float64 { i++; return float64((i*37)%113) / 3 }
+}
+
+// kmnTieParams sizes a k-means over kmnTiePoints.
+var kmnTieParams = kmnParams{points: 300, k: 4, iters: 3}
+
 func TestKMNReferenceStable(t *testing.T) {
-	points := func() func() float64 {
-		i := 0
-		return func() float64 { i++; return float64((i*37)%113) / 3 }
-	}
-	small := kmnParams{points: 300, k: 4, iters: 3}
-	a := kmnReference(points(), small)
-	b := kmnReference(points(), small)
+	a := kmnReference(kmnTiePoints(), kmnTieParams)
+	b := kmnReference(kmnTiePoints(), kmnTieParams)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("reference nondeterministic")

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,12 +79,9 @@ func RunKMN(cfg Config) (Result, error) {
 			lo, hi := partition(p.points, threads, id)
 			kw := newKMNWorker(p, lo, hi)
 			for iter := 0; iter < p.iters; iter++ {
-				w.SetSite("kmn/centers")
-				ctr, err := readFloat64s(w, centers, p.k*kmnDims)
-				if err != nil {
+				if err := kw.readCenters(w, centers); err != nil {
 					return err
 				}
-				kw.setCenters(ctr)
 				acc := make([]float64, p.k*(kmnDims+1)) // sums then count per center
 				anyChanged := false
 				for pos := lo; pos < hi; pos += p.chunk {
@@ -291,7 +289,8 @@ const kmnSlack = 1e-9
 
 // kmnWorker is what a k-means worker keeps across its chunks and iterations:
 // one byte buffer every chunk is read into and decoded from in place, and
-// the state of the nearest-center search.
+// the state of the nearest-center search. kmnReference runs the same search
+// over all the points at once.
 //
 // The search starts from a pivot, the center the point got the iteration
 // before (its hint), and rests on Elkan's Lemma 1 (ICML 2003): if ‖a−c‖ ≥
@@ -307,20 +306,21 @@ const kmnSlack = 1e-9
 // one only saves evaluations. A worker without hints (the first iteration,
 // a restarted incarnation) runs the full scan, which fills them.
 type kmnWorker struct {
-	k      int
-	lo     int       // the partition's first point
-	buf    []byte    // the chunk last read: three little-endian floats a point
-	base   int       // partition position of the chunk's first point
-	sub    []float64 // the accumulator of one merge unit (not Optimized)
-	ctr    []float64 // this iteration's centers, k×3
-	hinted bool      // hint holds the previous iteration's answers
-	hint   []uint8   // per point of the partition, the center it got last
-	near   []uint8   // near[a*(k-1):][:k-1]: the centers other than a, nearest first
-	nearD  []float64 // nearD[i]: the squared distance from a to near[i]
+	k       int
+	lo      int                // the partition's first point
+	buf     []byte             // the chunk last read: three little-endian floats a point
+	base    int                // partition position of the chunk's first point
+	sub     []float64          // the accumulator of one merge unit (not Optimized)
+	ctr     [kmnDims][]float64 // this iteration's centers, one array a coordinate
+	started bool               // an iteration has started
+	hinted  bool               // hint holds the previous iteration's answers
+	hint    []uint8            // per point of the partition, the center it got last
+	near    []uint8            // near[a*(k-1):][:k-1]: the centers other than a, nearest first
+	nearD   []float64          // nearD[i]: the squared distance from a to near[i]
 }
 
 func newKMNWorker(p kmnParams, lo, hi int) *kmnWorker {
-	return &kmnWorker{
+	kw := &kmnWorker{
 		k:     p.k,
 		lo:    lo,
 		buf:   make([]byte, 8*kmnDims*p.chunk),
@@ -329,18 +329,43 @@ func newKMNWorker(p kmnParams, lo, hi int) *kmnWorker {
 		near:  make([]uint8, p.k*(p.k-1)),
 		nearD: make([]float64, p.k*(p.k-1)),
 	}
+	ctr := make([]float64, kmnDims*p.k)
+	for d := range kw.ctr {
+		kw.ctr[d] = ctr[d*p.k : (d+1)*p.k]
+	}
+	return kw
 }
 
-// setCenters starts an iteration on the centers ctr. From the second one on
-// the hints are the last iteration's answers, and each center's list of the
-// others is sorted again, by insertion into the arrays the worker keeps.
+// setCenters starts an iteration on the centers ctr (k×3).
 func (kw *kmnWorker) setCenters(ctr []float64) {
-	kw.hinted = kw.ctr != nil
-	kw.ctr = ctr
+	for i, v := range ctr {
+		kw.ctr[i%kmnDims][i/kmnDims] = v
+	}
+	kw.start()
+}
+
+// readCenters starts an iteration on the k×3 floats at centers, decoded
+// straight into the worker's arrays.
+func (kw *kmnWorker) readCenters(w *dex.Thread, centers dex.Addr) error {
+	w.SetSite("kmn/centers")
+	if err := readWords(w, centers, kmnDims*kw.k, 8, func(i int, v uint64) {
+		kw.ctr[i%kmnDims][i/kmnDims] = math.Float64frombits(v)
+	}); err != nil {
+		return err
+	}
+	kw.start()
+	return nil
+}
+
+// start begins an iteration on the centers just stored. From the second one
+// on the hints are the last iteration's answers, and each center's list of
+// the others is sorted again, by insertion into the arrays the worker keeps.
+func (kw *kmnWorker) start() {
+	kw.hinted, kw.started = kw.started, true
 	if !kw.hinted {
 		return
 	}
-	k := kw.k
+	k, cx, cy, cz := kw.k, kw.ctr[0], kw.ctr[1], kw.ctr[2]
 	for a := 0; a < k; a++ {
 		near, nearD := kw.near[a*(k-1):(a+1)*(k-1)], kw.nearD[a*(k-1):(a+1)*(k-1)]
 		n := 0
@@ -348,7 +373,7 @@ func (kw *kmnWorker) setCenters(ctr []float64) {
 			if c == a {
 				continue
 			}
-			d := kmnDist(ctr[a*kmnDims], ctr[a*kmnDims+1], ctr[a*kmnDims+2], ctr, c)
+			d := kmnDist(cx[a]-cx[c], cy[a]-cy[c], cz[a]-cz[c])
 			j := n
 			for ; j > 0 && nearD[j-1] > d; j-- {
 				near[j], nearD[j] = near[j-1], nearD[j-1]
@@ -391,9 +416,10 @@ func (kw *kmnWorker) assign(acc []float64, from, to int) {
 // scan is the full scan: the first center in index order at the least
 // squared distance from (x, y, z).
 func (kw *kmnWorker) scan(x, y, z float64) int {
+	cx, cy, cz := kw.ctr[0], kw.ctr[1][:len(kw.ctr[0])], kw.ctr[2][:len(kw.ctr[0])]
 	best, bestD := 0, math.MaxFloat64
-	for c := 0; c < kw.k; c++ {
-		if d := kmnDist(x, y, z, kw.ctr, c); d < bestD {
+	for c := range cx {
+		if d := kmnDist(x-cx[c], y-cy[c], z-cz[c]); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -402,23 +428,24 @@ func (kw *kmnWorker) scan(x, y, z float64) int {
 
 // nearest is the search from the pivot a (see kmnWorker).
 func (kw *kmnWorker) nearest(x, y, z float64, a int) int {
-	best, bestD := a, kmnDist(x, y, z, kw.ctr, a)
+	cx, cy, cz := kw.ctr[0], kw.ctr[1], kw.ctr[2]
+	best, bestD := a, kmnDist(x-cx[a], y-cy[a], z-cz[a])
 	stop := 4 * bestD * (1 + kmnSlack)
-	off := a * (kw.k - 1)
-	for j, c := range kw.near[off : off+kw.k-1] {
-		if kw.nearD[off+j] > stop {
+	near := kw.near[a*(kw.k-1) : (a+1)*(kw.k-1)]
+	nearD := kw.nearD[a*(kw.k-1):][:len(near)]
+	for j, c := range near {
+		if nearD[j] > stop {
 			break
 		}
-		if d := kmnDist(x, y, z, kw.ctr, int(c)); d < bestD || d == bestD && int(c) < best {
+		if d := kmnDist(x-cx[c], y-cy[c], z-cz[c]); d < bestD || d == bestD && int(c) < best {
 			best, bestD = int(c), d
 		}
 	}
 	return best
 }
 
-// kmnDist is the squared distance from (x, y, z) to center c of ctr.
-func kmnDist(x, y, z float64, ctr []float64, c int) float64 {
-	dx, dy, dz := x-ctr[c*kmnDims], y-ctr[c*kmnDims+1], z-ctr[c*kmnDims+2]
+// kmnDist is the squared length of (dx, dy, dz).
+func kmnDist(dx, dy, dz float64) float64 {
 	return dx*dx + dy*dy + dz*dz
 }
 
@@ -448,33 +475,22 @@ func kmnRecenter(main *dex.Thread, centers dex.Addr, total []float64, k int) err
 }
 
 // kmnReference is the sequential k-means used for verification, over the
-// points next draws.
+// points next draws. It assigns them with kmnWorker's search, one worker
+// over all of them (kmn_test.go keeps the plain full scan as its oracle),
+// and sums them in index order.
 func kmnReference(next func() float64, p kmnParams) []float64 {
-	pts := make([]float64, p.points*kmnDims)
-	for i := range pts {
-		pts[i] = next()
+	kw := newKMNWorker(kmnParams{k: p.k, chunk: p.points}, 0, p.points)
+	for i := 0; i < kmnDims*p.points; i++ {
+		binary.LittleEndian.PutUint64(kw.buf[8*i:], math.Float64bits(next()))
 	}
 	centers := make([]float64, p.k*kmnDims)
-	copy(centers, pts[:p.k*kmnDims])
+	for i := range centers {
+		centers[i] = f64At(kw.buf, i)
+	}
 	for iter := 0; iter < p.iters; iter++ {
+		kw.setCenters(centers)
 		acc := make([]float64, p.k*(kmnDims+1))
-		for i := 0; i < p.points; i++ {
-			x, y, z := pts[i*kmnDims], pts[i*kmnDims+1], pts[i*kmnDims+2]
-			best, bestD := 0, math.MaxFloat64
-			for c := 0; c < p.k; c++ {
-				dx := x - centers[c*kmnDims]
-				dy := y - centers[c*kmnDims+1]
-				dz := z - centers[c*kmnDims+2]
-				if d := dx*dx + dy*dy + dz*dz; d < bestD {
-					best, bestD = c, d
-				}
-			}
-			o := best * (kmnDims + 1)
-			acc[o] += x
-			acc[o+1] += y
-			acc[o+2] += z
-			acc[o+3]++
-		}
+		kw.assign(acc, 0, p.points)
 		for c := 0; c < p.k; c++ {
 			cnt := acc[c*(kmnDims+1)+kmnDims]
 			if cnt > 0 {

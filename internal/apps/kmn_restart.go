@@ -54,12 +54,9 @@ func runKMNRestart(cfg Config) (Result, error) {
 				if err := w.Checkpoint(reg[:]); err != nil {
 					return err
 				}
-				w.SetSite("kmn/centers")
-				ctr, err := readFloat64s(w, centers, p.k*kmnDims)
-				if err != nil {
+				if err := kw.readCenters(w, centers); err != nil {
 					return err
 				}
-				kw.setCenters(ctr)
 				acc := make([]float64, accLen)
 				for pos := lo; pos < hi; pos += p.chunk {
 					n := p.chunk

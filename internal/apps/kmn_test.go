@@ -2,6 +2,7 @@ package apps
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -303,5 +304,61 @@ func TestAppsSetupCopyBudget(t *testing.T) {
 	}
 	if want := uint64(4 * words); readHeap < want || readHeap > want+want/100 {
 		t.Errorf("readUint32s of 1 MiB allocates %d bytes, want the %d of the slice it returns, within 1 %%", readHeap, want)
+	}
+}
+
+// kmnReferenceScan is the oracle of kmnReference: the sequential k-means
+// with every point assigned by the plain full scan.
+func kmnReferenceScan(next func() float64, p kmnParams) []float64 {
+	pts := make([]float64, p.points*kmnDims)
+	for i := range pts {
+		pts[i] = next()
+	}
+	centers := make([]float64, p.k*kmnDims)
+	copy(centers, pts[:p.k*kmnDims])
+	for iter := 0; iter < p.iters; iter++ {
+		_, acc := kmnFullScan(pts, centers, p.k)
+		for c := 0; c < p.k; c++ {
+			cnt := acc[c*(kmnDims+1)+kmnDims]
+			if cnt > 0 {
+				for d := 0; d < kmnDims; d++ {
+					centers[c*kmnDims+d] = acc[c*(kmnDims+1)+d] / cnt
+				}
+			}
+		}
+	}
+	return centers
+}
+
+// TestKMNReferenceMatchesScan requires kmnReference's centers, bit for bit,
+// to be the full scan's: at test size for seeds 1–20, at full size for
+// seeds 1 and 2, and on tie-heavy points.
+func TestKMNReferenceMatchesScan(t *testing.T) {
+	check := func(name string, points func() func() float64, p kmnParams) {
+		t.Helper()
+		got, want := kmnReference(points(), p), kmnReferenceScan(points(), p)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: center component %d = %v, the full scan's %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		check(fmt.Sprintf("test size, seed %d", seed), func() func() float64 { return kmnPoints(seed) }, kmnSizes(SizeTest))
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		check(fmt.Sprintf("full size, seed %d", seed), func() func() float64 { return kmnPoints(seed) }, kmnSizes(SizeFull))
+	}
+	check("tie-heavy points", kmnTiePoints, kmnTieParams)
+}
+
+var benchCenters []float64
+
+// BenchmarkKMNReference builds kmn's full-size reference at seed 1, what a
+// process pays once before its first full-size kmn run.
+func BenchmarkKMNReference(b *testing.B) {
+	p := kmnSizes(SizeFull)
+	for i := 0; i < b.N; i++ {
+		benchCenters = kmnReference(kmnPoints(1), p)
 	}
 }

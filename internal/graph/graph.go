@@ -5,10 +5,7 @@
 // and reference algorithms for verifying the distributed implementations.
 package graph
 
-import (
-	"math/rand"
-	"slices"
-)
+import "math/rand"
 
 // CSR is a directed graph in compressed sparse row form.
 type CSR struct {
@@ -33,62 +30,89 @@ func (g *CSR) Neighbors(v int) []uint32 {
 // c=0.19, d=0.05. Duplicate edges are kept (as Graph500 does); self loops
 // are permitted. Edges within each adjacency list are sorted.
 //
-// The CSR is built by counting sort on the source — degrees are counted as
-// the edges are drawn, destinations scattered to their source's slot — and
-// each adjacency list is then sorted on its own: sorting the whole edge
-// array by (src, dst) gives the same CSR at several times the cost.
+// Each level of an edge takes one Int63 draw, classified against integer
+// cuts equal to the float compares of rand.Float64's value (rmatCuts).
+// The CSR is built by two counting passes and no sort: the sources are
+// grouped by destination, then each destination, in ascending order, is
+// handed to its source's slot, so every adjacency list comes out sorted.
 func RMAT(seed int64, n, m int) *CSR {
-	const (
-		a = 0.57
-		b = 0.19
-		c = 0.19
-	)
 	levels := 0
 	size := 1
 	for size < n {
 		size <<= 1
 		levels++
 	}
-	g := &CSR{
-		N:       size,
-		Offsets: make([]uint64, size+1),
-		Edges:   make([]uint32, m),
-	}
-	rng := rand.New(rand.NewSource(seed))
+	cuts := newRMATCuts()
+	rng := rand.NewSource(seed)
+	g := &CSR{N: size, Offsets: make([]uint64, size+1)}
 	srcs := make([]uint32, m)
 	dsts := make([]uint32, m)
+	byDst := make([]uint64, size+1) // per destination: a count, then where its sources start in bySrc, then end
 	for i := range srcs {
 		var src, dst uint32
 		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				dst |= 1 << uint(l)
-			case r < a+b+c:
-				src |= 1 << uint(l)
-			default:
-				src |= 1 << uint(l)
-				dst |= 1 << uint(l)
+			x := rng.Int63()
+			for x >= cuts[3] {
+				x = rng.Int63()
 			}
+			s, d := cuts.bits(x)
+			src |= s << l
+			dst |= d << l
 		}
 		srcs[i], dsts[i] = src, dst
 		g.Offsets[src+1]++
+		byDst[dst+1]++
 	}
 	for v := 0; v < size; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
+		byDst[v+1] += byDst[v]
 	}
+	bySrc := make([]uint32, m) // the sources, grouped by destination
+	for i, dst := range dsts {
+		bySrc[byDst[dst]] = srcs[i]
+		byDst[dst]++
+	}
+	g.Edges = srcs // srcs is read no more: its array becomes the edges
 	cursor := make([]uint64, size)
 	copy(cursor, g.Offsets[:size])
-	for i, src := range srcs {
-		g.Edges[cursor[src]] = dsts[i]
-		cursor[src]++
-	}
-	for v := 0; v < size; v++ {
-		slices.Sort(g.Neighbors(v))
+	lo := uint64(0)
+	for dst := 0; dst < size; dst++ {
+		for _, src := range bySrc[lo:byDst[dst]] {
+			g.Edges[cursor[src]] = uint32(dst)
+			cursor[src]++
+		}
+		lo = byDst[dst]
 	}
 	return g
+}
+
+// rmatCuts are the least Int63 values x for which float64(x)/2^63, what
+// rand.Float64 makes of x, is at least a, a+b, a+b+c and 1: a draw of 1 or
+// more is drawn again, as Float64 does.
+type rmatCuts [4]int64
+
+func newRMATCuts() rmatCuts {
+	const a, b, c = 0.57, 0.19, 0.19
+	var cuts rmatCuts
+	for i, t := range [4]float64{a, a + b, a + b + c, 1} {
+		t *= 1 << 63 // exact: a power-of-two scaling
+		x := uint64(t)
+		for float64(x-1) >= t {
+			x--
+		}
+		cuts[i] = int64(x)
+	}
+	return cuts
+}
+
+// bits returns the source and destination bits a draw x below cuts[3] sets
+// at one level: none under a, the destination's under a+b, the source's
+// under a+b+c, both above. ge is 1 where x is at least a cut, 0 elsewhere,
+// without a branch.
+func (cuts *rmatCuts) bits(x int64) (src, dst uint32) {
+	ge := func(cut int64) uint32 { return uint32(uint64(cut-1-x) >> 63) }
+	src = ge(cuts[1])
+	return src, ge(cuts[0]) - src + ge(cuts[2])
 }
 
 // Transpose returns the reversed graph (in-edges become out-edges), used by

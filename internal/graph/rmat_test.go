@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -100,5 +101,70 @@ var benchGraph *CSR
 func BenchmarkRMAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchGraph = RMAT(1, 65536, 4_000_000)
+	}
+}
+
+// TestRMATCutsMatchFloat64 feeds the per-level step chosen Int63 draws —
+// every value within 1024 of each cut, and the top 1024 values below 2^63 —
+// and requires it to classify each as rand.Float64's float64(x)/2^63 does
+// against a, a+b and a+b+c, and to redraw exactly where Float64 would.
+func TestRMATCutsMatchFloat64(t *testing.T) {
+	const (
+		a = 0.57
+		b = 0.19
+		c = 0.19
+	)
+	cuts := newRMATCuts()
+	var xs []int64
+	for _, cut := range cuts {
+		for x := cut - 1024; x <= cut+1024; x++ {
+			if x >= 0 {
+				xs = append(xs, x)
+			}
+		}
+	}
+	for x := int64(1<<63 - 1024); x > 0; x++ { // stops at the wrap past 2^63−1
+		xs = append(xs, x)
+	}
+	for _, x := range xs {
+		r := float64(x) / (1 << 63)
+		if redraw := x >= cuts[3]; redraw != (r == 1) {
+			t.Fatalf("x = %d: redraw %v, Float64 gives %v", x, redraw, r)
+		}
+		if r == 1 {
+			continue
+		}
+		var src, dst uint32
+		switch {
+		case r < a:
+		case r < a+b:
+			dst = 1
+		case r < a+b+c:
+			src = 1
+		default:
+			src, dst = 1, 1
+		}
+		if s, d := cuts.bits(x); s != src || d != dst {
+			t.Fatalf("x = %d (r = %v): bits (%d, %d), Float64's compares (%d, %d)", x, r, s, d, src, dst)
+		}
+	}
+}
+
+// TestRMATCopyBudget holds RMAT to three m-sized uint32 arrays (the
+// sources, which become the edges, the destinations, and the sources
+// grouped by destination) and at most four vertex-sized uint64 ones (it
+// uses three): a fourth
+// m-sized array fails it.
+func TestRMATCopyBudget(t *testing.T) {
+	const n, m = 65536, 4_000_000
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	benchGraph = RMAT(1, n, m)
+	runtime.ReadMemStats(&ms)
+	heap, budget := ms.TotalAlloc-before, uint64(12*m+32*(n+1))
+	t.Logf("RMAT(1, %d, %d) allocates %d bytes, budget %d", n, m, heap, budget)
+	if heap > budget {
+		t.Errorf("RMAT(1, %d, %d) allocates %d bytes, want at most 12·m + 32·(size+1) = %d", n, m, heap, budget)
 	}
 }
