@@ -133,7 +133,8 @@ trace-smoke:
 # words per event, bytes per task, events per golden dexserve run, pages a
 # crash+restart serving run's checkpoints copy, objects per kmn chunk search
 # and per bp snapshot replicate, heap bytes of the full-size R-MAT build (three
-# edge-sized arrays), frames per replicated page, objects per
+# edge-sized arrays) and of an 8-node bp run (one belief snapshot a node, not
+# one a worker), frames per replicated page, objects per
 # follower join and per radix Set on an existing path — so that they fail CI
 # by name.
 goldens:

@@ -94,7 +94,7 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 func TestEPBatchPartitionIndependent(t *testing.T) {
 	// The tallies of a batch depend only on (seed, batch index), so any
 	// partitioning of batches across threads yields identical totals.
-	fresh := func() *rand.Rand { return rand.New(rand.NewSource(0)) }
+	fresh := func() rand.Source { return rand.NewSource(0) }
 	var a, b [epBins]uint64
 	accA := epBatch(fresh(), 7, 3, 1000, &a)
 	accB := epBatch(fresh(), 7, 3, 1000, &b)
@@ -105,15 +105,51 @@ func TestEPBatchPartitionIndependent(t *testing.T) {
 	if acc := epBatch(fresh(), 8, 3, 1000, &c); acc == accA && c == a {
 		t.Fatal("seed has no effect")
 	}
-	// A worker's rng, re-seeded after other batches (one of them an odd
+	// A worker's source, re-seeded after other batches (one of them an odd
 	// number of draws), tallies a batch as a fresh one does.
-	rng := fresh()
+	src := fresh()
 	var scratch, d [epBins]uint64
-	epBatch(rng, 8, 3, 1000, &scratch)
-	epBatch(rng, 7, 4, 333, &scratch)
-	rng.Int63()
-	if acc := epBatch(rng, 7, 3, 1000, &d); acc != accA || d != a {
-		t.Fatalf("re-seeded rng tallied %d %v, a fresh one %d %v", acc, d, accA, a)
+	epBatch(src, 8, 3, 1000, &scratch)
+	epBatch(src, 7, 4, 333, &scratch)
+	src.Int63()
+	if acc := epBatch(src, 7, 3, 1000, &d); acc != accA || d != a {
+		t.Fatalf("re-seeded source tallied %d %v, a fresh one %d %v", acc, d, accA, a)
+	}
+}
+
+// epBatchRand is epBatch drawing through rand.Rand's Float64, as it was
+// written before it drew from the source itself.
+func epBatchRand(rng *rand.Rand, seed int64, batchIdx, n int, bins *[epBins]uint64) (accepted uint64) {
+	rng.Seed(seed ^ int64(batchIdx)*0x9e3779b97f4a7c)
+	for i := 0; i < n; i++ {
+		x := 2*rng.Float64() - 1
+		y := 2*rng.Float64() - 1
+		t := x*x + y*y
+		if t > 1 || t == 0 {
+			continue
+		}
+		f := math.Sqrt(-2 * math.Log(t) / t)
+		m := math.Max(math.Abs(x*f), math.Abs(y*f))
+		b := min(int(m), epBins-1)
+		bins[b]++
+		accepted++
+	}
+	return accepted
+}
+
+// epBatch's tallies are bit for bit the rand.Rand path's, over several seeds
+// and batches, with one source and one Rand reused across them as workers
+// reuse theirs.
+func TestEPBatchMatchesRand(t *testing.T) {
+	src, rng := rand.NewSource(0), rand.New(rand.NewSource(0))
+	for seed := int64(1); seed <= 4; seed++ {
+		for b, n := range []int{4096, 1, 2048, 333, 4096, 0, 1000} {
+			var got, want [epBins]uint64
+			acc, wantAcc := epBatch(src, seed, b, n, &got), epBatchRand(rng, seed, b, n, &want)
+			if acc != wantAcc || got != want {
+				t.Fatalf("seed %d batch %d (%d pairs): %d %v, the rand.Rand path %d %v", seed, b, n, acc, got, wantAcc, want)
+			}
+		}
 	}
 }
 

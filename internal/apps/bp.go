@@ -84,6 +84,14 @@ func bpInputOf(cfg Config) *bpInput {
 // objects are packed onto one page and updated per chunk. Optimized (§V-C):
 // per-thread belief partitions padded to page boundaries and progress kept
 // thread-local.
+//
+// On the host the workers on a node share one snapshot of the beliefs, as
+// they share the node's read replica of each page. Each still replicates it
+// every iteration, with the same faults and charges; the beliefs read are
+// not written between two barriers, so the node's replicates of an
+// iteration all write the same bytes, and one landing while another worker
+// gathers changes nothing it reads. Each worker keeps its in-neighbors as
+// slots of the snapshot, so an edge's gather is one decode.
 func RunBP(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	p := bpSizes(cfg.Size)
@@ -112,31 +120,14 @@ func RunBP(cfg Config) (Result, error) {
 		if err := writeUint32s(main, edges, tr.Edges); err != nil {
 			return err
 		}
-		// Belief arrays, double buffered. Optimized pads each thread's
-		// partition to page boundaries; beliefAt maps vertex -> address.
-		ranges := tr.EdgeBalancedRanges(threads)
-		var bufBytes uint64
-		partBase := make([]uint64, threads+1) // byte offset of each partition
-		if cfg.Variant == Optimized {
-			off := uint64(0)
-			for t, r := range ranges {
-				partBase[t] = off
-				sz := uint64(8 * (r.Hi - r.Lo))
-				off += (sz + dex.PageSize - 1) / dex.PageSize * dex.PageSize
-			}
-			partBase[threads] = off
-			bufBytes = off
-		} else {
-			for t, r := range ranges {
-				partBase[t] = uint64(8 * r.Lo)
-			}
-			partBase[threads] = uint64(8 * tr.N)
-			bufBytes = uint64(8 * tr.N)
-		}
-		ownerOf := make([]int, tr.N)
+		// Belief arrays, double buffered; beliefAt maps vertex -> address.
+		ranges, partBase := bpLayout(tr, threads, cfg.Variant)
+		bufBytes := partBase[threads]
+		// slotOf maps a vertex to its float's index in a belief buffer.
+		slotOf := make([]uint32, tr.N)
 		for t, r := range ranges {
 			for v := r.Lo; v < r.Hi; v++ {
-				ownerOf[v] = t
+				slotOf[v] = uint32(int(partBase[t]/8) + v - r.Lo)
 			}
 		}
 		bufA, err := main.Mmap(bufBytes, dex.ProtRead|dex.ProtWrite, "beliefs-a")
@@ -147,10 +138,7 @@ func RunBP(cfg Config) (Result, error) {
 		if err != nil {
 			return err
 		}
-		beliefAt := func(buf dex.Addr, v int) dex.Addr {
-			t := ownerOf[v]
-			return buf + dex.Addr(partBase[t]) + dex.Addr(8*(v-ranges[t].Lo))
-		}
+		beliefAt := func(buf dex.Addr, v int) dex.Addr { return buf + dex.Addr(8*slotOf[v]) }
 		// Initialize beliefs to 1.0.
 		for t, r := range ranges {
 			if r.Hi == r.Lo {
@@ -173,6 +161,8 @@ func RunBP(cfg Config) (Result, error) {
 		if err != nil {
 			return err
 		}
+		// One snapshot buffer a node, shared by the node's workers.
+		snaps := make([]byte, cfg.Nodes*int(bufBytes))
 
 		body := func(w *dex.Thread, id int) error {
 			r := ranges[id]
@@ -183,20 +173,22 @@ func RunBP(cfg Config) (Result, error) {
 			if err != nil {
 				return err
 			}
+			// Each in-neighbor is kept as its slot in the snapshot.
 			var adj []uint32
 			if r.Hi > r.Lo && offs[len(offs)-1] > offs[0] {
-				adj, err = readUint32s(w, edges+dex.Addr(4*offs[0]), int(offs[len(offs)-1]-offs[0]))
-				if err != nil {
+				adj = make([]uint32, offs[len(offs)-1]-offs[0])
+				if err := readWords(w, edges+dex.Addr(4*offs[0]), len(adj), 4, func(i int, v uint64) {
+					adj[i] = slotOf[v]
+				}); err != nil {
 					return err
 				}
 			}
 			out := make([]float64, 0, p.chunk)
-			// The worker's one snapshot buffer, decoded where it is read.
-			snap := make([]byte, bufBytes)
-			belief := func(v int) float64 {
-				t := ownerOf[v]
-				return f64At(snap, int(partBase[t]/8)+v-ranges[t].Lo)
-			}
+			// The node's snapshot, decoded where it is read; own+u is the
+			// slot of the partition's vertex u.
+			node := nodeOf(id, threads, cfg.Nodes)
+			snap := snaps[node*int(bufBytes) : (node+1)*int(bufBytes)]
+			own := int(partBase[id]/8) - r.Lo
 			rot := int(partBase[id]) &^ (dex.PageSize - 1)
 			for iter := 0; iter < p.iters; iter++ {
 				if err := bpReplicate(w, cur, snap, rot); err != nil {
@@ -213,11 +205,11 @@ func RunBP(cfg Config) (Result, error) {
 					for u := v; u < hi; u++ {
 						lo, hh := offs[u-r.Lo]-offs[0], offs[u-r.Lo+1]-offs[0]
 						chunkEdges += int(hh - lo)
-						nv := (1 - p.damping) * belief(u)
+						nv := (1 - p.damping) * f64At(snap, own+u)
 						if hh > lo {
 							sum := 0.0
-							for _, src := range adj[lo:hh] {
-								sum += belief(int(src))
+							for _, slot := range adj[lo:hh] {
+								sum += f64At(snap, int(slot))
 							}
 							nv += p.damping * sum / float64(hh-lo)
 						}
@@ -282,6 +274,23 @@ func RunBP(cfg Config) (Result, error) {
 		}
 	}
 	return cfg.result("bp", roiEnd-roiStart, report, checksumFloats(got, 1e-6)), nil
+}
+
+// bpLayout splits tr's vertices into one range a thread and places them in
+// a belief buffer: partBase[t] is the byte offset of thread t's partition,
+// partBase[threads] the buffer's size. Optimized pads each partition to
+// page boundaries.
+func bpLayout(tr *graph.CSR, threads int, v Variant) (ranges []graph.Range, partBase []uint64) {
+	ranges = tr.EdgeBalancedRanges(threads)
+	partBase = make([]uint64, threads+1)
+	for t, r := range ranges {
+		sz := uint64(8 * (r.Hi - r.Lo))
+		if v == Optimized {
+			sz = (sz + dex.PageSize - 1) / dex.PageSize * dex.PageSize
+		}
+		partBase[t+1] = partBase[t] + sz
+	}
+	return ranges, partBase
 }
 
 // bpReplicate copies the belief buffer at buf into snap through read

@@ -32,14 +32,14 @@ const epBins = 10
 
 // epBatch generates one batch of uniform pairs, counts accepted Gaussian
 // pairs per annulus. Seeding by global batch index makes results
-// independent of how batches are partitioned across threads. rng is the
-// caller's, re-seeded here: Rand.Seed resets it to the state a new source
-// of that seed starts in.
-func epBatch(rng *rand.Rand, seed int64, batchIdx, n int, bins *[epBins]uint64) (accepted uint64) {
-	rng.Seed(seed ^ int64(batchIdx)*0x9e3779b97f4a7c)
+// independent of how batches are partitioned across threads. src is the
+// caller's, re-seeded here: Seed resets it to the state a new source of
+// that seed starts in.
+func epBatch(src rand.Source, seed int64, batchIdx, n int, bins *[epBins]uint64) (accepted uint64) {
+	src.Seed(seed ^ int64(batchIdx)*0x9e3779b97f4a7c)
 	for i := 0; i < n; i++ {
-		x := 2*rng.Float64() - 1
-		y := 2*rng.Float64() - 1
+		x := 2*epUniform(src) - 1
+		y := 2*epUniform(src) - 1
 		t := x*x + y*y
 		if t > 1 || t == 0 {
 			continue
@@ -57,6 +57,16 @@ func epBatch(rng *rand.Rand, seed int64, batchIdx, n int, bins *[epBins]uint64) 
 	return accepted
 }
 
+// epUniform is what rand.Rand.Float64 draws from src: an Int63 over 2^63,
+// drawn again where that rounds to 1.
+func epUniform(src rand.Source) float64 {
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
 // epTally is the result of an EP run: accepted pairs per annulus and in all.
 type epTally struct {
 	bins     [epBins]uint64
@@ -70,13 +80,13 @@ func epReference(cfg Config) epTally {
 	return epRefs.get(cfg, func() epTally {
 		p := epSizes(cfg.Size)
 		var ref epTally
-		rng := rand.New(rand.NewSource(0))
+		src := rand.NewSource(0)
 		for b := 0; b*p.batch < p.pairs; b++ {
 			n := p.batch
 			if rem := p.pairs - b*p.batch; n > rem {
 				n = rem
 			}
-			ref.accepted += epBatch(rng, cfg.Seed, b, n, &ref.bins)
+			ref.accepted += epBatch(src, cfg.Seed, b, n, &ref.bins)
 		}
 		return ref
 	})
@@ -137,7 +147,7 @@ func RunEP(cfg Config) (Result, error) {
 				return err
 			}
 			lo, hi := partition(int(nb), threads, id)
-			rng := rand.New(rand.NewSource(0))
+			src := rand.NewSource(0)
 			var local [epBins]uint64
 			var localAcc uint64
 			for b := lo; b < hi; b++ {
@@ -155,7 +165,7 @@ func RunEP(cfg Config) (Result, error) {
 					n = rem
 				}
 				w.SetSite("ep/compute")
-				localAcc += epBatch(rng, cfg.Seed, b, n, &local)
+				localAcc += epBatch(src, cfg.Seed, b, n, &local)
 				w.Compute(time.Duration(n) * p.pairCost)
 				if cfg.Variant != Optimized && (b-lo+1)%p.flushEach == 0 {
 					// Pathology: flush partial tallies into the global

@@ -304,7 +304,9 @@ const kmnSlack = 1e-9
 // squared differences are normal floats; kmn's points, and so its centers,
 // lie in [0, 100). Any in-range hint gives the full scan's answer, a good
 // one only saves evaluations. A worker without hints (the first iteration,
-// a restarted incarnation) runs the full scan, which fills them.
+// a restarted incarnation) takes each point's hint from its cell of a grid
+// of kmnCells³ cells over [0, 100)³, each holding the center the full scan
+// picks for the cell's midpoint; start fills it.
 type kmnWorker struct {
 	k       int
 	lo      int                // the partition's first point
@@ -317,7 +319,13 @@ type kmnWorker struct {
 	hint    []uint8            // per point of the partition, the center it got last
 	near    []uint8            // near[a*(k-1):][:k-1]: the centers other than a, nearest first
 	nearD   []float64          // nearD[i]: the squared distance from a to near[i]
+
+	// The first pass's hints: cell (i, j, l) at (i*kmnCells+j)*kmnCells+l.
+	cell [kmnCells * kmnCells * kmnCells]uint8
 }
+
+// kmnCells is the number of grid cells along each axis of [0, 100).
+const kmnCells = 8
 
 func newKMNWorker(p kmnParams, lo, hi int) *kmnWorker {
 	kw := &kmnWorker{
@@ -357,13 +365,18 @@ func (kw *kmnWorker) readCenters(w *dex.Thread, centers dex.Addr) error {
 	return nil
 }
 
-// start begins an iteration on the centers just stored. From the second one
-// on the hints are the last iteration's answers, and each center's list of
-// the others is sorted again, by insertion into the arrays the worker keeps.
+// start begins an iteration on the centers just stored: each center's list
+// of the others is sorted again, by insertion into the arrays the worker
+// keeps. From the second iteration on the hints are the last iteration's
+// answers; on the first the grid is filled.
 func (kw *kmnWorker) start() {
 	kw.hinted, kw.started = kw.started, true
 	if !kw.hinted {
-		return
+		const w = 100.0 / kmnCells
+		for i := range kw.cell {
+			x, y, z := i/(kmnCells*kmnCells), i/kmnCells%kmnCells, i%kmnCells
+			kw.cell[i] = uint8(kw.scan((float64(x)+0.5)*w, (float64(y)+0.5)*w, (float64(z)+0.5)*w))
+		}
 	}
 	k, cx, cy, cz := kw.k, kw.ctr[0], kw.ctr[1], kw.ctr[2]
 	for a := 0; a < k; a++ {
@@ -398,12 +411,10 @@ func (kw *kmnWorker) assign(acc []float64, from, to int) {
 	for i := from; i < to; i++ {
 		x, y, z := f64At(kw.buf, kmnDims*i), f64At(kw.buf, kmnDims*i+1), f64At(kw.buf, kmnDims*i+2)
 		h := &kw.hint[kw.base+i]
-		var best int
-		if kw.hinted {
-			best = kw.nearest(x, y, z, int(*h))
-		} else {
-			best = kw.scan(x, y, z)
+		if !kw.hinted {
+			*h = kw.cell[(kmnCell(x)*kmnCells+kmnCell(y))*kmnCells+kmnCell(z)]
 		}
+		best := kw.nearest(x, y, z, int(*h))
 		*h = uint8(best)
 		o := best * (kmnDims + 1)
 		acc[o] += x
@@ -413,8 +424,14 @@ func (kw *kmnWorker) assign(acc []float64, from, to int) {
 	}
 }
 
+// kmnCell is the grid cell along one axis of coordinate v, clamped so that
+// no rounding of v·kmnCells/100 at the domain's edges leaves the grid.
+func kmnCell(v float64) int {
+	return min(max(int(v*(kmnCells/100.0)), 0), kmnCells-1)
+}
+
 // scan is the full scan: the first center in index order at the least
-// squared distance from (x, y, z).
+// squared distance from (x, y, z). It fills the grid.
 func (kw *kmnWorker) scan(x, y, z float64) int {
 	cx, cy, cz := kw.ctr[0], kw.ctr[1][:len(kw.ctr[0])], kw.ctr[2][:len(kw.ctr[0])]
 	best, bestD := 0, math.MaxFloat64

@@ -42,6 +42,7 @@ const (
 	kmnGrid       = 1 << iota // coordinates on a coarse grid: exact ties and duplicates
 	kmnDupCenters             // every odd center repeats the one before it
 	kmnOnCenter               // every fourth point sits exactly on a center
+	kmnEdges                  // half the coordinates are 0 or just below 100: the grid's outer cells
 )
 
 // checkKMNNearest runs a worker over the points of one chunk on two
@@ -57,6 +58,9 @@ func checkKMNNearest(t *testing.T, seed int64, kSel, shape byte) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	coord := func(center bool) float64 {
+		if shape&kmnEdges != 0 && rng.Intn(2) == 0 {
+			return float64(rng.Intn(2)) * math.Nextafter(100, 0)
+		}
 		if shape&kmnGrid == 0 {
 			return rng.Float64() * 100
 		}
@@ -133,7 +137,7 @@ func checkKMNNearest(t *testing.T, seed int64, kSel, shape byte) {
 func TestKMNNearestMatchesFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, k := range []byte{1, 2, 8, 24, 0} {
-			for shape := byte(0); shape < 8; shape++ {
+			for shape := byte(0); shape < 16; shape++ {
 				checkKMNNearest(t, seed, k, shape)
 			}
 		}
@@ -218,13 +222,30 @@ func heapDuring(f func() error) (uint64, error) {
 	return ms.TotalAlloc - before, err
 }
 
+// heapMin is the least heap f allocates over three calls, each after a
+// collection: an allocation elsewhere in the process, such as one finishing
+// behind an earlier test, lands in at most some of the windows.
+func heapMin(f func() error) (uint64, error) {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		runtime.GC()
+		h, err := heapDuring(f)
+		if err != nil {
+			return 0, err
+		}
+		least = min(least, h)
+	}
+	return least, nil
+}
+
 // Bulk data moves straight between host values and page frames. kmn's setup
 // allocates what its pages cost the host — their frames, page tables and
 // directory entries, measured as the same mappings filled through a
 // WriteFunc that writes nothing — plus at most 64 KiB, and the points it
 // writes are the generator's. The typed helpers stage nothing: a write into
 // resident pages allocates no bytes, a read only the slice it returns, also
-// with a word split across every page boundary.
+// with a word split across every page boundary. The helpers' windows are
+// each the least of three (heapMin).
 func TestAppsSetupCopyBudget(t *testing.T) {
 	const words = 1 << 18 // 1 MiB of uint32s
 	p := kmnParams{points: 64 << 10, k: 8}
@@ -283,11 +304,11 @@ func TestAppsSetupCopyBudget(t *testing.T) {
 		if err := main.WriteFunc(addr, 4*words, func([]byte, int) {}); err != nil {
 			return err
 		}
-		if writeHeap, err = heapDuring(func() error { return writeUint32s(main, addr, vals) }); err != nil {
+		if writeHeap, err = heapMin(func() error { return writeUint32s(main, addr, vals) }); err != nil {
 			return err
 		}
 		var got []uint32
-		if readHeap, err = heapDuring(func() (err error) { got, err = readUint32s(main, addr, words); return err }); err != nil {
+		if readHeap, err = heapMin(func() (err error) { got, err = readUint32s(main, addr, words); return err }); err != nil {
 			return err
 		}
 		if !slices.Equal(got, vals) {
