@@ -214,11 +214,21 @@ func ByName(name string) (App, bool) {
 // the paper assigns 8 threads per node.
 func nodeOf(id, threads, nodes int) int { return id * nodes / threads }
 
-// workerSet runs body on cfg.threads() worker threads. For non-Baseline
-// variants each worker migrates to its assigned node before body and
-// returns to the origin afterwards — the paper's one-line-in/one-line-out
-// conversion (§V-A). The main thread blocks until all workers finish.
+// workerSet runs body on cfg.threads() worker threads (spawnWorkers) and
+// blocks the main thread until all of them finish (joinWorkers).
 func workerSet(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int) error) error {
+	ws, err := spawnWorkers(main, cfg, body)
+	if err != nil {
+		return err
+	}
+	return joinWorkers(main, ws)
+}
+
+// spawnWorkers starts body on cfg.threads() worker threads and returns them
+// without blocking. For non-Baseline variants each worker migrates to its
+// assigned node before body and returns to the origin afterwards — the
+// paper's one-line-in/one-line-out conversion (§V-A).
+func spawnWorkers(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int) error) ([]*dex.Thread, error) {
 	threads := cfg.threads()
 	ws := make([]*dex.Thread, 0, threads)
 	for i := 0; i < threads; i++ {
@@ -239,10 +249,16 @@ func workerSet(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int) er
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ws = append(ws, w)
 	}
+	return ws, nil
+}
+
+// joinWorkers joins every worker in ws, in order, and returns the first
+// error.
+func joinWorkers(main *dex.Thread, ws []*dex.Thread) error {
 	var joinErr error
 	for _, w := range ws {
 		// Keep joining even after a failure so every worker is accounted

@@ -233,8 +233,8 @@ func RunBT(cfg Config) (Result, error) {
 				return err
 			}
 		}
-		for _, w := range ws {
-			main.Join(w)
+		if err := joinWorkers(main, ws); err != nil {
+			return err
 		}
 		roiEnd = main.Now()
 		// Checksum the final grid (it lives in whichever buffer the last

@@ -206,28 +206,9 @@ func RunGRP(cfg Config) (Result, error) {
 		// Spawn workers without blocking so the main thread can run its
 		// progress loop (whose writes land on the shared args page in the
 		// Initial variant — the parent-stack pathology).
-		ws := make([]*dex.Thread, 0, threads)
-		for i := 0; i < threads; i++ {
-			id := i
-			node := nodeOf(id, threads, cfg.Nodes)
-			w, err := main.Spawn(func(t *dex.Thread) error {
-				if cfg.Variant != Baseline {
-					if err := t.Migrate(node); err != nil {
-						return err
-					}
-				}
-				if err := body(t, id); err != nil {
-					return err
-				}
-				if cfg.Variant != Baseline {
-					return t.MigrateBack()
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
+		ws, err := spawnWorkers(main, cfg, body)
+		if err != nil {
+			return err
 		}
 		main.SetSite("grp/progress")
 		tick := uint64(0)
@@ -245,8 +226,8 @@ func RunGRP(cfg Config) (Result, error) {
 			}
 			main.Compute(300 * time.Microsecond)
 		}
-		for _, w := range ws {
-			main.Join(w)
+		if err := joinWorkers(main, ws); err != nil {
+			return err
 		}
 		roiEnd = main.Now()
 		for ki, k := range keys {

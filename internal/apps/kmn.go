@@ -153,28 +153,9 @@ func RunKMN(cfg Config) (Result, error) {
 		}
 
 		roiStart = main.Now()
-		ws := make([]*dex.Thread, 0, threads)
-		for i := 0; i < threads; i++ {
-			id := i
-			node := nodeOf(id, threads, cfg.Nodes)
-			w, err := main.Spawn(func(t *dex.Thread) error {
-				if cfg.Variant != Baseline {
-					if err := t.Migrate(node); err != nil {
-						return err
-					}
-				}
-				if err := body(t, id); err != nil {
-					return err
-				}
-				if cfg.Variant != Baseline {
-					return t.MigrateBack()
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
+		ws, err := spawnWorkers(main, cfg, body)
+		if err != nil {
+			return err
 		}
 
 		for iter := 0; iter < p.iters; iter++ {
@@ -214,13 +195,12 @@ func RunKMN(cfg Config) (Result, error) {
 				return err
 			}
 		}
-		for _, w := range ws {
-			main.Join(w)
+		if err := joinWorkers(main, ws); err != nil {
+			return err
 		}
 		roiEnd = main.Now()
-		var err2 error
-		finalCenters, err2 = readFloat64s(main, centers, p.k*kmnDims)
-		return err2
+		finalCenters, err = readFloat64s(main, centers, p.k*kmnDims)
+		return err
 	})
 	return kmnResult(cfg, err, finalCenters, ref, roiEnd-roiStart, report)
 }
@@ -306,7 +286,7 @@ const kmnSlack = 1e-9
 // one only saves evaluations. A worker without hints (the first iteration,
 // a restarted incarnation) takes each point's hint from its cell of a grid
 // of kmnCells³ cells over [0, 100)³, each holding the center the full scan
-// picks for the cell's midpoint; start fills it.
+// picks for the cell's midpoint, filled as points first land in it.
 type kmnWorker struct {
 	k       int
 	lo      int                // the partition's first point
@@ -324,8 +304,12 @@ type kmnWorker struct {
 	cell [kmnCells * kmnCells * kmnCells]uint8
 }
 
-// kmnCells is the number of grid cells along each axis of [0, 100).
-const kmnCells = 8
+// kmnCells is the number of grid cells along each axis of [0, 100), and
+// kmnCellEmpty marks a cell not yet used in the first pass.
+const (
+	kmnCells     = 8
+	kmnCellEmpty = 0xff
+)
 
 func newKMNWorker(p kmnParams, lo, hi int) *kmnWorker {
 	kw := &kmnWorker{
@@ -368,14 +352,13 @@ func (kw *kmnWorker) readCenters(w *dex.Thread, centers dex.Addr) error {
 // start begins an iteration on the centers just stored: each center's list
 // of the others is sorted again, by insertion into the arrays the worker
 // keeps. From the second iteration on the hints are the last iteration's
-// answers; on the first the grid is filled.
+// answers; on the first the grid is emptied, and assign fills a cell on its
+// first use.
 func (kw *kmnWorker) start() {
 	kw.hinted, kw.started = kw.started, true
 	if !kw.hinted {
-		const w = 100.0 / kmnCells
 		for i := range kw.cell {
-			x, y, z := i/(kmnCells*kmnCells), i/kmnCells%kmnCells, i%kmnCells
-			kw.cell[i] = uint8(kw.scan((float64(x)+0.5)*w, (float64(y)+0.5)*w, (float64(z)+0.5)*w))
+			kw.cell[i] = kmnCellEmpty
 		}
 	}
 	k, cx, cy, cz := kw.k, kw.ctr[0], kw.ctr[1], kw.ctr[2]
@@ -412,7 +395,7 @@ func (kw *kmnWorker) assign(acc []float64, from, to int) {
 		x, y, z := f64At(kw.buf, kmnDims*i), f64At(kw.buf, kmnDims*i+1), f64At(kw.buf, kmnDims*i+2)
 		h := &kw.hint[kw.base+i]
 		if !kw.hinted {
-			*h = kw.cell[(kmnCell(x)*kmnCells+kmnCell(y))*kmnCells+kmnCell(z)]
+			*h = kw.cellHint(x, y, z)
 		}
 		best := kw.nearest(x, y, z, int(*h))
 		*h = uint8(best)
@@ -424,6 +407,20 @@ func (kw *kmnWorker) assign(acc []float64, from, to int) {
 	}
 }
 
+// cellHint is the first pass's hint for (x, y, z): the full scan's pick for
+// the midpoint of its grid cell, scanned on the cell's first use. Under
+// k = 256 a cell holding center 255 reads as empty and is scanned again, to
+// the same pick.
+func (kw *kmnWorker) cellHint(x, y, z float64) uint8 {
+	i, j, l := kmnCell(x), kmnCell(y), kmnCell(z)
+	c := &kw.cell[(i*kmnCells+j)*kmnCells+l]
+	if *c == kmnCellEmpty {
+		const w = 100.0 / kmnCells
+		*c = uint8(kw.scan((float64(i)+0.5)*w, (float64(j)+0.5)*w, (float64(l)+0.5)*w))
+	}
+	return *c
+}
+
 // kmnCell is the grid cell along one axis of coordinate v, clamped so that
 // no rounding of v·kmnCells/100 at the domain's edges leaves the grid.
 func kmnCell(v float64) int {
@@ -431,7 +428,7 @@ func kmnCell(v float64) int {
 }
 
 // scan is the full scan: the first center in index order at the least
-// squared distance from (x, y, z). It fills the grid.
+// squared distance from (x, y, z). It fills the grid's cells.
 func (kw *kmnWorker) scan(x, y, z float64) int {
 	cx, cy, cz := kw.ctr[0], kw.ctr[1][:len(kw.ctr[0])], kw.ctr[2][:len(kw.ctr[0])]
 	best, bestD := 0, math.MaxFloat64

@@ -48,8 +48,9 @@ const (
 // checkKMNNearest runs a worker over the points of one chunk on two
 // successive center sets, then again on the second with arbitrary hints, and
 // requires at every pass each point's center and the accumulator, bit for
-// bit, to be the full scan's. kSel 0 is k = 256, the most a one-byte hint
-// can name; otherwise k is 1 to 24.
+// bit, to be the full scan's, and the first pass to fill only the grid cells
+// its points land in (at most n of them, not all kmnCells³). kSel 0 is
+// k = 256, the most a one-byte hint can name; otherwise k is 1 to 24.
 func checkKMNNearest(t *testing.T, seed int64, kSel, shape byte) {
 	t.Helper()
 	k := int(kSel) % 25
@@ -127,6 +128,16 @@ func checkKMNNearest(t *testing.T, seed int64, kSel, shape byte) {
 		}
 	}
 	pass("first pass", ctr)
+	var used [kmnCells * kmnCells * kmnCells]bool
+	for i := 0; i < n; i++ {
+		x, y, z := pts[i*kmnDims], pts[i*kmnDims+1], pts[i*kmnDims+2]
+		used[(kmnCell(x)*kmnCells+kmnCell(y))*kmnCells+kmnCell(z)] = true
+	}
+	for i, c := range kw.cell {
+		if c != kmnCellEmpty && !used[i] {
+			t.Fatalf("first pass: k=%d, %d points, cell %d filled but no point lands in it", k, n, i)
+		}
+	}
 	pass("hinted pass", next)
 	for i := range kw.hint {
 		kw.hint[i] = uint8(rng.Intn(k))

@@ -25,47 +25,21 @@ import (
 	"dex/internal/sim"
 )
 
-// MigrationCosts models the execution-context migration latencies of
-// §III-A, calibrated against Table II and Figure 3 of the paper.
-type MigrationCosts struct {
-	// OriginFirst/OriginWarm is the origin-side cost of collecting and
-	// shipping the execution context: higher on the first migration of the
-	// process to a node (pairing setup).
-	OriginFirst time.Duration
-	OriginWarm  time.Duration
-	// ContextSize is the wire size of the transferred execution context.
-	ContextSize int
-	// RemoteWorkerSetup is the one-time, per-(process,node) cost of
-	// creating the remote worker and the process-level data structures.
-	RemoteWorkerSetup time.Duration
-	// ThreadFork is the cost of forking a remote thread from the worker.
-	ThreadFork time.Duration
-	// ContextSetup is the cost of installing the received context.
-	ContextSetup time.Duration
-	// Schedule is the run-queue insertion cost, paid on warm forks (during
-	// the first migration it overlaps worker initialization).
-	Schedule time.Duration
-	// BackwardCollect/BackwardUpdate are the remote- and origin-side costs
-	// of a backward migration.
-	BackwardCollect time.Duration
-	BackwardUpdate  time.Duration
-}
-
-// DefaultMigrationCosts reproduces Table II: ~812 µs first forward, ~237 µs
-// warm forward, ~25 µs backward.
-func DefaultMigrationCosts() MigrationCosts {
-	return MigrationCosts{
-		OriginFirst:       12100 * time.Nanosecond,
-		OriginWarm:        6600 * time.Nanosecond,
-		ContextSize:       1024,
-		RemoteWorkerSetup: 620 * time.Microsecond,
-		ThreadFork:        137 * time.Microsecond,
-		ContextSetup:      40 * time.Microsecond,
-		Schedule:          50 * time.Microsecond,
-		BackwardCollect:   10 * time.Microsecond,
-		BackwardUpdate:    11 * time.Microsecond,
-	}
-}
+// The node and delegation costs of the cost model; the migration costs are
+// in migrate.go.
+const (
+	// busCongestion inflates memory-bus service time per concurrent stream,
+	// modeling memory-controller interference — the source of the paper's
+	// super-linear BP speedup when load spreads across nodes.
+	busCongestion float64 = 0.12
+	// delegateDispatch is the origin-side cost of dispatching one delegated
+	// work request to the paired original thread.
+	delegateDispatch time.Duration = 2 * time.Microsecond
+	// delegateSize is the wire size of a delegation request/reply.
+	delegateSize int = 96
+	// spawnCost is the cost of creating a thread at the origin.
+	spawnCost time.Duration = 15 * time.Microsecond
+)
 
 // Params configures a simulated cluster.
 type Params struct {
@@ -77,24 +51,12 @@ type Params struct {
 	// shared by all cores of a node; it is what saturates first for
 	// memory-bound applications (the paper's BP observation, §V-B).
 	MemBandwidth float64
-	// BusCongestion inflates memory-bus service time per concurrent
-	// stream, modeling memory-controller interference — the source of the
-	// paper's super-linear BP speedup when load spreads across nodes.
-	BusCongestion float64
-	// DelegateDispatch is the origin-side cost of dispatching one
-	// delegated work request to the paired original thread.
-	DelegateDispatch time.Duration
-	// DelegateSize is the wire size of a delegation request/reply.
-	DelegateSize int
-	// SpawnCost is the cost of creating a thread at the origin.
-	SpawnCost time.Duration
 	// EagerVMASync broadcasts every VMA change to all workers instead of
 	// only shrinks/downgrades (ablation A3).
 	EagerVMASync bool
 
-	Fabric    fabric.Params
-	DSM       dsm.Params
-	Migration MigrationCosts
+	Fabric fabric.Params
+	DSM    dsm.Params
 
 	// Obs, when non-nil, records spans, histograms, and gauge samples for
 	// the whole cluster (fabric messages, DSM protocol phases, thread
@@ -123,17 +85,12 @@ type Params struct {
 // of 8 cores each over 56 Gbps InfiniBand.
 func DefaultParams(nodes int) Params {
 	return Params{
-		Nodes:            nodes,
-		CoresPerNode:     8,
-		MemBandwidth:     12e9,
-		BusCongestion:    0.12,
-		DelegateDispatch: 2 * time.Microsecond,
-		DelegateSize:     96,
-		SpawnCost:        15 * time.Microsecond,
-		Fabric:           fabric.DefaultParams(nodes),
-		DSM:              dsm.DefaultParams(),
-		Migration:        DefaultMigrationCosts(),
-		Seed:             1,
+		Nodes:        nodes,
+		CoresPerNode: 8,
+		MemBandwidth: 12e9,
+		Fabric:       fabric.DefaultParams(nodes),
+		DSM:          dsm.DefaultParams(),
+		Seed:         1,
 	}
 }
 
@@ -170,7 +127,7 @@ func NewMachine(params Params) *Machine {
 	// Lanes and lookahead must exist before fabric.New: the network binds its
 	// per-node lane views at construction.
 	eng.ConfigureLanes(params.Nodes)
-	eng.SetLookahead(params.Fabric.LinkLatency)
+	eng.SetLookahead(fabric.LinkLatency)
 	// The serialization clamp: a policy that serves page requests at arbitrary
 	// nodes out of one shared directory table needs every window in global
 	// event order. The observability recorder stamps what it records with the
@@ -230,7 +187,7 @@ func NewMachine(params Params) *Machine {
 			// The bus releases itself with an event on its node's lane.
 			bus: sim.NewBus(eng.LaneView(i), fmt.Sprintf("membus@%d", i), params.MemBandwidth),
 		}
-		m.nodes[i].bus.SetCongestion(params.BusCongestion)
+		m.nodes[i].bus.SetCongestion(busCongestion)
 		node := i
 		m.net.SetHandler(node, func(src int, msg fabric.Message) { m.route(node, src, msg) })
 	}

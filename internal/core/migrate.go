@@ -8,6 +8,33 @@ import (
 	"dex/internal/sim"
 )
 
+// The execution-context migration costs of §III-A, calibrated against
+// Table II and Figure 3 of the paper: ~812 µs first forward, ~237 µs warm
+// forward, ~25 µs backward.
+const (
+	// originFirst/originWarm is the origin-side cost of collecting and
+	// shipping the execution context: higher on the first migration of the
+	// process to a node (pairing setup).
+	originFirst time.Duration = 12100 * time.Nanosecond
+	originWarm  time.Duration = 6600 * time.Nanosecond
+	// contextSize is the wire size of the transferred execution context.
+	contextSize int = 1024
+	// remoteWorkerSetup is the one-time, per-(process,node) cost of creating
+	// the remote worker and the process-level data structures.
+	remoteWorkerSetup time.Duration = 620 * time.Microsecond
+	// threadFork is the cost of forking a remote thread from the worker.
+	threadFork time.Duration = 137 * time.Microsecond
+	// contextSetup is the cost of installing the received context.
+	contextSetup time.Duration = 40 * time.Microsecond
+	// scheduleCost is the run-queue insertion cost, paid on warm forks
+	// (during the first migration it overlaps worker initialization).
+	scheduleCost time.Duration = 50 * time.Microsecond
+	// backwardCollect/backwardUpdate are the remote- and origin-side costs
+	// of a backward migration.
+	backwardCollect time.Duration = 10 * time.Microsecond
+	backwardUpdate  time.Duration = 11 * time.Microsecond
+)
+
 // migration carries the state of one in-flight forward migration between
 // the migrating thread, the fabric, and the destination worker.
 type migration struct {
@@ -53,16 +80,15 @@ func (th *Thread) migrateForward(to int) error {
 	if p.m.inj != nil && p.m.inj.NodeDead(to) {
 		return fmt.Errorf("core: migration of thread %d to node %d failed: node is dead", th.id, to)
 	}
-	costs := p.m.params.Migration
 	mg := &migration{th: th, to: to}
 	start := th.task.Now()
 
 	// Origin-side: collect pt_regs/mm state and pair the threads. The
 	// first migration of the process to a node also sets up the pairing
 	// state, which is more expensive (Table II).
-	originCost := costs.OriginWarm
+	originCost := originWarm
 	if p.nodes[to].worker == nil {
-		originCost = costs.OriginFirst
+		originCost = originFirst
 	}
 	mg.record = MigrationRecord{
 		ThreadID: th.id,
@@ -76,7 +102,7 @@ func (th *Thread) migrateForward(to int) error {
 	// setup cost is charged inside the worker task itself, so a second
 	// migration arriving meanwhile queues behind worker readiness.
 	mg.sentAt = th.task.Now()
-	p.m.net.Send(th.task, th.node, to, &envelope{bytes: costs.ContextSize, deliver: func() {
+	p.m.net.Send(th.task, th.node, to, &envelope{bytes: contextSize, deliver: func() {
 		mg.arrivedAt = p.m.eng.Now()
 		w, created := p.worker(to)
 		mg.record.First = created
@@ -131,22 +157,21 @@ func (th *Thread) migrateForward(to int) error {
 // serveFork runs in the destination worker's context: it charges the
 // remote-side costs of reconstructing the thread and resumes it.
 func (p *Process) serveFork(t *sim.Task, mg *migration) {
-	costs := p.m.params.Migration
 	// Transfer time observed at the remote (context flight).
 	mg.record.Transfer = mg.arrivedAt - mg.sentAt
 	if mg.record.First {
 		// Worker setup time already elapsed between arrival and now.
 		mg.record.Worker = t.Now() - mg.arrivedAt
 	}
-	t.Sleep(costs.ThreadFork)
-	mg.record.Fork = costs.ThreadFork
-	t.Sleep(costs.ContextSetup)
-	mg.record.Ctx = costs.ContextSetup
+	t.Sleep(threadFork)
+	mg.record.Fork = threadFork
+	t.Sleep(contextSetup)
+	mg.record.Ctx = contextSetup
 	if !mg.record.First {
 		// On warm forks the run-queue insertion is paid in full; during
 		// the first migration it overlaps worker initialization.
-		t.Sleep(costs.Schedule)
-		mg.record.Sched = costs.Schedule
+		t.Sleep(scheduleCost)
+		mg.record.Sched = scheduleCost
 	}
 	// The handoff moves the thread's task from the source lane to the
 	// destination lane and wakes it across lanes — both require serialized
@@ -180,7 +205,6 @@ func (p *Process) commitMigration(t *sim.Task, record MigrationRecord) {
 // the origin. The remote thread exits.
 func (th *Thread) migrateBackward() {
 	p := th.proc
-	costs := p.m.params.Migration
 	from := th.node
 	record := MigrationRecord{
 		ThreadID: th.id,
@@ -189,19 +213,19 @@ func (th *Thread) migrateBackward() {
 		Backward: true,
 	}
 	start := th.task.Now()
-	th.task.Sleep(costs.BackwardCollect)
-	record.Origin = costs.BackwardCollect
+	th.task.Sleep(backwardCollect)
+	record.Origin = backwardCollect
 	resumed := false
 	sentAt := th.task.Now()
-	p.m.net.Send(th.task, from, p.origin, &envelope{bytes: costs.ContextSize, deliver: func() {
+	p.m.net.Send(th.task, from, p.origin, &envelope{bytes: contextSize, deliver: func() {
 		record.Transfer = p.m.eng.Now() - sentAt
 		// The original thread's context is updated and it is resumed; charge
 		// the update cost on the origin side. The task is spawned from the
 		// envelope's global-lane delivery and stays global, so the final
 		// cross-lane handoff (SetLane + Unpark) runs in serialized context.
 		p.m.eng.Spawn("backward-update", func(t *sim.Task) {
-			t.Sleep(costs.BackwardUpdate)
-			record.Ctx = costs.BackwardUpdate
+			t.Sleep(backwardUpdate)
+			record.Ctx = backwardUpdate
 			resumed = true
 			th.task.SetLane(p.origin)
 			th.task.Unpark()

@@ -306,7 +306,7 @@ func (p *Process) worker(node int) (*remoteWorker, bool) {
 	w.task = p.m.view(node).Spawn(fmt.Sprintf("worker pid%d@%d", p.pid, node), func(t *sim.Task) {
 		// Per-process setup: address space bootstrap, messaging state,
 		// process-level bookkeeping (the 620 µs of Figure 3).
-		t.Sleep(p.m.params.Migration.RemoteWorkerSetup)
+		t.Sleep(remoteWorkerSetup)
 		for {
 			msg := w.mb.Recv(t)
 			switch {
@@ -355,15 +355,15 @@ func delegate[T any](p *Process, th *Thread, name string, op func(t *sim.Task) T
 		res  T
 		done bool
 	)
-	p.m.net.Send(th.task, node, p.origin, &envelope{bytes: p.m.params.DelegateSize, deliver: func() {
+	p.m.net.Send(th.task, node, p.origin, &envelope{bytes: delegateSize, deliver: func() {
 		// The handler-thread context runs at the origin, on the origin's
 		// lane: delegated operations touch origin-owned state (address
 		// space, futex table, file table, delegation counter).
 		p.m.view(p.origin).Spawn("delegate "+name, func(t *sim.Task) {
 			p.delegations++
-			t.Sleep(p.m.params.DelegateDispatch)
+			t.Sleep(delegateDispatch)
 			v := op(t)
-			p.m.net.Send(t, p.origin, node, &envelope{bytes: p.m.params.DelegateSize, deliver: func() {
+			p.m.net.Send(t, p.origin, node, &envelope{bytes: delegateSize, deliver: func() {
 				res, done = v, true
 				th.task.Unpark()
 			}})

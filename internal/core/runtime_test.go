@@ -119,7 +119,6 @@ func TestWorkerSerializesSimultaneousMigrations(t *testing.T) {
 	// Eight threads migrating to the same node at once: the remote worker
 	// forks them one at a time, so arrival times must be spread by at
 	// least the fork cost.
-	costs := DefaultMigrationCosts()
 	var arrivals []time.Duration
 	_, _ = run1(t, 2, func(th *Thread) error {
 		var ws []*Thread
@@ -144,7 +143,7 @@ func TestWorkerSerializesSimultaneousMigrations(t *testing.T) {
 	if len(arrivals) != 8 {
 		t.Fatalf("arrivals = %d", len(arrivals))
 	}
-	minGap := costs.ThreadFork + costs.ContextSetup
+	minGap := threadFork + contextSetup
 	for i := 1; i < len(arrivals); i++ {
 		if gap := arrivals[i] - arrivals[i-1]; gap < minGap {
 			t.Fatalf("arrivals %d and %d only %v apart (fork takes %v)", i-1, i, gap, minGap)

@@ -193,7 +193,7 @@ func (th *Thread) Spawn(fn func(*Thread) error) (*Thread, error) {
 	if th.node != th.proc.origin {
 		return nil, fmt.Errorf("%w: spawn from node %d", ErrNotAtOrigin, th.node)
 	}
-	th.Compute(th.proc.m.params.SpawnCost)
+	th.Compute(spawnCost)
 	return th.proc.newThread(fn), nil
 }
 

@@ -67,26 +67,32 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Params holds the software-cost model and protocol switches.
-type Params struct {
-	// FaultEntry is the cost of trapping into the fault handler and
+// The software-cost model, calibrated so that an uncontended remote fault
+// lands near the paper's 19.3 µs and a contended, retried fault near
+// 158.8 µs (§V-D).
+const (
+	// faultEntry is the cost of trapping into the fault handler and
 	// consulting the ongoing-fault table.
-	FaultEntry time.Duration
-	// OriginDispatch is the cost of dispatching an incoming page request
-	// to a handler context at the serving node.
-	OriginDispatch time.Duration
-	// Directory is the cost of one ownership-directory transaction.
-	Directory time.Duration
-	// PTEInstall is the cost of the serialized PTE update.
-	PTEInstall time.Duration
+	faultEntry time.Duration = 2000 * time.Nanosecond
+	// originDispatch is the cost of dispatching an incoming page request to
+	// a handler context at the serving node.
+	originDispatch time.Duration = 2200 * time.Nanosecond
+	// directoryCost is the cost of one ownership-directory transaction.
+	directoryCost time.Duration = 1500 * time.Nanosecond
+	// pteInstall is the cost of the serialized PTE update.
+	pteInstall time.Duration = 1200 * time.Nanosecond
+	// invalidateApply is the cost of applying one revocation to a PTE.
+	invalidateApply time.Duration = 600 * time.Nanosecond
+	// nackBackoffBase/Jitter control the retry delay after a conflicting
+	// (NACKed) request; the delay grows linearly with the attempt count.
+	nackBackoffBase   time.Duration = 75 * time.Microsecond
+	nackBackoffJitter time.Duration = 70 * time.Microsecond
+)
+
+// Params holds the protocol switches and the costs tests vary.
+type Params struct {
 	// FollowerWake is the cost a coalesced follower pays to resume.
 	FollowerWake time.Duration
-	// InvalidateApply is the cost of applying one revocation to a PTE.
-	InvalidateApply time.Duration
-	// NackBackoffBase/Jitter control the retry delay after a conflicting
-	// (NACKed) request; the delay grows linearly with the attempt count.
-	NackBackoffBase   time.Duration
-	NackBackoffJitter time.Duration
 	// RetryTimeout/RetryTimeoutMax bound the retransmission timer used when
 	// fault injection is active: a request, grant, or revocation that is not
 	// acknowledged within the timeout is re-sent, and the timeout doubles up
@@ -107,21 +113,13 @@ type Params struct {
 	AlwaysSendData bool
 }
 
-// DefaultParams returns the software-cost model calibrated so that an
-// uncontended remote fault lands near the paper's 19.3 µs and a contended,
-// retried fault near 158.8 µs (§V-D).
+// DefaultParams returns the calibrated follower wake and retransmission
+// timer under the paper's write-invalidate protocol.
 func DefaultParams() Params {
 	return Params{
-		FaultEntry:        2000 * time.Nanosecond,
-		OriginDispatch:    2200 * time.Nanosecond,
-		Directory:         1500 * time.Nanosecond,
-		PTEInstall:        1200 * time.Nanosecond,
-		FollowerWake:      500 * time.Nanosecond,
-		InvalidateApply:   600 * time.Nanosecond,
-		NackBackoffBase:   75 * time.Microsecond,
-		NackBackoffJitter: 70 * time.Microsecond,
-		RetryTimeout:      300 * time.Microsecond,
-		RetryTimeoutMax:   5 * time.Millisecond,
+		FollowerWake:    500 * time.Nanosecond,
+		RetryTimeout:    300 * time.Microsecond,
+		RetryTimeoutMax: 5 * time.Millisecond,
 	}
 }
 
@@ -408,7 +406,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 		ns.faults[key] = g
 		m.inflight++
 		start := t.Now()
-		t.Sleep(m.params.FaultEntry)
+		t.Sleep(faultEntry)
 		retries, protocol := m.leadFault(t, ctx, vpn, write)
 		delete(ns.faults, key)
 		m.inflight--
@@ -444,11 +442,7 @@ func (m *Manager) recordFault(ctx Ctx, addr mem.Addr, write bool, latency time.D
 // are a function of that lane's events alone (the root engine's RNG may
 // not be touched from a lane running its own window).
 func (m *Manager) backoff(t *sim.Task, node, attempt int) {
-	d := m.params.NackBackoffBase * time.Duration(attempt)
-	if m.params.NackBackoffJitter > 0 {
-		d += time.Duration(m.view(node).Rand().Int63n(int64(m.params.NackBackoffJitter)))
-	}
-	t.Sleep(d)
+	t.Sleep(nackBackoffBase*time.Duration(attempt) + time.Duration(m.view(node).Rand().Int63n(int64(nackBackoffJitter))))
 }
 
 // ReclaimDeadNode returns all page ownership held by a crashed node to the

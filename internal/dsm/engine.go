@@ -665,7 +665,7 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 				m.mark(node, "dedup.reack", msg.vpn)
 				data := m.frames.Share(prev.data)
 				m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
-					t.Sleep(m.params.InvalidateApply)
+					t.Sleep(invalidateApply)
 					m.sendRevokeAck(t, prev, data)
 					m.freeFrame(data)
 				})

@@ -222,12 +222,12 @@ func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
 func (st *serveState) RunTask(t *sim.Task) {
 	m, home, req := st.m, st.home, st.req
 	if st.closed {
-		t.Sleep(m.params.OriginDispatch)
+		t.Sleep(originDispatch)
 		m.net.Send(t, home, req.node, &st.reply)
 		return
 	}
 	serveAt := t.Now()
-	t.Sleep(m.params.OriginDispatch)
+	t.Sleep(originDispatch)
 	out := m.serve(t, st)
 	m.e.closeServe(st)
 	if m.rec != nil {
@@ -282,7 +282,7 @@ func (m *Manager) serve(t *sim.Task, st *serveState) outcome {
 		m.stats.OriginServes++
 	}
 	de.begin()
-	t.Sleep(m.params.Directory)
+	t.Sleep(directoryCost)
 	data := m.serveLocked(t, de, req.node, req.vpn, req.write)
 	// A write grant hands the home off to the requester at the next epoch; a
 	// read grant pins the serving home at the current one.
@@ -372,7 +372,7 @@ func (m *Manager) applyRevokeAdmitted(r *appliedRevoke) {
 func (r *appliedRevoke) RunTask(t *sim.Task) {
 	m, node, msg, ns := r.m, int(r.node), r.msg, r.m.nodes[r.node]
 	applyAt := t.Now()
-	t.Sleep(m.params.InvalidateApply)
+	t.Sleep(invalidateApply)
 	pte := ns.pt.Lookup(msg.vpn)
 	var frame []byte
 	if pte != nil {

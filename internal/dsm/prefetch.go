@@ -41,7 +41,7 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 				continue
 			}
 			if len(outs) == 0 {
-				t.Sleep(m.params.FaultEntry) // one handler entry for the whole batch
+				t.Sleep(faultEntry) // one handler entry for the whole batch
 			}
 			outs = append(outs, m.e.post(t, node, target, vpn, false))
 		}

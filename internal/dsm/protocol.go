@@ -239,10 +239,10 @@ func (m *Manager) leadFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) (retri
 			return attempt - 1, true
 		}
 		de.begin()
-		t.Sleep(m.params.Directory)
+		t.Sleep(directoryCost)
 		m.serveLocked(t, de, node, vpn, write)
 		de.end()
-		t.Sleep(m.params.PTEInstall)
+		t.Sleep(pteInstall)
 		return attempt - 1, true
 	}
 }
@@ -402,7 +402,7 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 		frame, kept = pte.Frame, pte.Frame
 	}
 	installAt := t.Now()
-	t.Sleep(m.params.PTEInstall)
+	t.Sleep(pteInstall)
 	if write {
 		frame = m.frames.Private(frame)
 	}
@@ -538,7 +538,7 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 		owner := bits.TrailingZeros64(others)
 		if owner == home {
 			m.freeFrame(m.nodes[home].pt.SetAccess(vpn, nil, mem.AccessNone))
-			t.Sleep(m.params.InvalidateApply)
+			t.Sleep(invalidateApply)
 			m.stats.Invalidations++
 			m.emitInvalidate(home, vpn)
 			continue

@@ -68,9 +68,10 @@ func CountAPISites(app string) (SiteCounts, error) {
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
-			// The shared workerSet helper encapsulates exactly the
-			// migrate-out/migrate-back pair of the paper's conversion.
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "workerSet" {
+			// The shared workerSet helper, and its spawn half spawnWorkers,
+			// encapsulate exactly the migrate-out/migrate-back pair of the
+			// paper's conversion.
+			if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "workerSet" || id.Name == "spawnWorkers") {
 				counts.Migration += 2
 				counts.Total += 2
 			}

@@ -51,7 +51,29 @@ func (m PageMode) String() string {
 	}
 }
 
-// Params configures the interconnect. DefaultParams returns values
+// The interconnect's cost model, calibrated to the paper's testbed (§V-D):
+// 56 Gbps InfiniBand and a 4 KB page retrieval cost of ~13.6 µs end to end.
+const (
+	// LinkLatency is the one-way propagation latency. It is also the
+	// lookahead the fabric guarantees the simulator: no effect of a send
+	// reaches another node earlier than LinkLatency after it was posted.
+	LinkLatency time.Duration = 3500 * time.Nanosecond
+	// sendCPU is the per-message CPU cost of posting a VERB send.
+	sendCPU time.Duration = 700 * time.Nanosecond
+	// chunkSize is the size of one send-pool or sink chunk in bytes.
+	chunkSize int = 4096
+	// memcpyBandwidth is the local copy bandwidth in bytes per second, used
+	// for sink-to-destination and VERB staging copies.
+	memcpyBandwidth float64 = 3e9
+	// registerCost is the cost of one dynamic RDMA region association
+	// (PerPageReg mode only).
+	registerCost time.Duration = 4500 * time.Nanosecond
+	// rdmaPostCPU is the CPU cost of posting one RDMA write.
+	rdmaPostCPU time.Duration = 1200 * time.Nanosecond
+)
+
+// Params configures the interconnect: its size, the page-transfer mode and
+// the costs and pool depths tests vary. DefaultParams returns values
 // calibrated against the measurements reported in the paper (§V-D).
 type Params struct {
 	Nodes int
@@ -59,17 +81,10 @@ type Params struct {
 	// LinkBandwidth is the per-direction bandwidth of each node-pair link
 	// in bytes per second.
 	LinkBandwidth float64
-	// LinkLatency is the one-way propagation latency.
-	LinkLatency time.Duration
-
-	// SendCPU is the per-message CPU cost of posting a VERB send.
-	SendCPU time.Duration
 	// RecvCPU is the per-message cost of completion handling at the
 	// receiver before the handler runs and the buffer is reposted.
 	RecvCPU time.Duration
 
-	// ChunkSize is the size of one send-pool or sink chunk in bytes.
-	ChunkSize int
 	// SendPoolChunks is the number of send-buffer chunks per connection.
 	SendPoolChunks int
 	// RecvPoolSlots is the number of posted receives per connection.
@@ -77,37 +92,21 @@ type Params struct {
 	// SinkChunks is the number of RDMA-sink chunks per connection.
 	SinkChunks int
 
-	// MemcpyBandwidth is the local copy bandwidth in bytes per second,
-	// used for sink-to-destination and VERB staging copies.
-	MemcpyBandwidth float64
-	// RegisterCost is the cost of one dynamic RDMA region association
-	// (PerPageReg mode only).
-	RegisterCost time.Duration
-	// RDMAPostCPU is the CPU cost of posting one RDMA write.
-	RDMAPostCPU time.Duration
-
 	// Mode selects the page-transfer strategy.
 	Mode PageMode
 }
 
 // DefaultParams returns interconnect parameters calibrated to the paper's
-// testbed: 56 Gbps InfiniBand, ~1.3 µs one-way latency, and a 4 KB page
-// retrieval cost of ~13.6 µs end to end.
+// testbed: 56 Gbps InfiniBand and 64-deep pools on every connection.
 func DefaultParams(nodes int) Params {
 	return Params{
-		Nodes:           nodes,
-		LinkBandwidth:   56e9 / 8 * 0.85, // 56 Gbps less framing overhead
-		LinkLatency:     3500 * time.Nanosecond,
-		SendCPU:         700 * time.Nanosecond,
-		RecvCPU:         1000 * time.Nanosecond,
-		ChunkSize:       4096,
-		SendPoolChunks:  64,
-		RecvPoolSlots:   64,
-		SinkChunks:      64,
-		MemcpyBandwidth: 3e9,
-		RegisterCost:    4500 * time.Nanosecond,
-		RDMAPostCPU:     1200 * time.Nanosecond,
-		Mode:            HybridSink,
+		Nodes:          nodes,
+		LinkBandwidth:  56e9 / 8 * 0.85, // 56 Gbps less framing overhead
+		RecvCPU:        1000 * time.Nanosecond,
+		SendPoolChunks: 64,
+		RecvPoolSlots:  64,
+		SinkChunks:     64,
+		Mode:           HybridSink,
 	}
 }
 
@@ -352,7 +351,7 @@ func New(eng *sim.Engine, p Params) *Network {
 	if p.Nodes < 1 {
 		panic("fabric: need at least one node")
 	}
-	if p.ChunkSize <= 0 || p.SendPoolChunks <= 0 || p.RecvPoolSlots <= 0 || p.SinkChunks <= 0 {
+	if p.SendPoolChunks <= 0 || p.RecvPoolSlots <= 0 || p.SinkChunks <= 0 {
 		panic("fabric: buffer pool parameters must be positive")
 	}
 	if p.Mode == 0 {
@@ -390,11 +389,6 @@ func New(eng *sim.Engine, p Params) *Network {
 	}
 	return n
 }
-
-// Lookahead returns the conservative cross-lane latency bound this fabric
-// guarantees: no effect of a send reaches another node earlier than the
-// one-way link latency after it was posted.
-func (n *Network) Lookahead() time.Duration { return n.params.LinkLatency }
 
 // Params returns the network configuration.
 func (n *Network) Params() Params { return n.params }
@@ -442,7 +436,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	// state from there is safe).
 	sv := t.Engine()
 	sentAt := sv.Now()
-	t.Sleep(n.params.SendCPU)
+	t.Sleep(sendCPU)
 	chunks := n.chunksFor(m.Size())
 	n.acquireSendChunks(t, c, chunks)
 	n.stats.SmallSends++
@@ -464,7 +458,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 		f.sentAt = sentAt
 		f.bytes = m.Size()
 	}
-	at := serDone + n.params.LinkLatency + v.Delay
+	at := serDone + LinkLatency + v.Delay
 	n.deliver(sv, f, at)
 	if v.Dup {
 		if n.rec != nil {
@@ -487,7 +481,7 @@ func (n *Network) dup(f *flight) *flight {
 }
 
 func (n *Network) chunksFor(size int) int {
-	chunks := (size + n.params.ChunkSize - 1) / n.params.ChunkSize
+	chunks := (size + chunkSize - 1) / chunkSize
 	if chunks < 1 {
 		chunks = 1
 	}
@@ -741,7 +735,7 @@ func (n *Network) Prepare(t *sim.Task, pr *PageRecv, peer, self int, pool *mem.F
 		}
 	case PerPageReg:
 		n.stats.Registrations++
-		t.Sleep(n.params.RegisterCost)
+		t.Sleep(registerCost)
 	case VerbOnly:
 		// Page data will ride the VERB path; nothing to reserve.
 	default:
@@ -795,7 +789,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 	case HybridSink, PerPageReg:
 		n.stats.RDMAWrites++
 		sentAt := sv.Now() // the span starts when the sender enters the fabric
-		t.Sleep(n.params.RDMAPostCPU)
+		t.Sleep(rdmaPostCPU)
 		done := c.link.Occupy(len(data))
 		if v.Drop {
 			pr.pool.Release(data)
@@ -804,7 +798,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 			// page data and VERB messages keep one per-connection FIFO.
 			place := n.newFlight()
 			*place = flight{qp: &c.data, pr: pr, buf: data, bytes: len(data), sentAt: sentAt, page: true}
-			at := done + n.params.LinkLatency + v.Delay
+			at := done + LinkLatency + v.Delay
 			n.deliver(sv, place, at)
 			if v.Dup {
 				n.deliver(sv, n.dup(place), at)
@@ -817,7 +811,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 		n.stats.MemcpyBytes += uint64(len(data))
 		chunks := n.chunksFor(len(data) + reply.Size())
 		n.acquireSendChunks(t, c, chunks)
-		t.Sleep(n.params.SendCPU)
+		t.Sleep(sendCPU)
 		n.stats.SmallSends++
 		n.stats.SmallBytes += uint64(reply.Size()) // page payload counted above
 		done := c.link.Occupy(len(data) + reply.Size())
@@ -833,7 +827,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 			f.bytes = len(data) + reply.Size()
 			f.page = true
 		}
-		at := done + n.params.LinkLatency + v.Delay
+		at := done + LinkLatency + v.Delay
 		n.deliver(sv, f, at)
 		if v.Dup {
 			n.deliver(sv, n.dup(f), at)
@@ -893,5 +887,5 @@ func (n *Network) memcpyCost(bytes int) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	return time.Duration(float64(bytes) / n.params.MemcpyBandwidth * float64(time.Second))
+	return time.Duration(float64(bytes) / memcpyBandwidth * float64(time.Second))
 }

@@ -49,7 +49,7 @@ func TestSendAllocsPerRun(t *testing.T) {
 		eng := sim.NewEngine(1)
 		if lanes > 0 {
 			eng.ConfigureLanes(lanes, 1)
-			eng.SetLookahead(testParams(2).LinkLatency)
+			eng.SetLookahead(LinkLatency)
 		}
 		net := New(eng, testParams(2))
 		handled := 0

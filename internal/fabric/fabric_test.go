@@ -42,7 +42,7 @@ func TestSmallMessageDelivery(t *testing.T) {
 		t.Fatalf("delivery src=%d tag=%q", gotSrc, gotTag)
 	}
 	p := testParams(2)
-	min := p.SendCPU + p.LinkLatency + p.RecvCPU
+	min := sendCPU + LinkLatency + p.RecvCPU
 	if at < min {
 		t.Fatalf("delivered at %v, want >= %v", at, min)
 	}

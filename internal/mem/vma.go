@@ -136,27 +136,7 @@ func (s *VMASet) Carve(start Addr, length uint64) error {
 	if length == 0 || start.PageOff() != 0 || length%PageSize != 0 {
 		return fmt.Errorf("%w: carve [%s, +%d)", ErrBadRange, start, length)
 	}
-	end := start + Addr(length)
-	var out []VMA
-	for _, v := range s.vmas {
-		if v.End() <= start || v.Start >= end {
-			out = append(out, v)
-			continue
-		}
-		if v.Start < start {
-			left := v
-			left.Len = uint64(start - v.Start)
-			out = append(out, left)
-		}
-		if v.End() > end {
-			right := v
-			right.Start = end
-			right.Len = uint64(v.End() - end)
-			out = append(out, right)
-		}
-	}
-	s.vmas = out
-	s.gen++
+	s.split(start, start+Addr(length), false, 0)
 	return nil
 }
 
@@ -170,6 +150,15 @@ func (s *VMASet) Protect(start Addr, length uint64, prot Prot) error {
 	if !s.covered(start, end) {
 		return fmt.Errorf("%w: protect [%s, %s)", ErrNoVMA, start, end)
 	}
+	s.split(start, end, true, prot)
+	return nil
+}
+
+// split rebuilds the set around [start, end): regions outside the range are
+// kept, a region that straddles an edge keeps its part outside, and the
+// overlapped middle is dropped, or kept with protection prot when protect is
+// set. Every piece is appended in address order.
+func (s *VMASet) split(start, end Addr, protect bool, prot Prot) {
 	var out []VMA
 	for _, v := range s.vmas {
 		if v.End() <= start || v.Start >= end {
@@ -181,13 +170,13 @@ func (s *VMASet) Protect(start Addr, length uint64, prot Prot) error {
 			left.Len = uint64(start - v.Start)
 			out = append(out, left)
 		}
-		midStart := max(v.Start, start)
-		midEnd := min(v.End(), end)
-		mid := v
-		mid.Start = midStart
-		mid.Len = uint64(midEnd - midStart)
-		mid.Prot = prot
-		out = append(out, mid)
+		if protect {
+			mid := v
+			mid.Start = max(v.Start, start)
+			mid.Len = uint64(min(v.End(), end) - mid.Start)
+			mid.Prot = prot
+			out = append(out, mid)
+		}
 		if v.End() > end {
 			right := v
 			right.Start = end
@@ -195,10 +184,8 @@ func (s *VMASet) Protect(start Addr, length uint64, prot Prot) error {
 			out = append(out, right)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	s.vmas = out
 	s.gen++
-	return nil
 }
 
 // covered reports whether [start, end) is fully mapped.
