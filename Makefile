@@ -135,10 +135,10 @@ trace-smoke:
 # and per bp snapshot replicate, heap bytes of the full-size R-MAT build (three
 # edge-sized arrays) and of an 8-node bp run (one belief snapshot a node, not
 # one a worker), frames per replicated page, objects per
-# follower join and per radix Set on an existing path — so that they fail CI
-# by name.
+# follower join and per radix Set on an existing path, and distinct cells of
+# the whole evaluation at test size — so that they fail CI by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget|CellBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

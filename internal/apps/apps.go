@@ -1,7 +1,6 @@
 // Package apps implements the paper's eight benchmark applications (§V) as
-// DeX programs, each in three variants:
+// DeX programs, each in two variants:
 //
-//   - Baseline: the unmodified single-machine program (run on one node).
 //   - Initial: the naive DeX conversion of §V-A — thread-migration calls
 //     inserted at parallel regions, with the false-sharing pathologies the
 //     paper diagnoses deliberately preserved (thread arguments packed on a
@@ -10,6 +9,9 @@
 //   - Optimized: the §IV/§V-C version — page-aligned per-thread data,
 //     locally staged updates merged once per phase, read-only globals on
 //     their own replicated pages.
+//
+// The unmodified single-machine program the paper normalises against is the
+// Initial variant on one node: there Migrate and MigrateBack return at once.
 //
 // Every application computes real results on real data in the shared
 // address space and self-checks against a sequential reference, so the
@@ -30,15 +32,12 @@ type Variant int
 
 // Porting stages (see package comment).
 const (
-	Baseline Variant = iota + 1
-	Initial
+	Initial Variant = iota + 1
 	Optimized
 )
 
 func (v Variant) String() string {
 	switch v {
-	case Baseline:
-		return "baseline"
 	case Initial:
 		return "initial"
 	case Optimized:
@@ -48,10 +47,10 @@ func (v Variant) String() string {
 	}
 }
 
-// ParseVariant resolves the -variant flag of every command: "baseline",
-// "initial" or "optimized".
+// ParseVariant resolves the -variant flag of every command: "initial" or
+// "optimized".
 func ParseVariant(s string) (Variant, error) {
-	for v := Baseline; v <= Optimized; v++ {
+	for v := Initial; v <= Optimized; v++ {
 		if s == v.String() {
 			return v, nil
 		}
@@ -82,7 +81,7 @@ func ParseSize(s string) (Size, error) {
 
 // Config parameterizes one application run.
 type Config struct {
-	// Nodes is the cluster size; Baseline runs force it to 1.
+	// Nodes is the cluster size.
 	Nodes int
 	// ThreadsPerNode matches the paper's 8×n-thread configuration.
 	ThreadsPerNode int
@@ -112,9 +111,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Variant == Baseline {
-		cfg.Nodes = 1
 	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
@@ -225,9 +221,9 @@ func workerSet(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int) er
 }
 
 // spawnWorkers starts body on cfg.threads() worker threads and returns them
-// without blocking. For non-Baseline variants each worker migrates to its
-// assigned node before body and returns to the origin afterwards — the
-// paper's one-line-in/one-line-out conversion (§V-A).
+// without blocking. Each worker migrates to its assigned node before body and
+// returns to the origin afterwards — the paper's one-line-in/one-line-out
+// conversion (§V-A).
 func spawnWorkers(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int) error) ([]*dex.Thread, error) {
 	threads := cfg.threads()
 	ws := make([]*dex.Thread, 0, threads)
@@ -235,18 +231,13 @@ func spawnWorkers(main *dex.Thread, cfg Config, body func(w *dex.Thread, id int)
 		id := i
 		node := nodeOf(id, threads, cfg.Nodes)
 		w, err := main.Spawn(func(t *dex.Thread) error {
-			if cfg.Variant != Baseline {
-				if err := t.Migrate(node); err != nil {
-					return err
-				}
+			if err := t.Migrate(node); err != nil {
+				return err
 			}
 			if err := body(t, id); err != nil {
 				return err
 			}
-			if cfg.Variant != Baseline {
-				return t.MigrateBack()
-			}
-			return nil
+			return t.MigrateBack()
 		})
 		if err != nil {
 			return nil, err

@@ -12,7 +12,6 @@ import (
 func variantsAgree(t *testing.T, app App) {
 	t.Helper()
 	configs := []Config{
-		{Variant: Baseline},
 		{Nodes: 1, Variant: Initial},
 		{Nodes: 2, Variant: Initial},
 		{Nodes: 3, Variant: Optimized},

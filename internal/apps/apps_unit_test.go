@@ -308,7 +308,7 @@ func TestAppsProfileThroughOpts(t *testing.T) {
 }
 
 func TestVariantAndSizeStrings(t *testing.T) {
-	if Baseline.String() != "baseline" || Initial.String() != "initial" || Optimized.String() != "optimized" {
+	if Initial.String() != "initial" || Optimized.String() != "optimized" {
 		t.Fatal("variant strings wrong")
 	}
 	if Variant(99).String() == "" {
@@ -321,11 +321,11 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Nodes != 1 || cfg.ThreadsPerNode != 8 || cfg.Variant != Optimized || cfg.Size != SizeTest || cfg.Seed != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	cfg = Config{Nodes: 4, Variant: Baseline}.withDefaults()
-	if cfg.Nodes != 1 {
-		t.Fatal("baseline must force a single node")
+	cfg = Config{Nodes: 4, Variant: Initial}.withDefaults()
+	if cfg.Nodes != 4 {
+		t.Fatalf("nodes = %d, want 4", cfg.Nodes)
 	}
-	if cfg.threads() != 8 {
+	if cfg.threads() != 32 {
 		t.Fatalf("threads = %d", cfg.threads())
 	}
 }
@@ -359,14 +359,15 @@ func TestParseSize(t *testing.T) {
 }
 
 // TestParseVariant: the -variant flag of dexrun and dexprof accepts exactly
-// the three porting stages, by the names Variant.String prints.
+// the two porting stages, by the names Variant.String prints; the
+// unmodified program is "initial" on one node, not a variant of its own.
 func TestParseVariant(t *testing.T) {
 	tests := []struct {
 		in   string
 		want Variant
 		ok   bool
 	}{
-		{"baseline", Baseline, true},
+		{"baseline", 0, false},
 		{"initial", Initial, true},
 		{"optimized", Optimized, true},
 		{"Optimized", 0, false},

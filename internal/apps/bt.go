@@ -54,7 +54,7 @@ func RunBT(cfg Config) (Result, error) {
 	report, err := cluster.Run(func(main *dex.Thread) error {
 		threads := cfg.threads()
 		main.SetSite("bt/setup")
-		rowStride := 8 * p.n // packed rows (Initial/Baseline)
+		rowStride := 8 * p.n // packed rows (Initial)
 		if cfg.Variant == Optimized {
 			rowStride = (8*p.n + dex.PageSize - 1) / dex.PageSize * dex.PageSize
 		}
@@ -105,10 +105,8 @@ func RunBT(cfg Config) (Result, error) {
 				if err := bar.Wait(w); err != nil {
 					return err
 				}
-				if cfg.Variant != Baseline {
-					if err := w.Migrate(node); err != nil {
-						return err
-					}
+				if err := w.Migrate(node); err != nil {
+					return err
 				}
 				c := coeffs[r]
 				if cfg.Variant != Optimized {
@@ -193,10 +191,8 @@ func RunBT(cfg Config) (Result, error) {
 					}
 				}
 				// Region exit: return to the origin and synchronize.
-				if cfg.Variant != Baseline {
-					if err := w.Migrate(0); err != nil {
-						return err
-					}
+				if err := w.Migrate(0); err != nil {
+					return err
 				}
 				if err := bar.Wait(w); err != nil {
 					return err

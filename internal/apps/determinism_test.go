@@ -7,7 +7,8 @@ import (
 	"dex/internal/apps"
 )
 
-// TestSameSeedDeterminism runs every application in every variant twice
+// TestSameSeedDeterminism runs every application in every variant, and as
+// the paper's baseline (Initial on one node, the unmodified program), twice
 // with identical configurations and requires bit-identical results —
 // elapsed virtual time, answer digest, and the full report including every
 // protocol and interconnect counter. This is the property the parallel
@@ -15,12 +16,21 @@ import (
 // its configuration, so memoizing and reordering cells cannot change any
 // table.
 func TestSameSeedDeterminism(t *testing.T) {
+	cases := []struct {
+		name    string
+		variant apps.Variant
+		nodes   int
+	}{
+		{"baseline", apps.Initial, 1},
+		{"initial", apps.Initial, 2},
+		{"optimized", apps.Optimized, 2},
+	}
 	for _, app := range apps.All() {
-		for _, variant := range []apps.Variant{apps.Baseline, apps.Initial, apps.Optimized} {
-			app, variant := app, variant
-			t.Run(app.Name+"/"+variant.String(), func(t *testing.T) {
+		for _, c := range cases {
+			app, c := app, c
+			t.Run(app.Name+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
-				cfg := apps.Config{Nodes: 2, Variant: variant, Size: apps.SizeTest, Seed: 7}
+				cfg := apps.Config{Nodes: c.nodes, Variant: c.variant, Size: apps.SizeTest, Seed: 7}
 				first, err := app.Run(cfg)
 				if err != nil {
 					t.Fatalf("first run: %v", err)

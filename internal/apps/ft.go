@@ -85,7 +85,7 @@ func RunFT(cfg Config) (Result, error) {
 		threads := cfg.threads()
 		main.SetSite("ft/setup")
 		rowBytes := 16 * p.cols
-		rowStride := rowBytes // packed (Initial/Baseline)
+		rowStride := rowBytes // packed (Initial)
 		if cfg.Variant == Optimized {
 			rowStride = (rowBytes + dex.PageSize - 1) / dex.PageSize * dex.PageSize
 		}

@@ -113,7 +113,7 @@ func TestDerivedInputsPure(t *testing.T) {
 			resetInputs()
 			start := inputBuilds.Load()
 			base := derive(Config{Seed: 1}.withDefaults())
-			for _, variant := range []Variant{Baseline, Initial, Optimized} {
+			for _, variant := range []Variant{Initial, Optimized} {
 				for _, nodes := range []int{1, 2, 4, 8} {
 					for _, tpn := range []int{0, 2, 5} {
 						cfg := Config{Variant: variant, Nodes: nodes, ThreadsPerNode: tpn}.withDefaults()

@@ -44,12 +44,12 @@ const kmnDims = 3
 // that the main thread reduces.
 func RunKMN(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Restart {
-		return runKMNRestart(cfg)
-	}
 	p, next, ref := kmnInput(cfg)
-
 	cluster := cfg.cluster()
+	if cfg.Restart && cluster.FaultInjection() {
+		return runKMNRestart(cfg, cluster, p, next, ref)
+	}
+
 	var finalCenters []float64
 	var roiStart, roiEnd time.Duration
 	report, err := cluster.Run(func(main *dex.Thread) error {

@@ -17,10 +17,9 @@ import (
 // (the centers) cannot advance past the worker's own unconsumed
 // publication, the replay recomputes and republishes byte-identical
 // partial sums and the run converges to the same answer as a clean one.
-func runKMNRestart(cfg Config) (Result, error) {
-	p, next, ref := kmnInput(cfg)
-
-	cluster := cfg.cluster()
+// RunKMN takes this path only when cluster injects faults: without a plan
+// nothing is restarted, and the run is the ordinary one.
+func runKMNRestart(cfg Config, cluster *dex.Cluster, p kmnParams, next func() float64, ref []float64) (Result, error) {
 	var finalCenters []float64
 	var roiStart, roiEnd time.Duration
 	report, err := cluster.Run(func(main *dex.Thread) error {
@@ -102,15 +101,11 @@ func runKMNRestart(cfg Config) (Result, error) {
 				// Migration is best effort here: after a restart the
 				// preferred node is dead and the worker computes on at the
 				// origin instead — slower, but alive.
-				if cfg.Variant != Baseline {
-					_ = t.Migrate(node)
-				}
+				_ = t.Migrate(node)
 				if err := body(t, id, start); err != nil {
 					return err
 				}
-				if cfg.Variant != Baseline {
-					_ = t.MigrateBack()
-				}
+				_ = t.MigrateBack()
 				return nil
 			})
 			if err != nil {

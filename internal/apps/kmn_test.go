@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -392,5 +393,25 @@ func BenchmarkKMNReference(b *testing.B) {
 	p := kmnSizes(SizeFull)
 	for i := 0; i < b.N; i++ {
 		benchCenters = kmnReference(kmnPoints(1), p)
+	}
+}
+
+// TestKMNRestartWithoutPlanIsPlainRun: Config.Restart only matters under a
+// chaos plan, so without one kmn runs its ordinary program — the same
+// elapsed time, report and digest as a run without Restart.
+func TestKMNRestartWithoutPlanIsPlainRun(t *testing.T) {
+	cfg := Config{Nodes: 3, Variant: Optimized}
+	plain, err := RunKMN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Restart = true
+	restart, err := RunKMN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, restart) {
+		t.Fatalf("Restart without a plan changed the run: elapsed %v, %d events; plain run %v, %d events",
+			restart.Elapsed, restart.Report.Sched.Events, plain.Elapsed, plain.Report.Sched.Events)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // tenant at the origin, one store shard per node), Size selects the short
 // or full traffic window, and Restart spawns the shards restartable.
 // Variants do not apply — the serving topology has no porting stages — so
-// the field is ignored except for Baseline's usual force to one node.
+// the field is ignored.
 func RunSRV(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	rep, err := serve.Run(serve.Config{

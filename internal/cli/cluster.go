@@ -22,7 +22,7 @@ import (
 // Help texts that read the same in every tool that takes the flag.
 const (
 	SizeHelp    = "test | full"
-	VariantHelp = "baseline | initial | optimized"
+	VariantHelp = "initial | optimized"
 	TraceHelp   = "write Perfetto trace-event JSON to this file"
 )
 

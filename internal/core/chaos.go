@@ -133,7 +133,7 @@ func (p *Process) leaseTick() {
 			ns.lastSeen = now
 		case now-ns.lastSeen <= timeout:
 			// The lease holds.
-		case p.m.inj.NodeDead(node):
+		case p.m.dead(node):
 			p.declareNodeDead(node)
 			continue
 		default:
@@ -280,7 +280,7 @@ func (p *Process) awaitAcks(t *sim.Task, reason string, pending *uint64) {
 			continue
 		}
 		for s := *pending; s != 0; s &= s - 1 {
-			if node := bits.TrailingZeros64(s); p.m.inj.NodeDead(node) {
+			if node := bits.TrailingZeros64(s); p.m.dead(node) {
 				*pending &^= 1 << node
 			}
 		}

@@ -206,8 +206,8 @@ func (m *Machine) Params() Params { return m.params }
 // Nodes returns the number of nodes.
 func (m *Machine) Nodes() int { return m.params.Nodes }
 
-// Injector exposes the fault injector, nil when no plan is active.
-func (m *Machine) Injector() *chaos.Injector { return m.inj }
+// dead reports whether node n is confirmed dead (without an injector none is).
+func (m *Machine) dead(n int) bool { return m.inj != nil && m.inj.NodeDead(n) }
 
 // view returns the lane view bound to node.
 func (m *Machine) view(node int) *sim.Engine { return m.eng.LaneView(node) }

@@ -77,7 +77,7 @@ func (th *Thread) MigrateBack() error { return th.Migrate(th.proc.origin) }
 // spawned origin-side contexts with the same costs.
 func (th *Thread) migrateForward(to int) error {
 	p := th.proc
-	if p.m.inj != nil && p.m.inj.NodeDead(to) {
+	if p.m.dead(to) {
 		return fmt.Errorf("core: migration of thread %d to node %d failed: node is dead", th.id, to)
 	}
 	mg := &migration{th: th, to: to}
@@ -116,11 +116,11 @@ func (th *Thread) migrateForward(to int) error {
 		if th.task.ParkTimeout(reason, period) || mg.resumed {
 			continue
 		}
-		if p.m.inj.NodeDead(to) {
+		if p.m.dead(to) {
 			return fmt.Errorf("core: migration of thread %d to node %d failed: node crashed in flight", th.id, to)
 		}
 	}
-	if p.m.inj != nil && p.m.inj.NodeDead(to) {
+	if p.m.dead(to) {
 		// The fork completed but the node died before the thread resumed;
 		// stay at the source. The resume commit already rebound the task to
 		// the destination lane, so move it back in serialized context.
@@ -178,7 +178,7 @@ func (p *Process) serveFork(t *sim.Task, mg *migration) {
 	// context, so it commits on the global lane one lookahead later (the
 	// context switch into the resumed thread, charged at fabric latency).
 	p.m.commitGlobal(t, func() {
-		if p.m.inj != nil && p.m.inj.NodeDead(mg.to) {
+		if p.m.dead(mg.to) {
 			// The destination died after the fork: leave the thread parked on
 			// its source lane; its in-flight re-check surfaces the error.
 			return

@@ -664,7 +664,7 @@ func (m *Manager) rehome(vpn uint64, de *dirEntry, dead int, fallback []byte) bo
 // completed write grant moved authority out of served's table).
 func (m *Manager) stranded(served int, vpn uint64) *dirEntry {
 	de, ok := m.dir.get(served, vpn)
-	if !ok || de.busy() || de.home == m.origin || !m.dead(de.home) {
+	if !ok || de.busy() || !m.dead(de.home) {
 		return nil
 	}
 	return de

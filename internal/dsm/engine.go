@@ -238,8 +238,8 @@ type peer struct {
 // nodeState, so directory shards serve independently on their lanes.
 type engine struct{ m *Manager }
 
-// dead reports whether node n is confirmed dead (without an injector none is).
-func (m *Manager) dead(n int) bool { return m.chaos != nil && m.chaos.NodeDead(n) }
+// dead reports whether node n is confirmed dead (the origin never is; without an injector none is).
+func (m *Manager) dead(n int) bool { return n != m.origin && m.chaos != nil && m.chaos.NodeDead(n) }
 
 // mark records an instant span about vpn at node. A caller with args to build
 // checks m.rec first.
@@ -339,7 +339,7 @@ func (e *engine) wait(t *sim.Task, node int, o *outstanding) {
 	m := e.m
 	e.await(t, &o.waiter, sim.ReasonHex("page reply ", o.req.vpn<<mem.PageShift), node, "request",
 		func() bool {
-			if o.home == m.origin || !m.dead(o.home) {
+			if !m.dead(o.home) {
 				return false
 			}
 			o.reply.outcome = deadHome
@@ -540,7 +540,7 @@ func (e *engine) awaitInstall(t *sim.Task, st *serveState) outcome {
 			switch {
 			case m.dead(st.req.node):
 				out = rolledBack
-			case st.home != m.origin && m.dead(st.home):
+			case m.dead(st.home):
 				out = deadHome
 			default:
 				return false
@@ -607,7 +607,7 @@ func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
 				switch {
 				case m.dead(w.target):
 					w.lost = msg.needData
-				case msg.home != m.origin && m.dead(msg.home):
+				case m.dead(msg.home):
 					// The issuing home itself died mid-serve: every ack sent to
 					// it is dropped, so stop retransmitting. Deliver the
 					// revocation's effect directly — the fabric would drop the

@@ -295,7 +295,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		if forced >= 0 {
 			target, forced = forced, -1
 		}
-		if target != m.origin && target != node && m.dead(target) {
+		if target != node && m.dead(target) {
 			// The believed home is confirmed dead: skip the doomed round
 			// trip and route through the page's live anchor, which reclaims
 			// (or redirects around) dead-home pages.
@@ -344,7 +344,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 				// against its own table.
 				return attempt - 1
 			}
-			if rep.home != m.origin && m.dead(rep.home) {
+			if m.dead(rep.home) {
 				// The redirect points at a node that has since died: fall
 				// back to the page's live anchor and back off, giving the
 				// lease layer time to declare and rebuild.

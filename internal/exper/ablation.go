@@ -27,8 +27,9 @@ func runMachine(params core.Params, main func(*core.Thread) error) core.Report {
 // fanOut spawns one worker per entry of nodes; each migrates to its node, runs
 // body there (i is its index; a nil body does nothing) and migrates back. It
 // joins them all and returns when the first of them arrived at its node,
-// which is where the microbenchmarks measure their span from. A worker's
-// error is the process's, which runMachine reports.
+// which is where the microbenchmarks measure their span from, and the first
+// error a Join returned. A worker's own error is the process's, which
+// runMachine reports.
 func fanOut(th *core.Thread, nodes []int, body func(w *core.Thread, i int) error) (time.Duration, error) {
 	var firstArrival time.Duration
 	arrived := false
@@ -53,10 +54,13 @@ func fanOut(th *core.Thread, nodes []int, body func(w *core.Thread, i int) error
 		}
 		ws = append(ws, w)
 	}
+	var joinErr error
 	for _, w := range ws {
-		th.Join(w)
+		if err := th.Join(w); err != nil && joinErr == nil {
+			joinErr = err
+		}
 	}
-	return firstArrival, nil
+	return firstArrival, joinErr
 }
 
 // coalescingResult is the value of one A1 cell.

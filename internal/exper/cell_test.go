@@ -143,3 +143,21 @@ func TestExperimentsDeterministicAcrossPoolWidths(t *testing.T) {
 		t.Fatalf("tables differ between pool widths:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 }
+
+// TestExperCellBudget pins how many distinct simulations the whole evaluation
+// at test size runs through one runner. Figure 2 normalises against its own
+// Initial n=1 cell and E0 runs the Initial port, so the unmodified program
+// costs no cells of its own; a cell that stops being shared, or a duplicate
+// spelling of a run, moves the count.
+func TestExperCellBudget(t *testing.T) {
+	const want = 147
+	r := NewRunner(0)
+	for _, e := range All() {
+		e.Run(r, apps.SizeTest)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if got := len(r.cells); got != want {
+		t.Fatalf("the evaluation submitted %d distinct cells, want %d", got, want)
+	}
+}

@@ -129,7 +129,7 @@ func ScaleUp(r *Runner, size apps.Size) Table {
 			// bandwidth scales with the sockets, so the 32-core node gets
 			// four single-socket buses' worth.
 			cells[i] = append(cells[i], r.SubmitApp(app, apps.Config{
-				Nodes: 1, ThreadsPerNode: threads, Variant: apps.Baseline, Size: size,
+				Nodes: 1, ThreadsPerNode: threads, Variant: apps.Initial, Size: size,
 				Opts: []dex.Option{dex.WithCoresPerNode(32), dex.WithMemBandwidth(48e9)},
 			}))
 		}
@@ -221,7 +221,7 @@ func Table1(r *Runner, size apps.Size) Table {
 
 // Figure2 reproduces Figure 2: performance of every application on 1-8
 // nodes, Initial and Optimized, normalized to the unmodified application on
-// a single node.
+// a single node — the Initial port at n=1, whose migrations are no-ops.
 func Figure2(r *Runner, size apps.Size) Table {
 	r = ensure(r)
 	t := Table{
@@ -232,10 +232,8 @@ func Figure2(r *Runner, size apps.Size) Table {
 	nodes := []int{1, 2, 4, 8}
 	variants := []apps.Variant{apps.Initial, apps.Optimized}
 	all := apps.All()
-	baseCells := make([]*Cell, len(all))
 	varCells := make(map[int]map[apps.Variant][]*Cell, len(all))
 	for i, app := range all {
-		baseCells[i] = r.SubmitApp(app, apps.Config{Variant: apps.Baseline, Size: size})
 		varCells[i] = make(map[apps.Variant][]*Cell, len(variants))
 		for _, variant := range variants {
 			for _, n := range nodes {
@@ -245,9 +243,9 @@ func Figure2(r *Runner, size apps.Size) Table {
 		}
 	}
 	for i, app := range all {
-		base, err := WaitApp(baseCells[i])
+		base, err := WaitApp(varCells[i][apps.Initial][0])
 		if err != nil {
-			t.Rows = append(t.Rows, []string{app.Name, "baseline", "err: " + err.Error()})
+			t.Rows = append(t.Rows, []string{app.Name, apps.Initial.String(), "err: " + err.Error()})
 			continue
 		}
 		for _, variant := range variants {
@@ -433,8 +431,7 @@ func faultPingPong() []time.Duration {
 			}
 			th.Compute(500 * time.Nanosecond)
 		}
-		th.Join(w)
-		return nil
+		return th.Join(w)
 	})
 	var lat []time.Duration
 	for _, ev := range dex.ProfileOf(params.Obs).Events() {
