@@ -70,6 +70,24 @@ func TestServeCrashRestart(t *testing.T) {
 	}
 }
 
+// TestServeHomeCrashCompletes serves eight tenants on eight nodes under
+// home-migrate with node 7 crashing at 30 ms and shards restartable. On plan
+// seeds 3 and 15 the origin once stranded requests on a page homed at the
+// dead node (14 in flight after 250 ms without progress, then the event
+// limit); every admitted request must now be served exactly once.
+func TestServeHomeCrashCompletes(t *testing.T) {
+	for _, seed := range []string{"3", "15"} {
+		plan := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(plan, []byte(`{"seed":`+seed+`,"crashes":[{"node":7,"at":"30ms"}]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := string(capture(t, "-nodes", "8", "-tenants", "8", "-seed", seed, "-protocol", "home", "-restart", "-chaos", plan))
+		if !strings.Contains(out, "exactly-once:") || strings.Contains(out, "restarts=0") {
+			t.Fatalf("seed %s: no exactly-once line, or no restart:\n%s", seed, out)
+		}
+	}
+}
+
 // TestServeEventBudget pins how many simulator events the golden run costs:
 // the host-independent half of what a dexserve campaign costs, and the count
 // ROADMAP item 3 is about. The golden bytes cannot show it (no table prints

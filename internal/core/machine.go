@@ -128,13 +128,6 @@ func NewMachine(params Params) *Machine {
 	// per-node lane views at construction.
 	eng.ConfigureLanes(params.Nodes)
 	eng.SetLookahead(fabric.LinkLatency)
-	// The serialization clamp: a policy that serves page requests at arbitrary
-	// nodes out of one shared directory table needs every window in global
-	// event order. The observability recorder stamps what it records with the
-	// executing lane's clock and index and does not clamp.
-	if params.DSM.Protocol.SharesTable() {
-		eng.SerializeLanes()
-	}
 	m := &Machine{
 		eng:    eng,
 		net:    fabric.New(eng, params.Fabric),

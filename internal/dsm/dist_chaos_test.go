@@ -28,7 +28,7 @@ func TestDistChaosForwardedGrantDeliveryInvariant(t *testing.T) {
 		Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.5, Jitter: chaos.Duration(25 * time.Microsecond)}},
 	}
 	e := newChaosEnvParams(t, 3, plan, distParams())
-	addr := addrAnchoredAt(t, e.m, 0)
+	addr := anchoredAddrs(t, e.m, 0, 1)[0]
 	vpn := addr.VPN()
 	var got byte
 	e.eng.Spawn("main", func(tk *sim.Task) {

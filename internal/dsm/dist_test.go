@@ -8,25 +8,11 @@ import (
 	"dex/internal/sim"
 )
 
-// addrAnchoredAt scans the test heap for a page whose static anchor shard is
-// the given node, so tests can place directory entries deterministically.
-func addrAnchoredAt(t *testing.T, m *Manager, shard int) mem.Addr {
-	t.Helper()
-	for i := 0; i < 4096; i++ {
-		a := mem.Addr(0x40000000 + i*mem.PageSize)
-		if m.anchor(a.VPN()) == shard {
-			return a
-		}
-	}
-	t.Fatalf("no page in the test heap anchors at shard %d", shard)
-	return 0
-}
-
 // TestDistFirstTouchAtAnchorIsLocal: a page's first touch by its own anchor
 // shard resolves entirely in that shard's directory slice — no messages.
 func TestDistFirstTouchAtAnchorIsLocal(t *testing.T) {
 	e := newEnv(t, 3, distParams(), nil)
-	addr := addrAnchoredAt(t, e.m, 1)
+	addr := anchoredAddrs(t, e.m, 1, 1)[0]
 	e.eng.Spawn("main", func(tk *sim.Task) {
 		before := e.net.Stats().SmallSends
 		e.write(tk, 1, addr, 7)
@@ -111,7 +97,7 @@ func TestDistRedirectServesAcrossChain(t *testing.T) {
 func TestDistChainCompression(t *testing.T) {
 	const nodes = 5
 	e := newEnv(t, nodes, distParams(), nil)
-	addr := addrAnchoredAt(t, e.m, 0)
+	addr := anchoredAddrs(t, e.m, 0, 1)[0]
 	vpn := addr.VPN()
 	settle := func(tk *sim.Task) { tk.Sleep(300 * time.Microsecond) }
 	e.eng.Spawn("main", func(tk *sim.Task) {

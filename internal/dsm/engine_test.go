@@ -140,10 +140,7 @@ func TestRevokeBehindRedirectIsApplied(t *testing.T) {
 			// The lost revocation is a livelock, not a deadlock: node 1 is
 			// NACKed by the entry its own missing ack keeps busy, for ever.
 			e.eng.SetEventLimit(1_000_000)
-			addr := testAddr
-			if len(e.m.dir.hosts) > 1 {
-				addr = addrAnchoredAt(t, e.m, 0)
-			}
+			addr := anchoredAddrs(t, e.m, 0, 1)[0]
 			vpn := addr.VPN()
 			// Hold node 1's first redirect and the first revocation of the
 			// page until both are there, then deliver them in one event,
@@ -210,7 +207,7 @@ func TestRevokeBehindRedirectIsApplied(t *testing.T) {
 // record's flags used to drop.
 func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, distParams())
-	addr := addrAnchoredAt(t, e.m, 0)
+	addr := anchoredAddrs(t, e.m, 0, 1)[0]
 	vpn := addr.VPN()
 	e.eng.Spawn("touch", func(tk *sim.Task) {
 		e.write(tk, 0, addr, 1)              // first touch at the anchor

@@ -42,7 +42,7 @@ func TestHomeChaosDeadHomeRehomedToOrigin(t *testing.T) {
 	if after != 9 {
 		t.Fatalf("read after rehome = %d, want 9 (recovered from the surviving replica)", after)
 	}
-	de, ok := e.m.dir.get(0, testAddr.VPN())
+	de, ok := e.m.dir.find(testAddr.VPN())
 	if !ok {
 		t.Fatal("no directory entry after recovery")
 	}
@@ -64,7 +64,9 @@ func TestHomeChaosDeadHomeRehomedToOrigin(t *testing.T) {
 
 // TestHomeChaosStaleHintFailsOverToOrigin: a requester whose hint points at
 // a home that died (but has not been reclaimed yet) must fail over to the
-// origin instead of retransmitting at the dead node forever.
+// origin instead of retransmitting at the dead node forever. The origin, the
+// page's anchor, can serve it once the reclaim has rebuilt the page there;
+// the reclaim comes from a task of its own, as the lease layer's does.
 func TestHomeChaosStaleHintFailsOverToOrigin(t *testing.T) {
 	e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Node: 1, At: chaos.Duration(time.Millisecond)}}}, homeParams())
 	var got byte
@@ -78,7 +80,11 @@ func TestHomeChaosStaleHintFailsOverToOrigin(t *testing.T) {
 		// and re-target the origin, which recovers the page.
 		e.write(tk, 2, testAddr, 3)
 		got = e.read(tk, 0, testAddr)
-		e.m.ReclaimDeadNode(1)
+	})
+	e.eng.SpawnAfter("lease", 3*time.Millisecond, func(tk *sim.Task) {
+		if _, err := e.m.ReclaimDeadNode(1); err != nil {
+			t.Errorf("ReclaimDeadNode: %v", err)
+		}
 	})
 	e.run(t)
 	if got != 3 {

@@ -63,7 +63,7 @@ func TestHomeMigrateFollowsWriter(t *testing.T) {
 		e.write(tk, 1, testAddr, 42)
 	})
 	e.run(t)
-	de, ok := e.m.dir.get(0, testAddr.VPN())
+	de, ok := e.m.dir.find(testAddr.VPN())
 	if !ok {
 		t.Fatal("no directory entry after the write")
 	}
@@ -93,7 +93,7 @@ func TestHomeMigrateRedirectRepairsStaleHint(t *testing.T) {
 	if h := e.m.nodes[2].routes.at(testAddr.VPN()).home; h != 1 {
 		t.Fatalf("reader's home hint = %d, want 1 (learned from the redirect)", h)
 	}
-	de, _ := e.m.dir.get(0, testAddr.VPN())
+	de, _ := e.m.dir.find(testAddr.VPN())
 	if de.home != 1 || de.writer != -1 || !de.has(1) || !de.has(2) {
 		t.Fatalf("entry after redirected read: home=%d writer=%d owners=%#x", de.home, de.writer, de.owners)
 	}
@@ -221,9 +221,10 @@ func TestLatenciesReturnsCopy(t *testing.T) {
 }
 
 // TestWhereDecisions pins, case by case, the decisions resident, lookup and
-// route make for every placement in protocolRegistry: one function reads the
-// shared table, a shard and the routes alike, so each way it can answer is a
-// named row over a hand-built directory state on three nodes (origin 0).
+// route make for every placement in protocolRegistry: one function reads a
+// node's table, its routes and the anchor ring alike, so each way it can
+// answer is a named row over a hand-built directory state on three nodes
+// (origin 0). A route with home -1 is a record that keeps only its epoch.
 func TestWhereDecisions(t *testing.T) {
 	type state struct {
 		home      int    // the entry's home, -1 for no entry anywhere
@@ -248,18 +249,18 @@ func TestWhereDecisions(t *testing.T) {
 			state: state{home: 0, dead: -1}, route: routing{home: 0}, lookup: dirHere},
 		{name: "request away from the origin", proto: "wi", at: 1,
 			state: state{home: 0, dead: -1}, panics: true, lookup: dirElsewhere},
-		{name: "serve here: a shared table's entry homed here", proto: "home", at: 1,
+		{name: "serve here: first touch at the origin anchor", proto: "home", at: 0,
+			state: state{home: -1, dead: -1}, route: routing{home: 0}, lookup: dirFirstTouch},
+		{name: "serve here: the node's own entry", proto: "home", at: 1,
 			state: state{home: 1, dead: -1}, route: routing{home: 1}, lookup: dirHere},
-		{name: "redirect to a shared table's home", proto: "home", at: 0,
-			state: state{home: 1, dead: -1}, route: routing{home: 1}, lookup: dirElsewhere},
-		{name: "redirect to a shared table's dead home away from the origin", proto: "home", at: 2,
-			state: state{home: 1, dead: 1}, route: routing{home: 1}, lookup: dirElsewhere},
+		{name: "one hop along the origin's route", proto: "home", at: 0,
+			state: state{home: 1, route: &route{home: 1, epoch: 3}, dead: -1},
+			route: routing{home: 1, epoch: 3}, lookup: dirElsewhere},
 		{name: "anchor restart at the origin", proto: "home", at: 2,
 			state: state{home: -1, dead: -1}, route: routing{home: 0}, lookup: dirElsewhere},
-		{name: "dead home at the origin, busy: NACK", proto: "home", at: 0,
-			state: state{home: 1, busy: true, dead: 1}, route: routing{busy: true}, lookup: dirElsewhere},
-		{name: "dead home at the origin, idle: rehome and serve", proto: "home", at: 0,
-			state: state{home: 1, dead: 1}, route: routing{home: 0}, lookup: dirHere},
+		{name: "the origin knows the page, its home died: NACK", proto: "home", at: 0,
+			state: state{home: 1, route: &route{home: -1, epoch: 3}, dead: 1},
+			route: routing{busy: true}, lookup: dirElsewhere},
 		{name: "serve here: first touch at the anchor", proto: "dist", anchor: 1, at: 1,
 			state: state{home: -1, dead: -1}, route: routing{home: 1}, lookup: dirFirstTouch},
 		{name: "serve here: the shard's own entry", proto: "dist", anchor: 2, at: 1,
@@ -273,12 +274,15 @@ func TestWhereDecisions(t *testing.T) {
 			state: state{home: -1, dead: 2, reclaimed: true}, route: routing{home: 0}, lookup: dirFirstTouch},
 		{name: "anchor restart at a dead anchor not yet reclaimed", proto: "dist", anchor: 2, at: 0,
 			state: state{home: -1, dead: 2}, route: routing{home: 2}, lookup: dirElsewhere},
+		{name: "the anchor knows the page, its home died: NACK", proto: "dist", anchor: 1, at: 1,
+			state: state{home: 2, route: &route{home: -1, epoch: 4}, dead: 2},
+			route: routing{busy: true}, lookup: dirElsewhere},
 	}
 	covered := map[string]bool{}
 	// build gives each decision a fresh manager in c's state.
 	build := func(t *testing.T, proto Protocol, c state, anchor, at int) (*env, uint64) {
 		e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, protoParams(proto))
-		vpn := addrAnchoredAt(t, e.m, anchor).VPN()
+		vpn := anchoredAddrs(t, e.m, anchor, 1)[0].VPN()
 		if c.home >= 0 {
 			de := newDirEntry(c.home)
 			de.adoptHome(c.home)
@@ -288,7 +292,7 @@ func TestWhereDecisions(t *testing.T) {
 			e.m.dir.put(c.home, vpn, de)
 		}
 		if c.route != nil {
-			e.m.nodes[at].routes.point(vpn, c.route.home, c.route.epoch)
+			e.m.nodes[at].routes[vpn] = *c.route
 		}
 		if c.dead >= 0 {
 			e.net.Chaos().MarkDead(c.dead)
