@@ -117,7 +117,9 @@ func phase(rec *dex.Recorder, placement [nodes]int) (time.Duration, dex.Report, 
 			ws = append(ws, w)
 		}
 		for _, w := range ws {
-			t.Join(w)
+			if err := t.Join(w); err != nil {
+				return err
+			}
 		}
 		span = endAt - startAt
 		return nil

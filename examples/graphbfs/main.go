@@ -221,7 +221,9 @@ func main() {
 			ws = append(ws, w)
 		}
 		for _, w := range ws {
-			t.Join(w)
+			if err := t.Join(w); err != nil {
+				return err
+			}
 		}
 		lb := make([]byte, 4*nVerts)
 		if err := t.Read(lvlA, lb); err != nil {

@@ -144,7 +144,9 @@ func main() {
 			}
 		}
 		for _, w := range ws {
-			t.Join(w)
+			if err := t.Join(w); err != nil {
+				return err
+			}
 		}
 		centers, err = readFloats(t, ctr, 2*k)
 		return err

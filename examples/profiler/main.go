@@ -64,7 +64,9 @@ func run(aligned bool) (*dex.Trace, dex.Report, error) {
 			ws = append(ws, w)
 		}
 		for _, w := range ws {
-			t.Join(w)
+			if err := t.Join(w); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

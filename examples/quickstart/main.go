@@ -46,7 +46,9 @@ func main() {
 			workers = append(workers, w)
 		}
 		for _, w := range workers {
-			t.Join(w)
+			if err := t.Join(w); err != nil {
+				return err
+			}
 		}
 
 		total, err := t.ReadUint64(counter)
