@@ -103,12 +103,12 @@ chaos-smoke:
 
 # chaos-sweep serves under serve_chaos's fault plan — 1 % drops, 5 %
 # duplicates, node 7 crashing at 30 ms, shards restartable — on 8 nodes and 8
-# tenants, plan seed = -seed, over seeds 1-120 under wi and dist, and fails if
+# tenants, plan seed = -seed, over seeds 1-120 under wi, home and dist, and fails if
 # any seed fails: a livelock ends at the event limit, a lost request fails the
 # exactly-once check. It prints one line per failed seed.
 chaos-sweep:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && $(GO) build -o "$$dir/dexserve" ./cmd/dexserve && fail=0 && \
-	for p in wi dist; do for s in $$(seq 1 120); do \
+	for p in wi home dist; do for s in $$(seq 1 120); do \
 		printf '{"seed":%d,"drop":[{"src":-1,"dst":-1,"prob":0.01}],"dup":[{"src":-1,"dst":-1,"prob":0.05}],"crashes":[{"node":7,"at":"30ms"}]}' $$s > "$$dir/plan.json"; \
 		"$$dir/dexserve" -nodes 8 -tenants 8 -seed $$s -protocol $$p -restart -chaos "$$dir/plan.json" > /dev/null 2> "$$dir/err" || \
 			{ echo "chaos-sweep: $$p seed $$s: $$(tail -n 1 "$$dir/err")"; fail=1; }; \
