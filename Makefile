@@ -128,7 +128,10 @@ trace-smoke:
 # protocol and one dist run that loses a directory shard with pages anchored
 # there, dexprof, five examples). It starts with the host-independent cost
 # gates — objects per fabric message (none: flights are recycled) and per
-# untraced span, objects per remote write fault and the sizes of its records,
+# untraced span, objects per remote write, read and bounced fault (a PTE, and
+# where homes move a directory entry and a chain hint: the transaction records
+# are recycled) and the sizes of those records, objects per restart of a
+# finished task (none) and per load schedule (one stream a tenant),
 # heap bytes per chaos write fault (less than a page: re-send copies are pooled),
 # words per event, bytes per task, events per golden dexserve run, pages a
 # crash+restart serving run's checkpoints copy, objects per kmn chunk search
@@ -138,7 +141,7 @@ trace-smoke:
 # follower join and per radix Set on an existing path, and distinct cells of
 # the whole evaluation at test size — so that they fail CI by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget|CellBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget|CellBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

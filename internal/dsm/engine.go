@@ -12,6 +12,11 @@
 // acknowledgement: a node's floor, its lowest still-open token or seq, rides
 // on the requests, revocations and replies it sends anyway, and a record
 // another node keeps for its numbers goes once the floor passes it.
+//
+// Without an injector the records are recycled, as the fabric recycles its
+// flights and DeX its pre-registered message buffers: every message is then
+// delivered exactly once, so each record's holders are known, and the last to
+// let go puts it back on its free list (recycler).
 package dsm
 
 import (
@@ -63,6 +68,8 @@ func (w *waiter) ack() bool {
 // target the ownership being granted: a revoke arriving between the grant
 // reply and the PTE install is deferred until the install completes. Its
 // messages and landing zone live in it: a request costs the record alone.
+// Its holders are the requester and the serve of its request, whose req points
+// into it (and covers the install ack in flight: the serve ends after it).
 type outstanding struct {
 	waiter
 	home       int              // the node the request went to (the re-ack target)
@@ -71,6 +78,7 @@ type outstanding struct {
 	reply      pageReply        // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
 	installAck installAck       // the install ack, re-sent for a re-sent grant
 	installed  bool             // the granted PTE is in place
+	holders    int8             // recycler
 	deferred   []*appliedRevoke // revocations to apply once it is
 }
 
@@ -85,27 +93,32 @@ func (o *outstanding) granted() bool { return o.reply.outcome.granted() }
 // request gets the same reply again — never a fresh serve, which could land
 // data in a landing zone the requester has already released — and one in
 // flight or granted is ignored, because the grant window owns grant
-// retransmission. It is the body of its own task, run (messages.go).
+// retransmission. It is the body of its own task, run (messages.go). Its
+// holders are that task and its reply, until the requester has read it.
 type serveState struct {
 	waiter
-	run    sim.Task
-	m      *Manager
-	req    *pageRequest
-	home   int       // the node that served (or bounced) this token
-	reply  pageReply // the reply sent; outcome inFlight until there is one
-	closed bool      // the serving task has finished with this token
-	data   []byte    // a reference to the page the grant carried, for re-sends (injector only), until closed
+	run     sim.Task
+	m       *Manager
+	req     *pageRequest
+	home    int       // the node that served (or bounced) this token
+	reply   pageReply // the reply sent; outcome inFlight until there is one
+	closed  bool      // the serving task has finished with this token
+	holders int8      // recycler
+	data    []byte    // a reference to the page the grant carried, for re-sends (injector only), until closed
 }
 
 // revokeWaiter is the issuing home's record of one revocation in flight, and
-// of the revocation it sends and re-sends. lost reports that the wait was
-// abandoned because the target died; for a needData revoke the caller must
-// then treat the page contents as lost.
+// of the revocation it sends and re-sends, which its ack comes back as
+// (revokeAck). lost reports that the wait was abandoned because the target
+// died; for a needData revoke the caller must then treat the page contents as
+// lost. Its one holder is the serve that issued it, until the wait is over:
+// the target reads msg no later than it sends the ack.
 type revokeWaiter struct {
 	waiter
-	target int
-	msg    revokeMsg
-	lost   bool
+	target  int
+	msg     revokeMsg
+	lost    bool
+	holders int8 // recycler
 }
 
 // pull is the record of a needData revocation: the target's copy comes into
@@ -115,17 +128,93 @@ type pull struct {
 	pr fabric.PageRecv
 }
 
-// appliedRevoke is the receiver-side record of one admitted revocation, the
-// body of the task run that applies it and the holder of the ack it sends.
-// Under an injector it stays in the issuer's window for duplicates.
+// appliedRevoke is the receiver-side record of one admitted revocation and
+// the body of the task run that applies it, its one holder (before the task
+// starts, the install it waits behind holds it). Under an injector it stays in
+// the issuer's window for duplicates.
 type appliedRevoke struct {
 	run     sim.Task
 	m       *Manager
 	msg     *revokeMsg
-	ack     revokeAck
 	node    int32  // where msg is applied; beside pending, it costs no word
 	pending bool   // the original application has not finished yet
+	holders int8   // recycler
 	data    []byte // a reference to the page a needData revocation shipped, for re-acks, until a floor trims r
+}
+
+func (o *outstanding) String() string   { return fmt.Sprintf("request %#x", o.req.token) }
+func (st *serveState) String() string   { return fmt.Sprintf("serve of request %#x", st.reply.token) }
+func (w *revokeWaiter) String() string  { return fmt.Sprintf("revocation %#x", w.msg.seq) }
+func (r *appliedRevoke) String() string { return fmt.Sprintf("revocation applied at node %d", r.node) }
+
+func (o *outstanding) held() *int8   { return &o.holders }
+func (st *serveState) held() *int8   { return &st.holders }
+func (w *revokeWaiter) held() *int8  { return &w.holders }
+func (r *appliedRevoke) held() *int8 { return &r.holders }
+
+// Finished lets go of the serve's task's hold once the engine is done with it.
+func (st *serveState) Finished() { st.m.e.releaseServe(st) }
+
+// Finished puts r back: its task was its one holder.
+func (r *appliedRevoke) Finished() { r.m.e.applied.release(r) }
+
+// recyclable is a transaction record with a free list: it counts its holders
+// and names itself in a panic.
+type recyclable[T any] interface {
+	*T
+	fmt.Stringer
+	held() *int8
+}
+
+// recycler is the free list of one record type, one per Manager as the fabric
+// has one for its flights. One goroutine runs a simulation, so a record may be
+// taken on one lane and put back on another without a lock. Under an injector
+// records are not recycled: windows keep them for duplicates, and re-sent and
+// duplicated flights may point into them, so each is new and left to the
+// collector. made counts the records ever allocated: at quiescence the list
+// holds them all.
+type recycler[T any, P recyclable[T]] struct {
+	free []P
+	made int
+}
+
+// take returns a zeroed record with n holders, off the free list if recycle,
+// or new. One taken without recycle counts no holders (-1): release leaves it
+// to the collector.
+func (rc *recycler[T, P]) take(recycle bool, n int8) P {
+	var r P
+	if k := len(rc.free) - 1; recycle && k >= 0 {
+		r, rc.free = rc.free[k], rc.free[:k]
+		var zero T
+		*r = zero
+	} else {
+		r = new(T)
+		if recycle {
+			rc.made++
+		} else {
+			n = -1
+		}
+	}
+	*r.held() = n
+	return r
+}
+
+// release lets go of one holder's hold on r and reports whether it was the
+// last, which puts r back on the free list. Releasing a record that no holder
+// holds panics, naming it.
+func (rc *recycler[T, P]) release(r P) bool {
+	h := r.held()
+	switch {
+	case *h < 0:
+		return false
+	case *h == 0:
+		panic(fmt.Sprintf("dsm: %v released twice", r))
+	}
+	if *h--; *h > 0 {
+		return false
+	}
+	rc.free = append(rc.free, r)
+	return true
 }
 
 // over reports whether a record's transaction is over at the node that holds
@@ -235,8 +324,28 @@ type peer struct {
 
 // engine is the transport layer of one Manager. Its state — sequence
 // allocators, transaction records, heard floors — is sharded per node in
-// nodeState, so directory shards serve independently on their lanes.
-type engine struct{ m *Manager }
+// nodeState, so directory shards serve independently on their lanes; the
+// free lists of the records serve them all.
+type engine struct {
+	m        *Manager
+	requests recycler[outstanding, *outstanding]
+	serves   recycler[serveState, *serveState]
+	waits    recycler[revokeWaiter, *revokeWaiter]
+	pulls    recycler[pull, *pull]
+	applied  recycler[appliedRevoke, *appliedRevoke]
+}
+
+// recycles reports whether records go back on their free lists: without an
+// injector, where every message is delivered exactly once.
+func (e *engine) recycles() bool { return e.m.chaos == nil }
+
+// releaseServe lets go of one hold on st; the last lets go of the serve's hold
+// on the request it served.
+func (e *engine) releaseServe(st *serveState) {
+	if e.serves.release(st) {
+		e.requests.release(st.req.o)
+	}
+}
 
 // dead reports whether node n is confirmed dead (the origin never is; without an injector none is).
 func (m *Manager) dead(n int) bool { return n != m.origin && m.chaos != nil && m.chaos.NodeDead(n) }
@@ -321,10 +430,11 @@ func (e *engine) stray(what string, key uint64) {
 // request. One task may have several requests posted before it waits on any.
 func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool) *outstanding {
 	m, ns := e.m, e.m.nodes[node]
-	o := &outstanding{waiter: waiter{task: t}, home: home}
+	o := e.requests.take(e.recycles(), 2)
+	o.task, o.home = t, home
 	m.net.Prepare(t, &o.pr, home, node, &m.frames) // may wait for the sink: before the token
 	tok := nextSeq(node, &ns.reqCtr)
-	o.req = pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, pr: &o.pr}
+	o.req = pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, o: o}
 	o.installAck = installAck{pid: m.pid, token: tok}
 	ns.reqs.put(tok, o)
 	o.req.floor = e.floor(ns.reqs.base)
@@ -349,7 +459,7 @@ func (e *engine) wait(t *sim.Task, node int, o *outstanding) {
 }
 
 // deliverReply hands a page reply from src to the request it answers and
-// wakes the requester.
+// wakes the requester; the reply's hold on its serve ends here.
 func (e *engine) deliverReply(node, src int, rep *pageReply) {
 	m, ns := e.m, e.m.nodes[node]
 	p := &ns.peers[src]
@@ -373,10 +483,16 @@ func (e *engine) deliverReply(node, src int, rep *pageReply) {
 	}
 	o.reply = *rep
 	o.ack()
+	e.releaseServe(rep.st)
 }
 
-// forget drops the record of a request that was bounced.
-func (e *engine) forget(node int, o *outstanding) { e.m.nodes[node].reqs.del(o.req.token) }
+// forget drops the record of a request that was bounced: its landing zone and
+// the requester's hold on it.
+func (e *engine) forget(node int, o *outstanding) {
+	e.m.nodes[node].reqs.del(o.req.token)
+	o.pr.Release()
+	e.requests.release(o)
+}
 
 // installed notes that o's grant is installed at node: the transaction is
 // over there. Under an injector the record moves to its home's window: the
@@ -384,7 +500,7 @@ func (e *engine) forget(node int, o *outstanding) { e.m.nodes[node].reqs.del(o.r
 // floor passes the token a settling home may ask whether it landed.
 func (e *engine) installed(node int, o *outstanding) {
 	o.installed = true
-	e.forget(node, o)
+	e.m.nodes[node].reqs.del(o.req.token)
 	if e.m.chaos != nil {
 		e.m.nodes[node].peers[o.home].installed.put(o.req.token, o)
 	}
@@ -443,7 +559,9 @@ func (e *engine) admitServe(node int, req *pageRequest) *serveState {
 		m.stats.DupsIgnored++
 		return nil
 	}
-	st := &serveState{m: m, req: req, home: node, reply: pageReply{pid: m.pid, token: req.token}}
+	st := e.serves.take(e.recycles(), 2)
+	st.m, st.req, st.home = m, req, node
+	st.reply = pageReply{pid: m.pid, token: req.token, st: st}
 	p.served.put(req.token, st)
 	return st
 }
@@ -520,7 +638,7 @@ func (e *engine) grant(t *sim.Task, st *serveState, data []byte, epoch uint64) {
 func (e *engine) sendGrant(t *sim.Task, st *serveState, data []byte) {
 	m, req := e.m, st.req
 	if st.reply.outcome == grantData {
-		m.net.SendPage(t, st.home, req.node, req.pr, data, &st.reply)
+		m.net.SendPage(t, st.home, req.node, &req.o.pr, data, &st.reply)
 	} else {
 		m.net.Send(t, st.home, req.node, &st.reply)
 	}
@@ -592,37 +710,34 @@ func (e *engine) sendRevoke(t *sim.Task, w *revokeWaiter, from, target int, vpn 
 	return w
 }
 
-// waitRevokes parks the serving task until every revocation in acks is
-// acknowledged. A revocation or its ack may have been lost: it is re-sent,
-// and the wait abandoned if the target is confirmed dead (its copy died with
-// it) or the issuing home is.
-func (e *engine) waitRevokes(t *sim.Task, acks []*revokeWaiter) {
-	m := e.m
-	for _, w := range acks {
-		msg := &w.msg
-		// The revoke-waiting task runs on the issuing home's lane.
-		e.await(t, &w.waiter, sim.ReasonHex("revoke ack ", msg.vpn<<mem.PageShift), msg.home, "revoke",
-			func() bool {
-				switch {
-				case m.dead(w.target):
-					w.lost = msg.needData
-				case m.dead(msg.home):
-					// The issuing home itself died mid-serve: every ack sent to
-					// it is dropped, so stop retransmitting. Deliver the
-					// revocation's effect directly — the fabric would drop the
-					// real message (its source is dead), and no stale replica
-					// may outlive the dead home's last transaction.
-					if r := e.admitRevoke(w.target, msg); r != nil {
-						m.applyRevokeAdmitted(r)
-					}
-				default:
-					return false
+// waitRevoke parks the serving task until w's revocation is acknowledged. The
+// revocation or its ack may have been lost: it is re-sent, and the wait
+// abandoned if the target is confirmed dead (its copy died with it) or the
+// issuing home is.
+func (e *engine) waitRevoke(t *sim.Task, w *revokeWaiter) {
+	m, msg := e.m, &w.msg
+	// The revoke-waiting task runs on the issuing home's lane.
+	e.await(t, &w.waiter, sim.ReasonHex("revoke ack ", msg.vpn<<mem.PageShift), msg.home, "revoke",
+		func() bool {
+			switch {
+			case m.dead(w.target):
+				w.lost = msg.needData
+			case m.dead(msg.home):
+				// The issuing home itself died mid-serve: every ack sent to
+				// it is dropped, so stop retransmitting. Deliver the
+				// revocation's effect directly — the fabric would drop the
+				// real message (its source is dead), and no stale replica
+				// may outlive the dead home's last transaction.
+				if r := e.admitRevoke(w.target, msg); r != nil {
+					m.applyRevokeAdmitted(r)
 				}
-				m.nodes[msg.home].revokes.del(msg.seq)
-				return true
-			},
-			func() { m.net.Send(t, msg.home, w.target, msg) })
-	}
+			default:
+				return false
+			}
+			m.nodes[msg.home].revokes.del(msg.seq)
+			return true
+		},
+		func() { m.net.Send(t, msg.home, w.target, msg) })
 }
 
 // revokeAcked closes the wait a revoke ack names. Revocations are issued
@@ -676,7 +791,8 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 			return nil
 		}
 	}
-	r := &appliedRevoke{m: m, msg: msg, ack: revokeAck{pid: m.pid, seq: msg.seq}, node: int32(node), pending: true}
+	r := e.applied.take(e.recycles(), 1)
+	r.m, r.msg, r.node, r.pending = m, msg, int32(node), true
 	if m.chaos != nil {
 		p.applied.put(msg.seq, r)
 	}
@@ -698,12 +814,13 @@ func (e *engine) revokeApplied(r *appliedRevoke, frame []byte) {
 }
 
 // sendRevokeAck sends r's ack from its node, shipping a reference to data
-// with it if the revocation asked for the page.
+// with it if the revocation asked for the page. Without an injector the
+// issuer may reuse r.msg once the ack is in: nothing reads it after this.
 func (m *Manager) sendRevokeAck(t *sim.Task, r *appliedRevoke, data []byte) {
 	msg := r.msg
 	if msg.needData {
-		m.net.SendPage(t, int(r.node), msg.home, msg.pr, m.frames.Share(data), &r.ack)
+		m.net.SendPage(t, int(r.node), msg.home, msg.pr, m.frames.Share(data), (*revokeAck)(msg))
 	} else {
-		m.net.Send(t, int(r.node), msg.home, &r.ack)
+		m.net.Send(t, int(r.node), msg.home, (*revokeAck)(msg))
 	}
 }

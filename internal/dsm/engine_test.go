@@ -226,7 +226,8 @@ func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 	if len(replies) != 2 {
 		t.Fatalf("node 1 received %d replies, want the redirect and its re-send", len(replies))
 	}
-	want := pageReply{pid: e.m.pid, token: req.token, outcome: redirect, home: 0, epoch: 5}
+	st := e.m.nodes[2].peers[1].served.get(req.token) // the serve record the reply lives in
+	want := pageReply{pid: e.m.pid, token: req.token, outcome: redirect, home: 0, epoch: 5, st: st}
 	for i, r := range replies {
 		if !reflect.DeepEqual(*r, want) {
 			t.Errorf("reply %d = %+v, want %+v", i, *r, want)

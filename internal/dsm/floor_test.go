@@ -73,7 +73,7 @@ func checkFloor(t *testing.T, m *Manager, node, src int, msg fabric.Message) str
 // the manager does. The caller runs the engine.
 func floorWorkload(t *testing.T, proto Protocol, seed int64, anchor int, crash bool, hook func(node, src int, msg fabric.Message)) *env {
 	t.Helper()
-	const nodes, doomed = 4, 1
+	const nodes = 4
 	plan := &chaos.Plan{
 		Seed:  seed,
 		Drop:  []chaos.LinkRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.1}},
@@ -81,7 +81,6 @@ func floorWorkload(t *testing.T, proto Protocol, seed int64, anchor int, crash b
 		Delay: []chaos.DelayRule{{Src: chaos.Any, Dst: chaos.Any, Prob: 0.3, Jitter: chaos.Duration(20 * time.Microsecond)}},
 	}
 	e := newChaosEnvParams(t, nodes, plan, protoParams(proto))
-	e.eng.SetEventLimit(1_000_000) // a run takes 2,400–4,700
 	if hook != nil {
 		for n := 0; n < nodes; n++ {
 			node := n
@@ -91,6 +90,17 @@ func floorWorkload(t *testing.T, proto Protocol, seed int64, anchor int, crash b
 			})
 		}
 	}
+	floorTasks(t, e, seed, anchor, crash)
+	return e
+}
+
+// floorTasks spawns floorWorkload's tasks on e, a four-node env: without an
+// injector its program runs on a fabric that loses nothing, and crash must be
+// false.
+func floorTasks(t *testing.T, e *env, seed int64, anchor int, crash bool) {
+	t.Helper()
+	const doomed = 1
+	e.eng.SetEventLimit(1_000_000) // a run takes 2,400–4,700
 	addrs := anchoredAddrs(t, e.m, anchor, 6)
 	addrs, fresh := addrs[:4], addrs[4:]
 	rng := rand.New(rand.NewSource(seed))
@@ -125,7 +135,7 @@ func floorWorkload(t *testing.T, proto Protocol, seed int64, anchor int, crash b
 		})
 	}
 	if !crash {
-		return e
+		return
 	}
 	e.eng.SpawnAfter("crash", 2*time.Millisecond, func(tk *sim.Task) {
 		if !written {
@@ -142,7 +152,6 @@ func floorWorkload(t *testing.T, proto Protocol, seed int64, anchor int, crash b
 			_ = e.read(tk, 3, a)
 		}
 	})
-	return e
 }
 
 // floorRuns runs fn on floorWorkload's pages anchored at each node of proto's
@@ -295,8 +304,9 @@ func FuzzDedupState(f *testing.F) {
 			case op == 0: // a new request reaches the home
 				ns := m.nodes[requester]
 				tok := nextSeq(requester, &ns.reqCtr)
-				o := &outstanding{home: home, req: pageRequest{pid: m.pid, vpn: uint64(i), node: requester, token: tok},
-					installAck: installAck{pid: m.pid, token: tok}}
+				o := m.e.requests.take(m.e.recycles(), 2)
+				o.home, o.req = home, pageRequest{pid: m.pid, vpn: uint64(i), node: requester, token: tok, o: o}
+				o.installAck = installAck{pid: m.pid, token: tok}
 				msg := &o.req
 				ns.reqs.put(msg.token, o)
 				msg.floor = m.e.floor(ns.reqs.base)

@@ -19,8 +19,9 @@ const (
 	homeHintSize    = 48
 )
 
-// pageRequest asks a home node for access to a page. The requester has
-// already prepared a landing zone (pr) for possible page data. floor, here and
+// pageRequest asks a home node for access to a page. o is the requester's
+// record the request lives in: it has already prepared the landing zone o.pr
+// for possible page data, and the serve holds o (engine.go). floor, here and
 // on the reply and the revocation, is its sender's (engine.go).
 type pageRequest struct {
 	pid   int
@@ -29,7 +30,7 @@ type pageRequest struct {
 	node  int
 	token uint64
 	floor uint64
-	pr    *fabric.PageRecv
+	o     *outstanding
 }
 
 func (*pageRequest) Size() int { return pageRequestSize }
@@ -96,7 +97,8 @@ func (o outcome) bounced() bool { return o == nack || o == stale || o == redirec
 // carries where to retry: one hop down the forwarding chain. epoch stamps the
 // routing information where authority migrates: the home-handoff epoch at
 // which home is (or, for a write grant, becomes) the page's home. The extra
-// fields ride in the modeled 56-byte envelope.
+// fields ride in the modeled 56-byte envelope. st is the serve record the
+// reply lives in, which the requester lets go of once it has read it.
 type pageReply struct {
 	pid     int
 	token   uint64
@@ -104,6 +106,7 @@ type pageReply struct {
 	home    int
 	epoch   uint64
 	floor   uint64
+	st      *serveState
 }
 
 func (*pageReply) Size() int { return pageReplySize }
@@ -137,11 +140,11 @@ type revokeMsg struct {
 
 func (*revokeMsg) Size() int { return revokeSize }
 
-// revokeAck acknowledges a revokeMsg.
-type revokeAck struct {
-	pid int
-	seq uint64
-}
+// revokeAck acknowledges a revokeMsg. It is the revocation sent back: it
+// names the process and sequence number its revocation does, so it needs no
+// memory of its own, and the issuer's record, which holds the revocation until
+// the ack is in, holds the ack in flight too.
+type revokeAck revokeMsg
 
 func (*revokeAck) Size() int { return revokeAckSize }
 
@@ -389,30 +392,32 @@ func (m *Manager) applyRevokeAdmitted(r *appliedRevoke) {
 	m.view(int(r.node)).Start(&r.run, "dsm-revoke", r)
 }
 
-// RunTask applies r's revocation and acks it.
+// RunTask applies r's revocation and acks it. The ack is the last it reads
+// of r.msg: the issuer may reuse it once the ack is in (sendRevokeAck).
 func (r *appliedRevoke) RunTask(t *sim.Task) {
 	m, node, msg, ns := r.m, int(r.node), r.msg, r.m.nodes[r.node]
+	vpn, downgrade := msg.vpn, msg.downgrade
 	applyAt := t.Now()
 	t.Sleep(invalidateApply)
-	pte := ns.pt.Lookup(msg.vpn)
+	pte := ns.pt.Lookup(vpn)
 	var frame []byte
 	if pte != nil {
 		frame = pte.Frame
 	}
 	dropped := false
-	if msg.downgrade {
-		ns.pt.SetAccess(msg.vpn, nil, mem.AccessRead)
+	if downgrade {
+		ns.pt.SetAccess(vpn, nil, mem.AccessRead)
 	} else {
-		dropped = ns.pt.SetAccess(msg.vpn, nil, mem.AccessNone) != nil
+		dropped = ns.pt.SetAccess(vpn, nil, mem.AccessNone) != nil
 	}
 	if msg.newHome >= 0 {
 		// The revocation tells us where the page's home is about to
 		// move; remember it so our next fault routes there.
-		m.learnHome(node, msg.vpn, msg.newHome, msg.newEpoch)
+		m.learnHome(node, vpn, msg.newHome, msg.newEpoch)
 	}
-	m.emitInvalidate(node, msg.vpn)
+	m.emitInvalidate(node, vpn)
 	if msg.needData && frame == nil {
-		panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", msg.vpn, node))
+		panic(fmt.Sprintf("dsm: revoke needs data for vpn %#x but node %d has no frame", vpn, node))
 	}
 	m.sendRevokeAck(t, r, frame)
 	m.e.revokeApplied(r, frame)
@@ -421,11 +426,11 @@ func (r *appliedRevoke) RunTask(t *sim.Task) {
 	}
 	if m.rec != nil {
 		mode := "invalidate"
-		if msg.downgrade {
+		if downgrade {
 			mode = "downgrade"
 		}
 		m.rec.Span("dsm", "revoke.apply", node, -1, applyAt,
-			obs.Hex("vpn", msg.vpn),
+			obs.Hex("vpn", vpn),
 			obs.String("mode", mode))
 	}
 }

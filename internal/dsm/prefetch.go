@@ -49,7 +49,6 @@ func (m *Manager) Prefetch(t *sim.Task, ctx Ctx, vpns []uint64) (int, error) {
 			m.e.wait(t, node, o)
 			if !o.granted() {
 				m.e.forget(node, o)
-				o.pr.Release()
 				continue
 			}
 			m.install(t, ctx, o, nil)

@@ -290,7 +290,8 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 	// the epoch gate rejected for storage: the walk still follows it once,
 	// transiently, so it makes progress past routes a liveness override has
 	// pushed backward.
-	var hops []int
+	var walked [8]int
+	hops := walked[:0]
 	forced := -1
 	for attempt := 1; ; attempt++ {
 		reqAt := t.Now()
@@ -319,7 +320,7 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		}
 		req := m.e.post(t, node, target, vpn, write)
 		m.e.wait(t, node, req)
-		rep := &req.reply
+		rep := req.reply // a copy: a bounce lets go of req
 		if m.rec != nil {
 			m.rec.Span("dsm", "fault.request", node, ctx.Task, reqAt,
 				obs.Hex("vpn", vpn),
@@ -328,7 +329,6 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 		}
 		if !rep.outcome.granted() {
 			m.e.forget(node, req)
-			req.pr.Release()
 		}
 		switch rep.outcome {
 		case deadHome:
@@ -385,8 +385,9 @@ func (m *Manager) requestFault(t *sim.Task, ctx Ctx, vpn uint64, write bool) int
 // the landing zone (or, for an ownership-only grant, releases it and keeps the
 // node's fresh copy), maps the page, acks the serving home, learns where the
 // page's home now is, compresses the forwarding chain the request walked
-// (hops) and applies the revocations deferred behind the install. A write
-// grant maps a frame no other holder references, copied if one still does.
+// (hops) and applies the revocations deferred behind the install; then the
+// requester lets go of o. A write grant maps a frame no other holder
+// references, copied if one still does.
 func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 	node, vpn, write, pr, rep := ctx.Node, o.req.vpn, o.req.write, &o.pr, &o.reply
 	var frame, kept []byte // the reference mapped; the node's copy, kept
@@ -442,6 +443,7 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 	for _, r := range o.deferred {
 		m.applyRevokeAdmitted(r)
 	}
+	m.e.requests.release(o)
 }
 
 // ---------------------------------------------------------------------------
@@ -553,9 +555,13 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 			m.bury(vpn, de, owner, nil)
 			continue
 		}
-		acks = append(acks, m.e.sendRevoke(t, new(revokeWaiter), home, owner, vpn, false, newHome, newEpoch, nil))
+		w := m.e.waits.take(m.e.recycles(), 1)
+		acks = append(acks, m.e.sendRevoke(t, w, home, owner, vpn, false, newHome, newEpoch, nil))
 	}
-	m.e.waitRevokes(t, acks)
+	for _, w := range acks {
+		m.e.waitRevoke(t, w)
+		m.e.waits.release(w)
+	}
 	if !needData {
 		m.stats.OwnershipGrants++
 	}
@@ -577,18 +583,20 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 		return
 	}
 	pullAt := t.Now()
-	p := new(pull)
+	p := m.e.pulls.take(m.e.recycles(), 1)
 	pr := &p.pr
 	m.net.Prepare(t, pr, w, home, &m.frames)
 	m.e.sendRevoke(t, &p.revokeWaiter, home, w, vpn, downgrade, -1, 0, pr)
-	m.e.waitRevokes(t, []*revokeWaiter{&p.revokeWaiter})
+	m.e.waitRevoke(t, &p.revokeWaiter)
 	if p.lost {
 		// The writer died before shipping its copy home.
 		pr.Release()
+		m.e.pulls.release(p)
 		m.bury(vpn, de, w, nil)
 		return
 	}
 	data := pr.Claim(t)
+	m.e.pulls.release(p)
 	m.nodes[home].pt.SetAccess(vpn, data, mem.AccessRead)
 	m.stats.PageTransfers++
 	de.pullHome(downgrade)

@@ -13,20 +13,18 @@ import (
 	"dex/internal/sim"
 )
 
-// A steady-state remote write fault that revokes one replica allocates its
-// four transaction records — the request's, the serve's, the revocation's at
-// the home and at the replica — and the writer's new PTE, and nothing else:
-// each record embeds the messages it sends, the request's its landing zone,
-// and the serve's and the applied revocation's the task that runs them (a
-// record is its task's body); the fabric recycles its flights. Every page is
-// written at node 0 and read at node 2 first, so that the measured write at
-// node 1 finds a replica to revoke (and the home's own copy, invalidated in
-// place). Where homes move the new home's directory entry is one more, and
-// some faults are redirected (a second request and serve record) and compress
-// the chain they walked.
+// A steady-state remote write fault that revokes one replica allocates the
+// writer's new PTE and nothing else: its four transaction records — the
+// request's, the serve's, the revocation's at the home and at the replica —
+// come off their free lists, each embeds the messages it sends, the request's
+// its landing zone, and the serve's and the applied revocation's the task that
+// runs them; the fabric recycles its flights. Every page is written at node 0
+// and read at node 2 first, so that the measured write at node 1 finds a
+// replica to revoke (and the home's own copy, invalidated in place). Where
+// homes move the new home's directory entry is one more.
 func TestWriteFaultAllocsPerRun(t *testing.T) {
 	const runs = 1 + 100 // testing.AllocsPerRun's warm-up and measured runs
-	want := map[Protocol]float64{WriteInvalidate: 5, HomeMigrate: 6, DistributedManager: 6}
+	want := map[Protocol]float64{WriteInvalidate: 1, HomeMigrate: 2, DistributedManager: 2}
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		e := newEnv(t, 3, protoParams(proto), nil)
 		addr := func(p int) mem.Addr { return testAddr + mem.Addr(p*mem.PageSize) }
@@ -55,10 +53,101 @@ func TestWriteFaultAllocsPerRun(t *testing.T) {
 	})
 }
 
+// A steady-state remote read fault allocates the reader's new PTE and nothing
+// else: the request's and the serve's records come off their free lists and
+// the page's frame is shared, not copied. Every page is anchored at and
+// written by node 0 first, so that node 1's read is served there in one round
+// trip under every protocol.
+func TestReadFaultAllocsPerRun(t *testing.T) {
+	const runs = 1 + 100
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		e := newEnv(t, 3, protoParams(proto), nil)
+		addrs := anchoredAddrs(t, e.m, 0, runs)
+		var got float64
+		var reads, serves uint64
+		e.eng.Spawn("main", func(tk *sim.Task) {
+			for _, a := range addrs {
+				e.write(tk, 0, a, 1)
+			}
+			before := e.m.Stats()
+			p := 0
+			got = testing.AllocsPerRun(runs-1, func() {
+				e.read(tk, 1, addrs[p])
+				p++
+			})
+			reads, serves = e.m.Stats().ReadFaults-before.ReadFaults, e.m.Stats().DirServes-before.DirServes
+		})
+		e.run(t)
+		if reads != runs || serves != runs {
+			t.Errorf("%v: %d read faults, %d serves, want %d each", proto, reads, serves, runs)
+		}
+		if got != 1 {
+			t.Errorf("%v: a remote read fault allocates %v objects, want 1", proto, got)
+		}
+	})
+}
+
+// A fault that is bounced allocates nothing for the bounce: the reply that
+// turns it away is its serve record's, and the retry takes its records off
+// the free lists again. Nodes 1 and 2 write-fault on a page of node 0's at
+// once: the first request opens the grant window, so the second is NACKed
+// and retries after its backoff — where homes move, at node 0 again, which
+// redirects it to node 1, the page's home by then. Each fault's PTE is
+// allocated, and where homes move each new home's directory entry and the
+// path-compression hint the redirected fault sends node 0.
+func TestBouncedFaultAllocsPerRun(t *testing.T) {
+	const runs = 1 + 100
+	want := map[Protocol]float64{WriteInvalidate: 2, HomeMigrate: 5, DistributedManager: 5}
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		e := newEnv(t, 3, protoParams(proto), nil)
+		addrs := anchoredAddrs(t, e.m, 0, runs)
+		p, done := 0, false
+		var main *sim.Task
+		rival := e.eng.Spawn("rival", func(tk *sim.Task) {
+			for {
+				tk.Park("next page")
+				e.write(tk, 2, addrs[p], 2)
+				done = true
+				main.Unpark()
+			}
+		})
+		var got float64
+		var before, after Stats
+		main = e.eng.Spawn("main", func(tk *sim.Task) {
+			for _, a := range addrs {
+				e.write(tk, 0, a, 0)
+			}
+			before = e.m.Stats()
+			got = testing.AllocsPerRun(runs-1, func() {
+				done = false
+				rival.Unpark()
+				e.write(tk, 1, addrs[p], 1)
+				for !done {
+					tk.Park("rival's write")
+				}
+				p++
+			})
+			after = e.m.Stats()
+			rival.Kill()
+		})
+		e.run(t)
+		if nacks := after.Nacks - before.Nacks; nacks != runs {
+			t.Errorf("%v: %d NACKs over %d contended page pairs, want one each", proto, nacks, runs)
+		}
+		if fwd := after.Forwards - before.Forwards; proto != WriteInvalidate && fwd != runs {
+			t.Errorf("%v: %d redirects over %d contended page pairs, want one each", proto, fwd, runs)
+		}
+		if got != want[proto] {
+			t.Errorf("%v: two contending write faults, one bounced, allocate %v objects, want %v", proto, got, want[proto])
+		}
+	})
+}
+
 // The transaction records stay in their size classes: a field added to one
 // must not silently move every request or revocation into a larger class.
 // Each bound is a size class; what a record embeds (a landing zone, a task)
-// is bytes it no longer allocates beside it.
+// is bytes it no longer allocates beside it, and a revocation's ack is the
+// revocation sent back, no bytes of the applied revocation's.
 func TestRecordsSizeof(t *testing.T) {
 	for _, r := range []struct {
 		name      string
@@ -68,7 +157,7 @@ func TestRecordsSizeof(t *testing.T) {
 		{"serveState", unsafe.Sizeof(serveState{}), 256},
 		{"revokeWaiter", unsafe.Sizeof(revokeWaiter{}), 112},
 		{"pull", unsafe.Sizeof(pull{}), 160},
-		{"appliedRevoke", unsafe.Sizeof(appliedRevoke{}), 192},
+		{"appliedRevoke", unsafe.Sizeof(appliedRevoke{}), 176},
 	} {
 		if r.size > r.max {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, past its %d-byte size class", r.name, r.size, r.max)
@@ -282,4 +371,80 @@ func TestChaosResentGrantCarriesOldBytes(t *testing.T) {
 		t.Error("node 2's install mapped the shared frame without a copy")
 	}
 	checkRefs(t, e.m, "re-sent grant")
+}
+
+// checkRecycled fails t unless every record rc ever allocated is back on its
+// free list exactly once, held by no one.
+func checkRecycled[T any, P recyclable[T]](t *testing.T, run, kind string, rc *recycler[T, P]) {
+	t.Helper()
+	seen := make(map[P]bool, len(rc.free))
+	for _, r := range rc.free {
+		if seen[r] {
+			t.Errorf("%s: %v is on the %s free list twice", run, r, kind)
+		}
+		seen[r] = true
+		if h := *r.held(); h != 0 {
+			t.Errorf("%s: %v is on the %s free list with %d holders", run, r, kind, h)
+		}
+	}
+	if len(seen) != rc.made {
+		t.Errorf("%s: %d of the %d %s records made are back on their free list", run, len(seen), rc.made, kind)
+	}
+}
+
+// Without an injector every record goes back to its free list once its
+// transaction is over: after floorWorkload's program on a fabric that loses
+// nothing, under every protocol and on the pages anchored at every node, each
+// record ever made is on its list, once. A holder that never lets go leaves
+// one out; one that lets go twice panics.
+func TestRecordsRecycledAtQuiescence(t *testing.T) {
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		floorRuns(t, proto, func(t *testing.T, seed int64, anchor int) {
+			e := newEnvSeed(t, 4, protoParams(proto), nil, seed)
+			floorTasks(t, e, seed, anchor, false)
+			e.run(t)
+			run := fmt.Sprintf("seed %d", seed)
+			rs := &e.m.e
+			if rs.requests.made == 0 || rs.serves.made == 0 || rs.applied.made == 0 {
+				t.Fatalf("%s: %d request, %d serve and %d applied revocation records made; the workload exercises nothing",
+					run, rs.requests.made, rs.serves.made, rs.applied.made)
+			}
+			checkRecycled(t, run, "request", &rs.requests)
+			checkRecycled(t, run, "serve", &rs.serves)
+			checkRecycled(t, run, "revocation", &rs.waits)
+			checkRecycled(t, run, "pull", &rs.pulls)
+			checkRecycled(t, run, "applied revocation", &rs.applied)
+		})
+	})
+}
+
+// A record released more often than it has holders panics, naming itself; a
+// record taken under an injector counts no holders and is the collector's.
+func TestRecordReleasedTwicePanics(t *testing.T) {
+	var rs engine
+	o := rs.requests.take(true, 2)
+	o.req.token = 0x1000000000007
+	if rs.requests.release(o) || !rs.requests.release(o) {
+		t.Fatal("a request's second holder did not put it back")
+	}
+	r, panicked := panics(func() { rs.requests.release(o) })
+	if want := "dsm: request 0x1000000000007 released twice"; !panicked || r != want {
+		t.Errorf("third release of a two-holder request: panicked %v with %v, want %q", panicked, r, want)
+	}
+	p := rs.pulls.take(true, 1)
+	p.msg.seq = 0x2000000000003
+	rs.pulls.release(p)
+	r, panicked = panics(func() { rs.pulls.release(p) })
+	if want := "dsm: revocation 0x2000000000003 released twice"; !panicked || r != want {
+		t.Errorf("second release of a pull: panicked %v with %v, want %q", panicked, r, want)
+	}
+	st := rs.serves.take(false, 2)
+	for i := 0; i < 3; i++ {
+		if rs.serves.release(st) {
+			t.Fatal("a record taken under an injector went onto a free list")
+		}
+	}
+	if len(rs.serves.free) != 0 || rs.serves.made != 0 {
+		t.Errorf("records taken under an injector: %d on the free list, %d counted made", len(rs.serves.free), rs.serves.made)
+	}
 }

@@ -235,11 +235,40 @@ func maxFactor(phases []Phase) float64 {
 	return m
 }
 
+// expectedArrivals is the mean number of t's arrivals in [0, d): its rate
+// profile integrated over the window.
+func expectedArrivals(t TenantSpec, d time.Duration) float64 {
+	sum, from, f := 0.0, time.Duration(0), 1.0
+	for _, p := range t.Phases {
+		if p.Start >= d {
+			break
+		}
+		if p.Start > from {
+			sum += f * float64(p.Start-from)
+			from = p.Start
+		}
+		f = p.Factor
+	}
+	sum += f * float64(d-from)
+	return sum * t.RPS / float64(time.Second)
+}
+
+// maxPresized bounds the requests a tenant's stream is sized for up front; a
+// longer stream grows past it.
+const maxPresized = 1 << 22
+
+// presize is the capacity of a stream of Poisson arrivals with mean n: four
+// standard deviations past it, which a stream exceeds about once in 30,000.
+func presize(n float64) int {
+	return int(min(n+4*math.Sqrt(n)+16, maxPresized))
+}
+
 // Schedule expands the spec into one request stream per tenant, sorted by
 // arrival time. Arrivals form an inhomogeneous Poisson process (rate
 // RPS * factor(t)) generated by thinning against the profile's peak rate,
 // so ramps and diurnal swings come out of the same deterministic draw
-// sequence. The result is a pure function of the spec.
+// sequence. The result is a pure function of the spec. Each stream is
+// allocated once, sized from the spec's rate and window.
 func Schedule(spec Spec) ([][]Request, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -251,7 +280,7 @@ func Schedule(spec Spec) ([][]Request, error) {
 		r := newRNG(uint64(spec.Seed)*0x9e3779b97f4a7c15 + uint64(ti)*0xd1342543de82ef95 + 1)
 		zipf := newZipf(t.Keys, t.Zipf)
 		peak := t.RPS * maxFactor(t.Phases)
-		var reqs []Request
+		reqs := make([]Request, 0, presize(expectedArrivals(t, spec.Duration)))
 		at := time.Duration(0)
 		for {
 			// Next candidate arrival of the envelope process.

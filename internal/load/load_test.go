@@ -44,6 +44,29 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// Schedule allocates each tenant's stream once, sized from its rate and
+// window, beside the outer slice and each tenant's key sampler: appending
+// never grows a stream. The expected count is the rate integrated over the
+// window, phases and all.
+func TestScheduleAllocsPerRun(t *testing.T) {
+	spec := testSpec()
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Schedule(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(1 + 3*len(spec.Tenants)); got != want {
+		t.Errorf("Schedule of %d tenants: %v allocations, want %v", len(spec.Tenants), got, want)
+	}
+	out, _ := Schedule(spec)
+	for i, ts := range spec.Tenants {
+		n, mean := len(out[i]), expectedArrivals(ts, spec.Duration)
+		if math.Abs(float64(n)-mean) > 4*math.Sqrt(mean) || cap(out[i]) != presize(mean) {
+			t.Errorf("tenant %s: %d arrivals in a stream of capacity %d, expected %.1f", ts.Name, n, cap(out[i]), mean)
+		}
+	}
+}
+
 // TestScheduleSeedSensitive checks distinct seeds do not share a stream.
 func TestScheduleSeedSensitive(t *testing.T) {
 	s1 := testSpec()

@@ -130,6 +130,36 @@ func TestStartTwicePanics(t *testing.T) {
 	}
 }
 
+// finishBody is a record whose embedded task is reset when the engine says it
+// is done with it, so that it can be started again.
+type finishBody struct {
+	task     Task
+	finished int
+	early    bool // Finished came while the engine still held the task
+}
+
+func (b *finishBody) RunTask(*Task) {}
+
+func (b *finishBody) Finished() {
+	b.early = b.early || !b.task.Done() || b.task.co != nil || b.task.eng.c.running == &b.task
+	b.finished++
+	b.task = Task{}
+}
+
+// A finished task's body hears so once the engine has let go of the task, and
+// the task, reset, starts again and allocates nothing: one record serves a
+// task after another.
+func TestFinishedTaskRestartAllocsPerRun(t *testing.T) {
+	b := &finishBody{}
+	got := allocsInTask(t, func(tk *Task) {
+		tk.Engine().Start(&b.task, "recycled", b)
+		tk.Sleep(time.Nanosecond) // the task starts and finishes; Finished resets it
+	})
+	if got != 0 || b.finished != 201 || b.early {
+		t.Fatalf("restart of a finished task: %v allocs (want 0), %d of 201 finishes, early %v", got, b.finished, b.early)
+	}
+}
+
 // coroOf runs fn in a new task of e and reports which coroutine ran it.
 func coroOf(e *Engine, name string, d time.Duration, fn func(*Task)) (task *Task, ran func() *coro) {
 	var co *coro

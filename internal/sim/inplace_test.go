@@ -90,11 +90,8 @@ func TestInPlaceWakeTieTakesKeyOrder(t *testing.T) {
 		{[]int{0, 2}, "[from0 woke from2]", 0},
 	}
 	for _, tc := range cases {
-		for _, mode := range []pickMode{pickSerialized, pickInline} {
+		for _, mode := range []pickMode{pickKeyOrder, pickInline} {
 			root, views := lanedEngine(3)
-			if mode == pickSerialized {
-				root.SerializeLanes()
-			}
 			var order []string
 			for _, s := range tc.senders {
 				views[s].AfterOn(1, 1500*time.Nanosecond, func() { order = append(order, fmt.Sprintf("from%d", s)) })
@@ -104,9 +101,17 @@ func TestInPlaceWakeTieTakesKeyOrder(t *testing.T) {
 				tk.Sleep(500 * time.Nanosecond) // ties with the arrivals at 1.5µs
 				order = append(order, "woke")
 			})
-			st := mustRun(t, root)
+			var st SchedStats
+			if mode == pickKeyOrder {
+				if err := runKeyOrder(root); err != nil {
+					t.Fatalf("runKeyOrder: %v", err)
+				}
+				st = root.SchedStats()
+			} else {
+				st = mustRun(t, root)
+			}
 			want := tc.inPlace
-			if mode == pickSerialized {
+			if mode == pickKeyOrder {
 				want = 0
 			}
 			if got := fmt.Sprint(order); got != tc.order || st.Lanes[1].InPlaceWakes != want {
@@ -116,9 +121,8 @@ func TestInPlaceWakeTieTakesKeyOrder(t *testing.T) {
 	}
 }
 
-// Global-lane work in a window serializes it, and serialized lanes serialize
-// every window: either way the lane's heap is not all that can run before a
-// wake-up, and no sleep is taken in place.
+// Global-lane work in a window serializes it: the lane's heap is then not all
+// that can run before a wake-up, and no sleep is taken in place.
 func TestInPlaceWakeNeedsIndependentLanes(t *testing.T) {
 	sleeps := func(v *Engine) {
 		v.Spawn("sleeper", func(tk *Task) {
@@ -138,14 +142,6 @@ func TestInPlaceWakeNeedsIndependentLanes(t *testing.T) {
 	sleeps(views[0])
 	if st := mustRun(t, root); st.InPlaceWakes != 0 || st.SerializedWindows != 1 {
 		t.Fatalf("window with global work: %d in place in %d serialized windows, want 0 in 1", st.InPlaceWakes, st.SerializedWindows)
-	}
-
-	root, views = lanedEngine(2)
-	root.SerializeLanes()
-	sleeps(views[0])
-	if st := mustRun(t, root); st.InPlaceWakes != 0 || st.SerializedWindows != 0 || st.LaneDispatches != 1 {
-		t.Fatalf("serialized lanes: %d in place, %d serialized windows, %d dispatches, want 0, 0, 1",
-			st.InPlaceWakes, st.SerializedWindows, st.LaneDispatches)
 	}
 }
 

@@ -29,9 +29,6 @@ func runLaneWorkload(t *testing.T, nodes int, serialized bool) laneTrace {
 	root := NewEngine(42)
 	root.ConfigureLanes(nodes)
 	root.SetLookahead(la)
-	if serialized {
-		root.SerializeLanes()
-	}
 
 	tr := laneTrace{perLane: make([][]string, nodes)}
 	views := make([]*Engine, nodes)
@@ -73,7 +70,11 @@ func runLaneWorkload(t *testing.T, nodes int, serialized bool) laneTrace {
 	}
 	root.After(2*time.Microsecond, beat)
 
-	if err := root.Run(); err != nil {
+	run := root.Run
+	if serialized {
+		run = func() error { return runKeyOrder(root) }
+	}
+	if err := run(); err != nil {
 		t.Fatalf("nodes=%d serialized=%v: %v", nodes, serialized, err)
 	}
 	tr.events = root.Events()

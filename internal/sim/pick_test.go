@@ -27,8 +27,35 @@ func (c *engineCore) minLaneRef() *laneState {
 	return best
 }
 
-// runSerialRef is what Run does on an engine with serialized lanes — every
-// window in global key order — over minLaneRef. At every pick it also asks
+// runKeyOrder is Run with every window executed in global key order, as
+// runSerial executes one that holds global-lane work: the reference order the
+// tests hold windows of independent lanes to. It opens the windows Run opens,
+// so the window schedule, SchedStats and sampler firings are Run's; no sleep
+// is taken in place.
+func runKeyOrder(e *Engine) error {
+	c := e.c
+	if c.lookahead == 0 || len(c.lanes) == 1 {
+		return e.Run()
+	}
+	defer c.stopCoros()
+	for c.failure == nil {
+		if c.limit != 0 && c.nEvents >= c.limit {
+			return c.ended(fmt.Errorf("%w (limit %d)", ErrEventLimit, c.limit))
+		}
+		first := c.nextLane()
+		if first == nil {
+			break
+		}
+		c.beginWindow(first.heap[0].at)
+		if err := c.runSerial(c.windowEnd); err != nil {
+			return c.ended(err)
+		}
+	}
+	return c.ended(nil)
+}
+
+// runSerialRef is what runKeyOrder does — every window in global key order —
+// over minLaneRef. At every pick it also asks
 // nextLane, which must name the same lane, and at every window start it
 // checks beginWindow's choice of lanes against a scan of every heap.
 func (c *engineCore) runSerialRef(t *testing.T) {
@@ -96,9 +123,9 @@ type pickTrace struct {
 type pickMode int
 
 const (
-	pickRef        pickMode = iota // serialized lanes, under runSerialRef
-	pickSerialized                 // serialized lanes, through Run
-	pickInline                     // independent lanes, through Run
+	pickRef      pickMode = iota // key order, under runSerialRef
+	pickKeyOrder                 // key order, through runKeyOrder
+	pickInline                   // independent lanes, through Run
 )
 
 // runPickProgram runs a seeded random program over nodes node lanes (0: a
@@ -114,10 +141,7 @@ func runPickProgram(t *testing.T, seed int64, nodes int, mode pickMode) pickTrac
 	const la = time.Microsecond
 	root := NewEngine(seed)
 	views := []*Engine{root}
-	serial := mode == pickRef || mode == pickSerialized
-	if serial {
-		root.SerializeLanes()
-	}
+	serial := mode == pickRef || mode == pickKeyOrder
 	if nodes > 0 {
 		root.ConfigureLanes(nodes)
 		root.SetLookahead(la)
@@ -195,9 +219,13 @@ func runPickProgram(t *testing.T, seed int64, nodes int, mode pickMode) pickTrac
 		root.After(2*time.Microsecond, beat)
 	}
 
+	run := root.Run
+	if mode == pickKeyOrder {
+		run = func() error { return runKeyOrder(root) }
+	}
 	if mode == pickRef {
 		root.c.runSerialRef(t)
-	} else if err := root.Run(); err != nil {
+	} else if err := run(); err != nil {
 		t.Fatalf("seed %d nodes %d mode %d: %v", seed, nodes, mode, err)
 	}
 	tr.sched = root.SchedStats()
@@ -207,22 +235,22 @@ func runPickProgram(t *testing.T, seed int64, nodes int, mode pickMode) pickTrac
 	return tr
 }
 
-// checkLanePick holds the production scheduler to the reference. An engine
-// with serialized lanes executes the same events in the same order with the
-// same window schedule as the full scan. Independent lanes, run one after the
+// checkLanePick holds the production scheduler to the reference. Its key-order
+// loop (runKeyOrder) executes the same events in the same order with the same
+// window schedule as the full scan. Independent lanes, run one after the
 // other, leave every lane the same log and the same scheduler counts — but
-// for the sleeps they take in place, which a serialized engine never does.
+// for the sleeps they take in place, which key order never does.
 func checkLanePick(t *testing.T, seed int64, nodes int) {
 	t.Helper()
 	ref := runPickProgram(t, seed, nodes, pickRef)
-	if got := runPickProgram(t, seed, nodes, pickSerialized); !reflect.DeepEqual(ref, got) {
-		t.Fatalf("seed %d nodes %d: serialized run diverged from the full-scan order%s", seed, nodes, firstDiff(ref.order, got.order))
+	if got := runPickProgram(t, seed, nodes, pickKeyOrder); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("seed %d nodes %d: key-order run diverged from the full-scan order%s", seed, nodes, firstDiff(ref.order, got.order))
 	}
 	if nodes == 0 {
 		return
 	}
 	if ref.sched.InPlaceWakes != 0 {
-		t.Fatalf("seed %d nodes %d: %d sleeps taken in place with serialized lanes", seed, nodes, ref.sched.InPlaceWakes)
+		t.Fatalf("seed %d nodes %d: %d sleeps taken in place in key order", seed, nodes, ref.sched.InPlaceWakes)
 	}
 	inline := runPickProgram(t, seed, nodes, pickInline)
 	if inline.sched.InPlaceWakes == 0 {

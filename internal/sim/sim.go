@@ -38,8 +38,7 @@
 // and nothing can reach it before the window ends, so a task whose Sleep ends
 // before that and before the lane's next event is that next event, and Sleep
 // takes the wake-up in place (see Task.Sleep). A window containing a
-// global-lane event is processed in full event order, and so is every window
-// of an engine whose lanes share state (SerializeLanes). Events are keyed by
+// global-lane event is processed in full event order. Events are keyed by
 // (time, target lane, creator lane, creator counter); the key order is total,
 // and only provably commuting events are ever reordered. An engine without
 // lanes or without a lookahead is the classic serial loop.
@@ -126,9 +125,6 @@ type engineCore struct {
 	// completed-window time otherwise.
 	now      time.Duration
 	parallel bool // true while node lanes execute a window independently
-	// serializeLanes says the node lanes share state (SerializeLanes): every
-	// window then runs through runSerial in global key order.
-	serializeLanes bool
 
 	limit   uint64
 	nEvents uint64 // events executed
@@ -139,8 +135,7 @@ type engineCore struct {
 	sched schedCounters
 
 	// serializedWin is true while executing events of a window that holds
-	// global-lane work; runSerial attributes those to SerializedEvents (and not
-	// what runs in key order only because the engine's lanes are serialized).
+	// global-lane work; runSerial attributes those to SerializedEvents.
 	serializedWin bool
 
 	// samplers fire at window starts, between windows: the one point where
@@ -226,7 +221,7 @@ type SchedStats struct {
 	// InPlaceWakes is how many of Events were sleeps that ended as their
 	// lane's next event inside a window of independent lanes and so cost no
 	// event and no task switch (Task.Sleep): the reason two runs with equal
-	// Events differ in host time. It is 0 when the lanes are serialized.
+	// Events differ in host time. It is 0 on an engine without windows.
 	InPlaceWakes uint64
 	// Lanes holds per-node-lane totals, indexed by node.
 	Lanes []LaneSchedStats
@@ -547,13 +542,6 @@ func (e *Engine) ConfigureLanes(nodes int, _ ...int) {
 // natural bound. Zero disables windows: the run is one serial loop.
 func (e *Engine) SetLookahead(d time.Duration) { e.c.lookahead = d }
 
-// SerializeLanes declares that the node lanes are not independent: something
-// reads or writes state across them in event context without riding the
-// lookahead. Every window then executes in global key order, as one holding
-// global-lane work does; the window schedule, and so SchedStats and sampler
-// firings, stay what they were.
-func (e *Engine) SerializeLanes() { e.c.serializeLanes = true }
-
 // Lookahead returns the configured lookahead bound.
 func (e *Engine) Lookahead() time.Duration { return e.c.lookahead }
 
@@ -705,12 +693,15 @@ func (c *engineCore) push(lane int, ev event) {
 func (e *Engine) Run() error {
 	c := e.c
 	defer c.stopCoros()
-	var err error
 	if c.lookahead > 0 && len(c.lanes) > 1 {
-		err = c.runWindowed()
-	} else {
-		err = c.runSerial(noEvent)
+		return c.ended(c.runWindowed())
 	}
+	return c.ended(c.runSerial(noEvent))
+}
+
+// ended is what Run returns once its loop has returned err: err, else the
+// failure that ended the run, else a deadlock if a task is parked forever.
+func (c *engineCore) ended(err error) error {
 	if err != nil {
 		return err
 	}
@@ -799,9 +790,7 @@ func (l *laneState) cancelTomb(t *tombstone) {
 // sampler deadline the window start has reached, publishes the window bound,
 // decides whether the window must serialize (global-lane work pending before
 // the bound), collects the active node lanes otherwise (in a scratch slice
-// that the next call overwrites), and records the scheduler telemetry. It
-// does the same bookkeeping whether the window then runs lane by lane or,
-// with serialized lanes, in key order.
+// that the next call overwrites), and records the scheduler telemetry.
 func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*laneState) {
 	for i := range c.samplers {
 		s := &c.samplers[i]
@@ -841,9 +830,8 @@ func (c *engineCore) beginWindow(T time.Duration) (serialize bool, active []*lan
 // the clock, execute, for every event before end. With a window's end
 // it is how the windowed scheduler executes a window that must keep global
 // key order — one holding global-lane events, which run here with exclusive
-// access to all simulation state, or any window of an engine with serialized
-// lanes. With end noEvent it is the whole run of an engine that has no
-// windows (no lanes or no lookahead).
+// access to all simulation state. With end noEvent it is the whole run of an
+// engine that has no windows (no lanes or no lookahead).
 func (c *engineCore) runSerial(end time.Duration) error {
 	for {
 		if c.failure != nil {
@@ -914,9 +902,9 @@ func (l *laneState) step(cs *census) {
 }
 
 // runWindowed is the windowed scheduler. Each iteration picks the next window
-// [T, T+lookahead); if the window contains global-lane events, or the lanes
-// are serialized, it is processed in full key order, otherwise each active
-// node lane in turn executes its own events up to the window end.
+// [T, T+lookahead); if the window contains global-lane events, it is
+// processed in full key order, otherwise each active node lane in turn
+// executes its own events up to the window end.
 func (c *engineCore) runWindowed() error {
 	for {
 		if c.failure != nil {
@@ -932,7 +920,7 @@ func (c *engineCore) runWindowed() error {
 		}
 		serialize, active := c.beginWindow(first.heap[0].at)
 		end := c.windowEnd
-		if serialize || c.serializeLanes {
+		if serialize {
 			if err := c.runSerial(end); err != nil {
 				return err
 			}
@@ -1137,7 +1125,7 @@ func (c *engineCore) takeCoro() *coro {
 // resume hands control to t and returns when it yields (sleeps, parks, or
 // finishes). It runs in event context: a task that has never run gets a
 // coroutine from the free list, and the coroutine of a task that finishes
-// goes back onto it.
+// goes back onto it. A finished task's body is told last (Finisher).
 func (c *engineCore) resume(t *Task) {
 	if t.done {
 		// Unwound when an earlier Run gave up; its wake-up is stale.
@@ -1148,6 +1136,7 @@ func (c *engineCore) resume(t *Task) {
 		if t.killed {
 			// Killed before ever running: discard without taking a coroutine.
 			t.finish()
+			finished(t)
 			return
 		}
 		co = c.takeCoro()
@@ -1156,8 +1145,18 @@ func (c *engineCore) resume(t *Task) {
 	c.running = t
 	_, alive := co.resume()
 	c.running = nil
-	if t.done && alive {
-		c.free = append(c.free, co)
+	if t.done {
+		if alive {
+			c.free = append(c.free, co)
+		}
+		finished(t)
+	}
+}
+
+// finished tells t's body, if it is a Finisher, that the engine is done with t.
+func finished(t *Task) {
+	if f, ok := t.body.(Finisher); ok {
+		f.Finished()
 	}
 }
 
@@ -1186,6 +1185,15 @@ func (c *engineCore) stopCoros() {
 // runs as it is, where a func(*Task) would be a closure allocated per task.
 type Body interface{ RunTask(*Task) }
 
+// Finisher is a Body that is told when its task is over: the function has
+// returned or unwound and the engine will not touch the Task again, so the
+// record holding it may be reused, and the Task, reset to its zero value,
+// started anew. A task still suspended when Run returns is not over.
+type Finisher interface {
+	Body
+	Finished()
+}
+
 // funcBody carries Spawn's plain function, as funcEvent carries After's.
 type funcBody func(*Task)
 
@@ -1205,7 +1213,8 @@ func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task 
 
 // Start is Spawn of body in a Task the caller owns, typically embedded in the
 // record body points to; it allocates nothing once coroutines are pooled. A
-// Task starts once: starting it again panics.
+// Task starts once: starting it again panics, unless it has finished and been
+// reset to its zero value (Finisher).
 func (e *Engine) Start(t *Task, name string, body Body) { e.start(t, name, 0, body) }
 
 func (e *Engine) start(t *Task, name string, d time.Duration, body Body) *Task {

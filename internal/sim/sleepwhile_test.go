@@ -28,9 +28,6 @@ func (p sleepWhileProgram) run(useSleepWhile bool) (log []string, errText string
 	root := NewEngine(p.seed)
 	root.ConfigureLanes(lanes)
 	root.SetLookahead(time.Microsecond)
-	if p.serialized {
-		root.SerializeLanes()
-	}
 	if p.limit != 0 {
 		root.SetEventLimit(p.limit)
 	}
@@ -97,7 +94,11 @@ func (p sleepWhileProgram) run(useSleepWhile bool) (log []string, errText string
 			pollers[0].Kill()
 		})
 	}
-	if err := root.Run(); err != nil {
+	run := root.Run
+	if p.serialized {
+		run = func() error { return runKeyOrder(root) }
+	}
+	if err := run(); err != nil {
 		errText = err.Error()
 	}
 	return log, errText, root.SchedStats()
