@@ -127,10 +127,12 @@ trace-smoke:
 # pins (testdata/behaviour.sha256: traces, dexserve crash+restart under each
 # protocol and one dist run that loses a directory shard with pages anchored
 # there, dexprof, five examples). It starts with the host-independent cost
-# gates — objects per fabric message (none: flights are recycled) and per
-# untraced span, objects per remote write, read and bounced fault (a PTE, and
-# where homes move a directory entry and a chain hint: the transaction records
-# are recycled) and the sizes of those records, objects per restart of a
+# gates — objects per fabric message (none: flights are recycled), per new
+# network (a constant) and per untraced span, objects per remote write, read
+# and bounced fault (a PTE, and where homes move a directory entry: the
+# transaction records and chain hints are recycled), per remote write fault
+# under an injector (the same) and per lease tick (no envelope), and the
+# sizes of those records, objects per restart of a
 # finished task (none) and per load schedule (one stream a tenant),
 # heap bytes per chaos write fault (less than a page: re-send copies are pooled),
 # words per event, bytes per task, events per golden dexserve run, pages a
@@ -141,7 +143,7 @@ trace-smoke:
 # follower join and per radix Set on an existing path, and distinct cells of
 # the whole evaluation at test size — so that they fail CI by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|Sizeof|EventBudget|CopyBudget|CellBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|NewNetworkAllocs|Sizeof|EventBudget|CopyBudget|CellBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

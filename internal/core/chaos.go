@@ -86,8 +86,21 @@ func (p *Process) killNodeTasks(node int) {
 // startLeaseMonitor schedules the origin-side heartbeat tick, an event-based
 // self-rescheduling timer like the gauge sampler. Each tick checks the lease
 // of every active remote worker and pings the live ones; a pong refreshes
-// the lease. The tick stops once the process has no live threads.
+// the lease. The tick stops once the process has no live threads. Pings and
+// pongs are built once: never expendable, one envelope rides every flight.
 func (p *Process) startLeaseMonitor() {
+	for node := range p.nodes {
+		if node == p.origin {
+			continue
+		}
+		pong := &envelope{bytes: leaseMsgBytes, deliver: func() {
+			p.nodes[node].lastSeen = p.m.eng.Now()
+		}}
+		sendPong := func(t *sim.Task) { p.m.net.Send(t, node, p.origin, pong) }
+		p.nodes[node].ping = &envelope{bytes: leaseMsgBytes, deliver: func() {
+			p.m.eng.Spawn("lease-pong", sendPong)
+		}}
+	}
 	period := p.m.params.Chaos.LeasePeriod()
 	var tick func()
 	tick = func() {
@@ -100,19 +113,18 @@ func (p *Process) startLeaseMonitor() {
 	p.m.eng.After(period, tick)
 }
 
-// leaseNodes returns, in node order, the live nodes the origin's lease
-// protocol monitors: those that hold state the process depends on. A node
-// with a remote worker hosts its threads; a node that hosts a directory table
-// does so regardless of thread placement — its crash must be detected and
+// leaseNodes returns the set of live nodes the origin's lease protocol
+// monitors: those that hold state the process depends on. A node with a
+// remote worker hosts its threads; a node that hosts a directory table does
+// so regardless of thread placement — its crash must be detected and
 // declared, so that its directory slice is rebuilt and anchor lookups fail
 // over, even if no thread ever migrated there.
-func (p *Process) leaseNodes() []int {
+func (p *Process) leaseNodes() (nodes uint64) {
 	hosts := p.mgr.DirectoryHosts()
-	var nodes []int
 	for n := range p.nodes {
 		ns := &p.nodes[n]
 		if n != p.origin && !ns.dead && (ns.worker != nil || slices.Contains(hosts, n)) {
-			nodes = append(nodes, n)
+			nodes |= 1 << uint(n)
 		}
 	}
 	return nodes
@@ -123,9 +135,9 @@ func (p *Process) leaseNodes() []int {
 func (p *Process) leaseTick() {
 	now := p.m.eng.Now()
 	timeout := p.m.params.Chaos.LeaseTimeout()
-	nodes := p.leaseNodes()
-	targets := nodes[:0]
-	for _, node := range nodes {
+	var targets uint64
+	for nodes := p.leaseNodes(); nodes != 0; nodes &= nodes - 1 {
+		node := bits.TrailingZeros64(nodes)
 		ns := &p.nodes[node]
 		switch {
 		case ns.lastSeen == 0:
@@ -145,20 +157,15 @@ func (p *Process) leaseTick() {
 				rec.SpanAt("chaos", "lease.suspect", node, -1, now, 0)
 			}
 		}
-		targets = append(targets, node)
+		targets |= 1 << uint(node)
 	}
-	if len(targets) == 0 {
+	if targets == 0 {
 		return
 	}
 	p.m.eng.Spawn("lease-ping", func(t *sim.Task) {
-		for _, node := range targets {
-			p.m.net.Send(t, p.origin, node, &envelope{bytes: leaseMsgBytes, deliver: func() {
-				p.m.eng.Spawn("lease-pong", func(pt *sim.Task) {
-					p.m.net.Send(pt, node, p.origin, &envelope{bytes: leaseMsgBytes, deliver: func() {
-						p.nodes[node].lastSeen = p.m.eng.Now()
-					}})
-				})
-			}})
+		for set := targets; set != 0; set &= set - 1 {
+			node := bits.TrailingZeros64(set)
+			p.m.net.Send(t, p.origin, node, p.nodes[node].ping)
 		}
 	})
 }

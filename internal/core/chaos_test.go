@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -332,5 +333,34 @@ func TestChaosDistDeadShardWithoutWorkers(t *testing.T) {
 	}
 	if err := p.mgr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after recovery: %v", err)
+	}
+}
+
+// A lease tick allocates its ping task and that task's closure, and each ping
+// the pong task it starts at its node: the envelopes are built once per node.
+// The origin of a four-node dist process monitors the three directory hosts,
+// so a run computing 20 ms longer — 40 more ticks at the default 500 µs
+// period — allocates 40 × (2 + 3) more objects.
+func TestLeaseTickAllocsPerRun(t *testing.T) {
+	run := func(d time.Duration) func() {
+		return func() {
+			params := DefaultParams(4)
+			params.DSM.Protocol = dsm.DistributedManager
+			// A crash long after the run keeps the plan from being empty.
+			params.Chaos = &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Node: 3, At: chaos.Duration(time.Hour)}}}
+			m := NewMachine(params)
+			m.NewProcess(0, func(th *Thread) error {
+				th.Compute(d)
+				return nil
+			})
+			if err := m.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+	}
+	short, long := testing.AllocsPerRun(3, run(10*time.Millisecond)), testing.AllocsPerRun(3, run(30*time.Millisecond))
+	// Rounded: a slice that grows in one run and not the other is one object.
+	if perTick := math.Round((long - short) / 40); perTick != 2+3 {
+		t.Errorf("a lease tick pinging three nodes allocates %v objects (%v over 40 ticks), want 5", perTick, long-short)
 	}
 }

@@ -97,8 +97,8 @@ func DefaultParams(nodes int) Params {
 // Node models one machine: its cores and memory bus.
 type Node struct {
 	id    int
-	cores *sim.Semaphore
-	bus   *sim.Bus
+	cores sim.Semaphore
+	bus   sim.Bus
 }
 
 // Machine is a simulated cluster running DeX processes.
@@ -174,13 +174,12 @@ func NewMachine(params Params) *Machine {
 		eng.SetEventLimit(chaosEventBackstop)
 	}
 	for i := range m.nodes {
-		m.nodes[i] = &Node{
-			id:    i,
-			cores: sim.NewSemaphore(fmt.Sprintf("cores@%d", i), params.CoresPerNode),
-			// The bus releases itself with an event on its node's lane.
-			bus: sim.NewBus(eng.LaneView(i), fmt.Sprintf("membus@%d", i), params.MemBandwidth),
-		}
-		m.nodes[i].bus.SetCongestion(busCongestion)
+		n := &Node{id: i}
+		n.cores.Init(sim.ReasonNum("semaphore cores@", uint64(i)), params.CoresPerNode)
+		// The bus releases itself with an event on its node's lane.
+		n.bus.Init(eng.LaneView(i), sim.ReasonNum("membus@", uint64(i)), params.MemBandwidth)
+		n.bus.SetCongestion(busCongestion)
+		m.nodes[i] = n
 		node := i
 		m.net.SetHandler(node, func(src int, msg fabric.Message) { m.route(node, src, msg) })
 	}

@@ -65,6 +65,7 @@ type nodeState struct {
 	// lastSeen is the node's last lease refresh, 0 until the lease monitor
 	// first sees it (a tick is never at time 0).
 	lastSeen time.Duration
+	ping     *envelope // the lease monitor's ping to the node (startLeaseMonitor)
 	// dead: this process has declared the node dead; its worker is never
 	// targeted again.
 	dead bool

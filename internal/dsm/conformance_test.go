@@ -365,7 +365,9 @@ func TestManagerReportsProtocol(t *testing.T) {
 func TestRequestAwayFromOriginPanicsWithoutMigration(t *testing.T) {
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		e := newEnv(t, 3, protoParams(proto), nil)
-		req := &pageRequest{pid: e.m.pid, vpn: testAddr.VPN(), node: 2, token: nextSeq(2, &e.m.nodes[2].reqCtr)}
+		o := e.m.e.requests.take() // the request lives in node 2's record
+		o.m, o.req = e.m, pageRequest{pid: e.m.pid, vpn: testAddr.VPN(), node: 2, token: nextSeq(2, &e.m.nodes[2].reqCtr), o: o}
+		req := &o.req
 		_, panicked := panics(func() { e.m.HandleMessage(1, 2, req) })
 		if want := proto == WriteInvalidate; panicked != want {
 			t.Fatalf("request delivered at node 1 (origin 0): panicked = %v, want %v", panicked, want)

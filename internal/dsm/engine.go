@@ -13,10 +13,11 @@
 // on the requests, revocations and replies it sends anyway, and a record
 // another node keeps for its numbers goes once the floor passes it.
 //
-// Without an injector the records are recycled, as the fabric recycles its
-// flights and DeX its pre-registered message buffers: every message is then
-// delivered exactly once, so each record's holders are known, and the last to
-// let go puts it back on its free list (recycler).
+// Records are recycled under one rule: a record's holders are its task, each
+// window that lists it, each record and spawned closure that points into it,
+// and each fabric flight that carries its message or lands in its landing
+// zone (fabric.Held); the last puts it back on its free list (recycler), and a
+// hold never released only leaks the record.
 package dsm
 
 import (
@@ -68,18 +69,16 @@ func (w *waiter) ack() bool {
 // target the ownership being granted: a revoke arriving between the grant
 // reply and the PTE install is deferred until the install completes. Its
 // messages and landing zone live in it: a request costs the record alone.
-// Its holders are the requester and the serve of its request, whose req points
-// into it (and covers the install ack in flight: the serve ends after it).
 type outstanding struct {
 	waiter
-	home       int              // the node the request went to (the re-ack target)
-	req        pageRequest      // the request, re-sent until it is answered
-	pr         fabric.PageRecv  // the landing zone req names
-	reply      pageReply        // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
-	installAck installAck       // the install ack, re-sent for a re-sent grant
-	installed  bool             // the granted PTE is in place
-	holders    int8             // recycler
-	deferred   []*appliedRevoke // revocations to apply once it is
+	m         *Manager
+	home      int              // the node the request went to (the re-ack target)
+	req       pageRequest      // the request, re-sent until it is answered, and sent back as its install ack
+	pr        fabric.PageRecv  // the landing zone req names
+	reply     pageReply        // as received (inFlight until then); a dead-home of the engine's own making if it abandoned the wait
+	installed bool             // the granted PTE is in place
+	holders   int16            // recycler
+	deferred  []*appliedRevoke // revocations to apply once it is
 }
 
 // granted reports whether o holds a grant: installed, or about to be without
@@ -93,53 +92,52 @@ func (o *outstanding) granted() bool { return o.reply.outcome.granted() }
 // request gets the same reply again — never a fresh serve, which could land
 // data in a landing zone the requester has already released — and one in
 // flight or granted is ignored, because the grant window owns grant
-// retransmission. It is the body of its own task, run (messages.go). Its
-// holders are that task and its reply, until the requester has read it.
+// retransmission. It is the body of its own task, run (messages.go).
 type serveState struct {
 	waiter
 	run     sim.Task
 	m       *Manager
-	req     *pageRequest
-	home    int       // the node that served (or bounced) this token
-	reply   pageReply // the reply sent; outcome inFlight until there is one
-	closed  bool      // the serving task has finished with this token
-	holders int8      // recycler
-	data    []byte    // a reference to the page the grant carried, for re-sends (injector only), until closed
+	req     *pageRequest // the request served, in the requester's record
+	home    int          // the node that served (or bounced) this token
+	reply   pageReply    // the reply sent; outcome inFlight until there is one
+	closed  bool         // the serving task has finished with this token
+	holders int16        // recycler
+	data    []byte       // a reference to the page the grant carried, for re-sends (injector only), until closed
 }
 
 // revokeWaiter is the issuing home's record of one revocation in flight, and
 // of the revocation it sends and re-sends, which its ack comes back as
 // (revokeAck). lost reports that the wait was abandoned because the target
 // died; for a needData revoke the caller must then treat the page contents as
-// lost. Its one holder is the serve that issued it, until the wait is over:
-// the target reads msg no later than it sends the ack.
+// lost.
 type revokeWaiter struct {
 	waiter
-	target  int
-	msg     revokeMsg
+	m       *Manager
+	target  int32 // the node revoked; beside lost, it costs no word
 	lost    bool
-	holders int8 // recycler
+	holders int16 // recycler
+	msg     revokeMsg
 }
 
-// pull is the record of a needData revocation: the target's copy comes into
-// the landing zone it carries.
+// pull is the record of a needData revocation, which names it (revokeMsg.pull):
+// the target's copy comes into the landing zone it carries.
 type pull struct {
 	revokeWaiter
 	pr fabric.PageRecv
 }
 
 // appliedRevoke is the receiver-side record of one admitted revocation and
-// the body of the task run that applies it, its one holder (before the task
-// starts, the install it waits behind holds it). Under an injector it stays in
-// the issuer's window for duplicates.
+// the body of the task run that applies it (before the task starts, the
+// install it waits behind holds the task's hold). Under an injector it stays
+// in the issuer's window for duplicates.
 type appliedRevoke struct {
 	run     sim.Task
 	m       *Manager
-	msg     *revokeMsg
-	node    int32  // where msg is applied; beside pending, it costs no word
-	pending bool   // the original application has not finished yet
-	holders int8   // recycler
-	data    []byte // a reference to the page a needData revocation shipped, for re-acks, until a floor trims r
+	msg     *revokeMsg // the revocation applied, in the issuer's record
+	node    int32      // where msg is applied; beside pending, it costs no word
+	pending bool       // the original application has not finished yet
+	holders int16      // recycler
+	data    []byte     // a reference to the page a needData revocation shipped, for re-acks, until a floor trims r
 }
 
 func (o *outstanding) String() string   { return fmt.Sprintf("request %#x", o.req.token) }
@@ -147,55 +145,81 @@ func (st *serveState) String() string   { return fmt.Sprintf("serve of request %
 func (w *revokeWaiter) String() string  { return fmt.Sprintf("revocation %#x", w.msg.seq) }
 func (r *appliedRevoke) String() string { return fmt.Sprintf("revocation applied at node %d", r.node) }
 
-func (o *outstanding) held() *int8   { return &o.holders }
-func (st *serveState) held() *int8   { return &st.holders }
-func (w *revokeWaiter) held() *int8  { return &w.holders }
-func (r *appliedRevoke) held() *int8 { return &r.holders }
+func (o *outstanding) held() *int16   { return &o.holders }
+func (st *serveState) held() *int16   { return &st.holders }
+func (w *revokeWaiter) held() *int16  { return &w.holders }
+func (r *appliedRevoke) held() *int16 { return &r.holders }
 
-// Finished lets go of the serve's task's hold once the engine is done with it.
-func (st *serveState) Finished() { st.m.e.releaseServe(st) }
+// release lets go of one hold; the last puts the record back, and lets go of
+// the record it points into.
+func (o *outstanding) release() { o.m.e.requests.release(o) }
 
-// Finished puts r back: its task was its one holder.
-func (r *appliedRevoke) Finished() { r.m.e.applied.release(r) }
+func (st *serveState) release() {
+	if st.m.e.serves.release(st) {
+		st.req.o.release()
+	}
+}
 
-// recyclable is a transaction record with a free list: it counts its holders
-// and names itself in a panic.
+func (w *revokeWaiter) release() {
+	if p := w.msg.pull; p != nil {
+		w.m.e.pulls.release(p)
+	} else {
+		w.m.e.waits.release(w)
+	}
+}
+
+func (r *appliedRevoke) release() {
+	if r.m.e.applied.release(r) {
+		r.msg.w.release()
+	}
+}
+
+// Finished lets go of the task's hold once the engine is done with it.
+func (st *serveState) Finished()   { st.release() }
+func (r *appliedRevoke) Finished() { r.release() }
+
+// holdable is a record that counts its holders and names itself in a panic.
+type holdable interface {
+	fmt.Stringer
+	held() *int16
+}
+
+// recyclable is a transaction record with a free list.
 type recyclable[T any] interface {
 	*T
-	fmt.Stringer
-	held() *int8
+	holdable
+}
+
+// hold adds a holder to r; holding a record back on its free list panics.
+func hold(r holdable) {
+	h := r.held()
+	if *h <= 0 {
+		panic(fmt.Sprintf("dsm: %v held after release", r))
+	}
+	*h++
 }
 
 // recycler is the free list of one record type, one per Manager as the fabric
 // has one for its flights. One goroutine runs a simulation, so a record may be
-// taken on one lane and put back on another without a lock. Under an injector
-// records are not recycled: windows keep them for duplicates, and re-sent and
-// duplicated flights may point into them, so each is new and left to the
-// collector. made counts the records ever allocated: at quiescence the list
-// holds them all.
+// taken on one lane and put back on another without a lock. made counts the
+// records ever allocated.
 type recycler[T any, P recyclable[T]] struct {
 	free []P
 	made int
 }
 
-// take returns a zeroed record with n holders, off the free list if recycle,
-// or new. One taken without recycle counts no holders (-1): release leaves it
-// to the collector.
-func (rc *recycler[T, P]) take(recycle bool, n int8) P {
+// take returns a zeroed record, off the free list or new, held by the caller.
+func (rc *recycler[T, P]) take() P {
 	var r P
-	if k := len(rc.free) - 1; recycle && k >= 0 {
+	if k := len(rc.free) - 1; k >= 0 {
 		r, rc.free = rc.free[k], rc.free[:k]
 		var zero T
 		*r = zero
 	} else {
 		r = new(T)
-		if recycle {
-			rc.made++
-		} else {
-			n = -1
-		}
+		rc.made++
 	}
-	*r.held() = n
+	*r.held() = 1
 	return r
 }
 
@@ -204,10 +228,7 @@ func (rc *recycler[T, P]) take(recycle bool, n int8) P {
 // holds panics, naming it.
 func (rc *recycler[T, P]) release(r P) bool {
 	h := r.held()
-	switch {
-	case *h < 0:
-		return false
-	case *h == 0:
+	if *h <= 0 {
 		panic(fmt.Sprintf("dsm: %v released twice", r))
 	}
 	if *h--; *h > 0 {
@@ -224,12 +245,14 @@ func (st *serveState) over() bool   { return st.closed }
 func (w *revokeWaiter) over() bool  { return w.task == nil }
 func (r *appliedRevoke) over() bool { return !r.pending }
 
-// record is what a window holds: a transaction record that knows when its
-// transaction is over, and lets go of what it holds once a floor trims it.
+// record is what a window holds, and counts among its holders: a transaction
+// record that knows when it is over, and lets go of what it holds once trimmed.
 type record interface {
 	comparable
+	holdable
 	over() bool
 	trimmed()
+	release()
 }
 
 func (*outstanding) trimmed()  {}
@@ -259,10 +282,11 @@ func (w *window[T]) get(seq uint64) (r T) {
 	return r
 }
 
-// put records r under seq. The first record of an empty window sets its
-// base; one below the base (an issuer's sends may overtake each other) moves
-// it down.
+// put records r under seq, and holds it. The first record of an empty window
+// sets its base; one below the base (an issuer's sends may overtake each
+// other) moves it down.
 func (w *window[T]) put(seq uint64, r T) {
+	hold(r)
 	if len(w.recs) == 0 {
 		w.base = seq
 	} else if seq < w.base {
@@ -276,25 +300,27 @@ func (w *window[T]) put(seq uint64, r T) {
 	w.recs[seq-w.base] = r
 }
 
-// del drops seq's record.
+// del drops seq's record and lets go of it.
 func (w *window[T]) del(seq uint64) {
 	var none T
-	if w.get(seq) != none {
+	if r := w.get(seq); r != none {
 		w.recs[seq-w.base] = none
+		r.release()
 		w.trim(0)
 	}
 }
 
 // trim drops the head while it is empty, or over and below floor, moving
-// the rest down so the window reuses its array; a record it drops is told. Of
-// a window of a node's own open records, which are dropped as they close, the
-// base is then the node's floor.
+// the rest down so the window reuses its array; a record it drops is told and
+// let go of. Of a window of a node's own open records, which are dropped as
+// they close, the base is then the node's floor.
 func (w *window[T]) trim(floor uint64) {
 	var none T
 	n := 0
 	for n < len(w.recs) && (w.recs[n] == none || w.base+uint64(n) < floor && w.recs[n].over()) {
-		if w.recs[n] != none {
-			w.recs[n].trimmed()
+		if r := w.recs[n]; r != none {
+			r.trimmed()
+			r.release()
 		}
 		n++
 	}
@@ -325,7 +351,7 @@ type peer struct {
 // engine is the transport layer of one Manager. Its state — sequence
 // allocators, transaction records, heard floors — is sharded per node in
 // nodeState, so directory shards serve independently on their lanes; the
-// free lists of the records serve them all.
+// free lists serve them all.
 type engine struct {
 	m        *Manager
 	requests recycler[outstanding, *outstanding]
@@ -333,18 +359,7 @@ type engine struct {
 	waits    recycler[revokeWaiter, *revokeWaiter]
 	pulls    recycler[pull, *pull]
 	applied  recycler[appliedRevoke, *appliedRevoke]
-}
-
-// recycles reports whether records go back on their free lists: without an
-// injector, where every message is delivered exactly once.
-func (e *engine) recycles() bool { return e.m.chaos == nil }
-
-// releaseServe lets go of one hold on st; the last lets go of the serve's hold
-// on the request it served.
-func (e *engine) releaseServe(st *serveState) {
-	if e.serves.release(st) {
-		e.requests.release(st.req.o)
-	}
+	hints    recycler[homeHintMsg, *homeHintMsg]
 }
 
 // dead reports whether node n is confirmed dead (the origin never is; without an injector none is).
@@ -430,12 +445,11 @@ func (e *engine) stray(what string, key uint64) {
 // request. One task may have several requests posted before it waits on any.
 func (e *engine) post(t *sim.Task, node, home int, vpn uint64, write bool) *outstanding {
 	m, ns := e.m, e.m.nodes[node]
-	o := e.requests.take(e.recycles(), 2)
-	o.task, o.home = t, home
+	o := e.requests.take() // the requester's hold
+	o.m, o.task, o.home = m, t, home
 	m.net.Prepare(t, &o.pr, home, node, &m.frames) // may wait for the sink: before the token
 	tok := nextSeq(node, &ns.reqCtr)
 	o.req = pageRequest{pid: m.pid, vpn: vpn, write: write, node: node, token: tok, o: o}
-	o.installAck = installAck{pid: m.pid, token: tok}
 	ns.reqs.put(tok, o)
 	o.req.floor = e.floor(ns.reqs.base)
 	m.net.Send(t, node, home, &o.req)
@@ -459,7 +473,7 @@ func (e *engine) wait(t *sim.Task, node int, o *outstanding) {
 }
 
 // deliverReply hands a page reply from src to the request it answers and
-// wakes the requester; the reply's hold on its serve ends here.
+// wakes the requester.
 func (e *engine) deliverReply(node, src int, rep *pageReply) {
 	m, ns := e.m, e.m.nodes[node]
 	p := &ns.peers[src]
@@ -469,8 +483,10 @@ func (e *engine) deliverReply(node, src int, rep *pageReply) {
 		// serving home (which, where authority migrates, need not be the origin) so it
 		// can close its transition window.
 		m.stats.Retransmits++
+		hold(o) // the re-ack's
 		m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
-			m.net.Send(t, node, o.home, &o.installAck)
+			m.net.Send(t, node, o.home, (*installAck)(&o.req))
+			o.release()
 		})
 		return
 	}
@@ -481,9 +497,8 @@ func (e *engine) deliverReply(node, src int, rep *pageReply) {
 		e.stray("page reply token", rep.token)
 		return
 	}
-	o.reply = *rep
+	o.reply, o.reply.st = *rep, nil // the copy names no serve: its flight's hold ends at retire
 	o.ack()
-	e.releaseServe(rep.st)
 }
 
 // forget drops the record of a request that was bounced: its landing zone and
@@ -491,7 +506,7 @@ func (e *engine) deliverReply(node, src int, rep *pageReply) {
 func (e *engine) forget(node int, o *outstanding) {
 	e.m.nodes[node].reqs.del(o.req.token)
 	o.pr.Release()
-	e.requests.release(o)
+	o.release()
 }
 
 // installed notes that o's grant is installed at node: the transaction is
@@ -559,7 +574,8 @@ func (e *engine) admitServe(node int, req *pageRequest) *serveState {
 		m.stats.DupsIgnored++
 		return nil
 	}
-	st := e.serves.take(e.recycles(), 2)
+	st := e.serves.take() // its task's hold
+	hold(req.o)           // the serve's, through req
 	st.m, st.req, st.home = m, req, node
 	st.reply = pageReply{pid: m.pid, token: req.token, st: st}
 	p.served.put(req.token, st)
@@ -588,7 +604,11 @@ func (e *engine) redeliverServe(st *serveState) {
 	m.stats.Retransmits++
 	// The resend runs on the lane of the node that served the original.
 	m.mark(st.home, "dedup.reserve", st.req.vpn)
-	m.view(st.home).Spawn("dsm-resend", st.RunTask) // which, st being closed, replies
+	hold(st) // the resend's
+	m.view(st.home).Spawn("dsm-resend", func(t *sim.Task) {
+		st.RunTask(t) // which, st being closed, replies
+		st.release()
+	})
 }
 
 // bounce answers st's request with something other than a grant and closes
@@ -682,21 +702,22 @@ func (e *engine) installAcked(node int, token uint64) {
 // sendRevoke revokes (or downgrades) target's copy of vpn on behalf of the
 // serving home from, and returns w, the new record of the wait for its ack.
 // newHome and newEpoch are the routing hint the revocation carries (-1: none);
-// pr, when set, is where the target must ship its copy: the prepared landing
-// zone of the pull w belongs to.
-func (e *engine) sendRevoke(t *sim.Task, w *revokeWaiter, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, pr *fabric.PageRecv) *revokeWaiter {
+// p, when set, is the pull w is the wait of: the target must ship its copy to
+// p's prepared landing zone.
+func (e *engine) sendRevoke(t *sim.Task, w *revokeWaiter, from, target int, vpn uint64, downgrade bool, newHome int, newEpoch uint64, p *pull) *revokeWaiter {
 	m := e.m
 	ns := m.nodes[from]
-	w.task, w.target, w.msg = t, target, revokeMsg{
+	w.m, w.task, w.target, w.msg = m, t, int32(target), revokeMsg{
 		pid:       m.pid,
 		vpn:       vpn,
 		seq:       nextSeq(from, &ns.revCtr),
 		downgrade: downgrade,
-		needData:  pr != nil,
+		needData:  p != nil,
 		home:      from,
 		newHome:   newHome,
 		newEpoch:  newEpoch,
-		pr:        pr,
+		pull:      p,
+		w:         w,
 	}
 	msg := &w.msg
 	ns.revokes.put(msg.seq, w)
@@ -720,7 +741,7 @@ func (e *engine) waitRevoke(t *sim.Task, w *revokeWaiter) {
 	e.await(t, &w.waiter, sim.ReasonHex("revoke ack ", msg.vpn<<mem.PageShift), msg.home, "revoke",
 		func() bool {
 			switch {
-			case m.dead(w.target):
+			case m.dead(int(w.target)):
 				w.lost = msg.needData
 			case m.dead(msg.home):
 				// The issuing home itself died mid-serve: every ack sent to
@@ -728,7 +749,7 @@ func (e *engine) waitRevoke(t *sim.Task, w *revokeWaiter) {
 				// revocation's effect directly — the fabric would drop the
 				// real message (its source is dead), and no stale replica
 				// may outlive the dead home's last transaction.
-				if r := e.admitRevoke(w.target, msg); r != nil {
+				if r := e.admitRevoke(int(w.target), msg); r != nil {
 					m.applyRevokeAdmitted(r)
 				}
 			default:
@@ -737,7 +758,7 @@ func (e *engine) waitRevoke(t *sim.Task, w *revokeWaiter) {
 			m.nodes[msg.home].revokes.del(msg.seq)
 			return true
 		},
-		func() { m.net.Send(t, msg.home, w.target, msg) })
+		func() { m.net.Send(t, msg.home, int(w.target), msg) })
 }
 
 // revokeAcked closes the wait a revoke ack names. Revocations are issued
@@ -778,10 +799,12 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 				m.stats.Retransmits++
 				m.mark(node, "dedup.reack", msg.vpn)
 				data := m.frames.Share(prev.data)
+				hold(prev) // the re-ack's
 				m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
 					t.Sleep(invalidateApply)
 					m.sendRevokeAck(t, prev, data)
 					m.freeFrame(data)
+					prev.release()
 				})
 			}
 			return nil
@@ -791,7 +814,8 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 			return nil
 		}
 	}
-	r := e.applied.take(e.recycles(), 1)
+	r := e.applied.take() // its task's hold
+	hold(msg.w)           // r's, through msg
 	r.m, r.msg, r.node, r.pending = m, msg, int32(node), true
 	if m.chaos != nil {
 		p.applied.put(msg.seq, r)
@@ -814,12 +838,11 @@ func (e *engine) revokeApplied(r *appliedRevoke, frame []byte) {
 }
 
 // sendRevokeAck sends r's ack from its node, shipping a reference to data
-// with it if the revocation asked for the page. Without an injector the
-// issuer may reuse r.msg once the ack is in: nothing reads it after this.
+// with it if the revocation asked for the page.
 func (m *Manager) sendRevokeAck(t *sim.Task, r *appliedRevoke, data []byte) {
 	msg := r.msg
 	if msg.needData {
-		m.net.SendPage(t, int(r.node), msg.home, msg.pr, m.frames.Share(data), (*revokeAck)(msg))
+		m.net.SendPage(t, int(r.node), msg.home, &msg.pull.pr, m.frames.Share(data), (*revokeAck)(msg))
 	} else {
 		m.net.Send(t, int(r.node), msg.home, (*revokeAck)(msg))
 	}

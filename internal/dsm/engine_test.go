@@ -219,7 +219,9 @@ func TestDuplicateRequestGetsTheSameReply(t *testing.T) {
 			replies = append(replies, r)
 		}
 	})
-	req := &pageRequest{pid: e.m.pid, vpn: vpn, node: 1, token: nextSeq(1, &e.m.nodes[1].reqCtr)}
+	o := e.m.e.requests.take() // the request lives in node 1's record
+	o.m, o.req = e.m, pageRequest{pid: e.m.pid, vpn: vpn, node: 1, token: nextSeq(1, &e.m.nodes[1].reqCtr), o: o}
+	req := &o.req
 	e.eng.After(time.Millisecond, func() { e.m.HandleMessage(2, 1, req) })
 	e.eng.After(2*time.Millisecond, func() { e.m.HandleMessage(2, 1, req) })
 	e.run(t)

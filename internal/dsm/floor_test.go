@@ -254,6 +254,8 @@ func floorOf(msg fabric.Message) uint64 {
 // corpus (testdata/fuzz/FuzzDedupState) walks a lost bounce, a floor that
 // stops at an exchange its requester still waits for, a grant window
 // outliving the requester's floor, and a revocation re-acked then forgotten.
+// No serve or revocation task runs, so no record the model points at — each
+// held by a serve or an applied revocation that never lets go — is reused.
 func FuzzDedupState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := newChaosEnvParams(t, 2, &chaos.Plan{Seed: 1}, DefaultParams())
@@ -304,9 +306,8 @@ func FuzzDedupState(f *testing.F) {
 			case op == 0: // a new request reaches the home
 				ns := m.nodes[requester]
 				tok := nextSeq(requester, &ns.reqCtr)
-				o := m.e.requests.take(m.e.recycles(), 2)
-				o.home, o.req = home, pageRequest{pid: m.pid, vpn: uint64(i), node: requester, token: tok, o: o}
-				o.installAck = installAck{pid: m.pid, token: tok}
+				o := m.e.requests.take()
+				o.m, o.home, o.req = m, home, pageRequest{pid: m.pid, vpn: uint64(i), node: requester, token: tok, o: o}
 				msg := &o.req
 				ns.reqs.put(msg.token, o)
 				msg.floor = m.e.floor(ns.reqs.base)
@@ -345,7 +346,8 @@ func FuzzDedupState(f *testing.F) {
 				check("request", r.msg.token, resent, ignored, r.closed && !r.granted, !r.got)
 			case op == 6: // a new revocation reaches its target
 				ns := m.nodes[home]
-				w := &revokeWaiter{target: requester, msg: revokeMsg{pid: m.pid, vpn: uint64(i), seq: nextSeq(home, &ns.revCtr), home: home, newHome: -1}}
+				w := m.e.waits.take()
+				w.m, w.target, w.msg = m, requester, revokeMsg{pid: m.pid, vpn: uint64(i), seq: nextSeq(home, &ns.revCtr), home: home, newHome: -1, w: w}
 				msg := &w.msg
 				ns.revokes.put(msg.seq, w)
 				msg.floor = m.e.floor(ns.revokes.base)

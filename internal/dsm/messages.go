@@ -22,7 +22,8 @@ const (
 // pageRequest asks a home node for access to a page. o is the requester's
 // record the request lives in: it has already prepared the landing zone o.pr
 // for possible page data, and the serve holds o (engine.go). floor, here and
-// on the reply and the revocation, is its sender's (engine.go).
+// on the reply and the revocation, is its sender's (engine.go). Every message
+// names the record it lives in, whose holders its flights are (fabric.Held).
 type pageRequest struct {
 	pid   int
 	vpn   uint64
@@ -98,7 +99,7 @@ func (o outcome) bounced() bool { return o == nack || o == stale || o == redirec
 // routing information where authority migrates: the home-handoff epoch at
 // which home is (or, for a write grant, becomes) the page's home. The extra
 // fields ride in the modeled 56-byte envelope. st is the serve record the
-// reply lives in, which the requester lets go of once it has read it.
+// reply lives in.
 type pageReply struct {
 	pid     int
 	token   uint64
@@ -112,11 +113,9 @@ type pageReply struct {
 func (*pageReply) Size() int { return pageReplySize }
 
 // installAck tells the serving home the requester has installed its granted
-// PTE, closing the page's ownership-transition window.
-type installAck struct {
-	pid   int
-	token uint64
-}
+// PTE, closing the page's ownership-transition window. It is the request
+// sent back, as a revocation's ack is the revocation.
+type installAck pageRequest
 
 func (*installAck) Size() int { return revokeAckSize }
 
@@ -124,7 +123,8 @@ func (*installAck) Size() int { return revokeAckSize }
 // node that issued it (acks return there); newHome, when >= 0, is a hint
 // telling the target where the page's home is about to move, stamped with
 // the handoff epoch newEpoch. If needData is set, the target must
-// ship its copy into pr (at the issuing home) with the ack.
+// ship its copy into the landing zone of pull (at the issuing home) with the
+// ack. w is the issuer's record it lives in: pull's wait, for a pull.
 type revokeMsg struct {
 	pid       int
 	vpn       uint64
@@ -135,15 +135,14 @@ type revokeMsg struct {
 	home      int
 	newHome   int
 	newEpoch  uint64
-	pr        *fabric.PageRecv
+	pull      *pull
+	w         *revokeWaiter
 }
 
 func (*revokeMsg) Size() int { return revokeSize }
 
 // revokeAck acknowledges a revokeMsg. It is the revocation sent back: it
-// names the process and sequence number its revocation does, so it needs no
-// memory of its own, and the issuer's record, which holds the revocation until
-// the ack is in, holds the ack in flight too.
+// names the process, sequence number and record its revocation does.
 type revokeAck revokeMsg
 
 func (*revokeAck) Size() int { return revokeAckSize }
@@ -155,15 +154,34 @@ func (*revokeAck) Size() int { return revokeAckSize }
 // fire-and-forget and idempotent — applying a duplicate rewrites the same
 // pointer, a stale one (older epoch than the hop already believes) is
 // rejected, and a lost one merely leaves the chain longer until the next
-// chained grant.
+// chained grant. It is its own record: its sender and its flights hold it.
 type homeHintMsg struct {
-	pid   int
-	vpn   uint64
-	home  int
-	epoch uint64
+	pid     int
+	vpn     uint64
+	home    int
+	epoch   uint64
+	m       *Manager
+	holders int16 // recycler
 }
 
 func (*homeHintMsg) Size() int { return homeHintSize }
+
+func (h *homeHintMsg) String() string { return fmt.Sprintf("home hint for vpn %#x", h.vpn) }
+func (h *homeHintMsg) held() *int16   { return &h.holders }
+
+// Hold and Release are a flight's hold on the record a message lives in.
+func (r *pageRequest) Hold()    { hold(r.o) }
+func (r *pageRequest) Release() { r.o.release() }
+func (a *installAck) Hold()     { hold(a.o) }
+func (a *installAck) Release()  { a.o.release() }
+func (r *pageReply) Hold()      { hold(r.st) }
+func (r *pageReply) Release()   { r.st.release() }
+func (r *revokeMsg) Hold()      { hold(r.w) }
+func (r *revokeMsg) Release()   { r.w.release() }
+func (a *revokeAck) Hold()      { hold(a.w) }
+func (a *revokeAck) Release()   { a.w.release() }
+func (h *homeHintMsg) Hold()    { hold(h) }
+func (h *homeHintMsg) Release() { h.m.e.hints.release(h) }
 
 // HandleMessage processes a fabric message addressed to node if it belongs
 // to this manager's protocol and process; it reports whether the message
@@ -366,9 +384,10 @@ func (m *Manager) settle(st *serveState, de *dirEntry, installed, quiescent bool
 	if m.chaos == nil || m.stranded(home, req.vpn) == nil {
 		return
 	}
+	vpn := req.vpn // a rebuild at quiescence may run after st and its request are reused
 	rebuild := func() {
-		if cur := m.stranded(home, req.vpn); cur != nil {
-			m.bury(req.vpn, cur, cur.home, data)
+		if cur := m.stranded(home, vpn); cur != nil {
+			m.bury(vpn, cur, cur.home, data)
 		}
 	}
 	if quiescent {
@@ -392,8 +411,7 @@ func (m *Manager) applyRevokeAdmitted(r *appliedRevoke) {
 	m.view(int(r.node)).Start(&r.run, "dsm-revoke", r)
 }
 
-// RunTask applies r's revocation and acks it. The ack is the last it reads
-// of r.msg: the issuer may reuse it once the ack is in (sendRevokeAck).
+// RunTask applies r's revocation and acks it.
 func (r *appliedRevoke) RunTask(t *sim.Task) {
 	m, node, msg, ns := r.m, int(r.node), r.msg, r.m.nodes[r.node]
 	vpn, downgrade := msg.vpn, msg.downgrade

@@ -434,7 +434,7 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 		m.grantInstalled(node, vpn, rep.epoch)
 	}
 	m.e.installed(node, o)
-	m.net.Send(t, node, o.home, &o.installAck)
+	m.net.Send(t, node, o.home, (*installAck)(&o.req))
 	m.learnHome(node, vpn, final, rep.epoch)
 	if len(hops) > 0 {
 		m.compressChain(t, node, vpn, hops, final, rep.epoch)
@@ -443,7 +443,7 @@ func (m *Manager) install(t *sim.Task, ctx Ctx, o *outstanding, hops []int) {
 	for _, r := range o.deferred {
 		m.applyRevokeAdmitted(r)
 	}
-	m.e.requests.release(o)
+	o.release()
 }
 
 // ---------------------------------------------------------------------------
@@ -555,12 +555,12 @@ func (m *Manager) serveWrite(t *sim.Task, de *dirEntry, reqNode int, vpn uint64)
 			m.bury(vpn, de, owner, nil)
 			continue
 		}
-		w := m.e.waits.take(m.e.recycles(), 1)
+		w := m.e.waits.take() // this serve's hold
 		acks = append(acks, m.e.sendRevoke(t, w, home, owner, vpn, false, newHome, newEpoch, nil))
 	}
 	for _, w := range acks {
 		m.e.waitRevoke(t, w)
-		m.e.waits.release(w)
+		w.release()
 	}
 	if !needData {
 		m.stats.OwnershipGrants++
@@ -583,20 +583,20 @@ func (m *Manager) fetchFromWriter(t *sim.Task, de *dirEntry, vpn uint64, downgra
 		return
 	}
 	pullAt := t.Now()
-	p := m.e.pulls.take(m.e.recycles(), 1)
+	p := m.e.pulls.take() // this serve's hold
 	pr := &p.pr
 	m.net.Prepare(t, pr, w, home, &m.frames)
-	m.e.sendRevoke(t, &p.revokeWaiter, home, w, vpn, downgrade, -1, 0, pr)
+	m.e.sendRevoke(t, &p.revokeWaiter, home, w, vpn, downgrade, -1, 0, p)
 	m.e.waitRevoke(t, &p.revokeWaiter)
 	if p.lost {
 		// The writer died before shipping its copy home.
 		pr.Release()
-		m.e.pulls.release(p)
+		p.release()
 		m.bury(vpn, de, w, nil)
 		return
 	}
 	data := pr.Claim(t)
-	m.e.pulls.release(p)
+	p.release()
 	m.nodes[home].pt.SetAccess(vpn, data, mem.AccessRead)
 	m.stats.PageTransfers++
 	de.pullHome(downgrade)
@@ -782,6 +782,9 @@ func (m *Manager) compressChain(t *sim.Task, node int, vpn uint64, hops []int, h
 			continue
 		}
 		sent |= bit
-		m.net.Send(t, node, hop, &homeHintMsg{pid: m.pid, vpn: vpn, home: home, epoch: epoch})
+		h := m.e.hints.take() // this send's hold
+		h.pid, h.vpn, h.home, h.epoch, h.m = m.pid, vpn, home, epoch, m
+		m.net.Send(t, node, hop, h)
+		m.e.hints.release(h)
 	}
 }

@@ -18,27 +18,28 @@ import (
 // request's, the serve's, the revocation's at the home and at the replica —
 // come off their free lists, each embeds the messages it sends, the request's
 // its landing zone, and the serve's and the applied revocation's the task that
-// runs them; the fabric recycles its flights. Every page is written at node 0
-// and read at node 2 first, so that the measured write at node 1 finds a
-// replica to revoke (and the home's own copy, invalidated in place). Where
+// runs them; the fabric recycles its flights. Every page is anchored at and
+// written by node 0 and read at node 2 first, so that the measured write at
+// node 1 is served at node 0 in one round trip under every protocol and finds
+// a replica to revoke (and the home's own copy, invalidated in place). Where
 // homes move the new home's directory entry is one more.
 func TestWriteFaultAllocsPerRun(t *testing.T) {
 	const runs = 1 + 100 // testing.AllocsPerRun's warm-up and measured runs
 	want := map[Protocol]float64{WriteInvalidate: 1, HomeMigrate: 2, DistributedManager: 2}
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		e := newEnv(t, 3, protoParams(proto), nil)
-		addr := func(p int) mem.Addr { return testAddr + mem.Addr(p*mem.PageSize) }
+		addrs := anchoredAddrs(t, e.m, 0, runs)
 		var got float64
 		var revokes uint64
 		e.eng.Spawn("main", func(tk *sim.Task) {
-			for p := 0; p < runs; p++ {
-				e.write(tk, 0, addr(p), 1)
-				e.read(tk, 2, addr(p))
+			for _, a := range addrs {
+				e.write(tk, 0, a, 1)
+				e.read(tk, 2, a)
 			}
 			before := e.m.Stats().Invalidations
 			p := 0
 			got = testing.AllocsPerRun(runs-1, func() {
-				e.write(tk, 1, addr(p), 2)
+				e.write(tk, 1, addrs[p], 2)
 				p++
 			})
 			revokes = e.m.Stats().Invalidations - before
@@ -49,6 +50,48 @@ func TestWriteFaultAllocsPerRun(t *testing.T) {
 		}
 		if got != want[proto] {
 			t.Errorf("%v: a remote write fault revoking one replica allocates %v objects, want %v", proto, got, want[proto])
+		}
+	})
+}
+
+// Under an injector a write fault that is neither dropped nor duplicated
+// allocates what it does without one: its records come off their free lists
+// too, though the serving home keeps its serve, and the replica its applied
+// revocation, until a later floor passes them, and the requester keeps its
+// request until the home's floor does; flights hold what they carry. The
+// workload is TestWriteFaultAllocsPerRun's on a fabric with an injector that
+// injects nothing.
+func TestChaosFaultAllocsPerRun(t *testing.T) {
+	const runs = 1 + 100
+	want := map[Protocol]float64{WriteInvalidate: 1, HomeMigrate: 2, DistributedManager: 2}
+	forEachProtocol(t, func(t *testing.T, proto Protocol) {
+		e := newChaosEnvParams(t, 3, &chaos.Plan{Seed: 1}, protoParams(proto))
+		addrs := anchoredAddrs(t, e.m, 0, runs)
+		var got float64
+		var before, after Stats
+		e.eng.Spawn("main", func(tk *sim.Task) {
+			for _, a := range addrs {
+				e.write(tk, 0, a, 1)
+				e.read(tk, 2, a)
+			}
+			before = e.m.Stats()
+			p := 0
+			got = testing.AllocsPerRun(runs-1, func() {
+				e.write(tk, 1, addrs[p], 2)
+				p++
+			})
+			after = e.m.Stats()
+		})
+		e.run(t)
+		if revokes := after.Invalidations - before.Invalidations; revokes != 2*runs {
+			t.Errorf("%v: %d invalidations over %d write faults, want two each", proto, revokes, runs)
+		}
+		if after.Retransmits != before.Retransmits || after.DupsIgnored != before.DupsIgnored {
+			t.Errorf("%v: %d retransmits and %d duplicates over the write faults, want none",
+				proto, after.Retransmits-before.Retransmits, after.DupsIgnored-before.DupsIgnored)
+		}
+		if got != want[proto] {
+			t.Errorf("%v: under an injector a remote write fault revoking one replica allocates %v objects, want %v", proto, got, want[proto])
 		}
 	})
 }
@@ -93,11 +136,12 @@ func TestReadFaultAllocsPerRun(t *testing.T) {
 // once: the first request opens the grant window, so the second is NACKed
 // and retries after its backoff — where homes move, at node 0 again, which
 // redirects it to node 1, the page's home by then. Each fault's PTE is
-// allocated, and where homes move each new home's directory entry and the
-// path-compression hint the redirected fault sends node 0.
+// allocated, and where homes move each new home's directory entry; the
+// path-compression hint the redirected fault sends node 0 comes off its free
+// list.
 func TestBouncedFaultAllocsPerRun(t *testing.T) {
 	const runs = 1 + 100
-	want := map[Protocol]float64{WriteInvalidate: 2, HomeMigrate: 5, DistributedManager: 5}
+	want := map[Protocol]float64{WriteInvalidate: 2, HomeMigrate: 4, DistributedManager: 4}
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		e := newEnv(t, 3, protoParams(proto), nil)
 		addrs := anchoredAddrs(t, e.m, 0, runs)
@@ -373,57 +417,131 @@ func TestChaosResentGrantCarriesOldBytes(t *testing.T) {
 	checkRefs(t, e.m, "re-sent grant")
 }
 
-// checkRecycled fails t unless every record rc ever allocated is back on its
-// free list exactly once, held by no one.
-func checkRecycled[T any, P recyclable[T]](t *testing.T, run, kind string, rc *recycler[T, P]) {
+// checkRecords fails t unless, at quiescence, every record rc ever made is
+// on its free list once, held by no one; or kept — listed in a window, or
+// pointed into by a record that is — and held, not on the list; or neither,
+// stranded by a crash: a window it reset, a task it killed. It returns how
+// many are stranded.
+func checkRecords[T any, P recyclable[T]](t *testing.T, run, kind string, rc *recycler[T, P], kept map[P]bool) int {
 	t.Helper()
-	seen := make(map[P]bool, len(rc.free))
+	free := make(map[P]bool, len(rc.free))
 	for _, r := range rc.free {
-		if seen[r] {
+		if free[r] {
 			t.Errorf("%s: %v is on the %s free list twice", run, r, kind)
 		}
-		seen[r] = true
+		free[r] = true
 		if h := *r.held(); h != 0 {
 			t.Errorf("%s: %v is on the %s free list with %d holders", run, r, kind, h)
 		}
 	}
-	if len(seen) != rc.made {
-		t.Errorf("%s: %d of the %d %s records made are back on their free list", run, len(seen), rc.made, kind)
+	for r := range kept {
+		if free[r] {
+			t.Errorf("%s: %v is kept by a window and on the %s free list", run, r, kind)
+		} else if h := *r.held(); h <= 0 {
+			t.Errorf("%s: %v is kept by a window with %d holders", run, r, h)
+		}
 	}
+	stranded := rc.made - len(free) - len(kept)
+	if stranded < 0 {
+		t.Errorf("%s: %d %s records on the free list and %d kept, of %d made", run, len(free), kind, len(kept), rc.made)
+	}
+	return stranded
 }
 
-// Without an injector every record goes back to its free list once its
-// transaction is over: after floorWorkload's program on a fabric that loses
-// nothing, under every protocol and on the pages anchored at every node, each
-// record ever made is on its list, once. A holder that never lets go leaves
-// one out; one that lets go twice panics.
+// checkAllRecords runs checkRecords on each free list of m, with the records
+// m's windows keep, and returns how many records are stranded.
+func checkAllRecords(t *testing.T, m *Manager, run string) int {
+	t.Helper()
+	reqs, serves, applied := map[*outstanding]bool{}, map[*serveState]bool{}, map[*appliedRevoke]bool{}
+	waits, pulls := map[*revokeWaiter]bool{}, map[*pull]bool{}
+	keepWait := func(w *revokeWaiter) {
+		if w.msg.pull != nil {
+			pulls[w.msg.pull] = true
+		} else {
+			waits[w] = true
+		}
+	}
+	for _, ns := range m.nodes {
+		for _, o := range ns.reqs.recs {
+			if o != nil {
+				reqs[o] = true
+			}
+		}
+		for _, w := range ns.revokes.recs {
+			if w != nil {
+				keepWait(w)
+			}
+		}
+		for src := range ns.peers {
+			p := &ns.peers[src]
+			for _, st := range p.served.recs {
+				if st != nil {
+					serves[st], reqs[st.req.o] = true, true
+				}
+			}
+			for _, r := range p.applied.recs {
+				if r != nil {
+					applied[r] = true
+					keepWait(r.msg.w)
+				}
+			}
+			for _, o := range p.installed.recs {
+				if o != nil {
+					reqs[o] = true
+				}
+			}
+		}
+	}
+	rs := &m.e
+	return checkRecords(t, run, "request", &rs.requests, reqs) +
+		checkRecords(t, run, "serve", &rs.serves, serves) +
+		checkRecords(t, run, "revocation", &rs.waits, waits) +
+		checkRecords(t, run, "pull", &rs.pulls, pulls) +
+		checkRecords(t, run, "applied revocation", &rs.applied, applied) +
+		checkRecords(t, run, "hint", &rs.hints, nil)
+}
+
+// Every record goes back to its free list once its transaction is over and
+// no window keeps it for duplicates: after floorWorkload's program, under
+// every protocol and on the pages anchored at every node, each record ever
+// made is on its list once, kept by a window, or stranded by the crash. On a
+// fabric that loses nothing no window keeps any and nothing is stranded; with
+// drops, duplicates and the crash, nothing is stranded unless a node died. A
+// holder that never lets go leaves a record out; a release too early puts a
+// kept one on its list, or panics at the next hold or release.
 func TestRecordsRecycledAtQuiescence(t *testing.T) {
 	forEachProtocol(t, func(t *testing.T, proto Protocol) {
 		floorRuns(t, proto, func(t *testing.T, seed int64, anchor int) {
-			e := newEnvSeed(t, 4, protoParams(proto), nil, seed)
-			floorTasks(t, e, seed, anchor, false)
-			e.run(t)
-			run := fmt.Sprintf("seed %d", seed)
-			rs := &e.m.e
-			if rs.requests.made == 0 || rs.serves.made == 0 || rs.applied.made == 0 {
-				t.Fatalf("%s: %d request, %d serve and %d applied revocation records made; the workload exercises nothing",
-					run, rs.requests.made, rs.serves.made, rs.applied.made)
+			for _, injector := range []bool{false, true} {
+				var e *env
+				if injector {
+					e = floorWorkload(t, proto, seed, anchor, true, nil)
+				} else {
+					e = newEnvSeed(t, 4, protoParams(proto), nil, seed)
+					floorTasks(t, e, seed, anchor, false)
+				}
+				e.run(t)
+				run := fmt.Sprintf("seed %d, injector %v", seed, injector)
+				rs := &e.m.e
+				if rs.requests.made == 0 || rs.serves.made == 0 || rs.applied.made == 0 {
+					t.Fatalf("%s: %d request, %d serve and %d applied revocation records made; the workload exercises nothing",
+						run, rs.requests.made, rs.serves.made, rs.applied.made)
+				}
+				stranded := checkAllRecords(t, e.m, run)
+				if dead := injector && e.net.Chaos().NodeDead(1); stranded > 0 && !dead {
+					t.Errorf("%s: %d records stranded, and no node died", run, stranded)
+				}
 			}
-			checkRecycled(t, run, "request", &rs.requests)
-			checkRecycled(t, run, "serve", &rs.serves)
-			checkRecycled(t, run, "revocation", &rs.waits)
-			checkRecycled(t, run, "pull", &rs.pulls)
-			checkRecycled(t, run, "applied revocation", &rs.applied)
 		})
 	})
 }
 
-// A record released more often than it has holders panics, naming itself; a
-// record taken under an injector counts no holders and is the collector's.
+// A record released more often than it has holders panics, naming itself.
 func TestRecordReleasedTwicePanics(t *testing.T) {
 	var rs engine
-	o := rs.requests.take(true, 2)
+	o := rs.requests.take()
 	o.req.token = 0x1000000000007
+	hold(o)
 	if rs.requests.release(o) || !rs.requests.release(o) {
 		t.Fatal("a request's second holder did not put it back")
 	}
@@ -431,20 +549,43 @@ func TestRecordReleasedTwicePanics(t *testing.T) {
 	if want := "dsm: request 0x1000000000007 released twice"; !panicked || r != want {
 		t.Errorf("third release of a two-holder request: panicked %v with %v, want %q", panicked, r, want)
 	}
-	p := rs.pulls.take(true, 1)
+	p := rs.pulls.take()
 	p.msg.seq = 0x2000000000003
 	rs.pulls.release(p)
 	r, panicked = panics(func() { rs.pulls.release(p) })
 	if want := "dsm: revocation 0x2000000000003 released twice"; !panicked || r != want {
 		t.Errorf("second release of a pull: panicked %v with %v, want %q", panicked, r, want)
 	}
-	st := rs.serves.take(false, 2)
-	for i := 0; i < 3; i++ {
-		if rs.serves.release(st) {
-			t.Fatal("a record taken under an injector went onto a free list")
-		}
+}
+
+// A record held once it is back on its free list panics, naming itself: a
+// window, a record or a flight that reaches it outlived its last holder.
+// The flight's hold comes through the message (fabric.Held).
+func TestRecordHeldAfterReleasePanics(t *testing.T) {
+	var m Manager
+	m.e.m = &m
+	st := m.e.serves.take()
+	st.m, st.reply.token = &m, 0x3000000000005
+	st.reply.st = st
+	o := m.e.requests.take()
+	o.m, o.req.o, st.req = &m, o, &o.req
+	st.reply.Hold() // a flight of its reply
+	st.release()    // its task
+	if len(m.e.serves.free) != 0 {
+		t.Fatal("a serve went back with its reply in flight")
 	}
-	if len(rs.serves.free) != 0 || rs.serves.made != 0 {
-		t.Errorf("records taken under an injector: %d on the free list, %d counted made", len(rs.serves.free), rs.serves.made)
+	st.reply.Release() // the flight retires
+	if len(m.e.serves.free) != 1 || len(m.e.requests.free) != 1 {
+		t.Fatalf("the serve's last holder left %d serves and %d requests on their free lists, want 1 and 1 (the request it held)",
+			len(m.e.serves.free), len(m.e.requests.free))
+	}
+	r, panicked := panics(func() { st.reply.Hold() })
+	if want := "dsm: serve of request 0x3000000000005 held after release"; !panicked || r != want {
+		t.Errorf("a flight taken for a recycled serve's reply: panicked %v with %v, want %q", panicked, r, want)
+	}
+	var w window[*outstanding]
+	r, panicked = panics(func() { w.put(o.req.token, o) })
+	if want := "dsm: request 0x0 held after release"; !panicked || r != want {
+		t.Errorf("a window listing a recycled request: panicked %v with %v, want %q", panicked, r, want)
 	}
 }

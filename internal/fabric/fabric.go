@@ -136,6 +136,14 @@ func expendable(m Message) bool {
 	return ok
 }
 
+// Held is a message in a record its sender recycles: a flight that carries it,
+// or lands in the landing zone it announces, holds the record until it retires.
+type Held interface {
+	Message
+	Hold()
+	Release()
+}
+
 // GlobalDelivery marks messages whose receive-side processing must run on the
 // simulator's global lane rather than the destination node's lane: handlers
 // that touch cross-cutting state (core's execution-context envelopes run
@@ -165,7 +173,7 @@ type Stats struct {
 type Network struct {
 	eng      *sim.Engine
 	params   Params
-	conns    [][]*conn // conns[src][dst]
+	conns    []conn // conns[src*Nodes+dst]; the diagonal is unused
 	handlers []Handler
 	stats    Stats
 	rec      *obs.Recorder
@@ -204,9 +212,9 @@ func (n *Network) Chaos() *chaos.Injector { return n.inj }
 type conn struct {
 	net      *Network
 	src, dst int
-	link     *sim.Bus
-	sendPool *sim.Semaphore
-	sinkPool *sim.Semaphore
+	link     sim.Bus
+	sendPool sim.Semaphore
+	sinkPool sim.Semaphore
 	// sent lists the sends whose chunks are not back in sendPool, by completion
 	// time — ascending, since the link serializes them in order. The next
 	// sender returns the elapsed ones before it takes its own (reapSent); no
@@ -278,6 +286,8 @@ type flight struct {
 
 	accepted bool // its next event is the receive completion, not the arrival
 
+	held Held // m, or the reply announcing the page it places, if Held
+
 	// last is the connection a retired flight (qp nil) last rode: what a
 	// second retire or a late event names when it panics.
 	last *conn
@@ -295,16 +305,27 @@ func (n *Network) newFlight() *flight {
 	return new(flight)
 }
 
+// hold makes f a holder of m's record, if m lives in one (Held).
+func (f *flight) hold(m Message) {
+	if h, ok := m.(Held); ok {
+		h.Hold()
+		f.held = h
+	}
+}
+
 // retire puts f back on the free list once its last step has run: its
 // receive completion, its placement, or its drop at a dead node. It lets go
-// of the message and releases the page reference a placement did not hand to
-// its landing zone, so a retired flight keeps nothing alive.
+// of the message, the page reference a placement did not hand to its landing
+// zone and its hold, so a retired flight keeps nothing alive.
 func (n *Network) retire(f *flight) {
 	if f.qp == nil {
 		panic(fmt.Sprintf("fabric: flight on %v retired twice", f.last))
 	}
 	if f.buf != nil {
 		f.pr.pool.Release(f.buf)
+	}
+	if f.held != nil {
+		f.held.Release()
 	}
 	*f = flight{last: f.qp.conn}
 	n.free = append(n.free, f)
@@ -360,31 +381,27 @@ func New(eng *sim.Engine, p Params) *Network {
 	n := &Network{
 		eng:      eng,
 		params:   p,
-		conns:    make([][]*conn, p.Nodes),
+		conns:    make([]conn, p.Nodes*p.Nodes),
 		handlers: make([]Handler, p.Nodes),
 	}
 	// Each connection binds its endpoints' lane views; on an engine without
 	// lanes (unit tests, microbenchmarks) those are the root view, which
 	// schedules everything on the global lane — the classic serial behavior.
 	for src := 0; src < p.Nodes; src++ {
-		n.conns[src] = make([]*conn, p.Nodes)
 		for dst := 0; dst < p.Nodes; dst++ {
 			if src == dst {
 				continue
 			}
-			name := fmt.Sprintf("link%d->%d", src, dst)
-			c := &conn{
-				net: n, src: src, dst: dst,
-				// The link bus is send-side state: it is bound to the source
-				// node's lane view so Occupy reads the clock of the lane the
-				// send chain executes on.
-				link:     sim.NewBus(eng.LaneView(src), name, p.LinkBandwidth),
-				sendPool: sim.NewSemaphore("sendpool "+name, p.SendPoolChunks),
-				sinkPool: sim.NewSemaphore("sink "+name, p.SinkChunks),
-			}
+			c := &n.conns[src*p.Nodes+dst]
+			c.net, c.src, c.dst = n, src, dst
+			// The link bus is send-side state: it is bound to the source
+			// node's lane view so Occupy reads the clock of the lane the send
+			// chain executes on.
+			c.link.Init(eng.LaneView(src), sim.ReasonPair("link", uint32(src), uint32(dst)), p.LinkBandwidth)
+			c.sendPool.Init(sim.ReasonPair("semaphore sendpool link", uint32(src), uint32(dst)), p.SendPoolChunks)
+			c.sinkPool.Init(sim.ReasonPair("semaphore sink link", uint32(src), uint32(dst)), p.SinkChunks)
 			c.data = qp{conn: c, lane: dst, view: eng.LaneView(dst), posted: p.RecvPoolSlots}
 			c.ctl = qp{conn: c, lane: sim.GlobalLane, view: eng.LaneView(sim.GlobalLane), posted: math.MaxInt}
-			n.conns[src][dst] = c
 		}
 	}
 	return n
@@ -404,8 +421,8 @@ func (n *Network) conn(src, dst int) *conn {
 	if src == dst {
 		panic(fmt.Sprintf("fabric: self-send on node %d", src))
 	}
-	c := n.conns[src][dst]
-	if c == nil {
+	c := &n.conns[src*n.params.Nodes+dst]
+	if c.net == nil {
 		panic(fmt.Sprintf("fabric: no connection %d->%d", src, dst))
 	}
 	return c
@@ -454,6 +471,7 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 	// send never has one, and a task killed mid-send holds none.
 	f := n.newFlight()
 	*f = flight{qp: c.qpFor(m), m: m}
+	f.hold(m)
 	if n.rec != nil {
 		f.sentAt = sentAt
 		f.bytes = m.Size()
@@ -470,12 +488,15 @@ func (n *Network) sendWith(t *sim.Task, src, dst int, m Message, v chaos.Verdict
 }
 
 // dup returns the second flight of a duplicated one, with a page reference
-// of its own if f carries one.
+// and a hold on f's record of its own.
 func (n *Network) dup(f *flight) *flight {
 	d := n.newFlight()
 	*d = *f
 	if f.buf != nil {
 		f.pr.pool.Share(f.buf)
+	}
+	if f.held != nil {
+		f.held.Hold()
 	}
 	return d
 }
@@ -706,7 +727,6 @@ func (n *Network) complete(f *flight) {
 type PageRecv struct {
 	pool *mem.FramePool
 	conn *conn // connection peer->self, whose sink the buffer came from
-	mode PageMode
 	data []byte
 	used bool
 }
@@ -726,7 +746,7 @@ func (n *Network) PreparePageRecv(t *sim.Task, peer, self int) *PageRecv {
 // overwrites pr and allocates nothing.
 func (n *Network) Prepare(t *sim.Task, pr *PageRecv, peer, self int, pool *mem.FramePool) {
 	c := n.conn(peer, self)
-	*pr = PageRecv{pool: pool, conn: c, mode: n.params.Mode}
+	*pr = PageRecv{pool: pool, conn: c}
 	switch n.params.Mode {
 	case HybridSink:
 		if !c.sinkPool.TryAcquire() {
@@ -785,7 +805,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 	if n.inj != nil {
 		v = n.inj.Verdict(sv.Now(), src, dst, len(data)+reply.Size(), expendable(reply))
 	}
-	switch pr.mode {
+	switch n.params.Mode {
 	case HybridSink, PerPageReg:
 		n.stats.RDMAWrites++
 		sentAt := sv.Now() // the span starts when the sender enters the fabric
@@ -798,6 +818,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 			// page data and VERB messages keep one per-connection FIFO.
 			place := n.newFlight()
 			*place = flight{qp: &c.data, pr: pr, buf: data, bytes: len(data), sentAt: sentAt, page: true}
+			place.hold(reply)
 			at := done + LinkLatency + v.Delay
 			n.deliver(sv, place, at)
 			if v.Dup {
@@ -822,6 +843,7 @@ func (n *Network) SendPage(t *sim.Task, src, dst int, pr *PageRecv, data []byte,
 		}
 		f := n.newFlight()
 		*f = flight{qp: c.qpFor(reply), m: reply}
+		f.hold(reply)
 		if n.rec != nil {
 			f.sentAt = sentAt
 			f.bytes = len(data) + reply.Size()
@@ -851,7 +873,7 @@ func (pr *PageRecv) Claim(t *sim.Task) []byte {
 	}
 	pr.data = nil
 	n := pr.conn.net
-	switch pr.mode {
+	switch n.params.Mode {
 	case HybridSink:
 		t.Sleep(n.memcpyCost(len(data)))
 		n.stats.MemcpyBytes += uint64(len(data))
@@ -878,8 +900,8 @@ func (pr *PageRecv) Release() {
 	pr.used = true
 	pr.pool.Release(pr.data)
 	pr.data = nil
-	if pr.mode == HybridSink {
-		pr.conn.sinkPool.Release()
+	if c := pr.conn; c != nil && c.net.params.Mode == HybridSink { // a zone never prepared holds no chunk
+		c.sinkPool.Release()
 	}
 }
 

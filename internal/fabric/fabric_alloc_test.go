@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -117,5 +118,30 @@ func TestChaosDupAllocsPerRun(t *testing.T) {
 	}
 	if once, twice := perMessage(0), perMessage(1); once != 0 || twice != 0 {
 		t.Errorf("a duplicated message: %v allocs against %v undisturbed, want 0 and 0", twice, once)
+	}
+}
+
+// A network is a constant number of objects however many connections it has:
+// the connections sit in one slice, each holding its link and its two pools
+// by value, and their names ("link2->1") are formatted only where a
+// diagnostic prints them. A sender waiting on a sink pool still parks on
+// the pool's full name.
+func TestNewNetworkAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	for _, nodes := range []int{2, 8} {
+		if got := testing.AllocsPerRun(10, func() { New(eng, testParams(nodes)) }); got != 3 {
+			t.Errorf("New on %d nodes allocates %v objects, want 3: the network, its connections and its handlers", nodes, got)
+		}
+	}
+	p := testParams(3)
+	p.SinkChunks = 1
+	net := New(eng, p)
+	eng.Spawn("receiver", func(tk *sim.Task) {
+		net.PreparePageRecv(tk, 2, 1)
+		net.PreparePageRecv(tk, 2, 1) // the sink's one chunk is taken
+	})
+	err := eng.Run()
+	if want := `(parked at "semaphore sink link2->1")`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run = %v, want a deadlock naming %s", err, want)
 	}
 }

@@ -136,7 +136,8 @@ func TestQuickBusInvariants(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine(1)
-		bus := sim.NewBus(eng, "b", 1e9)
+		var bus sim.Bus
+		bus.Init(eng, sim.ReasonNum("bus", 0), 1e9)
 		var last time.Duration
 		total := uint64(0)
 		ok := true
@@ -169,7 +170,8 @@ func TestQuickSemaphoreNeverOversubscribed(t *testing.T) {
 	f := func(holds []uint8, units uint8) bool {
 		n := int(units%4) + 1
 		eng := sim.NewEngine(1)
-		sem := sim.NewSemaphore("s", n)
+		var sem sim.Semaphore
+		sem.Init(sim.ReasonNum("semaphore s", 0), n)
 		inUse, maxUse := 0, 0
 		for _, h := range holds {
 			h := h

@@ -134,7 +134,7 @@ func TestFlightLifetimeUnderChaos(t *testing.T) {
 func TestRetiredFlightPanics(t *testing.T) {
 	net := New(sim.NewEngine(1), testParams(2))
 	f := net.newFlight()
-	*f = flight{qp: &net.conns[0][1].data, m: &lifeMsg{}}
+	*f = flight{qp: &net.conn(0, 1).data, m: &lifeMsg{}}
 	net.retire(f)
 	for name, step := range map[string]func(){"retire": func() { net.retire(f) }, "event": f.RunEvent} {
 		func() {

@@ -367,7 +367,7 @@ func TestPageRecvReuseIsRejected(t *testing.T) {
 			t.Fatal("expected panic on PageRecv reuse")
 		}
 	}()
-	pr := &PageRecv{mode: HybridSink, used: true}
+	pr := &PageRecv{used: true}
 	pr.Claim(nil)
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -13,8 +14,7 @@ import (
 // dequeuing the oldest waiter is O(1) with no re-slicing churn — and
 // membership is tested in O(1) through Task.waitingSem instead of a scan.
 type Semaphore struct {
-	name  string
-	park  string // park reason of a waiter
+	park  Reason // park reason of a waiter: "semaphore " and the semaphore's name
 	total int
 	avail int
 	ring  []*Task // capacity is always a power of two
@@ -22,13 +22,16 @@ type Semaphore struct {
 	count int     // queued waiters
 }
 
-// NewSemaphore creates a semaphore with n units.
-func NewSemaphore(name string, n int) *Semaphore {
+// Init makes s a semaphore with n units. park is what a waiter is parked on,
+// "semaphore " followed by s's name, formatted only if a diagnostic prints it.
+func (s *Semaphore) Init(park Reason, n int) {
+	*s = Semaphore{park: park, total: n, avail: n}
 	if n < 1 {
-		panic(fmt.Sprintf("sim: semaphore %q must have at least one unit, got %d", name, n))
+		panic(fmt.Sprintf("sim: semaphore %q must have at least one unit, got %d", s.name(), n))
 	}
-	return &Semaphore{name: name, park: "semaphore " + name, total: n, avail: n}
 }
+
+func (s *Semaphore) name() string { return strings.TrimPrefix(s.park.String(), "semaphore ") }
 
 // pushWaiter appends t to the tail of the ring, growing it when full.
 func (s *Semaphore) pushWaiter(t *Task) {
@@ -62,7 +65,7 @@ func (s *Semaphore) Acquire(t *Task) {
 	s.pushWaiter(t)
 	t.waitingSem = s
 	for {
-		t.Park(s.park)
+		t.ParkOn(s.park)
 		// A hand-off clears waitingSem before the wake; a stray token does
 		// not, so a spurious wake loops back into Park without losing the
 		// task's place in line.
@@ -91,7 +94,7 @@ func (s *Semaphore) Release() {
 		return
 	}
 	if s.avail == s.total {
-		panic(fmt.Sprintf("sim: semaphore %q released above capacity", s.name))
+		panic(fmt.Sprintf("sim: semaphore %q released above capacity", s.name()))
 	}
 	s.avail++
 }
@@ -112,24 +115,27 @@ func (s *Semaphore) Available() int { return s.avail }
 // without a congestion factor (a link) is its free-at time and nothing else.
 type Bus struct {
 	eng        *Engine
-	name       string
 	bytesPerS  float64
 	congestion float64
 	active     int // outstanding transfers, counted while congestion > 0
 	freeAt     time.Duration
 	bytes      uint64
-	release    func() // ends one transfer; bound once so Occupy allocates no closure
 }
 
-// NewBus creates a bus with the given bandwidth in bytes per second.
-func NewBus(eng *Engine, name string, bytesPerSecond float64) *Bus {
+// Init makes b a bus with the given bandwidth in bytes per second; name is
+// formatted only if a panic prints it.
+func (b *Bus) Init(eng *Engine, name Reason, bytesPerSecond float64) {
 	if bytesPerSecond <= 0 {
 		panic(fmt.Sprintf("sim: bus %q must have positive bandwidth", name))
 	}
-	b := &Bus{eng: eng, name: name, bytesPerS: bytesPerSecond}
-	b.release = func() { b.active-- }
-	return b
+	*b = Bus{eng: eng, bytesPerS: bytesPerSecond}
 }
+
+// busRelease is a bus as the event that ends one of its transfers; there is
+// nothing to allocate per transfer.
+type busRelease Bus
+
+func (r *busRelease) RunEvent() { r.active-- }
 
 // SetCongestion sets the per-concurrent-transfer service-time inflation
 // factor (0 disables congestion modeling). Set it before the first transfer:
@@ -152,7 +158,7 @@ func (b *Bus) Occupy(n int) time.Duration {
 	if b.congestion > 0 {
 		d += time.Duration(float64(d) * b.congestion * float64(b.active))
 		b.active++
-		b.eng.After(start+d-now, b.release)
+		b.eng.AfterRun(start+d-now, (*busRelease)(b))
 	}
 	finish := start + d
 	b.freeAt = finish

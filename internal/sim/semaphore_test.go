@@ -12,10 +12,23 @@ import (
 // slip past the queue by consuming a spurious token. Before the ring-buffer
 // rewrite this guarantee rested on a linear membership scan; the O(1)
 // Task.waitingSem marker must preserve it exactly.
+// newSemaphore and newBus make a semaphore and a bus named name.
+func newSemaphore(name string, n int) *Semaphore {
+	s := new(Semaphore)
+	s.Init(Reason{text: "semaphore " + name}, n)
+	return s
+}
+
+func newBus(eng *Engine, name string, bytesPerSecond float64) *Bus {
+	b := new(Bus)
+	b.Init(eng, Reason{text: name}, bytesPerSecond)
+	return b
+}
+
 func TestSemaphoreHandOffOrderUnderSpuriousWakes(t *testing.T) {
 	const waiters = 12 // > initial ring capacity, forces growth mid-queue
 	e := NewEngine(1)
-	sem := NewSemaphore("s", 1)
+	sem := newSemaphore("s", 1)
 	var order []int
 	inUse := 0
 
@@ -69,7 +82,7 @@ func TestSemaphoreHandOffOrderUnderSpuriousWakes(t *testing.T) {
 // oscillating across the growth boundary.
 func TestSemaphoreRingWrapAround(t *testing.T) {
 	e := NewEngine(7)
-	sem := NewSemaphore("s", 2)
+	sem := newSemaphore("s", 2)
 	const tasks = 9
 	const rounds = 8
 	var order []int

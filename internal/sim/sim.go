@@ -168,7 +168,8 @@ type laneState struct {
 	now   time.Duration
 	ctr   uint64 // creation counter: orders same-time events of one creator
 	rng   *rand.Rand
-	tombs int // cancelled timeout events still in the heap
+	tombs int          // cancelled timeout events still in the heap
+	spare []*tombstone // of timeout events that left the heap, for ParkTimeout
 
 	// events, windows and inPlace are lifetime telemetry: total events executed
 	// on this lane, windows in which it was dispatched, and the events among
@@ -414,8 +415,8 @@ type event struct {
 // noEvent is the head time of a lane with nothing queued.
 const noEvent = time.Duration(math.MaxInt64)
 
-// tombstone marks a cancellable event; cancelled events are skipped on pop
-// and compacted away when they dominate the heap.
+// tombstone marks a cancellable event: skipped on pop once cancelled, compacted
+// away when those dominate the heap, and reused by its lane after either.
 type tombstone struct{ dead bool }
 
 // eventHeap is a concrete 4-ary min-heap ordered by (at, seq). Compared
@@ -746,7 +747,7 @@ func (c *engineCore) nextLane() *laneState {
 // the lane's earliest live event, or noEvent.
 func (l *laneState) headAt() time.Duration {
 	for l.heap.Len() > 0 && l.heap[0].tomb != nil && l.heap[0].tomb.dead {
-		l.heap.pop()
+		l.spare = append(l.spare, l.heap.pop().tomb)
 		l.tombs--
 	}
 	return l.top()
@@ -779,6 +780,8 @@ func (l *laneState) cancelTomb(t *tombstone) {
 		for _, ev := range old {
 			if ev.tomb == nil || !ev.tomb.dead {
 				l.heap.push(ev)
+			} else {
+				l.spare = append(l.spare, ev.tomb)
 			}
 		}
 		clear(old[len(l.heap):])
@@ -889,8 +892,11 @@ func (l *laneState) step(cs *census) {
 	if cs != nil {
 		cs.countTask(t, ev.tomb != nil)
 	}
-	if ev.tomb != nil && !t.expire(ev.tomb) {
-		return
+	if ev.tomb != nil {
+		l.spare = append(l.spare, ev.tomb)
+		if !t.expire(ev.tomb) {
+			return
+		}
 	}
 	// A task in SleepWhile is asked here, where its code would have run, and
 	// is switched into only when the answer is to stop sleeping. One that was
@@ -985,8 +991,10 @@ func (c *engineCore) parkedTasks() []string {
 type Reason struct {
 	text string
 	num  uint64
-	base uint8 // 0: text alone; 10 or 16: text followed by num in that base
+	base uint8 // 0: text alone; 10 or 16: text followed by num in that base; pairBase: by the pair num packs
 }
+
+const pairBase = 1 // num packs a pair a<<32|b
 
 // ReasonNum is the reason prefix followed by n in decimal.
 func ReasonNum(prefix string, n uint64) Reason { return Reason{text: prefix, num: n, base: 10} }
@@ -995,12 +1003,19 @@ func ReasonNum(prefix string, n uint64) Reason { return Reason{text: prefix, num
 // the way addresses print.
 func ReasonHex(prefix string, n uint64) Reason { return Reason{text: prefix, num: n, base: 16} }
 
+// ReasonPair is the reason prefix followed by "a->b", as a link prints.
+func ReasonPair(prefix string, a, b uint32) Reason {
+	return Reason{text: prefix, num: uint64(a)<<32 | uint64(b), base: pairBase}
+}
+
 func (r Reason) String() string {
 	switch r.base {
 	case 10:
 		return r.text + strconv.FormatUint(r.num, 10)
 	case 16:
 		return r.text + "0x" + strconv.FormatUint(r.num, 16)
+	case pairBase:
+		return r.text + strconv.FormatUint(r.num>>32, 10) + "->" + strconv.FormatUint(r.num&math.MaxUint32, 10)
 	}
 	return r.text
 }
@@ -1439,7 +1454,13 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 	t.timedOut = false
 	if d > 0 {
 		eng := t.eng
-		tomb := &tombstone{}
+		var tomb *tombstone
+		if l := eng.ls(); len(l.spare) > 0 {
+			tomb, l.spare = l.spare[len(l.spare)-1], l.spare[:len(l.spare)-1]
+			tomb.dead = false
+		} else {
+			tomb = &tombstone{}
+		}
 		t.parkTomb = tomb
 		t.parkLane = int32(eng.lane)
 		eng.schedule(eng.lane, d, t, tomb)

@@ -195,7 +195,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSemaphoreFIFO(t *testing.T) {
 	e := NewEngine(1)
-	sem := NewSemaphore("cores", 2)
+	sem := newSemaphore("cores", 2)
 	var order []string
 	worker := func(name string, hold time.Duration) func(*Task) {
 		return func(tk *Task) {
@@ -226,7 +226,7 @@ func TestSemaphoreFIFO(t *testing.T) {
 
 func TestSemaphoreTryAcquire(t *testing.T) {
 	e := NewEngine(1)
-	sem := NewSemaphore("s", 1)
+	sem := newSemaphore("s", 1)
 	e.Spawn("t", func(tk *Task) {
 		if !sem.TryAcquire() {
 			t.Error("first TryAcquire failed")
@@ -247,7 +247,7 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 
 func TestSemaphoreStrayTokenDoesNotGrant(t *testing.T) {
 	e := NewEngine(1)
-	sem := NewSemaphore("s", 1)
+	sem := newSemaphore("s", 1)
 	var acquiredAt time.Duration
 	holder := e.Spawn("holder", func(tk *Task) {
 		sem.Acquire(tk)
@@ -272,7 +272,7 @@ func TestSemaphoreStrayTokenDoesNotGrant(t *testing.T) {
 
 func TestBusSerializes(t *testing.T) {
 	e := NewEngine(1)
-	bus := NewBus(e, "mem", 1e9) // 1 GB/s => 1µs per KB
+	bus := newBus(e, "mem", 1e9) // 1 GB/s => 1µs per KB
 	var doneA, doneB time.Duration
 	e.Spawn("a", func(tk *Task) {
 		bus.Transfer(tk, 1000)
@@ -298,7 +298,7 @@ func TestBusSerializes(t *testing.T) {
 
 func TestBusZeroBytes(t *testing.T) {
 	e := NewEngine(1)
-	bus := NewBus(e, "mem", 1e9)
+	bus := newBus(e, "mem", 1e9)
 	e.Spawn("a", func(tk *Task) {
 		bus.Transfer(tk, 0)
 		if tk.Now() != 0 {
@@ -385,7 +385,7 @@ func TestSpawnAfter(t *testing.T) {
 func TestBusCongestionInflatesConcurrentStreams(t *testing.T) {
 	run := func(alpha float64) time.Duration {
 		e := NewEngine(1)
-		bus := NewBus(e, "mem", 1e9)
+		bus := newBus(e, "mem", 1e9)
 		bus.SetCongestion(alpha)
 		var last time.Duration
 		for i := 0; i < 4; i++ {
@@ -412,7 +412,7 @@ func TestBusCongestionInflatesConcurrentStreams(t *testing.T) {
 	// A single stream sees no congestion either way.
 	single := func(alpha float64) time.Duration {
 		e := NewEngine(1)
-		bus := NewBus(e, "m", 1e9)
+		bus := newBus(e, "m", 1e9)
 		bus.SetCongestion(alpha)
 		var d time.Duration
 		e.Spawn("s", func(tk *Task) {
@@ -441,7 +441,7 @@ func TestBusReleasesOnlyUnderCongestion(t *testing.T) {
 		events uint64
 	}{{0, 0}, {0.25, 3}} {
 		e := NewEngine(1)
-		bus := NewBus(e, "link", 1e9)
+		bus := newBus(e, "link", 1e9)
 		bus.SetCongestion(tc.alpha)
 		for i := 0; i < 3; i++ {
 			bus.Occupy(1000)
