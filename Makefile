@@ -131,9 +131,10 @@ trace-smoke:
 # network (a constant) and per untraced span, objects per remote write, read
 # and bounced fault (a PTE, and where homes move a directory entry: the
 # transaction records and chain hints are recycled), per remote write fault
-# under an injector (the same) and per lease tick (no envelope), and the
-# sizes of those records, objects per restart of a
-# finished task (none) and per load schedule (one stream a tenant),
+# under an injector (the same) and per lease tick (none: its tasks' records
+# are recycled), and the sizes of those records, task switches per coalesced
+# fault follower and per wake-up that takes a sleep (one each), objects per
+# restart of a finished task (none) and per load schedule (one stream a tenant),
 # heap bytes per chaos write fault (less than a page: re-send copies are pooled),
 # words per event, bytes per task, events per golden dexserve run, pages a
 # crash+restart serving run's checkpoints copy, objects per kmn chunk search
@@ -143,7 +144,7 @@ trace-smoke:
 # follower join and per radix Set on an existing path, and distinct cells of
 # the whole evaluation at test size — so that they fail CI by name.
 goldens:
-	$(GO) test -run 'AllocsPerRun|NewNetworkAllocs|Sizeof|EventBudget|CopyBudget|CellBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|NewNetworkAllocs|Sizeof|EventBudget|CopyBudget|CellBudget|SwitchBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve
 	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
 

@@ -139,8 +139,8 @@ func shown(v string) string {
 
 // PrintSched writes the scheduler line of a run's report and, when metrics
 // asks for it, the event census under it: Events by kind, one per line, the
-// biggest runner first. The census is there only if the run had a recorder,
-// which -metrics gives it.
+// biggest runner first, then the rounds slept on and the task switches. The
+// census is there only if the run had a recorder, which -metrics gives it.
 func PrintSched(w io.Writer, s sim.SchedStats, metrics bool) {
 	fmt.Fprintf(w, "sched:        %d events (%d sleeps taken in place), %d windows (%d serialized, %d events), %d lane dispatches (max %d lanes/window)\n",
 		s.Events, s.InPlaceWakes, s.Windows, s.SerializedWindows, s.SerializedEvents, s.LaneDispatches, s.MaxWindowLanes)
@@ -162,4 +162,5 @@ func PrintSched(w io.Writer, s sim.SchedStats, metrics bool) {
 		row("run "+strings.Replace(r.Name, "dex/internal/", "", 1), r.Events)
 	}
 	fmt.Fprintf(w, "  of the sleeps, %d were SleepWhile rounds slept on: no task code ran\n", cs.SleptOn)
+	fmt.Fprintf(w, "  %d task switches: coroutine starts and resumes, not events\n", cs.Switches)
 }

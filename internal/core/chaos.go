@@ -93,12 +93,11 @@ func (p *Process) startLeaseMonitor() {
 		if node == p.origin {
 			continue
 		}
-		pong := &envelope{bytes: leaseMsgBytes, deliver: func() {
+		p.nodes[node].pong = &envelope{bytes: leaseMsgBytes, deliver: func() {
 			p.nodes[node].lastSeen = p.m.eng.Now()
 		}}
-		sendPong := func(t *sim.Task) { p.m.net.Send(t, node, p.origin, pong) }
 		p.nodes[node].ping = &envelope{bytes: leaseMsgBytes, deliver: func() {
-			p.m.eng.Spawn("lease-pong", sendPong)
+			p.startLeaseSend("lease-pong", node, 0)
 		}}
 	}
 	period := p.m.params.Chaos.LeasePeriod()
@@ -162,12 +161,46 @@ func (p *Process) leaseTick() {
 	if targets == 0 {
 		return
 	}
-	p.m.eng.Spawn("lease-ping", func(t *sim.Task) {
-		for set := targets; set != 0; set &= set - 1 {
-			node := bits.TrailingZeros64(set)
-			p.m.net.Send(t, p.origin, node, p.nodes[node].ping)
-		}
-	})
+	p.startLeaseSend("lease-ping", p.origin, targets)
+}
+
+// leaseSend is the record of a lease task: the origin's ping of the nodes in
+// targets, or, with targets 0, node from's pong to the origin. It is recycled
+// through the process's free list once its task is over.
+type leaseSend struct {
+	p       *Process
+	from    int
+	targets uint64
+	run     sim.Task
+}
+
+// startLeaseSend starts a lease task from a free record, as Spawn would.
+func (p *Process) startLeaseSend(name string, from int, targets uint64) {
+	var s *leaseSend
+	if n := len(p.leaseFree); n > 0 {
+		s, p.leaseFree = p.leaseFree[n-1], p.leaseFree[:n-1]
+	} else {
+		s = &leaseSend{p: p}
+	}
+	s.from, s.targets = from, targets
+	p.m.eng.Start(&s.run, name, s)
+}
+
+func (s *leaseSend) RunTask(t *sim.Task) {
+	p := s.p
+	if s.targets == 0 {
+		p.m.net.Send(t, s.from, p.origin, p.nodes[s.from].pong)
+		return
+	}
+	for set := s.targets; set != 0; set &= set - 1 {
+		node := bits.TrailingZeros64(set)
+		p.m.net.Send(t, p.origin, node, p.nodes[node].ping)
+	}
+}
+
+func (s *leaseSend) Finished() {
+	s.run = sim.Task{}
+	s.p.leaseFree = append(s.p.leaseFree, s)
 }
 
 // declareNodeDead is the origin's commit point for a node crash: the worker

@@ -53,6 +53,9 @@ type Process struct {
 	pagesRestored    int
 	leaseSuspects    uint64
 	futexPoisoned    error // set on first node death; fails futex waits fast
+	// leaseFree holds the lease tasks' records that are done, for the next
+	// ping or pong; one is out per ping and per pong still sending.
+	leaseFree []*leaseSend
 }
 
 // nodeState is what a process keeps about one node. The origin's record
@@ -65,7 +68,9 @@ type nodeState struct {
 	// lastSeen is the node's last lease refresh, 0 until the lease monitor
 	// first sees it (a tick is never at time 0).
 	lastSeen time.Duration
-	ping     *envelope // the lease monitor's ping to the node (startLeaseMonitor)
+	// ping and pong are the lease monitor's ping to the node and the node's
+	// answer (startLeaseMonitor).
+	ping, pong *envelope
 	// dead: this process has declared the node dead; its worker is never
 	// targeted again.
 	dead bool

@@ -391,8 +391,7 @@ func (m *Manager) EnsurePage(t *sim.Task, ctx Ctx, addr mem.Addr, write bool) *m
 				joined, joinedSeq = g, g.seq
 			}
 			parkedAt := t.Now()
-			t.ParkOn(sim.ReasonHex("fault follower ", uint64(addr)))
-			t.Sleep(m.params.FollowerWake)
+			t.ParkOnThenSleep(sim.ReasonHex("fault follower ", uint64(addr)), m.params.FollowerWake)
 			if m.rec != nil {
 				m.rec.Span("dsm", "fault.follower", ctx.Node, ctx.Task, parkedAt,
 					obs.Hex("vpn", vpn))

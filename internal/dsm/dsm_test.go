@@ -240,6 +240,34 @@ func TestLeaderFollowerCoalescing(t *testing.T) {
 	}
 }
 
+// A coalesced follower is switched into once, when its FollowerWake ends: the
+// leader's Unpark takes that sleep in event context (ParkOnThenSleep). So each
+// reader beyond the first of 8 on one node reading one remote page adds two
+// switches, its start and its wake-up, where park-then-sleep cost three; its
+// events, a start, an unpark and a sleep wake, are the same.
+func TestFollowerSwitchBudget(t *testing.T) {
+	run := func(threads int) sim.SchedStats {
+		e := newEnv(t, 2, DefaultParams(), nil)
+		e.eng.CountEventKinds()
+		e.eng.Spawn("setup", func(tk *sim.Task) {
+			e.write(tk, 0, testAddr, 9)
+			for i := 0; i < threads; i++ {
+				e.eng.Spawn("reader", func(tk *sim.Task) { e.read(tk, 1, testAddr) })
+			}
+		})
+		e.run(t)
+		if got := e.m.Stats().FollowerJoins; got != uint64(threads-1) {
+			t.Fatalf("%d readers: FollowerJoins = %d, want %d", threads, got, threads-1)
+		}
+		return e.eng.SchedStats()
+	}
+	one, eight := run(1), run(8)
+	switches, events := eight.Census.Switches-one.Census.Switches, eight.Events-one.Events
+	if switches != 7*2 || events != 7*3 {
+		t.Fatalf("7 followers cost %d switches and %d events, want %d and %d", switches, events, 7*2, 7*3)
+	}
+}
+
 // TestFollowerJoinCountedOncePerGroup pins the A1 ablation counter: a task
 // that parks on an in-flight fault group, is woken spuriously (e.g. by a
 // stray futex wake delivered as an Unpark token), and re-parks on the same

@@ -605,7 +605,7 @@ func (e *engine) redeliverServe(st *serveState) {
 	// The resend runs on the lane of the node that served the original.
 	m.mark(st.home, "dedup.reserve", st.req.vpn)
 	hold(st) // the resend's
-	m.view(st.home).Spawn("dsm-resend", func(t *sim.Task) {
+	m.view(st.home).SpawnSleeping("dsm-resend", originDispatch, func(t *sim.Task) {
 		st.RunTask(t) // which, st being closed, replies
 		st.release()
 	})
@@ -800,8 +800,7 @@ func (e *engine) admitRevoke(node int, msg *revokeMsg) *appliedRevoke {
 				m.mark(node, "dedup.reack", msg.vpn)
 				data := m.frames.Share(prev.data)
 				hold(prev) // the re-ack's
-				m.view(node).Spawn("dsm-reack", func(t *sim.Task) {
-					t.Sleep(invalidateApply)
+				m.view(node).SpawnSleeping("dsm-reack", invalidateApply, func(t *sim.Task) {
 					m.sendRevokeAck(t, prev, data)
 					m.freeFrame(data)
 					prev.release()

@@ -237,16 +237,15 @@ func (m *Manager) applyHomeHint(node int, msg *homeHintMsg) {
 // the source of the retried, slow faults of §V-D. st.home is the node the
 // transaction is served at (the origin under WriteInvalidate). A request
 // bounced at dispatch is closed before its task starts, which only replies,
-// after the dispatch delay.
+// after the dispatch delay. The task sleeps originDispatch before it runs
+// this: its start leaves that sleep (sim.Engine.StartSleeping).
 func (st *serveState) RunTask(t *sim.Task) {
 	m, home, req := st.m, st.home, st.req
 	if st.closed {
-		t.Sleep(originDispatch)
 		m.net.Send(t, home, req.node, &st.reply)
 		return
 	}
-	serveAt := t.Now()
-	t.Sleep(originDispatch)
+	serveAt := t.Now() - originDispatch
 	out := m.serve(t, st)
 	m.e.closeServe(st)
 	if m.rec != nil {
@@ -408,15 +407,15 @@ func (m *Manager) applyRevokeAdmitted(r *appliedRevoke) {
 	if m.e.deferRevoke(m.nodes[r.node], r) {
 		return
 	}
-	m.view(int(r.node)).Start(&r.run, "dsm-revoke", r)
+	m.view(int(r.node)).StartSleeping(&r.run, "dsm-revoke", r, invalidateApply)
 }
 
-// RunTask applies r's revocation and acks it.
+// RunTask applies r's revocation, once its task has slept invalidateApply,
+// and acks it.
 func (r *appliedRevoke) RunTask(t *sim.Task) {
 	m, node, msg, ns := r.m, int(r.node), r.msg, r.m.nodes[r.node]
 	vpn, downgrade := msg.vpn, msg.downgrade
-	applyAt := t.Now()
-	t.Sleep(invalidateApply)
+	applyAt := t.Now() - invalidateApply
 	pte := ns.pt.Lookup(vpn)
 	var frame []byte
 	if pte != nil {

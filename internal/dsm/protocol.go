@@ -460,9 +460,9 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 	switch r := m.route(node, req); {
 	case r.busy:
 		m.e.bounce(st, nack, 0, 0)
-		m.view(node).Start(&st.run, "dsm-nack", st)
+		m.view(node).StartSleeping(&st.run, "dsm-nack", st, originDispatch)
 	case r.home == node:
-		m.view(node).Start(&st.run, "dsm-serve", st)
+		m.view(node).StartSleeping(&st.run, "dsm-serve", st, originDispatch)
 	default:
 		m.redirect(st, r.home, r.epoch)
 		if m.rec != nil {
@@ -470,7 +470,7 @@ func (m *Manager) dispatchRequest(node int, req *pageRequest) {
 			// request was delivered).
 			m.mark(node, m.redirectSpan, req.vpn, obs.Int("from", int64(req.node)), obs.Int("home", int64(r.home)))
 		}
-		m.view(node).Start(&st.run, "dsm-redirect", st)
+		m.view(node).StartSleeping(&st.run, "dsm-redirect", st, originDispatch)
 	}
 }
 

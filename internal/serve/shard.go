@@ -31,17 +31,20 @@ type shard struct {
 	restarts int
 
 	poll []dex.Addr // scratch: the slots an idle round reads
+	// ckpt is blob's scratch, copied by the calls it is handed to
+	// (Thread.Checkpoint, Write).
+	ckpt []byte
 }
 
 // blob encodes the consumed vector and stop mask — the "registers" of the
-// shard's checkpoint.
+// shard's checkpoint — into the shard's scratch, valid until the next call.
 func (sh *shard) blob() []byte {
-	out := make([]byte, 8*len(sh.consumed)+8)
-	for g, v := range sh.consumed {
-		binary.LittleEndian.PutUint64(out[8*g:], v)
+	out := sh.ckpt[:0]
+	for _, v := range sh.consumed {
+		out = binary.LittleEndian.AppendUint64(out, v)
 	}
-	binary.LittleEndian.PutUint64(out[8*len(sh.consumed):], sh.stopped)
-	return out
+	sh.ckpt = binary.LittleEndian.AppendUint64(out, sh.stopped)
+	return sh.ckpt
 }
 
 func (sh *shard) restore(blob []byte) {
@@ -216,16 +219,14 @@ func (sh *shard) checkpoint(t *dex.Thread) error {
 	if !sh.lay.faulty {
 		return nil
 	}
-	if err := t.Checkpoint(sh.blob()); err != nil {
+	blob := sh.blob()
+	if err := t.Checkpoint(blob); err != nil {
 		return err
 	}
 	sh.opsSince = 0
 	sh.lastCkpt = t.Now()
-	stable := make([]byte, 8*sh.lay.gateways)
-	for g, v := range sh.consumed {
-		binary.LittleEndian.PutUint64(stable[8*g:], v)
-	}
-	mustWrite(t, sh.lay.stableAddr(0, sh.id), stable)
+	// The blob starts with the consumed vector, the stable watermark.
+	mustWrite(t, sh.lay.stableAddr(0, sh.id), blob[:8*len(sh.consumed)])
 	return nil
 }
 

@@ -37,7 +37,9 @@
 // goroutine. A lane that runs alone asks only its own heap for its next event,
 // and nothing can reach it before the window ends, so a task whose Sleep ends
 // before that and before the lane's next event is that next event, and Sleep
-// takes the wake-up in place (see Task.Sleep). A window containing a
+// takes the wake-up in place (see Task.Sleep). A wake-up at which a task would
+// only sleep is answered in event context, without a switch into the task
+// (SleepWhile, ParkOnThenSleep, StartSleeping). A window containing a
 // global-lane event is processed in full event order. Events are keyed by
 // (time, target lane, creator lane, creator counter); the key order is total,
 // and only provably commuting events are ever reordered. An engine without
@@ -232,12 +234,12 @@ type SchedStats struct {
 
 // Census is Events by kind. TaskStarts, SleepWakes, Unparks, ParkTimeouts, the
 // Runners and SchedStats.InPlaceWakes add up to Events; SleptOn counts again
-// among SleepWakes and InPlaceWakes.
+// among SleepWakes and InPlaceWakes, and Switches is not an event count.
 type Census struct {
 	// TaskStarts are first runs of a task; SleepWakes the queued wake-ups of
-	// Sleep and SleepWhile; Unparks the wake-ups Unpark and Kill queue;
-	// ParkTimeouts the ParkTimeout deadlines that were still queued when they
-	// fell due.
+	// Sleep, SleepWhile and a sleep a wake-up took (ParkOnThenSleep,
+	// StartSleeping); Unparks the wake-ups Unpark and Kill queue; ParkTimeouts
+	// the ParkTimeout deadlines that were still queued when they fell due.
 	TaskStarts   uint64
 	SleepWakes   uint64
 	Unparks      uint64
@@ -246,6 +248,9 @@ type Census struct {
 	// by sleeping on: no task code ran and, for a queued one, no task switch
 	// was made.
 	SleptOn uint64
+	// Switches are the task switches: every start or resume of a task's
+	// coroutine, what a wake-up answered in event context saves.
+	Switches uint64
 	// Runners are the events that ran something other than a task, by what
 	// they ran — a Runner's type, or the function handed to After — sorted by
 	// name.
@@ -289,15 +294,16 @@ func (cs *census) countRunner(r Runner) {
 	cs.runners = append(cs.runners, runnerKind{typ: typ, fn: fn, events: 1})
 }
 
-// countTask classifies a task's event as step pops it.
+// countTask classifies a task's event as step pops it. A task that has not
+// run yet may be sleeping already: StartSleeping's first sleep.
 func (cs *census) countTask(t *Task, deadline bool) {
 	switch {
 	case deadline:
 		cs.counts.ParkTimeouts++
-	case t.co == nil:
-		cs.counts.TaskStarts++
 	case t.sleeping:
 		cs.counts.SleepWakes++
+	case t.co == nil:
+		cs.counts.TaskStarts++
 	default:
 		cs.counts.Unparks++
 	}
@@ -416,8 +422,13 @@ type event struct {
 const noEvent = time.Duration(math.MaxInt64)
 
 // tombstone marks a cancellable event: skipped on pop once cancelled, compacted
-// away when those dominate the heap, and reused by its lane after either.
-type tombstone struct{ dead bool }
+// away when those dominate the heap, and reused by its lane after either. lane
+// is that lane, the one whose heap holds the event: a tombstone never leaves
+// it.
+type tombstone struct {
+	dead bool
+	lane int32
+}
 
 // eventHeap is a concrete 4-ary min-heap ordered by (at, seq). Compared
 // to container/heap it avoids the interface boxing (one allocation per Push)
@@ -898,11 +909,16 @@ func (l *laneState) step(cs *census) {
 			return
 		}
 	}
-	// A task in SleepWhile is asked here, where its code would have run, and
-	// is switched into only when the answer is to stop sleeping. One that was
-	// killed, or unwound when an earlier Run gave up, is not asked.
-	if t.again != nil && !t.killed && !t.done && t.sleepOn() {
-		return
+	t.sleeping = false
+	// A wake-up answered in event context: a task in SleepWhile is asked here,
+	// where its code would have run, and a task that left a sleep for this
+	// wake-up (ParkOnThenSleep, StartSleeping) takes it here; either is
+	// switched into only once it stops sleeping. One that was killed, or
+	// unwound when an earlier Run gave up, is not asked and sleeps no more.
+	if !t.killed && !t.done {
+		if t.again != nil && t.sleepOn() || t.wakeSleep && t.sleepLeft() {
+			return
+		}
 	}
 	t.eng.c.resume(t)
 }
@@ -1045,17 +1061,19 @@ type Task struct {
 	killed    bool
 	wakeToken bool
 	timedOut  bool // the last ParkTimeout ended by its deadline
-	sleeping  bool // in Sleep or SleepWhile with the wake-up queued (the census asks)
+	sleeping  bool // a wake-up of Sleep, SleepWhile or wakeSleep is queued (the census asks)
 	// parkText, parkNum and parkBase are the Reason the task is parked on, kept
 	// field by field: beside the flags the base costs no word, and a Task stays
 	// in the 128-byte size class (TestTaskSizeof).
 	parkBase uint8
-	// parkLane is the lane whose heap holds the pending ParkTimeout event.
-	// SetLane may rebind the task while it is parked (thread migration), so
-	// cancellation must go back to that lane.
-	parkLane int32
-	parkText string
-	parkNum  uint64
+	// wakeSleep is set when the task's next wake-up (the Unpark ending a
+	// ParkOnThenSleep, StartSleeping's start) is to sleep wakeSleepNs before
+	// it switches into the task: step takes that sleep. Nanoseconds in 32 bits
+	// keep the Task in its size class.
+	wakeSleep   bool
+	wakeSleepNs uint32
+	parkText    string
+	parkNum     uint64
 	// again is SleepWhile's question, asked at each wake-up while it is set.
 	again func() (time.Duration, bool)
 	// detail is free-form location context (e.g. "node 3") set by the layer
@@ -1158,6 +1176,9 @@ func (c *engineCore) resume(t *Task) {
 		co.task, t.co = t, co
 	}
 	c.running = t
+	if c.census != nil {
+		c.census.counts.Switches++
+	}
 	_, alive := co.resume()
 	c.running = nil
 	if t.done {
@@ -1231,6 +1252,26 @@ func (e *Engine) SpawnAfter(name string, d time.Duration, fn func(*Task)) *Task 
 // Task starts once: starting it again panics, unless it has finished and been
 // reset to its zero value (Finisher).
 func (e *Engine) Start(t *Task, name string, body Body) { e.start(t, name, 0, body) }
+
+// StartSleeping is Start of a body whose first act is Sleep(d), with the
+// sleep taken out of the body: the task's start event takes it in event
+// context, under the key and with the in-place wake the body's Sleep would
+// have had, and the task is first switched into when it ends — one switch
+// where the start and the wake-up make two. A task killed before the sleep
+// ends never runs. d must not exceed 4.29s.
+func (e *Engine) StartSleeping(t *Task, name string, body Body, d time.Duration) {
+	if !t.leaveSleep(d) {
+		panic(fmt.Sprintf("sim: task %q: a first sleep of %v does not fit; sleep in the body", name, d))
+	}
+	e.start(t, name, 0, body)
+}
+
+// SpawnSleeping is StartSleeping of fn in a new Task, as Spawn is Start.
+func (e *Engine) SpawnSleeping(name string, d time.Duration, fn func(*Task)) *Task {
+	t := new(Task)
+	e.StartSleeping(t, name, funcBody(fn), d)
+	return t
+}
 
 func (e *Engine) start(t *Task, name string, d time.Duration, body Body) *Task {
 	if t.eng != nil {
@@ -1310,20 +1351,14 @@ func (t *Task) Sleep(d time.Duration) {
 		return
 	}
 	t.queueWake(d)
-	t.awaitWake()
+	t.yield()
 }
 
-// queueWake schedules the wake-up of a sleep that is not taken in place, and
-// awaitWake yields until it (or, under SleepWhile, a later one) resumes the
-// task.
+// queueWake schedules the wake-up of a sleep that is not taken in place; the
+// task yields until it (or, under SleepWhile, a later one) resumes the task.
 func (t *Task) queueWake(d time.Duration) {
 	t.sleeping = true
 	t.eng.AfterRun(d, t)
-}
-
-func (t *Task) awaitWake() {
-	t.yield()
-	t.sleeping = false
 }
 
 // SleepWhile is the loop
@@ -1345,7 +1380,7 @@ func (t *Task) awaitWake() {
 func (t *Task) SleepWhile(d time.Duration, again func() (time.Duration, bool)) {
 	t.again = again
 	if t.sleepFor(d) {
-		t.awaitWake()
+		t.yield()
 	}
 	t.again = nil
 }
@@ -1375,6 +1410,32 @@ func (t *Task) sleepOn() bool {
 	}
 	t.eng.c.countSleptOn()
 	return t.sleepFor(d)
+}
+
+// leaveSleep makes the task's next wake-up sleep d before it switches into the
+// task (wakeSleep). It reports false, leaving nothing, for a d that does not
+// fit in wakeSleepNs: over 4.29s.
+func (t *Task) leaveSleep(d time.Duration) bool {
+	d = max(d, 0)
+	if d > math.MaxUint32 {
+		return false
+	}
+	t.wakeSleep, t.wakeSleepNs = true, uint32(d)
+	return true
+}
+
+// sleepLeft takes, at a wake-up step has popped, the sleep leaveSleep left for
+// it, as the task's own Sleep would take it at this instant on this lane, and
+// reports whether its wake-up is queued: the task is switched into at that
+// wake-up, not now.
+func (t *Task) sleepLeft() bool {
+	t.wakeSleep = false
+	d := time.Duration(t.wakeSleepNs)
+	if t.wakeInPlace(d) {
+		return false
+	}
+	t.queueWake(d)
+	return true
 }
 
 // wakeInPlace takes the wake-up of a Sleep(d) without queueing it, when
@@ -1432,6 +1493,26 @@ func (t *Task) ParkOn(r Reason) {
 	t.setReason(Reason{})
 }
 
+// ParkOnThenSleep is
+//
+//	t.ParkOn(r)
+//	t.Sleep(d)
+//
+// with one task switch where those make two: the wake-up that ends the park
+// takes the sleep in event context (as SleepWhile answers its wake-ups), on
+// the task's lane at the instant its own Sleep would, so the event keys, the
+// event count and the in-place wakes are the two calls'; the task is switched
+// into when the sleep ends. A pending Unpark token, or a d over 4.29s, makes
+// it the two calls.
+func (t *Task) ParkOnThenSleep(r Reason, d time.Duration) {
+	if t.wakeToken || !t.leaveSleep(d) {
+		t.ParkOn(r)
+		t.Sleep(d)
+		return
+	}
+	t.ParkOn(r)
+}
+
 // ParkTimeout parks the task like Park but additionally schedules a wake-up
 // after d. It returns true if the task was unparked (or consumed a pending
 // wake token) and false if the timeout fired first. An early unpark cancels
@@ -1459,10 +1540,9 @@ func (t *Task) ParkOnTimeout(r Reason, d time.Duration) bool {
 			tomb, l.spare = l.spare[len(l.spare)-1], l.spare[:len(l.spare)-1]
 			tomb.dead = false
 		} else {
-			tomb = &tombstone{}
+			tomb = &tombstone{lane: int32(eng.lane)}
 		}
 		t.parkTomb = tomb
-		t.parkLane = int32(eng.lane)
 		eng.schedule(eng.lane, d, t, tomb)
 	}
 	t.yield()
@@ -1516,7 +1596,8 @@ func (t *Task) Killed() bool { return t.killed }
 // dropParkTimer cancels the pending ParkTimeout event, if any.
 func (t *Task) dropParkTimer() {
 	if t.parkTomb != nil {
-		t.eng.c.lanes[t.parkLane].cancelTomb(t.parkTomb)
+		// Not the task's lane: SetLane may have moved it since it parked.
+		t.eng.c.lanes[t.parkTomb.lane].cancelTomb(t.parkTomb)
 		t.parkTomb = nil
 	}
 }
