@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke chaos-sweep trace-smoke goldens goldens-update
+.PHONY: all build test race vet lint check no-large-files loc bench bench-record bench-smoke fuzz-smoke artifacts chaos-smoke chaos-sweep trace-smoke goldens goldens-update traffic
 
 all: check
 
@@ -142,11 +142,27 @@ trace-smoke:
 # edge-sized arrays) and of an 8-node bp run (one belief snapshot a node, not
 # one a worker), frames per replicated page, objects per
 # follower join and per radix Set on an existing path, and distinct cells of
-# the whole evaluation at test size — so that they fail CI by name.
+# the whole evaluation at test size — so that they fail CI by name. TESTARGS
+# (set by traffic) is passed to every test binary.
 goldens:
-	$(GO) test -run 'AllocsPerRun|NewNetworkAllocs|Sizeof|EventBudget|CopyBudget|CellBudget|SwitchBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve
-	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve
+	$(GO) test -run 'AllocsPerRun|NewNetworkAllocs|Sizeof|EventBudget|CopyBudget|CellBudget|SwitchBudget' ./internal/sim ./internal/fabric ./internal/core ./internal/apps ./internal/graph ./internal/dsm ./internal/radix ./internal/exper ./internal/load ./cmd/dexserve $(TESTARGS)
+	$(GO) test -count=1 -run 'GoldenBytes|WithoutSourceTree' ./cmd/dexbench ./cmd/dexchaos ./cmd/dexserve $(TESTARGS)
 	@$(MAKE) --no-print-directory behaviour | cmp - testdata/behaviour.sha256
+
+# traffic prints the functions outside benchmark/ that no pinned run reaches:
+# under one GOCOVERDIR, with every binary and test built -cover
+# -coverpkg=dex/..., it runs the goldens (their tests, then the behaviour
+# commands, which include the five examples), the chaos-smoke campaigns and
+# benchmark -quick, then lists each non-test function that ran 0 %. Not part
+# of check: the list is the evidence a deletion starts from, not a gate.
+traffic:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/cov" && \
+	export GOCOVERDIR="$$dir/cov" GOFLAGS='-cover -coverpkg=dex/... -count=1' && \
+	$(MAKE) --no-print-directory goldens TESTARGS="-args -test.gocoverdir=$$dir/cov" > /dev/null && \
+	$(MAKE) --no-print-directory chaos-smoke > /dev/null && \
+	$(GO) run ./benchmark -quick -out "$$dir/out" > /dev/null && \
+	$(GO) tool covdata func -i="$$dir/cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /^dex\/benchmark\// { n++; print } END { printf "traffic: %d functions outside benchmark/ ran 0 %%\n", n }'
 
 # goldens-update rewrites the manifest (the golden files themselves are
 # regenerated by hand, with every changed cell explained).

@@ -59,7 +59,7 @@ func run(args []string) error {
 		return err
 	}
 	if *list {
-		for _, a := range apps.Registry() {
+		for _, a := range apps.All() {
 			mark := ""
 			if a.Restartable {
 				mark = "  [-restart]"
@@ -70,7 +70,11 @@ func run(args []string) error {
 	}
 	app, ok := apps.ByName(*appName)
 	if !ok {
-		return fmt.Errorf("unknown application %q (use -list)", *appName)
+		var names []string
+		for _, a := range apps.All() {
+			names = append(names, a.Name)
+		}
+		return fmt.Errorf("unknown application %q (one of %s)", *appName, strings.Join(names, ", "))
 	}
 	cfg, err := cl.Resolve(&app)
 	if err != nil {

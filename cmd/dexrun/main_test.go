@@ -107,8 +107,9 @@ func originCrashPlan(t *testing.T) string {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-app", "nope"}); err == nil {
-		t.Fatal("unknown app accepted")
+	const eight = `unknown application "srv" (one of grp, kmn, bt, ep, ft, blk, bfs, bp)`
+	if err := run([]string{"-app", "srv"}); err == nil || err.Error() != eight {
+		t.Fatalf("-app srv: got %v, want %s", err, eight)
 	}
 	if err := run([]string{"-app", "ep", "-variant", "bogus"}); err == nil {
 		t.Fatal("unknown variant accepted")
@@ -137,7 +138,7 @@ func TestRunErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("-restart accepted for an app without checkpoint support")
 	}
-	if !strings.Contains(err.Error(), "kmn") || !strings.Contains(err.Error(), "srv") {
+	if !strings.Contains(err.Error(), "(supported: kmn)") {
 		t.Fatalf("-restart error does not list the capable apps: %v", err)
 	}
 }

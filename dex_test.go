@@ -260,69 +260,6 @@ func TestBarrierRounds(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	cluster := NewCluster(3)
-	_, err := cluster.Run(func(th *Thread) error {
-		wg, err := NewWaitGroup(th)
-		if err != nil {
-			return err
-		}
-		done, err := th.Mmap(PageSize, ProtRead|ProtWrite, "done-count")
-		if err != nil {
-			return err
-		}
-		if err := wg.Add(th, 2); err != nil {
-			return err
-		}
-		for i := 1; i < 3; i++ {
-			i := i
-			if _, err := th.Spawn(func(w *Thread) error {
-				if err := w.Migrate(i); err != nil {
-					return err
-				}
-				w.Compute(time.Duration(i) * time.Millisecond)
-				if _, err := w.AddUint64(done, 1); err != nil {
-					return err
-				}
-				if err := wg.Done(w); err != nil {
-					return err
-				}
-				return w.MigrateBack()
-			}); err != nil {
-				return err
-			}
-		}
-		if err := wg.Wait(th); err != nil {
-			return err
-		}
-		v, err := th.ReadUint64(done)
-		if err != nil {
-			return err
-		}
-		if v != 2 {
-			t.Errorf("wait returned before both workers done: %d", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	cluster := NewCluster(1)
-	_, err := cluster.Run(func(th *Thread) error {
-		wg, err := NewWaitGroup(th)
-		if err != nil {
-			return err
-		}
-		return wg.Done(th)
-	})
-	if err == nil {
-		t.Fatal("negative waitgroup accepted")
-	}
-}
-
 func TestBarrierValidation(t *testing.T) {
 	cluster := NewCluster(1)
 	_, err := cluster.Run(func(th *Thread) error {

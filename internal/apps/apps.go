@@ -89,7 +89,7 @@ type Config struct {
 	Size           Size
 	Seed           int64
 	// Restart runs checkpoint/restart-capable workers where the app
-	// supports them (the entries of Registry with Restartable set): each
+	// supports them (the entries of All with Restartable set): each
 	// worker checkpoints at natural boundaries and, if its node is
 	// declared dead under fault injection, is re-spawned at the origin
 	// from the checkpoint instead of failing the run. A no-op without a
@@ -175,20 +175,11 @@ func All() []App {
 	}
 }
 
-// Registry returns every runnable program: the paper's eight benchmark
-// applications of All plus the serving workload, which is not part of the
-// §V benchmark suite but shares the same runner interface.
-func Registry() []App {
-	return append(All(),
-		App{Name: "srv", Desc: "multi-tenant KV/aggregation serving with SLO report (internal/serve)", Run: RunSRV, Restartable: true},
-	)
-}
-
-// Restartable lists the names of registry entries that honour
-// Config.Restart, in registry order.
+// Restartable lists the names of the apps that honour Config.Restart, in
+// the order of All.
 func Restartable() []string {
 	var names []string
-	for _, a := range Registry() {
+	for _, a := range All() {
 		if a.Restartable {
 			names = append(names, a.Name)
 		}
@@ -196,9 +187,9 @@ func Restartable() []string {
 	return names
 }
 
-// ByName looks up a program in the registry.
+// ByName looks up an application of All.
 func ByName(name string) (App, bool) {
-	for _, a := range Registry() {
+	for _, a := range All() {
 		if a.Name == name {
 			return a, true
 		}

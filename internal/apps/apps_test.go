@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 )
 
@@ -92,6 +93,9 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("ByName accepted unknown app")
+	}
+	if got := Restartable(); !slices.Equal(got, []string{"kmn"}) {
+		t.Fatalf("Restartable() = %v, want [kmn]", got)
 	}
 }
 

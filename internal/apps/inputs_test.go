@@ -26,9 +26,8 @@ var derivations = map[string]func(cfg Config) any{
 
 // underived are the applications whose runs derive nothing worth keeping:
 // bt has no generated input, ft and blk generate theirs in under 1 % of a
-// full-size sweep and check no sequential reference of it, srv's schedule
-// belongs to internal/load.
-var underived = map[string]bool{"bt": true, "ft": true, "blk": true, "srv": true}
+// full-size sweep and check no sequential reference of it.
+var underived = map[string]bool{"bt": true, "ft": true, "blk": true}
 
 // kmnStreamHash is the FNV-1a hash of the coordinates next draws for the
 // points of p: the points a run writes, pinned without holding them.
@@ -101,7 +100,7 @@ func TestDerivedBuildsOncePerKey(t *testing.T) {
 // alone — equal across variant, node count and threads per node, built once
 // for all of them — and differs when the seed or the size does.
 func TestDerivedInputsPure(t *testing.T) {
-	for _, app := range Registry() {
+	for _, app := range All() {
 		derive, ok := derivations[app.Name]
 		if !ok {
 			if !underived[app.Name] {

@@ -49,7 +49,7 @@ func TestResolveRejectsBadValues(t *testing.T) {
 		{[]string{"-size", "huge"}, "-size huge: "},
 		{[]string{"-variant", "fast"}, "-variant fast: "},
 		{[]string{"-protocol", "mesi"}, "-protocol mesi: "},
-		{[]string{"-restart"}, "-restart: ep does not support checkpoint/restart (supported: kmn, srv)"},
+		{[]string{"-restart"}, "-restart: ep does not support checkpoint/restart (supported: kmn)"},
 		{[]string{"-chaos", filepath.Join(dir, "missing.json")}, "missing.json: no such file or directory"},
 		{[]string{"-chaos", filepath.Join(dir, "no\nsuch.json")}, `no\nsuch.json": no such file or directory`},
 		{[]string{"-chaos", write("range.json", `{"crashes":[{"node":9,"at":"1ms"}]}`)}, "out of range"},

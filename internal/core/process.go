@@ -28,10 +28,9 @@ type Process struct {
 	pid    int
 	origin int
 
-	as    *mem.AddressSpace
-	mgr   *dsm.Manager
-	fut   *futex.Table
-	files *fileTable
+	as  *mem.AddressSpace
+	mgr *dsm.Manager
+	fut *futex.Table
 
 	threads    []*Thread
 	liveCount  int
@@ -109,7 +108,6 @@ func (m *Machine) NewProcess(origin int, main func(*Thread) error) *Process {
 		origin: origin,
 		as:     mem.NewAddressSpace(),
 		fut:    futex.NewTable(),
-		files:  newFileTable(),
 		nodes:  make([]nodeState, m.params.Nodes),
 	}
 	p.mgr = dsm.New(m.eng, m.net, m.params.DSM, pid, origin, m.params.Nodes, m.params.Obs)
@@ -364,7 +362,7 @@ func delegate[T any](p *Process, th *Thread, name string, op func(t *sim.Task) T
 	p.m.net.Send(th.task, node, p.origin, &envelope{bytes: delegateSize, deliver: func() {
 		// The handler-thread context runs at the origin, on the origin's
 		// lane: delegated operations touch origin-owned state (address
-		// space, futex table, file table, delegation counter).
+		// space, futex table, delegation counter).
 		p.m.view(p.origin).Spawn("delegate "+name, func(t *sim.Task) {
 			p.delegations++
 			t.Sleep(delegateDispatch)

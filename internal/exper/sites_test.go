@@ -48,8 +48,6 @@ var sharedMemoryMethods = map[string]bool{
 var otherThreadMethods = map[string]bool{
 	"Spawn": true, "Join": true, "Compute": true, "Work": true,
 	"FutexWait": true, "FutexWake": true, "SetSite": true,
-	"Open": true, "Close": true, "Pread": true, "Pwrite": true,
-	"FileRead": true, "FileSize": true,
 }
 
 // CountAPISites parses internal/apps/<app>.go (a test runs in its package's

@@ -146,7 +146,7 @@ func (r *Recorder) Bind(sim Sim) {
 // ConfigureLanes does nothing and OnLane returns its receiver: the recorder
 // has no lane views, the simulation it is bound to knows which lane is
 // executing. Both exist only because the frozen benchmark/probes/probes.go
-// calls them; they go when the benchmark is next unfrozen (ROADMAP item 4 (b)).
+// calls them; they go when the benchmark is next unfrozen (ROADMAP item 8).
 func (r *Recorder) ConfigureLanes(int) {}
 
 // OnLane returns r; see ConfigureLanes.

@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultSpec builds the canonical multi-tenant traffic mix used by
-// cmd/dexserve and the srv registry entry: tenants cycle through three
+// cmd/dexserve and dexbench's serve experiment: tenants cycle through three
 // profiles — a rate-limited flat tenant with a hot Zipf head (its token
 // bucket sheds deterministically), a step-ramp tenant that doubles its
 // rate mid-run, and a diurnal tenant swinging around its base rate. Each

@@ -13,8 +13,8 @@ import (
 //
 // Because the futex word lives in ordinary shared memory, a primitive
 // co-located with hot data on the same page causes false sharing, exactly
-// like in the paper — which is why constructors allocate a page-aligned word
-// by default and an *At variant exists for embedding into app data.
+// like in the paper — which is why every constructor here maps fresh pages
+// for its words, away from application data.
 
 // Mutex is a futex-based mutual-exclusion lock usable from any node.
 // The word holds 0 (unlocked), 1 (locked), or 2 (locked, waiters).
@@ -255,64 +255,4 @@ func (b *PhasedBarrier) Release(t *Thread, phase int) error {
 	}
 	_, err = t.FutexWake(b.gen, b.n)
 	return err
-}
-
-// WaitGroup counts outstanding work, like sync.WaitGroup, across nodes.
-type WaitGroup struct {
-	addr Addr // 4-byte counter (the futex word)
-}
-
-// NewWaitGroup allocates a wait group in its own page.
-func NewWaitGroup(t *Thread) (*WaitGroup, error) {
-	addr, err := t.Mmap(PageSize, ProtRead|ProtWrite, "waitgroup")
-	if err != nil {
-		return nil, fmt.Errorf("dex: allocate waitgroup: %w", err)
-	}
-	return &WaitGroup{addr: addr}, nil
-}
-
-// Add adds delta (which may be negative) to the counter; at zero, waiters
-// are released.
-func (wg *WaitGroup) Add(t *Thread, delta int) error {
-	for {
-		v, err := t.ReadUint32(wg.addr)
-		if err != nil {
-			return err
-		}
-		nv := int64(int32(v)) + int64(delta)
-		if nv < 0 {
-			return fmt.Errorf("dex: negative waitgroup counter at %v", wg.addr)
-		}
-		ok, err := t.CompareAndSwapUint32(wg.addr, v, uint32(nv))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if nv == 0 {
-			_, err := t.FutexWake(wg.addr, 1<<30)
-			return err
-		}
-		return nil
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done(t *Thread) error { return wg.Add(t, -1) }
-
-// Wait blocks until the counter reaches zero.
-func (wg *WaitGroup) Wait(t *Thread) error {
-	for {
-		v, err := t.ReadUint32(wg.addr)
-		if err != nil {
-			return err
-		}
-		if v == 0 {
-			return nil
-		}
-		if _, err := t.FutexWait(wg.addr, v); err != nil {
-			return err
-		}
-	}
 }
